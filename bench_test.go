@@ -245,44 +245,49 @@ func BenchmarkPreparedReuse(b *testing.B) {
 }
 
 // BenchmarkQuantileAllocs — allocation regression floor for the pivot loop
-// (ISSUE 4). One prepared plan on the 32k-tuple acceptance instance answers
-// the 8-φ grid per op; the assertion pins the zero-rebuild loop's allocation
-// budget well below the PR 3 number (see the budget constant below).
+// (ISSUEs 4 and 12). One prepared plan answers the 8-φ grid per op, on two
+// 32k-tuple instances: the selective one, whose answers materialize at once
+// (the tail: enumerate, weigh, select), and the dense one under LEX, which
+// loops three or four rounds per φ and whose weights are vectors (one flat
+// array per node; a vector per tuple used to cost 345k allocations per
+// answer). Budgets are what the one-sided loop measures plus 15%.
 func BenchmarkQuantileAllocs(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	q, idb := workload.Path(rng, 2, 1<<14, 1<<18) // ≈1k answers from 32k tuples
-	db := qjoin.WrapDB(idb)
-	f := qjoin.Sum(q.Vars()...)
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
-	p, err := qjoin.Prepare(q, db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Quantiles(f, phis); err != nil { // warm lazy plan state
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Quantiles(f, phis); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// PR 3 measured 63376 allocs per 8-φ grid on this instance; the
-	// acceptance bar is a ≥40% reduction. Budget set just above the bar so a
-	// regression past it fails loudly while normal jitter does not.
-	const pr3Allocs = 63376
-	const budget = pr3Allocs * 60 / 100
-	perGrid := testing.AllocsPerRun(3, func() {
-		if _, err := p.Quantiles(f, phis); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.ReportMetric(perGrid, "allocs/grid")
-	if perGrid > budget {
-		b.Fatalf("quantile grid allocates %.0f allocs/op, budget %d (PR 3: %d) — pivot-loop allocation regression",
-			perGrid, int(budget), pr3Allocs)
+	for _, tc := range []struct {
+		name   string
+		dom    int64
+		rank   func(q *qjoin.Query) *qjoin.Ranking
+		budget float64 // allocs per 8-φ grid
+	}{
+		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 984}, // measured 856; PR 3: 63376
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 11364},      // measured 9882; PR 11: 2.7M
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			q, idb := workload.Path(rng, 2, 1<<14, tc.dom)
+			f := tc.rank(q)
+			p, err := qjoin.Prepare(q, qjoin.WrapDB(idb))
+			if err != nil {
+				b.Fatal(err)
+			}
+			grid := func() {
+				if _, err := p.Quantiles(f, phis); err != nil {
+					b.Fatal(err)
+				}
+			}
+			grid() // warm lazy plan state
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				grid()
+			}
+			b.StopTimer()
+			perGrid := testing.AllocsPerRun(3, grid)
+			b.ReportMetric(perGrid, "allocs/grid")
+			if perGrid > tc.budget {
+				b.Fatalf("quantile grid allocates %.0f allocs/op, budget %.0f — pivot-loop allocation regression", perGrid, tc.budget)
+			}
+		})
 	}
 }
 

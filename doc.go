@@ -142,7 +142,38 @@
 // # Zero-rebuild pivot loop
 //
 // The per-iteration cost of Algorithm 1 is proportional to the surviving
-// rows, not to a rebuild of the trimmed database:
+// rows, not to a rebuild of the trimmed database, and a round does only the
+// work its decision needs:
+//
+// One-sided rounds. A round trims, derives and counts one partition first —
+// lt when index k lies in the lower half of the candidates, else gt — and
+// descends immediately when that count already places k (k < |lt|, resp.
+// k ≥ |cur| − |gt|). The other partition is built only otherwise, before
+// the usual three-way choice between lt, the pivot's tie class and gt.
+// Pivots, decisions and answers are exactly those of a round that builds
+// both sides; RunStats.Iterations counts every round on every exit (it
+// equals len(Phases.Iterations)), a PhaseTimings entry sums both builds
+// when a round had two, and MaxInstanceTuples is the largest instance
+// built.
+//
+// One-pass band trim. For exact SUM the candidate band low ≺ Σ ≺ high is a
+// single trim of the original instance: per A-row, two binary searches over
+// the sorted B side bound the admissible range, which is covered by its
+// canonical dyadic segments. The one-sided trim is the band with the other
+// bound at ±∞ — for ≺ λ byte-identical to the prefix construction — so one
+// cached preparation per ranking serves every round of every quantile.
+// MIN, MAX, LEX and the ε-lossy SUM compose two one-sided trims behind the
+// same driver call, pivot bound first.
+//
+// Deterministic linear selection. Weighted medians (Algorithm 2) and the
+// rank-k selection of the materialized tail run introselect: a cheap
+// position-based pivot (median-of-3, ninther from 128 items), with
+// median-of-medians taking over for the rest of a call as soon as one
+// partition round fails to shrink the range by at least 1/8. Nothing is
+// randomized, every call is worst-case linear, and the pivot rule can only
+// change which member of a tie class a median returns — never a pivot
+// weight, and never an exact answer (tie classes are resolved in canonical
+// value order).
 //
 // Interned integer row keys. Every hash structure over tuples — input
 // dedup, node materialization, join-group indexes, the trim constructions'
@@ -169,10 +200,11 @@
 // the engine, not to derived instances, and are untouched by the loop.
 //
 // Pooled iteration scratch and cached trim preparation. Counting arrays
-// and pivot weight buffers are drawn from a plan-owned pool, and the
-// λ-independent half of the staircase trim (grouping and sorting both
-// adjacent sides) is computed once per (ranking, direction) per plan and
-// reused by every iteration of every quantile. Options.CollectPhases
+// and pivot weight buffers (LEX weight vectors as one flat array per node)
+// are drawn from a plan-owned pool, and the bound-independent half of the
+// staircase trim (grouping and sorting both adjacent sides) is computed
+// once per ranking per plan and reused by every iteration of every
+// quantile. Options.CollectPhases
 // records a per-iteration pivot/trim/derive/count wall-clock breakdown in
 // RunStats.Phases (off by default so RunStats stay byte-comparable).
 //

@@ -27,71 +27,13 @@ type fuzzInstance struct {
 	ranks []*qjoin.Ranking
 }
 
-// fuzzInstances generates the differential corpus. Relation sizes straddle
-// the runtime's sequential-fallback threshold: the large shapes really chunk
-// at workers >= 2, the small ones pin the inline path. Duplicate source rows
-// are injected everywhere dedup buys coverage — relations are sets, so the
-// engine must collapse them while the multiset refcounts keep delete
-// validation exact.
+// fuzzInstances wraps the differential corpus of internal/testutil — shared
+// with the pivot loop's own differential in internal/core — in the public
+// types.
 func fuzzInstances(rng *rand.Rand) []fuzzInstance {
 	var out []fuzzInstance
-
-	dup := func(db *qjoin.DB, name string, k int) {
-		r := db.Unwrap().Get(name)
-		n := r.Len()
-		for i := 0; i < k; i++ {
-			r.AppendRow(r.RowValues(rng.Intn(n)))
-		}
-	}
-
-	{
-		q, idb := workload.Path(rng, 2, 700, 35)
-		db := qjoin.WrapDB(idb)
-		dup(db, "R1", 40)
-		v := q.Vars()
-		out = append(out, fuzzInstance{"path2-dups", q, db,
-			[]*qjoin.Ranking{qjoin.Sum(v...), qjoin.Min(v...), qjoin.Max(v...), qjoin.Lex(v...)}})
-	}
-	{
-		q, idb := workload.Path(rng, 3, 600, 24)
-		db := qjoin.WrapDB(idb)
-		dup(db, "R2", 30)
-		out = append(out, fuzzInstance{"path3-dups", q, db,
-			[]*qjoin.Ranking{qjoin.Sum("x1", "x2", "x3"), qjoin.Max(q.Vars()...), qjoin.Lex("x1", "x4")}})
-	}
-	{
-		q, idb := workload.Star(rng, 3, 600, 40, 40)
-		db := qjoin.WrapDB(idb)
-		v := q.Vars()
-		// Full SUM on a star is outside the tractable class (Theorem 5.6),
-		// so this shape exercises the partition-identifier trims only.
-		out = append(out, fuzzInstance{"star3", q, db,
-			[]*qjoin.Ranking{qjoin.Min(v...), qjoin.Max(v...), qjoin.Lex(v...)}})
-	}
-	{
-		// Self-join: both atoms read the same stored relation, so the
-		// columnar layout is shared between two nodes of the join tree.
-		q := qjoin.NewQuery(qjoin.NewAtom("R", "x", "y"), qjoin.NewAtom("R", "y", "z"))
-		rows := make([][]int64, 0, 640)
-		for i := 0; i < 600; i++ {
-			rows = append(rows, []int64{rng.Int63n(26), rng.Int63n(26)})
-		}
-		for i := 0; i < 40; i++ { // raw duplicates on top
-			rows = append(rows, append([]int64(nil), rows[rng.Intn(600)]...))
-		}
-		db := qjoin.NewDB().MustAdd("R", 2, rows)
-		out = append(out, fuzzInstance{"selfjoin-dups", q, db,
-			[]*qjoin.Ranking{qjoin.Sum("x", "y", "z"), qjoin.Min("x", "z"), qjoin.Lex("x", "z")}})
-	}
-	{
-		// Tiny instance: stays under SeqThreshold at every worker count, so
-		// multi-worker requests must still take the sequential path and agree.
-		q, idb := workload.Path(rng, 2, 60, 8)
-		db := qjoin.WrapDB(idb)
-		dup(db, "R2", 12)
-		v := q.Vars()
-		out = append(out, fuzzInstance{"tiny-path2", q, db,
-			[]*qjoin.Ranking{qjoin.Sum(v...), qjoin.Lex(v...)}})
+	for _, inst := range testutil.FuzzCorpus(rng) {
+		out = append(out, fuzzInstance{inst.Name, inst.Q, qjoin.WrapDB(inst.DB), inst.Ranks})
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -15,6 +14,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
+	"github.com/quantilejoins/qjoin/internal/selection"
 	"github.com/quantilejoins/qjoin/internal/trim"
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
@@ -27,13 +27,14 @@ type PhaseTimings struct {
 	// Pivot is the pivot-selection pass (Algorithm 2) over the candidate
 	// (per shard, plus the cross-shard weighted-median merge).
 	Pivot time.Duration
-	// Trim is the construction of both trimmed instances (lt / gt),
-	// including any composed bound trims.
+	// Trim is the construction of the round's trimmed instances — the one
+	// partition most rounds build, both when the first did not place the
+	// index — including any composed bound trims.
 	Trim time.Duration
 	// Derive is executable-tree acquisition for the trimmed instances:
 	// subset derivation when the trim emitted one, Build+NewExec otherwise.
 	Derive time.Duration
-	// Count is the counting pass over both trimmed instances.
+	// Count is the counting pass over the trimmed instances.
 	Count time.Duration
 }
 
@@ -47,7 +48,9 @@ type PhaseTimings struct {
 // deterministic for a fixed shard count (identical across worker counts and
 // across runs), not across different shard counts.
 type RunStats struct {
-	// Iterations is the number of pivoting rounds executed.
+	// Iterations is the number of pivoting rounds executed, whichever way
+	// the run ended; with Options.CollectPhases it equals
+	// len(Phases.Iterations).
 	Iterations int
 	// Materialized is the candidate count resolved by final materialization
 	// (0 when the run terminated in the equal partition).
@@ -56,8 +59,8 @@ type RunStats struct {
 	PivotReturned bool
 	// Count is |Q(D)|.
 	Count counting.Count
-	// MaxInstanceTuples is the largest trimmed database seen (summed across
-	// shards within one iteration).
+	// MaxInstanceTuples is the largest trimmed database built (summed across
+	// shards within one partition of one iteration).
 	MaxInstanceTuples int
 	// Lossy reports that the run partitioned through ε-lossy trims (SUM
 	// outside the tractable class with Options.Epsilon > 0), so the answer
@@ -81,18 +84,19 @@ type PhaseLog struct {
 	Iterations []PhaseTimings
 }
 
-// runScratch is the pooled per-run iteration scratch: counting buffers for
-// the two candidate instances of each iteration and the pivot pass's weight
-// arrays. One value serves one run at a time; the engine's scratch pool
-// hands it from run to run so steady-state quantile answering allocates no
-// fresh per-node arrays. Two counting slots suffice: the counts chosen by
-// iteration i are read by the pivot of iteration i+1, which completes before
-// the slots are overwritten by iteration i+1's own counting. Sharded runs
-// check one scratch out of every shard engine's pool, so concurrent runs
-// over the same shards stay race-free.
+// runScratch is the pooled per-run iteration scratch: one counting buffer
+// per partition side, the pivot pass's weight arrays, and the backing of the
+// tail's LEX weight vectors. One value serves one run at a time; the engine's
+// scratch pool hands it from run to run so steady-state quantile answering
+// allocates no fresh per-node arrays. A counting slot per side suffices: the
+// counts a round descends into are read only by the next round's pivot pass,
+// which completes before that round counts anything. Sharded runs check one
+// scratch out of every shard engine's pool, so concurrent runs over the same
+// shards stay race-free.
 type runScratch struct {
-	countA, countB yannakakis.Scratch
-	pivot          pivot.Scratch
+	counts  [2]yannakakis.Scratch // indexed by side (trim.Less, trim.Greater)
+	pivot   pivot.Scratch
+	lexVecs []int64
 }
 
 // scratchFor checks a runScratch out of the engine's pool.
@@ -104,11 +108,34 @@ func scratchFor(eng *engine.Engine) *runScratch {
 }
 
 // trimmer binds the ranking-specific trim constructions of Section 5/6 into
-// the two operations Algorithm 1 needs.
+// the one operation Algorithm 1 needs: cut the original instance down to a
+// candidate band.
 type trimmer struct {
-	less    func(inst trim.Instance, w ranking.Weightv, eps float64) (trim.Instance, error)
-	greater func(inst trim.Instance, w ranking.Weightv, eps float64) (trim.Instance, error)
-	lossy   bool
+	// sumBand trims to low ≺ Σ ≺ high in one pass (exact SUM only).
+	sumBand func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error)
+	// cut trims to one side of a weight; bands compose two of them.
+	cut   func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, eps float64) (trim.Instance, error)
+	lossy bool
+}
+
+// band trims orig to one partition of a round, the answers with
+// low ≺ w ≺ high. side is the partition — lt (trim.Less), whose high is the
+// round's pivot, or gt (trim.Greater), whose low is — and so the direction of
+// the pivot's cut, which comes first where a band is two composed cuts; the
+// other bound is carried over from earlier rounds and may be infinite.
+func (t *trimmer) band(orig trim.Instance, low, high ranking.Bound, side trim.Dir, eps float64) (trim.Instance, error) {
+	if t.sumBand != nil {
+		return t.sumBand(orig, low, high)
+	}
+	pivot, carried, carriedDir := high, low, trim.Greater
+	if side == trim.Greater {
+		pivot, carried, carriedDir = low, high, trim.Less
+	}
+	out, err := t.cut(orig, pivot.W, side, eps)
+	if err == nil && carried.IsFinite() {
+		out, err = t.cut(out, carried.W, carriedDir, eps)
+	}
+	return out, err
 }
 
 // makeTrimmer selects the trimming construction for the ranking function,
@@ -116,55 +143,29 @@ type trimmer struct {
 func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error) {
 	switch f.Agg {
 	case ranking.Min, ranking.Max:
-		return &trimmer{
-			less: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
-				return trim.MinMax(inst, f, w.K, trim.Less)
-			},
-			greater: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
-				return trim.MinMax(inst, f, w.K, trim.Greater)
-			},
-		}, nil
+		return &trimmer{cut: func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, _ float64) (trim.Instance, error) {
+			return trim.MinMax(inst, f, w.K, dir)
+		}}, nil
 	case ranking.Lex:
-		return &trimmer{
-			less: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
-				return trim.Lex(inst, f, w.Vec, trim.Less)
-			},
-			greater: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
-				return trim.Lex(inst, f, w.Vec, trim.Greater)
-			},
-		}, nil
+		return &trimmer{cut: func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, _ float64) (trim.Instance, error) {
+			return trim.Lex(inst, f, w.Vec, dir)
+		}}, nil
 	case ranking.Sum:
-		exactOK := false
 		if !opts.ForceLossy {
 			if _, _, _, err := jointree.BuildAdjacentPair(q, f.Vars); err == nil {
-				exactOK = true
+				return &trimmer{sumBand: func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error) {
+					return trim.SumAdjacentBand(inst, f, low, high)
+				}}, nil
 			}
-		}
-		if exactOK {
-			return &trimmer{
-				less: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
-					return trim.SumAdjacent(inst, f, w.K, trim.Less)
-				},
-				greater: func(inst trim.Instance, w ranking.Weightv, _ float64) (trim.Instance, error) {
-					return trim.SumAdjacent(inst, f, w.K, trim.Greater)
-				},
-			}, nil
 		}
 		if opts.Epsilon <= 0 {
 			return nil, ErrIntractable
 		}
 		lossyOpts := opts.LossyOpts
-		return &trimmer{
-			lossy: true,
-			less: func(inst trim.Instance, w ranking.Weightv, eps float64) (trim.Instance, error) {
-				out, _, err := trim.SumLossy(inst, f, w.K, trim.Less, eps, lossyOpts)
-				return out, err
-			},
-			greater: func(inst trim.Instance, w ranking.Weightv, eps float64) (trim.Instance, error) {
-				out, _, err := trim.SumLossy(inst, f, w.K, trim.Greater, eps, lossyOpts)
-				return out, err
-			},
-		}, nil
+		return &trimmer{lossy: true, cut: func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, eps float64) (trim.Instance, error) {
+			out, _, err := trim.SumLossy(inst, f, w.K, dir, eps, lossyOpts)
+			return out, err
+		}}, nil
 	}
 	return nil, fmt.Errorf("core: unsupported aggregate %s", f.Agg)
 }
@@ -283,17 +284,28 @@ type shardState struct {
 	// back and is skipped by every later pass.
 	dead bool
 	scr  *runScratch
-	// Per-iteration candidate partitions, filled stage by stage so phase
-	// timings aggregate across shards the way they did across one.
-	lt, gt             trim.Instance
-	ltExec, gtExec     *jointree.Exec
-	ltCounts, gtCounts *yannakakis.Counts
+	// parts are this round's candidate partitions, indexed by side and
+	// filled stage by stage so phase timings aggregate across shards the way
+	// they did across one. A side the round did not build holds a stale one.
+	parts [2]partition
+}
+
+// partition is one shard's slice of one side of a round: the trimmed
+// instance, its executable tree and its counting state.
+type partition struct {
+	inst   trim.Instance
+	exec   *jointree.Exec
+	counts *yannakakis.Counts
 }
 
 // run is the shared driver body of Quantile and Select, generalized to a
 // vector of shard engines. All per-(Q, D) preprocessing lives in the
 // engines; a run only pays for pivoting, trimming and counting of its own
-// trimmed instances — and those are zero-rebuild: each engine's cached
+// trimmed instances — and a round builds only what its decision needs: the
+// partition the index more likely falls in (lt when k is in the lower half
+// of the candidates, else gt) is trimmed, derived and counted first, and when
+// its count already places k the round descends without ever building the
+// other. The instances are zero-rebuild: each engine's cached
 // counting state feeds the first pivot, every counted instance hands its
 // executable tree and counts to the next iteration instead of being rebuilt,
 // filter trims derive their trees by subset filtering, λ-independent trim
@@ -376,7 +388,6 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 	cands := make([]*pivot.Result, len(shards))
 
 	for iter := 0; iter < opts.maxIterations(); iter++ {
-		stats.Iterations = iter
 		if curCount.Cmp(threshold) <= 0 {
 			// Enumerating the cached full reductions touches only tuples
 			// that participate in answers — on selective joins this is
@@ -385,7 +396,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			if err != nil {
 				return nil, stats, err
 			}
-			ans, err := materializeSelect(execs, f, origVars, k)
+			ans, err := materializeSelect(execs, f, origVars, k, shards[0].scr)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -393,6 +404,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			stats.Materialized = int(m)
 			return ans, stats, nil
 		}
+		stats.Iterations = iter + 1
 		t0 := now()
 		for i, st := range shards {
 			cands[i] = nil
@@ -412,7 +424,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			return nil, stats, ErrNoAnswers // unreachable: curCount > 0
 		}
 		wp := pv.Weight
-		t1 := now()
+		phases := PhaseTimings{Pivot: now().Sub(t0)}
 
 		epsIter := 0.0
 		if trm.lossy {
@@ -437,62 +449,73 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			}
 		}
 
-		for _, st := range shards {
-			if st.dead {
-				continue
+		// build trims, derives and counts one side of the round across the
+		// live shards and returns its answer count.
+		build := func(side trim.Dir) (counting.Count, error) {
+			lo, hi := low, ranking.Finite(wp)
+			if side == trim.Greater {
+				lo, hi = ranking.Finite(wp), high
 			}
-			if st.lt, err = trm.less(st.orig, wp, epsIter); err != nil {
-				return nil, stats, err
-			}
-			if low.IsFinite() {
-				if st.lt, err = trm.greater(st.lt, low.W, epsIter); err != nil {
-					return nil, stats, err
+			t0 := now()
+			for _, st := range shards {
+				if st.dead {
+					continue
 				}
-			}
-			if st.gt, err = trm.greater(st.orig, wp, epsIter); err != nil {
-				return nil, stats, err
-			}
-			if high.IsFinite() {
-				if st.gt, err = trm.less(st.gt, high.W, epsIter); err != nil {
-					return nil, stats, err
+				inst, err := trm.band(st.orig, lo, hi, side, epsIter)
+				if err != nil {
+					return counting.Zero, err
 				}
+				st.parts[side].inst = inst
 			}
+			t1 := now()
+			for _, st := range shards {
+				if st.dead {
+					continue
+				}
+				exec, err := execOf(st.parts[side].inst)
+				if err != nil {
+					return counting.Zero, err
+				}
+				st.parts[side].exec = exec
+			}
+			t2 := now()
+			count, size := counting.Zero, 0
+			for _, st := range shards {
+				if st.dead {
+					continue
+				}
+				p := &st.parts[side]
+				p.counts = yannakakis.CountScratch(p.exec, workers, &st.scr.counts[side])
+				count = count.Add(p.counts.Total)
+				size += p.inst.DB.Size()
+			}
+			stats.MaxInstanceTuples = max(stats.MaxInstanceTuples, size)
+			phases.Trim += t1.Sub(t0)
+			phases.Derive += t2.Sub(t1)
+			phases.Count += now().Sub(t2)
+			return count, nil
 		}
-		t2 := now()
-		for _, st := range shards {
-			if st.dead {
-				continue
-			}
-			if st.ltExec, err = execOf(st.lt); err != nil {
+		// The side k more likely falls in goes first; the other is built
+		// only when the first one's count does not already place k. A side
+		// left unbuilt counts as empty below, which is the same decision:
+		// the two conditions exclude each other.
+		first := trim.Less
+		if k.Cmp(curCount.Half()) >= 0 {
+			first = trim.Greater
+		}
+		var c [2]counting.Count
+		if c[first], err = build(first); err != nil {
+			return nil, stats, err
+		}
+		inLt := func() bool { return k.Cmp(c[trim.Less]) < 0 }
+		inGt := func() bool { return k.Cmp(curCount.Sub(c[trim.Greater])) >= 0 }
+		if other := 1 - first; !inLt() && !inGt() {
+			if c[other], err = build(other); err != nil {
 				return nil, stats, err
 			}
-			if st.gtExec, err = execOf(st.gt); err != nil {
-				return nil, stats, err
-			}
 		}
-		t3 := now()
-		cLt, cGt := counting.Zero, counting.Zero
-		ltSize, gtSize := 0, 0
-		for _, st := range shards {
-			if st.dead {
-				continue
-			}
-			st.ltCounts = yannakakis.CountScratch(st.ltExec, workers, &st.scr.countA)
-			st.gtCounts = yannakakis.CountScratch(st.gtExec, workers, &st.scr.countB)
-			cLt = cLt.Add(st.ltCounts.Total)
-			cGt = cGt.Add(st.gtCounts.Total)
-			ltSize += st.lt.DB.Size()
-			gtSize += st.gt.DB.Size()
-		}
-		stats.MaxInstanceTuples = maxInt(stats.MaxInstanceTuples, ltSize, gtSize)
 		if opts.CollectPhases {
-			t4 := now()
-			stats.Phases.Iterations = append(stats.Phases.Iterations, PhaseTimings{
-				Pivot:  t1.Sub(t0),
-				Trim:   t2.Sub(t1),
-				Derive: t3.Sub(t2),
-				Count:  t4.Sub(t3),
-			})
+			stats.Phases.Iterations = append(stats.Phases.Iterations, phases)
 		}
 
 		// Choose the partition holding index k. The equal partition is
@@ -501,30 +524,25 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 		// slice of the chosen branch, handing its executable tree and
 		// counting state to the next iteration — nothing is rebuilt. A
 		// shard whose slice came up empty is dead from here on.
+		descend := func(side trim.Dir) {
+			for _, st := range shards {
+				if st.dead {
+					continue
+				}
+				p := st.parts[side]
+				st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
+				st.onOrig = false
+				st.dead = st.curCount.IsZero()
+			}
+		}
 		switch {
-		case k.Cmp(cLt) < 0:
-			for _, st := range shards {
-				if st.dead {
-					continue
-				}
-				st.cur, st.curCount = st.lt, st.ltCounts.Total
-				st.curExec, st.curCounts = st.ltExec, st.ltCounts
-				st.onOrig = false
-				st.dead = st.curCount.IsZero()
-			}
-			curCount, high = cLt, ranking.Finite(wp)
-		case k.Cmp(curCount.Sub(cGt)) >= 0:
-			k = k.Sub(curCount.Sub(cGt))
-			for _, st := range shards {
-				if st.dead {
-					continue
-				}
-				st.cur, st.curCount = st.gt, st.gtCounts.Total
-				st.curExec, st.curCounts = st.gtExec, st.gtCounts
-				st.onOrig = false
-				st.dead = st.curCount.IsZero()
-			}
-			curCount, low = cGt, ranking.Finite(wp)
+		case inLt():
+			descend(trim.Less)
+			curCount, high = c[trim.Less], ranking.Finite(wp)
+		case inGt():
+			k = k.Sub(curCount.Sub(c[trim.Greater]))
+			descend(trim.Greater)
+			curCount, low = c[trim.Greater], ranking.Finite(wp)
 		default:
 			stats.PivotReturned = true
 			if trm.lossy {
@@ -541,7 +559,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			// not depend on the pivot path (and hence not on the shard
 			// count). A singleton class needs no enumeration: the pivot is
 			// its only member.
-			if curCount.Sub(cLt).Sub(cGt).Cmp(counting.One) == 0 {
+			if curCount.Sub(c[trim.Less]).Sub(c[trim.Greater]).Cmp(counting.One) == 0 {
 				ans := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, origVars)
 				return &Answer{Vars: origVars, Values: ans, Weight: wp}, stats, nil
 			}
@@ -549,7 +567,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			if err != nil {
 				return nil, stats, err
 			}
-			ans, err := classSelect(execs, f, origVars, wp, k.Sub(cLt))
+			ans, err := classSelect(execs, f, origVars, wp, k.Sub(c[trim.Less]))
 			return ans, stats, err
 		}
 	}
@@ -577,15 +595,6 @@ func liveExecs(shards []*shardState) ([]*jointree.Exec, error) {
 	return out, nil
 }
 
-func maxInt(a int, rest ...int) int {
-	for _, v := range rest {
-		if v > a {
-			a = v
-		}
-	}
-	return a
-}
-
 // projectAnswer maps an assignment laid out per fromVars onto toVars by name.
 func projectAnswer(fromVars []query.Var, vals []relation.Value, toVars []query.Var) []relation.Value {
 	out := make([]relation.Value, len(toVars))
@@ -611,13 +620,14 @@ func projection(fromVars, toVars []query.Var) []int {
 // materializeSelect resolves a small candidate instance spread over one or
 // more shard executable trees: materialize the answers (Yannakakis), project
 // off helper variables, and select index k by weight with a consistent value
-// tie-break. The sort's (weight, values) order is total over the distinct
-// answers — shards hold disjoint answer sets — so the selected answer
-// depends neither on the enumeration order within a tree nor on how answers
-// are distributed across trees. Projected answers are stored in one flat
-// backing array — the projection positions are resolved once per tree, not
-// once per answer.
-func materializeSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query.Var, k counting.Count) (*Answer, error) {
+// tie-break. The (weight, values) order is total over the distinct answers —
+// shards hold disjoint answer sets — so the selected answer depends neither
+// on the enumeration order within a tree nor on how answers are distributed
+// across trees; only rank k is wanted, so it is selected (worst-case linear)
+// rather than sorted for. Projected answers are stored in one flat backing
+// array — the projection positions are resolved once per tree, not once per
+// answer — and LEX weight vectors in one flat array kept in scr.
+func materializeSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query.Var, k counting.Count, scr *runScratch) (*Answer, error) {
 	w := len(origVars)
 	var flat []relation.Value
 	for _, e := range execs {
@@ -646,32 +656,29 @@ func materializeSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query
 	}
 	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
 	aw := ranking.NewAnswerWeigher(f, origVars)
+	r := f.VecLen()
+	if cap(scr.lexVecs) < n*r {
+		scr.lexVecs = make([]int64, n*r)
+	}
 	weights := make([]ranking.Weightv, n)
 	for i := 0; i < n; i++ {
-		weights[i] = aw.WeightOf(answer(i))
+		weights[i] = aw.WeightInto(scr.lexVecs[i*r:(i+1)*r:(i+1)*r], answer(i))
 	}
-	// Sort a permutation so weights stay aligned with their answers.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool {
-		i, j := perm[x], perm[y]
-		if c := f.Compare(weights[i], weights[j]); c != 0 {
-			return c < 0
-		}
-		return lessValues(answer(i), answer(j))
-	})
 	ki, ok := k.Uint64()
 	if !ok || ki >= uint64(n) {
 		// Lossy accounting can leave k at the boundary; clamp.
 		ki = uint64(n - 1)
 	}
-	sel := perm[ki]
-	// Copy out of the flat backing: a view would pin all n·w materialized
-	// values for the Answer's lifetime.
+	sel := selection.Nth(selection.NewIndex(n), int(ki), func(i, j int) bool {
+		if c := f.Compare(weights[i], weights[j]); c != 0 {
+			return c < 0
+		}
+		return lessValues(answer(i), answer(j))
+	})
+	// Copy out of the flat backings: a view would pin all n·w materialized
+	// values for the Answer's lifetime, and the weight vectors are scratch.
 	vals := append([]relation.Value(nil), answer(sel)...)
-	return &Answer{Vars: origVars, Values: vals, Weight: weights[sel]}, nil
+	return &Answer{Vars: origVars, Values: vals, Weight: weights[sel].Clone()}, nil
 }
 
 // classSelect resolves an exact-trim run that terminated in the equal
@@ -686,13 +693,14 @@ func classSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query.Var, 
 	aw := ranking.NewAnswerWeigher(f, origVars)
 	var flat []relation.Value
 	row := make([]relation.Value, w)
+	vec := make([]int64, f.VecLen())
 	for _, e := range execs {
 		proj := projection(e.Q.Vars(), origVars)
 		yannakakis.Enumerate(e, func(asn []relation.Value) bool {
 			for i, p := range proj {
 				row[i] = asn[p]
 			}
-			if f.Compare(aw.WeightOf(row), lambda) != 0 {
+			if f.Compare(aw.WeightInto(vec, row), lambda) != 0 {
 				return true
 			}
 			flat = append(flat, row...)
@@ -704,18 +712,14 @@ func classSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query.Var, 
 		return nil, ErrNoAnswers
 	}
 	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(x, y int) bool {
-		return lessValues(answer(perm[x]), answer(perm[y]))
-	})
 	ki, ok := k.Uint64()
 	if !ok || ki >= uint64(n) {
 		ki = uint64(n - 1)
 	}
-	vals := append([]relation.Value(nil), answer(perm[ki])...)
+	sel := selection.Nth(selection.NewIndex(n), int(ki), func(i, j int) bool {
+		return lessValues(answer(i), answer(j))
+	})
+	vals := append([]relation.Value(nil), answer(sel)...)
 	return &Answer{Vars: origVars, Values: vals, Weight: lambda}, nil
 }
 

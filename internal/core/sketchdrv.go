@@ -129,28 +129,25 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	}
 	workers := parallel.Workers(opts.Parallelism)
 	orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()}
-	var scrA, scrB yannakakis.Scratch
+	var scr yannakakis.Scratch
 	one := counting.FromUint64(1)
 	entries := make([]sketch.Entry, 0, len(s.Entries))
 	for _, e := range s.Entries {
-		lt, err := trm.less(orig, e.Weight, selEps)
-		if err != nil {
-			return nil, err
+		at := ranking.Finite(e.Weight)
+		bands := [2][2]ranking.Bound{trim.Less: {ranking.NegInf(), at}, trim.Greater: {at, ranking.PosInf()}}
+		var c [2]counting.Count
+		for side, b := range bands {
+			inst, err := trm.band(orig, b[0], b[1], trim.Dir(side), selEps)
+			if err != nil {
+				return nil, err
+			}
+			exec, err := execOf(inst)
+			if err != nil {
+				return nil, err
+			}
+			c[side] = yannakakis.CountScratch(exec, workers, &scr).Total
 		}
-		ltExec, err := execOf(lt)
-		if err != nil {
-			return nil, err
-		}
-		cLess := yannakakis.CountScratch(ltExec, workers, &scrA).Total
-		gt, err := trm.greater(orig, e.Weight, selEps)
-		if err != nil {
-			return nil, err
-		}
-		gtExec, err := execOf(gt)
-		if err != nil {
-			return nil, err
-		}
-		cGreater := yannakakis.CountScratch(gtExec, workers, &scrB).Total
+		cLess, cGreater := c[trim.Less], c[trim.Greater]
 		if n.Less(cGreater) {
 			cGreater = n // cannot happen for sound trims; guard the Sub
 		}

@@ -56,44 +56,41 @@ func Select(e *jointree.Exec, f *ranking.Func, mu map[query.Var]int) (*Result, e
 // concurrent passes.
 type Scratch struct {
 	weights  [][]ranking.Weightv
+	lexVecs  [][]int64 // per node: the backing of its LEX weight vectors
 	selTuple [][]int
 	cParam   []float64
 	live     []int
 }
 
-func (s *Scratch) nodes(n int) (weights [][]ranking.Weightv, selTuple [][]int, cParam []float64) {
+func (s *Scratch) nodes(n int) (weights [][]ranking.Weightv, lexVecs [][]int64, selTuple [][]int, cParam []float64) {
 	if s == nil {
-		return make([][]ranking.Weightv, n), make([][]int, n), make([]float64, n)
+		return make([][]ranking.Weightv, n), make([][]int64, n), make([][]int, n), make([]float64, n)
 	}
 	if cap(s.weights) < n {
 		s.weights = make([][]ranking.Weightv, n)
+		s.lexVecs = make([][]int64, n)
 		s.selTuple = make([][]int, n)
 		s.cParam = make([]float64, n)
 	}
-	s.weights, s.selTuple, s.cParam = s.weights[:n], s.selTuple[:n], s.cParam[:n]
-	return s.weights, s.selTuple, s.cParam
+	s.weights, s.lexVecs, s.selTuple, s.cParam = s.weights[:n], s.lexVecs[:n], s.selTuple[:n], s.cParam[:n]
+	return s.weights, s.lexVecs, s.selTuple, s.cParam
 }
 
-func growWeights(buf []ranking.Weightv, n int) []ranking.Weightv {
+// grow returns buf resized to n elements, reallocating only when it is too
+// small; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]ranking.Weightv, n)
-}
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // SelectWorkers runs Algorithm 2 over a bounded worker pool: the counting
 // pass, the per-tuple pivot-weight loops (chunked over rows) and the
 // per-group weighted medians (chunked over groups) all run data-parallel.
-// Weighted medians are deterministic (median-of-medians, no randomization)
-// and every write is disjoint by tuple or group index, so the selected
-// pivot is identical for every worker count.
+// Weighted medians are deterministic (introselect over position-based pivots,
+// no randomization) and every write is disjoint by tuple or group index, so
+// the selected pivot is identical for every worker count.
 func SelectWorkers(e *jointree.Exec, f *ranking.Func, mu map[query.Var]int, workers int) (*Result, error) {
 	return SelectPrepared(e, yannakakis.CountWorkers(e, workers), f, mu, workers, nil)
 }
@@ -109,13 +106,17 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 
 	nNodes := len(e.T.Nodes)
 	// weights: pivot weight per tuple; selTuple: wmed-selected tuple per group.
-	weights, selTuple, cParam := s.nodes(nNodes)
+	// A LEX weight is a vector: each node's are views of one flat array, r
+	// positions per tuple, so the pass allocates per node and not per tuple.
+	weights, lexVecs, selTuple, cParam := s.nodes(nNodes)
+	r := f.VecLen()
 
 	for _, id := range e.T.BottomUp {
 		n := e.T.Nodes[id]
 		rel := e.Rels[id]
 		tw := ranking.NewTupleWeigher(f, mu, n.Atom, n.Vars)
-		ws := growWeights(weights[id], rel.Len())
+		ws := grow(weights[id], rel.Len())
+		vecs := grow(lexVecs[id], rel.Len()*r)
 
 		c := 1.0
 		for _, ch := range n.Children {
@@ -134,7 +135,7 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 				if counts.Tuple[id][i].IsZero() {
 					continue // dangling tuple; never selected
 				}
-				w := tw.WeightAt(relCols, i)
+				w := tw.WeightAtInto(vecs[i*r:(i+1)*r:(i+1)*r], relCols, i)
 				for k, ch := range children {
 					var gid int
 					if pg := gids[k]; pg != nil {
@@ -143,18 +144,18 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 						gid, _ = e.ParentGroup(ch, i)
 					}
 					st := selTuple[ch][gid]
-					w = f.Combine(w, weights[ch][st])
+					w = f.CombineInto(w, weights[ch][st])
 				}
 				ws[i] = w
 			}
 		})
-		weights[id] = ws
+		weights[id], lexVecs[id] = ws, vecs
 
 		// Close out this node's groups for the parent: weighted median of
 		// the group's live tuple pivots, multiplicities = subtree counts.
 		if n.Parent >= 0 {
 			groups := e.Groups[id]
-			sel := growInts(selTuple[id], groups.NumGroups())
+			sel := grow(selTuple[id], groups.NumGroups())
 			parallel.For(workers, groups.NumGroups(), func(lo, hi int) {
 				var live []int // reused across the chunk's groups
 				for g := lo; g < hi; g++ {
@@ -219,9 +220,11 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 	}
 	fill(root, rootSel)
 
+	// The weight outlives the pass (it becomes a search bound of the loop);
+	// its vector must not stay a view of the scratch.
 	return &Result{
 		Assignment: asn,
-		Weight:     weights[root][rootSel],
+		Weight:     weights[root][rootSel].Clone(),
 		C:          cParam[root] / 2,
 		Count:      counts.Total,
 	}, nil

@@ -1,6 +1,8 @@
 package pivot
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
 func selectPivot(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func) (*Result, error) {
@@ -235,6 +238,78 @@ func BenchmarkPivotPath3(b *testing.B) {
 		e, _ := jointree.NewExec(q, db, tree)
 		if _, err := Select(e, f, mu); err != nil && err != ErrNoAnswers {
 			b.Fatal(err)
+		}
+	}
+}
+
+// pivotWeightDigest folds the pivot weights selected on this file's random
+// fixtures (same seeds and shapes as the tests above, plus one instance whose
+// join groups are large enough for every pivot rule of the selection package)
+// into one FNV-1a hash.
+func pivotWeightDigest(t *testing.T, workers int) uint64 {
+	h := fnv.New64a()
+	add := func(q *query.Query, db *relation.Database, f *ranking.Func) {
+		tree, err := jointree.Build(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := jointree.NewExec(q, db, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu, err := f.AssignVars(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SelectWorkers(e, f, mu, workers)
+		if err == ErrNoAnswers {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d%v;", res.Weight.K, res.Weight.Vec)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 60; trial++ {
+		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(3), 1+rng.Intn(12), 4)
+		add(q, db, ranking.NewSum(q.Vars()...))
+	}
+	rng = rand.New(rand.NewSource(22))
+	for trial := 0; trial < 60; trial++ {
+		q, db := testutil.RandomStarInstance(rng, 2+rng.Intn(3), 1+rng.Intn(10), 5)
+		add(q, db, ranking.NewMin(q.Vars()...))
+		add(q, db, ranking.NewMax(q.Vars()...))
+	}
+	rng = rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		q, db := testutil.RandomPathInstance(rng, 2+rng.Intn(2), 1+rng.Intn(10), 3)
+		vars := q.Vars()
+		add(q, db, ranking.NewLex(vars[0], vars[len(vars)-1]))
+	}
+	rng = rand.New(rand.NewSource(24))
+	for trial := 0; trial < 40; trial++ {
+		q, db := testutil.RandomPathInstance(rng, 3, 1+rng.Intn(10), 4)
+		add(q, db, ranking.NewSum("x1", "x2", "x3"))
+	}
+	rng = rand.New(rand.NewSource(26))
+	q, db := workload.Star(rng, 3, 6000, 12, 1000) // join groups of ~400 tuples
+	vars := q.Vars()
+	for _, f := range []*ranking.Func{ranking.NewSum(vars...), ranking.NewMin(vars...), ranking.NewMax(vars...), ranking.NewLex("y3", "y1")} {
+		add(q, db, f)
+	}
+	return h.Sum64()
+}
+
+// The selection package's pivot rule decides which member of a tie class a
+// weighted median returns, never its weight: the pivot weights Algorithm 2
+// selects are those of the median-of-medians-only implementation (digest
+// recorded at the commit before introselect), at every worker count.
+func TestPivotWeightsIndependentOfSelectionRule(t *testing.T) {
+	const medianOfMediansDigest = 0x361529a4350a39b2
+	for _, workers := range []int{1, 2, 8} {
+		if got := pivotWeightDigest(t, workers); got != medianOfMediansDigest {
+			t.Fatalf("workers=%d: pivot-weight digest %#x, want %#x", workers, got, uint64(medianOfMediansDigest))
 		}
 	}
 }

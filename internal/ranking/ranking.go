@@ -13,6 +13,7 @@ package ranking
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -143,6 +144,20 @@ type Weightv struct {
 	Vec []int64
 }
 
+// VecLen is the length of a weight's vector: one position per ranked variable
+// for LEX, none for the scalar aggregates.
+func (f *Func) VecLen() int {
+	if f.Agg == Lex {
+		return len(f.Vars)
+	}
+	return 0
+}
+
+// Clone returns w with a vector of its own.
+func (w Weightv) Clone() Weightv {
+	return Weightv{K: w.K, Vec: slices.Clone(w.Vec)}
+}
+
 // Identity returns the aggregate's neutral element: the weight of an empty
 // multiset of input weights.
 func (f *Func) Identity() Weightv {
@@ -183,6 +198,19 @@ func (f *Func) Combine(a, b Weightv) Weightv {
 		return Weightv{Vec: out}
 	}
 	panic("ranking: unknown aggregate")
+}
+
+// CombineInto is Combine without the allocation: a LEX weight accumulates b
+// into a's own vector, which the caller must own; scalar aggregates are
+// Combine.
+func (f *Func) CombineInto(a, b Weightv) Weightv {
+	if f.Agg != Lex {
+		return f.Combine(a, b)
+	}
+	for i, x := range b.Vec {
+		a.Vec[i] += x
+	}
+	return a
 }
 
 // Compare orders two weights under ⪯, returning -1, 0 or +1.
@@ -255,6 +283,7 @@ type TupleWeigher struct {
 	f        *Func
 	vars     []query.Var // μ-assigned ranked vars of this node
 	cols     []int       // their column positions in the node relation
+	lexPos   []int       // their significance positions (LEX only)
 	identity Weightv
 }
 
@@ -266,6 +295,9 @@ func NewTupleWeigher(f *Func, mu map[query.Var]int, atomIdx int, nodeVars []quer
 		if a, ok := mu[v]; ok && a == atomIdx {
 			tw.vars = append(tw.vars, v)
 			tw.cols = append(tw.cols, col)
+			if f.Agg == Lex {
+				tw.lexPos = append(tw.lexPos, f.lexPos(v))
+			}
 		}
 	}
 	return tw
@@ -289,6 +321,20 @@ func (tw *TupleWeigher) WeightAt(cols [][]relation.Value, i int) Weightv {
 		w = tw.f.Combine(w, tw.f.VarWeight(tw.vars[k], cols[col][i]))
 	}
 	return w
+}
+
+// WeightAtInto is WeightAt without the allocation: a LEX weight is written
+// into vec (one position per ranked variable, overwritten) and returned as a
+// view of it; scalar aggregates ignore vec.
+func (tw *TupleWeigher) WeightAtInto(vec []int64, cols [][]relation.Value, i int) Weightv {
+	if tw.f.Agg != Lex {
+		return tw.WeightAt(cols, i)
+	}
+	clear(vec)
+	for k, col := range tw.cols {
+		vec[tw.lexPos[k]] = tw.f.W(tw.vars[k], cols[col][i])
+	}
+	return Weightv{Vec: vec}
 }
 
 // ScalarSum returns the int64 partial sum of row's μ-assigned weights.
@@ -357,6 +403,19 @@ func (aw *AnswerWeigher) WeightOf(asn []relation.Value) Weightv {
 		w = aw.f.Combine(w, aw.f.VarWeight(aw.f.Vars[i], asn[p]))
 	}
 	return w
+}
+
+// WeightInto is WeightOf without the allocation: a LEX weight is written
+// into vec (one position per ranked variable) and returned as a view of it;
+// scalar aggregates ignore vec.
+func (aw *AnswerWeigher) WeightInto(vec []int64, asn []relation.Value) Weightv {
+	if aw.f.Agg != Lex {
+		return aw.WeightOf(asn)
+	}
+	for i, p := range aw.cols {
+		vec[i] = aw.f.W(aw.f.Vars[i], asn[p])
+	}
+	return Weightv{Vec: vec}
 }
 
 // Bound is a weight extended with ±∞, used for the low/high search bounds of

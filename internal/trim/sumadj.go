@@ -2,6 +2,7 @@ package trim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -12,28 +13,31 @@ import (
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
 
-// SumAdjacent trims Σ_{x∈U_w} w_x(x) ≺ λ (or ≻ λ) when the ranked variables
-// sit on one join-tree node or two adjacent nodes (Lemma 5.5, after
-// Tziavelis et al. [22]). It runs in O(n log n), produces an instance of size
-// O(n log n), and the answers of the output are in bijection (drop the helper
-// variable) with the satisfying answers of the input. The output stays in the
-// class: the two weight-bearing atoms remain adjacent (they now additionally
-// share the helper variable), so the trim composes with itself.
+// SumAdjacentBand trims low ≺ Σ_{x∈U_w} w_x(x) ≺ high when the ranked
+// variables sit on one join-tree node or two adjacent nodes (Lemma 5.5, after
+// Tziavelis et al. [22]); low may be −∞ and high +∞. It runs in O(n log n),
+// produces an instance of size O(n log n), and the answers of the output are
+// in bijection (drop the helper variable) with the satisfying answers of the
+// input. The output stays in the class: the two weight-bearing atoms remain
+// adjacent (they now additionally share the helper variable), so the trim
+// composes with itself.
 //
 // Construction, per join group of the adjacent pair (A, B): sort the B-side
 // rows by their partial sum. For an A-row with partial sum s, the admissible
-// B-rows form the prefix holding sums < λ - s (a "staircase"). Each prefix is
+// B-rows are the contiguous range holding sums in (low - s, high - s) — two
+// binary searches, a "staircase" with a step at both ends. Each range is
 // decomposed into O(log n) canonical dyadic segments of an implicit segment
 // tree over the sorted order; a fresh variable shared by A and B carries the
 // segment identity, so each admissible pair joins on exactly one segment and
-// no inadmissible pair joins at all.
+// no inadmissible pair joins at all. Both bounds cost one pass: Algorithm 1's
+// candidate band never needs a trim of a trim.
 //
-// Everything that does not depend on λ — the grouped A and B sides, the
-// per-row partial sums, the per-group staircase sort — is a *preparation*
-// that Algorithm 1 re-uses verbatim every iteration: only λ changes between
-// pivoting rounds. When the instance carries a Cache (the driver's original
-// always does), the preparation is computed once per (ranking, direction)
-// and every subsequent call pays only for the staircase emission, which is
+// Everything that does not depend on the bounds — the grouped A and B sides,
+// the per-row partial sums, the per-group staircase sort — is a *preparation*
+// that Algorithm 1 re-uses verbatim every iteration: only the bounds change
+// between pivoting rounds. When the instance carries a Cache (the driver's
+// original always does), the preparation is computed once per ranking and
+// every subsequent call pays only for the staircase emission, which is
 // proportional to the output.
 //
 // Join groups are independent, so with inst.Workers > 1 the per-group
@@ -43,38 +47,44 @@ import (
 // order) rebases them to the global sequence, and per-chunk outputs
 // concatenate in group order — reproducing the sequential output byte for
 // byte at any worker count.
-func SumAdjacent(inst Instance, f *ranking.Func, lambda int64, dir Dir) (Instance, error) {
+func SumAdjacentBand(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Sum {
 		return Instance{}, fmt.Errorf("trim: SumAdjacent requires SUM, got %s", f.Agg)
+	}
+	if low.Inf > 0 || high.Inf < 0 {
+		return Instance{}, fmt.Errorf("trim: band bounds out of order (low = +∞ or high = −∞)")
 	}
 	if err := requireSelfJoinFree(inst.Q); err != nil {
 		return Instance{}, err
 	}
-	prep, err := sumAdjPrepFor(inst, f, dir)
+	prep, err := sumAdjPrepFor(inst, f)
 	if err != nil {
 		return Instance{}, err
 	}
-	// Work in negated weights for ≻ so that both directions are a strict
-	// less-than on the stored sums.
-	lam := lambda
-	if dir == Greater {
-		lam = -lambda
-	}
 	if prep.single {
-		return sumAdjFilter(inst, f, prep, lam)
+		return sumAdjFilter(inst, f, prep, low, high)
 	}
-	return sumAdjEmit(inst, prep, lam)
+	return sumAdjEmit(inst, prep, low, high)
 }
 
-// sumAdjPrep is the λ-independent preparation of one SumAdjacent direction:
-// the adjacent pair, the μ-split ranked columns, both sides grouped by their
+// SumAdjacent trims Σ ≺ λ (dir = Less) or Σ ≻ λ (dir = Greater): the band
+// with the other bound at infinity.
+func SumAdjacent(inst Instance, f *ranking.Func, lambda int64, dir Dir) (Instance, error) {
+	l := ranking.Finite(ranking.Weightv{K: lambda})
+	if dir == Less {
+		return SumAdjacentBand(inst, f, ranking.NegInf(), l)
+	}
+	return SumAdjacentBand(inst, f, l, ranking.PosInf())
+}
+
+// sumAdjPrep is the bound-independent preparation of SumAdjacentBand: the
+// adjacent pair, the μ-split ranked columns, both sides grouped by their
 // shared join key (B-side whole-row deduplicated, sums sorted ascending for
-// the staircase search), and the per-row signed partial sums.
+// the staircase search), and the per-row partial sums.
 type sumAdjPrep struct {
 	atomIdxA, atomIdxB int // atom indexes in inst.Q (== node ids)
 	atomA, atomB       query.Atom
 	single             bool
-	sign               int64
 
 	// Single-node state.
 	colsA []int
@@ -84,7 +94,7 @@ type sumAdjPrep struct {
 	bGroups    []bGroupPrep
 	aGroupRows [][]int // per A-group, row indexes into relA, ascending
 	aPartner   []int   // A-group -> index into bGroups, -1 when keyless
-	aSums      []int64 // per relA row: sign·partial sum
+	aSums      []int64 // per relA row: partial sum
 }
 
 type bGroupPrep struct {
@@ -93,19 +103,19 @@ type bGroupPrep struct {
 }
 
 // sumAdjPrepFor returns the preparation, from the instance's cache when one
-// is attached (built at most once per (ranking, direction) per plan).
-func sumAdjPrepFor(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, error) {
+// is attached (built at most once per ranking per plan).
+func sumAdjPrepFor(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	c := inst.Cache
 	if c == nil {
-		return buildSumAdjPrep(inst, f, dir)
+		return buildSumAdjPrep(inst, f)
 	}
-	key := cacheKeyFor(f, dir)
+	key := cacheKeyFor(f)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.sumAdj[key]; ok {
 		return p, nil
 	}
-	p, err := buildSumAdjPrep(inst, f, dir)
+	p, err := buildSumAdjPrep(inst, f)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +126,7 @@ func sumAdjPrepFor(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, error)
 	return p, nil
 }
 
-func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, error) {
+func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	tree, nodeA, nodeB, err := jointree.BuildAdjacentPair(inst.Q, f.Vars)
 	if err != nil {
 		return nil, fmt.Errorf("trim: U_w not coverable by adjacent nodes: %w", err)
@@ -125,14 +135,7 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, erro
 	if inst.DB.Size() < parallel.SeqThreshold {
 		workers = 1
 	}
-	sign := int64(1)
-	if dir == Greater {
-		sign = -1
-	}
-	p := &sumAdjPrep{
-		atomIdxA: tree.Nodes[nodeA].Atom,
-		sign:     sign,
-	}
+	p := &sumAdjPrep{atomIdxA: tree.Nodes[nodeA].Atom}
 	p.atomA = inst.Q.Atoms[p.atomIdxA]
 	if nodeB == -1 {
 		// All ranked variables in one atom: a linear filter on its relation.
@@ -206,7 +209,7 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, erro
 	parallel.Do(workers, len(p.bGroups), func(k int) {
 		g := &p.bGroups[k]
 		for j, ri := range g.rows {
-			g.sums[j] = rowSumAt(f, bVars, colsB, bCols, ri, sign)
+			g.sums[j] = rowSumAt(f, bVars, colsB, bCols, ri)
 		}
 		sort.Sort(&sumRowSorter{sums: g.sums, rows: g.rows})
 	})
@@ -236,7 +239,7 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, erro
 	p.aSums = make([]int64, relA.Len())
 	parallel.For(workers, relA.Len(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.aSums[i] = rowSumAt(f, aVars, colsA, aCols, i, sign)
+			p.aSums[i] = rowSumAt(f, aVars, colsA, aCols, i)
 		}
 	})
 	return p, nil
@@ -245,13 +248,16 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func, dir Dir) (*sumAdjPrep, erro
 // sumAdjFilter handles the single-node case: a pure row filter, so the
 // output instance is a subset instance and inherits a derived Exec when the
 // input carries one.
-func sumAdjFilter(inst Instance, f *ranking.Func, p *sumAdjPrep, lam int64) (Instance, error) {
+func sumAdjFilter(inst Instance, f *ranking.Func, p *sumAdjPrep, low, high ranking.Bound) (Instance, error) {
 	workers := inst.workers()
+	in := func(s int64) bool {
+		return (!low.IsFinite() || s > low.W.K) && (!high.IsFinite() || s < high.W.K)
+	}
 	db2 := relation.NewDatabase()
 	src := inst.DB.Get(p.atomA.Rel)
 	srcCols := src.Cols()
 	out := src.FilterWorkers(workers, func(i int) bool {
-		return rowSumAt(f, p.varsA, p.colsA, srcCols, i, p.sign) < lam
+		return in(rowSumAt(f, p.varsA, p.colsA, srcCols, i))
 	})
 	for _, atom := range inst.Q.Atoms {
 		if atom.Rel == p.atomA.Rel {
@@ -273,7 +279,7 @@ func sumAdjFilter(inst Instance, f *ranking.Func, p *sumAdjPrep, lam int64) (Ins
 			k := make([]bool, rel.Len())
 			parallel.For(workers, rel.Len(), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					k[i] = rowSumAt(f, p.varsA, cols, relCols, i, p.sign) < lam
+					k[i] = in(rowSumAt(f, p.varsA, cols, relCols, i))
 				}
 			})
 			keep[n.ID] = k
@@ -321,8 +327,8 @@ func (c *emitChunk) reset() {
 
 var emitScratch = sync.Pool{New: func() any { return new(emitChunk) }}
 
-// sumAdjEmit is the per-λ staircase emission over a two-node preparation.
-func sumAdjEmit(inst Instance, p *sumAdjPrep, lam int64) (Instance, error) {
+// sumAdjEmit is the per-band staircase emission over a two-node preparation.
+func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance, error) {
 	workers := inst.workers()
 	if inst.DB.Size() < parallel.SeqThreshold {
 		workers = 1
@@ -366,31 +372,32 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, lam int64) (Instance, error) {
 				}
 				return id
 			}
-			maxLvl := bitsFor(m)
 			for _, ai := range p.aGroupRows[gk] {
 				s := p.aSums[ai]
-				// Admissible prefix: B-sums strictly below lam - s.
-				pfx := sort.Search(m, func(j int) bool { return g.sums[j] >= lam-s })
-				// Canonical dyadic decomposition of [0, pfx).
-				pos := 0
-				for lvl := maxLvl; lvl >= 0; lvl-- {
-					size := 1 << uint(lvl)
-					if pos+size <= pfx {
-						c.rowsA = append(c.rowsA, ai)
-						c.segA = append(c.segA, idOf(lvl, pos))
-						pos += size
+				// Admissible range: B-sums strictly between low-s and high-s.
+				from, to := 0, m
+				if low.IsFinite() {
+					from = sort.Search(m, func(j int) bool { return g.sums[j] > low.W.K-s })
+				}
+				if high.IsFinite() {
+					to = sort.Search(m, func(j int) bool { return g.sums[j] >= high.W.K-s })
+				}
+				// Canonical dyadic cover of [from, to), left to right: at
+				// each position the largest aligned segment that still fits.
+				for pos := from; pos < to; {
+					lvl := bits.Len(uint(to-pos)) - 1
+					if pos != 0 {
+						lvl = min(lvl, bits.TrailingZeros(uint(pos)))
 					}
+					c.rowsA = append(c.rowsA, ai)
+					c.segA = append(c.segA, idOf(lvl, pos))
+					pos += 1 << uint(lvl)
 				}
 			}
 			// Emit B-side memberships for the segments actually used.
 			for _, sk := range usedOrder {
-				size := 1 << uint(sk.lvl)
-				hi := sk.start + size
-				if hi > m {
-					hi = m
-				}
 				id := segIDs[sk]
-				for pos := sk.start; pos < hi; pos++ {
+				for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
 					c.rowsB = append(c.rowsB, g.rows[pos])
 					c.segB = append(c.segB, id)
 				}
@@ -472,15 +479,6 @@ func shiftRange(vals []relation.Value, lo, hi int, off relation.Value) {
 	for i := lo; i < hi; i++ {
 		vals[i] += off
 	}
-}
-
-// bitsFor returns the highest level ⌈log2(m)⌉ needed by prefixes over m rows.
-func bitsFor(m int) int {
-	b := 0
-	for (1 << uint(b+1)) <= m {
-		b++
-	}
-	return b
 }
 
 type sumRowSorter struct {
@@ -577,12 +575,12 @@ func sharedVars(a, b query.Atom) []query.Var {
 	return out
 }
 
-// rowSumAt computes sign·Σ w_v(relCols[col_v][i]) — the columnar row sum:
-// one contiguous column read per ranked variable.
-func rowSumAt(f *ranking.Func, vars []query.Var, cols []int, relCols [][]relation.Value, i int, sign int64) int64 {
+// rowSumAt computes Σ w_v(relCols[col_v][i]) — the columnar row sum: one
+// contiguous column read per ranked variable.
+func rowSumAt(f *ranking.Func, vars []query.Var, cols []int, relCols [][]relation.Value, i int) int64 {
 	var s int64
 	for k, c := range cols {
 		s += f.W(vars[k], relCols[c][i])
 	}
-	return sign * s
+	return s
 }

@@ -10,12 +10,15 @@
 //   - MIN/MAX (Section 5.1, Algorithm 3): partition-identifier construction.
 //   - LEX (Section 5.2): prefix-equality partitions.
 //   - Partial SUM on two adjacent join-tree nodes (Section 5.3, after
-//     Tziavelis et al. [22]): dyadic factorization of the staircase join.
+//     Tziavelis et al. [22]): dyadic factorization of the staircase join,
+//     for a band low ≺ Σ ≺ high in one pass (either bound may be infinite).
 //   - Lossy SUM for arbitrary acyclic queries (Section 6, Algorithm 4):
 //     sketched message passing embedded back into the database.
 //
 // All trims take and return an Instance and keep the query acyclic, so they
-// can be composed — Algorithm 1 applies two per partition and iterates.
+// can be composed — Algorithm 1 cuts every candidate band out of the original
+// instance: with the SUM band trim directly, with two one-sided trims for the
+// other families.
 package trim
 
 import (
@@ -68,9 +71,10 @@ type Instance struct {
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
 	// a prepared plan, across quantile calls). Only the driver's reused
-	// original instance carries one — a cache is keyed by the identity of
-	// (Q, DB, ranking), so it must never be attached to an instance whose
-	// data can differ. Trims do not propagate it to their outputs.
+	// original instance carries one, and every SUM band is cut from that
+	// instance — a cache is keyed by the identity of (Q, DB, ranking), so it
+	// must never be attached to an instance whose data can differ. Trims do
+	// not propagate it to their outputs.
 	Cache *Cache
 }
 
@@ -92,12 +96,11 @@ type sumAdjCacheKey struct {
 	// identity (f non-nil, sig empty).
 	f   *ranking.Func
 	sig string
-	dir Dir
 }
 
-func cacheKeyFor(f *ranking.Func, dir Dir) sumAdjCacheKey {
+func cacheKeyFor(f *ranking.Func) sumAdjCacheKey {
 	if f.Weight != nil {
-		return sumAdjCacheKey{f: f, dir: dir}
+		return sumAdjCacheKey{f: f}
 	}
 	var sb strings.Builder
 	sb.WriteByte(byte(f.Agg))
@@ -105,7 +108,7 @@ func cacheKeyFor(f *ranking.Func, dir Dir) sumAdjCacheKey {
 		sb.WriteByte(0)
 		sb.WriteString(string(v))
 	}
-	return sumAdjCacheKey{sig: sb.String(), dir: dir}
+	return sumAdjCacheKey{sig: sb.String()}
 }
 
 // cacheMaxEntries bounds the prep cache: distinct rankings on one plan are
