@@ -19,7 +19,6 @@ package qjoin
 
 import (
 	"math/rand"
-	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -47,7 +46,7 @@ const (
 	// SUM.
 	ModeApprox
 	// ModeSample uses the randomized sampling estimator of Section 3.1
-	// (requires Eps, Delta and ideally a caller-supplied Rand; unsharded
+	// (requires Eps, Delta and ideally a caller-supplied Rand; unrouted
 	// plans only).
 	ModeSample
 )
@@ -94,12 +93,29 @@ const (
 // at unless a ModeApprox request asks for finer (see core.DefaultSketchEps).
 const DefaultSketchEps = core.DefaultSketchEps
 
-// sketchEntry is one ranking's summary on an unsharded plan.
+// sketchEntry is one ranking's sketch state: one summary per engine of the
+// plan's vector and the cached merge they answer through. Entries are
+// immutable once stored.
 type sketchEntry struct {
-	sum *sketch.Summary
-	// stale marks a summary carried over by Update: its anchors still hold
-	// the pre-delta windows and must be re-certified before serving.
-	stale bool
+	parts []*sketch.Summary
+	// stale[i] marks a part carried across an Update that rebuilt engine i:
+	// its anchors still hold the pre-delta windows and must be re-certified
+	// before serving. Parts of untouched engines carry over with no work —
+	// the point of per-engine summaries. nil when every part is current.
+	stale  []bool
+	merged *sketch.Summary // parts[0] itself on a one-engine plan
+	res    float64         // the resolution the parts were built at
+}
+
+// fresh reports whether every part is certified against the plan's current
+// engines, i.e. merged may be served.
+func (e *sketchEntry) fresh() bool {
+	for _, st := range e.stale {
+		if st {
+			return false
+		}
+	}
+	return true
 }
 
 // resCovers reports whether a summary built at resolution have serves a
@@ -112,9 +128,8 @@ func resCovers(have, want float64) bool { return have <= want*(1+1e-9) }
 // in particular one minted by LoadPrepared for a snapshot's sketch sections
 // and one the caller builds later — share a single summary. Rankings with a
 // custom Weight function have no wire form and stay keyed by their own
-// pointer. canon must be the plan's rankCanon map field (passed by address
-// under the plan's skMu-compatible locking discipline).
-func canonRanking(mu *sync.Mutex, canon *map[string]*Ranking, f *Ranking) *Ranking {
+// pointer.
+func (p *Prepared) canonRanking(f *Ranking) *Ranking {
 	if f == nil || f.Weight != nil {
 		return f
 	}
@@ -122,37 +137,29 @@ func canonRanking(mu *sync.Mutex, canon *map[string]*Ranking, f *Ranking) *Ranki
 	if err != nil {
 		return f
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if g := (*canon)[spec]; g != nil {
+	p.skMu.Lock()
+	defer p.skMu.Unlock()
+	if g := p.rankCanon[spec]; g != nil {
 		return g
 	}
-	if *canon == nil {
-		*canon = make(map[string]*Ranking)
+	if p.rankCanon == nil {
+		p.rankCanon = make(map[string]*Ranking)
 	}
-	(*canon)[spec] = f
+	p.rankCanon[spec] = f
 	return f
-}
-
-func (p *Prepared) canonRanking(f *Ranking) *Ranking {
-	return canonRanking(&p.skMu, &p.rankCanon, f)
-}
-
-func (p *ShardedPrepared) canonRanking(f *Ranking) *Ranking {
-	return canonRanking(&p.skMu, &p.rankCanon, f)
 }
 
 // carryRankCanon copies the spec-interning map for a plan derived by Update,
 // so canonical pointers — and with them the carried summaries — survive the
 // derivation.
-func carryRankCanon(mu *sync.Mutex, canon map[string]*Ranking) map[string]*Ranking {
-	mu.Lock()
-	defer mu.Unlock()
-	if len(canon) == 0 {
+func (p *Prepared) carryRankCanon() map[string]*Ranking {
+	p.skMu.Lock()
+	defer p.skMu.Unlock()
+	if len(p.rankCanon) == 0 {
 		return nil
 	}
-	m := make(map[string]*Ranking, len(canon))
-	for spec, f := range canon {
+	m := make(map[string]*Ranking, len(p.rankCanon))
+	for spec, f := range p.rankCanon {
 		m[spec] = f
 	}
 	return m
@@ -167,33 +174,42 @@ func (p *Prepared) Answer(f *Ranking, req QuantileRequest, opts ...Options) (*An
 	return a, err
 }
 
+// validate checks the request once, before any tier runs: a known mode, φ in
+// [0,1], and an ε that is either 0 ("exact", or the default sketch
+// resolution under ModeApprox) or a valid approximation error. The sampling
+// tier checks its own stricter ε and δ domains.
+func (req QuantileRequest) validate() error {
+	if req.Mode < ModeAuto || req.Mode > ModeSample {
+		return argErrorf("mode", "unknown mode %d", int(req.Mode))
+	}
+	if err := ValidatePhi(req.Phi); err != nil {
+		return err
+	}
+	if req.Eps != 0 {
+		return ValidateEpsilon(req.Eps)
+	}
+	return nil
+}
+
 // AnswerStats is Answer returning the run statistics of the exact engine
 // when it ran; sketch and sample answers carry nil stats (no pivot loop ran).
 func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options) (*Answer, *RunStats, error) {
+	if err := req.validate(); err != nil {
+		return nil, nil, err
+	}
 	o := p.opt(opts)
-	switch req.Mode {
-	case ModeExact:
-		return exactAnswer(p.engines(), f, req, o)
-	case ModeSample:
+	switch {
+	case req.Mode == ModeSample:
 		a, err := p.SampleQuantile(f, req.Phi, req.Eps, req.Delta, sampleRand(req))
 		return a, nil, err
-	case ModeApprox:
-		if err := ValidatePhi(req.Phi); err != nil {
-			return nil, nil, err
-		}
+	case req.Mode == ModeApprox:
 		sum, err := p.summaryFor(f, approxRes(req.Eps), o)
 		if err != nil {
 			return nil, nil, err
 		}
 		a, err := sketchAnswer(sum, p.Vars(), req.Phi)
 		return a, nil, err
-	default: // ModeAuto
-		if req.Eps <= 0 {
-			return exactAnswer(p.engines(), f, req, o)
-		}
-		if err := ValidatePhi(req.Phi); err != nil {
-			return nil, nil, err
-		}
+	case req.Mode == ModeAuto && req.Eps > 0:
 		sum, err := p.autoSummary(f, req.Eps, o)
 		if err != nil {
 			return nil, nil, err
@@ -201,22 +217,23 @@ func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options)
 		if a := serveWithin(sum, p.Vars(), req.Phi, req.Eps); a != nil {
 			return a, nil, nil
 		}
-		return exactAnswer(p.engines(), f, req, o)
 	}
+	return exactAnswer(p.sh.Engines(), f, req, o)
 }
 
-// WarmSketches re-certifies every summary the plan carries that went stale
-// through Update (and no others — rankings never queried approximately cost
-// nothing). The serving layer calls this during plan-cache migration so
-// post-delta sketch queries stay O(entries) cache hits.
+// WarmSketches re-certifies every summary part that went stale through
+// Update and re-merges (and touches no others — rankings never queried
+// approximately, and parts of engines the deltas left alone, cost nothing).
+// The serving layer calls this during plan-cache migration so post-delta
+// sketch queries stay O(entries) cache hits.
 func (p *Prepared) WarmSketches() error {
 	p.skMu.Lock()
 	var fs []*Ranking
 	var res []float64
 	for f, e := range p.sketches {
-		if e.stale {
+		if !e.fresh() {
 			fs = append(fs, f)
-			res = append(res, e.sum.Res)
+			res = append(res, e.res)
 		}
 	}
 	p.skMu.Unlock()
@@ -228,48 +245,58 @@ func (p *Prepared) WarmSketches() error {
 	return nil
 }
 
-// engines returns the plan's engine vector (length 1 here; the sharded
-// variant returns one engine per shard). exactAnswer is written against the
-// vector so both plan kinds share one implementation.
-func (p *Prepared) engines() []*engine.Engine { return []*engine.Engine{p.eng} }
-
-// summaryFor returns the plan's summary for f at resolution res (or finer),
-// building or re-certifying it as needed and caching the result.
+// summaryFor returns the plan's merged summary for f at resolution res (or
+// finer), building, re-certifying and re-merging only the parts that are
+// missing or stale, and caching the result.
 func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summary, error) {
 	f = p.canonRanking(f)
 	p.skMu.Lock()
 	e := p.sketches[f]
 	p.skMu.Unlock()
-	if e != nil && !e.stale && resCovers(e.sum.Res, res) {
-		return e.sum, nil
+	reuse := e != nil && resCovers(e.res, res)
+	if reuse && e.fresh() {
+		return e.merged, nil
 	}
-	var sum *sketch.Summary
-	var err error
-	if e != nil && e.stale && resCovers(e.sum.Res, res) {
-		// Carried over a delta: two trim+count passes per anchor re-certify
-		// the windows at the old (possibly finer) resolution.
-		if sum, err = core.RefreshSummary(p.eng, f, e.sum, o); err != nil {
+	if reuse {
+		res = e.res // re-certify at the old (possibly finer) resolution
+	}
+	engs := p.sh.Engines()
+	parts := make([]*sketch.Summary, len(engs))
+	for i, eng := range engs {
+		var err error
+		switch {
+		case reuse && !e.stale[i]:
+			parts[i] = e.parts[i] // untouched engine: summary carries over
+		case reuse:
+			// Carried over a delta: two trim+count passes per anchor
+			// re-certify the windows.
+			if parts[i], err = core.RefreshSummary(eng, f, e.parts[i], o); err != nil {
+				return nil, err
+			}
+			if parts[i] == nil { // every anchor died: rebuild from scratch
+				parts[i], err = core.BuildSummary(eng, f, res, o)
+			}
+		default:
+			parts[i], err = core.BuildSummary(eng, f, res, o)
+		}
+		if err != nil {
 			return nil, err
 		}
-		if sum == nil { // every anchor died: rebuild from scratch
-			sum, err = core.BuildSummary(p.eng, f, e.sum.Res, o)
-		}
-	} else {
-		sum, err = core.BuildSummary(p.eng, f, res, o)
 	}
-	if err != nil {
-		return nil, err
+	merged := parts[0]
+	if len(parts) > 1 {
+		merged = sketch.Merge(parts, f.Compare)
 	}
 	p.skMu.Lock()
 	if p.sketches == nil {
 		p.sketches = make(map[*Ranking]*sketchEntry)
 	}
 	// Racing builds store equivalent summaries; keep the finest fresh one.
-	if cur := p.sketches[f]; cur == nil || cur.stale || resCovers(sum.Res, cur.sum.Res) {
-		p.sketches[f] = &sketchEntry{sum: sum}
+	if cur := p.sketches[f]; cur == nil || !cur.fresh() || resCovers(res, cur.res) {
+		p.sketches[f] = &sketchEntry{parts: parts, merged: merged, res: res}
 	}
 	p.skMu.Unlock()
-	return sum, nil
+	return merged, nil
 }
 
 // autoSummary is the summary ModeAuto may serve from: any already-built
@@ -287,15 +314,18 @@ func (p *Prepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summ
 	}
 	res := core.DefaultSketchEps
 	if e != nil {
-		res = e.sum.Res
+		res = e.res
 	}
 	return p.summaryFor(f, res, o)
 }
 
 // carrySketches builds the derived plan's summary map on Update: the same
-// summaries, every one marked stale so the first post-delta use (or
-// WarmSketches) re-certifies it against the updated engine.
-func (p *Prepared) carrySketches() map[*Ranking]*sketchEntry {
+// parts, those whose engine the delta rebuilt (engs is the derived vector)
+// marked stale so the first post-delta use (or WarmSketches) re-certifies
+// exactly them. Staleness is a flag, not a remembered engine pointer, so a
+// carried entry never keeps a previous generation's engines alive.
+func (p *Prepared) carrySketches(engs []*engine.Engine) map[*Ranking]*sketchEntry {
+	old := p.sh.Engines()
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
 	if len(p.sketches) == 0 {
@@ -303,7 +333,11 @@ func (p *Prepared) carrySketches() map[*Ranking]*sketchEntry {
 	}
 	m := make(map[*Ranking]*sketchEntry, len(p.sketches))
 	for f, e := range p.sketches {
-		m[f] = &sketchEntry{sum: e.sum, stale: true}
+		stale := make([]bool, len(engs))
+		for i := range engs {
+			stale[i] = engs[i] != old[i] || (e.stale != nil && e.stale[i])
+		}
+		m[f] = &sketchEntry{parts: e.parts, stale: stale, merged: e.merged, res: e.res}
 	}
 	return m
 }
@@ -391,178 +425,4 @@ func sampleRand(req QuantileRequest) *rand.Rand {
 		return req.Rand
 	}
 	return rand.New(rand.NewSource(1))
-}
-
-// ---- sharded plans ----
-
-// shardSketchEntry is one ranking's sketch state on a sharded plan: one
-// summary per shard, the engine each was certified against (engine pointer
-// inequality after Update identifies exactly the rebuilt shards — untouched
-// shards keep their summaries with no work), and the cached cross-shard
-// merge.
-type shardSketchEntry struct {
-	parts  []*sketch.Summary
-	engs   []*engine.Engine
-	merged *sketch.Summary
-	res    float64
-}
-
-// Answer is the unified quantile entry point (see Prepared.Answer).
-// ModeSample is not available on sharded plans.
-func (p *ShardedPrepared) Answer(f *Ranking, req QuantileRequest, opts ...Options) (*Answer, error) {
-	a, _, err := p.AnswerStats(f, req, opts...)
-	return a, err
-}
-
-// AnswerStats is Answer returning the exact engine's run statistics when it
-// ran; sketch answers carry nil stats.
-func (p *ShardedPrepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options) (*Answer, *RunStats, error) {
-	o := p.opt(opts)
-	switch req.Mode {
-	case ModeExact:
-		return exactAnswer(p.sh.Engines(), f, req, o)
-	case ModeSample:
-		return nil, nil, argErrorf("mode", "sampling is not supported on sharded plans")
-	case ModeApprox:
-		if err := ValidatePhi(req.Phi); err != nil {
-			return nil, nil, err
-		}
-		sum, err := p.summaryFor(f, approxRes(req.Eps), o)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := sketchAnswer(sum, p.Vars(), req.Phi)
-		return a, nil, err
-	default: // ModeAuto
-		if req.Eps <= 0 {
-			return exactAnswer(p.sh.Engines(), f, req, o)
-		}
-		if err := ValidatePhi(req.Phi); err != nil {
-			return nil, nil, err
-		}
-		sum, err := p.autoSummary(f, req.Eps, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		if a := serveWithin(sum, p.Vars(), req.Phi, req.Eps); a != nil {
-			return a, nil, nil
-		}
-		return exactAnswer(p.sh.Engines(), f, req, o)
-	}
-}
-
-// WarmSketches re-certifies the summaries of shards rebuilt by Update and
-// re-merges (see Prepared.WarmSketches). Untouched shards' summaries carry
-// over with no work — the point of per-shard sketches.
-func (p *ShardedPrepared) WarmSketches() error {
-	p.skMu.Lock()
-	var fs []*Ranking
-	var res []float64
-	for f, e := range p.sketches {
-		fs = append(fs, f)
-		res = append(res, e.res)
-	}
-	p.skMu.Unlock()
-	for i, f := range fs {
-		if _, err := p.summaryFor(f, res[i], p.opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// summaryFor returns the merged cross-shard summary for f at resolution res
-// (or finer), building, re-certifying and re-merging only what the engine
-// vector says is out of date.
-func (p *ShardedPrepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summary, error) {
-	f = p.canonRanking(f)
-	engs := p.sh.Engines()
-	p.skMu.Lock()
-	e := p.sketches[f]
-	p.skMu.Unlock()
-	if e != nil && resCovers(e.res, res) && sameEngines(e.engs, engs) {
-		return e.merged, nil
-	}
-	reuse := e != nil && resCovers(e.res, res) && len(e.engs) == len(engs)
-	buildRes := res
-	if reuse {
-		buildRes = e.res
-	}
-	parts := make([]*sketch.Summary, len(engs))
-	for i, eng := range engs {
-		var err error
-		switch {
-		case reuse && e.engs[i] == eng:
-			parts[i] = e.parts[i] // untouched shard: summary carries over
-		case reuse:
-			if parts[i], err = core.RefreshSummary(eng, f, e.parts[i], o); err != nil {
-				return nil, err
-			}
-			if parts[i] == nil {
-				parts[i], err = core.BuildSummary(eng, f, buildRes, o)
-			}
-		default:
-			parts[i], err = core.BuildSummary(eng, f, buildRes, o)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := parts[0]
-	if len(parts) > 1 {
-		merged = sketch.Merge(parts, f.Compare)
-	}
-	p.skMu.Lock()
-	if p.sketches == nil {
-		p.sketches = make(map[*Ranking]*shardSketchEntry)
-	}
-	if cur := p.sketches[f]; cur == nil || !sameEngines(cur.engs, engs) || resCovers(buildRes, cur.res) {
-		p.sketches[f] = &shardSketchEntry{parts: parts, engs: engs, merged: merged, res: buildRes}
-	}
-	p.skMu.Unlock()
-	return merged, nil
-}
-
-// autoSummary mirrors Prepared.autoSummary for sharded plans.
-func (p *ShardedPrepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summary, error) {
-	f = p.canonRanking(f)
-	p.skMu.Lock()
-	e := p.sketches[f]
-	p.skMu.Unlock()
-	if e == nil && eps < core.DefaultSketchEps {
-		return nil, nil
-	}
-	res := core.DefaultSketchEps
-	if e != nil {
-		res = e.res
-	}
-	return p.summaryFor(f, res, o)
-}
-
-// carrySketches hands the receiver's sketch state to the plan derived by
-// Update. Entries are immutable once stored, so sharing them is safe; the
-// derived plan's engine vector identifies stale shards on first use.
-func (p *ShardedPrepared) carrySketches() map[*Ranking]*shardSketchEntry {
-	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	if len(p.sketches) == 0 {
-		return nil
-	}
-	m := make(map[*Ranking]*shardSketchEntry, len(p.sketches))
-	for f, e := range p.sketches {
-		m[f] = e
-	}
-	return m
-}
-
-func sameEngines(a, b []*engine.Engine) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -145,9 +145,8 @@ func main() {
 	planOpts := qjoin.Options{Parallelism: *workers, CollectPhases: *doStats}
 	// -shards > 1 compiles one engine per hash partition of the join key and
 	// answers through the merged global pivot loop; answers are byte-identical
-	// to the unsharded plan, so the knob is purely operational. The plan is
-	// held behind the qjoin.Plan interface either way.
-	compile := func(db *qjoin.DB) (qjoin.Plan, error) {
+	// to the unsharded plan, so the knob is purely operational.
+	compile := func(db *qjoin.DB) (*qjoin.Prepared, error) {
 		if *loadFile != "" {
 			return loadPlanFile(*loadFile, planOpts)
 		}
@@ -209,9 +208,9 @@ func main() {
 		return
 	}
 
-	// -sample and -baseline run against the unsharded concrete plan only:
-	// the materialization baseline and the sampling estimator are
-	// single-engine diagnostics, not part of the Plan surface.
+	// -sample and -baseline are single-engine diagnostics: the library
+	// rejects them on a routed plan (which is how a sharded -load is caught);
+	// with -shards the rejection is known before compiling.
 	if (*doSample || *doBaseline) && *shards > 1 {
 		fatal(fmt.Errorf("-sample and -baseline are not supported with -shards > 1"))
 	}
@@ -257,7 +256,7 @@ func main() {
 			if *eps <= 0 {
 				fatal(fmt.Errorf("-sample requires -eps > 0"))
 			}
-			ans, err = p.(*qjoin.Prepared).SampleQuantile(f, phi, *eps, *delta, rng)
+			ans, err = p.SampleQuantile(f, phi, *eps, *delta, rng)
 		case mode != qjoin.ModeExact:
 			// Mode-aware dispatch through the unified Answer surface: approx
 			// answers from the sketch summary, auto serves the sketch only
@@ -288,7 +287,7 @@ func main() {
 
 		if *doBaseline {
 			start = time.Now()
-			base, err := p.(*qjoin.Prepared).BaselineQuantile(f, phi)
+			base, err := p.BaselineQuantile(f, phi)
 			if err != nil {
 				fatal(err)
 			}
@@ -323,12 +322,12 @@ func printStats(s *qjoin.RunStats) {
 // applyUpdate folds a delta into the plan via incremental maintenance (a
 // copy-on-write Update, not a recompile), optionally reporting what it did.
 // On a sharded plan only the shards the delta's rows hash to are rebuilt.
-func applyUpdate(p qjoin.Plan, delta *qjoin.Delta, verbose bool) (qjoin.Plan, error) {
+func applyUpdate(p *qjoin.Prepared, delta *qjoin.Delta, verbose bool) (*qjoin.Prepared, error) {
 	if delta == nil {
 		return p, nil
 	}
 	start := time.Now()
-	up, err := p.UpdatePlan(delta)
+	up, err := p.Update(delta)
 	if err != nil {
 		return nil, fmt.Errorf("applying update: %w", err)
 	}
@@ -341,12 +340,12 @@ func applyUpdate(p qjoin.Plan, delta *qjoin.Delta, verbose bool) (qjoin.Plan, er
 // loadPlanFile restores a plan snapshot. The whole file is read up front and
 // decoded with the aliasing byte loader — the restored plan's columns point
 // into the file image, which is exactly the cold-start fast path.
-func loadPlanFile(path string, opts qjoin.Options) (qjoin.Plan, error) {
+func loadPlanFile(path string, opts qjoin.Options) (*qjoin.Prepared, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	p, err := qjoin.LoadPlanBytes(b, opts)
+	p, err := qjoin.LoadPreparedBytes(b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -355,7 +354,7 @@ func loadPlanFile(path string, opts qjoin.Options) (qjoin.Plan, error) {
 
 // savePlanFile writes the plan snapshot atomically: temp file, fsync,
 // rename — a crash mid-save never leaves a torn snapshot at path.
-func savePlanFile(p qjoin.Plan, path string) error {
+func savePlanFile(p *qjoin.Prepared, path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".qjq-snap-*")
 	if err != nil {
 		return err

@@ -55,6 +55,13 @@
 // thin wrapper that prepares a plan and discards it, so one-shot calls keep
 // working unchanged; answers are identical either way.
 //
+// Prepared is the only plan type. It holds a vector of engines — one from
+// Prepare (an acyclic query, or a cyclic one compiled through its hypertree
+// decomposition), N from PrepareSharded — and every method is written once
+// against that vector: Algorithm 1 steers by answer counts, and counts add
+// over disjoint partitions of Q(D), so one engine is the base case of N.
+// Plan is the interface form serving code holds plans behind.
+//
 // A Prepared plan is safe for concurrent readers: all its methods may be
 // called from multiple goroutines simultaneously. Methods taking a
 // *rand.Rand require a per-goroutine generator, and a *RankedStream is a
@@ -214,7 +221,8 @@
 // engines (compiled concurrently) and answers through a merged global pivot
 // loop: per-iteration counts are summed across shards, the global pivot is
 // a weighted median over per-shard pivot candidates, and the λ-trim is
-// broadcast. The contract:
+// broadcast. It returns a *Prepared like Prepare does — one that is routed,
+// i.e. knows the key its engines partition on. The contract:
 //
 //   - Byte-identity. Every selection answer — Quantile, Quantiles, Median,
 //     ApproxQuantile, Count — is byte-identical at every shard count,
@@ -236,13 +244,20 @@
 //     occurrence routes by its own column. The per-database string
 //     dictionary is shared by all shards, never copied. Queries with no
 //     join variable fail with ErrNoShardKey; run those through Prepare.
-//   - Updates route. ShardedPrepared.Update hash-routes each delta op to
+//   - Updates route. On a routed plan Update hash-routes each delta op to
 //     the shards owning its rows and rebuilds only those engines
 //     (copy-on-write, concurrent, atomic on error — ErrDeleteAbsent leaves
 //     the receiver intact). Touched reports the routing without updating.
-//   - Plan is the interface surface shared with *Prepared; UpdatePlan is
-//     Update in interface-typed form, which is what the qjserve plan cache
-//     migrates through.
+//   - Accessors on an unrouted plan. A plan from Prepare reports Shards()
+//     = 1, Key() = "" and Touched(d) = [0] for any non-empty delta.
+//   - Single-engine diagnostics. SampleQuantile (and Answer with
+//     ModeSample), SampleAnswers, BaselineQuantile and RankedEnumerate
+//     answer only on an unrouted plan; a routed plan — PrepareSharded at
+//     any shard count, 1 included — returns an *ArgError. Every other
+//     method behaves identically on both.
+//   - Plan is the interface form of *Prepared; UpdatePlan is Update in
+//     interface-typed form, which is what the qjserve plan cache migrates
+//     through.
 //
 // # Cyclic queries
 //
@@ -297,29 +312,37 @@
 //   - ModeAuto serves from the sketch only when the requested Eps is at
 //     least the anchor's certified error at that φ, and otherwise falls
 //     back to the exact loop, byte-identical to the legacy answer.
-//   - ModeSample is the randomized sampling estimator (unsharded plans
+//   - ModeSample is the randomized sampling estimator (unrouted plans
 //     only); it has no wire form.
+//
+// The request is validated once, before any tier runs: an unknown Mode, a
+// Phi outside [0,1], and an Eps that is NaN or outside [0,1) are *ArgErrors
+// on mode, phi and eps in every mode. Eps 0 means exact (or, under
+// ModeApprox, the default sketch resolution).
 //
 // Every Answer reports which tier produced it (Answer.Source: exact,
 // sketch or sample) and the certified rank-error fraction of that answer
-// (Answer.ErrorBound; 0 means exact). Update carries sketches into the new
-// plan copy-on-write, marked stale; the next approx answer — or an
-// explicit WarmSketches, which the qjserve plan cache calls during delta
-// migration — re-certifies each anchor with a trim-and-count probe instead
-// of rebuilding the grid. Sharded plans keep one summary per shard and
-// merge on demand, so shard-local updates re-certify only the touched
-// part. ParseMode/ValidateMode/FormatMode are the wire codec for the mode
-// argument, shared by qjq -mode and the server's /query mode field.
+// (Answer.ErrorBound; 0 means exact). A plan keeps one summary per engine
+// plus their cached merge (the merge of one part is that part, so a
+// one-engine plan serves its summary unmerged). Update carries sketches
+// into the new plan copy-on-write, marking stale exactly the parts whose
+// engine the delta rebuilt; the next approx answer — or an explicit
+// WarmSketches, which the qjserve plan cache calls during delta migration —
+// re-certifies each stale anchor with a trim-and-count probe instead of
+// rebuilding the grid, so a shard-local update re-certifies only the
+// touched part. ParseMode/ValidateMode/FormatMode are the wire codec for
+// the mode argument, shared by qjq -mode and the server's /query mode field.
 //
 // # Durability
 //
 // A compiled plan can be persisted and restored without recompiling.
-// Prepared.Snapshot (and ShardedPrepared.Snapshot) writes the plan as a
-// versioned, checksummed binary stream — the string dictionary, the
-// columnar relations with their interner tables, the compiled engine
-// artifact, and any warm sketch summaries — and LoadPrepared,
-// LoadShardedPrepared or the kind-dispatching LoadPlan (plus their Bytes
-// variants) read it back. The contract:
+// Prepared.Snapshot writes the plan as a versioned, checksummed binary
+// stream — the string dictionary, the columnar relations with their
+// interner tables, the compiled engine artifact(s), and any warm sketch
+// summaries — and LoadPrepared or its Plan-typed form LoadPlan (plus their
+// Bytes variants) read it back. The stream's kind follows whether the plan
+// is routed (a routed plan records its shard count and one engine section
+// and summary per shard); both loaders accept either kind. The contract:
 //
 //   - Byte-identity. A restored plan answers every query — RunStats
 //     included — byte-identically to the plan that was saved, at every

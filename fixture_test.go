@@ -1,0 +1,198 @@
+// Snapshot format pin: testdata/plan-unrouted.qjsn and plan-routed3.qjsn were
+// written by the commit before the one-plan-type refactor, when sharded and
+// unsharded plans were two types with an encoder and a decoder each. Today's
+// single encoder/decoder must load them, answer from them like a fresh
+// compile of the same data, and write them back byte for byte — so plan files
+// and -data-dir contents written by any earlier build keep loading.
+package qjoin_test
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"reflect"
+	"testing"
+
+	"github.com/quantilejoins/qjoin"
+	"github.com/quantilejoins/qjoin/internal/testutil"
+)
+
+var updateFixtures = flag.Bool("update", false, "rewrite testdata/plan-*.qjsn with the current code")
+
+var planFixtures = []struct {
+	file   string
+	shards int // 0: Prepare (unrouted); otherwise PrepareSharded
+}{
+	{"testdata/plan-unrouted.qjsn", 0},
+	{"testdata/plan-routed3.qjsn", 3},
+}
+
+// fixtureRanks are the rankings the fixtures carry warm sketches for: a
+// tractable SUM (exact anchors) and a MAX.
+func fixtureRanks() []*qjoin.Ranking {
+	return []*qjoin.Ranking{qjoin.Sum("y", "z"), qjoin.Max("x", "w")}
+}
+
+// fixturePlan replays the recipe the fixture files were saved from: a 3-path
+// whose key y partitions R and S and leaves T replicated, one approximate
+// answer per ranking (so sketches exist), one delta touching every relation,
+// WarmSketches.
+func fixturePlan(t *testing.T, shards int) qjoin.Plan {
+	t.Helper()
+	q := qjoin.NewQuery(
+		qjoin.NewAtom("R", "x", "y"),
+		qjoin.NewAtom("S", "y", "z"),
+		qjoin.NewAtom("T", "z", "w"),
+	)
+	var r, s, tt [][]int64
+	for i := int64(0); i < 12; i++ {
+		r = append(r, []int64{i, i % 5})
+	}
+	for i := int64(0); i < 20; i++ {
+		s = append(s, []int64{i % 5, (i * 3) % 7})
+	}
+	for i := int64(0); i < 14; i++ {
+		tt = append(tt, []int64{i % 7, 10 + i})
+	}
+	db := qjoin.NewDB().MustAdd("R", 2, r).MustAdd("S", 2, s).MustAdd("T", 2, tt)
+
+	var p qjoin.Plan
+	var err error
+	if shards == 0 {
+		p, err = qjoin.Prepare(q, db)
+	} else {
+		p, err = qjoin.PrepareSharded(q, db, shards)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtureRanks() {
+		if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.ModeApprox}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := qjoin.NewDelta().
+		Insert("R", []int64{100, 2}, []int64{101, 4}).
+		Insert("S", []int64{2, 6}).
+		Delete("R", []int64{0, 0}).
+		Delete("T", []int64{0, 10})
+	if p, err = p.UpdatePlan(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WarmSketches(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func snapshotBytes(t *testing.T, p qjoin.Plan) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestPlanFixtures(t *testing.T) {
+	for _, fx := range planFixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			if *updateFixtures {
+				if err := os.WriteFile(fx.file, snapshotBytes(t, fixturePlan(t, fx.shards)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotBytes(t, fixturePlan(t, fx.shards)); !bytes.Equal(got, want) {
+				t.Errorf("the recipe no longer reproduces %s (%d bytes, file has %d)", fx.file, len(got), len(want))
+			}
+
+			viaPlan, err := qjoin.LoadPlanBytes(want)
+			if err != nil {
+				t.Fatalf("LoadPlanBytes: %v", err)
+			}
+			loaded, err := qjoin.LoadPreparedBytes(want)
+			if err != nil {
+				t.Fatalf("LoadPreparedBytes: %v", err)
+			}
+			loaders := map[string]qjoin.Plan{"LoadPlanBytes": viaPlan, "LoadPreparedBytes": loaded}
+			for name, p := range loaders {
+				if got := snapshotBytes(t, p); !bytes.Equal(got, want) {
+					t.Errorf("%s → Snapshot does not reproduce the file (%d bytes, file has %d)", name, len(got), len(want))
+				}
+			}
+			wantShards, routed := fx.shards, fx.shards > 0
+			if !routed {
+				wantShards = 1
+			}
+			if loaded.Shards() != wantShards || (loaded.Key() != "") != routed {
+				t.Errorf("loaded plan has %d shards, key %q", loaded.Shards(), loaded.Key())
+			}
+
+			// A fresh compile of the loaded plan's database, at the same
+			// shard count so RunStats are comparable.
+			var fresh qjoin.Plan
+			if routed {
+				fresh, err = qjoin.PrepareSharded(loaded.Query(), loaded.DB(), fx.shards)
+			} else {
+				fresh, err = qjoin.Prepare(loaded.Query(), loaded.DB())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Count().Cmp(fresh.Count()) != 0 || viaPlan.Count().Cmp(fresh.Count()) != 0 {
+				t.Fatalf("count %v / %v, fresh compile %v", loaded.Count(), viaPlan.Count(), fresh.Count())
+			}
+			oracle := testutil.BruteForce(loaded.Query(), loaded.DB().Unwrap())
+			n := len(oracle)
+			for ri, f := range fixtureRanks() {
+				for _, phi := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
+					wa, ws, err := fresh.QuantileStats(f, phi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, p := range loaders {
+						ga, gs, err := p.QuantileStats(f, phi)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(ga, wa) || !reflect.DeepEqual(gs, ws) {
+							t.Errorf("%s rank %d φ=%v: %v %+v, fresh compile %v %+v", name, ri, phi, ga, gs, wa, ws)
+						}
+					}
+					// The restored sketch must answer without a rebuild (the
+					// byte round-trip above pins its content) and within the
+					// bound it certifies.
+					a, err := loaded.Answer(f, qjoin.QuantileRequest{Phi: phi, Mode: qjoin.ModeApprox})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a.Source != qjoin.SourceSketch {
+						t.Fatalf("rank %d φ=%v: source %q", ri, phi, a.Source)
+					}
+					k := int(float64(n) * phi)
+					if k >= n {
+						k = n - 1
+					}
+					below, equal := testutil.RankOf(oracle, f, loaded.Query().Vars(), a.Weight)
+					realized := 0
+					if below > k {
+						realized = below - k
+					} else if hi := below + equal - 1; k > hi {
+						realized = k - hi
+					}
+					if float64(realized) > a.ErrorBound*float64(n)+1e-6 {
+						t.Errorf("rank %d φ=%v: realized rank error %d exceeds certified bound %v (n=%d)", ri, phi, realized, a.ErrorBound, n)
+					}
+				}
+			}
+			if got := snapshotBytes(t, loaded); !bytes.Equal(got, want) {
+				t.Errorf("answering from the loaded plan changed its snapshot")
+			}
+		})
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // PlanCache maps (dataset, generation, canonical query, ranking spec,
-// workers) to a compiled qjoin.Plan — an unsharded *qjoin.Prepared or a
-// sharded *qjoin.ShardedPrepared, per the dataset's shard option — with
+// workers) to a compiled qjoin.Plan — a *qjoin.Prepared holding one engine
+// or one per shard, per the dataset's shard option — with
 //
 //   - LRU eviction bounded by a capacity,
 //   - singleflight deduplication: concurrent requests for the same missing

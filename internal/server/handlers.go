@@ -572,8 +572,9 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 // deadline while the compile — charged to this request's admission slot —
 // always runs to completion and lands in the cache. Sharded datasets
 // compile through PrepareSharded (answers stay byte-identical; see the
-// qjoin.Plan contract), except for queries with no join variable to
-// partition on, which fall back to the unsharded engine.
+// qjoin.Plan contract), except for queries it rejects as unshardable — no
+// join variable to partition on, or cyclic — which fall back to the
+// one-engine plan of Prepare.
 func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *qjoin.Query, qstr, rankStr string,
 	workers int, f *qjoin.Ranking) (qjoin.Plan, *qjoin.Ranking, bool, error) {
 	var hold func() func()

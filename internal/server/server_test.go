@@ -162,6 +162,21 @@ func TestLoadAndQuery(t *testing.T) {
 	if len(resp.Answers) != 2 || resp.Answers[0].Weight.K != 11 || resp.Answers[1].Weight.K != 23 {
 		t.Fatalf("topk = %+v", resp.Answers)
 	}
+	// k comes off the wire and may dwarf |Q(D)|: the reply is the full (short)
+	// ranked list. (When TopK sized its result slice by k, this request was
+	// an unrecoverable out-of-memory fault in the query goroutine.)
+	for _, shards := range []int{0, 3} {
+		load := tinyLoad()
+		load.Shards = shards
+		name := fmt.Sprintf("tiny-k%d", shards)
+		decodeAs(t, do(t, h, "PUT", "/datasets/"+name, load), 200, nil)
+		decodeAs(t, do(t, h, "POST", "/query", server.QueryRequest{
+			Dataset: name, Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "topk", K: 1 << 40,
+		}), 200, &resp)
+		if len(resp.Answers) != 3 || resp.Answers[0].Weight.K != 11 || resp.Answers[2].Weight.K != 35 {
+			t.Fatalf("shards=%d: topk with k=2^40 = %+v, want all 3 answers", shards, resp.Answers)
+		}
+	}
 	decodeAs(t, do(t, h, "POST", "/query", server.QueryRequest{
 		Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "approx", Phi: 0.5, Eps: 0.4,
 	}), 200, &resp)

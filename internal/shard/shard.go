@@ -33,13 +33,15 @@ import (
 	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
-	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
 // ErrNoKey is returned for queries with no variables: a Boolean query has
 // nothing to partition on (and replicating every relation would multiply its
 // single answer across shards). Run such queries unsharded.
 var ErrNoKey = errors.New("qjoin: query has no join variable to shard on")
+
+// ErrShardCount is returned for a shard count below 1.
+var ErrShardCount = errors.New("qjoin: shard count must be at least 1")
 
 // Sharded is the compiled sharded form of a (Query, Database) pair: N
 // engine.Engine values over a hash partition of the input, plus the routing
@@ -52,7 +54,8 @@ type Sharded struct {
 	key query.Var    // the partitioning join key
 	// routes maps each rewritten relation name to the column its rows are
 	// routed by; relations absent from the map (no occurrence of the key,
-	// or not referenced by the query) are replicated to every shard.
+	// or not referenced by the query) are replicated to every shard. nil
+	// on the route-less set Single builds.
 	routes  map[string]int
 	engs    []*engine.Engine
 	workers int
@@ -128,6 +131,19 @@ func New(src *query.Query, db0 *relation.Database, shards, parallelism int) (*Sh
 	return s, nil
 }
 
+// Single wraps one already-compiled engine — acyclic or decomposed-cyclic —
+// as the route-less one-engine set: no key, no partition, and Update forwards
+// the delta to the engine unchanged. It is what lets a caller hold every plan
+// as an engine vector without the engine's query having to be shardable.
+func Single(eng *engine.Engine) *Sharded {
+	return &Sharded{src: eng.Source(), q: eng.Query(), engs: []*engine.Engine{eng}, workers: 1}
+}
+
+// Routed reports whether the set came from a hash partition (New, Restore)
+// rather than from Single. New with shards=1 is routed: it has a key, and
+// its snapshots record the partition.
+func (s *Sharded) Routed() bool { return s.routes != nil }
+
 // Restore reassembles a Sharded from snapshot-decoded shard engines. The
 // routing state (rewrite, key, routes) and the per-shard raw databases are
 // replayed through exactly the code path New uses — both are deterministic
@@ -159,16 +175,19 @@ func Restore(src *query.Query, db0 *relation.Database, shards, parallelism int,
 // rewritten database. Everything is deterministic in (src, db0, shards).
 func plan(src *query.Query, db0 *relation.Database, shards, parallelism int) (*Sharded, []*relation.Database, error) {
 	if shards < 1 {
-		return nil, nil, fmt.Errorf("qjoin: shard count %d < 1", shards)
+		return nil, nil, fmt.Errorf("%w, got %d", ErrShardCount, shards)
+	}
+	// Before Validate, which rejects zero-arity atoms with an untyped error:
+	// callers fall back to an unsharded plan on ErrNoKey specifically. (The
+	// rewrite below renames relations, never variables, so src decides.)
+	key, ok := ChooseKey(src)
+	if !ok {
+		return nil, nil, ErrNoKey
 	}
 	if err := src.Validate(db0); err != nil {
 		return nil, nil, err
 	}
 	q, db := query.EliminateSelfJoins(src, db0)
-	key, ok := ChooseKey(q)
-	if !ok {
-		return nil, nil, ErrNoKey
-	}
 	routes := make(map[string]int)
 	for _, a := range q.Atoms {
 		for j, v := range a.Vars {
@@ -232,7 +251,7 @@ func (s *Sharded) Source() *query.Query { return s.src }
 // Query returns the self-join-free rewrite every shard engine runs on.
 func (s *Sharded) Query() *query.Query { return s.q }
 
-// Key returns the partitioning variable.
+// Key returns the partitioning variable ("" on a route-less set).
 func (s *Sharded) Key() query.Var { return s.key }
 
 // Shards returns the shard count.
@@ -247,11 +266,11 @@ func (s *Sharded) Vars() []query.Var { return s.engs[0].Vars() }
 
 // Total returns the global |Q(D)|: the sum of the disjoint per-shard counts.
 func (s *Sharded) Total() counting.Count {
-	states := make([]*yannakakis.Counts, len(s.engs))
-	for i, e := range s.engs {
-		states[i] = e.Counts()
+	t := counting.Zero
+	for _, e := range s.engs {
+		t = t.Add(e.Total())
 	}
-	return yannakakis.SumTotals(states...)
+	return t
 }
 
 // split routes a delta's ops to per-shard deltas. Ops name source (pre-
@@ -259,7 +278,11 @@ func (s *Sharded) Total() counting.Count {
 // relation, routed to the shard hashing that occurrence's key column (or to
 // every shard when the occurrence is replicated). Per-shard op order follows
 // the delta's own order, so delete/insert interleavings replay faithfully.
+// A route-less set forwards the delta to its one engine unchanged.
 func (s *Sharded) split(d *engine.Delta) []*engine.Delta {
+	if !s.Routed() {
+		return []*engine.Delta{d}
+	}
 	parts := make([]*engine.Delta, len(s.engs))
 	part := func(i int) *engine.Delta {
 		if parts[i] == nil {
@@ -307,7 +330,8 @@ func emit(d *engine.Delta, rel string, row []relation.Value, del bool) {
 
 // Touched returns the shards the delta's ops route to, ascending. A delta
 // whose key hashes all land in one shard touches exactly that shard — the
-// common case the per-shard write path is built for.
+// common case the per-shard write path is built for. On a route-less set
+// every non-empty delta touches the one engine.
 func (s *Sharded) Touched(d *engine.Delta) []int {
 	parts := s.split(d)
 	out := make([]int, 0, len(parts))

@@ -12,13 +12,21 @@ import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
-// Prepared is the compiled, reusable form of a (Query, DB) pair: the
-// validated query, its self-join-free rewrite, the deduplicated database,
-// the join tree, the materialized executable tree, and the cached answer
-// count, plus lazily built direct-access and fully-reduced structures.
+// Prepared is the compiled, reusable form of a (Query, DB) pair — the only
+// plan type. It holds a vector of engines, each the validated query, its
+// self-join-free rewrite, a deduplicated database, the join tree, the
+// materialized executable tree and the cached answer count, plus lazily
+// built direct-access and fully-reduced structures. Prepare compiles one
+// engine (acyclic, or a cyclic query's hypertree decomposition);
+// PrepareSharded compiles N over a hash partition of the join key. Every
+// query runs the paper's pivot loop across the whole vector — Algorithm 1
+// steers by answer counts alone and counts add over disjoint partitions, so
+// one engine is simply the base case of N and answers are byte-identical at
+// every shard count.
 //
 // The paper's central point is that this preprocessing is quasilinear while
 // the per-query work on top of it is cheap; Prepared makes the split
@@ -27,14 +35,20 @@ import (
 // one-shot free function in this package is a thin wrapper that prepares
 // and discards a plan.
 //
+// A plan from PrepareSharded is routed: it knows its partitioning Key, and
+// Update rebuilds only the shards a delta's key hashes land in. Four
+// single-engine diagnostics — SampleQuantile (and Answer with ModeSample),
+// SampleAnswers, BaselineQuantile, RankedEnumerate — answer only on an
+// unrouted plan and return an *ArgError on a routed one, at any shard count.
+//
 // # Concurrency
 //
 // A Prepared plan is safe for concurrent readers: Quantile, QuantileStats,
 // Quantiles, ApproxQuantile, Median, SelectAt, Count, TopK, Enumerate,
 // BaselineQuantile, RankedEnumerate, SampleQuantile and SampleAnswers may
-// all be called from multiple goroutines at once. The lazily built
-// structures (direct access, full reduction) are guarded by sync.Once.
-// Two caveats:
+// all be called from multiple goroutines at once, alongside Update and
+// WarmSketches. The lazily built structures (direct access, full reduction)
+// are guarded by sync.Once. Two caveats:
 //
 //   - Methods taking a *rand.Rand use the caller's generator; do not share
 //     one *rand.Rand across goroutines.
@@ -43,8 +57,8 @@ import (
 //     may be created and consumed concurrently.
 type Prepared struct {
 	q    *Query
-	db   *DB // the compiled-against database; nil on updated plans until DB() materializes it
-	eng  *engine.Engine
+	db   *DB            // the compiled-against database; nil on updated plans until DB() materializes it
+	sh   *shard.Sharded // the engine vector: routed from PrepareSharded, shard.Single from Prepare
 	opts Options
 
 	// Plans derived by Update materialize their database lazily: the base
@@ -59,10 +73,11 @@ type Prepared struct {
 	baseDB *DB
 	deltas []*Delta
 
-	// Sketch summaries for the approximate tier (see approx.go), built
-	// lazily per ranking function on first ModeApprox/ModeAuto use — never
-	// by Prepare or Update — and carried (stale) across Update. skMu guards
-	// both maps; the summaries themselves are immutable.
+	// Sketch state for the approximate tier (see approx.go): per ranking, one
+	// summary per engine plus their cached merge, built lazily on first
+	// ModeApprox/ModeAuto use — never by Prepare or Update — and carried
+	// across Update with the rebuilt engines' parts marked stale. skMu
+	// guards both maps; the entries themselves are immutable.
 	//
 	// rankCanon interns rankings by wire spec so that summaries loaded from
 	// a snapshot (keyed by pointers ParseRanking minted at load time) are
@@ -96,7 +111,7 @@ func Prepare(q *Query, db *DB, opts ...Options) (*Prepared, error) {
 	if err != nil {
 		return nil, mapCompileErr(err)
 	}
-	return &Prepared{q: q, db: db, eng: eng, opts: o}, nil
+	return &Prepared{q: q, db: db, sh: shard.Single(eng), opts: o}, nil
 }
 
 // mapCompileErr converts typed compile failures into their public surface:
@@ -146,11 +161,21 @@ func (p *Prepared) DB() *DB {
 
 // Vars returns the answer layout: the query's variables in first-appearance
 // order.
-func (p *Prepared) Vars() []Var { return p.eng.Vars() }
+func (p *Prepared) Vars() []Var { return p.sh.Vars() }
 
 // Count returns the cached |Q(D)|. Unlike the free Count function this
-// never fails and costs nothing: the count was taken at Prepare time.
-func (p *Prepared) Count() *big.Int { return p.eng.Total().Big() }
+// never fails and costs nothing: the counts were taken at Prepare time, and
+// shards hold disjoint slices of the answer set, so their counts add.
+func (p *Prepared) Count() *big.Int { return p.sh.Total().Big() }
+
+// oneEngine returns the engine of an unrouted plan, for the diagnostics that
+// answer on a single engine; a routed plan rejects them with an *ArgError.
+func (p *Prepared) oneEngine(what string) (*engine.Engine, error) {
+	if p.sh.Routed() {
+		return nil, argErrorf("mode", "%s is not supported on sharded plans", what)
+	}
+	return p.sh.Engines()[0], nil
+}
 
 // Quantile returns the φ-quantile of Q(D) under the ranking function (see
 // the free Quantile function for the exactness contract).
@@ -200,13 +225,16 @@ func (p *Prepared) Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*An
 }
 
 // SelectAt answers the selection problem: the answer at absolute zero-based
-// index k of the ranked order.
+// index k of the global ranked order.
 func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, error) {
+	if k == nil {
+		return nil, argErrorf("k", "nil index")
+	}
 	kc, ok := counting.FromBig(k)
 	if !ok {
 		return nil, fmt.Errorf("qjoin: index out of the supported 128-bit range")
 	}
-	a, _, err := core.SelectPrepared(p.eng, f, kc, p.opt(opts))
+	a, _, err := core.SelectShards(p.sh.Engines(), f, kc, p.opt(opts))
 	return a, err
 }
 
@@ -217,7 +245,11 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 // Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
 // Delta: delta, Mode: ModeSample, Rand: rng}.
 func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
-	a, err := core.SampleQuantilePrepared(p.eng, f, phi, eps, delta, rng)
+	eng, err := p.oneEngine("sampling")
+	if err != nil {
+		return nil, err
+	}
+	a, err := core.SampleQuantilePrepared(eng, f, phi, eps, delta, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -230,17 +262,24 @@ func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand
 // the shared direct-access structure. It returns the variable layout and
 // one row per sample.
 func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error) {
-	d := p.eng.Access()
+	if k < 0 {
+		return nil, nil, argErrorf("k", "%d is negative", k)
+	}
+	eng, err := p.oneEngine("sampling")
+	if err != nil {
+		return nil, nil, err
+	}
+	d := eng.Access()
 	if d.N().IsZero() {
 		return nil, nil, ErrNoAnswers
 	}
-	vars := p.eng.Vars()
-	buf := make([]Value, p.eng.Width())
+	vars := eng.Vars()
+	buf := make([]Value, eng.Width())
 	rows := make([][]Value, k)
 	for i := 0; i < k; i++ {
 		d.Sample(rng, buf)
 		row := make([]Value, len(vars))
-		p.eng.Project(buf, row)
+		eng.Project(buf, row)
 		rows[i] = row
 	}
 	return vars, rows, nil
@@ -251,11 +290,15 @@ func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error
 // delay. The returned stream is a single cursor (not goroutine-safe), but
 // independent streams may run concurrently over the same plan.
 func (p *Prepared) RankedEnumerate(f *Ranking) (*RankedStream, error) {
-	return rankedStreamFor(p.eng, f)
+	eng, err := p.oneEngine("ranked enumeration")
+	if err != nil {
+		return nil, err
+	}
+	return rankedStreamFor(eng, f)
 }
 
 // rankedStreamFor builds a ranked enumeration stream over one engine; the
-// sharded TopK merge opens one per shard engine.
+// TopK merge opens one per engine.
 func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
 	e, err := eng.Reduced()
 	if err != nil {
@@ -273,37 +316,84 @@ func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
 	}, nil
 }
 
-// TopK returns the k lowest-weight answers in order (fewer if |Q(D)| < k).
+// TopK returns the k lowest-weight answers in weight order (fewer if
+// |Q(D)| < k): a streaming merge of the per-engine ranked enumerations.
+// Among equal weights the merge breaks ties by value, so the output is
+// deterministic for a fixed shard count; a one-engine plan may order equal
+// weights differently (its single stream has no tie to break).
 func (p *Prepared) TopK(f *Ranking, k int) ([]*Answer, error) {
-	s, err := p.RankedEnumerate(f)
-	if err != nil {
+	if err := ValidateTopK(k); err != nil {
 		return nil, err
 	}
-	out := make([]*Answer, 0, k)
-	for len(out) < k {
-		a, ok := s.Next()
-		if !ok {
-			break
+	type cursor struct {
+		a *Answer
+		s *RankedStream
+	}
+	engs := p.sh.Engines()
+	heads := make([]cursor, 0, len(engs))
+	for _, eng := range engs {
+		s, err := rankedStreamFor(eng, f)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, a)
+		if a, ok := s.Next(); ok {
+			heads = append(heads, cursor{a, s})
+		}
+	}
+	// k arrives from the network: it bounds the loop, never an allocation.
+	out := make([]*Answer, 0, min(k, 16))
+	for len(out) < k && len(heads) > 0 {
+		best := 0
+		for j := 1; j < len(heads); j++ {
+			a, b := heads[j].a, heads[best].a
+			if c := f.Compare(a.Weight, b.Weight); c < 0 || (c == 0 && lessAnswerValues(a, b)) {
+				best = j
+			}
+		}
+		out = append(out, heads[best].a)
+		if a, ok := heads[best].s.Next(); ok {
+			heads[best].a = a
+		} else {
+			heads = append(heads[:best], heads[best+1:]...)
+		}
 	}
 	return out, nil
+}
+
+func lessAnswerValues(a, b *Answer) bool {
+	for i := range a.Values {
+		if a.Values[i] != b.Values[i] {
+			return a.Values[i] < b.Values[i]
+		}
+	}
+	return false
 }
 
 // Enumerate streams every answer (in no particular order); fn may return
 // false to stop. The slice passed to fn must not be retained.
 func (p *Prepared) Enumerate(fn func(vars []Var, vals []Value) bool) error {
-	vars := p.eng.Vars()
+	vars := p.Vars()
 	buf := make([]Value, len(vars))
-	yannakakis.Enumerate(p.eng.Exec(), func(asn []Value) bool {
-		p.eng.Project(asn, buf)
-		return fn(vars, buf)
-	})
+	more := true
+	for _, eng := range p.sh.Engines() {
+		if !more {
+			break
+		}
+		yannakakis.Enumerate(eng.Exec(), func(asn []Value) bool {
+			eng.Project(asn, buf)
+			more = fn(vars, buf)
+			return more
+		})
+	}
 	return nil
 }
 
 // BaselineQuantile materializes Q(D) and selects — the direct method the
 // paper improves upon. Time and memory are linear in |Q(D)| per call.
 func (p *Prepared) BaselineQuantile(f *Ranking, phi float64) (*Answer, error) {
-	return core.BaselineQuantilePrepared(p.eng, f, phi)
+	eng, err := p.oneEngine("the materializing baseline")
+	if err != nil {
+		return nil, err
+	}
+	return core.BaselineQuantilePrepared(eng, f, phi)
 }

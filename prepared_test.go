@@ -3,6 +3,7 @@ package qjoin_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -297,53 +298,170 @@ func TestPreparedErrors(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrent exercises one Prepared plan from many goroutines;
-// run with -race it proves the documented concurrency contract.
-func TestPreparedConcurrent(t *testing.T) {
+// TestPreparedHostileArguments pins the no-crash contract for caller-supplied
+// sizes and pointers: a k from the network must never size an allocation, and
+// a negative count or nil index is an *ArgError, not a panic. On the parent
+// commit TopK(f, 1<<40) died with an unrecoverable out-of-memory fault.
+func TestPreparedHostileArguments(t *testing.T) {
 	q, db := socialDB()
 	f := qjoin.Sum("l2", "l3")
-	p, err := qjoin.Prepare(q, db)
+	flat, err := qjoin.Prepare(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 10; i++ {
-				if a, err := p.Quantile(f, 0.5); err != nil || a.Weight.K != 9 {
-					t.Errorf("quantile: %v %v", a, err)
-					return
-				}
-				if n := p.Count(); n.Int64() != 4 {
-					t.Errorf("count = %s", n)
-					return
-				}
-				if a, err := p.SelectAt(f, big.NewInt(1)); err != nil || a.Weight.K != 7 {
-					t.Errorf("selectat: %v %v", a, err)
-					return
-				}
-				if top, err := p.TopK(f, 2); err != nil || len(top) != 2 || top[0].Weight.K != 5 {
-					t.Errorf("topk: %v %v", top, err)
-					return
-				}
-				if _, rows, err := p.SampleAnswers(4, rng); err != nil || len(rows) != 4 {
-					t.Errorf("sample: %v", err)
-					return
-				}
-				cnt := 0
-				if err := p.Enumerate(func([]qjoin.Var, []int64) bool { cnt++; return true }); err != nil || cnt != 4 {
-					t.Errorf("enumerate: %d %v", cnt, err)
-					return
-				}
-				if _, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rng); err != nil {
-					t.Errorf("samplequantile: %v", err)
-					return
-				}
-			}
-		}(g)
+	routed, err := qjoin.PrepareSharded(q, db, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	wantArg := func(what string, err error, field string) {
+		t.Helper()
+		var ae *qjoin.ArgError
+		if !errors.As(err, &ae) || ae.Field != field {
+			t.Errorf("%s: err = %v, want *ArgError on %s", what, err, field)
+		}
+	}
+	for name, p := range map[string]*qjoin.Prepared{"unrouted": flat, "routed": routed} {
+		top, err := p.TopK(f, math.MaxInt)
+		if err != nil || len(top) != 4 || top[0].Weight.K != 5 || top[3].Weight.K != 12 {
+			t.Errorf("%s: TopK(MaxInt) = %v, %v; want all 4 answers in weight order", name, top, err)
+		}
+		if top, err := p.TopK(f, 0); err != nil || top == nil || len(top) != 0 {
+			t.Errorf("%s: TopK(0) = %#v, %v; want an empty non-nil list", name, top, err)
+		}
+		_, err = p.TopK(f, -1)
+		wantArg(name+" TopK(-1)", err, "k")
+		_, err = p.SelectAt(f, nil)
+		wantArg(name+" SelectAt(nil)", err, "k")
+	}
+	_, _, err = flat.SampleAnswers(-1, rand.New(rand.NewSource(1)))
+	wantArg("SampleAnswers(-1)", err, "k")
+
+	// The single-engine diagnostics answer on an unrouted plan only; a routed
+	// plan — at any shard count — rejects them with the sampling ArgError.
+	one, err := qjoin.PrepareSharded(q, db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*qjoin.Prepared{"shards=3": routed, "shards=1": one} {
+		rng := rand.New(rand.NewSource(1))
+		_, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rng)
+		wantArg(name+" SampleQuantile", err, "mode")
+		_, _, err = p.SampleAnswers(2, rng)
+		wantArg(name+" SampleAnswers", err, "mode")
+		_, err = p.BaselineQuantile(f, 0.5)
+		wantArg(name+" BaselineQuantile", err, "mode")
+		_, err = p.RankedEnumerate(f)
+		wantArg(name+" RankedEnumerate", err, "mode")
+	}
+
+	// What the sharding accessors report on an unrouted plan.
+	if flat.Shards() != 1 || flat.Key() != "" {
+		t.Errorf("unrouted plan: Shards()=%d Key()=%q, want 1 and \"\"", flat.Shards(), flat.Key())
+	}
+	d := qjoin.NewDelta().Insert("Share", []int64{203, 1, 10})
+	if got := flat.Touched(d); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("unrouted plan: Touched = %v, want [0]", got)
+	}
+	if got := flat.Touched(qjoin.NewDelta()); len(got) != 0 {
+		t.Errorf("unrouted plan: Touched(empty) = %v, want none", got)
+	}
+	if routed.Shards() != 3 || routed.Key() != "e" || one.Key() != "e" {
+		t.Errorf("routed plans: Shards()=%d Key()=%q / %q", routed.Shards(), routed.Key(), one.Key())
+	}
+}
+
+// TestPreparedConcurrent exercises one Prepared plan from many goroutines —
+// unrouted, then routed — while a sibling goroutine chains Update +
+// WarmSketches off it; run with -race it proves the documented concurrency
+// contract, including that deriving plans never disturbs the receiver's
+// readers or its sketch state.
+func TestPreparedConcurrent(t *testing.T) {
+	q, db := socialDB()
+	f := qjoin.Sum("l2", "l3")
+	flat, err := qjoin.Prepare(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := qjoin.PrepareSharded(q, db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*qjoin.Prepared{"unrouted": flat, "routed": routed} {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					for i := 0; i < 10; i++ {
+						if a, err := p.Quantile(f, 0.5); err != nil || a.Weight.K != 9 {
+							t.Errorf("quantile: %v %v", a, err)
+							return
+						}
+						if n := p.Count(); n.Int64() != 4 {
+							t.Errorf("count = %s", n)
+							return
+						}
+						if a, err := p.SelectAt(f, big.NewInt(1)); err != nil || a.Weight.K != 7 {
+							t.Errorf("selectat: %v %v", a, err)
+							return
+						}
+						if top, err := p.TopK(f, 2); err != nil || len(top) != 2 || top[0].Weight.K != 5 {
+							t.Errorf("topk: %v %v", top, err)
+							return
+						}
+						if a, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.ModeApprox}); err != nil || a.Weight.K != 9 {
+							t.Errorf("approx: %v %v", a, err)
+							return
+						}
+						cnt := 0
+						if err := p.Enumerate(func([]qjoin.Var, []int64) bool { cnt++; return true }); err != nil || cnt != 4 {
+							t.Errorf("enumerate: %d %v", cnt, err)
+							return
+						}
+						if p.Key() != "" {
+							continue // the sampling diagnostics answer on unrouted plans only
+						}
+						if _, rows, err := p.SampleAnswers(4, rng); err != nil || len(rows) != 4 {
+							t.Errorf("sample: %v", err)
+							return
+						}
+						if _, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rng); err != nil {
+							t.Errorf("samplequantile: %v", err)
+							return
+						}
+					}
+				}(g)
+			}
+			// The writer: a chain of derived plans, each carrying p's sketch
+			// state and re-certifying it, while the readers above build and
+			// serve that state on p.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cur := p
+				for i := int64(0); i < 10; i++ {
+					next, err := cur.Update(qjoin.NewDelta().Insert("Share", []int64{210 + i, 1 + i%2, 20 + i}))
+					if err != nil {
+						t.Errorf("update %d: %v", i, err)
+						return
+					}
+					if err := next.WarmSketches(); err != nil {
+						t.Errorf("warm %d: %v", i, err)
+						return
+					}
+					if a, err := next.Answer(f, qjoin.QuantileRequest{Phi: 0, Mode: qjoin.ModeApprox}); err != nil || a.Weight.K != 5 {
+						t.Errorf("approx after update %d: %v %v", i, a, err)
+						return
+					}
+					cur = next
+				}
+				if n := cur.Count().Int64(); n != 4+5*1+5*2 {
+					t.Errorf("count after the chain = %d, want %d", n, 4+5*1+5*2)
+				}
+			}()
+			wg.Wait()
+		})
+	}
 }

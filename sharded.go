@@ -2,22 +2,18 @@ package qjoin
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
-	"github.com/quantilejoins/qjoin/internal/core"
-	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/shard"
 )
 
-// Plan is the query surface shared by unsharded (*Prepared) and sharded
-// (*ShardedPrepared) plans. Serving layers that hold plans of either kind —
-// the qjserve plan cache keys datasets that may or may not be sharded —
-// program against this interface; answers are byte-identical across
-// implementations, so which one sits behind a Plan is purely an operational
-// choice.
+// Plan is the query surface serving layers program against — the qjserve
+// plan cache, qjq and the repository benchmark hold plans behind it.
+// *Prepared is its only implementation: a plan from Prepare and a plan from
+// PrepareSharded differ in how many engines they hold, not in type, and
+// their answers are byte-identical, so the shard count behind a Plan is
+// purely an operational choice.
 type Plan interface {
 	// Vars returns the answer layout.
 	Vars() []Var
@@ -47,8 +43,8 @@ type Plan interface {
 	// TopK returns the k lowest-weight answers in weight order.
 	TopK(f *Ranking, k int) ([]*Answer, error)
 	// UpdatePlan derives a plan reflecting the delta, copy-on-write; the
-	// receiver stays fully usable. (Update on the concrete types returns
-	// the concrete type; this is the interface-typed form.)
+	// receiver stays fully usable. (Prepared.Update returns the concrete
+	// type; this is the interface-typed form.)
 	UpdatePlan(d *Delta) (Plan, error)
 	// Snapshot serializes the plan — raw database, compiled artifact, warm
 	// sketches — into the versioned binary snapshot format; LoadPlan
@@ -56,10 +52,7 @@ type Plan interface {
 	Snapshot(w io.Writer) error
 }
 
-var (
-	_ Plan = (*Prepared)(nil)
-	_ Plan = (*ShardedPrepared)(nil)
-)
+var _ Plan = (*Prepared)(nil)
 
 // UpdatePlan is Update behind the Plan interface.
 func (p *Prepared) UpdatePlan(d *Delta) (Plan, error) { return p.Update(d) }
@@ -82,54 +75,29 @@ var ErrCyclicSharded = errors.New("qjoin: cyclic query cannot be sharded; use Pr
 // PrepareSharded time and delta ops at Update time.
 func ShardOf(v Value, shards int) int { return shard.Of(v, shards) }
 
-// ShardedPrepared is the sharded counterpart of Prepared: the input
-// relations are hash-partitioned on a join key into N shard engines
-// (prepared concurrently), and every query runs the paper's pivot loop
-// globally across them — per-shard pivot candidates merge by weighted
-// median, per-shard partition counts are summed, and the λ-trim broadcasts
-// to every shard. Because Algorithm 1 steers by counts alone and counts add
-// across the disjoint shards, answers are exact and byte-identical to an
-// unsharded Prepare on the same database, for every shard count. (RunStats
-// describing the run path — iterations, materialization size — are
-// deterministic per shard count but differ across shard counts: the merged
-// pivot sequence is a different, equally valid descent.)
+// PrepareSharded compiles a query against a hash-partitioned database: the
+// input relations are partitioned on a join key into N shard engines
+// (prepared concurrently on the Options Parallelism budget), and every query
+// runs the pivot loop globally across them — per-shard pivot candidates merge
+// by weighted median, per-shard partition counts are summed, and the λ-trim
+// broadcasts to every shard. Answers are exact and byte-identical to Prepare
+// on the same database, for every shard count. (RunStats describing the run
+// path — iterations, materialization size — are deterministic per shard
+// count but differ across shard counts: the merged pivot sequence is a
+// different, equally valid descent.)
 //
-// What sharding buys is operational: Prepare parallelizes across shards,
-// and a delta routes to the shards owning its key hashes, so Update touches
-// ~1/N of the compiled state (see Update). A ShardedPrepared is safe for
-// concurrent readers exactly like Prepared.
-type ShardedPrepared struct {
-	q    *Query
-	db   *DB // the compiled-against database; nil on updated plans until DB() materializes it
-	sh   *shard.Sharded
-	opts Options
-
-	// Same lazy database materialization as Prepared: updated plans carry
-	// base + delta chain, folded on first DB() call.
-	dbMu   sync.Mutex
-	baseDB *DB
-	deltas []*Delta
-
-	// Per-shard sketch summaries plus their cached cross-shard merge (see
-	// approx.go), built lazily per ranking function — never by
-	// PrepareSharded or Update — and carried across Update, where the
-	// engine vector identifies exactly the shards to re-certify. rankCanon
-	// interns rankings by wire spec (see Prepared and canonRanking).
-	skMu      sync.Mutex
-	sketches  map[*Ranking]*shardSketchEntry
-	rankCanon map[string]*Ranking
-}
-
-// PrepareSharded compiles a query against a hash-partitioned database.
 // shards is the partition count (0 selects 1; validated by ValidateShards);
 // the partitioning key is chosen automatically — the join variable occurring
 // in the most atoms — and relations not containing the key are replicated to
-// every shard. Shard engines compile concurrently on the Options
-// Parallelism budget. PrepareSharded(q, db, 1) is exactly Prepare.
+// every shard. What sharding buys is operational: Prepare parallelizes across
+// shards, and a delta routes to the shards owning its key hashes, so Update
+// touches ~1/N of the compiled state. PrepareSharded(q, db, 1) answers
+// exactly like Prepare but is still a routed plan (it has a Key, and its
+// snapshot records the partition).
 //
-// Boolean queries (no variables) cannot be sharded (shard.ErrNoKey), and
+// Boolean queries (no variables) cannot be sharded (ErrNoShardKey), and
 // neither can cyclic queries (ErrCyclicSharded); use Prepare for both.
-func PrepareSharded(q *Query, db *DB, shards int, opts ...Options) (*ShardedPrepared, error) {
+func PrepareSharded(q *Query, db *DB, shards int, opts ...Options) (*Prepared, error) {
 	if err := ValidateShards(shards); err != nil {
 		return nil, err
 	}
@@ -144,205 +112,19 @@ func PrepareSharded(q *Query, db *DB, shards int, opts ...Options) (*ShardedPrep
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedPrepared{q: q, db: db, sh: sh, opts: o}, nil
+	return &Prepared{q: q, db: db, sh: sh, opts: o}, nil
 }
 
-// opt resolves per-call options against the plan defaults (see
-// Prepared.opt for the Parallelism inheritance rule).
-func (p *ShardedPrepared) opt(opts []Options) Options {
-	if len(opts) == 0 {
-		return p.opts
-	}
-	o := oneOpt(opts)
-	if o.Parallelism == 0 {
-		o.Parallelism = p.opts.Parallelism
-	}
-	return o
-}
+// Shards returns the number of engines the plan holds: the partition count
+// of a PrepareSharded plan, 1 for a plan from Prepare.
+func (p *Prepared) Shards() int { return p.sh.Shards() }
 
-// Query returns the query this plan was compiled from.
-func (p *ShardedPrepared) Query() *Query { return p.q }
-
-// Shards returns the shard count.
-func (p *ShardedPrepared) Shards() int { return p.sh.Shards() }
-
-// Key returns the join variable the relations are partitioned on.
-func (p *ShardedPrepared) Key() Var { return p.sh.Key() }
-
-// DB returns the database this plan answers over (the union across shards).
-// On a plan derived by Update it reflects every applied delta; the mutated
-// database is materialized on first call and cached.
-func (p *ShardedPrepared) DB() *DB {
-	p.dbMu.Lock()
-	defer p.dbMu.Unlock()
-	if p.db == nil {
-		db := p.baseDB
-		for _, d := range p.deltas {
-			nd, err := db.Apply(d)
-			if err != nil {
-				panic(fmt.Sprintf("qjoin: delta chain re-apply failed: %v", err))
-			}
-			db = nd
-		}
-		p.db = db
-		p.baseDB, p.deltas = nil, nil
-	}
-	return p.db
-}
-
-// Vars returns the answer layout: the query's variables in first-appearance
-// order.
-func (p *ShardedPrepared) Vars() []Var { return p.sh.Vars() }
-
-// Count returns the cached global |Q(D)|: the shards hold disjoint slices
-// of the answer set, so their counts add.
-func (p *ShardedPrepared) Count() *big.Int { return p.sh.Total().Big() }
-
-// Quantile returns the φ-quantile of Q(D) under the ranking function,
-// byte-identical to the unsharded Prepared.Quantile on the same database.
-//
-// Deprecated: equivalent to Answer with QuantileRequest{Phi: phi,
-// Mode: ModeExact}, which additionally reports Source and ErrorBound.
-func (p *ShardedPrepared) Quantile(f *Ranking, phi float64, opts ...Options) (*Answer, error) {
-	return p.Answer(f, QuantileRequest{Phi: phi, Mode: ModeExact}, opts...)
-}
-
-// QuantileStats is Quantile returning the global run statistics (see the
-// type comment for which fields are comparable across shard counts).
-//
-// Deprecated: equivalent to AnswerStats with QuantileRequest{Phi: phi,
-// Mode: ModeExact}.
-func (p *ShardedPrepared) QuantileStats(f *Ranking, phi float64, opts ...Options) (*Answer, *RunStats, error) {
-	return p.AnswerStats(f, QuantileRequest{Phi: phi, Mode: ModeExact}, opts...)
-}
-
-// Median returns the 0.5-quantile.
-func (p *ShardedPrepared) Median(f *Ranking, opts ...Options) (*Answer, error) {
-	return p.Quantile(f, 0.5, opts...)
-}
-
-// ApproxQuantile returns a deterministic (φ±ε)-quantile (Theorem 6.2).
-//
-// Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
-// Mode: ModeExact}; ModeApprox/ModeAuto answer from the sketch tier instead.
-func (p *ShardedPrepared) ApproxQuantile(f *Ranking, phi, eps float64, opts ...Options) (*Answer, error) {
-	o := p.opt(opts)
-	o.Epsilon = eps
-	return p.Answer(f, QuantileRequest{Phi: phi, Mode: ModeExact}, o)
-}
-
-// Quantiles answers several φ's against this single plan.
-func (p *ShardedPrepared) Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*Answer, error) {
-	out := make([]*Answer, len(phis))
-	for i, phi := range phis {
-		a, err := p.Quantile(f, phi, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("qjoin: φ=%v: %w", phi, err)
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
-// SelectAt answers the selection problem: the answer at absolute zero-based
-// index k of the global ranked order.
-func (p *ShardedPrepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, error) {
-	kc, ok := counting.FromBig(k)
-	if !ok {
-		return nil, fmt.Errorf("qjoin: index out of the supported 128-bit range")
-	}
-	a, _, err := core.SelectShards(p.sh.Engines(), f, kc, p.opt(opts))
-	return a, err
-}
-
-// TopK returns the k lowest-weight answers in weight order (fewer if
-// |Q(D)| < k): a streaming merge of the per-shard ranked enumerations.
-// Among equal weights the merge breaks ties by value, so the output is
-// deterministic for a fixed shard count; an unsharded plan may order equal
-// weights differently (its single stream has no tie to break).
-func (p *ShardedPrepared) TopK(f *Ranking, k int) ([]*Answer, error) {
-	engs := p.sh.Engines()
-	type cursor struct {
-		a *Answer
-		s *RankedStream
-	}
-	heads := make([]cursor, 0, len(engs))
-	for _, eng := range engs {
-		s, err := rankedStreamFor(eng, f)
-		if err != nil {
-			return nil, err
-		}
-		if a, ok := s.Next(); ok {
-			heads = append(heads, cursor{a, s})
-		}
-	}
-	out := make([]*Answer, 0, k)
-	for len(out) < k && len(heads) > 0 {
-		best := 0
-		for j := 1; j < len(heads); j++ {
-			a, b := heads[j].a, heads[best].a
-			if c := f.Compare(a.Weight, b.Weight); c < 0 || (c == 0 && lessAnswerValues(a, b)) {
-				best = j
-			}
-		}
-		out = append(out, heads[best].a)
-		if a, ok := heads[best].s.Next(); ok {
-			heads[best].a = a
-		} else {
-			heads = append(heads[:best], heads[best+1:]...)
-		}
-	}
-	return out, nil
-}
-
-func lessAnswerValues(a, b *Answer) bool {
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
-			return a.Values[i] < b.Values[i]
-		}
-	}
-	return false
-}
+// Key returns the join variable the relations are partitioned on, or "" for
+// a plan from Prepare, which has no partition.
+func (p *Prepared) Key() Var { return p.sh.Key() }
 
 // Touched returns, ascending, the shards the delta's ops route to — the
 // shards Update would rebuild. Ops on replicated relations (and on
-// relations outside the query) route to every shard.
-func (p *ShardedPrepared) Touched(d *Delta) []int { return p.sh.Touched(d) }
-
-// Update derives a plan reflecting the delta without recompiling, like
-// Prepared.Update — but only the shards owning the delta's key hashes are
-// rebuilt; the other shard engines are shared with the receiver untouched.
-// A delta localized to one shard therefore costs ~1/N of the unsharded
-// update, which is what shrinks writer critical sections under serving
-// load. The whole delta applies atomically (ErrDeleteAbsent rejects it all),
-// the receiver stays fully usable, and the derived plan's answers are
-// byte-identical to a fresh PrepareSharded — and to an unsharded Prepare —
-// on the mutated database.
-func (p *ShardedPrepared) Update(d *Delta) (*ShardedPrepared, error) {
-	sh, err := p.sh.Update(d)
-	if err != nil {
-		return nil, err
-	}
-	if sh == p.sh {
-		return p, nil // empty delta: nothing changed
-	}
-	p.dbMu.Lock()
-	base, chain := p.baseDB, p.deltas
-	if p.db != nil {
-		base, chain = p.db, nil
-	}
-	p.dbMu.Unlock()
-	if len(chain) >= maxDeltaChain {
-		base, chain = p.DB(), nil
-	}
-	return &ShardedPrepared{
-		q: p.q, sh: sh, opts: p.opts,
-		baseDB:    base,
-		deltas:    append(chain[:len(chain):len(chain)], d.Clone()),
-		sketches:  p.carrySketches(),
-		rankCanon: carryRankCanon(&p.skMu, p.rankCanon),
-	}, nil
-}
-
-// UpdatePlan is Update behind the Plan interface.
-func (p *ShardedPrepared) UpdatePlan(d *Delta) (Plan, error) { return p.Update(d) }
+// relations outside the query) route to every shard. On a plan from Prepare
+// every non-empty delta touches shard 0, its one engine.
+func (p *Prepared) Touched(d *Delta) []int { return p.sh.Touched(d) }

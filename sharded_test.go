@@ -102,7 +102,7 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 			for _, shards := range []int{1, 2, 5} {
 				type run struct {
 					w    int
-					plan *qjoin.ShardedPrepared
+					plan *qjoin.Prepared
 				}
 				var runs []run
 				for _, w := range []int{1, 2} {
@@ -190,7 +190,7 @@ func TestShardedDeltaDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded := make(map[int]*qjoin.ShardedPrepared)
+			sharded := make(map[int]*qjoin.Prepared)
 			for _, n := range []int{1, 2, 5} {
 				if sharded[n], err = qjoin.PrepareSharded(q, db, n, qjoin.Options{Parallelism: 2}); err != nil {
 					t.Fatal(err)

@@ -9,6 +9,7 @@ package qjoin_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -217,6 +218,40 @@ func TestAnswerModeSurface(t *testing.T) {
 	var ae *qjoin.ArgError
 	if !errors.As(err, &ae) || ae.Field != "mode" {
 		t.Errorf("sharded sample: err %v, want *ArgError on mode", err)
+	}
+
+	// The request is validated once, before any tier runs: an unknown mode,
+	// an ε outside [0,1) and a φ outside [0,1] are typed argument errors in
+	// every mode (on the parent commit Mode(7) ran as auto, and auto/approx
+	// answered with Eps 5 or -3).
+	nan := math.NaN()
+	for _, plan := range []*qjoin.Prepared{p, sp} {
+		for _, c := range []struct {
+			req   qjoin.QuantileRequest
+			field string
+		}{
+			{qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.Mode(7)}, "mode"},
+			{qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.Mode(-1)}, "mode"},
+			{qjoin.QuantileRequest{Phi: 0.5, Eps: 5, Mode: qjoin.ModeAuto}, "eps"},
+			{qjoin.QuantileRequest{Phi: 0.5, Eps: -3, Mode: qjoin.ModeApprox}, "eps"},
+			{qjoin.QuantileRequest{Phi: 0.5, Eps: 1, Mode: qjoin.ModeExact}, "eps"},
+			{qjoin.QuantileRequest{Phi: 0.5, Eps: nan, Mode: qjoin.ModeAuto}, "eps"},
+			{qjoin.QuantileRequest{Phi: 1.5, Mode: qjoin.ModeExact}, "phi"},
+			{qjoin.QuantileRequest{Phi: -0.1, Mode: qjoin.ModeAuto}, "phi"},
+			{qjoin.QuantileRequest{Phi: nan, Mode: qjoin.ModeApprox}, "phi"},
+			{qjoin.QuantileRequest{Phi: 2, Eps: 0.2, Delta: 0.1, Mode: qjoin.ModeSample}, "phi"},
+		} {
+			a, st, err := plan.AnswerStats(f, c.req)
+			if !errors.As(err, &ae) || ae.Field != c.field || a != nil || st != nil {
+				t.Errorf("shards=%d %+v: answer %v, err %v; want *ArgError on %s", plan.Shards(), c.req, a, err, c.field)
+			}
+		}
+		// Eps 0 stays valid everywhere: exact, or the default resolution.
+		for _, m := range []qjoin.Mode{qjoin.ModeAuto, qjoin.ModeExact, qjoin.ModeApprox} {
+			if _, err := plan.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Mode: m}); err != nil {
+				t.Errorf("shards=%d mode=%v eps=0: %v", plan.Shards(), m, err)
+			}
+		}
 	}
 
 	// Wire-mode parsing: the canonical names, the legacy default, rejects.

@@ -1,12 +1,16 @@
 package qjoin
 
-// Plan snapshots: Prepared.Snapshot / ShardedPrepared.Snapshot serialize a
-// compiled plan — raw database, dictionary, the compiled engine artifact(s)
-// and warm sketch summaries — into the versioned, checksummed container of
-// internal/snap, and LoadPrepared / LoadShardedPrepared / LoadPlan restore
-// it without re-running Prepare's hash passes. See doc.go ("Durability") for
-// the contract: what a snapshot captures, what it rebuilds lazily, and the
-// byte-identity guarantee.
+// Plan snapshots: Prepared.Snapshot serializes a compiled plan — raw
+// database, dictionary, the compiled engine artifact(s) and warm sketch
+// summaries — into the versioned, checksummed container of internal/snap,
+// and LoadPrepared / LoadPlan restore it without re-running Prepare's hash
+// passes. The container has two plan kinds, and which one a plan writes
+// follows whether it is routed: KindPrepared (one engine section, one
+// summary per sketch section) from Prepare, KindSharded (shard count in the
+// meta section, N engine sections, N summaries per sketch section) from
+// PrepareSharded. See doc.go ("Durability") for the contract: what a
+// snapshot captures, what it rebuilds lazily, and the byte-identity
+// guarantee.
 
 import (
 	"errors"
@@ -45,18 +49,26 @@ func corruptf(format string, args ...any) error {
 }
 
 // Snapshot writes the plan to w in the versioned binary snapshot format:
-// the raw database (with its dictionary), the compiled engine artifact, and
-// every warm (non-stale) sketch summary. LoadPrepared restores a plan whose
-// answers — including run statistics — are byte-identical to the receiver's
-// at the moment of the call. On a plan derived by Update the delta chain is
-// materialized first, so the snapshot is self-contained at the current
-// generation.
+// the raw database (with its dictionary), one compiled engine artifact per
+// shard, and every warm (non-stale) sketch entry. LoadPrepared restores a
+// plan whose answers — including run statistics — are byte-identical to the
+// receiver's at the moment of the call. On a plan derived by Update the
+// delta chain is materialized first, so the snapshot is self-contained at
+// the current generation.
 func (p *Prepared) Snapshot(w io.Writer) error {
 	raw := p.DB()
-	sw := snap.NewWriter(w, snap.KindPrepared)
+	routed := p.sh.Routed()
+	kind := snap.KindPrepared
+	if routed {
+		kind = snap.KindSharded
+	}
+	sw := snap.NewWriter(w, kind)
 
 	var e snap.Enc
 	snap.EncodeQuery(&e, p.q)
+	if routed {
+		e.U32(uint32(p.sh.Shards()))
+	}
 	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
 		return err
 	}
@@ -71,15 +83,23 @@ func (p *Prepared) Snapshot(w io.Writer) error {
 	if err := sw.Section(snap.SecRawDB, e.Bytes()); err != nil {
 		return err
 	}
-	e = snap.Enc{}
-	snap.EncodeEngine(&e, rw, p.eng)
-	if err := sw.Section(snap.SecEngine, e.Bytes()); err != nil {
-		return err
+	for _, eng := range p.sh.Engines() {
+		e = snap.Enc{}
+		snap.EncodeEngine(&e, rw, eng)
+		if err := sw.Section(snap.SecEngine, e.Bytes()); err != nil {
+			return err
+		}
 	}
 	for _, s := range p.snapshotSketches() {
 		e = snap.Enc{}
 		e.Str(s.spec)
-		snap.EncodeSummary(&e, s.sum)
+		if routed {
+			e.F64(s.entry.res)
+			e.U32(uint32(len(s.entry.parts)))
+		}
+		for _, part := range s.entry.parts {
+			snap.EncodeSummary(&e, part)
+		}
 		if err := sw.Section(snap.SecSketch, e.Bytes()); err != nil {
 			return err
 		}
@@ -87,35 +107,37 @@ func (p *Prepared) Snapshot(w io.Writer) error {
 	return sw.Close()
 }
 
-// specSummary is one serializable sketch: wire spec plus summary.
-type specSummary struct {
-	spec string
-	sum  *sketch.Summary
+// specSketch is one serializable sketch entry: wire spec plus entry.
+type specSketch struct {
+	spec  string
+	entry *sketchEntry
 }
 
-// snapshotSketches collects the plan's serializable summaries: warm (stale
-// summaries would need re-certification the loader cannot perform) and with
-// a wire-formattable ranking. Sorted by spec so snapshots are byte-
+// snapshotSketches collects the plan's serializable sketch entries: fresh
+// (stale parts would need re-certification the loader cannot perform) and
+// with a wire-formattable ranking. Sorted by spec so snapshots are byte-
 // deterministic.
-func (p *Prepared) snapshotSketches() []specSummary {
+func (p *Prepared) snapshotSketches() []specSketch {
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
-	var out []specSummary
+	var out []specSketch
 	for f, en := range p.sketches {
-		if en.stale || f.Weight != nil {
+		if !en.fresh() || f.Weight != nil {
 			continue
 		}
 		spec, err := FormatRanking(f)
 		if err != nil {
 			continue
 		}
-		out = append(out, specSummary{spec, en.sum})
+		out = append(out, specSketch{spec, en})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].spec < out[j].spec })
 	return out
 }
 
-// LoadPrepared restores an unsharded plan saved by Prepared.Snapshot. The
+// LoadPrepared restores a plan saved by Prepared.Snapshot, of either kind:
+// a stream written by a Prepare plan restores one engine, a stream written
+// by a PrepareSharded plan restores its N shard engines and routing. The
 // expensive compile passes (dedup hashing, node materialization, group
 // indexing, counting) are skipped — only the cheap pure-function state is
 // recomputed — so restoring is roughly an order of magnitude faster than
@@ -127,10 +149,7 @@ func LoadPrepared(r io.Reader, opts ...Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sr.Kind() != snap.KindPrepared {
-		return nil, corruptf("stream holds kind %d, want an unsharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadPrepared(sr, oneOpt(opts))
+	return loadPlan(sr, oneOpt(opts))
 }
 
 // LoadPreparedBytes is LoadPrepared over an in-memory snapshot, skipping the
@@ -142,118 +161,45 @@ func LoadPreparedBytes(b []byte, opts ...Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sr.Kind() != snap.KindPrepared {
-		return nil, corruptf("stream holds kind %d, want an unsharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadPrepared(sr, oneOpt(opts))
+	return loadPlan(sr, oneOpt(opts))
 }
 
-// LoadShardedPrepared restores a sharded plan saved by
-// ShardedPrepared.Snapshot (see LoadPrepared for the contract).
-func LoadShardedPrepared(r io.Reader, opts ...Options) (*ShardedPrepared, error) {
-	sr, err := snap.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != snap.KindSharded {
-		return nil, corruptf("stream holds kind %d, want a sharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadSharded(sr, oneOpt(opts))
-}
-
-// LoadShardedPreparedBytes is LoadShardedPrepared over an in-memory snapshot
-// (see LoadPreparedBytes for the aliasing contract).
-func LoadShardedPreparedBytes(b []byte, opts ...Options) (*ShardedPrepared, error) {
-	sr, err := snap.NewReaderBytes(b)
-	if err != nil {
-		return nil, err
-	}
-	if sr.Kind() != snap.KindSharded {
-		return nil, corruptf("stream holds kind %d, want a sharded plan (use LoadPlan to dispatch)", sr.Kind())
-	}
-	return loadSharded(sr, oneOpt(opts))
-}
-
-// LoadPlan restores a plan snapshot of either kind behind the Plan
-// interface — the loader for callers (like qjq -load) that saved whatever
-// plan kind they had.
+// LoadPlan is LoadPrepared behind the Plan interface — the loader for
+// callers (like qjq -load and the qjserve plan cache) that hold plans as
+// Plan values.
 func LoadPlan(r io.Reader, opts ...Options) (Plan, error) {
-	sr, err := snap.NewReader(r)
+	// Return the error path explicitly: a nil *Prepared inside a non-nil
+	// Plan interface would defeat callers' `plan != nil` checks.
+	p, err := LoadPrepared(r, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return loadPlan(sr, opts)
+	return p, nil
 }
 
 // LoadPlanBytes is LoadPlan over an in-memory snapshot (see LoadPreparedBytes
 // for the aliasing contract).
 func LoadPlanBytes(b []byte, opts ...Options) (Plan, error) {
-	sr, err := snap.NewReaderBytes(b)
+	p, err := LoadPreparedBytes(b, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return loadPlan(sr, opts)
+	return p, nil
 }
 
-func loadPlan(sr *snap.Reader, opts []Options) (Plan, error) {
-	// Return the error paths explicitly: a nil *Prepared inside a non-nil
-	// Plan interface would defeat callers' `plan != nil` checks.
-	switch sr.Kind() {
-	case snap.KindPrepared:
-		p, err := loadPrepared(sr, oneOpt(opts))
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	case snap.KindSharded:
-		p, err := loadSharded(sr, oneOpt(opts))
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	default:
-		return nil, corruptf("stream holds kind %d, not a plan snapshot", sr.Kind())
+// loadPlan decodes a plan while the section checksum pass runs concurrently
+// (snap.Reader.Sections); the verify join gates every exit, and a checksum
+// failure wins over whatever the decode made of the bad bytes.
+func loadPlan(sr *snap.Reader, o Options) (*Prepared, error) {
+	kind := sr.Kind()
+	if kind != snap.KindPrepared && kind != snap.KindSharded {
+		return nil, corruptf("stream holds kind %d, not a plan snapshot", kind)
 	}
-}
-
-// planSections validates the fixed section sequence of a plan snapshot —
-// Meta, Dict, RawDB, nEngines× Engine, any number of Sketch — and splits it.
-func planSections(secs []snap.Section, nEngines int) (meta, dict, rawdb []byte, engs [][]byte, sks [][]byte, err error) {
-	want := []uint32{snap.SecMeta, snap.SecDict, snap.SecRawDB}
-	if len(secs) < len(want)+nEngines {
-		return nil, nil, nil, nil, nil, corruptf("plan snapshot has %d sections", len(secs))
-	}
-	for i, id := range want {
-		if secs[i].ID != id {
-			return nil, nil, nil, nil, nil, corruptf("section %d has id %d, want %d", i, secs[i].ID, id)
-		}
-	}
-	meta, dict, rawdb = secs[0].Payload, secs[1].Payload, secs[2].Payload
-	rest := secs[3:]
-	for i := 0; i < nEngines; i++ {
-		if rest[i].ID != snap.SecEngine {
-			return nil, nil, nil, nil, nil, corruptf("expected engine section, got id %d", rest[i].ID)
-		}
-		engs = append(engs, rest[i].Payload)
-	}
-	for _, s := range rest[nEngines:] {
-		if s.ID != snap.SecSketch {
-			return nil, nil, nil, nil, nil, corruptf("unexpected section id %d", s.ID)
-		}
-		sks = append(sks, s.Payload)
-	}
-	return meta, dict, rawdb, engs, sks, nil
-}
-
-// loadPrepared decodes an unsharded plan while the section checksum pass runs
-// concurrently (snap.Reader.Sections); the verify join gates every exit, and
-// a checksum failure wins over whatever the decode made of the bad bytes.
-func loadPrepared(sr *snap.Reader, o Options) (*Prepared, error) {
 	secs, verify, err := sr.Sections()
 	if err != nil {
 		return nil, err
 	}
-	p, err := decodePrepared(secs, o)
+	p, err := decodePlan(secs, kind == snap.KindSharded, o)
 	if verr := verify(); verr != nil {
 		return nil, verr
 	}
@@ -263,124 +209,86 @@ func loadPrepared(sr *snap.Reader, o Options) (*Prepared, error) {
 	return p, nil
 }
 
-func decodePrepared(secs []snap.Section, o Options) (*Prepared, error) {
-	meta, dictPl, rawPl, engPls, skPls, err := planSections(secs, 1)
-	if err != nil {
-		return nil, err
-	}
-	d := snap.NewDec(meta)
-	src := snap.DecodeQuery(d)
-	if d.Err() != nil || !d.Done() {
-		return nil, corruptf("bad meta section")
-	}
-	db, rd, err := decodeRawDB(dictPl, rawPl)
-	if err != nil {
-		return nil, err
-	}
-	d = snap.NewDec(engPls[0])
-	eng, err := snap.DecodeEngine(d, rd, db.inner, o.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if !d.Done() {
-		return nil, corruptf("trailing bytes in engine section")
-	}
-	if eng.Source().String() != src.String() {
-		return nil, corruptf("engine query %s does not match plan query %s", eng.Source(), src)
-	}
-	p := &Prepared{q: src, db: db, eng: eng, opts: o}
-	for _, pl := range skPls {
-		d := snap.NewDec(pl)
-		spec := d.Str()
-		sum, err := snap.DecodeSummary(d)
-		if err != nil {
-			return nil, err
-		}
-		if !d.Done() {
-			return nil, corruptf("trailing bytes in sketch section")
-		}
-		f, err := adoptRanking(spec, p.q, &p.rankCanon)
-		if err != nil {
-			return nil, err
-		}
-		if p.sketches == nil {
-			p.sketches = make(map[*Ranking]*sketchEntry)
-		}
-		p.sketches[f] = &sketchEntry{sum: sum}
-	}
-	return p, nil
-}
-
-// loadSharded decodes a sharded plan with the same concurrent checksum
-// discipline as loadPrepared.
-func loadSharded(sr *snap.Reader, o Options) (*ShardedPrepared, error) {
-	secs, verify, err := sr.Sections()
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodeSharded(secs, o)
-	if verr := verify(); verr != nil {
-		return nil, verr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func decodeSharded(secs []snap.Section, o Options) (*ShardedPrepared, error) {
+// decodePlan decodes the fixed section sequence of a plan snapshot — Meta,
+// Dict, RawDB, one Engine per shard, any number of Sketch. routed selects
+// the two kind-dependent layouts: the shard count in the meta section and
+// the per-shard framing of the sketch sections.
+func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) {
 	if len(secs) < 1 || secs[0].ID != snap.SecMeta {
 		return nil, corruptf("missing meta section")
 	}
 	d := snap.NewDec(secs[0].Payload)
 	src := snap.DecodeQuery(d)
-	shards := int(d.U32())
+	shards := 1
+	if routed {
+		shards = int(d.U32())
+	}
 	if d.Err() != nil || !d.Done() {
 		return nil, corruptf("bad meta section")
 	}
 	if shards < 1 || shards > MaxShards {
 		return nil, corruptf("shard count %d", shards)
 	}
-	_, dictPl, rawPl, engPls, skPls, err := planSections(secs, shards)
+	want := []uint32{snap.SecMeta, snap.SecDict, snap.SecRawDB}
+	if len(secs) < len(want)+shards {
+		return nil, corruptf("plan snapshot has %d sections", len(secs))
+	}
+	for i, s := range secs {
+		id := snap.SecSketch
+		if i < len(want) {
+			id = want[i]
+		} else if i < len(want)+shards {
+			id = snap.SecEngine
+		}
+		if s.ID != id {
+			return nil, corruptf("section %d has id %d, want %d", i, s.ID, id)
+		}
+	}
+	engPls, skPls := secs[len(want):len(want)+shards], secs[len(want)+shards:]
+	db, rd, err := decodeRawDB(secs[1].Payload, secs[2].Payload)
 	if err != nil {
 		return nil, err
 	}
-	db, rd, err := decodeRawDB(dictPl, rawPl)
-	if err != nil {
-		return nil, err
+	var sh *shard.Sharded
+	if routed {
+		// The partition is replayed from (src, db); each engine must run the
+		// self-join-free rewrite its partition was compiled from.
+		sh, err = shard.Restore(src, db.inner, shards, o.Parallelism,
+			func(i int, q *Query, sdb *relation.Database, per int) (*engine.Engine, error) {
+				eng, err := decodeEngine(engPls[i].Payload, rd, sdb, per)
+				if err == nil && eng.Query().String() != q.String() {
+					err = corruptf("shard %d engine query %s does not match partition query %s", i, eng.Query(), q)
+				}
+				return eng, err
+			})
+		if err != nil {
+			return nil, asSnapshotErr(err)
+		}
+	} else {
+		eng, err := decodeEngine(engPls[0].Payload, rd, db.inner, o.Parallelism)
+		if err == nil && eng.Source().String() != src.String() {
+			err = corruptf("engine query %s does not match plan query %s", eng.Source(), src)
+		}
+		if err != nil {
+			return nil, err
+		}
+		sh = shard.Single(eng)
 	}
-	sh, err := shard.Restore(src, db.inner, shards, o.Parallelism,
-		func(i int, q *Query, sdb *relation.Database, per int) (*engine.Engine, error) {
-			d := snap.NewDec(engPls[i])
-			eng, err := snap.DecodeEngine(d, rd, sdb, per)
-			if err != nil {
-				return nil, err
-			}
-			if !d.Done() {
-				return nil, corruptf("trailing bytes in engine section %d", i)
-			}
-			if eng.Query().String() != q.String() {
-				return nil, corruptf("shard %d engine query %s does not match partition query %s", i, eng.Query(), q)
-			}
-			return eng, nil
-		})
-	if err != nil {
-		return nil, asSnapshotErr(err)
-	}
-	p := &ShardedPrepared{q: src, db: db, sh: sh, opts: o}
-	engs := sh.Engines()
-	for _, pl := range skPls {
-		d := snap.NewDec(pl)
+	p := &Prepared{q: src, db: db, sh: sh, opts: o}
+	for _, sec := range skPls {
+		d := snap.NewDec(sec.Payload)
 		spec := d.Str()
-		res := d.F64()
-		nparts := int(d.U32())
+		var res float64
+		if routed {
+			res = d.F64()
+			if n := int(d.U32()); d.Err() == nil && n != shards {
+				return nil, corruptf("sketch %q has %d parts, plan has %d shards", spec, n, shards)
+			}
+		}
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if nparts != shards {
-			return nil, corruptf("sketch %q has %d parts, plan has %d shards", spec, nparts, shards)
-		}
-		parts := make([]*sketch.Summary, nparts)
+		parts := make([]*sketch.Summary, shards)
 		for i := range parts {
 			if parts[i], err = snap.DecodeSummary(d); err != nil {
 				return nil, err
@@ -388,6 +296,9 @@ func decodeSharded(secs []snap.Section, o Options) (*ShardedPrepared, error) {
 		}
 		if !d.Done() {
 			return nil, corruptf("trailing bytes in sketch section")
+		}
+		if !routed {
+			res = parts[0].Res
 		}
 		f, err := adoptRanking(spec, p.q, &p.rankCanon)
 		if err != nil {
@@ -400,11 +311,25 @@ func decodeSharded(secs []snap.Section, o Options) (*ShardedPrepared, error) {
 			merged = sketch.Merge(parts, f.Compare)
 		}
 		if p.sketches == nil {
-			p.sketches = make(map[*Ranking]*shardSketchEntry)
+			p.sketches = make(map[*Ranking]*sketchEntry)
 		}
-		p.sketches[f] = &shardSketchEntry{parts: parts, engs: engs, merged: merged, res: res}
+		p.sketches[f] = &sketchEntry{parts: parts, merged: merged, res: res}
 	}
 	return p, nil
+}
+
+// decodeEngine decodes one engine section over the database it was compiled
+// against (the raw database, or a shard's partition of it).
+func decodeEngine(pl []byte, rd *snap.RelReader, db *relation.Database, workers int) (*engine.Engine, error) {
+	d := snap.NewDec(pl)
+	eng, err := snap.DecodeEngine(d, rd, db, workers)
+	if err != nil {
+		return nil, err
+	}
+	if !d.Done() {
+		return nil, corruptf("trailing bytes in engine section")
+	}
+	return eng, nil
 }
 
 // decodeRawDB decodes the dictionary and raw database sections, attaching
@@ -563,80 +488,4 @@ func asSnapshotErr(err error) error {
 		}
 	}
 	return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-}
-
-// Snapshot writes the sharded plan to w: raw database, dictionary, one
-// engine section per shard, and the warm per-shard sketch summaries. See
-// Prepared.Snapshot for the byte-identity contract; LoadShardedPrepared
-// restores it.
-func (p *ShardedPrepared) Snapshot(w io.Writer) error {
-	raw := p.DB()
-	sw := snap.NewWriter(w, snap.KindSharded)
-
-	var e snap.Enc
-	snap.EncodeQuery(&e, p.q)
-	e.U32(uint32(p.sh.Shards()))
-	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
-		return err
-	}
-	e = snap.Enc{}
-	snap.EncodeDict(&e, raw.inner.Dict())
-	if err := sw.Section(snap.SecDict, e.Bytes()); err != nil {
-		return err
-	}
-	rw := snap.NewRelWriter()
-	e = snap.Enc{}
-	snap.EncodeDatabase(&e, rw, raw.inner)
-	if err := sw.Section(snap.SecRawDB, e.Bytes()); err != nil {
-		return err
-	}
-	for _, eng := range p.sh.Engines() {
-		e = snap.Enc{}
-		snap.EncodeEngine(&e, rw, eng)
-		if err := sw.Section(snap.SecEngine, e.Bytes()); err != nil {
-			return err
-		}
-	}
-	for _, s := range p.snapshotSketches() {
-		e = snap.Enc{}
-		e.Str(s.spec)
-		e.F64(s.entry.res)
-		e.U32(uint32(len(s.entry.parts)))
-		for _, part := range s.entry.parts {
-			snap.EncodeSummary(&e, part)
-		}
-		if err := sw.Section(snap.SecSketch, e.Bytes()); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// specShardSketch is one serializable sharded sketch entry.
-type specShardSketch struct {
-	spec  string
-	entry *shardSketchEntry
-}
-
-// snapshotSketches collects the sharded plan's serializable sketch entries:
-// those certified against the current engine vector (anything else would
-// need re-certification the loader cannot perform) with a wire-formattable
-// ranking, sorted by spec for deterministic output.
-func (p *ShardedPrepared) snapshotSketches() []specShardSketch {
-	engs := p.sh.Engines()
-	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	var out []specShardSketch
-	for f, en := range p.sketches {
-		if f.Weight != nil || !sameEngines(en.engs, engs) {
-			continue
-		}
-		spec, err := FormatRanking(f)
-		if err != nil {
-			continue
-		}
-		out = append(out, specShardSketch{spec, en})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec < out[j].spec })
-	return out
 }

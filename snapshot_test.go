@@ -19,7 +19,7 @@ import (
 )
 
 // snapRoundTrip snapshots the plan and loads it back through LoadPlan,
-// asserting the concrete kind survives.
+// asserting the shard count and partitioning key survive.
 func snapRoundTrip(t *testing.T, p qjoin.Plan) qjoin.Plan {
 	t.Helper()
 	var buf bytes.Buffer
@@ -30,8 +30,8 @@ func snapRoundTrip(t *testing.T, p qjoin.Plan) qjoin.Plan {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if reflect.TypeOf(got) != reflect.TypeOf(p) {
-		t.Fatalf("loaded %T from a %T snapshot", got, p)
+	if g, w := got.(*qjoin.Prepared), p.(*qjoin.Prepared); g.Shards() != w.Shards() || g.Key() != w.Key() {
+		t.Fatalf("loaded %d shards on key %q from a snapshot of %d shards on key %q", g.Shards(), g.Key(), w.Shards(), w.Key())
 	}
 	return got
 }
@@ -202,11 +202,11 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		t.Fatalf("pristine snapshot failed to load: %v", err)
 	}
 
-	// Kind mismatch: an unsharded stream refused by the sharded loader (and
-	// vice versa) without partial decode.
-	if _, err := qjoin.LoadShardedPrepared(bytes.NewReader(good)); !errors.Is(err, qjoin.ErrSnapshotCorrupt) {
-		t.Fatalf("sharded loader accepted an unsharded stream: %v", err)
-	}
+	// LoadPrepared takes either plan kind. What it must still refuse, without
+	// partial decode, is a stream whose header kind (bytes 8..12, outside any
+	// section CRC) disagrees with its sections: an unrouted stream relabelled
+	// as sharded, a sharded one relabelled as unrouted, and a kind that is no
+	// plan at all.
 	sp, err := qjoin.PrepareSharded(inst.q, inst.db, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,24 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	if err := sp.Snapshot(&sbuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qjoin.LoadPrepared(bytes.NewReader(sbuf.Bytes())); !errors.Is(err, qjoin.ErrSnapshotCorrupt) {
-		t.Fatalf("unsharded loader accepted a sharded stream: %v", err)
+	routed := sbuf.Bytes()
+	got, err := qjoin.LoadPrepared(bytes.NewReader(routed))
+	if err != nil || got.Shards() != 2 || got.Key() != sp.Key() {
+		t.Fatalf("LoadPrepared on a sharded stream: %v (plan %v)", err, got)
+	}
+	relabel := func(b []byte, kind byte) []byte {
+		b = append([]byte(nil), b...)
+		b[8] = kind
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"unrouted-as-sharded": relabel(good, routed[8]),
+		"sharded-as-unrouted": relabel(routed, good[8]),
+		"not-a-plan-kind":     relabel(good, 0x7f),
+	} {
+		got, err := qjoin.LoadPrepared(bytes.NewReader(b))
+		if !errors.Is(err, qjoin.ErrSnapshotCorrupt) || got != nil {
+			t.Errorf("%s: plan %v, error %v, want ErrSnapshotCorrupt and no plan", name, got, err)
+		}
 	}
 }

@@ -55,16 +55,22 @@ func (d *DB) Apply(delta *Delta) (*DB, error) {
 // have changed. Answers of the derived plan are byte-identical to a fresh
 // Prepare on the mutated database (DB.Apply), including run statistics.
 //
+// On a routed plan only the shards owning the delta's key hashes are
+// rebuilt; the other shard engines are shared with the receiver untouched.
+// A delta localized to one shard therefore costs ~1/N of the unsharded
+// update, which is what shrinks writer critical sections under serving
+// load.
+//
 // Update may be called concurrently with queries on the receiver and with
 // other Updates of the receiver. It fails atomically — leaving the plan
-// untouched — with ErrDeleteAbsent when a delete has no occurrence left,
-// and on rows that do not match the schema.
+// untouched — with ErrDeleteAbsent when a delete has no occurrence left
+// (in any shard), and on rows that do not match the schema.
 func (p *Prepared) Update(d *Delta) (*Prepared, error) {
-	eng, err := p.eng.Update(d)
+	sh, err := p.sh.Update(d)
 	if err != nil {
 		return nil, err
 	}
-	if eng == p.eng {
+	if sh == p.sh {
 		return p, nil // empty delta: nothing changed
 	}
 	p.dbMu.Lock()
@@ -86,16 +92,16 @@ func (p *Prepared) Update(d *Delta) (*Prepared, error) {
 	// Snapshot the delta: the chain is replayed lazily by DB(), and the
 	// caller may keep building on d after this call returns.
 	return &Prepared{
-		q: p.q, eng: eng, opts: p.opts,
+		q: p.q, sh: sh, opts: p.opts,
 		baseDB: base,
 		deltas: append(chain[:len(chain):len(chain)], d.Clone()),
-		// Sketch summaries carry over marked stale: the first approximate
-		// query (or WarmSketches) re-certifies their anchors against the
-		// updated engine instead of rebuilding from scratch. The ranking
-		// intern table rides along so carried summaries stay reachable by
-		// spec-equivalent rankings.
-		sketches:  p.carrySketches(),
-		rankCanon: carryRankCanon(&p.skMu, p.rankCanon),
+		// Sketch summaries carry over, the rebuilt engines' parts marked
+		// stale: the first approximate query (or WarmSketches) re-certifies
+		// their anchors against the updated engine instead of rebuilding
+		// from scratch. The ranking intern table rides along so carried
+		// summaries stay reachable by spec-equivalent rankings.
+		sketches:  p.carrySketches(sh.Engines()),
+		rankCanon: p.carryRankCanon(),
 	}, nil
 }
 
