@@ -6,8 +6,16 @@ package qjoin
 // ApproxQuantile / SampleQuantile / QuantileStats) into one request struct
 // with an explicit Mode, and adds the sketch tier: a mergeable rank-anchor
 // summary (internal/sketch.Summary) built lazily per ranking function from
-// the plan's engines, kept current across Update via cheap per-anchor
-// re-certification, and merged across shards on demand. mode=approx answers
+// the plan's engines, kept current across Update, and merged across shards on
+// demand. Update lists once, for all rankings, the answers each changed engine
+// gained and lost — walking outward from the changed rows — and a stale part
+// is re-certified by shifting every anchor's rank window by the listed
+// answers below it (core.ShiftSummary): work proportional to the delta. The
+// full pass, two trim-and-count passes over the instance per anchor
+// (core.RefreshSummary), runs only where the shift has no input: a part's
+// first refresh after a build or a restore, an engine behind a hypertree
+// decomposition, and a delta listing more answers than the engine has tuples.
+// The code picks between them from what it observes. mode=approx answers
 // from the summary in O(entries) without touching the pivot loop; mode=auto
 // serves from the summary only when the requested ε is certified and falls
 // back to the exact engine — byte-identical to the legacy path — otherwise.
@@ -18,7 +26,9 @@ package qjoin
 // traffic hits warm summaries.
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -98,13 +108,53 @@ const DefaultSketchEps = core.DefaultSketchEps
 // immutable once stored.
 type sketchEntry struct {
 	parts []*sketch.Summary
-	// stale[i] marks a part carried across an Update that rebuilt engine i:
-	// its anchors still hold the pre-delta windows and must be re-certified
-	// before serving. Parts of untouched engines carry over with no work —
-	// the point of per-engine summaries. nil when every part is current.
-	stale  []bool
-	merged *sketch.Summary // parts[0] itself on a one-engine plan
-	res    float64         // the resolution the parts were built at
+	// stale[i] marks a part carried across an Update that changed engine i's
+	// answers: its anchors still hold the pre-delta windows and must be
+	// re-certified before serving. Parts of engines whose answers a delta
+	// left alone carry over with no work — the point of per-engine
+	// summaries. nil when every part is current.
+	stale []bool
+	// class[i] marks a part whose windows are its anchors' class windows —
+	// it has been through a refresh — which is what a shift starts from. A
+	// part fresh from BuildSummary or a snapshot is not, and its first
+	// refresh is the full pass. nil when no part is.
+	class []bool
+	// pending[i] lists, for a stale part, what engine i gained and lost
+	// since the part was certified: one delta per Update not yet absorbed,
+	// each shared by pointer with every other ranking's entry. nil on a
+	// stale part means the shift has no input and the full pass runs.
+	// Consuming the list — storing the re-certified entry — releases it.
+	pending [][]*core.AnswerDelta
+	merged  *sketch.Summary // parts[0] itself on a one-engine plan
+	res     float64         // the resolution the parts were built at
+}
+
+// shiftable reports whether part i could absorb one more delta by shifting:
+// its windows are class windows, and if it is already stale the deltas it
+// missed are all on its pending list.
+func (e *sketchEntry) shiftable(i int) bool {
+	return e.class != nil && e.class[i] && (e.stale == nil || !e.stale[i] || e.pending[i] != nil)
+}
+
+// SketchRefreshStats counts how a plan brought stale summary parts up to date
+// (one count per part and refresh; see WarmSketches).
+type SketchRefreshStats struct {
+	// Shifted parts moved their windows by the delta's answers.
+	Shifted int64 `json:"shifted"`
+	// Recertified parts took the full pass over the instance.
+	Recertified int64 `json:"recertified"`
+	// Rebuilt parts lost every anchor and were built anew.
+	Rebuilt int64 `json:"rebuilt"`
+}
+
+// SketchRefreshes reports the refreshes this plan has performed since Update
+// derived it (or Prepare compiled it).
+func (p *Prepared) SketchRefreshes() SketchRefreshStats {
+	return SketchRefreshStats{
+		Shifted:     p.shifted.Load(),
+		Recertified: p.recertified.Load(),
+		Rebuilt:     p.rebuilt.Load(),
+	}
 }
 
 // fresh reports whether every part is certified against the plan's current
@@ -223,9 +273,11 @@ func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options)
 
 // WarmSketches re-certifies every summary part that went stale through
 // Update and re-merges (and touches no others — rankings never queried
-// approximately, and parts of engines the deltas left alone, cost nothing).
-// The serving layer calls this during plan-cache migration so post-delta
-// sketch queries stay O(entries) cache hits.
+// approximately, and parts of engines whose answers the deltas left alone,
+// cost nothing). A part shifts by its pending deltas when it can and takes
+// the full pass otherwise (see the file comment); SketchRefreshes counts
+// which. The serving layer calls this during plan-cache migration so
+// post-delta sketch queries stay O(entries) cache hits.
 func (p *Prepared) WarmSketches() error {
 	p.skMu.Lock()
 	var fs []*Ranking
@@ -262,18 +314,19 @@ func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summa
 	}
 	engs := p.sh.Engines()
 	parts := make([]*sketch.Summary, len(engs))
+	class := make([]bool, len(engs))
 	for i, eng := range engs {
 		var err error
 		switch {
 		case reuse && !e.stale[i]:
-			parts[i] = e.parts[i] // untouched engine: summary carries over
+			// The delta left this engine's answers alone: the part carries over.
+			parts[i], class[i] = e.parts[i], e.class != nil && e.class[i]
 		case reuse:
-			// Carried over a delta: two trim+count passes per anchor
-			// re-certify the windows.
-			if parts[i], err = core.RefreshSummary(eng, f, e.parts[i], o); err != nil {
+			if parts[i], err = p.refreshPart(eng, f, e, i, o); err != nil {
 				return nil, err
 			}
-			if parts[i] == nil { // every anchor died: rebuild from scratch
+			if class[i] = parts[i] != nil; !class[i] { // every anchor died: rebuild from scratch
+				p.rebuilt.Add(1)
 				parts[i], err = core.BuildSummary(eng, f, res, o)
 			}
 		default:
@@ -293,10 +346,22 @@ func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summa
 	}
 	// Racing builds store equivalent summaries; keep the finest fresh one.
 	if cur := p.sketches[f]; cur == nil || !cur.fresh() || resCovers(res, cur.res) {
-		p.sketches[f] = &sketchEntry{parts: parts, merged: merged, res: res}
+		p.sketches[f] = &sketchEntry{parts: parts, class: class, merged: merged, res: res}
 	}
 	p.skMu.Unlock()
 	return merged, nil
+}
+
+// refreshPart re-certifies stale part i of e against eng: by shifting its
+// windows when the part has its pending deltas, by the full pass otherwise.
+// A nil summary means no anchor survived.
+func (p *Prepared) refreshPart(eng *engine.Engine, f *Ranking, e *sketchEntry, i int, o Options) (*sketch.Summary, error) {
+	if e.pending[i] != nil {
+		p.shifted.Add(1)
+		return core.ShiftSummary(eng, f, e.parts[i], e.pending[i]), nil
+	}
+	p.recertified.Add(1)
+	return core.RefreshSummary(eng, f, e.parts[i], o)
 }
 
 // autoSummary is the summary ModeAuto may serve from: any already-built
@@ -320,26 +385,70 @@ func (p *Prepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summ
 }
 
 // carrySketches builds the derived plan's summary map on Update: the same
-// parts, those whose engine the delta rebuilt (engs is the derived vector)
-// marked stale so the first post-delta use (or WarmSketches) re-certifies
-// exactly them. Staleness is a flag, not a remembered engine pointer, so a
-// carried entry never keeps a previous generation's engines alive.
-func (p *Prepared) carrySketches(engs []*engine.Engine) map[*Ranking]*sketchEntry {
+// parts, those whose engine's answers the delta changed (engs is the derived
+// vector, changes what each derivation reported) marked stale so the first
+// post-delta use (or WarmSketches) re-certifies exactly them. A derivation
+// that changed no answer — a multiplicity-only delta, rows of a relation the
+// query never reads — leaves its part as fresh as it was.
+//
+// For each changed engine that some part could shift over, the answers it
+// gained and lost are listed once and appended, by pointer, to that part's
+// pending list in every ranking's entry. A part stops being shiftable — nil
+// pending list, full pass at its next refresh — when the derivation has no
+// row-level record or its chain of unabsorbed deltas outgrows the engine's
+// tuple count. Staleness and pending lists hold answers, never engines, so a
+// carried entry never keeps a previous generation's engines alive; a plan
+// that carries no summary pays nothing here.
+func (p *Prepared) carrySketches(engs []*engine.Engine, changes []engine.Change) map[*Ranking]*sketchEntry {
 	old := p.sh.Engines()
 	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	if len(p.sketches) == 0 {
-		return nil
+	carried := maps.Clone(p.sketches) // entries are immutable: list the answers unlocked
+	p.skMu.Unlock()
+	if !slices.ContainsFunc(changes, engine.Change.AnswersChanged) {
+		return carried // nothing moved: the derived plan shares the entries as they are
 	}
-	m := make(map[*Ranking]*sketchEntry, len(p.sketches))
-	for f, e := range p.sketches {
-		stale := make([]bool, len(engs))
-		for i := range engs {
-			stale[i] = engs[i] != old[i] || (e.stale != nil && e.stale[i])
+	m := make(map[*Ranking]*sketchEntry, len(carried))
+	for f, e := range carried {
+		c := &sketchEntry{parts: e.parts, class: e.class, merged: e.merged, res: e.res,
+			stale: make([]bool, len(engs)), pending: make([][]*core.AnswerDelta, len(engs))}
+		if e.stale != nil {
+			copy(c.stale, e.stale)
+			copy(c.pending, e.pending)
 		}
-		m[f] = &sketchEntry{parts: e.parts, stale: stale, merged: e.merged, res: e.res}
+		m[f] = c
+	}
+	for i, ch := range changes {
+		if !ch.AnswersChanged() {
+			continue
+		}
+		budget := engs[i].DB().Size()
+		var delta *core.AnswerDelta
+		for _, e := range carried {
+			if e.shiftable(i) {
+				delta = core.DeltaAnswers(old[i], engs[i], ch, budget)
+				break
+			}
+		}
+		for f, e := range carried {
+			c := m[f]
+			c.stale[i] = true
+			if held := c.pending[i]; delta != nil && e.shiftable(i) && pendingLen(held)+delta.Len() <= budget {
+				c.pending[i] = append(held[:len(held):len(held)], delta)
+			} else {
+				c.pending[i] = nil
+			}
+		}
 	}
 	return m
+}
+
+// pendingLen is the number of answers a pending list holds.
+func pendingLen(deltas []*core.AnswerDelta) int {
+	n := 0
+	for _, d := range deltas {
+		n += d.Len()
+	}
+	return n
 }
 
 // approxRes is the build resolution for a ModeApprox request: the default

@@ -518,6 +518,70 @@ func BenchmarkSketchQuantile(b *testing.B) {
 	})
 }
 
+// BenchmarkSketchRefresh — what a write costs a plan that serves approximate
+// reads: Update plus WarmSketches for an 8-insert, 8-delete delta on the
+// social-network instance (12 000 tuples, about 400 000 answers) carrying
+// three summaries. "full" refreshes parts fresh from BuildSummary, whose first
+// refresh is the full pass — two trim-and-count passes over the instance per
+// anchor; "shift" refreshes parts that have been through one refresh, which
+// move their windows by the delta's own answers. CI pins shift at ≤ 0.10× full
+// with a scaling gate. Each iteration asserts which refresh ran.
+func BenchmarkSketchRefresh(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	sn := workload.NewSocialNetwork(rng, 4000, 400, 100)
+	ranks := []*qjoin.Ranking{qjoin.Sum("l2", "l3"), qjoin.Max("l2", "l3"), qjoin.Min("l2")}
+	built, err := qjoin.Prepare(sn.Q, qjoin.WrapDB(sn.DB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range ranks {
+		if _, err := built.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.ModeApprox}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	share := sn.DB.Get("Share")
+	delta := func(k int) *qjoin.Delta {
+		d := qjoin.NewDelta()
+		for r := 0; r < 8; r++ {
+			j := (8*k + r) % share.Len()
+			d.Insert("Share", []int64{1<<30 + int64(8*k+r), share.Get(j, 1), share.Get(j, 2)})
+			d.Delete("Share", share.RowValues(share.Len()-1-j))
+		}
+		return d
+	}
+	refreshed, err := built.Update(delta(0))
+	if err == nil {
+		err = refreshed.WarmSketches()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		from *qjoin.Prepared
+		want qjoin.SketchRefreshStats
+	}{
+		{"full", built, qjoin.SketchRefreshStats{Recertified: 3}},
+		{"shift", refreshed, qjoin.SketchRefreshStats{Shifted: 3}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := delta(1)
+			for i := 0; i < b.N; i++ {
+				up, err := c.from.Update(d)
+				if err == nil {
+					err = up.WarmSketches()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := up.SketchRefreshes(); got != c.want {
+					b.Fatalf("refreshes %+v, want %+v", got, c.want)
+				}
+			}
+		})
+	}
+}
+
 // shardLocalDelta builds a batch of fresh R1 inserts whose join-key values
 // (column 1, the x2 partition key of the 2-path) all hash to one shard of a
 // 4-way partition — the shard-locality best case the per-shard write path

@@ -949,8 +949,9 @@ func runE17(c *ctx) {
 // sketch build (the first mode=approx answer pays it, every later one reads
 // anchors), per-φ serve latency of the sketch tier against the exact pivot
 // loop with the certified error each answer reports, and the post-delta
-// re-certification cost (stale anchors are probed with trim+count, not
-// rebuilt from scratch). A sharded row shows the merged summary's serve cost
+// re-certification cost (a summary's first refresh: stale anchors are probed
+// with trim+count, not rebuilt from scratch; later refreshes shift the windows
+// by the delta's answers, see BenchmarkSketchRefresh). A sharded row shows the merged summary's serve cost
 // matching the single-engine sketch.
 func runE18(c *ctx) {
 	n := 1 << 14

@@ -326,12 +326,25 @@
 // plus their cached merge (the merge of one part is that part, so a
 // one-engine plan serves its summary unmerged). Update carries sketches
 // into the new plan copy-on-write, marking stale exactly the parts whose
-// engine the delta rebuilt; the next approx answer — or an explicit
-// WarmSketches, which the qjserve plan cache calls during delta migration —
-// re-certifies each stale anchor with a trim-and-count probe instead of
-// rebuilding the grid, so a shard-local update re-certifies only the
-// touched part. ParseMode/ValidateMode/FormatMode are the wire codec for
-// the mode argument, shared by qjq -mode and the server's /query mode field.
+// engine's answers the delta changed; the next approx answer — or an
+// explicit WarmSketches, which the qjserve plan cache calls during delta
+// migration — re-certifies the stale parts instead of rebuilding the grid,
+// so a shard-local update re-certifies only the touched part.
+//
+// The refresh is proportional to the delta: Update lists, once for all
+// rankings, the answers the changed engine gained and lost, and each stale
+// anchor's rank window shifts by the listed answers below it — exact
+// arithmetic, equal to a recount for rankings with exact trims. The recount
+// itself, two trim-and-count passes over the instance per anchor, is the
+// full pass, and it runs only where the shift has no input: a part's first
+// refresh after a build or a restore (its windows are not class windows
+// yet), an engine behind a hypertree decomposition (bags are rematerialized,
+// no row-level record), and a delta listing more answers than the engine
+// has tuples (Updates chained without a warm-up accumulate under the same
+// cap). The choice is made from what the code observes; SketchRefreshes
+// counts which refresh ran. ParseMode/ValidateMode/FormatMode are the wire
+// codec for the mode argument, shared by qjq -mode and the server's /query
+// mode field.
 //
 // # Durability
 //

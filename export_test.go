@@ -1,0 +1,20 @@
+package qjoin
+
+import (
+	"github.com/quantilejoins/qjoin/internal/core"
+	"github.com/quantilejoins/qjoin/internal/sketch"
+)
+
+// SketchState shows the external tests a ranking's sketch entry as the plan
+// holds it: the per-engine parts, their merge, which parts are stale, and
+// each stale part's pending deltas (nil: its next refresh is the full pass).
+func SketchState(p *Prepared, f *Ranking) (parts []*sketch.Summary, merged *sketch.Summary, stale []bool, pending [][]*core.AnswerDelta) {
+	f = p.canonRanking(f)
+	p.skMu.Lock()
+	defer p.skMu.Unlock()
+	e := p.sketches[f]
+	if e == nil {
+		return nil, nil, nil, nil
+	}
+	return e.parts, e.merged, e.stale, e.pending
+}

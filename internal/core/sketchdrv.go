@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"slices"
+	"sort"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/parallel"
+	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
+	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/sketch"
 	"github.com/quantilejoins/qjoin/internal/trim"
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
@@ -86,11 +90,15 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 }
 
 // RefreshSummary re-certifies a summary's anchors against a (typically
-// delta-updated) engine without re-running any selection: per anchor λ it
-// builds the strict less-than-λ and greater-than-λ trims of the full
-// instance and counts them — two trim+count passes per anchor, each
-// quasilinear and served from the engine's trim cache. The anchor weights
-// and representative values are kept; only the certified windows move:
+// delta-updated) engine from the full instance, without re-running any
+// selection: per anchor λ it builds the strict less-than-λ and greater-than-λ
+// trims and counts them — two trim+count passes per anchor, each quasilinear
+// in |D| and served from the engine's trim cache. It is the pass for a part
+// ShiftSummary has no input for: one whose windows are not class windows yet
+// (fresh from BuildSummary or a snapshot), an engine behind a hypertree
+// decomposition, or a delta with more answers than the instance has tuples.
+// The anchor weights and representative values are kept; only the certified
+// windows move, to the class windows of λ:
 //
 //	RMax = cLess + e    and    RMin = (N − cGreater) − 1 − e,
 //
@@ -166,6 +174,124 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 		return nil, nil // every anchor died: rebuild
 	}
 	return sketch.New(entries, n, res, !exact, f.Compare), nil
+}
+
+// AnswerDelta is the answers one engine derivation gained and lost, as flat
+// rows laid out per the engine's Query().Vars(). It is immutable once built:
+// every ranking's summary of the plan shifts by the same delta.
+type AnswerDelta struct {
+	width        int
+	gained, lost []relation.Value
+}
+
+// Len returns how many answers the delta holds, gained and lost together.
+func (d *AnswerDelta) Len() int { return (len(d.gained) + len(d.lost)) / d.width }
+
+// DeltaAnswers enumerates what the derivation prev → next, which reported ch,
+// did to the answer set: the answers of next through the rows its nodes
+// gained, and the answers of prev through the rows they lost. Both walks
+// start at the changed rows (yannakakis.EnumerateThrough), so the cost is the
+// delta's join neighbourhood plus the answers listed. It returns nil when
+// there is nothing to walk from (ch.Rebuilt) and when the delta holds more
+// than budget answers — past |D| answers the full pass of RefreshSummary,
+// quasilinear in |D|, is the cheaper way to move a window.
+func DeltaAnswers(prev, next *engine.Engine, ch engine.Change, budget int) *AnswerDelta {
+	width := len(next.Query().Vars())
+	if ch.Rebuilt || width == 0 {
+		return nil
+	}
+	d := &AnswerDelta{width: width}
+	var added, removed []yannakakis.NodeRows
+	for _, nc := range ch.Nodes {
+		added = append(added, yannakakis.NodeRows{Node: nc.Node, Rows: nc.AddedIdx})
+		removed = append(removed, yannakakis.NodeRows{Node: nc.Node, Rows: nc.RemovedIdx})
+	}
+	collect := func(into *[]relation.Value) func([]relation.Value) bool {
+		return func(asn []relation.Value) bool {
+			*into = append(*into, asn...)
+			return d.Len() <= budget
+		}
+	}
+	yannakakis.EnumerateThrough(next.Exec(), next.Counts(), added, collect(&d.gained))
+	yannakakis.EnumerateThrough(prev.Exec(), prev.Counts(), removed, collect(&d.lost))
+	if d.Len() > budget {
+		return nil
+	}
+	return d
+}
+
+// sortedWeights returns, ascending, the weights under f of flat answer rows
+// laid out per vars.
+func sortedWeights(f *ranking.Func, vars []query.Var, rows [][]relation.Value) []ranking.Weightv {
+	aw, width := ranking.NewAnswerWeigher(f, vars), len(vars)
+	n := 0
+	for _, r := range rows {
+		n += len(r) / width
+	}
+	ws := make([]ranking.Weightv, 0, n)
+	r := f.VecLen()
+	vecs := make([]int64, n*r)
+	for _, flat := range rows {
+		for i := 0; i < len(flat); i += width {
+			k := len(ws)
+			ws = append(ws, aw.WeightInto(vecs[k*r:(k+1)*r:(k+1)*r], flat[i:i+width]))
+		}
+	}
+	slices.SortFunc(ws, f.Compare)
+	return ws
+}
+
+// ShiftSummary re-certifies a summary against eng from the answers the engine
+// gained and lost since the windows were certified (deltas, in any order: one
+// per Update not yet absorbed). less(λ) and leq(λ) add over disjoint sets of
+// answers, so each anchor's window moves by what the deltas put below it:
+//
+//	RMax += gainedLess(λ) − lostLess(λ)   and   RMin += gainedLeq(λ) − lostLeq(λ),
+//
+// with N taken from eng. The arithmetic is exact: class windows of exact trims
+// come out equal to RefreshSummary's, entry for entry, and lossy windows keep
+// the slack they had without adding any. An anchor is dropped when its window
+// can no longer certify leq(λ) ≥ 1; as with RefreshSummary, nil means no
+// anchor survived and the caller should rebuild. The cost is sorting the
+// deltas' weights plus two binary searches per anchor and side.
+func ShiftSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, deltas []*AnswerDelta) *sketch.Summary {
+	n := eng.Counts().Total
+	if n.IsZero() {
+		return sketch.New(nil, n, s.Res, false, f.Compare)
+	}
+	var gainedRows, lostRows [][]relation.Value
+	for _, d := range deltas {
+		gainedRows, lostRows = append(gainedRows, d.gained), append(lostRows, d.lost)
+	}
+	vars := eng.Query().Vars()
+	gained := sortedWeights(f, vars, gainedRows)
+	lost := sortedWeights(f, vars, lostRows)
+	// below counts the sorted weights ≺ λ (or ⪯ λ).
+	below := func(ws []ranking.Weightv, at ranking.Weightv, orEqual bool) uint64 {
+		return uint64(sort.Search(len(ws), func(i int) bool {
+			c := f.Compare(ws[i], at)
+			return c > 0 || (c == 0 && !orEqual)
+		}))
+	}
+	entries := make([]sketch.Entry, 0, len(s.Entries))
+	for _, e := range s.Entries {
+		leq := e.RMin.AddUint64(1 + below(gained, e.Weight, true))
+		lostLeq := counting.FromUint64(below(lost, e.Weight, true))
+		if leq.Cmp(lostLeq) <= 0 {
+			continue // cannot certify leq(λ) ≥ 1 anymore: anchor is gone
+		}
+		less := e.RMax.AddUint64(below(gained, e.Weight, false)).Sub(counting.FromUint64(below(lost, e.Weight, false)))
+		entries = append(entries, sketch.Entry{
+			Weight: e.Weight,
+			Values: e.Values,
+			RMin:   leq.Sub(lostLeq).Sub(counting.FromUint64(1)),
+			RMax:   counting.Min(less, n),
+		})
+	}
+	if len(entries) == 0 {
+		return nil // every anchor died: rebuild
+	}
+	return sketch.New(entries, n, s.Res, s.Lossy, f.Compare)
 }
 
 // exactTrimsAvailable reports whether the ranking admits exact trims on this

@@ -296,9 +296,12 @@ func (e *Engine) multisets() map[string]*relation.Multiset {
 // Update fails atomically with ErrDeleteAbsent when a delete has no
 // remaining occurrence, and answers of the derived engine are byte-identical
 // to a fresh Prepare on the ApplyDelta-mutated database.
-func (e *Engine) Update(d *Delta) (*Engine, error) {
+//
+// The returned Change says what the derivation did to the answer set; it is
+// handed to the caller and not kept on either engine.
+func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 	if d == nil || d.Len() == 0 {
-		return e, nil
+		return e, Change{}, nil
 	}
 	sets := e.multisets()
 	byRel, names := opsByRel(d)
@@ -307,11 +310,11 @@ func (e *Engine) Update(d *Delta) (*Engine, error) {
 	for _, name := range names {
 		ms := sets[name]
 		if ms == nil {
-			return nil, fmt.Errorf("qjoin: delta references unknown relation %q", name)
+			return nil, Change{}, fmt.Errorf("qjoin: delta references unknown relation %q", name)
 		}
 		eff, err := simulateRel(name, e.sourceArity(name), byRel[name], ms.Mult)
 		if err != nil {
-			return nil, err
+			return nil, Change{}, err
 		}
 		effects[name] = eff
 		if !eff.set.Empty() {
@@ -339,7 +342,7 @@ func (e *Engine) Update(d *Delta) (*Engine, error) {
 			access: e.peekAccess(), reduced: e.peekReduced(),
 			dec: e.dec, decQ: e.decQ, ddb: e.ddb, decStats: e.decStats,
 			trimCache: e.trimCache,
-		}, nil
+		}, Change{}, nil
 	}
 	if e.dec != nil {
 		return e.updateDecomposed(newSets, effects)
@@ -362,7 +365,7 @@ func (e *Engine) Update(d *Delta) (*Engine, error) {
 	}
 	newExec, changes, err := e.exec.ApplyDelta(setDeltas, e.workers)
 	if err != nil {
-		return nil, err
+		return nil, Change{}, err
 	}
 	if len(changes) == 0 {
 		// Only relations outside the query changed: the answer set is
@@ -375,7 +378,7 @@ func (e *Engine) Update(d *Delta) (*Engine, error) {
 			counts: e.peekCounts(), sets: newSets,
 			access: e.peekAccess(), reduced: e.peekReduced(),
 			trimCache: e.trimCache,
-		}, nil
+		}, Change{}, nil
 	}
 	newCounts := yannakakis.UpdateCounts(e.Counts(), newExec, changes, e.workers)
 	return &Engine{
@@ -383,8 +386,27 @@ func (e *Engine) Update(d *Delta) (*Engine, error) {
 		exec: newExec, pos: e.pos, workers: e.workers,
 		counts: newCounts, sets: newSets,
 		trimCache: trim.NewCache(),
-	}, nil
+	}, Change{Nodes: changes}, nil
 }
+
+// Change is what one Update did to the answer set, for callers that maintain
+// state derived from it (the sketch summaries of a plan). The zero value means
+// the answer set is untouched: an empty delta, a pure multiplicity change, or
+// rows of a relation the query never reads.
+type Change struct {
+	// Nodes are the row-level changes of the executable tree's nodes, when
+	// the derivation maintained the tree incrementally: the removed indexes
+	// refer to the receiver's tree, the added ones to the derived engine's.
+	Nodes []jointree.NodeChange
+	// Rebuilt marks a derivation that rebuilt the tree instead (an engine
+	// behind a hypertree decomposition rematerializes its bags): the answer
+	// set may have changed and there is no row-level record of how.
+	Rebuilt bool
+}
+
+// AnswersChanged reports whether the derived engine's answer set may differ
+// from the receiver's.
+func (c Change) AnswersChanged() bool { return c.Rebuilt || len(c.Nodes) > 0 }
 
 // sourceArity returns the arity of a source-schema relation: straight from
 // the compiled database normally, and from the source-side view on a
@@ -420,7 +442,7 @@ func (e *Engine) sourceDedup() *relation.Database {
 // the executable tree is rebuilt over the new bag database — so the derived
 // engine is byte-identical to a fresh compile of the mutated input, except
 // that its decomposition stats record the incremental work.
-func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects map[string]*relEffect) (*Engine, error) {
+func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects map[string]*relEffect) (*Engine, Change, error) {
 	ddb := e.sourceDedup()
 	newDDB := relation.NewDatabase()
 	changed := make(map[string]bool)
@@ -461,12 +483,12 @@ func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects
 			access: e.peekAccess(), reduced: e.peekReduced(),
 			dec: e.dec, decQ: e.decQ, ddb: newDDB, decStats: e.decStats,
 			trimCache: e.trimCache,
-		}, nil
+		}, Change{}, nil
 	}
 	newBagDB, st := e.dec.Rematerialize(e.decQ, newDDB, e.db, changed, e.workers)
 	exec, err := jointree.NewExecWorkers(e.q, newBagDB, e.tree, e.workers)
 	if err != nil {
-		return nil, err
+		return nil, Change{}, err
 	}
 	return &Engine{
 		src: e.src, origVars: e.origVars, q: e.q, db: newBagDB, tree: e.tree,
@@ -474,7 +496,7 @@ func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects
 		sets: newSets,
 		dec:  e.dec, decQ: e.decQ, ddb: newDDB, decStats: st,
 		trimCache: trim.NewCache(),
-	}, nil
+	}, Change{Rebuilt: true}, nil
 }
 
 // applySetEffect applies one relation's set-level delta to its deduplicated

@@ -48,7 +48,7 @@ func TestUpdateRefcounts(t *testing.T) {
 	if _, err := e.Reduced(); err != nil {
 		t.Fatal(err)
 	}
-	e1, err := e.Update(NewDelta().Delete("R1", []relation.Value{1, 2}))
+	e1, _, err := e.Update(NewDelta().Delete("R1", []relation.Value{1, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestUpdateRefcounts(t *testing.T) {
 		t.Fatalf("after 1st delete: total = %d, want 2", got)
 	}
 	// Second delete removes the tuple for real.
-	e2, err := e1.Update(NewDelta().Delete("R1", []relation.Value{1, 2}))
+	e2, _, err := e1.Update(NewDelta().Delete("R1", []relation.Value{1, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestUpdateRefcounts(t *testing.T) {
 		t.Fatalf("after 2nd delete: total = %d, want 1", got)
 	}
 	// Third delete must fail: no occurrence left.
-	if _, err := e2.Update(NewDelta().Delete("R1", []relation.Value{1, 2})); !errors.Is(err, ErrDeleteAbsent) {
+	if _, _, err := e2.Update(NewDelta().Delete("R1", []relation.Value{1, 2})); !errors.Is(err, ErrDeleteAbsent) {
 		t.Fatalf("err = %v, want ErrDeleteAbsent", err)
 	}
 	// Duplicate insert of an existing tuple: multiplicity only.
-	e3, err := e2.Update(NewDelta().Insert("R1", []relation.Value{3, 4}))
+	e3, _, err := e2.Update(NewDelta().Insert("R1", []relation.Value{3, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestUpdateAtomic(t *testing.T) {
 	d := NewDelta().
 		Insert("R1", []relation.Value{5, 6}).
 		Delete("R2", []relation.Value{9, 9})
-	if _, err := e.Update(d); !errors.Is(err, ErrDeleteAbsent) {
+	if _, _, err := e.Update(d); !errors.Is(err, ErrDeleteAbsent) {
 		t.Fatalf("err = %v, want ErrDeleteAbsent", err)
 	}
 	if got := totalOf(t, e); got != 1 {
@@ -116,14 +116,14 @@ func TestUpdateAtomic(t *testing.T) {
 		Insert("R1", []relation.Value{5, 6}).
 		Delete("R1", []relation.Value{5, 6}).
 		Delete("R1", []relation.Value{5, 6})
-	if _, err := e.Update(d2); !errors.Is(err, ErrDeleteAbsent) {
+	if _, _, err := e.Update(d2); !errors.Is(err, ErrDeleteAbsent) {
 		t.Fatalf("insert-delete-delete err = %v, want ErrDeleteAbsent", err)
 	}
 	// Unknown relations and arity mismatches are schema errors.
-	if _, err := e.Update(NewDelta().Insert("NoSuch", []relation.Value{1, 2})); err == nil {
+	if _, _, err := e.Update(NewDelta().Insert("NoSuch", []relation.Value{1, 2})); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
-	if _, err := e.Update(NewDelta().Insert("R1", []relation.Value{1})); err == nil {
+	if _, _, err := e.Update(NewDelta().Insert("R1", []relation.Value{1})); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 		Insert("R2", []relation.Value{2, 2}, []relation.Value{2, 2}). // dup within delta
 		Delete("R2", []relation.Value{6, 3}).
 		Insert("R2", []relation.Value{6, 3}) // delete-then-reinsert moves it to the end
-	up, err := e.Update(d)
+	up, _, err := e.Update(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestUpdateSelfJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDelta().Insert("R", []relation.Value{2, 4}).Delete("R", []relation.Value{3, 1})
-	up, err := e.Update(d)
+	up, _, err := e.Update(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestUpdateUnreferencedRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Counts()
-	up, err := e.Update(NewDelta().Insert("Extra", []relation.Value{43}).Delete("Extra", []relation.Value{42}))
+	up, _, err := e.Update(NewDelta().Insert("Extra", []relation.Value{43}).Delete("Extra", []relation.Value{42}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +246,85 @@ func TestUpdateUnreferencedRelation(t *testing.T) {
 // TestUpdateEmptyDelta returns the receiver unchanged.
 func TestUpdateEmptyDelta(t *testing.T) {
 	e := fig1Engine(t)
-	up, err := e.Update(NewDelta())
+	up, _, err := e.Update(NewDelta())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if up != e {
 		t.Fatal("empty delta derived a new engine")
 	}
-	up2, err := e.Update(nil)
+	up2, _, err := e.Update(nil)
 	if err != nil || up2 != e {
 		t.Fatalf("nil delta: %v, %v", up2, err)
+	}
+}
+
+// TestUpdateReportsChange pins what Update tells its caller about the answer
+// set: nothing for an empty delta, a pure multiplicity change or a relation
+// outside the query; the touched nodes' row changes for a set-level change
+// (one per atom occurrence of a self-joined relation); Rebuilt, with no row
+// record, behind a hypertree decomposition.
+func TestUpdateReportsChange(t *testing.T) {
+	q, db := path2DB(
+		[][]relation.Value{{1, 2}, {3, 4}, {1, 2}},
+		[][]relation.Value{{2, 7}, {4, 1}},
+	)
+	db.Add(relation.FromRows("Extra", 1, [][]relation.Value{{42}}))
+	e, err := New(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Delta{
+		"empty":        NewDelta(),
+		"multiplicity": NewDelta().Insert("R1", []relation.Value{3, 4}).Delete("R1", []relation.Value{1, 2}),
+		"outside":      NewDelta().Insert("Extra", []relation.Value{43}),
+	} {
+		if _, ch, err := e.Update(d); err != nil || ch.AnswersChanged() {
+			t.Errorf("%s delta: change %+v, err %v; want the zero Change", name, ch, err)
+		}
+	}
+	up, ch, err := e.Update(NewDelta().Insert("R2", []relation.Value{4, 9}).Delete("R1", []relation.Value{3, 4}))
+	if err != nil || !ch.AnswersChanged() || ch.Rebuilt || len(ch.Nodes) != 2 {
+		t.Fatalf("set-level delta: change %+v, err %v; want two node changes", ch, err)
+	}
+	for _, nc := range ch.Nodes {
+		if nc.NewLen != up.Exec().Rels[nc.Node].Len() || nc.OldLen != e.Exec().Rels[nc.Node].Len() {
+			t.Errorf("node %d: change %d→%d rows, relations %d→%d", nc.Node, nc.OldLen, nc.NewLen,
+				e.Exec().Rels[nc.Node].Len(), up.Exec().Rels[nc.Node].Len())
+		}
+	}
+
+	self := query.New(
+		query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}},
+		query.Atom{Rel: "R", Vars: []query.Var{"y", "z"}},
+	)
+	sdb := relation.NewDatabase()
+	sdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}}))
+	se, err := New(self, sdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ch, err := se.Update(NewDelta().Insert("R", []relation.Value{3, 1})); err != nil || len(ch.Nodes) != 2 {
+		t.Errorf("self-join delta: change %+v, err %v; want one node change per occurrence", ch, err)
+	}
+
+	tri := query.New(
+		query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}},
+		query.Atom{Rel: "S", Vars: []query.Var{"y", "z"}},
+		query.Atom{Rel: "T", Vars: []query.Var{"z", "x"}},
+	)
+	tdb := relation.NewDatabase()
+	tdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}}))
+	tdb.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}}))
+	tdb.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}}))
+	te, err := New(tri, tdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ch, err := te.Update(NewDelta().Insert("R", []relation.Value{4, 2})); err != nil || !ch.Rebuilt || ch.Nodes != nil {
+		t.Errorf("decomposed delta: change %+v, err %v; want Rebuilt", ch, err)
+	}
+	if _, ch, err := te.Update(NewDelta().Insert("R", []relation.Value{1, 2})); err != nil || ch.AnswersChanged() {
+		t.Errorf("decomposed multiplicity delta: change %+v, err %v; want the zero Change", ch, err)
 	}
 }

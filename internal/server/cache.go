@@ -41,6 +41,7 @@ type PlanCache struct {
 	hits, misses, coalesced int64
 	prepares, evictions     int64
 	migrations, drops       int64
+	refresh                 SketchRefreshStats
 }
 
 // entry is one cached plan. rank holds the canonical interned ranking
@@ -270,6 +271,7 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 	// readers of the old plans are safe (Update is copy-on-write), and
 	// same-dataset writers are excluded by the registry's writer lock.
 	updated := make(map[qjoin.Plan]qjoin.Plan, len(plans))
+	var refresh SketchRefreshStats
 	for _, p := range plans {
 		if _, ok := updated[p]; ok {
 			continue
@@ -284,8 +286,12 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 		if up != nil {
 			// Re-certify the carried sketch summaries off the request path,
 			// so post-delta approximate queries stay O(entries) cache hits.
-			// A warm failure is not fatal: the summaries rebuild lazily.
-			_ = up.WarmSketches()
+			// A warm failure is not fatal — the first approximate read
+			// retries the refresh — but it is counted.
+			if err := up.WarmSketches(); err != nil {
+				refresh.Errors++
+			}
+			refresh.add(up.SketchRefreshes())
 		}
 		updated[p] = up
 	}
@@ -293,6 +299,8 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 	// dropped (DELETE /datasets) while unlocked is left alone.
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.refresh.add(refresh.SketchRefreshStats)
+	c.refresh.Errors += refresh.Errors
 	n := 0
 	for i, el := range els {
 		e := el.Value.(*entry)
@@ -353,6 +361,22 @@ type CacheStats struct {
 	Evictions  int64 `json:"evictions"`
 	Migrations int64 `json:"migrations"`
 	Drops      int64 `json:"drops"`
+	// SketchRefresh counts, per summary part, how migrations brought the
+	// plans' sketch summaries up to date, and the warm-ups that failed.
+	SketchRefresh SketchRefreshStats `json:"sketch_refresh"`
+}
+
+// SketchRefreshStats is qjoin.SketchRefreshStats summed over every migrated
+// plan, plus the WarmSketches calls that returned an error.
+type SketchRefreshStats struct {
+	qjoin.SketchRefreshStats
+	Errors int64 `json:"errors"`
+}
+
+func (s *SketchRefreshStats) add(plan qjoin.SketchRefreshStats) {
+	s.Shifted += plan.Shifted
+	s.Recertified += plan.Recertified
+	s.Rebuilt += plan.Rebuilt
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -364,5 +388,6 @@ func (c *PlanCache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses, Coalesced: c.coalesced,
 		Prepares: c.prepares, Evictions: c.evictions,
 		Migrations: c.migrations, Drops: c.drops,
+		SketchRefresh: c.refresh,
 	}
 }

@@ -22,6 +22,12 @@ func wideLoad() server.LoadRequest {
 	}}
 }
 
+func stats(shifted, recertified int64) server.SketchRefreshStats {
+	var s server.SketchRefreshStats
+	s.Shifted, s.Recertified = shifted, recertified
+	return s
+}
+
 // TestQueryModes drives the mode field end to end: approx answers report
 // source=sketch with a certified bound, auto falls back byte-identically to
 // the exact tier when ε is tighter than the sketch certifies, and bad mode
@@ -91,6 +97,29 @@ func TestQueryModes(t *testing.T) {
 	decodeAs(t, do(t, h, "POST", "/query", req), http.StatusOK, &after)
 	if after.Source != "sketch" {
 		t.Fatalf("post-delta approx: source %q, want sketch", after.Source)
+	}
+
+	// /stats says which refresh each migration ran: the summary's first is the
+	// full pass, the next shifts by the delta's answers, and a duplicate row —
+	// which changes no answer — refreshes nothing.
+	for _, step := range []struct {
+		row  []int64
+		want server.SketchRefreshStats
+	}{
+		{nil, stats(0, 1)},
+		{[]int64{201, 0}, stats(1, 1)},
+		{[]int64{201, 0}, stats(1, 1)},
+	} {
+		if step.row != nil {
+			decodeAs(t, do(t, h, "POST", "/datasets/wide/delta", server.DeltaRequest{
+				Ops: []server.DeltaOp{{Op: "insert", Rel: "R", Row: step.row}},
+			}), http.StatusOK, nil)
+		}
+		var st server.StatsResponse
+		decodeAs(t, do(t, h, "GET", "/stats", nil), http.StatusOK, &st)
+		if st.Cache.SketchRefresh != step.want {
+			t.Fatalf("after inserting %v: sketch_refresh %+v, want %+v", step.row, st.Cache.SketchRefresh, step.want)
+		}
 	}
 
 	// Bad mode values and modes on non-quantile ops are 400s naming "mode".

@@ -351,9 +351,13 @@ func (s *Sharded) Touched(d *engine.Delta) []int {
 // applies atomically: engine.Update never mutates its receiver, so any
 // per-shard failure (e.g. engine.ErrDeleteAbsent) discards all derived
 // engines and returns the error with the receiver intact.
-func (s *Sharded) Update(d *engine.Delta) (*Sharded, error) {
+//
+// The returned changes are the engines' own, indexed by shard (the zero
+// Change for a shard the delta did not route to); nil when the receiver
+// itself is returned.
+func (s *Sharded) Update(d *engine.Delta) (*Sharded, []engine.Change, error) {
 	if d == nil || d.Len() == 0 {
-		return s, nil
+		return s, nil, nil
 	}
 	parts := s.split(d)
 	touched := make([]int, 0, len(parts))
@@ -363,21 +367,22 @@ func (s *Sharded) Update(d *engine.Delta) (*Sharded, error) {
 		}
 	}
 	if len(touched) == 0 {
-		return s, nil
+		return s, nil, nil
 	}
 	engs := make([]*engine.Engine, len(s.engs))
 	copy(engs, s.engs)
+	changes := make([]engine.Change, len(s.engs))
 	errs := make([]error, len(touched))
 	parallel.Do(s.workers, len(touched), func(j int) {
 		i := touched[j]
-		engs[i], errs[j] = s.engs[i].Update(parts[i])
+		engs[i], changes[i], errs[j] = s.engs[i].Update(parts[i])
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	out := *s
 	out.engs = engs
-	return &out, nil
+	return &out, changes, nil
 }

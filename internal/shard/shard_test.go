@@ -167,7 +167,7 @@ func TestUpdateRebuildsOnlyTouchedShards(t *testing.T) {
 	if !reflect.DeepEqual(touched, []int{Of(4, n)}) {
 		t.Fatalf("Touched = %v, want [%d]", touched, Of(4, n))
 	}
-	up, err := s.Update(d)
+	up, _, err := s.Update(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestUpdateRebuildsOnlyTouchedShards(t *testing.T) {
 	}
 
 	// Empty deltas derive nothing.
-	if same, err := s.Update(engine.NewDelta()); err != nil || same != s {
+	if same, _, err := s.Update(engine.NewDelta()); err != nil || same != s {
 		t.Errorf("empty delta: %v, %v; want the receiver back", same, err)
 	}
 
@@ -210,13 +210,13 @@ func TestUpdateRebuildsOnlyTouchedShards(t *testing.T) {
 	bad := engine.NewDelta().
 		Insert("R", []relation.Value{901, 4}).
 		Delete("S", []relation.Value{other, 99})
-	if _, err := s.Update(bad); !errors.Is(err, engine.ErrDeleteAbsent) {
+	if _, _, err := s.Update(bad); !errors.Is(err, engine.ErrDeleteAbsent) {
 		t.Fatalf("delete of an absent row: err = %v, want ErrDeleteAbsent", err)
 	}
 	if !reflect.DeepEqual(before, s.Engines()) {
 		t.Error("a failed update changed the receiver's engine vector")
 	}
-	if again, err := s.Update(d); err != nil || again.Total().Cmp(up.Total()) != 0 {
+	if again, _, err := s.Update(d); err != nil || again.Total().Cmp(up.Total()) != 0 {
 		t.Errorf("update after a failed one: %v, total %v want %v", err, again.Total(), up.Total())
 	}
 }
@@ -257,14 +257,14 @@ func TestSingleForwardsToItsEngine(t *testing.T) {
 			if got := s.Touched(engine.NewDelta()); len(got) != 0 {
 				t.Errorf("Touched(empty) = %v, want none", got)
 			}
-			if same, err := s.Update(engine.NewDelta()); err != nil || same != s {
+			if same, _, err := s.Update(engine.NewDelta()); err != nil || same != s {
 				t.Errorf("empty delta: %v, %v; want the receiver back", same, err)
 			}
-			up, err := s.Update(c.d)
+			up, _, err := s.Update(c.d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.Update(c.d)
+			want, _, err := eng.Update(c.d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestSingleForwardsToItsEngine(t *testing.T) {
 			if got := up.Engines()[0]; got.Total().Cmp(want.Total()) != 0 || !reflect.DeepEqual(answers(got), answers(want)) {
 				t.Errorf("Single.Update: total %s, engine.Update: %s (or answers differ)", got.Total(), want.Total())
 			}
-			if _, err := s.Update(engine.NewDelta().Delete(c.q.Atoms[0].Rel, []relation.Value{77, 77})); !errors.Is(err, engine.ErrDeleteAbsent) {
+			if _, _, err := s.Update(engine.NewDelta().Delete(c.q.Atoms[0].Rel, []relation.Value{77, 77})); !errors.Is(err, engine.ErrDeleteAbsent) {
 				t.Errorf("delete of an absent row: err = %v, want ErrDeleteAbsent", err)
 			}
 		})

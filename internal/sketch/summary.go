@@ -82,7 +82,7 @@ type Summary struct {
 
 // errAt returns the certified rank error of serving e for target rank k:
 // max(RMax − k, k − RMin, 0), with underflow-guarded 128-bit arithmetic.
-func errAt(e Entry, k counting.Count) counting.Count {
+func errAt(e *Entry, k counting.Count) counting.Count {
 	var err counting.Count
 	if k.Less(e.RMax) {
 		err = e.RMax.Sub(k)
@@ -163,9 +163,9 @@ func (s *Summary) Query(k counting.Count) (e Entry, errAbs counting.Count, ok bo
 	if s == nil || len(s.Entries) == 0 {
 		return Entry{}, counting.Count{}, false
 	}
-	best, bestErr := 0, errAt(s.Entries[0], k)
+	best, bestErr := 0, errAt(&s.Entries[0], k)
 	for i := 1; i < len(s.Entries); i++ {
-		if e := errAt(s.Entries[i], k); e.Less(bestErr) {
+		if e := errAt(&s.Entries[i], k); e.Less(bestErr) {
 			best, bestErr = i, e
 		}
 	}
@@ -177,12 +177,16 @@ func (s *Summary) Bound() counting.Count { return s.B }
 
 // envelopeMax computes max over k ∈ [0, N−1] of min over entries of
 // errAt(e, k) — the worst certified error any rank can be served with. Each
-// errAt(e, ·) is V-shaped in k (slopes −1, 0, +1), so the max of their
-// pointwise min is attained at a domain endpoint, at an entry's window edge,
-// or where one entry's ascending branch (k − RMin_i) crosses another's
-// descending branch (RMax_j − k), i.e. near k = (RMin_i + RMax_j)/2.
-// Evaluating the envelope at all such candidates is exact; with ≤ MaxEntries
-// entries the quadratic candidate set stays small.
+// errAt(e, ·) is V-shaped in k (slopes −1, 0, +1), so their pointwise min
+// peaks only at a domain endpoint or where one entry's ascending branch
+// (k − RMin_i) meets another's descending branch (RMax_j − k), i.e. next to
+// k = (RMin_i + RMax_j)/2. New has made RMin and RMax nondecreasing along
+// the entries, and then a peak between i and a later j is also one between
+// neighbours: an entry m between them has RMin_i ≤ RMin_m and
+// RMax_m ≤ RMax_j, so at the crossing it errs no more than the peak, and
+// being part of the min no less — it shares one of the two branches and can
+// stand in for that end. Evaluating the min at the endpoints and at the
+// neighbour crossings is therefore exact, in O(entries²).
 func (s *Summary) envelopeMax() counting.Count {
 	if s.N.IsZero() {
 		return counting.Count{}
@@ -195,26 +199,19 @@ func (s *Summary) envelopeMax() counting.Count {
 		if kMax.Less(k) {
 			k = kMax
 		}
-		min := errAt(s.Entries[0], k)
-		for _, e := range s.Entries[1:] {
-			if v := errAt(e, k); v.Less(min) {
+		min := errAt(&s.Entries[0], k)
+		for i := 1; i < len(s.Entries); i++ {
+			if v := errAt(&s.Entries[i], k); v.Less(min) {
 				min = v
 			}
 		}
 		return min
 	}
-	worst := eval(counting.Count{})
-	worst = counting.Max(worst, eval(kMax))
-	for _, e := range s.Entries {
-		worst = counting.Max(worst, eval(e.RMin))
-		worst = counting.Max(worst, eval(counting.Min(e.RMax, kMax)))
-	}
-	for i := range s.Entries {
-		for j := range s.Entries {
-			mid := s.Entries[i].RMin.Add(s.Entries[j].RMax).Half()
-			worst = counting.Max(worst, eval(mid))
-			worst = counting.Max(worst, eval(mid.AddUint64(1)))
-		}
+	worst := counting.Max(eval(counting.Count{}), eval(kMax))
+	for i := 0; i+1 < len(s.Entries); i++ {
+		mid := s.Entries[i].RMin.Add(s.Entries[i+1].RMax).Half()
+		worst = counting.Max(worst, eval(mid))
+		worst = counting.Max(worst, eval(mid.AddUint64(1)))
 	}
 	return worst
 }

@@ -183,19 +183,8 @@ func CountAnswersWorkers(e *jointree.Exec, workers int) counting.Count {
 // whole enumeration allocates a handful of per-call slices, nothing per
 // answer.
 func Enumerate(e *jointree.Exec, fn func(asn []relation.Value) bool) {
-	vars := e.Q.Vars()
-	varIdx := e.Q.VarIndex()
-	nodePos := make([][]int, len(e.T.Nodes))
-	nodeCols := make([][][]relation.Value, len(e.T.Nodes))
-	for _, n := range e.T.Nodes {
-		pos := make([]int, len(n.Vars))
-		for j, v := range n.Vars {
-			pos[j] = varIdx[v]
-		}
-		nodePos[n.ID] = pos
-		nodeCols[n.ID] = e.Rels[n.ID].Cols()
-	}
-	asn := make([]relation.Value, len(vars))
+	nodePos, nodeCols := assignmentLayout(e)
+	asn := make([]relation.Value, len(e.Q.Vars()))
 
 	// Pre-order with children in declaration order.
 	pre := make([]int, 0, len(e.T.Nodes))
@@ -257,6 +246,23 @@ func Enumerate(e *jointree.Exec, fn func(asn []relation.Value) bool) {
 		}
 		pos[d] = 0
 	}
+}
+
+// assignmentLayout resolves, per node, where its relation's columns land in
+// an assignment laid out per e.Q.Vars(), beside the columns themselves.
+func assignmentLayout(e *jointree.Exec) (nodePos [][]int, nodeCols [][][]relation.Value) {
+	varIdx := e.Q.VarIndex()
+	nodePos = make([][]int, len(e.T.Nodes))
+	nodeCols = make([][][]relation.Value, len(e.T.Nodes))
+	for _, n := range e.T.Nodes {
+		pos := make([]int, len(n.Vars))
+		for j, v := range n.Vars {
+			pos[j] = varIdx[v]
+		}
+		nodePos[n.ID] = pos
+		nodeCols[n.ID] = e.Rels[n.ID].Cols()
+	}
+	return nodePos, nodeCols
 }
 
 // Materialize collects all answers. Intended for instances already known to

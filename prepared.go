@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"github.com/quantilejoins/qjoin/internal/anyk"
 	"github.com/quantilejoins/qjoin/internal/core"
@@ -86,6 +87,9 @@ type Prepared struct {
 	skMu      sync.Mutex
 	sketches  map[*Ranking]*sketchEntry
 	rankCanon map[string]*Ranking
+
+	// How this plan refreshed stale summary parts; see SketchRefreshes.
+	shifted, recertified, rebuilt atomic.Int64
 }
 
 // Prepare compiles a query against a database. The work done here —

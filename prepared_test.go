@@ -436,21 +436,57 @@ func TestPreparedConcurrent(t *testing.T) {
 			}
 			// The writer: a chain of derived plans, each carrying p's sketch
 			// state and re-certifying it, while the readers above build and
-			// serve that state on p.
+			// serve that state on p. Each link is read approximately, under
+			// two rankings, on the receiver and on the derived plan while the
+			// writer warms the latter: once a part has been through its first
+			// refresh, the two rankings' stale parts hold one list of the
+			// delta's answers between them, and whichever of the warm-up and
+			// the readers gets there first consumes it.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				cur := p
+				g := qjoin.Max("l2", "l3")
+				for _, h := range []*qjoin.Ranking{f, g} { // the chain carries both summaries from its first link on
+					if _, err := p.Answer(h, qjoin.QuantileRequest{Phi: 0, Mode: qjoin.ModeApprox}); err != nil {
+						t.Errorf("approx: %v", err)
+						return
+					}
+				}
+				cur, shared := p, 0
 				for i := int64(0); i < 10; i++ {
 					next, err := cur.Update(qjoin.NewDelta().Insert("Share", []int64{210 + i, 1 + i%2, 20 + i}))
 					if err != nil {
 						t.Errorf("update %d: %v", i, err)
 						return
 					}
+					_, _, _, underF := qjoin.SketchState(next, f)
+					_, _, _, underG := qjoin.SketchState(next, g)
+					for sh := range underF {
+						if (underF[sh] == nil) != (underG[sh] == nil) {
+							t.Errorf("update %d shard %d: one ranking has a pending list, the other none", i, sh)
+						} else if underF[sh] != nil {
+							if underF[sh][0] != underG[sh][0] {
+								t.Errorf("update %d shard %d: the rankings hold different lists of one delta's answers", i, sh)
+							}
+							shared++
+						}
+					}
+					var readers sync.WaitGroup
+					for _, plan := range []*qjoin.Prepared{cur, next} {
+						for h, want := range map[*qjoin.Ranking]int64{f: 5, g: 3} {
+							readers.Add(1)
+							go func() {
+								defer readers.Done()
+								if a, err := plan.Answer(h, qjoin.QuantileRequest{Phi: 0, Mode: qjoin.ModeApprox}); err != nil || a.Weight.K != want {
+									t.Errorf("approx around update %d: %v %v, want weight %d", i, a, err, want)
+								}
+							}()
+						}
+					}
 					if err := next.WarmSketches(); err != nil {
 						t.Errorf("warm %d: %v", i, err)
-						return
 					}
+					readers.Wait()
 					if a, err := next.Answer(f, qjoin.QuantileRequest{Phi: 0, Mode: qjoin.ModeApprox}); err != nil || a.Weight.K != 5 {
 						t.Errorf("approx after update %d: %v %v", i, a, err)
 						return
@@ -459,6 +495,9 @@ func TestPreparedConcurrent(t *testing.T) {
 				}
 				if n := cur.Count().Int64(); n != 4+5*1+5*2 {
 					t.Errorf("count after the chain = %d, want %d", n, 4+5*1+5*2)
+				}
+				if shared == 0 {
+					t.Error("no update left the two rankings a shared pending list")
 				}
 			}()
 			wg.Wait()

@@ -40,6 +40,9 @@ type Plan interface {
 	// post-update approximate queries are cache hits. Serving layers call
 	// it after UpdatePlan, off the request path.
 	WarmSketches() error
+	// SketchRefreshes counts how this plan has re-certified stale summary
+	// parts so far: shifted by the delta, fully re-counted, or rebuilt.
+	SketchRefreshes() SketchRefreshStats
 	// TopK returns the k lowest-weight answers in weight order.
 	TopK(f *Ranking, k int) ([]*Answer, error)
 	// UpdatePlan derives a plan reflecting the delta, copy-on-write; the

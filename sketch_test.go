@@ -8,14 +8,19 @@
 package qjoin_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/quantilejoins/qjoin"
+	"github.com/quantilejoins/qjoin/internal/sketch"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
 // TestSketchCertifiedBound is the tentpole differential: for every corpus
@@ -275,5 +280,363 @@ func TestAnswerModeSurface(t *testing.T) {
 	}
 	if qjoin.FormatMode(qjoin.ModeApprox) != "approx" {
 		t.Error("FormatMode(ModeApprox) != approx")
+	}
+}
+
+// shiftCase is one instance of the sketch-maintenance tests: small enough for
+// a brute-force oracle per generation, and sparse enough that a delta of a few
+// rows lists fewer answers than an engine has tuples (the test of the cap is
+// TestSketchFullPassWhereTheShiftHasNoInput). exact counts the leading
+// rankings with exact trims; any after them are lossy.
+type shiftCase struct {
+	name  string
+	q     *qjoin.Query
+	db    *qjoin.DB
+	ranks []*qjoin.Ranking
+	exact int
+	dom   int64
+}
+
+func shiftCases(rng *rand.Rand) []shiftCase {
+	var out []shiftCase
+	{
+		q, db := workload.Path(rng, 3, 110, 30)
+		out = append(out, shiftCase{"path3", q, qjoin.WrapDB(db), []*qjoin.Ranking{
+			qjoin.Sum("x1", "x2", "x3"), qjoin.Max(q.Vars()...), qjoin.Lex("x1", "x4"),
+			qjoin.Sum(q.Vars()...), // full SUM on a 3-path: lossy trims only
+		}, 3, 30})
+	}
+	{
+		q, db := workload.Star(rng, 3, 100, 30, 20)
+		v := q.Vars()
+		out = append(out, shiftCase{"star3", q, qjoin.WrapDB(db), []*qjoin.Ranking{
+			qjoin.Min(v...), qjoin.Max(v...), qjoin.Lex(v...),
+		}, 3, 30})
+	}
+	{
+		sn := workload.NewSocialNetwork(rng, 120, 40, 30)
+		out = append(out, shiftCase{"sn", sn.Q, qjoin.WrapDB(sn.DB), []*qjoin.Ranking{
+			qjoin.Sum("l2", "l3"), qjoin.Max("l2", "l3"), qjoin.Min("l2"),
+		}, 3, 40})
+	}
+	{
+		q, err := qjoin.ParseQuery("R(x,y),R(y,z)")
+		if err != nil {
+			panic(err)
+		}
+		rows := make([][]int64, 0, 200)
+		for i := 0; i < 200; i++ {
+			rows = append(rows, []int64{rng.Int63n(16), rng.Int63n(16)})
+		}
+		db := qjoin.NewDB()
+		if err := db.Add("R", 2, rows); err != nil {
+			panic(err)
+		}
+		out = append(out, shiftCase{"selfjoin", q, db, []*qjoin.Ranking{
+			qjoin.Sum("x", "y", "z"), qjoin.Min("x", "z"), qjoin.Lex("x", "z"),
+		}, 3, 16})
+	}
+	return out
+}
+
+// warm builds (or refreshes) every ranking's summary of the plan.
+func warm(t *testing.T, p *qjoin.Prepared, ranks []*qjoin.Ranking) {
+	t.Helper()
+	for _, f := range ranks {
+		if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.ModeApprox}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkCertified checks a plan's merged summary and served approx answers for
+// a ranking against brute force: every anchor window holds, and every answer
+// is within the bound it reports.
+func checkCertified(t *testing.T, where string, p *qjoin.Prepared, f *qjoin.Ranking, vars []qjoin.Var, oracle [][]int64) {
+	t.Helper()
+	n := len(oracle)
+	if n == 0 {
+		return
+	}
+	_, merged, stale, _ := qjoin.SketchState(p, f)
+	for _, st := range stale {
+		if st {
+			t.Fatalf("%s: a part is still stale after the warm-up", where)
+		}
+	}
+	for _, e := range merged.Entries {
+		below, equal := testutil.RankOf(oracle, f, vars, e.Weight)
+		rmin, _ := e.RMin.Uint64()
+		rmax, _ := e.RMax.Uint64()
+		if uint64(below) > rmax || uint64(below+equal) < rmin+1 {
+			t.Errorf("%s: anchor %v: window [%d, %d] does not hold less=%d, leq=%d", where, e.Weight, rmin, rmax, below, below+equal)
+		}
+	}
+	for _, phi := range []float64{0, 0.2, 0.5, 0.8, 1} {
+		a, err := p.Answer(f, qjoin.QuantileRequest{Phi: phi, Mode: qjoin.ModeApprox})
+		if err != nil {
+			t.Fatalf("%s φ=%v: %v", where, phi, err)
+		}
+		k := min(int(float64(n)*phi), n-1)
+		below, equal := testutil.RankOf(oracle, f, vars, a.Weight)
+		realized := max(below-k, k-(below+equal-1), 0)
+		if float64(realized) > a.ErrorBound*float64(n)+1e-6 {
+			t.Errorf("%s φ=%v: realized rank error %d exceeds the reported bound %v·%d", where, phi, realized, a.ErrorBound, n)
+		}
+	}
+}
+
+// TestSketchShiftMaintenance drives the sketch tier through random delta
+// sequences — inserts, deletes, duplicate rows, delete-and-reinsert, several
+// relations, a self-join — on unrouted and 3-shard plans, and checks after
+// each Update + WarmSketches:
+//
+//   - which refresh ran: a part's first refresh is the full pass, every later
+//     one a shift, and only parts of shards the delta routes to move at all;
+//   - exact rankings: the shifted summary equals the one a plan restored from
+//     the previous generation's snapshot computes — a restored part is not
+//     shiftable, so that lineage takes the full pass every time;
+//   - every ranking, lossy full SUM included: windows and served answers hold
+//     against brute force;
+//   - k Updates with no warm-up in between leave the same summary as k warmed
+//     ones.
+func TestSketchShiftMaintenance(t *testing.T) {
+	rng := rand.New(rand.NewSource(1401))
+	for _, c := range shiftCases(rng) {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
+				var plan *qjoin.Prepared
+				var err error
+				if shards == 1 {
+					plan, err = qjoin.Prepare(c.q, c.db)
+				} else {
+					plan, err = qjoin.PrepareSharded(c.q, c.db, shards)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm(t, plan, c.ranks)
+				lazy := plan // the same deltas, warmed only every third generation
+				db := c.db
+				refreshed := make([]bool, shards) // shard's parts have been through a refresh
+				var shifts int64
+				for gen := 0; gen < 7; gen++ {
+					d := randomDelta(rng, db.Unwrap(), db.Relations(), 1+rng.Intn(6), c.dom)
+					var snapshot bytes.Buffer
+					if err := plan.Snapshot(&snapshot); err != nil {
+						t.Fatal(err)
+					}
+					restored, err := qjoin.LoadPreparedBytes(snapshot.Bytes())
+					if err != nil {
+						t.Fatal(err)
+					}
+					touched := plan.Touched(d)
+					before := make([][]*sketch.Summary, len(c.ranks))
+					for r, f := range c.ranks {
+						before[r], _, _, _ = qjoin.SketchState(plan, f)
+					}
+					up, err := plan.Update(d)
+					if err == nil {
+						err = up.WarmSketches()
+					}
+					if err != nil {
+						t.Fatalf("gen %d: %v", gen, err)
+					}
+					if db, err = db.Apply(d); err != nil {
+						t.Fatal(err)
+					}
+					// Which parts moved, and how.
+					var want qjoin.SketchRefreshStats
+					for i := 0; i < shards; i++ {
+						after, _, _, _ := qjoin.SketchState(up, c.ranks[0])
+						moved := after[i] != before[0][i]
+						for r, f := range c.ranks {
+							after, _, _, _ := qjoin.SketchState(up, f)
+							if (after[i] != before[r][i]) != moved {
+								t.Fatalf("gen %d shard %d: the rankings disagree on whether the part moved", gen, i)
+							}
+						}
+						switch {
+						case !moved:
+						case !slices.Contains(touched, i):
+							t.Errorf("gen %d: shard %d's parts moved, the delta routes to %v", gen, i, touched)
+						case refreshed[i]:
+							want.Shifted += int64(len(c.ranks))
+						default:
+							want.Recertified += int64(len(c.ranks))
+							refreshed[i] = true
+						}
+					}
+					got := up.SketchRefreshes()
+					if got.Rebuilt == 0 && got != want {
+						t.Errorf("gen %d: refreshes %+v, want %+v", gen, got, want)
+					}
+					shifts += got.Shifted
+
+					// The full-pass lineage: same delta on the restored plan.
+					full, err := restored.Update(d)
+					if err == nil {
+						err = full.WarmSketches()
+					}
+					if err != nil {
+						t.Fatalf("gen %d restored: %v", gen, err)
+					}
+					if st := full.SketchRefreshes(); st.Shifted != 0 {
+						t.Errorf("gen %d: a restored plan shifted: %+v", gen, st)
+					}
+					oracle := testutil.BruteForce(c.q, db.Unwrap())
+					for r, f := range c.ranks {
+						_, merged, _, _ := qjoin.SketchState(up, f)
+						if _, viaFull, _, _ := qjoin.SketchState(full, f); r < c.exact && !reflect.DeepEqual(merged, viaFull) {
+							t.Errorf("gen %d rank %d: shifted summary differs from the full pass\n shifted %+v\n full    %+v", gen, r, merged, viaFull)
+						}
+						checkCertified(t, fmt.Sprintf("gen %d rank %d", gen, r), up, f, c.q.Vars(), oracle)
+					}
+
+					// The lazy lineage absorbs up to three deltas per warm-up.
+					if lazy, err = lazy.Update(d); err != nil {
+						t.Fatal(err)
+					}
+					if gen%3 == 2 {
+						if err := lazy.WarmSketches(); err != nil {
+							t.Fatal(err)
+						}
+						for r, f := range c.ranks[:c.exact] {
+							_, eager, _, _ := qjoin.SketchState(up, f)
+							if _, chained, _, _ := qjoin.SketchState(lazy, f); !reflect.DeepEqual(eager, chained) {
+								t.Errorf("gen %d rank %d: three chained updates and one warm-up differ from three warmed ones", gen, r)
+							}
+						}
+					}
+					plan = up
+				}
+				if shifts == 0 {
+					t.Error("no refresh was a shift")
+				}
+			})
+		}
+	}
+}
+
+// TestSketchFreshAcrossAnswerNeutralDeltas: a delta that changes no answer —
+// duplicate rows, rows of a relation the query never reads — derives a new
+// engine but leaves every summary part fresh: no refresh of any kind, the
+// same merged summary.
+func TestSketchFreshAcrossAnswerNeutralDeltas(t *testing.T) {
+	q, db := socialDB()
+	if err := db.Add("Audit", 1, [][]int64{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	f := qjoin.Sum("l2", "l3")
+	for _, shards := range []int{1, 3} {
+		var plan *qjoin.Prepared
+		var err error
+		if shards == 1 {
+			plan, err = qjoin.Prepare(q, db)
+		} else {
+			plan, err = qjoin.PrepareSharded(q, db, shards)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm(t, plan, []*qjoin.Ranking{f})
+		_, merged, _, _ := qjoin.SketchState(plan, f)
+		row := db.Unwrap().Get("Share").RowValues(0)
+		for name, d := range map[string]*qjoin.Delta{
+			"duplicate row":    qjoin.NewDelta().Insert("Share", row),
+			"outside relation": qjoin.NewDelta().Insert("Audit", []int64{2}).Delete("Audit", []int64{1}),
+		} {
+			up, err := plan.Update(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up == plan {
+				t.Fatalf("shards=%d %s: Update returned the receiver", shards, name)
+			}
+			_, carried, stale, _ := qjoin.SketchState(up, f)
+			if carried != merged || slices.Contains(stale, true) {
+				t.Errorf("shards=%d %s: summary %p stale %v, want the receiver's %p and nothing stale", shards, name, carried, stale, merged)
+			}
+			if err := up.WarmSketches(); err != nil {
+				t.Fatal(err)
+			}
+			if st := up.SketchRefreshes(); st != (qjoin.SketchRefreshStats{}) {
+				t.Errorf("shards=%d %s: refreshes %+v, want none", shards, name, st)
+			}
+		}
+	}
+}
+
+// TestSketchFullPassWhereTheShiftHasNoInput: a delta through a hub row that
+// joins everything lists more answers than the engine has tuples, and a
+// decomposed cyclic plan rematerializes its bags with no row-level record —
+// both take the full pass, on parts that have shifted before, and stay sound.
+func TestSketchFullPassWhereTheShiftHasNoInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	hubQ, hubRaw := workload.Star(rng, 3, 40, 1, 25) // one event: every row joins every row
+	tri, err := qjoin.ParseQuery("R(x,y),S(y,z),T(z,x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	triDB := qjoin.NewDB()
+	for _, name := range []string{"R", "S", "T"} {
+		var rows [][]int64
+		for i := 0; i < 60; i++ {
+			rows = append(rows, []int64{rng.Int63n(7), rng.Int63n(7)})
+		}
+		if err := triDB.Add(name, 2, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		q      *qjoin.Query
+		db     *qjoin.DB
+		f      *qjoin.Ranking
+		deltas [3]*qjoin.Delta // the second shifts where a shift is possible; the third is the big one
+		shifts bool
+	}{
+		{"hub row", hubQ, qjoin.WrapDB(hubRaw), qjoin.Max(hubQ.Vars()...), [3]*qjoin.Delta{
+			qjoin.NewDelta().Insert("A1", []int64{7, 3}), // an event of its own: joins nothing
+			qjoin.NewDelta().Insert("A1", []int64{8, 3}),
+			qjoin.NewDelta().Insert("A1", []int64{0, 99}),
+		}, true},
+		{"decomposed triangle", tri, triDB, qjoin.Sum("x", "y", "z"), [3]*qjoin.Delta{
+			qjoin.NewDelta().Insert("R", []int64{1, 100}),
+			qjoin.NewDelta().Insert("R", []int64{1, 101}),
+			qjoin.NewDelta().Insert("S", []int64{100, 200}).Insert("T", []int64{200, 1}), // closes a triangle
+		}, false},
+	} {
+		plan, err := qjoin.Prepare(c.q, c.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm(t, plan, []*qjoin.Ranking{c.f})
+		db := c.db
+		for step, d := range c.deltas {
+			up, err := plan.Update(d)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", c.name, step, err)
+			}
+			_, _, _, pending := qjoin.SketchState(up, c.f)
+			if err := up.WarmSketches(); err != nil {
+				t.Fatal(err)
+			}
+			want := qjoin.SketchRefreshStats{Recertified: 1}
+			if step == 1 && c.shifts {
+				want = qjoin.SketchRefreshStats{Shifted: 1}
+			}
+			if got := up.SketchRefreshes(); got != want {
+				t.Errorf("%s step %d: refreshes %+v, want %+v", c.name, step, got, want)
+			}
+			if (pending[0] != nil) != (want.Shifted == 1) {
+				t.Errorf("%s step %d: pending list %v beside refreshes %+v", c.name, step, pending[0], want)
+			}
+			if db, err = db.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			checkCertified(t, fmt.Sprintf("%s step %d", c.name, step), up, c.f, c.q.Vars(), testutil.BruteForce(c.q, db.Unwrap()))
+			plan = up
+		}
 	}
 }

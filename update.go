@@ -66,7 +66,7 @@ func (d *DB) Apply(delta *Delta) (*DB, error) {
 // untouched — with ErrDeleteAbsent when a delete has no occurrence left
 // (in any shard), and on rows that do not match the schema.
 func (p *Prepared) Update(d *Delta) (*Prepared, error) {
-	sh, err := p.sh.Update(d)
+	sh, changes, err := p.sh.Update(d)
 	if err != nil {
 		return nil, err
 	}
@@ -95,12 +95,13 @@ func (p *Prepared) Update(d *Delta) (*Prepared, error) {
 		q: p.q, sh: sh, opts: p.opts,
 		baseDB: base,
 		deltas: append(chain[:len(chain):len(chain)], d.Clone()),
-		// Sketch summaries carry over, the rebuilt engines' parts marked
-		// stale: the first approximate query (or WarmSketches) re-certifies
-		// their anchors against the updated engine instead of rebuilding
-		// from scratch. The ranking intern table rides along so carried
-		// summaries stay reachable by spec-equivalent rankings.
-		sketches:  p.carrySketches(sh.Engines()),
+		// Sketch summaries carry over, the parts of engines whose answers
+		// changed marked stale and handed the answers gained and lost: the
+		// first approximate query (or WarmSketches) shifts their anchors'
+		// windows by those instead of rebuilding from scratch. The ranking
+		// intern table rides along so carried summaries stay reachable by
+		// spec-equivalent rankings.
+		sketches:  p.carrySketches(sh.Engines(), changes),
 		rankCanon: p.carryRankCanon(),
 	}, nil
 }
