@@ -580,7 +580,8 @@ func rankError(answers [][]relation.Value, q *query.Query, f *ranking.Func, a *c
 func countBelow(q *query.Query, db *relation.Database, f *ranking.Func, lambda int64) int {
 	aw := ranking.NewAnswerWeigher(f, q.Vars())
 	count := 0
-	yannakakis.Enumerate(engineOf(q, db).Exec(), func(asn []relation.Value) bool {
+	eng := engineOf(q, db)
+	yannakakis.Enumerate(eng.Exec(), eng.Counts(), func(asn []relation.Value) bool {
 		if aw.WeightOf(asn).K < lambda {
 			count++
 		}
@@ -597,7 +598,6 @@ func checkDistinctProjections(out trim.Instance, orig *query.Query) bool {
 	if err != nil {
 		return false
 	}
-	e := eng.Exec()
 	idx := out.Q.VarIndex()
 	var cols []int
 	for _, v := range orig.Vars() {
@@ -606,7 +606,7 @@ func checkDistinctProjections(out trim.Instance, orig *query.Query) bool {
 	seen := make(map[string]bool)
 	ok := true
 	buf := make([]relation.Value, len(cols))
-	yannakakis.Enumerate(e, func(asn []relation.Value) bool {
+	yannakakis.Enumerate(eng.Exec(), eng.Counts(), func(asn []relation.Value) bool {
 		for i, c := range cols {
 			buf[i] = asn[c]
 		}

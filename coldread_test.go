@@ -1,0 +1,154 @@
+// The first exact read of a plan (PR 15): on a selective join Algorithm 1
+// materializes at iteration 0, from the tree and the counts the plan already
+// holds. These tests hold the public API to that — no quantile ever builds an
+// engine's full reduction, ranked enumeration builds it once — and the first
+// read after an update to the brute-force oracle.
+package qjoin_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/quantilejoins/qjoin"
+	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/workload"
+)
+
+// selectivePlans compiles instances with |Q(D)| ≤ |D| as an unrouted, a
+// 3-shard and a decomposed (triangle) plan.
+func selectivePlans(t *testing.T, rng *rand.Rand) map[string]struct {
+	p *qjoin.Prepared
+	f *qjoin.Ranking
+} {
+	t.Helper()
+	pq, pdb := workload.Path(rng, 3, 600, 1200)
+	flat, err := qjoin.Prepare(pq, qjoin.WrapDB(pdb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := qjoin.PrepareSharded(pq, qjoin.WrapDB(pdb), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdb := qjoin.NewDB()
+	for _, name := range []string{"R", "S", "T"} {
+		tdb.MustAdd(name, 2, randomEdges(rng, 300, 40))
+	}
+	tri, err := qjoin.Prepare(triangleQuery(), tdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pf = struct {
+		p *qjoin.Prepared
+		f *qjoin.Ranking
+	}
+	return map[string]pf{
+		"unrouted":   {flat, qjoin.Sum("x1", "x2", "x3")},
+		"3-shard":    {routed, qjoin.Sum("x1", "x2", "x3")},
+		"decomposed": {tri, qjoin.Max("x", "y", "z")},
+	}
+}
+
+// atOracleRank checks that a is an answer of the oracle list whose weight
+// covers index min(⌊φ·n⌋, n−1) of the ranked list.
+func atOracleRank(t *testing.T, label string, oracle [][]int64, q *qjoin.Query, f *qjoin.Ranking, phi float64, a *qjoin.Answer) {
+	t.Helper()
+	n := len(oracle)
+	k := min(int(float64(n)*phi), n-1)
+	if below, equal := testutil.RankOf(oracle, f, q.Vars(), a.Weight); k < below || k >= below+equal {
+		t.Fatalf("%s: weight %v covers ranks [%d,%d), want index %d of %d", label, a.Weight, below, below+equal, k, n)
+	}
+	for _, row := range oracle {
+		if fmt.Sprint(row) == fmt.Sprint(a.Values) {
+			return
+		}
+	}
+	t.Fatalf("%s: %v is not a brute-force answer", label, a.Values)
+}
+
+func TestExactReadsNeverBuildTheReduction(t *testing.T) {
+	for name, c := range selectivePlans(t, rand.New(rand.NewSource(15))) {
+		t.Run(name, func(t *testing.T) {
+			p, f := c.p, c.f
+			oracle := testutil.BruteForce(p.Query(), p.DB().Unwrap())
+			if len(oracle) == 0 {
+				t.Fatal("instance has no answers")
+			}
+			a, err := p.Median(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			atOracleRank(t, "median", oracle, p.Query(), f, 0.5, a)
+			for _, phi := range []float64{0, 0.3, 1} {
+				if a, err = p.Quantile(f, phi); err != nil {
+					t.Fatal(err)
+				}
+				atOracleRank(t, fmt.Sprintf("φ=%v", phi), oracle, p.Query(), f, phi, a)
+			}
+			a, stats, err := p.AnswerStats(f, qjoin.QuantileRequest{Phi: 0.7, Mode: qjoin.ModeExact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			atOracleRank(t, "φ=0.7", oracle, p.Query(), f, 0.7, a)
+			if stats.Iterations != 0 || stats.Materialized != len(oracle) {
+				t.Fatalf("the instance is meant to materialize at iteration 0: %+v", *stats)
+			}
+			for i, red := range qjoin.Reductions(p) {
+				if red != nil {
+					t.Fatalf("engine %d built its full reduction for a quantile", i)
+				}
+			}
+
+			top, err := p.TopK(f, 5)
+			if err != nil || len(top) != 5 {
+				t.Fatalf("TopK: %d answers, %v", len(top), err)
+			}
+			built := qjoin.Reductions(p)
+			for i, red := range built {
+				if red == nil {
+					t.Fatalf("engine %d: TopK ran without a full reduction", i)
+				}
+			}
+			if _, err := p.TopK(f, 5); err != nil {
+				t.Fatal(err)
+			}
+			for i, red := range qjoin.Reductions(p) {
+				if red != built[i] {
+					t.Fatalf("engine %d: the second TopK built the reduction again", i)
+				}
+			}
+		})
+	}
+}
+
+// An update that changes the set view hands the derived engine counts kept
+// current by delta counting; its first exact read walks the derived tree by
+// them.
+func TestFirstExactReadAfterUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for name, c := range selectivePlans(t, rng) {
+		t.Run(name, func(t *testing.T) {
+			plan := c.p
+			names := plan.DB().Unwrap().Names()
+			for gen := 0; gen < 5; gen++ {
+				next, err := plan.UpdatePlan(randomDelta(rng, plan.DB().Unwrap(), names, 40, 40))
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan = next.(*qjoin.Prepared)
+				oracle := testutil.BruteForce(plan.Query(), plan.DB().Unwrap())
+				if got := plan.Count().Int64(); got != int64(len(oracle)) || got == 0 {
+					t.Fatalf("gen %d: |Q(D)| = %d, brute force %d", gen, got, len(oracle))
+				}
+				for _, phi := range []float64{0.5, 0, 0.25, 1} {
+					a, err := plan.Quantile(c.f, phi)
+					if err != nil {
+						t.Fatalf("gen %d φ=%v: %v", gen, phi, err)
+					}
+					atOracleRank(t, fmt.Sprintf("gen %d φ=%v", gen, phi), oracle, plan.Query(), c.f, phi, a)
+				}
+			}
+		})
+	}
+}

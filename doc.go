@@ -42,8 +42,10 @@
 // work on top is cheap. Prepare makes that split explicit: it compiles a
 // (Query, DB) pair into a Prepared plan once, and every quantile, selection,
 // sampling, enumeration or counting query afterwards reuses the compiled
-// artifacts (including a lazily built direct-access structure and a cached
-// full reduction):
+// artifacts (including a lazily built direct-access structure and, for
+// ranked enumeration only, a cached full reduction — quantiles, counts and
+// plain enumeration read the executable tree by its counts and never build
+// one):
 //
 //	p, err := qjoin.Prepare(q, db)
 //	if err != nil { ... }
@@ -83,7 +85,9 @@
 // readers and concurrent Updates of it stay safe), and the returned plan
 // shares every structure the delta did not touch. The lazily built
 // direct-access structure and full reduction are invalidated by any change
-// to the answer set and rebuilt on first use; a delta that only changes raw
+// to the answer set and rebuilt on first use (by sampling and by ranked
+// enumeration; an exact quantile needs neither — it walks the derived tree
+// by the counts the update maintained); a delta that only changes raw
 // multiplicities (duplicate inserts, deletes of duplicate occurrences)
 // invalidates nothing. Relations are multisets at the input level: a tuple
 // leaves the answer side only when its last occurrence is deleted, and
@@ -204,7 +208,10 @@
 // gid arrays — they are shared — and it does not carry over any counting
 // state: counts are always recomputed (or delta-maintained) per instance.
 // The plan's cached full reduction and direct-access structure belong to
-// the engine, not to derived instances, and are untouched by the loop.
+// the engine, not to derived instances, and the loop neither reads nor
+// builds them: both of its exits materialize by walking the current tree
+// guided by its counts (cnt(t) > 0 is exactly "t carries an answer"), at
+// O(|D| + ℓ·|candidates|) on original and trimmed instances alike.
 //
 // Pooled iteration scratch and cached trim preparation. Counting arrays
 // and pivot weight buffers (LEX weight vectors as one flat array per node)
@@ -376,7 +383,9 @@
 //     path is re-Prepare from the raw data.
 //   - Lazily rebuilt state. The direct-access structure and the cached
 //     full reduction are not serialized; a restored plan rebuilds them on
-//     first use, exactly like a freshly prepared one.
+//     first use (sampling, ranked enumeration), exactly like a freshly
+//     prepared one. Its first exact quantile needs only what the snapshot
+//     carries: the executable tree and its counts.
 //
 // SnapshotDataset/LoadDataset persist a raw database with its serving
 // metadata (name, generation, shard layout) but no compiled plan — the

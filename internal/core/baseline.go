@@ -36,10 +36,9 @@ func BaselineQuantilePrepared(eng *engine.Engine, f *ranking.Func, phi float64) 
 		return nil, err
 	}
 	origVars := eng.Vars()
-	e := eng.Exec()
 	fromVars := eng.Query().Vars()
 	var answers [][]relation.Value
-	yannakakis.Enumerate(e, func(asn []relation.Value) bool {
+	yannakakis.Enumerate(eng.Exec(), eng.Counts(), func(asn []relation.Value) bool {
 		answers = append(answers, projectAnswer(fromVars, asn, origVars))
 		return true
 	})

@@ -29,9 +29,8 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 	dbSize, total := 0, counting.Zero
 	for i, eng := range engs {
 		st := &shardState{
-			eng:    eng,
-			orig:   trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()},
-			onOrig: true,
+			eng:  eng,
+			orig: trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()},
 		}
 		st.cur, st.curExec, st.curCounts = st.orig, eng.Exec(), eng.Counts()
 		st.curCount = st.curCounts.Total
@@ -51,13 +50,9 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 	cands := make([]*pivot.Result, len(shards))
 	for iter := 0; iter < opts.maxIterations(); iter++ {
 		if curCount.Cmp(threshold) <= 0 {
-			execs, err := liveExecs(shards)
-			if err != nil {
-				return nil, stats, err
-			}
 			m, _ := curCount.Uint64()
 			stats.Materialized = int(m)
-			ans, err := materializeSelect(execs, f, origVars, k, new(runScratch))
+			ans, err := materializeSelect(shards, f, origVars, k, int(m), new(runScratch))
 			return ans, stats, err
 		}
 		stats.Iterations = iter + 1
@@ -103,7 +98,6 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 				}
 				p := st.parts[side]
 				st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
-				st.onOrig = false
 				st.dead = st.curCount.IsZero()
 			}
 		}
@@ -121,11 +115,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 				ans := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, origVars)
 				return &Answer{Vars: origVars, Values: ans, Weight: pv.Weight}, stats, nil
 			}
-			execs, err := liveExecs(shards)
-			if err != nil {
-				return nil, stats, err
-			}
-			ans, err := classSelect(execs, f, origVars, pv.Weight, k.Sub(c[trim.Less]))
+			ans, err := classSelect(shards, f, origVars, pv.Weight, k.Sub(c[trim.Less]))
 			return ans, stats, err
 		}
 	}
@@ -214,5 +204,63 @@ func TestIterationsCountsEveryRound(t *testing.T) {
 		if len(stats.Phases.Iterations) != stats.Iterations {
 			t.Fatalf("%s: Iterations = %d, phase log has %d rounds", tc.name, stats.Iterations, len(stats.Phases.Iterations))
 		}
+	}
+}
+
+// The three-slot invariant: whenever a round starts, and when a run leaves
+// through the equal partition after its builds, every live shard's curCounts
+// is the counting state of its curExec — not a buffer a later build of the
+// same run has since reused.
+func TestCurrentCountsSurviveTheRound(t *testing.T) {
+	var where string
+	descended := 0
+	roundHook = func(shards []*shardState) {
+		for i, st := range shards {
+			if st.dead {
+				continue
+			}
+			if st.curSlot >= 0 {
+				descended++
+			}
+			want := yannakakis.Count(st.curExec)
+			if !reflect.DeepEqual(st.curCounts.Tuple, want.Tuple) || st.curCounts.Total != want.Total {
+				t.Fatalf("%s: shard %d (slot %d): current counts are not a fresh count of the current tree", where, i, st.curSlot)
+			}
+			for _, n := range st.curExec.T.Nodes {
+				if n.Parent >= 0 && !reflect.DeepEqual(st.curCounts.Group[n.ID], want.Group[n.ID]) {
+					t.Fatalf("%s: shard %d (slot %d): group counts of node %d differ from a fresh count", where, i, st.curSlot, n.ID)
+				}
+			}
+		}
+	}
+	defer func() { roundHook = nil }()
+	rng := rand.New(rand.NewSource(616))
+	classExits, materialized := 0, 0
+	for _, inst := range testutil.FuzzCorpus(rng) {
+		for _, nShards := range []int{1, 4} {
+			sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
+			}
+			for _, f := range inst.Ranks {
+				for _, phi := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
+					where = fmt.Sprintf("%s shards=%d %s%v φ=%v", inst.Name, nShards, f.Agg, f.Vars, phi)
+					_, stats, err := QuantileShards(sh.Engines(), f, phi, Options{Parallelism: 1, MaterializeThreshold: 8})
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if stats.Iterations > 1 && stats.PivotReturned {
+						classExits++
+					}
+					if stats.Iterations > 1 && !stats.PivotReturned {
+						materialized++
+					}
+				}
+			}
+		}
+	}
+	if descended == 0 || classExits == 0 || materialized == 0 {
+		t.Fatalf("descended states seen %d, equal-partition exits %d, materialize exits %d after two or more rounds: an exit went unchecked",
+			descended, classExits, materialized)
 	}
 }

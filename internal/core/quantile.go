@@ -84,20 +84,26 @@ type PhaseLog struct {
 	Iterations []PhaseTimings
 }
 
-// runScratch is the pooled per-run iteration scratch: one counting buffer
-// per partition side, the pivot pass's weight arrays, and the backing of the
-// tail's LEX weight vectors. One value serves one run at a time; the engine's
-// scratch pool hands it from run to run so steady-state quantile answering
-// allocates no fresh per-node arrays. A counting slot per side suffices: the
-// counts a round descends into are read only by the next round's pivot pass,
-// which completes before that round counts anything. Sharded runs check one
-// scratch out of every shard engine's pool, so concurrent runs over the same
-// shards stay race-free.
+// runScratch is the pooled per-run iteration scratch: three counting buffers,
+// the pivot pass's weight arrays, and the backing of the tail's LEX weight
+// vectors. One value serves one run at a time; the engine's scratch pool hands
+// it from run to run so steady-state quantile answering allocates no fresh
+// per-node arrays. Three counting slots, not one per side: the counts a round
+// descended into stay the current instance's until the next descent — the
+// pivot pass reads them, and so does either exit's enumeration — so a round's
+// two builds take the two slots that do not hold them (countSlot). Sharded
+// runs check one scratch out of every shard engine's pool, so concurrent runs
+// over the same shards stay race-free.
 type runScratch struct {
-	counts  [2]yannakakis.Scratch // indexed by side (trim.Less, trim.Greater)
+	counts  [3]yannakakis.Scratch
 	pivot   pivot.Scratch
 	lexVecs []int64
 }
+
+// countSlot is the counting slot a round's build of the given side writes
+// while the current instance's counts sit in slot cur (-1: in none, they are
+// the engine's own): the sides' slots differ from each other and from cur.
+func countSlot(cur int, side trim.Dir) int { return (cur + 1 + int(side)) % 3 }
 
 // scratchFor checks a runScratch out of the engine's pool.
 func scratchFor(eng *engine.Engine) *runScratch {
@@ -278,7 +284,9 @@ type shardState struct {
 	curExec   *jointree.Exec
 	curCounts *yannakakis.Counts
 	curCount  counting.Count
-	onOrig    bool // cur is the untrimmed instance; engine structures apply
+	// curSlot is the scratch counting slot curCounts lives in, -1 while cur
+	// is the untrimmed instance and the counts are the engine's cached ones.
+	curSlot int
 	// dead marks a shard with no candidates left in the current (low, high)
 	// band. Trims always narrow the band, so a dead shard can never come
 	// back and is skipped by every later pass.
@@ -291,11 +299,13 @@ type shardState struct {
 }
 
 // partition is one shard's slice of one side of a round: the trimmed
-// instance, its executable tree and its counting state.
+// instance, its executable tree, and its counting state with the scratch slot
+// that holds it.
 type partition struct {
 	inst   trim.Instance
 	exec   *jointree.Exec
 	counts *yannakakis.Counts
+	slot   int
 }
 
 // run is the shared driver body of Quantile and Select, generalized to a
@@ -310,10 +320,13 @@ type partition struct {
 // executable tree and counts to the next iteration instead of being rebuilt,
 // filter trims derive their trees by subset filtering, λ-independent trim
 // preprocessing comes from each shard plan's cache, and the per-iteration
-// arrays come from each shard plan's scratch pool. While a shard's candidate
-// instance is still the original one, its engine's shared executable tree
-// serves pivot selection, and its cached full reduction serves
-// materialization — neither is ever mutated here.
+// arrays come from each shard plan's scratch pool. Either exit enumerates
+// each live shard's current tree guided by its current counts (the engine's
+// shared tree and cached counts while the shard is still on its original
+// instance, the descended partition's own afterwards): the counting pass
+// already says which tuples carry an answer, so the walk meets no dead end and
+// costs O(|D| + ℓ·|candidates|) without a full reduction being built. Nothing
+// shared is ever mutated here.
 //
 // Termination is canonical for exact trims: whichever way a run ends —
 // materialization, or the global index landing in the pivot's equal
@@ -339,9 +352,9 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 	total := counting.Zero
 	for i, eng := range engs {
 		st := &shardState{
-			eng:    eng,
-			orig:   trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()},
-			onOrig: true,
+			eng:     eng,
+			orig:    trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()},
+			curSlot: -1,
 		}
 		st.cur = st.orig
 		st.curExec = eng.Exec()
@@ -374,10 +387,18 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 	curCount := total
 	paperEps := 0.0
 
-	for _, st := range shards {
-		st.scr = scratchFor(st.eng)
-		defer st.eng.Scratch().Put(st.scr)
-	}
+	// Scratch is checked out when a shard's first round starts, not before: a
+	// run that materializes at once needs none, and an engine whose pool was
+	// never used is not held by the runtime's pool registry past its last
+	// reference (a cold plan compiled, asked once and dropped is then garbage
+	// at the next collection, not the one after).
+	defer func() {
+		for _, st := range shards {
+			if st.scr != nil {
+				st.eng.Scratch().Put(st.scr)
+			}
+		}
+	}()
 	// now is a no-op unless phase timings were requested, so the default
 	// path never reads the clock inside the loop.
 	now := func() time.Time { return time.Time{} }
@@ -388,19 +409,19 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 	cands := make([]*pivot.Result, len(shards))
 
 	for iter := 0; iter < opts.maxIterations(); iter++ {
+		if roundHook != nil {
+			roundHook(shards)
+		}
 		if curCount.Cmp(threshold) <= 0 {
-			// Enumerating the cached full reductions touches only tuples
-			// that participate in answers — on selective joins this is
-			// ∝ |Q(D)|, not |D|.
-			execs, err := liveExecs(shards)
-			if err != nil {
-				return nil, stats, err
-			}
-			ans, err := materializeSelect(execs, f, origVars, k, shards[0].scr)
-			if err != nil {
-				return nil, stats, err
-			}
 			m, _ := curCount.Uint64()
+			scr := shards[0].scr
+			if scr == nil {
+				scr = new(runScratch) // no round ran
+			}
+			ans, err := materializeSelect(shards, f, origVars, k, int(m), scr)
+			if err != nil {
+				return nil, stats, err
+			}
 			stats.Materialized = int(m)
 			return ans, stats, nil
 		}
@@ -410,6 +431,9 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			cands[i] = nil
 			if st.dead {
 				continue
+			}
+			if st.scr == nil {
+				st.scr = scratchFor(st.eng)
 			}
 			mu, err := f.AssignVars(st.cur.Q)
 			if err != nil {
@@ -485,7 +509,8 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 					continue
 				}
 				p := &st.parts[side]
-				p.counts = yannakakis.CountScratch(p.exec, workers, &st.scr.counts[side])
+				p.slot = countSlot(st.curSlot, side)
+				p.counts = yannakakis.CountScratch(p.exec, workers, &st.scr.counts[p.slot])
 				count = count.Add(p.counts.Total)
 				size += p.inst.DB.Size()
 			}
@@ -531,7 +556,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 				}
 				p := st.parts[side]
 				st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
-				st.onOrig = false
+				st.curSlot = p.slot
 				st.dead = st.curCount.IsZero()
 			}
 		}
@@ -563,36 +588,41 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 				ans := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, origVars)
 				return &Answer{Vars: origVars, Values: ans, Weight: wp}, stats, nil
 			}
-			execs, err := liveExecs(shards)
-			if err != nil {
-				return nil, stats, err
+			if roundHook != nil {
+				roundHook(shards)
 			}
-			ans, err := classSelect(execs, f, origVars, wp, k.Sub(c[trim.Less]))
+			ans, err := classSelect(shards, f, origVars, wp, k.Sub(c[trim.Less]))
 			return ans, stats, err
 		}
 	}
 	return nil, stats, ErrTooManyIterations
 }
 
-// liveExecs gathers the current executable trees of the live shards,
-// substituting each engine's cached full reduction while a shard is still on
-// its untrimmed instance.
-func liveExecs(shards []*shardState) ([]*jointree.Exec, error) {
-	out := make([]*jointree.Exec, 0, len(shards))
+// roundHook, when set, sees the shard states as each round starts and again
+// before an equal-partition exit enumerates them. Only tests set it, and it
+// is an unsynchronized global: a test that sets it must not call t.Parallel
+// (no test of this package does).
+var roundHook func(shards []*shardState)
+
+// enumerateLive streams the candidates of the current band: every answer of
+// every live shard's current instance, projected onto origVars, walked by its
+// current counts. row is reused between calls; fn returns false to stop.
+func enumerateLive(shards []*shardState, origVars []query.Var, fn func(row []relation.Value) bool) {
+	row := make([]relation.Value, len(origVars))
+	more := true
 	for _, st := range shards {
-		if st.dead {
+		if st.dead || !more {
 			continue
 		}
-		e := st.curExec
-		if st.onOrig {
-			var err error
-			if e, err = st.eng.Reduced(); err != nil {
-				return nil, err
+		proj := projection(st.curExec.Q.Vars(), origVars)
+		yannakakis.Enumerate(st.curExec, st.curCounts, func(asn []relation.Value) bool {
+			for i, p := range proj {
+				row[i] = asn[p]
 			}
-		}
-		out = append(out, e)
+			more = fn(row)
+			return more
+		})
 	}
-	return out, nil
 }
 
 // projectAnswer maps an assignment laid out per fromVars onto toVars by name.
@@ -617,39 +647,28 @@ func projection(fromVars, toVars []query.Var) []int {
 	return proj
 }
 
-// materializeSelect resolves a small candidate instance spread over one or
-// more shard executable trees: materialize the answers (Yannakakis), project
-// off helper variables, and select index k by weight with a consistent value
-// tie-break. The (weight, values) order is total over the distinct answers —
-// shards hold disjoint answer sets — so the selected answer depends neither
-// on the enumeration order within a tree nor on how answers are distributed
-// across trees; only rank k is wanted, so it is selected (worst-case linear)
-// rather than sorted for. Projected answers are stored in one flat backing
-// array — the projection positions are resolved once per tree, not once per
-// answer — and LEX weight vectors in one flat array kept in scr.
-func materializeSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query.Var, k counting.Count, scr *runScratch) (*Answer, error) {
+// materializeSelect resolves a small candidate band spread over one or more
+// live shards: materialize the answers (Yannakakis, guided by the counts),
+// project off helper variables, and select index k by weight with a consistent
+// value tie-break. The (weight, values) order is total over the distinct
+// answers — shards hold disjoint answer sets — so the selected answer depends
+// neither on the enumeration order within a tree nor on how answers are
+// distributed across trees; only rank k is wanted, so it is selected
+// (worst-case linear) rather than sorted for. Projected answers are stored in
+// one flat backing array sized up front — count is the band's answer count,
+// which the loop already holds — and LEX weight vectors in one flat array kept
+// in scr.
+func materializeSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, k counting.Count, count int, scr *runScratch) (*Answer, error) {
 	w := len(origVars)
-	var flat []relation.Value
-	for _, e := range execs {
-		proj := projection(e.Q.Vars(), origVars)
-		yannakakis.Enumerate(e, func(asn []relation.Value) bool {
-			for _, p := range proj {
-				flat = append(flat, asn[p])
-			}
-			return true
-		})
-	}
-	n := len(flat) / max(w, 1)
+	flat := make([]relation.Value, 0, count*w)
+	n := 0
+	enumerateLive(shards, origVars, func(row []relation.Value) bool {
+		flat = append(flat, row...)
+		n++
+		return w > 0 // a Boolean query has the one empty answer: the first found settles it
+	})
 	if w == 0 {
-		// Boolean query: a single empty answer if any shard produced one.
-		n = 0
-		for _, e := range execs {
-			yannakakis.Enumerate(e, func([]relation.Value) bool { n++; return false })
-			if n > 0 {
-				n = 1
-				break
-			}
-		}
+		n = min(n, 1)
 	}
 	if n == 0 {
 		return nil, ErrNoAnswers
@@ -688,25 +707,17 @@ func materializeSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query
 // exactly the global weight-λ class), and return the member at class rank k
 // in value order. Linear in the band size — paid only when the global index
 // lands on a tie class of several answers.
-func classSelect(execs []*jointree.Exec, f *ranking.Func, origVars []query.Var, lambda ranking.Weightv, k counting.Count) (*Answer, error) {
+func classSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda ranking.Weightv, k counting.Count) (*Answer, error) {
 	w := len(origVars)
 	aw := ranking.NewAnswerWeigher(f, origVars)
 	var flat []relation.Value
-	row := make([]relation.Value, w)
 	vec := make([]int64, f.VecLen())
-	for _, e := range execs {
-		proj := projection(e.Q.Vars(), origVars)
-		yannakakis.Enumerate(e, func(asn []relation.Value) bool {
-			for i, p := range proj {
-				row[i] = asn[p]
-			}
-			if f.Compare(aw.WeightInto(vec, row), lambda) != 0 {
-				return true
-			}
+	enumerateLive(shards, origVars, func(row []relation.Value) bool {
+		if f.Compare(aw.WeightInto(vec, row), lambda) == 0 {
 			flat = append(flat, row...)
-			return true
-		})
-	}
+		}
+		return true
+	})
 	n := len(flat) / max(w, 1)
 	if n == 0 {
 		return nil, ErrNoAnswers

@@ -3,6 +3,7 @@ package decomp
 import (
 	"time"
 
+	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -59,8 +60,8 @@ func (d *Decomposition) bagTouched(q *query.Query, i int, changed map[string]boo
 }
 
 // materializeBag joins bag i's atoms in join order with a left-deep hash
-// join. Probes run over chunked row ranges concatenated in order, so the
-// output row order does not depend on the worker count.
+// join. Probes run over chunked row ranges written in order, so the output
+// row order does not depend on the worker count.
 func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i int, workers int) *relation.Relation {
 	order := d.Bags[i]
 	cur := atomRelation(q.Atoms[order[0]], db, workers)
@@ -80,9 +81,21 @@ func atomRelation(a query.Atom, db *relation.Database, workers int) *relation.Re
 	if len(uniq) == len(a.Vars) {
 		return rel
 	}
-	first := firstPositions(a)
+	first := make(map[query.Var]int, len(a.Vars))
+	for j, v := range a.Vars {
+		if _, ok := first[v]; !ok {
+			first[v] = j
+		}
+	}
 	cols := rel.Cols()
-	keep := rel.FilterWorkers(workers, func(i int) bool { return repeatsAgree(a, first, cols, i) })
+	keep := rel.FilterWorkers(workers, func(i int) bool {
+		for j, v := range a.Vars {
+			if f := first[v]; f != j && cols[f][i] != cols[j][i] {
+				return false
+			}
+		}
+		return true
+	})
 	pos := make([]int, len(uniq))
 	for j, v := range uniq {
 		pos[j] = first[v]
@@ -90,94 +103,79 @@ func atomRelation(a query.Atom, db *relation.Database, workers int) *relation.Re
 	return keep.Project(rel.Name(), pos)
 }
 
-// firstPositions maps each variable of the atom to its first position.
-func firstPositions(a query.Atom) map[query.Var]int {
-	first := make(map[query.Var]int, len(a.Vars))
-	for j, v := range a.Vars {
-		if _, ok := first[v]; !ok {
-			first[v] = j
-		}
-	}
-	return first
-}
-
-// repeatsAgree reports whether row i satisfies the atom's repeated-variable
-// equality constraints.
-func repeatsAgree(a query.Atom, first map[query.Var]int, cols [][]relation.Value, i int) bool {
-	for j, v := range a.Vars {
-		if f := first[v]; f != j && cols[f][i] != cols[j][i] {
-			return false
-		}
-	}
-	return true
-}
-
 // joinAtom hash-joins the accumulated bag rows (cur over curVars) with one
-// more atom, returning the combined relation and its variable order
-// (curVars followed by the atom's new variables).
+// more atom, returning the combined relation and its variable order: curVars
+// followed by the atom's new variables. Rows come out in cur order, each row's
+// matches in the atom relation's order, whatever the worker count.
+//
+// The build side is a GroupIndex over the atom's shared-key columns — interned
+// keys, counting-sorted row lists. The probe side runs twice over each chunk
+// of cur: once to resolve every row's group and count the rows it will
+// produce, and, after every output column has been allocated once at its exact
+// length, again to fill each chunk's own range of them.
 func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, db *relation.Database, workers int) (*relation.Relation, []query.Var) {
-	rel := db.Get(a.Rel)
-	uniq := a.UniqueVars()
-	first := firstPositions(a)
-
+	rel := atomRelation(a, db, workers)
 	inCur := make(map[query.Var]int, len(curVars))
 	for j, v := range curVars {
 		inCur[v] = j
 	}
-	var shared []query.Var
-	var newVars []query.Var
-	for _, v := range uniq {
-		if _, ok := inCur[v]; ok {
-			shared = append(shared, v)
+	outVars := append([]query.Var(nil), curVars...)
+	var sharedCur, sharedRel, newRel []int
+	for j, v := range a.UniqueVars() {
+		if p, ok := inCur[v]; ok {
+			sharedCur, sharedRel = append(sharedCur, p), append(sharedRel, j)
 		} else {
-			newVars = append(newVars, v)
+			outVars, newRel = append(outVars, v), append(newRel, j)
 		}
 	}
-	sharedCur := make([]int, len(shared))
-	sharedRel := make([]int, len(shared))
-	for j, v := range shared {
-		sharedCur[j] = inCur[v]
-		sharedRel[j] = first[v]
-	}
-	newRel := make([]int, len(newVars))
-	for j, v := range newVars {
-		newRel[j] = first[v]
-	}
+	index := jointree.NewGroupIndex(rel, sharedRel, workers)
+	curCols, relCols := cur.Cols(), rel.Cols()
 
-	// Build side: valid rows of the atom's relation grouped by shared key.
-	relCols := rel.Cols()
-	index := make(map[string][]int32)
-	var enc relation.KeyEncoder
-	for i := 0; i < rel.Len(); i++ {
-		if !repeatsAgree(a, first, relCols, i) {
-			continue
+	// First pass: per cur row its group (-1: no match), per chunk the number
+	// of rows it writes.
+	lookup := index.Keys()
+	chunks := parallel.Ranges(workers, cur.Len())
+	gids := make([]int32, cur.Len())
+	counts := make([]int, len(chunks))
+	parallel.Do(workers, len(chunks), func(c int) {
+		buf := make([]relation.Value, 0, len(sharedCur))
+		n := 0
+		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
+			gids[i] = -1
+			if id, ok := lookup.Lookup(relation.GatherAt(buf, curCols, sharedCur, i)); ok {
+				gids[i] = int32(id)
+				n += len(index.Tuples[id])
+			}
 		}
-		k := string(enc.ColsAt(relCols, sharedRel, i))
-		index[k] = append(index[k], int32(i))
-	}
+		counts[c] = n
+	})
 
-	outVars := append(append([]query.Var(nil), curVars...), newVars...)
-	curCols := cur.Cols()
-	parts := parallel.MapRanges(workers, cur.Len(), func(lo, hi int) *relation.Relation {
-		part := relation.New("", len(outVars))
-		row := make([]relation.Value, len(outVars))
-		var penc relation.KeyEncoder
-		for i := lo; i < hi; i++ {
-			matches := index[string(penc.ColsAt(curCols, sharedCur, i))]
-			if len(matches) == 0 {
+	starts := make([]int, len(chunks))
+	total := 0
+	for c, n := range counts {
+		starts[c] = total
+		total += n
+	}
+	cols := make([][]relation.Value, len(outVars))
+	for j := range cols {
+		cols[j] = make([]relation.Value, total)
+	}
+	parallel.Do(workers, len(chunks), func(c int) {
+		at := starts[c]
+		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
+			if gids[i] < 0 {
 				continue
 			}
-			for j := range curVars {
-				row[j] = curCols[j][i]
-			}
-			for _, m := range matches {
-				for j, p := range newRel {
-					row[len(curVars)+j] = relCols[p][m]
+			for _, m := range index.Tuples[gids[i]] {
+				for j, col := range curCols {
+					cols[j][at] = col[i]
 				}
-				part.AppendRow(row)
+				for j, p := range newRel {
+					cols[len(curCols)+j][at] = relCols[p][m]
+				}
+				at++
 			}
 		}
-		return part
 	})
-	return relation.Concat("", len(outVars), false, parts), outVars
+	return relation.FromColumns("", cols, false), outVars
 }

@@ -9,20 +9,25 @@
 // quantiles at many φ's, selection, sampling, enumeration, counting.
 //
 // Beyond the eager artifacts (rewritten query, deduplicated database, join
-// tree, executable tree, total answer count), an Engine lazily builds two
-// more, each guarded by a sync.Once:
+// tree, executable tree), an Engine lazily builds three more, each once,
+// under a small mutex of its own:
 //
+//   - the counting state of Section 2.4: per-tuple and per-group subtree
+//     counts and |Q(D)|. Every driver starts from it — the first pivot of a
+//     quantile, the materialization Algorithm 1 ends with (cnt(t) > 0 says
+//     which tuples carry an answer, so the walk of the shared tree skips the
+//     rest), and plain enumeration, which therefore counts too;
 //   - the direct-access structure of Section 3.1 (random access and uniform
-//     sampling over the answer set), and
+//     sampling over the answer set); and
 //   - a fully Yannakakis-reduced executable tree, whose relations contain
 //     only tuples that participate in some answer. Ranked enumeration
-//     requires it, and materialization of small answer sets is much faster
-//     on it because no dangling tuples are scanned.
+//     requires it and is its only reader: nothing that materializes goes
+//     through it, so a plan that answers quantiles alone never builds one.
 //
 // Concurrency: after New returns, every method of Engine is safe for
-// concurrent use. The shared executable trees are never mutated — consumers
-// that need to mutate one (the per-iteration trimmed instances of
-// Algorithm 1) build their own private copies.
+// concurrent use. The shared executable tree is never mutated — the full
+// reduction reduces a shallow copy of it, and the per-iteration trimmed
+// instances of Algorithm 1 are derived trees of their own.
 package engine
 
 import (
@@ -95,9 +100,8 @@ type Engine struct {
 	accessMu sync.Mutex
 	access   *access.Direct
 
-	reducedMu  sync.Mutex
-	reduced    *jointree.Exec
-	reducedErr error
+	reducedMu sync.Mutex
+	reduced   *jointree.Exec
 
 	// trimCache amortizes λ-independent trim preprocessing (grouped and
 	// staircase-sorted adjacent pairs) across pivoting iterations AND across
@@ -232,7 +236,7 @@ func (e *Engine) DecompStats() *decomp.Stats {
 }
 
 // Exec returns the shared executable join tree. It must be treated as
-// read-only; mutating consumers (FullReduce) must build their own copy.
+// read-only; a consumer that reduces takes jointree.Exec.Reduced's copy.
 func (e *Engine) Exec() *jointree.Exec { return e.exec }
 
 // Counts returns the full counting state of the shared executable tree —
@@ -257,8 +261,7 @@ func (e *Engine) peekCounts() *yannakakis.Counts {
 }
 
 // Total returns |Q(D)|, counting on first use and caching the result.
-// Consumers that never need the count — plain enumeration, ranked
-// streaming — never pay for it.
+// Ranked streaming is the one consumer that never pays for it.
 func (e *Engine) Total() counting.Count {
 	return e.Counts().Total
 }
@@ -303,27 +306,23 @@ func (e *Engine) peekAccess() *access.Direct {
 }
 
 // Reduced returns a fully Yannakakis-reduced executable tree: every
-// remaining tuple participates in at least one answer. Built on first use
-// from a private copy of the executable tree (FullReduce mutates, so the
-// shared Exec is never touched) and cached. The result is read-only and may
-// be shared by concurrent ranked enumerations.
-func (e *Engine) Reduced() (*jointree.Exec, error) {
+// remaining tuple participates in at least one answer. Built on first use by
+// reducing a shallow copy of the shared tree (jointree.Exec.Reduced — the
+// shared Exec is read, never touched) and cached. The result is read-only and
+// may be shared by concurrent ranked enumerations, which are its only users.
+func (e *Engine) Reduced() *jointree.Exec {
 	e.reducedMu.Lock()
 	defer e.reducedMu.Unlock()
-	if e.reduced == nil && e.reducedErr == nil {
-		ex, err := jointree.NewExecWorkers(e.q, e.db, e.tree, e.workers)
-		if err != nil {
-			e.reducedErr = err
-		} else {
-			ex.FullReduceWorkers(e.workers)
-			e.reduced = ex
-		}
+	if e.reduced == nil {
+		e.reduced = e.exec.Reduced(e.workers)
 	}
-	return e.reduced, e.reducedErr
+	return e.reduced
 }
 
-// peekReduced returns the full reduction only if already built.
-func (e *Engine) peekReduced() *jointree.Exec {
+// PeekReduced returns the full reduction only if already built: Update
+// carries it onto derived engines whose answers did not change, and tests
+// hold quantile answering to never building one.
+func (e *Engine) PeekReduced() *jointree.Exec {
 	e.reducedMu.Lock()
 	defer e.reducedMu.Unlock()
 	return e.reduced

@@ -339,7 +339,7 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 			src: e.src, origVars: e.origVars, q: e.q, db: e.db, tree: e.tree,
 			exec: e.exec, pos: e.pos, workers: e.workers,
 			counts: e.peekCounts(), sets: newSets,
-			access: e.peekAccess(), reduced: e.peekReduced(),
+			access: e.peekAccess(), reduced: e.PeekReduced(),
 			dec: e.dec, decQ: e.decQ, ddb: e.ddb, decStats: e.decStats,
 			trimCache: e.trimCache,
 		}, Change{}, nil
@@ -376,7 +376,7 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 			src: e.src, origVars: e.origVars, q: e.q, db: newExec.DB, tree: e.tree,
 			exec: newExec, pos: e.pos, workers: e.workers,
 			counts: e.peekCounts(), sets: newSets,
-			access: e.peekAccess(), reduced: e.peekReduced(),
+			access: e.peekAccess(), reduced: e.PeekReduced(),
 			trimCache: e.trimCache,
 		}, Change{}, nil
 	}
@@ -480,7 +480,7 @@ func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects
 			src: e.src, origVars: e.origVars, q: e.q, db: e.db, tree: e.tree,
 			exec: e.exec, pos: e.pos, workers: e.workers,
 			counts: e.peekCounts(), sets: newSets,
-			access: e.peekAccess(), reduced: e.peekReduced(),
+			access: e.peekAccess(), reduced: e.PeekReduced(),
 			dec: e.dec, decQ: e.decQ, ddb: newDDB, decStats: e.decStats,
 			trimCache: e.trimCache,
 		}, Change{}, nil

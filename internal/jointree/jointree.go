@@ -516,7 +516,7 @@ func (e *Exec) rebuildGroups(workers int) {
 			e.Groups[n.ID] = nil
 			continue
 		}
-		e.Groups[n.ID] = buildGroupIndex(e.Rels[n.ID], e.keyPosChild[n.ID], workers)
+		e.Groups[n.ID] = NewGroupIndex(e.Rels[n.ID], e.keyPosChild[n.ID], workers)
 	}
 	e.rebuildParentGids(workers)
 }
@@ -563,11 +563,13 @@ func gatherKey(buf []relation.Value, row []relation.Value, pos []int) []relation
 	return relation.Gather(make([]relation.Value, 0, len(pos)), row, pos)
 }
 
-// buildGroupIndex groups a child relation's tuples by their shared-variable
-// key. The parallel path builds one partial index per row chunk and merges
-// them in chunk order: group ids follow global first-appearance order and
-// tuple lists stay ascending, exactly as in the sequential build.
-func buildGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
+// NewGroupIndex groups a relation's tuples by the key in columns pos — a
+// child node's by its shared-variable key, or the build side of any other
+// hash join (decomp's bag materialization). The parallel path builds one
+// partial index per row chunk and merges them in chunk order: group ids
+// follow global first-appearance order and tuple lists stay ascending,
+// exactly as in the sequential build.
+func NewGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
 	n := rel.Len()
 	cols := rel.Cols()
 	if len(parallel.Ranges(workers, n)) <= 1 {
@@ -815,6 +817,19 @@ func (e *Exec) FullReduceWorkers(workers int) {
 		e.Rels[id] = rel.GatherRows(rel.Name(), rows)
 	}
 	e.rebuildGroups(workers)
+}
+
+// Reduced returns the full reduction of e as an Exec of its own, leaving e
+// untouched and readable throughout: the copy shares e's relations, group
+// indexes and gid arrays until FullReduceWorkers replaces them — it only ever
+// replaces whole entries of the three per-node slices, which are fresh here.
+func (e *Exec) Reduced(workers int) *Exec {
+	red := *e
+	red.Rels = append([]*relation.Relation(nil), e.Rels...)
+	red.Groups = append([]*GroupIndex(nil), e.Groups...)
+	red.parentGid = append([][]int32(nil), e.parentGid...)
+	red.FullReduceWorkers(workers)
+	return &red
 }
 
 // NodeRelation returns the materialized relation of node id.

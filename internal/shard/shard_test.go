@@ -36,7 +36,7 @@ func pathInstance() (*query.Query, *relation.Database) {
 func answers(eng *engine.Engine) []string {
 	var out []string
 	buf := make([]relation.Value, len(eng.Vars()))
-	yannakakis.Enumerate(eng.Exec(), func(asn []relation.Value) bool {
+	yannakakis.Enumerate(eng.Exec(), eng.Counts(), func(asn []relation.Value) bool {
 		eng.Project(asn, buf)
 		out = append(out, fmt.Sprint(buf))
 		return true

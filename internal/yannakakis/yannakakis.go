@@ -174,15 +174,31 @@ func CountAnswersWorkers(e *jointree.Exec, workers int) counting.Count {
 
 // Enumerate streams every query answer as an assignment laid out per
 // e.Q.Vars(). The callback must not retain the slice; it may return false to
-// stop enumeration early. Dangling tuples are skipped on the fly, so a prior
-// FullReduce is not required for correctness (only for speed guarantees).
+// stop enumeration early.
+//
+// c must be e's counting state (Section 2.4): cnt(t) > 0 says exactly which
+// tuples carry an answer, and the walk never binds one that does not. Root
+// tuples are skipped by count; a leaf's join groups are read as they stand
+// (every leaf tuple counts 1); an internal node's groups are read through
+// lists of their live tuples, packed per call for the nodes that hold a
+// zero-count tuple at all. Below a live root tuple every step therefore has a
+// candidate, every candidate leads to an answer, and the whole walk costs
+// O(|D| + ℓ·|Q(D)|) — the bound of a walk over the full reduction, without
+// building one, and in the same answer order.
 //
 // The walk is an explicit odometer over the tree's pre-order (children in
 // declaration order, later positions varying faster) — the exact nesting the
 // natural recursion produces, without its per-visit closure allocations: the
 // whole enumeration allocates a handful of per-call slices, nothing per
 // answer.
-func Enumerate(e *jointree.Exec, fn func(asn []relation.Value) bool) {
+func Enumerate(e *jointree.Exec, c *Counts, fn func(asn []relation.Value) bool) {
+	enumerate(e, c, fn)
+}
+
+// enumerate is Enumerate returning the work it did, for the test that holds
+// it to its bound: tuples looked at by the walk plus rows scanned while
+// packing live lists.
+func enumerate(e *jointree.Exec, c *Counts, fn func(asn []relation.Value) bool) (steps int) {
 	nodePos, nodeCols := assignmentLayout(e)
 	asn := make([]relation.Value, len(e.Q.Vars()))
 
@@ -198,28 +214,41 @@ func Enumerate(e *jointree.Exec, fn func(asn []relation.Value) bool) {
 	push(e.T.Root)
 
 	m := len(pre)
-	lists := make([][]int, m) // candidate tuples at depth d (nil at the root)
-	pos := make([]int, m)     // odometer position per depth
+	live := make([]*liveLists, m) // per depth; nil: the node's groups serve as they stand
+	for d := 1; d < m; d++ {
+		if nd := pre[d]; len(e.T.Nodes[nd].Children) > 0 {
+			live[d] = packLive(e.Groups[nd], c.Tuple[nd])
+			steps += len(c.Tuple[nd])
+		}
+	}
+	// The candidates at depth d are rows[d]; the root's are its whole relation.
+	rows := make([][]int, m)
+	pos := make([]int, m) // odometer position per depth
 	curTi := make([]int, len(e.T.Nodes))
-	rootN := e.Rels[e.T.Root].Len()
+	rootCnt := c.Tuple[e.T.Root]
 
 	d := 0
 	for {
 		// Resolve the candidate at pos[d], or backtrack when exhausted.
 		var ti int
 		if d == 0 {
-			if pos[0] >= rootN {
-				return
-			}
 			ti = pos[0]
+			for ti < len(rootCnt) && rootCnt[ti].IsZero() {
+				ti++
+			}
+			steps += ti - pos[0]
+			if pos[0] = ti; ti == len(rootCnt) {
+				return steps
+			}
 		} else {
-			if pos[d] >= len(lists[d]) {
+			if pos[d] >= len(rows[d]) {
 				d--
 				pos[d]++
 				continue
 			}
-			ti = lists[d][pos[d]]
+			ti = rows[d][pos[d]]
 		}
+		steps++
 		node := pre[d]
 		cols := nodeCols[node]
 		for j, p := range nodePos[node] {
@@ -228,24 +257,63 @@ func Enumerate(e *jointree.Exec, fn func(asn []relation.Value) bool) {
 		curTi[node] = ti
 		if d == m-1 {
 			if !fn(asn) {
-				return
+				return steps
 			}
 			pos[d]++
 			continue
 		}
 		// Descend: the next pre-order node's candidates are the join group
-		// matched by its parent's just-chosen tuple. A missing group empties
-		// the list, which backtracks — exactly the recursion's "no answers
-		// under this tuple on this branch".
+		// matched by its parent's just-chosen tuple. That tuple is live, so
+		// the group exists and holds a live tuple.
 		d++
 		nd := pre[d]
-		if gid, ok := e.ParentGroup(nd, curTi[e.T.Nodes[nd].Parent]); ok {
-			lists[d] = e.Groups[nd].Tuples[gid]
-		} else {
-			lists[d] = nil
-		}
 		pos[d] = 0
+		gid, _ := e.ParentGroup(nd, curTi[e.T.Nodes[nd].Parent])
+		if l := live[d]; l != nil {
+			rows[d] = l.rows[l.off[gid]:l.off[gid+1]]
+		} else {
+			rows[d] = e.Groups[nd].Tuples[gid]
+		}
 	}
+}
+
+// liveLists holds, per join group of one node, the group's tuples with a
+// non-zero count: group g's are rows[off[g]:off[g+1]], ascending — the
+// GroupIndex layout restricted to the tuples that carry an answer.
+type liveLists struct {
+	off  []int32
+	rows []int
+}
+
+// packLive counting-sorts a node's live tuples by join group in two passes
+// over RowGid and the counts, without hashing a key. It returns nil when
+// every tuple is live: the node's own groups are the live lists then.
+func packLive(g *jointree.GroupIndex, cnt []counting.Count) *liveLists {
+	// off is built one slot ahead — group g's count at off[g+2], its start
+	// after the prefix sums at off[g+1] — so that the fill pass, advancing
+	// off[g+1] to the group's end, leaves group g at [off[g], off[g+1]).
+	off := make([]int32, g.NumGroups()+2)
+	n := 0
+	for i, gid := range g.RowGid {
+		if !cnt[i].IsZero() {
+			off[gid+2]++
+			n++
+		}
+	}
+	if n == len(cnt) {
+		return nil
+	}
+	for gi := 2; gi < len(off); gi++ {
+		off[gi] += off[gi-1]
+	}
+	rows := make([]int, n)
+	for i, gid := range g.RowGid {
+		if !cnt[i].IsZero() {
+			rows[off[gid+1]] = i
+			off[gid+1]++
+		}
+	}
+	return &liveLists{off: off, rows: rows}
 }
 
 // assignmentLayout resolves, per node, where its relation's columns land in
@@ -265,11 +333,11 @@ func assignmentLayout(e *jointree.Exec) (nodePos [][]int, nodeCols [][][]relatio
 	return nodePos, nodeCols
 }
 
-// Materialize collects all answers. Intended for instances already known to
-// be small (the termination step of Algorithm 1) and for test oracles.
+// Materialize collects all answers, counting e for itself. Intended for
+// instances already known to be small and for test oracles.
 func Materialize(e *jointree.Exec) [][]relation.Value {
 	var out [][]relation.Value
-	Enumerate(e, func(asn []relation.Value) bool {
+	Enumerate(e, Count(e), func(asn []relation.Value) bool {
 		out = append(out, append([]relation.Value(nil), asn...))
 		return true
 	})

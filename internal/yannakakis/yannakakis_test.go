@@ -103,7 +103,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	q, db := testutil.Fig1Instance()
 	e := execOf(t, q, db)
 	seen := 0
-	Enumerate(e, func([]relation.Value) bool {
+	Enumerate(e, Count(e), func([]relation.Value) bool {
 		seen++
 		return seen < 5
 	})
@@ -206,9 +206,10 @@ func BenchmarkEnumerate(b *testing.B) {
 	q, db := testutil.RandomPathInstance(rng, 3, 1<<8, 1<<4)
 	tree, _ := jointree.Build(q)
 	e, _ := jointree.NewExec(q, db, tree)
+	c := Count(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		Enumerate(e, func([]relation.Value) bool { n++; return true })
+		Enumerate(e, c, func([]relation.Value) bool { n++; return true })
 	}
 }

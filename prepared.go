@@ -304,11 +304,7 @@ func (p *Prepared) RankedEnumerate(f *Ranking) (*RankedStream, error) {
 // rankedStreamFor builds a ranked enumeration stream over one engine; the
 // TopK merge opens one per engine.
 func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
-	e, err := eng.Reduced()
-	if err != nil {
-		return nil, err
-	}
-	en, err := anyk.NewReduced(e, f)
+	en, err := anyk.NewReduced(eng.Reduced(), f)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +379,7 @@ func (p *Prepared) Enumerate(fn func(vars []Var, vals []Value) bool) error {
 		if !more {
 			break
 		}
-		yannakakis.Enumerate(eng.Exec(), func(asn []Value) bool {
+		yannakakis.Enumerate(eng.Exec(), eng.Counts(), func(asn []Value) bool {
 			eng.Project(asn, buf)
 			more = fn(vars, buf)
 			return more
