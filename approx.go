@@ -473,11 +473,17 @@ func exactAnswer(engs []*engine.Engine, f *Ranking, req QuantileRequest, o Optio
 	if err != nil {
 		return nil, stats, err
 	}
+	tagExact(a, stats, o)
+	return a, stats, nil
+}
+
+// tagExact marks an answer of the exact tier: the bound is the run's ε when it
+// went through lossy trims, 0 otherwise.
+func tagExact(a *Answer, stats *RunStats, o Options) {
 	a.Source = SourceExact
 	if stats != nil && stats.Lossy {
 		a.ErrorBound = o.Epsilon
 	}
-	return a, stats, nil
 }
 
 // sketchAnswer serves φ from a summary: the anchor with the smallest

@@ -13,6 +13,7 @@ import (
 
 	"github.com/quantilejoins/qjoin"
 	"github.com/quantilejoins/qjoin/internal/core"
+	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/pivot"
 	"github.com/quantilejoins/qjoin/internal/ranking"
@@ -250,7 +251,9 @@ func BenchmarkPreparedReuse(b *testing.B) {
 // (the tail: enumerate, weigh, select), and the dense one under LEX, which
 // loops three or four rounds per φ and whose weights are vectors (one flat
 // array per node; a vector per tuple used to cost 345k allocations per
-// answer). Budgets are what the one-sided loop measures plus 15%.
+// answer). The grid is one shared descent (ISSUE 16): the selective instance
+// is enumerated once for the eight φ's, not eight times. Budgets are what that
+// measures plus 15%.
 func BenchmarkQuantileAllocs(b *testing.B) {
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 	for _, tc := range []struct {
@@ -259,8 +262,8 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		rank   func(q *qjoin.Query) *qjoin.Ranking
 		budget float64 // allocs per 8-φ grid
 	}{
-		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 984}, // measured 856; PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 11364},      // measured 9882; PR 11: 2.7M
+		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 270}, // measured 235 (a φ at a time: 744); PR 3: 63376
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 6908},       // measured 6007 (a φ at a time: 9677); PR 11: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -785,6 +788,91 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if !reflect.DeepEqual(got, want) {
 		b.Fatalf("restored median %v, fresh %v", got, want)
 	}
+}
+
+// socialNetworkBench is the serving workloads' instance (12 000 tuples, about
+// 400 000 answers), as BenchmarkSketchRefresh builds it.
+func socialNetworkBench() *workload.SocialNetwork {
+	return workload.NewSocialNetwork(rand.New(rand.NewSource(14)), 4000, 400, 100)
+}
+
+// BenchmarkQuantilesGrid — an exact 8-φ grid on the social-network instance
+// (ISSUE 16): "singles" is a Quantile call per φ, each a descent from the full
+// instance; "grid" is one Quantiles call, whose shared descent trims, derives
+// and counts each band once for all the φ's in it. CI's scaling gate: grid min
+// ns/op ≤ 0.80× singles. Each iteration checks the two agree.
+func BenchmarkQuantilesGrid(b *testing.B) {
+	sn := socialNetworkBench()
+	p, err := qjoin.Prepare(sn.Q, qjoin.WrapDB(sn.DB), qjoin.Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := qjoin.Sum("l2", "l3")
+	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
+	singles := func() []*qjoin.Answer {
+		out := make([]*qjoin.Answer, len(phis))
+		for i, phi := range phis {
+			a, err := p.Quantile(f, phi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out[i] = a
+		}
+		return out
+	}
+	want := singles()
+	b.Run("singles", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			singles()
+		}
+	})
+	b.Run("grid", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			got, err := p.Quantiles(f, phis)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for j := range got {
+				if !reflect.DeepEqual(got[j].Values, want[j].Values) || !reflect.DeepEqual(got[j].Weight, want[j].Weight) {
+					b.Fatalf("φ=%v: grid %v, alone %v", phis[j], got[j], want[j])
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkSketchBuild — planting a summary's 33 anchors on the
+// social-network instance (ISSUE 16): "singles" is the 33 SelectPrepared runs
+// BuildSummary used to make, "shared" is BuildSummary, one descent. CI's
+// scaling gate: shared min ns/op ≤ 0.55× singles.
+func BenchmarkSketchBuild(b *testing.B) {
+	sn := socialNetworkBench()
+	eng, err := engine.New(sn.Q, sn.DB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := ranking.NewSum("l2", "l3")
+	n := eng.Counts().Total
+	b.Run("singles", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for g := 0; g <= 32; g++ {
+				if _, _, err := core.SelectPrepared(eng, f, core.Index(n, float64(g)/32), core.Options{Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sum, err := core.BuildSummary(eng, f, core.DefaultSketchEps, core.Options{Parallelism: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(sum.Entries) != 33 {
+				b.Fatalf("%d entries, want 33", len(sum.Entries))
+			}
+		}
+	})
 }
 
 // BenchmarkColdMedian — what a plan's first exact answer costs beside the

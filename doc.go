@@ -167,6 +167,20 @@
 // when a round had two, and MaxInstanceTuples is the largest instance
 // built.
 //
+// One descent for many ranks. A round's pivot splits the whole candidate
+// band into lt / tie class / gt with known counts, so it places every
+// requested rank at once: Quantiles, the server's exact op=quantiles and the
+// sketch tier's anchor grid (core.SelectMany) sort their ranks and send them
+// down one descent, the ranks below the pivot into lt, those above into gt
+// (held aside until the lt subtree is done), those on it answered from the
+// pivot or one enumeration of its class. A band is trimmed, derived and
+// counted once however many ranks fall in it, and a band under the threshold
+// is materialized once for all of them: m ranks cost O(|D|·log m) loop work
+// plus their m tails, where a run per rank costs m full descents. A single
+// quantile is the m = 1 case of the same code, and each answer is byte for
+// byte the one its own run returns; RunStats then describe the whole
+// descent (rounds and materialized candidates add up over it).
+//
 // One-pass band trim. For exact SUM the candidate band low ≺ Σ ≺ high is a
 // single trim of the original instance: per A-row, two binary searches over
 // the sorted B side bound the admissible range, which is covered by its

@@ -161,10 +161,11 @@ func (a *Answer) String() string {
 }
 
 // Index computes the zero-based selection index k = min(⌊φ·N⌋, N-1) used by
-// Algorithm 1 (Example 3.4's convention).
+// Algorithm 1 (Example 3.4's convention). An empty answer set has no index;
+// 0 stands in for it, which the drivers' range check then rejects.
 func Index(n counting.Count, phi float64) counting.Count {
 	k := counting.FloorMulFloat(n, phi)
-	if k.Cmp(n) >= 0 {
+	if k.Cmp(n) >= 0 && !n.IsZero() {
 		return n.Sub(counting.One)
 	}
 	return k

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -38,7 +39,13 @@ type PhaseTimings struct {
 	Count time.Duration
 }
 
-// RunStats reports what one driver run did.
+// RunStats reports what one driver run did. A run for several indices
+// (SelectMany) is one descent and reports it as a whole: Iterations counts its
+// rounds and Materialized adds up the bands it materialized, PivotReturned
+// says some index ended in an equal partition,
+// MaxInstanceTuples is the largest instance any round built, and Phases lists
+// the rounds in the order they ran. For one index these are the fields of the
+// loop they have always described.
 //
 // For a sharded run, Count is the global answer count (shard counts add:
 // the shards partition the answer set) and the remaining fields describe
@@ -84,26 +91,52 @@ type PhaseLog struct {
 	Iterations []PhaseTimings
 }
 
-// runScratch is the pooled per-run iteration scratch: three counting buffers,
+// runScratch is the pooled per-run iteration scratch: the counting buffers,
 // the pivot pass's weight arrays, and the backing of the tail's LEX weight
 // vectors. One value serves one run at a time; the engine's scratch pool hands
 // it from run to run so steady-state quantile answering allocates no fresh
-// per-node arrays. Three counting slots, not one per side: the counts a round
-// descended into stay the current instance's until the next descent — the
-// pivot pass reads them, and so does either exit's enumeration — so a round's
-// two builds take the two slots that do not hold them (countSlot). Sharded
-// runs check one scratch out of every shard engine's pool, so concurrent runs
-// over the same shards stay race-free.
+// per-node arrays. Counting slots come in triples, not one per side: the
+// counts a round descended into stay the current instance's until the next
+// descent — the pivot pass reads them, and so does either exit's enumeration —
+// so a round's two builds take the two slots of its triple that do not hold
+// them (countSlot). A run for one index lives in the first triple. A descent
+// for several holds a gt partition's counts aside while the lt subtree runs,
+// and that subtree builds in the next triple: the stack is as deep as the
+// pending siblings, and goes back to the pool with the run. Sharded runs check
+// one scratch out of every shard engine's pool, so concurrent runs over the
+// same shards stay race-free.
 type runScratch struct {
 	counts  [3]yannakakis.Scratch
+	deeper  [][3]yannakakis.Scratch // triples of levels 1, 2, …
 	pivot   pivot.Scratch
 	lexVecs []int64
 }
 
-// countSlot is the counting slot a round's build of the given side writes
-// while the current instance's counts sit in slot cur (-1: in none, they are
-// the engine's own): the sides' slots differ from each other and from cur.
-func countSlot(cur int, side trim.Dir) int { return (cur + 1 + int(side)) % 3 }
+// slot returns counting slot i: triple i/3, member i%3.
+func (s *runScratch) slot(i int) *yannakakis.Scratch {
+	if i < len(s.counts) {
+		return &s.counts[i]
+	}
+	level := i/3 - 1
+	for len(s.deeper) <= level {
+		s.deeper = append(s.deeper, [3]yannakakis.Scratch{})
+	}
+	return &s.deeper[level][i%3]
+}
+
+// countSlot is the counting slot a build of the given side writes in a round
+// at the given level, while the current instance's counts sit in slot cur (-1:
+// in none, they are the engine's own): a member of the level's triple, and the
+// sides' slots differ from each other and from cur. A cur below the triple is
+// the lt partition of the round that held its gt sibling aside, one level down.
+func countSlot(cur, level int, side trim.Dir) int {
+	base := 3 * level
+	in := -1
+	if cur >= base {
+		in = cur - base
+	}
+	return base + (in+1+int(side))%3
+}
 
 // scratchFor checks a runScratch out of the engine's pool.
 func scratchFor(eng *engine.Engine) *runScratch {
@@ -240,7 +273,7 @@ func QuantileShards(engs []*engine.Engine, f *ranking.Func, phi float64, opts Op
 	if err := validPhi(phi); err != nil {
 		return nil, nil, err
 	}
-	return run(engs, f, opts, func(total counting.Count) (counting.Count, error) {
+	return runOne(engs, f, opts, func(_ int, total counting.Count) (counting.Count, error) {
 		return Index(total, phi), nil
 	})
 }
@@ -265,12 +298,46 @@ func SelectPrepared(eng *engine.Engine, f *ranking.Func, k counting.Count, opts 
 // SelectShards is SelectPrepared over a family of shard engines (see
 // QuantileShards for the contract).
 func SelectShards(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts Options) (*Answer, *RunStats, error) {
-	return run(engs, f, opts, func(total counting.Count) (counting.Count, error) {
-		if k.Cmp(total) >= 0 {
-			return counting.Zero, fmt.Errorf("core: index %s out of range (|Q(D)| = %s)", k, total)
-		}
-		return k, nil
+	return runOne(engs, f, opts, func(_ int, total counting.Count) (counting.Count, error) {
+		return inRange(k, total)
 	})
+}
+
+// SelectMany is SelectShards for several indices at once: out[i] is the
+// answer at absolute index ks[i], byte for byte the answer SelectShards
+// returns for it (lossy SUM included), in the order the indices were given —
+// unsorted and repeated indices are fine, and an empty request gives an empty
+// result. All of them are placed by one descent: a round's pivot splits the
+// candidate band into lt / eq / gt with known counts, which places every
+// requested index at once, so a band is trimmed, derived and counted once
+// however many indices fall in it — O(|D|·log m) loop work for m indices plus
+// their m tails, where m separate runs pay m full descents. The one RunStats
+// describes the whole descent (see RunStats).
+func SelectMany(engs []*engine.Engine, f *ranking.Func, ks []counting.Count, opts Options) ([]*Answer, *RunStats, error) {
+	out := make([]*Answer, len(ks))
+	stats, err := run(engs, f, opts, out, func(i int, total counting.Count) (counting.Count, error) {
+		return inRange(ks[i], total)
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	return out, stats, nil
+}
+
+// inRange is the bounds check of an absolute selection index.
+func inRange(k, total counting.Count) (counting.Count, error) {
+	if k.Cmp(total) >= 0 {
+		return counting.Zero, fmt.Errorf("core: index %s out of range (|Q(D)| = %s)", k, total)
+	}
+	return k, nil
+}
+
+// runOne is the driver for a single index: the one-rank case of run, with the
+// rank list and the answer slot kept off the heap.
+func runOne(engs []*engine.Engine, f *ranking.Func, opts Options, index func(i int, total counting.Count) (counting.Count, error)) (*Answer, *RunStats, error) {
+	var out [1]*Answer
+	stats, err := run(engs, f, opts, out[:], index)
+	return out[0], stats, err
 }
 
 // shardState is one shard's slice of the global pivot loop's state. The
@@ -288,8 +355,8 @@ type shardState struct {
 	// is the untrimmed instance and the counts are the engine's cached ones.
 	curSlot int
 	// dead marks a shard with no candidates left in the current (low, high)
-	// band. Trims always narrow the band, so a dead shard can never come
-	// back and is skipped by every later pass.
+	// band. Trims always narrow the band, so a dead shard stays dead for the
+	// whole subtree below the band and is skipped by every pass there.
 	dead bool
 	scr  *runScratch
 	// parts are this round's candidate partitions, indexed by side and
@@ -308,43 +375,79 @@ type partition struct {
 	slot   int
 }
 
-// run is the shared driver body of Quantile and Select, generalized to a
-// vector of shard engines. All per-(Q, D) preprocessing lives in the
-// engines; a run only pays for pivoting, trimming and counting of its own
-// trimmed instances — and a round builds only what its decision needs: the
-// partition the index more likely falls in (lt when k is in the lower half
-// of the candidates, else gt) is trimmed, derived and counted first, and when
-// its count already places k the round descends without ever building the
-// other. The instances are zero-rebuild: each engine's cached
-// counting state feeds the first pivot, every counted instance hands its
-// executable tree and counts to the next iteration instead of being rebuilt,
-// filter trims derive their trees by subset filtering, λ-independent trim
-// preprocessing comes from each shard plan's cache, and the per-iteration
-// arrays come from each shard plan's scratch pool. Either exit enumerates
-// each live shard's current tree guided by its current counts (the engine's
-// shared tree and cached counts while the shard is still on its original
-// instance, the descended partition's own afterwards): the counting pass
-// already says which tuples carry an answer, so the walk meets no dead end and
-// costs O(|D| + ℓ·|candidates|) without a full reduction being built. Nothing
-// shared is ever mutated here.
+// heldPart is one shard's slice of a gt partition waiting for its lt sibling's
+// subtree: the partition, and whether the shard was dead in the band the round
+// split (its partition is then stale).
+type heldPart struct {
+	part partition
+	dead bool
+}
+
+// rank is one requested index on its way down: k is relative to the band the
+// descent is in (rebased whenever it enters a gt partition or an equal class),
+// at is the position of its answer in the output.
+type rank struct {
+	k  counting.Count
+	at int
+}
+
+// descent is what the rounds of one run share.
+type descent struct {
+	f         *ranking.Func
+	opts      Options
+	trm       *trimmer
+	shards    []*shardState
+	cands     []*pivot.Result
+	origVars  []query.Var
+	workers   int
+	dbSize    int
+	threshold counting.Count
+	// paperEps is BudgetPaper's per-trim ε, fixed by the first pivot.
+	paperEps float64
+	// now is a no-op unless phase timings were requested, so the default
+	// path never reads the clock inside the loop.
+	now   func() time.Time
+	stats *RunStats
+}
+
+// run is the shared driver body of Quantile, Select and SelectMany,
+// generalized to a vector of shard engines and a set of requested indices
+// (index(i, |Q(D)|) is the i-th; its answer lands in out[i]). All per-(Q, D)
+// preprocessing lives in the engines; a run only pays for pivoting, trimming
+// and counting of its own trimmed instances — and a round builds only what its
+// decisions need: the partition the indices more likely fall in (lt when the
+// middle one is in the lower half of the candidates, else gt) is trimmed,
+// derived and counted first, and when its count already places every index
+// the round descends without ever building the other. The instances are
+// zero-rebuild: each engine's cached counting state feeds the first pivot,
+// every counted instance hands its executable tree and counts to the round
+// below it instead of being rebuilt, filter trims derive their trees by subset
+// filtering, λ-independent trim preprocessing comes from each shard plan's
+// cache, and the per-round arrays come from each shard plan's scratch pool.
+// Either exit enumerates each live shard's current tree guided by its current
+// counts (the engine's shared tree and cached counts while the shard is still
+// on its original instance, the descended partition's own afterwards): the
+// counting pass already says which tuples carry an answer, so the walk meets
+// no dead end and costs O(|D| + ℓ·|candidates|) without a full reduction being
+// built. Nothing shared is ever mutated here.
 //
-// Termination is canonical for exact trims: whichever way a run ends —
-// materialization, or the global index landing in the pivot's equal
-// partition — it returns the answer at global rank k of the total
-// (weight, values) order. Exact trims are strict (≺λ / ≻λ), so every
-// candidate band is a union of complete weight classes and k is always
-// rebased by complete classes; the rank-k member of the band is therefore
-// the rank-(offset+k) member of the global order no matter how the band was
-// reached. That is what makes sharded answers byte-identical to unsharded
-// ones even though the pivot sequences differ.
-func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(total counting.Count) (counting.Count, error)) (*Answer, *RunStats, error) {
+// Termination is canonical for exact trims: whichever way an index is
+// resolved — materialization, or landing in the pivot's equal partition — it
+// gets the answer at its global rank in the total (weight, values) order.
+// Exact trims are strict (≺λ / ≻λ), so every candidate band is a union of
+// complete weight classes and an index is always rebased by complete classes;
+// the rank-k member of the band is therefore the rank-(offset+k) member of
+// the global order no matter how the band was reached. That is what makes
+// sharded answers byte-identical to unsharded ones even though the pivot
+// sequences differ, and the answers of one shared descent byte-identical to
+// those of a run per index.
+func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, index func(i int, total counting.Count) (counting.Count, error)) (*RunStats, error) {
 	if len(engs) == 0 {
-		return nil, nil, fmt.Errorf("core: no shard engines")
+		return nil, fmt.Errorf("core: no shard engines")
 	}
 	if err := f.Validate(engs[0].Source()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	origVars := engs[0].Vars()
 	workers := parallel.Workers(opts.Parallelism)
 
 	shards := make([]*shardState, len(engs))
@@ -369,23 +472,31 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 	if len(engs) == 1 {
 		stats.Decomp = engs[0].DecompStats()
 	}
+	if len(out) == 0 {
+		return stats, nil
+	}
 	if total.IsZero() {
-		return nil, stats, ErrNoAnswers
+		return stats, ErrNoAnswers
 	}
 	trm, err := makeTrimmer(engs[0].Query(), f, opts)
 	if err != nil {
-		return nil, stats, err
+		return stats, err
 	}
 	stats.Lossy = trm.lossy
 
-	k, err := pickIndex(total)
-	if err != nil {
-		return nil, stats, err
+	var one [1]rank // a single index keeps its rank list on the stack
+	ranks := one[:0]
+	if len(out) > 1 {
+		ranks = make([]rank, 0, len(out))
 	}
-	threshold := counting.FromInt(opts.threshold(dbSize))
-	low, high := ranking.NegInf(), ranking.PosInf()
-	curCount := total
-	paperEps := 0.0
+	for i := range out {
+		k, err := index(i, total)
+		if err != nil {
+			return stats, err
+		}
+		ranks = append(ranks, rank{k: k, at: i})
+	}
+	slices.SortFunc(ranks, func(a, b rank) int { return a.k.Cmp(b.k) })
 
 	// Scratch is checked out when a shard's first round starts, not before: a
 	// run that materializes at once needs none, and an engine whose pool was
@@ -399,210 +510,302 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, pickIndex func(to
 			}
 		}
 	}()
-	// now is a no-op unless phase timings were requested, so the default
-	// path never reads the clock inside the loop.
-	now := func() time.Time { return time.Time{} }
+	d := descent{
+		f: f, opts: opts, trm: trm, shards: shards, cands: make([]*pivot.Result, len(shards)),
+		origVars: engs[0].Vars(), workers: workers, dbSize: dbSize,
+		threshold: counting.FromInt(opts.threshold(dbSize)),
+		now:       func() time.Time { return time.Time{} },
+		stats:     stats,
+	}
 	if opts.CollectPhases {
-		now = time.Now
+		d.now = time.Now
 		stats.Phases = &PhaseLog{}
 	}
-	cands := make([]*pivot.Result, len(shards))
+	return stats, d.selectIn(0, 0, ranking.NegInf(), ranking.PosInf(), total, ranks, out)
+}
 
-	for iter := 0; iter < opts.maxIterations(); iter++ {
-		if roundHook != nil {
-			roundHook(shards)
+// selectIn resolves the indices of ranks — ascending, relative to the band —
+// among the count candidates with low ≺ w ≺ high, which are every live
+// shard's current instance, into out (a parameter, not a field: what a
+// recursive method reaches through its receiver is heap-allocated, and the
+// one-index run keeps its answer slot on the stack). A band at most the threshold is materialized once
+// and every index selected from it. A larger one runs one round of
+// Algorithm 1: a pivot splits it into lt / eq / gt, the indices that land on
+// eq are answered from the pivot (or one enumeration of its class), and the
+// others go down with their partition, lt before gt. The gt partition is held
+// aside while the lt subtree runs, so at most one pending sibling per level
+// is live: level counts them, and names the triple of counting slots the
+// round's builds may write (countSlot). depth is the number of rounds above.
+func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count counting.Count, ranks []rank, out []*Answer) error {
+	if depth >= d.opts.maxIterations() {
+		return ErrTooManyIterations
+	}
+	shards, stats, f, now := d.shards, d.stats, d.f, d.now
+	if roundHook != nil {
+		roundHook(shards)
+	}
+	if count.Cmp(d.threshold) <= 0 {
+		m, _ := count.Uint64()
+		scr := shards[0].scr
+		if scr == nil {
+			scr = new(runScratch) // no round ran
 		}
-		if curCount.Cmp(threshold) <= 0 {
-			m, _ := curCount.Uint64()
-			scr := shards[0].scr
-			if scr == nil {
-				scr = new(runScratch) // no round ran
-			}
-			ans, err := materializeSelect(shards, f, origVars, k, int(m), scr)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Materialized = int(m)
-			return ans, stats, nil
+		if err := materializeRanks(shards, f, d.origVars, ranks, int(m), scr, out); err != nil {
+			return err
 		}
-		stats.Iterations = iter + 1
+		stats.Materialized += int(m)
+		return nil
+	}
+	stats.Iterations++
+	t0 := now()
+	for i, st := range shards {
+		d.cands[i] = nil
+		if st.dead {
+			continue
+		}
+		if st.scr == nil {
+			st.scr = scratchFor(st.eng)
+		}
+		mu, err := f.AssignVars(st.cur.Q)
+		if err != nil {
+			return err
+		}
+		if d.cands[i], err = pivot.SelectPrepared(st.curExec, st.curCounts, f, mu, d.workers, &st.scr.pivot); err != nil {
+			return err
+		}
+	}
+	pv, pidx := pivot.MergeShards(d.cands, f)
+	if pv == nil {
+		return ErrNoAnswers // unreachable: count > 0
+	}
+	wp := pv.Weight
+	phases := PhaseTimings{Pivot: now().Sub(t0)}
+
+	epsIter := 0.0
+	if d.trm.lossy {
+		switch d.opts.Budget {
+		case BudgetPaper:
+			if d.paperEps == 0 {
+				// ε' = ε / (2·⌈ℓ·log_{1/(1-c)} n⌉), Lemma 3.6.
+				ell := float64(len(shards[0].eng.Query().Atoms))
+				n := float64(d.dbSize)
+				iters := math.Ceil(ell * math.Log(n) / -math.Log(1-pv.C))
+				if iters < 1 {
+					iters = 1
+				}
+				d.paperEps = d.opts.Epsilon / (2 * iters)
+			}
+			epsIter = d.paperEps
+		default:
+			epsIter = d.opts.Epsilon / math.Pow(2, float64(depth+2))
+		}
+		if epsIter < 1e-12 {
+			epsIter = 1e-12
+		}
+	}
+
+	// build trims, derives and counts one side of the round across the
+	// live shards and returns its answer count.
+	build := func(side trim.Dir) (counting.Count, error) {
+		lo, hi := low, ranking.Finite(wp)
+		if side == trim.Greater {
+			lo, hi = ranking.Finite(wp), high
+		}
 		t0 := now()
-		for i, st := range shards {
-			cands[i] = nil
+		for _, st := range shards {
 			if st.dead {
 				continue
 			}
-			if st.scr == nil {
-				st.scr = scratchFor(st.eng)
-			}
-			mu, err := f.AssignVars(st.cur.Q)
+			inst, err := d.trm.band(st.orig, lo, hi, side, epsIter)
 			if err != nil {
-				return nil, stats, err
+				return counting.Zero, err
 			}
-			if cands[i], err = pivot.SelectPrepared(st.curExec, st.curCounts, f, mu, workers, &st.scr.pivot); err != nil {
-				return nil, stats, err
-			}
+			st.parts[side].inst = inst
 		}
-		pv, pidx := pivot.MergeShards(cands, f)
-		if pv == nil {
-			return nil, stats, ErrNoAnswers // unreachable: curCount > 0
-		}
-		wp := pv.Weight
-		phases := PhaseTimings{Pivot: now().Sub(t0)}
-
-		epsIter := 0.0
-		if trm.lossy {
-			switch opts.Budget {
-			case BudgetPaper:
-				if paperEps == 0 {
-					// ε' = ε / (2·⌈ℓ·log_{1/(1-c)} n⌉), Lemma 3.6.
-					ell := float64(len(engs[0].Query().Atoms))
-					n := float64(dbSize)
-					iters := math.Ceil(ell * math.Log(n) / -math.Log(1-pv.C))
-					if iters < 1 {
-						iters = 1
-					}
-					paperEps = opts.Epsilon / (2 * iters)
-				}
-				epsIter = paperEps
-			default:
-				epsIter = opts.Epsilon / math.Pow(2, float64(iter+2))
+		t1 := now()
+		for _, st := range shards {
+			if st.dead {
+				continue
 			}
-			if epsIter < 1e-12 {
-				epsIter = 1e-12
+			exec, err := execOf(st.parts[side].inst)
+			if err != nil {
+				return counting.Zero, err
 			}
+			st.parts[side].exec = exec
 		}
-
-		// build trims, derives and counts one side of the round across the
-		// live shards and returns its answer count.
-		build := func(side trim.Dir) (counting.Count, error) {
-			lo, hi := low, ranking.Finite(wp)
-			if side == trim.Greater {
-				lo, hi = ranking.Finite(wp), high
+		t2 := now()
+		size := 0
+		n := counting.Zero
+		for _, st := range shards {
+			if st.dead {
+				continue
 			}
-			t0 := now()
-			for _, st := range shards {
-				if st.dead {
-					continue
-				}
-				inst, err := trm.band(st.orig, lo, hi, side, epsIter)
-				if err != nil {
-					return counting.Zero, err
-				}
-				st.parts[side].inst = inst
-			}
-			t1 := now()
-			for _, st := range shards {
-				if st.dead {
-					continue
-				}
-				exec, err := execOf(st.parts[side].inst)
-				if err != nil {
-					return counting.Zero, err
-				}
-				st.parts[side].exec = exec
-			}
-			t2 := now()
-			count, size := counting.Zero, 0
-			for _, st := range shards {
-				if st.dead {
-					continue
-				}
-				p := &st.parts[side]
-				p.slot = countSlot(st.curSlot, side)
-				p.counts = yannakakis.CountScratch(p.exec, workers, &st.scr.counts[p.slot])
-				count = count.Add(p.counts.Total)
-				size += p.inst.DB.Size()
-			}
-			stats.MaxInstanceTuples = max(stats.MaxInstanceTuples, size)
-			phases.Trim += t1.Sub(t0)
-			phases.Derive += t2.Sub(t1)
-			phases.Count += now().Sub(t2)
-			return count, nil
+			p := &st.parts[side]
+			p.slot = countSlot(st.curSlot, level, side)
+			p.counts = yannakakis.CountScratch(p.exec, d.workers, st.scr.slot(p.slot))
+			n = n.Add(p.counts.Total)
+			size += p.inst.DB.Size()
 		}
-		// The side k more likely falls in goes first; the other is built
-		// only when the first one's count does not already place k. A side
-		// left unbuilt counts as empty below, which is the same decision:
-		// the two conditions exclude each other.
-		first := trim.Less
-		if k.Cmp(curCount.Half()) >= 0 {
-			first = trim.Greater
+		stats.MaxInstanceTuples = max(stats.MaxInstanceTuples, size)
+		phases.Trim += t1.Sub(t0)
+		phases.Derive += t2.Sub(t1)
+		phases.Count += now().Sub(t2)
+		if bandHook != nil {
+			bandHook(lo, hi, n, depth, level)
 		}
-		var c [2]counting.Count
-		if c[first], err = build(first); err != nil {
-			return nil, stats, err
+		return n, nil
+	}
+	// An index prefers the side of the band's middle it is on, and the side
+	// the middle index prefers goes first; the other is built only when the
+	// first one's count does not already place every index. A side left
+	// unbuilt counts as empty below, which is the same decision: exact
+	// partitions exclude each other. Lossy ones need not — both are trimmed
+	// from the original at this round's ε, finer than the ε the band was cut
+	// at, and can keep more answers at the band's outer bounds than they lose
+	// at the pivot (TestSelectManyLossyOverlap holds such an instance) — so
+	// there an index is placed by the side it prefers, which therefore has to
+	// be built.
+	half := count.Half()
+	prefers := func(k counting.Count) trim.Dir {
+		if k.Cmp(half) >= 0 {
+			return trim.Greater
 		}
-		inLt := func() bool { return k.Cmp(c[trim.Less]) < 0 }
-		inGt := func() bool { return k.Cmp(curCount.Sub(c[trim.Greater])) >= 0 }
-		if other := 1 - first; !inLt() && !inGt() {
-			if c[other], err = build(other); err != nil {
-				return nil, stats, err
-			}
-		}
-		if opts.CollectPhases {
-			stats.Phases.Iterations = append(stats.Phases.Iterations, phases)
-		}
-
-		// Choose the partition holding index k. The equal partition is
-		// implicit: everything not in lt or gt (lossy trims only move lost
-		// answers into it, Figure 5). Every live shard descends into its
-		// slice of the chosen branch, handing its executable tree and
-		// counting state to the next iteration — nothing is rebuilt. A
-		// shard whose slice came up empty is dead from here on.
-		descend := func(side trim.Dir) {
-			for _, st := range shards {
-				if st.dead {
-					continue
-				}
-				p := st.parts[side]
-				st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
-				st.curSlot = p.slot
-				st.dead = st.curCount.IsZero()
-			}
-		}
+		return trim.Less
+	}
+	var c [2]counting.Count
+	// place is the partition holding band index k — equal when neither side
+	// does — decided exactly as a run for k alone decides it.
+	const equal = trim.Dir(2)
+	place := func(k counting.Count) trim.Dir {
+		inLt := k.Cmp(c[trim.Less]) < 0
+		inGt := k.Cmp(count.Sub(c[trim.Greater])) >= 0
 		switch {
-		case inLt():
-			descend(trim.Less)
-			curCount, high = c[trim.Less], ranking.Finite(wp)
-		case inGt():
-			k = k.Sub(curCount.Sub(c[trim.Greater]))
-			descend(trim.Greater)
-			curCount, low = c[trim.Greater], ranking.Finite(wp)
-		default:
-			stats.PivotReturned = true
-			if trm.lossy {
-				// Lossy trims fold lost answers into the equal partition, so
-				// there is no exact class to canonicalize over; the pivot
-				// itself carries the (φ±ε) guarantee (Theorem 6.2).
-				ans := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, origVars)
-				return &Answer{Vars: origVars, Values: ans, Weight: wp}, stats, nil
+		case inLt && inGt:
+			return prefers(k)
+		case inLt:
+			return trim.Less
+		case inGt:
+			return trim.Greater
+		}
+		return equal
+	}
+	first := prefers(ranks[len(ranks)/2].k)
+	var err error
+	if c[first], err = build(first); err != nil {
+		return err
+	}
+	unplaced := func(r rank) bool {
+		return place(r.k) != first || (d.trm.lossy && prefers(r.k) != first)
+	}
+	if slices.ContainsFunc(ranks, unplaced) {
+		if c[1-first], err = build(1 - first); err != nil {
+			return err
+		}
+	}
+	if d.opts.CollectPhases {
+		stats.Phases.Iterations = append(stats.Phases.Iterations, phases)
+	}
+	// The indices are ascending, so the three groups are a prefix, a middle
+	// and a suffix of them.
+	nLt := 0
+	for nLt < len(ranks) && place(ranks[nLt].k) == trim.Less {
+		nLt++
+	}
+	nEq := nLt
+	for nEq < len(ranks) && place(ranks[nEq].k) == equal {
+		nEq++
+	}
+	lt, eq, gt := ranks[:nLt], ranks[nLt:nEq], ranks[nEq:]
+
+	// The equal partition is implicit: everything not in lt or gt (lossy trims
+	// only move lost answers into it, Figure 5).
+	if len(eq) > 0 {
+		stats.PivotReturned = true
+		// Lossy trims fold lost answers into the equal partition, so there is
+		// no exact class to canonicalize over; the pivot itself carries the
+		// (φ±ε) guarantee (Theorem 6.2). Exact trims are strict, so the equal
+		// partition is exactly the weight-λ class: an index gets its member at
+		// class rank k−cLt in value order — its global rank — rather than
+		// whichever class member the pivot pass happened to select, so the
+		// answer does not depend on the pivot path (and hence not on the shard
+		// count). A singleton class needs no enumeration: the pivot is its
+		// only member.
+		if d.trm.lossy || count.Sub(c[trim.Less]).Sub(c[trim.Greater]).Cmp(counting.One) == 0 {
+			for _, r := range eq {
+				vals := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, d.origVars)
+				out[r.at] = &Answer{Vars: d.origVars, Values: vals, Weight: wp}
 			}
-			// Exact trims are strict, so the equal partition is exactly the
-			// weight-λ class. Return its member at class rank k−cLt in value
-			// order — the global rank-k answer — rather than whichever class
-			// member the pivot pass happened to select, so the answer does
-			// not depend on the pivot path (and hence not on the shard
-			// count). A singleton class needs no enumeration: the pivot is
-			// its only member.
-			if curCount.Sub(c[trim.Less]).Sub(c[trim.Greater]).Cmp(counting.One) == 0 {
-				ans := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, origVars)
-				return &Answer{Vars: origVars, Values: ans, Weight: wp}, stats, nil
-			}
+		} else {
 			if roundHook != nil {
 				roundHook(shards)
 			}
-			ans, err := classSelect(shards, f, origVars, wp, k.Sub(c[trim.Less]))
-			return ans, stats, err
+			for i := range eq {
+				eq[i].k = eq[i].k.Sub(c[trim.Less])
+			}
+			if err := classRanks(shards, f, d.origVars, wp, eq, out); err != nil {
+				return err
+			}
 		}
 	}
-	return nil, stats, ErrTooManyIterations
+
+	// Every live shard descends into its slice of a partition, handing its
+	// executable tree and counting state to the round below — nothing is
+	// rebuilt. A shard whose slice came up empty is dead down there.
+	enter := func(side trim.Dir) {
+		for _, st := range shards {
+			if st.dead {
+				continue
+			}
+			p := st.parts[side]
+			st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
+			st.curSlot = p.slot
+			st.dead = st.curCount.IsZero()
+		}
+	}
+	// With indices on both sides the gt partition waits for the lt subtree,
+	// whose rounds overwrite parts and dead: it is held here, and its counts
+	// stay in this level's slots while the subtree builds one level up.
+	var held []heldPart
+	if len(lt) > 0 && len(gt) > 0 {
+		held = make([]heldPart, len(shards))
+		for i, st := range shards {
+			held[i] = heldPart{part: st.parts[trim.Greater], dead: st.dead}
+		}
+	}
+	if len(lt) > 0 {
+		enter(trim.Less)
+		below := level
+		if held != nil {
+			below++
+		}
+		if err := d.selectIn(depth+1, below, low, ranking.Finite(wp), c[trim.Less], lt, out); err != nil {
+			return err
+		}
+	}
+	if len(gt) == 0 {
+		return nil
+	}
+	for i, h := range held {
+		shards[i].parts[trim.Greater], shards[i].dead = h.part, h.dead
+	}
+	skipped := count.Sub(c[trim.Greater])
+	for i := range gt {
+		gt[i].k = gt[i].k.Sub(skipped)
+	}
+	enter(trim.Greater)
+	return d.selectIn(depth+1, level, ranking.Finite(wp), high, c[trim.Greater], gt, out)
 }
 
 // roundHook, when set, sees the shard states as each round starts and again
-// before an equal-partition exit enumerates them. Only tests set it, and it
-// is an unsynchronized global: a test that sets it must not call t.Parallel
-// (no test of this package does).
-var roundHook func(shards []*shardState)
+// before an equal-partition exit enumerates them; bandHook sees every band a
+// round builds, with its answer count, the round's depth and the number of gt
+// partitions held aside above it. Only tests set them, and they are
+// unsynchronized globals: a test that sets one must not call t.Parallel (no
+// test of this package does).
+var (
+	roundHook func(shards []*shardState)
+	bandHook  func(low, high ranking.Bound, n counting.Count, depth, held int)
+)
 
 // enumerateLive streams the candidates of the current band: every answer of
 // every live shard's current instance, projected onto origVars, walked by its
@@ -647,18 +850,18 @@ func projection(fromVars, toVars []query.Var) []int {
 	return proj
 }
 
-// materializeSelect resolves a small candidate band spread over one or more
+// materializeRanks resolves a small candidate band spread over one or more
 // live shards: materialize the answers (Yannakakis, guided by the counts),
-// project off helper variables, and select index k by weight with a consistent
-// value tie-break. The (weight, values) order is total over the distinct
-// answers — shards hold disjoint answer sets — so the selected answer depends
-// neither on the enumeration order within a tree nor on how answers are
-// distributed across trees; only rank k is wanted, so it is selected
-// (worst-case linear) rather than sorted for. Projected answers are stored in
-// one flat backing array sized up front — count is the band's answer count,
-// which the loop already holds — and LEX weight vectors in one flat array kept
-// in scr.
-func materializeSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, k counting.Count, count int, scr *runScratch) (*Answer, error) {
+// project off helper variables, and select every requested index by weight
+// with a consistent value tie-break. The (weight, values) order is total over
+// the distinct answers — shards hold disjoint answer sets — so a selected
+// answer depends neither on the enumeration order within a tree nor on how
+// answers are distributed across trees; only the requested ranks are wanted,
+// so they are selected (worst-case linear each) rather than sorted for.
+// Projected answers are stored in one flat backing array sized up front —
+// count is the band's answer count, which the descent already holds — and LEX
+// weight vectors in one flat array kept in scr.
+func materializeRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, ranks []rank, count int, scr *runScratch, out []*Answer) error {
 	w := len(origVars)
 	flat := make([]relation.Value, 0, count*w)
 	n := 0
@@ -671,7 +874,7 @@ func materializeSelect(shards []*shardState, f *ranking.Func, origVars []query.V
 		n = min(n, 1)
 	}
 	if n == 0 {
-		return nil, ErrNoAnswers
+		return ErrNoAnswers
 	}
 	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
 	aw := ranking.NewAnswerWeigher(f, origVars)
@@ -683,31 +886,28 @@ func materializeSelect(shards []*shardState, f *ranking.Func, origVars []query.V
 	for i := 0; i < n; i++ {
 		weights[i] = aw.WeightInto(scr.lexVecs[i*r:(i+1)*r:(i+1)*r], answer(i))
 	}
-	ki, ok := k.Uint64()
-	if !ok || ki >= uint64(n) {
-		// Lossy accounting can leave k at the boundary; clamp.
-		ki = uint64(n - 1)
-	}
-	sel := selection.Nth(selection.NewIndex(n), int(ki), func(i, j int) bool {
+	selectEach(selection.NewIndex(n), 0, ranks, func(i, j int) bool {
 		if c := f.Compare(weights[i], weights[j]); c != 0 {
 			return c < 0
 		}
 		return lessValues(answer(i), answer(j))
+	}, func(at, sel int) {
+		// Copy out of the flat backings: a view would pin all n·w materialized
+		// values for the Answer's lifetime, and the weight vectors are scratch.
+		vals := append([]relation.Value(nil), answer(sel)...)
+		out[at] = &Answer{Vars: origVars, Values: vals, Weight: weights[sel].Clone()}
 	})
-	// Copy out of the flat backings: a view would pin all n·w materialized
-	// values for the Answer's lifetime, and the weight vectors are scratch.
-	vals := append([]relation.Value(nil), answer(sel)...)
-	return &Answer{Vars: origVars, Values: vals, Weight: weights[sel].Clone()}, nil
+	return nil
 }
 
-// classSelect resolves an exact-trim run that terminated in the equal
-// partition with more than one member: enumerate the current candidate band
-// across the live shards, keep only the answers whose weight equals the
+// classRanks resolves the indices of an exact-trim run that landed in an
+// equal partition with more than one member: enumerate the current candidate
+// band across the live shards, keep only the answers whose weight equals the
 // pivot's λ (the band is a union of complete weight classes, so these are
-// exactly the global weight-λ class), and return the member at class rank k
-// in value order. Linear in the band size — paid only when the global index
+// exactly the global weight-λ class), and give each index the member at its
+// class rank in value order. Linear in the band size — paid only when an index
 // lands on a tie class of several answers.
-func classSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda ranking.Weightv, k counting.Count) (*Answer, error) {
+func classRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda ranking.Weightv, ranks []rank, out []*Answer) error {
 	w := len(origVars)
 	aw := ranking.NewAnswerWeigher(f, origVars)
 	var flat []relation.Value
@@ -720,18 +920,49 @@ func classSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, la
 	})
 	n := len(flat) / max(w, 1)
 	if n == 0 {
-		return nil, ErrNoAnswers
+		return ErrNoAnswers
 	}
 	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
-	ki, ok := k.Uint64()
-	if !ok || ki >= uint64(n) {
-		ki = uint64(n - 1)
-	}
-	sel := selection.Nth(selection.NewIndex(n), int(ki), func(i, j int) bool {
+	selectEach(selection.NewIndex(n), 0, ranks, func(i, j int) bool {
 		return lessValues(answer(i), answer(j))
+	}, func(at, sel int) {
+		vals := append([]relation.Value(nil), answer(sel)...)
+		out[at] = &Answer{Vars: origVars, Values: vals, Weight: lambda}
 	})
-	vals := append([]relation.Value(nil), answer(sel)...)
-	return &Answer{Vars: origVars, Values: vals, Weight: lambda}, nil
+	return nil
+}
+
+// selectEach selects, for every rank of ranks (ascending, repeats allowed),
+// the item at sorted position k−off among the items idx permutes, and hands
+// emit the rank's output position with it. A k at or past the end takes the
+// last item (lossy accounting can leave an index at the boundary). The middle
+// rank is selected first and splits the items for the ranks on either side of
+// it, so m ranks cost O(n·log m) comparisons, and one rank one selection.
+func selectEach(idx []int, off uint64, ranks []rank, less func(a, b int) bool, emit func(at, item int)) {
+	if len(ranks) == 0 {
+		return
+	}
+	pos := func(r rank) int {
+		if k, ok := r.k.Uint64(); ok && k-off < uint64(len(idx)) {
+			return int(k - off)
+		}
+		return len(idx) - 1
+	}
+	mid := len(ranks) / 2
+	p := pos(ranks[mid])
+	item := selection.Nth(idx, p, less)
+	lo, hi := mid, mid+1
+	for lo > 0 && pos(ranks[lo-1]) == p {
+		lo--
+	}
+	for hi < len(ranks) && pos(ranks[hi]) == p {
+		hi++
+	}
+	for _, r := range ranks[lo:hi] {
+		emit(r.at, item)
+	}
+	selectEach(idx[:p], off, ranks[:lo], less, emit)
+	selectEach(idx[p+1:], off+uint64(p)+1, ranks[hi:], less, emit)
 }
 
 // lessValues is the canonical lexicographic value order used to break weight

@@ -24,14 +24,17 @@ import (
 const DefaultSketchEps = 1.0 / 32
 
 // BuildSummary constructs a rank-anchor summary of eng's answer multiset at
-// grid resolution res: one exact selection run per grid index k_i =
-// Index(N, i·res), each yielding an anchor with the tight window
-// RMin = RMax = k_i. For SUM rankings outside the tractable class — where
-// exact selection is intractable (Theorem 5.6) — the selections run ε-lossy
-// at ε = res/2 and the windows widen by ⌊(res/2)·N⌋, which Theorem 6.2
+// grid resolution res: the answer at every grid index k_i = Index(N, i·res),
+// each an anchor with the tight window RMin = RMax = k_i. The whole grid is
+// placed by one shared descent (SelectMany), so a summary costs about a pass
+// over the data per level of the descent — O(|D|·log m) for m anchors, plus
+// their m tails — rather than a selection run per anchor; the anchors are the
+// ones those runs would return. For SUM rankings outside the tractable class —
+// where exact selection is intractable (Theorem 5.6) — the descent runs
+// ε-lossy at ε = res/2 and the windows widen by ⌊(res/2)·N⌋, which Theorem 6.2
 // certifies. The construction reuses the engine's cached counting state and
-// trim cache through the ordinary Select driver: no join work beyond the
-// grid's pivot-loop runs is paid, and the engine is not mutated.
+// trim cache through the ordinary driver: no join work beyond the descent's
+// rounds is paid, and the engine is not mutated.
 func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options) (*sketch.Summary, error) {
 	if res <= 0 || res >= 1 {
 		res = DefaultSketchEps
@@ -54,22 +57,22 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 		widen = counting.FloorMulFloat(n, o.Epsilon)
 	}
 	steps := int(1/res) + 1
-	entries := make([]sketch.Entry, 0, steps+1)
-	var prev counting.Count
+	grid := make([]counting.Count, 0, steps+1)
 	for i := 0; i <= steps; i++ {
-		phi := float64(i) * res
-		if phi > 1 {
-			phi = 1
+		phi := min(float64(i)*res, 1)
+		if k := Index(n, phi); i == 0 || k.Cmp(grid[len(grid)-1]) != 0 {
+			grid = append(grid, k)
 		}
-		k := Index(n, phi)
-		if i > 0 && k.Cmp(prev) == 0 {
-			continue
+		if phi >= 1 {
+			break
 		}
-		prev = k
-		a, _, err := SelectPrepared(eng, f, k, o)
-		if err != nil {
-			return nil, err
-		}
+	}
+	anchors, _, err := SelectMany([]*engine.Engine{eng}, f, grid, o)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]sketch.Entry, len(grid))
+	for i, k := range grid {
 		rmin, rmax := k, k
 		if !exact {
 			// The lossy answer's weight occupies a rank within ⌊ε·N⌋ of k
@@ -81,10 +84,7 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 			}
 			rmax = counting.Min(k.Add(widen), n)
 		}
-		entries = append(entries, sketch.Entry{Weight: a.Weight, Values: a.Values, RMin: rmin, RMax: rmax})
-		if phi >= 1 {
-			break
-		}
+		entries[i] = sketch.Entry{Weight: anchors[i].Weight, Values: anchors[i].Values, RMin: rmin, RMax: rmax}
 	}
 	return sketch.New(entries, n, res, !exact, f.Compare), nil
 }

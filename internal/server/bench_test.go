@@ -84,11 +84,13 @@ func BenchmarkServerQuery(b *testing.B) {
 			Dataset: "accept", Query: qjoin.FormatQuery(q), Rank: rankStr, Op: "quantile", Phi: 0.5,
 		}), 280)
 	})
-	// The 8-φ grid: one request amortizes decode/encode across the φ's.
+	// The 8-φ grid: one request amortizes decode/encode across the φ's, and
+	// one shared descent the engine work (ISSUE 16: 331 allocs measured, 842
+	// when each φ ran alone; the budget is the measurement plus 15%).
 	b.Run("grid8", func(b *testing.B) {
 		run(b, queryBody(server.QueryRequest{
 			Dataset: "accept", Query: qjoin.FormatQuery(q), Rank: rankStr, Op: "quantiles", Phis: phis,
-		}), 1400)
+		}), 380)
 	})
 	// count is pure cache: decode, hit, encode a cached big.Int.
 	b.Run("count", func(b *testing.B) {

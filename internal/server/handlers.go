@@ -465,10 +465,8 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 		if len(req.Phis) == 0 {
 			return nil, &qjoin.ArgError{Field: "phis", Reason: "empty φ grid"}
 		}
-		for _, phi := range req.Phis {
-			if err := qjoin.ValidatePhi(phi); err != nil {
-				return nil, err
-			}
+		if err := qjoin.ValidatePhis(req.Phis); err != nil {
+			return nil, err
 		}
 		phis = req.Phis
 	case "topk":
@@ -521,6 +519,12 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 	}
 	resp.Vars = varNames(plan.Vars())
 	answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) {
+		if len(phis) > 1 && mode == qjoin.ModeExact {
+			// An exact grid is placed by one shared descent (only op=quantiles
+			// carries more than one φ). Like the one-φ exact read below it
+			// never sees the eps field.
+			return plan.Quantiles(f, phis)
+		}
 		out := make([]*qjoin.Answer, 0, len(phis))
 		for _, phi := range phis {
 			var a *qjoin.Answer

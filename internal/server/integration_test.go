@@ -55,7 +55,12 @@ func httpJSON(t testing.TB, client *http.Client, method, url string, body, out a
 //     byte-identical to a fresh Prepare on the mutated database.
 func TestServerAcceptance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	q, idb := workload.Path(rng, 2, 1<<14, 1<<18) // the 32k-tuple acceptance instance (≈1k answers)
+	// The 32k-tuple acceptance instance, with ≈4k answers: the embedded grid —
+	// one shared descent since ISSUE 16 — then costs about the millisecond the
+	// loop of eight selections cost over ≈1k answers when the 2× gate below was
+	// set, so the gate allows the shell what it always did, in both relative and
+	// absolute terms (a loopback round trip alone is 0.2–0.3 ms).
+	q, idb := workload.Path(rng, 2, 1<<14, 1<<16)
 	db := qjoin.WrapDB(idb)
 	f := qjoin.Sum(q.Vars()...)
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}

@@ -210,6 +210,7 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"phi-negative", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantile", Phi: -0.1}, 400, "phi"},
 		{"phis-bad", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantiles", Phis: []float64{0.5, 2}}, 400, "phi"},
 		{"phis-empty", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantiles"}, 400, "phis"},
+		{"phis-too-many", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantiles", Phis: make([]float64, qjoin.MaxPhis+1)}, 400, "phis"},
 		{"eps-zero", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "approx", Phi: 0.5}, 400, "eps"},
 		{"eps-negative", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "approx", Phi: 0.5, Eps: -1}, 400, "eps"},
 		{"k-negative", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "topk", K: -1}, 400, "k"},

@@ -213,17 +213,36 @@ func (p *Prepared) ApproxQuantile(f *Ranking, phi, eps float64, opts ...Options)
 	return p.Answer(f, QuantileRequest{Phi: phi, Mode: ModeExact}, o)
 }
 
-// Quantiles answers several φ's against this single plan. Compared with
-// calling the free Quantile once per φ, the preprocessing (and the lazily
-// built structures) are shared across all of them.
+// Quantiles answers several φ's against this single plan, exactly, in one
+// shared descent of the pivot loop: a round's pivot places every requested φ
+// at once, so the grid costs O(|D|·log m) trim, derive and count work for m
+// φ's plus their m tails — not m runs from the full instance, and none of the
+// per-(Q, D) preprocessing, which the plan already holds. out[i] answers
+// phis[i], byte for byte what Quantile returns for it; the φ's may come
+// unsorted and repeated, and an empty grid gives an empty result. Every φ is
+// validated before any work is done: a bad one anywhere in the grid fails the
+// call with an error naming it.
 func (p *Prepared) Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*Answer, error) {
-	out := make([]*Answer, len(phis))
-	for i, phi := range phis {
-		a, err := p.Quantile(f, phi, opts...)
-		if err != nil {
+	for _, phi := range phis {
+		if err := ValidatePhi(phi); err != nil {
 			return nil, fmt.Errorf("qjoin: φ=%v: %w", phi, err)
 		}
-		out[i] = a
+	}
+	if len(phis) == 0 {
+		return []*Answer{}, nil
+	}
+	o := p.opt(opts)
+	total := p.sh.Total()
+	ks := make([]counting.Count, len(phis))
+	for i, phi := range phis {
+		ks[i] = core.Index(total, phi)
+	}
+	out, stats, err := core.SelectMany(p.sh.Engines(), f, ks, o)
+	if err != nil {
+		return nil, fmt.Errorf("qjoin: quantiles: %w", err) // the grid fails as one
+	}
+	for _, a := range out {
+		tagExact(a, stats, o)
 	}
 	return out, nil
 }

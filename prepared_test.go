@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -215,6 +216,48 @@ func TestPreparedQuantilesMatchesLoop(t *testing.T) {
 	if _, err := p.Quantiles(f, []float64{0.5, 7}); err == nil {
 		t.Fatal("invalid φ accepted in batch")
 	}
+	// One shared descent answers in request order whatever the order: unsorted,
+	// repeated and boundary φ's each get what a call per φ gets.
+	for _, grid := range [][]float64{{1, 0}, {0.75, 0.25, 0.75, 0.5, 0.25}, {0.5, 0.5, 0.5}, {1, 0.5, 0, 0.5, 1}} {
+		got, err := p.Quantiles(f, grid)
+		if err != nil {
+			t.Fatalf("grid %v: %v", grid, err)
+		}
+		if len(got) != len(grid) {
+			t.Fatalf("grid %v: %d answers", grid, len(got))
+		}
+		for i, phi := range grid {
+			want, err := p.Quantile(f, phi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswer(t, fmt.Sprintf("grid %v position %d", grid, i), got[i], want)
+			if got[i].Source != want.Source || got[i].ErrorBound != want.ErrorBound {
+				t.Fatalf("grid %v position %d: source %q bound %v, alone %q %v", grid, i, got[i].Source, got[i].ErrorBound, want.Source, want.ErrorBound)
+			}
+		}
+	}
+	// A bad φ anywhere fails the call before any round runs, with a typed
+	// error that names it.
+	for _, grid := range [][]float64{{7, 0.5}, {0.5, 0.25, math.NaN()}, {0.1, -0.5, 0.9}} {
+		_, err := p.Quantiles(f, grid)
+		var ae *qjoin.ArgError
+		if !errors.As(err, &ae) || ae.Field != "phi" {
+			t.Fatalf("grid %v: error %v, want an *ArgError on phi", grid, err)
+		}
+		bad := grid[0]
+		for _, phi := range grid {
+			if qjoin.ValidatePhi(phi) != nil {
+				bad = phi
+			}
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("φ=%v", bad)) {
+			t.Fatalf("grid %v: error %q does not name φ=%v", grid, err, bad)
+		}
+	}
+	if got, err := p.Quantiles(f, nil); err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("empty grid: %v, %v; want an empty slice", got, err)
+	}
 }
 
 // TestPreparedErrors pins the error contract of a Prepared plan.
@@ -262,6 +305,9 @@ func TestPreparedErrors(t *testing.T) {
 	}
 	if _, err := p.Quantile(qjoin.Sum("x"), 0.5); err != qjoin.ErrNoAnswers {
 		t.Fatalf("quantile on empty: %v", err)
+	}
+	if _, err := p.Quantiles(qjoin.Sum("x"), []float64{0.25, 1}); !errors.Is(err, qjoin.ErrNoAnswers) {
+		t.Fatalf("quantiles on empty: %v", err)
 	}
 	if _, _, err := p.SampleAnswers(3, rand.New(rand.NewSource(1))); err != qjoin.ErrNoAnswers {
 		t.Fatalf("sample on empty: %v", err)

@@ -219,7 +219,9 @@ func SampleQuantile(q *Query, db *DB, f *Ranking, phi, eps, delta float64, rng *
 }
 
 // Quantiles computes several quantiles in one call. The (Q, D) pair is
-// prepared once and every φ is answered against the shared plan.
+// prepared once and the φ's share one descent of the pivot loop against that
+// plan (see Prepared.Quantiles): O(|D|·log m) loop work for m φ's plus their m
+// tails, each answer the one Quantile returns for its φ.
 func Quantiles(q *Query, db *DB, f *Ranking, phis []float64, opts ...Options) ([]*Answer, error) {
 	p, err := Prepare(q, db)
 	if err != nil {

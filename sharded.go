@@ -23,7 +23,8 @@ type Plan interface {
 	Quantile(f *Ranking, phi float64, opts ...Options) (*Answer, error)
 	// QuantileStats is Quantile plus the run's pivot-loop statistics.
 	QuantileStats(f *Ranking, phi float64, opts ...Options) (*Answer, *RunStats, error)
-	// Quantiles answers several φ's against the one plan.
+	// Quantiles answers several φ's against the one plan, exactly, in one
+	// shared descent of the pivot loop; answers come in request order.
 	Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*Answer, error)
 	// Median returns the 0.5-quantile.
 	Median(f *Ranking, opts ...Options) (*Answer, error)

@@ -127,6 +127,28 @@ func ValidateWorkers(workers int) error {
 	return nil
 }
 
+// MaxPhis bounds how many φ's one quantile-grid request may carry. A grid is
+// answered by one shared descent that nothing can interrupt once it started,
+// holding the request's admission slot throughout, so its size has to be
+// bounded where it arrives: 1024 covers a per-mille grid, and the sketch tier
+// serves anything finer at a certified error.
+const MaxPhis = 1024
+
+// ValidatePhis checks a quantile grid: at most MaxPhis fractions (a *ArgError
+// on "phis" beyond that), each passing ValidatePhi. The qjserve "phis" field
+// and the qjq -phi list both funnel through this single check.
+func ValidatePhis(phis []float64) error {
+	if len(phis) > MaxPhis {
+		return argErrorf("phis", "%d quantile fractions exceed the cap %d", len(phis), MaxPhis)
+	}
+	for _, phi := range phis {
+		if err := ValidatePhi(phi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MaxShards bounds an explicit shard-count request. Shards are compiled
 // engines, each with its own join tree and counting state: past a few times
 // GOMAXPROCS the per-shard fixed cost dominates any prepare- or update-side
@@ -307,7 +329,7 @@ func FormatRanking(f *Ranking) (string, error) {
 }
 
 // ParsePhis parses a comma-separated list of quantile fractions, validating
-// each with ValidatePhi.
+// it with ValidatePhis.
 func ParsePhis(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -320,13 +342,10 @@ func ParsePhis(s string) ([]float64, error) {
 		if err != nil {
 			return nil, argErrorf("phi", "bad value %q", part)
 		}
-		if err := ValidatePhi(phi); err != nil {
-			return nil, err
-		}
 		out = append(out, phi)
 	}
 	if len(out) == 0 {
 		return nil, argErrorf("phi", "empty list")
 	}
-	return out, nil
+	return out, ValidatePhis(out)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/quantilejoins/qjoin"
@@ -171,5 +172,24 @@ func TestParsePhisValidates(t *testing.T) {
 		if _, err := qjoin.ParsePhis(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
+	}
+}
+
+// A grid is bounded where it arrives: one past MaxPhis is a typed error on
+// "phis" from the shared check and from the CLI's list parser, MaxPhis itself
+// passes, and a bad φ inside a legal grid is still a "phi" error.
+func TestValidatePhisCapsTheGrid(t *testing.T) {
+	if err := qjoin.ValidatePhis(make([]float64, qjoin.MaxPhis)); err != nil {
+		t.Fatalf("a grid of MaxPhis rejected: %v", err)
+	}
+	var ae *qjoin.ArgError
+	if err := qjoin.ValidatePhis(make([]float64, qjoin.MaxPhis+1)); !errors.As(err, &ae) || ae.Field != "phis" {
+		t.Fatalf("MaxPhis+1: %v, want an *ArgError on phis", err)
+	}
+	if _, err := qjoin.ParsePhis(strings.Repeat("0.5,", qjoin.MaxPhis+1)); !errors.As(err, &ae) || ae.Field != "phis" {
+		t.Fatalf("ParsePhis of MaxPhis+1 values: %v, want an *ArgError on phis", err)
+	}
+	if err := qjoin.ValidatePhis([]float64{0.1, 1.5}); !errors.As(err, &ae) || ae.Field != "phi" {
+		t.Fatalf("bad φ in a legal grid: %v, want an *ArgError on phi", err)
 	}
 }
