@@ -232,7 +232,7 @@ func (req QuantileRequest) validate() error {
 	if req.Mode < ModeAuto || req.Mode > ModeSample {
 		return argErrorf("mode", "unknown mode %d", int(req.Mode))
 	}
-	if err := ValidatePhi(req.Phi); err != nil {
+	if err := validatePhi(req.Phi); err != nil {
 		return err
 	}
 	if req.Eps != 0 {
@@ -469,7 +469,7 @@ func exactAnswer(engs []*engine.Engine, f *Ranking, req QuantileRequest, o Optio
 	if req.Eps > 0 {
 		o.Epsilon = req.Eps
 	}
-	a, stats, err := core.QuantileShards(engs, f, req.Phi, o)
+	a, stats, err := core.Quantile(engs, f, req.Phi, o)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,7 +1,9 @@
-// Benchmarks, one per experiment id of DESIGN.md §4 / EXPERIMENTS.md.
-// cmd/qjbench runs the full parameter sweeps and prints the recorded tables;
-// these testing.B benches pin one representative configuration per
-// experiment so `go test -bench=. -benchmem` tracks regressions.
+// Go benchmarks. BenchmarkE01–E12 pin one representative configuration of
+// each reproduction experiment (cmd/qjbench runs their full parameter
+// sweeps); the rest time one mechanism beside the path it replaces, for the
+// ratio contracts cmd/benchgate -scaling enforces in CI, or assert an
+// allocation budget themselves. The repository benchmark — end-to-end
+// workloads, before/after claims — is bench/.
 package qjoin_test
 
 import (
@@ -30,8 +32,8 @@ func BenchmarkE01Count(b *testing.B) {
 	tree, _ := jointree.Build(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExec(q, db, tree)
-		yannakakis.CountAnswers(e)
+		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+		yannakakis.CountAnswersWorkers(e, 1)
 	}
 }
 
@@ -44,8 +46,8 @@ func BenchmarkE02Pivot(b *testing.B) {
 	mu, _ := f.AssignVars(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExec(q, db, tree)
-		if _, err := pivot.Select(e, f, mu); err != nil {
+		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+		if _, err := pivot.SelectWorkers(e, f, mu, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,11 +303,11 @@ func BenchmarkParallelCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(14))
 	q, db := workload.Hierarchy(rng, 1<<15, 1<<13)
 	tree, _ := jointree.Build(q)
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	want := yannakakis.CountAnswers(e)
+	want := yannakakis.CountAnswersWorkers(e, 1)
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -431,18 +433,18 @@ func BenchmarkDedupedAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rel.Deduped()
+		rel.DedupedWorkers(1)
 	}
 	b.StopTimer()
-	perRow := testing.AllocsPerRun(3, func() { rel.Deduped() }) / float64(rel.Len())
+	perRow := testing.AllocsPerRun(3, func() { rel.DedupedWorkers(1) }) / float64(rel.Len())
 	b.ReportMetric(perRow, "allocs/row")
 	if perRow > 1.1 {
-		b.Fatalf("Deduped allocates %.2f allocs/row, budget 1.1 — key-encoder regression", perRow)
+		b.Fatalf("DedupedWorkers allocates %.2f allocs/row, budget 1.1 — key-encoder regression", perRow)
 	}
 }
 
 // BenchmarkShardedQuantile — the global pivot loop over hash-partitioned
-// shard engines (E17): exact SUM quantile on a 32k-tuple binary join through
+// shard engines: exact SUM quantile on a 32k-tuple binary join through
 // PrepareSharded at shards 1/2/4. Answers are byte-identical to the
 // unsharded plan at every shard count (asserted per iteration); the timing
 // tracks the overhead of the weighted-median pivot merge and the per-shard
@@ -480,11 +482,11 @@ func BenchmarkShardedQuantile(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchQuantile — the approximate tier (E18): exact SUM quantile
+// BenchmarkSketchQuantile — the approximate tier: exact SUM quantile
 // vs the sketch summary on the same 32k-tuple binary join. mode=exact runs
 // the full pivot loop per query; mode=approx serves from the warmed summary
 // in O(entries), which is what makes approximate-first serving viable — the
-// bench gate pins sketch serving at ≤ 0.1× the exact latency. The answer's
+// scaling gate pins sketch serving at ≤ 0.1× the exact latency. The answer's
 // certified bound is asserted per iteration.
 func BenchmarkSketchQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
@@ -605,7 +607,7 @@ func shardLocalDelta(batch int) *qjoin.Delta {
 }
 
 // BenchmarkShardedUpdate — absorbing a shard-local delta into a sharded
-// plan versus the unsharded plan (E17). The sharded side re-hashes and
+// plan versus the unsharded plan. The sharded side re-hashes and
 // rebuilds only the one touched shard engine (~1/4 of the data at
 // shards=4); CI enforces the locality win with a scaling gate (sharded min
 // ns/op ≤ 0.5× unsharded — i.e. at least 2× faster).
@@ -657,7 +659,7 @@ func BenchmarkShardedUpdate(b *testing.B) {
 	})
 }
 
-// incrementalBenchInstance builds the E14 instance: a 32k-tuple binary join
+// incrementalBenchInstance builds the update instance: a 32k-tuple binary join
 // with a prepared base plan, plus a delta generator producing batch/2 fresh
 // inserts into R1 (values outside the generator domain, guaranteed new) and
 // batch/2 deletes of rows that occur exactly once in R2.
@@ -842,12 +844,12 @@ func BenchmarkQuantilesGrid(b *testing.B) {
 }
 
 // BenchmarkSketchBuild — planting a summary's 33 anchors on the
-// social-network instance (ISSUE 16): "singles" is the 33 SelectPrepared runs
+// social-network instance (ISSUE 16): "singles" is the 33 Select runs
 // BuildSummary used to make, "shared" is BuildSummary, one descent. CI's
 // scaling gate: shared min ns/op ≤ 0.55× singles.
 func BenchmarkSketchBuild(b *testing.B) {
 	sn := socialNetworkBench()
-	eng, err := engine.New(sn.Q, sn.DB)
+	eng, err := engine.NewWorkers(sn.Q, sn.DB, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -856,7 +858,7 @@ func BenchmarkSketchBuild(b *testing.B) {
 	b.Run("singles", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for g := 0; g <= 32; g++ {
-				if _, _, err := core.SelectPrepared(eng, f, core.Index(n, float64(g)/32), core.Options{Parallelism: 1}); err != nil {
+				if _, _, err := core.Select([]*engine.Engine{eng}, f, core.Index(n, float64(g)/32), core.Options{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -927,8 +929,7 @@ func BenchmarkE12AblationBudget(b *testing.B) {
 	}{{"geometric", qjoin.BudgetGeometric}, {"paper", qjoin.BudgetPaper}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := core.Quantile(q, db.Unwrap(), f, 0.5, core.Options{Epsilon: 0.25, Budget: mode.bud})
-				if err != nil {
+				if _, err := qjoin.Quantile(q, db, f, 0.5, qjoin.Options{Epsilon: 0.25, Budget: mode.bud}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,37 +1,30 @@
-// Command benchgate is the CI benchmark-regression gate.
+// Command benchgate enforces intra-run ratio bounds between Go benchmarks.
 //
-// It parses standard `go test -bench` output, emits a machine-readable JSON
-// report (the raw benchmark lines are embedded verbatim, so the file stays
-// consumable by benchstat after extraction), and compares the measured
-// ns/op against a checked-in baseline, failing on regressions beyond a
-// threshold.
+// It parses standard `go test -bench` output and checks each -scaling spec
+// NUM:DEN:MAX (comma-separated): the minimum ns/op of benchmark NUM must not
+// exceed MAX × the minimum ns/op of benchmark DEN. Both sides come from the
+// same run, so the checks hold regardless of runner hardware — they compare
+// a mechanism against the path it replaces (incremental update vs
+// re-prepare, sketch vs exact, restore vs compile, forced multi-worker
+// chunking vs sequential). With -count > 1 the minimum per benchmark is the
+// point estimate, the least noise-sensitive one on shared runners.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Prepared|Parallel|Incremental' -benchtime=3x -count=3 ./... | tee bench.txt
-//	benchgate -in bench.txt -json BENCH_PR7.json -baseline .github/bench-baseline.json -threshold 1.30 \
+//	go test -run '^$' -bench 'Parallel|Incremental' -benchtime=3x -count=3 . | tee bench.txt
+//	benchgate -in bench.txt \
 //	  -scaling 'BenchmarkParallelQuantile/workers=4:BenchmarkParallelQuantile/workers=1:1.08'
 //
-// With -count > 1 the minimum ns/op per benchmark is compared — the least
-// noise-sensitive point estimate on shared CI runners. Benchmarks missing
-// from the baseline are reported but never fail the gate (new benchmarks
-// land before their baseline does); regenerate the baseline with
-// -write-baseline.
-//
-// -scaling adds intra-run ratio checks (NUM:DEN:MAX, comma-separated):
-// they compare two benchmarks of the same run, so they hold regardless of
-// runner hardware — the forced multi-worker overhead bound of the parallel
-// runtime is enforced this way.
+// Absolute times are not gated here: the repository benchmark (bench/, with
+// compare -pairs on one machine) carries every before/after claim.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -39,29 +32,9 @@ import (
 // benchLine matches `BenchmarkName-8   	 100	  1234 ns/op ...`.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
 
-// Result is the per-benchmark measurement set.
-type Result struct {
-	// NsPerOp lists every sample (one per -count run).
-	NsPerOp []float64 `json:"ns_per_op"`
-	// MinNsPerOp is the gate's point estimate.
-	MinNsPerOp float64 `json:"min_ns_per_op"`
-}
-
-// Report is the JSON artifact uploaded by CI.
-type Report struct {
-	Benchmarks map[string]Result `json:"benchmarks"`
-	// Raw holds the benchmark lines verbatim — `benchstat` consumes them
-	// after extraction (jq -r .raw[] BENCH_PR3.json | benchstat /dev/stdin).
-	Raw []string `json:"raw"`
-}
-
 func main() {
 	in := flag.String("in", "", "benchmark output file (default stdin)")
-	jsonOut := flag.String("json", "", "write the JSON report here")
-	baseline := flag.String("baseline", "", "baseline JSON report to gate against")
-	threshold := flag.Float64("threshold", 1.30, "fail when min ns/op exceeds baseline by this factor")
-	writeBaseline := flag.String("write-baseline", "", "write (regenerate) the baseline JSON here and exit")
-	scaling := flag.String("scaling", "", "scaling check NUM:DEN:MAX — fail when min ns/op of benchmark NUM exceeds MAX × min ns/op of benchmark DEN in this run (repeatable via comma separation)")
+	scaling := flag.String("scaling", "", "scaling checks NUM:DEN:MAX, comma-separated — fail when min ns/op of benchmark NUM exceeds MAX × min ns/op of benchmark DEN in this run")
 	flag.Parse()
 
 	r := os.Stdin
@@ -73,53 +46,23 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	report, err := parse(bufio.NewScanner(r))
+	mins, err := parse(bufio.NewScanner(r))
 	if err != nil {
 		fatal(err)
 	}
-	if len(report.Benchmarks) == 0 {
+	if len(mins) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found"))
 	}
-	if *writeBaseline != "" {
-		if err := writeJSON(*writeBaseline, report); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchgate: wrote baseline with %d benchmarks to %s\n", len(report.Benchmarks), *writeBaseline)
-		return
-	}
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, report); err != nil {
-			fatal(err)
-		}
-	}
-	code := 0
-	if *scaling != "" {
-		code = scalingGate(report, *scaling)
-	}
-	if *baseline != "" {
-		base, err := readBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		if c := gate(report, base, *threshold); c != 0 {
-			code = c
-		}
-	} else if *scaling == "" {
-		fmt.Println("benchgate: no -baseline given; report only")
-	}
-	if code != 0 {
+	if code := scalingGate(mins, *scaling); code != 0 {
 		os.Exit(code)
 	}
 }
 
 // scalingGate enforces intra-run ratio bounds: each comma-separated
-// NUM:DEN:MAX spec fails when min(NUM) > MAX × min(DEN). Unlike the
-// baseline gate it compares two benchmarks of the same run, so it is
-// immune to hardware drift — its canonical use is the parallel-runtime
-// overhead bound, ParallelQuantile/workers=4 vs workers=1 under forced
-// multi-worker chunking. A spec naming a benchmark absent from the run
-// fails too: a crashed sweep must not gate green.
-func scalingGate(report *Report, specs string) int {
+// NUM:DEN:MAX spec fails when min(NUM) > MAX × min(DEN). A spec naming a
+// benchmark absent from the run fails too: a crashed sweep must not gate
+// green.
+func scalingGate(mins map[string]float64, specs string) int {
 	failed := 0
 	for _, spec := range strings.Split(specs, ",") {
 		parts := strings.Split(spec, ":")
@@ -130,14 +73,14 @@ func scalingGate(report *Report, specs string) int {
 		if err != nil || max <= 0 {
 			fatal(fmt.Errorf("bad -scaling ratio in %q", spec))
 		}
-		num, okN := report.Benchmarks[parts[0]]
-		den, okD := report.Benchmarks[parts[1]]
-		if !okN || !okD || den.MinNsPerOp == 0 {
+		num, okN := mins[parts[0]]
+		den, okD := mins[parts[1]]
+		if !okN || !okD || den == 0 {
 			fmt.Printf("SCALING MISSING %s: benchmark(s) absent from this run\n", spec)
 			failed++
 			continue
 		}
-		ratio := num.MinNsPerOp / den.MinNsPerOp
+		ratio := num / den
 		verdict := "ok"
 		if ratio > max {
 			verdict = "FAIL"
@@ -152,8 +95,9 @@ func scalingGate(report *Report, specs string) int {
 	return 0
 }
 
-func parse(sc *bufio.Scanner) (*Report, error) {
-	report := &Report{Benchmarks: map[string]Result{}}
+// parse returns the minimum ns/op per benchmark name over every sample line.
+func parse(sc *bufio.Scanner) (map[string]float64, error) {
+	mins := map[string]float64{}
 	for sc.Scan() {
 		line := sc.Text()
 		m := benchLine.FindStringSubmatch(line)
@@ -164,122 +108,11 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
 		}
-		report.Raw = append(report.Raw, line)
-		res := report.Benchmarks[m[1]]
-		res.NsPerOp = append(res.NsPerOp, ns)
-		if res.MinNsPerOp == 0 || ns < res.MinNsPerOp {
-			res.MinNsPerOp = ns
-		}
-		report.Benchmarks[m[1]] = res
-	}
-	return report, sc.Err()
-}
-
-func readBaseline(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &base, nil
-}
-
-// gate compares the report against the baseline; it returns 1 when any
-// benchmark regressed past the threshold.
-//
-// Raw ns/op ratios are normalized by their median before thresholding: the
-// checked-in baseline is typically recorded on different hardware than the
-// machine running the gate, which shifts every benchmark's ratio by a
-// common factor. The median ratio estimates that factor, so a regression is
-// a benchmark that stands out from the fleet by more than the threshold —
-// robust to runner-class changes while still catching localized slowdowns.
-// (The trade-off: a change slowing every benchmark uniformly reads as
-// slower hardware and passes; with benchmarks spanning independent
-// subsystems, real regressions are localized.)
-func gate(report, base *Report, threshold float64) int {
-	names := make([]string, 0, len(report.Benchmarks))
-	for name := range report.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var ratios []float64
-	ratioOf := make(map[string]float64, len(names))
-	for _, name := range names {
-		if want, ok := base.Benchmarks[name]; ok && want.MinNsPerOp > 0 {
-			r := report.Benchmarks[name].MinNsPerOp / want.MinNsPerOp
-			ratioOf[name] = r
-			ratios = append(ratios, r)
+		if cur, ok := mins[m[1]]; !ok || ns < cur {
+			mins[m[1]] = ns
 		}
 	}
-	hw := median(ratios)
-	if hw > 0 && hw != 1 {
-		fmt.Printf("benchgate: median ratio %.2f taken as the hardware factor; gating normalized ratios\n", hw)
-	}
-	failed := 0
-	for _, name := range names {
-		got := report.Benchmarks[name]
-		want, ok := base.Benchmarks[name]
-		if !ok || want.MinNsPerOp == 0 {
-			fmt.Printf("NEW    %-55s %12.0f ns/op (no baseline — not gated)\n", name, got.MinNsPerOp)
-			continue
-		}
-		norm := ratioOf[name]
-		if hw > 0 {
-			norm /= hw
-		}
-		verdict := "ok"
-		if norm > threshold {
-			verdict = "REGRESSION"
-			failed++
-		}
-		fmt.Printf("%-6s %-55s %12.0f ns/op  baseline %12.0f  ratio %.2f  normalized %.2f\n",
-			strings.ToUpper(verdict), name, got.MinNsPerOp, want.MinNsPerOp, ratioOf[name], norm)
-	}
-	// A baseline benchmark absent from the report fails the gate too: a
-	// partial or crashed benchmark run must not read as "no regressions".
-	// Intentional removals regenerate the baseline alongside.
-	baseNames := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		baseNames = append(baseNames, name)
-	}
-	sort.Strings(baseNames)
-	for _, name := range baseNames {
-		if _, ok := report.Benchmarks[name]; !ok {
-			fmt.Printf("%-6s %-55s missing from this run (baseline %12.0f ns/op)\n", "GONE", name, base.Benchmarks[name].MinNsPerOp)
-			failed++
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("benchgate: %d benchmark(s) regressed beyond %.0f%% or went missing\n", failed, (threshold-1)*100)
-		return 1
-	}
-	fmt.Println("benchgate: no regressions")
-	return 0
-}
-
-// median returns the middle value of xs (mean of the two middles for even
-// counts), or 0 for an empty slice.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
-}
-
-func writeJSON(path string, report *Report) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return mins, sc.Err()
 }
 
 func fatal(err error) {

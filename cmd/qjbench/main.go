@@ -1,10 +1,11 @@
-// Command qjbench regenerates the experiments recorded in EXPERIMENTS.md.
-//
-// The paper (PODS 2023) is a theory paper; each experiment validates one of
-// its figures or theorems empirically: scaling exponents for the quasilinear
-// claims, measured index errors against ε for the approximation theorems, and
-// head-to-head comparisons against the materialize-then-select baseline the
-// introduction argues against.
+// Command qjbench is the reproduction of the paper (PODS 2023), a theory
+// paper: experiments E01–E12 each validate one of its figures or theorems
+// empirically — scaling exponents for the quasilinear claims, measured index
+// errors against ε for the approximation theorems, and head-to-head
+// comparisons against the materialize-then-select baseline the introduction
+// argues against. Tables print as markdown. Performance of the system itself
+// (serving, updates, shards, snapshots, cyclic plans) is measured by the
+// repository benchmark in bench/, not here.
 //
 // Usage:
 //
@@ -48,18 +49,10 @@ var experiments = []experiment{
 	{"E10", "Lossy trimming size and sketch guarantee (Lemma 6.1, Lemma 6.3, Figure 4)", runE10},
 	{"E11", "Crossover vs output size |Q(D)| (the headline claim)", runE11},
 	{"E12", "Ablations: ε-budget strategy and sketch value-grouping", runE12},
-	{"E13", "Parallel execution runtime: worker sweep and determinism", runE13},
-	{"E14", "Incremental maintenance: update throughput vs full re-prepare (ISSUE 3)", runE14},
-	{"E15", "Pivot-loop iteration cost: phase breakdown and trim-prep caching (ISSUE 4)", runE15},
-	{"E16", "Quantile service: closed-loop serving throughput and latency (ISSUE 5)", runE16},
-	{"E17", "Sharded datasets: per-shard prepare, merged pivot loop, shard-local updates (ISSUE 7)", runE17},
-	{"E18", "Approximate-first serving: sketch tier vs exact pivot loop, certified error (ISSUE 8)", runE18},
-	{"E19", "Cold starts: re-Prepare vs snapshot restore vs snapshot+WAL replay (ISSUE 9)", runE19},
-	{"E20", "Cyclic queries: hypertree decomposition, bag materialization vs query cost (ISSUE 10)", runE20},
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiment id (E01..E20) or 'all'")
+	expFlag := flag.String("exp", "all", "experiment id (E01..E12) or 'all'")
 	quick := flag.Bool("quick", false, "reduced sizes for fast runs")
 	workers := flag.Int("workers", 0, "worker count pinned for all experiments (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")

@@ -136,7 +136,7 @@ func TestFirstExactReadAfterUpdate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plan = next.(*qjoin.Prepared)
+				plan = next
 				oracle := testutil.BruteForce(plan.Query(), plan.DB().Unwrap())
 				if got := plan.Count().Int64(); got != int64(len(oracle)) || got == 0 {
 					t.Fatalf("gen %d: |Q(D)| = %d, brute force %d", gen, got, len(oracle))

@@ -207,7 +207,7 @@ func TestCyclicDifferentialFuzz(t *testing.T) {
 
 			// Snapshot round-trip: a decomposed plan's compiled artifact must
 			// survive the codec and answer identically.
-			loaded := snapRoundTrip(t, plans[2]).(*qjoin.Prepared)
+			loaded := snapRoundTrip(t, plans[2])
 			f := inst.ranks[len(inst.ranks)-1]
 			for _, phi := range []float64{0, 0.5, 1} {
 				wa, err1 := plans[2].Quantile(f, phi)

@@ -263,7 +263,7 @@ func TestDecomposedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := snapRoundTrip(t, live).(*qjoin.Prepared)
+	loaded := snapRoundTrip(t, live)
 
 	vars := q.Vars()
 	ranks := []*qjoin.Ranking{qjoin.Min(vars...), qjoin.Max(vars...), qjoin.Lex(vars...)}

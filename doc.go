@@ -62,7 +62,7 @@
 // decomposition), N from PrepareSharded — and every method is written once
 // against that vector: Algorithm 1 steers by answer counts, and counts add
 // over disjoint partitions of Q(D), so one engine is the base case of N.
-// Plan is the interface form serving code holds plans behind.
+// Plan is another name for *Prepared, the one serving code holds plans under.
 //
 // A Prepared plan is safe for concurrent readers: all its methods may be
 // called from multiple goroutines simultaneously. Methods taking a
@@ -150,11 +150,12 @@
 // receiver remains fully usable (and byte-identical in its answers)
 // afterwards.
 //
-// # Zero-rebuild pivot loop
+// # The pivot loop
 //
 // The per-iteration cost of Algorithm 1 is proportional to the surviving
 // rows, not to a rebuild of the trimmed database, and a round does only the
-// work its decision needs:
+// work its decision needs (CHANGES.md has the history of each mechanism and
+// its measurements):
 //
 // One-sided rounds. A round trims, derives and counts one partition first —
 // lt when index k lies in the lower half of the candidates, else gt — and
@@ -276,9 +277,8 @@
 //     answer only on an unrouted plan; a routed plan — PrepareSharded at
 //     any shard count, 1 included — returns an *ArgError. Every other
 //     method behaves identically on both.
-//   - Plan is the interface form of *Prepared; UpdatePlan is Update in
-//     interface-typed form, which is what the qjserve plan cache migrates
-//     through.
+//   - Plan names the same type; UpdatePlan and LoadPlanBytes are Update and
+//     LoadPreparedBytes under that name.
 //
 // # Cyclic queries
 //
@@ -332,7 +332,7 @@
 //     any φ by anchor lookup, at cost independent of |D|.
 //   - ModeAuto serves from the sketch only when the requested Eps is at
 //     least the anchor's certified error at that φ, and otherwise falls
-//     back to the exact loop, byte-identical to the legacy answer.
+//     back to the exact loop, byte-identical to the ModeExact answer.
 //   - ModeSample is the randomized sampling estimator (unrouted plans
 //     only); it has no wire form.
 //
@@ -363,9 +363,8 @@
 // no row-level record), and a delta listing more answers than the engine
 // has tuples (Updates chained without a warm-up accumulate under the same
 // cap). The choice is made from what the code observes; SketchRefreshes
-// counts which refresh ran. ParseMode/ValidateMode/FormatMode are the wire
-// codec for the mode argument, shared by qjq -mode and the server's /query
-// mode field.
+// counts which refresh ran. ParseMode and Mode.String are the wire form of
+// the mode argument, shared by qjq -mode and the server's /query mode field.
 //
 // # Durability
 //
@@ -373,10 +372,10 @@
 // Prepared.Snapshot writes the plan as a versioned, checksummed binary
 // stream — the string dictionary, the columnar relations with their
 // interner tables, the compiled engine artifact(s), and any warm sketch
-// summaries — and LoadPrepared or its Plan-typed form LoadPlan (plus their
-// Bytes variants) read it back. The stream's kind follows whether the plan
-// is routed (a routed plan records its shard count and one engine section
-// and summary per shard); both loaders accept either kind. The contract:
+// summaries — and LoadPrepared / LoadPreparedBytes read it back. The
+// stream's kind follows whether the plan is routed (a routed plan records
+// its shard count and one engine section and summary per shard); the loaders
+// accept either kind. The contract:
 //
 //   - Byte-identity. A restored plan answers every query — RunStats
 //     included — byte-identically to the plan that was saved, at every
@@ -437,15 +436,18 @@
 // Queries and rankings have canonical textual forms for the wire:
 // ParseQuery/FormatQuery, ParseRanking/FormatRanking and the QuerySpec
 // JSON codec round-trip losslessly (rankings with custom Weight functions
-// have no wire form). ValidatePhi, ValidateEpsilon, ValidateTopK,
-// ValidateDelta and ValidateMode are the shared boundary checks — cmd/qjq
-// and qjserve reject bad arguments identically, with *ArgError naming the
-// offending field.
+// have no wire form). A request is checked in one place: Request.Resolve
+// applies the wire protocol's rules — op defaulting, which ops take a mode,
+// when eps reaches the plan, the φ, φ-grid, k and workers domains — and
+// returns the Operation that Prepared.Run executes; every rejection is an
+// *ArgError naming the offending field, which qjserve maps to a 400. cmd/qjq
+// checks its flags against the same domains (ValidateEpsilon, ValidateDelta,
+// ValidateWorkers, ValidateShards, ParseMode, ParsePhis).
 //
 // The implementation is a faithful, fully self-contained reproduction: GYO
 // join trees, Yannakakis evaluation, linear-time c-pivot selection by
 // message passing (Algorithm 2), the four trimming constructions of
-// Sections 5 and 6, and the divide-and-conquer driver of Algorithm 1. See
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the reproduced
-// results.
+// Sections 5 and 6, and the divide-and-conquer driver of Algorithm 1.
+// cmd/qjbench reproduces the paper's figures and theorems (E01–E12); bench/
+// is the repository benchmark.
 package qjoin

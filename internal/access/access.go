@@ -40,12 +40,10 @@ type Direct struct {
 	nodePos [][]int // per node: positions of node vars in the global layout
 }
 
-// New builds the structure in linear time (one counting pass plus prefix
-// sums). The executable tree must not be mutated afterwards.
-func New(e *jointree.Exec) *Direct { return NewWorkers(e, 1) }
-
-// NewWorkers is New with the counting pass run on a bounded worker pool;
-// the prefix sums stay sequential (they are inherently cumulative).
+// NewWorkers builds the structure in linear time (one counting pass plus
+// prefix sums); the executable tree must not be mutated afterwards. The
+// counting pass runs on a bounded worker pool; the prefix sums stay
+// sequential (they are inherently cumulative).
 func NewWorkers(e *jointree.Exec, workers int) *Direct {
 	d := &Direct{e: e, counts: yannakakis.CountWorkers(e, workers)}
 	varIdx := e.Q.VarIndex()

@@ -18,11 +18,11 @@ func directOf(t testing.TB, q *query.Query, db *relation.Database) *Direct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(e)
+	return NewWorkers(e, 1)
 }
 
 // Decoding every index yields exactly the answer set, without duplicates.
@@ -137,8 +137,8 @@ func BenchmarkBuild(b *testing.B) {
 	tree, _ := jointree.Build(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExec(q, db, tree)
-		New(e)
+		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+		NewWorkers(e, 1)
 	}
 }
 
@@ -146,8 +146,8 @@ func BenchmarkSample(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q, db := testutil.RandomPathInstance(rng, 3, 1<<12, 1<<8)
 	tree, _ := jointree.Build(q)
-	e, _ := jointree.NewExec(q, db, tree)
-	d := New(e)
+	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+	d := NewWorkers(e, 1)
 	if d.N().IsZero() {
 		b.Skip("empty instance")
 	}

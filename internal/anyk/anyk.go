@@ -83,7 +83,7 @@ type Enumerator struct {
 // New builds an enumerator. The executable tree is fully reduced as a side
 // effect (dangling tuples would stall the streams).
 func New(e *jointree.Exec, f *ranking.Func) (*Enumerator, error) {
-	e.FullReduce()
+	e.FullReduceWorkers(1)
 	return NewReduced(e, f)
 }
 

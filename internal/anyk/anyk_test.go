@@ -17,7 +17,7 @@ func enumOf(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestValidation(t *testing.T) {
 		db.Add(relation.FromRows(a.Rel, 2, [][]relation.Value{{1, 1}}))
 	}
 	tree, _ := jointree.Build(q)
-	e, _ := jointree.NewExec(q, db, tree)
+	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
 	if _, err := New(e, ranking.NewSum("zz")); err == nil {
 		t.Fatal("unknown ranked variable accepted")
 	}
@@ -161,7 +161,7 @@ func BenchmarkTop100(b *testing.B) {
 	asn := make([]relation.Value, len(q.Vars()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExec(q, db, tree)
+		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
 		en, err := New(e, f)
 		if err != nil {
 			b.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
-	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/selection"
@@ -14,24 +13,9 @@ import (
 // against: materialize Q(D) with Yannakakis, then select the k-th answer by
 // weight with worst-case-linear selection. Time and memory are linear in
 // |Q(D)|, which can be Ω(|D|^ℓ) — this is the comparator for every benchmark.
-func BaselineQuantile(q0 *query.Query, db0 *relation.Database, f *ranking.Func, phi float64) (*Answer, error) {
-	if err := validPhi(phi); err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(q0, db0)
-	if err != nil {
-		return nil, err
-	}
-	return BaselineQuantilePrepared(eng, f, phi)
-}
-
-// BaselineQuantilePrepared is BaselineQuantile against an already compiled
-// engine. Materialization still pays Θ(|Q(D)|) per call — deliberately, as
-// the comparator — but reuses the shared executable tree.
-func BaselineQuantilePrepared(eng *engine.Engine, f *ranking.Func, phi float64) (*Answer, error) {
-	if err := validPhi(phi); err != nil {
-		return nil, err
-	}
+// Materialization pays Θ(|Q(D)|) per call, deliberately, but reuses the
+// engine's executable tree.
+func BaselineQuantile(eng *engine.Engine, f *ranking.Func, phi float64) (*Answer, error) {
 	if err := f.Validate(eng.Source()); err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ func TestClassifierDriverConsistency(t *testing.T) {
 	for _, c := range cases {
 		db := makeTinyDB(c.q)
 		f := ranking.NewSum(c.uw...)
-		_, _, err := Quantile(c.q, db, f, 0.5, Options{MaterializeThreshold: 1})
+		_, _, err := Quantile(engines(t, c.q, db), f, 0.5, Options{MaterializeThreshold: 1})
 		gotTractable := err != ErrIntractable
 		wantTractable := ClassifySum(c.q, c.uw).Tractable
 		if gotTractable != wantTractable {

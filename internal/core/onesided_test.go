@@ -142,7 +142,7 @@ func TestOneSidedRoundsMatchBothSidesReference(t *testing.T) {
 					oneSided := 0
 					for _, phi := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
 						name := fmt.Sprintf("%s shards=%d %s%v φ=%v threshold=%d", inst.Name, nShards, f.Agg, f.Vars, phi, threshold)
-						got, gotStats, err := QuantileShards(engs, f, phi, opts)
+						got, gotStats, err := Quantile(engs, f, phi, opts)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -188,10 +188,10 @@ func TestIterationsCountsEveryRound(t *testing.T) {
 		pivotReturned bool
 	}{
 		{"equal-partition", ranking.NewMax("x1", "x3"), func(f *ranking.Func) (*Answer, *RunStats, error) {
-			return Quantile(coarse, coarseDB, f, 0.5, Options{CollectPhases: true})
+			return Quantile(engines(t, coarse, coarseDB), f, 0.5, Options{CollectPhases: true})
 		}, true},
 		{"materialize", ranking.NewSum("x1", "x2", "x3"), func(f *ranking.Func) (*Answer, *RunStats, error) {
-			return Quantile(fine, fineDB, f, 0.5, Options{CollectPhases: true})
+			return Quantile(engines(t, fine, fineDB), f, 0.5, Options{CollectPhases: true})
 		}, false},
 	} {
 		_, stats, err := tc.run(tc.f)
@@ -222,7 +222,7 @@ func TestCurrentCountsSurviveTheRound(t *testing.T) {
 			if st.curSlot >= 0 {
 				descended++
 			}
-			want := yannakakis.Count(st.curExec)
+			want := yannakakis.CountWorkers(st.curExec, 1)
 			if !reflect.DeepEqual(st.curCounts.Tuple, want.Tuple) || st.curCounts.Total != want.Total {
 				t.Fatalf("%s: shard %d (slot %d): current counts are not a fresh count of the current tree", where, i, st.curSlot)
 			}
@@ -245,7 +245,7 @@ func TestCurrentCountsSurviveTheRound(t *testing.T) {
 			for _, f := range inst.Ranks {
 				for _, phi := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
 					where = fmt.Sprintf("%s shards=%d %s%v φ=%v", inst.Name, nShards, f.Agg, f.Vars, phi)
-					_, stats, err := QuantileShards(sh.Engines(), f, phi, Options{Parallelism: 1, MaterializeThreshold: 8})
+					_, stats, err := Quantile(sh.Engines(), f, phi, Options{Parallelism: 1, MaterializeThreshold: 8})
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}

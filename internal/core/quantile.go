@@ -33,7 +33,7 @@ type PhaseTimings struct {
 	// index — including any composed bound trims.
 	Trim time.Duration
 	// Derive is executable-tree acquisition for the trimmed instances:
-	// subset derivation when the trim emitted one, Build+NewExec otherwise.
+	// subset derivation when the trim emitted one, Build+NewExecWorkers otherwise.
 	Derive time.Duration
 	// Count is the counting pass over the trimmed instances.
 	Count time.Duration
@@ -210,7 +210,7 @@ func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error
 }
 
 // execOf returns the executable join tree of an instance: the one the trim
-// derived by subset filtering when present, a fresh Build+NewExec otherwise.
+// derived by subset filtering when present, a fresh Build+NewExecWorkers otherwise.
 func execOf(inst trim.Instance) (*jointree.Exec, error) {
 	if inst.Exec != nil {
 		return inst.Exec, nil
@@ -222,89 +222,36 @@ func execOf(inst trim.Instance) (*jointree.Exec, error) {
 	return jointree.NewExecWorkers(inst.Q, inst.DB, tree, inst.Workers)
 }
 
-// Count returns |Q(D)| for an acyclic query.
-func Count(q *query.Query, db *relation.Database) (counting.Count, error) {
-	eng, err := engine.New(q, db)
-	if err != nil {
-		return counting.Zero, err
-	}
-	return eng.Total(), nil
-}
-
-// validPhi rejects quantile fractions outside [0,1] before any preprocessing
-// is paid for.
-func validPhi(phi float64) error {
-	if math.IsNaN(phi) || phi < 0 || phi > 1 {
-		return fmt.Errorf("core: φ must be in [0,1], got %v", phi)
-	}
-	return nil
-}
-
-// Quantile answers a %JQ: the φ-quantile of Q(D) under the ranking function,
-// per Algorithm 1. It compiles the (Q, D) pair and discards the plan; use
-// QuantilePrepared to amortize preparation over many queries.
-func Quantile(q0 *query.Query, db0 *relation.Database, f *ranking.Func, phi float64, opts Options) (*Answer, *RunStats, error) {
-	if err := validPhi(phi); err != nil {
-		return nil, nil, err
-	}
-	eng, err := engine.NewWorkers(q0, db0, opts.Parallelism)
-	if err != nil {
-		return nil, nil, err
-	}
-	return QuantilePrepared(eng, f, phi, opts)
-}
-
-// QuantilePrepared answers a %JQ against an already compiled engine. With
-// opts.Epsilon > 0 and a SUM ranking outside the tractable class, it returns
-// a deterministic (φ±ε)-quantile (Theorem 6.2).
-func QuantilePrepared(eng *engine.Engine, f *ranking.Func, phi float64, opts Options) (*Answer, *RunStats, error) {
-	return QuantileShards([]*engine.Engine{eng}, f, phi, opts)
-}
-
-// QuantileShards answers a %JQ over the disjoint union of the shard engines'
-// answer sets. The engines must be compiled from the same query over a hash
-// partition of one database (so their answer sets are disjoint and their
-// counts add); internal/shard builds such a family. One iteration of the
-// global pivot loop spans every live shard: per-shard pivot candidates merge
-// into one global pivot by weighted median, the λ-trim broadcasts to every
-// shard, and the per-shard partition counts are summed to steer the global
-// index. A one-element slice is exactly the unsharded algorithm.
-func QuantileShards(engs []*engine.Engine, f *ranking.Func, phi float64, opts Options) (*Answer, *RunStats, error) {
-	if err := validPhi(phi); err != nil {
-		return nil, nil, err
-	}
+// Quantile answers a %JQ — the φ-quantile under the ranking function, per
+// Algorithm 1 — over the disjoint union of the engines' answer sets. The
+// engines must be compiled from the same query over a hash partition of one
+// database (so their answer sets are disjoint and their counts add);
+// internal/shard builds such a family, and a one-element slice is exactly the
+// unsharded algorithm. One iteration of the global pivot loop spans every live
+// shard: per-shard pivot candidates merge into one global pivot by weighted
+// median, the λ-trim broadcasts to every shard, and the per-shard partition
+// counts are summed to steer the global index. With opts.Epsilon > 0 and a SUM
+// ranking outside the tractable class, it returns a deterministic
+// (φ±ε)-quantile (Theorem 6.2). φ must lie in [0,1]: the public API checks it
+// where it arrives (qjoin's wire.go).
+func Quantile(engs []*engine.Engine, f *ranking.Func, phi float64, opts Options) (*Answer, *RunStats, error) {
 	return runOne(engs, f, opts, func(_ int, total counting.Count) (counting.Count, error) {
 		return Index(total, phi), nil
 	})
 }
 
 // Select answers the selection problem (footnote 1 of the paper): the answer
-// at absolute zero-based index k in the ranked order. Selection and quantile
-// computation are equivalent for acyclic queries since |Q(D)| is computable
-// in linear time.
-func Select(q0 *query.Query, db0 *relation.Database, f *ranking.Func, k counting.Count, opts Options) (*Answer, *RunStats, error) {
-	eng, err := engine.NewWorkers(q0, db0, opts.Parallelism)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SelectPrepared(eng, f, k, opts)
-}
-
-// SelectPrepared is Select against an already compiled engine.
-func SelectPrepared(eng *engine.Engine, f *ranking.Func, k counting.Count, opts Options) (*Answer, *RunStats, error) {
-	return SelectShards([]*engine.Engine{eng}, f, k, opts)
-}
-
-// SelectShards is SelectPrepared over a family of shard engines (see
-// QuantileShards for the contract).
-func SelectShards(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts Options) (*Answer, *RunStats, error) {
+// at absolute zero-based index k in the ranked order over the engines (see
+// Quantile for the contract). Selection and quantile computation are
+// equivalent for acyclic queries since |Q(D)| is computable in linear time.
+func Select(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts Options) (*Answer, *RunStats, error) {
 	return runOne(engs, f, opts, func(_ int, total counting.Count) (counting.Count, error) {
 		return inRange(k, total)
 	})
 }
 
-// SelectMany is SelectShards for several indices at once: out[i] is the
-// answer at absolute index ks[i], byte for byte the answer SelectShards
+// SelectMany is Select for several indices at once: out[i] is the
+// answer at absolute index ks[i], byte for byte the answer Select
 // returns for it (lossy SUM included), in the order the indices were given —
 // unsorted and repeated indices are fine, and an empty request gives an empty
 // result. All of them are placed by one descent: a round's pivot splits the

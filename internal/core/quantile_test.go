@@ -5,11 +5,22 @@ import (
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
+	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/testutil"
 )
+
+// engines compiles (q, db) into the one-engine vector the drivers take.
+func engines(t testing.TB, q *query.Query, db *relation.Database) []*engine.Engine {
+	t.Helper()
+	eng, err := engine.NewWorkers(q, db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*engine.Engine{eng}
+}
 
 // rankWindow returns [below, below+equal) — the index positions the answer
 // can occupy under valid tie-break orderings.
@@ -78,7 +89,7 @@ func TestExactMinMaxRandom(t *testing.T) {
 		vars := q.Vars()
 		for _, f := range []*ranking.Func{ranking.NewMin(vars...), ranking.NewMax(vars...)} {
 			phi := phis[trial%len(phis)]
-			a, _, err := Quantile(q, db, f, phi, Options{})
+			a, _, err := Quantile(engines(t, q, db), f, phi, Options{})
 			if err == ErrNoAnswers {
 				continue
 			}
@@ -97,7 +108,7 @@ func TestExactMinMaxForcesIterations(t *testing.T) {
 		q, db := testutil.RandomStarInstance(rng, 3, 4+rng.Intn(8), 6)
 		f := ranking.NewMax(q.Vars()...)
 		phi := phis[trial%len(phis)]
-		a, stats, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, stats, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -118,7 +129,7 @@ func TestExactLexRandom(t *testing.T) {
 		vars := q.Vars()
 		f := ranking.NewLex(vars[0], vars[1])
 		phi := phis[trial%len(phis)]
-		a, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -135,7 +146,7 @@ func TestExactSumBinaryJoin(t *testing.T) {
 		q, db := testutil.RandomPathInstance(rng, 2, 2+rng.Intn(10), 5)
 		f := ranking.NewSum(q.Vars()...)
 		phi := phis[trial%len(phis)]
-		a, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -152,7 +163,7 @@ func TestExactPartialSum3Path(t *testing.T) {
 		q, db := testutil.RandomPathInstance(rng, 3, 2+rng.Intn(8), 4)
 		f := ranking.NewSum("x1", "x2", "x3")
 		phi := phis[trial%len(phis)]
-		a, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -170,7 +181,7 @@ func TestExactSumSocialNetwork(t *testing.T) {
 		q, db := testutil.RandomStarInstance(rng, 3, 2+rng.Intn(8), 4)
 		f := ranking.NewSum("y1", "y2")
 		phi := phis[trial%len(phis)]
-		a, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -198,12 +209,12 @@ func TestIntractableSumRejected(t *testing.T) {
 		db.Add(relation.FromRows(a.Rel, 2, [][]relation.Value{{1, 1}, {2, 2}}))
 	}
 	f := ranking.NewSum(q.Vars()...) // full SUM on 3-path: hard
-	_, _, err := Quantile(q, db, f, 0.5, Options{})
+	_, _, err := Quantile(engines(t, q, db), f, 0.5, Options{})
 	if err != ErrIntractable {
 		t.Fatalf("err = %v, want ErrIntractable", err)
 	}
 	// With ε > 0 it must succeed via the lossy path.
-	if _, _, err := Quantile(q, db, f, 0.5, Options{Epsilon: 0.2}); err != nil {
+	if _, _, err := Quantile(engines(t, q, db), f, 0.5, Options{Epsilon: 0.2}); err != nil {
 		t.Fatalf("approximate path failed: %v", err)
 	}
 }
@@ -215,7 +226,7 @@ func TestApproxSumFullPath3(t *testing.T) {
 		f := ranking.NewSum(q.Vars()...)
 		phi := phis[trial%len(phis)]
 		eps := []float64{0.3, 0.15}[trial%2]
-		a, _, err := Quantile(q, db, f, phi, Options{Epsilon: eps, MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{Epsilon: eps, MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -232,7 +243,7 @@ func TestApproxSumStar(t *testing.T) {
 		q, db := testutil.RandomStarInstance(rng, 3, 3+rng.Intn(6), 3)
 		f := ranking.NewSum(q.Vars()...)
 		phi := phis[trial%len(phis)]
-		a, _, err := Quantile(q, db, f, phi, Options{Epsilon: 0.25, ForceLossy: true, MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{Epsilon: 0.25, ForceLossy: true, MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -248,7 +259,7 @@ func TestApproxPaperBudget(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q, db := testutil.RandomPathInstance(rng, 3, 3+rng.Intn(6), 4)
 		f := ranking.NewSum(q.Vars()...)
-		a, _, err := Quantile(q, db, f, 0.5, Options{
+		a, _, err := Quantile(engines(t, q, db), f, 0.5, Options{
 			Epsilon: 0.3, Budget: BudgetPaper, MaterializeThreshold: 2,
 		})
 		if err == ErrNoAnswers {
@@ -269,7 +280,7 @@ func TestSelfJoinQuery(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("E", 2, [][]relation.Value{{1, 2}, {2, 3}, {3, 1}, {2, 4}}))
 	f := ranking.NewSum("x", "y", "z")
-	a, _, err := Quantile(q, db, f, 0.5, Options{MaterializeThreshold: 2})
+	a, _, err := Quantile(engines(t, q, db), f, 0.5, Options{MaterializeThreshold: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +299,7 @@ func TestCyclicAnswered(t *testing.T) {
 	db.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}, {1, 2}, {1, 1}}))
 	f := ranking.NewSum("x", "y", "z")
 	for _, phi := range []float64{0, 0.5, 1} {
-		a, stats, err := Quantile(q, db, f, phi, Options{})
+		a, stats, err := Quantile(engines(t, q, db), f, phi, Options{})
 		if err != nil {
 			t.Fatalf("φ=%v: %v", phi, err)
 		}
@@ -299,7 +310,7 @@ func TestCyclicAnswered(t *testing.T) {
 	}
 	// Acyclic runs carry no decomposition stats.
 	aq, adb := testutil.Fig1Instance()
-	if _, stats, err := Quantile(aq, adb, ranking.NewSum(aq.Vars()[0]), 0.5, Options{}); err != nil || stats.Decomp != nil {
+	if _, stats, err := Quantile(engines(t, aq, adb), ranking.NewSum(aq.Vars()[0]), 0.5, Options{}); err != nil || stats.Decomp != nil {
 		t.Fatalf("acyclic stats = %+v err = %v, want nil Decomp", stats.Decomp, err)
 	}
 }
@@ -310,14 +321,7 @@ func TestValidationErrors(t *testing.T) {
 	for _, a := range q.Atoms {
 		db.Add(relation.FromRows(a.Rel, 2, [][]relation.Value{{1, 1}}))
 	}
-	f := ranking.NewSum("x1")
-	if _, _, err := Quantile(q, db, f, -0.1, Options{}); err == nil {
-		t.Fatal("negative φ accepted")
-	}
-	if _, _, err := Quantile(q, db, f, 1.1, Options{}); err == nil {
-		t.Fatal("φ > 1 accepted")
-	}
-	if _, _, err := Quantile(q, db, ranking.NewSum("zz"), 0.5, Options{}); err == nil {
+	if _, _, err := Quantile(engines(t, q, db), ranking.NewSum("zz"), 0.5, Options{}); err == nil {
 		t.Fatal("unknown ranked variable accepted")
 	}
 }
@@ -327,7 +331,7 @@ func TestEmptyAnswerSet(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R1", 2, [][]relation.Value{{1, 5}}))
 	db.Add(relation.FromRows("R2", 2, [][]relation.Value{{7, 2}}))
-	if _, _, err := Quantile(q, db, ranking.NewSum("x1"), 0.5, Options{}); err != ErrNoAnswers {
+	if _, _, err := Quantile(engines(t, q, db), ranking.NewSum("x1"), 0.5, Options{}); err != ErrNoAnswers {
 		t.Fatalf("err = %v, want ErrNoAnswers", err)
 	}
 }
@@ -338,7 +342,7 @@ func TestBaselineMatchesDriver(t *testing.T) {
 		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(2), 2+rng.Intn(8), 4)
 		f := ranking.NewMax(q.Vars()...)
 		phi := phis[trial%len(phis)]
-		b, err := BaselineQuantile(q, db, f, phi)
+		b, err := BaselineQuantile(engines(t, q, db)[0], f, phi)
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -346,7 +350,7 @@ func TestBaselineMatchesDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkExact(t, q, db, f, phi, b)
-		a, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,11 +376,7 @@ func TestAnswerAccessors(t *testing.T) {
 
 func TestCountAPI(t *testing.T) {
 	q, db := testutil.Fig1Instance()
-	c, err := Count(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := c.Uint64(); n != 13 {
+	if n, _ := engines(t, q, db)[0].Total().Uint64(); n != 13 {
 		t.Fatalf("count = %d", n)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/quantilejoins/qjoin/internal/engine"
-	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
@@ -20,39 +19,14 @@ import (
 //
 // Per round, m = ⌈ln(8)/(2ε²)⌉ samples bound the per-round failure
 // probability by 1/4; r = 2⌈4·ln(1/δ)⌉+1 rounds drive the majority failure
-// below δ.
-func SampleQuantile(q0 *query.Query, db0 *relation.Database, f *ranking.Func, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
-	if err := validSampleParams(phi, eps, delta); err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(q0, db0)
-	if err != nil {
-		return nil, err
-	}
-	return SampleQuantilePrepared(eng, f, phi, eps, delta, rng)
-}
-
-// validSampleParams rejects bad sampling parameters before any
-// preprocessing is paid for.
-func validSampleParams(phi, eps, delta float64) error {
+// below δ. The direct-access structure is built lazily on the engine and
+// shared, so repeated sampling queries pay only for their samples.
+func SampleQuantile(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
 	if eps <= 0 || eps >= 1 {
-		return fmt.Errorf("core: ε must be in (0,1), got %v", eps)
+		return nil, fmt.Errorf("core: ε must be in (0,1), got %v", eps)
 	}
 	if delta <= 0 || delta >= 1 {
-		return fmt.Errorf("core: δ must be in (0,1), got %v", delta)
-	}
-	if err := validPhi(phi); err != nil {
-		return err
-	}
-	return nil
-}
-
-// SampleQuantilePrepared is SampleQuantile against an already compiled
-// engine. The direct-access structure is built lazily on the engine and
-// shared, so repeated sampling queries pay only for their samples.
-func SampleQuantilePrepared(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
-	if err := validSampleParams(phi, eps, delta); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: δ must be in (0,1), got %v", delta)
 	}
 	if err := f.Validate(eng.Source()); err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func TestSelectAllIndexes(t *testing.T) {
 			continue
 		}
 		for k := 0; k < len(answers); k++ {
-			a, _, err := Select(q, db, f, counting.FromInt(k), Options{MaterializeThreshold: 1})
+			a, _, err := Select(engines(t, q, db), f, counting.FromInt(k), Options{MaterializeThreshold: 1})
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
@@ -38,10 +38,10 @@ func TestSelectAllIndexes(t *testing.T) {
 func TestSelectOutOfRange(t *testing.T) {
 	q, db := testutil.Fig1Instance()
 	f := ranking.NewMin(q.Vars()...)
-	if _, _, err := Select(q, db, f, counting.FromInt(13), Options{}); err == nil {
+	if _, _, err := Select(engines(t, q, db), f, counting.FromInt(13), Options{}); err == nil {
 		t.Fatal("index 13 of 13 answers accepted")
 	}
-	if _, _, err := Select(q, db, f, counting.FromInt(12), Options{}); err != nil {
+	if _, _, err := Select(engines(t, q, db), f, counting.FromInt(12), Options{}); err != nil {
 		t.Fatalf("last index rejected: %v", err)
 	}
 }
@@ -53,16 +53,16 @@ func TestSelectQuantileEquivalence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q, db := testutil.RandomPathInstance(rng, 2, 2+rng.Intn(8), 4)
 		f := ranking.NewSum(q.Vars()...)
-		total, err := Count(q, db)
-		if err != nil || total.IsZero() {
+		total := engines(t, q, db)[0].Total()
+		if total.IsZero() {
 			continue
 		}
 		phi := phis[trial%len(phis)]
-		qa, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		qa, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa, _, err := Select(q, db, f, Index(total, phi), Options{MaterializeThreshold: 2})
+		sa, _, err := Select(engines(t, q, db), f, Index(total, phi), Options{MaterializeThreshold: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestQuantileCustomWeights(t *testing.T) {
 		f := ranking.NewMax(q.Vars()...)
 		f.Weight = func(v query.Var, x relation.Value) int64 { return -x } // invert order
 		phi := phis[trial%len(phis)]
-		a, _, err := Quantile(q, db, f, phi, Options{MaterializeThreshold: 2})
+		a, _, err := Quantile(engines(t, q, db), f, phi, Options{MaterializeThreshold: 2})
 		if err == ErrNoAnswers {
 			continue
 		}
@@ -99,7 +99,7 @@ func TestQuantileDuplicateRows(t *testing.T) {
 	db.Add(relation.FromRows("R1", 2, [][]relation.Value{{1, 2}, {1, 2}, {1, 2}, {3, 4}}))
 	db.Add(relation.FromRows("R2", 2, [][]relation.Value{{2, 7}, {2, 7}, {4, 1}}))
 	f := ranking.NewSum(q.Vars()...)
-	a, stats, err := Quantile(q, db, f, 0.5, Options{})
+	a, stats, err := Quantile(engines(t, q, db), f, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMaxIterationsGuard(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	q, db := testutil.RandomStarInstance(rng, 3, 40, 4)
 	f := ranking.NewMax(q.Vars()...)
-	_, _, err := Quantile(q, db, f, 0.5, Options{MaterializeThreshold: 1, MaxIterations: 1})
+	_, _, err := Quantile(engines(t, q, db), f, 0.5, Options{MaterializeThreshold: 1, MaxIterations: 1})
 	if err != ErrTooManyIterations && err != ErrNoAnswers && err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}

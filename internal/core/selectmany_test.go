@@ -89,7 +89,7 @@ func sameAnswer(a, b *Answer) bool {
 // low enough to force deep descents, SelectMany returns for every requested
 // index — in request order — the answer the both-sides reference driver
 // returns for that index alone, under SUM, MIN, MAX and LEX. A one-index
-// request also reports the run statistics SelectShards reports, field by
+// request also reports the run statistics Select reports, field by
 // field; a larger one never runs more rounds than its indices would alone.
 func TestSelectManyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -140,12 +140,12 @@ func TestSelectManyMatchesReference(t *testing.T) {
 						shared++
 					}
 					if len(set.ks) == 1 {
-						_, one, err := SelectShards(engs, f, set.ks[0], opts)
+						_, one, err := Select(engs, f, set.ks[0], opts)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 						if *gotStats != *one {
-							t.Fatalf("%s: stats %+v, SelectShards %+v", name, *gotStats, *one)
+							t.Fatalf("%s: stats %+v, Select %+v", name, *gotStats, *one)
 						}
 					}
 				}
@@ -203,7 +203,7 @@ func TestSelectManyLossyMatchesSingleRuns(t *testing.T) {
 					for i, k := range set.ks {
 						want, ok := alone[k]
 						if !ok {
-							if want, _, err = SelectShards(engs, f, k, opts); err != nil {
+							if want, _, err = Select(engs, f, k, opts); err != nil {
 								t.Fatalf("%s: k=%s: %v", name, k, err)
 							}
 							alone[k] = want
@@ -237,7 +237,7 @@ func overlapInstance(t *testing.T) (*engine.Engine, *ranking.Func, Options) {
 	db.Add(relation.FromRows("A1", 2, [][]relation.Value{{0, 70}, {1, 90}, {1, 35}, {1, 42}, {1, 76}, {0, 98}, {0, 24}, {0, 76}, {1, 29}, {0, 35}}))
 	db.Add(relation.FromRows("A2", 2, [][]relation.Value{{1, 32}, {1, 65}, {1, 82}, {0, 99}, {1, 100}, {0, 107}, {0, 34}, {1, 47}, {0, 64}, {1, 24}}))
 	db.Add(relation.FromRows("A3", 2, [][]relation.Value{{0, 21}, {1, 69}, {1, 56}, {0, 93}, {0, 96}, {1, 97}, {1, 7}, {0, 97}, {1, 73}, {0, 51}}))
-	eng, err := engine.New(testutil.StarQuery(3), db)
+	eng, err := engine.NewWorkers(testutil.StarQuery(3), db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSelectManyLossyOverlap(t *testing.T) {
 	h := fnv.New64a()
 	alone := make([]*Answer, n)
 	for i, k := range every {
-		if alone[i], _, err = SelectShards(engs, f, k, opts); err != nil {
+		if alone[i], _, err = Select(engs, f, k, opts); err != nil {
 			t.Fatalf("k=%s: %v", k, err)
 		}
 		fmt.Fprintln(h, alone[i].Values, alone[i].Weight)
@@ -341,7 +341,7 @@ func TestSingleIndexRunsArePinned(t *testing.T) {
 		for _, f := range inst.Ranks {
 			for _, threshold := range []int{0, 8} {
 				for _, phi := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
-					a, st, err := QuantileShards(sh.Engines(), f, phi, Options{Parallelism: 1, MaterializeThreshold: threshold})
+					a, st, err := Quantile(sh.Engines(), f, phi, Options{Parallelism: 1, MaterializeThreshold: threshold})
 					if err != nil {
 						t.Fatalf("%s shards=%d %s%v φ=%v: %v", inst.Name, nShards, f.Agg, f.Vars, phi, err)
 					}
@@ -380,7 +380,7 @@ func referenceSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Opt
 			continue
 		}
 		prev = k
-		a, _, err := SelectPrepared(eng, f, k, o)
+		a, _, err := Select([]*engine.Engine{eng}, f, k, o)
 		if err != nil {
 			return nil, err
 		}
@@ -403,7 +403,7 @@ func referenceSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Opt
 // coarser one.
 func TestBuildSummaryMatchesSelectionPerAnchor(t *testing.T) {
 	for _, inst := range testutil.FuzzCorpus(rand.New(rand.NewSource(616))) {
-		eng, err := engine.New(inst.Q, inst.DB)
+		eng, err := engine.NewWorkers(inst.Q, inst.DB, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -474,16 +474,16 @@ func TestSharedDescentBuildsEachBandOnce(t *testing.T) {
 	}
 }
 
-// SelectMany rejects an index past the end with SelectShards' words, wherever
+// SelectMany rejects an index past the end with Select' words, wherever
 // in the request it sits, and answers an empty request with no answers.
 func TestSelectManyArguments(t *testing.T) {
 	inst := testutil.FuzzCorpus(rand.New(rand.NewSource(616)))[0]
-	eng, err := engine.New(inst.Q, inst.DB)
+	eng, err := engine.NewWorkers(inst.Q, inst.DB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engs, f, n := []*engine.Engine{eng}, inst.Ranks[0], eng.Counts().Total
-	_, _, wantErr := SelectShards(engs, f, n, Options{})
+	_, _, wantErr := Select(engs, f, n, Options{})
 	if _, _, err := SelectMany(engs, f, []counting.Count{counting.Zero, n, counting.One}, Options{}); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("out-of-range index: %v, want %v", err, wantErr)
 	}

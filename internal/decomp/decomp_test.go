@@ -181,7 +181,7 @@ func TestMaterializeOrderIndependentOfWorkers(t *testing.T) {
 		rows = append(rows, []relation.Value{i % 7, i % 5})
 	}
 	for _, name := range []string{"R", "S", "T", "U"} {
-		db.Add(relation.FromRows(name, 2, rows).Deduped())
+		db.Add(relation.FromRows(name, 2, rows).DedupedWorkers(1))
 	}
 	d, err := Decompose(q, MaxDecompWidth)
 	if err != nil {
@@ -376,7 +376,7 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.Append(rng.Int63n(dom), rng.Int63n(dom))
 		}
-		return r.Deduped()
+		return r.DedupedWorkers(1)
 	}
 	binary := func(names string, n int, dom int64) *relation.Database {
 		db := relation.NewDatabase()

@@ -124,19 +124,14 @@ func (e *Engine) TrimCache() *trim.Cache { return e.trimCache }
 // managed by the driver (the engine only owns their lifetime).
 func (e *Engine) Scratch() *sync.Pool { return &e.scratch }
 
-// New compiles a query against a database: validate, eliminate self-joins,
-// deduplicate the input relations, build the join tree, and materialize the
-// executable tree. Everything here is quasilinear in |D| and is paid exactly
-// once per (Q, D) pair; the answer count and the other derived structures
-// are built lazily on first use and then cached. The compile-time passes run
-// data-parallel on GOMAXPROCS workers; NewWorkers pins the worker count.
-func New(src *query.Query, db0 *relation.Database) (*Engine, error) {
-	return NewWorkers(src, db0, 0)
-}
-
-// NewWorkers is New with an explicit Parallelism knob for the compile-time
-// passes (deduplication, node materialization, group indexes, counting, the
-// lazy full reduction): 0 selects GOMAXPROCS, 1 the exact sequential path.
+// NewWorkers compiles a query against a database: validate, eliminate
+// self-joins, deduplicate the input relations, build the join tree, and
+// materialize the executable tree. Everything here is quasilinear in |D| and
+// is paid exactly once per (Q, D) pair; the answer count and the other
+// derived structures are built lazily on first use and then cached.
+// parallelism is the worker count of the compile-time passes (deduplication,
+// node materialization, group indexes, counting, the lazy full reduction):
+// 0 selects GOMAXPROCS, 1 the exact sequential path.
 // The compiled artifact is byte-identical for every value — all parallel
 // merges are ordered — so the knob only trades wall-clock time for cores.
 func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Engine, error) {

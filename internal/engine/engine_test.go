@@ -14,7 +14,7 @@ import (
 func fig1Engine(t *testing.T) *Engine {
 	t.Helper()
 	q, db := testutil.Fig1Instance()
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNewDecomposesCyclic(t *testing.T) {
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {1, 1}}))
 	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}, {1, 1}}))
 	db.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}, {1, 1}}))
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatalf("cyclic query failed to decompose: %v", err)
 	}
@@ -65,11 +65,11 @@ func TestNewDecomposesCyclic(t *testing.T) {
 func TestNewRejectsSchemaMismatch(t *testing.T) {
 	q := query.New(query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}})
 	db := relation.NewDatabase()
-	if _, err := New(q, db); err == nil {
+	if _, err := NewWorkers(q, db, 0); err == nil {
 		t.Fatal("missing relation accepted")
 	}
 	db.Add(relation.FromRows("R", 1, [][]relation.Value{{1}}))
-	if _, err := New(q, db); err == nil {
+	if _, err := NewWorkers(q, db, 0); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestSelfJoinRewrite(t *testing.T) {
 	)
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}, {2, 4}, {3, 1}}))
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDuplicateInputRows(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R1", 2, [][]relation.Value{{1, 2}, {1, 2}, {3, 4}}))
 	db.Add(relation.FromRows("R2", 2, [][]relation.Value{{2, 7}, {2, 7}, {4, 1}}))
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestDuplicateInputRows(t *testing.T) {
 func TestReducedPreservesAnswers(t *testing.T) {
 	e := fig1Engine(t)
 	red := e.Reduced()
-	if got := yannakakis.CountAnswers(red); got.Cmp(e.Total()) != 0 {
+	if got := yannakakis.CountAnswersWorkers(red, 1); got.Cmp(e.Total()) != 0 {
 		t.Fatalf("reduced count = %s, want %s", got, e.Total())
 	}
 	// The shared exec must be untouched by the reduction.
-	if got := yannakakis.CountAnswers(e.Exec()); got.Cmp(e.Total()) != 0 {
+	if got := yannakakis.CountAnswersWorkers(e.Exec(), 1); got.Cmp(e.Total()) != 0 {
 		t.Fatalf("shared exec count = %s, want %s", got, e.Total())
 	}
 	// Idempotent handle.
@@ -169,7 +169,7 @@ func TestLazyStructuresConcurrent(t *testing.T) {
 			defer wg.Done()
 			e.Reduced()
 			e.Access()
-			yannakakis.CountAnswers(e.Exec())
+			yannakakis.CountAnswersWorkers(e.Exec(), 1)
 		}()
 	}
 	wg.Wait()

@@ -219,7 +219,7 @@ func ApplyDelta(db *relation.Database, d *Delta) (*relation.Database, error) {
 		if r == nil {
 			return nil, fmt.Errorf("qjoin: delta references unknown relation %q", name)
 		}
-		ms := relation.NewMultiset(r)
+		ms := relation.NewMultisetWorkers(r, 1)
 		eff, err := simulateRel(name, r.Arity(), byRel[name], ms.Mult)
 		if err != nil {
 			return nil, err

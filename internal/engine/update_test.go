@@ -34,7 +34,7 @@ func TestUpdateRefcounts(t *testing.T) {
 		[][]relation.Value{{1, 2}, {1, 2}, {3, 4}},
 		[][]relation.Value{{2, 7}, {4, 1}},
 	)
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestUpdateAtomic(t *testing.T) {
 		[][]relation.Value{{1, 2}},
 		[][]relation.Value{{2, 7}},
 	)
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 		[][]relation.Value{{1, 2}, {3, 4}, {5, 6}, {1, 2}},
 		[][]relation.Value{{2, 7}, {4, 1}, {6, 3}},
 	)
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(q, mutated)
+	fresh, err := NewWorkers(q, mutated, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 		}
 	}
 	// Maintained counting state must equal a fresh pass over the new exec.
-	want := yannakakis.Count(up.Exec())
+	want := yannakakis.CountWorkers(up.Exec(), 1)
 	got := up.Counts()
 	if got.Total.Cmp(want.Total) != 0 {
 		t.Fatalf("maintained total %s, recounted %s", got.Total, want.Total)
@@ -186,7 +186,7 @@ func TestUpdateSelfJoin(t *testing.T) {
 	)
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}, {3, 1}}))
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestUpdateSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(q, mutated)
+	fresh, err := NewWorkers(q, mutated, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestUpdateUnreferencedRelation(t *testing.T) {
 	db.Add(relation.FromRows("R1", 2, [][]relation.Value{{1, 2}}))
 	db.Add(relation.FromRows("R2", 2, [][]relation.Value{{2, 7}}))
 	db.Add(relation.FromRows("Extra", 1, [][]relation.Value{{42}}))
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestUpdateReportsChange(t *testing.T) {
 		[][]relation.Value{{2, 7}, {4, 1}},
 	)
 	db.Add(relation.FromRows("Extra", 1, [][]relation.Value{{42}}))
-	e, err := New(q, db)
+	e, err := NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestUpdateReportsChange(t *testing.T) {
 	)
 	sdb := relation.NewDatabase()
 	sdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}}))
-	se, err := New(self, sdb)
+	se, err := NewWorkers(self, sdb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestUpdateReportsChange(t *testing.T) {
 	tdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}}))
 	tdb.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}}))
 	tdb.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}}))
-	te, err := New(tri, tdb)
+	te, err := NewWorkers(tri, tdb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // derives a new Exec from an existing one plus set-level relation changes,
 // touching only the nodes whose source relation changed: survivors keep
 // their relative order and insertions append, so the derived per-node
-// relations are byte-identical to the ones a fresh NewExec would build on
+// relations are byte-identical to the ones a fresh NewExecWorkers would build on
 // the mutated database. Group indexes are maintained in place of a rebuild —
 // tuple lists are remapped (deletions) or extended (insertions), group ids
 // are stable, and groups emptied by deletions are retained (consumers treat

@@ -14,7 +14,7 @@ import (
 func dedupedDB(db *relation.Database) *relation.Database {
 	out := relation.NewDatabase()
 	for _, name := range db.Names() {
-		out.Add(db.Get(name).Deduped())
+		out.Add(db.Get(name).DedupedWorkers(1))
 	}
 	return out
 }
@@ -28,7 +28,7 @@ func mutate(r *relation.Relation, d RelDelta) *relation.Relation {
 	}
 	var enc relation.KeyEncoder
 	cols := r.Cols()
-	out := r.Filter(func(i int) bool {
+	out := r.FilterWorkers(1, func(i int) bool {
 		_, dead := removed[string(enc.RowAt(cols, i))]
 		return !dead
 	})
@@ -119,7 +119,7 @@ func materializeAll(e *Exec) [][]relation.Value {
 // with a fresh counting pass.
 func checkDerivedMatchesFresh(t *testing.T, q *query.Query, tree *Tree, derived *Exec) {
 	t.Helper()
-	fresh, err := NewExec(q, derived.DB, tree)
+	fresh, err := NewExecWorkers(q, derived.DB, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestApplyDeltaMatchesFreshExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewExec(q, db, tree)
+		e, err := NewExecWorkers(q, db, tree, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestApplyDeltaMatchesFreshExec(t *testing.T) {
 
 func mustFresh(t *testing.T, q *query.Query, db *relation.Database, tree *Tree) *Exec {
 	t.Helper()
-	e, err := NewExec(q, db, tree)
+	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +204,13 @@ func TestApplyDeltaRepeatedVars(t *testing.T) {
 		query.Atom{Rel: "S", Vars: []query.Var{"y", "z"}},
 	)
 	db := relation.NewDatabase()
-	db.Add(relation.FromRows("R", 3, [][]relation.Value{{1, 1, 2}, {5, 5, 6}}).Deduped())
-	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 9}, {6, 9}}).Deduped())
+	db.Add(relation.FromRows("R", 3, [][]relation.Value{{1, 1, 2}, {5, 5, 6}}).DedupedWorkers(1))
+	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 9}, {6, 9}}).DedupedWorkers(1))
 	tree, err := Build(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExec(q, db, tree)
+	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestApplyDeltaChained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExec(q, db, tree)
+	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

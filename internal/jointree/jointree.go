@@ -237,22 +237,11 @@ func (g *GroupIndex) NumGroups() int { return len(g.Tuples) }
 // tuples in group-id order (TupleOf over [0, Len())).
 func (g *GroupIndex) Keys() *relation.Interner { return g.keys }
 
-// GroupIndexFromParts reconstructs a GroupIndex from its two serialized
-// parts: the key interner (keys re-interned in group-id order) and the
-// per-row group-id array. Tuples is rederived by packTuples, which is how
-// the fresh build materializes it too, so the restored index is structurally
-// identical to the one that was saved. Every RowGid entry must be a valid id
-// of keys; the caller validates before handing the parts over.
-func GroupIndexFromParts(keys *relation.Interner, rowGid []int32) *GroupIndex {
-	g := &GroupIndex{keys: keys, RowGid: rowGid}
-	g.packTuples(len(rowGid))
-	return g
-}
-
-// GroupIndexFromFlat is GroupIndexFromParts with the pack pass handed over:
-// flat is the per-group tuple lists flattened in group-id order — exactly the
-// backing array packTuples would build — so a restore costs one validating
-// read pass and no fill pass. Tuples subslices flat with full caps,
+// GroupIndexFromFlat reconstructs a GroupIndex from its serialized parts: the
+// key interner (keys re-interned in group-id order), the per-row group-id
+// array, and flat, the per-group tuple lists flattened in group-id order —
+// exactly the backing array packTuples would build — so a restore costs one
+// validating read pass and no fill pass. Tuples subslices flat with full caps,
 // preserving the copy-on-append behavior of the packed layout. Validation
 // keeps the structure memory-safe under arbitrary input — RowGid partitions
 // flat exactly, every row index is in range, runs are strictly ascending —
@@ -296,15 +285,9 @@ func (g *GroupIndex) lookup(key []relation.Value) (int, bool) {
 	return int(id), ok
 }
 
-// NewExec materializes the per-node relations and group indexes
-// sequentially; NewExecWorkers is the data-parallel variant.
-// Atom rows violating intra-atom repeated-variable equality are dropped.
-func NewExec(q *query.Query, db *relation.Database, t *Tree) (*Exec, error) {
-	return NewExecWorkers(q, db, t, 1)
-}
-
 // NewExecWorkers materializes the per-node relations and group indexes over
-// a bounded worker pool. Node materialization chunks each source relation's
+// a bounded worker pool; atom rows violating intra-atom repeated-variable
+// equality are dropped. Node materialization chunks each source relation's
 // rows and concatenates per-chunk outputs in chunk order (cross-chunk
 // duplicates resolved first-chunk-wins), and group indexes are built from
 // per-chunk partial indexes merged in chunk order, so the result is
@@ -688,15 +671,12 @@ func (e *Exec) ChildGroup(node int, row []relation.Value) (int, bool) {
 	return e.Groups[node].lookup(key)
 }
 
-// FullReduce removes all dangling tuples with one bottom-up and one top-down
-// semijoin pass (the Yannakakis full reducer) and rebuilds the group indexes.
-// Afterwards every remaining tuple participates in at least one query answer.
-// The pass is sequential; FullReduceWorkers is the data-parallel variant.
-func (e *Exec) FullReduce() { e.FullReduceWorkers(1) }
-
-// FullReduceWorkers is the Yannakakis full reducer over a bounded worker
-// pool. Per-tuple survival checks are chunked over row ranges (writes to the
-// keep vectors are disjoint by index), surviving-group sets are built as
+// FullReduceWorkers removes all dangling tuples with one bottom-up and one
+// top-down semijoin pass (the Yannakakis full reducer) and rebuilds the group
+// indexes; afterwards every remaining tuple participates in at least one
+// query answer. Per-tuple survival checks are chunked over row ranges on a
+// bounded worker pool (writes to the keep vectors are disjoint by index),
+// surviving-group sets are built as
 // per-chunk bitmaps and unioned, and the surviving relations are rebuilt from
 // per-chunk filters concatenated in chunk order — so the reduced tree is
 // byte-identical to the sequential reducer's for every worker count. Both

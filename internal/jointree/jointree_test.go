@@ -86,7 +86,7 @@ func hasVar(vs []query.Var, v query.Var) bool {
 func TestNewExecGroups(t *testing.T) {
 	q, db := fig1()
 	tree, _ := Build(q)
-	e, err := NewExec(q, db, tree)
+	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestNewExecGroups(t *testing.T) {
 func TestGroupForParentRow(t *testing.T) {
 	q, db := fig1()
 	tree, _ := Build(q)
-	e, _ := NewExec(q, db, tree)
+	e, _ := NewExecWorkers(q, db, tree, 1)
 	// Find the S node (vars x1,x3) and its parent R.
 	var sNode *Node
 	for _, n := range tree.Nodes {
@@ -137,7 +137,7 @@ func TestIntraAtomEquality(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 1}, {1, 2}, {3, 3}}))
 	tree, _ := Build(q)
-	e, err := NewExec(q, db, tree)
+	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestFullReduce(t *testing.T) {
 	db.Add(relation.FromRows("A", 2, [][]relation.Value{{1, 10}, {2, 20}, {3, 30}}))
 	db.Add(relation.FromRows("B", 2, [][]relation.Value{{10, 100}, {20, 200}, {99, 900}}))
 	tree, _ := Build(q)
-	e, _ := NewExec(q, db, tree)
-	e.FullReduce()
+	e, _ := NewExecWorkers(q, db, tree, 1)
+	e.FullReduceWorkers(1)
 	// (3,30) has no B partner; (99,900) has no A partner.
 	var aLen, bLen int
 	for _, n := range tree.Nodes {
@@ -186,8 +186,8 @@ func TestFullReduceDeepDangling(t *testing.T) {
 	db.Add(relation.FromRows("B", 2, [][]relation.Value{{10, 100}, {20, 200}}))
 	db.Add(relation.FromRows("C", 2, [][]relation.Value{{100, 7}}))
 	tree, _ := Build(q)
-	e, _ := NewExec(q, db, tree)
-	e.FullReduce()
+	e, _ := NewExecWorkers(q, db, tree, 1)
+	e.FullReduceWorkers(1)
 	for _, n := range tree.Nodes {
 		want := 1
 		if got := e.Rels[n.ID].Len(); got != want {
@@ -196,7 +196,7 @@ func TestFullReduceDeepDangling(t *testing.T) {
 	}
 }
 
-// Property: after FullReduce, every remaining tuple participates in at
+// Property: after FullReduceWorkers, every remaining tuple participates in at
 // least one answer (every child group reachable from it is non-empty).
 func TestFullReduceProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
@@ -206,11 +206,11 @@ func TestFullReduceProperty(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		e, err := NewExec(q, db, tree)
+		e, err := NewExecWorkers(q, db, tree, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.FullReduce()
+		e.FullReduceWorkers(1)
 		for _, n := range tree.Nodes {
 			rel := e.Rels[n.ID]
 			for i := 0; i < rel.Len(); i++ {
@@ -340,11 +340,11 @@ func TestBinarizeStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Answer count must be preserved: every copy atom repeats the hub tuple.
-	e, err := NewExec(q2, db2, t2)
+	e, err := NewExecWorkers(q2, db2, t2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FullReduce()
+	e.FullReduceWorkers(1)
 	for _, n := range t2.Nodes {
 		if e.Rels[n.ID].Len() == 0 {
 			t.Fatal("binarized instance lost tuples")

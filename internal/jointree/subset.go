@@ -2,7 +2,7 @@
 // trims (MAX ≺ λ / MIN ≻ λ, and single-node SUM) shrink every relation
 // monotonically: each output relation is a pure row-subset of its input.
 // DeriveSubset exploits that: instead of re-projecting, re-deduplicating and
-// re-hashing the trimmed database through Build+NewExec, it filters the
+// re-hashing the trimmed database through Build+NewExecWorkers, it filters the
 // parent Exec's node relations, remaps its group indexes and compresses its
 // per-edge gid arrays — all integer work proportional to the surviving rows.
 // It is the monotone-shrinkage analogue of ApplyDelta's copy-on-write
@@ -24,7 +24,7 @@ import (
 // Group ids are stable: the derived indexes share the parent's key interner,
 // and groups whose tuples all died are retained empty (consumers treat them
 // like missing keys). The derived node relations are byte-identical to the
-// ones a fresh NewExec on (q, db) would materialize, because a node row
+// ones a fresh NewExecWorkers on (q, db) would materialize, because a node row
 // survives the source-level filter exactly when its projection survives the
 // node-level one, and relative order is preserved; answers are therefore
 // unchanged versus the rebuild path. The parent Exec is not modified and

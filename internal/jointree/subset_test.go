@@ -24,22 +24,22 @@ func subsetInstance(t *testing.T, seed int64, cutoff relation.Value) (*query.Que
 		for i := 0; i < 400; i++ {
 			r.Append(relation.Value(rng.Intn(40)), relation.Value(rng.Intn(40)))
 		}
-		db.Add(r.Deduped())
+		db.Add(r.DedupedWorkers(1))
 	}
 	tree, err := Build(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExec(q, db, tree)
+	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Filter: relation S keeps rows with first value < cutoff; R and T are
+	// The filter: relation S keeps rows with first value < cutoff; R and T are
 	// untouched (nil keep: the share path).
 	db2 := relation.NewDatabase()
 	db2.Add(db.Get("R"))
 	sCol := db.Get("S").Col(0)
-	db2.Add(db.Get("S").Filter(func(i int) bool { return sCol[i] < cutoff }))
+	db2.Add(db.Get("S").FilterWorkers(1, func(i int) bool { return sCol[i] < cutoff }))
 	db2.Add(db.Get("T"))
 	keep := make([][]bool, len(e.T.Nodes))
 	for _, n := range e.T.Nodes {
@@ -61,7 +61,7 @@ func subsetInstance(t *testing.T, seed int64, cutoff relation.Value) (*query.Que
 
 // TestDeriveSubsetMatchesFreshBuild checks the load-bearing contract of the
 // subset derivation: node relations are byte-identical to a fresh
-// Build+NewExec on the filtered database, and — although group ids may
+// Build+NewExecWorkers on the filtered database, and — although group ids may
 // differ (the derivation keeps stable ids, a fresh build renumbers densely)
 // — every parent row resolves to the exact same ascending tuple-index list
 // in both trees.
@@ -73,7 +73,7 @@ func TestDeriveSubsetMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewExec(q, db2, tree2)
+		fresh, err := NewExecWorkers(q, db2, tree2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,33 +38,12 @@ import (
 )
 
 // SeqThreshold is the element count below which chunked loops run inline on
-// the calling goroutine regardless of the requested worker count. It is a
-// package tunable (see SetTuning): the default suits the engine's dense
-// integer scans, but callers with much heavier per-element work can lower it.
-var SeqThreshold = 512
+// the calling goroutine regardless of the requested worker count.
+const SeqThreshold = 512
 
 // minChunk is the smallest chunk the splitter produces; fewer chunks than
-// workers are used when n/workers would drop below it. Tunable via SetTuning.
-var minChunk = 256
-
-// Tuning returns the current (SeqThreshold, minChunk) pair.
-func Tuning() (seqThreshold, chunkFloor int) { return SeqThreshold, minChunk }
-
-// SetTuning adjusts SeqThreshold and the minimum chunk size, returning the
-// previous pair so benchmarks and tests can restore it with a deferred call.
-// Both values must be >= 1 or SetTuning panics. Tuning only moves the
-// sequential/parallel crossover and the chunk decomposition; under the
-// package's determinism contract any decomposition yields byte-identical
-// results, so retuning can never change an answer. Not synchronized with
-// concurrent chunked loops — tune before spawning parallel work.
-func SetTuning(seqThreshold, chunkFloor int) (prevSeq, prevChunk int) {
-	if seqThreshold < 1 || chunkFloor < 1 {
-		panic("parallel: SetTuning values must be >= 1")
-	}
-	prevSeq, prevChunk = SeqThreshold, minChunk
-	SeqThreshold, minChunk = seqThreshold, chunkFloor
-	return prevSeq, prevChunk
-}
+// workers are used when n/workers would drop below it.
+const minChunk = 256
 
 // Workers resolves a Parallelism knob to a concrete worker count: values
 // <= 0 select GOMAXPROCS, everything else is taken as-is.

@@ -137,15 +137,8 @@ func TestForPanicPropagates(t *testing.T) {
 
 // Tiny inputs must take the exact sequential code path — a single chunk
 // executed inline on the calling goroutine — regardless of the requested
-// worker count, and retuning the thresholds must move that crossover.
-func TestTuningSequentialPath(t *testing.T) {
-	seq, chunk := Tuning()
-	if seq != SeqThreshold || chunk < 1 {
-		t.Fatalf("Tuning() = (%d, %d), inconsistent with package state", seq, chunk)
-	}
-
-	// Below SeqThreshold: one inline body call covering [0, n), even with
-	// many workers requested.
+// worker count.
+func TestSequentialPath(t *testing.T) {
 	n := SeqThreshold - 1
 	calls := 0
 	For(8, n, func(lo, hi int) {
@@ -160,43 +153,6 @@ func TestTuningSequentialPath(t *testing.T) {
 	if parts := MapRanges(8, n, func(lo, hi int) int { return hi - lo }); len(parts) != 1 || parts[0] != n {
 		t.Fatalf("MapRanges on tiny input = %v, want single full-range part", parts)
 	}
-
-	// Retune so the same n becomes parallel, and verify restore.
-	prevSeq, prevChunk := SetTuning(1, 1)
-	if prevSeq != seq || prevChunk != chunk {
-		t.Fatalf("SetTuning returned (%d, %d), want previous (%d, %d)", prevSeq, prevChunk, seq, chunk)
-	}
-	defer SetTuning(prevSeq, prevChunk)
-	if rs := Ranges(4, n); len(rs) != 8 {
-		t.Fatalf("after SetTuning(1,1), Ranges(4, %d) = %v, want 8 chunks (4 workers oversplit x2)", n, rs)
-	}
-
-	// The decomposition change must not change results (determinism contract).
-	sumUnder := func() int {
-		total := 0
-		for _, p := range MapRanges(4, n, func(lo, hi int) int {
-			s := 0
-			for i := lo; i < hi; i++ {
-				s += i * i
-			}
-			return s
-		}) {
-			total += p
-		}
-		return total
-	}
-	parallelSum := sumUnder()
-	SetTuning(prevSeq, prevChunk)
-	if seqSum := sumUnder(); seqSum != parallelSum {
-		t.Fatalf("retuned decomposition changed result: %d vs %d", parallelSum, seqSum)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetTuning(0, 1) must panic")
-		}
-	}()
-	SetTuning(0, 1)
 }
 
 func TestWorkers(t *testing.T) {

@@ -43,13 +43,6 @@ type Result struct {
 	Count counting.Count
 }
 
-// Select runs Algorithm 2 over an executable join tree. mu is the μ
-// attribute-to-atom assignment of the ranking's variables (Section 2.2).
-// The pass is sequential; SelectWorkers is the data-parallel variant.
-func Select(e *jointree.Exec, f *ranking.Func, mu map[query.Var]int) (*Result, error) {
-	return SelectWorkers(e, f, mu, 1)
-}
-
 // Scratch holds the reusable per-node buffers of a pivot-selection pass —
 // weight arrays and per-group selections that the driver would otherwise
 // reallocate every iteration. Reuse after the pass returns; not safe for
@@ -85,8 +78,9 @@ func grow[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// SelectWorkers runs Algorithm 2 over a bounded worker pool: the counting
-// pass, the per-tuple pivot-weight loops (chunked over rows) and the
+// SelectWorkers runs Algorithm 2 over an executable join tree; mu is the μ
+// attribute-to-atom assignment of the ranking's variables (Section 2.2). The
+// counting pass, the per-tuple pivot-weight loops (chunked over rows) and the
 // per-group weighted medians (chunked over groups) all run data-parallel.
 // Weighted medians are deterministic (introselect over position-based pivots,
 // no randomization) and every write is disjoint by tuple or group index, so

@@ -20,7 +20,7 @@ func selectPivot(t testing.TB, q *query.Query, db *relation.Database, f *ranking
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func selectPivot(t testing.TB, q *query.Query, db *relation.Database, f *ranking
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Select(e, f, mu)
+	return SelectWorkers(e, f, mu, 1)
 }
 
 // Figure 2 of the paper: under full SUM with identity weights, the pivot of
@@ -43,7 +43,7 @@ func TestFigure2Pivot(t *testing.T) {
 	f := ranking.NewSum("x1", "x2", "x3", "x4", "x5")
 	// Atoms: 0=R, 1=S, 2=T, 3=U. Parents: S->R, T->R, U->T.
 	tree := jointree.FromParent(q, []int{-1, 0, 0, 2}, 0)
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFigure2Pivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Select(e, f, mu)
+	res, err := SelectWorkers(e, f, mu, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func BenchmarkPivotPath3(b *testing.B) {
 	mu, _ := f.AssignVars(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExec(q, db, tree)
-		if _, err := Select(e, f, mu); err != nil && err != ErrNoAnswers {
+		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+		if _, err := SelectWorkers(e, f, mu, 1); err != nil && err != ErrNoAnswers {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func pivotWeightDigest(t *testing.T, workers int) uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExec(q, db, tree)
+		e, err := jointree.NewExecWorkers(q, db, tree, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

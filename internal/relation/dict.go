@@ -10,7 +10,7 @@ package relation
 // A Dict is append-only: an id once assigned never changes and is never
 // reused, so a dictionary may be shared by every database derived from a
 // load (Clone, trims, incremental updates) without copying. It is not safe
-// for concurrent mutation; concurrent read-only access (Lookup, StringOf)
+// for concurrent mutation; concurrent read-only access (Lookup, Strings)
 // is safe once loading is done.
 type Dict struct {
 	ids  map[string]Value
@@ -37,14 +37,6 @@ func (d *Dict) Intern(s string) Value {
 func (d *Dict) Lookup(s string) (Value, bool) {
 	id, ok := d.ids[s]
 	return id, ok
-}
-
-// StringOf returns the string interned under id.
-func (d *Dict) StringOf(id Value) (string, bool) {
-	if id < 0 || int(id) >= len(d.strs) {
-		return "", false
-	}
-	return d.strs[id], true
 }
 
 // Len returns the number of interned strings; ids are exactly [0, Len()).

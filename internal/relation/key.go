@@ -60,14 +60,3 @@ func (e *KeyEncoder) RowAt(cols [][]Value, i int) []byte {
 	e.buf = dst
 	return dst
 }
-
-// ColsAt returns the key of the selected columns of row i of the given
-// column vectors.
-func (e *KeyEncoder) ColsAt(cols [][]Value, pos []int, i int) []byte {
-	dst := e.buf[:0]
-	for _, c := range pos {
-		dst = appendValue(dst, cols[c][i])
-	}
-	e.buf = dst
-	return dst
-}

@@ -20,13 +20,10 @@ type Multiset struct {
 	over map[string]int // sparse overlay; an entry of 0 marks a removed key
 }
 
-// NewMultiset counts the raw row multiplicities of a relation sequentially;
-// NewMultisetWorkers is the data-parallel variant.
-func NewMultiset(r *Relation) *Multiset { return NewMultisetWorkers(r, 1) }
-
-// NewMultisetWorkers counts raw row multiplicities over a bounded worker
-// pool: per-chunk counts are summed in a sequential merge, so the result is
-// identical for every worker count (multiset union is commutative).
+// NewMultisetWorkers counts the raw row multiplicities of a relation over a
+// bounded worker pool: per-chunk counts are summed in a sequential merge, so
+// the result is identical for every worker count (multiset union is
+// commutative).
 func NewMultisetWorkers(r *Relation, workers int) *Multiset {
 	n := r.Len()
 	cols := r.Cols()

@@ -15,7 +15,7 @@ func TestMultisetCounts(t *testing.T) {
 	r.Append(1, 2)
 	r.Append(1, 2)
 	r.Append(3, 4)
-	m := NewMultiset(r)
+	m := NewMultisetWorkers(r, 1)
 	if got := m.Mult(keyOf([]Value{1, 2})); got != 2 {
 		t.Fatalf("mult(1,2) = %d, want 2", got)
 	}
@@ -32,7 +32,7 @@ func TestMultisetWorkersMatchesSequential(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		r.Append(Value(i%97), Value(i%13))
 	}
-	seq := NewMultiset(r)
+	seq := NewMultisetWorkers(r, 1)
 	par := NewMultisetWorkers(r, 4)
 	for i := 0; i < 97; i++ {
 		for j := 0; j < 13; j++ {
@@ -49,7 +49,7 @@ func TestMultisetDerive(t *testing.T) {
 	r.Append(1)
 	r.Append(1)
 	r.Append(2)
-	m := NewMultiset(r)
+	m := NewMultisetWorkers(r, 1)
 	k1, k2, k3 := keyOf([]Value{1}), keyOf([]Value{2}), keyOf([]Value{3})
 
 	m2 := m.Derive(map[string]int{k1: 1, k3: 2})
@@ -79,7 +79,7 @@ func TestMultisetDeriveFlattens(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		r.Append(Value(i))
 	}
-	m := NewMultiset(r)
+	m := NewMultisetWorkers(r, 1)
 	// Push far past the flattening threshold through chained derivations.
 	for i := 0; i < 64; i++ {
 		m = m.Derive(map[string]int{keyOf([]Value{Value(i)}): i % 3})
@@ -97,7 +97,7 @@ func TestMultisetDeriveFlattens(t *testing.T) {
 func TestMultisetDeriveSharedBase(t *testing.T) {
 	r := New("R", 1)
 	r.Append(1)
-	m := NewMultiset(r)
+	m := NewMultisetWorkers(r, 1)
 	k := keyOf([]Value{1})
 	a := m.Derive(map[string]int{k: 5})
 	b := m.Derive(map[string]int{k: 7})
@@ -110,7 +110,7 @@ func ExampleMultiset() {
 	r := New("R", 1)
 	r.Append(7)
 	r.Append(7)
-	m := NewMultiset(r)
+	m := NewMultisetWorkers(r, 1)
 	var enc KeyEncoder
 	fmt.Println(m.Mult(string(enc.Row([]Value{7}))))
 	// Output: 2

@@ -69,15 +69,11 @@ func (r *Relation) MarkDistinct() *Relation { r.distinct = true; return r }
 // IsDistinct reports whether the relation is known duplicate-free.
 func (r *Relation) IsDistinct() bool { return r.distinct }
 
-// Deduped returns the relation itself when known distinct, otherwise a
-// duplicate-free copy (marked distinct). The scan is sequential; see
-// DedupedWorkers for the data-parallel variant.
-func (r *Relation) Deduped() *Relation { return r.DedupedWorkers(1) }
-
-// DedupedWorkers is Deduped over a bounded worker pool: each chunk of rows
-// hashes its locally-first rows in parallel, and a sequential merge in chunk
-// order drops cross-chunk duplicates, so the output row sequence is
-// byte-identical to the sequential scan for every worker count.
+// DedupedWorkers returns the relation itself when known distinct, otherwise
+// a duplicate-free copy (marked distinct), over a bounded worker pool: each
+// chunk of rows hashes its locally-first rows in parallel, and a sequential
+// merge in chunk order drops cross-chunk duplicates, so the output row
+// sequence is byte-identical to the sequential scan for every worker count.
 func (r *Relation) DedupedWorkers(workers int) *Relation {
 	if r.distinct {
 		return r
@@ -373,33 +369,16 @@ func (r *Relation) WithoutRows(sortedIdx []int, extra int) *Relation {
 	return out
 }
 
-// Filter returns a new relation containing the tuples for which keep returns
-// true, preserving order. The predicate receives the row index; callers read
-// the columns they test directly (see Col). A subset of a distinct relation
-// stays distinct.
-func (r *Relation) Filter(keep func(i int) bool) *Relation {
-	n := r.Len()
-	var rows []int
-	for i := 0; i < n; i++ {
-		if keep(i) {
-			rows = append(rows, i)
-		}
-	}
-	out := r.GatherRows(r.name, rows)
-	out.distinct = r.distinct
-	return out
-}
-
-// FilterWorkers is Filter with the scan chunked over a bounded worker pool;
-// per-chunk survivor lists are concatenated in chunk order, so the result
-// equals Filter's for every worker count. keep must be safe for concurrent
-// calls.
+// FilterWorkers returns a new relation containing the tuples for which keep
+// returns true, preserving order. The predicate receives the row index;
+// callers read the columns they test directly (see Col). A subset of a
+// distinct relation stays distinct. The scan is chunked over a bounded worker
+// pool and the per-chunk survivor lists are concatenated in chunk order, so
+// the result is the same for every worker count; keep must be safe for
+// concurrent calls when the scan splits.
 func (r *Relation) FilterWorkers(workers int, keep func(i int) bool) *Relation {
 	n := r.Len()
-	if len(parallel.Ranges(workers, n)) <= 1 {
-		return r.Filter(keep)
-	}
-	parts := parallel.MapRanges(workers, n, func(lo, hi int) []int {
+	scan := func(lo, hi int) []int {
 		var rows []int
 		for i := lo; i < hi; i++ {
 			if keep(i) {
@@ -407,14 +386,20 @@ func (r *Relation) FilterWorkers(workers int, keep func(i int) bool) *Relation {
 			}
 		}
 		return rows
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
 	}
-	rows := make([]int, 0, total)
-	for _, p := range parts {
-		rows = append(rows, p...)
+	var rows []int
+	if len(parallel.Ranges(workers, n)) <= 1 {
+		rows = scan(0, n)
+	} else {
+		parts := parallel.MapRanges(workers, n, scan)
+		total := 0
+		for _, p := range parts {
+			total += len(p)
+		}
+		rows = make([]int, 0, total)
+		for _, p := range parts {
+			rows = append(rows, p...)
+		}
 	}
 	out := r.GatherRows(r.name, rows)
 	out.distinct = r.distinct

@@ -80,7 +80,7 @@ func TestRenameSharesData(t *testing.T) {
 func TestFilter(t *testing.T) {
 	a := FromRows("R", 1, [][]Value{{1}, {2}, {3}, {4}})
 	col := a.Col(0)
-	ev := a.Filter(func(i int) bool { return col[i]%2 == 0 })
+	ev := a.FilterWorkers(1, func(i int) bool { return col[i]%2 == 0 })
 	if ev.Len() != 2 || ev.Get(0, 0) != 2 || ev.Get(1, 0) != 4 {
 		t.Fatalf("filter = %v", ev)
 	}
@@ -175,7 +175,7 @@ func TestStringForms(t *testing.T) {
 
 func TestDeduped(t *testing.T) {
 	a := FromRows("R", 2, [][]Value{{1, 2}, {1, 2}, {3, 4}, {1, 2}})
-	d := a.Deduped()
+	d := a.DedupedWorkers(1)
 	if d.Len() != 2 || !d.IsDistinct() {
 		t.Fatalf("deduped: len=%d distinct=%v", d.Len(), d.IsDistinct())
 	}
@@ -183,7 +183,7 @@ func TestDeduped(t *testing.T) {
 		t.Fatal("dedup changed order of first occurrences")
 	}
 	// Already-distinct relations are returned as-is.
-	if d.Deduped() != d {
+	if d.DedupedWorkers(1) != d {
 		t.Fatal("distinct relation must not be copied")
 	}
 }
@@ -197,8 +197,8 @@ func TestDistinctPropagation(t *testing.T) {
 		t.Fatal("Rename dropped distinct")
 	}
 	ac := a.Col(0)
-	if !a.Filter(func(i int) bool { return ac[i] == 1 }).IsDistinct() {
-		t.Fatal("Filter dropped distinct")
+	if !a.FilterWorkers(1, func(i int) bool { return ac[i] == 1 }).IsDistinct() {
+		t.Fatal("FilterWorkers dropped distinct")
 	}
 	if !a.WithColumn("T", func(i int) Value { return 9 }).IsDistinct() {
 		t.Fatal("WithColumn dropped distinct")

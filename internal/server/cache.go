@@ -276,7 +276,7 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 		if _, ok := updated[p]; ok {
 			continue
 		}
-		up, err := p.UpdatePlan(delta)
+		up, err := p.Update(delta)
 		if err != nil {
 			// Cannot happen for a delta the registry already applied to the
 			// raw database (the engine validates against the same multiset

@@ -240,12 +240,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	db, err := buildDB(&req)
-	if err != nil {
+	// The shard count is checked before the body's relations are built: a
+	// bad count must not cost a database of up to MaxBodyBytes.
+	if err := qjoin.ValidateShards(req.Shards); err != nil {
 		s.fail(w, err)
 		return
 	}
-	if err := qjoin.ValidateShards(req.Shards); err != nil {
+	db, err := buildDB(&req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -404,153 +406,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-// execQuery validates, resolves the dataset snapshot, acquires the plan
-// (cache hit, coalesced flight, or fresh Prepare) and dispatches the
-// operation. The context deadline covers the Prepare: a compile that
-// outlives the request keeps running in its flight (latecomers may still
+// execQuery resolves the request against the wire protocol (before touching
+// any state, so a bad request never costs a Prepare), looks up the dataset
+// snapshot, acquires the plan (cache hit, coalesced flight, or fresh Prepare)
+// and runs the operation. The context deadline covers the Prepare: a compile
+// that outlives the request keeps running in its flight (latecomers may still
 // use it) but this request returns a timeout.
 func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	if req.Dataset == "" {
 		return nil, &qjoin.ArgError{Field: "dataset", Reason: "missing dataset name"}
 	}
-	if err := qjoin.ValidateWorkers(req.Workers); err != nil {
-		return nil, err
-	}
-	q, f, err := qjoin.ParseQuerySpec(qjoin.QuerySpec{Query: req.Query, Rank: req.Rank})
+	wire := qjoin.Request{Query: req.Query, Rank: req.Rank, Op: req.Op, Mode: req.Mode,
+		Phi: req.Phi, Phis: req.Phis, Eps: req.Eps, K: req.K, Workers: req.Workers}
+	op, err := wire.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	op := req.Op
-	if op == "" {
-		op = "quantile"
-	}
-	if op != "count" && f == nil {
-		return nil, &qjoin.ArgError{Field: "rank", Reason: "operation " + op + " needs a ranking"}
-	}
-	// Validate the per-op arguments before touching any state, so a bad
-	// request never costs a Prepare.
-	mode := qjoin.ModeExact
-	if req.Mode != "" {
-		switch op {
-		case "quantile", "quantiles", "median":
-			if mode, err = qjoin.ParseMode(req.Mode); err != nil {
-				return nil, err
-			}
-			if req.Eps != 0 {
-				if err := qjoin.ValidateEpsilon(req.Eps); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, &qjoin.ArgError{Field: "mode", Reason: "mode applies to quantile/quantiles/median, not " + op}
-		}
-	}
-	phis := []float64{req.Phi}
-	switch op {
-	case "count":
-	case "quantile":
-		if err := qjoin.ValidatePhi(req.Phi); err != nil {
-			return nil, err
-		}
-	case "median":
-		phis = []float64{0.5}
-	case "approx":
-		if err := qjoin.ValidatePhi(req.Phi); err != nil {
-			return nil, err
-		}
-		if err := qjoin.ValidateEpsilon(req.Eps); err != nil {
-			return nil, err
-		}
-	case "quantiles":
-		if len(req.Phis) == 0 {
-			return nil, &qjoin.ArgError{Field: "phis", Reason: "empty φ grid"}
-		}
-		if err := qjoin.ValidatePhis(req.Phis); err != nil {
-			return nil, err
-		}
-		phis = req.Phis
-	case "topk":
-		if err := qjoin.ValidateTopK(req.K); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, &qjoin.ArgError{Field: "op", Reason: "unknown operation " + op + " (want quantile/quantiles/median/approx/topk/count)"}
-	}
-
 	snap, ok := s.reg.Get(req.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("dataset %q: %w", req.Dataset, errNotFound)
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Parallelism
+	if op.Workers == 0 {
+		op.Workers = s.cfg.Parallelism
 	}
 	// Cache keys use the canonical wire forms, so spelling variants of the
 	// same query/ranking collide on one entry (and one interned ranking).
-	qstr := qjoin.FormatQuery(q)
+	qstr := qjoin.FormatQuery(op.Query)
 	rankStr := ""
-	if f != nil {
-		// Cannot fail: f came from ParseRanking, which never sets Weight.
-		rankStr, err = qjoin.FormatRanking(f)
-		if err != nil {
+	if op.Rank != nil {
+		// Cannot fail: the ranking came from ParseRanking, which never sets Weight.
+		if rankStr, err = qjoin.FormatRanking(op.Rank); err != nil {
 			return nil, err
 		}
 	}
-	plan, f, cached, err := s.getPlan(ctx, req.Dataset, snap, q, qstr, rankStr, workers, f)
+	plan, f, cached, err := s.getPlan(ctx, req.Dataset, snap, op.Query, qstr, rankStr, op.Workers, op.Rank)
 	if err != nil {
 		return nil, err
 	}
+	op.Rank = f
 
-	resp := &QueryResponse{Dataset: req.Dataset, Generation: snap.Gen, Op: op, Cached: cached}
-	switch op {
-	case "count":
+	resp := &QueryResponse{Dataset: req.Dataset, Generation: snap.Gen, Op: op.Op, Cached: cached}
+	if op.Op == "count" {
 		resp.Count = plan.Count().String()
 		return resp, nil
-	case "topk":
-		answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) { return plan.TopK(f, req.K) })
-		if err != nil {
-			return nil, err
-		}
-		resp.Vars = varNames(plan.Vars())
-		for _, a := range answers {
-			resp.Answers = append(resp.Answers, wireAnswer(a))
-		}
-		return resp, nil
 	}
-	resp.Vars = varNames(plan.Vars())
-	answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) {
-		if len(phis) > 1 && mode == qjoin.ModeExact {
-			// An exact grid is placed by one shared descent (only op=quantiles
-			// carries more than one φ). Like the one-φ exact read below it
-			// never sees the eps field.
-			return plan.Quantiles(f, phis)
-		}
-		out := make([]*qjoin.Answer, 0, len(phis))
-		for _, phi := range phis {
-			var a *qjoin.Answer
-			var err error
-			if op == "approx" {
-				a, err = plan.ApproxQuantile(f, phi, req.Eps)
-			} else {
-				// Eps reaches the plan only alongside an explicit non-exact
-				// mode: op=quantile historically ignores the eps field, and a
-				// stray value must not silently turn the run lossy.
-				qreq := qjoin.QuantileRequest{Phi: phi, Mode: mode}
-				if mode != qjoin.ModeExact {
-					qreq.Eps = req.Eps
-				}
-				a, err = plan.Answer(f, qreq)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("φ=%v: %w", phi, err)
-			}
-			out = append(out, a)
-		}
-		return out, nil
-	})
+	answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) { return plan.Run(op) })
 	if err != nil {
 		return nil, err
 	}
+	resp.Vars = varNames(plan.Vars())
 	for _, a := range answers {
 		resp.Answers = append(resp.Answers, wireAnswer(a))
 	}

@@ -52,7 +52,7 @@ type Snapshot struct {
 	// Individual plans may partition by a different join key — this is
 	// delta-locality bookkeeping, not a per-plan invalidation key (the plan
 	// cache keys on Gen; within a migrated sharded plan only the touched
-	// shard engines are rebuilt by UpdatePlan itself).
+	// shard engines are rebuilt by Update itself).
 	ShardGens []uint64
 }
 

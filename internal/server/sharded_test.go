@@ -31,6 +31,13 @@ func TestLoadShardsValidation(t *testing.T) {
 			t.Fatalf("shards=%d: error field %q, want \"shards\" (%s)", bad, er.Field, er.Error)
 		}
 	}
+	// The count is checked before the relations are looked at: a body that is
+	// bad in both ways is rejected for its shards.
+	var er server.ErrorResponse
+	decodeAs(t, do(t, h, "PUT", "/datasets/tiny", server.LoadRequest{Shards: -1}), http.StatusBadRequest, &er)
+	if er.Field != "shards" {
+		t.Fatalf("shards=-1 with no relations: error field %q, want \"shards\" (%s)", er.Field, er.Error)
+	}
 	// The failed loads must not have created the dataset.
 	decodeAs(t, do(t, h, "GET", "/datasets/tiny", nil), http.StatusNotFound, nil)
 }

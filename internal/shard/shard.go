@@ -8,7 +8,7 @@
 // that do not — splits the answer set exactly by the key's value: the answer
 // binding the key to v is produced entirely inside shard hash(v), and by no
 // other shard. Exact quantiles over the union therefore need no
-// approximation; the global pivot loop (core.QuantileShards) merges
+// approximation; the global pivot loop (core.Quantile) merges
 // per-shard pivot candidates and sums per-shard counts, and the answer is
 // byte-identical to the unsharded engine on the union database.
 //

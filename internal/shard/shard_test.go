@@ -56,7 +56,7 @@ func mustNew(t *testing.T, q *query.Query, db *relation.Database, shards int) *S
 
 func TestPartitionIsDisjointAndComplete(t *testing.T) {
 	q, db := pathInstance()
-	flat, err := engine.New(q, db)
+	flat, err := engine.NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSelfJoinOccurrencesRouteByTheirOwnColumn(t *testing.T) {
 	}
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("E", 2, rows))
-	flat, err := engine.New(q, db)
+	flat, err := engine.NewWorkers(q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestUpdateRebuildsOnlyTouchedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := engine.New(q, db2)
+	fresh, err := engine.NewWorkers(q, db2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSingleForwardsToItsEngine(t *testing.T) {
 		{"cyclic", tri, tdb, engine.NewDelta().Insert("C", []relation.Value{6, 4})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			eng, err := engine.New(c.q, c.db)
+			eng, err := engine.NewWorkers(c.q, c.db, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

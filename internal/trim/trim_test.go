@@ -21,7 +21,7 @@ func materialize(t testing.TB, inst Instance, onto []query.Var) [][]relation.Val
 	if err != nil {
 		t.Fatalf("trimmed query cyclic: %v", err)
 	}
-	e, err := jointree.NewExec(inst.Q, inst.DB, tree)
+	e, err := jointree.NewExecWorkers(inst.Q, inst.DB, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,7 @@ import (
 )
 
 // UpdateBatches returns a batch builder over a generated database for the
-// incremental-maintenance measurements (BenchmarkIncrementalUpdate and
-// qjbench E14 share it, so both always measure the same workload): a batch
+// incremental-maintenance measurements (BenchmarkIncrementalUpdate): a batch
 // of size b holds ⌈b/2⌉ fresh rows to insert into insertRel — values drawn
 // from a base far above any generator domain, so they are guaranteed new —
 // and ⌊b/2⌋ rows to delete from deleteRel, chosen among rows occurring

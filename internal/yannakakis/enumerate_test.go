@@ -93,7 +93,7 @@ func corpusExec(t *testing.T, inst testutil.FuzzInstance) *jointree.Exec {
 	q, raw := query.EliminateSelfJoins(inst.Q, inst.DB)
 	db := relation.NewDatabase()
 	for _, name := range raw.Names() {
-		db.Add(raw.Get(name).Deduped())
+		db.Add(raw.Get(name).DedupedWorkers(1))
 	}
 	return execOf(t, q, db)
 }
@@ -102,12 +102,12 @@ func TestEnumerateGuidedMatchesReferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, inst := range testutil.FuzzCorpus(rng) {
 		e := corpusExec(t, inst)
-		checkGuided(t, inst.Name, e, Count(e))
+		checkGuided(t, inst.Name, e, CountWorkers(e, 1))
 	}
 	for trial := 0; trial < 40; trial++ {
 		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(4), 1+rng.Intn(12), 4)
 		e := execOf(t, q, db)
-		checkGuided(t, fmt.Sprintf("tree %d (%s)", trial, q), e, Count(e))
+		checkGuided(t, fmt.Sprintf("tree %d (%s)", trial, q), e, CountWorkers(e, 1))
 	}
 }
 
@@ -133,11 +133,11 @@ func TestEnumerateGuidedDeepDangling(t *testing.T) {
 		} else if root == 2 {
 			parent = []int{1, 2, -1}
 		}
-		e, err := jointree.NewExec(q, db, jointree.FromParent(q, parent, root))
+		e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, parent, root), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := checkGuided(t, fmt.Sprintf("root %d", root), e, Count(e)); n != 1 {
+		if n := checkGuided(t, fmt.Sprintf("root %d", root), e, CountWorkers(e, 1)); n != 1 {
 			t.Fatalf("root %d: %d answers, want 1", root, n)
 		}
 	}
@@ -150,7 +150,7 @@ func TestEnumerateGuidedByMaintainedCounts(t *testing.T) {
 	changed := 0
 	for _, inst := range testutil.FuzzCorpus(rng) {
 		e := corpusExec(t, inst)
-		counts := Count(e)
+		counts := CountWorkers(e, 1)
 		for gen := 0; gen < 4; gen++ {
 			deltas := make(map[string]jointree.RelDelta)
 			for _, name := range e.DB.Names() {
@@ -192,7 +192,7 @@ func TestEnumerateGuidedOnSubsets(t *testing.T) {
 				}
 				keep[n.ID] = mask
 				src := e.DB.Get(e.Q.Atoms[n.Atom].Rel)
-				db.Add(src.Filter(func(i int) bool { return mask[i] }))
+				db.Add(src.FilterWorkers(1, func(i int) bool { return mask[i] }))
 			}
 			sub := e.DeriveSubset(e.Q.Clone(), db, keep, 1)
 			checkGuided(t, fmt.Sprintf("%s keep≈1−1/%d", inst.Name, keepOneIn), sub, CountScratch(sub, 1, &scratch))
@@ -226,12 +226,12 @@ func TestEnumerateWorkBound(t *testing.T) {
 	db.Add(p.MarkDistinct())
 	db.Add(n.MarkDistinct())
 	db.Add(relation.FromRows("L", 2, [][]relation.Value{{7, 70}}).MarkDistinct())
-	e, err := jointree.NewExec(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0))
+	e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	answers := 0
-	steps := EnumerateSteps(e, Count(e), func(asn []relation.Value) bool {
+	steps := EnumerateSteps(e, CountWorkers(e, 1), func(asn []relation.Value) bool {
 		if asn[1] != 1 || asn[2] != 7 || asn[3] != 70 {
 			t.Fatalf("answer %v", asn)
 		}

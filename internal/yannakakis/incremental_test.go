@@ -57,17 +57,17 @@ func TestUpdateCountsMatchesFresh(t *testing.T) {
 		}
 		db := relation.NewDatabase()
 		for _, name := range raw.Names() {
-			db.Add(raw.Get(name).Deduped())
+			db.Add(raw.Get(name).DedupedWorkers(1))
 		}
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExec(q, db, tree)
+		e, err := jointree.NewExecWorkers(q, db, tree, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := Count(e)
+		counts := CountWorkers(e, 1)
 		for gen := 0; gen < 4; gen++ {
 			deltas := make(map[string]jointree.RelDelta)
 			for _, name := range e.DB.Names() {

@@ -51,17 +51,17 @@ func TestEnumerateThroughIsTheAnswerDiff(t *testing.T) {
 		}
 		db := relation.NewDatabase()
 		for _, name := range raw.Names() {
-			db.Add(raw.Get(name).Deduped())
+			db.Add(raw.Get(name).DedupedWorkers(1))
 		}
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExec(q, db, tree)
+		e, err := jointree.NewExecWorkers(q, db, tree, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := Count(e)
+		counts := CountWorkers(e, 1)
 		for gen := 0; gen < 4; gen++ {
 			deltas := make(map[string]jointree.RelDelta)
 			for _, name := range e.DB.Names() {
@@ -127,13 +127,13 @@ func TestEnumerateThroughStops(t *testing.T) {
 	q, raw := workload.Star(rng, 3, 60, 2, 4)
 	db := relation.NewDatabase()
 	for _, name := range raw.Names() {
-		db.Add(raw.Get(name).Deduped())
+		db.Add(raw.Get(name).DedupedWorkers(1))
 	}
 	tree, err := jointree.Build(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestEnumerateThroughStops(t *testing.T) {
 		all[i] = i
 	}
 	seen := 0
-	EnumerateThrough(e, Count(e), []NodeRows{{Node: leaf, Rows: all}}, func([]relation.Value) bool {
+	EnumerateThrough(e, CountWorkers(e, 1), []NodeRows{{Node: leaf, Rows: all}}, func([]relation.Value) bool {
 		seen++
 		return seen < 5
 	})
-	if total, _ := Count(e).Total.Uint64(); seen != 5 || total < 5 {
+	if total, _ := CountWorkers(e, 1).Total.Uint64(); seen != 5 || total < 5 {
 		t.Fatalf("walk delivered %d answers of %d after being stopped at 5", seen, total)
 	}
 }

@@ -27,10 +27,6 @@ type Counts struct {
 	Total counting.Count
 }
 
-// Count runs the counting pass over an executable join tree sequentially;
-// CountWorkers is the data-parallel variant.
-func Count(e *jointree.Exec) *Counts { return CountWorkers(e, 1) }
-
 // Scratch holds the reusable buffers of a counting pass. The pivot loop runs
 // one pass per candidate instance per iteration; pooling the per-node count
 // arrays across iterations removes the largest per-iteration allocations.
@@ -149,25 +145,8 @@ func CountScratch(e *jointree.Exec, workers int, s *Scratch) *Counts {
 	return c
 }
 
-// SumTotals adds the Total fields of the given counting states, treating
-// nil as zero. This is the count merge of the sharded driver: hash shards
-// partition the answer set, so disjoint per-shard totals add up to the
-// global |Q(D)| exactly — the property that lets sharded quantiles stay
-// exact instead of approximate.
-func SumTotals(states ...*Counts) counting.Count {
-	t := counting.Zero
-	for _, s := range states {
-		if s != nil {
-			t = t.Add(s.Total)
-		}
-	}
-	return t
-}
-
-// CountAnswers returns |Q(D)| for an executable join tree.
-func CountAnswers(e *jointree.Exec) counting.Count { return Count(e).Total }
-
-// CountAnswersWorkers is CountAnswers over a bounded worker pool.
+// CountAnswersWorkers returns |Q(D)| for an executable join tree, counted
+// over a bounded worker pool.
 func CountAnswersWorkers(e *jointree.Exec, workers int) counting.Count {
 	return CountWorkers(e, workers).Total
 }
@@ -337,7 +316,7 @@ func assignmentLayout(e *jointree.Exec) (nodePos [][]int, nodeCols [][][]relatio
 // instances already known to be small and for test oracles.
 func Materialize(e *jointree.Exec) [][]relation.Value {
 	var out [][]relation.Value
-	Enumerate(e, Count(e), func(asn []relation.Value) bool {
+	Enumerate(e, CountWorkers(e, 1), func(asn []relation.Value) bool {
 		out = append(out, append([]relation.Value(nil), asn...))
 		return true
 	})

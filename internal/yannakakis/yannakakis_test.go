@@ -17,7 +17,7 @@ func execOf(t testing.TB, q *query.Query, db *relation.Database) *jointree.Exec 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExec(q, db, tree)
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func execOf(t testing.TB, q *query.Query, db *relation.Database) *jointree.Exec 
 func TestFigure1Counts(t *testing.T) {
 	q, db := testutil.Fig1Instance()
 	e := execOf(t, q, db)
-	c := Count(e)
+	c := CountWorkers(e, 1)
 	if got, _ := c.Total.Uint64(); got != 13 {
 		t.Fatalf("|Q(D)| = %d, want 13", got)
 	}
@@ -62,7 +62,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(4), 1+rng.Intn(12), 4)
 		e := execOf(t, q, db)
 		want := len(testutil.BruteForce(q, db))
-		got, _ := CountAnswers(e).Uint64()
+		got, _ := CountAnswersWorkers(e, 1).Uint64()
 		if got != uint64(want) {
 			t.Fatalf("trial %d: count = %d, want %d (query %s)", trial, got, want, q)
 		}
@@ -74,12 +74,12 @@ func TestCountPathsAndStars(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q, db := testutil.RandomPathInstance(rng, 2+rng.Intn(3), 1+rng.Intn(10), 3)
 		e := execOf(t, q, db)
-		if got, _ := CountAnswers(e).Uint64(); got != uint64(len(testutil.BruteForce(q, db))) {
+		if got, _ := CountAnswersWorkers(e, 1).Uint64(); got != uint64(len(testutil.BruteForce(q, db))) {
 			t.Fatalf("path count mismatch on %s", q)
 		}
 		q2, db2 := testutil.RandomStarInstance(rng, 2+rng.Intn(3), 1+rng.Intn(10), 3)
 		e2 := execOf(t, q2, db2)
-		if got, _ := CountAnswers(e2).Uint64(); got != uint64(len(testutil.BruteForce(q2, db2))) {
+		if got, _ := CountAnswersWorkers(e2, 1).Uint64(); got != uint64(len(testutil.BruteForce(q2, db2))) {
 			t.Fatalf("star count mismatch on %s", q2)
 		}
 	}
@@ -103,7 +103,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	q, db := testutil.Fig1Instance()
 	e := execOf(t, q, db)
 	seen := 0
-	Enumerate(e, Count(e), func([]relation.Value) bool {
+	Enumerate(e, CountWorkers(e, 1), func([]relation.Value) bool {
 		seen++
 		return seen < 5
 	})
@@ -121,7 +121,7 @@ func TestEmptyJoin(t *testing.T) {
 	db.Add(relation.FromRows("A", 1, [][]relation.Value{{1}}))
 	db.Add(relation.FromRows("B", 1, [][]relation.Value{{2}}))
 	e := execOf(t, q, db)
-	if !CountAnswers(e).IsZero() {
+	if !CountAnswersWorkers(e, 1).IsZero() {
 		t.Fatal("disjoint join must count 0")
 	}
 	if got := Materialize(e); len(got) != 0 {
@@ -144,7 +144,7 @@ func TestCartesianProductCount(t *testing.T) {
 	db.Add(a)
 	db.Add(b)
 	e := execOf(t, q, db)
-	if got, _ := CountAnswers(e).Uint64(); got != 10000 {
+	if got, _ := CountAnswersWorkers(e, 1).Uint64(); got != 10000 {
 		t.Fatalf("cross product count = %d", got)
 	}
 }
@@ -165,7 +165,7 @@ func TestHugeCountNoOverflow(t *testing.T) {
 	}
 	q := query.New(atoms...)
 	e := execOf(t, q, db)
-	got := CountAnswers(e)
+	got := CountAnswersWorkers(e, 1)
 	want := counting.FromUint64(1 << 13)
 	for i := 0; i < 4; i++ {
 		want = want.Mul(counting.FromUint64(1 << 13))
@@ -180,10 +180,10 @@ func TestCountAfterFullReduceUnchanged(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q, db := testutil.RandomTreeInstance(rng, 3, 8, 3)
 		e1 := execOf(t, q, db)
-		before := CountAnswers(e1)
+		before := CountAnswersWorkers(e1, 1)
 		e2 := execOf(t, q, db)
-		e2.FullReduce()
-		after := CountAnswers(e2)
+		e2.FullReduceWorkers(1)
+		after := CountAnswersWorkers(e2, 1)
 		if before.Cmp(after) != 0 {
 			t.Fatalf("full reduce changed count: %s -> %s", before, after)
 		}
@@ -196,8 +196,8 @@ func BenchmarkCountPath3(b *testing.B) {
 	tree, _ := jointree.Build(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExec(q, db, tree)
-		Count(e)
+		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+		CountWorkers(e, 1)
 	}
 }
 
@@ -205,8 +205,8 @@ func BenchmarkEnumerate(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	q, db := testutil.RandomPathInstance(rng, 3, 1<<8, 1<<4)
 	tree, _ := jointree.Build(q)
-	e, _ := jointree.NewExec(q, db, tree)
-	c := Count(e)
+	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
+	c := CountWorkers(e, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0

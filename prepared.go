@@ -221,12 +221,10 @@ func (p *Prepared) ApproxQuantile(f *Ranking, phi, eps float64, opts ...Options)
 // phis[i], byte for byte what Quantile returns for it; the φ's may come
 // unsorted and repeated, and an empty grid gives an empty result. Every φ is
 // validated before any work is done: a bad one anywhere in the grid fails the
-// call with an error naming it.
+// call with an *ArgError naming it.
 func (p *Prepared) Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*Answer, error) {
-	for _, phi := range phis {
-		if err := ValidatePhi(phi); err != nil {
-			return nil, fmt.Errorf("qjoin: φ=%v: %w", phi, err)
-		}
+	if err := validatePhis(phis); err != nil {
+		return nil, err
 	}
 	if len(phis) == 0 {
 		return []*Answer{}, nil
@@ -247,6 +245,29 @@ func (p *Prepared) Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*An
 	return out, nil
 }
 
+// Run executes a resolved wire operation (Request.Resolve) under op.Rank and
+// returns its answers in request order; op.Query is not consulted — the plan
+// was compiled from it. A count has no φ and so no answers: read Count. An
+// exact grid of several φ's is one shared descent (Quantiles); every other φ
+// goes through Answer with the operation's mode and ε.
+func (p *Prepared) Run(op Operation) ([]*Answer, error) {
+	if op.Op == "topk" {
+		return p.TopK(op.Rank, op.K)
+	}
+	if len(op.Phis) > 1 && op.Mode == ModeExact {
+		return p.Quantiles(op.Rank, op.Phis)
+	}
+	out := make([]*Answer, 0, len(op.Phis))
+	for _, phi := range op.Phis {
+		a, err := p.Answer(op.Rank, QuantileRequest{Phi: phi, Eps: op.Eps, Mode: op.Mode})
+		if err != nil {
+			return nil, fmt.Errorf("φ=%v: %w", phi, err)
+		}
+		out = append(out, a)
+	}
+	return out, nil
+}
+
 // SelectAt answers the selection problem: the answer at absolute zero-based
 // index k of the global ranked order.
 func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, error) {
@@ -257,7 +278,7 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 	if !ok {
 		return nil, fmt.Errorf("qjoin: index out of the supported 128-bit range")
 	}
-	a, _, err := core.SelectShards(p.sh.Engines(), f, kc, p.opt(opts))
+	a, _, err := core.Select(p.sh.Engines(), f, kc, p.opt(opts))
 	return a, err
 }
 
@@ -268,11 +289,14 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 // Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
 // Delta: delta, Mode: ModeSample, Rand: rng}.
 func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
+	if err := validatePhi(phi); err != nil {
+		return nil, err
+	}
 	eng, err := p.oneEngine("sampling")
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.SampleQuantilePrepared(eng, f, phi, eps, delta, rng)
+	a, err := core.SampleQuantile(eng, f, phi, eps, delta, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +365,7 @@ func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
 // deterministic for a fixed shard count; a one-engine plan may order equal
 // weights differently (its single stream has no tie to break).
 func (p *Prepared) TopK(f *Ranking, k int) ([]*Answer, error) {
-	if err := ValidateTopK(k); err != nil {
+	if err := validateTopK(k); err != nil {
 		return nil, err
 	}
 	type cursor struct {
@@ -410,9 +434,12 @@ func (p *Prepared) Enumerate(fn func(vars []Var, vals []Value) bool) error {
 // BaselineQuantile materializes Q(D) and selects — the direct method the
 // paper improves upon. Time and memory are linear in |Q(D)| per call.
 func (p *Prepared) BaselineQuantile(f *Ranking, phi float64) (*Answer, error) {
+	if err := validatePhi(phi); err != nil {
+		return nil, err
+	}
 	eng, err := p.oneEngine("the materializing baseline")
 	if err != nil {
 		return nil, err
 	}
-	return core.BaselineQuantilePrepared(eng, f, phi)
+	return core.BaselineQuantile(eng, f, phi)
 }

@@ -247,7 +247,7 @@ func TestPreparedQuantilesMatchesLoop(t *testing.T) {
 		}
 		bad := grid[0]
 		for _, phi := range grid {
-			if qjoin.ValidatePhi(phi) != nil {
+			if !(phi >= 0 && phi <= 1) {
 				bad = phi
 			}
 		}
@@ -381,6 +381,11 @@ func TestPreparedHostileArguments(t *testing.T) {
 	}
 	_, _, err = flat.SampleAnswers(-1, rand.New(rand.NewSource(1)))
 	wantArg("SampleAnswers(-1)", err, "k")
+	// The engine-level drivers trust φ; the plan checks it for them.
+	_, err = flat.BaselineQuantile(f, math.NaN())
+	wantArg("BaselineQuantile(NaN)", err, "phi")
+	_, err = flat.SampleQuantile(f, -0.5, 0.3, 0.1, rand.New(rand.NewSource(1)))
+	wantArg("SampleQuantile(-0.5)", err, "phi")
 
 	// The single-engine diagnostics answer on an unrouted plan only; a routed
 	// plan — at any shard count — rejects them with the sampling ArgError.

@@ -150,11 +150,11 @@ func IsAcyclic(q *Query) bool {
 
 // Count returns |Q(D)| in linear time (Section 2.4).
 func Count(q *Query, db *DB) (*big.Int, error) {
-	c, err := core.Count(q, db.inner)
+	p, err := Prepare(q, db)
 	if err != nil {
-		return nil, mapCompileErr(err)
+		return nil, err
 	}
-	return c.Big(), nil
+	return p.Count(), nil
 }
 
 // Quantile returns the φ-quantile of Q(D) under the ranking function.
@@ -287,7 +287,11 @@ func TopK(q *Query, db *DB, f *Ranking, k int) ([]*Answer, error) {
 // BaselineQuantile materializes Q(D) and selects — the direct method the
 // paper improves upon. Time and memory are linear in |Q(D)|.
 func BaselineQuantile(q *Query, db *DB, f *Ranking, phi float64) (*Answer, error) {
-	return core.BaselineQuantile(q, db.inner, f, phi)
+	p, err := Prepare(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return p.BaselineQuantile(f, phi)
 }
 
 // Enumerate streams every answer (in no particular order); fn may return

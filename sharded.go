@@ -2,63 +2,18 @@ package qjoin
 
 import (
 	"errors"
-	"io"
-	"math/big"
 
 	"github.com/quantilejoins/qjoin/internal/shard"
 )
 
-// Plan is the query surface serving layers program against — the qjserve
-// plan cache, qjq and the repository benchmark hold plans behind it.
-// *Prepared is its only implementation: a plan from Prepare and a plan from
-// PrepareSharded differ in how many engines they hold, not in type, and
-// their answers are byte-identical, so the shard count behind a Plan is
-// purely an operational choice.
-type Plan interface {
-	// Vars returns the answer layout.
-	Vars() []Var
-	// Count returns |Q(D)| (cached; never fails).
-	Count() *big.Int
-	// Quantile returns the φ-quantile under the ranking function.
-	Quantile(f *Ranking, phi float64, opts ...Options) (*Answer, error)
-	// QuantileStats is Quantile plus the run's pivot-loop statistics.
-	QuantileStats(f *Ranking, phi float64, opts ...Options) (*Answer, *RunStats, error)
-	// Quantiles answers several φ's against the one plan, exactly, in one
-	// shared descent of the pivot loop; answers come in request order.
-	Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*Answer, error)
-	// Median returns the 0.5-quantile.
-	Median(f *Ranking, opts ...Options) (*Answer, error)
-	// ApproxQuantile returns a deterministic (φ±ε)-quantile.
-	ApproxQuantile(f *Ranking, phi, eps float64, opts ...Options) (*Answer, error)
-	// Answer is the unified mode-aware quantile entry point: the request
-	// selects the tier (exact engine, sketch summary, sampling), the answer
-	// reports its Source and certified ErrorBound. See Mode.
-	Answer(f *Ranking, req QuantileRequest, opts ...Options) (*Answer, error)
-	// AnswerStats is Answer plus the exact engine's run statistics when the
-	// exact tier ran (nil for sketch and sample answers).
-	AnswerStats(f *Ranking, req QuantileRequest, opts ...Options) (*Answer, *RunStats, error)
-	// WarmSketches re-certifies the sketch summaries the plan carries, so
-	// post-update approximate queries are cache hits. Serving layers call
-	// it after UpdatePlan, off the request path.
-	WarmSketches() error
-	// SketchRefreshes counts how this plan has re-certified stale summary
-	// parts so far: shifted by the delta, fully re-counted, or rebuilt.
-	SketchRefreshes() SketchRefreshStats
-	// TopK returns the k lowest-weight answers in weight order.
-	TopK(f *Ranking, k int) ([]*Answer, error)
-	// UpdatePlan derives a plan reflecting the delta, copy-on-write; the
-	// receiver stays fully usable. (Prepared.Update returns the concrete
-	// type; this is the interface-typed form.)
-	UpdatePlan(d *Delta) (Plan, error)
-	// Snapshot serializes the plan — raw database, compiled artifact, warm
-	// sketches — into the versioned binary snapshot format; LoadPlan
-	// restores it. See snapshot.go.
-	Snapshot(w io.Writer) error
-}
+// Plan is the name serving layers hold a plan under — the qjserve plan cache
+// and the repository benchmark. A plan from Prepare and one from
+// PrepareSharded differ in how many engines they hold, not in type, and their
+// answers are byte-identical, so the shard count behind a Plan is purely an
+// operational choice.
+type Plan = *Prepared
 
-var _ Plan = (*Prepared)(nil)
-
-// UpdatePlan is Update behind the Plan interface.
+// UpdatePlan is Update under the Plan name.
 func (p *Prepared) UpdatePlan(d *Delta) (Plan, error) { return p.Update(d) }
 
 // ErrNoShardKey is returned by PrepareSharded for queries with no join

@@ -272,14 +272,14 @@ func TestAnswerModeSurface(t *testing.T) {
 	if _, err := qjoin.ParseMode("sample"); err == nil {
 		t.Error("ParseMode(sample) should fail: sampling has no wire mode")
 	}
-	if err := qjoin.ValidateMode("bogus"); !errors.As(err, &ae) || ae.Field != "mode" {
-		t.Errorf("ValidateMode(bogus): %v, want *ArgError on mode", err)
+	if _, err := qjoin.ParseMode("bogus"); !errors.As(err, &ae) || ae.Field != "mode" {
+		t.Errorf("ParseMode(bogus): %v, want *ArgError on mode", err)
 	}
 	if err := qjoin.ValidateDelta(0); err == nil {
 		t.Error("ValidateDelta(0) should fail")
 	}
-	if qjoin.FormatMode(qjoin.ModeApprox) != "approx" {
-		t.Error("FormatMode(ModeApprox) != approx")
+	if qjoin.ModeApprox.String() != "approx" {
+		t.Error("ModeApprox.String() != approx")
 	}
 }
 

@@ -3,7 +3,7 @@ package qjoin
 // Plan snapshots: Prepared.Snapshot serializes a compiled plan — raw
 // database, dictionary, the compiled engine artifact(s) and warm sketch
 // summaries — into the versioned, checksummed container of internal/snap,
-// and LoadPrepared / LoadPlan restore it without re-running Prepare's hash
+// and LoadPrepared / LoadPreparedBytes restore it without re-running Prepare's hash
 // passes. The container has two plan kinds, and which one a plan writes
 // follows whether it is routed: KindPrepared (one engine section, one
 // summary per sketch section) from Prepare, KindSharded (shard count in the
@@ -164,28 +164,8 @@ func LoadPreparedBytes(b []byte, opts ...Options) (*Prepared, error) {
 	return loadPlan(sr, oneOpt(opts))
 }
 
-// LoadPlan is LoadPrepared behind the Plan interface — the loader for
-// callers (like qjq -load and the qjserve plan cache) that hold plans as
-// Plan values.
-func LoadPlan(r io.Reader, opts ...Options) (Plan, error) {
-	// Return the error path explicitly: a nil *Prepared inside a non-nil
-	// Plan interface would defeat callers' `plan != nil` checks.
-	p, err := LoadPrepared(r, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// LoadPlanBytes is LoadPlan over an in-memory snapshot (see LoadPreparedBytes
-// for the aliasing contract).
-func LoadPlanBytes(b []byte, opts ...Options) (Plan, error) {
-	p, err := LoadPreparedBytes(b, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+// LoadPlanBytes is LoadPreparedBytes under the Plan name.
+func LoadPlanBytes(b []byte, opts ...Options) (Plan, error) { return LoadPreparedBytes(b, opts...) }
 
 // loadPlan decodes a plan while the section checksum pass runs concurrently
 // (snap.Reader.Sections); the verify join gates every exit, and a checksum

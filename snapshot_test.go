@@ -18,7 +18,7 @@ import (
 	"github.com/quantilejoins/qjoin"
 )
 
-// snapRoundTrip snapshots the plan and loads it back through LoadPlan,
+// snapRoundTrip snapshots the plan and loads it back through LoadPrepared,
 // asserting the shard count and partitioning key survive.
 func snapRoundTrip(t *testing.T, p qjoin.Plan) qjoin.Plan {
 	t.Helper()
@@ -26,11 +26,11 @@ func snapRoundTrip(t *testing.T, p qjoin.Plan) qjoin.Plan {
 	if err := p.Snapshot(&buf); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	got, err := qjoin.LoadPlan(bytes.NewReader(buf.Bytes()), qjoin.Options{Parallelism: 2})
+	got, err := qjoin.LoadPrepared(bytes.NewReader(buf.Bytes()), qjoin.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if g, w := got.(*qjoin.Prepared), p.(*qjoin.Prepared); g.Shards() != w.Shards() || g.Key() != w.Key() {
+	if g, w := got, p; g.Shards() != w.Shards() || g.Key() != w.Key() {
 		t.Fatalf("loaded %d shards on key %q from a snapshot of %d shards on key %q", g.Shards(), g.Key(), w.Shards(), w.Key())
 	}
 	return got
@@ -158,7 +158,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	good := buf.Bytes()
 
 	load := func(b []byte) (qjoin.Plan, error) {
-		return qjoin.LoadPlan(bytes.NewReader(b))
+		return qjoin.LoadPrepared(bytes.NewReader(b))
 	}
 	mutate := func(off int, x byte) []byte {
 		b := append([]byte(nil), good...)

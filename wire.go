@@ -4,15 +4,19 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"github.com/quantilejoins/qjoin/internal/ranking"
 )
 
-// This file is the wire codec: the textual form of queries and rankings
-// ("R(x,y),S(y,z)", "sum(x,z)") plus the argument validation every API
-// boundary shares. cmd/qjq and the qjserve HTTP daemon parse and validate
-// through these exact functions, so a bad input is rejected identically —
-// with a typed *ArgError — no matter which front end it arrives through.
+// This file is the wire protocol: the textual form of queries and rankings
+// ("R(x,y),S(y,z)", "sum(x,z)"), the domain of every request argument, and
+// the one step that turns a raw request into an operation a plan executes
+// (Request.Resolve, Prepared.Run). The qjserve HTTP daemon resolves every
+// POST /query through that step; cmd/qjq, whose flags are not a wire request
+// (-eps without -mode selects the lossy driver, -sample and -stats run per
+// φ), calls the same domain checks. Either way a bad input is rejected with
+// a typed *ArgError naming the field.
 //
 // The textual form is canonical: FormatQuery(ParseQuery(s)) normalizes
 // whitespace and nothing else, and ParseQuery(FormatQuery(q)) reproduces q
@@ -33,13 +37,13 @@ func argErrorf(field, format string, args ...any) *ArgError {
 	return &ArgError{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
-// ValidatePhi checks a quantile fraction: φ must be a real number in [0,1].
-func ValidatePhi(phi float64) error {
+// validatePhi checks a quantile fraction: φ must be a real number in [0,1].
+func validatePhi(phi float64) error {
 	if phi != phi { // NaN
-		return argErrorf("phi", "NaN is not a quantile fraction")
+		return argErrorf("phi", "φ=NaN is not a quantile fraction")
 	}
 	if phi < 0 || phi > 1 {
-		return argErrorf("phi", "%v outside [0,1]", phi)
+		return argErrorf("phi", "φ=%v outside [0,1]", phi)
 	}
 	return nil
 }
@@ -74,7 +78,7 @@ func ValidateDelta(delta float64) error {
 // "auto" (case-insensitive; the empty string selects exact, the legacy
 // behavior of requests that predate the mode field). Anything else is a
 // *ArgError, which HTTP front ends map to a 400. Both the qjq -mode flag and
-// the qjserve "mode" request field funnel through this single parse.
+// the qjserve "mode" request field go through this single parse.
 func ParseMode(s string) (Mode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "exact":
@@ -87,18 +91,8 @@ func ParseMode(s string) (Mode, error) {
 	return ModeExact, argErrorf("mode", "unknown mode %q (want exact, approx or auto)", s)
 }
 
-// ValidateMode checks a wire mode string without resolving it; same contract
-// as ParseMode.
-func ValidateMode(s string) error {
-	_, err := ParseMode(s)
-	return err
-}
-
-// FormatMode renders a mode in the wire form parsed by ParseMode.
-func FormatMode(m Mode) string { return m.String() }
-
-// ValidateTopK checks a top-k count: k must be ≥ 0.
-func ValidateTopK(k int) error {
+// validateTopK checks a top-k count: k must be ≥ 0.
+func validateTopK(k int) error {
 	if k < 0 {
 		return argErrorf("k", "%d is negative", k)
 	}
@@ -114,9 +108,8 @@ const MaxWorkers = 4096
 // ValidateWorkers checks a worker-count knob: 0 selects the environment
 // default (GOMAXPROCS for the CLI, the server's configured parallelism for
 // qjserve), positive values are taken as-is up to MaxWorkers, and anything
-// negative or beyond the cap is rejected with a *ArgError. Both the qjq
-// -workers flag and the qjserve per-request workers field funnel through
-// this single check.
+// negative or beyond the cap is rejected with a *ArgError (the qjq -workers
+// flag; the qjserve per-request workers field through Request.Resolve).
 func ValidateWorkers(workers int) error {
 	if workers < 0 {
 		return argErrorf("workers", "%d is negative (0 selects the default)", workers)
@@ -134,15 +127,19 @@ func ValidateWorkers(workers int) error {
 // serves anything finer at a certified error.
 const MaxPhis = 1024
 
-// ValidatePhis checks a quantile grid: at most MaxPhis fractions (a *ArgError
-// on "phis" beyond that), each passing ValidatePhi. The qjserve "phis" field
-// and the qjq -phi list both funnel through this single check.
-func ValidatePhis(phis []float64) error {
+// validateGrid checks a quantile grid where it arrives: at most MaxPhis
+// fractions (a *ArgError on "phis" beyond that), each a valid φ.
+func validateGrid(phis []float64) error {
 	if len(phis) > MaxPhis {
 		return argErrorf("phis", "%d quantile fractions exceed the cap %d", len(phis), MaxPhis)
 	}
+	return validatePhis(phis)
+}
+
+// validatePhis checks every fraction of a grid.
+func validatePhis(phis []float64) error {
 	for _, phi := range phis {
-		if err := ValidatePhi(phi); err != nil {
+		if err := validatePhi(phi); err != nil {
 			return err
 		}
 	}
@@ -159,7 +156,7 @@ const MaxShards = 256
 // shard, i.e. the unsharded engine), positive values are taken as-is up to
 // MaxShards, and anything negative or beyond the cap is rejected with a
 // *ArgError. Both the qjq/qjserve -shards flags and the server dataset
-// "shards" field funnel through this single check.
+// "shards" field go through this single check.
 func ValidateShards(shards int) error {
 	if shards < 0 {
 		return argErrorf("shards", "%d is negative (0 selects a single shard)", shards)
@@ -168,6 +165,108 @@ func ValidateShards(shards int) error {
 		return argErrorf("shards", "%d exceeds the cap %d", shards, MaxShards)
 	}
 	return nil
+}
+
+// Request is one query operation as it arrives at a front end — the fields of
+// a qjserve POST /query body — before any check.
+type Request struct {
+	// Query and Rank are a QuerySpec; Rank may be empty for count.
+	Query, Rank string
+	// Op is quantile | quantiles | median | approx | topk | count; empty
+	// selects quantile.
+	Op string
+	// Mode is exact | approx | auto on quantile/quantiles/median; empty means
+	// the request names no mode (answered exactly).
+	Mode string
+	Phi  float64   // quantile, approx
+	Phis []float64 // quantiles
+	Eps  float64   // approx; the error budget beside a mode
+	K    int       // topk
+	// Workers is the per-request worker count (0 = the front end's default).
+	Workers int
+}
+
+// Operation is a Request that passed every rule of the wire protocol, in the
+// form a plan executes (Prepared.Run).
+type Operation struct {
+	// Op is the operation's wire name, defaulted.
+	Op string
+	// Query and Rank are the parsed spec; Rank is nil only for count.
+	Query *Query
+	Rank  *Ranking
+	// Phis holds the fractions to answer, in request order: the one φ of
+	// quantile and approx, 0.5 for median, the grid of quantiles.
+	Phis []float64
+	// Mode is ModeExact unless the request named another.
+	Mode Mode
+	// Eps is the ε the plan sees: op=approx's, or the budget beside a
+	// non-exact mode. A stray eps on any other request is dropped here, so it
+	// cannot silently turn an exact run lossy.
+	Eps     float64
+	K       int
+	Workers int
+}
+
+// Resolve checks a request against the wire protocol and returns the
+// operation it asks for; every failure is a *ArgError naming the field.
+// Nothing here touches a dataset, so a bad request never costs a Prepare.
+func (r *Request) Resolve() (Operation, error) {
+	op := Operation{Op: r.Op, Mode: ModeExact, K: r.K, Workers: r.Workers}
+	if err := ValidateWorkers(r.Workers); err != nil {
+		return op, err
+	}
+	var err error
+	if op.Query, op.Rank, err = ParseQuerySpec(QuerySpec{Query: r.Query, Rank: r.Rank}); err != nil {
+		return op, err
+	}
+	if op.Op == "" {
+		op.Op = "quantile"
+	}
+	if op.Op != "count" && op.Rank == nil {
+		return op, argErrorf("rank", "operation %s needs a ranking", op.Op)
+	}
+	if r.Mode != "" {
+		switch op.Op {
+		case "quantile", "quantiles", "median":
+		default:
+			return op, argErrorf("mode", "mode applies to quantile/quantiles/median, not %s", op.Op)
+		}
+		if op.Mode, err = ParseMode(r.Mode); err != nil {
+			return op, err
+		}
+		if r.Eps != 0 {
+			if err := ValidateEpsilon(r.Eps); err != nil {
+				return op, err
+			}
+		}
+		if op.Mode != ModeExact {
+			op.Eps = r.Eps
+		}
+	}
+	switch op.Op {
+	case "count":
+	case "quantile":
+		op.Phis = []float64{r.Phi}
+		err = validatePhi(r.Phi)
+	case "median":
+		op.Phis = []float64{0.5}
+	case "approx":
+		op.Phis, op.Eps = []float64{r.Phi}, r.Eps
+		if err = validatePhi(r.Phi); err == nil {
+			err = ValidateEpsilon(r.Eps)
+		}
+	case "quantiles":
+		if len(r.Phis) == 0 {
+			return op, argErrorf("phis", "empty φ grid")
+		}
+		op.Phis = r.Phis
+		err = validateGrid(r.Phis)
+	case "topk":
+		err = validateTopK(r.K)
+	default:
+		return op, argErrorf("op", "unknown operation %s (want quantile/quantiles/median/approx/topk/count)", op.Op)
+	}
+	return op, err
 }
 
 // QuerySpec is the wire form of a (query, ranking) pair. It marshals to
@@ -220,7 +319,9 @@ func FormatQuerySpec(q *Query, f *Ranking) (QuerySpec, error) {
 }
 
 // ParseQuery parses the textual query form 'R(x,y),S(y,z)' into a Query.
-// Whitespace around names, variables and commas is ignored.
+// Whitespace around names, variables and commas is ignored; atoms are
+// separated by commas, and a variable name holds no parenthesis and no inner
+// whitespace (so no two spellings of one query parse to different queries).
 func ParseQuery(s string) (*Query, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -241,20 +342,34 @@ func ParseQuery(s string) (*Query, error) {
 		if strings.ContainsAny(name, ",()") || name == "" {
 			return nil, argErrorf("query", "bad relation name %q", name)
 		}
-		var vars []Var
-		for _, v := range strings.Split(rest[open+1:closeIdx], ",") {
-			v = strings.TrimSpace(v)
-			if v == "" {
-				return nil, argErrorf("query", "empty variable in atom %s", name)
-			}
-			vars = append(vars, Var(v))
+		vars, bad := parseVars(rest[open+1 : closeIdx])
+		if bad != "" {
+			return nil, argErrorf("query", "%s in atom %s", bad, name)
 		}
 		atoms = append(atoms, NewAtom(name, vars...))
 		rest = strings.TrimSpace(rest[closeIdx+1:])
-		rest = strings.TrimPrefix(rest, ",")
-		rest = strings.TrimSpace(rest)
+		if rest != "" && rest[0] != ',' {
+			return nil, argErrorf("query", "missing comma before %q", rest)
+		}
+		rest = strings.TrimSpace(strings.TrimPrefix(rest, ","))
 	}
 	return NewQuery(atoms...), nil
+}
+
+// parseVars splits the comma-separated variable list of an atom or a ranking;
+// bad says what is wrong with the list, empty when nothing is.
+func parseVars(list string) (vars []Var, bad string) {
+	for _, v := range strings.Split(list, ",") {
+		v = strings.TrimSpace(v)
+		if v == "" {
+			return nil, "empty variable"
+		}
+		if strings.ContainsFunc(v, func(r rune) bool { return r == '(' || r == ')' || unicode.IsSpace(r) }) {
+			return nil, fmt.Sprintf("bad variable name %q", v)
+		}
+		vars = append(vars, Var(v))
+	}
+	return vars, ""
 }
 
 // FormatQuery renders a query in the canonical textual form parsed by
@@ -280,13 +395,9 @@ func ParseRanking(s string) (*Ranking, error) {
 	if open <= 0 || closeIdx != len(s)-1 {
 		return nil, argErrorf("rank", "bad syntax %q", s)
 	}
-	var vars []Var
-	for _, v := range strings.Split(s[open+1:closeIdx], ",") {
-		v = strings.TrimSpace(v)
-		if v == "" {
-			return nil, argErrorf("rank", "empty variable in %q", s)
-		}
-		vars = append(vars, Var(v))
+	vars, bad := parseVars(s[open+1 : closeIdx])
+	if bad != "" {
+		return nil, argErrorf("rank", "%s in %q", bad, s)
 	}
 	switch strings.ToLower(strings.TrimSpace(s[:open])) {
 	case "sum":
@@ -328,8 +439,8 @@ func FormatRanking(f *Ranking) (string, error) {
 	return agg + "(" + strings.Join(parts, ",") + ")", nil
 }
 
-// ParsePhis parses a comma-separated list of quantile fractions, validating
-// it with ValidatePhis.
+// ParsePhis parses a comma-separated list of quantile fractions: at most
+// MaxPhis of them, each in [0,1].
 func ParsePhis(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -347,5 +458,5 @@ func ParsePhis(s string) ([]float64, error) {
 	if len(out) == 0 {
 		return nil, argErrorf("phi", "empty list")
 	}
-	return out, ValidatePhis(out)
+	return out, validateGrid(out)
 }
