@@ -20,10 +20,11 @@ package qjoin
 // serves from the summary only when the requested ε is certified and falls
 // back to the exact engine — byte-identical to the legacy path — otherwise.
 //
-// Summaries are keyed by the *Ranking pointer (the same convention as the
-// engine's trim cache): reuse the Ranking value across calls to reuse its
-// summary. The serving layer interns rankings per cache entry, so HTTP
-// traffic hits warm summaries.
+// Summaries are keyed by the ranking's identity (Ranking.Key, the same key as
+// the engine's trim cache): two rankings with the same aggregate over the same
+// variables share one summary however they were built — parsed per request,
+// restored from a snapshot, carried across Update — and a ranking with a
+// custom Weight function is its own key.
 
 import (
 	"maps"
@@ -33,6 +34,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/sketch"
 )
 
@@ -107,6 +109,7 @@ const DefaultSketchEps = core.DefaultSketchEps
 // plan's vector and the cached merge they answer through. Entries are
 // immutable once stored.
 type sketchEntry struct {
+	f     *Ranking // a ranking with the entry's key, for refreshes and snapshots
 	parts []*sketch.Summary
 	// stale[i] marks a part carried across an Update that changed engine i's
 	// answers: its anchors still hold the pre-delta windows and must be
@@ -171,49 +174,6 @@ func (e *sketchEntry) fresh() bool {
 // resCovers reports whether a summary built at resolution have serves a
 // request for resolution want (finer-or-equal, with float slack).
 func resCovers(have, want float64) bool { return have <= want*(1+1e-9) }
-
-// canonRanking maps a ranking to the plan's canonical pointer for its wire
-// spec, registering f as canonical on first sight. Summaries are keyed by
-// *Ranking pointer; interning by spec means two equivalent Ranking values —
-// in particular one minted by LoadPrepared for a snapshot's sketch sections
-// and one the caller builds later — share a single summary. Rankings with a
-// custom Weight function have no wire form and stay keyed by their own
-// pointer.
-func (p *Prepared) canonRanking(f *Ranking) *Ranking {
-	if f == nil || f.Weight != nil {
-		return f
-	}
-	spec, err := FormatRanking(f)
-	if err != nil {
-		return f
-	}
-	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	if g := p.rankCanon[spec]; g != nil {
-		return g
-	}
-	if p.rankCanon == nil {
-		p.rankCanon = make(map[string]*Ranking)
-	}
-	p.rankCanon[spec] = f
-	return f
-}
-
-// carryRankCanon copies the spec-interning map for a plan derived by Update,
-// so canonical pointers — and with them the carried summaries — survive the
-// derivation.
-func (p *Prepared) carryRankCanon() map[string]*Ranking {
-	p.skMu.Lock()
-	defer p.skMu.Unlock()
-	if len(p.rankCanon) == 0 {
-		return nil
-	}
-	m := make(map[string]*Ranking, len(p.rankCanon))
-	for spec, f := range p.rankCanon {
-		m[spec] = f
-	}
-	return m
-}
 
 // Answer is the unified quantile entry point: one request struct selects the
 // tier (exact engine, sketch summary, or sampling), and the answer reports
@@ -280,17 +240,15 @@ func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options)
 // post-delta sketch queries stay O(entries) cache hits.
 func (p *Prepared) WarmSketches() error {
 	p.skMu.Lock()
-	var fs []*Ranking
-	var res []float64
-	for f, e := range p.sketches {
+	var stale []*sketchEntry
+	for _, e := range p.sketches {
 		if !e.fresh() {
-			fs = append(fs, f)
-			res = append(res, e.res)
+			stale = append(stale, e)
 		}
 	}
 	p.skMu.Unlock()
-	for i, f := range fs {
-		if _, err := p.summaryFor(f, res[i], p.opts); err != nil {
+	for _, e := range stale {
+		if _, err := p.summaryFor(e.f, e.res, p.opts); err != nil {
 			return err
 		}
 	}
@@ -301,9 +259,9 @@ func (p *Prepared) WarmSketches() error {
 // finer), building, re-certifying and re-merging only the parts that are
 // missing or stale, and caching the result.
 func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summary, error) {
-	f = p.canonRanking(f)
+	key := f.Key()
 	p.skMu.Lock()
-	e := p.sketches[f]
+	e := p.sketches[key]
 	p.skMu.Unlock()
 	reuse := e != nil && resCovers(e.res, res)
 	if reuse && e.fresh() {
@@ -342,11 +300,11 @@ func (p *Prepared) summaryFor(f *Ranking, res float64, o Options) (*sketch.Summa
 	}
 	p.skMu.Lock()
 	if p.sketches == nil {
-		p.sketches = make(map[*Ranking]*sketchEntry)
+		p.sketches = make(map[ranking.Key]*sketchEntry)
 	}
 	// Racing builds store equivalent summaries; keep the finest fresh one.
-	if cur := p.sketches[f]; cur == nil || !cur.fresh() || resCovers(res, cur.res) {
-		p.sketches[f] = &sketchEntry{parts: parts, class: class, merged: merged, res: res}
+	if cur := p.sketches[key]; cur == nil || !cur.fresh() || resCovers(res, cur.res) {
+		p.sketches[key] = &sketchEntry{f: f, parts: parts, class: class, merged: merged, res: res}
 	}
 	p.skMu.Unlock()
 	return merged, nil
@@ -370,9 +328,8 @@ func (p *Prepared) refreshPart(eng *engine.Engine, f *Ranking, e *sketchEntry, i
 // certify it. ModeAuto never builds finer than DefaultSketchEps — tighter
 // requests belong to the exact tier (or an explicit ModeApprox).
 func (p *Prepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summary, error) {
-	f = p.canonRanking(f)
 	p.skMu.Lock()
-	e := p.sketches[f]
+	e := p.sketches[f.Key()]
 	p.skMu.Unlock()
 	if e == nil && eps < core.DefaultSketchEps {
 		return nil, nil
@@ -399,7 +356,7 @@ func (p *Prepared) autoSummary(f *Ranking, eps float64, o Options) (*sketch.Summ
 // tuple count. Staleness and pending lists hold answers, never engines, so a
 // carried entry never keeps a previous generation's engines alive; a plan
 // that carries no summary pays nothing here.
-func (p *Prepared) carrySketches(engs []*engine.Engine, changes []engine.Change) map[*Ranking]*sketchEntry {
+func (p *Prepared) carrySketches(engs []*engine.Engine, changes []engine.Change) map[ranking.Key]*sketchEntry {
 	old := p.sh.Engines()
 	p.skMu.Lock()
 	carried := maps.Clone(p.sketches) // entries are immutable: list the answers unlocked
@@ -407,15 +364,15 @@ func (p *Prepared) carrySketches(engs []*engine.Engine, changes []engine.Change)
 	if !slices.ContainsFunc(changes, engine.Change.AnswersChanged) {
 		return carried // nothing moved: the derived plan shares the entries as they are
 	}
-	m := make(map[*Ranking]*sketchEntry, len(carried))
-	for f, e := range carried {
-		c := &sketchEntry{parts: e.parts, class: e.class, merged: e.merged, res: e.res,
+	m := make(map[ranking.Key]*sketchEntry, len(carried))
+	for key, e := range carried {
+		c := &sketchEntry{f: e.f, parts: e.parts, class: e.class, merged: e.merged, res: e.res,
 			stale: make([]bool, len(engs)), pending: make([][]*core.AnswerDelta, len(engs))}
 		if e.stale != nil {
 			copy(c.stale, e.stale)
 			copy(c.pending, e.pending)
 		}
-		m[f] = c
+		m[key] = c
 	}
 	for i, ch := range changes {
 		if !ch.AnswersChanged() {
@@ -429,8 +386,8 @@ func (p *Prepared) carrySketches(engs []*engine.Engine, changes []engine.Change)
 				break
 			}
 		}
-		for f, e := range carried {
-			c := m[f]
+		for key, e := range carried {
+			c := m[key]
 			c.stale[i] = true
 			if held := c.pending[i]; delta != nil && e.shiftable(i) && pendingLen(held)+delta.Len() <= budget {
 				c.pending[i] = append(held[:len(held):len(held)], delta)

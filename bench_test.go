@@ -33,7 +33,7 @@ func BenchmarkE01Count(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		yannakakis.CountAnswersWorkers(e, 1)
+		yannakakis.CountWorkers(e, 1)
 	}
 }
 
@@ -307,11 +307,11 @@ func BenchmarkParallelCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want := yannakakis.CountAnswersWorkers(e, 1)
+	want := yannakakis.CountWorkers(e, 1).Total
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := yannakakis.CountAnswersWorkers(e, w); got.Cmp(want) != 0 {
+				if got := yannakakis.CountWorkers(e, w).Total; got.Cmp(want) != 0 {
 					b.Fatalf("workers=%d: count %s, want %s", w, got, want)
 				}
 			}
@@ -915,6 +915,34 @@ func BenchmarkColdMedian(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWideSum — exact medians on one 12-atom path plan (ISSUE 18):
+// "sum" ranks by sum(x1,x2,x3), whose variables sit on the adjacent atoms R1
+// and R2, "max" by max(x1,x3). The SUM run decides per run, from the query
+// alone, whether some join tree has a covering pair of atoms adjacent; that
+// decision is a spanning-tree construction polynomial in the atoms, where it
+// used to enumerate all ℓ^(ℓ-2) spanning trees (9 atoms: 0.85 s a run against
+// 0.06 s for MAX, ≈ 13×; 10 atoms and more: refused). CI's scaling gate: sum
+// min ns/op ≤ 1.0× max (measured ≈ 0.45).
+func BenchmarkWideSum(b *testing.B) {
+	q, idb := workload.Path(rand.New(rand.NewSource(18)), 12, 4000, 2000)
+	p, err := qjoin.Prepare(q, qjoin.WrapDB(idb), qjoin.Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		f    *qjoin.Ranking
+	}{{"sum", qjoin.Sum("x1", "x2", "x3")}, {"max", qjoin.Max("x1", "x3")}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Median(c.f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkE12AblationBudget — ε-budget strategies of the approximate driver.

@@ -400,7 +400,7 @@
 //     prepared one. Its first exact quantile needs only what the snapshot
 //     carries: the executable tree and its counts.
 //
-// SnapshotDataset/LoadDataset persist a raw database with its serving
+// SnapshotDataset/LoadDatasetBytes persist a raw database with its serving
 // metadata (name, generation, shard layout) but no compiled plan — the
 // form qjserve's -data-dir durability and blue/green snapshot streaming
 // use, with a per-dataset write-ahead log of deltas (internal/snap.WAL)
@@ -422,11 +422,12 @@
 //   - One *Prepared may serve any number of concurrent readers, and any
 //     number of distinct Ranking values: a plan depends only on the
 //     (Query, DB) pair, so queries under different rankings share it.
-//   - The engine memoizes its trim preparation per Ranking pointer. A
-//     caller that re-creates an equal Ranking per query is correct but
-//     repeats that preparation; long-lived callers should intern one
-//     Ranking instance per ranking spec and reuse it (the server's plan
-//     cache does exactly this).
+//   - What a plan memoizes per ranking — the SUM trim preparation, the
+//     sketch summary — is keyed by the ranking's value (Ranking.Key:
+//     aggregate and variable list), so a caller that builds an equal
+//     Ranking per query, as the server does from each request, finds it
+//     warm. Only a Ranking with a custom Weight function is keyed by its
+//     pointer: reuse the instance to reuse its state.
 //   - Update may run concurrently with reads of the receiver and returns a
 //     new plan; old and new plans are independently usable, so a cache can
 //     migrate entries to the post-delta plan while in-flight requests

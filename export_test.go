@@ -1,6 +1,8 @@
 package qjoin
 
 import (
+	"reflect"
+
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/sketch"
@@ -21,12 +23,21 @@ func Reductions(p *Prepared) []*jointree.Exec {
 // holds it: the per-engine parts, their merge, which parts are stale, and
 // each stale part's pending deltas (nil: its next refresh is the full pass).
 func SketchState(p *Prepared, f *Ranking) (parts []*sketch.Summary, merged *sketch.Summary, stale []bool, pending [][]*core.AnswerDelta) {
-	f = p.canonRanking(f)
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
-	e := p.sketches[f]
+	e := p.sketches[f.Key()]
 	if e == nil {
 		return nil, nil, nil, nil
 	}
 	return e.parts, e.merged, e.stale, e.pending
+}
+
+// TrimPreps peeks at how many SUM trim preparations the plan's engines hold
+// in their trim caches (only the length of the cache's unexported map is read).
+func TrimPreps(p *Prepared) int {
+	n := 0
+	for _, eng := range p.sh.Engines() {
+		n += reflect.ValueOf(eng.TrimCache()).Elem().FieldByName("sumAdj").Len()
+	}
+	return n
 }

@@ -80,17 +80,10 @@ type Enumerator struct {
 	emitted int
 }
 
-// New builds an enumerator. The executable tree is fully reduced as a side
-// effect (dangling tuples would stall the streams).
-func New(e *jointree.Exec, f *ranking.Func) (*Enumerator, error) {
-	e.FullReduceWorkers(1)
-	return NewReduced(e, f)
-}
-
 // NewReduced builds an enumerator over an executable tree that is already
-// fully reduced (e.g. the cached reduction of a prepared engine). Unlike
-// New it never mutates e, so any number of enumerators — including
-// concurrent ones — may share a single reduced tree.
+// fully reduced (e.g. the cached reduction of a prepared engine; dangling
+// tuples would stall the streams). It never mutates e, so any number of
+// enumerators — including concurrent ones — may share a single reduced tree.
 func NewReduced(e *jointree.Exec, f *ranking.Func) (*Enumerator, error) {
 	if err := f.Validate(e.Q); err != nil {
 		return nil, err

@@ -21,7 +21,8 @@ func enumOf(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(e, f)
+	e.FullReduceWorkers(1)
+	en, err := NewReduced(e, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestValidation(t *testing.T) {
 	}
 	tree, _ := jointree.Build(q)
 	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-	if _, err := New(e, ranking.NewSum("zz")); err == nil {
+	if _, err := NewReduced(e, ranking.NewSum("zz")); err == nil {
 		t.Fatal("unknown ranked variable accepted")
 	}
 }
@@ -162,7 +163,8 @@ func BenchmarkTop100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		en, err := New(e, f)
+		e.FullReduceWorkers(1)
+		en, err := NewReduced(e, f)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -837,7 +837,7 @@ func materializeRanks(shards []*shardState, f *ranking.Func, origVars []query.Va
 		if c := f.Compare(weights[i], weights[j]); c != 0 {
 			return c < 0
 		}
-		return lessValues(answer(i), answer(j))
+		return slices.Compare(answer(i), answer(j)) < 0
 	}, func(at, sel int) {
 		// Copy out of the flat backings: a view would pin all n·w materialized
 		// values for the Answer's lifetime, and the weight vectors are scratch.
@@ -871,7 +871,7 @@ func classRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, lam
 	}
 	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
 	selectEach(selection.NewIndex(n), 0, ranks, func(i, j int) bool {
-		return lessValues(answer(i), answer(j))
+		return slices.Compare(answer(i), answer(j)) < 0
 	}, func(at, sel int) {
 		vals := append([]relation.Value(nil), answer(sel)...)
 		out[at] = &Answer{Vars: origVars, Values: vals, Weight: lambda}
@@ -910,15 +910,4 @@ func selectEach(idx []int, off uint64, ranks []rank, less func(a, b int) bool, e
 	}
 	selectEach(idx[:p], off, ranks[:lo], less, emit)
 	selectEach(idx[p+1:], off+uint64(p)+1, ranks[hi:], less, emit)
-}
-
-// lessValues is the canonical lexicographic value order used to break weight
-// ties everywhere an answer is selected by rank.
-func lessValues(a, b []relation.Value) bool {
-	for p := range a {
-		if a[p] != b[p] {
-			return a[p] < b[p]
-		}
-	}
-	return false
 }

@@ -357,12 +357,13 @@ func TestSingleIndexRunsArePinned(t *testing.T) {
 }
 
 // referenceSummary is BuildSummary as it was before the shared descent: one
-// selection run per grid index.
+// selection run per grid index, exact where the classifier says the ranking is
+// tractable (and the options do not force lossy SUM trims).
 func referenceSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options) (*sketch.Summary, error) {
 	n := eng.Counts().Total
-	exact, err := exactTrimsAvailable(eng, f, opts)
-	if err != nil {
-		return nil, err
+	exact, _ := ClassifyRanking(eng.Query(), f)
+	if opts.ForceLossy && f.Agg == ranking.Sum {
+		exact = false
 	}
 	o := opts
 	widen := counting.Zero

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"slices"
 	"sort"
 
@@ -43,19 +42,9 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 	if n.IsZero() {
 		return sketch.New(nil, n, res, false, f.Compare), nil
 	}
-	exact, err := exactTrimsAvailable(eng, f, opts)
-	if err != nil {
-		return nil, err
-	}
 	o := opts
 	o.CollectPhases = false
-	widen := counting.Count{}
-	if exact {
-		o.Epsilon = 0
-	} else {
-		o.Epsilon = res / 2
-		widen = counting.FloorMulFloat(n, o.Epsilon)
-	}
+	o.Epsilon = res / 2 // read only by a descent that has to trim lossily
 	steps := int(1/res) + 1
 	grid := make([]counting.Count, 0, steps+1)
 	for i := 0; i <= steps; i++ {
@@ -67,14 +56,15 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 			break
 		}
 	}
-	anchors, _, err := SelectMany([]*engine.Engine{eng}, f, grid, o)
+	anchors, stats, err := SelectMany([]*engine.Engine{eng}, f, grid, o)
 	if err != nil {
 		return nil, err
 	}
+	widen := counting.FloorMulFloat(n, o.Epsilon)
 	entries := make([]sketch.Entry, len(grid))
 	for i, k := range grid {
 		rmin, rmax := k, k
-		if !exact {
+		if stats.Lossy {
 			// The lossy answer's weight occupies a rank within ⌊ε·N⌋ of k
 			// (Theorem 6.2): leq ≥ k − widen + 1 and less ≤ k + widen.
 			if widen.Less(k) {
@@ -86,7 +76,7 @@ func BuildSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Options
 		}
 		entries[i] = sketch.Entry{Weight: anchors[i].Weight, Values: anchors[i].Values, RMin: rmin, RMax: rmax}
 	}
-	return sketch.New(entries, n, res, !exact, f.Compare), nil
+	return sketch.New(entries, n, res, stats.Lossy, f.Compare), nil
 }
 
 // RefreshSummary re-certifies a summary's anchors against a (typically
@@ -117,23 +107,15 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	if n.IsZero() {
 		return sketch.New(nil, n, res, false, f.Compare), nil
 	}
-	exact, err := exactTrimsAvailable(eng, f, opts)
-	if err != nil {
-		return nil, err
-	}
 	o := opts
-	selEps := 0.0
-	widen := counting.Count{}
-	if !exact {
-		selEps = res / 2
-		o.Epsilon = selEps
-		widen = counting.FloorMulFloat(n, selEps)
-	} else {
-		o.Epsilon = 0
-	}
+	o.Epsilon = res / 2 // read only by lossy trims
 	trm, err := makeTrimmer(eng.Query(), f, o)
 	if err != nil {
 		return nil, err
+	}
+	widen := counting.Count{}
+	if trm.lossy {
+		widen = counting.FloorMulFloat(n, o.Epsilon)
 	}
 	workers := parallel.Workers(opts.Parallelism)
 	orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()}
@@ -145,7 +127,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 		bands := [2][2]ranking.Bound{trim.Less: {ranking.NegInf(), at}, trim.Greater: {at, ranking.PosInf()}}
 		var c [2]counting.Count
 		for side, b := range bands {
-			inst, err := trm.band(orig, b[0], b[1], trim.Dir(side), selEps)
+			inst, err := trm.band(orig, b[0], b[1], trim.Dir(side), o.Epsilon)
 			if err != nil {
 				return nil, err
 			}
@@ -173,7 +155,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	if len(entries) == 0 {
 		return nil, nil // every anchor died: rebuild
 	}
-	return sketch.New(entries, n, res, !exact, f.Compare), nil
+	return sketch.New(entries, n, res, trm.lossy, f.Compare), nil
 }
 
 // AnswerDelta is the answers one engine derivation gained and lost, as flat
@@ -292,19 +274,4 @@ func ShiftSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, deltas
 		return nil // every anchor died: rebuild
 	}
 	return sketch.New(entries, n, s.Res, s.Lossy, f.Compare)
-}
-
-// exactTrimsAvailable reports whether the ranking admits exact trims on this
-// query (everything except SUM outside the tractable class, per the
-// dichotomy of Theorem 5.6 — or any SUM under Options.ForceLossy).
-func exactTrimsAvailable(eng *engine.Engine, f *ranking.Func, opts Options) (bool, error) {
-	probe := opts
-	probe.Epsilon = 0
-	if _, err := makeTrimmer(eng.Query(), f, probe); err != nil {
-		if errors.Is(err, ErrIntractable) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
 }

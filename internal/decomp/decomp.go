@@ -16,8 +16,8 @@ const MaxDecompWidth = 4
 
 // searchBudget bounds the canonical partition search per width so that
 // pathological shapes fail deterministically instead of hanging. Bell(9) =
-// 21147, so every partition of a query with up to nine atoms (the same bound
-// as hypergraph.MaxEnumerableEdges) is examined before the budget can bite.
+// 21147, so every partition of a query with up to nine atoms is examined
+// before the budget can bite.
 const searchBudget = 1 << 16
 
 // WidthError reports that no acyclic bag cover of width ≤ MaxWidth exists for

@@ -120,11 +120,11 @@ func TestDuplicateInputRows(t *testing.T) {
 func TestReducedPreservesAnswers(t *testing.T) {
 	e := fig1Engine(t)
 	red := e.Reduced()
-	if got := yannakakis.CountAnswersWorkers(red, 1); got.Cmp(e.Total()) != 0 {
+	if got := yannakakis.CountWorkers(red, 1).Total; got.Cmp(e.Total()) != 0 {
 		t.Fatalf("reduced count = %s, want %s", got, e.Total())
 	}
 	// The shared exec must be untouched by the reduction.
-	if got := yannakakis.CountAnswersWorkers(e.Exec(), 1); got.Cmp(e.Total()) != 0 {
+	if got := yannakakis.CountWorkers(e.Exec(), 1).Total; got.Cmp(e.Total()) != 0 {
 		t.Fatalf("shared exec count = %s, want %s", got, e.Total())
 	}
 	// Idempotent handle.
@@ -169,7 +169,7 @@ func TestLazyStructuresConcurrent(t *testing.T) {
 			defer wg.Done()
 			e.Reduced()
 			e.Access()
-			yannakakis.CountAnswersWorkers(e.Exec(), 1)
+			yannakakis.CountWorkers(e.Exec(), 1)
 		}()
 	}
 	wg.Wait()

@@ -1,23 +1,23 @@
 // Package hypergraph implements the hypergraph machinery of Section 2.1:
-// acyclicity testing and join-tree construction via GYO ear removal,
-// enumeration of alternative join trees, and the structural measures used by
-// the partial-SUM dichotomy of Theorem 5.6 (maximal hyperedges, independent
-// variable subsets, chordless paths) together with the adjacent-pair join
-// tree of Lemma D.1.
+// acyclicity testing and join-tree construction via GYO ear removal, the
+// adjacent-pair join tree of Lemma D.1 as a maximum-weight spanning tree over
+// the hyperedges, and the structural measures the partial-SUM dichotomy of
+// Theorem 5.6 is stated in (maximal hyperedges, independent variable subsets,
+// chordless paths).
 //
-// Query size is a constant in the paper's data-complexity analysis, so the
-// exhaustive searches here (spanning-tree enumeration via Prüfer sequences,
-// chordless-path DFS) are bounded by the query, never by the database.
+// The join-tree constructions are polynomial in the number of hyperedges.
+// The measures of the classifier search exhaustively (independent subsets,
+// chordless-path DFS); query size is a constant in the paper's
+// data-complexity analysis, so they are bounded by the query, never by the
+// database.
 package hypergraph
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/query"
 )
-
-// MaxEnumerableEdges bounds spanning-tree enumeration (ℓ^(ℓ-2) trees).
-const MaxEnumerableEdges = 9
 
 // Hypergraph is a hypergraph with integer vertices 0..NumVertices-1 and
 // hyperedges given as vertex index sets.
@@ -40,36 +40,15 @@ func FromQuery(q *query.Query) (*Hypergraph, map[query.Var]int) {
 				edge = append(edge, idx[v])
 			}
 		}
-		sortInts(edge)
+		slices.Sort(edge)
 		h.Edges = append(h.Edges, edge)
 	}
 	return h, idx
 }
 
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func contains(sorted []int, v int) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
-}
-
 func subset(a, b []int) bool {
 	for _, v := range a {
-		if !contains(b, v) {
+		if !slices.Contains(b, v) {
 			return false
 		}
 	}
@@ -80,7 +59,7 @@ func subset(a, b []int) bool {
 // A vertex is adjacent to itself.
 func (h *Hypergraph) Adjacent(u, v int) bool {
 	for _, e := range h.Edges {
-		if contains(e, u) && contains(e, v) {
+		if slices.Contains(e, u) && slices.Contains(e, v) {
 			return true
 		}
 	}
@@ -97,7 +76,7 @@ func (h *Hypergraph) MaximalEdgeCount() int {
 			if i == j {
 				continue
 			}
-			if subset(e, f) && (len(e) < len(f) || (equalEdges(e, f) && j < i)) {
+			if subset(e, f) && (len(e) < len(f) || (slices.Equal(e, f) && j < i)) {
 				// Strictly contained, or a duplicate where an earlier copy
 				// represents the class.
 				maximal = false
@@ -109,18 +88,6 @@ func (h *Hypergraph) MaximalEdgeCount() int {
 		}
 	}
 	return n
-}
-
-func equalEdges(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // JoinTree runs the GYO ear-removal algorithm. It returns a parent array over
@@ -215,128 +182,6 @@ func (h *Hypergraph) IsAcyclic() bool {
 	return ok
 }
 
-// IsJoinTree checks the running-intersection property of a candidate tree
-// given as an adjacency list over edge indexes: for every vertex, the edges
-// containing it must induce a connected subtree.
-func (h *Hypergraph) IsJoinTree(adj [][]int) bool {
-	ne := len(h.Edges)
-	for v := 0; v < h.NumVertices; v++ {
-		var holder []int
-		for e := 0; e < ne; e++ {
-			if contains(h.Edges[e], v) {
-				holder = append(holder, e)
-			}
-		}
-		if len(holder) <= 1 {
-			continue
-		}
-		inSet := make([]bool, ne)
-		for _, e := range holder {
-			inSet[e] = true
-		}
-		// BFS within holder starting from holder[0].
-		seen := make([]bool, ne)
-		queue := []int{holder[0]}
-		seen[holder[0]] = true
-		visited := 1
-		for len(queue) > 0 {
-			e := queue[0]
-			queue = queue[1:]
-			for _, f := range adj[e] {
-				if inSet[f] && !seen[f] {
-					seen[f] = true
-					visited++
-					queue = append(queue, f)
-				}
-			}
-		}
-		if visited != len(holder) {
-			return false
-		}
-	}
-	return true
-}
-
-// EnumerateJoinTrees calls fn with the adjacency list of every join tree of
-// the hypergraph (every spanning tree over the edges that satisfies the
-// running-intersection property). Enumeration is via Prüfer sequences and is
-// exponential in the number of edges; it returns an error above
-// MaxEnumerableEdges. fn may return false to stop early.
-func (h *Hypergraph) EnumerateJoinTrees(fn func(adj [][]int) bool) error {
-	ne := len(h.Edges)
-	if ne > MaxEnumerableEdges {
-		return fmt.Errorf("hypergraph: %d edges exceeds join-tree enumeration limit %d", ne, MaxEnumerableEdges)
-	}
-	if ne == 1 {
-		fn([][]int{{}})
-		return nil
-	}
-	if ne == 2 {
-		adj := [][]int{{1}, {0}}
-		if h.IsJoinTree(adj) {
-			fn(adj)
-		}
-		return nil
-	}
-	seq := make([]int, ne-2)
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
-		if pos == len(seq) {
-			adj := treeFromPrufer(seq, ne)
-			if h.IsJoinTree(adj) {
-				return fn(adj)
-			}
-			return true
-		}
-		for v := 0; v < ne; v++ {
-			seq[pos] = v
-			if !rec(pos + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
-	return nil
-}
-
-// treeFromPrufer decodes a Prüfer sequence into an adjacency list on n nodes.
-func treeFromPrufer(seq []int, n int) [][]int {
-	degree := make([]int, n)
-	for i := range degree {
-		degree[i] = 1
-	}
-	for _, v := range seq {
-		degree[v]++
-	}
-	adj := make([][]int, n)
-	addEdge := func(a, b int) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	used := make([]bool, n)
-	for _, v := range seq {
-		for leaf := 0; leaf < n; leaf++ {
-			if degree[leaf] == 1 && !used[leaf] {
-				addEdge(leaf, v)
-				used[leaf] = true
-				degree[v]--
-				break
-			}
-		}
-	}
-	var last []int
-	for v := 0; v < n; v++ {
-		if !used[v] && degree[v] == 1 {
-			last = append(last, v)
-		}
-	}
-	if len(last) == 2 {
-		addEdge(last[0], last[1])
-	}
-	return adj
-}
-
 // RootTree converts an adjacency list into a parent array rooted at root.
 func RootTree(adj [][]int, root int) []int {
 	parent := make([]int, len(adj))
@@ -358,14 +203,25 @@ func RootTree(adj [][]int, root int) []int {
 	return parent
 }
 
-// AdjacentPairJoinTree searches for a join tree in which the vertex set U is
+// AdjacentPairJoinTree builds a join tree in which the vertex set U is
 // covered by a single node or by two adjacent nodes (Lemma D.1). On success
 // it returns the tree as a parent array rooted at nodeA, with nodeB = -1 when
-// a single node suffices. The search is exhaustive over all join trees.
+// a single node suffices (then any join tree will do: GYO's).
+//
+// Otherwise the pair is the lowest (a, b), a < b, among the pairs of edges
+// covering U that some join tree has adjacent. A spanning tree T over the
+// edges is a join tree iff Σ_{(e,f)∈T} |e∩f| = Σ_v (deg(v)−1): per vertex, the
+// tree links whose two ends both hold it form a forest on the deg(v) edges
+// that hold it, so no tree weighs more, and one weighs that much exactly when
+// every such forest is connected — the running-intersection property. A join
+// tree with a–b adjacent therefore exists iff the heaviest spanning tree
+// through the link a–b reaches that weight, and Kruskal's algorithm with a–b
+// taken first builds it. Links of weight zero join the components of a
+// disconnected hypergraph (a cross product); a cyclic hypergraph has no
+// spanning tree of that weight at all.
 func (h *Hypergraph) AdjacentPairJoinTree(U []int) (parent []int, root, nodeA, nodeB int, err error) {
-	// Single-edge cover: any join tree will do.
 	for e, edge := range h.Edges {
-		if subset(sortedCopy(U), edge) {
+		if subset(U, edge) {
 			p, r, ok := h.JoinTree()
 			if !ok {
 				return nil, -1, -1, -1, fmt.Errorf("hypergraph: cyclic")
@@ -373,64 +229,75 @@ func (h *Hypergraph) AdjacentPairJoinTree(U []int) (parent []int, root, nodeA, n
 			return p, r, e, -1, nil
 		}
 	}
-	found := false
-	var fAdj [][]int
-	var fA, fB int
-	errEnum := h.EnumerateJoinTrees(func(adj [][]int) bool {
-		for a := range adj {
-			for _, b := range adj[a] {
-				if a > b {
-					continue
-				}
-				if coveredByPair(h.Edges[a], h.Edges[b], U) {
-					found, fAdj, fA, fB = true, adj, a, b
-					return false
+	ne := len(h.Edges)
+	type link struct{ e, f, w int }
+	links := make([]link, 0, ne*(ne-1)/2) // every pair e < f, lowest first
+	for e := range h.Edges {
+		for f := e + 1; f < ne; f++ {
+			w := 0
+			for _, v := range h.Edges[e] {
+				if slices.Contains(h.Edges[f], v) {
+					w++
 				}
 			}
+			links = append(links, link{e, f, w})
 		}
-		return true
-	})
-	if errEnum != nil {
-		return nil, -1, -1, -1, errEnum
 	}
-	if !found {
-		return nil, -1, -1, -1, fmt.Errorf("hypergraph: no join tree places U on two adjacent nodes")
+	heaviest := slices.Clone(links)
+	slices.SortStableFunc(heaviest, func(x, y link) int { return y.w - x.w })
+	need := 0
+	held := make([]bool, h.NumVertices)
+	for _, edge := range h.Edges {
+		for _, v := range edge {
+			if held[v] {
+				need++
+			}
+			held[v] = true
+		}
 	}
-	return RootTree(fAdj, fA), fA, fA, fB, nil
-}
-
-func sortedCopy(a []int) []int {
-	c := append([]int(nil), a...)
-	sortInts(c)
-	return c
+	comp := make([]int, ne) // union-find over the edges
+	find := func(x int) int {
+		for comp[x] != x {
+			comp[x] = comp[comp[x]]
+			x = comp[x]
+		}
+		return x
+	}
+	for _, ab := range links {
+		if !coveredByPair(h.Edges[ab.e], h.Edges[ab.f], U) {
+			continue
+		}
+		for i := range comp {
+			comp[i] = i
+		}
+		adj := make([][]int, ne)
+		weight := 0
+		take := func(l link) {
+			if ce, cf := find(l.e), find(l.f); ce != cf {
+				comp[ce] = cf
+				adj[l.e] = append(adj[l.e], l.f)
+				adj[l.f] = append(adj[l.f], l.e)
+				weight += l.w
+			}
+		}
+		take(ab)
+		for _, l := range heaviest {
+			take(l)
+		}
+		if weight == need {
+			return RootTree(adj, ab.e), ab.e, ab.e, ab.f, nil
+		}
+	}
+	return nil, -1, -1, -1, fmt.Errorf("hypergraph: no join tree places U on two adjacent nodes")
 }
 
 func coveredByPair(ea, eb, U []int) bool {
 	for _, v := range U {
-		if !contains(ea, v) && !contains(eb, v) {
+		if !slices.Contains(ea, v) && !slices.Contains(eb, v) {
 			return false
 		}
 	}
 	return true
-}
-
-// HasIndependentTriple reports whether U contains three pairwise
-// non-adjacent vertices (the "independent set of size 3" condition on the
-// negative side of Theorem 5.6).
-func (h *Hypergraph) HasIndependentTriple(U []int) bool {
-	for i := 0; i < len(U); i++ {
-		for j := i + 1; j < len(U); j++ {
-			if h.Adjacent(U[i], U[j]) {
-				continue
-			}
-			for k := j + 1; k < len(U); k++ {
-				if !h.Adjacent(U[i], U[k]) && !h.Adjacent(U[j], U[k]) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // MaxIndependentSubset returns the size of the largest subset of U whose

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/query"
@@ -154,12 +155,6 @@ func TestAdjacent(t *testing.T) {
 func TestIndependentSets(t *testing.T) {
 	h, idx := FromQuery(q3path())
 	all := []int{idx["x1"], idx["x2"], idx["x3"], idx["x4"]}
-	if !h.HasIndependentTriple(all) {
-		// x1, x3 is independent; x1, x4 too; x1,x3 with... x1-x3-? x1,x3 and
-		// nothing else? x1~x2, x3~x2: {x1,x3} indep; {x1,x4} indep; {x1,x3}
-		// plus x4: x3~x4 so not. {x1,x4} plus x2: x1~x2. So no triple.
-		t.Log("no independent triple on 3-path with all vars — checking size")
-	}
 	if got := h.MaxIndependentSubset(all); got != 2 {
 		t.Fatalf("max independent subset = %d, want 2", got)
 	}
@@ -171,9 +166,6 @@ func TestIndependentSets(t *testing.T) {
 	)
 	hs, idxs := FromQuery(star)
 	leaves := []int{idxs["l1"], idxs["l2"], idxs["l3"]}
-	if !hs.HasIndependentTriple(leaves) {
-		t.Fatal("star leaves must form an independent triple")
-	}
 	if got := hs.MaxIndependentSubset(leaves); got != 3 {
 		t.Fatalf("star max independent = %d", got)
 	}
@@ -261,17 +253,6 @@ func TestEnumerateJoinTreesCounts(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("2-atom join trees = %d", count)
-	}
-}
-
-func TestEnumerateJoinTreesLimit(t *testing.T) {
-	var atoms []query.Atom
-	for i := 0; i < MaxEnumerableEdges+1; i++ {
-		atoms = append(atoms, query.Atom{Rel: "R", Vars: []query.Var{query.Var(rune('a' + i))}})
-	}
-	h, _ := FromQuery(query.New(atoms...))
-	if err := h.EnumerateJoinTrees(func([][]int) bool { return true }); err == nil {
-		t.Fatal("expected enumeration limit error")
 	}
 }
 
@@ -456,4 +437,305 @@ func TestMaximalEdgeCountDuplicates(t *testing.T) {
 			t.Errorf("%s: mh = %d, want %d", c.name, got, c.want)
 		}
 	}
+}
+
+// pruferLinks is the reference for AdjacentPairJoinTree's two-node case: every
+// pair of edges (a < b) that some join tree has adjacent, found by enumerating
+// all join trees.
+func pruferLinks(t *testing.T, h *Hypergraph) map[[2]int]bool {
+	t.Helper()
+	links := map[[2]int]bool{}
+	err := h.EnumerateJoinTrees(func(adj [][]int) bool {
+		for a := range adj {
+			for _, b := range adj[a] {
+				if a < b {
+					links[[2]int{a, b}] = true
+				}
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return links
+}
+
+// checkAdjacentPair compares AdjacentPairJoinTree(U) with the Prüfer search
+// (links: pruferLinks(h)): it succeeds exactly when the search has a covering
+// pair, on the lowest one, and what it returns is a join tree rooted at a with
+// a–b adjacent and U ⊆ a ∪ b. It returns the pair, (-2, -2) when no tree was
+// built.
+func checkAdjacentPair(t *testing.T, h *Hypergraph, links map[[2]int]bool, U []int) (nodeA, nodeB int) {
+	t.Helper()
+	single := -1
+	for e, edge := range h.Edges {
+		if single < 0 && subset(U, edge) {
+			single = e
+		}
+	}
+	want := map[[2]int]bool{}
+	for pr := range links {
+		if coveredByPair(h.Edges[pr[0]], h.Edges[pr[1]], U) {
+			want[pr] = true
+		}
+	}
+	parent, root, a, b, err := h.AdjacentPairJoinTree(U)
+	if wantOK := (single >= 0 && h.IsAcyclic()) || (single < 0 && len(want) > 0); (err == nil) != wantOK {
+		t.Fatalf("edges %v U=%v: construction err=%v, Prüfer search finds %v (single cover %d)", h.Edges, U, err, want, single)
+	}
+	if err != nil {
+		return -2, -2
+	}
+	adj := make([][]int, len(h.Edges))
+	for e, p := range parent {
+		if (p < 0) != (e == root) {
+			t.Fatalf("edges %v U=%v: parent %v with root %d", h.Edges, U, parent, root)
+		}
+		if p >= 0 {
+			adj[e] = append(adj[e], p)
+			adj[p] = append(adj[p], e)
+		}
+	}
+	if !h.IsJoinTree(adj) || len(RootTree(adj, root)) != len(h.Edges) || slices.Contains(RootTree(adj, root), -2) {
+		t.Fatalf("edges %v U=%v: parent %v is not a join tree", h.Edges, U, parent)
+	}
+	if single >= 0 {
+		if a != single || b != -1 {
+			t.Fatalf("edges %v U=%v: got (%d,%d), want the single node %d", h.Edges, U, a, b, single)
+		}
+		return a, b
+	}
+	lowest := [2]int{len(h.Edges), len(h.Edges)}
+	for pr := range want {
+		if pr[0] < lowest[0] || (pr[0] == lowest[0] && pr[1] < lowest[1]) {
+			lowest = pr
+		}
+	}
+	if [2]int{a, b} != lowest || root != a || parent[b] != a || !coveredByPair(h.Edges[a], h.Edges[b], U) {
+		t.Fatalf("edges %v U=%v: got pair (%d,%d) root %d parent %v, want lowest pair %v", h.Edges, U, a, b, root, parent, lowest)
+	}
+	return a, b
+}
+
+// TestAdjacentPairMatchesPruferSearch is the differential between the
+// spanning-tree construction and the exhaustive search it replaced, over
+// random hypergraphs of up to 7 edges: acyclic ones grown along a random join
+// tree (an edge takes any subset of an earlier edge's vertices — none at all
+// starts a new component, all of them and nothing fresh is a contained or
+// duplicate edge) and unconstrained ones, cyclic included.
+func TestAdjacentPairMatchesPruferSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	single, pair, refused, cyclic := 0, 0, 0, 0
+	for trial := 0; trial < 900; trial++ {
+		h := &Hypergraph{}
+		ne := 2 + rng.Intn(6)
+		for e := 0; e < ne; e++ {
+			var edge []int
+			if trial%3 == 0 { // unconstrained
+				if h.NumVertices == 0 {
+					h.NumVertices = 6
+				}
+				for v := 0; v < h.NumVertices; v++ {
+					if rng.Intn(3) == 0 {
+						edge = append(edge, v)
+					}
+				}
+				if len(edge) == 0 {
+					edge = []int{rng.Intn(h.NumVertices)}
+				}
+			} else {
+				if e > 0 {
+					for _, v := range h.Edges[rng.Intn(e)] {
+						if rng.Intn(2) == 0 {
+							edge = append(edge, v)
+						}
+					}
+				}
+				for fresh := rng.Intn(3); fresh > 0 || len(edge) == 0; fresh-- {
+					edge = append(edge, h.NumVertices)
+					h.NumVertices++
+				}
+			}
+			h.Edges = append(h.Edges, edge)
+		}
+		if !h.IsAcyclic() {
+			cyclic++
+		} else if trial%3 != 0 && rng.Intn(2) == 0 {
+			rng.Shuffle(ne, func(i, j int) { h.Edges[i], h.Edges[j] = h.Edges[j], h.Edges[i] })
+		}
+		links := pruferLinks(t, h)
+		for rep := 0; rep < 4; rep++ {
+			var U []int
+			for v := 0; v < h.NumVertices; v++ {
+				if rng.Intn(3) == 0 {
+					U = append(U, v)
+				}
+			}
+			if len(U) == 0 {
+				continue
+			}
+			switch _, b := checkAdjacentPair(t, h, links, U); b {
+			case -2:
+				refused++
+			case -1:
+				single++
+			default:
+				pair++
+			}
+		}
+	}
+	if single < 300 || pair < 300 || refused < 300 || cyclic < 20 {
+		t.Fatalf("corpus is lopsided: %d on one node, %d on a pair, %d refused, %d cyclic hypergraphs", single, pair, refused, cyclic)
+	}
+}
+
+// TestAdjacentPairStructuralCases covers the shapes the weight identity has
+// to get right by construction: components joined by zero-weight links,
+// duplicate edges, and edges contained in others.
+func TestAdjacentPairStructuralCases(t *testing.T) {
+	cases := []struct {
+		name  string
+		edges [][]int
+		nv    int
+		U     []int
+		a, b  int // -2: no tree
+	}{
+		{"two components, U across them", [][]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}}, 6, []int{0, 3}, 0, 2},
+		{"two components, U needs three atoms", [][]int{{0, 1}, {1, 2}, {3, 4}}, 5, []int{0, 2, 3}, -2, -2},
+		{"isolated unary atoms", [][]int{{0}, {1}, {2}}, 3, []int{1, 2}, 1, 2},
+		{"duplicate edges, U on one copy and a neighbour", [][]int{{0, 1}, {0, 1}, {1, 2}}, 3, []int{0, 2}, 0, 2},
+		{"contained edge between the pair", [][]int{{0, 1, 2}, {1}, {1, 3}}, 4, []int{0, 3}, 0, 2},
+		{"contained edges only", [][]int{{0, 1, 2}, {0, 1}, {1, 2}, {1}}, 3, []int{0, 1, 2}, 0, -1},
+		{"path ends are never adjacent", [][]int{{0, 1}, {1, 2}, {2, 3}}, 4, []int{0, 3}, -2, -2},
+		{"star leaves are", [][]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, 5, []int{2, 4}, 1, 3},
+	}
+	for _, c := range cases {
+		h := &Hypergraph{NumVertices: c.nv, Edges: c.edges}
+		if a, b := checkAdjacentPair(t, h, pruferLinks(t, h), c.U); a != c.a || b != c.b {
+			t.Fatalf("%s: pair (%d,%d), want (%d,%d)", c.name, a, b, c.a, c.b)
+		}
+	}
+}
+
+// ---- the Prüfer search, kept as the reference ---------------------------
+
+// IsJoinTree checks the running-intersection property of a candidate tree
+// given as an adjacency list over edge indexes: for every vertex, the edges
+// containing it must induce a connected subtree.
+func (h *Hypergraph) IsJoinTree(adj [][]int) bool {
+	ne := len(h.Edges)
+	for v := 0; v < h.NumVertices; v++ {
+		var holder []int
+		for e := 0; e < ne; e++ {
+			if slices.Contains(h.Edges[e], v) {
+				holder = append(holder, e)
+			}
+		}
+		if len(holder) <= 1 {
+			continue
+		}
+		inSet := make([]bool, ne)
+		for _, e := range holder {
+			inSet[e] = true
+		}
+		// BFS within holder starting from holder[0].
+		seen := make([]bool, ne)
+		queue := []int{holder[0]}
+		seen[holder[0]] = true
+		visited := 1
+		for len(queue) > 0 {
+			e := queue[0]
+			queue = queue[1:]
+			for _, f := range adj[e] {
+				if inSet[f] && !seen[f] {
+					seen[f] = true
+					visited++
+					queue = append(queue, f)
+				}
+			}
+		}
+		if visited != len(holder) {
+			return false
+		}
+	}
+	return true
+}
+
+// EnumerateJoinTrees calls fn with the adjacency list of every join tree of
+// the hypergraph (every spanning tree over the edges that satisfies the
+// running-intersection property). Enumeration is via Prüfer sequences —
+// ℓ^(ℓ-2) trees, so for small hypergraphs only. fn may return false to stop
+// early. It is the search AdjacentPairJoinTree ran before it built its tree
+// directly, kept as the reference the construction is tested against.
+func (h *Hypergraph) EnumerateJoinTrees(fn func(adj [][]int) bool) error {
+	ne := len(h.Edges)
+	if ne == 1 {
+		fn([][]int{{}})
+		return nil
+	}
+	if ne == 2 {
+		adj := [][]int{{1}, {0}}
+		if h.IsJoinTree(adj) {
+			fn(adj)
+		}
+		return nil
+	}
+	seq := make([]int, ne-2)
+	var rec func(pos int) bool
+	rec = func(pos int) bool {
+		if pos == len(seq) {
+			adj := treeFromPrufer(seq, ne)
+			if h.IsJoinTree(adj) {
+				return fn(adj)
+			}
+			return true
+		}
+		for v := 0; v < ne; v++ {
+			seq[pos] = v
+			if !rec(pos + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	rec(0)
+	return nil
+}
+
+// treeFromPrufer decodes a Prüfer sequence into an adjacency list on n nodes.
+func treeFromPrufer(seq []int, n int) [][]int {
+	degree := make([]int, n)
+	for i := range degree {
+		degree[i] = 1
+	}
+	for _, v := range seq {
+		degree[v]++
+	}
+	adj := make([][]int, n)
+	addEdge := func(a, b int) {
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
+	}
+	used := make([]bool, n)
+	for _, v := range seq {
+		for leaf := 0; leaf < n; leaf++ {
+			if degree[leaf] == 1 && !used[leaf] {
+				addEdge(leaf, v)
+				used[leaf] = true
+				degree[v]--
+				break
+			}
+		}
+	}
+	var last []int
+	for v := 0; v < n; v++ {
+		if !used[v] && degree[v] == 1 {
+			last = append(last, v)
+		}
+	}
+	if len(last) == 2 {
+		addEdge(last[0], last[1])
+	}
+	return adj
 }

@@ -49,7 +49,11 @@ func Build(q *query.Query) (*Tree, error) {
 
 // BuildAdjacentPair constructs a join tree in which the variables U sit on a
 // single node or two adjacent nodes (Lemma D.1), returning the node ids of
-// the pair (nodeB = -1 if one node suffices).
+// the pair (nodeB = -1 if one node suffices; otherwise the lowest pair of
+// atoms any join tree has adjacent). The tree is a maximum-weight spanning
+// tree over the atoms (hypergraph.AdjacentPairJoinTree), polynomial in their
+// number; an error means no join tree covers U that way — the negative side
+// of Theorem 5.6.
 func BuildAdjacentPair(q *query.Query, U []query.Var) (t *Tree, nodeA, nodeB int, err error) {
 	h, idx := hypergraph.FromQuery(q)
 	uIdx := make([]int, 0, len(U))

@@ -215,25 +215,3 @@ func FreshVar(q *Query, base string) Var {
 		}
 	}
 }
-
-// Assignment is a full mapping from the query's Vars() order to values.
-type Assignment = []relation.Value
-
-// AtomRowMatches reports whether a tuple row can instantiate atom a
-// (repeated variables must carry equal values), and if so fills the
-// assignment positions of the atom's variables.
-func AtomRowMatches(a Atom, row []relation.Value, varIdx map[Var]int, out Assignment) bool {
-	for j, v := range a.Vars {
-		pos := varIdx[v]
-		_ = pos
-		for k := j + 1; k < len(a.Vars); k++ {
-			if a.Vars[k] == v && row[k] != row[j] {
-				return false
-			}
-		}
-	}
-	for j, v := range a.Vars {
-		out[varIdx[v]] = row[j]
-	}
-	return true
-}

@@ -147,18 +147,3 @@ func TestString(t *testing.T) {
 		t.Fatalf("String = %q", path3().String())
 	}
 }
-
-func TestAtomRowMatches(t *testing.T) {
-	q := New(Atom{Rel: "R", Vars: []Var{"x", "y", "x"}})
-	idx := q.VarIndex()
-	out := make(Assignment, 2)
-	if !AtomRowMatches(q.Atoms[0], []relation.Value{5, 7, 5}, idx, out) {
-		t.Fatal("consistent row rejected")
-	}
-	if out[idx["x"]] != 5 || out[idx["y"]] != 7 {
-		t.Fatalf("assignment = %v", out)
-	}
-	if AtomRowMatches(q.Atoms[0], []relation.Value{5, 7, 6}, idx, out) {
-		t.Fatal("inconsistent row accepted")
-	}
-}

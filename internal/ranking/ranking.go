@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -80,6 +81,31 @@ func NewMax(vars ...query.Var) *Func { return &Func{Agg: Max, Vars: vars} }
 
 // NewLex returns a lexicographic ranking, most significant variable first.
 func NewLex(vars ...query.Var) *Func { return &Func{Agg: Lex, Vars: vars} }
+
+// Key is a ranking's identity as a comparable value, for the caches that hold
+// per-ranking state (trim preparations, sketch summaries). Rankings with the
+// default weights share a key exactly when they have the same aggregate and
+// the same variable list, however and whenever they were built; a custom
+// Weight function cannot be compared by value, so such a ranking is its own
+// key.
+type Key struct {
+	custom *Func
+	spec   string
+}
+
+// Key returns f's identity.
+func (f *Func) Key() Key {
+	if f.Weight != nil {
+		return Key{custom: f}
+	}
+	var sb strings.Builder
+	sb.WriteByte(byte(f.Agg))
+	for _, v := range f.Vars {
+		sb.WriteByte(0)
+		sb.WriteString(string(v))
+	}
+	return Key{spec: sb.String()}
+}
 
 // W returns the weight of value x under variable v.
 func (f *Func) W(v query.Var, x relation.Value) int64 {

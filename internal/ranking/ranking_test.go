@@ -290,3 +290,27 @@ func TestInPlaceWeighersMatchAllocating(t *testing.T) {
 		}
 	}
 }
+
+// Key is value identity for default-weight rankings and pointer identity for
+// custom ones.
+func TestKey(t *testing.T) {
+	if NewSum("x", "y").Key() != NewSum("x", "y").Key() {
+		t.Fatal("equal rankings have different keys")
+	}
+	distinct := []*Func{
+		NewSum("x", "y"), NewMax("x", "y"), NewMin("x", "y"), NewLex("x", "y"), NewLex("y", "x"),
+		NewSum("x"), NewSum("xy"), NewSum("x", "y", "z"), NewSum("ab", "c"), NewSum("a", "bc"),
+	}
+	seen := map[Key]int{}
+	for i, f := range distinct {
+		if j, dup := seen[f.Key()]; dup {
+			t.Fatalf("rankings %d and %d share a key", j, i)
+		}
+		seen[f.Key()] = i
+	}
+	w := func(query.Var, relation.Value) int64 { return 1 }
+	g1, g2 := &Func{Agg: Sum, Vars: []query.Var{"x"}, Weight: w}, &Func{Agg: Sum, Vars: []query.Var{"x"}, Weight: w}
+	if g1.Key() != g1.Key() || g1.Key() == g2.Key() || g1.Key() == NewSum("x").Key() {
+		t.Fatal("a custom-weight ranking must be its own key, and only its own")
+	}
+}

@@ -438,23 +438,6 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 	return out
 }
 
-// WithColumn returns a new relation with one extra trailing column filled by
-// fill(i) for each tuple i; fill reads any input columns it needs via Col.
-func (r *Relation) WithColumn(name string, fill func(i int) Value) *Relation {
-	out := New(name, r.arity+1)
-	for j, col := range r.cols {
-		out.cols[j] = append([]Value(nil), col...)
-	}
-	extra := make([]Value, r.n)
-	for i := range extra {
-		extra[i] = fill(i)
-	}
-	out.cols[r.arity] = extra
-	out.n = r.n
-	out.distinct = r.distinct
-	return out
-}
-
 // SortBy sorts tuples in place by the given less function over row indexes
 // (the indexes passed to less refer to the current, pre-sort order). The sort
 // computes a permutation and applies it to each column with one gather pass.

@@ -94,15 +94,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestWithColumn(t *testing.T) {
-	a := FromRows("R", 1, [][]Value{{10}, {20}})
-	col := a.Col(0)
-	b := a.WithColumn("R2", func(i int) Value { return col[i] + Value(i) })
-	if b.Arity() != 2 || b.Get(0, 1) != 10 || b.Get(1, 1) != 21 {
-		t.Fatal("WithColumn wrong")
-	}
-}
-
 func TestSortBy(t *testing.T) {
 	a := FromRows("R", 2, [][]Value{{3, 1}, {1, 2}, {2, 3}})
 	key := a.Col(0)
@@ -199,9 +190,6 @@ func TestDistinctPropagation(t *testing.T) {
 	ac := a.Col(0)
 	if !a.FilterWorkers(1, func(i int) bool { return ac[i] == 1 }).IsDistinct() {
 		t.Fatal("FilterWorkers dropped distinct")
-	}
-	if !a.WithColumn("T", func(i int) Value { return 9 }).IsDistinct() {
-		t.Fatal("WithColumn dropped distinct")
 	}
 	// Fresh relations are not distinct by default.
 	if New("X", 1).IsDistinct() {

@@ -22,10 +22,9 @@ import (
 //   - migration: a delta moves every entry of the touched dataset to the
 //     next generation via Prepared.Update instead of invalidating it.
 //
-// The ranking instance is interned in the entry and returned to every
-// caller: the engine memoizes its trim preparation per ranking *pointer*,
-// so handing each request a freshly parsed ranking would defeat the warm
-// path. Using the entry's canonical instance keeps repeat queries hot.
+// The cache holds plans, not rankings: the plan keys what it memoizes per
+// ranking (trim preparations, sketch summaries) by the ranking's value
+// (qjoin.Ranking.Key), so a request's freshly parsed ranking finds it warm.
 type PlanCache struct {
 	mu       sync.Mutex
 	cap      int
@@ -44,9 +43,7 @@ type PlanCache struct {
 	refresh                 SketchRefreshStats
 }
 
-// entry is one cached plan. rank holds the canonical interned ranking
-// parsed by the request that created the entry (nil for rank-less count
-// plans).
+// entry is one cached plan.
 type entry struct {
 	key     string
 	dataset string
@@ -55,14 +52,12 @@ type entry struct {
 	rankStr string
 	workers int
 	plan    qjoin.Plan
-	rank    *qjoin.Ranking
 }
 
 // flight is one in-progress Prepare that latecomers wait on.
 type flight struct {
 	done chan struct{}
 	plan qjoin.Plan
-	rank *qjoin.Ranking
 	err  error
 }
 
@@ -93,11 +88,10 @@ func planKey(dataset string, gen uint64, query string, workers int) string {
 }
 
 // Get returns the plan for the key, preparing it with prepare() on a miss.
-// rank is the caller's parsed ranking (nil for count-only queries); the
-// returned ranking is the cache's interned instance for this key and must
-// be used for the query instead of the caller's own. cached reports whether
-// the plan was served without a compile in this call (a singleflight
-// latecomer reports cached=false: it waited for the full compile).
+// rank is the caller's parsed ranking (nil for count-only queries) and is
+// handed back as it came. cached reports whether the plan was served without
+// a compile in this call (a singleflight latecomer reports cached=false: it
+// waited for the full compile).
 //
 // The compile runs in a cache-owned goroutine, NOT under the caller's
 // context: every caller — the one that triggered it and every coalesced
@@ -112,12 +106,11 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 	c.mu.Lock()
 	if el, ok := c.byKey[k]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
 		// Copy under the lock: Migrate rewrites entry fields in place.
-		p, r := e.plan, e.rank
+		p := el.Value.(*entry).plan
 		c.hits++
 		c.mu.Unlock()
-		return p, r, true, nil
+		return p, rank, true, nil
 	}
 	pk := planKey(dataset, gen, query, workers)
 	if f, ok := c.inflight[k]; ok {
@@ -126,7 +119,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.plan, f.rank, false, f.err
+			return f.plan, rank, false, f.err
 		case <-ctx.Done():
 			return nil, nil, false, ctx.Err()
 		}
@@ -146,14 +139,13 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		}
 		c.mu.Lock()
 		if el, ok := c.byKey[k]; ok { // another waiter inserted it first
-			e := el.Value.(*entry)
-			p, r := e.plan, e.rank
+			p := el.Value.(*entry).plan
 			c.mu.Unlock()
-			return p, r, false, nil
+			return p, rank, false, nil
 		}
 		c.insertLocked(&entry{
 			key: k, dataset: dataset, gen: gen, query: query,
-			rankStr: rankStr, workers: workers, plan: f.plan, rank: rank,
+			rankStr: rankStr, workers: workers, plan: f.plan,
 		})
 		c.mu.Unlock()
 		return f.plan, rank, false, nil
@@ -166,7 +158,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		if e.dataset == dataset && e.gen == gen && e.query == query && e.workers == workers {
 			c.insertLocked(&entry{
 				key: k, dataset: dataset, gen: gen, query: query,
-				rankStr: rankStr, workers: workers, plan: e.plan, rank: rank,
+				rankStr: rankStr, workers: workers, plan: e.plan,
 			})
 			c.hits++
 			p := e.plan
@@ -174,7 +166,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 			return p, rank, true, nil
 		}
 	}
-	f := &flight{done: make(chan struct{}), rank: rank}
+	f := &flight{done: make(chan struct{})}
 	c.inflight[k] = f
 	c.byPlanKey[pk] = f
 	c.misses++
@@ -195,7 +187,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		if err == nil {
 			c.insertLocked(&entry{
 				key: k, dataset: dataset, gen: gen, query: query,
-				rankStr: rankStr, workers: workers, plan: p, rank: rank,
+				rankStr: rankStr, workers: workers, plan: p,
 			})
 		}
 		c.mu.Unlock()
@@ -204,7 +196,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 	}()
 	select {
 	case <-f.done:
-		return f.plan, f.rank, false, f.err
+		return f.plan, rank, false, f.err
 	case <-ctx.Done():
 		return nil, nil, false, ctx.Err()
 	}

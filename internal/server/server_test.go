@@ -538,12 +538,13 @@ func TestPlanCacheLRU(t *testing.T) {
 	if err != nil || cached || p1 == nil {
 		t.Fatalf("first get: %v %v", cached, err)
 	}
-	_, rf, cached, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", "sum(x,z)", 1, qjoin.Sum("x", "z"), nil, prepare("R(x,y),S(y,z)"))
+	f2 := qjoin.Sum("x", "z")
+	_, rf, cached, err := c.Get(ctx, "d", 1, "R(x,y),S(y,z)", "sum(x,z)", 1, f2, nil, prepare("R(x,y),S(y,z)"))
 	if err != nil || !cached {
 		t.Fatalf("second get not cached: %v", err)
 	}
-	if rf != f {
-		t.Fatal("cache did not intern the first caller's ranking instance")
+	if rf != f2 {
+		t.Fatal("cache did not hand back the caller's own ranking")
 	}
 
 	// A different ranking over the same query shares the plan: no prepare.

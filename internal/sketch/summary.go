@@ -31,6 +31,7 @@ package sketch
 // the bound *is* the budget, there is no separate accounting to trust.
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -55,7 +56,7 @@ type Entry struct {
 
 // MaxEntries is the COMPRESS target: summaries never hold more entries.
 // 80 comfortably fits the default 1/32-resolution grid (33 anchors) and a
-// few shards' worth of merged candidates while keeping Bound()'s quadratic
+// few shards' worth of merged candidates while keeping the bound's quadratic
 // envelope scan cheap.
 const MaxEntries = 80
 
@@ -106,7 +107,7 @@ func New(entries []Entry, n counting.Count, res float64, lossy bool, cmp func(a,
 		if c := cmp(entries[i].Weight, entries[j].Weight); c != 0 {
 			return c < 0
 		}
-		return lessValues(entries[i].Values, entries[j].Values)
+		return slices.Compare(entries[i].Values, entries[j].Values) < 0
 	})
 	// Equal weights certify the same less/leq quantities: intersecting the
 	// windows (max RMin, min RMax) is sound and tightest. The lex-smallest
@@ -171,9 +172,6 @@ func (s *Summary) Query(k counting.Count) (e Entry, errAbs counting.Count, ok bo
 	}
 	return s.Entries[best], bestErr, true
 }
-
-// Bound returns the certified bound B (see the field comment).
-func (s *Summary) Bound() counting.Count { return s.B }
 
 // envelopeMax computes max over k ∈ [0, N−1] of min over entries of
 // errAt(e, k) — the worst certified error any rank can be served with. Each
@@ -254,7 +252,7 @@ func Merge(parts []*Summary, cmp func(a, b ranking.Weightv) int) *Summary {
 		if c := cmp(cands[i].Weight, cands[j].Weight); c != 0 {
 			return c < 0
 		}
-		return lessValues(cands[i].Values, cands[j].Values)
+		return slices.Compare(cands[i].Values, cands[j].Values) < 0
 	})
 	merged := make([]Entry, 0, len(cands))
 	for ci, cand := range cands {
@@ -294,16 +292,4 @@ func Merge(parts []*Summary, cmp func(a, b ranking.Weightv) int) *Summary {
 		})
 	}
 	return New(merged, n, res, lossy, cmp)
-}
-
-func lessValues(a, b []relation.Value) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

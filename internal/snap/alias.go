@@ -11,12 +11,7 @@ package snap
 // falls back to an explicit conversion loop on big-endian hosts or when a
 // payload lands misaligned.
 
-import (
-	"strconv"
-	"unsafe"
-
-	"github.com/quantilejoins/qjoin/internal/counting"
-)
+import "unsafe"
 
 // hostLittleEndian reports whether host integer layout matches the wire
 // format, making aliasing a valid decode.
@@ -31,52 +26,13 @@ func aliasable(b []byte, align uintptr) bool {
 	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%align == 0
 }
 
-// viewI64 aliases b as n int64s, or returns nil when the fast path is off.
-func viewI64(b []byte, n int) []int64 {
-	if !aliasable(b, 8) {
+// view aliases b as n values of T — a fixed-width integer or a struct of
+// them laid out as on the wire, like the two words of a counting.Count — or
+// returns nil when the fast path is off.
+func view[T any](b []byte, n int) []T {
+	var z T
+	if !aliasable(b, unsafe.Alignof(z)) {
 		return nil
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), n)
-}
-
-// viewInt aliases b as n ints on 64-bit hosts, where int matches the wire's
-// fixed 8-byte integers.
-func viewInt(b []byte, n int) []int {
-	if strconv.IntSize != 64 || !aliasable(b, 8) {
-		return nil
-	}
-	return unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(b))), n)
-}
-
-// viewU64 aliases b as n uint64s.
-func viewU64(b []byte, n int) []uint64 {
-	if !aliasable(b, 8) {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), n)
-}
-
-// viewU32 aliases b as n uint32s.
-func viewU32(b []byte, n int) []uint32 {
-	if !aliasable(b, 4) {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), n)
-}
-
-// viewI32 aliases b as n int32s.
-func viewI32(b []byte, n int) []int32 {
-	if !aliasable(b, 4) {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), n)
-}
-
-// viewCounts aliases b as n 128-bit counts. counting.Count is exactly two
-// uint64 words (Hi then Lo), matching the wire order.
-func viewCounts(b []byte, n int) []counting.Count {
-	if !aliasable(b, 8) {
-		return nil
-	}
-	return unsafe.Slice((*counting.Count)(unsafe.Pointer(unsafe.SliceData(b))), n)
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }

@@ -109,9 +109,7 @@ func (w *RelWriter) Encode(e *Enc, r *relation.Relation) {
 	e.Align8() // each column is 8·n bytes, so one alignment covers them all
 	e.Grow(8 * r.Arity() * r.Len())
 	for _, col := range r.Cols() {
-		for _, v := range col {
-			e.I64(v)
-		}
+		putBlock(e, col)
 	}
 }
 
@@ -154,7 +152,7 @@ func (rd *RelReader) Decode(d *Dec) (*relation.Relation, error) {
 		d.Align8()
 		cols := make([][]relation.Value, arity)
 		for j := range cols {
-			cols[j] = d.I64Block(n)
+			cols[j] = Block[relation.Value](d, n)
 		}
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -238,7 +236,8 @@ func decodeCountArr(d *Dec) []counting.Count {
 	if b == nil || n == 0 {
 		return nil
 	}
-	if cs := viewCounts(b, n); cs != nil {
+	// counting.Count is exactly two uint64 words, Hi then Lo: the wire order.
+	if cs := view[counting.Count](b, n); cs != nil {
 		return cs
 	}
 	cs := make([]counting.Count, n)
@@ -265,20 +264,15 @@ func encodeGroupIndex(e *Enc, g *jointree.GroupIndex) {
 	e.U32(uint32(width))
 	e.U64(uint64(ng))
 	e.Align8()
-	e.Grow(8 * len(vals))
-	for _, v := range vals {
-		e.I64(v)
-	}
-	e.U64s(hashes)
-	e.U32s(table)
-	e.I32s(g.RowGid)
+	putBlock(e, vals)
+	PutArray(e, hashes)
+	PutArray(e, table)
+	PutArray(e, g.RowGid)
 	e.Align8()
 	e.U64(uint64(len(g.RowGid)))
 	e.Grow(8 * len(g.RowGid))
 	for gid := 0; gid < ng; gid++ {
-		for _, row := range g.Tuples[gid] {
-			e.I64(int64(row))
-		}
+		putBlock(e, g.Tuples[gid])
 	}
 }
 
@@ -294,9 +288,9 @@ func decodeGroupIndex(d *Dec, wantRows int) (*jointree.GroupIndex, error) {
 	}
 	ng := d.Len(8 * max(width, 1))
 	d.Align8()
-	flat := d.I64Block(width * ng)
-	hashes := d.U64s()
-	table := d.U32s()
+	flat := Block[relation.Value](d, width*ng)
+	hashes := Array[uint64](d)
+	table := Array[uint32](d)
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -307,7 +301,7 @@ func decodeGroupIndex(d *Dec, wantRows int) (*jointree.GroupIndex, error) {
 	if !ok {
 		return nil, corrupt("interner parts inconsistent")
 	}
-	rowGid := d.I32s()
+	rowGid := Array[int32](d)
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -315,7 +309,7 @@ func decodeGroupIndex(d *Dec, wantRows int) (*jointree.GroupIndex, error) {
 		return nil, corrupt("row gid array has %d entries, relation has %d rows", len(rowGid), wantRows)
 	}
 	// Gid range validation happens inside GroupIndexFromFlat's counting pass.
-	tuples := d.Ints()
+	tuples := Array[int](d)
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -349,7 +343,7 @@ func EncodeEngine(e *Enc, w *RelWriter, eng *engine.Engine) {
 		pg := ex.ParentGids(n.ID)
 		e.Bool(pg != nil)
 		if pg != nil {
-			e.I32s(pg)
+			PutArray(e, pg)
 		}
 	}
 	counts := eng.Counts()
@@ -416,7 +410,7 @@ func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database, parallelism int
 			return nil, err
 		}
 		if d.Bool() {
-			parentGid[n.ID] = d.I32s()
+			parentGid[n.ID] = Array[int32](d)
 		}
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -482,8 +476,8 @@ func EncodeSummary(e *Enc, s *sketch.Summary) {
 	e.U32(uint32(len(s.Entries)))
 	for _, en := range s.Entries {
 		e.I64(en.Weight.K)
-		e.I64s(en.Weight.Vec)
-		e.Values(en.Values)
+		PutArray(e, en.Weight.Vec)
+		PutArray(e, en.Values)
 		EncodeCount(e, en.RMin)
 		EncodeCount(e, en.RMax)
 	}
@@ -508,8 +502,8 @@ func DecodeSummary(d *Dec) (*sketch.Summary, error) {
 	for i := range s.Entries {
 		en := &s.Entries[i]
 		en.Weight.K = d.I64()
-		en.Weight.Vec = d.I64s()
-		en.Values = d.Values()
+		en.Weight.Vec = Array[int64](d)
+		en.Values = Array[relation.Value](d)
 		en.RMin = DecodeCount(d)
 		en.RMax = DecodeCount(d)
 	}
@@ -531,7 +525,7 @@ func EncodeDelta(e *Enc, delta *engine.Delta) {
 	delta.Ops(func(rel string, row []relation.Value, del bool) {
 		e.Bool(del)
 		e.Str(rel)
-		e.Values(row)
+		PutArray(e, row)
 	})
 }
 
@@ -545,7 +539,7 @@ func DecodeDelta(d *Dec) (*engine.Delta, error) {
 	for i := 0; i < n; i++ {
 		del := d.Bool()
 		rel := d.Str()
-		row := d.Values()
+		row := Array[relation.Value](d)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"github.com/quantilejoins/qjoin/internal/relation"
+	"unsafe"
 )
 
 // Enc builds a section payload. All integers are little-endian; strings are
 // uvarint-length-prefixed UTF-8; value and gid arrays are count-prefixed raw
-// arrays. Encoding cannot fail — the container layer owns I/O errors.
+// arrays (PutArray / Array). Encoding cannot fail — the container layer owns
+// I/O errors.
 type Enc struct {
 	b []byte
 }
@@ -68,54 +68,41 @@ func (e *Enc) Align8() {
 	}
 }
 
-// Values appends an aligned count-prefixed value array.
-func (e *Enc) Values(vs []relation.Value) {
-	e.Align8()
-	e.U64(uint64(len(vs)))
+// word is the element types of array blocks: the fixed-width integers, plus
+// int, which travels as 8 bytes whatever the host's width.
+type word interface {
+	int64 | uint64 | int32 | uint32 | int
+}
+
+// wireSize is the width of one T on the wire.
+func wireSize[T word]() int {
+	var z T
+	if _, isInt := any(z).(int); isInt {
+		return 8
+	}
+	return int(unsafe.Sizeof(z))
+}
+
+// putBlock appends vs as raw little-endian words: no count, no alignment.
+func putBlock[T word](e *Enc, vs []T) {
+	if wireSize[T]() == 4 {
+		e.Grow(4 * len(vs))
+		for _, v := range vs {
+			e.U32(uint32(v))
+		}
+		return
+	}
 	e.Grow(8 * len(vs))
 	for _, v := range vs {
-		e.I64(v)
+		e.U64(uint64(v))
 	}
 }
 
-// I64s appends an aligned count-prefixed int64 array.
-func (e *Enc) I64s(vs []int64) {
+// PutArray appends an aligned count-prefixed array.
+func PutArray[T word](e *Enc, vs []T) {
 	e.Align8()
 	e.U64(uint64(len(vs)))
-	e.Grow(8 * len(vs))
-	for _, v := range vs {
-		e.I64(v)
-	}
-}
-
-// U64s appends an aligned count-prefixed uint64 array.
-func (e *Enc) U64s(vs []uint64) {
-	e.Align8()
-	e.U64(uint64(len(vs)))
-	e.Grow(8 * len(vs))
-	for _, v := range vs {
-		e.U64(v)
-	}
-}
-
-// U32s appends an aligned count-prefixed uint32 array.
-func (e *Enc) U32s(vs []uint32) {
-	e.Align8()
-	e.U64(uint64(len(vs)))
-	e.Grow(4 * len(vs))
-	for _, v := range vs {
-		e.U32(v)
-	}
-}
-
-// I32s appends an aligned count-prefixed int32 array.
-func (e *Enc) I32s(vs []int32) {
-	e.Align8()
-	e.U64(uint64(len(vs)))
-	e.Grow(4 * len(vs))
-	for _, v := range vs {
-		e.U32(uint32(v))
-	}
+	putBlock(e, vs)
 }
 
 // Dec consumes a section payload. Errors are sticky: the first structural
@@ -239,123 +226,42 @@ func (d *Dec) Align8() {
 	}
 }
 
-// I64Block reads n fixed-width int64s as one block. When the host layout
-// matches the wire format the returned slice aliases the verified payload
-// (zero copy — restore speed lives here, value columns dominate a snapshot's
-// bytes); otherwise one conversion pass.
-func (d *Dec) I64Block(n int) []int64 {
-	b := d.take(8 * n)
+// Block reads n words as one block. When the host layout matches the wire
+// format the returned slice aliases the verified payload (zero copy — restore
+// speed lives here, value columns dominate a snapshot's bytes); otherwise one
+// conversion pass, which fails on an 8-byte int that overflows a narrower
+// host int. Zero words read as nil.
+func Block[T word](d *Dec, n int) []T {
+	w := wireSize[T]()
+	b := d.take(w * n)
 	if b == nil || n == 0 {
 		return nil
 	}
-	if vs := viewI64(b, n); vs != nil {
-		return vs
+	var z T
+	if int(unsafe.Sizeof(z)) == w {
+		if vs := view[T](b, n); vs != nil {
+			return vs
+		}
 	}
-	vs := make([]int64, n)
+	vs := make([]T, n)
 	for i := range vs {
-		vs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return vs
-}
-
-// Values reads an aligned count-prefixed value array. Zero count decodes to
-// nil, so values that were nil when encoded round-trip to
-// reflect.DeepEqual-identical state (the byte-identity contract covers
-// answer structs carrying these).
-func (d *Dec) Values() []relation.Value {
-	d.Align8()
-	return d.I64Block(d.Len(8))
-}
-
-// I64s reads an aligned count-prefixed int64 array (nil on zero count).
-func (d *Dec) I64s() []int64 {
-	d.Align8()
-	return d.I64Block(d.Len(8))
-}
-
-// Ints appends an aligned count-prefixed int array (64-bit on the wire).
-func (e *Enc) Ints(vs []int) {
-	e.Align8()
-	e.U64(uint64(len(vs)))
-	e.Grow(8 * len(vs))
-	for _, v := range vs {
-		e.I64(int64(v))
-	}
-}
-
-// Ints reads an aligned count-prefixed int array (nil on zero count).
-func (d *Dec) Ints() []int {
-	d.Align8()
-	n := d.Len(8)
-	b := d.take(8 * n)
-	if b == nil || n == 0 {
-		return nil
-	}
-	if vs := viewInt(b, n); vs != nil {
-		return vs
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		v := int64(binary.LittleEndian.Uint64(b[8*i:]))
-		if int64(int(v)) != v {
-			d.fail("int value %d overflows host int", v)
+		if w == 4 {
+			vs[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+			continue
+		}
+		v := binary.LittleEndian.Uint64(b[8*i:])
+		if vs[i] = T(v); uint64(vs[i]) != v {
+			d.fail("int value %d overflows host int", int64(v))
 			return nil
 		}
-		vs[i] = int(v)
 	}
 	return vs
 }
 
-// U64s reads an aligned count-prefixed uint64 array (nil on zero count).
-func (d *Dec) U64s() []uint64 {
+// Array reads an aligned count-prefixed array. Zero count decodes to nil, so
+// values that were nil when encoded round-trip to reflect.DeepEqual-identical
+// state (the byte-identity contract covers answer structs carrying these).
+func Array[T word](d *Dec) []T {
 	d.Align8()
-	n := d.Len(8)
-	b := d.take(8 * n)
-	if b == nil || n == 0 {
-		return nil
-	}
-	if vs := viewU64(b, n); vs != nil {
-		return vs
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return vs
-}
-
-// U32s reads an aligned count-prefixed uint32 array (nil on zero count).
-func (d *Dec) U32s() []uint32 {
-	d.Align8()
-	n := d.Len(4)
-	b := d.take(4 * n)
-	if b == nil || n == 0 {
-		return nil
-	}
-	if vs := viewU32(b, n); vs != nil {
-		return vs
-	}
-	vs := make([]uint32, n)
-	for i := range vs {
-		vs[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return vs
-}
-
-// I32s reads an aligned count-prefixed int32 array (nil on zero count).
-func (d *Dec) I32s() []int32 {
-	d.Align8()
-	n := d.Len(4)
-	b := d.take(4 * n)
-	if b == nil || n == 0 {
-		return nil
-	}
-	if vs := viewI32(b, n); vs != nil {
-		return vs
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return vs
+	return Block[T](d, d.Len(wireSize[T]()))
 }

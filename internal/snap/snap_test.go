@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -378,32 +381,75 @@ func TestInternerPartsRoundTrip(t *testing.T) {
 // byte-identity holds for answers carrying empty vectors.
 func TestDecNilArrays(t *testing.T) {
 	var e Enc
-	e.Values(nil)
-	e.I64s([]int64{})
-	e.I32s(nil)
-	e.Ints(nil)
-	e.U64s(nil)
-	e.U32s(nil)
+	PutArray[relation.Value](&e, nil)
+	PutArray(&e, []int64{})
+	PutArray[int32](&e, nil)
+	PutArray[int](&e, nil)
+	PutArray[uint64](&e, nil)
+	PutArray[uint32](&e, nil)
 	d := NewDec(e.Bytes())
-	if v := d.Values(); v != nil {
-		t.Errorf("Values = %#v", v)
+	if v := Array[relation.Value](d); v != nil {
+		t.Errorf("values = %#v", v)
 	}
-	if v := d.I64s(); v != nil {
-		t.Errorf("I64s = %#v", v)
+	if v := Array[int64](d); v != nil {
+		t.Errorf("int64s = %#v", v)
 	}
-	if v := d.I32s(); v != nil {
-		t.Errorf("I32s = %#v", v)
+	if v := Array[int32](d); v != nil {
+		t.Errorf("int32s = %#v", v)
 	}
-	if v := d.Ints(); v != nil {
-		t.Errorf("Ints = %#v", v)
+	if v := Array[int](d); v != nil {
+		t.Errorf("ints = %#v", v)
 	}
-	if v := d.U64s(); v != nil {
-		t.Errorf("U64s = %#v", v)
+	if v := Array[uint64](d); v != nil {
+		t.Errorf("uint64s = %#v", v)
 	}
-	if v := d.U32s(); v != nil {
-		t.Errorf("U32s = %#v", v)
+	if v := Array[uint32](d); v != nil {
+		t.Errorf("uint32s = %#v", v)
 	}
 	if !d.Done() {
 		t.Errorf("payload not consumed: %v", d.Err())
 	}
+}
+
+// arrayRoundTrip encodes vs after a one-byte prefix (so the block needs its
+// padding), and decodes it twice: from the payload as allocated, where the
+// block may alias it, and from a copy at an odd address, where it must be
+// converted. Both must give vs back, and a count past the payload must fail.
+func arrayRoundTrip[T word](t *testing.T, vs []T) {
+	t.Helper()
+	var e Enc
+	e.U8(7)
+	PutArray(&e, vs)
+	if want := 16 + wireSize[T]()*len(vs); len(e.Bytes()) != want {
+		t.Fatalf("%T: %d bytes on the wire, want %d", vs, len(e.Bytes()), want)
+	}
+	buf := make([]byte, len(e.Bytes())+8)
+	off := 0
+	for uintptr(unsafe.Pointer(&buf[off]))%8 != 1 {
+		off++
+	}
+	odd := buf[off : off+copy(buf[off:], e.Bytes())]
+	for name, b := range map[string][]byte{"aligned": e.Bytes(), "odd": odd} {
+		d := NewDec(b)
+		if d.U8() != 7 {
+			t.Fatalf("%T %s: prefix lost", vs, name)
+		}
+		if got := Array[T](d); !slices.Equal(got, vs) || !d.Done() {
+			t.Fatalf("%T %s: got %v, want %v (err %v)", vs, name, got, vs, d.Err())
+		}
+	}
+	short := NewDec(e.Bytes()[:len(e.Bytes())-1])
+	short.U8()
+	if got := Array[T](short); got != nil || !errors.Is(short.Err(), ErrCorrupt) {
+		t.Fatalf("%T: truncated array decoded to %v, err %v", vs, got, short.Err())
+	}
+}
+
+// TestArrayRoundTrip drives the one array codec over every element type.
+func TestArrayRoundTrip(t *testing.T) {
+	arrayRoundTrip(t, []int64{0, -1, math.MaxInt64, math.MinInt64, 42})
+	arrayRoundTrip(t, []uint64{0, 1, math.MaxUint64})
+	arrayRoundTrip(t, []int32{0, -1, math.MaxInt32, math.MinInt32, 7})
+	arrayRoundTrip(t, []uint32{0, 1, math.MaxUint32})
+	arrayRoundTrip(t, []int{0, -1, math.MaxInt32, math.MinInt32, 1 << 20})
 }

@@ -109,7 +109,7 @@ func sumAdjPrepFor(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	if c == nil {
 		return buildSumAdjPrep(inst, f)
 	}
-	key := cacheKeyFor(f)
+	key := f.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.sumAdj[key]; ok {
@@ -120,7 +120,7 @@ func sumAdjPrepFor(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 		return nil, err
 	}
 	if c.sumAdj == nil || len(c.sumAdj) >= cacheMaxEntries {
-		c.sumAdj = make(map[sumAdjCacheKey]*sumAdjPrep)
+		c.sumAdj = make(map[ranking.Key]*sumAdjPrep)
 	}
 	c.sumAdj[key] = p
 	return p, nil

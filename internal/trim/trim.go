@@ -23,7 +23,6 @@ package trim
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -78,38 +77,17 @@ type Instance struct {
 	Cache *Cache
 }
 
-// Cache holds trim preprocessing keyed by ranking identity. Safe for
-// concurrent use; see Instance.Cache for the ownership contract.
+// Cache holds trim preprocessing keyed by ranking identity (ranking.Key: by
+// value for default-weight rankings, so a service that builds a fresh ranking
+// per request still hits it). Safe for concurrent use; see Instance.Cache for
+// the ownership contract.
 type Cache struct {
 	mu     sync.Mutex
-	sumAdj map[sumAdjCacheKey]*sumAdjPrep
+	sumAdj map[ranking.Key]*sumAdjPrep
 }
 
 // NewCache returns an empty trim-preprocessing cache.
 func NewCache() *Cache { return &Cache{} }
-
-type sumAdjCacheKey struct {
-	// Default-weight rankings (Weight == nil) key by value identity — Agg
-	// plus the NUL-joined variable list — so a service that builds a fresh
-	// Ranking per request still hits the cache. Rankings with a custom
-	// Weight func cannot be compared by value and fall back to pointer
-	// identity (f non-nil, sig empty).
-	f   *ranking.Func
-	sig string
-}
-
-func cacheKeyFor(f *ranking.Func) sumAdjCacheKey {
-	if f.Weight != nil {
-		return sumAdjCacheKey{f: f}
-	}
-	var sb strings.Builder
-	sb.WriteByte(byte(f.Agg))
-	for _, v := range f.Vars {
-		sb.WriteByte(0)
-		sb.WriteString(string(v))
-	}
-	return sumAdjCacheKey{sig: sb.String()}
-}
 
 // cacheMaxEntries bounds the prep cache: distinct rankings on one plan are
 // normally a handful, but pointer-keyed custom-weight rankings built per
@@ -129,11 +107,6 @@ func (inst Instance) workers() int {
 // helper variables trims introduce; helper variables are prefixed so callers
 // can identify them.
 const helperPrefix = "·"
-
-// IsHelperVar reports whether v was introduced by a trim (or binarization).
-func IsHelperVar(v query.Var) bool {
-	return len(v) > 0 && string(v)[0] == helperPrefix[0]
-}
 
 // freshHelperVar returns an unused helper variable.
 func freshHelperVar(q *query.Query, base string) query.Var {

@@ -134,30 +134,3 @@ func ProductCatalog(rng *rand.Rand, n, nProducts int, dimMax int64) (*query.Quer
 	}
 	return q, db
 }
-
-// Zipf fills values with a skewed (approximately Zipfian) distribution,
-// exercising heavy join-group skew in the trimming constructions.
-func Zipf(rng *rand.Rand, dom int64, s float64) func() relation.Value {
-	z := rand.NewZipf(rng, s, 1, uint64(dom-1))
-	return func() relation.Value { return relation.Value(z.Uint64()) }
-}
-
-// SkewedPath is Path with Zipf-distributed join attributes.
-func SkewedPath(rng *rand.Rand, k, n int, dom int64, s float64) (*query.Query, *relation.Database) {
-	gen := Zipf(rng, dom, s)
-	var atoms []query.Atom
-	db := relation.NewDatabase()
-	for i := 1; i <= k; i++ {
-		name := fmt.Sprintf("R%d", i)
-		atoms = append(atoms, query.Atom{
-			Rel:  name,
-			Vars: []query.Var{query.Var(fmt.Sprintf("x%d", i)), query.Var(fmt.Sprintf("x%d", i+1))},
-		})
-		rel := relation.New(name, 2)
-		for j := 0; j < n; j++ {
-			rel.Append(gen(), gen())
-		}
-		db.Add(rel)
-	}
-	return query.New(atoms...), db
-}

@@ -54,27 +54,6 @@ func TestPathStarHierarchy(t *testing.T) {
 	checkInstance(t, q, db, 3)
 }
 
-func TestSkewedPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	q, db := SkewedPath(rng, 2, 500, 64, 1.5)
-	checkInstance(t, q, db, 2)
-	// Skew: the most frequent value should cover a large share of tuples.
-	counts := map[relation.Value]int{}
-	r := db.Get("R1")
-	for i := 0; i < r.Len(); i++ {
-		counts[r.Get(i, 0)]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < r.Len()/10 {
-		t.Fatalf("distribution not skewed: max value frequency %d of %d", max, r.Len())
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a1, db1 := Path(rand.New(rand.NewSource(7)), 2, 20, 5)
 	a2, db2 := Path(rand.New(rand.NewSource(7)), 2, 20, 5)

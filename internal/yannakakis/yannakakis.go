@@ -145,12 +145,6 @@ func CountScratch(e *jointree.Exec, workers int, s *Scratch) *Counts {
 	return c
 }
 
-// CountAnswersWorkers returns |Q(D)| for an executable join tree, counted
-// over a bounded worker pool.
-func CountAnswersWorkers(e *jointree.Exec, workers int) counting.Count {
-	return CountWorkers(e, workers).Total
-}
-
 // Enumerate streams every query answer as an assignment laid out per
 // e.Q.Vars(). The callback must not retain the slice; it may return false to
 // stop enumeration early.

@@ -62,7 +62,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(4), 1+rng.Intn(12), 4)
 		e := execOf(t, q, db)
 		want := len(testutil.BruteForce(q, db))
-		got, _ := CountAnswersWorkers(e, 1).Uint64()
+		got, _ := CountWorkers(e, 1).Total.Uint64()
 		if got != uint64(want) {
 			t.Fatalf("trial %d: count = %d, want %d (query %s)", trial, got, want, q)
 		}
@@ -74,12 +74,12 @@ func TestCountPathsAndStars(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q, db := testutil.RandomPathInstance(rng, 2+rng.Intn(3), 1+rng.Intn(10), 3)
 		e := execOf(t, q, db)
-		if got, _ := CountAnswersWorkers(e, 1).Uint64(); got != uint64(len(testutil.BruteForce(q, db))) {
+		if got, _ := CountWorkers(e, 1).Total.Uint64(); got != uint64(len(testutil.BruteForce(q, db))) {
 			t.Fatalf("path count mismatch on %s", q)
 		}
 		q2, db2 := testutil.RandomStarInstance(rng, 2+rng.Intn(3), 1+rng.Intn(10), 3)
 		e2 := execOf(t, q2, db2)
-		if got, _ := CountAnswersWorkers(e2, 1).Uint64(); got != uint64(len(testutil.BruteForce(q2, db2))) {
+		if got, _ := CountWorkers(e2, 1).Total.Uint64(); got != uint64(len(testutil.BruteForce(q2, db2))) {
 			t.Fatalf("star count mismatch on %s", q2)
 		}
 	}
@@ -121,7 +121,7 @@ func TestEmptyJoin(t *testing.T) {
 	db.Add(relation.FromRows("A", 1, [][]relation.Value{{1}}))
 	db.Add(relation.FromRows("B", 1, [][]relation.Value{{2}}))
 	e := execOf(t, q, db)
-	if !CountAnswersWorkers(e, 1).IsZero() {
+	if !CountWorkers(e, 1).Total.IsZero() {
 		t.Fatal("disjoint join must count 0")
 	}
 	if got := Materialize(e); len(got) != 0 {
@@ -144,7 +144,7 @@ func TestCartesianProductCount(t *testing.T) {
 	db.Add(a)
 	db.Add(b)
 	e := execOf(t, q, db)
-	if got, _ := CountAnswersWorkers(e, 1).Uint64(); got != 10000 {
+	if got, _ := CountWorkers(e, 1).Total.Uint64(); got != 10000 {
 		t.Fatalf("cross product count = %d", got)
 	}
 }
@@ -165,7 +165,7 @@ func TestHugeCountNoOverflow(t *testing.T) {
 	}
 	q := query.New(atoms...)
 	e := execOf(t, q, db)
-	got := CountAnswersWorkers(e, 1)
+	got := CountWorkers(e, 1).Total
 	want := counting.FromUint64(1 << 13)
 	for i := 0; i < 4; i++ {
 		want = want.Mul(counting.FromUint64(1 << 13))
@@ -180,10 +180,10 @@ func TestCountAfterFullReduceUnchanged(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q, db := testutil.RandomTreeInstance(rng, 3, 8, 3)
 		e1 := execOf(t, q, db)
-		before := CountAnswersWorkers(e1, 1)
+		before := CountWorkers(e1, 1).Total
 		e2 := execOf(t, q, db)
 		e2.FullReduceWorkers(1)
-		after := CountAnswersWorkers(e2, 1)
+		after := CountWorkers(e2, 1).Total
 		if before.Cmp(after) != 0 {
 			t.Fatalf("full reduce changed count: %s -> %s", before, after)
 		}

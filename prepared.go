@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
@@ -77,16 +79,13 @@ type Prepared struct {
 	// Sketch state for the approximate tier (see approx.go): per ranking, one
 	// summary per engine plus their cached merge, built lazily on first
 	// ModeApprox/ModeAuto use — never by Prepare or Update — and carried
-	// across Update with the rebuilt engines' parts marked stale. skMu
-	// guards both maps; the entries themselves are immutable.
-	//
-	// rankCanon interns rankings by wire spec so that summaries loaded from
-	// a snapshot (keyed by pointers ParseRanking minted at load time) are
-	// found by whatever equivalent Ranking value callers later pass; see
-	// canonRanking.
-	skMu      sync.Mutex
-	sketches  map[*Ranking]*sketchEntry
-	rankCanon map[string]*Ranking
+	// across Update with the rebuilt engines' parts marked stale. The map is
+	// keyed by ranking identity (Ranking.Key), so a summary loaded from a
+	// snapshot or carried across Update is found by whatever equal Ranking
+	// value callers later pass. skMu guards the map; the entries themselves
+	// are immutable.
+	skMu     sync.Mutex
+	sketches map[ranking.Key]*sketchEntry
 
 	// How this plan refreshed stale summary parts; see SketchRefreshes.
 	shifted, recertified, rebuilt atomic.Int64
@@ -389,7 +388,7 @@ func (p *Prepared) TopK(f *Ranking, k int) ([]*Answer, error) {
 		best := 0
 		for j := 1; j < len(heads); j++ {
 			a, b := heads[j].a, heads[best].a
-			if c := f.Compare(a.Weight, b.Weight); c < 0 || (c == 0 && lessAnswerValues(a, b)) {
+			if c := f.Compare(a.Weight, b.Weight); c < 0 || (c == 0 && slices.Compare(a.Values, b.Values) < 0) {
 				best = j
 			}
 		}
@@ -401,15 +400,6 @@ func (p *Prepared) TopK(f *Ranking, k int) ([]*Answer, error) {
 		}
 	}
 	return out, nil
-}
-
-func lessAnswerValues(a, b *Answer) bool {
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
-			return a.Values[i] < b.Values[i]
-		}
-	}
-	return false
 }
 
 // Enumerate streams every answer (in no particular order); fn may return

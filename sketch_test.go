@@ -640,3 +640,97 @@ func TestSketchFullPassWhereTheShiftHasNoInput(t *testing.T) {
 		}
 	}
 }
+
+// TestRankingIdentityIsByValue pins the one identity a ranking has on a plan
+// (Ranking.Key): rankings built separately but equal — constructed, parsed per
+// request, restored from a snapshot, carried across Update — share one summary
+// and one SUM trim preparation, and a second approximate answer builds
+// nothing; rankings with a custom Weight function are each their own.
+func TestRankingIdentityIsByValue(t *testing.T) {
+	q, inner := workload.Path(rand.New(rand.NewSource(18)), 2, 200, 20) // ≈ 2 000 answers over 400 rows: runs trim
+	plan, err := qjoin.Prepare(q, qjoin.WrapDB(inner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func() *qjoin.Ranking {
+		f, err := qjoin.ParseRanking("sum(x1,x3)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	approx := qjoin.QuantileRequest{Phi: 0.5, Mode: qjoin.ModeApprox}
+	answer := func(p *qjoin.Prepared, f *qjoin.Ranking) *qjoin.Answer {
+		t.Helper()
+		a, err := p.Answer(f, approx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	summary := func(p *qjoin.Prepared, f *qjoin.Ranking) *sketch.Summary {
+		_, merged, stale, _ := qjoin.SketchState(p, f)
+		if slices.Contains(stale, true) {
+			t.Fatal("summary is stale")
+		}
+		return merged
+	}
+
+	first := answer(plan, qjoin.Sum("x1", "x3"))
+	built := summary(plan, parse())
+	if built == nil || qjoin.TrimPreps(plan) != 1 {
+		t.Fatalf("after one approximate answer: summary %v, %d trim preparations", built, qjoin.TrimPreps(plan))
+	}
+	if second := answer(plan, parse()); !reflect.DeepEqual(second, first) {
+		t.Fatalf("equal rankings answered %v and %v", first, second)
+	}
+	if _, err := plan.Quantile(parse(), 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if summary(plan, parse()) != built || qjoin.TrimPreps(plan) != 1 || plan.SketchRefreshes() != (qjoin.SketchRefreshStats{}) {
+		t.Fatalf("a second equal ranking built something: %d trim preparations, refreshes %+v", qjoin.TrimPreps(plan), plan.SketchRefreshes())
+	}
+
+	// Two rankings with one custom Weight function are still two rankings.
+	twice := func(_ qjoin.Var, x qjoin.Value) int64 { return 2 * x }
+	g1, g2 := qjoin.Sum("x1", "x3"), qjoin.Sum("x1", "x3")
+	g1.Weight, g2.Weight = twice, twice
+	if a1, a2 := answer(plan, g1), answer(plan, g2); !reflect.DeepEqual(a1, a2) || a1.Weight.K == first.Weight.K {
+		t.Fatalf("custom-weight answers %v and %v (default weights: %v)", a1, a2, first)
+	}
+	if s1, s2 := summary(plan, g1), summary(plan, g2); s1 == nil || s2 == nil || s1 == s2 || s1 == built || qjoin.TrimPreps(plan) != 3 {
+		t.Fatalf("custom-weight rankings share state: summaries %p %p (default %p), %d trim preparations", s1, s2, built, qjoin.TrimPreps(plan))
+	}
+
+	// A restored summary is served to a freshly parsed ranking as it stands.
+	loaded, err := qjoin.LoadPreparedBytes(snapshotBytes(t, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := summary(loaded, parse())
+	if restored == nil || summary(loaded, g1) != nil {
+		t.Fatalf("restored plan: default-weight summary %v, custom-weight summary %v", restored, summary(loaded, g1))
+	}
+	if a := answer(loaded, parse()); !reflect.DeepEqual(a, first) || summary(loaded, parse()) != restored {
+		t.Fatalf("restored plan answered %v (want %v) or rebuilt its summary", a, first)
+	}
+
+	// So is one carried across Update: the warm-up re-certifies each of the
+	// three summaries once, and the next request's ranking finds its own.
+	r1 := inner.Get("R1")
+	up, err := plan.Update(qjoin.NewDelta().Insert("R1", []qjoin.Value{r1.Get(0, 0) + 1, r1.Get(0, 1)}))
+	if err == nil {
+		err = up.WarmSketches()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried := summary(up, parse())
+	if want := (qjoin.SketchRefreshStats{Recertified: 3}); carried == nil || carried == built || up.SketchRefreshes() != want {
+		t.Fatalf("after Update + WarmSketches: summary %p (was %p), refreshes %+v, want %+v", carried, built, up.SketchRefreshes(), want)
+	}
+	answer(up, parse())
+	if summary(up, parse()) != carried || up.SketchRefreshes() != (qjoin.SketchRefreshStats{Recertified: 3}) {
+		t.Fatalf("a freshly parsed ranking missed the carried summary: refreshes %+v", up.SketchRefreshes())
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/sketch"
@@ -121,11 +122,11 @@ func (p *Prepared) snapshotSketches() []specSketch {
 	p.skMu.Lock()
 	defer p.skMu.Unlock()
 	var out []specSketch
-	for f, en := range p.sketches {
-		if !en.fresh() || f.Weight != nil {
+	for _, en := range p.sketches {
+		if !en.fresh() {
 			continue
 		}
-		spec, err := FormatRanking(f)
+		spec, err := FormatRanking(en.f) // fails on a custom Weight: no wire form
 		if err != nil {
 			continue
 		}
@@ -280,9 +281,12 @@ func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) 
 		if !routed {
 			res = parts[0].Res
 		}
-		f, err := adoptRanking(spec, p.q, &p.rankCanon)
+		f, err := ParseRanking(spec)
+		if err == nil {
+			err = f.Validate(p.q)
+		}
 		if err != nil {
-			return nil, err
+			return nil, corruptf("sketch ranking %q: %v", spec, err)
 		}
 		merged := parts[0]
 		if len(parts) > 1 {
@@ -291,9 +295,9 @@ func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) 
 			merged = sketch.Merge(parts, f.Compare)
 		}
 		if p.sketches == nil {
-			p.sketches = make(map[*Ranking]*sketchEntry)
+			p.sketches = make(map[ranking.Key]*sketchEntry)
 		}
-		p.sketches[f] = &sketchEntry{parts: parts, merged: merged, res: res}
+		p.sketches[f.Key()] = &sketchEntry{f: f, parts: parts, merged: merged, res: res}
 	}
 	return p, nil
 }
@@ -337,24 +341,6 @@ func decodeRawDB(dictPl, rawPl []byte) (*DB, *snap.RelReader, error) {
 	return &DB{inner: inner}, rd, nil
 }
 
-// adoptRanking parses a sketch section's ranking spec, validates it against
-// the plan's query, and registers it as the canonical pointer for its spec
-// so later caller-supplied rankings find the loaded summary.
-func adoptRanking(spec string, q *Query, canon *map[string]*Ranking) (*Ranking, error) {
-	f, err := ParseRanking(spec)
-	if err != nil {
-		return nil, corruptf("sketch ranking %q: %v", spec, err)
-	}
-	if err := f.Validate(q); err != nil {
-		return nil, corruptf("sketch ranking %q does not fit query: %v", spec, err)
-	}
-	if *canon == nil {
-		*canon = make(map[string]*Ranking)
-	}
-	(*canon)[spec] = f
-	return f, nil
-}
-
 // DatasetMeta is the identity block of a dataset snapshot: the serving-layer
 // state that must survive a restart alongside the data itself. Gen is the
 // registry generation the snapshot captures; recovery reinstalls the dataset
@@ -371,7 +357,7 @@ type DatasetMeta struct {
 // serving-layer identity in meta — to w in the versioned snapshot container.
 // Unlike a plan snapshot it carries no compiled engine artifact: the serving
 // layer recompiles plans on demand through its cache, so the dataset snapshot
-// stays small and load-shaped. LoadDataset restores it.
+// stays small and load-shaped. LoadDatasetBytes restores it.
 func SnapshotDataset(w io.Writer, db *DB, meta DatasetMeta) error {
 	if meta.Shards != 0 && len(meta.ShardGens) != 0 && len(meta.ShardGens) != meta.Shards {
 		return fmt.Errorf("qjoin: dataset meta has %d shard generations for %d shards", len(meta.ShardGens), meta.Shards)
@@ -381,7 +367,7 @@ func SnapshotDataset(w io.Writer, db *DB, meta DatasetMeta) error {
 	e.Str(meta.Name)
 	e.U64(meta.Gen)
 	e.U32(uint32(meta.Shards))
-	e.U64s(meta.ShardGens)
+	snap.PutArray(&e, meta.ShardGens)
 	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
 		return err
 	}
@@ -399,17 +385,8 @@ func SnapshotDataset(w io.Writer, db *DB, meta DatasetMeta) error {
 	return sw.Close()
 }
 
-// LoadDataset restores a dataset snapshot written by SnapshotDataset.
-func LoadDataset(r io.Reader) (*DB, DatasetMeta, error) {
-	sr, err := snap.NewReader(r)
-	if err != nil {
-		return nil, DatasetMeta{}, err
-	}
-	return loadDataset(sr)
-}
-
-// LoadDatasetBytes is LoadDataset over an in-memory snapshot (see
-// LoadPreparedBytes for the aliasing contract).
+// LoadDatasetBytes restores a dataset snapshot written by SnapshotDataset from
+// memory (see LoadPreparedBytes for the aliasing contract).
 func LoadDatasetBytes(b []byte) (*DB, DatasetMeta, error) {
 	sr, err := snap.NewReaderBytes(b)
 	if err != nil {
@@ -441,7 +418,7 @@ func decodeDataset(secs []snap.Section) (*DB, DatasetMeta, error) {
 		return nil, DatasetMeta{}, corruptf("dataset snapshot has the wrong section sequence")
 	}
 	d := snap.NewDec(secs[0].Payload)
-	meta := DatasetMeta{Name: d.Str(), Gen: d.U64(), Shards: int(d.U32()), ShardGens: d.U64s()}
+	meta := DatasetMeta{Name: d.Str(), Gen: d.U64(), Shards: int(d.U32()), ShardGens: snap.Array[uint64](d)}
 	if d.Err() != nil || !d.Done() {
 		return nil, DatasetMeta{}, corruptf("bad dataset meta section")
 	}

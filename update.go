@@ -98,11 +98,8 @@ func (p *Prepared) Update(d *Delta) (*Prepared, error) {
 		// Sketch summaries carry over, the parts of engines whose answers
 		// changed marked stale and handed the answers gained and lost: the
 		// first approximate query (or WarmSketches) shifts their anchors'
-		// windows by those instead of rebuilding from scratch. The ranking
-		// intern table rides along so carried summaries stay reachable by
-		// spec-equivalent rankings.
-		sketches:  p.carrySketches(sh.Engines(), changes),
-		rankCanon: p.carryRankCanon(),
+		// windows by those instead of rebuilding from scratch.
+		sketches: p.carrySketches(sh.Engines(), changes),
 	}, nil
 }
 

@@ -303,21 +303,6 @@ func ParseQuerySpec(spec QuerySpec) (*Query, *Ranking, error) {
 	return q, f, nil
 }
 
-// FormatQuerySpec is the inverse of ParseQuerySpec. A nil ranking formats
-// to an empty Rank. It fails only on a ranking that has no textual form
-// (a custom Weight function).
-func FormatQuerySpec(q *Query, f *Ranking) (QuerySpec, error) {
-	spec := QuerySpec{Query: FormatQuery(q)}
-	if f != nil {
-		r, err := FormatRanking(f)
-		if err != nil {
-			return QuerySpec{}, err
-		}
-		spec.Rank = r
-	}
-	return spec, nil
-}
-
 // ParseQuery parses the textual query form 'R(x,y),S(y,z)' into a Query.
 // Whitespace around names, variables and commas is ignored; atoms are
 // separated by commas, and a variable name holds no parenthesis and no inner

@@ -99,10 +99,11 @@ func TestQuerySpecJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := qjoin.FormatQuerySpec(q, f)
+	rank, err := qjoin.FormatRanking(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := qjoin.QuerySpec{Query: qjoin.FormatQuery(q), Rank: rank}
 	if back != spec {
 		t.Fatalf("round trip: %+v != %+v", back, spec)
 	}
