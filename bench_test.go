@@ -264,8 +264,8 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		rank   func(q *qjoin.Query) *qjoin.Ranking
 		budget float64 // allocs per 8-φ grid
 	}{
-		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 270}, // measured 235 (a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 6908},       // measured 6007 (a φ at a time: 9677); PR 11: 2.7M
+		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264}, // measured 230 (a φ at a time: 744); PR 3: 63376
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 3569},       // measured 3104 (PR 18: 6018; a φ at a time then: 9677); PR 11: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))

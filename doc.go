@@ -182,14 +182,19 @@
 // byte the one its own run returns; RunStats then describe the whole
 // descent (rounds and materialized candidates add up over it).
 //
-// One-pass band trim. For exact SUM the candidate band low ≺ Σ ≺ high is a
-// single trim of the original instance: per A-row, two binary searches over
-// the sorted B side bound the admissible range, which is covered by its
-// canonical dyadic segments. The one-sided trim is the band with the other
-// bound at ±∞ — for ≺ λ byte-identical to the prefix construction — so one
-// cached preparation per ranking serves every round of every quantile.
-// MIN, MAX, LEX and the ε-lossy SUM compose two one-sided trims behind the
-// same driver call, pivot bound first.
+// One-pass band trim. Every exact family cuts the candidate band
+// low ≺ w ≺ high out of the original instance in a single trim. For SUM, per
+// A-row, two binary searches over the sorted B side bound the admissible
+// range, which is covered by its canonical dyadic segments; the one-sided trim
+// is the band with the other bound at ±∞ — for ≺ λ byte-identical to the
+// prefix construction — so one cached preparation per ranking serves every
+// round of every quantile. For MIN, MAX and LEX a one-sided cut is a list of
+// disjoint boxes — per ranked variable a closed weight interval, Algorithm 3's
+// partitions — and the band is the pairwise intersections of its two cuts'
+// boxes: every relation is scanned once per box and gathered once, under one
+// identifier column (a band of one box is a row filter whose executable tree
+// is derived from the original's). Only the ε-lossy SUM composes two one-sided
+// trims, pivot bound first.
 //
 // Deterministic linear selection. Weighted medians (Algorithm 2) and the
 // rank-k selection of the materialized tail run introselect: a cheap
@@ -199,7 +204,10 @@
 // randomized, every call is worst-case linear, and the pivot rule can only
 // change which member of a tie class a median returns — never a pivot
 // weight, and never an exact answer (tie classes are resolved in canonical
-// value order).
+// value order). The weighted median partitions (weight, count, tuple) entries
+// held by value — a node's weights are one flat array of numbers, LEX vectors
+// included — and compares them inline; the tail's selection, whose order
+// breaks weight ties by value, keeps its comparison callback.
 //
 // Interned integer row keys. Every hash structure over tuples — input
 // dedup, node materialization, join-group indexes, the trim constructions'

@@ -30,7 +30,8 @@ type PhaseTimings struct {
 	Pivot time.Duration
 	// Trim is the construction of the round's trimmed instances — the one
 	// partition most rounds build, both when the first did not place the
-	// index — including any composed bound trims.
+	// index — each one band trim of the original (two composed cuts for the
+	// lossy SUM).
 	Trim time.Duration
 	// Derive is executable-tree acquisition for the trimmed instances:
 	// subset derivation when the trim emitted one, Build+NewExecWorkers otherwise.
@@ -150,11 +151,12 @@ func scratchFor(eng *engine.Engine) *runScratch {
 // the one operation Algorithm 1 needs: cut the original instance down to a
 // candidate band.
 type trimmer struct {
-	// sumBand trims to low ≺ Σ ≺ high in one pass (exact SUM only).
-	sumBand func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error)
-	// cut trims to one side of a weight; bands compose two of them.
-	cut   func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, eps float64) (trim.Instance, error)
-	lossy bool
+	// exact trims to low ≺ w ≺ high in one pass (every exact family).
+	exact func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error)
+	// lossyCut trims to one side of a weight at ε (lossy SUM only); a band
+	// composes two of them.
+	lossyCut func(inst trim.Instance, w int64, dir trim.Dir, eps float64) (trim.Instance, error)
+	lossy    bool
 }
 
 // band trims orig to one partition of a round, the answers with
@@ -163,16 +165,16 @@ type trimmer struct {
 // the pivot's cut, which comes first where a band is two composed cuts; the
 // other bound is carried over from earlier rounds and may be infinite.
 func (t *trimmer) band(orig trim.Instance, low, high ranking.Bound, side trim.Dir, eps float64) (trim.Instance, error) {
-	if t.sumBand != nil {
-		return t.sumBand(orig, low, high)
+	if !t.lossy {
+		return t.exact(orig, low, high)
 	}
 	pivot, carried, carriedDir := high, low, trim.Greater
 	if side == trim.Greater {
 		pivot, carried, carriedDir = low, high, trim.Less
 	}
-	out, err := t.cut(orig, pivot.W, side, eps)
+	out, err := t.lossyCut(orig, pivot.W.K, side, eps)
 	if err == nil && carried.IsFinite() {
-		out, err = t.cut(out, carried.W, carriedDir, eps)
+		out, err = t.lossyCut(out, carried.W.K, carriedDir, eps)
 	}
 	return out, err
 }
@@ -181,18 +183,14 @@ func (t *trimmer) band(orig trim.Instance, low, high ranking.Bound, side trim.Di
 // enforcing the dichotomy for exact SUM.
 func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error) {
 	switch f.Agg {
-	case ranking.Min, ranking.Max:
-		return &trimmer{cut: func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, _ float64) (trim.Instance, error) {
-			return trim.MinMax(inst, f, w.K, dir)
-		}}, nil
-	case ranking.Lex:
-		return &trimmer{cut: func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, _ float64) (trim.Instance, error) {
-			return trim.Lex(inst, f, w.Vec, dir)
+	case ranking.Min, ranking.Max, ranking.Lex:
+		return &trimmer{exact: func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error) {
+			return trim.Band(inst, f, low, high)
 		}}, nil
 	case ranking.Sum:
 		if !opts.ForceLossy {
 			if _, _, _, err := jointree.BuildAdjacentPair(q, f.Vars); err == nil {
-				return &trimmer{sumBand: func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error) {
+				return &trimmer{exact: func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error) {
 					return trim.SumAdjacentBand(inst, f, low, high)
 				}}, nil
 			}
@@ -201,8 +199,8 @@ func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error
 			return nil, ErrIntractable
 		}
 		lossyOpts := opts.LossyOpts
-		return &trimmer{lossy: true, cut: func(inst trim.Instance, w ranking.Weightv, dir trim.Dir, eps float64) (trim.Instance, error) {
-			out, _, err := trim.SumLossy(inst, f, w.K, dir, eps, lossyOpts)
+		return &trimmer{lossy: true, lossyCut: func(inst trim.Instance, w int64, dir trim.Dir, eps float64) (trim.Instance, error) {
+			out, _, err := trim.SumLossy(inst, f, w, dir, eps, lossyOpts)
 			return out, err
 		}}, nil
 	}

@@ -12,10 +12,15 @@
 // each union multiplies the children's parameters, exactly as Algorithm 2
 // tracks: c(leaf) = 1, c(node) = Π_i c(child_i)/2, with one final halving for
 // the artificial root that gathers all root tuples.
+//
+// Weights live in one flat []int64 per node and a group's weighted median runs
+// on (weight, count, tuple) entries (selection.MedianItem); the pass calls no
+// function per tuple or per comparison, a custom ranking Weight aside.
 package pivot
 
 import (
 	"errors"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -43,30 +48,39 @@ type Result struct {
 	Count counting.Count
 }
 
-// Scratch holds the reusable per-node buffers of a pivot-selection pass —
-// weight arrays and per-group selections that the driver would otherwise
-// reallocate every iteration. Reuse after the pass returns; not safe for
-// concurrent passes.
+// Scratch holds the reusable buffers of a pivot-selection pass — per-node
+// weight arrays and group selections, and the entry buffers of the weighted
+// medians — that the driver would otherwise reallocate every iteration. Reuse
+// after the pass returns; not safe for concurrent passes.
 type Scratch struct {
-	weights  [][]ranking.Weightv
-	lexVecs  [][]int64 // per node: the backing of its LEX weight vectors
+	weights  [][]int64
 	selTuple [][]int
 	cParam   []float64
-	live     []int
+	entries  [][]selection.Entry // one buffer per concurrent chunk of groups
 }
 
-func (s *Scratch) nodes(n int) (weights [][]ranking.Weightv, lexVecs [][]int64, selTuple [][]int, cParam []float64) {
+func (s *Scratch) nodes(n int) (weights [][]int64, selTuple [][]int, cParam []float64) {
 	if s == nil {
-		return make([][]ranking.Weightv, n), make([][]int64, n), make([][]int, n), make([]float64, n)
+		return make([][]int64, n), make([][]int, n), make([]float64, n)
 	}
 	if cap(s.weights) < n {
-		s.weights = make([][]ranking.Weightv, n)
-		s.lexVecs = make([][]int64, n)
+		s.weights = make([][]int64, n)
 		s.selTuple = make([][]int, n)
 		s.cParam = make([]float64, n)
 	}
-	s.weights, s.lexVecs, s.selTuple, s.cParam = s.weights[:n], s.lexVecs[:n], s.selTuple[:n], s.cParam[:n]
-	return s.weights, s.lexVecs, s.selTuple, s.cParam
+	s.weights, s.selTuple, s.cParam = s.weights[:n], s.selTuple[:n], s.cParam[:n]
+	return s.weights, s.selTuple, s.cParam
+}
+
+// entryBufs returns n entry buffers, to be stored back after use.
+func (s *Scratch) entryBufs(n int) [][]selection.Entry {
+	if s == nil {
+		return make([][]selection.Entry, n)
+	}
+	for len(s.entries) < n {
+		s.entries = append(s.entries, nil)
+	}
+	return s.entries[:n]
 }
 
 // grow returns buf resized to n elements, reallocating only when it is too
@@ -89,10 +103,42 @@ func SelectWorkers(e *jointree.Exec, f *ranking.Func, mu map[query.Var]int, work
 	return SelectPrepared(e, yannakakis.CountWorkers(e, workers), f, mu, workers, nil)
 }
 
+// ownCol is a μ-assigned ranked variable of a node: its column of the node
+// relation and, for LEX, its significance position.
+type ownCol struct {
+	v    query.Var
+	vals []relation.Value
+	pos  int
+}
+
+// childEdge is what a tuple's pivot weight reads of one child: the group each
+// parent row joins, the tuple each group selected, and the child's weights.
+type childEdge struct {
+	gids []int32
+	sel  []int
+	ws   []int64
+}
+
+// combine is the scalar aggregate of two weights.
+func combine(agg ranking.Agg, a, b int64) int64 {
+	switch agg {
+	case ranking.Min:
+		return min(a, b)
+	case ranking.Max:
+		return max(a, b)
+	}
+	return a + b
+}
+
 // SelectPrepared is SelectWorkers against an already-computed counting state
 // (the driver counts every candidate instance anyway; the engine caches the
-// original's), drawing its per-node buffers from the given scratch (nil
-// allocates fresh). counts must be the counting state of e.
+// original's), drawing its buffers from the given scratch (nil allocates
+// fresh). counts must be the counting state of e.
+//
+// A node's pivot weights are one flat []int64 — a number per tuple for SUM,
+// MIN and MAX, the r positions of its vector for LEX — and a join group's
+// weighted median runs on (weight, count, tuple) entries filled from its live
+// tuples, so no pass calls back per tuple or per comparison.
 func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, workers int, s *Scratch) (*Result, error) {
 	if counts.Total.IsZero() {
 		return nil, ErrNoAnswers
@@ -100,102 +146,110 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 
 	nNodes := len(e.T.Nodes)
 	// weights: pivot weight per tuple; selTuple: wmed-selected tuple per group.
-	// A LEX weight is a vector: each node's are views of one flat array, r
-	// positions per tuple, so the pass allocates per node and not per tuple.
-	weights, lexVecs, selTuple, cParam := s.nodes(nNodes)
+	weights, selTuple, cParam := s.nodes(nNodes)
+	agg, custom := f.Agg, f.Weight != nil
 	r := f.VecLen()
+	stride := max(r, 1)
+	identity := f.Identity().K
 
 	for _, id := range e.T.BottomUp {
 		n := e.T.Nodes[id]
 		rel := e.Rels[id]
-		tw := ranking.NewTupleWeigher(f, mu, n.Atom, n.Vars)
-		ws := grow(weights[id], rel.Len())
-		vecs := grow(lexVecs[id], rel.Len()*r)
+		live := counts.Tuple[id]
+		ws := grow(weights[id], rel.Len()*stride)
+		weights[id] = ws
 
 		c := 1.0
+		var kids []childEdge
 		for _, ch := range n.Children {
 			c *= cParam[ch] / 2
+			gids := e.ParentGids(ch)
+			if gids == nil { // an Exec restored without the edge's array: look the groups up
+				gids = make([]int32, rel.Len())
+				for i := range gids {
+					g, _ := e.ParentGroup(ch, i)
+					gids[i] = int32(g)
+				}
+			}
+			kids = append(kids, childEdge{gids: gids, sel: selTuple[ch], ws: weights[ch]})
 		}
 		cParam[id] = c
-
-		children := n.Children
-		gids := make([][]int32, len(children))
-		for k, ch := range children {
-			gids[k] = e.ParentGids(ch)
+		var own []ownCol
+		for col, v := range n.Vars {
+			if a, ok := mu[v]; ok && a == n.Atom {
+				own = append(own, ownCol{v: v, vals: rel.Col(col), pos: slices.Index(f.Vars, v)})
+			}
 		}
-		relCols := rel.Cols()
 		parallel.For(workers, rel.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if counts.Tuple[id][i].IsZero() {
+				if live[i].IsZero() {
 					continue // dangling tuple; never selected
 				}
-				w := tw.WeightAtInto(vecs[i*r:(i+1)*r:(i+1)*r], relCols, i)
-				for k, ch := range children {
-					var gid int
-					if pg := gids[k]; pg != nil {
-						gid = int(pg[i])
-					} else {
-						gid, _ = e.ParentGroup(ch, i)
+				if agg == ranking.Lex {
+					vec := ws[i*r : (i+1)*r]
+					clear(vec)
+					for _, o := range own {
+						vec[o.pos] = f.W(o.v, o.vals[i])
 					}
-					st := selTuple[ch][gid]
-					w = f.CombineInto(w, weights[ch][st])
+					for _, k := range kids {
+						st := k.sel[k.gids[i]]
+						for p, x := range k.ws[st*r : (st+1)*r] {
+							vec[p] += x
+						}
+					}
+					continue
+				}
+				w := identity
+				for _, o := range own {
+					x := o.vals[i]
+					if custom {
+						x = f.Weight(o.v, x)
+					}
+					w = combine(agg, w, x)
+				}
+				for _, k := range kids {
+					w = combine(agg, w, k.ws[k.sel[k.gids[i]]])
 				}
 				ws[i] = w
 			}
 		})
-		weights[id], lexVecs[id] = ws, vecs
 
 		// Close out this node's groups for the parent: weighted median of
 		// the group's live tuple pivots, multiplicities = subtree counts.
 		if n.Parent >= 0 {
 			groups := e.Groups[id]
 			sel := grow(selTuple[id], groups.NumGroups())
-			parallel.For(workers, groups.NumGroups(), func(lo, hi int) {
-				var live []int // reused across the chunk's groups
-				for g := lo; g < hi; g++ {
-					tuples := groups.Tuples[g]
-					if cap(live) < len(tuples) {
-						live = make([]int, 0, len(tuples))
-					}
-					live = live[:0]
-					for _, ti := range tuples {
-						if !counts.Tuple[id][ti].IsZero() {
-							live = append(live, ti)
+			selTuple[id] = sel
+			chunks := parallel.Ranges(workers, groups.NumGroups())
+			bufs := s.entryBufs(len(chunks))
+			parallel.Do(workers, len(chunks), func(c int) {
+				es := bufs[c]
+				for g := chunks[c].Lo; g < chunks[c].Hi; g++ {
+					es = es[:0]
+					for _, ti := range groups.Tuples[g] {
+						if m := live[ti]; !m.IsZero() {
+							es = append(es, selection.Entry{Key: ws[ti*stride], Mult: m, Item: ti})
 						}
 					}
-					if len(live) == 0 {
-						sel[g] = -1
-						continue
-					}
-					sel[g] = selection.WeightedMedian(live,
-						func(a, b int) bool { return f.Compare(ws[a], ws[b]) < 0 },
-						func(i int) counting.Count { return counts.Tuple[id][i] })
+					sel[g] = medianTuple(es, ws, r)
 				}
+				bufs[c] = es
 			})
-			selTuple[id] = sel
 		}
 	}
 
 	// Artificial root: weighted median over the live root tuples.
 	root := e.T.Root
-	var live []int
-	if s != nil {
-		live = s.live[:0]
-	}
-	if cap(live) < e.Rels[root].Len() {
-		live = make([]int, 0, e.Rels[root].Len())
-	}
-	for i := range counts.Tuple[root] {
-		if !counts.Tuple[root][i].IsZero() {
-			live = append(live, i)
+	ws := weights[root]
+	bufs := s.entryBufs(1)
+	es := grow(bufs[0], len(counts.Tuple[root]))[:0]
+	for i, m := range counts.Tuple[root] {
+		if !m.IsZero() {
+			es = append(es, selection.Entry{Key: ws[i*stride], Mult: m, Item: i})
 		}
 	}
-	if s != nil {
-		s.live = live
-	}
-	rootSel := selection.WeightedMedian(live,
-		func(a, b int) bool { return f.Compare(weights[root][a], weights[root][b]) < 0 },
-		func(i int) counting.Count { return counts.Tuple[root][i] })
+	bufs[0] = es
+	rootSel := medianTuple(es, ws, r)
 
 	// Reconstruct the pivot assignment top-down along the selected tuples.
 	varIdx := e.Q.VarIndex()
@@ -216,12 +270,29 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 
 	// The weight outlives the pass (it becomes a search bound of the loop);
 	// its vector must not stay a view of the scratch.
+	w := ranking.Weightv{K: ws[rootSel]}
+	if agg == ranking.Lex {
+		w = ranking.Weightv{Vec: slices.Clone(ws[rootSel*r : (rootSel+1)*r])}
+	}
 	return &Result{
 		Assignment: asn,
-		Weight:     weights[root][rootSel].Clone(),
+		Weight:     w,
 		C:          cParam[root] / 2,
 		Count:      counts.Total,
 	}, nil
+}
+
+// medianTuple is the ⊕ of Lemma 4.5 over a group's live tuples: the tuple of
+// the weighted median entry, -1 for a group with none. ws holds the tuples'
+// weights, vectors of r positions for LEX (r = 0 otherwise).
+func medianTuple(es []selection.Entry, ws []int64, r int) int {
+	switch len(es) {
+	case 0:
+		return -1
+	case 1:
+		return es[0].Item
+	}
+	return selection.MedianItem(es, selection.Vectors{At: ws, R: r})
 }
 
 // MergeShards merges per-shard pivot results into one global pivot for the
@@ -254,9 +325,20 @@ func MergeShards(cands []*Result, f *ranking.Func) (*Result, int) {
 	if len(live) == 1 {
 		return cands[live[0]], live[0]
 	}
-	idx := selection.WeightedMedian(live,
-		func(a, b int) bool { return f.Compare(cands[a].Weight, cands[b].Weight) < 0 },
-		func(i int) counting.Count { return cands[i].Count })
+	// The same ⊕ kernel as a join group's: one entry per live shard, the LEX
+	// vectors side by side in shard order.
+	r := f.VecLen()
+	es := make([]selection.Entry, len(live))
+	var vecs []int64
+	for k, i := range live {
+		w := cands[i].Weight
+		es[k] = selection.Entry{Key: w.K, Mult: cands[i].Count, Item: k}
+		if r > 0 {
+			es[k].Key = w.Vec[0]
+			vecs = append(vecs, w.Vec...)
+		}
+	}
+	idx := live[selection.MedianItem(es, selection.Vectors{At: vecs, R: r})]
 	minC := 1.0
 	total := counting.Zero
 	for _, i := range live {

@@ -4,14 +4,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
+	"github.com/quantilejoins/qjoin/internal/selection"
 	"github.com/quantilejoins/qjoin/internal/testutil"
 	"github.com/quantilejoins/qjoin/internal/workload"
+	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
 func selectPivot(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func) (*Result, error) {
@@ -310,6 +315,160 @@ func TestPivotWeightsIndependentOfSelectionRule(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		if got := pivotWeightDigest(t, workers); got != medianOfMediansDigest {
 			t.Fatalf("workers=%d: pivot-weight digest %#x, want %#x", workers, got, uint64(medianOfMediansDigest))
+		}
+	}
+}
+
+// callbackMedian is the weighted median as the pass called it before the typed
+// kernel: items named by index, ordered and weighed through callbacks. It
+// ranks the items by less (equal items share a rank) and hands the ranks to
+// the kernel in the items' order; the selection package's own tests tie the
+// kernel to the callback introselect item for item, tie members included.
+func callbackMedian(live []int, less func(a, b int) bool, mult func(i int) counting.Count) int {
+	order := slices.Clone(live)
+	sort.SliceStable(order, func(i, j int) bool { return less(order[i], order[j]) })
+	rank := make(map[int]int64, len(order))
+	for k, it := range order {
+		rank[it] = int64(k)
+		if k > 0 && !less(order[k-1], it) {
+			rank[it] = rank[order[k-1]]
+		}
+	}
+	es := make([]selection.Entry, len(live))
+	for k, it := range live {
+		es[k] = selection.Entry{Key: rank[it], Mult: mult(it), Item: it}
+	}
+	return selection.MedianItem(es, selection.Vectors{})
+}
+
+// referenceSelect is Algorithm 2 as SelectPrepared ran it before the flat
+// weight arrays: a ranking.Weightv per tuple, built with the TupleWeigher and
+// Combine, compared through f.Compare inside a callback median. Sequential, no
+// scratch.
+func referenceSelect(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int) *Result {
+	nNodes := len(e.T.Nodes)
+	weights := make([][]ranking.Weightv, nNodes)
+	selTuple := make([][]int, nNodes)
+	cParam := make([]float64, nNodes)
+	liveOf := func(id int, tuples []int) []int {
+		var live []int
+		for _, ti := range tuples {
+			if !counts.Tuple[id][ti].IsZero() {
+				live = append(live, ti)
+			}
+		}
+		return live
+	}
+	median := func(id int, live []int) int {
+		ws := weights[id]
+		return callbackMedian(live,
+			func(a, b int) bool { return f.Compare(ws[a], ws[b]) < 0 },
+			func(i int) counting.Count { return counts.Tuple[id][i] })
+	}
+	for _, id := range e.T.BottomUp {
+		n := e.T.Nodes[id]
+		rel := e.Rels[id]
+		tw := ranking.NewTupleWeigher(f, mu, n.Atom, n.Vars)
+		ws := make([]ranking.Weightv, rel.Len())
+		c := 1.0
+		for _, ch := range n.Children {
+			c *= cParam[ch] / 2
+		}
+		cParam[id] = c
+		for i := range ws {
+			if counts.Tuple[id][i].IsZero() {
+				continue // dangling tuple; never selected
+			}
+			w := tw.WeightOf(rel.RowValues(i))
+			for _, ch := range n.Children {
+				gid, _ := e.ParentGroup(ch, i)
+				w = f.Combine(w, weights[ch][selTuple[ch][gid]])
+			}
+			ws[i] = w
+		}
+		weights[id] = ws
+		if n.Parent >= 0 {
+			groups := e.Groups[id]
+			sel := make([]int, groups.NumGroups())
+			for g := range sel {
+				sel[g] = -1
+				if live := liveOf(id, groups.Tuples[g]); len(live) > 0 {
+					sel[g] = median(id, live)
+				}
+			}
+			selTuple[id] = sel
+		}
+	}
+	root := e.T.Root
+	all := make([]int, e.Rels[root].Len())
+	for i := range all {
+		all[i] = i
+	}
+	rootSel := median(root, liveOf(root, all))
+	varIdx := e.Q.VarIndex()
+	asn := make([]relation.Value, len(varIdx))
+	var fill func(id, ti int)
+	fill = func(id, ti int) {
+		n := e.T.Nodes[id]
+		cols := e.Rels[id].Cols()
+		for j, v := range n.Vars {
+			asn[varIdx[v]] = cols[j][ti]
+		}
+		for _, ch := range n.Children {
+			gid, _ := e.ParentGroup(ch, ti)
+			fill(ch, selTuple[ch][gid])
+		}
+	}
+	fill(root, rootSel)
+	return &Result{Assignment: asn, Weight: weights[root][rootSel], C: cParam[root] / 2, Count: counts.Total}
+}
+
+// SelectPrepared returns the callback pass's Result — assignment, weight, C
+// and count — on the differential corpus under every ranking family, with
+// default and custom weights, at every worker count, with and without a
+// scratch; the one scratch is reused across all instances, large and small.
+func TestSelectPreparedMatchesCallbackPass(t *testing.T) {
+	custom := func(v query.Var, x relation.Value) int64 { return (x*7+int64(len(v)))%11 - 5 }
+	var scratch Scratch
+	for _, inst := range testutil.FuzzCorpus(rand.New(rand.NewSource(31))) {
+		q, db := query.EliminateSelfJoins(inst.Q, inst.DB)
+		tree, err := jointree.Build(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := yannakakis.CountWorkers(e, 1)
+		v := q.Vars()
+		ranks := append([]*ranking.Func{ranking.NewSum(v[0], v[1]), ranking.NewMin(v...), ranking.NewMax(v...), ranking.NewLex(v...)}, inst.Ranks...)
+		for _, f := range slices.Clone(ranks) {
+			ranks = append(ranks, &ranking.Func{Agg: f.Agg, Vars: f.Vars, Weight: custom})
+		}
+		for _, f := range ranks {
+			mu, err := f.AssignVars(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceSelect(e, counts, f, mu)
+			for _, workers := range []int{1, 2, 8} {
+				for _, s := range []*Scratch{nil, &scratch} {
+					ex := e
+					if workers == 2 { // as a snapshot without the edges' gid arrays restores
+						ex = jointree.RestoreExec(q, db, tree, e.Rels, e.Groups, make([][]int32, len(e.Rels)))
+					}
+					got, err := SelectPrepared(ex, counts, f, mu, workers, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Assignment, want.Assignment) || got.Weight.K != want.Weight.K ||
+						!slices.Equal(got.Weight.Vec, want.Weight.Vec) || got.C != want.C || got.Count != want.Count {
+						t.Fatalf("%s %s%v custom=%v workers=%d scratch=%v:\n got %+v\nwant %+v",
+							inst.Name, f.Agg, f.Vars, f.Weight != nil, workers, s != nil, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -226,19 +226,6 @@ func (f *Func) Combine(a, b Weightv) Weightv {
 	panic("ranking: unknown aggregate")
 }
 
-// CombineInto is Combine without the allocation: a LEX weight accumulates b
-// into a's own vector, which the caller must own; scalar aggregates are
-// Combine.
-func (f *Func) CombineInto(a, b Weightv) Weightv {
-	if f.Agg != Lex {
-		return f.Combine(a, b)
-	}
-	for i, x := range b.Vec {
-		a.Vec[i] += x
-	}
-	return a
-}
-
 // Compare orders two weights under ⪯, returning -1, 0 or +1.
 func (f *Func) Compare(a, b Weightv) int {
 	if f.Agg == Lex {
@@ -309,7 +296,6 @@ type TupleWeigher struct {
 	f        *Func
 	vars     []query.Var // μ-assigned ranked vars of this node
 	cols     []int       // their column positions in the node relation
-	lexPos   []int       // their significance positions (LEX only)
 	identity Weightv
 }
 
@@ -321,9 +307,6 @@ func NewTupleWeigher(f *Func, mu map[query.Var]int, atomIdx int, nodeVars []quer
 		if a, ok := mu[v]; ok && a == atomIdx {
 			tw.vars = append(tw.vars, v)
 			tw.cols = append(tw.cols, col)
-			if f.Agg == Lex {
-				tw.lexPos = append(tw.lexPos, f.lexPos(v))
-			}
 		}
 	}
 	return tw
@@ -336,31 +319,6 @@ func (tw *TupleWeigher) WeightOf(row []relation.Value) Weightv {
 		w = tw.f.Combine(w, tw.f.VarWeight(tw.vars[i], row[col]))
 	}
 	return w
-}
-
-// WeightAt returns the tuple weight of row i of a columnar node relation —
-// the hot-loop form of WeightOf: one contiguous column read per μ-assigned
-// variable, no row gathering.
-func (tw *TupleWeigher) WeightAt(cols [][]relation.Value, i int) Weightv {
-	w := tw.identity
-	for k, col := range tw.cols {
-		w = tw.f.Combine(w, tw.f.VarWeight(tw.vars[k], cols[col][i]))
-	}
-	return w
-}
-
-// WeightAtInto is WeightAt without the allocation: a LEX weight is written
-// into vec (one position per ranked variable, overwritten) and returned as a
-// view of it; scalar aggregates ignore vec.
-func (tw *TupleWeigher) WeightAtInto(vec []int64, cols [][]relation.Value, i int) Weightv {
-	if tw.f.Agg != Lex {
-		return tw.WeightAt(cols, i)
-	}
-	clear(vec)
-	for k, col := range tw.cols {
-		vec[tw.lexPos[k]] = tw.f.W(tw.vars[k], cols[col][i])
-	}
-	return Weightv{Vec: vec}
 }
 
 // ScalarSum returns the int64 partial sum of row's μ-assigned weights.

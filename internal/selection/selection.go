@@ -9,12 +9,16 @@
 // median over multiplicities [Johnson & Mizoguchi 1978] that Algorithm 2
 // (pivot selection) uses inside every join group.
 //
-// All functions operate on caller-owned index slices with comparison
-// callbacks, so they work over rows of relations, weights, or any other
-// indexed collection without copying data.
+// Nth selects over a caller-owned index slice with a comparison callback, so
+// it works over any indexed collection without copying data (the driver's
+// tail orders answers by weight, then by value). The weighted median runs on
+// a contiguous slice of (key, multiplicity, item) entries instead and compares
+// keys inline: Algorithm 2 calls it for every join group of every round.
 package selection
 
 import (
+	"slices"
+
 	"github.com/quantilejoins/qjoin/internal/counting"
 )
 
@@ -131,55 +135,164 @@ func partition3(idx []int, pivot int, less func(a, b int) bool) (lt, eq int) {
 	return lo, mid - lo
 }
 
-// TotalWeight sums mult over idx.
-func TotalWeight(idx []int, mult func(i int) counting.Count) counting.Count {
-	total := counting.Zero
-	for _, i := range idx {
-		total = total.Add(mult(i))
-	}
-	return total
+// Entry is one item of a weighted multiset, stored by value so that a
+// selection reads and swaps contiguous memory: its key in the order (a scalar
+// weight, or the most significant position of a vector weight), how many times
+// it occurs, and the caller's name for it.
+type Entry struct {
+	Key  int64
+	Mult counting.Count
+	Item int
 }
 
-// WeightedSelect permutes idx and returns the element at position target
-// (0-indexed) of the multiset in which each item i of idx occurs mult(i)
-// times, ordered by less. target must satisfy 0 ≤ target < Σ mult.
-// Runs in worst-case linear time in len(idx).
-func WeightedSelect(idx []int, target counting.Count, less func(a, b int) bool, mult func(i int) counting.Count) int {
-	robust := false
-	for len(idx) > 1 {
-		n := len(idx)
-		lt, eq := partition3(idx, pivotOf(idx, less, robust), less)
-		wLess := TotalWeight(idx[:lt], mult)
-		wEq := TotalWeight(idx[lt:lt+eq], mult)
-		switch {
-		case target.Less(wLess):
-			idx = idx[:lt]
-		case target.Less(wLess.Add(wEq)):
-			return idx[lt]
-		default:
-			target = target.Sub(wLess.Add(wEq))
-			idx = idx[lt+eq:]
-		}
-		robust = robust || len(idx) > n-n/8
-	}
-	return idx[0]
+// Vectors holds the LEX weights behind a multiset's entries: the vector of
+// entry e is At[e.Item*R : (e.Item+1)*R], most significant position first, and
+// its position 0 is e.Key. Entries with equal keys are ordered by the rest of
+// their vectors. The zero value orders by Key alone.
+type Vectors struct {
+	At []int64
+	R  int
 }
 
-// WeightedMedian returns the weighted median per Section 4.1: the element at
-// the lower-median position ⌊(|B|-1)/2⌋ of the multiset B = (Z, β) ordered by
-// less, where item i has multiplicity mult(i). The lower median is the
-// convention the paper's Figure 2 follows (e.g. it picks weight 8 from the
-// two-element group {8, 9}); either median satisfies Lemma 4.5. idx must be
-// non-empty and every multiplicity positive. idx is permuted.
-func WeightedMedian(idx []int, less func(a, b int) bool, mult func(i int) counting.Count) int {
-	if len(idx) == 0 {
+// cmp orders two entries: by key, then by the rest of their vectors.
+func (v Vectors) cmp(a, b *Entry) int {
+	if a.Key < b.Key {
+		return -1
+	}
+	if a.Key > b.Key {
+		return 1
+	}
+	if v.R <= 1 {
+		return 0
+	}
+	return v.cmpRest(a.Item, b.Item)
+}
+
+// cmpRest orders two items' vectors past position 0.
+func (v Vectors) cmpRest(a, b int) int {
+	return slices.Compare(v.At[a*v.R+1:(a+1)*v.R], v.At[b*v.R+1:(b+1)*v.R])
+}
+
+// MedianItem returns the weighted median per Section 4.1: the Item of the
+// entry at the lower-median position ⌊(|B|-1)/2⌋ of the multiset B in which
+// every entry occurs Mult times. The lower median is the convention the
+// paper's Figure 2 follows (e.g. it picks weight 8 from the two-element group
+// {8, 9}); either median satisfies Lemma 4.5. es must be non-empty and every
+// multiplicity positive. es is permuted. Which member of a class of equal
+// weights comes back is a function of the entries' order alone.
+func MedianItem(es []Entry, vecs Vectors) int {
+	if len(es) == 0 {
 		panic("selection: weighted median of empty set")
 	}
-	total := TotalWeight(idx, mult)
+	total := counting.Zero
+	for i := range es {
+		total = total.Add(es[i].Mult)
+	}
 	if total.IsZero() {
 		panic("selection: weighted median with zero total multiplicity")
 	}
-	return WeightedSelect(idx, total.Sub(counting.One).Half(), less, mult)
+	return weightedSelect(es, vecs, total.Sub(counting.One).Half()).Item
+}
+
+// weightedSelect permutes es and returns the entry at position target
+// (0-indexed) of the multiset, 0 ≤ target < Σ Mult, in worst-case linear time:
+// the introselect of Nth, partitioning the entries themselves.
+func weightedSelect(es []Entry, vecs Vectors, target counting.Count) Entry {
+	robust := false
+	for len(es) > 1 {
+		n := len(es)
+		lt, eq, wLess, wEq := partitionEntries(es, vecs, pivotEntry(es, vecs, robust))
+		switch {
+		case target.Less(wLess):
+			es = es[:lt]
+		case target.Less(wLess.Add(wEq)):
+			return es[lt]
+		default:
+			target = target.Sub(wLess.Add(wEq))
+			es = es[lt+eq:]
+		}
+		robust = robust || len(es) > n-n/8
+	}
+	return es[0]
+}
+
+// pivotEntry is pivotOf on entries; the pivot is a copy, since the partition
+// moves the entries.
+func pivotEntry(es []Entry, vecs Vectors, robust bool) Entry {
+	n := len(es)
+	if robust {
+		// Median of the medians of five, the groups sorted in place. Only the
+		// pivot's weight matters to the partition, so the medians are selected
+		// among with unit multiplicities.
+		medians := make([]Entry, 0, (n+4)/5)
+		for lo := 0; lo < n; lo += 5 {
+			grp := es[lo:min(lo+5, n)]
+			for i := 1; i < len(grp); i++ {
+				for j := i; j > 0 && vecs.cmp(&grp[j], &grp[j-1]) < 0; j-- {
+					grp[j], grp[j-1] = grp[j-1], grp[j]
+				}
+			}
+			m := grp[len(grp)/2]
+			medians = append(medians, Entry{Key: m.Key, Mult: counting.One, Item: m.Item})
+		}
+		return weightedSelect(medians, vecs, counting.FromInt(len(medians)/2))
+	}
+	mid, hi := n/2, n-1
+	if n < nintherMin {
+		return *vecs.median3(&es[0], &es[mid], &es[hi])
+	}
+	s := n / 8
+	return *vecs.median3(
+		vecs.median3(&es[0], &es[s], &es[2*s]),
+		vecs.median3(&es[mid-s], &es[mid], &es[mid+s]),
+		vecs.median3(&es[hi-2*s], &es[hi-s], &es[hi]))
+}
+
+// median3 returns the median of three entries.
+func (v Vectors) median3(a, b, c *Entry) *Entry {
+	if v.cmp(b, a) < 0 {
+		a, b = b, a
+	}
+	if v.cmp(c, b) >= 0 {
+		return b
+	}
+	if v.cmp(c, a) < 0 {
+		return a
+	}
+	return c
+}
+
+// partitionEntries is partition3 on entries — the same comparisons and the
+// same swaps — and sums the multiplicities of the first two segments on the
+// way.
+func partitionEntries(es []Entry, vecs Vectors, pivot Entry) (lt, eq int, wLess, wEq counting.Count) {
+	lo, mid, hi := 0, 0, len(es)
+	for mid < hi {
+		e := &es[mid]
+		c := 0 // vecs.cmp(e, &pivot), which is past the inlining budget
+		switch {
+		case e.Key < pivot.Key:
+			c = -1
+		case e.Key > pivot.Key:
+			c = 1
+		case vecs.R > 1:
+			c = vecs.cmpRest(e.Item, pivot.Item)
+		}
+		switch {
+		case c < 0:
+			wLess = wLess.Add(e.Mult)
+			es[lo], es[mid] = es[mid], es[lo]
+			lo++
+			mid++
+		case c > 0:
+			hi--
+			es[mid], es[hi] = es[hi], es[mid]
+		default:
+			wEq = wEq.Add(e.Mult)
+			mid++
+		}
+	}
+	return lo, mid - lo, wLess, wEq
 }
 
 // NewIndex returns the identity permutation [0, n).

@@ -1,12 +1,16 @@
 package selection
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
+	"github.com/quantilejoins/qjoin/internal/ranking"
 )
 
 func lessOf(vals []int) func(a, b int) bool {
@@ -64,6 +68,61 @@ func TestQuickNthMatchesSort(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The callback weighted median that Algorithm 2 ran on before the typed kernel,
+// kept as the reference the kernel is checked against item for item: the same
+// introselect over an index slice, comparing and weighing through func values.
+
+// TotalWeight sums mult over idx.
+func TotalWeight(idx []int, mult func(i int) counting.Count) counting.Count {
+	total := counting.Zero
+	for _, i := range idx {
+		total = total.Add(mult(i))
+	}
+	return total
+}
+
+// WeightedSelect permutes idx and returns the element at position target
+// (0-indexed) of the multiset in which each item i of idx occurs mult(i)
+// times, ordered by less. target must satisfy 0 ≤ target < Σ mult.
+// Runs in worst-case linear time in len(idx).
+func WeightedSelect(idx []int, target counting.Count, less func(a, b int) bool, mult func(i int) counting.Count) int {
+	robust := false
+	for len(idx) > 1 {
+		n := len(idx)
+		lt, eq := partition3(idx, pivotOf(idx, less, robust), less)
+		wLess := TotalWeight(idx[:lt], mult)
+		wEq := TotalWeight(idx[lt:lt+eq], mult)
+		switch {
+		case target.Less(wLess):
+			idx = idx[:lt]
+		case target.Less(wLess.Add(wEq)):
+			return idx[lt]
+		default:
+			target = target.Sub(wLess.Add(wEq))
+			idx = idx[lt+eq:]
+		}
+		robust = robust || len(idx) > n-n/8
+	}
+	return idx[0]
+}
+
+// WeightedMedian returns the weighted median per Section 4.1: the element at
+// the lower-median position ⌊(|B|-1)/2⌋ of the multiset B = (Z, β) ordered by
+// less, where item i has multiplicity mult(i). The lower median is the
+// convention the paper's Figure 2 follows (e.g. it picks weight 8 from the
+// two-element group {8, 9}); either median satisfies Lemma 4.5. idx must be
+// non-empty and every multiplicity positive. idx is permuted.
+func WeightedMedian(idx []int, less func(a, b int) bool, mult func(i int) counting.Count) int {
+	if len(idx) == 0 {
+		panic("selection: weighted median of empty set")
+	}
+	total := TotalWeight(idx, mult)
+	if total.IsZero() {
+		panic("selection: weighted median with zero total multiplicity")
+	}
+	return WeightedSelect(idx, total.Sub(counting.One).Half(), less, mult)
 }
 
 func TestWeightedSelectBasic(t *testing.T) {
@@ -367,4 +426,223 @@ func TestIntroselectLinearOnKiller(t *testing.T) {
 			t.Logf("%s n=%d: %.1f comparisons per item on the killer input", name, n, float64(comparisons)/float64(n))
 		}
 	}
+}
+
+// checkKernel runs the callback reference and the typed kernel on the same
+// multiset — item i has the vector at[i*r:(i+1)*r] and multiplicity mults[i] —
+// at the lower median and at a few other positions, and requires the same
+// item back and the same permutation left behind: the kernel makes the
+// reference's comparisons and swaps, so tie members agree too.
+func checkKernel(t *testing.T, name string, at []int64, r int, mults []counting.Count) {
+	t.Helper()
+	n := len(mults)
+	less := func(a, b int) bool { return slices.Compare(at[a*r:(a+1)*r], at[b*r:(b+1)*r]) < 0 }
+	mult := func(i int) counting.Count { return mults[i] }
+	entries := func() []Entry {
+		es := make([]Entry, n)
+		for i := range es {
+			es[i] = Entry{Key: at[i*r], Mult: mults[i], Item: i}
+		}
+		return es
+	}
+	same := func(what string, idx []int, es []Entry, want, got int) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: %s: kernel item %d, reference item %d", name, what, got, want)
+		}
+		for i := range idx {
+			if es[i].Item != idx[i] {
+				t.Fatalf("%s: %s: permutations differ at %d: kernel %d, reference %d", name, what, i, es[i].Item, idx[i])
+			}
+		}
+	}
+	vecs := Vectors{At: at, R: r}
+	idx, es := NewIndex(n), entries()
+	same("median", idx, es, WeightedMedian(idx, less, mult), MedianItem(es, vecs))
+	if r == 1 {
+		idx, es = NewIndex(n), entries()
+		same("median, no vectors", idx, es, WeightedMedian(idx, less, mult), MedianItem(es, Vectors{}))
+	}
+	total := TotalWeight(NewIndex(n), mult)
+	last := total.Sub(counting.One)
+	for _, target := range []counting.Count{counting.Zero, last.Half().Half(), last.Half().Add(last.Half().Half()), last} {
+		idx, es = NewIndex(n), entries()
+		same("position "+target.String(), idx, es, WeightedSelect(idx, target, less, mult), weightedSelect(es, vecs, target).Item)
+	}
+}
+
+// unitMults are n multiplicities of 1; mixedMults are the benchmark's mix.
+func unitMults(n int) []counting.Count {
+	return slices.Repeat([]counting.Count{counting.One}, n)
+}
+
+func mixedMults(rng *rand.Rand, n int) []counting.Count {
+	mults := make([]counting.Count, n)
+	for i := range mults {
+		switch rng.Intn(3) {
+		case 0:
+			mults[i] = counting.One
+		case 1:
+			mults[i] = counting.FromUint64(uint64(rng.Intn(1000) + 1))
+		default:
+			mults[i] = counting.Count{Hi: uint64(rng.Intn(4)), Lo: rng.Uint64()}
+		}
+	}
+	return mults
+}
+
+func TestKernelMatchesReferenceOnRandomTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		r := 1 + rng.Intn(3)
+		at := make([]int64, n*r)
+		dom := int64(1 + rng.Intn(6)) // few distinct values: ties on every position
+		for i := range at {
+			at[i] = rng.Int63n(dom) - dom/2
+		}
+		mults := unitMults(n)
+		if trial%2 == 1 {
+			mults = mixedMults(rng, n)
+		}
+		checkKernel(t, fmt.Sprintf("trial %d (n=%d r=%d dom=%d)", trial, n, r, dom), at, r, mults)
+	}
+}
+
+func TestKernelMatchesReferenceOnHugeMultiplicities(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(64)
+		at := make([]int64, n)
+		mults := make([]counting.Count, n)
+		// Every multiplicity is past 2⁶⁴ and the total lands just under 2¹²⁷.
+		share := (uint64(1) << 63) / uint64(n)
+		for i := range at {
+			at[i] = rng.Int63n(8)
+			mults[i] = counting.Count{Hi: share - uint64(rng.Intn(3)), Lo: rng.Uint64()}
+		}
+		checkKernel(t, fmt.Sprintf("trial %d (n=%d)", trial, n), at, 1, mults)
+	}
+}
+
+func TestKernelMatchesReferenceOnAdversarialShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 100, nintherMin - 1, nintherMin, nintherMin + 1, 1000, 4097} {
+		for name, vals := range adversarialShapes(n) {
+			at := make([]int64, n)
+			for i, v := range vals {
+				at[i] = int64(v)
+			}
+			checkKernel(t, fmt.Sprintf("%s n=%d unit", name, n), at, 1, unitMults(n))
+			checkKernel(t, fmt.Sprintf("%s n=%d mixed", name, n), at, 1, mixedMults(rng, n))
+			// The same shape one position down: every comparison is decided by
+			// the vectors' rest.
+			lex := make([]int64, 2*n)
+			for i, v := range vals {
+				lex[2*i+1] = int64(v)
+			}
+			checkKernel(t, fmt.Sprintf("%s n=%d lex", name, n), lex, 2, mixedMults(rng, n))
+		}
+	}
+}
+
+// On the input built to defeat the reference's cheap pivots (so that it falls
+// back to median-of-medians and stays there), the kernel still walks in step.
+func TestKernelMatchesReferenceOnKiller(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 13} {
+		unit := func(int) counting.Count { return counting.One }
+		vals := killerFor(n, func(idx []int, less func(a, b int) bool) {
+			WeightedSelect(idx, counting.FromInt(n/2), less, unit)
+		})
+		at := make([]int64, n)
+		for i, v := range vals {
+			at[i] = int64(v)
+		}
+		checkKernel(t, fmt.Sprintf("killer n=%d", n), at, 1, unitMults(n))
+	}
+}
+
+// FuzzWeightedMedian decodes a multiset from bytes — r positions per item from
+// a domain of eight values, then a multiplicity byte whose top bits pick a
+// unit, a small or a past-2⁶⁴ count — and checks the kernel against the
+// reference on it.
+func FuzzWeightedMedian(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 1, 3, 1}, uint8(1))
+	f.Add([]byte{0, 0, 0xff, 0, 1, 0x80, 0, 0, 0x41, 7, 7, 0xc3}, uint8(2))
+	f.Add(bytes.Repeat([]byte{5, 0x40}, 200), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, rRaw uint8) {
+		r := 1 + int(rRaw%3)
+		n := len(data) / (r + 1)
+		if n == 0 {
+			return
+		}
+		at := make([]int64, n*r)
+		mults := make([]counting.Count, n)
+		for i := 0; i < n; i++ {
+			item := data[i*(r+1) : (i+1)*(r+1)]
+			for p := 0; p < r; p++ {
+				at[i*r+p] = int64(item[p]%8) - 4
+			}
+			m := item[r]
+			switch m >> 6 {
+			case 0, 1:
+				mults[i] = counting.One
+			case 2:
+				mults[i] = counting.FromUint64(uint64(m&0x3f) + 1)
+			default:
+				mults[i] = counting.Count{Hi: uint64(m&0x3f) + 1, Lo: uint64(m) << 56}
+			}
+		}
+		checkKernel(t, "fuzz", at, r, mults)
+	})
+}
+
+// BenchmarkPivotKernel is one weighted median of 16 384 scalar keys with ties
+// and mixed multiplicities, filling included (the pivot pass refills per
+// group): the typed kernel against the callback reference it replaced.
+func BenchmarkPivotKernel(b *testing.B) {
+	const n = 1 << 14
+	rng := rand.New(rand.NewSource(42))
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = rng.Int63n(n / 4)
+	}
+	mults := mixedMults(rng, n)
+	// Each side runs once before it is timed: CI gives a sub-benchmark three
+	// iterations, and the first touch of a fresh buffer would be a third of it.
+	b.Run("typed", func(b *testing.B) {
+		es := make([]Entry, n)
+		median := func() {
+			for i := range es {
+				es[i] = Entry{Key: keys[i], Mult: mults[i], Item: i}
+			}
+			MedianItem(es, Vectors{})
+		}
+		median()
+		for b.Loop() {
+			median()
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		// As the pivot pass called it: weights as ranking.Weightv, ordered by
+		// the ranking's Compare.
+		f := ranking.NewMax("x")
+		ws := make([]ranking.Weightv, n)
+		for i, k := range keys {
+			ws[i] = ranking.Weightv{K: k}
+		}
+		idx := make([]int, n)
+		less := func(a, b int) bool { return f.Compare(ws[a], ws[b]) < 0 }
+		mult := func(i int) counting.Count { return mults[i] }
+		median := func() {
+			for i := range idx {
+				idx[i] = i
+			}
+			WeightedMedian(idx, less, mult)
+		}
+		median()
+		for b.Loop() {
+			median()
+		}
+	})
 }

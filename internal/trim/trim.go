@@ -8,7 +8,9 @@
 // Four constructions are provided, one per tractable ranking family:
 //
 //   - MIN/MAX (Section 5.1, Algorithm 3): partition-identifier construction.
-//   - LEX (Section 5.2): prefix-equality partitions.
+//   - LEX (Section 5.2): prefix-equality partitions. Both are Band: the
+//     partitions of the band's two sides as boxes of weight intervals,
+//     intersected and cut in one pass.
 //   - Partial SUM on two adjacent join-tree nodes (Section 5.3, after
 //     Tziavelis et al. [22]): dyadic factorization of the staircase join,
 //     for a band low ≺ Σ ≺ high in one pass (either bound may be infinite).
@@ -17,8 +19,8 @@
 //
 // All trims take and return an Instance and keep the query acyclic, so they
 // can be composed — Algorithm 1 cuts every candidate band out of the original
-// instance: with the SUM band trim directly, with two one-sided trims for the
-// other families.
+// instance: with one band trim for the exact families, with two one-sided
+// trims for the lossy SUM.
 package trim
 
 import (
@@ -26,7 +28,6 @@ import (
 	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -61,12 +62,13 @@ type Instance struct {
 	// Weight functions must be safe for concurrent calls when Workers > 1.
 	Workers int
 	// Exec is the optional executable tree of (Q, DB), attached by the
-	// driver. Pure-filter trims (MAX ≺ λ, MIN ≻ λ, single-node SUM) derive
-	// their output's Exec from it by subset filtering — integer work
-	// proportional to the surviving rows — so the driver never rebuilds the
-	// tree from raw relations for those outputs. Trims that change the query
-	// shape (partition identifiers, staircase segments, sketch embeddings)
-	// ignore it. Read-only.
+	// driver. Pure-filter trims (a MIN / MAX / LEX band of one box — MAX ≺ λ,
+	// MIN ≻ λ, one ranked variable — and single-node SUM) derive their
+	// output's Exec from it by subset filtering — integer work proportional
+	// to the surviving rows — so the driver never rebuilds the tree from raw
+	// relations for those outputs. Trims that change the query shape (box
+	// identifiers, staircase segments, sketch embeddings) ignore it, and
+	// their outputs carry none. Read-only.
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
 	// a prepared plan, across quantile calls). Only the driver's reused
@@ -119,169 +121,4 @@ func requireSelfJoinFree(q *query.Query) error {
 		return fmt.Errorf("trim: query has self-joins; eliminate them first (query.EliminateSelfJoins)")
 	}
 	return nil
-}
-
-// varCond is a per-variable weight predicate used by the partition-identifier
-// construction shared by MIN/MAX and LEX.
-type varCond struct {
-	v    query.Var
-	pred func(w int64) bool
-}
-
-// applyPartitions implements the shared mechanics of Algorithm 3: the answer
-// space is split into disjoint partitions, each described by a conjunction of
-// unary weight predicates; every relation is copied once per partition with
-// its conditions applied, a partition-identifier column is appended, and the
-// fresh identifier variable is added to every atom so answers never mix
-// partitions.
-func applyPartitions(inst Instance, f *ranking.Func, partitions [][]varCond) (Instance, error) {
-	if err := requireSelfJoinFree(inst.Q); err != nil {
-		return Instance{}, err
-	}
-	q2 := inst.Q.Clone()
-	xp := freshHelperVar(q2, "p")
-	for i := range q2.Atoms {
-		q2.Atoms[i].Vars = append(q2.Atoms[i].Vars, xp)
-	}
-	db2 := relation.NewDatabase()
-	for _, atom := range inst.Q.Atoms {
-		src := inst.DB.Get(atom.Rel)
-		srcCols := src.Cols()
-		// Column positions of each condition variable in this atom (a
-		// repeated variable imposes the condition once; columns agree).
-		// Per partition, the chunked scans collect surviving row indexes
-		// (concatenated in chunk order — exactly the sequential emission
-		// order); one column gather then materializes the partition's rows
-		// with the identifier column appended.
-		var parts []*relation.Relation
-		for pi, conds := range partitions {
-			var local []varCond
-			var cols []int
-			for _, c := range conds {
-				for j, v := range atom.Vars {
-					if v == c.v {
-						local = append(local, c)
-						cols = append(cols, j)
-						break
-					}
-				}
-			}
-			pid := relation.Value(pi + 1)
-			idxParts := parallel.MapRanges(inst.workers(), src.Len(), func(lo, hi int) []int {
-				var rows []int
-				for ti := lo; ti < hi; ti++ {
-					ok := true
-					for k, c := range local {
-						if !c.pred(f.W(c.v, srcCols[cols[k]][ti])) {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						rows = append(rows, ti)
-					}
-				}
-				return rows
-			})
-			total := 0
-			for _, p := range idxParts {
-				total += len(p)
-			}
-			rows := make([]int, 0, total)
-			for _, p := range idxParts {
-				rows = append(rows, p...)
-			}
-			pids := make([]relation.Value, len(rows))
-			for k := range pids {
-				pids[k] = pid
-			}
-			parts = append(parts, src.GatherRowsPlus(atom.Rel, rows, pids))
-		}
-		// Disjoint partitions never duplicate a (row, pid) pair.
-		out := relation.Concat(atom.Rel, src.Arity()+1, src.IsDistinct(), parts)
-		db2.Add(out)
-	}
-	return Instance{Q: q2, DB: db2, Workers: inst.Workers}, nil
-}
-
-// filterByVarPred keeps only tuples whose every occurrence of a ranked
-// variable satisfies the predicate. Used for the filter side of MIN/MAX.
-// When the input instance carries an Exec, the output carries one too,
-// derived by subset filtering instead of a rebuild.
-func filterByVarPred(inst Instance, f *ranking.Func, pred func(v query.Var, w int64) bool) (Instance, error) {
-	if err := requireSelfJoinFree(inst.Q); err != nil {
-		return Instance{}, err
-	}
-	ranked := make(map[query.Var]bool, len(f.Vars))
-	for _, v := range f.Vars {
-		ranked[v] = true
-	}
-	db2 := relation.NewDatabase()
-	touched := false
-	for _, atom := range inst.Q.Atoms {
-		src := inst.DB.Get(atom.Rel)
-		var cols []int
-		var vars []query.Var
-		for j, v := range atom.Vars {
-			if ranked[v] {
-				cols = append(cols, j)
-				vars = append(vars, v)
-			}
-		}
-		if len(cols) == 0 {
-			db2.Add(src) // relations are read-only; untouched ones are shared
-			continue
-		}
-		touched = true
-		srcCols := src.Cols()
-		out := src.FilterWorkers(inst.workers(), func(i int) bool {
-			for k, c := range cols {
-				if !pred(vars[k], f.W(vars[k], srcCols[c][i])) {
-					return false
-				}
-			}
-			return true
-		})
-		db2.Add(out)
-	}
-	out := Instance{Q: inst.Q.Clone(), DB: db2, Workers: inst.Workers}
-	if e := inst.Exec; e != nil && touched {
-		// Node-level survivors: a node row dies exactly when its source rows
-		// do (the predicate reads only projected values), so the subset
-		// derivation reproduces a fresh build on (Q, db2) byte for byte.
-		keep := make([][]bool, len(e.T.Nodes))
-		for _, n := range e.T.Nodes {
-			var cols []int
-			var vars []query.Var
-			for j, v := range n.Vars {
-				if ranked[v] {
-					cols = append(cols, j)
-					vars = append(vars, v)
-				}
-			}
-			if len(cols) == 0 {
-				continue
-			}
-			rel := e.NodeRelation(n.ID)
-			relCols := rel.Cols()
-			k := make([]bool, rel.Len())
-			parallel.For(inst.workers(), rel.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ok := true
-					for c, col := range cols {
-						if !pred(vars[c], f.W(vars[c], relCols[col][i])) {
-							ok = false
-							break
-						}
-					}
-					k[i] = ok
-				}
-			})
-			keep[n.ID] = k
-		}
-		out.Exec = e.DeriveSubset(out.Q, db2, keep, inst.workers())
-	} else if e != nil {
-		out.Exec = e.DeriveSubset(out.Q, db2, make([][]bool, len(e.T.Nodes)), inst.workers())
-	}
-	return out, nil
 }
