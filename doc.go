@@ -36,10 +36,10 @@
 //
 // # Prepare once, query many
 //
-// The point of the paper is that preprocessing — validation, self-join
-// elimination, input deduplication, join-tree construction, executable-tree
-// materialization, answer counting — is quasilinear while the per-query
-// work on top is cheap. Prepare makes that split explicit: it compiles a
+// The point of the paper is that preprocessing — validation, input
+// deduplication, normalization (self-joins and repeated variables rewritten
+// away), join-tree construction, the executable tree's join-group indexes,
+// answer counting — is quasilinear while the per-query work on top is cheap. Prepare makes that split explicit: it compiles a
 // (Query, DB) pair into a Prepared plan once, and every quantile, selection,
 // sampling, enumeration or counting query afterwards reuses the compiled
 // artifacts (including a lazily built direct-access structure and, for
@@ -56,6 +56,22 @@
 // Every free function in this package (Quantile, Count, TopK, ...) is a
 // thin wrapper that prepares a plan and discards it, so one-shot calls keep
 // working unchanged; answers are identical either way.
+//
+// What Prepare builds is one normalized, deduplicated database and an
+// executable tree over it whose nodes are that database's relations — not
+// copies of them. Relations are sets, so each input relation is deduplicated
+// once; the query is then put in normal form (one relation per atom, no
+// variable twice in an atom: a self-join occurrence becomes a view of its
+// relation, an atom such as R(x,y,x) a fresh relation of the rows that agree,
+// projected), after which an atom's columns are its node's variables and the
+// node reads the relation as it is. A relation found duplicate-free is not
+// copied: the engine's relation is a header of its own over the input's
+// columns. One with duplicate rows is gathered by the first Prepare over it
+// and remembered by the relation until it is next written to, so every plan
+// over one database reads the same set. The database handed to Prepare is
+// therefore read-only from then on — DB.Apply or a new DB makes a changed
+// one; rows appended to an input relation never show through a plan, values
+// overwritten in place would.
 //
 // Prepared is the only plan type. It holds a vector of engines — one from
 // Prepare (an acyclic query, or a cyclic one compiled through its hypertree
@@ -74,9 +90,9 @@
 // When the database changes, a plan absorbs the delta instead of being
 // recompiled. Build a Delta with NewDelta/Insert/Delete and call
 // Prepared.Update; the change propagates through every layer of the
-// compiled artifact — refcounts, deduplicated relations, per-node
-// materializations, join-group indexes, counting state — in time
-// proportional to the touched data:
+// compiled artifact — refcounts, deduplicated relations (each rewritten
+// once: the tree nodes reading it take the new relation), join-group
+// indexes, counting state — in time proportional to the touched data:
 //
 //	d := qjoin.NewDelta().Insert("R", []int64{1, 10}).Delete("S", []int64{20, 9})
 //	p2, err := p.Update(d)
@@ -98,8 +114,7 @@
 //
 // # Parallel execution
 //
-// The hot passes — input deduplication, node materialization, join-group
-// index construction, the Yannakakis counting and reduction passes, pivot
+// The hot passes — input deduplication, join-group index construction, the Yannakakis counting and reduction passes, pivot
 // selection, and the per-round trim constructions of Algorithm 1 — run on a
 // shared data-parallel runtime (a bounded worker pool with chunked
 // index-range scheduling). Options.Parallelism sets the worker count:
@@ -135,13 +150,15 @@
 // alive. The dictionary's lifetime is the lifetime of that family of
 // databases — it is never rebuilt or compacted behind a caller's back.
 //
-// Derivation copies columns, never aliases them. A derived relation —
-// subset filtering in the pivot loop's trims, the surviving rows of an
-// incremental update, projections and row gathers — owns freshly gathered
-// column vectors. What derived executable trees share with their parent is
-// index structure (interners read-only plus copy-on-write overlays, group
-// ids, gid arrays), not column storage; a published relation is immutable,
-// so concurrent readers of an old plan never observe a derivation.
+// A derivation that changes rows copies columns; one that changes none
+// shares them. A derived relation — subset filtering in the pivot loop's
+// trims, the surviving rows of an incremental update, row gathers — owns
+// freshly gathered column vectors, written once (the tree node and the
+// database hold the same relation). A relation that is another one's rows
+// unchanged — a deduplication that dropped nothing, a self-join occurrence, a
+// relation a trim does not constrain — is a view over the same columns. A
+// published relation is immutable either way, so concurrent readers of an old
+// plan never observe a derivation.
 //
 // Update follows the same copy semantics: Prepared.Update writes the
 // touched relations' surviving rows into fresh columns and shares every
@@ -378,9 +395,15 @@
 //
 // A compiled plan can be persisted and restored without recompiling.
 // Prepared.Snapshot writes the plan as a versioned, checksummed binary
-// stream — the string dictionary, the columnar relations with their
-// interner tables, the compiled engine artifact(s), and any warm sketch
-// summaries — and LoadPrepared / LoadPreparedBytes read it back. The
+// stream — the string dictionary, the raw columnar relations, the compiled
+// engine artifact(s), and any warm sketch summaries — and LoadPrepared /
+// LoadPreparedBytes read it back. An engine section holds the source and
+// normalized queries, the deduplicated database, per tree edge the group
+// index (with its interner tables) and the parent-group array, and the
+// counting state; a node's relation is the database's, found again by name,
+// and a relation over columns already in the stream is written as a view of
+// them, so each column set is stored once and a restored plan shares what the
+// saved one shared. The
 // stream's kind follows whether the plan is routed (a routed plan records
 // its shard count and one engine section and summary per shard); the loaders
 // accept either kind. The contract:
@@ -398,8 +421,9 @@
 //     ErrSnapshotVersion, ErrSnapshotChecksum, ErrSnapshotTruncated,
 //     ErrSnapshotCorrupt — and a load either returns a fully valid plan or
 //     an error, never a partially restored one.
-//   - Versioning. The format version is bumped on any layout change and
-//     readers accept exactly their own version. Snapshots are a cache of
+//   - Versioning. The format version (2 since node relations left the engine
+//     section) is bumped on any layout change and readers accept exactly
+//     their own version. Snapshots are a cache of
 //     compiled state, not an archival format: the cross-version migration
 //     path is re-Prepare from the raw data.
 //   - Lazily rebuilt state. The direct-access structure and the cached

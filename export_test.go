@@ -4,9 +4,13 @@ import (
 	"reflect"
 
 	"github.com/quantilejoins/qjoin/internal/core"
+	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/sketch"
 )
+
+// Engines shows the external tests the plan's engine vector.
+func Engines(p *Prepared) []*engine.Engine { return p.sh.Engines() }
 
 // Reductions peeks at each engine's full reduction without building it: nil
 // where none has been built.

@@ -1,13 +1,17 @@
-// Snapshot format pin: testdata/plan-unrouted.qjsn and plan-routed3.qjsn were
-// written by the commit before the one-plan-type refactor, when sharded and
-// unsharded plans were two types with an encoder and a decoder each. Today's
-// single encoder/decoder must load them, answer from them like a fresh
-// compile of the same data, and write them back byte for byte — so plan files
-// and -data-dir contents written by any earlier build keep loading.
+// Snapshot format pin: testdata/plan-unrouted.qjsn and plan-routed3.qjsn hold
+// container version 2 (an engine section carries no node relations — they are
+// the engine database's — and a relation over columns already in the stream is
+// a view record), written once by the commit that introduced it. The
+// encoder/decoder must load them, answer from them like a fresh compile of the
+// same data, and write them back byte for byte — so plan files and -data-dir
+// contents written by any build since keep loading, and a change that moves a
+// byte has to bump snap.Version. A version-1 stream is refused, not guessed at.
 package qjoin_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"os"
 	"reflect"
@@ -109,6 +113,12 @@ func TestPlanFixtures(t *testing.T) {
 			}
 			if got := snapshotBytes(t, fixturePlan(t, fx.shards)); !bytes.Equal(got, want) {
 				t.Errorf("the recipe no longer reproduces %s (%d bytes, file has %d)", fx.file, len(got), len(want))
+			}
+
+			v1 := bytes.Clone(want)
+			binary.LittleEndian.PutUint32(v1[4:8], 1)
+			if _, err := qjoin.LoadPlanBytes(v1); !errors.Is(err, qjoin.ErrSnapshotVersion) {
+				t.Errorf("a version-1 header loads with %v, want ErrSnapshotVersion", err)
 			}
 
 			viaPlan, err := qjoin.LoadPlanBytes(want)

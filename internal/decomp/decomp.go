@@ -84,11 +84,15 @@ func (d *Decomposition) Query() *query.Query { return d.bagQuery }
 
 // Decompose computes a hypertree decomposition of q, trying widths 2, 3, ...
 // up to maxWidth and accepting the first canonical partition whose bag query
-// admits a join tree. q must be self-join free (distinct relation names).
-// The result depends only on the query shape, so repeated calls — including
-// on a different process restoring a snapshot — produce the identical plan.
-// It fails with *WidthError when no acyclic cover within maxWidth exists.
+// admits a join tree. q must be in normal form (query.Normalize): bags are
+// joined from their atoms' relations as they are. The result depends only on
+// the query shape, so repeated calls — including on a different process
+// restoring a snapshot — produce the identical plan. It fails with *WidthError
+// when no acyclic cover within maxWidth exists.
 func Decompose(q *query.Query, maxWidth int) (*Decomposition, error) {
+	if !q.IsNormalized() {
+		return nil, fmt.Errorf("decomp: query %s has a self-join or a repeated variable; rewrite it with query.Normalize first", q)
+	}
 	n := len(q.Atoms)
 	for w := 2; w <= maxWidth && w <= n; w++ {
 		if bags := searchWidth(q, w); bags != nil {

@@ -248,7 +248,9 @@ func TestRematerializeSharesUntouchedBags(t *testing.T) {
 
 func TestMaterializeRepeatedVars(t *testing.T) {
 	// Self-loop atom inside a bag: L(x,x) keeps only rows with equal columns.
-	q := query.New(
+	// That equality is query.Normalize's to apply; the un-normalized query is
+	// refused, and the bags of the normalized one join to the source's answers.
+	src := query.New(
 		query.Atom{Rel: "L", Vars: []query.Var{"x", "x"}},
 		query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}},
 		query.Atom{Rel: "S", Vars: []query.Var{"y", "z"}},
@@ -259,13 +261,17 @@ func TestMaterializeRepeatedVars(t *testing.T) {
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}}).MarkDistinct())
 	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}, {3, 1}}).MarkDistinct())
 	db.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}, {1, 2}}).MarkDistinct())
+	if _, err := Decompose(src, MaxDecompWidth); err == nil {
+		t.Fatal("Decompose accepted an atom that repeats a variable")
+	}
+	q, ndb := query.Normalize(src, db)
 	d, err := Decompose(q, MaxDecompWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bagDB, _ := d.Materialize(q, db, 2)
+	bagDB, _ := d.Materialize(q, ndb, 2)
 	got := testutil.BruteForce(d.Query(), bagDB)
-	want := testutil.BruteForce(q, db)
+	want := testutil.BruteForce(src, db)
 	sortRows(got)
 	sortRows(want)
 	if !reflect.DeepEqual(projectTo(d.Query().Vars(), q.Vars(), got), want) {
@@ -366,8 +372,8 @@ func nestedLoopBag(d *Decomposition, q *query.Query, db *relation.Database, i in
 // The interner join writes each bag exactly as the reference does — the same
 // rows in the same order — for every bag shape the join handles differently:
 // plain chains, closing edges (every variable shared, alone and several in a
-// row), atoms without a shared variable, repeated variables on either side,
-// and a rewritten self-join, at worker counts that chunk both the build and
+// row), atoms without a shared variable, rewritten repeated variables on
+// either side, and a rewritten self-join, at worker counts that chunk both the build and
 // the probe side.
 func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -386,9 +392,12 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 		return db
 	}
 	atom := func(rel string, vars ...query.Var) query.Atom { return query.Atom{Rel: rel, Vars: vars} }
-	// A self-join, rewritten as the engine rewrites it before decomposing.
-	selfQ, selfDB := query.EliminateSelfJoins(
+	// A self-join and repeated variables, rewritten as the engine rewrites
+	// them before decomposing.
+	selfQ, selfDB := query.Normalize(
 		query.New(atom("R", "x", "y"), atom("R", "y", "z"), atom("R", "z", "x")), binary("R", 700, 30))
+	repQ, repDB := query.Normalize(
+		query.New(atom("L", "x", "x"), atom("R", "x", "y"), atom("S", "y", "y"), atom("T", "y", "x")), binary("LRST", 700, 25))
 
 	cases := []struct {
 		name string
@@ -408,8 +417,7 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 			}
 			return db
 		}(), nil},
-		{"repeated variables", query.New(atom("L", "x", "x"), atom("R", "x", "y"), atom("S", "y", "y"), atom("T", "y", "x")),
-			binary("LRST", 700, 25), [][]int{{0, 1, 2, 3}}},
+		{"repeated variables", repQ, repDB, [][]int{{0, 1, 2, 3}}},
 		{"two closing edges", query.New(atom("R", "x", "y"), atom("S", "y", "z"), atom("T", "z", "x"), atom("U", "x", "z")),
 			binary("RSTU", 700, 20), [][]int{{0, 1, 2, 3}}},
 		{"self-join", selfQ, selfDB, [][]int{{0, 1, 2}}},

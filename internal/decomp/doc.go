@@ -21,9 +21,10 @@
 //
 // Contract notes:
 //
-//   - Input queries must be self-join free (run query.EliminateSelfJoins
-//     first) and input databases must be deduplicated; bag relations are
-//     then distinct by construction and are marked so.
+//   - Input queries must be in normal form (run query.Normalize first;
+//     Decompose rejects anything else) and input databases deduplicated: a
+//     bag is joined from its atoms' relations as they are, and bag relations
+//     are then distinct by construction and are marked so.
 //   - Width is capped at MaxDecompWidth; queries with no acyclic bag cover
 //     at or below the cap fail with a typed *WidthError naming the query
 //     shape. The canonical search is also budgeted (searchBudget node

@@ -11,7 +11,8 @@ import (
 
 // Materialize joins every bag of the decomposition into one relation and
 // returns the bag database together with fresh Stats. q must be the query d
-// was computed from and db its deduplicated database; the bag relations are
+// was computed from — in normal form, so an atom's rows are its relation's
+// rows as they are — and db its deduplicated database; the bag relations are
 // then distinct by construction. The returned database contains only bag
 // relations, so a restored snapshot recomputing the decomposition arrives at
 // the same database shape.
@@ -64,43 +65,12 @@ func (d *Decomposition) bagTouched(q *query.Query, i int, changed map[string]boo
 // row order does not depend on the worker count.
 func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i int, workers int) *relation.Relation {
 	order := d.Bags[i]
-	cur := atomRelation(q.Atoms[order[0]], db, workers)
-	curVars := q.Atoms[order[0]].UniqueVars()
+	cur := db.Get(q.Atoms[order[0]].Rel)
+	curVars := q.Atoms[order[0]].Vars
 	for _, ai := range order[1:] {
 		cur, curVars = joinAtom(cur, curVars, q.Atoms[ai], db, workers)
 	}
 	return cur.Rename(d.BagNames[i]).MarkDistinct()
-}
-
-// atomRelation materializes a single atom: rows of its relation whose
-// repeated-variable positions agree, projected onto the first occurrence of
-// each distinct variable. Atoms without repeats pass through unchanged.
-func atomRelation(a query.Atom, db *relation.Database, workers int) *relation.Relation {
-	rel := db.Get(a.Rel)
-	uniq := a.UniqueVars()
-	if len(uniq) == len(a.Vars) {
-		return rel
-	}
-	first := make(map[query.Var]int, len(a.Vars))
-	for j, v := range a.Vars {
-		if _, ok := first[v]; !ok {
-			first[v] = j
-		}
-	}
-	cols := rel.Cols()
-	keep := rel.FilterWorkers(workers, func(i int) bool {
-		for j, v := range a.Vars {
-			if f := first[v]; f != j && cols[f][i] != cols[j][i] {
-				return false
-			}
-		}
-		return true
-	})
-	pos := make([]int, len(uniq))
-	for j, v := range uniq {
-		pos[j] = first[v]
-	}
-	return keep.Project(rel.Name(), pos)
 }
 
 // joinAtom hash-joins the accumulated bag rows (cur over curVars) with one
@@ -114,14 +84,14 @@ func atomRelation(a query.Atom, db *relation.Database, workers int) *relation.Re
 // produce, and, after every output column has been allocated once at its exact
 // length, again to fill each chunk's own range of them.
 func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, db *relation.Database, workers int) (*relation.Relation, []query.Var) {
-	rel := atomRelation(a, db, workers)
+	rel := db.Get(a.Rel)
 	inCur := make(map[query.Var]int, len(curVars))
 	for j, v := range curVars {
 		inCur[v] = j
 	}
 	outVars := append([]query.Var(nil), curVars...)
 	var sharedCur, sharedRel, newRel []int
-	for j, v := range a.UniqueVars() {
+	for j, v := range a.Vars {
 		if p, ok := inCur[v]; ok {
 			sharedCur, sharedRel = append(sharedCur, p), append(sharedRel, j)
 		} else {

@@ -1,14 +1,21 @@
 // Package engine owns the compiled artifact of a (Query, Database) pair.
 //
-// The paper's preprocessing — validation, self-join elimination
-// (Section 2.2), input deduplication (relations are sets, Section 2.1),
-// GYO join-tree construction, and materialization of the executable tree
-// with its join-group indexes (Section 2.4) — is quasilinear but far from
-// free, and every driver needs it. An Engine runs that pipeline exactly
-// once and hands the immutable result to any number of subsequent queries:
-// quantiles at many φ's, selection, sampling, enumeration, counting.
+// The paper's preprocessing — validation, input deduplication (relations are
+// sets, Section 2.1), normalization (query.Normalize: self-joins and repeated
+// variables rewritten away, Section 2.2), GYO join-tree construction, and the
+// join-group indexes of the executable tree (Section 2.4) — is quasilinear but
+// far from free, and every driver needs it. An Engine runs that pipeline
+// exactly once and hands the immutable result to any number of subsequent
+// queries: quantiles at many φ's, selection, sampling, enumeration, counting.
 //
-// Beyond the eager artifacts (rewritten query, deduplicated database, join
+// The data is held once: the database is one deduplicated column set per
+// relation — the raw input's own columns when it had no duplicate row, shared
+// by every self-join occurrence — and the executable tree's nodes read those
+// relations, not copies of them. The raw input is therefore read-only from
+// NewWorkers on (appending rows to it is harmless; changing a stored value is
+// not).
+//
+// Beyond the eager artifacts (normalized query, deduplicated database, join
 // tree, executable tree), an Engine lazily builds three more, each once,
 // under a small mutex of its own:
 //
@@ -66,8 +73,8 @@ var (
 type Engine struct {
 	src      *query.Query       // the original query, as the user wrote it
 	origVars []query.Var        // src.Vars(): the canonical answer layout
-	q        *query.Query       // self-join-free rewrite of src
-	db       *relation.Database // deduplicated, self-join-free database
+	q        *query.Query       // src in normal form (query.Normalize)
+	db       *relation.Database // deduplicated, normalized database
 	db0      *relation.Database // raw input database (nil on derived engines)
 	tree     *jointree.Tree
 	exec     *jointree.Exec // shared read-only executable tree
@@ -76,8 +83,8 @@ type Engine struct {
 
 	// Cyclic sources route through a hypertree decomposition: q/db above
 	// then hold the acyclic bag query and the materialized bag relations,
-	// while decQ/ddb keep the self-join-free source query and its
-	// deduplicated database for incremental bag re-materialization. All
+	// while decQ/ddb keep the normalized source query and its deduplicated
+	// database for incremental bag re-materialization. All
 	// four decomposition fields are nil for acyclic sources; decStats may
 	// additionally be nil on snapshot-restored engines (ddb too — both are
 	// rebuilt lazily when first needed).
@@ -124,14 +131,15 @@ func (e *Engine) TrimCache() *trim.Cache { return e.trimCache }
 // managed by the driver (the engine only owns their lifetime).
 func (e *Engine) Scratch() *sync.Pool { return &e.scratch }
 
-// NewWorkers compiles a query against a database: validate, eliminate
-// self-joins, deduplicate the input relations, build the join tree, and
-// materialize the executable tree. Everything here is quasilinear in |D| and
-// is paid exactly once per (Q, D) pair; the answer count and the other
-// derived structures are built lazily on first use and then cached.
+// NewWorkers compiles a query against a database: validate, deduplicate the
+// input relations, normalize, build the join tree and the executable tree
+// over it. Everything here is quasilinear in |D| and is paid exactly once per
+// (Q, D) pair; the answer count and the other derived structures are built
+// lazily on first use and then cached. db0 is read, never written, and stays
+// shared with the engine (see the package comment).
 // parallelism is the worker count of the compile-time passes (deduplication,
-// node materialization, group indexes, counting, the lazy full reduction):
-// 0 selects GOMAXPROCS, 1 the exact sequential path.
+// group indexes, counting, the lazy full reduction): 0 selects GOMAXPROCS, 1
+// the exact sequential path.
 // The compiled artifact is byte-identical for every value — all parallel
 // merges are ordered — so the knob only trades wall-clock time for cores.
 func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Engine, error) {
@@ -139,11 +147,7 @@ func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Eng
 		return nil, err
 	}
 	workers := parallel.Workers(parallelism)
-	q, db := query.EliminateSelfJoins(src, db0)
-	// Deduplicate the input once (relations are sets); all relations the
-	// trims derive from these stay marked distinct, so downstream node
-	// materializations skip their hash passes.
-	db = dedupeDatabase(db, workers)
+	q, db := normalize(src, db0, workers)
 	tree, err := jointree.Build(q)
 	var dec *decomp.Decomposition
 	var decQ *query.Query
@@ -196,10 +200,12 @@ func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Eng
 // Source returns the original query, exactly as passed to New.
 func (e *Engine) Source() *query.Query { return e.src }
 
-// Query returns the self-join-free rewrite the drivers run on.
+// Query returns the normal-form rewrite the drivers run on (the bag query of
+// a cyclic source).
 func (e *Engine) Query() *query.Query { return e.q }
 
-// DB returns the deduplicated, self-join-free database.
+// DB returns the deduplicated, normalized database the executable tree's
+// nodes read.
 func (e *Engine) DB() *relation.Database { return e.db }
 
 // Tree returns the join tree.
@@ -323,8 +329,21 @@ func (e *Engine) PeekReduced() *jointree.Exec {
 	return e.reduced
 }
 
+// normalize returns the query and database an engine runs on: every input
+// relation deduplicated once (relations are sets; everything the trims derive
+// from these stays marked distinct, so nothing downstream hashes for
+// duplicates again), then the query normalized over them, so self-join
+// occurrences share their relation's deduplicated columns and a
+// repeated-variable atom's relation is cut from distinct rows.
+func normalize(src *query.Query, db0 *relation.Database, workers int) (*query.Query, *relation.Database) {
+	return query.Normalize(src, dedupeDatabase(db0, workers))
+}
+
 // dedupeDatabase returns a database whose relations are duplicate-free and
-// marked distinct. Relations already known distinct are shared, not copied.
+// marked distinct. Relations already known distinct are shared, and so are the
+// columns of one found duplicate-free; one with duplicate rows is gathered by
+// the first compile over it and remembered by the relation, so the plans of
+// one input share that set too.
 //
 // Deduplication is append-only: it collapses raw multiplicities to a set and
 // forgets them, so nothing at this level can answer "is it safe to remove

@@ -13,18 +13,18 @@ import (
 )
 
 // Restore reassembles an Engine from snapshot-decoded parts, skipping every
-// pass NewWorkers would run: no validation, no dedup hashing, no node
-// materialization, no group-index build, no counting. The caller supplies
+// pass NewWorkers would run: no validation, no dedup hashing, no
+// normalization, no group-index build, no counting. The caller supplies
 //
 //   - src: the original query as the user wrote it,
-//   - q:   its self-join-free rewrite (src itself when there are none) —
+//   - q:   its normal form (src itself when nothing needed rewriting) —
 //     decoded, not re-derived, so the rewritten relation names match the
 //     decoded database exactly,
 //   - db0: the raw input database the engine was built over. Multiset
 //     refcounts are not serialized; they are rebuilt lazily from db0 on the
 //     first Update, which is exact because the set view plus raw
 //     multiplicities fully determine them,
-//   - db:  the deduplicated, self-join-free database,
+//   - db:  the deduplicated, normalized database,
 //   - exec/counts: the executable tree and its counting state.
 //
 // The cheap derived fields (origVars, answer-layout positions, tree order)
@@ -66,7 +66,7 @@ func Restore(src, q *query.Query, db0, db *relation.Database, tree *jointree.Tre
 	// Acyclicity only depends on the variable structure, so self-joins
 	// need no renaming for this check.
 	if _, err := jointree.Build(src); err != nil {
-		q1, _ := query.EliminateSelfJoins(src, db0)
+		q1, _ := query.Normalize(src, db0)
 		d, derr := decomp.Decompose(q1, decomp.MaxDecompWidth)
 		if derr != nil {
 			return nil, fmt.Errorf("qjoin: snapshot restore: cyclic source no longer decomposes: %w", derr)
@@ -99,8 +99,3 @@ func sameQueryShape(a, b *query.Query) bool {
 	}
 	return true
 }
-
-// DB0 returns the raw input database the engine was compiled over, or nil on
-// engines derived by Update (which maintain the set view and multiset
-// refcounts instead). Snapshot encoding reads it; nothing else should.
-func (e *Engine) DB0() *relation.Database { return e.db0 }

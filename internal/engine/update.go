@@ -1,8 +1,8 @@
 // Incremental maintenance: Engine.Update absorbs a batch of tuple inserts
 // and deletes by propagating the change through every layer of the compiled
-// artifact — multiset refcounts, the deduplicated database, the per-node
-// relations and join-group indexes of the executable tree, and the counting
-// state — instead of recompiling, which would pay O(|D|) for an O(|delta|)
+// artifact — multiset refcounts, the deduplicated database (whose relations
+// the executable tree's nodes read), the tree's join-group indexes, and the
+// counting state — instead of recompiling, which would pay O(|D|) for an O(|delta|)
 // change.
 //
 // Update is copy-on-write: it returns a new *Engine sharing every untouched
@@ -18,6 +18,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
@@ -182,7 +183,6 @@ func simulateRel(relName string, arity int, ops []deltaOp, mult func(key string)
 		// input would first encounter it.
 		if st.orig > 0 && st.remaining == 0 {
 			eff.set.RemovedRows = append(eff.set.RemovedRows, st.row)
-			eff.set.RemovedKeys = append(eff.set.RemovedKeys, key)
 		}
 	}
 	// Set-level additions: the first surviving insert of every key without a
@@ -283,17 +283,17 @@ func (e *Engine) multisets() map[string]*relation.Multiset {
 //   - multiset refcounts absorb multiplicity changes,
 //   - the deduplicated database drops removed rows (survivor order
 //     preserved) and appends entering rows,
-//   - touched join-tree nodes rematerialize incrementally (jointree
-//     ApplyDelta), with group indexes remapped or extended in place of a
-//     rebuild,
+//   - the join-tree nodes reading a changed relation take the rewritten
+//     relation (jointree ApplyDelta), with group indexes remapped or extended
+//     in place of a rebuild,
 //   - the counting state is delta-maintained along the root-to-leaf paths
 //     whose group sums changed (yannakakis.UpdateCounts),
 //   - the direct-access structure and the full reduction are invalidated
 //     (rebuilt lazily on first use) whenever the answer set could have
 //     changed, and kept when the delta was a pure multiplicity change.
 //
-// Deltas against self-joined relations fan out to every atom occurrence.
-// Update fails atomically with ErrDeleteAbsent when a delete has no
+// A change to a source relation fans out to every atom over it, through the
+// atom's row map (setDeltas). Update fails atomically with ErrDeleteAbsent when a delete has no
 // remaining occurrence, and answers of the derived engine are byte-identical
 // to a fresh Prepare on the ApplyDelta-mutated database.
 //
@@ -347,23 +347,7 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 	if e.dec != nil {
 		return e.updateDecomposed(newSets, effects)
 	}
-	// Fan the set-level changes out to the rewritten relation names: every
-	// atom occurrence of a self-joined relation gets the same delta, and
-	// touched relations not referenced by the query keep their own name.
-	setDeltas := make(map[string]jointree.RelDelta)
-	referenced := make(map[string]bool, len(e.src.Atoms))
-	for i, atom := range e.src.Atoms {
-		referenced[atom.Rel] = true
-		if eff := effects[atom.Rel]; eff != nil && !eff.set.Empty() {
-			setDeltas[e.q.Atoms[i].Rel] = eff.set
-		}
-	}
-	for name, eff := range effects {
-		if !referenced[name] && !eff.set.Empty() {
-			setDeltas[name] = eff.set
-		}
-	}
-	newExec, changes, err := e.exec.ApplyDelta(setDeltas, e.workers)
+	newExec, changes, err := e.exec.ApplyDelta(e.setDeltas(e.q, effects), e.workers)
 	if err != nil {
 		return nil, Change{}, err
 	}
@@ -387,6 +371,34 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 		counts: newCounts, sets: newSets,
 		trimCache: trim.NewCache(),
 	}, Change{Nodes: changes}, nil
+}
+
+// setDeltas fans the set-level effects on source relations out to the
+// relations of the normalized query q (e.q, or e.decQ behind a decomposition):
+// every source relation under its own name — the normalized database keeps
+// them all — and every atom that Normalize bound to a relation of its own, a
+// self-join occurrence or a repeated-variable atom, through the atom's row
+// map. Relations whose set view does not change are left out; a row that
+// violates an atom's repeated-variable equality changes nothing there.
+func (e *Engine) setDeltas(q *query.Query, effects map[string]*relEffect) map[string]jointree.RelDelta {
+	out := make(map[string]jointree.RelDelta)
+	for name, eff := range effects {
+		if !eff.set.Empty() {
+			out[name] = eff.set
+		}
+	}
+	for i, atom := range e.src.Atoms {
+		eff, name := effects[atom.Rel], q.Atoms[i].Rel
+		if eff == nil || name == atom.Rel {
+			continue
+		}
+		m := query.RowMapOf(atom)
+		d := jointree.RelDelta{RemovedRows: m.Rows(eff.set.RemovedRows), AddedRows: m.Rows(eff.set.AddedRows)}
+		if !d.Empty() {
+			out[name] = d
+		}
+	}
+	return out
 }
 
 // Change is what one Update did to the answer set, for callers that maintain
@@ -423,7 +435,7 @@ func (e *Engine) sourceArity(name string) int {
 	return e.db0.Get(name).Arity()
 }
 
-// sourceDedup returns the deduplicated self-join-free source database a
+// sourceDedup returns the deduplicated, normalized source database a
 // decomposed engine materializes its bags from, rebuilding it from the raw
 // input on a snapshot-restored engine (which dropped it to keep snapshots
 // lean). The receiver is never mutated; derived engines carry the result.
@@ -431,8 +443,8 @@ func (e *Engine) sourceDedup() *relation.Database {
 	if e.ddb != nil {
 		return e.ddb
 	}
-	_, db1 := query.EliminateSelfJoins(e.src, e.db0)
-	return dedupeDatabase(db1, e.workers)
+	_, db := normalize(e.src, e.db0, e.workers)
+	return db
 }
 
 // updateDecomposed is Update's tail for engines whose source query was
@@ -444,36 +456,14 @@ func (e *Engine) sourceDedup() *relation.Database {
 // that its decomposition stats record the incremental work.
 func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects map[string]*relEffect) (*Engine, Change, error) {
 	ddb := e.sourceDedup()
-	newDDB := relation.NewDatabase()
+	newDDB := ddb.View()
 	changed := make(map[string]bool)
-	applied := make(map[string]*relation.Relation)
-	// Fan each source relation's set effect out to every rewritten
-	// occurrence (self-join clones share their source's effect); touched
-	// relations outside the query keep their own name.
-	for i, atom := range e.src.Atoms {
-		if eff := effects[atom.Rel]; eff != nil && !eff.set.Empty() {
-			rn := e.decQ.Atoms[i].Rel
-			applied[rn] = applySetEffect(ddb.Get(rn), eff.set)
-			changed[rn] = true
-		}
+	for name, d := range e.setDeltas(e.decQ, effects) {
+		rel, _ := d.ApplyTo(ddb.Get(name))
+		newDDB.Add(rel)
+		changed[name] = true
 	}
-	referenced := make(map[string]bool, len(e.decQ.Atoms))
-	for _, atom := range e.decQ.Atoms {
-		referenced[atom.Rel] = true
-	}
-	for name, eff := range effects {
-		if !referenced[name] && !eff.set.Empty() {
-			applied[name] = applySetEffect(ddb.Get(name), eff.set)
-		}
-	}
-	for _, name := range ddb.Names() {
-		if nr := applied[name]; nr != nil {
-			newDDB.Add(nr)
-		} else {
-			newDDB.Add(ddb.Get(name))
-		}
-	}
-	if len(changed) == 0 {
+	if !slices.ContainsFunc(e.decQ.Atoms, func(a query.Atom) bool { return changed[a.Rel] }) {
 		// Only relations outside the query changed: the bags — and every
 		// compiled structure and cache — are still exact.
 		return &Engine{
@@ -497,29 +487,4 @@ func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects
 		dec:  e.dec, decQ: e.decQ, ddb: newDDB, decStats: st,
 		trimCache: trim.NewCache(),
 	}, Change{Rebuilt: true}, nil
-}
-
-// applySetEffect applies one relation's set-level delta to its deduplicated
-// relation: removed keys are filtered out (survivor order preserved) and
-// entering rows appended in op order — the same layout a fresh deduplication
-// of the mutated raw input produces.
-func applySetEffect(r *relation.Relation, set jointree.RelDelta) *relation.Relation {
-	removed := make(map[string]bool, len(set.RemovedKeys))
-	for _, k := range set.RemovedKeys {
-		removed[k] = true
-	}
-	nr := relation.NewWithCapacity(r.Name(), r.Arity(), r.Len()+len(set.AddedRows))
-	cols := r.Cols()
-	row := make([]relation.Value, r.Arity())
-	var enc relation.KeyEncoder
-	for i := 0; i < r.Len(); i++ {
-		if removed[string(enc.RowAt(cols, i))] {
-			continue
-		}
-		nr.AppendRow(r.CopyRow(row, i))
-	}
-	for _, added := range set.AddedRows {
-		nr.AppendRow(added)
-	}
-	return nr.MarkDistinct()
 }

@@ -1,9 +1,9 @@
-// Incremental (re)materialization of an executable join tree. ApplyDelta
-// derives a new Exec from an existing one plus set-level relation changes,
-// touching only the nodes whose source relation changed: survivors keep
-// their relative order and insertions append, so the derived per-node
-// relations are byte-identical to the ones a fresh NewExecWorkers would build on
-// the mutated database. Group indexes are maintained in place of a rebuild —
+// Incremental maintenance of an executable join tree. ApplyDelta derives a
+// new Exec from an existing one plus set-level relation changes, rewriting
+// each changed relation once — the database and the nodes that read it take
+// the same new relation: survivors keep their relative order and insertions
+// append, so the derived relations are byte-identical to the ones a fresh
+// deduplication of the mutated input would produce. Group indexes are maintained in place of a rebuild —
 // tuple lists are remapped (deletions) or extended (insertions), group ids
 // are stable, and groups emptied by deletions are retained (consumers treat
 // them exactly like missing keys). The derived Exec shares every untouched
@@ -14,7 +14,6 @@ package jointree
 import (
 	"fmt"
 
-	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
 
@@ -23,8 +22,7 @@ import (
 // append order — the order a fresh deduplication of the mutated raw input
 // would first encounter them.
 type RelDelta struct {
-	RemovedRows [][]relation.Value // full-row values of rows leaving the set
-	RemovedKeys []string           // fixed-width row keys aligned with RemovedRows
+	RemovedRows [][]relation.Value // rows leaving the set
 	AddedRows   [][]relation.Value // rows entering the set, in append order
 }
 
@@ -39,8 +37,8 @@ type NodeChange struct {
 	// Remap maps old tuple indexes to new ones, -1 for removed rows; nil
 	// when the change was append-only and old indexes are unchanged.
 	Remap []int
-	// RemovedIdx and RemovedRows are the old indexes and node-layout rows of
-	// the tuples that left the node relation, in ascending index order.
+	// RemovedIdx and RemovedRows are the old indexes and the rows of the
+	// tuples that left the node relation, in ascending index order.
 	RemovedIdx  []int
 	RemovedRows [][]relation.Value
 	// AddedIdx are the new indexes of the appended tuples, ascending.
@@ -50,28 +48,22 @@ type NodeChange struct {
 }
 
 // ApplyDelta derives an executable tree reflecting the given per-relation
-// set deltas (keyed by relation name in e.DB). The base Exec is not
-// modified. It returns the derived Exec and one NodeChange per touched node,
-// in tree-node order.
+// set deltas (keyed by relation name in e.DB). The base Exec — which must not
+// be a reduced one: its nodes read e.DB's relations — is not modified. It
+// returns the derived Exec and one NodeChange per touched node, in tree-node
+// order.
 func (e *Exec) ApplyDelta(deltas map[string]RelDelta, workers int) (*Exec, []NodeChange, error) {
 	_ = workers // per-node delta work is O(|relation|) scans at worst; chunking buys nothing on small deltas
-	newDB := relation.NewDatabase()
-	// Per touched relation, one key scan locates the removed rows; the node
-	// updates below reuse the indexes (node rows are 1:1 with source rows
-	// for atoms without repeated variables), so no further hashing of the
+	newDB := e.DB.View()
+	// Per touched relation, one key scan locates the removed rows; the nodes
+	// reading the relation reuse the indexes, so no further hashing of the
 	// full relation happens anywhere on the update path.
 	removedIdx := make(map[string][]int, len(deltas))
 	for _, name := range e.DB.Names() {
-		old := e.DB.Get(name)
 		if d, ok := deltas[name]; ok && !d.Empty() {
-			var idx []int
-			if len(d.RemovedRows) > 0 {
-				idx = locateRows(old, d.RemovedKeys)
-			}
+			rel, idx := d.ApplyTo(e.DB.Get(name))
+			newDB.Add(rel)
 			removedIdx[name] = idx
-			newDB.Add(applyRelDelta(old, d, idx))
-		} else {
-			newDB.Add(old)
 		}
 	}
 	out := &Exec{
@@ -86,15 +78,15 @@ func (e *Exec) ApplyDelta(deltas map[string]RelDelta, workers int) (*Exec, []Nod
 	}
 	var changes []NodeChange
 	for _, n := range e.T.Nodes {
-		atom := e.Q.Atoms[n.Atom]
-		d, ok := deltas[atom.Rel]
+		name := e.Q.Atoms[n.Atom].Rel
+		d, ok := deltas[name]
 		if !ok || d.Empty() {
 			continue
 		}
-		if e.DB.Get(atom.Rel) == nil {
-			return nil, nil, fmt.Errorf("jointree: delta for unknown relation %q", atom.Rel)
+		if e.DB.Get(name) == nil {
+			return nil, nil, fmt.Errorf("jointree: delta for unknown relation %q", name)
 		}
-		changes = append(changes, out.applyNodeDelta(n, atom, d, removedIdx[atom.Rel]))
+		changes = append(changes, out.applyNodeDelta(n, newDB.Get(name), len(d.AddedRows), removedIdx[name]))
 	}
 	out.refreshParentGids(e, changes)
 	return out, changes, nil
@@ -167,15 +159,15 @@ func (x *Exec) refreshParentGids(base *Exec, changes []NodeChange) {
 	}
 }
 
-// locateRows returns the ascending indexes of the rows carrying the given
-// keys — the one full key scan each touched relation pays per update.
-func locateRows(r *relation.Relation, keys []string) []int {
-	removed := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		removed[k] = struct{}{}
+// locateRows returns the ascending indexes of r's rows equal to one of rows —
+// the one full key scan each touched relation pays per update.
+func locateRows(r *relation.Relation, rows [][]relation.Value) []int {
+	var enc relation.KeyEncoder
+	removed := make(map[string]struct{}, len(rows))
+	for _, row := range rows {
+		removed[string(enc.Row(row))] = struct{}{}
 	}
 	var idx []int
-	var enc relation.KeyEncoder
 	cols := r.Cols()
 	n := r.Len()
 	for i := 0; i < n; i++ {
@@ -186,12 +178,17 @@ func locateRows(r *relation.Relation, keys []string) []int {
 	return idx
 }
 
-// applyRelDelta rewrites one deduplicated database relation: removed rows
-// are dropped with survivor order preserved (segment-wise bulk copy), added
-// rows append. The result is exactly what deduplicating the mutated raw
-// relation would produce.
-func applyRelDelta(r *relation.Relation, d RelDelta, removedIdx []int) *relation.Relation {
+// ApplyTo rewrites one deduplicated relation: removed rows are dropped with
+// survivor order preserved (segment-wise bulk copy), added rows append. The
+// result is exactly what deduplicating the mutated raw relation would
+// produce; r is not modified. Also returned: the ascending indexes, in r, of
+// the rows removed.
+func (d RelDelta) ApplyTo(r *relation.Relation) (*relation.Relation, []int) {
 	var out *relation.Relation
+	var removedIdx []int
+	if len(d.RemovedRows) > 0 {
+		removedIdx = locateRows(r, d.RemovedRows)
+	}
 	if len(removedIdx) > 0 {
 		out = r.WithoutRows(removedIdx, len(d.AddedRows))
 	} else {
@@ -200,8 +197,7 @@ func applyRelDelta(r *relation.Relation, d RelDelta, removedIdx []int) *relation
 	for _, row := range d.AddedRows {
 		out.AppendRow(row)
 	}
-	out.MarkDistinct()
-	return out
+	return out.MarkDistinct(), removedIdx
 }
 
 // remapFrom builds the old→new index map implied by removing the sorted
@@ -221,70 +217,22 @@ func remapFrom(oldLen int, sortedIdx []int) []int {
 	return remap
 }
 
-// applyNodeDelta rewrites one node's materialized relation and group index
-// inside the derived Exec. The projection logic mirrors materializeNode:
-// rows violating intra-atom repeated-variable equality are dropped, and the
-// projection onto the atom's distinct variables is injective on distinct
-// source rows, so node rows correspond 1:1 to source rows. Without repeated
-// variables the correspondence is index-exact and the source relation's
-// removal indexes apply verbatim (no node-level hashing at all); atoms with
-// repeated variables fall back to locating removals by projected-row key.
-func (x *Exec) applyNodeDelta(n *Node, atom query.Atom, d RelDelta, srcRemovedIdx []int) NodeChange {
-	layout := layoutFor(atom, n.Vars)
-	project := func(row []relation.Value) ([]relation.Value, bool) {
-		if !layout.okRow(row) {
-			return nil, false
-		}
-		out := make([]relation.Value, len(n.Vars))
-		layout.fill(row, out)
-		return out, true
-	}
-
-	var addedNode [][]relation.Value
-	for _, row := range d.AddedRows {
-		if pr, ok := project(row); ok {
-			addedNode = append(addedNode, pr)
-		}
-	}
-
+// applyNodeDelta hands one node of the derived Exec its rewritten relation —
+// the old one minus the rows at removedIdx, plus added appended rows — and
+// derives its group index.
+func (x *Exec) applyNodeDelta(n *Node, newRel *relation.Relation, added int, removedIdx []int) NodeChange {
 	old := x.Rels[n.ID]
-	oldLen := old.Len()
-	ch := NodeChange{Node: n.ID, OldLen: oldLen}
-	if !layout.repeated {
-		ch.RemovedIdx = srcRemovedIdx
-	} else if len(d.RemovedRows) > 0 {
-		var enc relation.KeyEncoder
-		removedKeys := make(map[string]struct{}, len(d.RemovedRows))
-		for _, row := range d.RemovedRows {
-			if pr, ok := project(row); ok {
-				removedKeys[string(enc.Row(pr))] = struct{}{}
-			}
-		}
-		oldCols := old.Cols()
-		for i := 0; i < oldLen; i++ {
-			if _, dead := removedKeys[string(enc.RowAt(oldCols, i))]; dead {
-				ch.RemovedIdx = append(ch.RemovedIdx, i)
-			}
-		}
-	}
-	var newRel *relation.Relation
-	if len(ch.RemovedIdx) > 0 {
-		for _, i := range ch.RemovedIdx {
+	ch := NodeChange{Node: n.ID, RemovedIdx: removedIdx, OldLen: old.Len(), NewLen: newRel.Len()}
+	if len(removedIdx) > 0 {
+		for _, i := range removedIdx {
 			ch.RemovedRows = append(ch.RemovedRows, old.RowValues(i))
 		}
-		ch.Remap = remapFrom(oldLen, ch.RemovedIdx)
-		newRel = old.WithoutRows(ch.RemovedIdx, len(addedNode))
-	} else {
-		newRel = old.CloneCap(len(addedNode))
+		ch.Remap = remapFrom(ch.OldLen, removedIdx)
 	}
-	base := newRel.Len()
-	for k, row := range addedNode {
-		ch.AddedIdx = append(ch.AddedIdx, base+k)
-		newRel.AppendRow(row)
+	for i := ch.NewLen - added; i < ch.NewLen; i++ {
+		ch.AddedIdx = append(ch.AddedIdx, i)
 	}
-	newRel.MarkDistinct()
 	x.Rels[n.ID] = newRel
-	ch.NewLen = newRel.Len()
 	if n.Parent >= 0 {
 		x.Groups[n.ID] = x.Groups[n.ID].derive(ch.Remap, newRel, ch.AddedIdx, x.keyPosChild[n.ID])
 	}

@@ -22,11 +22,11 @@ func dedupedDB(db *relation.Database) *relation.Database {
 // mutate applies a set delta to a distinct relation the canonical way:
 // survivors keep their order, additions append.
 func mutate(r *relation.Relation, d RelDelta) *relation.Relation {
-	removed := make(map[string]struct{}, len(d.RemovedKeys))
-	for _, k := range d.RemovedKeys {
-		removed[k] = struct{}{}
-	}
 	var enc relation.KeyEncoder
+	removed := make(map[string]struct{}, len(d.RemovedRows))
+	for _, row := range d.RemovedRows {
+		removed[string(enc.Row(row))] = struct{}{}
+	}
 	cols := r.Cols()
 	out := r.FilterWorkers(1, func(i int) bool {
 		_, dead := removed[string(enc.RowAt(cols, i))]
@@ -58,7 +58,6 @@ func randomRelDelta(rng *rand.Rand, r *relation.Relation, nDel, nAdd int, hi int
 		picked[i] = true
 		row := r.RowValues(i)
 		d.RemovedRows = append(d.RemovedRows, row)
-		d.RemovedKeys = append(d.RemovedKeys, string(enc.Row(row)))
 	}
 	for len(d.AddedRows) < nAdd {
 		row := make([]relation.Value, r.Arity())
@@ -195,35 +194,48 @@ func mustFresh(t *testing.T, q *query.Query, db *relation.Database, tree *Tree) 
 	return e
 }
 
-// TestApplyDeltaRepeatedVars exercises the intra-atom equality filter on the
-// incremental path: rows violating x=x never reach the node relation, on
-// insert or delete.
+// TestApplyDeltaRepeatedVars holds the tree to its precondition — an atom
+// that repeats a variable is an error, not a wrong answer — and runs the
+// incremental path on the normalized instance: the atom's row map drops rows
+// violating x=x before they reach the delta, on insert or delete.
 func TestApplyDeltaRepeatedVars(t *testing.T) {
-	q := query.New(
+	src := query.New(
 		query.Atom{Rel: "R", Vars: []query.Var{"x", "x", "y"}},
 		query.Atom{Rel: "S", Vars: []query.Var{"y", "z"}},
 	)
-	db := relation.NewDatabase()
-	db.Add(relation.FromRows("R", 3, [][]relation.Value{{1, 1, 2}, {5, 5, 6}}).DedupedWorkers(1))
-	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 9}, {6, 9}}).DedupedWorkers(1))
-	tree, err := Build(q)
+	raw := relation.NewDatabase()
+	raw.Add(relation.FromRows("R", 3, [][]relation.Value{{1, 1, 2}, {5, 5, 6}, {4, 0, 2}}).DedupedWorkers(1))
+	raw.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 9}, {6, 9}}).DedupedWorkers(1))
+	tree, err := Build(src)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewExecWorkers(src, raw, tree, 1); err == nil {
+		t.Fatal("NewExecWorkers accepted an atom that repeats a variable")
+	}
+	q, db := query.Normalize(src, raw)
+	if tree, err = Build(q); err != nil {
 		t.Fatal(err)
 	}
 	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enc relation.KeyEncoder
+	if e.Rels[0] != db.Get(q.Atoms[0].Rel) || e.Rels[0].Len() != 2 || e.Rels[0].Arity() != 2 {
+		t.Fatalf("node relation %v is not the normalized relation %v", e.Rels[0], db.Get(q.Atoms[0].Rel))
+	}
+	m := query.RowMapOf(src.Atoms[0])
 	bad := []relation.Value{7, 8, 2} // violates x=x: invisible to the nodes
 	good := []relation.Value{3, 3, 6}
 	gone := []relation.Value{1, 1, 2}
 	d := RelDelta{
-		RemovedRows: [][]relation.Value{gone},
-		RemovedKeys: []string{string(enc.Row(gone))},
-		AddedRows:   [][]relation.Value{bad, good},
+		RemovedRows: m.Rows([][]relation.Value{gone, {4, 0, 2}}),
+		AddedRows:   m.Rows([][]relation.Value{bad, good}),
 	}
-	derived, _, err := e.ApplyDelta(map[string]RelDelta{"R": d}, 1)
+	if len(d.RemovedRows) != 1 || len(d.AddedRows) != 1 {
+		t.Fatalf("row map kept %v / %v", d.RemovedRows, d.AddedRows)
+	}
+	derived, _, err := e.ApplyDelta(map[string]RelDelta{q.Atoms[0].Rel: d}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

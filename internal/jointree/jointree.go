@@ -1,8 +1,9 @@
 // Package jointree turns a join tree of an acyclic query into an executable
-// structure: one materialized relation per tree node (projected onto the
-// atom's distinct variables, with intra-atom equality applied) and, for every
-// parent-child pair, the "join groups" of Section 2.4 — child tuples grouped
-// by the variables shared with the parent.
+// structure: per tree node the relation of its atom — the database's own, not
+// a copy; the query is in normal form (query.Normalize), so an atom's columns
+// are its node's variables — and, for every parent-child pair, the "join
+// groups" of Section 2.4: child tuples grouped by the variables shared with
+// the parent.
 //
 // Every message-passing algorithm in the paper (counting, pivot selection,
 // sketch propagation) and the Yannakakis operations (full reduction,
@@ -11,6 +12,7 @@ package jointree
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/hypergraph"
 	"github.com/quantilejoins/qjoin/internal/parallel"
@@ -156,10 +158,7 @@ func Binarize(t *Tree, q *query.Query, db *relation.Database) (*Tree, *query.Que
 		return t, q, db
 	}
 	q2 := q.Clone()
-	db2 := relation.NewDatabase()
-	for _, name := range db.Names() {
-		db2.Add(db.Get(name))
-	}
+	db2 := db.View()
 	// Mutable copy of the parent structure over atom indexes.
 	parent := make([]int, len(t.Nodes))
 	children := make([][]int, len(t.Nodes))
@@ -193,6 +192,12 @@ func Binarize(t *Tree, q *query.Query, db *relation.Database) (*Tree, *query.Que
 // per-node relations, the per-node join-group indexes, and the per-edge
 // parent-to-group id arrays that let every message-passing pass run on
 // integers alone.
+//
+// Rels[id] aliases DB's relation of node id's atom — the same *Relation, no
+// second copy of any column — until a reduction (FullReduceWorkers, Reduced)
+// replaces the entry with the surviving rows. Every constructor keeps that:
+// NewExecWorkers, ApplyDelta, DeriveSubset (whose caller fills DB) and
+// RestoreExec.
 type Exec struct {
 	Q  *query.Query
 	T  *Tree
@@ -289,210 +294,91 @@ func (g *GroupIndex) lookup(key []relation.Value) (int, bool) {
 	return int(id), ok
 }
 
-// NewExecWorkers materializes the per-node relations and group indexes over
-// a bounded worker pool; atom rows violating intra-atom repeated-variable
-// equality are dropped. Node materialization chunks each source relation's
-// rows and concatenates per-chunk outputs in chunk order (cross-chunk
-// duplicates resolved first-chunk-wins), and group indexes are built from
-// per-chunk partial indexes merged in chunk order, so the result is
-// byte-identical to the sequential build for every worker count.
+// NewExecWorkers builds the group indexes of q's join tree over db on a
+// bounded worker pool; the result is byte-identical to the sequential build
+// for every worker count. q must be in normal form — an atom that repeats a
+// variable is an error, like an arity mismatch: query.Normalize rewrites it
+// away. A node's relation is db's relation of its atom. Relations are sets
+// (Section 2.1), so a relation not marked distinct is deduplicated first, and
+// the Exec's DB is then a view of db holding the deduplicated relation in its
+// place; db itself is never modified.
 func NewExecWorkers(q *query.Query, db *relation.Database, t *Tree, workers int) (*Exec, error) {
 	e := &Exec{Q: q, T: t, DB: db}
 	e.Rels = make([]*relation.Relation, len(t.Nodes))
 	e.Groups = make([]*GroupIndex, len(t.Nodes))
-	e.keyPosChild = make([][]int, len(t.Nodes))
-	e.keyPosParent = make([][]int, len(t.Nodes))
 	for _, n := range t.Nodes {
-		atom := q.Atoms[n.Atom]
-		src := db.Get(atom.Rel)
-		if src == nil {
-			return nil, fmt.Errorf("jointree: relation %q missing", atom.Rel)
+		rel, err := nodeRelation(q.Atoms[n.Atom], n, e.DB)
+		if err != nil {
+			return nil, err
 		}
-		if src.Arity() != len(atom.Vars) {
-			return nil, fmt.Errorf("jointree: atom %s arity mismatch with relation arity %d", atom, src.Arity())
+		if !rel.IsDistinct() {
+			if e.DB == db {
+				e.DB = db.View()
+			}
+			rel = rel.DedupedWorkers(workers)
+			e.DB.Add(rel)
 		}
-		e.Rels[n.ID] = materializeNode(atom, n.Vars, src, workers)
-		if n.Parent >= 0 {
-			e.keyPosChild[n.ID] = varPositions(n.SharedWithParent, n.Vars)
-			e.keyPosParent[n.ID] = varPositions(n.SharedWithParent, t.Nodes[n.Parent].Vars)
-		}
+		e.Rels[n.ID] = rel
 	}
+	e.keyPosChild, e.keyPosParent = keyPositions(t)
 	e.rebuildGroups(workers)
 	return e, nil
 }
 
-// RestoreExec rebuilds an Exec from snapshot-decoded parts: the per-node
-// relations, group indexes and parent-gid arrays are taken as given (they
-// are the expensive hashed state a snapshot exists to preserve), while the
-// shared-variable key positions are recomputed from the tree — they are pure
-// functions of the query and cost nothing. The caller guarantees the parts
-// were produced by an Exec over the same query and database.
-func RestoreExec(q *query.Query, db *relation.Database, t *Tree, rels []*relation.Relation, groups []*GroupIndex, parentGid [][]int32) *Exec {
-	e := &Exec{Q: q, T: t, DB: db, Rels: rels, Groups: groups, parentGid: parentGid}
-	e.keyPosChild = make([][]int, len(t.Nodes))
-	e.keyPosParent = make([][]int, len(t.Nodes))
+// nodeRelation looks up the relation a node reads and checks it against the
+// atom: present, of the atom's arity, no variable repeated.
+func nodeRelation(atom query.Atom, n *Node, db *relation.Database) (*relation.Relation, error) {
+	rel := db.Get(atom.Rel)
+	switch {
+	case rel == nil:
+		return nil, fmt.Errorf("jointree: relation %q missing", atom.Rel)
+	case rel.Arity() != len(atom.Vars):
+		return nil, fmt.Errorf("jointree: atom %s arity mismatch with relation arity %d", atom, rel.Arity())
+	case len(n.Vars) != len(atom.Vars):
+		return nil, fmt.Errorf("jointree: atom %s repeats a variable; rewrite the query with query.Normalize first", atom)
+	}
+	return rel, nil
+}
+
+// keyPositions returns, per non-root node, the positions of its
+// SharedWithParent variables within its own and within its parent's variables
+// — pure functions of the tree.
+func keyPositions(t *Tree) (child, parent [][]int) {
+	child = make([][]int, len(t.Nodes))
+	parent = make([][]int, len(t.Nodes))
 	for _, n := range t.Nodes {
 		if n.Parent >= 0 {
-			e.keyPosChild[n.ID] = varPositions(n.SharedWithParent, n.Vars)
-			e.keyPosParent[n.ID] = varPositions(n.SharedWithParent, t.Nodes[n.Parent].Vars)
+			child[n.ID] = varPositions(n.SharedWithParent, n.Vars)
+			parent[n.ID] = varPositions(n.SharedWithParent, t.Nodes[n.Parent].Vars)
 		}
 	}
-	return e
+	return child, parent
 }
 
-// nodeLayout is the projection of one atom's rows onto its node relation:
-// which source columns carry the node's distinct variables, and the
-// intra-atom repeated-variable equality constraint. It is THE definition of
-// how node rows derive from source rows — the fresh build (materializeNode)
-// and the incremental path (applyNodeDelta) share it, which is what keeps
-// incrementally maintained node relations byte-identical to fresh ones.
-type nodeLayout struct {
-	firstPos []int // per node column: source column of the variable's first occurrence
-	firstOcc []int // per source column: first column holding the same variable
-	repeated bool  // some variable occurs in several columns
-}
-
-func layoutFor(atom query.Atom, vars []query.Var) nodeLayout {
-	l := nodeLayout{
-		firstPos: make([]int, len(vars)),
-		firstOcc: make([]int, len(atom.Vars)),
-	}
-	for i, v := range vars {
-		for j, av := range atom.Vars {
-			if av == v {
-				l.firstPos[i] = j
-				break
-			}
+// RestoreExec rebuilds an Exec from snapshot-decoded parts: the group indexes
+// and parent-gid arrays are taken as given (they are the expensive hashed
+// state a snapshot exists to preserve), the node relations are looked up in
+// db as NewExecWorkers does, under the same checks, and the shared-variable
+// key positions are recomputed from the tree. The caller guarantees the parts
+// were produced by an Exec over the same query and database.
+func RestoreExec(q *query.Query, db *relation.Database, t *Tree, groups []*GroupIndex, parentGid [][]int32) (*Exec, error) {
+	e := &Exec{Q: q, T: t, DB: db, Groups: groups, parentGid: parentGid}
+	e.Rels = make([]*relation.Relation, len(t.Nodes))
+	for _, n := range t.Nodes {
+		rel, err := nodeRelation(q.Atoms[n.Atom], n, db)
+		if err != nil {
+			return nil, err
 		}
+		e.Rels[n.ID] = rel
 	}
-	for j, v := range atom.Vars {
-		l.firstOcc[j] = firstOccurrence(atom.Vars, v)
-		if l.firstOcc[j] != j {
-			l.repeated = true
-		}
-	}
-	return l
-}
-
-// okAt reports whether source row i satisfies the repeated-variable equality.
-func (l nodeLayout) okAt(cols [][]relation.Value, i int) bool {
-	for j, f := range l.firstOcc {
-		if j != f && cols[j][i] != cols[f][i] {
-			return false
-		}
-	}
-	return true
-}
-
-// okRow is okAt over a gathered row slice (incremental paths hold raw rows).
-func (l nodeLayout) okRow(row []relation.Value) bool {
-	for j, f := range l.firstOcc {
-		if row[j] != row[f] {
-			return false
-		}
-	}
-	return true
-}
-
-// fill writes the node-layout projection of row into dst.
-func (l nodeLayout) fill(row, dst []relation.Value) {
-	for j, p := range l.firstPos {
-		dst[j] = row[p]
-	}
-}
-
-func materializeNode(atom query.Atom, vars []query.Var, src *relation.Relation, workers int) *relation.Relation {
-	layout := layoutFor(atom, vars)
-	// Relations are sets (Section 2.1): duplicate rows are dropped so that
-	// counting and direct access see each homomorphism exactly once.
-	// Relations already marked distinct (outputs of the trim constructions
-	// and of this function) skip the hash pass, which otherwise dominates
-	// the driver's per-iteration cost.
-	//
-	// Both this pass and its first-chunk-wins parallel merge are append-only:
-	// they can absorb new rows but have no notion of removing one. Mutating
-	// workloads must not reach in here with raw deletions — deletes go
-	// through Exec.ApplyDelta, which validates them against the relation's
-	// multiset refcounts (engine.ErrDeleteAbsent) before any structure is
-	// touched.
-	n := src.Len()
-	needDedup := layout.repeated || !src.IsDistinct()
-	cols := src.Cols()
-
-	if !needDedup {
-		// No repeated variables, input known distinct: the node relation is a
-		// pure column projection — one bulk copy per node column, no row loop.
-		out := src.Project(atom.Rel+"@node", layout.firstPos)
-		out.MarkDistinct()
-		return out
-	}
-
-	// chunk filters and locally deduplicates rows [lo, hi), returning the
-	// surviving source row indexes; hashes of locally-kept rows come back
-	// pre-computed for the cross-chunk merge — collected only on the
-	// multi-chunk path, where that merge exists.
-	single := len(parallel.Ranges(workers, n)) <= 1
-	type nodeChunk struct {
-		rows   []int
-		hashes []uint64
-	}
-	chunk := func(lo, hi int) nodeChunk {
-		buf := make([]relation.Value, len(vars))
-		seen := relation.NewInterner(len(vars), hi-lo)
-		c := nodeChunk{}
-		for i := lo; i < hi; i++ {
-			if layout.repeated && !layout.okAt(cols, i) {
-				continue
-			}
-			buf = relation.GatherAt(buf, cols, layout.firstPos, i)
-			h := relation.HashTuple(buf)
-			if _, fresh := seen.InternHashed(buf, h); !fresh {
-				continue
-			}
-			c.rows = append(c.rows, i)
-			if !single {
-				c.hashes = append(c.hashes, h)
-			}
-		}
-		return c
-	}
-
-	if single {
-		out := src.GatherRowsCols(atom.Rel+"@node", chunk(0, n).rows, layout.firstPos)
-		out.MarkDistinct()
-		return out
-	}
-	parts := parallel.MapRanges(workers, n, chunk)
-	// Ordered merge: drop rows whose key an earlier chunk already produced.
-	seen := relation.NewInterner(len(vars), n)
-	var rows []int
-	buf := make([]relation.Value, len(vars))
-	for _, p := range parts {
-		for j, i := range p.rows {
-			buf = relation.GatherAt(buf, cols, layout.firstPos, i)
-			if _, fresh := seen.InternHashed(buf, p.hashes[j]); fresh {
-				rows = append(rows, i)
-			}
-		}
-	}
-	out := src.GatherRowsCols(atom.Rel+"@node", rows, layout.firstPos)
-	out.MarkDistinct()
-	return out
-}
-
-func firstOccurrence(vars []query.Var, v query.Var) int {
-	for i, w := range vars {
-		if w == v {
-			return i
-		}
-	}
-	return -1
+	e.keyPosChild, e.keyPosParent = keyPositions(t)
+	return e, nil
 }
 
 func varPositions(vars, within []query.Var) []int {
 	out := make([]int, len(vars))
 	for i, v := range vars {
-		out[i] = firstOccurrence(within, v)
+		out[i] = slices.Index(within, v)
 	}
 	return out
 }
@@ -815,6 +701,3 @@ func (e *Exec) Reduced(workers int) *Exec {
 	red.FullReduceWorkers(workers)
 	return &red
 }
-
-// NodeRelation returns the materialized relation of node id.
-func (e *Exec) NodeRelation(id int) *relation.Relation { return e.Rels[id] }

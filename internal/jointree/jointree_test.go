@@ -133,10 +133,16 @@ func TestGroupForParentRow(t *testing.T) {
 }
 
 func TestIntraAtomEquality(t *testing.T) {
-	q := query.New(query.Atom{Rel: "R", Vars: []query.Var{"x", "x"}})
-	db := relation.NewDatabase()
-	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 1}, {1, 2}, {3, 3}}))
-	tree, _ := Build(q)
+	src := query.New(query.Atom{Rel: "R", Vars: []query.Var{"x", "x"}})
+	raw := relation.NewDatabase()
+	raw.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 1}, {1, 2}, {3, 3}}))
+	tree, _ := Build(src)
+	if _, err := NewExecWorkers(src, raw, tree, 1); err == nil {
+		t.Fatal("an atom that repeats a variable must be rejected, not misread")
+	}
+	// The equality is query.Normalize's: the tree reads what it leaves.
+	q, db := query.Normalize(src, raw)
+	tree, _ = Build(q)
 	e, err := NewExecWorkers(q, db, tree, 1)
 	if err != nil {
 		t.Fatal(err)

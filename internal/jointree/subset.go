@@ -1,12 +1,12 @@
 // Subset derivation of an executable join tree. The pivot loop's filter
 // trims (MAX ≺ λ / MIN ≻ λ, and single-node SUM) shrink every relation
 // monotonically: each output relation is a pure row-subset of its input.
-// DeriveSubset exploits that: instead of re-projecting, re-deduplicating and
-// re-hashing the trimmed database through Build+NewExecWorkers, it filters the
-// parent Exec's node relations, remaps its group indexes and compresses its
-// per-edge gid arrays — all integer work proportional to the surviving rows.
-// It is the monotone-shrinkage analogue of ApplyDelta's copy-on-write
-// derivation for general deltas.
+// DeriveSubset exploits that: instead of re-deduplicating and re-hashing the
+// trimmed database through Build+NewExecWorkers, it filters the parent Exec's
+// relations — the one place a filter trim's rows are copied — remaps its group
+// indexes and compresses its per-edge gid arrays, all integer work
+// proportional to the surviving rows. It is the monotone-shrinkage analogue of
+// ApplyDelta's copy-on-write derivation for general deltas.
 package jointree
 
 import (
@@ -17,18 +17,19 @@ import (
 // DeriveSubset derives the executable tree of a row-subset instance.
 // keep[node][i] reports whether row i of node's relation survives; a nil
 // keep[node] keeps the node untouched (its relation, group index and — when
-// the parent is untouched too — gid array are shared, not copied). q and db
-// are the subset instance's query and database (the query must have the same
-// join structure — typically a Clone of e.Q — since the tree is shared).
+// the parent is untouched too — gid array are shared, not copied). q is the
+// subset instance's query (it must have the same join structure — typically a
+// Clone of e.Q — since the tree is shared) and db becomes the derived Exec's
+// DB as given: a caller that goes on to use it puts the derived Rels there
+// (trim.subsetOf does), which is what makes them the instance's relations.
 //
 // Group ids are stable: the derived indexes share the parent's key interner,
 // and groups whose tuples all died are retained empty (consumers treat them
-// like missing keys). The derived node relations are byte-identical to the
-// ones a fresh NewExecWorkers on (q, db) would materialize, because a node row
-// survives the source-level filter exactly when its projection survives the
-// node-level one, and relative order is preserved; answers are therefore
-// unchanged versus the rebuild path. The parent Exec is not modified and
-// stays safe for concurrent readers.
+// like missing keys). The derived relations hold the surviving rows in their
+// old relative order, so a fresh NewExecWorkers over them would build the same
+// tree up to that numbering, and answers are unchanged versus the rebuild
+// path. The parent Exec is not modified and stays safe for concurrent
+// readers.
 func (e *Exec) DeriveSubset(q *query.Query, db *relation.Database, keep [][]bool, workers int) *Exec {
 	nNodes := len(e.T.Nodes)
 	out := &Exec{

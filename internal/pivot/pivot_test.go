@@ -456,7 +456,9 @@ func TestSelectPreparedMatchesCallbackPass(t *testing.T) {
 				for _, s := range []*Scratch{nil, &scratch} {
 					ex := e
 					if workers == 2 { // as a snapshot without the edges' gid arrays restores
-						ex = jointree.RestoreExec(q, db, tree, e.Rels, e.Groups, make([][]int32, len(e.Rels)))
+						if ex, err = jointree.RestoreExec(q, e.DB, tree, e.Groups, make([][]int32, len(e.Rels))); err != nil {
+							t.Fatal(err)
+						}
 					}
 					got, err := SelectPrepared(ex, counts, f, mu, workers, s)
 					if err != nil {

@@ -3,13 +3,16 @@
 //
 // A query answer is a homomorphism from the query to the database. Repeated
 // variables within an atom (e.g. R(x,x)) and self-joins (a relation symbol
-// used by several atoms) are both supported; the quantile algorithms first
-// eliminate self-joins by materializing a fresh relation per occurrence
-// (Section 2.2, "tuple weights"), which this package implements.
+// used by several atoms) are both supported in source queries; everything
+// below the engine runs on the form Normalize rewrites them to — one relation
+// per atom, no variable twice in an atom (Section 2.2's linear-time
+// preprocessing). This package is the one owner of that rewrite and of the
+// row rule behind it (RowMap).
 package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,6 +41,17 @@ func (a Atom) UniqueVars() []Var {
 		}
 	}
 	return out
+}
+
+// RepeatsVar reports whether some variable occurs at two positions of the
+// atom.
+func (a Atom) RepeatsVar() bool {
+	for j, v := range a.Vars {
+		if slices.Contains(a.Vars[:j], v) {
+			return true
+		}
+	}
+	return false
 }
 
 // HasVar reports whether the atom mentions v.
@@ -166,29 +180,111 @@ func (q *Query) Validate(db *relation.Database) error {
 	return nil
 }
 
-// EliminateSelfJoins returns an equivalent self-join-free query and database.
-// Every repeated relation symbol occurrence after the first is rewritten to a
-// fresh symbol bound to a clone of the relation (Section 2.2 of the paper).
-// If the query is already self-join free, the inputs are returned unchanged.
+// IsNormalized reports whether q is in the form Normalize produces: no
+// relation symbol in two atoms and no variable twice in one atom.
+func (q *Query) IsNormalized() bool {
+	return !q.HasSelfJoins() && !slices.ContainsFunc(q.Atoms, Atom.RepeatsVar)
+}
+
+// RowMap is the rule by which an atom's rows derive from the rows of the
+// relation it names: a row whose repeated-variable positions disagree matches
+// nothing and is dropped, and every other row is projected onto the first
+// occurrence of each variable — injective on the rows kept, so distinct rows
+// stay distinct. The map of an atom without a repeated variable is the
+// identity.
+type RowMap struct {
+	cols []int    // the columns kept: each variable's first occurrence, in order
+	eq   [][2]int // (later, first) occurrences a row must agree on
+}
+
+// RowMapOf returns the row map of an atom.
+func RowMapOf(a Atom) RowMap {
+	var m RowMap
+	for j, v := range a.Vars {
+		if f := slices.Index(a.Vars, v); f == j {
+			m.cols = append(m.cols, j)
+		} else {
+			m.eq = append(m.eq, [2]int{j, f})
+		}
+	}
+	return m
+}
+
+// Identity reports whether the map keeps every row as it is.
+func (m RowMap) Identity() bool { return len(m.eq) == 0 }
+
+// Rows maps a list of rows; the identity returns the list itself.
+func (m RowMap) Rows(rows [][]relation.Value) [][]relation.Value {
+	if m.Identity() {
+		return rows
+	}
+	var out [][]relation.Value
+	for _, row := range rows {
+		if !slices.ContainsFunc(m.eq, func(p [2]int) bool { return row[p[0]] != row[p[1]] }) {
+			out = append(out, relation.Gather(nil, row, m.cols))
+		}
+	}
+	return out
+}
+
+// Relation maps a whole relation under a new name: a view sharing r's columns
+// for the identity, one pass over r otherwise.
+func (m RowMap) Relation(name string, r *relation.Relation) *relation.Relation {
+	if m.Identity() {
+		return r.Rename(name)
+	}
+	cols := r.Cols()
+	var keep []int
+	for i := 0; i < r.Len(); i++ {
+		if !slices.ContainsFunc(m.eq, func(p [2]int) bool { return cols[p[0]][i] != cols[p[1]][i] }) {
+			keep = append(keep, i)
+		}
+	}
+	out := r.GatherRowsCols(name, keep, m.cols)
+	if r.IsDistinct() {
+		out.MarkDistinct()
+	}
+	return out
+}
+
+// Normalize returns an equivalent query and database in normal form
+// (IsNormalized). An atom keeps its relation when it repeats no variable and
+// no earlier atom kept the same one; every other atom is bound to a fresh
+// symbol (FreshRelName) holding its RowMapOf of the relation — a view for a
+// plain self-join occurrence — and lists each of its variables once. Atom i of the
+// result answers for atom i of q, the variables keep their first-appearance
+// order, and every relation of db stays in the result under its own name, so a
+// change to a source relation reaches atom i as RowMapOf(q.Atoms[i]).Rows of
+// the changed rows. A query already in normal form comes back with db, both
+// unchanged.
+func Normalize(q *Query, db *relation.Database) (*Query, *relation.Database) {
+	return rewrite(q, db, RowMapOf)
+}
+
+// EliminateSelfJoins is Normalize for self-joins alone (Section 2.2 of the
+// paper): atoms keep their variable lists, repeated or not.
 func EliminateSelfJoins(q *Query, db *relation.Database) (*Query, *relation.Database) {
-	if !q.HasSelfJoins() {
-		return q, db
-	}
-	q2 := q.Clone()
-	db2 := relation.NewDatabase()
-	for _, name := range db.Names() {
-		db2.Add(db.Get(name))
-	}
-	seen := make(map[string]int)
-	for i := range q2.Atoms {
-		rel := q2.Atoms[i].Rel
-		seen[rel]++
-		if seen[rel] == 1 {
+	return rewrite(q, db, func(Atom) RowMap { return RowMap{} })
+}
+
+func rewrite(q *Query, db *relation.Database, mapOf func(Atom) RowMap) (*Query, *relation.Database) {
+	q2, db2 := q, db
+	seen := make(map[string]bool, len(q.Atoms))
+	for i, a := range q.Atoms {
+		m := mapOf(a)
+		if !seen[a.Rel] && m.Identity() {
+			seen[a.Rel] = true // a keeps its relation
 			continue
 		}
-		fresh := FreshRelName(db2, rel)
-		db2.Add(db.Get(rel).Clone().Rename(fresh))
+		if q2 == q {
+			q2, db2 = q.Clone(), db.View()
+		}
+		fresh := FreshRelName(db2, a.Rel)
+		db2.Add(m.Relation(fresh, db.Get(a.Rel)))
 		q2.Atoms[i].Rel = fresh
+		if !m.Identity() {
+			q2.Atoms[i].Vars = a.UniqueVars()
+		}
 	}
 	return q2, db2
 }

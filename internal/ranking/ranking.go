@@ -133,23 +133,6 @@ func (f *Func) Validate(q *query.Query) error {
 	return nil
 }
 
-// IsFullSum reports whether f is SUM over all variables of q.
-func (f *Func) IsFullSum(q *query.Query) bool {
-	if f.Agg != Sum {
-		return false
-	}
-	ranked := make(map[query.Var]bool)
-	for _, v := range f.Vars {
-		ranked[v] = true
-	}
-	for _, v := range q.Vars() {
-		if !ranked[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // lexPos returns the significance position of v, or -1. A linear scan keeps
 // Func free of lazily built state: weight computation runs concurrently on
 // worker goroutines, and LEX rankings have few variables.
@@ -263,16 +246,6 @@ func (f *Func) VarWeight(v query.Var, x relation.Value) Weightv {
 	return Weightv{Vec: vec}
 }
 
-// IsRanked reports whether v participates in the ranking.
-func (f *Func) IsRanked(v query.Var) bool {
-	for _, x := range f.Vars {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // AssignVars computes the μ mapping of Section 2.2: each ranked variable is
 // assigned to exactly one atom that contains it, so that converting attribute
 // weights to tuple weights never counts a variable twice. The query must be
@@ -321,17 +294,9 @@ func (tw *TupleWeigher) WeightOf(row []relation.Value) Weightv {
 	return w
 }
 
-// ScalarSum returns the int64 partial sum of row's μ-assigned weights.
-// Valid only for Agg == Sum; it avoids Weightv boxing in trimming hot loops.
-func (tw *TupleWeigher) ScalarSum(row []relation.Value) int64 {
-	var s int64
-	for i, col := range tw.cols {
-		s += tw.f.W(tw.vars[i], row[col])
-	}
-	return s
-}
-
-// ScalarSumAt is ScalarSum over row i of a columnar node relation.
+// ScalarSumAt returns the int64 partial sum of the μ-assigned weights of row i
+// of a columnar node relation. Valid only for Agg == Sum; it avoids Weightv
+// boxing in trimming hot loops.
 func (tw *TupleWeigher) ScalarSumAt(cols [][]relation.Value, i int) int64 {
 	var s int64
 	for k, col := range tw.cols {
@@ -421,11 +386,3 @@ func Finite(w Weightv) Bound { return Bound{W: w} }
 
 // IsFinite reports whether the bound is a concrete weight.
 func (b Bound) IsFinite() bool { return b.Inf == 0 }
-
-// CompareBound orders a bound against a weight.
-func (f *Func) CompareBound(b Bound, w Weightv) int {
-	if b.Inf != 0 {
-		return b.Inf
-	}
-	return f.Compare(b.W, w)
-}

@@ -38,19 +38,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestIsFullSum(t *testing.T) {
-	q := q3path()
-	if !NewSum("x1", "x2", "x3", "x4").IsFullSum(q) {
-		t.Fatal("full sum not detected")
-	}
-	if NewSum("x1", "x2").IsFullSum(q) {
-		t.Fatal("partial sum misdetected as full")
-	}
-	if NewMin("x1", "x2", "x3", "x4").IsFullSum(q) {
-		t.Fatal("MIN is not SUM")
-	}
-}
-
 func TestCombineCompareScalar(t *testing.T) {
 	s := NewSum("x1")
 	if got := s.Combine(Weightv{K: 3}, Weightv{K: 4}); got.K != 7 {
@@ -152,7 +139,7 @@ func TestTupleWeigher(t *testing.T) {
 	if got := tw.WeightOf([]relation.Value{3, 4}); got.K != 7 {
 		t.Fatalf("tuple weight = %d", got.K)
 	}
-	if got := tw.ScalarSum([]relation.Value{3, 4}); got != 7 {
+	if got := tw.ScalarSumAt([][]relation.Value{{9, 3}, {9, 4}}, 1); got != 7 {
 		t.Fatalf("scalar sum = %d", got)
 	}
 	// Node for atom 1 with vars x2,x3: x2 belongs to atom 0, x3 to atom 1.
@@ -185,15 +172,11 @@ func TestAnswerWeight(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
-	f := NewSum("x1")
 	w := Weightv{K: 10}
-	if f.CompareBound(NegInf(), w) != -1 || f.CompareBound(PosInf(), w) != 1 {
-		t.Fatal("infinite bounds wrong")
+	if NegInf().Inf != -1 || PosInf().Inf != 1 || Finite(w).W.K != 10 {
+		t.Fatal("bounds wrong")
 	}
-	if f.CompareBound(Finite(Weightv{K: 5}), w) != -1 {
-		t.Fatal("finite bound wrong")
-	}
-	if !Finite(w).IsFinite() || NegInf().IsFinite() {
+	if !Finite(w).IsFinite() || NegInf().IsFinite() || PosInf().IsFinite() {
 		t.Fatal("IsFinite wrong")
 	}
 }
@@ -242,13 +225,6 @@ func TestQuickLexMonotone(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIsRanked(t *testing.T) {
-	f := NewSum("x1", "x3")
-	if !f.IsRanked("x1") || f.IsRanked("x2") {
-		t.Fatal("IsRanked wrong")
 	}
 }
 

@@ -1,18 +1,15 @@
 package relation
 
-// Interned integer row keys. PR 2 unified the repository's hash structures
-// onto one fixed-width []byte encoding; profiles of the pivot loop show the
-// remaining per-iteration cost is dominated by exactly those string-keyed
-// maps — every probe re-hashes 8·width bytes through the runtime map, and
-// every insert copies the key into a fresh string. An Interner removes both:
-// it maps flat []Value tuples to dense uint32 ids (0, 1, 2, … in first-intern
-// order) through an open-addressed table over 64-bit mixed hashes, so hot
-// loops compare and index by integers and the merge paths allocate nothing
-// per key.
+// Interned integer row keys. An Interner maps flat []Value tuples to dense
+// uint32 ids (0, 1, 2, … in first-intern order) through an open-addressed
+// table over 64-bit mixed hashes: a probe hashes width values, an insert
+// copies them into one flat array, and hot loops compare and index by
+// integers — no per-key allocation anywhere.
 //
 // Dense first-appearance ids are the load-bearing property: group ids,
-// dedup survivor order and segment ids all follow them, which is what keeps
-// interned rebuilds byte-identical to the string-keyed ones they replace.
+// dedup survivor order and segment ids all follow them, so a structure built
+// over chunks and merged in chunk order numbers its keys exactly as the
+// sequential build does.
 //
 // An Interner is not safe for concurrent mutation; parallel passes intern
 // into per-chunk interners and merge in chunk order. Read-only Lookup is
@@ -322,8 +319,8 @@ func (it *Interner) Flatten() *Interner {
 	return out
 }
 
-// Gather copies the selected columns of row into dst[:0] and returns it —
-// the tuple-valued analogue of AppendKey for interner probes.
+// Gather copies the selected columns of row into dst[:0] and returns it — the
+// key tuple of an interner probe.
 func Gather(dst []Value, row []Value, cols []int) []Value {
 	dst = dst[:0]
 	for _, c := range cols {

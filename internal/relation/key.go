@@ -1,26 +1,11 @@
 package relation
 
-// Fixed-width row keys. Every hash structure over tuples in this repository
-// — input deduplication, join-group indexes, the group maps of the trim
-// constructions — keys rows (or selected columns of rows) by the same
-// encoding: each value as 8 little-endian bytes, concatenated. This file is
-// the one shared implementation; hand-rolled per-package encoders caused
-// both divergence risk and avoidable per-row allocations.
-
-// AppendKey appends the fixed-width encoding of the selected columns of row
-// to dst and returns the extended slice. A nil cols encodes the whole row.
-func AppendKey(dst []byte, row []Value, cols []int) []byte {
-	if cols == nil {
-		for _, v := range row {
-			dst = appendValue(dst, v)
-		}
-		return dst
-	}
-	for _, c := range cols {
-		dst = appendValue(dst, row[c])
-	}
-	return dst
-}
+// Fixed-width row keys: each value as 8 little-endian bytes, concatenated, so
+// a row becomes a string a Go map can key on.
+// The update path uses them — delta replay against multiset refcounts and
+// locating the rows a set-level delta removes (engine.Update, jointree's
+// RelDelta) — and so does workload/deltas.go. Everything on the query path
+// (deduplication, join groups, trims) keys tuples through an Interner instead.
 
 func appendValue(dst []byte, v Value) []byte {
 	u := uint64(v)
@@ -29,25 +14,23 @@ func appendValue(dst []byte, v Value) []byte {
 }
 
 // KeyEncoder builds fixed-width row keys into a single reusable buffer.
-// The slice returned by Cols/Row aliases that buffer and is only valid
+// The slice returned by Row/RowAt aliases that buffer and is only valid
 // until the next call — look it up (or string-convert it) immediately.
-// Map lookups with string(enc.Cols(...)) do not allocate; only inserting a
+// Map lookups with string(enc.Row(...)) do not allocate; only inserting a
 // previously unseen key copies the bytes into a permanent string.
 //
 // A KeyEncoder is not safe for concurrent use; parallel passes allocate one
 // per chunk.
 type KeyEncoder struct{ buf []byte }
 
-// Cols returns the key of the selected columns of row.
-func (e *KeyEncoder) Cols(row []Value, cols []int) []byte {
-	e.buf = AppendKey(e.buf[:0], row, cols)
-	return e.buf
-}
-
 // Row returns the key of the whole row.
 func (e *KeyEncoder) Row(row []Value) []byte {
-	e.buf = AppendKey(e.buf[:0], row, nil)
-	return e.buf
+	dst := e.buf[:0]
+	for _, v := range row {
+		dst = appendValue(dst, v)
+	}
+	e.buf = dst
+	return dst
 }
 
 // RowAt returns the whole-row key of row i of the given column vectors —

@@ -20,7 +20,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"github.com/quantilejoins/qjoin/internal/parallel"
 )
@@ -40,6 +40,12 @@ type Relation struct {
 	// sets (Section 2.1); the marker lets the execution layer skip
 	// re-deduplication of relations produced by its own constructions.
 	distinct bool
+	// set is the copy DedupedWorkers gathered of a relation with duplicate
+	// rows, kept so that every plan compiled over this relation holds the
+	// same one: what the plans of one input retain does not depend on whether
+	// it held a duplicate. A write to the relation (AppendRow, AppendRows,
+	// Set) forgets it.
+	set atomic.Pointer[Relation]
 }
 
 // New returns an empty relation with the given name and arity.
@@ -70,13 +76,23 @@ func (r *Relation) MarkDistinct() *Relation { r.distinct = true; return r }
 func (r *Relation) IsDistinct() bool { return r.distinct }
 
 // DedupedWorkers returns the relation itself when known distinct, otherwise
-// a duplicate-free copy (marked distinct), over a bounded worker pool: each
-// chunk of rows hashes its locally-first rows in parallel, and a sequential
-// merge in chunk order drops cross-chunk duplicates, so the output row
-// sequence is byte-identical to the sequential scan for every worker count.
+// its first occurrences in order, marked distinct, over a bounded worker pool:
+// each chunk of rows hashes its locally-first rows in parallel, and a
+// sequential merge in chunk order drops cross-chunk duplicates, so the output
+// row sequence is byte-identical to the sequential scan for every worker
+// count. When no row is dropped the result is a view — a fresh header over the
+// receiver's columns — so a duplicate-free input is never copied; the marker
+// goes on the view, never on the receiver. When rows are dropped the result is
+// a gathered copy, which the receiver remembers until it is next written to:
+// concurrent and later compiles over one input share that copy, whichever of
+// them made it. Either way the receiver's columns must be treated as
+// read-only from here on.
 func (r *Relation) DedupedWorkers(workers int) *Relation {
 	if r.distinct {
 		return r
+	}
+	if set := r.set.Load(); set != nil {
+		return set
 	}
 	n := r.Len()
 	if len(parallel.Ranges(workers, n)) <= 1 {
@@ -116,9 +132,7 @@ func (r *Relation) DedupedWorkers(workers int) *Relation {
 			}
 		}
 	}
-	out := r.GatherRows(r.name, keep)
-	out.distinct = true
-	return out
+	return r.distinctRows(keep)
 }
 
 func (r *Relation) dedupedSeq() *Relation {
@@ -131,8 +145,25 @@ func (r *Relation) dedupedSeq() *Relation {
 			keep = append(keep, i)
 		}
 	}
+	return r.distinctRows(keep)
+}
+
+// distinctRows returns the rows at keep — ascending first occurrences — marked
+// distinct: a view of r when that is every row, otherwise a gathered copy,
+// which r remembers.
+func (r *Relation) distinctRows(keep []int) *Relation {
+	if len(keep) == r.n {
+		out := r.Rename(r.name)
+		out.distinct = true
+		return out
+	}
 	out := r.GatherRows(r.name, keep)
 	out.distinct = true
+	if !r.set.CompareAndSwap(nil, out) {
+		if won := r.set.Load(); won != nil {
+			return won // a concurrent compile got there first: take its copy
+		}
+	}
 	return out
 }
 
@@ -197,6 +228,15 @@ func (r *Relation) AppendRow(row []Value) {
 		r.cols[j] = append(r.cols[j], v)
 	}
 	r.n++
+	r.written()
+}
+
+// written forgets the remembered copy of a relation whose rows just changed.
+// The load keeps a row-by-row build off the atomic store.
+func (r *Relation) written() {
+	if r.set.Load() != nil {
+		r.set.Store(nil)
+	}
 }
 
 // Append appends one tuple given as variadic values.
@@ -212,6 +252,7 @@ func (r *Relation) AppendRows(src *Relation, lo, hi int) {
 		r.cols[j] = append(r.cols[j], src.cols[j][lo:hi]...)
 	}
 	r.n += hi - lo
+	r.written()
 }
 
 // CopyRow gathers tuple i into dst and returns dst[:arity], growing dst when
@@ -236,7 +277,10 @@ func (r *Relation) RowValues(i int) []Value {
 func (r *Relation) Get(i, j int) Value { return r.cols[j][i] }
 
 // Set assigns column j of tuple i.
-func (r *Relation) Set(i, j int, v Value) { r.cols[j][i] = v }
+func (r *Relation) Set(i, j int, v Value) {
+	r.cols[j][i] = v
+	r.written()
+}
 
 // Clone returns a deep copy.
 func (r *Relation) Clone() *Relation { return r.CloneCap(0) }
@@ -275,8 +319,9 @@ func (r *Relation) GatherRows(name string, rows []int) *Relation {
 }
 
 // GatherRowsCols returns a new relation holding the selected columns of
-// src's rows at the given indexes, in order — GatherRows and Project in one
-// pass, used by node materialization.
+// src's rows at the given indexes, in order: a row selection and a column
+// projection in one pass (query.Normalize binds repeated-variable atoms to
+// such relations).
 func (r *Relation) GatherRowsCols(name string, rows []int, pos []int) *Relation {
 	out := New(name, len(pos))
 	for j, c := range pos {
@@ -291,31 +336,12 @@ func (r *Relation) GatherRowsCols(name string, rows []int, pos []int) *Relation 
 	return out
 }
 
-// GatherRowsPlus is GatherRows with one extra trailing column appended; the
-// result has arity+1 and takes ownership of extra (len(extra) must equal
-// len(rows)). It is the shape of every partition/segment construction: copy
-// selected rows, tag each with an identifier.
-func (r *Relation) GatherRowsPlus(name string, rows []int, extra []Value) *Relation {
-	if len(extra) != len(rows) {
-		panic(fmt.Sprintf("relation %s: GatherRowsPlus extra len %d, want %d", name, len(extra), len(rows)))
-	}
-	out := New(name, r.arity+1)
-	for j, col := range r.cols {
-		dst := make([]Value, len(rows))
-		for k, i := range rows {
-			dst[k] = col[i]
-		}
-		out.cols[j] = dst
-	}
-	out.cols[r.arity] = extra
-	out.n = len(rows)
-	return out
-}
-
-// GatherRowsPlusParts is GatherRowsPlus over a partitioned plan: the row
-// index lists and their aligned extra-column parts are gathered in part
-// order, as if concatenated first, without materializing the concatenation.
-// Ownership of the extra parts stays with the caller (values are copied).
+// GatherRowsPlusParts is GatherRows with one extra trailing column — the shape
+// of every partition/segment construction: copy selected rows, tag each with
+// an identifier — over a partitioned plan: the row index lists and their
+// aligned extra-column parts are gathered in part order, as if concatenated
+// first, without materializing the concatenation. The result has arity+1;
+// ownership of the extra parts stays with the caller (values are copied).
 func (r *Relation) GatherRowsPlusParts(name string, rowParts [][]int, extraParts [][]Value) *Relation {
 	total := 0
 	for pi, rows := range rowParts {
@@ -427,38 +453,6 @@ func Concat(name string, arity int, distinct bool, parts []*Relation) *Relation 
 	return out
 }
 
-// Project returns a new relation of the given name keeping only the listed
-// column indexes, in order. Column vectors are copied whole.
-func (r *Relation) Project(name string, cols []int) *Relation {
-	out := New(name, len(cols))
-	for j, c := range cols {
-		out.cols[j] = append([]Value(nil), r.cols[c]...)
-	}
-	out.n = r.n
-	return out
-}
-
-// SortBy sorts tuples in place by the given less function over row indexes
-// (the indexes passed to less refer to the current, pre-sort order). The sort
-// computes a permutation and applies it to each column with one gather pass.
-func (r *Relation) SortBy(less func(i, j int) bool) {
-	if r.arity == 0 || r.n < 2 {
-		return
-	}
-	perm := make([]int, r.n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return less(perm[a], perm[b]) })
-	buf := make([]Value, r.n)
-	for _, col := range r.cols {
-		for k, i := range perm {
-			buf[k] = col[i]
-		}
-		copy(col, buf)
-	}
-}
-
 // Equal reports whether two relations have identical name, arity and tuple
 // sequence.
 func (r *Relation) Equal(o *Relation) bool {
@@ -546,6 +540,18 @@ func (db *Database) Clone() *Database {
 	out := NewDatabase()
 	for _, name := range db.order {
 		out.Add(db.rels[name].Clone())
+	}
+	out.dict = db.dict
+	return out
+}
+
+// View returns a new database over the same relations and dictionary, shared
+// rather than copied: the base of every derivation that replaces or adds a
+// few relations and leaves the receiver as it was.
+func (db *Database) View() *Database {
+	out := NewDatabase()
+	for _, name := range db.order {
+		out.Add(db.rels[name])
 	}
 	out.dict = db.dict
 	return out

@@ -2,9 +2,8 @@ package relation
 
 import (
 	"math/rand"
-	"sort"
+	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestAppendRowGet(t *testing.T) {
@@ -87,47 +86,10 @@ func TestFilter(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
-	a := FromRows("R", 3, [][]Value{{1, 2, 3}, {4, 5, 6}})
-	p := a.Project("P", []int{2, 0})
-	if p.Arity() != 2 || p.Get(0, 0) != 3 || p.Get(0, 1) != 1 || p.Get(1, 0) != 6 {
+	a := FromRows("R", 3, [][]Value{{1, 2, 3}, {7, 8, 9}, {4, 5, 6}})
+	p := a.GatherRowsCols("P", []int{0, 2}, []int{2, 0})
+	if p.Name() != "P" || p.Arity() != 2 || p.Len() != 2 || p.Get(0, 0) != 3 || p.Get(0, 1) != 1 || p.Get(1, 0) != 6 || p.Get(1, 1) != 4 {
 		t.Fatal("projection wrong")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	a := FromRows("R", 2, [][]Value{{3, 1}, {1, 2}, {2, 3}})
-	key := a.Col(0)
-	a.SortBy(func(i, j int) bool { return key[i] < key[j] })
-	if a.Get(0, 0) != 1 || a.Get(1, 0) != 2 || a.Get(2, 0) != 3 {
-		t.Fatal("sort wrong")
-	}
-	// Payload columns must travel with their rows.
-	if a.Get(0, 1) != 2 || a.Get(2, 1) != 1 {
-		t.Fatal("payload detached during sort")
-	}
-}
-
-// Property: SortBy agrees with sort.Slice on materialized rows.
-func TestQuickSortMatchesStd(t *testing.T) {
-	f := func(vals []int16) bool {
-		r := New("R", 1)
-		want := make([]int64, len(vals))
-		for i, v := range vals {
-			r.Append(Value(v))
-			want[i] = int64(v)
-		}
-		col := r.Col(0)
-		r.SortBy(func(i, j int) bool { return col[i] < col[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if r.Get(i, 0) != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -176,6 +138,74 @@ func TestDeduped(t *testing.T) {
 	// Already-distinct relations are returned as-is.
 	if d.DedupedWorkers(1) != d {
 		t.Fatal("distinct relation must not be copied")
+	}
+}
+
+// A relation found duplicate-free is not copied: the result is a header of its
+// own over the receiver's columns, and the receiver is left unmarked — two
+// compiles may be deduplicating it at once.
+func TestDedupedSharesColumnsWhenNothingIsDropped(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		a := New("R", 2)
+		for i := Value(0); i < 3000; i++ {
+			a.Append(i, i%7)
+		}
+		d := a.DedupedWorkers(workers)
+		if d == a || a.IsDistinct() {
+			t.Fatalf("workers=%d: the receiver itself was marked or returned", workers)
+		}
+		if !d.IsDistinct() || d.Name() != "R" || !d.Equal(a) || &d.Col(0)[0] != &a.Col(0)[0] || &d.Col(1)[0] != &a.Col(1)[0] {
+			t.Fatalf("workers=%d: want a distinct-marked view of the receiver's columns", workers)
+		}
+		// Rows the caller appends afterwards stay the caller's.
+		a.Append(9, 9)
+		if d.Len() != 3000 || a.Len() != 3001 {
+			t.Fatalf("workers=%d: an append to the receiver reached the view", workers)
+		}
+		a.Append(0, 0) // a duplicate: now the rows are gathered
+		if c := a.DedupedWorkers(workers); c.Len() != 3001 || &c.Col(0)[0] == &a.Col(0)[0] {
+			t.Fatalf("workers=%d: dropped rows must give a copy, got %v sharing=%v", workers, c, &c.Col(0)[0] == &a.Col(0)[0])
+		}
+	}
+}
+
+// A relation with duplicate rows remembers the copy gathered of it, so every
+// compile over one input holds the same one — however many plans read it and
+// whichever of them came first — until the relation is written to.
+func TestDedupedIsRememberedUntilWritten(t *testing.T) {
+	a := New("R", 2)
+	for i := Value(0); i < 3000; i++ {
+		a.Append(i%2900, i%2900%7) // the last hundred rows repeat the first
+	}
+	var wg sync.WaitGroup
+	sets := make([]*Relation, 8)
+	for g := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets[g] = a.DedupedWorkers(1 + g%4)
+		}()
+	}
+	wg.Wait()
+	for g, d := range sets {
+		if d != sets[0] || d.Len() != 2900 || !d.IsDistinct() || a.IsDistinct() {
+			t.Fatalf("caller %d: got %p (%d rows), caller 0 got %p", g, d, d.Len(), sets[0])
+		}
+	}
+	if a.Rename("R").DedupedWorkers(1) == sets[0] {
+		t.Fatal("another header over the same columns was handed this one's set")
+	}
+	for what, write := range map[string]func(){
+		"AppendRow":  func() { a.Append(5000, 1) },
+		"AppendRows": func() { a.AppendRows(FromRows("R", 2, [][]Value{{5001, 1}}), 0, 1) },
+		"Set":        func() { a.Set(0, 0, 5002) },
+	} {
+		before := a.DedupedWorkers(1)
+		write()
+		after := a.DedupedWorkers(1)
+		if after == before || after.Len() != before.Len()+1 {
+			t.Fatalf("%s: the set from before the write was served again (%d rows, then %d)", what, before.Len(), after.Len())
+		}
 	}
 }
 

@@ -76,25 +76,25 @@ func BenchmarkServerQuery(b *testing.B) {
 	}
 
 	// Single-φ quantile: the latency-critical interactive path. The engine
-	// pays ~103 allocs per quantile on this instance; the budget bounds the
-	// HTTP shell (request plumbing, JSON both ways, recorder) on top.
+	// pays ~103 allocs per quantile on this instance, the HTTP shell (request
+	// plumbing, JSON both ways, recorder) the rest. Budgets here are the
+	// measurement plus 15%: 168 / 325 / 66 allocs per request (ISSUE 21).
 	b.Run("quantile", func(b *testing.B) {
 		run(b, queryBody(server.QueryRequest{
 			Dataset: "accept", Query: qjoin.FormatQuery(q), Rank: rankStr, Op: "quantile", Phi: 0.5,
-		}), 280)
+		}), 193)
 	})
 	// The 8-φ grid: one request amortizes decode/encode across the φ's, and
-	// one shared descent the engine work (ISSUE 16: 331 allocs measured, 842
-	// when each φ ran alone; the budget is the measurement plus 15%).
+	// one shared descent the engine work (842 allocs when each φ ran alone).
 	b.Run("grid8", func(b *testing.B) {
 		run(b, queryBody(server.QueryRequest{
 			Dataset: "accept", Query: qjoin.FormatQuery(q), Rank: rankStr, Op: "quantiles", Phis: phis,
-		}), 380)
+		}), 374)
 	})
 	// count is pure cache: decode, hit, encode a cached big.Int.
 	b.Run("count", func(b *testing.B) {
 		run(b, queryBody(server.QueryRequest{
 			Dataset: "accept", Query: qjoin.FormatQuery(q), Op: "count",
-		}), 110)
+		}), 76)
 	})
 }

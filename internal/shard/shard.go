@@ -204,20 +204,20 @@ func plan(src *query.Query, db0 *relation.Database, shards, parallelism int) (*S
 	if shards == 1 {
 		dbs[0] = db
 	} else {
+		// Every shard starts as a view of the whole database — relations
+		// without the key are replicated: shared, never copied, and so is the
+		// dictionary (append-only: interned ids are valid in every shard) —
+		// and takes its own partition of each routed relation.
 		for i := range dbs {
-			dbs[i] = relation.NewDatabase()
-			dbs[i].SetDict(db.Dict()) // append-only: interned ids valid in every shard
+			dbs[i] = db.View()
 		}
 		idx := make([][]int, shards)
 		for _, name := range db.Names() {
-			r := db.Get(name)
 			col, routed := routes[name]
 			if !routed {
-				for i := range dbs {
-					dbs[i].Add(r) // replicated: shared, never copied
-				}
 				continue
 			}
+			r := db.Get(name)
 			for i := range idx {
 				idx[i] = idx[i][:0]
 			}

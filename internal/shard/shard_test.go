@@ -74,7 +74,7 @@ func TestPartitionIsDisjointAndComplete(t *testing.T) {
 			// Every routed row sits in the shard its key column hashes to,
 			// and the routed relations' rows are split, not copied.
 			for rel, col := range map[string]int{"R": 1, "S": 0} {
-				for _, v := range eng.DB0().Get(rel).Col(col) {
+				for _, v := range eng.DB().Get(rel).Col(col) {
 					if Of(v, n) != i {
 						t.Fatalf("shards=%d: %s row with key %d sits in shard %d, Of says %d", n, rel, v, i, Of(v, n))
 					}
@@ -88,15 +88,15 @@ func TestPartitionIsDisjointAndComplete(t *testing.T) {
 		for _, rel := range []string{"R", "S"} {
 			rows := 0
 			for _, eng := range s.Engines() {
-				rows += eng.DB0().Get(rel).Len()
+				rows += eng.DB().Get(rel).Len()
 			}
 			if rows != db.Get(rel).Len() {
 				t.Errorf("shards=%d: %s has %d rows across shards, %d in the input", n, rel, rows, db.Get(rel).Len())
 			}
 		}
-		// The keyless relation is shared by pointer, never copied.
+		// The keyless relation's columns are the input's, never copied.
 		for i, eng := range s.Engines() {
-			if eng.DB0().Get("T") != db.Get("T") {
+			if &eng.DB().Get("T").Col(0)[0] != &db.Get("T").Col(0)[0] {
 				t.Errorf("shards=%d: shard %d holds its own copy of the keyless relation T", n, i)
 			}
 		}
@@ -125,12 +125,12 @@ func TestSelfJoinOccurrencesRouteByTheirOwnColumn(t *testing.T) {
 	}
 	var union []string
 	for i, eng := range s.Engines() {
-		for _, v := range eng.DB0().Get(first).Col(1) {
+		for _, v := range eng.DB().Get(first).Col(1) {
 			if Of(v, n) != i {
 				t.Fatalf("first occurrence: b=%d in shard %d, want %d", v, i, Of(v, n))
 			}
 		}
-		for _, v := range eng.DB0().Get(second).Col(0) {
+		for _, v := range eng.DB().Get(second).Col(0) {
 			if Of(v, n) != i {
 				t.Fatalf("second occurrence: b=%d in shard %d, want %d", v, i, Of(v, n))
 			}

@@ -141,26 +141,3 @@ func Build(items []Item, eps float64, disableAtomicity bool) *Sketch {
 	}
 	return s
 }
-
-// CountBelow returns the sketched mass strictly below lambda:
-// ↓λ(S_ε(L)) = Σ of bucket masses with Rep < λ.
-func (s *Sketch) CountBelow(lambda int64) float64 {
-	total := 0.0
-	for _, b := range s.Buckets {
-		if b.Rep < lambda {
-			total += b.Mult
-		}
-	}
-	return total
-}
-
-// ExactBelow returns the exact mass of items strictly below lambda.
-func ExactBelow(items []Item, lambda int64) float64 {
-	total := 0.0
-	for _, it := range items {
-		if it.Sum < lambda {
-			total += it.Mult
-		}
-	}
-	return total
-}

@@ -15,6 +15,29 @@ func randomItems(rng *rand.Rand, n int, domain int64) []Item {
 	return items
 }
 
+// countBelow returns the sketched mass strictly below lambda:
+// ↓λ(S_ε(L)) = Σ of bucket masses with Rep < λ.
+func countBelow(s *Sketch, lambda int64) float64 {
+	total := 0.0
+	for _, b := range s.Buckets {
+		if b.Rep < lambda {
+			total += b.Mult
+		}
+	}
+	return total
+}
+
+// exactBelow returns the exact mass of items strictly below lambda.
+func exactBelow(items []Item, lambda int64) float64 {
+	total := 0.0
+	for _, it := range items {
+		if it.Sum < lambda {
+			total += it.Mult
+		}
+	}
+	return total
+}
+
 // Lemma 6.3: (1-ε)·↓λ(L) ≤ ↓λ(S_ε(L)) ≤ ↓λ(L) for all λ.
 func TestSketchGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -28,8 +51,8 @@ func TestSketchGuarantee(t *testing.T) {
 			probes = append(probes, it.Sum, it.Sum+1, it.Sum-1)
 		}
 		for _, lam := range probes {
-			exact := ExactBelow(items, lam)
-			got := s.CountBelow(lam)
+			exact := exactBelow(items, lam)
+			got := countBelow(s, lam)
 			if got > exact+1e-9 {
 				t.Fatalf("eps=%v λ=%d: sketch overestimates: %v > %v", eps, lam, got, exact)
 			}
@@ -69,8 +92,8 @@ func TestSketchNoAtomicityStillBounded(t *testing.T) {
 		s := Build(items, eps, true)
 		for _, it := range items {
 			lam := it.Sum
-			exact := ExactBelow(items, lam)
-			got := s.CountBelow(lam)
+			exact := exactBelow(items, lam)
+			got := countBelow(s, lam)
 			if got > exact+1e-9 || got < (1-eps)*exact-1e-9 {
 				t.Fatalf("ablation sketch out of bounds at λ=%d: %v vs %v", lam, got, exact)
 			}
@@ -100,7 +123,7 @@ func TestEpsZeroIsExact(t *testing.T) {
 	s := Build(items, 0, false)
 	for _, it := range items {
 		for _, lam := range []int64{it.Sum, it.Sum + 1} {
-			if got, want := s.CountBelow(lam), ExactBelow(items, lam); math.Abs(got-want) > 1e-9 {
+			if got, want := countBelow(s, lam), exactBelow(items, lam); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("eps=0 not exact at λ=%d: %v vs %v", lam, got, want)
 			}
 		}
@@ -109,14 +132,14 @@ func TestEpsZeroIsExact(t *testing.T) {
 
 func TestEmptyAndSingleton(t *testing.T) {
 	s := Build(nil, 0.5, false)
-	if len(s.Buckets) != 0 || s.CountBelow(0) != 0 {
+	if len(s.Buckets) != 0 || countBelow(s, 0) != 0 {
 		t.Fatal("empty sketch wrong")
 	}
 	s = Build([]Item{{Sum: 7, Mult: 3}}, 0.5, false)
 	if len(s.Buckets) != 1 || s.Buckets[0].Rep != 7 || s.Buckets[0].Mult != 3 {
 		t.Fatalf("singleton sketch = %+v", s.Buckets)
 	}
-	if s.CountBelow(7) != 0 || s.CountBelow(8) != 3 {
+	if countBelow(s, 7) != 0 || countBelow(s, 8) != 3 {
 		t.Fatal("singleton counts wrong")
 	}
 }

@@ -80,28 +80,48 @@ func DecodeDict(d *Dec) (*relation.Dict, error) {
 
 // ---- relations --------------------------------------------------------
 
-// RelWriter deduplicates relations shared by pointer across one snapshot
-// stream: the first encoding is inline and registers the pointer, later
-// encodings are backrefs. Shard-replicated relations and dedup relations
-// shared with their raw input are therefore written once.
+// RelWriter writes each column set of one snapshot stream once. The first
+// encoding of a relation is inline; the same relation again (shared by
+// pointer: a shard-replicated relation, an engine's database relation that is
+// its raw input) is a backref, and a different relation over the same columns
+// (a deduplication that dropped nothing, a self-join occurrence) is a view: a
+// backref plus the name and distinct marker of its own.
 type RelWriter struct {
-	ids map[*relation.Relation]uint32
+	ids  map[*relation.Relation]uint32
+	cols map[*relation.Value]*relation.Relation // first value of an inline relation's first column → that relation
 }
+
+// Relation record tags.
+const (
+	relInline  = 0
+	relBackref = 1
+	relView    = 2
+)
 
 // NewRelWriter returns an empty registry for one stream.
 func NewRelWriter() *RelWriter {
-	return &RelWriter{ids: make(map[*relation.Relation]uint32)}
+	return &RelWriter{ids: make(map[*relation.Relation]uint32), cols: make(map[*relation.Value]*relation.Relation)}
 }
 
-// Encode writes one relation, inline or as a backref.
+// Encode writes one relation: inline, as a backref, or as a view.
 func (w *RelWriter) Encode(e *Enc, r *relation.Relation) {
 	if id, ok := w.ids[r]; ok {
-		e.U8(1)
+		e.U8(relBackref)
 		e.U32(id)
 		return
 	}
 	w.ids[r] = uint32(len(w.ids))
-	e.U8(0)
+	if base := w.sharing(r); base != nil {
+		e.U8(relView)
+		e.U32(w.ids[base])
+		e.Str(r.Name())
+		e.Bool(r.IsDistinct())
+		return
+	}
+	if r.Arity() > 0 && r.Len() > 0 {
+		w.cols[&r.Col(0)[0]] = r
+	}
+	e.U8(relInline)
 	e.Str(r.Name())
 	e.Bool(r.IsDistinct())
 	e.U32(uint32(r.Arity()))
@@ -113,9 +133,27 @@ func (w *RelWriter) Encode(e *Enc, r *relation.Relation) {
 	}
 }
 
-// RelReader mirrors RelWriter: inline relations append to the decoded list,
-// backrefs index into it. Backrefs only ever point backward, so decoding is
-// a single pass.
+// sharing returns the inline-written relation whose columns r's are — same
+// shape, every column starting at the same address — or nil.
+func (w *RelWriter) sharing(r *relation.Relation) *relation.Relation {
+	if r.Arity() == 0 || r.Len() == 0 {
+		return nil
+	}
+	base := w.cols[&r.Col(0)[0]]
+	if base == nil || base.Arity() != r.Arity() || base.Len() != r.Len() {
+		return nil
+	}
+	for j, col := range r.Cols() {
+		if &col[0] != &base.Col(j)[0] {
+			return nil
+		}
+	}
+	return base
+}
+
+// RelReader mirrors RelWriter: inline relations and views append to the
+// decoded list, backrefs and views index into it. References only ever point
+// backward, so decoding is a single pass.
 type RelReader struct {
 	rels []*relation.Relation
 }
@@ -125,8 +163,9 @@ func NewRelReader() *RelReader { return &RelReader{} }
 
 // Decode reads one relation.
 func (rd *RelReader) Decode(d *Dec) (*relation.Relation, error) {
-	switch d.U8() {
-	case 1:
+	tag := d.U8()
+	switch tag {
+	case relBackref, relView:
 		id := d.U32()
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -134,8 +173,16 @@ func (rd *RelReader) Decode(d *Dec) (*relation.Relation, error) {
 		if int(id) >= len(rd.rels) {
 			return nil, corrupt("relation backref %d out of range", id)
 		}
-		return rd.rels[id], nil
-	case 0:
+		r := rd.rels[id]
+		if tag == relView {
+			r = relation.FromColumns(d.Str(), r.Cols(), d.Bool())
+			if d.Err() != nil {
+				return nil, d.Err()
+			}
+			rd.rels = append(rd.rels, r)
+		}
+		return r, nil
+	case relInline:
 		name := d.Str()
 		distinct := d.Bool()
 		arity := int(d.U32())
@@ -161,7 +208,10 @@ func (rd *RelReader) Decode(d *Dec) (*relation.Relation, error) {
 		rd.rels = append(rd.rels, r)
 		return r, nil
 	default:
-		return nil, d.Err()
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		return nil, corrupt("relation record tag %d", tag)
 	}
 }
 
@@ -322,11 +372,12 @@ func decodeGroupIndex(d *Dec, wantRows int) (*jointree.GroupIndex, error) {
 
 // ---- engines ----------------------------------------------------------
 
-// EncodeEngine writes one compiled engine: its source and rewritten queries,
-// the deduplicated database, the executable tree's per-node state (node
-// relation, group index, parent-gid array), and the counting state. The raw
-// input database (db0) is NOT included — the caller owns it (it is the raw
-// section for unsharded plans, a deterministic re-partition for shards).
+// EncodeEngine writes one compiled engine: its source and normalized queries,
+// the deduplicated database, the executable tree's per-node hashed state
+// (group index, parent-gid array — a node's relation is the database's, found
+// again by name), and the counting state. The raw input database (db0) is NOT
+// included — the caller owns it (it is the raw section for unsharded plans, a
+// deterministic re-partition for shards).
 func EncodeEngine(e *Enc, w *RelWriter, eng *engine.Engine) {
 	EncodeQuery(e, eng.Source())
 	EncodeQuery(e, eng.Query())
@@ -335,7 +386,6 @@ func EncodeEngine(e *Enc, w *RelWriter, eng *engine.Engine) {
 	tree := eng.Tree()
 	e.U32(uint32(len(tree.Nodes)))
 	for _, n := range tree.Nodes {
-		w.Encode(e, ex.Rels[n.ID])
 		if n.Parent < 0 {
 			continue
 		}
@@ -393,16 +443,17 @@ func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database, parallelism int
 	if nNodes != len(tree.Nodes) {
 		return nil, corrupt("engine has %d node records, tree has %d nodes", nNodes, len(tree.Nodes))
 	}
-	rels := make([]*relation.Relation, nNodes)
+	// The tree over the decoded database — a node's relation is the database's
+	// relation of its atom — with per-edge state still to come: the decoding
+	// below fills the slices the Exec holds.
 	groups := make([]*jointree.GroupIndex, nNodes)
 	parentGid := make([][]int32, nNodes)
+	exec, err := jointree.RestoreExec(q, db, tree, groups, parentGid)
+	if err != nil {
+		return nil, corrupt("%v", err)
+	}
+	rels := exec.Rels
 	for _, n := range tree.Nodes {
-		if rels[n.ID], err = rd.Decode(d); err != nil {
-			return nil, err
-		}
-		if rels[n.ID].Arity() != len(n.Vars) {
-			return nil, corrupt("node %d relation arity %d, want %d", n.ID, rels[n.ID].Arity(), len(n.Vars))
-		}
 		if n.Parent < 0 {
 			continue
 		}
@@ -461,7 +512,6 @@ func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database, parallelism int
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	exec := jointree.RestoreExec(q, db, tree, rels, groups, parentGid)
 	eng, err := engine.Restore(src, q, db0, db, tree, exec, counts, parallelism)
 	if err != nil {
 		return nil, corrupt("%v", err)

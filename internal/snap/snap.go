@@ -44,7 +44,7 @@ import "errors"
 
 // Version is the container format revision. See the package comment for the
 // bump policy.
-const Version = 1
+const Version = 2
 
 var magic = [4]byte{'Q', 'J', 'S', 'N'}
 

@@ -453,3 +453,69 @@ func TestArrayRoundTrip(t *testing.T) {
 	arrayRoundTrip(t, []uint32{0, 1, math.MaxUint32})
 	arrayRoundTrip(t, []int{0, -1, math.MaxInt32, math.MinInt32, 1 << 20})
 }
+
+// A stream holds each column set once: the same relation again is a backref,
+// another relation over the same columns a view that restores its own name
+// and distinct marker over the shared columns, and only different data is
+// written out. A record tag the reader does not know is corruption.
+func TestRelationRecordsStoreColumnsOnce(t *testing.T) {
+	raw := relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {3, 4}, {5, 6}})
+	view := raw.DedupedWorkers(1) // nothing dropped: raw's columns, marked distinct
+	occ := raw.Rename("R·2")
+	other := relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {3, 4}, {5, 6}})
+	empty := relation.New("E", 2)
+	in := []*relation.Relation{raw, view, raw, occ, other, empty, empty.Rename("E2")}
+
+	w := NewRelWriter()
+	var e Enc
+	var sizes []int
+	for _, r := range in {
+		before := len(e.Bytes())
+		w.Encode(&e, r)
+		sizes = append(sizes, len(e.Bytes())-before)
+	}
+	for i, inline := range []bool{true, false, false, false, true, true, true} {
+		if big := sizes[i] >= 2*8*raw.Len() || in[i].Len() == 0; big != inline {
+			t.Errorf("record %d (%s) takes %d bytes: inline=%v, want %v", i, in[i], sizes[i], big, inline)
+		}
+	}
+
+	rd := NewRelReader()
+	d := NewDec(e.Bytes())
+	var out []*relation.Relation
+	for range in {
+		r, err := rd.Decode(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	if !d.Done() {
+		t.Fatal("trailing bytes")
+	}
+	for i, r := range out {
+		if !r.Equal(in[i]) || r.IsDistinct() != in[i].IsDistinct() {
+			t.Errorf("record %d: decoded %v distinct=%v, want %v distinct=%v", i, r, r.IsDistinct(), in[i], in[i].IsDistinct())
+		}
+	}
+	shares := func(a, b *relation.Relation) bool {
+		return &a.Col(0)[0] == &b.Col(0)[0] && &a.Col(1)[0] == &b.Col(1)[0]
+	}
+	if out[2] != out[0] || out[1] == out[0] || !shares(out[1], out[0]) || !shares(out[3], out[0]) || shares(out[4], out[0]) {
+		t.Error("decoded relations do not share what the encoded ones shared")
+	}
+
+	bad := append([]byte(nil), e.Bytes()...)
+	bad[0] = 7
+	if _, err := NewRelReader().Decode(NewDec(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("unknown record tag: %v, want ErrCorrupt", err)
+	}
+	var fwd Enc
+	fwd.U8(relView)
+	fwd.U32(0)
+	fwd.Str("R")
+	fwd.Bool(true)
+	if _, err := NewRelReader().Decode(NewDec(fwd.Bytes())); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("view of a relation not yet in the stream: %v, want ErrCorrupt", err)
+	}
+}

@@ -96,10 +96,9 @@ func cutBoxes(f *ranking.Func, b ranking.Bound, dir Dir) []box {
 // survivors of all boxes are gathered into one copy of the relation that
 // carries the box number in a fresh identifier column, and the identifier
 // variable joins every atom so answers never mix boxes (Algorithm 3). A band
-// of one box needs no identifier: it is a row filter, and its output carries
-// an Exec derived from the input's by subset filtering. Boxes that are empty
-// on one variable are kept: they still copy the relations that do not hold
-// it, as two composed one-sided cuts would.
+// of one box needs no identifier: it is a row filter (subsetOf). Boxes that
+// are empty on one variable are kept: they still copy the relations that do
+// not hold it, as two composed one-sided cuts would.
 func Band(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Min && f.Agg != ranking.Max && f.Agg != ranking.Lex {
 		return Instance{}, fmt.Errorf("trim: Band handles MIN, MAX and LEX, got %s", f.Agg)
@@ -113,7 +112,7 @@ func Band(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, er
 				len(b.W.Vec), len(f.Vars))
 		}
 	}
-	if err := requireSelfJoinFree(inst.Q); err != nil {
+	if err := requireNormalized(inst.Q); err != nil {
 		return Instance{}, err
 	}
 	var boxes []box
@@ -126,11 +125,11 @@ func Band(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, er
 			boxes = append(boxes, bx)
 		}
 	}
+	if len(boxes) == 1 {
+		return filterBox(inst, f, boxes[0]), nil
+	}
 	scr := bandScratch.Get().(*bandBufs)
 	defer bandScratch.Put(scr)
-	if len(boxes) == 1 {
-		return filterBox(inst, f, boxes[0], scr), nil
-	}
 	return partitionBoxes(inst, f, boxes, scr), nil
 }
 
@@ -177,10 +176,9 @@ type weightCol struct {
 	w []int64
 }
 
-// weightCols lists the ranked columns of a relation whose columns hold vars
-// (every occurrence of a repeated variable; rows it disagrees on join
-// nothing). A custom weight function is applied here, once per value, so the
-// scans of the boxes read plain numbers.
+// weightCols lists the ranked columns of a relation whose columns hold vars.
+// A custom weight function is applied here, once per value, so the scans of
+// the boxes read plain numbers.
 func weightCols(f *ranking.Func, vars []query.Var, cols [][]relation.Value, workers int) []weightCol {
 	var out []weightCol
 	for j, v := range vars {
@@ -276,52 +274,28 @@ func (t *tests) rows(dst []int, workers, n int) []int {
 	return dst[:k]
 }
 
-// filterBox cuts one box out of an instance: a pure row filter. When the
-// input carries an Exec, the output carries one too, derived by subset
-// filtering instead of a rebuild.
-func filterBox(inst Instance, f *ranking.Func, bx box, scr *bandBufs) Instance {
+// filterBox cuts one box out of an instance: a pure row filter, each row
+// tested once. A relation the box does not constrain is shared.
+func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 	workers := inst.workers()
-	db2 := relation.NewDatabase()
-	for _, atom := range inst.Q.Atoms {
-		src := inst.DB.Get(atom.Rel)
+	keep := make([][]bool, len(inst.Q.Atoms))
+	for i, atom := range inst.Q.Atoms {
+		src := inst.rel(i)
 		t := testsOf(bx, weightCols(f, atom.Vars, src.Cols(), workers))
 		if t.all() {
-			db2.Add(src) // relations are read-only; untouched ones are shared
 			continue
 		}
-		scr.rows = slices.Grow(scr.rows[:0], src.Len())[:src.Len()]
-		out := src.GatherRows(src.Name(), t.rows(scr.rows, workers, src.Len()))
-		if src.IsDistinct() {
-			out.MarkDistinct()
+		k := make([]bool, src.Len())
+		if !t.none {
+			parallel.For(workers, len(k), func(lo, hi int) {
+				for r := lo; r < hi; r++ {
+					k[r] = t.pass(r) != 0
+				}
+			})
 		}
-		db2.Add(out)
+		keep[i] = k
 	}
-	out := Instance{Q: inst.Q.Clone(), DB: db2, Workers: inst.Workers}
-	if e := inst.Exec; e != nil {
-		// Node-level survivors: a node row dies exactly when its source rows
-		// do (the tests read only projected values), so the subset derivation
-		// reproduces a fresh build on (Q, db2) byte for byte. An untested
-		// node keeps a nil mask and is shared.
-		keep := make([][]bool, len(e.T.Nodes))
-		for _, n := range e.T.Nodes {
-			rel := e.NodeRelation(n.ID)
-			t := testsOf(bx, weightCols(f, n.Vars, rel.Cols(), workers))
-			if t.all() {
-				continue
-			}
-			k := make([]bool, rel.Len())
-			if !t.none {
-				parallel.For(workers, rel.Len(), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						k[i] = t.pass(i) != 0
-					}
-				})
-			}
-			keep[n.ID] = k
-		}
-		out.Exec = e.DeriveSubset(out.Q, db2, keep, workers)
-	}
-	return out
+	return subsetOf(inst, keep)
 }
 
 // partitionBoxes cuts several disjoint boxes out of an instance (Algorithm 3):

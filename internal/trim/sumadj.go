@@ -54,7 +54,7 @@ func SumAdjacentBand(inst Instance, f *ranking.Func, low, high ranking.Bound) (I
 	if low.Inf > 0 || high.Inf < 0 {
 		return Instance{}, fmt.Errorf("trim: band bounds out of order (low = +∞ or high = −∞)")
 	}
-	if err := requireSelfJoinFree(inst.Q); err != nil {
+	if err := requireNormalized(inst.Q); err != nil {
 		return Instance{}, err
 	}
 	prep, err := sumAdjPrepFor(inst, f)
@@ -245,54 +245,22 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	return p, nil
 }
 
-// sumAdjFilter handles the single-node case: a pure row filter, so the
-// output instance is a subset instance and inherits a derived Exec when the
-// input carries one.
+// sumAdjFilter handles the single-node case: a pure row filter (subsetOf) on
+// the one relation that holds every ranked variable, each row's sum taken
+// once.
 func sumAdjFilter(inst Instance, f *ranking.Func, p *sumAdjPrep, low, high ranking.Bound) (Instance, error) {
-	workers := inst.workers()
-	in := func(s int64) bool {
-		return (!low.IsFinite() || s > low.W.K) && (!high.IsFinite() || s < high.W.K)
-	}
-	db2 := relation.NewDatabase()
-	src := inst.DB.Get(p.atomA.Rel)
-	srcCols := src.Cols()
-	out := src.FilterWorkers(workers, func(i int) bool {
-		return in(rowSumAt(f, p.varsA, p.colsA, srcCols, i))
+	src := inst.rel(p.atomIdxA)
+	cols := src.Cols()
+	k := make([]bool, src.Len())
+	parallel.For(inst.workers(), len(k), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := rowSumAt(f, p.varsA, p.colsA, cols, i)
+			k[i] = (!low.IsFinite() || s > low.W.K) && (!high.IsFinite() || s < high.W.K)
+		}
 	})
-	for _, atom := range inst.Q.Atoms {
-		if atom.Rel == p.atomA.Rel {
-			db2.Add(out)
-		} else if !db2.Has(atom.Rel) {
-			db2.Add(inst.DB.Get(atom.Rel)) // read-only; shared, not cloned
-		}
-	}
-	res := Instance{Q: inst.Q.Clone(), DB: db2, Workers: inst.Workers}
-	if e := inst.Exec; e != nil {
-		keep := make([][]bool, len(e.T.Nodes))
-		for _, n := range e.T.Nodes {
-			if n.Atom != p.atomIdxA {
-				continue
-			}
-			cols := firstColumns(queryAtomOver(n.Vars, p.atomA.Rel), p.varsA)
-			rel := e.NodeRelation(n.ID)
-			relCols := rel.Cols()
-			k := make([]bool, rel.Len())
-			parallel.For(workers, rel.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					k[i] = in(rowSumAt(f, p.varsA, cols, relCols, i))
-				}
-			})
-			keep[n.ID] = k
-		}
-		res.Exec = e.DeriveSubset(res.Q, db2, keep, workers)
-	}
-	return res, nil
-}
-
-// queryAtomOver builds a synthetic atom over a node's distinct variables so
-// the shared column-position helpers apply to node-relation layouts.
-func queryAtomOver(vars []query.Var, rel string) query.Atom {
-	return query.Atom{Rel: rel, Vars: vars}
+	keep := make([][]bool, len(inst.Q.Atoms))
+	keep[p.atomIdxA] = k
+	return subsetOf(inst, keep), nil
 }
 
 // segKey identifies one dyadic segment of a group's sorted B side.

@@ -27,7 +27,7 @@ func inBand(q *query.Query, db *relation.Database, f *ranking.Func, low, high ra
 	var out [][]relation.Value
 	aw := ranking.NewAnswerWeigher(f, q.Vars())
 	for _, a := range testutil.BruteForce(q, db) {
-		if w := aw.WeightOf(a); f.CompareBound(low, w) < 0 && f.CompareBound(high, w) > 0 {
+		if w := aw.WeightOf(a); cmpBound(f, low, w) < 0 && cmpBound(f, high, w) > 0 {
 			out = append(out, a)
 		}
 	}
@@ -124,7 +124,7 @@ func TestSumAdjacentBandComposesWithItself(t *testing.T) {
 		var want [][]relation.Value
 		aw := ranking.NewAnswerWeigher(f, q.Vars())
 		for _, a := range inBand(q, db, f, l1, h1) {
-			if w := aw.WeightOf(a); f.CompareBound(l2, w) < 0 && f.CompareBound(h2, w) > 0 {
+			if w := aw.WeightOf(a); cmpBound(f, l2, w) < 0 && cmpBound(f, h2, w) > 0 {
 				want = append(want, a)
 			}
 		}

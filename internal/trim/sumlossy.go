@@ -62,7 +62,7 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 	if eps <= 0 || eps >= 1 {
 		return Instance{}, nil, fmt.Errorf("trim: ε must be in (0,1), got %v", eps)
 	}
-	if err := requireSelfJoinFree(inst.Q); err != nil {
+	if err := requireNormalized(inst.Q); err != nil {
 		return Instance{}, nil, err
 	}
 	workers := inst.workers()
@@ -221,7 +221,7 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 	copies[root] = kept
 
 	// Emit the output query and database. Every node becomes a fresh atom
-	// over its distinct variables plus one helper variable per tree edge.
+	// over its variables plus one helper variable per tree edge.
 	q2 := &query.Query{}
 	db2 := relation.NewDatabase()
 	edgeVar := make([]query.Var, len(tree.Nodes)) // child id -> var shared with parent

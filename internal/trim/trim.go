@@ -17,8 +17,10 @@
 //   - Lossy SUM for arbitrary acyclic queries (Section 6, Algorithm 4):
 //     sketched message passing embedded back into the database.
 //
-// All trims take and return an Instance and keep the query acyclic, so they
-// can be composed — Algorithm 1 cuts every candidate band out of the original
+// All trims take and return an Instance whose query is in normal form
+// (query.Normalize: one relation per atom, no variable twice in an atom —
+// requireNormalized rejects anything else) and keep it acyclic and in that
+// form, so they can be composed — Algorithm 1 cuts every candidate band out of the original
 // instance: with one band trim for the exact families, with two one-sided
 // trims for the lossy SUM.
 package trim
@@ -62,13 +64,15 @@ type Instance struct {
 	// Weight functions must be safe for concurrent calls when Workers > 1.
 	Workers int
 	// Exec is the optional executable tree of (Q, DB), attached by the
-	// driver. Pure-filter trims (a MIN / MAX / LEX band of one box — MAX ≺ λ,
-	// MIN ≻ λ, one ranked variable — and single-node SUM) derive their
+	// driver; its nodes read DB's relations (jointree.Exec). Pure-filter trims
+	// (a MIN / MAX / LEX band of one box — MAX ≺ λ, MIN ≻ λ, one ranked
+	// variable — and single-node SUM) test each row once and derive their
 	// output's Exec from it by subset filtering — integer work proportional
-	// to the surviving rows — so the driver never rebuilds the tree from raw
-	// relations for those outputs. Trims that change the query shape (box
-	// identifiers, staircase segments, sketch embeddings) ignore it, and
-	// their outputs carry none. Read-only.
+	// to the surviving rows — and the output's DB holds that Exec's relations,
+	// so the driver never rebuilds the tree for those outputs and no row is
+	// copied twice. Trims that change the query shape (box identifiers,
+	// staircase segments, sketch embeddings) ignore it, and their outputs
+	// carry none. Read-only.
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
 	// a prepared plan, across quantile calls). Only the driver's reused
@@ -115,10 +119,46 @@ func freshHelperVar(q *query.Query, base string) query.Var {
 	return query.FreshVar(q, helperPrefix+base)
 }
 
-// requireSelfJoinFree guards constructions that assume one relation per atom.
-func requireSelfJoinFree(q *query.Query) error {
-	if q.HasSelfJoins() {
-		return fmt.Errorf("trim: query has self-joins; eliminate them first (query.EliminateSelfJoins)")
+// requireNormalized guards the precondition every construction here shares:
+// one relation per atom, and an atom's columns are distinct variables — a
+// repeated variable is an equality between two columns that no trim tests.
+func requireNormalized(q *query.Query) error {
+	if !q.IsNormalized() {
+		return fmt.Errorf("trim: query %s has a self-join or a repeated variable; rewrite it with query.Normalize first", q)
 	}
 	return nil
+}
+
+// rel returns the relation of atom i that a trim scans: the Exec's, when the
+// instance carries one, so that row indexes are the tree's.
+func (inst Instance) rel(i int) *relation.Relation {
+	if inst.Exec != nil {
+		return inst.Exec.Rels[i] // node ids are atom indexes (jointree.FromParent)
+	}
+	return inst.DB.Get(inst.Q.Atoms[i].Rel)
+}
+
+// subsetOf returns the instance of the rows a filter trim keeps: keep[i][r]
+// says whether row r of inst.rel(i) survives, and a nil keep[i] keeps atom i's
+// relation whole, shared with the input. With an Exec the rows are filtered
+// once, by the subset derivation, and the output's database holds the derived
+// tree's relations.
+func subsetOf(inst Instance, keep [][]bool) Instance {
+	workers := inst.workers()
+	out := Instance{Q: inst.Q.Clone(), DB: relation.NewDatabase(), Workers: inst.Workers}
+	if inst.Exec != nil {
+		out.Exec = inst.Exec.DeriveSubset(out.Q, out.DB, keep, workers)
+		for _, r := range out.Exec.Rels {
+			out.DB.Add(r)
+		}
+		return out
+	}
+	for i := range inst.Q.Atoms {
+		r := inst.rel(i)
+		if k := keep[i]; k != nil {
+			r = r.FilterWorkers(workers, func(row int) bool { return k[row] })
+		}
+		out.DB.Add(r)
+	}
+	return out
 }

@@ -28,7 +28,6 @@ func relDeltaFor(rng *rand.Rand, r *relation.Relation, nDel, nAdd int, hi int64)
 		picked[i] = true
 		row := r.RowValues(i)
 		d.RemovedRows = append(d.RemovedRows, row)
-		d.RemovedKeys = append(d.RemovedKeys, string(enc.Row(row)))
 	}
 	for len(d.AddedRows) < nAdd {
 		row := make([]relation.Value, r.Arity())

@@ -21,9 +21,9 @@ import (
 
 // Prepared is the compiled, reusable form of a (Query, DB) pair — the only
 // plan type. It holds a vector of engines, each the validated query, its
-// self-join-free rewrite, a deduplicated database, the join tree, the
-// materialized executable tree and the cached answer count, plus lazily
-// built direct-access and fully-reduced structures. Prepare compiles one
+// normal form, one deduplicated database, the join tree, the executable tree
+// whose nodes read that database's relations, and the cached answer count,
+// plus lazily built direct-access and fully-reduced structures. Prepare compiles one
 // engine (acyclic, or a cyclic query's hypertree decomposition);
 // PrepareSharded compiles N over a hash partition of the join key. Every
 // query runs the paper's pivot loop across the whole vector — Algorithm 1
@@ -92,10 +92,11 @@ type Prepared struct {
 }
 
 // Prepare compiles a query against a database. The work done here —
-// validation, self-join elimination, input deduplication, join-tree
-// construction, executable-tree materialization and answer counting — is
-// quasilinear in the database size and is paid exactly once, no matter how
-// many queries the plan later answers. Cyclic queries compile too: they
+// validation, input deduplication, normalization, join-tree construction, the
+// executable tree's group indexes and answer counting — is quasilinear in the
+// database size and is paid exactly once, no matter how many queries the plan
+// later answers. The plan shares the database's columns instead of copying
+// them: db is read-only from here on (see DB.AddRelation). Cyclic queries compile too: they
 // route through a hypertree decomposition (each bag of atoms is joined into
 // one materialized relation, and the acyclic query over the bags answers
 // identically), at a one-time materialization cost that QuantileStats

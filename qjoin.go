@@ -100,8 +100,10 @@ type DB struct {
 // NewDB returns an empty database.
 func NewDB() *DB { return &DB{inner: relation.NewDatabase()} }
 
-// Add inserts a relation with the given rows. Every row must have the
-// declared arity. Adding a name twice replaces the previous relation.
+// Add inserts a relation with the given rows, which are copied. Every row
+// must have the declared arity. Adding a name twice replaces the previous
+// relation. A database is read-only once a plan has been prepared over it
+// (see AddRelation); Apply derives a changed one.
 func (d *DB) Add(name string, arity int, rows [][]Value) error {
 	for i, r := range rows {
 		if len(r) != arity {
@@ -120,7 +122,12 @@ func (d *DB) MustAdd(name string, arity int, rows [][]Value) *DB {
 	return d
 }
 
-// AddRelation inserts an already-built relation (used by generators).
+// AddRelation inserts an already-built relation (used by generators). The
+// relation is shared, not copied, and Prepare shares it on: a plan's engine
+// reads a duplicate-free relation's columns in place. Treat it as read-only
+// from here on. Rows appended later never show through a plan already
+// prepared (unless the relation was handed over marked distinct: the engine
+// then holds the relation itself); a value overwritten in place would.
 func (d *DB) AddRelation(r *relation.Relation) { d.inner.Add(r) }
 
 // Size returns the total number of tuples, the paper's n = |D|.

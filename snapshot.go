@@ -232,13 +232,13 @@ func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) 
 	}
 	var sh *shard.Sharded
 	if routed {
-		// The partition is replayed from (src, db); each engine must run the
-		// self-join-free rewrite its partition was compiled from.
+		// The partition is replayed from (src, db); each engine must have been
+		// compiled from the self-join-free rewrite its partition is routed by.
 		sh, err = shard.Restore(src, db.inner, shards, o.Parallelism,
 			func(i int, q *Query, sdb *relation.Database, per int) (*engine.Engine, error) {
 				eng, err := decodeEngine(engPls[i].Payload, rd, sdb, per)
-				if err == nil && eng.Query().String() != q.String() {
-					err = corruptf("shard %d engine query %s does not match partition query %s", i, eng.Query(), q)
+				if err == nil && eng.Source().String() != q.String() {
+					err = corruptf("shard %d engine query %s does not match partition query %s", i, eng.Source(), q)
 				}
 				return eng, err
 			})

@@ -45,8 +45,8 @@ func (d *DB) Apply(delta *Delta) (*DB, error) {
 
 // Update derives a plan reflecting the delta without recompiling: the
 // change propagates through the compiled artifact (deduplicated relations,
-// per-node materializations, join-group indexes, counting state) in time
-// proportional to the touched data, not the database size.
+// join-group indexes, counting state) in time proportional to the touched
+// data, not the database size.
 //
 // The receiver is unchanged and stays fully usable — Update is a
 // copy-on-write swap. The derived plan shares every structure the delta did
