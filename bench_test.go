@@ -255,8 +255,10 @@ func BenchmarkPreparedReuse(b *testing.B) {
 // loops three or four rounds per φ and whose weights are vectors (one flat
 // array per node; a vector per tuple used to cost 345k allocations per
 // answer). The grid is one shared descent (ISSUE 16): the selective instance
-// is enumerated once for the eight φ's, not eight times. Budgets are what that
-// measures plus 15%.
+// is enumerated once for the eight φ's, not eight times. The dense plan's
+// first grid plants its pivot tree (ISSUE 22), so the grids measured walk
+// remembered rounds and cut only the bands of their leaves. Budgets, of
+// allocations and of bytes allocated, are what that measures plus 15%.
 func BenchmarkQuantileAllocs(b *testing.B) {
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 	for _, tc := range []struct {
@@ -264,9 +266,10 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		dom    int64
 		rank   func(q *qjoin.Query) *qjoin.Ranking
 		budget float64 // allocs per 8-φ grid
+		kb     float64 // KB allocated per 8-φ grid
 	}{
-		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264}, // measured 230 (a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 3230},       // measured 2809 (PR 19: 3104; PR 18: 6018; a φ at a time then: 9677); PR 11: 2.7M
+		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 81}, // measured 230, 70.4 KB (a φ at a time: 744); PR 3: 63376
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1690, 25000},    // measured 1471, 20 700–21 800 KB (every round run, PR 21: 2809, ≈ 34 900 KB; PR 19: 3104; PR 18: 6018); PR 11: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -288,10 +291,15 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 				grid()
 			}
 			b.StopTimer()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			perGrid := testing.AllocsPerRun(3, grid)
+			runtime.ReadMemStats(&after)
+			kb := float64(after.TotalAlloc-before.TotalAlloc) / 4 / 1024 // AllocsPerRun runs its warm-up call too
 			b.ReportMetric(perGrid, "allocs/grid")
-			if perGrid > tc.budget {
-				b.Fatalf("quantile grid allocates %.0f allocs/op, budget %.0f — pivot-loop allocation regression", perGrid, tc.budget)
+			b.ReportMetric(kb, "KB/grid")
+			if perGrid > tc.budget || kb > tc.kb {
+				b.Fatalf("quantile grid allocates %.0f allocs and %.0f KB per op, budgets %.0f and %.0f — pivot-loop allocation regression", perGrid, kb, tc.budget, tc.kb)
 			}
 		})
 	}
@@ -493,6 +501,41 @@ func BenchmarkPlanRetained(b *testing.B) {
 			}
 		})
 	}
+	// What answering adds to a warm plan: the pivot trees of the repository
+	// benchmark's four rankings after its 396-request rotation, on top of a
+	// plan that has answered once under each (trim preparation, counts, pooled
+	// scratch and the full reduction are there before). Budget by
+	// construction, not by measurement: one byte per input tuple and ranking.
+	b.Run("remembered", func(b *testing.B) {
+		ranks, ops := exactRotation()
+		var perTuple float64
+		for i := 0; i < b.N; i++ {
+			p, err := qjoin.Prepare(q, db)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.TopK(ranks[0], 1); err != nil {
+				b.Fatal(err)
+			}
+			for _, f := range ranks {
+				if _, err := p.Quantile(f, 0.5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before := heap()
+			for _, op := range ops {
+				if _, err := p.Quantile(ranks[op.rank], op.phi); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perTuple = (float64(heap()) - float64(before)) / tuples / float64(len(ranks))
+			runtime.KeepAlive(p)
+		}
+		b.ReportMetric(perTuple, "B/tuple/ranking")
+		if perTuple > 1 {
+			b.Fatalf("the rotation left %.2f B per input tuple and ranking on the plan, budget 1 — the pivot tree holds more than rounds", perTuple)
+		}
+	})
 	runtime.KeepAlive(db)
 }
 
@@ -881,22 +924,35 @@ func socialNetworkBench() *workload.SocialNetwork {
 }
 
 // BenchmarkQuantilesGrid — an exact 8-φ grid on the social-network instance
-// (ISSUE 16): "singles" is a Quantile call per φ, each a descent from the full
-// instance; "grid" is one Quantiles call, whose shared descent trims, derives
-// and counts each band once for all the φ's in it. CI's scaling gate: grid min
-// ns/op ≤ 0.80× singles. Each iteration checks the two agree.
+// (ISSUE 16), on plans nobody has asked before: "singles" is a Quantile call
+// per φ, each on a plan of its own and so a descent from the full instance;
+// "grid" is one Quantiles call, whose shared descent trims, derives and counts
+// each band once for all the φ's in it. The plans are compiled untimed, per
+// iteration: a plan that has answered under a ranking remembers that descent
+// (its pivot tree), and a second pass over the same plan would time the memory
+// on both sides. CI's scaling gate: grid min ns/op ≤ 0.80× singles. Each
+// iteration checks the two agree.
 func BenchmarkQuantilesGrid(b *testing.B) {
 	sn := socialNetworkBench()
-	p, err := qjoin.Prepare(sn.Q, qjoin.WrapDB(sn.DB), qjoin.Options{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
+	db := qjoin.WrapDB(sn.DB)
+	fresh := func(n int) []*qjoin.Prepared {
+		b.StopTimer()
+		defer b.StartTimer()
+		ps := make([]*qjoin.Prepared, n)
+		for i := range ps {
+			var err error
+			if ps[i], err = qjoin.Prepare(sn.Q, db, qjoin.Options{Parallelism: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return ps
 	}
 	f := qjoin.Sum("l2", "l3")
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 	singles := func() []*qjoin.Answer {
 		out := make([]*qjoin.Answer, len(phis))
-		for i, phi := range phis {
-			a, err := p.Quantile(f, phi)
+		for i, p := range fresh(len(phis)) {
+			a, err := p.Quantile(f, phis[i])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -912,7 +968,7 @@ func BenchmarkQuantilesGrid(b *testing.B) {
 	})
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			got, err := p.Quantiles(f, phis)
+			got, err := fresh(1)[0].Quantiles(f, phis)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -926,21 +982,31 @@ func BenchmarkQuantilesGrid(b *testing.B) {
 }
 
 // BenchmarkSketchBuild — planting a summary's 33 anchors on the
-// social-network instance (ISSUE 16): "singles" is the 33 Select runs
-// BuildSummary used to make, "shared" is BuildSummary, one descent. CI's
-// scaling gate: shared min ns/op ≤ 0.55× singles.
+// social-network instance (ISSUE 16), on engines nobody has asked before
+// (compiled untimed, per iteration, as in BenchmarkQuantilesGrid): "singles" is
+// the 33 Select runs BuildSummary used to make, each on an engine of its own,
+// "shared" is BuildSummary, one descent. CI's scaling gate: shared min ns/op ≤
+// 0.55× singles.
 func BenchmarkSketchBuild(b *testing.B) {
 	sn := socialNetworkBench()
-	eng, err := engine.NewWorkers(sn.Q, sn.DB, 0)
-	if err != nil {
-		b.Fatal(err)
+	fresh := func(b *testing.B, n int) []*engine.Engine {
+		b.StopTimer()
+		defer b.StartTimer()
+		engs := make([]*engine.Engine, n)
+		for i := range engs {
+			var err error
+			if engs[i], err = engine.NewWorkers(sn.Q, sn.DB, 0); err != nil {
+				b.Fatal(err)
+			}
+			engs[i].Counts()
+		}
+		return engs
 	}
 	f := ranking.NewSum("l2", "l3")
-	n := eng.Counts().Total
 	b.Run("singles", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for g := 0; g <= 32; g++ {
-				if _, _, err := core.Select([]*engine.Engine{eng}, f, core.Index(n, float64(g)/32), core.Options{Parallelism: 1}); err != nil {
+			for g, eng := range fresh(b, 33) {
+				if _, _, err := core.Select([]*engine.Engine{eng}, f, core.Index(eng.Counts().Total, float64(g)/32), core.Options{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -948,7 +1014,7 @@ func BenchmarkSketchBuild(b *testing.B) {
 	})
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sum, err := core.BuildSummary(eng, f, core.DefaultSketchEps, core.Options{Parallelism: 1})
+			sum, err := core.BuildSummary(fresh(b, 1)[0], f, core.DefaultSketchEps, core.Options{Parallelism: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -957,6 +1023,77 @@ func BenchmarkSketchBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// exactRotation is the request table of the repository benchmark's exact
+// workloads (bench/exact.go): 396 requests, the ranking round-robin over one
+// per trim construction, φ drawn from {0.01 … 0.99}.
+func exactRotation() (ranks []*qjoin.Ranking, ops []rotationOp) {
+	ranks = []*qjoin.Ranking{qjoin.Sum("x1", "x2", "x3"), qjoin.Max("x1", "x3"), qjoin.Lex("x1", "x3"), qjoin.Min("x1", "x2", "x3")}
+	rng := rand.New(rand.NewSource(22))
+	ops = make([]rotationOp, 396)
+	for i := range ops {
+		ops[i] = rotationOp{rank: i % len(ranks), phi: float64(1+rng.Intn(99)) / 100}
+	}
+	return ranks, ops
+}
+
+// rotationOp is one request of exactRotation: a ranking, by index, and a φ.
+type rotationOp struct {
+	rank int
+	phi  float64
+}
+
+// BenchmarkRememberedQuantile — what a plan's memory of its descents is worth
+// (ISSUE 22), on the dense 2-path of the repository benchmark (32 768 tuples,
+// |Q(D)| ≈ 8·|D|): "cold" is an exact quantile on a plan compiled fresh,
+// untimed, for every iteration — the whole descent; "warm" is the same request
+// on one plan that has been through the 396-request rotation once — the pivot
+// tree supplies the rounds, and the run is one band cut and its tail. Each
+// iteration of either asks the other kind of plan too, untimed, and checks the
+// answers agree. CI's scaling gate: warm min ns/op ≤ 0.50× cold.
+func BenchmarkRememberedQuantile(b *testing.B) {
+	q, idb := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
+	db := qjoin.WrapDB(idb)
+	ranks, ops := exactRotation()
+	fresh := func(b *testing.B) *qjoin.Prepared {
+		p, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Count()
+		return p
+	}
+	ask := func(b *testing.B, p *qjoin.Prepared, i int) *qjoin.Answer {
+		op := ops[i%len(ops)]
+		a, err := p.Quantile(ranks[op.rank], op.phi)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	warm := fresh(b)
+	for i := range ops {
+		ask(b, warm, i)
+	}
+	for _, side := range []string{"cold", "warm"} {
+		b.Run(side, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				timed, other := fresh(b), warm
+				if side == "warm" {
+					timed, other = other, timed
+				}
+				b.StartTimer()
+				got := ask(b, timed, i)
+				b.StopTimer()
+				if want := ask(b, other, i); !reflect.DeepEqual(got.Values, want.Values) || !reflect.DeepEqual(got.Weight, want.Weight) {
+					b.Fatalf("request %d: %s plan answers %v, the other %v", i, side, got, want)
+				}
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // BenchmarkColdMedian — what a plan's first exact answer costs beside the

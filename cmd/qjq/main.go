@@ -319,13 +319,17 @@ func main() {
 }
 
 // printStats renders one run's statistics with the per-iteration phase
-// breakdown (pivot / trim / derive / count) that -stats collects.
+// breakdown (pivot / trim / derive / count) that -stats collects: the
+// statistics describe the descent, the rounds line and the breakdown what this
+// run executed of it (an earlier φ under the same ranking leaves its rounds in
+// the plan's pivot tree).
 func printStats(s *qjoin.RunStats) {
 	fmt.Printf("  stats: iterations=%d materialized=%d pivotReturned=%v maxInstanceTuples=%d\n",
 		s.Iterations, s.Materialized, s.PivotReturned, s.MaxInstanceTuples)
 	if s.Phases == nil {
 		return
 	}
+	fmt.Printf("  rounds: %d (%d remembered)\n", s.Iterations, s.Phases.Remembered)
 	var tot struct{ pivot, trim, derive, count time.Duration }
 	for i, ph := range s.Phases.Iterations {
 		fmt.Printf("  iter %2d: pivot=%-10v trim=%-10v derive=%-10v count=%v\n",

@@ -182,8 +182,9 @@
 // Pivots, decisions and answers are exactly those of a round that builds
 // both sides; RunStats.Iterations counts every round on every exit (it
 // equals len(Phases.Iterations)), a PhaseTimings entry sums both builds
-// when a round had two, and MaxInstanceTuples is the largest instance
-// built.
+// when a round had two, and MaxInstanceTuples is the largest instance of
+// the descent — built by this run, or built by an earlier one and
+// remembered (below) at the size it had.
 //
 // One descent for many ranks. A round's pivot splits the whole candidate
 // band into lt / tie class / gt with known counts, so it places every
@@ -198,6 +199,34 @@
 // quantile is the m = 1 case of the same code, and each answer is byte for
 // byte the one its own run returns; RunStats then describe the whole
 // descent (rounds and materialized candidates add up over it).
+//
+// A descent is run once. The pivot of a candidate band is a function of the
+// instance, the ranking and the band — not of the rank asked for — and every
+// exact band is one trim of the original instance, so two exact requests on
+// one plan under one ranking walk the same rounds wherever their descents
+// overlap, which is at least the root. The plan therefore keeps, per ranking,
+// a pivot tree (internal/core): a node is one round — the pivot's weight and
+// answer and, per partition some run has built, its answer count, its size and
+// which shards it left without candidates; no instance, executable tree or
+// count array is kept, a few hundred bytes a node. A run walks the tree beside
+// its bands: a remembered round skips the pivot pass, a remembered partition's
+// count places the ranks without the partition being built, and a band is cut
+// out of the original instance only where an instance is read — the pivot
+// pass of a round the tree does not hold, the leaf's materialization, the
+// enumeration of a tie class with several members. Every round a run does
+// execute is written into the tree (first writer wins, nodes are immutable,
+// no run waits for another). The first exact answer per (plan, ranking) pays
+// the descent; later ones one band cut and their tail. Single ranks, rank
+// grids and sketch builds walk and fill the same tree. It is bounded by
+// construction — one node per 256 input tuples, at least 64, past which
+// deeper rounds simply run; as many rankings as the trim cache keeps — and
+// follows the trim cache's ownership: an engine derived by a set-changing
+// delta starts without one (on a routed plan a delta to any shard starts the
+// vector's tree over), a multiplicity-only delta carries it, a restored plan
+// starts empty, and ε-lossy runs, whose partitions overlap and whose ε depends
+// on the depth, never touch one. RunStats describe the descent and are
+// byte-identical whether a round was run or remembered; what this run executed
+// is in Phases (PhaseLog.Remembered; a remembered round's timings are zero).
 //
 // One-pass band trim. Every exact family cuts the candidate band
 // low ≺ w ≺ high out of the original instance in a single trim. For SUM, per
@@ -260,7 +289,9 @@
 // once per ranking per plan and reused by every iteration of every
 // quantile. Options.CollectPhases
 // records a per-iteration pivot/trim/derive/count wall-clock breakdown in
-// RunStats.Phases (off by default so RunStats stay byte-comparable).
+// RunStats.Phases (off by default so RunStats stay byte-comparable): one entry
+// per round of the descent, timed for what this run executed of it, plus how
+// many rounds came from the pivot tree.
 //
 // # Sharded datasets
 //
@@ -279,10 +310,11 @@
 //     equal weight the sharded merge orders by value, which may differ from
 //     the unsharded stream's enumeration order. Each shard count is itself
 //     fully deterministic.
-//   - RunStats. Statistics are identical across worker counts at a fixed
-//     shard count (and for shards=1 versus unsharded) but not comparable
-//     across different shard counts — the merged loop may converge in a
-//     different number of iterations.
+//   - RunStats. Statistics are identical across runs and worker counts at
+//     a fixed shard count (and for shards=1 versus unsharded) — whether a
+//     run executed its rounds or walked the ones the plan remembers — but
+//     not comparable across different shard counts: the merged loop may
+//     converge in a different number of iterations.
 //   - Partitioning. The key is a join variable occurring in the most atoms
 //     (first appearance breaks ties; Key reports it). Atoms containing the
 //     key split by hashing that column with ShardOf — a fixed, process-

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -20,10 +21,10 @@ import (
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
-// PhaseTimings is the wall-clock breakdown of one pivoting iteration,
-// collected only when Options.CollectPhases is set (timings are inherently
-// non-deterministic, so the default RunStats stay byte-comparable across
-// runs and worker counts).
+// PhaseTimings is the wall-clock breakdown of what a run executed of one
+// pivoting iteration, collected only when Options.CollectPhases is set
+// (timings are inherently non-deterministic, so the default RunStats stay
+// byte-comparable across runs and worker counts).
 type PhaseTimings struct {
 	// Pivot is the pivot-selection pass (Algorithm 2) over the candidate
 	// (per shard, plus the cross-shard weighted-median merge).
@@ -40,13 +41,18 @@ type PhaseTimings struct {
 	Count time.Duration
 }
 
-// RunStats reports what one driver run did. A run for several indices
+// RunStats reports the descent one driver run made. A run for several indices
 // (SelectMany) is one descent and reports it as a whole: Iterations counts its
 // rounds and Materialized adds up the bands it materialized, PivotReturned
 // says some index ended in an equal partition,
 // MaxInstanceTuples is the largest instance any round built, and Phases lists
-// the rounds in the order they ran. For one index these are the fields of the
-// loop they have always described.
+// the rounds in the order they were walked. For one index these are the fields
+// of the loop they have always described. They describe the descent, not the
+// work: a round whose pivot or partition the plan's pivot tree supplied counts
+// as the round it is, its partition at the size it was built at, so the
+// statistics of a request are the same on a plan that has never been asked
+// and on one that has answered it a thousand times. What the run executed is
+// in Phases.
 //
 // For a sharded run, Count is the global answer count (shard counts add:
 // the shards partition the answer set) and the remaining fields describe
@@ -56,9 +62,9 @@ type PhaseTimings struct {
 // deterministic for a fixed shard count (identical across worker counts and
 // across runs), not across different shard counts.
 type RunStats struct {
-	// Iterations is the number of pivoting rounds executed, whichever way
-	// the run ended; with Options.CollectPhases it equals
-	// len(Phases.Iterations).
+	// Iterations is the number of pivoting rounds of the descent, run or
+	// remembered, whichever way the run ended; with Options.CollectPhases it
+	// equals len(Phases.Iterations).
 	Iterations int
 	// Materialized is the candidate count resolved by final materialization
 	// (0 when the run terminated in the equal partition).
@@ -67,7 +73,8 @@ type RunStats struct {
 	PivotReturned bool
 	// Count is |Q(D)|.
 	Count counting.Count
-	// MaxInstanceTuples is the largest trimmed database built (summed across
+	// MaxInstanceTuples is the largest trimmed database of the descent, built
+	// by this run or remembered from the run that built it (summed across
 	// shards within one partition of one iteration).
 	MaxInstanceTuples int
 	// Lossy reports that the run partitioned through ε-lossy trims (SUM
@@ -87,9 +94,19 @@ type RunStats struct {
 	Decomp *decomp.Stats
 }
 
-// PhaseLog is the per-iteration phase-timing log of one run.
+// PhaseLog is the per-iteration phase-timing log of one run: what the run
+// executed, where RunStats describes the descent it walked.
 type PhaseLog struct {
+	// Iterations has one entry per round of the descent, in the order they
+	// were walked. A round is timed for what the run executed of it: nothing
+	// when its pivot and the partitions it needed came from the plan's pivot
+	// tree. A band cut below the last round — for the leaf's materialization
+	// — is timed into that round's entry, so the entries add up to the loop
+	// and what is left of the run is its tail.
 	Iterations []PhaseTimings
+	// Remembered counts the rounds whose pivot came from the pivot tree
+	// instead of a pivot pass.
+	Remembered int
 }
 
 // runScratch is the pooled per-run iteration scratch: the counting buffers,
@@ -301,13 +318,41 @@ type shardState struct {
 	curSlot int
 	// dead marks a shard with no candidates left in the current (low, high)
 	// band. Trims always narrow the band, so a dead shard stays dead for the
-	// whole subtree below the band and is skipped by every pass there.
+	// whole subtree below the band and is skipped by every pass there. While
+	// the descent is stale (descent.stale) the cur fields above are unset.
 	dead bool
 	scr  *runScratch
 	// parts are this round's candidate partitions, indexed by side and
 	// filled stage by stage so phase timings aggregate across shards the way
 	// they did across one. A side the round did not build holds a stale one.
-	parts [2]partition
+	// The third is the whole band, cut when a descent that came down through
+	// remembered partitions has to read its instance after all (wholeBand).
+	parts [3]partition
+}
+
+// wholeBand indexes the partition that is the current band itself, beside its
+// two sides.
+const wholeBand = trim.Dir(2)
+
+// scratch is the shard's run scratch, checked out of its engine's pool when
+// the run first needs one: a run that materializes at once needs none, and an
+// engine whose pool was never used is not held by the runtime's pool registry
+// past its last reference (a cold plan compiled, asked once and dropped is
+// then garbage at the next collection, not the one after).
+func (st *shardState) scratch() *runScratch {
+	if st.scr == nil {
+		st.scr = scratchFor(st.eng)
+	}
+	return st.scr
+}
+
+// descend makes a counted partition the shard's current instance, handing its
+// executable tree and counting state down — nothing is rebuilt. A shard whose
+// slice came up empty is dead below.
+func (st *shardState) descend(p partition) {
+	st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
+	st.curSlot = p.slot
+	st.dead = st.curCount.IsZero()
 }
 
 // partition is one shard's slice of one side of a round: the trimmed
@@ -338,9 +383,17 @@ type rank struct {
 
 // descent is what the rounds of one run share.
 type descent struct {
-	f         *ranking.Func
-	opts      Options
-	trm       *trimmer
+	f    *ranking.Func
+	opts Options
+	trm  *trimmer
+	engs []*engine.Engine
+	// tree is the pivot tree the descent walks and fills, fetched when its
+	// first round starts; nil before that and throughout a lossy run.
+	tree *pivotTree
+	// stale says the descent entered the current band through a remembered
+	// partition and has cut no instance of it: the live shards hold none
+	// until something has to read one (instances).
+	stale     bool
 	shards    []*shardState
 	cands     []*pivot.Result
 	origVars  []query.Var
@@ -353,6 +406,17 @@ type descent struct {
 	// path never reads the clock inside the loop.
 	now   func() time.Time
 	stats *RunStats
+	// unlogged takes the phase timings — all zero — of a run that logs none.
+	unlogged PhaseTimings
+}
+
+// phase is the phase log's entry of the last round that started: where the
+// round's own work is timed, and a band cut below it for a leaf.
+func (d *descent) phase() *PhaseTimings {
+	if p := d.stats.Phases; p != nil && len(p.Iterations) > 0 {
+		return &p.Iterations[len(p.Iterations)-1]
+	}
+	return &d.unlogged
 }
 
 // run is the shared driver body of Quantile, Select and SelectMany,
@@ -374,7 +438,10 @@ type descent struct {
 // on its original instance, the descended partition's own afterwards): the
 // counting pass already says which tuples carry an answer, so the walk meets
 // no dead end and costs O(|D| + ℓ·|candidates|) without a full reduction being
-// built. Nothing shared is ever mutated here.
+// built. Nothing shared is ever mutated here but the plan's pivot tree
+// (pivotTree), which an exact run walks instead of running the rounds it
+// holds and fills with the rounds it runs: the second exact request under a
+// ranking is one band cut and its tail.
 //
 // Termination is canonical for exact trims: whichever way an index is
 // resolved — materialization, or landing in the pivot's equal partition — it
@@ -443,11 +510,6 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 	}
 	slices.SortFunc(ranks, func(a, b rank) int { return a.k.Cmp(b.k) })
 
-	// Scratch is checked out when a shard's first round starts, not before: a
-	// run that materializes at once needs none, and an engine whose pool was
-	// never used is not held by the runtime's pool registry past its last
-	// reference (a cold plan compiled, asked once and dropped is then garbage
-	// at the next collection, not the one after).
 	defer func() {
 		for _, st := range shards {
 			if st.scr != nil {
@@ -456,7 +518,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 		}
 	}()
 	d := descent{
-		f: f, opts: opts, trm: trm, shards: shards, cands: make([]*pivot.Result, len(shards)),
+		f: f, opts: opts, trm: trm, engs: engs, shards: shards, cands: make([]*pivot.Result, len(shards)),
 		origVars: engs[0].Vars(), workers: workers, dbSize: dbSize,
 		threshold: counting.FromInt(opts.threshold(dbSize)),
 		now:       func() time.Time { return time.Time{} },
@@ -466,34 +528,45 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 		d.now = time.Now
 		stats.Phases = &PhaseLog{}
 	}
-	return stats, d.selectIn(0, 0, ranking.NegInf(), ranking.PosInf(), total, ranks, out)
+	return stats, d.selectIn(0, 0, nil, ranking.NegInf(), ranking.PosInf(), total, ranks, out)
 }
 
 // selectIn resolves the indices of ranks — ascending, relative to the band —
-// among the count candidates with low ≺ w ≺ high, which are every live
-// shard's current instance, into out (a parameter, not a field: what a
-// recursive method reaches through its receiver is heap-allocated, and the
-// one-index run keeps its answer slot on the stack). A band at most the threshold is materialized once
-// and every index selected from it. A larger one runs one round of
-// Algorithm 1: a pivot splits it into lt / eq / gt, the indices that land on
-// eq are answered from the pivot (or one enumeration of its class), and the
-// others go down with their partition, lt before gt. The gt partition is held
-// aside while the lt subtree runs, so at most one pending sibling per level
-// is live: level counts them, and names the triple of counting slots the
-// round's builds may write (countSlot). depth is the number of rounds above.
-func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count counting.Count, ranks []rank, out []*Answer) error {
+// among the count candidates with low ≺ w ≺ high into out (a parameter, not a
+// field: what a recursive method reaches through its receiver is
+// heap-allocated, and the one-index run keeps its answer slot on the stack). A
+// band at most the threshold is materialized once and every index selected
+// from it. A larger one is one round of Algorithm 1: a pivot splits it into
+// lt / eq / gt, the indices that land on eq are answered from the pivot (or one
+// enumeration of its class), and the others go down with their partition, lt
+// before gt. The gt partition is held aside while the lt subtree runs, so at
+// most one pending sibling per level is live: level counts them, and names the
+// triple of counting slots the round's builds may write (countSlot). depth is
+// the number of rounds above.
+//
+// at is the band's place in the pivot tree (nil: the band has none — a lossy
+// run, or a band below a round the tree's budget did not admit). A round the
+// tree holds is walked, not run: its pivot is read, and so is the count of a
+// partition some run has built, which places the indices as the build would.
+// Entering a partition that was only read leaves the descent stale — no shard
+// holds an instance of the band — until instances cuts it, which only a pivot
+// pass on a round the tree does not hold, a leaf and a tie class ask for.
+// Whatever the round does execute it writes into the tree. The statistics
+// cannot tell the difference: a remembered partition counts with the size it
+// was built at.
+func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low, high ranking.Bound, count counting.Count, ranks []rank, out []*Answer) error {
 	if depth >= d.opts.maxIterations() {
 		return ErrTooManyIterations
 	}
 	shards, stats, f, now := d.shards, d.stats, d.f, d.now
-	if roundHook != nil {
-		roundHook(shards)
-	}
 	if count.Cmp(d.threshold) <= 0 {
+		if err := d.instances(depth, level, low, high); err != nil {
+			return err
+		}
 		m, _ := count.Uint64()
 		scr := shards[0].scr
 		if scr == nil {
-			scr = new(runScratch) // no round ran
+			scr = new(runScratch) // the shard ran no pass
 		}
 		if err := materializeRanks(shards, f, d.origVars, ranks, int(m), scr, out); err != nil {
 			return err
@@ -502,29 +575,55 @@ func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count coun
 		return nil
 	}
 	stats.Iterations++
-	t0 := now()
-	for i, st := range shards {
-		d.cands[i] = nil
-		if st.dead {
-			continue
+	if stats.Phases != nil {
+		stats.Phases.Iterations = append(stats.Phases.Iterations, PhaseTimings{})
+	}
+	if depth == 0 && !d.trm.lossy {
+		d.tree = treeFor(d.engs, f, d.dbSize)
+		at = &d.tree.root
+	}
+	var nd *pivotNode
+	if at != nil {
+		nd = at.Load()
+	}
+	var pv *pivot.Result
+	var pidx int
+	if nd != nil {
+		if stats.Phases != nil {
+			stats.Phases.Remembered++
 		}
-		if st.scr == nil {
-			st.scr = scratchFor(st.eng)
-		}
-		mu, err := f.AssignVars(st.cur.Q)
-		if err != nil {
+	} else {
+		if err := d.instances(depth, level, low, high); err != nil {
 			return err
 		}
-		if d.cands[i], err = pivot.SelectPrepared(st.curExec, st.curCounts, f, mu, d.workers, &st.scr.pivot); err != nil {
-			return err
+		t0 := now()
+		for i, st := range shards {
+			d.cands[i] = nil
+			if st.dead {
+				continue
+			}
+			mu, err := f.AssignVars(st.cur.Q)
+			if err != nil {
+				return err
+			}
+			if d.cands[i], err = pivot.SelectPrepared(st.curExec, st.curCounts, f, mu, d.workers, &st.scratch().pivot); err != nil {
+				return err
+			}
+		}
+		if pv, pidx = pivot.MergeShards(d.cands, f); pv == nil {
+			return ErrNoAnswers // unreachable: count > 0
+		}
+		d.phase().Pivot = now().Sub(t0)
+		if at != nil {
+			nd = d.tree.remember(at, pv.Weight, projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, d.origVars))
 		}
 	}
-	pv, pidx := pivot.MergeShards(d.cands, f)
-	if pv == nil {
-		return ErrNoAnswers // unreachable: count > 0
+	var wp ranking.Weightv
+	if nd != nil {
+		wp = nd.weight
+	} else {
+		wp = pv.Weight
 	}
-	wp := pv.Weight
-	phases := PhaseTimings{Pivot: now().Sub(t0)}
 
 	epsIter := 0.0
 	if d.trm.lossy {
@@ -549,54 +648,45 @@ func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count coun
 		}
 	}
 
-	// build trims, derives and counts one side of the round across the
-	// live shards and returns its answer count.
-	build := func(side trim.Dir) (counting.Count, error) {
+	// countOf returns the answer count of one side of the round: the tree's
+	// when some run has built the side, else this run trims, derives and
+	// counts it across the live shards and tells the tree. known is what the
+	// tree holds of a side, read or just written; built says this run holds
+	// the side's instances.
+	var known [2]*pivotSide
+	var built [2]bool
+	countOf := func(side trim.Dir) (counting.Count, error) {
+		if nd != nil {
+			if sd := nd.sides[side].Load(); sd != nil {
+				known[side] = sd
+				stats.MaxInstanceTuples = max(stats.MaxInstanceTuples, sd.size)
+				return sd.count, nil
+			}
+		}
 		lo, hi := low, ranking.Finite(wp)
 		if side == trim.Greater {
 			lo, hi = ranking.Finite(wp), high
 		}
-		t0 := now()
-		for _, st := range shards {
-			if st.dead {
-				continue
-			}
-			inst, err := d.trm.band(st.orig, lo, hi, side, epsIter)
-			if err != nil {
-				return counting.Zero, err
-			}
-			st.parts[side].inst = inst
+		n, size, err := d.cut(side, depth, level, lo, hi, epsIter)
+		if err != nil {
+			return counting.Zero, err
 		}
-		t1 := now()
-		for _, st := range shards {
-			if st.dead {
-				continue
-			}
-			exec, err := execOf(st.parts[side].inst)
-			if err != nil {
-				return counting.Zero, err
-			}
-			st.parts[side].exec = exec
-		}
-		t2 := now()
-		size := 0
-		n := counting.Zero
-		for _, st := range shards {
-			if st.dead {
-				continue
-			}
-			p := &st.parts[side]
-			p.slot = countSlot(st.curSlot, level, side)
-			p.counts = yannakakis.CountScratch(p.exec, d.workers, st.scr.slot(p.slot))
-			n = n.Add(p.counts.Total)
-			size += p.inst.DB.Size()
-		}
+		built[side] = true
 		stats.MaxInstanceTuples = max(stats.MaxInstanceTuples, size)
-		phases.Trim += t1.Sub(t0)
-		phases.Derive += t2.Sub(t1)
-		phases.Count += now().Sub(t2)
-		if bandHook != nil {
-			bandHook(lo, hi, n, depth, level)
+		if nd != nil {
+			sd := &pivotSide{count: n, size: size}
+			for i, st := range shards {
+				if st.dead || st.parts[side].counts.Total.IsZero() {
+					if sd.dead == nil {
+						sd.dead = make([]bool, len(shards))
+					}
+					sd.dead[i] = true
+				}
+			}
+			if !nd.sides[side].CompareAndSwap(nil, sd) {
+				sd = nd.sides[side].Load()
+			}
+			known[side] = sd
 		}
 		return n, nil
 	}
@@ -636,19 +726,16 @@ func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count coun
 	}
 	first := prefers(ranks[len(ranks)/2].k)
 	var err error
-	if c[first], err = build(first); err != nil {
+	if c[first], err = countOf(first); err != nil {
 		return err
 	}
 	unplaced := func(r rank) bool {
 		return place(r.k) != first || (d.trm.lossy && prefers(r.k) != first)
 	}
 	if slices.ContainsFunc(ranks, unplaced) {
-		if c[1-first], err = build(1 - first); err != nil {
+		if c[1-first], err = countOf(1 - first); err != nil {
 			return err
 		}
-	}
-	if d.opts.CollectPhases {
-		stats.Phases.Iterations = append(stats.Phases.Iterations, phases)
 	}
 	// The indices are ascending, so the three groups are a prefix, a middle
 	// and a suffix of them.
@@ -674,15 +761,20 @@ func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count coun
 		// whichever class member the pivot pass happened to select, so the
 		// answer does not depend on the pivot path (and hence not on the shard
 		// count). A singleton class needs no enumeration: the pivot is its
-		// only member.
+		// only member. The answers own their weights (the tree keeps wp).
 		if d.trm.lossy || count.Sub(c[trim.Less]).Sub(c[trim.Greater]).Cmp(counting.One) == 0 {
 			for _, r := range eq {
-				vals := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, d.origVars)
-				out[r.at] = &Answer{Vars: d.origVars, Values: vals, Weight: wp}
+				var vals []relation.Value
+				if nd != nil {
+					vals = slices.Clone(nd.answer)
+				} else {
+					vals = projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, d.origVars)
+				}
+				out[r.at] = &Answer{Vars: d.origVars, Values: vals, Weight: wp.Clone()}
 			}
 		} else {
-			if roundHook != nil {
-				roundHook(shards)
+			if err := d.instances(depth, level, low, high); err != nil {
+				return err
 			}
 			for i := range eq {
 				eq[i].k = eq[i].k.Sub(c[trim.Less])
@@ -693,37 +785,42 @@ func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count coun
 		}
 	}
 
-	// Every live shard descends into its slice of a partition, handing its
-	// executable tree and counting state to the round below — nothing is
-	// rebuilt. A shard whose slice came up empty is dead down there.
-	enter := func(side trim.Dir) {
-		for _, st := range shards {
-			if st.dead {
-				continue
+	// Every live shard descends into its slice of a partition the round built.
+	// One the tree supplied has no slices: the shards it says have candidates
+	// stay live, holding nothing.
+	enter := func(side trim.Dir) *atomic.Pointer[pivotNode] {
+		d.stale = !built[side]
+		for i, st := range shards {
+			switch {
+			case d.stale:
+				dead := known[side].dead
+				*st = shardState{eng: st.eng, orig: st.orig, curSlot: -1, dead: dead != nil && dead[i], scr: st.scr}
+			case !st.dead:
+				st.descend(st.parts[side])
 			}
-			p := st.parts[side]
-			st.cur, st.curExec, st.curCounts, st.curCount = p.inst, p.exec, p.counts, p.counts.Total
-			st.curSlot = p.slot
-			st.dead = st.curCount.IsZero()
 		}
+		if known[side] != nil {
+			return &known[side].below
+		}
+		return nil
 	}
-	// With indices on both sides the gt partition waits for the lt subtree,
-	// whose rounds overwrite parts and dead: it is held here, and its counts
-	// stay in this level's slots while the subtree builds one level up.
+	// With indices on both sides a gt partition the round built waits for the
+	// lt subtree, whose rounds overwrite parts and dead: it is held here, and
+	// its counts stay in this level's slots while the subtree builds one level
+	// up. One the tree supplied holds nothing.
 	var held []heldPart
-	if len(lt) > 0 && len(gt) > 0 {
+	if len(lt) > 0 && len(gt) > 0 && built[trim.Greater] {
 		held = make([]heldPart, len(shards))
 		for i, st := range shards {
 			held[i] = heldPart{part: st.parts[trim.Greater], dead: st.dead}
 		}
 	}
 	if len(lt) > 0 {
-		enter(trim.Less)
 		below := level
 		if held != nil {
 			below++
 		}
-		if err := d.selectIn(depth+1, below, low, ranking.Finite(wp), c[trim.Less], lt, out); err != nil {
+		if err := d.selectIn(depth+1, below, enter(trim.Less), low, ranking.Finite(wp), c[trim.Less], lt, out); err != nil {
 			return err
 		}
 	}
@@ -737,8 +834,83 @@ func (d *descent) selectIn(depth, level int, low, high ranking.Bound, count coun
 	for i := range gt {
 		gt[i].k = gt[i].k.Sub(skipped)
 	}
-	enter(trim.Greater)
-	return d.selectIn(depth+1, level, ranking.Finite(wp), high, c[trim.Greater], gt, out)
+	return d.selectIn(depth+1, level, enter(trim.Greater), ranking.Finite(wp), high, c[trim.Greater], gt, out)
+}
+
+// instances makes the band's instances real before something reads them: a
+// descent that came down through remembered partitions (stale) has cut nothing
+// of the band yet and cuts it now — once, out of the original instance, for
+// the shards the tree says have candidates, into the slot of the level's
+// triple that a round's two builds leave free.
+func (d *descent) instances(depth, level int, low, high ranking.Bound) error {
+	if d.stale {
+		if _, _, err := d.cut(wholeBand, depth, level, low, high, 0); err != nil {
+			return err
+		}
+		for _, st := range d.shards {
+			if !st.dead {
+				st.descend(st.parts[wholeBand])
+			}
+		}
+		d.stale = false
+	}
+	if roundHook != nil {
+		roundHook(d.shards)
+	}
+	return nil
+}
+
+// cut trims the band low ≺ w ≺ high out of every live shard's original
+// instance into the shard's parts[as], derives the executable trees and counts
+// them, a stage at a time across the shards, timed into the current phase
+// entry. as is a side of the round that splits at one of the bounds, or
+// wholeBand (exact trims only: every exact band is one trim whichever way it
+// is reached). It returns the band's answer count and its instance size.
+func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, eps float64) (counting.Count, int, error) {
+	shards, now := d.shards, d.now
+	t0 := now()
+	for _, st := range shards {
+		if st.dead {
+			continue
+		}
+		inst, err := d.trm.band(st.orig, low, high, as, eps)
+		if err != nil {
+			return counting.Zero, 0, err
+		}
+		st.parts[as].inst = inst
+	}
+	t1 := now()
+	for _, st := range shards {
+		if st.dead {
+			continue
+		}
+		exec, err := execOf(st.parts[as].inst)
+		if err != nil {
+			return counting.Zero, 0, err
+		}
+		st.parts[as].exec = exec
+	}
+	t2 := now()
+	size := 0
+	n := counting.Zero
+	for _, st := range shards {
+		if st.dead {
+			continue
+		}
+		p := &st.parts[as]
+		p.slot = countSlot(st.curSlot, level, as)
+		p.counts = yannakakis.CountScratch(p.exec, d.workers, st.scratch().slot(p.slot))
+		n = n.Add(p.counts.Total)
+		size += p.inst.DB.Size()
+	}
+	ph := d.phase()
+	ph.Trim += t1.Sub(t0)
+	ph.Derive += t2.Sub(t1)
+	ph.Count += now().Sub(t2)
+	if bandHook != nil {
+		bandHook(low, high, n, depth, level)
+	}
+	return n, size, nil
 }
 
 // roundHook, when set, sees the shard states as each round starts and again

@@ -112,9 +112,12 @@ type Engine struct {
 
 	// trimCache amortizes λ-independent trim preprocessing (grouped and
 	// staircase-sorted adjacent pairs) across pivoting iterations AND across
-	// queries on this plan. It is keyed by ranking identity and valid only
-	// for this engine's exact (q, db); engines derived by Update with a
-	// changed set view start fresh.
+	// queries on this plan, and holds what the driver remembers of its exact
+	// descents (core's pivot trees). It is keyed by ranking identity and valid
+	// only for this engine's exact (q, db); engines derived by Update with a
+	// changed set view start fresh, the others carry it — which also makes its
+	// identity the stamp of "same set view" a pivot tree over several shard
+	// engines checks.
 	trimCache *trim.Cache
 
 	// scratch pools the per-run iteration scratch (counting arrays, pivot
@@ -123,7 +126,9 @@ type Engine struct {
 	scratch sync.Pool
 }
 
-// TrimCache returns the plan-owned trim-preprocessing cache.
+// TrimCache returns the plan-owned cache of trim preprocessing and remembered
+// descents: the same *trim.Cache for every engine derived from this one
+// without a change to its set view, a fresh one otherwise.
 func (e *Engine) TrimCache() *trim.Cache { return e.trimCache }
 
 // Scratch returns the plan-owned pool of per-run iteration scratch. Callers

@@ -85,21 +85,49 @@ type Instance struct {
 
 // Cache holds trim preprocessing keyed by ranking identity (ranking.Key: by
 // value for default-weight rankings, so a service that builds a fresh ranking
-// per request still hits it). Safe for concurrent use; see Instance.Cache for
-// the ownership contract.
+// per request still hits it). Beside it sits what the driver remembers about
+// its descents under each ranking (Remembered: core's pivot tree, opaque
+// here), because that has the cache's owner and the cache's validity: both are
+// functions of the exact (Q, DB) and nothing else, an engine derived with a
+// changed set view starts with a fresh Cache and so with neither, and one
+// derived without (a multiplicity-only delta) carries both. Safe for
+// concurrent use; see Instance.Cache for the ownership contract.
 type Cache struct {
 	mu     sync.Mutex
 	sumAdj map[ranking.Key]*sumAdjPrep
+	// remembered has a lock of its own: a preparation is built under mu, and
+	// a run that only wants its tree must not wait for one.
+	remMu      sync.Mutex
+	remembered map[ranking.Key]any
 }
 
 // NewCache returns an empty trim-preprocessing cache.
 func NewCache() *Cache { return &Cache{} }
 
-// cacheMaxEntries bounds the prep cache: distinct rankings on one plan are
-// normally a handful, but pointer-keyed custom-weight rankings built per
-// call would otherwise accumulate one O(|D|) preparation each. On overflow
-// the whole map is dropped — the next call simply rebuilds its prep.
+// cacheMaxEntries bounds the prep cache and the remembered descents, each on
+// its own: distinct rankings on one plan are normally a handful, but
+// pointer-keyed custom-weight rankings built per call would otherwise
+// accumulate one O(|D|) preparation each. On overflow the whole map is
+// dropped — the next call simply rebuilds its prep, or descends afresh.
 const cacheMaxEntries = 64
+
+// Remembered returns what the driver keeps under the ranking, after keep has
+// seen it: keep(old) runs under the cache's lock with the stored value (nil
+// when there is none) and returns the value to store — old itself to leave
+// things as they are, nil to store nothing — so it should do no more than look.
+func (c *Cache) Remembered(key ranking.Key, keep func(old any) any) any {
+	c.remMu.Lock()
+	defer c.remMu.Unlock()
+	old := c.remembered[key]
+	v := keep(old)
+	if v != old && v != nil {
+		if c.remembered == nil || (old == nil && len(c.remembered) >= cacheMaxEntries) {
+			c.remembered = make(map[ranking.Key]any)
+		}
+		c.remembered[key] = v
+	}
+	return v
+}
 
 // workers resolves the instance's worker count for the parallel runtime.
 func (inst Instance) workers() int {

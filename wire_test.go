@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -312,4 +313,67 @@ func TestValidatePhisCapsTheGrid(t *testing.T) {
 	if _, err := qjoin.ParsePhis("0.1,1.5"); !errors.As(err, &ae) || ae.Field != "phi" {
 		t.Fatalf("bad φ in a legal grid: %v, want an *ArgError on phi", err)
 	}
+}
+
+// FuzzParseQuery: no input makes the query parser panic, and what it accepts
+// has one canonical spelling — FormatQuery of the parse re-parses to an equal
+// query and formats to itself. The checked-in corpus
+// (testdata/fuzz/FuzzParseQuery) holds the README's queries, the benchmark's,
+// and the malformed strings of the server's bad-request table; `go test` runs
+// it as a plain test.
+func FuzzParseQuery(f *testing.F) {
+	for _, s := range []string{"R(x,y),S(y,z)", " R( x , y ) , S(y,z) ", "R(x,x),R(x,y)", "R(x", "R,S(x)(y)", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		q, err := qjoin.ParseQuery(s)
+		if err != nil {
+			var ae *qjoin.ArgError
+			if !errors.As(err, &ae) || ae.Field != "query" {
+				t.Fatalf("%q: error %v is not an ArgError on query", s, err)
+			}
+			return
+		}
+		canon := qjoin.FormatQuery(q)
+		again, err := qjoin.ParseQuery(canon)
+		if err != nil {
+			t.Fatalf("%q parses, its canonical form %q does not: %v", s, canon, err)
+		}
+		if !reflect.DeepEqual(again.Atoms, q.Atoms) || qjoin.FormatQuery(again) != canon {
+			t.Fatalf("%q: canonical form %q re-parses to %q", s, canon, qjoin.FormatQuery(again))
+		}
+	})
+}
+
+// FuzzParseRanking is FuzzParseQuery for the ranking parser; its corpus
+// (testdata/fuzz/FuzzParseRanking) holds every ranking the benchmark spells
+// and the malformed ones of the server's bad-request table.
+func FuzzParseRanking(f *testing.F) {
+	for _, s := range []string{"sum(x,z)", "MAX(a,b)", " lex ( x1 , x3 ) ", "avg(x)", "sum(x)(y)", "sum(", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := qjoin.ParseRanking(s)
+		if err != nil {
+			var ae *qjoin.ArgError
+			if !errors.As(err, &ae) || ae.Field != "rank" {
+				t.Fatalf("%q: error %v is not an ArgError on rank", s, err)
+			}
+			return
+		}
+		canon, err := qjoin.FormatRanking(r)
+		if err != nil {
+			t.Fatalf("%q parses to a ranking with no wire form: %v", s, err)
+		}
+		again, err := qjoin.ParseRanking(canon)
+		if err != nil {
+			t.Fatalf("%q parses, its canonical form %q does not: %v", s, canon, err)
+		}
+		if again.Agg != r.Agg || !reflect.DeepEqual(again.Vars, r.Vars) || again.Weight != nil {
+			t.Fatalf("%q: canonical form %q re-parses to %v%v", s, canon, again.Agg, again.Vars)
+		}
+		if c2, _ := qjoin.FormatRanking(again); c2 != canon {
+			t.Fatalf("%q: canonical form %q formats to %q after a re-parse", s, canon, c2)
+		}
+	})
 }
