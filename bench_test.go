@@ -251,11 +251,11 @@ func BenchmarkPreparedReuse(b *testing.B) {
 // BenchmarkQuantileAllocs — allocation regression floor for the pivot loop
 // (ISSUEs 4 and 12). One prepared plan answers the 8-φ grid per op, on two
 // 32k-tuple instances: the selective one, whose answers materialize at once
-// (the tail: enumerate, weigh, select), and the dense one under LEX, which
+// (the tail: weigh, select, recover — ISSUE 23), and the dense one under LEX, which
 // loops three or four rounds per φ and whose weights are vectors (one flat
 // array per node; a vector per tuple used to cost 345k allocations per
 // answer). The grid is one shared descent (ISSUE 16): the selective instance
-// is enumerated once for the eight φ's, not eight times. The dense plan's
+// is weighed once for the eight φ's, not eight times. The dense plan's
 // first grid plants its pivot tree (ISSUE 22), so the grids measured walk
 // remembered rounds and cut only the bands of their leaves. Budgets, of
 // allocations and of bytes allocated, are what that measures plus 15%.
@@ -268,8 +268,8 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		budget float64 // allocs per 8-φ grid
 		kb     float64 // KB allocated per 8-φ grid
 	}{
-		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 81}, // measured 230, 70.4 KB (a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1690, 25000},    // measured 1471, 20 700–21 800 KB (every round run, PR 21: 2809, ≈ 34 900 KB; PR 19: 3104; PR 18: 6018); PR 11: 2.7M
+		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 38}, // measured 235, 32.8 KB (the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1690, 11800},    // measured 1411, 8 470–10 260 KB (the band as tuples, PR 22: 1471, 20 700–21 800 KB; every round run, PR 21: 2809, ≈ 34 900 KB; PR 19: 3104; PR 18: 6018); PR 11: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -1051,7 +1051,8 @@ type rotationOp struct {
 // on one plan that has been through the 396-request rotation once — the pivot
 // tree supplies the rounds, and the run is one band cut and its tail. Each
 // iteration of either asks the other kind of plan too, untimed, and checks the
-// answers agree. CI's scaling gate: warm min ns/op ≤ 0.50× cold.
+// answers agree. CI's scaling gate: warm min ns/op ≤ 0.40× cold (measured
+// 0.21–0.27).
 func BenchmarkRememberedQuantile(b *testing.B) {
 	q, idb := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
 	db := qjoin.WrapDB(idb)
@@ -1094,6 +1095,40 @@ func BenchmarkRememberedQuantile(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLeafTail — what the driver's tail costs beside a walk of the
+// tuples it used to copy (ISSUE 23), on a 2-path whose ≈ 2¹⁵ answers are at
+// most |D|, so that Algorithm 1 materializes at round 0 and the run is its
+// tail: "select" is core.Select of the median — every candidate weighed, the
+// rank selected among the weights, one answer recovered; "walk" is a bare
+// yannakakis.Enumerate of the same tree with a callback that does nothing.
+// Neither touches the plan's pivot tree (no round starts). The weight pass
+// makes the walk's three dependent reads per root tuple itself, so the tail
+// costs the walk and then the selection: CI's scaling gate is select min ns/op
+// ≤ 2.75× walk (measured 1.7–2.1; the tail that copied the tuples: 3.4).
+func BenchmarkLeafTail(b *testing.B) {
+	q, db := workload.Path(rand.New(rand.NewSource(23)), 2, 1<<15, 1<<15)
+	eng, err := engine.NewWorkers(q, db, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engs := []*engine.Engine{eng}
+	f := ranking.NewSum("x1", "x2", "x3")
+	n := eng.Counts().Total
+	b.Run("select", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, stats, err := core.Select(engs, f, n.Half(), core.Options{Parallelism: 1})
+			if err != nil || stats.Iterations != 0 || stats.Materialized < 1<<14 {
+				b.Fatalf("err %v, stats %+v: want a round-0 materialization of about 2^15 answers", err, stats)
+			}
+		}
+	})
+	b.Run("walk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			yannakakis.Enumerate(eng.Exec(), eng.Counts(), func([]relation.Value) bool { return true })
+		}
+	})
 }
 
 // BenchmarkColdMedian — what a plan's first exact answer costs beside the

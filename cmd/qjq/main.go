@@ -322,7 +322,7 @@ func main() {
 // breakdown (pivot / trim / derive / count) that -stats collects: the
 // statistics describe the descent, the rounds line and the breakdown what this
 // run executed of it (an earlier φ under the same ranking leaves its rounds in
-// the plan's pivot tree).
+// the plan's pivot tree), the tail line what it did below the rounds.
 func printStats(s *qjoin.RunStats) {
 	fmt.Printf("  stats: iterations=%d materialized=%d pivotReturned=%v maxInstanceTuples=%d\n",
 		s.Iterations, s.Materialized, s.PivotReturned, s.MaxInstanceTuples)
@@ -330,6 +330,7 @@ func printStats(s *qjoin.RunStats) {
 		return
 	}
 	fmt.Printf("  rounds: %d (%d remembered)\n", s.Iterations, s.Phases.Remembered)
+	fmt.Printf("  tail: %d weighed, %d recovered (%v)\n", s.Phases.Weighed, s.Phases.Recovered, s.Phases.Tail.Round(time.Microsecond))
 	var tot struct{ pivot, trim, derive, count time.Duration }
 	for i, ph := range s.Phases.Iterations {
 		fmt.Printf("  iter %2d: pivot=%-10v trim=%-10v derive=%-10v count=%v\n",

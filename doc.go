@@ -192,9 +192,9 @@
 // sketch tier's anchor grid (core.SelectMany) sort their ranks and send them
 // down one descent, the ranks below the pivot into lt, those above into gt
 // (held aside until the lt subtree is done), those on it answered from the
-// pivot or one enumeration of its class. A band is trimmed, derived and
+// pivot or one weighing of its class. A band is trimmed, derived and
 // counted once however many ranks fall in it, and a band under the threshold
-// is materialized once for all of them: m ranks cost O(|D|·log m) loop work
+// is weighed once for all of them: m ranks cost O(|D|·log m) loop work
 // plus their m tails, where a run per rank costs m full descents. A single
 // quantile is the m = 1 case of the same code, and each answer is byte for
 // byte the one its own run returns; RunStats then describe the whole
@@ -212,8 +212,8 @@
 // its bands: a remembered round skips the pivot pass, a remembered partition's
 // count places the ranks without the partition being built, and a band is cut
 // out of the original instance only where an instance is read — the pivot
-// pass of a round the tree does not hold, the leaf's materialization, the
-// enumeration of a tie class with several members. Every round a run does
+// pass of a round the tree does not hold, a leaf's tail, the tail of a tie
+// class with several members. Every round a run does
 // execute is written into the tree (first writer wins, nodes are immutable,
 // no run waits for another). The first exact answer per (plan, ranking) pays
 // the descent; later ones one band cut and their tail. Single ranks, rank
@@ -227,6 +227,39 @@
 // on the depth, never touch one. RunStats describe the descent and are
 // byte-identical whether a round was run or remembered; what this run executed
 // is in Phases (PhaseLog.Remembered; a remembered round's timings are zero).
+//
+// The tail. A run ends in a band of at most |D| candidates (or in a tie class
+// of several members), and nothing of that band is ever held as tuples but
+// the answers returned. Weigh: a pass over each live shard's current tree,
+// guided by its counts, visits the candidates in Enumerate's order on
+// Enumerate's odometer (yannakakis.Walk) and writes their weights — not their
+// values — into one flat array, the pivot pass's layout: per pre-order depth
+// it carries the weight of the tuples bound so far (for LEX the one vector,
+// each position written by the node that owns it under μ) and weighs the last
+// node's candidates in one loop (pivot.Weigh). A candidate is then known by
+// its ordinal: shard after shard, each shard's in walk order. Select: the
+// weight class holding each requested rank is selected among (weight, ordinal)
+// entries by the kernel of the weighted median (selection.SelectClass), the
+// middle rank first and the others in the halves it leaves. Recover: only the
+// members of the selected classes become tuples, in one positional walk per
+// shard (yannakakis.AnswersAt: the same odometer passing over every tuple
+// whose count says no wanted ordinal lies under it — a mixed-radix decoding of
+// the ordinal over the join groups' counts), projected onto the source
+// variables; inside a class of several members the same kernel selects by
+// value. The answer is still the rank-k member of the (weight, values) order:
+// the band is a union of complete weight classes, so the class at position k
+// of the weights is the class of the rank-k answer, position k minus the
+// answers before the class is its rank inside, and the members' value order
+// is the tie-break — no step depends on the order the walk visits the
+// candidates in, which only names them. A tie class reached through the equal
+// partition is the same code with the class's weight known: the weights are
+// looked at and dropped, the members' ordinals kept. Selection is worst-case
+// linear; beside it the tail sorts the ordinals of the classes it recovers
+// (c·log c for c members) and recovery costs O(|D| + ℓ·c) plus the live group
+// members it steps over, never more than the walk up to the last member: a
+// band that is one giant tie class costs what materializing it costs.
+// PhaseLog.Tail, Weighed and Recovered report it (Options.CollectPhases).
+// Every answer owns its values and its weight; Answer.Vars is the plan's.
 //
 // One-pass band trim. Every exact family cuts the candidate band
 // low ≺ w ≺ high out of the original instance in a single trim. For SUM, per
@@ -243,17 +276,20 @@
 // trims, pivot bound first.
 //
 // Deterministic linear selection. Weighted medians (Algorithm 2) and the
-// rank-k selection of the materialized tail run introselect: a cheap
+// tail's selection of a rank's weight class run introselect: a cheap
 // position-based pivot (median-of-3, ninther from 128 items), with
 // median-of-medians taking over for the rest of a call as soon as one
 // partition round fails to shrink the range by at least 1/8. Nothing is
 // randomized, every call is worst-case linear, and the pivot rule can only
 // change which member of a tie class a median returns — never a pivot
 // weight, and never an exact answer (tie classes are resolved in canonical
-// value order). The weighted median partitions (weight, count, tuple) entries
-// held by value — a node's weights are one flat array of numbers, LEX vectors
-// included — and compares them inline; the tail's selection, whose order
-// breaks weight ties by value, keeps its comparison callback.
+// value order). There is one kernel (internal/selection): it partitions
+// (weight, item) entries held by value, 16 bytes each, and compares them
+// inline; what else an item carries — the rest of a LEX vector, a
+// multiplicity — lies behind it in flat arrays (a node's weights are one
+// array of numbers, its counts another). The weighted median and the tail,
+// whose entries count once and whose second pass orders a class by value, are
+// its two entry points.
 //
 // Interned integer row keys. Every hash structure over tuples — input
 // dedup, node materialization, join-group indexes, the trim constructions'
@@ -278,20 +314,21 @@
 // state: counts are always recomputed (or delta-maintained) per instance.
 // The plan's cached full reduction and direct-access structure belong to
 // the engine, not to derived instances, and the loop neither reads nor
-// builds them: both of its exits materialize by walking the current tree
-// guided by its counts (cnt(t) > 0 is exactly "t carries an answer"), at
-// O(|D| + ℓ·|candidates|) on original and trimmed instances alike.
+// builds them: both of its exits weigh their candidates by walking the
+// current tree guided by its counts (cnt(t) > 0 is exactly "t carries an
+// answer"), at O(|D| + ℓ·|candidates|) on original and trimmed instances
+// alike.
 //
-// Pooled iteration scratch and cached trim preparation. Counting arrays
-// and pivot weight buffers (LEX weight vectors as one flat array per node)
-// are drawn from a plan-owned pool, and the bound-independent half of the
+// Pooled iteration scratch and cached trim preparation. Counting arrays,
+// pivot weight buffers (LEX weight vectors as one flat array per node) and
+// the tail's weights and entries are drawn from a plan-owned pool, and the bound-independent half of the
 // staircase trim (grouping and sorting both adjacent sides) is computed
 // once per ranking per plan and reused by every iteration of every
 // quantile. Options.CollectPhases
 // records a per-iteration pivot/trim/derive/count wall-clock breakdown in
 // RunStats.Phases (off by default so RunStats stay byte-comparable): one entry
-// per round of the descent, timed for what this run executed of it, plus how
-// many rounds came from the pivot tree.
+// per round of the descent, timed for what this run executed of it, how many
+// rounds came from the pivot tree, and the tail's time and counts.
 //
 // # Sharded datasets
 //

@@ -119,11 +119,13 @@ const (
 
 // Answer is a query answer with its weight.
 type Answer struct {
-	// Vars is the variable layout (the original query's Vars()).
+	// Vars is the variable layout (the original query's Vars()). It is the
+	// plan's own slice, shared by every answer the plan returns: read-only.
 	Vars []query.Var
-	// Values are the answer's values, aligned with Vars.
+	// Values are the answer's values, aligned with Vars. The answer owns them.
 	Values []relation.Value
-	// Weight is the answer's weight under the ranking function.
+	// Weight is the answer's weight under the ranking function, its vector
+	// (LEX) the answer's own.
 	Weight ranking.Weightv
 	// Source reports which tier produced the answer (SourceExact,
 	// SourceSketch or SourceSample). Empty on answers from enumeration

@@ -52,7 +52,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 		if curCount.Cmp(threshold) <= 0 {
 			m, _ := curCount.Uint64()
 			stats.Materialized = int(m)
-			ans, err := materializeSelect(shards, f, origVars, k, int(m), new(runScratch))
+			ans, err := referenceTail(shards, f, origVars, nil, k)
 			return ans, stats, err
 		}
 		stats.Iterations = iter + 1
@@ -115,7 +115,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 				ans := projectAnswer(shards[pidx].cur.Q.Vars(), pv.Assignment, origVars)
 				return &Answer{Vars: origVars, Values: ans, Weight: pv.Weight}, stats, nil
 			}
-			ans, err := classSelect(shards, f, origVars, pv.Weight, k.Sub(c[trim.Less]))
+			ans, err := referenceTail(shards, f, origVars, &pv.Weight, k.Sub(c[trim.Less]))
 			return ans, stats, err
 		}
 	}

@@ -66,8 +66,10 @@ type RunStats struct {
 	// remembered, whichever way the run ended; with Options.CollectPhases it
 	// equals len(Phases.Iterations).
 	Iterations int
-	// Materialized is the candidate count resolved by final materialization
-	// (0 when the run terminated in the equal partition).
+	// Materialized is the candidate count resolved by final materialization —
+	// the size of the bands whose candidates the tail weighed to select among
+	// them; it forms only the answers it returns (0 when the run terminated
+	// in the equal partition).
 	Materialized int
 	// PivotReturned reports termination through the equal partition.
 	PivotReturned bool
@@ -100,22 +102,29 @@ type PhaseLog struct {
 	// Iterations has one entry per round of the descent, in the order they
 	// were walked. A round is timed for what the run executed of it: nothing
 	// when its pivot and the partitions it needed came from the plan's pivot
-	// tree. A band cut below the last round — for the leaf's materialization
-	// — is timed into that round's entry, so the entries add up to the loop
-	// and what is left of the run is its tail.
+	// tree. A band cut below the last round — for a leaf's tail — is timed
+	// into that round's entry, so the entries add up to the loop and Tail is
+	// what the run did below it.
 	Iterations []PhaseTimings
 	// Remembered counts the rounds whose pivot came from the pivot tree
 	// instead of a pivot pass.
 	Remembered int
+	// Tail is the time spent below the rounds, in the run's leaves and tie
+	// classes: weighing the candidates, selecting, recovering the answers.
+	Tail time.Duration
+	// Weighed counts the candidates those tails weighed; Recovered, the ones
+	// they made tuples of — the members of the weight classes the requested
+	// indices landed in.
+	Weighed, Recovered int
 }
 
 // runScratch is the pooled per-run iteration scratch: the counting buffers,
-// the pivot pass's weight arrays, and the backing of the tail's LEX weight
-// vectors. One value serves one run at a time; the engine's scratch pool hands
+// the pivot pass's weight arrays, and the tail's — the candidates' flat weights
+// and the entries it selects among. One value serves one run at a time; the engine's scratch pool hands
 // it from run to run so steady-state quantile answering allocates no fresh
 // per-node arrays. Counting slots come in triples, not one per side: the
 // counts a round descended into stay the current instance's until the next
-// descent — the pivot pass reads them, and so does either exit's enumeration —
+// descent — the pivot pass reads them, and so does either exit's tail —
 // so a round's two builds take the two slots of its triple that do not hold
 // them (countSlot). A run for one index lives in the first triple. A descent
 // for several holds a gt partition's counts aside while the lt subtree runs,
@@ -127,7 +136,8 @@ type runScratch struct {
 	counts  [3]yannakakis.Scratch
 	deeper  [][3]yannakakis.Scratch // triples of levels 1, 2, …
 	pivot   pivot.Scratch
-	lexVecs []int64
+	weights []int64
+	entries []selection.Entry
 }
 
 // slot returns counting slot i: triple i/3, member i%3.
@@ -433,12 +443,13 @@ func (d *descent) phase() *PhaseTimings {
 // below it instead of being rebuilt, filter trims derive their trees by subset
 // filtering, λ-independent trim preprocessing comes from each shard plan's
 // cache, and the per-round arrays come from each shard plan's scratch pool.
-// Either exit enumerates each live shard's current tree guided by its current
-// counts (the engine's shared tree and cached counts while the shard is still
-// on its original instance, the descended partition's own afterwards): the
-// counting pass already says which tuples carry an answer, so the walk meets
-// no dead end and costs O(|D| + ℓ·|candidates|) without a full reduction being
-// built. Nothing shared is ever mutated here but the plan's pivot tree
+// Either exit weighs the candidates of each live shard's current tree guided by
+// its current counts (the engine's shared tree and cached counts while the
+// shard is still on its original instance, the descended partition's own
+// afterwards): the counting pass already says which tuples carry an answer, so
+// the walk meets no dead end and costs O(|D| + ℓ·|candidates|) without a full
+// reduction being built, and only the answers returned are formed
+// (resolveRanks). Nothing shared is ever mutated here but the plan's pivot tree
 // (pivotTree), which an exact run walks instead of running the rounds it
 // holds and fills with the rounds it runs: the second exact request under a
 // ranking is one band cut and its tail.
@@ -535,10 +546,10 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 // among the count candidates with low ≺ w ≺ high into out (a parameter, not a
 // field: what a recursive method reaches through its receiver is
 // heap-allocated, and the one-index run keeps its answer slot on the stack). A
-// band at most the threshold is materialized once and every index selected
-// from it. A larger one is one round of Algorithm 1: a pivot splits it into
+// band at most the threshold is weighed once and every index selected from
+// it. A larger one is one round of Algorithm 1: a pivot splits it into
 // lt / eq / gt, the indices that land on eq are answered from the pivot (or one
-// enumeration of its class), and the others go down with their partition, lt
+// weighing of its class), and the others go down with their partition, lt
 // before gt. The gt partition is held aside while the lt subtree runs, so at
 // most one pending sibling per level is live: level counts them, and names the
 // triple of counting slots the round's builds may write (countSlot). depth is
@@ -550,7 +561,8 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 // partition some run has built, which places the indices as the build would.
 // Entering a partition that was only read leaves the descent stale — no shard
 // holds an instance of the band — until instances cuts it, which only a pivot
-// pass on a round the tree does not hold, a leaf and a tie class ask for.
+// pass on a round the tree does not hold and the tail of a leaf or of a tie
+// class ask for.
 // Whatever the round does execute it writes into the tree. The statistics
 // cannot tell the difference: a remembered partition counts with the size it
 // was built at.
@@ -564,11 +576,7 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 			return err
 		}
 		m, _ := count.Uint64()
-		scr := shards[0].scr
-		if scr == nil {
-			scr = new(runScratch) // the shard ran no pass
-		}
-		if err := materializeRanks(shards, f, d.origVars, ranks, int(m), scr, out); err != nil {
+		if err := d.tail(nil, int(m), ranks, out); err != nil {
 			return err
 		}
 		stats.Materialized += int(m)
@@ -760,8 +768,8 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 		// class rank k−cLt in value order — its global rank — rather than
 		// whichever class member the pivot pass happened to select, so the
 		// answer does not depend on the pivot path (and hence not on the shard
-		// count). A singleton class needs no enumeration: the pivot is its
-		// only member. The answers own their weights (the tree keeps wp).
+		// count). A singleton class needs no tail: the pivot is its only
+		// member. The answers own their weights (the tree keeps wp).
 		if d.trm.lossy || count.Sub(c[trim.Less]).Sub(c[trim.Greater]).Cmp(counting.One) == 0 {
 			for _, r := range eq {
 				var vals []relation.Value
@@ -779,7 +787,7 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 			for i := range eq {
 				eq[i].k = eq[i].k.Sub(c[trim.Less])
 			}
-			if err := classRanks(shards, f, d.origVars, wp, eq, out); err != nil {
+			if err := d.tail(&wp, 0, eq, out); err != nil {
 				return err
 			}
 		}
@@ -835,6 +843,25 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 		gt[i].k = gt[i].k.Sub(skipped)
 	}
 	return d.selectIn(depth+1, level, enter(trim.Greater), ranking.Finite(wp), high, c[trim.Greater], gt, out)
+}
+
+// tail resolves the indices of ranks from the current band's instances
+// (resolveRanks), timed and counted into the phase log when there is one. A
+// run whose first shard ran no pass — it materializes at round 0 — takes a
+// scratch of its own and checks nothing out of the pool.
+func (d *descent) tail(lambda *ranking.Weightv, count int, ranks []rank, out []*Answer) error {
+	scr := d.shards[0].scr
+	if scr == nil {
+		scr = new(runScratch)
+	}
+	t0 := d.now()
+	weighed, recovered, err := resolveRanks(d.shards, d.f, d.origVars, lambda, ranks, count, scr, out)
+	if p := d.stats.Phases; p != nil {
+		p.Tail += d.now().Sub(t0)
+		p.Weighed += weighed
+		p.Recovered += recovered
+	}
+	return err
 }
 
 // instances makes the band's instances real before something reads them: a
@@ -914,7 +941,7 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 }
 
 // roundHook, when set, sees the shard states as each round starts and again
-// before an equal-partition exit enumerates them; bandHook sees every band a
+// before an equal-partition exit weighs them; bandHook sees every band a
 // round builds, with its answer count, the round's depth and the number of gt
 // partitions held aside above it. Only tests set them, and they are
 // unsynchronized globals: a test that sets one must not call t.Parallel (no
@@ -923,27 +950,6 @@ var (
 	roundHook func(shards []*shardState)
 	bandHook  func(low, high ranking.Bound, n counting.Count, depth, held int)
 )
-
-// enumerateLive streams the candidates of the current band: every answer of
-// every live shard's current instance, projected onto origVars, walked by its
-// current counts. row is reused between calls; fn returns false to stop.
-func enumerateLive(shards []*shardState, origVars []query.Var, fn func(row []relation.Value) bool) {
-	row := make([]relation.Value, len(origVars))
-	more := true
-	for _, st := range shards {
-		if st.dead || !more {
-			continue
-		}
-		proj := projection(st.curExec.Q.Vars(), origVars)
-		yannakakis.Enumerate(st.curExec, st.curCounts, func(asn []relation.Value) bool {
-			for i, p := range proj {
-				row[i] = asn[p]
-			}
-			more = fn(row)
-			return more
-		})
-	}
-}
 
 // projectAnswer maps an assignment laid out per fromVars onto toVars by name.
 func projectAnswer(fromVars []query.Var, vals []relation.Value, toVars []query.Var) []relation.Value {
@@ -956,128 +962,188 @@ func projectAnswer(fromVars []query.Var, vals []relation.Value, toVars []query.V
 
 // projection returns, for each of toVars, its position within fromVars.
 func projection(fromVars, toVars []query.Var) []int {
-	pos := make(map[query.Var]int, len(fromVars))
-	for i, v := range fromVars {
-		pos[v] = i
-	}
 	proj := make([]int, len(toVars))
 	for i, v := range toVars {
-		proj[i] = pos[v]
+		proj[i] = slices.Index(fromVars, v)
 	}
 	return proj
 }
 
-// materializeRanks resolves a small candidate band spread over one or more
-// live shards: materialize the answers (Yannakakis, guided by the counts),
-// project off helper variables, and select every requested index by weight
-// with a consistent value tie-break. The (weight, values) order is total over
-// the distinct answers — shards hold disjoint answer sets — so a selected
-// answer depends neither on the enumeration order within a tree nor on how
-// answers are distributed across trees; only the requested ranks are wanted,
-// so they are selected (worst-case linear each) rather than sorted for.
-// Projected answers are stored in one flat backing array sized up front —
-// count is the band's answer count, which the descent already holds — and LEX
-// weight vectors in one flat array kept in scr.
-func materializeRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, ranks []rank, count int, scr *runScratch, out []*Answer) error {
-	w := len(origVars)
-	flat := make([]relation.Value, 0, count*w)
-	n := 0
-	enumerateLive(shards, origVars, func(row []relation.Value) bool {
-		flat = append(flat, row...)
-		n++
-		return w > 0 // a Boolean query has the one empty answer: the first found settles it
-	})
-	if w == 0 {
-		n = min(n, 1)
-	}
-	if n == 0 {
-		return ErrNoAnswers
-	}
-	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
-	aw := ranking.NewAnswerWeigher(f, origVars)
-	r := f.VecLen()
-	if cap(scr.lexVecs) < n*r {
-		scr.lexVecs = make([]int64, n*r)
-	}
-	weights := make([]ranking.Weightv, n)
-	for i := 0; i < n; i++ {
-		weights[i] = aw.WeightInto(scr.lexVecs[i*r:(i+1)*r:(i+1)*r], answer(i))
-	}
-	selectEach(selection.NewIndex(n), 0, ranks, func(i, j int) bool {
-		if c := f.Compare(weights[i], weights[j]); c != 0 {
-			return c < 0
-		}
-		return slices.Compare(answer(i), answer(j)) < 0
-	}, func(at, sel int) {
-		// Copy out of the flat backings: a view would pin all n·w materialized
-		// values for the Answer's lifetime, and the weight vectors are scratch.
-		vals := append([]relation.Value(nil), answer(sel)...)
-		out[at] = &Answer{Vars: origVars, Values: vals, Weight: weights[sel].Clone()}
-	})
-	return nil
+// class is one weight class that requested indices landed in: its members —
+// entries whose Item is the member's ordinal among the candidates — its weight
+// in the flat layout, and the indices, k−off their ranks within the class.
+type class struct {
+	members []selection.Entry
+	weight  []int64
+	off     uint64
+	ranks   []rank
 }
 
-// classRanks resolves the indices of an exact-trim run that landed in an
-// equal partition with more than one member: enumerate the current candidate
-// band across the live shards, keep only the answers whose weight equals the
-// pivot's λ (the band is a union of complete weight classes, so these are
-// exactly the global weight-λ class), and give each index the member at its
-// class rank in value order. Linear in the band size — paid only when an index
-// lands on a tie class of several answers.
-func classRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda ranking.Weightv, ranks []rank, out []*Answer) error {
-	w := len(origVars)
-	aw := ranking.NewAnswerWeigher(f, origVars)
-	var flat []relation.Value
-	vec := make([]int64, f.VecLen())
-	enumerateLive(shards, origVars, func(row []relation.Value) bool {
-		if f.Compare(aw.WeightInto(vec, row), lambda) == 0 {
-			flat = append(flat, row...)
+// resolveRanks is both exits' tail (doc.go, "The tail"): the candidates of the
+// current band are weighed where they stand, the requested indices selected
+// among the weights, and only the members of the weight classes they land in
+// recovered as tuples. The answer of an index is the member of the band at
+// that rank in the (weight, values) order, which is total over the distinct
+// answers — shards hold disjoint answer sets — so it depends neither on the
+// enumeration order within a tree nor on how the answers are spread over the
+// trees.
+//
+// With lambda nil it resolves the indices of ranks — ascending, relative to the
+// band — in a band of count candidates, small enough to materialize: every
+// candidate of every live shard is weighed (pivot.Weigh, into the pivot pass's
+// flat layout), shard after shard and each shard's in Enumerate's order, so
+// that a candidate is known by its ordinal; the weight class holding each
+// index is selected (worst-case linear per distinct class, the middle index
+// first and the others in the halves it leaves). With lambda set the class is
+// known — the exact-trim run landed in an equal partition of several answers,
+// and the band is a union of complete weight classes, so the candidates
+// weighing λ are exactly the global weight-λ class — and ranks are relative to
+// it; the band may be large, so its weights are looked at and dropped, and only
+// the members' ordinals kept. Either way the members of the classes are then
+// recovered in one positional walk per shard and the same selection runs over
+// each class by value. Every answer owns its values and its weight. It reports
+// the candidates weighed and the tuples recovered.
+func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda *ranking.Weightv, ranks []rank, count int, scr *runScratch, out []*Answer) (weighed, recovered int, err error) {
+	r, w := f.VecLen(), len(origVars)
+	stride := max(r, 1)
+	ws := scr.weights[:0]
+	var classes []class
+	var classOnly func(ws []int64, from, first int) []int64
+	if lambda == nil {
+		ws = slices.Grow(ws, count*stride)
+	} else {
+		classes = []class{{weight: lambda.Vec, ranks: ranks}}
+		if r == 0 {
+			classes[0].weight = []int64{lambda.K}
 		}
-		return true
-	})
-	n := len(flat) / max(w, 1)
-	if n == 0 {
-		return ErrNoAnswers
+		classOnly = func(ws []int64, from, first int) []int64 {
+			for at := from; at < len(ws); at += stride {
+				if slices.Equal(ws[at:at+stride], classes[0].weight) {
+					classes[0].members = append(classes[0].members, selection.Entry{Item: weighed + first + (at-from)/stride})
+				}
+			}
+			return ws[:from]
+		}
 	}
-	answer := func(i int) []relation.Value { return flat[i*w : i*w+w] }
-	selectEach(selection.NewIndex(n), 0, ranks, func(i, j int) bool {
-		return slices.Compare(answer(i), answer(j)) < 0
-	}, func(at, sel int) {
-		vals := append([]relation.Value(nil), answer(sel)...)
-		out[at] = &Answer{Vars: origVars, Values: vals, Weight: lambda}
-	})
-	return nil
+	starts := make([]int, len(shards)+1) // shard i's candidates are the ordinals starts[i]…starts[i+1]-1
+	for i, st := range shards {
+		if starts[i+1] = starts[i]; st.dead {
+			continue
+		}
+		mu, err := f.AssignVars(st.cur.Q)
+		if err != nil {
+			return 0, 0, err
+		}
+		var n int
+		ws, n = pivot.Weigh(st.curExec, st.curCounts, f, mu, ws, classOnly)
+		weighed += n
+		starts[i+1] = weighed
+	}
+	scr.weights = ws
+	if weighed == 0 || lambda != nil && len(classes[0].members) == 0 {
+		return weighed, 0, ErrNoAnswers
+	}
+	if lambda == nil {
+		if cap(scr.entries) < weighed {
+			scr.entries = make([]selection.Entry, weighed)
+		}
+		es := scr.entries[:weighed]
+		for i := range es {
+			es[i] = selection.Entry{Key: ws[i*stride], Item: i}
+		}
+		selectEach(es, selection.Vectors{At: ws, R: r}, 0, ranks, func(members []selection.Entry, off uint64, ranks []rank) {
+			classes = append(classes, class{members, ws[members[0].Item*stride:][:stride], off, ranks})
+		})
+	}
+
+	// Recover the members of every class, ascending by ordinal: one positional
+	// walk (yannakakis.AnswersAt) per shard that holds one, projected onto the
+	// source variables into one flat backing, row i the tuple of ords[i].
+	var ords []int
+	for _, c := range classes {
+		for _, e := range c.members {
+			ords = append(ords, e.Item)
+		}
+	}
+	slices.Sort(ords)
+	flat := make([]relation.Value, len(ords)*w)
+	for s, lo := 0, 0; lo < len(ords); s++ {
+		hi := lo
+		for hi < len(ords) && ords[hi] < starts[s+1] {
+			hi++
+		}
+		if hi == lo {
+			continue
+		}
+		st, part, rows := shards[s], ords[lo:hi], flat[lo*w:hi*w]
+		for i := range part {
+			part[i] -= starts[s] // the shard's own ordinals, while it is walked
+		}
+		proj := projection(st.curExec.Q.Vars(), origVars)
+		yannakakis.AnswersAt(st.curExec, st.curCounts, part, func(i int, asn []relation.Value) {
+			for j, p := range proj {
+				rows[i*w+j] = asn[p]
+			}
+		})
+		for i := range part {
+			part[i] += starts[s]
+		}
+		lo = hi
+	}
+	for _, c := range classes {
+		for i, e := range c.members {
+			at, _ := slices.BinarySearch(ords, e.Item)
+			c.members[i] = selection.Entry{Key: flat[at*w], Item: at}
+		}
+		selectEach(c.members, selection.Vectors{At: flat, R: w}, c.off, c.ranks, func(one []selection.Entry, _ uint64, ranks []rank) {
+			// Answers are distinct, so a class by value is one tuple. Copy out
+			// of the flat backings: a view would pin every recovered member
+			// for the Answer's lifetime, and the weights are scratch.
+			i := one[0].Item
+			for _, rk := range ranks {
+				out[rk.at] = &Answer{Vars: origVars, Values: slices.Clone(flat[i*w : (i+1)*w]), Weight: weightOf(c.weight, r)}
+			}
+		})
+	}
+	return weighed, len(ords), nil
 }
 
-// selectEach selects, for every rank of ranks (ascending, repeats allowed),
-// the item at sorted position k−off among the items idx permutes, and hands
-// emit the rank's output position with it. A k at or past the end takes the
-// last item (lossy accounting can leave an index at the boundary). The middle
-// rank is selected first and splits the items for the ranks on either side of
-// it, so m ranks cost O(n·log m) comparisons, and one rank one selection.
-func selectEach(idx []int, off uint64, ranks []rank, less func(a, b int) bool, emit func(at, item int)) {
+// weightOf boxes one weight of the flat layout — r positions for LEX, one
+// number otherwise — with a vector of its own.
+func weightOf(w []int64, r int) ranking.Weightv {
+	if r == 0 {
+		return ranking.Weightv{K: w[0]}
+	}
+	return ranking.Weightv{Vec: slices.Clone(w)}
+}
+
+// selectEach finds, for every rank of ranks (ascending, repeats allowed), the
+// class of equal entries holding sorted position k−off of es, and hands found
+// each distinct one with its offset (off plus the entries before it) and the
+// ranks that fell in it. A k at or past the end takes the last position (lossy
+// accounting can leave an index at the boundary). The middle rank's class is
+// selected first and splits the entries for the ranks on either side of it, so
+// m ranks cost O(n·log m) comparisons, and one rank one selection.
+func selectEach(es []selection.Entry, vecs selection.Vectors, off uint64, ranks []rank, found func(class []selection.Entry, off uint64, ranks []rank)) {
 	if len(ranks) == 0 {
 		return
 	}
 	pos := func(r rank) int {
-		if k, ok := r.k.Uint64(); ok && k-off < uint64(len(idx)) {
+		if k, ok := r.k.Uint64(); ok && k-off < uint64(len(es)) {
 			return int(k - off)
 		}
-		return len(idx) - 1
+		return len(es) - 1
 	}
 	mid := len(ranks) / 2
-	p := pos(ranks[mid])
-	item := selection.Nth(idx, p, less)
-	lo, hi := mid, mid+1
-	for lo > 0 && pos(ranks[lo-1]) == p {
-		lo--
+	lo, hi := selection.SelectClass(es, vecs, counting.FromInt(pos(ranks[mid])))
+	first, last := mid, mid+1
+	for first > 0 && pos(ranks[first-1]) >= lo {
+		first--
 	}
-	for hi < len(ranks) && pos(ranks[hi]) == p {
-		hi++
+	for last < len(ranks) && pos(ranks[last]) < hi {
+		last++
 	}
-	for _, r := range ranks[lo:hi] {
-		emit(r.at, item)
-	}
-	selectEach(idx[:p], off, ranks[:lo], less, emit)
-	selectEach(idx[p+1:], off+uint64(p)+1, ranks[hi:], less, emit)
+	found(es[lo:hi], off+uint64(lo), ranks[first:last])
+	selectEach(es[:lo], vecs, off, ranks[:first], found)
+	selectEach(es[hi:], vecs, off+uint64(hi), ranks[last:], found)
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -15,20 +16,44 @@ import (
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/sketch"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
-// materializeSelect and classSelect are the one-index forms of the driver's
-// two tails, as the both-sides reference driver (onesided_test.go) calls them.
-func materializeSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, k counting.Count, count int, scr *runScratch) (*Answer, error) {
-	var out [1]*Answer
-	err := materializeRanks(shards, f, origVars, []rank{{k: k}}, count, scr, out[:])
-	return out[0], err
-}
-
-func classSelect(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda ranking.Weightv, k counting.Count) (*Answer, error) {
-	var out [1]*Answer
-	err := classRanks(shards, f, origVars, lambda, []rank{{k: k}}, out[:])
-	return out[0], err
+// referenceTail is the tail of the both-sides reference driver
+// (onesided_test.go), and the reference for the driver's own: every candidate
+// of every live shard made a tuple (Enumerate), projected, weighed answer by
+// answer (AnswerWeigher) and sorted by (weight, values); with lambda set only
+// the candidates weighing λ are kept. A k at or past the end takes the last.
+func referenceTail(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda *ranking.Weightv, k counting.Count) (*Answer, error) {
+	aw := ranking.NewAnswerWeigher(f, origVars)
+	var cands []*Answer
+	for _, st := range shards {
+		if st.dead {
+			continue
+		}
+		fromVars := st.curExec.Q.Vars()
+		yannakakis.Enumerate(st.curExec, st.curCounts, func(asn []relation.Value) bool {
+			vals := projectAnswer(fromVars, asn, origVars)
+			if w := aw.WeightOf(vals); lambda == nil || f.Compare(w, *lambda) == 0 {
+				cands = append(cands, &Answer{Vars: origVars, Values: vals, Weight: w})
+			}
+			return true
+		})
+	}
+	if len(cands) == 0 {
+		return nil, ErrNoAnswers
+	}
+	slices.SortFunc(cands, func(a, b *Answer) int {
+		if c := f.Compare(a.Weight, b.Weight); c != 0 {
+			return c
+		}
+		return slices.Compare(a.Values, b.Values)
+	})
+	at := len(cands) - 1
+	if i, ok := k.Uint64(); ok && i < uint64(at) {
+		at = int(i)
+	}
+	return cands[at], nil
 }
 
 // rankSet is one request of the SelectMany tests: absolute indices, in the

@@ -111,6 +111,17 @@ type ownCol struct {
 	pos  int
 }
 
+// ownCols appends to own the ranked variables μ assigns to node n, in column
+// order.
+func ownCols(own []ownCol, n *jointree.Node, rel *relation.Relation, f *ranking.Func, mu map[query.Var]int) []ownCol {
+	for col, v := range n.Vars {
+		if a, ok := mu[v]; ok && a == n.Atom {
+			own = append(own, ownCol{v: v, vals: rel.Col(col), pos: slices.Index(f.Vars, v)})
+		}
+	}
+	return own
+}
+
 // childEdge is what a tuple's pivot weight reads of one child: the group each
 // parent row joins, the tuple each group selected, and the child's weights.
 type childEdge struct {
@@ -174,12 +185,7 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 			kids = append(kids, childEdge{gids: gids, sel: selTuple[ch], ws: weights[ch]})
 		}
 		cParam[id] = c
-		var own []ownCol
-		for col, v := range n.Vars {
-			if a, ok := mu[v]; ok && a == n.Atom {
-				own = append(own, ownCol{v: v, vals: rel.Col(col), pos: slices.Index(f.Vars, v)})
-			}
-		}
+		own := ownCols(nil, n, rel, f, mu)
 		parallel.For(workers, rel.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if live[i].IsZero() {
@@ -227,11 +233,11 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 				for g := chunks[c].Lo; g < chunks[c].Hi; g++ {
 					es = es[:0]
 					for _, ti := range groups.Tuples[g] {
-						if m := live[ti]; !m.IsZero() {
-							es = append(es, selection.Entry{Key: ws[ti*stride], Mult: m, Item: ti})
+						if !live[ti].IsZero() {
+							es = append(es, selection.Entry{Key: ws[ti*stride], Item: ti})
 						}
 					}
-					sel[g] = medianTuple(es, ws, r)
+					sel[g] = medianTuple(es, ws, r, live)
 				}
 				bufs[c] = es
 			})
@@ -245,11 +251,11 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 	es := grow(bufs[0], len(counts.Tuple[root]))[:0]
 	for i, m := range counts.Tuple[root] {
 		if !m.IsZero() {
-			es = append(es, selection.Entry{Key: ws[i*stride], Mult: m, Item: i})
+			es = append(es, selection.Entry{Key: ws[i*stride], Item: i})
 		}
 	}
 	bufs[0] = es
-	rootSel := medianTuple(es, ws, r)
+	rootSel := medianTuple(es, ws, r, counts.Tuple[root])
 
 	// Reconstruct the pivot assignment top-down along the selected tuples.
 	varIdx := e.Q.VarIndex()
@@ -285,14 +291,14 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 // medianTuple is the ⊕ of Lemma 4.5 over a group's live tuples: the tuple of
 // the weighted median entry, -1 for a group with none. ws holds the tuples'
 // weights, vectors of r positions for LEX (r = 0 otherwise).
-func medianTuple(es []selection.Entry, ws []int64, r int) int {
+func medianTuple(es []selection.Entry, ws []int64, r int, mult []counting.Count) int {
 	switch len(es) {
 	case 0:
 		return -1
 	case 1:
 		return es[0].Item
 	}
-	return selection.MedianItem(es, selection.Vectors{At: ws, R: r})
+	return selection.MedianItem(es, selection.Vectors{At: ws, R: r, Mult: mult})
 }
 
 // MergeShards merges per-shard pivot results into one global pivot for the
@@ -330,15 +336,17 @@ func MergeShards(cands []*Result, f *ranking.Func) (*Result, int) {
 	r := f.VecLen()
 	es := make([]selection.Entry, len(live))
 	var vecs []int64
+	var mults []counting.Count
 	for k, i := range live {
 		w := cands[i].Weight
-		es[k] = selection.Entry{Key: w.K, Mult: cands[i].Count, Item: k}
+		es[k] = selection.Entry{Key: w.K, Item: k}
+		mults = append(mults, cands[i].Count)
 		if r > 0 {
 			es[k].Key = w.Vec[0]
 			vecs = append(vecs, w.Vec...)
 		}
 	}
-	idx := live[selection.MedianItem(es, selection.Vectors{At: vecs, R: r})]
+	idx := live[selection.MedianItem(es, selection.Vectors{At: vecs, R: r, Mult: mults})]
 	minC := 1.0
 	total := counting.Zero
 	for _, i := range live {

@@ -335,10 +335,12 @@ func callbackMedian(live []int, less func(a, b int) bool, mult func(i int) count
 		}
 	}
 	es := make([]selection.Entry, len(live))
+	mults := make([]counting.Count, 1+slices.Max(live))
 	for k, it := range live {
-		es[k] = selection.Entry{Key: rank[it], Mult: mult(it), Item: it}
+		es[k] = selection.Entry{Key: rank[it], Item: it}
+		mults[it] = mult(it)
 	}
-	return selection.MedianItem(es, selection.Vectors{})
+	return selection.MedianItem(es, selection.Vectors{Mult: mults})
 }
 
 // referenceSelect is Algorithm 2 as SelectPrepared ran it before the flat

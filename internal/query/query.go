@@ -84,12 +84,14 @@ func New(atoms ...Atom) *Query { return &Query{Atoms: atoms} }
 // Vars returns the distinct variables of the query in first-appearance order.
 // This order is the canonical answer layout used throughout the library.
 func (q *Query) Vars() []Var {
-	seen := make(map[Var]bool)
-	var out []Var
+	n := 0
+	for _, a := range q.Atoms {
+		n += len(a.Vars)
+	}
+	out := make([]Var, 0, n) // one allocation: the drivers ask per run
 	for _, a := range q.Atoms {
 		for _, v := range a.Vars {
-			if !seen[v] {
-				seen[v] = true
+			if !slices.Contains(out, v) {
 				out = append(out, v)
 			}
 		}

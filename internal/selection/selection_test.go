@@ -17,39 +17,63 @@ func lessOf(vals []int) func(a, b int) bool {
 	return func(a, b int) bool { return vals[a] < vals[b] }
 }
 
+// unitEntries are vals as entries, item i holding vals[i]; without Vectors.Mult
+// each counts once.
+func unitEntries(vals []int) []Entry {
+	es := make([]Entry, len(vals))
+	for i, v := range vals {
+		es[i] = Entry{Key: int64(v), Item: i}
+	}
+	return es
+}
+
+// nth is the k-th smallest of vals (0-indexed) as the kernel selects it.
+func nth(vals []int, k int) int {
+	es := unitEntries(vals)
+	lo, _ := SelectClass(es, Vectors{}, counting.FromInt(k))
+	return vals[es[lo].Item]
+}
+
 func TestNthSimple(t *testing.T) {
 	vals := []int{5, 1, 4, 2, 3}
 	for k := 0; k < 5; k++ {
-		got := Nth(NewIndex(5), k, lessOf(vals))
-		if vals[got] != k+1 {
-			t.Fatalf("Nth(%d) -> item %d", k, vals[got])
+		if got := nth(vals, k); got != k+1 {
+			t.Fatalf("nth(%d) -> item %d", k, got)
 		}
 	}
 }
 
 func TestNthDuplicates(t *testing.T) {
 	vals := []int{2, 2, 2, 1, 3}
-	if got := Nth(NewIndex(5), 2, lessOf(vals)); vals[got] != 2 {
-		t.Fatalf("median of %v = %d", vals, vals[got])
+	if got := nth(vals, 2); got != 2 {
+		t.Fatalf("median of %v = %d", vals, got)
 	}
-	if got := Nth(NewIndex(5), 0, lessOf(vals)); vals[got] != 1 {
+	if got := nth(vals, 0); got != 1 {
 		t.Fatal("min wrong")
 	}
-	if got := Nth(NewIndex(5), 4, lessOf(vals)); vals[got] != 3 {
+	if got := nth(vals, 4); got != 3 {
 		t.Fatal("max wrong")
 	}
 }
 
 func TestNthOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Nth(NewIndex(3), 3, func(a, b int) bool { return a < b })
+	for _, n := range []int{0, 1, 3, 200} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("position %d of %d entries: expected panic", n, n)
+				}
+			}()
+			vals := make([]int, n)
+			for i := range vals {
+				vals[i] = i * 7 % 5
+			}
+			SelectClass(unitEntries(vals), Vectors{}, counting.FromInt(n))
+		}()
+	}
 }
 
-// Property: Nth agrees with sorting for every k on random inputs.
+// Property: the kernel agrees with sorting for every k on random inputs.
 func TestQuickNthMatchesSort(t *testing.T) {
 	f := func(raw []uint8, kRaw uint8) bool {
 		if len(raw) == 0 {
@@ -60,19 +84,132 @@ func TestQuickNthMatchesSort(t *testing.T) {
 			vals[i] = int(v % 16) // force duplicates
 		}
 		k := int(kRaw) % len(vals)
-		got := vals[Nth(NewIndex(len(vals)), k, lessOf(vals))]
 		sorted := append([]int(nil), vals...)
 		sort.Ints(sorted)
-		return got == sorted[k]
+		return nth(vals, k) == sorted[k]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The callback weighted median that Algorithm 2 ran on before the typed kernel,
-// kept as the reference the kernel is checked against item for item: the same
-// introselect over an index slice, comparing and weighing through func values.
+// The callback selection that Algorithm 2 and the driver's tail ran on before
+// the typed kernel, kept as the reference the kernel is checked against item
+// for item: the same introselect over an index slice, comparing and weighing
+// through func values.
+
+// NewIndex returns the identity permutation [0, n).
+func NewIndex(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// refNth permutes idx and returns the element of idx holding the k-th smallest
+// item (0-indexed) under less.
+func refNth(idx []int, k int, less func(a, b int) bool) int {
+	robust := false
+	for len(idx) > 5 {
+		n := len(idx)
+		lt, eq := partition3(idx, pivotOf(idx, less, robust), less)
+		switch {
+		case k < lt:
+			idx = idx[:lt]
+		case k < lt+eq:
+			return idx[lt]
+		default:
+			k -= lt + eq
+			idx = idx[lt+eq:]
+		}
+		robust = robust || len(idx) > n-n/8
+	}
+	insertionSort(idx, less)
+	return idx[k]
+}
+
+// pivotOf picks the pivot of one partition round: median-of-medians once the
+// call has gone robust, else the median of the first, middle and last
+// element (of three such medians, spread over the range, when it is large).
+func pivotOf(idx []int, less func(a, b int) bool, robust bool) int {
+	if robust {
+		return medianOfMedians(idx, less)
+	}
+	n := len(idx)
+	mid, hi := n/2, n-1
+	if n < nintherMin {
+		return median3(idx[0], idx[mid], idx[hi], less)
+	}
+	s := n / 8
+	return median3(
+		median3(idx[0], idx[s], idx[2*s], less),
+		median3(idx[mid-s], idx[mid], idx[mid+s], less),
+		median3(idx[hi-2*s], idx[hi-s], idx[hi], less), less)
+}
+
+// median3 returns the median of three items under less.
+func median3(a, b, c int, less func(a, b int) bool) int {
+	if less(b, a) {
+		a, b = b, a
+	}
+	if !less(c, b) {
+		return b
+	}
+	if less(c, a) {
+		return a
+	}
+	return c
+}
+
+// insertionSort sorts idx in place by less.
+func insertionSort(idx []int, less func(a, b int) bool) {
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+}
+
+// medianOfMedians returns a pivot element guaranteeing a 30/70 split.
+func medianOfMedians(idx []int, less func(a, b int) bool) int {
+	n := len(idx)
+	nGroups := (n + 4) / 5
+	medians := make([]int, 0, nGroups)
+	for g := 0; g < nGroups; g++ {
+		lo := g * 5
+		hi := lo + 5
+		if hi > n {
+			hi = n
+		}
+		grp := idx[lo:hi]
+		insertionSort(grp, less)
+		medians = append(medians, grp[len(grp)/2])
+	}
+	return refNth(medians, len(medians)/2, less)
+}
+
+// partition3 performs a three-way partition of idx around the item denoted by
+// pivot: [ < pivot | == pivot | > pivot ]. It returns the sizes of the first
+// two segments.
+func partition3(idx []int, pivot int, less func(a, b int) bool) (lt, eq int) {
+	lo, mid, hi := 0, 0, len(idx)
+	for mid < hi {
+		e := idx[mid]
+		switch {
+		case less(e, pivot):
+			idx[lo], idx[mid] = idx[mid], idx[lo]
+			lo++
+			mid++
+		case less(pivot, e):
+			hi--
+			idx[mid], idx[hi] = idx[hi], idx[mid]
+		default:
+			mid++
+		}
+	}
+	return lo, mid - lo
+}
 
 // TotalWeight sums mult over idx.
 func TotalWeight(idx []int, mult func(i int) counting.Count) counting.Count {
@@ -248,28 +385,29 @@ func TestNthLarge(t *testing.T) {
 	sorted := append([]int(nil), vals...)
 	sort.Ints(sorted)
 	for _, k := range []int{0, 1, n / 4, n / 2, n - 2, n - 1} {
-		got := vals[Nth(NewIndex(n), k, lessOf(vals))]
+		got := nth(vals, k)
 		if got != sorted[k] {
 			t.Fatalf("k=%d got %d want %d", k, got, sorted[k])
 		}
 	}
 }
 
-func BenchmarkNthMedian(b *testing.B) {
+// BenchmarkSelectClass is the tail's selection: the median of 65 536 distinct
+// keys as unit-multiplicity entries, filling included.
+func BenchmarkSelectClass(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	n := 1 << 16
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = rng.Int()
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = rng.Int63()
 	}
-	idx := NewIndex(n)
+	es := make([]Entry, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(idx, idx[:0:0]) // no-op to keep idx allocated
-		for j := range idx {
-			idx[j] = j
+		for j := range es {
+			es[j] = Entry{Key: keys[j], Item: j}
 		}
-		Nth(idx, n/2, lessOf(vals))
+		SelectClass(es, Vectors{}, counting.FromInt(n/2))
 	}
 }
 
@@ -349,8 +487,8 @@ func TestIntroselectMatchesSortOnAdversarialShapes(t *testing.T) {
 			mult := func(i int) counting.Count { return counting.FromUint64(mults[i]) }
 			stride := max(1, n/23)
 			for k := 0; k < n; k += stride {
-				if got := vals[Nth(NewIndex(n), k, lessOf(vals))]; got != sorted[k] {
-					t.Fatalf("%s n=%d: Nth(%d) = %d, want %d", name, n, k, got, sorted[k])
+				if got := nth(vals, k); got != sorted[k] {
+					t.Fatalf("%s n=%d: nth(%d) = %d, want %d", name, n, k, got, sorted[k])
 				}
 				pos := int(total / uint64(n) * uint64(k))
 				got := vals[WeightedSelect(NewIndex(n), counting.FromInt(pos), lessOf(vals), mult)]
@@ -395,36 +533,42 @@ func killerFor(n int, fn func(idx []int, less func(a, b int) bool)) []int {
 }
 
 // The fallback is what keeps selection linear: on the input built to defeat
-// its own pivots, Nth and WeightedSelect still answer like a sort, within a
-// constant number of comparisons per item (measured 8.8; with the fallback
-// rule taken out the same adversary drives it to n/8 per item).
+// its own pivots, the selection still answers like a sort, within a constant
+// number of comparisons per item (measured 8.8; with the fallback rule taken
+// out the same adversary drives it to n/8 per item). The adversary needs a
+// comparison callback, so it is built against — and the comparisons are
+// counted on — the callback reference; the kernel makes the same comparisons
+// (checkKernel holds it to the reference's permutation on this very input).
 func TestIntroselectLinearOnKiller(t *testing.T) {
 	const perItem = 20
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
 		unit := func(int) counting.Count { return counting.One }
-		algos := map[string]func(idx []int, less func(a, b int) bool) int{
-			"Nth": func(idx []int, less func(a, b int) bool) int { return Nth(idx, n/2, less) },
-			"WeightedSelect": func(idx []int, less func(a, b int) bool) int {
-				return WeightedSelect(idx, counting.FromInt(n/2), less, unit)
-			},
+		algo := func(idx []int, less func(a, b int) bool) int {
+			return WeightedSelect(idx, counting.FromInt(n/2), less, unit)
 		}
-		for name, algo := range algos {
-			vals := killerFor(n, func(idx []int, less func(a, b int) bool) { algo(idx, less) })
-			sorted := append([]int(nil), vals...)
-			sort.Ints(sorted)
-			comparisons := 0
-			got := vals[algo(NewIndex(n), func(a, b int) bool {
-				comparisons++
-				return vals[a] < vals[b]
-			})]
-			if got != sorted[n/2] {
-				t.Fatalf("%s n=%d: median %d, want %d", name, n, got, sorted[n/2])
-			}
-			if comparisons > perItem*n {
-				t.Fatalf("%s n=%d: %d comparisons on the killer input, want ≤ %d·n", name, n, comparisons, perItem)
-			}
-			t.Logf("%s n=%d: %.1f comparisons per item on the killer input", name, n, float64(comparisons)/float64(n))
+		vals := killerFor(n, func(idx []int, less func(a, b int) bool) { algo(idx, less) })
+		sorted := append([]int(nil), vals...)
+		sort.Ints(sorted)
+		comparisons := 0
+		got := vals[algo(NewIndex(n), func(a, b int) bool {
+			comparisons++
+			return vals[a] < vals[b]
+		})]
+		if got != sorted[n/2] {
+			t.Fatalf("n=%d: reference median %d, want %d", n, got, sorted[n/2])
 		}
+		if got := nth(vals, n/2); got != sorted[n/2] {
+			t.Fatalf("n=%d: kernel median %d, want %d", n, got, sorted[n/2])
+		}
+		if comparisons > perItem*n {
+			t.Fatalf("n=%d: %d comparisons on the killer input, want ≤ %d·n", n, comparisons, perItem)
+		}
+		t.Logf("n=%d: %.1f comparisons per item on the killer input", n, float64(comparisons)/float64(n))
+		at := make([]int64, n)
+		for i, v := range vals {
+			at[i] = int64(v)
+		}
+		checkKernel(t, fmt.Sprintf("killer n=%d", n), at, 1, unitMults(n))
 	}
 }
 
@@ -441,7 +585,7 @@ func checkKernel(t *testing.T, name string, at []int64, r int, mults []counting.
 	entries := func() []Entry {
 		es := make([]Entry, n)
 		for i := range es {
-			es[i] = Entry{Key: at[i*r], Mult: mults[i], Item: i}
+			es[i] = Entry{Key: at[i*r], Item: i}
 		}
 		return es
 	}
@@ -456,18 +600,61 @@ func checkKernel(t *testing.T, name string, at []int64, r int, mults []counting.
 			}
 		}
 	}
-	vecs := Vectors{At: at, R: r}
+	vecs := Vectors{At: at, R: r, Mult: mults}
 	idx, es := NewIndex(n), entries()
 	same("median", idx, es, WeightedMedian(idx, less, mult), MedianItem(es, vecs))
 	if r == 1 {
 		idx, es = NewIndex(n), entries()
-		same("median, no vectors", idx, es, WeightedMedian(idx, less, mult), MedianItem(es, Vectors{}))
+		same("median, no vectors", idx, es, WeightedMedian(idx, less, mult), MedianItem(es, Vectors{Mult: mults}))
 	}
 	total := TotalWeight(NewIndex(n), mult)
 	last := total.Sub(counting.One)
 	for _, target := range []counting.Count{counting.Zero, last.Half().Half(), last.Half().Add(last.Half().Half()), last} {
 		idx, es = NewIndex(n), entries()
-		same("position "+target.String(), idx, es, WeightedSelect(idx, target, less, mult), weightedSelect(es, vecs, target).Item)
+		lo, hi := SelectClass(es, vecs, target)
+		same("position "+target.String(), idx, es, WeightedSelect(idx, target, less, mult), es[lo].Item)
+		checkClass(t, name+": position "+target.String(), at, r, mults, es, target, lo, hi)
+	}
+}
+
+// checkClass holds what SelectClass left behind to a sort: es is a permutation
+// of the items, es[lo:hi] is exactly the class of equal vectors that holds
+// position target of the sorted multiset, and what lies before it is smaller,
+// what lies after it greater.
+func checkClass(t *testing.T, name string, at []int64, r int, mults []counting.Count, es []Entry, target counting.Count, lo, hi int) {
+	t.Helper()
+	n := len(mults)
+	vec := func(i int) []int64 { return at[i*r : (i+1)*r] }
+	sorted := NewIndex(n)
+	sort.SliceStable(sorted, func(a, b int) bool { return slices.Compare(vec(sorted[a]), vec(sorted[b])) < 0 })
+	class, cum := -1, counting.Zero
+	for _, i := range sorted {
+		if cum = cum.Add(mults[i]); target.Less(cum) {
+			class = i
+			break
+		}
+	}
+	if class < 0 {
+		t.Fatalf("%s: position past the multiset", name)
+	}
+	seen := make([]bool, n)
+	for p, e := range es {
+		if e.Item < 0 || e.Item >= n || seen[e.Item] || e.Key != at[e.Item*r] {
+			t.Fatalf("%s: entry %d (%+v) is not an item of the input, or is there twice", name, p, e)
+		}
+		seen[e.Item] = true
+		want := 0
+		if p < lo {
+			want = -1
+		} else if p >= hi {
+			want = 1
+		}
+		if c := slices.Compare(vec(e.Item), vec(class)); c != want {
+			t.Fatalf("%s: entry %d of class [%d,%d) compares %d with the class at the position, want %d", name, p, lo, hi, c, want)
+		}
+	}
+	if lo >= hi {
+		t.Fatalf("%s: empty class [%d,%d)", name, lo, hi)
 	}
 }
 
@@ -571,29 +758,61 @@ func FuzzWeightedMedian(f *testing.F) {
 	f.Add([]byte{0, 0, 0xff, 0, 1, 0x80, 0, 0, 0x41, 7, 7, 0xc3}, uint8(2))
 	f.Add(bytes.Repeat([]byte{5, 0x40}, 200), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, rRaw uint8) {
-		r := 1 + int(rRaw%3)
-		n := len(data) / (r + 1)
-		if n == 0 {
+		at, r, mults := decodeMultiset(data, rRaw)
+		if len(mults) == 0 {
 			return
 		}
-		at := make([]int64, n*r)
-		mults := make([]counting.Count, n)
-		for i := 0; i < n; i++ {
-			item := data[i*(r+1) : (i+1)*(r+1)]
-			for p := 0; p < r; p++ {
-				at[i*r+p] = int64(item[p]%8) - 4
-			}
-			m := item[r]
-			switch m >> 6 {
-			case 0, 1:
-				mults[i] = counting.One
-			case 2:
-				mults[i] = counting.FromUint64(uint64(m&0x3f) + 1)
-			default:
-				mults[i] = counting.Count{Hi: uint64(m&0x3f) + 1, Lo: uint64(m) << 56}
-			}
-		}
 		checkKernel(t, "fuzz", at, r, mults)
+	})
+}
+
+// decodeMultiset reads a fuzz input as a multiset: r ∈ {1, 2, 3} positions per
+// item from a domain of eight values, then a multiplicity byte whose top bits
+// pick a unit, a small or a past-2⁶⁴ count.
+func decodeMultiset(data []byte, rRaw uint8) (at []int64, r int, mults []counting.Count) {
+	r = 1 + int(rRaw%3)
+	n := len(data) / (r + 1)
+	at = make([]int64, n*r)
+	mults = make([]counting.Count, n)
+	for i := 0; i < n; i++ {
+		item := data[i*(r+1) : (i+1)*(r+1)]
+		for p := 0; p < r; p++ {
+			at[i*r+p] = int64(item[p]%8) - 4
+		}
+		m := item[r]
+		switch m >> 6 {
+		case 0, 1:
+			mults[i] = counting.One
+		case 2:
+			mults[i] = counting.FromUint64(uint64(m&0x3f) + 1)
+		default:
+			mults[i] = counting.Count{Hi: uint64(m&0x3f) + 1, Lo: uint64(m) << 56}
+		}
+	}
+	return at, r, mults
+}
+
+// FuzzSelectClass decodes a multiset the way FuzzWeightedMedian does and a
+// position from two more bytes, and holds the class SelectClass returns for it
+// to a sort (checkClass).
+func FuzzSelectClass(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 1, 3, 1}, uint8(1), uint16(2))
+	f.Add(bytes.Repeat([]byte{5, 0x40}, 200), uint8(1), uint16(199))
+	f.Fuzz(func(t *testing.T, data []byte, rRaw uint8, posRaw uint16) {
+		at, r, mults := decodeMultiset(data, rRaw)
+		if len(mults) == 0 {
+			return
+		}
+		// The position as a fraction of the multiset, so that past-2⁶⁴
+		// multiplicities are reached too.
+		total := TotalWeight(NewIndex(len(mults)), func(i int) counting.Count { return mults[i] })
+		target := counting.FloorMulFloat(total.Sub(counting.One), float64(posRaw)/65535)
+		es := make([]Entry, len(mults))
+		for i := range es {
+			es[i] = Entry{Key: at[i*r], Item: i}
+		}
+		lo, hi := SelectClass(es, Vectors{At: at, R: r, Mult: mults}, target)
+		checkClass(t, "fuzz", at, r, mults, es, target, lo, hi)
 	})
 }
 
@@ -614,9 +833,9 @@ func BenchmarkPivotKernel(b *testing.B) {
 		es := make([]Entry, n)
 		median := func() {
 			for i := range es {
-				es[i] = Entry{Key: keys[i], Mult: mults[i], Item: i}
+				es[i] = Entry{Key: keys[i], Item: i}
 			}
-			MedianItem(es, Vectors{})
+			MedianItem(es, Vectors{Mult: mults})
 		}
 		median()
 		for b.Loop() {

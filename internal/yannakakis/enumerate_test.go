@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -83,7 +84,57 @@ func checkGuided(t *testing.T, name string, e *jointree.Exec, c *Counts) int {
 	if want := testutil.BruteForce(e.Q, e.DB); !testutil.SameAnswerSet(got, want) {
 		t.Fatalf("%s: guided walk has %d answers, brute force %d", name, len(got), len(want))
 	}
+	checkAnswersAt(t, name, e, c, got)
 	return len(got)
+}
+
+// checkAnswersAt holds the positional walk of (e, c) to the enumeration it
+// indexes: every position, one call for all of them; each position alone
+// (nothing before it to resume from); and random ascending lists with
+// repeats, which skip and resume at every depth.
+func checkAnswersAt(t *testing.T, name string, e *jointree.Exec, c *Counts, all [][]relation.Value) {
+	t.Helper()
+	n := len(all)
+	ask := func(what string, ords []int) {
+		t.Helper()
+		calls := 0
+		AnswersAt(e, c, ords, func(i int, asn []relation.Value) {
+			if i != calls {
+				t.Fatalf("%s: %s: call %d reports position %d of the list", name, what, calls, i)
+			}
+			if !reflect.DeepEqual(asn, all[ords[i]]) {
+				t.Fatalf("%s: %s: answer at %d is %v, Enumerate's is %v", name, what, ords[i], asn, all[ords[i]])
+			}
+			calls++
+		})
+		if calls != len(ords) {
+			t.Fatalf("%s: %s: %d of %d positions answered", name, what, calls, len(ords))
+		}
+	}
+	ask("no position", nil)
+	every := make([]int, n)
+	for i := range every {
+		every[i] = i
+		if n <= 64 || i%(n/64) == 0 || i == n-1 {
+			ask(fmt.Sprintf("position %d alone", i), []int{i})
+		}
+	}
+	ask("every position", every)
+	if n == 0 {
+		return
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	for trial := 0; trial < 8; trial++ {
+		ords := make([]int, 1+rng.Intn(2*n))
+		for i := range ords {
+			ords[i] = rng.Intn(n)
+			if i > 0 && rng.Intn(4) == 0 {
+				ords[i] = ords[i-1]
+			}
+		}
+		slices.Sort(ords)
+		ask(fmt.Sprintf("random list %d", trial), ords)
+	}
 }
 
 // corpusExec compiles a corpus instance the way the engine does: self-joins
@@ -243,5 +294,65 @@ func TestEnumerateWorkBound(t *testing.T) {
 	}
 	if bound := db.Size() + len(q.Atoms)*answers; steps > bound {
 		t.Fatalf("walk took %d steps; |D| + ℓ·|Q(D)| = %d (scanning the group per parent: %d)", steps, bound, H*M)
+	}
+	// The positional walk on the same instance: m positions cost |D| + ℓ·m,
+	// not the ℓ·|Q(D)| of walking up to the last of them, nor M per position.
+	ords := []int{3, 3, 77, 200, 201, H - 1}
+	asked := 0
+	steps = AnswersAt(e, CountWorkers(e, 1), ords, func(i int, asn []relation.Value) {
+		if asn[0] != relation.Value(ords[i]) || asn[2] != 7 {
+			t.Fatalf("answer at %d: %v", ords[i], asn)
+		}
+		asked++
+	})
+	if asked != len(ords) {
+		t.Fatalf("%d of %d positions answered", asked, len(ords))
+	}
+	if bound := db.Size() + len(q.Atoms)*len(ords); steps > bound {
+		t.Fatalf("positional walk took %d steps for %d positions; |D| + ℓ·m = %d", steps, len(ords), bound)
+	}
+}
+
+// What the positional walk steps over below the root is answers it skips: in
+// a chain whose one root tuple joins K middle tuples of J leaves each, every
+// position in one ascending list costs |D| + ℓ·m + K steps at the worst — the
+// middle group is scanned once, not once per position — and a list that asks
+// only for the last answer steps over the K−1 middle tuples before it.
+func TestAnswersAtResumesItsScans(t *testing.T) {
+	const K, J = 300, 40
+	q := query.New(
+		query.Atom{Rel: "P", Vars: []query.Var{"a", "g"}},
+		query.Atom{Rel: "N", Vars: []query.Var{"g", "b"}},
+		query.Atom{Rel: "L", Vars: []query.Var{"b", "c"}},
+	)
+	n, l := relation.New("N", 2), relation.New("L", 2)
+	for b := 0; b < K; b++ {
+		n.Append(1, relation.Value(b))
+		for c := 0; c < J; c++ {
+			l.Append(relation.Value(b), relation.Value(c))
+		}
+	}
+	db := relation.NewDatabase()
+	db.Add(relation.FromRows("P", 2, [][]relation.Value{{0, 1}}).MarkDistinct())
+	db.Add(n.MarkDistinct())
+	db.Add(l.MarkDistinct())
+	e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := CountWorkers(e, 1)
+	every := make([]int, K*J)
+	for i := range every {
+		every[i] = i
+	}
+	for _, ords := range [][]int{every, {K*J - 1}} {
+		steps := AnswersAt(e, c, ords, func(i int, asn []relation.Value) {
+			if want := []relation.Value{0, 1, relation.Value(ords[i] / J), relation.Value(ords[i] % J)}; !reflect.DeepEqual(asn, want) {
+				t.Fatalf("answer at %d: %v, want %v", ords[i], asn, want)
+			}
+		})
+		if bound := db.Size() + len(q.Atoms)*len(ords) + K; steps > bound {
+			t.Fatalf("%d positions took %d steps; |D| + ℓ·m + K = %d", len(ords), steps, bound)
+		}
 	}
 }

@@ -28,12 +28,10 @@ type NodeRows struct {
 // assignment is laid out per e.Q.Vars(), must not be retained, and returning
 // false stops the walk.
 func EnumerateThrough(e *jointree.Exec, c *Counts, through []NodeRows, fn func(asn []relation.Value) bool) {
-	w := &throughWalk{e: e, c: c, fn: fn,
-		asn:   make([]relation.Value, len(e.Q.Vars())),
+	w := &throughWalk{e: e, c: c, fn: fn, layout: assignmentLayout(e),
 		avoid: make([][]int, len(e.T.Nodes)),
 		cur:   make([]int, len(e.T.Nodes)),
 	}
-	w.nodePos, w.nodeCols = assignmentLayout(e)
 	for _, t := range through {
 		if len(t.Rows) > 0 && !w.from(t) {
 			return
@@ -44,14 +42,12 @@ func EnumerateThrough(e *jointree.Exec, c *Counts, through []NodeRows, fn func(a
 
 // throughWalk is the state EnumerateThrough shares across its start nodes.
 type throughWalk struct {
-	e        *jointree.Exec
-	c        *Counts
-	fn       func([]relation.Value) bool
-	asn      []relation.Value
-	nodePos  [][]int
-	nodeCols [][][]relation.Value
-	avoid    [][]int // per node: rows of earlier entries, which later walks skip
-	cur      []int   // per node: the tuple the walk currently sits on
+	e  *jointree.Exec
+	c  *Counts
+	fn func([]relation.Value) bool
+	layout
+	avoid [][]int // per node: rows of earlier entries, which later walks skip
+	cur   []int   // per node: the tuple the walk currently sits on
 }
 
 // throughStep is one position of the re-rooted pre-order: the node to bind
@@ -128,10 +124,7 @@ func (w *throughWalk) from(start NodeRows) bool {
 			pos[d]++
 			continue
 		}
-		cols := w.nodeCols[node]
-		for j, p := range w.nodePos[node] {
-			w.asn[p] = cols[j][ti]
-		}
+		w.set(node, ti)
 		w.cur[node] = ti
 		if d == len(order)-1 {
 			if !w.fn(w.asn) {

@@ -150,104 +150,196 @@ func CountScratch(e *jointree.Exec, workers int, s *Scratch) *Counts {
 // stop enumeration early.
 //
 // c must be e's counting state (Section 2.4): cnt(t) > 0 says exactly which
-// tuples carry an answer, and the walk never binds one that does not. Root
-// tuples are skipped by count; a leaf's join groups are read as they stand
-// (every leaf tuple counts 1); an internal node's groups are read through
-// lists of their live tuples, packed per call for the nodes that hold a
-// zero-count tuple at all. Below a live root tuple every step therefore has a
-// candidate, every candidate leads to an answer, and the whole walk costs
-// O(|D| + ℓ·|Q(D)|) — the bound of a walk over the full reduction, without
-// building one, and in the same answer order.
-//
-// The walk is an explicit odometer over the tree's pre-order (children in
-// declaration order, later positions varying faster) — the exact nesting the
-// natural recursion produces, without its per-visit closure allocations: the
-// whole enumeration allocates a handful of per-call slices, nothing per
-// answer.
+// tuples carry an answer, and the walk never binds one that does not (Walk).
+// The whole enumeration allocates a handful of per-call slices, nothing per
+// answer, and costs O(|D| + ℓ·|Q(D)|) — the bound of a walk over the full
+// reduction, without building one, and in the same answer order.
 func Enumerate(e *jointree.Exec, c *Counts, fn func(asn []relation.Value) bool) {
 	enumerate(e, c, fn)
 }
 
-// enumerate is Enumerate returning the work it did, for the test that holds
-// it to its bound: tuples looked at by the walk plus rows scanned while
-// packing live lists.
+// enumerate is Enumerate returning the work it did (Walk's steps), for the
+// test that holds it to its bound.
 func enumerate(e *jointree.Exec, c *Counts, fn func(asn []relation.Value) bool) (steps int) {
-	nodePos, nodeCols := assignmentLayout(e)
-	asn := make([]relation.Value, len(e.Q.Vars()))
-
-	// Pre-order with children in declaration order.
-	pre := make([]int, 0, len(e.T.Nodes))
-	var push func(id int)
-	push = func(id int) {
-		pre = append(pre, id)
-		for _, ch := range e.T.Nodes[id].Children {
-			push(ch)
+	l := assignmentLayout(e)
+	return Walk(e, c, func(_, node, ti int) bool {
+		l.set(node, ti)
+		return true
+	}, func(node int, rows []int) bool {
+		for _, ti := range rows {
+			if l.set(node, ti); !fn(l.asn) {
+				return false
+			}
 		}
-	}
-	push(e.T.Root)
+		return true
+	})
+}
 
+// Walk is the odometer under Enumerate, for a pass that wants the answers'
+// order without the answers: it visits the answers of e in Enumerate's order
+// and says what it chooses, a node at a time. bind(d, node, ti) reports that
+// tuple ti of node — the d-th node of the tree's pre-order — is part of every
+// answer until the next bind at a depth ≤ d, or, when it returns false, of
+// none: the walk passes over the tuple and everything under it.
+// inner(node, rows) hands over the candidates of the last pre-order node under
+// the tuples bound so far, all at once: one answer per row, in order; it
+// returns false to stop the walk. A pass keeps what it needs of the bound
+// tuples per depth (the driver's tail keeps a prefix of the answer's weight)
+// and spends its time in one loop over rows. Walk returns the work it did —
+// tuples looked at plus rows scanned while packing live lists — for the tests
+// that hold its callers to their bounds.
+//
+// c must be e's counting state. Root tuples are skipped by count; a leaf's
+// join groups are read as they stand (every leaf tuple counts 1); an internal
+// node's groups are read through lists of their live tuples, packed per call
+// for the nodes that hold a zero-count tuple at all. Below a live root tuple
+// every step therefore has a candidate and every candidate leads to an answer.
+// The walk is an explicit odometer over the pre-order (children in declaration
+// order, later positions varying faster) — the exact nesting the natural
+// recursion produces, without its per-visit closure allocations.
+func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner func(node int, rows []int) bool) (steps int) {
+	pre := preOrder(make([]int, 0, len(e.T.Nodes)), e.T, e.T.Root)
 	m := len(pre)
-	live := make([]*liveLists, m) // per depth; nil: the node's groups serve as they stand
+	// Per pre-order depth: the node's live lists (nil: its groups serve as they
+	// stand), its candidates under the tuples bound above — the root's are its
+	// whole relation — and the odometer's position among them; per node (the
+	// same count), the tuple bound.
+	walk := make([]struct {
+		live  *liveLists
+		rows  []int
+		pos   int
+		curTi int
+	}, m)
 	for d := 1; d < m; d++ {
 		if nd := pre[d]; len(e.T.Nodes[nd].Children) > 0 {
-			live[d] = packLive(e.Groups[nd], c.Tuple[nd])
+			walk[d].live = packLive(e.Groups[nd], c.Tuple[nd])
 			steps += len(c.Tuple[nd])
 		}
 	}
-	// The candidates at depth d are rows[d]; the root's are its whole relation.
-	rows := make([][]int, m)
-	pos := make([]int, m) // odometer position per depth
-	curTi := make([]int, len(e.T.Nodes))
 	rootCnt := c.Tuple[e.T.Root]
-
+	if m == 1 {
+		// The root is the last node: its live tuples are the candidates.
+		rows := make([]int, 0, len(rootCnt))
+		for ti := range rootCnt {
+			if !rootCnt[ti].IsZero() {
+				rows = append(rows, ti)
+			}
+		}
+		inner(e.T.Root, rows)
+		return steps + len(rootCnt)
+	}
 	d := 0
 	for {
-		// Resolve the candidate at pos[d], or backtrack when exhausted.
-		var ti int
+		// Resolve the candidate at the depth's position, or backtrack when
+		// exhausted.
+		at := &walk[d]
+		ti := at.pos
 		if d == 0 {
-			ti = pos[0]
 			for ti < len(rootCnt) && rootCnt[ti].IsZero() {
 				ti++
 			}
-			steps += ti - pos[0]
-			if pos[0] = ti; ti == len(rootCnt) {
+			steps += ti - at.pos
+			if at.pos = ti; ti == len(rootCnt) {
 				return steps
 			}
 		} else {
-			if pos[d] >= len(rows[d]) {
+			if at.pos >= len(at.rows) {
 				d--
-				pos[d]++
+				walk[d].pos++
 				continue
 			}
-			ti = rows[d][pos[d]]
+			ti = at.rows[at.pos]
 		}
 		steps++
 		node := pre[d]
-		cols := nodeCols[node]
-		for j, p := range nodePos[node] {
-			asn[p] = cols[j][ti]
-		}
-		curTi[node] = ti
-		if d == m-1 {
-			if !fn(asn) {
-				return steps
-			}
-			pos[d]++
+		if !bind(d, node, ti) {
+			at.pos++
 			continue
 		}
+		walk[node].curTi = ti
 		// Descend: the next pre-order node's candidates are the join group
 		// matched by its parent's just-chosen tuple. That tuple is live, so
 		// the group exists and holds a live tuple.
-		d++
-		nd := pre[d]
-		pos[d] = 0
-		gid, _ := e.ParentGroup(nd, curTi[e.T.Nodes[nd].Parent])
-		if l := live[d]; l != nil {
-			rows[d] = l.rows[l.off[gid]:l.off[gid+1]]
-		} else {
-			rows[d] = e.Groups[nd].Tuples[gid]
+		nd, next := pre[d+1], &walk[d+1]
+		gid, _ := e.ParentGroup(nd, walk[e.T.Nodes[nd].Parent].curTi)
+		group := e.Groups[nd].Tuples[gid]
+		if l := next.live; l != nil {
+			group = l.rows[l.off[gid]:l.off[gid+1]]
 		}
+		if d+1 == m-1 {
+			steps += len(group)
+			if !inner(nd, group) {
+				return steps
+			}
+			at.pos++
+			continue
+		}
+		d++
+		next.pos, next.rows = 0, group
 	}
+}
+
+// AnswersAt streams the answers at the given positions of Enumerate's order,
+// without forming the answers between them: fn(i, asn) is called for ords[i],
+// in order, asn as Enumerate lays it out and as little retained. ords must be
+// ascending (repeats allowed) and every one below c.Total; c must be e's
+// counting state.
+//
+// It is Walk passing over what the counts say holds no wanted position: a tuple
+// bound at some depth stays in cnt(t) · Π answers — the product over the join
+// groups of the nodes still to come that are not below it, the digits of a
+// mixed-radix number over the children's group counts in declaration order —
+// and is passed over, with all of them, when the next position lies beyond.
+// Root tuples and live group members are so skipped by count, one step each,
+// and a position costs one descent: O(|D| + ℓ·m) steps for m positions, plus
+// the live members of join groups below the root that are stepped over — each
+// stands for at least one answer lying between two requested positions, so
+// never more than Enumerate up to the last one. It returns Walk's steps.
+func AnswersAt(e *jointree.Exec, c *Counts, ords []int, fn func(i int, asn []relation.Value)) (steps int) {
+	if len(ords) == 0 {
+		return 0
+	}
+	l := assignmentLayout(e)
+	// after[node] is the number of answers per partial answer of node's
+	// subtree, given the tuples bound above it: the product of the group
+	// counts of the nodes that follow the subtree in pre-order.
+	after := make([]counting.Count, len(e.T.Nodes))
+	after[e.T.Root] = counting.One
+	next, seen := 0, counting.Zero // ords[next] is wanted; seen answers lie before the walk
+	return Walk(e, c, func(_, node, ti int) bool {
+		if through := seen.Add(c.Tuple[node][ti].Mul(after[node])); through.Cmp(counting.FromInt(ords[next])) <= 0 {
+			seen = through
+			return false
+		}
+		l.set(node, ti)
+		acc, children := after[node], e.T.Nodes[node].Children
+		for k := len(children) - 1; k >= 0; k-- {
+			after[children[k]] = acc
+			gid, _ := e.ParentGroup(children[k], ti)
+			acc = acc.Mul(c.Group[children[k]][gid])
+		}
+		return true
+	}, func(node int, rows []int) bool {
+		through := seen.AddUint64(uint64(len(rows)))
+		for next < len(ords) && counting.FromInt(ords[next]).Less(through) {
+			at, _ := counting.FromInt(ords[next]).Sub(seen).Uint64()
+			l.set(node, rows[at])
+			fn(next, l.asn)
+			next++
+		}
+		seen = through
+		return next < len(ords)
+	})
+}
+
+// preOrder appends to pre the subtree of node id in pre-order with children in
+// declaration order: the nesting of Enumerate's odometer.
+func preOrder(pre []int, t *jointree.Tree, id int) []int {
+	pre = append(pre, id)
+	for _, ch := range t.Nodes[id].Children {
+		pre = preOrder(pre, t, ch)
+	}
+	return pre
 }
 
 // liveLists holds, per join group of one node, the group's tuples with a
@@ -289,21 +381,39 @@ func packLive(g *jointree.GroupIndex, cnt []counting.Count) *liveLists {
 	return &liveLists{off: off, rows: rows}
 }
 
-// assignmentLayout resolves, per node, where its relation's columns land in
-// an assignment laid out per e.Q.Vars(), beside the columns themselves.
-func assignmentLayout(e *jointree.Exec) (nodePos [][]int, nodeCols [][][]relation.Value) {
-	varIdx := e.Q.VarIndex()
-	nodePos = make([][]int, len(e.T.Nodes))
-	nodeCols = make([][][]relation.Value, len(e.T.Nodes))
-	for _, n := range e.T.Nodes {
-		pos := make([]int, len(n.Vars))
-		for j, v := range n.Vars {
-			pos[j] = varIdx[v]
-		}
-		nodePos[n.ID] = pos
-		nodeCols[n.ID] = e.Rels[n.ID].Cols()
+// layout is a buffer for an assignment laid out per e.Q.Vars() and, per node,
+// where its relation's columns land in it, beside the columns themselves.
+type layout struct {
+	asn  []relation.Value
+	pos  [][]int
+	cols [][][]relation.Value
+}
+
+// set binds tuple ti of node in the assignment.
+func (l *layout) set(node, ti int) {
+	cols := l.cols[node]
+	for j, p := range l.pos[node] {
+		l.asn[p] = cols[j][ti]
 	}
-	return nodePos, nodeCols
+}
+
+// assignmentLayout resolves the layout of e.
+func assignmentLayout(e *jointree.Exec) layout {
+	varIdx := e.Q.VarIndex()
+	l := layout{
+		asn:  make([]relation.Value, len(varIdx)),
+		pos:  make([][]int, len(e.T.Nodes)),
+		cols: make([][][]relation.Value, len(e.T.Nodes)),
+	}
+	pos := make([]int, 0, len(e.T.Nodes)*len(varIdx)) // every node's positions, never regrown
+	for _, n := range e.T.Nodes {
+		at := len(pos)
+		for _, v := range n.Vars {
+			pos = append(pos, varIdx[v])
+		}
+		l.pos[n.ID], l.cols[n.ID] = pos[at:], e.Rels[n.ID].Cols()
+	}
+	return l
 }
 
 // Materialize collects all answers, counting e for itself. Intended for
