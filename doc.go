@@ -228,6 +228,33 @@
 // byte-identical whether a round was run or remembered; what this run executed
 // is in Phases (PhaseLog.Remembered; a remembered round's timings are zero).
 //
+// The cut. A band cut out of the original instance is four steps, and only
+// the first reads a value. Scan: every relation's ranked columns are tested
+// against the band — interval tests per box for MIN, MAX and LEX, two binary
+// searches per row over the partner's sorted sums for SUM — and what survives
+// is a list of source row indexes, with the identifier (box number, dyadic
+// segment id) each copy will carry. Gather: each output relation is one gather
+// per column through its list, plus the identifier column. Derive by integers:
+// the output's executable tree follows from the lists and the original tree's
+// per-row group ids, without a key being projected, hashed or interned
+// (jointree.DeriveGathered; DeriveSubset for a band of one box, which is a row
+// filter). On an edge that does not carry the identifier on both ends group
+// ids are the original's, read through the lists; on one that does the new
+// group is the pair (original group, identifier) — numbered box by box through
+// one stamp array over the original's groups for the boxes, and simply the
+// segment id for the staircase, whose ids are dense, belong to one group each
+// and are first used in ascending order on either side. The result is the
+// tree Build + NewExecWorkers would give on the output, field for field (up to
+// retained empty groups where ids are stable), so answers and RunStats cannot
+// tell. Count: the counting pass over that tree. The derivation applies when
+// the output query's join tree is the original's with the identifier added,
+// which an identifier on every atom always leaves so and one on two atoms
+// nearly always; otherwise, and for the ε-lossy SUM's sketch embeddings, the
+// tree is built afresh (PhaseLog.Cuts and Rebuilt count both; qjq -stats
+// prints them). The staircase numbers a group's segments in a table over the
+// implicit segment tree of its sorted side, stamped so that no group clears
+// it: the cut touches no hash table at all.
+//
 // The tail. A run ends in a band of at most |D| candidates (or in a tie class
 // of several members), and nothing of that band is ever held as tuples but
 // the answers returned. Weigh: a pass over each live shard's current tree,
@@ -271,9 +298,8 @@
 // disjoint boxes — per ranked variable a closed weight interval, Algorithm 3's
 // partitions — and the band is the pairwise intersections of its two cuts'
 // boxes: every relation is scanned once per box and gathered once, under one
-// identifier column (a band of one box is a row filter whose executable tree
-// is derived from the original's). Only the ε-lossy SUM composes two one-sided
-// trims, pivot bound first.
+// identifier column (a band of one box is a row filter). Only the ε-lossy SUM
+// composes two one-sided trims, pivot bound first.
 //
 // Deterministic linear selection. Weighted medians (Algorithm 2) and the
 // tail's selection of a rank's weight class run introselect: a cheap
@@ -300,16 +326,16 @@
 // its parent's interner read-only and records additions in a copy-on-write
 // overlay, so group ids are stable across derivations and the parent stays
 // safe for concurrent readers. Interners are never mutated after their
-// owner is published.
+// owner is published. A group index whose ids were numbered from a band's
+// identifier column has none: nothing in the loop looks a group up by key.
 //
-// Subset-derived executable trees. Pure-filter trims (MAX ≺ λ, MIN ≻ λ,
-// single-node SUM) shrink every relation monotonically, and the driver
-// derives the trimmed instance's executable tree from the previous one by
-// filtering rows and remapping indexes instead of rebuilding from raw
-// relations. A subset derivation keeps group ids (dead groups are retained
-// empty and behave exactly like missing keys) and preserves node-relation
-// byte-identity with a fresh build, so answers and RunStats are unchanged.
-// It does NOT invalidate the parent tree, its interners, or its per-edge
+// Derived executable trees. Every exact trim derives its output's executable
+// tree from its input's (the cut, above) instead of rebuilding from raw
+// relations. Where group ids are stable — everywhere in a pure-filter trim
+// (MAX ≺ λ, MIN ≻ λ, single-node SUM) — dead groups are retained empty and
+// behave exactly like missing keys; node relations are byte-identical to a
+// fresh build's, so answers and RunStats are unchanged. A derivation
+// does NOT invalidate the parent tree, its interners, or its per-edge
 // gid arrays — they are shared — and it does not carry over any counting
 // state: counts are always recomputed (or delta-maintained) per instance.
 // The plan's cached full reduction and direct-access structure belong to

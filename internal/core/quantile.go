@@ -34,8 +34,10 @@ type PhaseTimings struct {
 	// index — each one band trim of the original (two composed cuts for the
 	// lossy SUM).
 	Trim time.Duration
-	// Derive is executable-tree acquisition for the trimmed instances:
-	// subset derivation when the trim emitted one, Build+NewExecWorkers otherwise.
+	// Derive is executable-tree acquisition for the trimmed instances (execOf):
+	// nothing to speak of when the trim handed the tree over — an exact trim
+	// derives it from the original's where its row lists are, inside Trim —
+	// and Build+NewExecWorkers when it did not (PhaseLog.Rebuilt counts those).
 	Derive time.Duration
 	// Count is the counting pass over the trimmed instances.
 	Count time.Duration
@@ -109,6 +111,12 @@ type PhaseLog struct {
 	// Remembered counts the rounds whose pivot came from the pivot tree
 	// instead of a pivot pass.
 	Remembered int
+	// Cuts counts the bands the run cut out of the original instance, one per
+	// band and live shard; Rebuilt, those of them whose executable tree came
+	// from Build+NewExecWorkers because the trim derived none — every cut of a
+	// lossy run, and an exact one only when the output query's join tree is not
+	// the engine's (jointree.DeriveGathered).
+	Cuts, Rebuilt int
 	// Tail is the time spent below the rounds, in the run's leaves and tie
 	// classes: weighing the candidates, selecting, recovering the answers.
 	Tail time.Duration
@@ -234,8 +242,11 @@ func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error
 	return nil, fmt.Errorf("core: unsupported aggregate %s", f.Agg)
 }
 
-// execOf returns the executable join tree of an instance: the one the trim
-// derived by subset filtering when present, a fresh Build+NewExecWorkers otherwise.
+// execOf returns the executable join tree of an instance: the one its trim
+// derived from the original's, when it carries one — every exact band of an
+// instance with an Exec does, unless the derivation did not apply (see
+// trim.Instance.Exec) — and a fresh Build+NewExecWorkers otherwise: the lossy
+// SUM's embeddings, and that fallback.
 func execOf(inst trim.Instance) (*jointree.Exec, error) {
 	if inst.Exec != nil {
 		return inst.Exec, nil
@@ -914,6 +925,12 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 		exec, err := execOf(st.parts[as].inst)
 		if err != nil {
 			return counting.Zero, 0, err
+		}
+		if p := d.stats.Phases; p != nil {
+			p.Cuts++
+			if st.parts[as].inst.Exec == nil {
+				p.Rebuilt++
+			}
 		}
 		st.parts[as].exec = exec
 	}

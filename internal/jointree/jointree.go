@@ -196,8 +196,8 @@ func Binarize(t *Tree, q *query.Query, db *relation.Database) (*Tree, *query.Que
 // Rels[id] aliases DB's relation of node id's atom — the same *Relation, no
 // second copy of any column — until a reduction (FullReduceWorkers, Reduced)
 // replaces the entry with the surviving rows. Every constructor keeps that:
-// NewExecWorkers, ApplyDelta, DeriveSubset (whose caller fills DB) and
-// RestoreExec.
+// NewExecWorkers, ApplyDelta, DeriveSubset and DeriveGathered (whose callers
+// fill DB) and RestoreExec.
 type Exec struct {
 	Q  *query.Query
 	T  *Tree
@@ -211,7 +211,7 @@ type Exec struct {
 
 	// parentGid[child][i] is the group id of child's index matched by row i
 	// of the PARENT's relation, -1 when no group exists. Built once per
-	// (re)materialization, maintained by ApplyDelta/DeriveSubset, so the hot
+	// (re)materialization, maintained by ApplyDelta and the derivations, so the hot
 	// passes (counting, pivoting, reduction, enumeration) never hash a key —
 	// they read one int32 per (parent tuple, child) pair. nil means "not
 	// built"; consumers fall back to an interner lookup.
@@ -229,8 +229,15 @@ type Exec struct {
 // become empty — every consumer treats an empty group exactly like a missing
 // key (zero count, no enumeration, dead semijoin), so the retained ids are
 // invisible in answers.
+//
+// An index whose groups the gathered derivation numbered from an identifier
+// column (DeriveGathered, subset.go) has no interner: its keys were never
+// formed. Every pass of the pivot loop reads RowGid, Tuples and the edge's
+// parent-gid array, which such an index always has; only the by-key lookups
+// (GroupForParentRow, ChildGroup, ParentGroup without a gid array), which
+// engine trees alone are asked, need one, and they panic on an index without.
 type GroupIndex struct {
-	keys   *relation.Interner // key tuple -> group id (dense, first appearance)
+	keys   *relation.Interner // key tuple -> group id (dense, first appearance); nil: numbered from identifiers
 	Tuples [][]int            // group id -> tuple indexes into the child relation
 	// RowGid[i] is the group id of tuple i of the child relation — the
 	// inverse of Tuples, materialized because the trim constructions and the
@@ -241,9 +248,10 @@ type GroupIndex struct {
 // NumGroups returns the number of distinct join groups.
 func (g *GroupIndex) NumGroups() int { return len(g.Tuples) }
 
-// Keys returns the group-key interner. It is the index's own state and must
-// be treated as read-only — exposed so snapshots can serialize the key
-// tuples in group-id order (TupleOf over [0, Len())).
+// Keys returns the group-key interner, nil for an index numbered from
+// identifiers (see GroupIndex). It is the index's own state and must be
+// treated as read-only — exposed so snapshots can serialize the key tuples in
+// group-id order (TupleOf over [0, Len())).
 func (g *GroupIndex) Keys() *relation.Interner { return g.keys }
 
 // GroupIndexFromFlat reconstructs a GroupIndex from its serialized parts: the
@@ -290,6 +298,9 @@ func GroupIndexFromFlat(keys *relation.Interner, rowGid []int32, flat []int) (*G
 
 // lookup resolves a shared-variable key tuple to its group id.
 func (g *GroupIndex) lookup(key []relation.Value) (int, bool) {
+	if g.keys == nil {
+		panic("jointree: by-key lookup on a group index numbered from identifiers (it has no key interner)")
+	}
 	id, ok := g.keys.Lookup(key)
 	return int(id), ok
 }
@@ -453,7 +464,7 @@ func NewGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
 			id, _ := g.keys.Intern(key)
 			g.RowGid[i] = int32(id)
 		}
-		g.packTuples(n)
+		g.packTuples(g.keys.Len())
 		return g
 	}
 	// Partial index per chunk: the chunk's own interner assigns local ids in
@@ -496,21 +507,20 @@ func NewGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
 			g.RowGid[p.lo+j] = trans[li]
 		}
 	}
-	g.packTuples(n)
+	g.packTuples(g.keys.Len())
 	return g
 }
 
-// packTuples materializes Tuples from RowGid into one flat backing array:
-// counts per group, prefix-sum offsets, then a fill pass in row order (tuple
-// lists come out ascending). Zero-length-capped subslices keep later
-// copy-on-append derivations from writing into the shared backing.
-func (g *GroupIndex) packTuples(n int) {
-	ng := g.keys.Len()
+// packTuples materializes the Tuples of ng groups from RowGid into one flat
+// backing array: counts per group, prefix-sum offsets, then a fill pass in row
+// order (tuple lists come out ascending). Zero-length-capped subslices keep
+// later copy-on-append derivations from writing into the shared backing.
+func (g *GroupIndex) packTuples(ng int) {
 	counts := make([]int32, ng)
 	for _, gid := range g.RowGid {
 		counts[gid]++
 	}
-	flat := make([]int, n)
+	flat := make([]int, len(g.RowGid))
 	g.Tuples = make([][]int, ng)
 	off := 0
 	for gid := 0; gid < ng; gid++ {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
@@ -160,8 +161,10 @@ func oneSided(inst Instance, f *ranking.Func, w ranking.Weightv, dir Dir) (Insta
 	return Band(inst, f, ranking.Finite(w), ranking.PosInf())
 }
 
-// bandBufs are the transient buffers of a band: the surviving row indexes of
-// the relation being scanned, one stretch per box, and their box numbers.
+// bandBufs are the transient buffers of a partitioned band: the surviving row
+// indexes of every relation, one stretch per relation and box — all held until
+// the output's tree has been derived from them — and the box numbers of the
+// relation being gathered.
 type bandBufs struct {
 	rows []int
 	pids []relation.Value
@@ -301,7 +304,8 @@ func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 // partitionBoxes cuts several disjoint boxes out of an instance (Algorithm 3):
 // every relation becomes the concatenation, in box order, of its rows in each
 // box, tagged with the box number in an identifier column whose fresh variable
-// is added to every atom.
+// is added to every atom. Given an Exec, the output's follows from the row
+// lists (jointree.DeriveGathered).
 func partitionBoxes(inst Instance, f *ranking.Func, boxes []box, scr *bandBufs) Instance {
 	workers := inst.workers()
 	q2 := inst.Q.Clone()
@@ -309,29 +313,41 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box, scr *bandBufs) 
 	for i := range q2.Atoms {
 		q2.Atoms[i].Vars = append(q2.Atoms[i].Vars, xp)
 	}
-	db2 := relation.NewDatabase()
-	rowParts := make([][]int, len(boxes))
+	out := Instance{Q: q2, DB: relation.NewDatabase(), Workers: inst.Workers}
+	total := 0
+	for i := range inst.Q.Atoms {
+		total += inst.rel(i).Len() * len(boxes)
+	}
+	scr.rows = slices.Grow(scr.rows[:0], total)[:total]
+	rowParts := make([][]int, len(inst.Q.Atoms)*len(boxes))
 	pidParts := make([][]relation.Value, len(boxes))
-	for _, atom := range inst.Q.Atoms {
-		src := inst.DB.Get(atom.Rel)
+	nodes := make([]jointree.Gathered, len(inst.Q.Atoms))
+	at := 0
+	for i, atom := range inst.Q.Atoms {
+		src := inst.rel(i)
 		n := src.Len()
-		scr.rows = slices.Grow(scr.rows[:0], n*len(boxes))[:n*len(boxes)]
 		scr.pids = slices.Grow(scr.pids[:0], n*len(boxes))[:0]
 		cols := weightCols(f, atom.Vars, src.Cols(), workers)
+		parts := rowParts[i*len(boxes) : (i+1)*len(boxes)]
 		for bi, bx := range boxes {
 			t := testsOf(bx, cols)
-			rowParts[bi] = t.rows(scr.rows[bi*n:(bi+1)*n], workers, n)
+			parts[bi] = t.rows(scr.rows[at:at+n], workers, n)
+			at += n
 			from := len(scr.pids)
-			for range rowParts[bi] {
+			for range parts[bi] {
 				scr.pids = append(scr.pids, relation.Value(bi+1))
 			}
 			pidParts[bi] = scr.pids[from:]
 		}
-		out := src.GatherRowsPlusParts(atom.Rel, rowParts, pidParts)
+		rel := src.GatherRowsPlusParts(atom.Rel, parts, pidParts)
 		if src.IsDistinct() {
-			out.MarkDistinct() // disjoint boxes never duplicate a (row, box) pair
+			rel.MarkDistinct() // disjoint boxes never duplicate a (row, box) pair
 		}
-		db2.Add(out)
+		out.DB.Add(rel)
+		nodes[i] = jointree.Gathered{Rel: rel, Rows: parts, ID: true}
 	}
-	return Instance{Q: q2, DB: db2, Workers: inst.Workers}
+	if inst.Exec != nil {
+		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, false)
+	}
+	return out
 }

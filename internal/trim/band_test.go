@@ -346,36 +346,9 @@ func TestBandMatchesComposedCutsAndBruteForce(t *testing.T) {
 	}
 }
 
-// sameExec requires a derived tree to be the tree a fresh build would give:
-// equal node relations, and every parent row resolving to the same ascending
-// list of child tuples (group ids may differ: a derivation keeps the base's).
-func sameExec(t *testing.T, name string, derived, fresh *jointree.Exec) {
-	t.Helper()
-	for _, n := range fresh.T.Nodes {
-		if !derived.Rels[n.ID].Equal(fresh.Rels[n.ID]) {
-			t.Fatalf("%s: node %d: derived relation differs from a fresh build's", name, n.ID)
-		}
-		if n.Parent < 0 {
-			continue
-		}
-		for i := 0; i < fresh.Rels[n.Parent].Len(); i++ {
-			var dl, fl []int
-			if g, ok := derived.ParentGroup(n.ID, i); ok {
-				dl = derived.Groups[n.ID].Tuples[g]
-			}
-			if g, ok := fresh.ParentGroup(n.ID, i); ok {
-				fl = fresh.Groups[n.ID].Tuples[g]
-			}
-			if !slices.Equal(dl, fl) {
-				t.Fatalf("%s: node %d parent row %d: child tuples %v, fresh build %v", name, n.ID, i, dl, fl)
-			}
-		}
-	}
-}
-
 // A band of one box is a row filter: given an Exec it returns one, equal to a
 // fresh build on its output (the DeriveSubset contract); a band of several
-// boxes changes the query and returns none.
+// boxes changes the query and returns one too, derived from the box numbers.
 func TestBandOneBoxDerivesExec(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	w := func(k int64) ranking.Bound { return ranking.Finite(ranking.Weightv{K: k}) }
@@ -421,11 +394,13 @@ func TestBandOneBoxDerivesExec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameExec(t, name, out.Exec, fresh)
+			testutil.SameExec(t, name, out.Exec, fresh)
 		}
-		if out, err := Band(inst, ranking.NewMax(vars...), w(lo), w(hi)); err != nil || out.Exec != nil {
-			t.Fatalf("trial %d: partitioned band: err %v, Exec %v", trial, err, out.Exec)
+		out, err := Band(inst, ranking.NewMax(vars...), w(lo), w(hi))
+		if err != nil || out.Exec == nil || len(out.Q.Vars()) != len(vars)+1 {
+			t.Fatalf("trial %d: partitioned band: err %v, Exec %v, query %s", trial, err, out.Exec, out.Q)
 		}
+		testutil.SameExec(t, fmt.Sprintf("trial %d partitioned", trial), out.Exec, freshExec(t, out))
 	}
 }
 

@@ -165,8 +165,8 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	keyA := firstColumns(p.atomA, keyVars)
 	keyB := firstColumns(p.atomB, keyVars)
 
-	relA := inst.DB.Get(p.atomA.Rel)
-	relB := inst.DB.Get(p.atomB.Rel)
+	relA := inst.rel(p.atomIdxA)
+	relB := inst.rel(p.atomIdxB)
 	aCols, bCols := relA.Cols(), relB.Cols()
 
 	// Group the B side, deduplicating whole rows on the way: relations are
@@ -279,8 +279,15 @@ type emitChunk struct {
 	aEnds        []int            // per processed group: len(rowsA) after it
 	bEnds        []int            // per processed group: len(rowsB) after it
 
-	segIDs    map[segKey]relation.Value // per-group local id table
-	usedOrder []segKey                  // its allocation order
+	// segAt is the id table of the group being emitted, over the implicit
+	// segment tree of its sorted B side: segment (lvl, start) of a group of m
+	// rows sits at (P+start)>>lvl, P the power of two ≥ m. An entry holds the
+	// count of ids the chunk had handed out, over its pooled lifetime (segRun),
+	// when the segment got its own: it is the current group's exactly when it is
+	// past the count at the group's start, so no group clears the table.
+	segAt     []int64
+	segRun    int64
+	usedOrder []segKey // the group's segments in allocation order
 }
 
 func (c *emitChunk) reset() {
@@ -288,9 +295,6 @@ func (c *emitChunk) reset() {
 	c.segA, c.segB = c.segA[:0], c.segB[:0]
 	c.groups, c.nSegs = c.groups[:0], c.nSegs[:0]
 	c.aEnds, c.bEnds = c.aEnds[:0], c.bEnds[:0]
-	if c.segIDs == nil {
-		c.segIDs = make(map[segKey]relation.Value)
-	}
 }
 
 var emitScratch = sync.Pool{New: func() any { return new(emitChunk) }}
@@ -301,8 +305,8 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	if inst.DB.Size() < parallel.SeqThreshold {
 		workers = 1
 	}
-	relA := inst.DB.Get(p.atomA.Rel)
-	relB := inst.DB.Get(p.atomB.Rel)
+	relA := inst.rel(p.atomIdxA)
+	relB := inst.rel(p.atomIdxB)
 	v := freshHelperVar(inst.Q, "s")
 
 	// Per contiguous chunk of A-groups: an emission *plan* — source row
@@ -317,7 +321,6 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	chunks := parallel.MapRanges(workers, nGroups, func(glo, ghi int) *emitChunk {
 		c := emitScratch.Get().(*emitChunk)
 		c.reset()
-		segIDs := c.segIDs
 		usedOrder := c.usedOrder[:0] // allocation order, for deterministic emission
 		for gk := glo; gk < ghi; gk++ {
 			bi := p.aPartner[gk]
@@ -326,20 +329,12 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 			}
 			g := &p.bGroups[bi]
 			m := len(g.rows)
-			clear(segIDs)
-			usedOrder = usedOrder[:0]
-			var nextLocal relation.Value = 1
-			idOf := func(lvl, start int) relation.Value {
-				sk := segKey{lvl, start}
-				id, ok := segIDs[sk]
-				if !ok {
-					id = nextLocal
-					nextLocal++
-					segIDs[sk] = id
-					usedOrder = append(usedOrder, sk)
-				}
-				return id
+			pow := 1 << bits.Len(uint(m-1)) // a group holds at least the row that made it
+			if len(c.segAt) < 2*pow {
+				c.segAt = append(c.segAt, make([]int64, 2*pow-len(c.segAt))...)
 			}
+			base := c.segRun
+			usedOrder = usedOrder[:0]
 			for _, ai := range p.aGroupRows[gk] {
 				s := p.aSums[ai]
 				// Admissible range: B-sums strictly between low-s and high-s.
@@ -357,21 +352,27 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 					if pos != 0 {
 						lvl = min(lvl, bits.TrailingZeros(uint(pos)))
 					}
+					at := &c.segAt[(pow+pos)>>uint(lvl)]
+					if *at <= base {
+						c.segRun++
+						*at = c.segRun
+						usedOrder = append(usedOrder, segKey{lvl, pos})
+					}
 					c.rowsA = append(c.rowsA, ai)
-					c.segA = append(c.segA, idOf(lvl, pos))
+					c.segA = append(c.segA, relation.Value(*at-base))
 					pos += 1 << uint(lvl)
 				}
 			}
-			// Emit B-side memberships for the segments actually used.
-			for _, sk := range usedOrder {
-				id := segIDs[sk]
+			// Emit B-side memberships for the segments actually used: the k-th
+			// allocated has local id k+1.
+			for k, sk := range usedOrder {
 				for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
 					c.rowsB = append(c.rowsB, g.rows[pos])
-					c.segB = append(c.segB, id)
+					c.segB = append(c.segB, relation.Value(k+1))
 				}
 			}
 			c.groups = append(c.groups, gk)
-			c.nSegs = append(c.nSegs, nextLocal-1)
+			c.nSegs = append(c.nSegs, relation.Value(c.segRun-base))
 			c.aEnds = append(c.aEnds, len(c.rowsA))
 			c.bEnds = append(c.bEnds, len(c.rowsB))
 		}
@@ -404,19 +405,16 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	})
 	// Materialize each output with one gather per column, reading the
 	// per-chunk plans in chunk order — no concatenated copy in between.
-	rowParts := make([][]int, len(chunks))
+	rowsA, rowsB := make([][]int, len(chunks)), make([][]int, len(chunks))
 	extraParts := make([][]relation.Value, len(chunks))
 	for ci, c := range chunks {
-		rowParts[ci], extraParts[ci] = c.rowsA, c.segA
+		rowsA[ci], rowsB[ci], extraParts[ci] = c.rowsA, c.rowsB, c.segA
 	}
-	outA := relA.GatherRowsPlusParts(p.atomA.Rel, rowParts, extraParts)
+	outA := relA.GatherRowsPlusParts(p.atomA.Rel, rowsA, extraParts)
 	for ci, c := range chunks {
-		rowParts[ci], extraParts[ci] = c.rowsB, c.segB
+		extraParts[ci] = c.segB
 	}
-	outB := relB.GatherRowsPlusParts(p.atomB.Rel, rowParts, extraParts)
-	for _, c := range chunks {
-		emitScratch.Put(c)
-	}
+	outB := relB.GatherRowsPlusParts(p.atomB.Rel, rowsB, extraParts)
 
 	// Segment membership emits each (B-row, segment) pair once, and A-copies
 	// carry pairwise-distinct segment ids per row, so distinctness of the
@@ -428,18 +426,26 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	q2 := inst.Q.Clone()
 	q2.Atoms[p.atomIdxA].Vars = append(q2.Atoms[p.atomIdxA].Vars, v)
 	q2.Atoms[p.atomIdxB].Vars = append(q2.Atoms[p.atomIdxB].Vars, v)
-	db2 := relation.NewDatabase()
-	for _, atom := range inst.Q.Atoms {
-		switch atom.Rel {
-		case p.atomA.Rel:
-			db2.Add(outA)
-		case p.atomB.Rel:
-			db2.Add(outB)
-		default:
-			db2.Add(inst.DB.Get(atom.Rel)) // read-only; shared, not cloned
-		}
+	out := Instance{Q: q2, DB: relation.NewDatabase(), Workers: inst.Workers}
+	nodes := make([]jointree.Gathered, len(inst.Q.Atoms))
+	for i := range inst.Q.Atoms {
+		nodes[i].Rel = inst.rel(i) // read-only; shared, not cloned
 	}
-	return Instance{Q: q2, DB: db2, Workers: inst.Workers}, nil
+	nodes[p.atomIdxA] = jointree.Gathered{Rel: outA, Rows: rowsA, ID: true}
+	nodes[p.atomIdxB] = jointree.Gathered{Rel: outB, Rows: rowsB, ID: true}
+	for _, nd := range nodes {
+		out.DB.Add(nd.Rel)
+	}
+	// The segment ids are the groups of the pair's edge, in a fresh build's
+	// order: per group they are allocated as the A side first uses them and
+	// listed in that order on the B side, groups ascending on both.
+	if inst.Exec != nil {
+		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, true)
+	}
+	for _, c := range chunks {
+		emitScratch.Put(c)
+	}
+	return out, nil
 }
 
 // shiftRange adds off to vals[lo:hi].

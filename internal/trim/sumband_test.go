@@ -195,3 +195,116 @@ func TestSumAdjacentLessUnchangedByBand(t *testing.T) {
 		}
 	}
 }
+
+// refStaircase is the staircase emission as it was before segments were
+// numbered from a table: one group after another, a map from (level, start) to
+// the segment's id, cleared per group, ids global and handed out at first use.
+func refStaircase(t *testing.T, inst Instance, f *ranking.Func, low, high ranking.Bound) (outA, outB *relation.Relation) {
+	t.Helper()
+	p, err := buildSumAdjPrep(inst, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA, relB := inst.rel(p.atomIdxA), inst.rel(p.atomIdxB)
+	outA, outB = relation.New(p.atomA.Rel, relA.Arity()+1), relation.New(p.atomB.Rel, relB.Arity()+1)
+	var next relation.Value
+	for gk, rows := range p.aGroupRows {
+		if p.aPartner[gk] < 0 {
+			continue
+		}
+		g := &p.bGroups[p.aPartner[gk]]
+		ids := map[segKey]relation.Value{}
+		var order []segKey
+		for _, ai := range rows {
+			from, to := 0, len(g.rows)
+			for low.IsFinite() && from < to && g.sums[from] <= low.W.K-p.aSums[ai] {
+				from++
+			}
+			for high.IsFinite() && to > from && g.sums[to-1] >= high.W.K-p.aSums[ai] {
+				to--
+			}
+			for pos := from; pos < to; {
+				lvl := 0
+				for pos%(2<<lvl) == 0 && pos+2<<lvl <= to {
+					lvl++
+				}
+				sk := segKey{lvl, pos}
+				if _, ok := ids[sk]; !ok {
+					next++
+					ids[sk] = next
+					order = append(order, sk)
+				}
+				outA.AppendRow(append(relA.RowValues(ai), ids[sk]))
+				pos += 1 << lvl
+			}
+		}
+		for _, sk := range order {
+			for pos := sk.start; pos < sk.start+1<<sk.lvl; pos++ {
+				outB.AppendRow(append(relB.RowValues(g.rows[pos]), ids[sk]))
+			}
+		}
+	}
+	return outA, outB
+}
+
+// The staircase numbers its segments from a table over the group's implicit
+// segment tree; the rows it emits, segment ids included, are those of the
+// reference that numbers them through a map — on join groups of 1, 2ᵏ and
+// 2ᵏ ± 1 rows, where the tree is full, one short and one over, and on one group
+// holding every row; bands open, one-sided, proper and empty; workers 1 and 4
+// (on one pooled table after the other: the chunks go back to the pool).
+func TestStaircaseSegmentIdsMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2403))
+	q := testutil.PathQuery(2)
+	f := ranking.NewSum("x1", "x2", "x3")
+	build := func(sizes []int) *relation.Database {
+		a, b := relation.New("R1", 2), relation.New("R2", 2)
+		for key, m := range sizes {
+			for i := 0; i < m; i++ {
+				b.Append(relation.Value(key), relation.Value(i*3+rng.Intn(3))) // distinct within the group
+			}
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				a.Append(relation.Value(100*key+i), relation.Value(key))
+			}
+		}
+		a.Append(9999, relation.Value(len(sizes))) // a group with no partner
+		db := relation.NewDatabase()
+		db.Add(a.MarkDistinct())
+		db.Add(b.MarkDistinct())
+		return db
+	}
+	var mixed []int
+	for k := 0; k <= 6; k++ {
+		mixed = append(mixed, 1<<k, 1<<k+1)
+		if k > 1 {
+			mixed = append(mixed, 1<<k-1)
+		}
+	}
+	rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+	many := make([]int, 600) // past the sequential threshold: workers=4 emits in chunks
+	for i := range many {
+		many[i] = mixed[i%len(mixed)]
+	}
+	for _, c := range []struct {
+		name  string
+		sizes []int
+	}{{"mixed", mixed}, {"many", many}, {"one group", []int{777}}, {"one row", []int{1}}} {
+		db := build(c.sizes)
+		all := testutil.BruteForce(q, db)
+		for _, workers := range []int{1, 4} {
+			inst := Instance{Q: q, DB: db, Workers: workers}
+			for _, b := range boundsFor(rng, all, q.Vars(), f) {
+				name := fmt.Sprintf("%s workers=%d (%v, %v)", c.name, workers, b[0], b[1])
+				out, err := SumAdjacentBand(inst, f, b[0], b[1])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				wantA, wantB := refStaircase(t, inst, f, b[0], b[1])
+				if gotA, gotB := out.DB.Get("R1"), out.DB.Get("R2"); !gotA.Equal(wantA) || !gotB.Equal(wantB) {
+					t.Fatalf("%s: emitted rows differ from the map-numbered reference's (%d and %d rows, reference %d and %d)",
+						name, gotA.Len(), gotB.Len(), wantA.Len(), wantB.Len())
+				}
+			}
+		}
+	}
+}

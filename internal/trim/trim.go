@@ -64,15 +64,21 @@ type Instance struct {
 	// Weight functions must be safe for concurrent calls when Workers > 1.
 	Workers int
 	// Exec is the optional executable tree of (Q, DB), attached by the
-	// driver; its nodes read DB's relations (jointree.Exec). Pure-filter trims
-	// (a MIN / MAX / LEX band of one box — MAX ≺ λ, MIN ≻ λ, one ranked
-	// variable — and single-node SUM) test each row once and derive their
-	// output's Exec from it by subset filtering — integer work proportional
-	// to the surviving rows — and the output's DB holds that Exec's relations,
-	// so the driver never rebuilds the tree for those outputs and no row is
-	// copied twice. Trims that change the query shape (box identifiers,
-	// staircase segments, sketch embeddings) ignore it, and their outputs
-	// carry none. Read-only.
+	// driver. Every exact trim scans its relations (rel), not DB's — where the
+	// tree deduplicated a relation they are not the same rows — and hands its
+	// output the Exec that follows from it by integer work proportional to the
+	// output, so the driver rebuilds no tree and no row is copied twice.
+	// Pure-filter trims (a MIN / MAX / LEX band of one box — MAX ≺ λ, MIN ≻ λ,
+	// one ranked variable — and single-node SUM) test each row once and derive
+	// by subset filtering (jointree.DeriveSubset); the output's DB holds the
+	// derived relations. Partitioned trims (a band of several boxes, the
+	// staircase) know the source row and the identifier of every row they emit
+	// and derive from those (jointree.DeriveGathered) — unless the output
+	// query's join tree is not this one's, which an identifier on two atoms
+	// only can bring about (a staircase between atoms the tree does not have
+	// adjacent, or one that makes another atom the root): that output carries
+	// none and the driver builds its tree afresh, as it does for the lossy
+	// SUM's sketch embeddings, which never carry one. Read-only.
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
 	// a prepared plan, across quantile calls). Only the driver's reused
