@@ -512,9 +512,9 @@ func BenchmarkPlanRetained(b *testing.B) {
 	}
 	// What answering adds to a warm plan: the pivot trees of the repository
 	// benchmark's four rankings after its 396-request rotation, on top of a
-	// plan that has answered once under each (trim preparation, counts, pooled
-	// scratch and the full reduction are there before). Budget by
-	// construction, not by measurement: one byte per input tuple and ranking.
+	// plan that has answered once under each and a TopK (trim preparation,
+	// counts and pooled scratch are there before). Budget by construction, not
+	// by measurement: one byte per input tuple and ranking.
 	b.Run("remembered", func(b *testing.B) {
 		ranks, ops := exactRotation()
 		var perTuple float64
@@ -543,6 +543,55 @@ func BenchmarkPlanRetained(b *testing.B) {
 		b.ReportMetric(perTuple, "B/tuple/ranking")
 		if perTuple > 1 {
 			b.Fatalf("the rotation left %.2f B per input tuple and ranking on the plan, budget 1 — the pivot tree holds more than rounds", perTuple)
+		}
+	})
+	// What the other readers leave on a plan whose counts are built. TopK and a
+	// RankedEnumerate drained for 100 answers walk the engine's own tree by
+	// those counts and keep nothing: budget by construction, one byte per input
+	// tuple (a second, fully reduced tree kept 27.9). SampleAnswers keeps the
+	// direct-access index, one 16-byte prefix sum per tuple of a node with
+	// children — the root half of this 2-path: measured 8.0 B per input tuple
+	// (48.0 with a second counting pass and per-group order lists), budget that
+	// plus 15%.
+	b.Run("readers", func(b *testing.B) {
+		f := qjoin.Sum(q.Vars()...)
+		var ranked, sampled float64
+		for i := 0; i < b.N; i++ {
+			p, err := qjoin.Prepare(q, db)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Count()
+			before := heap()
+			if _, err := p.TopK(f, 1); err != nil {
+				b.Fatal(err)
+			}
+			func() {
+				s, err := p.RankedEnumerate(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k := 0; k < 100; k++ {
+					if _, ok := s.Next(); !ok {
+						b.Fatal("fewer than 100 answers")
+					}
+				}
+			}()
+			mid := heap()
+			if _, _, err := p.SampleAnswers(100, rand.New(rand.NewSource(1))); err != nil {
+				b.Fatal(err)
+			}
+			ranked = (float64(mid) - float64(before)) / tuples
+			sampled = (float64(heap()) - float64(mid)) / tuples
+			runtime.KeepAlive(p)
+		}
+		b.ReportMetric(ranked, "ranked-B/tuple")
+		b.ReportMetric(sampled, "sampled-B/tuple")
+		if ranked > 1 {
+			b.Fatalf("TopK and ranked enumeration left %.2f B per input tuple on the plan, budget 1 — a second tree is back", ranked)
+		}
+		if sampled > 9.2 {
+			b.Fatalf("sampling left %.2f B per input tuple on the plan, budget 9.2 — more than the prefix index", sampled)
 		}
 	})
 	runtime.KeepAlive(db)

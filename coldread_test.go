@@ -1,13 +1,15 @@
-// The first exact read of a plan (PR 15): on a selective join Algorithm 1
-// materializes at iteration 0, from the tree and the counts the plan already
-// holds. These tests hold the public API to that — no quantile ever builds an
-// engine's full reduction, ranked enumeration builds it once — and the first
-// read after an update to the brute-force oracle.
+// The first reads of a plan: on a selective join Algorithm 1 materializes at
+// iteration 0, from the tree and the counts the plan already holds, and ranked
+// enumeration and sampling read that same tree by those same counts — no
+// reader builds a second tree. These tests hold the public API to the
+// brute-force oracle on such plans, fresh and after updates.
 package qjoin_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/quantilejoins/qjoin"
@@ -67,6 +69,9 @@ func atOracleRank(t *testing.T, label string, oracle [][]int64, q *qjoin.Query, 
 	t.Fatalf("%s: %v is not a brute-force answer", label, a.Values)
 }
 
+// Exact reads and TopK on selective plans — unrouted, 3-shard and decomposed —
+// answer as brute force does. None of them builds a reduction: there is none
+// to build, every reader walks the engine's own tree by its counts.
 func TestExactReadsNeverBuildTheReduction(t *testing.T) {
 	for name, c := range selectivePlans(t, rand.New(rand.NewSource(15))) {
 		t.Run(name, func(t *testing.T) {
@@ -94,37 +99,38 @@ func TestExactReadsNeverBuildTheReduction(t *testing.T) {
 			if stats.Iterations != 0 || stats.Materialized != len(oracle) {
 				t.Fatalf("the instance is meant to materialize at iteration 0: %+v", *stats)
 			}
-			for i, red := range qjoin.Reductions(p) {
-				if red != nil {
-					t.Fatalf("engine %d built its full reduction for a quantile", i)
-				}
-			}
-
-			top, err := p.TopK(f, 5)
-			if err != nil || len(top) != 5 {
-				t.Fatalf("TopK: %d answers, %v", len(top), err)
-			}
-			built := qjoin.Reductions(p)
-			for i, red := range built {
-				if red == nil {
-					t.Fatalf("engine %d: TopK ran without a full reduction", i)
-				}
-			}
-			if _, err := p.TopK(f, 5); err != nil {
-				t.Fatal(err)
-			}
-			for i, red := range qjoin.Reductions(p) {
-				if red != built[i] {
-					t.Fatalf("engine %d: the second TopK built the reduction again", i)
-				}
-			}
+			checkTopK(t, "TopK", oracle, p, f, 5)
 		})
+	}
+}
+
+// checkTopK holds p.TopK(f, k) to the k lowest weights of the brute-force
+// answers.
+func checkTopK(t *testing.T, label string, oracle [][]int64, p *qjoin.Prepared, f *qjoin.Ranking, k int) {
+	t.Helper()
+	top, err := p.TopK(f, k)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sorted := append([][]int64(nil), oracle...)
+	testutil.SortByWeight(sorted, f, p.Query().Vars())
+	if want := min(k, len(sorted)); len(top) != want {
+		t.Fatalf("%s: %d answers, want %d", label, len(top), want)
+	}
+	for i, a := range top {
+		if w := f.AnswerWeight(p.Query().Vars(), sorted[i]); f.Compare(a.Weight, w) != 0 {
+			t.Fatalf("%s: answer %d weighs %v, the brute-force %d-th lowest %v", label, i, a.Weight, i, w)
+		}
+		if f.Compare(a.Weight, f.AnswerWeight(p.Query().Vars(), a.Values)) != 0 {
+			t.Fatalf("%s: answer %d: %v does not weigh %v", label, i, a.Values, a.Weight)
+		}
 	}
 }
 
 // An update that changes the set view hands the derived engine counts kept
 // current by delta counting; its first exact read walks the derived tree by
-// them.
+// them, and so do its ranked enumeration and its direct-access index, which
+// answer as a fresh compile's do.
 func TestFirstExactReadAfterUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for name, c := range selectivePlans(t, rng) {
@@ -148,7 +154,36 @@ func TestFirstExactReadAfterUpdate(t *testing.T) {
 					}
 					atOracleRank(t, fmt.Sprintf("gen %d φ=%v", gen, phi), oracle, plan.Query(), c.f, phi, a)
 				}
+				checkTopK(t, fmt.Sprintf("gen %d TopK", gen), oracle, plan, c.f, 5)
+				sameReaders(t, fmt.Sprintf("gen %d", gen), plan, c.f)
 			}
 		})
+	}
+}
+
+// sameReaders holds the ranked and sampling readers of a plan to those of a
+// fresh compile of its database at the same shard count: the same TopK and,
+// from equal seeds, the same samples (or the same refusal, on a routed plan).
+func sameReaders(t *testing.T, label string, p *qjoin.Prepared, f *qjoin.Ranking) {
+	t.Helper()
+	fresh, err := qjoin.Prepare(p.Query(), p.DB())
+	if p.Shards() > 1 {
+		fresh, err = qjoin.PrepareSharded(p.Query(), p.DB(), p.Shards())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.TopK(f, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := fresh.TopK(f, 7); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: TopK %v, a fresh compile's %v (%v)", label, got, want, err)
+	}
+	_, rows, err := p.SampleAnswers(20, rand.New(rand.NewSource(5)))
+	_, want, werr := fresh.SampleAnswers(20, rand.New(rand.NewSource(5)))
+	var ae, we *qjoin.ArgError
+	if errors.As(err, &ae) != errors.As(werr, &we) || (err == nil) != (werr == nil) || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("%s: SampleAnswers %v (%v), a fresh compile's %v (%v)", label, rows, err, want, werr)
 	}
 }

@@ -42,10 +42,9 @@
 // answer counting — is quasilinear while the per-query work on top is cheap. Prepare makes that split explicit: it compiles a
 // (Query, DB) pair into a Prepared plan once, and every quantile, selection,
 // sampling, enumeration or counting query afterwards reuses the compiled
-// artifacts (including a lazily built direct-access structure and, for
-// ranked enumeration only, a cached full reduction — quantiles, counts and
-// plain enumeration read the executable tree by its counts and never build
-// one):
+// artifacts: one executable tree and its counts, which every reader walks —
+// quantiles, plain and ranked enumeration, and the lazily built direct-access
+// index that sampling reads:
 //
 //	p, err := qjoin.Prepare(q, db)
 //	if err != nil { ... }
@@ -99,11 +98,11 @@
 //
 // Update is a copy-on-write swap: the receiver is never mutated (concurrent
 // readers and concurrent Updates of it stay safe), and the returned plan
-// shares every structure the delta did not touch. The lazily built
-// direct-access structure and full reduction are invalidated by any change
-// to the answer set and rebuilt on first use (by sampling and by ranked
-// enumeration; an exact quantile needs neither — it walks the derived tree
-// by the counts the update maintained); a delta that only changes raw
+// shares every structure the delta did not touch. The counts are maintained
+// along with the tree, so every reader of the derived plan — an exact
+// quantile, TopK, ranked enumeration — walks the derived tree by them; the
+// lazily built direct-access index is invalidated by any change to the answer
+// set and rebuilt from them on the first sample. A delta that only changes raw
 // multiplicities (duplicate inserts, deletes of duplicate occurrences)
 // invalidates nothing. Relations are multisets at the input level: a tuple
 // leaves the answer side only when its last occurrence is deleted, and
@@ -338,12 +337,11 @@
 // does NOT invalidate the parent tree, its interners, or its per-edge
 // gid arrays — they are shared — and it does not carry over any counting
 // state: counts are always recomputed (or delta-maintained) per instance.
-// The plan's cached full reduction and direct-access structure belong to
-// the engine, not to derived instances, and the loop neither reads nor
-// builds them: both of its exits weigh their candidates by walking the
-// current tree guided by its counts (cnt(t) > 0 is exactly "t carries an
-// answer"), at O(|D| + ℓ·|candidates|) on original and trimmed instances
-// alike.
+// The plan's direct-access index belongs to the engine, not to derived
+// instances, and the loop neither reads nor builds it: both of its exits
+// weigh their candidates by walking the current tree guided by its counts
+// (cnt(t) > 0 is exactly "t carries an answer"), at O(|D| + ℓ·|candidates|)
+// on original and trimmed instances alike.
 //
 // Pooled iteration scratch and cached trim preparation. Counting arrays,
 // pivot weight buffers (LEX weight vectors as one flat array per node) and
@@ -521,11 +519,12 @@
 //     their own version. Snapshots are a cache of
 //     compiled state, not an archival format: the cross-version migration
 //     path is re-Prepare from the raw data.
-//   - Lazily rebuilt state. The direct-access structure and the cached
-//     full reduction are not serialized; a restored plan rebuilds them on
-//     first use (sampling, ranked enumeration), exactly like a freshly
-//     prepared one. Its first exact quantile needs only what the snapshot
-//     carries: the executable tree and its counts.
+//   - Lazily rebuilt state. The direct-access index is not serialized; a
+//     restored plan builds it from the restored counts on its first sample,
+//     exactly like a freshly prepared one. Every other reader needs only what
+//     the snapshot carries: the executable tree — group indexes and every
+//     edge's parent-gid array, which a loader refuses a section without —
+//     and its counts.
 //
 // SnapshotDataset/LoadDatasetBytes persist a raw database with its serving
 // metadata (name, generation, shard layout) but no compiled plan — the

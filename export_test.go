@@ -5,23 +5,11 @@ import (
 
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/engine"
-	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/sketch"
 )
 
 // Engines shows the external tests the plan's engine vector.
 func Engines(p *Prepared) []*engine.Engine { return p.sh.Engines() }
-
-// Reductions peeks at each engine's full reduction without building it: nil
-// where none has been built.
-func Reductions(p *Prepared) []*jointree.Exec {
-	engs := p.sh.Engines()
-	out := make([]*jointree.Exec, len(engs))
-	for i, eng := range engs {
-		out[i] = eng.PeekReduced()
-	}
-	return out
-}
 
 // SketchState shows the external tests a ranking's sketch entry as the plan
 // holds it: the per-engine parts, their merge, which parts are stale, and

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"math/rand"
 	"os"
 	"reflect"
 	"testing"
@@ -205,4 +206,56 @@ func TestPlanFixtures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadPlanBytes: no byte string makes the plan loader panic — it decodes
+// while the checksums run, so it meets damaged bytes before it refuses them —
+// and a plan it accepts answers like a fresh compile of its database: the same
+// count, then a median, a top-3 and two samples (on a routed plan, the
+// sampling refusal) that run. The corpus is the two plan fixtures, each also
+// with one edge's parent-gid flag cleared and its checksum fixed (the decoder
+// itself must refuse that), and truncations; `go test` runs it as a plain test.
+func FuzzLoadPlanBytes(f *testing.F) {
+	for _, fx := range planFixtures {
+		good, err := os.ReadFile(fx.file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(good)
+		f.Add(clearParentGidFlag(f, good))
+		for _, n := range []int{16, len(good) / 3, len(good) - 9} {
+			f.Add(good[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := qjoin.LoadPlanBytes(b)
+		if err != nil {
+			if p != nil {
+				t.Fatalf("a plan alongside error %v", err)
+			}
+			return
+		}
+		fresh, err := qjoin.Prepare(p.Query(), p.DB())
+		if err != nil {
+			t.Fatalf("the loaded plan's database does not compile: %v", err)
+		}
+		if p.Count().Cmp(fresh.Count()) != 0 {
+			t.Fatalf("count %v, a fresh compile %v", p.Count(), fresh.Count())
+		}
+		if p.Count().Sign() == 0 {
+			return
+		}
+		rank := qjoin.Max(p.Vars()...)
+		if _, err := p.Median(rank); err != nil {
+			t.Fatalf("median: %v", err)
+		}
+		if top, err := p.TopK(rank, 3); err != nil || len(top) == 0 {
+			t.Fatalf("TopK: %v, %v", top, err)
+		}
+		_, rows, err := p.SampleAnswers(2, rand.New(rand.NewSource(1)))
+		var ae *qjoin.ArgError
+		if routed := p.Key() != ""; routed != (err != nil) || routed && !errors.As(err, &ae) || !routed && len(rows) != 2 {
+			t.Fatalf("SampleAnswers on a plan with key %q: %d rows, %v", p.Key(), len(rows), err)
+		}
+	})
 }

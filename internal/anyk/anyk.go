@@ -5,28 +5,33 @@
 //
 // The paper uses ranked enumeration as the conceptual home of
 // subset-monotonicity (Section 2.2) and cites it as the source of the
-// adjacent-pair SUM trimming [22]; this module completes the ecosystem: after
-// one linear-time pass it streams answers in non-decreasing weight order with
-// logarithmic delay, which gives Top-K and threshold queries over the same
-// substrate the quantile algorithms run on.
+// adjacent-pair SUM trimming [22]; this module completes the ecosystem: over
+// the executable tree and its counts (Section 2.4) it streams answers in
+// non-decreasing weight order with logarithmic delay, which gives Top-K and
+// threshold queries over the same substrate the quantile algorithms run on.
 //
 // Construction: for every join group the solutions of its subtree form a
 // lazily materialized sorted stream. A group's stream k-way-merges the
-// streams of its tuples; a tuple's stream enumerates the product of its
-// child-group streams best-first (coordinate-successor generation, valid
+// streams of its tuples that carry an answer — cnt(t) > 0, so every child
+// group a seeded tuple reaches holds one too and no stream stalls; the tree
+// needs no full reduction — and a tuple's stream enumerates the product of
+// its child-group streams best-first (coordinate-successor generation, valid
 // because subset-monotone aggregates are monotone in every coordinate).
 // Streams are memoized per group, so shared subtrees are enumerated once —
-// the same factorization that makes message passing linear.
+// the same factorization that makes message passing linear. Child groups are
+// found through the edges' parent-gid arrays; no key is hashed.
 package anyk
 
 import (
 	"container/heap"
 	"errors"
 
+	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
+	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
 // ErrExhausted is returned by Next after the last answer.
@@ -67,6 +72,7 @@ type groupStream struct {
 // non-decreasing weight order.
 type Enumerator struct {
 	exec *jointree.Exec
+	cnt  [][]counting.Count // per node and tuple: cnt(t), the exec's counting state
 	f    *ranking.Func
 	mu   map[query.Var]int
 
@@ -77,14 +83,15 @@ type Enumerator struct {
 
 	varIdx  map[query.Var]int
 	nodePos [][]int
+	row     []relation.Value // the tuple being weighed
 	emitted int
 }
 
-// NewReduced builds an enumerator over an executable tree that is already
-// fully reduced (e.g. the cached reduction of a prepared engine; dangling
-// tuples would stall the streams). It never mutates e, so any number of
-// enumerators — including concurrent ones — may share a single reduced tree.
-func NewReduced(e *jointree.Exec, f *ranking.Func) (*Enumerator, error) {
+// New builds an enumerator over an executable tree and its counting state c
+// (Section 2.4). It never mutates e or c, so any number of enumerators —
+// including concurrent ones — may share one tree, and the streams are those
+// of the tree's full reduction, answer for answer in the same order.
+func New(e *jointree.Exec, c *yannakakis.Counts, f *ranking.Func) (*Enumerator, error) {
 	if err := f.Validate(e.Q); err != nil {
 		return nil, err
 	}
@@ -92,10 +99,11 @@ func NewReduced(e *jointree.Exec, f *ranking.Func) (*Enumerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	en := &Enumerator{exec: e, f: f, mu: mu, varIdx: e.Q.VarIndex()}
+	en := &Enumerator{exec: e, cnt: c.Tuple, f: f, mu: mu, varIdx: e.Q.VarIndex()}
 	en.weighers = make([]*ranking.TupleWeigher, len(e.T.Nodes))
 	en.groups = make([][]*groupStream, len(e.T.Nodes))
 	en.nodePos = make([][]int, len(e.T.Nodes))
+	width := 0
 	for _, n := range e.T.Nodes {
 		en.weighers[n.ID] = ranking.NewTupleWeigher(f, mu, n.Atom, n.Vars)
 		if n.Parent >= 0 {
@@ -106,7 +114,9 @@ func NewReduced(e *jointree.Exec, f *ranking.Func) (*Enumerator, error) {
 			pos[j] = en.varIdx[v]
 		}
 		en.nodePos[n.ID] = pos
+		width = max(width, len(n.Vars))
 	}
+	en.row = make([]relation.Value, width)
 	// Artificial root group: all root tuples.
 	rootTuples := make([]int, e.Rels[e.T.Root].Len())
 	for i := range rootTuples {
@@ -124,10 +134,11 @@ func (en *Enumerator) newStream(node int, tuples []int) *groupStream {
 		frontier: &candidateHeap{f: en.f},
 		seen:     make(map[string]bool),
 	}
-	// Seed: the best candidate of every tuple in the group.
-	for ti := range tuples {
-		if c, ok := gs.bestOf(ti); ok {
-			gs.push(c)
+	// Seed: the best candidate of every tuple in the group that carries an
+	// answer.
+	for ti, t := range tuples {
+		if !en.cnt[node][t].IsZero() {
+			gs.push(gs.bestOf(ti))
 		}
 	}
 	return gs
@@ -143,39 +154,35 @@ func (en *Enumerator) stream(node, gid int) *groupStream {
 	return s
 }
 
-// bestOf builds tuple ti's minimal candidate: first solution of every child
-// group. After full reduction every child group is non-empty.
-func (gs *groupStream) bestOf(ti int) (candidate, bool) {
+// ownWeight returns the weight of the group's ti-th tuple on its own.
+func (gs *groupStream) ownWeight(ti int) ranking.Weightv {
 	en := gs.e
-	n := en.exec.T.Nodes[gs.node]
-	row := en.exec.Rels[gs.node].RowValues(gs.tuples[ti])
-	w := en.weighers[gs.node].WeightOf(row)
-	childSol := make([]int, len(n.Children))
-	for ci, ch := range n.Children {
-		gid, ok := en.exec.GroupForParentRow(ch, row)
-		if !ok {
-			return candidate{}, false
-		}
-		cs := en.stream(ch, gid)
-		sol, ok := cs.get(0)
-		if !ok {
-			return candidate{}, false
-		}
-		childSol[ci] = 0
+	row := en.exec.Rels[gs.node].CopyRow(en.row, gs.tuples[ti])
+	return en.weighers[gs.node].WeightOf(row)
+}
+
+// bestOf builds the minimal candidate of the group's ti-th tuple, which
+// carries an answer: the first solution of every child group, each of which
+// therefore holds one.
+func (gs *groupStream) bestOf(ti int) candidate {
+	en := gs.e
+	w := gs.ownWeight(ti)
+	children := en.exec.T.Nodes[gs.node].Children
+	for _, ch := range children {
+		gid, _ := en.exec.ParentGroup(ch, gs.tuples[ti])
+		sol, _ := en.stream(ch, gid).get(0)
 		w = en.f.Combine(w, sol.weight)
 	}
-	return candidate{weight: w, tupleIdx: ti, childSol: childSol}, true
+	return candidate{weight: w, tupleIdx: ti, childSol: make([]int, len(children))}
 }
 
 // weightOf recomputes a candidate's weight from its child solution indexes.
 // Returns false if some child index does not (yet or ever) exist.
 func (gs *groupStream) weightOf(ti int, childSol []int) (ranking.Weightv, bool) {
 	en := gs.e
-	n := en.exec.T.Nodes[gs.node]
-	row := en.exec.Rels[gs.node].RowValues(gs.tuples[ti])
-	w := en.weighers[gs.node].WeightOf(row)
-	for ci, ch := range n.Children {
-		gid, _ := en.exec.GroupForParentRow(ch, row)
+	w := gs.ownWeight(ti)
+	for ci, ch := range en.exec.T.Nodes[gs.node].Children {
+		gid, _ := en.exec.ParentGroup(ch, gs.tuples[ti])
 		sol, ok := en.stream(ch, gid).get(childSol[ci])
 		if !ok {
 			return ranking.Weightv{}, false
@@ -253,14 +260,13 @@ func (en *Enumerator) Next(asn []relation.Value) (ranking.Weightv, error) {
 // fill reconstructs the assignment of the stream's idx-th solution.
 func (en *Enumerator) fill(gs *groupStream, idx int, asn []relation.Value) {
 	sol, _ := gs.get(idx)
-	node := gs.node
-	row := en.exec.Rels[node].RowValues(gs.tuples[sol.tupleIdx])
+	node, ti := gs.node, gs.tuples[sol.tupleIdx]
+	cols := en.exec.Rels[node].Cols()
 	for j, p := range en.nodePos[node] {
-		asn[p] = row[j]
+		asn[p] = cols[j][ti]
 	}
-	n := en.exec.T.Nodes[node]
-	for ci, ch := range n.Children {
-		gid, _ := en.exec.GroupForParentRow(ch, row)
+	for ci, ch := range en.exec.T.Nodes[node].Children {
+		gid, _ := en.exec.ParentGroup(ch, ti)
 		en.fill(en.stream(ch, gid), sol.childSol[ci], asn)
 	}
 }

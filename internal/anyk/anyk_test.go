@@ -1,14 +1,18 @@
 package anyk
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
 func enumOf(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func) *Enumerator {
@@ -21,8 +25,7 @@ func enumOf(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FullReduceWorkers(1)
-	en, err := NewReduced(e, f)
+	en, err := New(e, yannakakis.CountWorkers(e, 1), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestValidation(t *testing.T) {
 	}
 	tree, _ := jointree.Build(q)
 	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-	if _, err := NewReduced(e, ranking.NewSum("zz")); err == nil {
+	if _, err := New(e, yannakakis.CountWorkers(e, 1), ranking.NewSum("zz")); err == nil {
 		t.Fatal("unknown ranked variable accepted")
 	}
 }
@@ -163,8 +166,7 @@ func BenchmarkTop100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		e.FullReduceWorkers(1)
-		en, err := NewReduced(e, f)
+		en, err := New(e, yannakakis.CountWorkers(e, 1), f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,4 +176,105 @@ func BenchmarkTop100(b *testing.B) {
 			}
 		}
 	}
+}
+
+// sameStreams drains the ranked stream of e by its counts and the stream of
+// e's full reduction in lockstep: the same weights, values and order, to
+// exhaustion. It returns the number of answers.
+func sameStreams(t *testing.T, name string, e *jointree.Exec, f *ranking.Func) int {
+	t.Helper()
+	red := testutil.FullReduction(e)
+	got, err := New(e, yannakakis.CountWorkers(e, 1), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(red, yannakakis.CountWorkers(red, 1), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ga, wa := make([]relation.Value, len(e.Q.Vars())), make([]relation.Value, len(e.Q.Vars()))
+	for n := 0; ; n++ {
+		gw, gerr := got.Next(ga)
+		ww, werr := want.Next(wa)
+		if gerr != werr {
+			t.Fatalf("%s %s%v: answer %d: %v on the tree, %v on its reduction", name, f.Agg, f.Vars, n, gerr, werr)
+		}
+		if gerr == ErrExhausted {
+			return n
+		}
+		if !slices.Equal(ga, wa) || gw.K != ww.K || !slices.Equal(gw.Vec, ww.Vec) {
+			t.Fatalf("%s %s%v: answer %d is %v (%v) on the tree, %v (%v) on its reduction", name, f.Agg, f.Vars, n, ga, gw, wa, ww)
+		}
+	}
+}
+
+// Ranked enumeration over the unreduced tree by its counts is the enumeration
+// over the tree's full reduction, stream for stream: on the differential
+// corpus under every family and the corpus rankings, and on instances whose
+// dead tuples sit below (no child partner) and above (no live parent) the
+// nodes that carry answers, under every rooting.
+func TestRankedStreamsMatchTheFullReduction(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		for _, inst := range testutil.FuzzCorpus(rand.New(rand.NewSource(seed))) {
+			e := engineExec(t, inst.Q, inst.DB)
+			v := e.Q.Vars()
+			for _, f := range append([]*ranking.Func{ranking.NewSum(v...), ranking.NewMin(v...), ranking.NewMax(v...), ranking.NewLex(v...)}, inst.Ranks...) {
+				sameStreams(t, fmt.Sprintf("seed %d %s", seed, inst.Name), e, f)
+			}
+		}
+	}
+	// A chain A–B–C–D: A's (3,30) and B's (20,200) have no partner below, C's
+	// (900,9) and D's (8,80) none above; each rooting puts them on both sides.
+	q := query.New(
+		query.Atom{Rel: "A", Vars: []query.Var{"x", "y"}},
+		query.Atom{Rel: "B", Vars: []query.Var{"y", "z"}},
+		query.Atom{Rel: "C", Vars: []query.Var{"z", "w"}},
+		query.Atom{Rel: "D", Vars: []query.Var{"w", "u"}},
+	)
+	db := relation.NewDatabase()
+	db.Add(relation.FromRows("A", 2, [][]relation.Value{{1, 10}, {2, 20}, {3, 30}, {4, 10}}))
+	db.Add(relation.FromRows("B", 2, [][]relation.Value{{10, 100}, {20, 200}, {10, 101}}))
+	db.Add(relation.FromRows("C", 2, [][]relation.Value{{100, 7}, {101, 7}, {100, 6}, {900, 9}}))
+	db.Add(relation.FromRows("D", 2, [][]relation.Value{{7, 70}, {6, 60}, {7, 71}, {8, 80}}))
+	for root := 0; root < 4; root++ {
+		parent := make([]int, 4)
+		for i := range parent {
+			switch {
+			case i == root:
+				parent[i] = -1
+			case i < root:
+				parent[i] = i + 1
+			default:
+				parent[i] = i - 1
+			}
+		}
+		e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, parent, root), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*ranking.Func{ranking.NewSum("x", "u"), ranking.NewMin("y", "w"), ranking.NewMax(q.Vars()...), ranking.NewLex("u", "x")} {
+			if n := sameStreams(t, fmt.Sprintf("chain rooted at %d", root), e, f); n != 10 {
+				t.Fatalf("chain rooted at %d: %d answers, want 10", root, n)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 30; trial++ {
+		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(4), 1+rng.Intn(10), 4)
+		sameStreams(t, fmt.Sprintf("tree %d", trial), engineExec(t, q, db), ranking.NewSum(q.Vars()...))
+	}
+}
+
+// engineExec compiles q over db as a plan does and returns the engine's tree.
+func engineExec(t *testing.T, q *query.Query, db *relation.Database) *jointree.Exec {
+	t.Helper()
+	eng, err := engine.NewWorkers(q, db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Exec()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -55,6 +56,11 @@ func TestSampleQuantileValidation(t *testing.T) {
 	}
 	if _, err := SampleQuantile(engines(t, q, db)[0], f, 0.5, 0.1, 0, rng); err == nil {
 		t.Fatal("δ = 0 accepted")
+	}
+	for _, eps := range []float64{1e-7, 1e-10, 0.0022} {
+		if _, err := SampleQuantile(engines(t, q, db)[0], f, 0.5, eps, 0.1, rng); !errors.Is(err, ErrTooManySamples) {
+			t.Fatalf("ε = %v: err = %v, want ErrTooManySamples", eps, err)
+		}
 	}
 }
 

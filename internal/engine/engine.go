@@ -16,32 +16,31 @@
 // not).
 //
 // Beyond the eager artifacts (normalized query, deduplicated database, join
-// tree, executable tree), an Engine lazily builds three more, each once,
-// under a small mutex of its own:
+// tree, executable tree), an Engine lazily builds two more, each once, under
+// a small mutex of its own:
 //
 //   - the counting state of Section 2.4: per-tuple and per-group subtree
-//     counts and |Q(D)|. Every driver starts from it — the first pivot of a
-//     quantile, the materialization Algorithm 1 ends with (cnt(t) > 0 says
-//     which tuples carry an answer, so the walk of the shared tree skips the
-//     rest), and plain enumeration, which therefore counts too;
-//   - the direct-access structure of Section 3.1 (random access and uniform
-//     sampling over the answer set); and
-//   - a fully Yannakakis-reduced executable tree, whose relations contain
-//     only tuples that participate in some answer. Ranked enumeration
-//     requires it and is its only reader: nothing that materializes goes
-//     through it, so a plan that answers quantiles alone never builds one.
+//     counts and |Q(D)|. Every reader of answers starts from it: the first
+//     pivot of a quantile, the materialization Algorithm 1 ends with, plain
+//     and ranked enumeration (cnt(t) > 0 says which tuples carry an answer,
+//     so every walk of the tree skips the rest) and direct access; and
+//   - the direct-access index of Section 3.1 (random access and uniform
+//     sampling over the answer set), one prefix sum per tuple over those
+//     counts.
+//
+// The executable tree and its counts are the only structures any reader of
+// answers uses; nothing builds a second tree.
 //
 // Concurrency: after New returns, every method of Engine is safe for
-// concurrent use. The shared executable tree is never mutated — the full
-// reduction reduces a shallow copy of it, and the per-iteration trimmed
-// instances of Algorithm 1 are derived trees of their own.
+// concurrent use. The shared executable tree is never mutated — the
+// per-iteration trimmed instances of Algorithm 1 are derived trees of their
+// own.
 package engine
 
 import (
 	"errors"
 	"sync"
 
-	"github.com/quantilejoins/qjoin/internal/access"
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -105,10 +104,7 @@ type Engine struct {
 	sets   map[string]*relation.Multiset // raw tuple multiplicities per source relation; built on first Update
 
 	accessMu sync.Mutex
-	access   *access.Direct
-
-	reducedMu sync.Mutex
-	reduced   *jointree.Exec
+	access   *yannakakis.Direct
 
 	// trimCache amortizes λ-independent trim preprocessing (grouped and
 	// staircase-sorted adjacent pairs) across pivoting iterations AND across
@@ -143,8 +139,8 @@ func (e *Engine) Scratch() *sync.Pool { return &e.scratch }
 // lazily on first use and then cached. db0 is read, never written, and stays
 // shared with the engine (see the package comment).
 // parallelism is the worker count of the compile-time passes (deduplication,
-// group indexes, counting, the lazy full reduction): 0 selects GOMAXPROCS, 1
-// the exact sequential path.
+// group indexes, counting): 0 selects GOMAXPROCS, 1 the exact sequential
+// path.
 // The compiled artifact is byte-identical for every value — all parallel
 // merges are ordered — so the knob only trades wall-clock time for cores.
 func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Engine, error) {
@@ -242,7 +238,7 @@ func (e *Engine) DecompStats() *decomp.Stats {
 }
 
 // Exec returns the shared executable join tree. It must be treated as
-// read-only; a consumer that reduces takes jointree.Exec.Reduced's copy.
+// read-only.
 func (e *Engine) Exec() *jointree.Exec { return e.exec }
 
 // Counts returns the full counting state of the shared executable tree —
@@ -266,8 +262,8 @@ func (e *Engine) peekCounts() *yannakakis.Counts {
 	return e.counts
 }
 
-// Total returns |Q(D)|, counting on first use and caching the result.
-// Ranked streaming is the one consumer that never pays for it.
+// Total returns |Q(D)|, counting on first use and caching the result — the
+// pass every reader of answers needs anyway.
 func (e *Engine) Total() counting.Count {
 	return e.Counts().Total
 }
@@ -276,7 +272,8 @@ func (e *Engine) Total() counting.Count {
 func (e *Engine) Vars() []query.Var { return e.origVars }
 
 // Width returns the arity of assignments over the rewritten query, i.e. the
-// buffer length consumers of Exec, Access and Reduced must allocate.
+// buffer length readers of Exec's answers (enumeration, ranked enumeration,
+// Access) must allocate.
 func (e *Engine) Width() int { return len(e.pos) }
 
 // Pos returns, for each original variable, its position in the rewritten
@@ -291,47 +288,24 @@ func (e *Engine) Project(asn []relation.Value, dst []relation.Value) {
 	}
 }
 
-// Access returns the direct-access structure of Section 3.1 over the answer
-// set, building it on first use (linear time, then cached). Safe for
-// concurrent use; Sample callers must not share one *rand.Rand across
-// goroutines.
-func (e *Engine) Access() *access.Direct {
+// Access returns the direct-access index of Section 3.1 over the answer set,
+// building it on first use from the cached counts (one linear pass, then
+// cached). Safe for concurrent use; Sample callers must not share one
+// *rand.Rand across goroutines.
+func (e *Engine) Access() *yannakakis.Direct {
 	e.accessMu.Lock()
 	defer e.accessMu.Unlock()
 	if e.access == nil {
-		e.access = access.NewWorkers(e.exec, e.workers)
+		e.access = yannakakis.NewDirect(e.exec, e.Counts())
 	}
 	return e.access
 }
 
-// peekAccess returns the direct-access structure only if already built.
-func (e *Engine) peekAccess() *access.Direct {
+// peekAccess returns the direct-access index only if already built.
+func (e *Engine) peekAccess() *yannakakis.Direct {
 	e.accessMu.Lock()
 	defer e.accessMu.Unlock()
 	return e.access
-}
-
-// Reduced returns a fully Yannakakis-reduced executable tree: every
-// remaining tuple participates in at least one answer. Built on first use by
-// reducing a shallow copy of the shared tree (jointree.Exec.Reduced — the
-// shared Exec is read, never touched) and cached. The result is read-only and
-// may be shared by concurrent ranked enumerations, which are its only users.
-func (e *Engine) Reduced() *jointree.Exec {
-	e.reducedMu.Lock()
-	defer e.reducedMu.Unlock()
-	if e.reduced == nil {
-		e.reduced = e.exec.Reduced(e.workers)
-	}
-	return e.reduced
-}
-
-// PeekReduced returns the full reduction only if already built: Update
-// carries it onto derived engines whose answers did not change, and tests
-// hold quantile answering to never building one.
-func (e *Engine) PeekReduced() *jointree.Exec {
-	e.reducedMu.Lock()
-	defer e.reducedMu.Unlock()
-	return e.reduced
 }
 
 // normalize returns the query and database an engine runs on: every input

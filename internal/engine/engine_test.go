@@ -2,9 +2,11 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/testutil"
@@ -117,19 +119,26 @@ func TestDuplicateInputRows(t *testing.T) {
 	}
 }
 
+// The direct-access index preserves the answers without reducing anything: it
+// reads the shared tree by the engine's counts, decodes at every position the
+// answer Enumerate gives there, and leaves the tree as it found it.
 func TestReducedPreservesAnswers(t *testing.T) {
 	e := fig1Engine(t)
-	red := e.Reduced()
-	if got := yannakakis.CountWorkers(red, 1).Total; got.Cmp(e.Total()) != 0 {
-		t.Fatalf("reduced count = %s, want %s", got, e.Total())
+	d := e.Access()
+	if d.N().Cmp(e.Total()) != 0 {
+		t.Fatalf("access N = %s, want %s", d.N(), e.Total())
 	}
-	// The shared exec must be untouched by the reduction.
-	if got := yannakakis.CountWorkers(e.Exec(), 1).Total; got.Cmp(e.Total()) != 0 {
-		t.Fatalf("shared exec count = %s, want %s", got, e.Total())
-	}
-	// Idempotent handle.
-	if e.Reduced() != red {
-		t.Fatal("Reduced not cached")
+	buf := make([]relation.Value, e.Width())
+	i := 0
+	yannakakis.Enumerate(e.Exec(), e.Counts(), func(asn []relation.Value) bool {
+		if d.At(counting.FromInt(i), buf); !slices.Equal(buf, asn) {
+			t.Fatalf("position %d: direct access %v, Enumerate %v", i, buf, asn)
+		}
+		i++
+		return true
+	})
+	if got := yannakakis.CountWorkers(e.Exec(), 1).Total; got.Cmp(e.Total()) != 0 || i != 13 {
+		t.Fatalf("shared exec count = %s after %d positions, want %s", got, i, e.Total())
 	}
 }
 
@@ -167,7 +176,6 @@ func TestLazyStructuresConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.Reduced()
 			e.Access()
 			yannakakis.CountWorkers(e.Exec(), 1)
 		}()

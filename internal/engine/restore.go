@@ -29,8 +29,7 @@ import (
 //
 // The cheap derived fields (origVars, answer-layout positions, tree order)
 // are recomputed — they are pure functions of the queries. The lazy
-// structures (direct access, full reduction, trim cache) start empty, as on
-// a fresh engine.
+// structures (direct access, trim cache) start empty, as on a fresh engine.
 //
 // Cyclic sources are detected (their decoded q is the acyclic bag rewrite,
 // not src's own shape) and the hypertree decomposition is recomputed — it is

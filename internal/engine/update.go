@@ -8,11 +8,11 @@
 // Update is copy-on-write: it returns a new *Engine sharing every untouched
 // structure with the receiver and never mutates the receiver, so concurrent
 // readers of the old artifact (and concurrent Updates from it) are safe. The
-// lazily built direct-access structure and full reduction are invalidated by
-// any set-level change — both are global functions of the answer set — and
-// rebuilt lazily on the derived engine; a delta that only changes raw
-// multiplicities (duplicate inserts, deletes of duplicates) invalidates
-// nothing.
+// counting state is delta-maintained; the lazily built direct-access index, a
+// global function of the answer set, is invalidated by any set-level change
+// and rebuilt lazily on the derived engine from the maintained counts. A delta
+// that only changes raw multiplicities (duplicate inserts, deletes of
+// duplicates) invalidates nothing.
 package engine
 
 import (
@@ -288,9 +288,9 @@ func (e *Engine) multisets() map[string]*relation.Multiset {
 //     in place of a rebuild,
 //   - the counting state is delta-maintained along the root-to-leaf paths
 //     whose group sums changed (yannakakis.UpdateCounts),
-//   - the direct-access structure and the full reduction are invalidated
-//     (rebuilt lazily on first use) whenever the answer set could have
-//     changed, and kept when the delta was a pure multiplicity change.
+//   - the direct-access index is invalidated (rebuilt lazily on first use)
+//     whenever the answer set could have changed, and kept when the delta
+//     was a pure multiplicity change.
 //
 // A change to a source relation fans out to every atom over it, through the
 // atom's row map (setDeltas). Update fails atomically with ErrDeleteAbsent when a delete has no
@@ -339,8 +339,8 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 			src: e.src, origVars: e.origVars, q: e.q, db: e.db, tree: e.tree,
 			exec: e.exec, pos: e.pos, workers: e.workers,
 			counts: e.peekCounts(), sets: newSets,
-			access: e.peekAccess(), reduced: e.PeekReduced(),
-			dec: e.dec, decQ: e.decQ, ddb: e.ddb, decStats: e.decStats,
+			access: e.peekAccess(),
+			dec:    e.dec, decQ: e.decQ, ddb: e.ddb, decStats: e.decStats,
 			trimCache: e.trimCache,
 		}, Change{}, nil
 	}
@@ -353,14 +353,14 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 	}
 	if len(changes) == 0 {
 		// Only relations outside the query changed: the answer set is
-		// untouched, so every already-built cache carries forward (the
-		// reduction and direct access only ever read query relations);
+		// untouched, so every already-built cache carries forward (direct
+		// access only ever reads query relations);
 		// only the database view is new.
 		return &Engine{
 			src: e.src, origVars: e.origVars, q: e.q, db: newExec.DB, tree: e.tree,
 			exec: newExec, pos: e.pos, workers: e.workers,
 			counts: e.peekCounts(), sets: newSets,
-			access: e.peekAccess(), reduced: e.PeekReduced(),
+			access:    e.peekAccess(),
 			trimCache: e.trimCache,
 		}, Change{}, nil
 	}
@@ -470,8 +470,8 @@ func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects
 			src: e.src, origVars: e.origVars, q: e.q, db: e.db, tree: e.tree,
 			exec: e.exec, pos: e.pos, workers: e.workers,
 			counts: e.peekCounts(), sets: newSets,
-			access: e.peekAccess(), reduced: e.PeekReduced(),
-			dec: e.dec, decQ: e.decQ, ddb: newDDB, decStats: e.decStats,
+			access: e.peekAccess(),
+			dec:    e.dec, decQ: e.decQ, ddb: newDDB, decStats: e.decStats,
 			trimCache: e.trimCache,
 		}, Change{}, nil
 	}

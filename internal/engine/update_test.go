@@ -45,7 +45,6 @@ func TestUpdateRefcounts(t *testing.T) {
 	// whole compiled artifact — lazy caches included — is carried forward
 	// (pure multiplicity change invalidates nothing).
 	e.Access()
-	e.Reduced()
 	e1, _, err := e.Update(NewDelta().Delete("R1", []relation.Value{1, 2}))
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestUpdateRefcounts(t *testing.T) {
 	if e1.exec != e.exec || e1.db != e.db {
 		t.Fatal("pure multiplicity delete rebuilt compiled structures")
 	}
-	if e1.access != e.access || e1.reduced != e.reduced || e1.counts != e.counts {
+	if e1.access != e.access || e1.counts != e.counts {
 		t.Fatal("pure multiplicity delete dropped already-built caches")
 	}
 	if got := totalOf(t, e1); got != 2 {

@@ -37,10 +37,11 @@ type NodeChange struct {
 	// Remap maps old tuple indexes to new ones, -1 for removed rows; nil
 	// when the change was append-only and old indexes are unchanged.
 	Remap []int
-	// RemovedIdx and RemovedRows are the old indexes and the rows of the
-	// tuples that left the node relation, in ascending index order.
+	// RemovedIdx are the old indexes of the tuples that left the node
+	// relation, ascending; RemovedGids their join groups in the node's index
+	// (group ids are stable across the derivation), nil for the root.
 	RemovedIdx  []int
-	RemovedRows [][]relation.Value
+	RemovedGids []int32
 	// AddedIdx are the new indexes of the appended tuples, ascending.
 	AddedIdx []int
 	// OldLen and NewLen are the node relation sizes before and after.
@@ -113,9 +114,6 @@ func (x *Exec) refreshParentGids(base *Exec, changes []NodeChange) {
 			continue
 		}
 		old := x.parentGid[n.ID]
-		if old == nil {
-			continue // base never materialized this edge; lookups fall back
-		}
 		newGroups := cch != nil &&
 			x.Groups[n.ID].NumGroups() > base.Groups[n.ID].NumGroups()
 		if pch == nil && !newGroups {
@@ -224,8 +222,11 @@ func (x *Exec) applyNodeDelta(n *Node, newRel *relation.Relation, added int, rem
 	old := x.Rels[n.ID]
 	ch := NodeChange{Node: n.ID, RemovedIdx: removedIdx, OldLen: old.Len(), NewLen: newRel.Len()}
 	if len(removedIdx) > 0 {
-		for _, i := range removedIdx {
-			ch.RemovedRows = append(ch.RemovedRows, old.RowValues(i))
+		if n.Parent >= 0 {
+			ch.RemovedGids = make([]int32, len(removedIdx))
+			for j, i := range removedIdx {
+				ch.RemovedGids[j] = x.Groups[n.ID].RowGid[i]
+			}
 		}
 		ch.Remap = remapFrom(ch.OldLen, removedIdx)
 	}

@@ -93,7 +93,7 @@ func materializeAll(e *Exec) [][]relation.Value {
 				return
 			}
 			ch := n.Children[ci]
-			gid, ok := e.GroupForParentRow(ch, row)
+			gid, ok := e.ParentGroup(ch, ti)
 			if !ok {
 				return
 			}

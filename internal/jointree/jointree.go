@@ -194,8 +194,8 @@ func Binarize(t *Tree, q *query.Query, db *relation.Database) (*Tree, *query.Que
 // integers alone.
 //
 // Rels[id] aliases DB's relation of node id's atom — the same *Relation, no
-// second copy of any column — until a reduction (FullReduceWorkers, Reduced)
-// replaces the entry with the surviving rows. Every constructor keeps that:
+// second copy of any column — until FullReduceWorkers replaces the entry with
+// the surviving rows. Every constructor keeps that:
 // NewExecWorkers, ApplyDelta, DeriveSubset and DeriveGathered (whose callers
 // fill DB) and RestoreExec.
 type Exec struct {
@@ -210,11 +210,12 @@ type Exec struct {
 	keyPosParent [][]int // positions of SharedWithParent within parent Vars
 
 	// parentGid[child][i] is the group id of child's index matched by row i
-	// of the PARENT's relation, -1 when no group exists. Built once per
-	// (re)materialization, maintained by ApplyDelta and the derivations, so the hot
-	// passes (counting, pivoting, reduction, enumeration) never hash a key —
-	// they read one int32 per (parent tuple, child) pair. nil means "not
-	// built"; consumers fall back to an interner lookup.
+	// of the PARENT's relation, -1 when no group exists. Every Exec has one
+	// per edge: built with the group indexes, maintained by ApplyDelta and the
+	// derivations, taken from the stream by RestoreExec. No pass hashes a key
+	// to find a group — counting, pivoting, reduction, enumeration, direct
+	// access and ranked enumeration read one int32 per (parent tuple, child)
+	// pair.
 	parentGid [][]int32
 }
 
@@ -232,10 +233,10 @@ type Exec struct {
 //
 // An index whose groups the gathered derivation numbered from an identifier
 // column (DeriveGathered, subset.go) has no interner: its keys were never
-// formed. Every pass of the pivot loop reads RowGid, Tuples and the edge's
-// parent-gid array, which such an index always has; only the by-key lookups
-// (GroupForParentRow, ChildGroup, ParentGroup without a gid array), which
-// engine trees alone are asked, need one, and they panic on an index without.
+// formed. Every reader of answers uses RowGid, Tuples and the edge's
+// parent-gid array, which such an index always has; only the keys' own
+// users — ApplyDelta extending an index, a snapshot writing one — need the
+// interner, and they run on engine trees alone.
 type GroupIndex struct {
 	keys   *relation.Interner // key tuple -> group id (dense, first appearance); nil: numbered from identifiers
 	Tuples [][]int            // group id -> tuple indexes into the child relation
@@ -294,15 +295,6 @@ func GroupIndexFromFlat(keys *relation.Interner, rowGid []int32, flat []int) (*G
 		off += c
 	}
 	return g, true
-}
-
-// lookup resolves a shared-variable key tuple to its group id.
-func (g *GroupIndex) lookup(key []relation.Value) (int, bool) {
-	if g.keys == nil {
-		panic("jointree: by-key lookup on a group index numbered from identifiers (it has no key interner)")
-	}
-	id, ok := g.keys.Lookup(key)
-	return int(id), ok
 }
 
 // NewExecWorkers builds the group indexes of q's join tree over db on a
@@ -371,7 +363,8 @@ func keyPositions(t *Tree) (child, parent [][]int) {
 // state a snapshot exists to preserve), the node relations are looked up in
 // db as NewExecWorkers does, under the same checks, and the shared-variable
 // key positions are recomputed from the tree. The caller guarantees the parts
-// were produced by an Exec over the same query and database.
+// were produced by an Exec over the same query and database, an index and a
+// gid array per edge (it may fill the two slices after the call).
 func RestoreExec(q *query.Query, db *relation.Database, t *Tree, groups []*GroupIndex, parentGid [][]int32) (*Exec, error) {
 	e := &Exec{Q: q, T: t, DB: db, Groups: groups, parentGid: parentGid}
 	e.Rels = make([]*relation.Relation, len(t.Nodes))
@@ -437,15 +430,6 @@ func (e *Exec) rebuildParentGids(workers int) {
 // maxKeyWidth bounds the stack scratch for gathered key tuples; keys wider
 // than this (queries sharing >16 variables across one edge) spill to heap.
 const maxKeyWidth = 16
-
-// gatherKey gathers the selected columns of a row slice without allocating
-// for typical widths.
-func gatherKey(buf []relation.Value, row []relation.Value, pos []int) []relation.Value {
-	if len(pos) <= cap(buf) {
-		return relation.Gather(buf[:0], row, pos)
-	}
-	return relation.Gather(make([]relation.Value, 0, len(pos)), row, pos)
-}
 
 // NewGroupIndex groups a relation's tuples by the key in columns pos — a
 // child node's by its shared-variable key, or the build side of any other
@@ -533,43 +517,17 @@ func (g *GroupIndex) packTuples(ng int) {
 	}
 }
 
-// GroupForParentRow returns the join-group id of child that matches the given
-// parent tuple, and whether such a group exists. Passes that iterate parent
-// rows by index should prefer ParentGroup, which is one array read.
-func (e *Exec) GroupForParentRow(child int, parentRow []relation.Value) (int, bool) {
-	var buf [maxKeyWidth]relation.Value
-	key := gatherKey(buf[:], parentRow, e.keyPosParent[child])
-	return e.Groups[child].lookup(key)
-}
-
 // ParentGroup returns the join-group id of child matched by row i of the
-// PARENT's relation — the hot-loop form of GroupForParentRow: an int32 array
-// read when the per-edge gid array is built (always, on fresh and derived
-// Execs), an interner lookup otherwise.
+// PARENT's relation, and whether such a group exists: one read of the edge's
+// parent-gid array.
 func (e *Exec) ParentGroup(child, i int) (int, bool) {
-	if pg := e.parentGid[child]; pg != nil {
-		gid := pg[i]
-		return int(gid), gid >= 0
-	}
-	prel := e.Rels[e.T.Nodes[child].Parent]
-	var buf [maxKeyWidth]relation.Value
-	key := relation.GatherAt(buf[:0], prel.Cols(), e.keyPosParent[child], i)
-	return e.Groups[child].lookup(key)
+	gid := e.parentGid[child][i]
+	return int(gid), gid >= 0
 }
 
 // ParentGids returns the raw per-parent-row group-id array of the given edge
-// (-1 = no group), or nil when it has not been materialized. Hot passes
-// bounds-check it once and index directly.
+// (-1 = no group). Hot passes bounds-check it once and index directly.
 func (e *Exec) ParentGids(child int) []int32 { return e.parentGid[child] }
-
-// ChildGroup resolves the join group one of node's OWN rows belongs to —
-// the key its GroupIndex groups by. Delta counting uses it for removed rows
-// that no longer have an index position.
-func (e *Exec) ChildGroup(node int, row []relation.Value) (int, bool) {
-	var buf [maxKeyWidth]relation.Value
-	key := gatherKey(buf[:], row, e.keyPosChild[node])
-	return e.Groups[node].lookup(key)
-}
 
 // FullReduceWorkers removes all dangling tuples with one bottom-up and one
 // top-down semijoin pass (the Yannakakis full reducer) and rebuilds the group
@@ -697,17 +655,4 @@ func (e *Exec) FullReduceWorkers(workers int) {
 		e.Rels[id] = rel.GatherRows(rel.Name(), rows)
 	}
 	e.rebuildGroups(workers)
-}
-
-// Reduced returns the full reduction of e as an Exec of its own, leaving e
-// untouched and readable throughout: the copy shares e's relations, group
-// indexes and gid arrays until FullReduceWorkers replaces them — it only ever
-// replaces whole entries of the three per-node slices, which are fresh here.
-func (e *Exec) Reduced(workers int) *Exec {
-	red := *e
-	red.Rels = append([]*relation.Relation(nil), e.Rels...)
-	red.Groups = append([]*GroupIndex(nil), e.Groups...)
-	red.parentGid = append([][]int32(nil), e.parentGid...)
-	red.FullReduceWorkers(workers)
-	return &red
 }

@@ -108,27 +108,40 @@ func TestNewExecGroups(t *testing.T) {
 	}
 }
 
-func TestGroupForParentRow(t *testing.T) {
+// ParentGroup resolves every parent row of every edge to the join group
+// whose tuples agree with it on the shared variables, and to none exactly
+// when no child tuple does.
+func TestParentGroup(t *testing.T) {
 	q, db := fig1()
 	tree, _ := Build(q)
 	e, _ := NewExecWorkers(q, db, tree, 1)
-	// Find the S node (vars x1,x3) and its parent R.
-	var sNode *Node
-	for _, n := range tree.Nodes {
-		if q.Atoms[n.Atom].Rel == "S" {
-			sNode = n
+	agree := func(n *Node, pi, ci int) bool {
+		for k := range n.SharedWithParent {
+			if e.Rels[n.Parent].Get(pi, e.keyPosParent[n.ID][k]) != e.Rels[n.ID].Get(ci, e.keyPosChild[n.ID][k]) {
+				return false
+			}
 		}
+		return true
 	}
-	if sNode == nil || sNode.Parent < 0 {
-		t.Skip("tree rooted differently than expected")
-	}
-	parentRel := e.Rels[sNode.Parent]
-	gid, ok := e.GroupForParentRow(sNode.ID, parentRel.RowValues(0))
-	if !ok {
-		t.Fatal("no group for first parent tuple")
-	}
-	if len(e.Groups[sNode.ID].Tuples[gid]) == 0 {
-		t.Fatal("empty group")
+	for _, n := range tree.Nodes {
+		if n.Parent < 0 {
+			continue
+		}
+		for pi := 0; pi < e.Rels[n.Parent].Len(); pi++ {
+			gid, ok := e.ParentGroup(n.ID, pi)
+			matches := 0
+			for ci := 0; ci < e.Rels[n.ID].Len(); ci++ {
+				if agree(n, pi, ci) {
+					matches++
+					if !ok || int(e.Groups[n.ID].RowGid[ci]) != gid {
+						t.Fatalf("node %d: parent row %d agrees with child row %d outside its group (%d, %v)", n.ID, pi, ci, gid, ok)
+					}
+				}
+			}
+			if ok && matches != len(e.Groups[n.ID].Tuples[gid]) {
+				t.Fatalf("node %d: parent row %d: group %d holds %d tuples, %d agree", n.ID, pi, gid, len(e.Groups[n.ID].Tuples[gid]), matches)
+			}
+		}
 	}
 }
 
@@ -222,7 +235,7 @@ func TestFullReduceProperty(t *testing.T) {
 			for i := 0; i < rel.Len(); i++ {
 				row := rel.RowValues(i)
 				for _, ch := range n.Children {
-					gid, ok := e.GroupForParentRow(ch, row)
+					gid, ok := e.ParentGroup(ch, i)
 					if !ok || len(e.Groups[ch].Tuples[gid]) == 0 {
 						t.Fatalf("seed %d: reduced tuple %v of node %d dangles", seed, row, n.ID)
 					}
@@ -232,7 +245,7 @@ func TestFullReduceProperty(t *testing.T) {
 					matched := false
 					prel := e.Rels[n.Parent]
 					for j := 0; j < prel.Len() && !matched; j++ {
-						gid, ok := e.GroupForParentRow(n.ID, prel.RowValues(j))
+						gid, ok := e.ParentGroup(n.ID, j)
 						if ok {
 							for _, ti := range e.Groups[n.ID].Tuples[gid] {
 								if ti == i {

@@ -174,15 +174,7 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 		var kids []childEdge
 		for _, ch := range n.Children {
 			c *= cParam[ch] / 2
-			gids := e.ParentGids(ch)
-			if gids == nil { // an Exec restored without the edge's array: look the groups up
-				gids = make([]int32, rel.Len())
-				for i := range gids {
-					g, _ := e.ParentGroup(ch, i)
-					gids[i] = int32(g)
-				}
-			}
-			kids = append(kids, childEdge{gids: gids, sel: selTuple[ch], ws: weights[ch]})
+			kids = append(kids, childEdge{gids: e.ParentGids(ch), sel: selTuple[ch], ws: weights[ch]})
 		}
 		cParam[id] = c
 		own := ownCols(nil, n, rel, f, mu)

@@ -456,13 +456,7 @@ func TestSelectPreparedMatchesCallbackPass(t *testing.T) {
 			want := referenceSelect(e, counts, f, mu)
 			for _, workers := range []int{1, 2, 8} {
 				for _, s := range []*Scratch{nil, &scratch} {
-					ex := e
-					if workers == 2 { // as a snapshot without the edges' gid arrays restores
-						if ex, err = jointree.RestoreExec(q, e.DB, tree, e.Groups, make([][]int32, len(e.Rels))); err != nil {
-							t.Fatal(err)
-						}
-					}
-					got, err := SelectPrepared(ex, counts, f, mu, workers, s)
+					got, err := SelectPrepared(e, counts, f, mu, workers, s)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -35,10 +35,12 @@ func EncodeQuery(e *Enc, q *query.Query) {
 	}
 }
 
-// DecodeQuery reads a structurally encoded query.
+// DecodeQuery reads a structurally encoded query. The atom count sizes
+// nothing: it is read before the section's checksum is known good, and each
+// atom's bytes must be there for the loop to go on.
 func DecodeQuery(d *Dec) *query.Query {
 	n := d.U32()
-	atoms := make([]query.Atom, 0, n)
+	var atoms []query.Atom
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		a := query.Atom{Rel: d.Str()}
 		nv := d.U32()
@@ -390,11 +392,8 @@ func EncodeEngine(e *Enc, w *RelWriter, eng *engine.Engine) {
 			continue
 		}
 		encodeGroupIndex(e, ex.Groups[n.ID])
-		pg := ex.ParentGids(n.ID)
-		e.Bool(pg != nil)
-		if pg != nil {
-			PutArray(e, pg)
-		}
+		e.Bool(true) // every Exec has the edge's array; DecodeEngine refuses a record without
+		PutArray(e, ex.ParentGids(n.ID))
 	}
 	counts := eng.Counts()
 	e.U32(uint32(len(counts.Tuple)))
@@ -460,20 +459,20 @@ func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database, parallelism int
 		if groups[n.ID], err = decodeGroupIndex(d, rels[n.ID].Len()); err != nil {
 			return nil, err
 		}
-		if d.Bool() {
-			parentGid[n.ID] = Array[int32](d)
+		if !d.Bool() && d.Err() == nil {
+			return nil, corrupt("edge %d has no parent-gid array", n.ID)
 		}
-		if d.Err() != nil {
+		if parentGid[n.ID] = Array[int32](d); d.Err() != nil {
 			return nil, d.Err()
 		}
 	}
 	// Cross-node validation that needs every relation decoded: parent-gid
 	// arrays are indexed by parent row and hold gids of the child's index.
 	for _, n := range tree.Nodes {
-		pg := parentGid[n.ID]
-		if pg == nil {
+		if n.Parent < 0 {
 			continue
 		}
+		pg := parentGid[n.ID]
 		if len(pg) != rels[n.Parent].Len() {
 			return nil, corrupt("edge %d gid array has %d entries, parent has %d rows", n.ID, len(pg), rels[n.Parent].Len())
 		}

@@ -7,6 +7,19 @@ import (
 	"github.com/quantilejoins/qjoin/internal/jointree"
 )
 
+// FullReduction returns the Yannakakis full reduction of e as an Exec of its
+// own, e untouched: the reference that count-guided readers of e (Enumerate,
+// ranked enumeration) are held to. The copy shares e's relations, group
+// indexes and gid arrays until FullReduceWorkers replaces whole entries of its
+// own per-node slices.
+func FullReduction(e *jointree.Exec) *jointree.Exec {
+	red := *e
+	red.Rels = slices.Clone(e.Rels)
+	red.Groups = slices.Clone(e.Groups)
+	red.FullReduceWorkers(1)
+	return &red
+}
+
 // SameExec holds a derived executable tree (jointree.DeriveSubset,
 // DeriveGathered) to fresh, Build + NewExecWorkers on the derived instance,
 // field by field: the tree's shape and variables, every node relation, and per

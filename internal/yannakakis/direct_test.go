@@ -1,8 +1,9 @@
-package access
+package yannakakis
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -14,19 +15,30 @@ import (
 
 func directOf(t testing.TB, q *query.Query, db *relation.Database) *Direct {
 	t.Helper()
-	tree, err := jointree.Build(q)
-	if err != nil {
-		t.Fatal(err)
+	e := execOf(t, q, db)
+	return NewDirect(e, CountWorkers(e, 1))
+}
+
+// checkDirect holds the direct-access index of (e, c) to AnswersAt: the same
+// answer at every position. checkGuided runs it on every instance it checks.
+func checkDirect(t *testing.T, name string, e *jointree.Exec, c *Counts) {
+	t.Helper()
+	d := NewDirect(e, c)
+	n, _ := d.N().Uint64()
+	every := make([]int, n)
+	for i := range every {
+		every[i] = i
 	}
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewWorkers(e, 1)
+	asn := make([]relation.Value, len(e.Q.Vars()))
+	AnswersAt(e, c, every, func(i int, want []relation.Value) {
+		if d.At(counting.FromInt(i), asn); !slices.Equal(asn, want) {
+			t.Fatalf("%s: direct access at %d is %v, AnswersAt's is %v", name, i, asn, want)
+		}
+	})
 }
 
 // Decoding every index yields exactly the answer set, without duplicates.
-func TestAtIsBijective(t *testing.T) {
+func TestDirectAtIsBijective(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
 		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(3), 1+rng.Intn(10), 4)
@@ -57,7 +69,7 @@ func TestAtIsBijective(t *testing.T) {
 	}
 }
 
-func TestAtOutOfRangePanics(t *testing.T) {
+func TestDirectAtOutOfRangePanics(t *testing.T) {
 	q, db := testutil.Fig1Instance()
 	d := directOf(t, q, db)
 	defer func() {
@@ -69,7 +81,7 @@ func TestAtOutOfRangePanics(t *testing.T) {
 	d.At(d.N(), asn)
 }
 
-func TestDanglingTuplesSkipped(t *testing.T) {
+func TestDirectSkipsDanglingTuples(t *testing.T) {
 	q := query.New(
 		query.Atom{Rel: "A", Vars: []query.Var{"x", "y"}},
 		query.Atom{Rel: "B", Vars: []query.Var{"y", "z"}},
@@ -91,7 +103,7 @@ func TestDanglingTuplesSkipped(t *testing.T) {
 }
 
 // Sampling hits every answer of a small instance and is roughly uniform.
-func TestSampleUniformity(t *testing.T) {
+func TestDirectSampleUniformity(t *testing.T) {
 	q, db := testutil.Fig1Instance()
 	d := directOf(t, q, db)
 	n, _ := d.N().Uint64() // 13
@@ -114,7 +126,7 @@ func TestSampleUniformity(t *testing.T) {
 	}
 }
 
-func TestSampleEmptyPanics(t *testing.T) {
+func TestDirectSampleEmptyPanics(t *testing.T) {
 	q := query.New(
 		query.Atom{Rel: "A", Vars: []query.Var{"x"}},
 		query.Atom{Rel: "B", Vars: []query.Var{"x"}},
@@ -131,27 +143,27 @@ func TestSampleEmptyPanics(t *testing.T) {
 	d.Sample(rand.New(rand.NewSource(1)), make([]relation.Value, 2))
 }
 
-func BenchmarkBuild(b *testing.B) {
+func BenchmarkDirectBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q, db := testutil.RandomPathInstance(rng, 3, 1<<14, 1<<10)
-	tree, _ := jointree.Build(q)
+	e := execOf(b, q, db)
+	c := CountWorkers(e, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		NewWorkers(e, 1)
+		NewDirect(e, c)
 	}
 }
 
-func BenchmarkSample(b *testing.B) {
+func BenchmarkDirectSample(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q, db := testutil.RandomPathInstance(rng, 3, 1<<12, 1<<8)
-	tree, _ := jointree.Build(q)
-	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-	d := NewWorkers(e, 1)
+	d := directOf(b, q, db)
 	if d.N().IsZero() {
 		b.Skip("empty instance")
 	}
 	asn := make([]relation.Value, len(q.Vars()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Sample(rng, asn)

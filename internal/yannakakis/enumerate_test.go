@@ -68,7 +68,8 @@ func guided(e *jointree.Exec, c *Counts) [][]relation.Value {
 
 // checkGuided holds the count-guided walk of (e, c) to its three references:
 // the plain walk of the same tree and the plain walk of its full reduction,
-// answer for answer in the same order, and brute force as a set.
+// answer for answer in the same order, and brute force as a set; then the
+// positional walk and the direct-access index to it.
 func checkGuided(t *testing.T, name string, e *jointree.Exec, c *Counts) int {
 	t.Helper()
 	got := guided(e, c)
@@ -78,13 +79,14 @@ func checkGuided(t *testing.T, name string, e *jointree.Exec, c *Counts) int {
 	if want := plainWalk(e); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: guided walk differs from the plain walk (%d vs %d answers)", name, len(got), len(want))
 	}
-	if want := plainWalk(e.Reduced(1)); !reflect.DeepEqual(got, want) {
+	if want := plainWalk(testutil.FullReduction(e)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: guided walk differs from the walk over the full reduction (%d vs %d answers)", name, len(got), len(want))
 	}
 	if want := testutil.BruteForce(e.Q, e.DB); !testutil.SameAnswerSet(got, want) {
 		t.Fatalf("%s: guided walk has %d answers, brute force %d", name, len(got), len(want))
 	}
 	checkAnswersAt(t, name, e, c, got)
+	checkDirect(t, name, e, c)
 	return len(got)
 }
 

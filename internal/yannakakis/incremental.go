@@ -114,11 +114,7 @@ func UpdateCounts(old *Counts, e *jointree.Exec, changes []jointree.NodeChange, 
 					totSub = totSub.Add(oldV)
 					continue
 				}
-				// A removed row has no index position anymore; resolve its
-				// group by key (it may have vanished with its last tuple).
-				if gid, ok := e.ChildGroup(id, ch.RemovedRows[j]); ok {
-					contribute(gid, oldV, counting.Zero)
-				}
+				contribute(int(ch.RemovedGids[j]), oldV, counting.Zero)
 			}
 		}
 		// Recompute appended and dirty tuples against the children's

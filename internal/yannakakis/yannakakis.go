@@ -1,7 +1,9 @@
 // Package yannakakis implements the classic algorithms for acyclic join
 // queries that the paper uses as subroutines: linear-time answer counting via
-// message passing (Section 2.4, Figure 1) and constant-delay enumeration /
-// materialization of the answer set [Yannakakis 1981].
+// message passing (Section 2.4, Figure 1), constant-delay enumeration /
+// materialization of the answer set [Yannakakis 1981], and on those counts
+// positional access to it (AnswersAt, and the direct-access index of Section
+// 3.1, Direct).
 //
 // Counting follows the ⊕/⊗ pattern of Example 2.1: within a join group
 // counts are summed (⊕ = Σ), across children they are multiplied (⊗ = Π),
@@ -93,15 +95,8 @@ func CountScratch(e *jointree.Exec, workers int, s *Scratch) *Counts {
 				v := counting.One
 				dead := false
 				for k := range children {
-					var gid int
-					var ok bool
-					if pg := gids[k]; pg != nil {
-						gid = int(pg[i])
-						ok = pg[i] >= 0
-					} else {
-						gid, ok = e.ParentGroup(children[k], i)
-					}
-					if !ok || gcnt[k][gid].IsZero() {
+					gid := gids[k][i]
+					if gid < 0 || gcnt[k][gid].IsZero() {
 						dead = true
 						break
 					}

@@ -22,8 +22,9 @@ import (
 // Prepared is the compiled, reusable form of a (Query, DB) pair — the only
 // plan type. It holds a vector of engines, each the validated query, its
 // normal form, one deduplicated database, the join tree, the executable tree
-// whose nodes read that database's relations, and the cached answer count,
-// plus lazily built direct-access and fully-reduced structures. Prepare compiles one
+// whose nodes read that database's relations, and its cached counts — the one
+// tree and the one counting state every reader of answers uses — plus a lazily
+// built direct-access index over them for sampling. Prepare compiles one
 // engine (acyclic, or a cyclic query's hypertree decomposition);
 // PrepareSharded compiles N over a hash partition of the join key. Every
 // query runs the paper's pivot loop across the whole vector — Algorithm 1
@@ -50,8 +51,8 @@ import (
 // Quantiles, ApproxQuantile, Median, SelectAt, Count, TopK, Enumerate,
 // BaselineQuantile, RankedEnumerate, SampleQuantile and SampleAnswers may
 // all be called from multiple goroutines at once, alongside Update and
-// WarmSketches. The lazily built structures (direct access, full reduction)
-// are guarded by sync.Once. Two caveats:
+// WarmSketches. The lazily built structures (counts, direct access) are
+// built once under a mutex each. Two caveats:
 //
 //   - Methods taking a *rand.Rand use the caller's generator; do not share
 //     one *rand.Rand across goroutines.
@@ -283,8 +284,9 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 }
 
 // SampleQuantile returns a randomized (φ±ε)-quantile with success
-// probability at least 1-δ (Section 3.1). The direct-access structure is
-// built on first use and shared by subsequent calls.
+// probability at least 1-δ (Section 3.1). The direct-access index is built on
+// first use and shared by subsequent calls. An ε so small that the estimator
+// would draw more than core.MaxSamples answers is an *ArgError on eps.
 //
 // Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
 // Delta: delta, Mode: ModeSample, Rand: rng}.
@@ -297,6 +299,9 @@ func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand
 		return nil, err
 	}
 	a, err := core.SampleQuantile(eng, f, phi, eps, delta, rng)
+	if errors.Is(err, core.ErrTooManySamples) {
+		return nil, argErrorf("eps", "%v", err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +311,7 @@ func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand
 }
 
 // SampleAnswers draws k uniform samples from Q(D) (with replacement) using
-// the shared direct-access structure. It returns the variable layout and
+// the shared direct-access index. It returns the variable layout and
 // one row per sample.
 func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error) {
 	if k < 0 {
@@ -333,8 +338,8 @@ func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error
 }
 
 // RankedEnumerate starts a ranked enumeration of Q(D) under the ranking
-// function over the plan's cached full reduction. Each Next has logarithmic
-// delay. The returned stream is a single cursor (not goroutine-safe), but
+// function over the plan's executable tree, guided by its cached counts. Each
+// Next has logarithmic delay. The returned stream is a single cursor (not goroutine-safe), but
 // independent streams may run concurrently over the same plan.
 func (p *Prepared) RankedEnumerate(f *Ranking) (*RankedStream, error) {
 	eng, err := p.oneEngine("ranked enumeration")
@@ -347,7 +352,7 @@ func (p *Prepared) RankedEnumerate(f *Ranking) (*RankedStream, error) {
 // rankedStreamFor builds a ranked enumeration stream over one engine; the
 // TopK merge opens one per engine.
 func rankedStreamFor(eng *engine.Engine, f *Ranking) (*RankedStream, error) {
-	en, err := anyk.NewReduced(eng.Reduced(), f)
+	en, err := anyk.New(eng.Exec(), eng.Counts(), f)
 	if err != nil {
 		return nil, err
 	}

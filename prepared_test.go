@@ -386,6 +386,18 @@ func TestPreparedHostileArguments(t *testing.T) {
 	wantArg("BaselineQuantile(NaN)", err, "phi")
 	_, err = flat.SampleQuantile(f, -0.5, 0.3, 0.1, rand.New(rand.NewSource(1)))
 	wantArg("SampleQuantile(-0.5)", err, "phi")
+	// An ε that asks for more than core.MaxSamples samples: at 1e-7 a round's
+	// sample once overflowed makeslice, at 1e-10 m wrapped negative and one
+	// sample a round came back as a (φ±ε) estimate.
+	for _, eps := range []float64{1e-7, 1e-10} {
+		_, err = flat.SampleQuantile(f, 0.5, eps, 0.1, rand.New(rand.NewSource(1)))
+		wantArg(fmt.Sprintf("SampleQuantile(ε=%v)", eps), err, "eps")
+		_, err = flat.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: eps, Delta: 0.1, Mode: qjoin.ModeSample})
+		wantArg(fmt.Sprintf("Answer(ModeSample, ε=%v)", eps), err, "eps")
+	}
+	if _, err := flat.SampleQuantile(f, 0.5, 0.01, 0.1, rand.New(rand.NewSource(1))); err != nil {
+		t.Errorf("SampleQuantile(ε=0.01), 218 358 samples: %v", err)
+	}
 
 	// The single-engine diagnostics answer on an unrouted plan only; a routed
 	// plan — at any shard count — rejects them with the sampling ArgError.

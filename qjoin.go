@@ -216,7 +216,7 @@ func ApproxQuantile(q *Query, db *DB, f *Ranking, phi, eps float64, opts ...Opti
 
 // SampleQuantile returns a randomized (φ±ε)-quantile with success
 // probability at least 1-δ, by uniform answer sampling over a linear-time
-// direct-access structure (Section 3.1).
+// direct-access index (Section 3.1).
 func SampleQuantile(q *Query, db *DB, f *Ranking, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
 	p, err := Prepare(q, db)
 	if err != nil {
@@ -238,7 +238,7 @@ func Quantiles(q *Query, db *DB, f *Ranking, phis []float64, opts ...Options) ([
 }
 
 // SampleAnswers draws k uniform samples from Q(D) (with replacement) using
-// the linear-time direct-access structure of Section 3.1. It returns the
+// the linear-time direct-access index of Section 3.1. It returns the
 // variable layout and one row per sample.
 func SampleAnswers(q *Query, db *DB, k int, rng *rand.Rand) ([]Var, [][]Value, error) {
 	p, err := Prepare(q, db)

@@ -10,12 +10,17 @@ package qjoin_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/quantilejoins/qjoin"
+	"github.com/quantilejoins/qjoin/internal/snap"
 )
 
 // snapRoundTrip snapshots the plan and loads it back through LoadPrepared,
@@ -170,25 +175,29 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		name string
 		b    []byte
 		want error
+		msg  string // when set, the error must say it
 	}{
-		{"wrong-magic", mutate(0, 0xff), qjoin.ErrNotSnapshot},
-		{"wrong-version", mutate(4, 0xff), qjoin.ErrSnapshotVersion},
+		{"wrong-magic", mutate(0, 0xff), qjoin.ErrNotSnapshot, ""},
+		{"wrong-version", mutate(4, 0xff), qjoin.ErrSnapshotVersion, ""},
 		// Offset 32 is the first byte of the first section's payload (16-byte
 		// stream header + 16-byte section header).
-		{"payload-bitflip", mutate(40, 0x01), qjoin.ErrSnapshotChecksum},
+		{"payload-bitflip", mutate(40, 0x01), qjoin.ErrSnapshotChecksum, ""},
 		// The trailing 24 bytes are the end-marker section; the 8 bytes just
 		// before it are the final data section's trailer, CRC first.
-		{"late-bitflip", mutate(len(good)-32, 0x01), qjoin.ErrSnapshotChecksum},
-		{"truncated-header", good[:7], qjoin.ErrSnapshotTruncated},
-		{"truncated-mid", good[:len(good)/2], qjoin.ErrSnapshotTruncated},
-		{"truncated-tail", good[:len(good)-1], qjoin.ErrSnapshotTruncated},
-		{"empty", nil, qjoin.ErrSnapshotTruncated},
+		{"late-bitflip", mutate(len(good)-32, 0x01), qjoin.ErrSnapshotChecksum, ""},
+		// An engine section whose edge carries no parent-gid array, checksum
+		// intact: the decoder itself must refuse it.
+		{"missing-parent-gids", clearParentGidFlag(t, good), qjoin.ErrSnapshotCorrupt, "no parent-gid array"},
+		{"truncated-header", good[:7], qjoin.ErrSnapshotTruncated, ""},
+		{"truncated-mid", good[:len(good)/2], qjoin.ErrSnapshotTruncated, ""},
+		{"truncated-tail", good[:len(good)-1], qjoin.ErrSnapshotTruncated, ""},
+		{"empty", nil, qjoin.ErrSnapshotTruncated, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := load(tc.b)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error = %v, want %v", err, tc.want)
+			if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), tc.msg) {
+				t.Fatalf("error = %v, want %v %s", err, tc.want, tc.msg)
 			}
 			if got != nil {
 				t.Fatalf("damaged snapshot yielded a plan alongside error %v", err)
@@ -235,4 +244,50 @@ func TestSnapshotTypedErrors(t *testing.T) {
 			t.Errorf("%s: plan %v, error %v, want ErrSnapshotCorrupt and no plan", name, got, err)
 		}
 	}
+}
+
+// clearParentGidFlag returns a copy of a plan snapshot in which the first
+// engine section's first non-empty edge says it carries no parent-gid array —
+// the array's bytes left in place, the section's CRC recomputed — as a writer
+// of Execs without the array once could. The record is found by its bytes:
+// the flag 1 on an 8-byte boundary of the payload, seven bytes of padding,
+// then the count-prefixed array the loaded plan's engine holds.
+func clearParentGidFlag(t testing.TB, good []byte) []byte {
+	t.Helper()
+	p, err := qjoin.LoadPlanBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := qjoin.Engines(p)[0].Exec()
+	var needle []byte
+	for _, n := range ex.T.Nodes {
+		if pg := ex.ParentGids(n.ID); n.Parent >= 0 && len(pg) > 0 {
+			needle = binary.LittleEndian.AppendUint64(nil, uint64(len(pg)))
+			for _, g := range pg {
+				needle = binary.LittleEndian.AppendUint32(needle, uint32(g))
+			}
+			break
+		}
+	}
+	b := bytes.Clone(good)
+	flag := append([]byte{1}, make([]byte, 7)...)
+	for off := 16; off+16 <= len(b); {
+		id := binary.LittleEndian.Uint32(b[off:])
+		n := int(binary.LittleEndian.Uint64(b[off+8:]))
+		payload := b[off+16 : off+16+n]
+		crcAt := off + 16 + n + (8-n%8)%8
+		if id == snap.SecEngine {
+			for at := 8; at+len(needle) <= n; at += 8 {
+				if bytes.Equal(payload[at-8:at], flag) && bytes.HasPrefix(payload[at:], needle) {
+					payload[at-8] = 0
+					binary.LittleEndian.PutUint32(b[crcAt:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+					return b
+				}
+			}
+			break
+		}
+		off = crcAt + 8
+	}
+	t.Fatal("no parent-gid record found in the first engine section")
+	return nil
 }

@@ -50,9 +50,9 @@ func (d *DB) Apply(delta *Delta) (*DB, error) {
 //
 // The receiver is unchanged and stays fully usable — Update is a
 // copy-on-write swap. The derived plan shares every structure the delta did
-// not touch; the lazily built direct-access structure and full reduction
-// are invalidated (and rebuilt on first use) whenever the answer set may
-// have changed. Answers of the derived plan are byte-identical to a fresh
+// not touch; the counts every reader walks the tree by are maintained, and
+// the lazily built direct-access index is invalidated (and rebuilt from them
+// on first use) whenever the answer set may have changed. Answers of the derived plan are byte-identical to a fresh
 // Prepare on the mutated database (DB.Apply), including run statistics.
 //
 // On a routed plan only the shards owning the delta's key hashes are
