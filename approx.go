@@ -27,6 +27,7 @@ package qjoin
 // custom Weight function is its own key.
 
 import (
+	"errors"
 	"maps"
 	"math/rand"
 	"slices"
@@ -210,7 +211,14 @@ func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options)
 	o := p.opt(opts)
 	switch {
 	case req.Mode == ModeSample:
-		a, err := p.SampleQuantile(f, req.Phi, req.Eps, req.Delta, sampleRand(req))
+		eng, err := p.oneEngine("sampling")
+		if err != nil {
+			return nil, nil, err
+		}
+		a, err := core.SampleQuantile(eng, f, req.Phi, req.Eps, req.Delta, sampleRand(req))
+		if errors.Is(err, core.ErrTooManySamples) {
+			err = argErrorf("eps", "%v", err)
+		}
 		return a, nil, err
 	case req.Mode == ModeApprox:
 		sum, err := p.summaryFor(f, approxRes(req.Eps), o)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/quantilejoins/qjoin"
 	"github.com/quantilejoins/qjoin/internal/core"
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
@@ -384,7 +385,11 @@ func runE09(c *ctx) {
 		for seed := int64(0); seed < 20; seed++ {
 			r := rand.New(rand.NewSource(100 + seed))
 			start := time.Now()
-			a, err := core.SampleQuantile(engineOf(q, db), f, 0.5, eps, 0.05, r)
+			p, err := qjoin.Prepare(q, qjoin.WrapDB(db), qjoin.Options{Parallelism: benchWorkers})
+			if err != nil {
+				panic(err)
+			}
+			a, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: eps, Delta: 0.05, Mode: qjoin.ModeSample, Rand: r})
 			times = append(times, time.Since(start))
 			if err != nil {
 				panic(err)

@@ -272,7 +272,7 @@ func main() {
 			if *eps <= 0 {
 				fatal(fmt.Errorf("-sample requires -eps > 0"))
 			}
-			ans, err = p.SampleQuantile(f, phi, *eps, *delta, rng)
+			ans, err = p.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: *eps, Delta: *delta, Mode: qjoin.ModeSample, Rand: rng})
 		case mode != qjoin.ModeExact:
 			// Mode-aware dispatch through the unified Answer surface: approx
 			// answers from the sketch summary, auto serves the sketch only

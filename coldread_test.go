@@ -129,8 +129,8 @@ func checkTopK(t *testing.T, label string, oracle [][]int64, p *qjoin.Prepared, 
 
 // An update that changes the set view hands the derived engine counts kept
 // current by delta counting; its first exact read walks the derived tree by
-// them, and so do its ranked enumeration and its direct-access index, which
-// answer as a fresh compile's do.
+// them, and so do its ranked enumeration and its sampling, which answer as a
+// fresh compile's do.
 func TestFirstExactReadAfterUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for name, c := range selectivePlans(t, rng) {

@@ -43,8 +43,8 @@
 // (Query, DB) pair into a Prepared plan once, and every quantile, selection,
 // sampling, enumeration or counting query afterwards reuses the compiled
 // artifacts: one executable tree and its counts, which every reader walks —
-// quantiles, plain and ranked enumeration, and the lazily built direct-access
-// index that sampling reads:
+// quantiles, plain and ranked enumeration, and sampling, whose uniform
+// ordinals are decoded by the count-guided walk:
 //
 //	p, err := qjoin.Prepare(q, db)
 //	if err != nil { ... }
@@ -100,9 +100,8 @@
 // readers and concurrent Updates of it stay safe), and the returned plan
 // shares every structure the delta did not touch. The counts are maintained
 // along with the tree, so every reader of the derived plan — an exact
-// quantile, TopK, ranked enumeration — walks the derived tree by them; the
-// lazily built direct-access index is invalidated by any change to the answer
-// set and rebuilt from them on the first sample. A delta that only changes raw
+// quantile, TopK, ranked enumeration, sampling — walks the derived tree by
+// them. A delta that only changes raw
 // multiplicities (duplicate inserts, deletes of duplicate occurrences)
 // invalidates nothing. Relations are multisets at the input level: a tuple
 // leaves the answer side only when its last occurrence is deleted, and
@@ -270,7 +269,8 @@
 // members of the selected classes become tuples, in one positional walk per
 // shard (yannakakis.AnswersAt: the same odometer passing over every tuple
 // whose count says no wanted ordinal lies under it — a mixed-radix decoding of
-// the ordinal over the join groups' counts), projected onto the source
+// the ordinal over the join groups' counts, searching a join group it
+// re-enters; sampling decodes its draws with it too), projected onto the source
 // variables; inside a class of several members the same kernel selects by
 // value. The answer is still the rank-k member of the (weight, values) order:
 // the band is a union of complete weight classes, so the class at position k
@@ -337,11 +337,9 @@
 // does NOT invalidate the parent tree, its interners, or its per-edge
 // gid arrays — they are shared — and it does not carry over any counting
 // state: counts are always recomputed (or delta-maintained) per instance.
-// The plan's direct-access index belongs to the engine, not to derived
-// instances, and the loop neither reads nor builds it: both of its exits
-// weigh their candidates by walking the current tree guided by its counts
-// (cnt(t) > 0 is exactly "t carries an answer"), at O(|D| + ℓ·|candidates|)
-// on original and trimmed instances alike.
+// Both of the loop's exits weigh their candidates by walking the current
+// tree guided by its counts (cnt(t) > 0 is exactly "t carries an answer"),
+// at O(|D| + ℓ·|candidates|) on original and trimmed instances alike.
 //
 // Pooled iteration scratch and cached trim preparation. Counting arrays,
 // pivot weight buffers (LEX weight vectors as one flat array per node) and
@@ -390,9 +388,8 @@
 //     the receiver intact). Touched reports the routing without updating.
 //   - Accessors on an unrouted plan. A plan from Prepare reports Shards()
 //     = 1, Key() = "" and Touched(d) = [0] for any non-empty delta.
-//   - Single-engine diagnostics. SampleQuantile (and Answer with
-//     ModeSample), SampleAnswers, BaselineQuantile and RankedEnumerate
-//     answer only on an unrouted plan; a routed plan — PrepareSharded at
+//   - Single-engine diagnostics. Answer with ModeSample, SampleAnswers,
+//     BaselineQuantile and RankedEnumerate answer only on an unrouted plan; a routed plan — PrepareSharded at
 //     any shard count, 1 included — returns an *ArgError. Every other
 //     method behaves identically on both.
 //   - Plan names the same type; UpdatePlan and LoadPlanBytes are Update and
@@ -451,7 +448,8 @@
 //   - ModeAuto serves from the sketch only when the requested Eps is at
 //     least the anchor's certified error at that φ, and otherwise falls
 //     back to the exact loop, byte-identical to the ModeExact answer.
-//   - ModeSample is the randomized sampling estimator (unrouted plans
+//   - ModeSample is the randomized sampling estimator of Section 3.1:
+//     uniform ordinals decoded by the count-guided walk (unrouted plans
 //     only); it has no wire form.
 //
 // The request is validated once, before any tier runs: an unknown Mode, a
@@ -519,9 +517,7 @@
 //     their own version. Snapshots are a cache of
 //     compiled state, not an archival format: the cross-version migration
 //     path is re-Prepare from the raw data.
-//   - Lazily rebuilt state. The direct-access index is not serialized; a
-//     restored plan builds it from the restored counts on its first sample,
-//     exactly like a freshly prepared one. Every other reader needs only what
+//   - What readers need. Every reader, sampling included, needs only what
 //     the snapshot carries: the executable tree — group indexes and every
 //     edge's parent-gid array, which a loader refuses a section without —
 //     and its counts.

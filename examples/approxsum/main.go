@@ -51,10 +51,14 @@ func main() {
 		fmt.Printf("  ε=%.2f → weight %6d   (%8v)\n", eps, a.Weight.K, time.Since(start).Round(time.Millisecond))
 	}
 
-	fmt.Println("\nrandomized approximation (uniform sampling, δ=0.05):")
+	fmt.Println("\nrandomized approximation (uniform sampling on one prepared plan, δ=0.05):")
+	plan, err := qjoin.Prepare(q, db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		start := time.Now()
-		a, err := qjoin.SampleQuantile(q, db, f, phi, eps, 0.05, rng)
+		a, err := plan.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: eps, Delta: 0.05, Mode: qjoin.ModeSample, Rand: rng})
 		if err != nil {
 			log.Fatal(err)
 		}

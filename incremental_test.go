@@ -215,9 +215,8 @@ func TestUpdateMatchesReprepare(t *testing.T) {
 						}
 					}
 				}
-				// Ranked enumeration runs over the (invalidated, lazily
-				// rebuilt) full reduction; sampling over the direct-access
-				// structure. Both must match a fresh plan exactly.
+				// Ranked enumeration and sampling walk the derived tree by
+				// the maintained counts. Both must match a fresh plan exactly.
 				if p2.Count().Sign() > 0 {
 					k1, err1 := p2.TopK(c.ranks[0], 4)
 					k2, err2 := fresh.TopK(c.ranks[0], 4)

@@ -7,8 +7,10 @@
 // Lemma 5.4 for LEX, Theorem 5.6 for tractable partial SUM) and the
 // deterministic ε-approximation for arbitrary acyclic SUM (Theorem 6.2);
 // ε = 0 selects exact trimmings. The randomized sampling approximation of
-// Section 3.1 and the materialize-and-select baseline the paper argues
-// against live in sampling.go and baseline.go.
+// Section 3.1 — uniform ordinals decoded by the count-guided walk, the
+// decoder the pivot loop's tail recovers its answers with — and the
+// materialize-and-select baseline the paper argues against live in
+// sampling.go and baseline.go.
 package core
 
 import (

@@ -4,12 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
+	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
+	"github.com/quantilejoins/qjoin/internal/selection"
+	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
 // MaxSamples caps the answers one SampleQuantile call draws, m·r below. At
@@ -23,17 +28,21 @@ const MaxSamples = 1 << 22
 var ErrTooManySamples = errors.New("core: too many samples")
 
 // SampleQuantile implements the randomized approximation of Section 3.1:
-// build the linear-time direct-access index, draw uniform answer samples,
-// and take the φ-quantile of the sample; repeating O(log 1/δ) rounds and
-// returning the median of the estimates gives a (φ±ε)-quantile with
+// draw uniform answer samples — uniform ordinals decoded by the count-guided
+// walk — and take the φ-quantile of the sample; repeating O(log 1/δ) rounds
+// and returning the median of the estimates gives a (φ±ε)-quantile with
 // probability at least 1-δ (Hoeffding plus a Chernoff majority argument).
 //
 // Per round, m = ⌈ln(8)/(2ε²)⌉ samples bound the per-round failure
 // probability by 1/4; r = 2⌈4·ln(1/δ)⌉+1 rounds drive the majority failure
 // below δ. Both are computed in float64, where a tiny ε cannot wrap, and m·r
-// beyond MaxSamples fails with ErrTooManySamples before anything is built.
-// The direct-access index is built lazily on the engine and shared, so
-// repeated sampling queries pay only for their samples.
+// beyond MaxSamples fails with ErrTooManySamples before anything is drawn.
+// A round is decoded in one yannakakis.AnswersAt call over the engine's tree
+// and counts, O(|D| + ℓ·m·log |D|), and nothing is kept on the engine. Its
+// estimate is the answer at position ⌊φ·m⌋ of the sample in the (weight,
+// values) order, selected in linear time as the pivot loop's tail selects;
+// so is the median of the estimates. The answer is a function of the
+// engine's answers and rng alone.
 func SampleQuantile(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("core: ε must be in (0,1), got %v", eps)
@@ -50,48 +59,92 @@ func SampleQuantile(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64
 	if err := f.Validate(eng.Source()); err != nil {
 		return nil, err
 	}
-	q := eng.Query()
-	origVars := eng.Vars()
-
-	d := eng.Access()
-	if d.N().IsZero() {
+	if eng.Total().IsZero() {
 		return nil, ErrNoAnswers
 	}
-
-	fromVars := q.Vars()
-	aw := ranking.NewAnswerWeigher(f, origVars)
-	estimates := make([][]relation.Value, 0, r)
-	buf := make([]relation.Value, len(fromVars))
+	vars := eng.Vars()
+	aw, w := ranking.NewAnswerWeigher(f, vars), len(vars)
+	sample := make([]relation.Value, m*w)
+	estimates := make([]relation.Value, r*w)
 	for round := 0; round < r; round++ {
-		sample := make([][]relation.Value, m)
-		for i := 0; i < m; i++ {
-			d.Sample(rng, buf)
-			sample[i] = projectAnswer(fromVars, buf, origVars)
-		}
-		sortByWeight(sample, f, aw)
-		pos := int(math.Floor(phi * float64(m)))
-		if pos >= m {
-			pos = m - 1
-		}
-		estimates = append(estimates, sample[pos])
+		drawAnswers(eng, rng, sample)
+		i := sampleAt(aw, f.VecLen(), sample, w, min(int(math.Floor(phi*float64(m))), m-1))
+		copy(estimates[round*w:], sample[i*w:(i+1)*w])
 	}
-	sortByWeight(estimates, f, aw)
-	med := estimates[len(estimates)/2]
-	return &Answer{Vars: origVars, Values: med, Weight: aw.WeightOf(med)}, nil
+	i := sampleAt(aw, f.VecLen(), estimates, w, r/2)
+	med := slices.Clone(estimates[i*w : (i+1)*w])
+	return &Answer{Vars: vars, Values: med, Weight: aw.WeightOf(med), Source: SourceSample, ErrorBound: eps}, nil
 }
 
-func sortByWeight(answers [][]relation.Value, f *ranking.Func, aw *ranking.AnswerWeigher) {
-	sort.Slice(answers, func(i, j int) bool {
-		c := f.Compare(aw.WeightOf(answers[i]), aw.WeightOf(answers[j]))
-		if c != 0 {
-			return c < 0
+// SampleAnswers draws k uniform answers of eng, with replacement: the
+// variable layout and one row per draw, in draw order.
+func SampleAnswers(eng *engine.Engine, k int, rng *rand.Rand) ([]query.Var, [][]relation.Value, error) {
+	if eng.Total().IsZero() {
+		return nil, nil, ErrNoAnswers
+	}
+	w := len(eng.Vars())
+	flat := make([]relation.Value, k*w)
+	drawAnswers(eng, rng, flat)
+	rows := make([][]relation.Value, k)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return eng.Vars(), rows, nil
+}
+
+// drawAnswers fills dst with len(dst)/w uniform answers of eng, w = the
+// width of eng.Vars(), in draw order. A draw is an ordinal below |Q(D)| —
+// rng.Int63n up to 2⁶², big.Int.Rand above — and the draws are decoded
+// together, in ascending order, by one AnswersAt call.
+func drawAnswers(eng *engine.Engine, rng *rand.Rand, dst []relation.Value) {
+	n, w := eng.Total(), len(eng.Vars())
+	ords := make([]counting.Count, len(dst)/w)
+	lo, small := n.Uint64()
+	small = small && lo <= 1<<62
+	for i := range ords {
+		if small {
+			ords[i] = counting.FromUint64(uint64(rng.Int63n(int64(lo))))
+		} else {
+			ords[i], _ = counting.FromBig(new(big.Int).Rand(rng, n.Big()))
 		}
-		a, b := answers[i], answers[j]
-		for p := range a {
-			if a[p] != b[p] {
-				return a[p] < b[p]
-			}
+	}
+	perm := make([]int, len(ords)) // perm[i]: the draw that is i-th in ascending order
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(a, b int) int { return ords[a].Cmp(ords[b]) })
+	sorted := make([]counting.Count, len(ords))
+	for i, p := range perm {
+		sorted[i] = ords[p]
+	}
+	at := eng.Pos()
+	yannakakis.AnswersAt(eng.Exec(), eng.Counts(), sorted, func(i int, asn []relation.Value) {
+		row := dst[perm[i]*w:]
+		for j, p := range at {
+			row[j] = asn[p]
 		}
-		return false
 	})
+}
+
+// sampleAt returns the index, in a flat list of answers w values each, of
+// the answer at position k of the (weight, values) order, as the pivot
+// loop's tail selects: the weights in the pivot pass's flat layout (r
+// positions for LEX, one number otherwise), the weight class holding k among
+// them, and the answer inside it by value.
+func sampleAt(aw *ranking.AnswerWeigher, r int, answers []relation.Value, w, k int) int {
+	n, stride := len(answers)/w, max(r, 1)
+	ws, es := make([]int64, n*stride), make([]selection.Entry, n)
+	for i := range es {
+		if wt := aw.WeightInto(ws[i*stride:(i+1)*stride], answers[i*w:(i+1)*w]); r == 0 {
+			ws[i] = wt.K
+		}
+		es[i] = selection.Entry{Key: ws[i*stride], Item: i}
+	}
+	lo, hi := selection.SelectClass(es, selection.Vectors{At: ws, R: r}, counting.FromInt(k))
+	class := es[lo:hi]
+	for j := range class {
+		class[j].Key = answers[class[j].Item*w]
+	}
+	j, _ := selection.SelectClass(class, selection.Vectors{At: answers, R: w}, counting.FromInt(k-lo))
+	return class[j].Item
 }

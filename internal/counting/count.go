@@ -169,8 +169,8 @@ func FloorMulFloat(c Count, phi float64) Count {
 
 // DivMod returns (⌊c/d⌋, c mod d). It panics if d is zero. The common case of
 // both operands fitting in 64 bits is allocation free; wider operands go
-// through math/big (DivMod is used O(query size) times per direct access, not
-// in per-tuple loops).
+// through math/big (DivMod is used O(query size) times per decoded position,
+// not in per-tuple loops).
 func (c Count) DivMod(d Count) (q, r Count) {
 	if d.IsZero() {
 		panic("counting: division by zero")

@@ -16,17 +16,13 @@
 // not).
 //
 // Beyond the eager artifacts (normalized query, deduplicated database, join
-// tree, executable tree), an Engine lazily builds two more, each once, under
-// a small mutex of its own:
-//
-//   - the counting state of Section 2.4: per-tuple and per-group subtree
-//     counts and |Q(D)|. Every reader of answers starts from it: the first
-//     pivot of a quantile, the materialization Algorithm 1 ends with, plain
-//     and ranked enumeration (cnt(t) > 0 says which tuples carry an answer,
-//     so every walk of the tree skips the rest) and direct access; and
-//   - the direct-access index of Section 3.1 (random access and uniform
-//     sampling over the answer set), one prefix sum per tuple over those
-//     counts.
+// tree, executable tree), an Engine lazily builds, once and under a small
+// mutex, the counting state of Section 2.4: per-tuple and per-group subtree
+// counts and |Q(D)|. Every reader of answers starts from it: the first pivot
+// of a quantile, the materialization Algorithm 1 ends with, plain and ranked
+// enumeration (cnt(t) > 0 says which tuples carry an answer, so every walk of
+// the tree skips the rest) and positional access — the uniform ordinals of
+// Section 3.1's sampling, decoded by the count-guided walk.
 //
 // The executable tree and its counts are the only structures any reader of
 // answers uses; nothing builds a second tree.
@@ -102,9 +98,6 @@ type Engine struct {
 
 	setsMu sync.Mutex
 	sets   map[string]*relation.Multiset // raw tuple multiplicities per source relation; built on first Update
-
-	accessMu sync.Mutex
-	access   *yannakakis.Direct
 
 	// trimCache amortizes λ-independent trim preprocessing (grouped and
 	// staircase-sorted adjacent pairs) across pivoting iterations AND across
@@ -273,7 +266,7 @@ func (e *Engine) Vars() []query.Var { return e.origVars }
 
 // Width returns the arity of assignments over the rewritten query, i.e. the
 // buffer length readers of Exec's answers (enumeration, ranked enumeration,
-// Access) must allocate.
+// positional access) must allocate.
 func (e *Engine) Width() int { return len(e.pos) }
 
 // Pos returns, for each original variable, its position in the rewritten
@@ -286,26 +279,6 @@ func (e *Engine) Project(asn []relation.Value, dst []relation.Value) {
 	for i, p := range e.pos {
 		dst[i] = asn[p]
 	}
-}
-
-// Access returns the direct-access index of Section 3.1 over the answer set,
-// building it on first use from the cached counts (one linear pass, then
-// cached). Safe for concurrent use; Sample callers must not share one
-// *rand.Rand across goroutines.
-func (e *Engine) Access() *yannakakis.Direct {
-	e.accessMu.Lock()
-	defer e.accessMu.Unlock()
-	if e.access == nil {
-		e.access = yannakakis.NewDirect(e.exec, e.Counts())
-	}
-	return e.access
-}
-
-// peekAccess returns the direct-access index only if already built.
-func (e *Engine) peekAccess() *yannakakis.Direct {
-	e.accessMu.Lock()
-	defer e.accessMu.Unlock()
-	return e.access
 }
 
 // normalize returns the query and database an engine runs on: every input

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -119,53 +118,27 @@ func TestDuplicateInputRows(t *testing.T) {
 	}
 }
 
-// The direct-access index preserves the answers without reducing anything: it
+// Positional access preserves the answers without reducing anything: it
 // reads the shared tree by the engine's counts, decodes at every position the
 // answer Enumerate gives there, and leaves the tree as it found it.
 func TestReducedPreservesAnswers(t *testing.T) {
 	e := fig1Engine(t)
-	d := e.Access()
-	if d.N().Cmp(e.Total()) != 0 {
-		t.Fatalf("access N = %s, want %s", d.N(), e.Total())
-	}
-	buf := make([]relation.Value, e.Width())
-	i := 0
+	var all [][]relation.Value
 	yannakakis.Enumerate(e.Exec(), e.Counts(), func(asn []relation.Value) bool {
-		if d.At(counting.FromInt(i), buf); !slices.Equal(buf, asn) {
-			t.Fatalf("position %d: direct access %v, Enumerate %v", i, buf, asn)
-		}
-		i++
+		all = append(all, slices.Clone(asn))
 		return true
 	})
-	if got := yannakakis.CountWorkers(e.Exec(), 1).Total; got.Cmp(e.Total()) != 0 || i != 13 {
-		t.Fatalf("shared exec count = %s after %d positions, want %s", got, i, e.Total())
+	every := make([]counting.Count, len(all))
+	for i := range every {
+		every[i] = counting.FromInt(i)
 	}
-}
-
-func TestAccessSamplesAllAnswers(t *testing.T) {
-	e := fig1Engine(t)
-	d := e.Access()
-	if d != e.Access() {
-		t.Fatal("Access not cached")
-	}
-	if d.N().Cmp(e.Total()) != 0 {
-		t.Fatalf("access N = %s, want %s", d.N(), e.Total())
-	}
-	rng := rand.New(rand.NewSource(1))
-	buf := make([]relation.Value, e.Width())
-	seen := map[string]bool{}
-	row := make([]relation.Value, len(e.Vars()))
-	for i := 0; i < 600; i++ {
-		d.Sample(rng, buf)
-		e.Project(buf, row)
-		key := ""
-		for _, v := range row {
-			key += string(rune(v)) + ","
+	yannakakis.AnswersAt(e.Exec(), e.Counts(), every, func(i int, asn []relation.Value) {
+		if !slices.Equal(asn, all[i]) {
+			t.Fatalf("position %d: AnswersAt %v, Enumerate %v", i, asn, all[i])
 		}
-		seen[key] = true
-	}
-	if len(seen) != 13 {
-		t.Fatalf("sampled %d distinct answers, want 13", len(seen))
+	})
+	if got := yannakakis.CountWorkers(e.Exec(), 1).Total; got.Cmp(e.Total()) != 0 || len(all) != 13 {
+		t.Fatalf("shared exec count = %s after %d positions, want %s", got, len(all), e.Total())
 	}
 }
 
@@ -176,7 +149,7 @@ func TestLazyStructuresConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.Access()
+			e.Counts()
 			yannakakis.CountWorkers(e.Exec(), 1)
 		}()
 	}

@@ -519,3 +519,83 @@ func TestRelationRecordsStoreColumnsOnce(t *testing.T) {
 		t.Errorf("view of a relation not yet in the stream: %v, want ErrCorrupt", err)
 	}
 }
+
+// FuzzReplayWAL replays outside bytes as a log file: replay must fail with
+// one of the package's sentinel errors or hand over deltas that, appended to
+// a fresh log, replay to themselves — and a log OpenWAL positions for
+// appending (truncating a torn tail) still replays them. The checked-in
+// corpus (testdata/fuzz/FuzzReplayWAL) holds logs Append wrote, torn and
+// damaged copies, a foreign header and a record claiming nearly 1 GiB.
+func FuzzReplayWAL(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.wal")
+	w, err := OpenWAL(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for gen, d := range []*engine.Delta{
+		engine.NewDelta().Insert("R", []relation.Value{1, 2}),
+		engine.NewDelta().Delete("S", []relation.Value{3}).Insert("R", []relation.Value{4, 5}),
+	} {
+		if err := w.Append(uint64(gen+1), d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Close()
+	log, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	f.Add(append(slices.Clone(log[:walHeaderLen]), 0xff, 0xff, 0xff, 0x3f, 0, 0, 0, 0))
+	f.Add([]byte("QJSN\x02\x00\x00\x00"))
+	type record struct {
+		gen   uint64
+		delta *engine.Delta
+	}
+	replay := func(t *testing.T, path string) ([]record, error) {
+		var got []record
+		err := ReplayWAL(path, func(gen uint64, d *engine.Delta) error {
+			got = append(got, record{gen, d})
+			return nil
+		})
+		return got, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := replay(t, path)
+		if err != nil {
+			for _, want := range []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrCorrupt} {
+				if errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("replay failed with %v, not a sentinel error", err)
+		}
+		fresh := filepath.Join(dir, "fresh.wal")
+		w, err := OpenWAL(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range got {
+			if err := w.Append(r.gen, r.delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		if again, err := replay(t, fresh); err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%d replayed records, appended to a fresh log, replay to %d (%v)", len(got), len(again), err)
+		}
+		if w, err = OpenWAL(path); err != nil {
+			t.Fatalf("a log that replays does not open: %v", err)
+		}
+		w.Close()
+		if again, err := replay(t, path); err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%d replayed records; once opened for appending, %d (%v)", len(got), len(again), err)
+		}
+	})
+}

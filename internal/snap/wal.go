@@ -251,8 +251,10 @@ func ReplayWAL(path string, fn func(gen uint64, delta *engine.Delta) error) erro
 		if n > maxWALRecord {
 			return fmt.Errorf("%w: WAL record length %d", ErrCorrupt, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		// Read as the bytes arrive, not into n bytes made up front: a length
+		// read from the file allocates no more than the file holds.
+		payload, err := io.ReadAll(io.LimitReader(f, int64(n)))
+		if err != nil || len(payload) < int(n) {
 			// Torn payload at the tail: the append never acknowledged.
 			return nil
 		}

@@ -2,15 +2,19 @@ package yannakakis
 
 import (
 	"fmt"
+	"math/big"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
 // plainWalk is the reference enumeration: the natural recursion over the
@@ -69,7 +73,7 @@ func guided(e *jointree.Exec, c *Counts) [][]relation.Value {
 // checkGuided holds the count-guided walk of (e, c) to its three references:
 // the plain walk of the same tree and the plain walk of its full reduction,
 // answer for answer in the same order, and brute force as a set; then the
-// positional walk and the direct-access index to it.
+// positional walk to it.
 func checkGuided(t *testing.T, name string, e *jointree.Exec, c *Counts) int {
 	t.Helper()
 	got := guided(e, c)
@@ -86,7 +90,6 @@ func checkGuided(t *testing.T, name string, e *jointree.Exec, c *Counts) int {
 		t.Fatalf("%s: guided walk has %d answers, brute force %d", name, len(got), len(want))
 	}
 	checkAnswersAt(t, name, e, c, got)
-	checkDirect(t, name, e, c)
 	return len(got)
 }
 
@@ -355,6 +358,113 @@ func TestAnswersAtResumesItsScans(t *testing.T) {
 		})
 		if bound := db.Size() + len(q.Atoms)*len(ords) + K; steps > bound {
 			t.Fatalf("%d positions took %d steps; |D| + ℓ·m + K = %d", len(ords), steps, bound)
+		}
+	}
+}
+
+// Sparse positions on a star, whose atoms GYO chains on the shared column, so
+// that every group below the root is re-entered each time the tuple above it
+// changes: m = 416 sorted random positions (a sampling round at ε = 0.05) cost
+// at most |D| + 2·ℓ·m·⌈log₂|D|⌉ steps — a rescan of the groups per position
+// took ten times that — and decode to the answers refAt gives. On a 3-path
+// the middle node's groups are re-entered too, on a 6-atom star with more than
+// 2⁶⁴ answers the positions reach past any int, and a lone atom is its
+// relation.
+func TestAnswersAtJumpsOnSparsePositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	star4, db4 := workload.Star(rng, 4, 4096, 8, 1<<30)
+	star6, db6 := workload.Star(rng, 6, 2048, 1, 1<<30)
+	path3, dbp := workload.Path(rng, 3, 4096, 64)
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		db   *relation.Database
+	}{{"4-atom star", star4, db4}, {"6-atom star", star6, db6}, {"3-path", path3, dbp}} {
+		e := execOf(t, tc.q, tc.db)
+		c := CountWorkers(e, 1)
+		if tc.name == "6-atom star" && c.Total.Hi == 0 {
+			t.Fatalf("%s: %s answers fit 64 bits", tc.name, c.Total)
+		}
+		ords := make([]counting.Count, 416)
+		for i := range ords {
+			ords[i], _ = counting.FromBig(new(big.Int).Rand(rng, c.Total.Big()))
+		}
+		slices.SortFunc(ords, counting.Count.Cmp)
+		asked := 0
+		steps := AnswersAt(e, c, ords, func(i int, asn []relation.Value) {
+			want := assignmentLayout(e)
+			if refAt(e, c, &want, e.T.Root, nil, ords[i]); !slices.Equal(asn, want.asn) {
+				t.Fatalf("%s: answer at %s is %v, the reference's %v", tc.name, ords[i], asn, want.asn)
+			}
+			asked++
+		})
+		if asked != len(ords) {
+			t.Fatalf("%s: %d of %d positions answered", tc.name, asked, len(ords))
+		}
+		d := tc.db.Size()
+		if bound := d + 2*len(tc.q.Atoms)*len(ords)*bits.Len(uint(d-1)); steps > bound {
+			t.Fatalf("%s: %d sparse positions took %d steps; |D| + 2·ℓ·m·⌈log₂|D|⌉ = %d", tc.name, len(ords), steps, bound)
+		}
+	}
+	q := query.New(query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}})
+	db := relation.NewDatabase()
+	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {3, 4}, {5, 6}}).MarkDistinct())
+	e := execOf(t, q, db)
+	checkGuided(t, "lone atom", e, CountWorkers(e, 1))
+}
+
+// refAt binds into l the answer at position o of the partial answers under
+// node's candidates rows (nil: every row), in Enumerate's order, the slow
+// way: the tuple by a scan of the counts, then what remains split over its
+// children's groups as a mixed-radix number, child 0 most significant.
+func refAt(e *jointree.Exec, c *Counts, l *layout, node int, rows []int, o counting.Count) {
+	cnt, ti := c.Tuple[node], 0
+	for p := 0; ; p++ {
+		if ti = rowAt(rows, p); o.Less(cnt[ti]) {
+			break
+		}
+		o = o.Sub(cnt[ti])
+	}
+	l.set(node, ti)
+	children := e.T.Nodes[node].Children
+	for k := len(children) - 1; k >= 0; k-- {
+		ch := children[k]
+		gid := e.ParentGids(ch)[ti]
+		q, r := o.DivMod(c.Group[ch][gid])
+		refAt(e, c, l, ch, e.Groups[ch].Tuples[gid], r)
+		o = q
+	}
+}
+
+// BenchmarkAnswersAt decodes m sorted uniform positions — a sampling round at
+// ε = 0.05 (416) and a whole call's draws at ε = 0.05, δ = 0.05 (10 400) — in
+// one call: on a dense 2-path (the tail's shape) and on two stars, whose
+// atoms GYO chains on the shared column, so every group below the root is
+// re-entered whenever the tuple above it changes.
+func BenchmarkAnswersAt(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	path2, dbp := workload.Path(rng, 2, 1<<14, 1<<11)
+	star4, db4 := workload.Star(rng, 4, 4096, 8, 1<<30)
+	star3, db3 := workload.Star(rng, 3, 8192, 64, 1<<30)
+	for _, in := range []struct {
+		name string
+		q    *query.Query
+		db   *relation.Database
+	}{{"path2", path2, dbp}, {"star4", star4, db4}, {"star3", star3, db3}} {
+		e := execOf(b, in.q, in.db)
+		c := CountWorkers(e, 1)
+		for _, m := range []int{416, 10400} {
+			ords := make([]counting.Count, m)
+			for i := range ords {
+				ords[i], _ = counting.FromBig(new(big.Int).Rand(rng, c.Total.Big()))
+			}
+			slices.SortFunc(ords, counting.Count.Cmp)
+			b.Run(fmt.Sprintf("%s/m=%d", in.name, m), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					AnswersAt(e, c, ords, func(int, []relation.Value) {})
+				}
+			})
 		}
 	}
 }

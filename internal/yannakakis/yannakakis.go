@@ -2,8 +2,8 @@
 // queries that the paper uses as subroutines: linear-time answer counting via
 // message passing (Section 2.4, Figure 1), constant-delay enumeration /
 // materialization of the answer set [Yannakakis 1981], and on those counts
-// positional access to it (AnswersAt, and the direct-access index of Section
-// 3.1, Direct).
+// positional access to it (AnswersAt: the ordinals Section 3.1's sampling
+// draws, decoded by the count-guided walk).
 //
 // Counting follows the ⊕/⊗ pattern of Example 2.1: within a join group
 // counts are summed (⊕ = Σ), across children they are multiplied (⊗ = Π),
@@ -11,6 +11,9 @@
 package yannakakis
 
 import (
+	"math/bits"
+	"sort"
+
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/parallel"
@@ -274,57 +277,188 @@ func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner fu
 	}
 }
 
-// AnswersAt streams the answers at the given positions of Enumerate's order,
-// without forming the answers between them: fn(i, asn) is called for ords[i],
-// in order, asn as Enumerate lays it out and as little retained. ords must be
-// ascending (repeats allowed) and every one below c.Total; c must be e's
-// counting state.
+// AnswersAt streams the answers at the given positions of Enumerate's order —
+// ints where they fit one, as a band's candidates do, or 128-bit counts, which
+// reach every answer of Q(D) — without forming the answers between them:
+// fn(i, asn) is called for ords[i], in order, asn as Enumerate lays it out and
+// as little retained. ords must be ascending (repeats allowed) and every one
+// below c.Total; c must be e's counting state. It is the one decoder of
+// ordinals into answers: the pivot loop's tail recovers the members of its
+// weight classes with it, and sampling (Section 3.1) decodes a round of
+// uniform draws in one call.
 //
-// It is Walk passing over what the counts say holds no wanted position: a tuple
-// bound at some depth stays in cnt(t) · Π answers — the product over the join
-// groups of the nodes still to come that are not below it, the digits of a
-// mixed-radix number over the children's group counts in declaration order —
-// and is passed over, with all of them, when the next position lies beyond.
-// Root tuples and live group members are so skipped by count, one step each,
-// and a position costs one descent: O(|D| + ℓ·m) steps for m positions, plus
-// the live members of join groups below the root that are stepped over — each
-// stands for at least one answer lying between two requested positions, so
-// never more than Enumerate up to the last one. It returns Walk's steps.
-func AnswersAt(e *jointree.Exec, c *Counts, ords []int, fn func(i int, asn []relation.Value)) (steps int) {
+// It is Enumerate's odometer passing over what the counts say holds no wanted
+// position: a tuple bound at some depth stands for cnt(t) · Π answers — the
+// product over the join groups of the nodes still to come that are not below
+// it, the digits of a mixed-radix number over the children's group counts in
+// declaration order — and is passed over, with all of them, when the next
+// position lies beyond; a group the next position lies past is left at once.
+// Inside a group the tuple holding a position is found without a scan. A
+// leaf's tuples count one each, so it is a quotient away. A group of a node
+// with children is read once per call, the first time the walk enters it —
+// its live members and the running sum of their counts, the pass a scan would
+// make — and from then on, on this entry or any later one (the tuple above it
+// changed, its parent's did not), searched: the member the walk stands on
+// first, then a binary search of the rest. Only the root is scanned, once. So
+// m positions cost O(|D| + ℓ·m·⌈log |D|⌉) steps on any tree, ascending dense
+// positions one probe per tuple bound, and nothing is kept between calls. It
+// returns the steps: tuples bound or passed over, probes, and rows of the
+// groups it read.
+func AnswersAt[O int | counting.Count](e *jointree.Exec, c *Counts, ords []O, fn func(i int, asn []relation.Value)) (steps int) {
+	at, ok := any(ords).([]counting.Count)
+	if !ok {
+		ints := any(ords).([]int)
+		at = make([]counting.Count, len(ints))
+		for i, o := range ints {
+			at[i] = counting.FromInt(o)
+		}
+	}
+	return answersAt(e, c, at, fn)
+}
+
+func answersAt(e *jointree.Exec, c *Counts, ords []counting.Count, fn func(i int, asn []relation.Value)) (steps int) {
 	if len(ords) == 0 {
 		return 0
 	}
+	t := e.T
 	l := assignmentLayout(e)
-	// after[node] is the number of answers per partial answer of node's
-	// subtree, given the tuples bound above it: the product of the group
-	// counts of the nodes that follow the subtree in pre-order.
-	after := make([]counting.Count, len(e.T.Nodes))
-	after[e.T.Root] = counting.One
-	next, seen := 0, counting.Zero // ords[next] is wanted; seen answers lie before the walk
-	return Walk(e, c, func(_, node, ti int) bool {
-		if through := seen.Add(c.Tuple[node][ti].Mul(after[node])); through.Cmp(counting.FromInt(ords[next])) <= 0 {
-			seen = through
-			return false
+	pre := preOrder(make([]int, 0, len(t.Nodes)), t, t.Root)
+	last := len(pre) - 1
+	// Per node: under the tuples bound above it, its join group and the
+	// answers per partial answer of its subtree (the product of the group
+	// counts of the nodes that follow the subtree in pre-order); for a node
+	// with children, the groups the call has read — group g's live members
+	// are rows[read[g].lo:read[g].hi], ascending, and sums the running totals
+	// of their counts.
+	nodes := make([]struct {
+		gid   int
+		after counting.Count
+		read  []struct{ lo, hi int32 }
+		rows  []int
+		sums  []counting.Count
+	}, len(t.Nodes))
+	for _, nd := range pre[1:] {
+		if len(t.Nodes[nd].Children) > 0 {
+			nodes[nd].read = make([]struct{ lo, hi int32 }, e.Groups[nd].NumGroups())
 		}
-		l.set(node, ti)
-		acc, children := after[node], e.T.Nodes[node].Children
-		for k := len(children) - 1; k >= 0; k-- {
-			after[children[k]] = acc
-			gid, _ := e.ParentGroup(children[k], ti)
-			acc = acc.Mul(c.Group[children[k]][gid])
+	}
+	nodes[t.Root].after = counting.One
+	// Per pre-order depth: the candidates (nil at the root: every row) with
+	// their running counts (nil at the root and at leaves), the candidate the
+	// walk stands on and the counts of those before it, and the answers the
+	// group spans, [start, end).
+	lv := make([]struct {
+		rows       []int
+		sums       []counting.Count
+		pos        int
+		units      counting.Count
+		start, end counting.Count
+	}, len(pre))
+	lv[0].end = c.Total
+	for next, d := 0, 0; ; {
+		o, at := ords[next], &lv[d]
+		if !o.Less(at.end) {
+			// o lies past the group, so past the tuple bound above it.
+			d--
+			up := &lv[d]
+			up.units, up.pos = up.units.Add(c.Tuple[pre[d]][rowAt(up.rows, up.pos)]), up.pos+1
+			continue
 		}
-		return true
-	}, func(node int, rows []int) bool {
-		through := seen.AddUint64(uint64(len(rows)))
-		for next < len(ords) && counting.FromInt(ords[next]).Less(through) {
-			at, _ := counting.FromInt(ords[next]).Sub(seen).Uint64()
-			l.set(node, rows[at])
+		node := pre[d]
+		if d == last {
+			// A leaf nothing follows: o's tuple is the (o − start)-th.
+			j, _ := o.Sub(at.start).Uint64()
+			l.set(node, rowAt(at.rows, int(j)))
 			fn(next, l.asn)
-			next++
+			if steps, next = steps+1, next+1; next == len(ords) {
+				return steps
+			}
+			continue
 		}
-		seen = through
-		return next < len(ords)
-	})
+		ns, cnt := &nodes[node], c.Tuple[node]
+		scaled := ns.after != counting.One
+		q := o.Sub(at.start) // o's offset in the group, in units of ns.after
+		if scaled {
+			q, _ = q.DivMod(ns.after)
+		}
+		switch {
+		case at.sums != nil:
+			// The first member whose running count passes q: the one the walk
+			// stands on when positions are dense, else found by binary search.
+			if steps++; !q.Less(at.sums[at.pos]) {
+				rest := at.sums[at.pos+1:]
+				at.pos += 1 + sort.Search(len(rest), func(i int) bool { return q.Less(rest[i]) })
+				steps += bits.Len(uint(len(rest)))
+			}
+			if at.units = counting.Zero; at.pos > 0 {
+				at.units = at.sums[at.pos-1]
+			}
+		case d > 0: // a leaf
+			j, _ := q.Uint64()
+			at.pos, at.units = int(j), q
+		default:
+			for {
+				u := at.units.Add(cnt[at.pos])
+				if q.Less(u) {
+					break
+				}
+				at.units, at.pos = u, at.pos+1
+				steps++
+			}
+		}
+		ti := rowAt(at.rows, at.pos)
+		l.set(node, ti)
+		steps++
+		acc, children := ns.after, t.Nodes[node].Children
+		for k := len(children) - 1; k >= 0; k-- {
+			ch := &nodes[children[k]]
+			ch.after, ch.gid = acc, int(e.ParentGids(children[k])[ti])
+			if k > 0 {
+				acc = acc.Mul(c.Group[children[k]][ch.gid])
+			}
+		}
+		// The tuple's answers are those of the next node's join group.
+		before, span := at.units, cnt[ti]
+		if scaled {
+			before, span = before.Mul(ns.after), span.Mul(ns.after)
+		}
+		d++
+		nd := pre[d]
+		nn := &nodes[nd]
+		rows, sums := e.Groups[nd].Tuples[nn.gid], []counting.Count(nil)
+		if nn.read != nil {
+			r := &nn.read[nn.gid]
+			if r.hi == 0 { // a live group has a live member: hi > 0 once read
+				if nn.rows == nil {
+					nn.rows, nn.sums = make([]int, 0, len(c.Tuple[nd])), make([]counting.Count, 0, len(c.Tuple[nd]))
+				}
+				// Appended through locals: a slice stored into nn per member
+				// would pay a write barrier each time while the GC runs.
+				live, lsums, sum := nn.rows, nn.sums, counting.Zero
+				for _, ti := range rows {
+					if x := c.Tuple[nd][ti]; !x.IsZero() {
+						sum = sum.Add(x)
+						live, lsums = append(live, ti), append(lsums, sum)
+					}
+				}
+				r.lo, r.hi = int32(len(nn.rows)), int32(len(live))
+				nn.rows, nn.sums = live, lsums
+				steps += len(rows)
+			}
+			rows, sums = nn.rows[r.lo:r.hi], nn.sums[r.lo:r.hi]
+		}
+		lv[d].rows, lv[d].sums, lv[d].pos, lv[d].units = rows, sums, 0, counting.Zero
+		lv[d].start = at.start.Add(before)
+		lv[d].end = lv[d].start.Add(span)
+	}
+}
+
+// rowAt is the tuple at position pos of a candidate list; nil lists every row.
+func rowAt(rows []int, pos int) int {
+	if rows == nil {
+		return pos
+	}
+	return rows[pos]
 }
 
 // preOrder appends to pre the subtree of node id in pre-order with children in

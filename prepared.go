@@ -23,14 +23,13 @@ import (
 // plan type. It holds a vector of engines, each the validated query, its
 // normal form, one deduplicated database, the join tree, the executable tree
 // whose nodes read that database's relations, and its cached counts — the one
-// tree and the one counting state every reader of answers uses — plus a lazily
-// built direct-access index over them for sampling. Prepare compiles one
-// engine (acyclic, or a cyclic query's hypertree decomposition);
-// PrepareSharded compiles N over a hash partition of the join key. Every
-// query runs the paper's pivot loop across the whole vector — Algorithm 1
-// steers by answer counts alone and counts add over disjoint partitions, so
-// one engine is simply the base case of N and answers are byte-identical at
-// every shard count.
+// tree and the one counting state every reader of answers uses, sampling
+// included. Prepare compiles one engine (acyclic, or a cyclic query's
+// hypertree decomposition); PrepareSharded compiles N over a hash partition
+// of the join key. Every query runs the paper's pivot loop across the whole
+// vector — Algorithm 1 steers by answer counts alone and counts add over
+// disjoint partitions, so one engine is simply the base case of N and answers
+// are byte-identical at every shard count.
 //
 // The paper's central point is that this preprocessing is quasilinear while
 // the per-query work on top of it is cheap; Prepared makes the split
@@ -41,18 +40,17 @@ import (
 //
 // A plan from PrepareSharded is routed: it knows its partitioning Key, and
 // Update rebuilds only the shards a delta's key hashes land in. Four
-// single-engine diagnostics — SampleQuantile (and Answer with ModeSample),
-// SampleAnswers, BaselineQuantile, RankedEnumerate — answer only on an
-// unrouted plan and return an *ArgError on a routed one, at any shard count.
+// single-engine diagnostics — Answer with ModeSample, SampleAnswers,
+// BaselineQuantile, RankedEnumerate — answer only on an unrouted plan and
+// return an *ArgError on a routed one, at any shard count.
 //
 // # Concurrency
 //
 // A Prepared plan is safe for concurrent readers: Quantile, QuantileStats,
 // Quantiles, ApproxQuantile, Median, SelectAt, Count, TopK, Enumerate,
-// BaselineQuantile, RankedEnumerate, SampleQuantile and SampleAnswers may
-// all be called from multiple goroutines at once, alongside Update and
-// WarmSketches. The lazily built structures (counts, direct access) are
-// built once under a mutex each. Two caveats:
+// BaselineQuantile, RankedEnumerate and SampleAnswers may all be called from
+// multiple goroutines at once, alongside Update and WarmSketches. The lazily
+// built counts are built once under a mutex. Two caveats:
 //
 //   - Methods taking a *rand.Rand use the caller's generator; do not share
 //     one *rand.Rand across goroutines.
@@ -283,36 +281,9 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 	return a, err
 }
 
-// SampleQuantile returns a randomized (φ±ε)-quantile with success
-// probability at least 1-δ (Section 3.1). The direct-access index is built on
-// first use and shared by subsequent calls. An ε so small that the estimator
-// would draw more than core.MaxSamples answers is an *ArgError on eps.
-//
-// Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
-// Delta: delta, Mode: ModeSample, Rand: rng}.
-func (p *Prepared) SampleQuantile(f *Ranking, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
-	if err := validatePhi(phi); err != nil {
-		return nil, err
-	}
-	eng, err := p.oneEngine("sampling")
-	if err != nil {
-		return nil, err
-	}
-	a, err := core.SampleQuantile(eng, f, phi, eps, delta, rng)
-	if errors.Is(err, core.ErrTooManySamples) {
-		return nil, argErrorf("eps", "%v", err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	a.Source = SourceSample
-	a.ErrorBound = eps
-	return a, nil
-}
-
 // SampleAnswers draws k uniform samples from Q(D) (with replacement) using
-// the shared direct-access index. It returns the variable layout and
-// one row per sample.
+// rng: uniform ordinals decoded by the count-guided walk (Section 3.1). It
+// returns the variable layout and one row per sample.
 func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error) {
 	if k < 0 {
 		return nil, nil, argErrorf("k", "%d is negative", k)
@@ -321,20 +292,7 @@ func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error
 	if err != nil {
 		return nil, nil, err
 	}
-	d := eng.Access()
-	if d.N().IsZero() {
-		return nil, nil, ErrNoAnswers
-	}
-	vars := eng.Vars()
-	buf := make([]Value, eng.Width())
-	rows := make([][]Value, k)
-	for i := 0; i < k; i++ {
-		d.Sample(rng, buf)
-		row := make([]Value, len(vars))
-		eng.Project(buf, row)
-		rows[i] = row
-	}
-	return vars, rows, nil
+	return core.SampleAnswers(eng, k, rng)
 }
 
 // RankedEnumerate starts a ranked enumeration of Q(D) under the ranking

@@ -180,7 +180,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 
 			// Randomized paths share the code path, so equal seeds must give
 			// equal answers.
-			pa, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rand.New(rand.NewSource(99)))
+			pa, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.3, Delta: 0.1, Mode: qjoin.ModeSample, Rand: rand.New(rand.NewSource(99))})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,19 +384,19 @@ func TestPreparedHostileArguments(t *testing.T) {
 	// The engine-level drivers trust φ; the plan checks it for them.
 	_, err = flat.BaselineQuantile(f, math.NaN())
 	wantArg("BaselineQuantile(NaN)", err, "phi")
-	_, err = flat.SampleQuantile(f, -0.5, 0.3, 0.1, rand.New(rand.NewSource(1)))
-	wantArg("SampleQuantile(-0.5)", err, "phi")
+	_, err = flat.Answer(f, qjoin.QuantileRequest{Phi: -0.5, Eps: 0.3, Delta: 0.1, Mode: qjoin.ModeSample})
+	wantArg("Answer(ModeSample, φ=-0.5)", err, "phi")
 	// An ε that asks for more than core.MaxSamples samples: at 1e-7 a round's
 	// sample once overflowed makeslice, at 1e-10 m wrapped negative and one
 	// sample a round came back as a (φ±ε) estimate.
 	for _, eps := range []float64{1e-7, 1e-10} {
-		_, err = flat.SampleQuantile(f, 0.5, eps, 0.1, rand.New(rand.NewSource(1)))
+		_, err = qjoin.SampleQuantile(q, db, f, 0.5, eps, 0.1, rand.New(rand.NewSource(1)))
 		wantArg(fmt.Sprintf("SampleQuantile(ε=%v)", eps), err, "eps")
 		_, err = flat.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: eps, Delta: 0.1, Mode: qjoin.ModeSample})
 		wantArg(fmt.Sprintf("Answer(ModeSample, ε=%v)", eps), err, "eps")
 	}
-	if _, err := flat.SampleQuantile(f, 0.5, 0.01, 0.1, rand.New(rand.NewSource(1))); err != nil {
-		t.Errorf("SampleQuantile(ε=0.01), 218 358 samples: %v", err)
+	if _, err := flat.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.01, Delta: 0.1, Mode: qjoin.ModeSample}); err != nil {
+		t.Errorf("Answer(ModeSample, ε=0.01), 218 358 samples: %v", err)
 	}
 
 	// The single-engine diagnostics answer on an unrouted plan only; a routed
@@ -407,8 +407,8 @@ func TestPreparedHostileArguments(t *testing.T) {
 	}
 	for name, p := range map[string]*qjoin.Prepared{"shards=3": routed, "shards=1": one} {
 		rng := rand.New(rand.NewSource(1))
-		_, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rng)
-		wantArg(name+" SampleQuantile", err, "mode")
+		_, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.3, Delta: 0.1, Mode: qjoin.ModeSample, Rand: rng})
+		wantArg(name+" Answer(ModeSample)", err, "mode")
 		_, _, err = p.SampleAnswers(2, rng)
 		wantArg(name+" SampleAnswers", err, "mode")
 		_, err = p.BaselineQuantile(f, 0.5)
@@ -490,7 +490,7 @@ func TestPreparedConcurrent(t *testing.T) {
 							t.Errorf("sample: %v", err)
 							return
 						}
-						if _, err := p.SampleQuantile(f, 0.5, 0.3, 0.1, rng); err != nil {
+						if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.3, Delta: 0.1, Mode: qjoin.ModeSample, Rand: rng}); err != nil {
 							t.Errorf("samplequantile: %v", err)
 							return
 						}

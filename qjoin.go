@@ -215,14 +215,15 @@ func ApproxQuantile(q *Query, db *DB, f *Ranking, phi, eps float64, opts ...Opti
 }
 
 // SampleQuantile returns a randomized (φ±ε)-quantile with success
-// probability at least 1-δ, by uniform answer sampling over a linear-time
-// direct-access index (Section 3.1).
+// probability at least 1-δ, by uniform answer sampling (Section 3.1):
+// uniform ordinals decoded by the count-guided walk. It is Answer with
+// ModeSample.
 func SampleQuantile(q *Query, db *DB, f *Ranking, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
 	p, err := Prepare(q, db)
 	if err != nil {
 		return nil, err
 	}
-	return p.SampleQuantile(f, phi, eps, delta, rng)
+	return p.Answer(f, QuantileRequest{Phi: phi, Eps: eps, Delta: delta, Mode: ModeSample, Rand: rng})
 }
 
 // Quantiles computes several quantiles in one call. The (Q, D) pair is
@@ -237,9 +238,9 @@ func Quantiles(q *Query, db *DB, f *Ranking, phis []float64, opts ...Options) ([
 	return p.Quantiles(f, phis, opts...)
 }
 
-// SampleAnswers draws k uniform samples from Q(D) (with replacement) using
-// the linear-time direct-access index of Section 3.1. It returns the
-// variable layout and one row per sample.
+// SampleAnswers draws k uniform samples from Q(D) (with replacement):
+// uniform ordinals decoded by the count-guided walk (Section 3.1). It
+// returns the variable layout and one row per sample.
 func SampleAnswers(q *Query, db *DB, k int, rng *rand.Rand) ([]Var, [][]Value, error) {
 	p, err := Prepare(q, db)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/quantilejoins/qjoin"
+	"github.com/quantilejoins/qjoin/internal/testutil"
 )
 
 // socialDB builds a tiny social network (the paper's introduction example).
@@ -250,6 +251,41 @@ func TestSampleAnswers(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("distinct sampled answers = %d, want 4", len(seen))
+	}
+}
+
+// Sampling hits every answer of the Figure 1 instance and is uniform: each of
+// its 13 answers within 30% of its expected share of 13 000 draws, and the
+// counts pass Pearson's χ² test against the uniform law (12 degrees of
+// freedom, 32.91 at α = 0.001).
+func TestSampleAnswersUniformity(t *testing.T) {
+	q, db := testutil.Fig1Instance()
+	p, err := qjoin.Prepare(q, qjoin.WrapDB(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samples = 13000
+	_, rows, err := p.SampleAnswers(samples, rand.New(rand.NewSource(123)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := make(map[string]int)
+	for _, r := range rows {
+		hits[fmt.Sprint(r)]++
+	}
+	n := p.Count().Int64()
+	if int64(len(hits)) != n || n != 13 {
+		t.Fatalf("sampled %d distinct answers of %d, want 13", len(hits), n)
+	}
+	exp, chi2 := float64(samples)/float64(n), 0.0
+	for k, c := range hits {
+		if float64(c) < exp*0.7 || float64(c) > exp*1.3 {
+			t.Fatalf("answer %s sampled %d times, expected ~%.0f", k, c, exp)
+		}
+		chi2 += (float64(c) - exp) * (float64(c) - exp) / exp
+	}
+	if chi2 > 32.91 {
+		t.Fatalf("χ² = %.2f over 12 degrees of freedom: not uniform at α = 0.001", chi2)
 	}
 }
 
