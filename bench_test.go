@@ -180,7 +180,8 @@ func BenchmarkE09Sample(b *testing.B) {
 
 // BenchmarkSampleQuantile — the sampling estimator on a prepared plan, per
 // call: r = 25 rounds (δ = 0.05) of m = 416 (ε = 0.05) or 10 398 (ε = 0.01)
-// draws, each round decoded by one AnswersAt call and selected in linear time.
+// draws, decoded up to 2¹⁶ draws per AnswersAt call (all rounds in one at
+// ε = 0.05, six at ε = 0.01), each selected in linear time.
 func BenchmarkSampleQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	q, idb := workload.Path(rng, 3, 1<<12, 1<<8)
@@ -1299,4 +1300,40 @@ func BenchmarkE12AblationBudget(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSampleLarge — sampling on a warm plan whose database dwarfs the
+// sample: the dense 2-path at 2²⁰ rows per atom (domain 2¹⁷, so |Q(D)| ≈
+// 8·|D|), after one untimed draw. The plan keeps no sampling index, so every
+// SampleAnswers(k) call passes over the root's 2²⁰ counts before its k draws
+// (a cached index paid that pass once per plan and then only the draws), and
+// SampleQuantile at ε = 0.05 decodes all 25 of its rounds in one such pass.
+func BenchmarkSampleLarge(b *testing.B) {
+	rng := rand.New(rand.NewSource(20))
+	q, idb := workload.Path(rng, 2, 1<<20, 1<<17)
+	p, err := qjoin.Prepare(q, qjoin.WrapDB(idb))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := p.SampleAnswers(1, rng); err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 16, 256, 4096, 65536} {
+		b.Run(fmt.Sprintf("answers/k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := p.SampleAnswers(k, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	f := qjoin.Sum(q.Vars()...)
+	b.Run("quantile/eps=0.05", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			req := qjoin.QuantileRequest{Phi: 0.5, Eps: 0.05, Delta: 0.05, Mode: qjoin.ModeSample, Rand: rng}
+			if _, err := p.Answer(f, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

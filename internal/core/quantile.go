@@ -1084,27 +1084,22 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, l
 	}
 	slices.Sort(ords)
 	flat := make([]relation.Value, len(ords)*w)
+	at := make([]counting.Count, len(ords)) // each ordinal within its shard
 	for s, lo := 0, 0; lo < len(ords); s++ {
 		hi := lo
-		for hi < len(ords) && ords[hi] < starts[s+1] {
-			hi++
+		for ; hi < len(ords) && ords[hi] < starts[s+1]; hi++ {
+			at[hi] = counting.FromInt(ords[hi] - starts[s])
 		}
 		if hi == lo {
 			continue
 		}
-		st, part, rows := shards[s], ords[lo:hi], flat[lo*w:hi*w]
-		for i := range part {
-			part[i] -= starts[s] // the shard's own ordinals, while it is walked
-		}
+		st, rows := shards[s], flat[lo*w:hi*w]
 		proj := projection(st.curExec.Q.Vars(), origVars)
-		yannakakis.AnswersAt(st.curExec, st.curCounts, part, func(i int, asn []relation.Value) {
+		yannakakis.AnswersAt(st.curExec, st.curCounts, at[lo:hi], func(i int, asn []relation.Value) {
 			for j, p := range proj {
 				rows[i*w+j] = asn[p]
 			}
 		})
-		for i := range part {
-			part[i] += starts[s]
-		}
 		lo = hi
 	}
 	for _, c := range classes {

@@ -23,6 +23,12 @@ import (
 // is m answers at once — and the sketch and exact tiers answer it better.
 const MaxSamples = 1 << 22
 
+// sampleBatch bounds the draws SampleQuantile decodes in one AnswersAt call,
+// in whole rounds (at least one). A call passes over the root's counts once,
+// so rounds decoded together share that pass: at ε = 0.05 (m = 416) all of a
+// call's rounds share one, at ε = 0.01 (m = 10 398) six rounds do.
+const sampleBatch = 1 << 16
+
 // ErrTooManySamples is SampleQuantile's error for an (ε, δ) that needs more
 // than MaxSamples samples.
 var ErrTooManySamples = errors.New("core: too many samples")
@@ -37,11 +43,13 @@ var ErrTooManySamples = errors.New("core: too many samples")
 // probability by 1/4; r = 2⌈4·ln(1/δ)⌉+1 rounds drive the majority failure
 // below δ. Both are computed in float64, where a tiny ε cannot wrap, and m·r
 // beyond MaxSamples fails with ErrTooManySamples before anything is drawn.
-// A round is decoded in one yannakakis.AnswersAt call over the engine's tree
-// and counts, O(|D| + ℓ·m·log |D|), and nothing is kept on the engine. Its
-// estimate is the answer at position ⌊φ·m⌋ of the sample in the (weight,
-// values) order, selected in linear time as the pivot loop's tail selects;
-// so is the median of the estimates. The answer is a function of the
+// The rounds are drawn in order and decoded in batches of whole rounds, at
+// most sampleBatch draws each unless one round has more, each batch by one
+// yannakakis.AnswersAt call over the engine's tree and counts —
+// O(|D| + ℓ·n·log |D|) for n draws — and nothing is kept on the engine. A
+// round's estimate is the answer at position ⌊φ·m⌋ of its sample in the
+// (weight, values) order, selected in linear time as the pivot loop's tail
+// selects; so is the median of the estimates. The answer is a function of the
 // engine's answers and rng alone.
 func SampleQuantile(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64, rng *rand.Rand) (*Answer, error) {
 	if eps <= 0 || eps >= 1 {
@@ -64,12 +72,15 @@ func SampleQuantile(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64
 	}
 	vars := eng.Vars()
 	aw, w := ranking.NewAnswerWeigher(f, vars), len(vars)
-	sample := make([]relation.Value, m*w)
-	estimates := make([]relation.Value, r*w)
+	per := min(max(sampleBatch/m, 1), r) // rounds drawn and decoded together
+	sample, estimates := make([]relation.Value, per*m*w), make([]relation.Value, r*w)
 	for round := 0; round < r; round++ {
-		drawAnswers(eng, rng, sample)
-		i := sampleAt(aw, f.VecLen(), sample, w, min(int(math.Floor(phi*float64(m))), m-1))
-		copy(estimates[round*w:], sample[i*w:(i+1)*w])
+		if round%per == 0 {
+			drawAnswers(eng, rng, sample[:min(per, r-round)*m*w])
+		}
+		one := sample[round%per*m*w:][:m*w]
+		i := sampleAt(aw, f.VecLen(), one, w, min(int(math.Floor(phi*float64(m))), m-1))
+		copy(estimates[round*w:], one[i*w:(i+1)*w])
 	}
 	i := sampleAt(aw, f.VecLen(), estimates, w, r/2)
 	med := slices.Clone(estimates[i*w : (i+1)*w])
@@ -77,7 +88,9 @@ func SampleQuantile(eng *engine.Engine, f *ranking.Func, phi, eps, delta float64
 }
 
 // SampleAnswers draws k uniform answers of eng, with replacement: the
-// variable layout and one row per draw, in draw order.
+// variable layout and one row per draw, in draw order. The k draws are
+// decoded in one AnswersAt call, O(|D| + ℓ·k·log |D|): nothing is kept on
+// the engine, so each call pays the pass over the root's counts again.
 func SampleAnswers(eng *engine.Engine, k int, rng *rand.Rand) ([]query.Var, [][]relation.Value, error) {
 	if eng.Total().IsZero() {
 		return nil, nil, ErrNoAnswers

@@ -278,14 +278,13 @@ func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner fu
 }
 
 // AnswersAt streams the answers at the given positions of Enumerate's order —
-// ints where they fit one, as a band's candidates do, or 128-bit counts, which
-// reach every answer of Q(D) — without forming the answers between them:
-// fn(i, asn) is called for ords[i], in order, asn as Enumerate lays it out and
-// as little retained. ords must be ascending (repeats allowed) and every one
-// below c.Total; c must be e's counting state. It is the one decoder of
-// ordinals into answers: the pivot loop's tail recovers the members of its
-// weight classes with it, and sampling (Section 3.1) decodes a round of
-// uniform draws in one call.
+// 128-bit counts, which reach every answer of Q(D) — without forming the
+// answers between them: fn(i, asn) is called for ords[i], in order, asn as
+// Enumerate lays it out and as little retained. ords must be ascending
+// (repeats allowed) and every one below c.Total; c must be e's counting
+// state. It is the one decoder of ordinals into answers: the pivot loop's
+// tail recovers the members of its weight classes with it, and sampling
+// (Section 3.1) decodes its uniform draws with it, many rounds per call.
 //
 // It is Enumerate's odometer passing over what the counts say holds no wanted
 // position: a tuple bound at some depth stands for cnt(t) · Π answers — the
@@ -301,17 +300,17 @@ func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner fu
 // changed, its parent's did not), searched: the member the walk stands on
 // first, then a binary search of the rest. Only the root is scanned, once. So
 // m positions cost O(|D| + ℓ·m·⌈log |D|⌉) steps on any tree, ascending dense
-// positions one probe per tuple bound, and nothing is kept between calls. It
-// returns the steps: tuples bound or passed over, probes, and rows of the
-// groups it read.
+// positions one probe per tuple bound, and nothing is kept between calls: a
+// call for a few positions still passes over the root's counts, so callers
+// decode all they need in one call. It returns the steps: tuples bound or
+// passed over, probes, and rows of the groups it read.
+//
+// The []int form exists only for tests that pass int positions (it converts
+// them); every other caller passes counts.
 func AnswersAt[O int | counting.Count](e *jointree.Exec, c *Counts, ords []O, fn func(i int, asn []relation.Value)) (steps int) {
 	at, ok := any(ords).([]counting.Count)
-	if !ok {
-		ints := any(ords).([]int)
-		at = make([]counting.Count, len(ints))
-		for i, o := range ints {
-			at[i] = counting.FromInt(o)
-		}
+	for i := 0; !ok && i < len(ords); i++ {
+		at = append(at, counting.FromInt(any(ords[i]).(int)))
 	}
 	return answersAt(e, c, at, fn)
 }

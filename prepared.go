@@ -283,7 +283,10 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 
 // SampleAnswers draws k uniform samples from Q(D) (with replacement) using
 // rng: uniform ordinals decoded by the count-guided walk (Section 3.1). It
-// returns the variable layout and one row per sample.
+// returns the variable layout and one row per sample. The plan keeps no
+// sampling index: every call passes once over the counts of the join tree's
+// root, then costs O(ℓ·log |D|) per draw, so draw many samples per call
+// rather than one.
 func (p *Prepared) SampleAnswers(k int, rng *rand.Rand) ([]Var, [][]Value, error) {
 	if k < 0 {
 		return nil, nil, argErrorf("k", "%d is negative", k)
