@@ -401,7 +401,12 @@ func BenchmarkParallelQuantile(b *testing.B) {
 // quantile loop runs on the acyclic bag query. The prepare sub-benchmark
 // prices the decomposition + bag joins; the quantile sub-benchmarks price the
 // per-query cost at Parallelism 1/2/4 against one prepared plan, with answers
-// byte-identical at every worker count.
+// byte-identical at every worker count. The compile= cells prepare the
+// repository benchmark's cold_compile instances — a triangle of 2¹³ edges per
+// relation over 2¹⁰ values and a 4-cycle of 2¹² over 2⁹ — beside a 2-path
+// over the triangle's relations' size and domain, whose join is the pairwise
+// join a triangle bag that ignored its covered atom would hold; CI bounds the
+// triangle's prepare by the 2-path's.
 func BenchmarkCyclicQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	const n, dom = 1 << 12, 1 << 9
@@ -437,6 +442,23 @@ func BenchmarkCyclicQuantile(b *testing.B) {
 			}
 		}
 	})
+	crng := rand.New(rand.NewSource(21))
+	tq, tdb := workload.Cycle(crng, 3, 1<<13, 1<<10)
+	cq, cdb := workload.Cycle(crng, 4, 1<<12, 1<<9)
+	pq, pdb := workload.Path(crng, 2, 1<<13, 1<<10)
+	for _, c := range []struct {
+		name string
+		q    *qjoin.Query
+		db   *relation.Database
+	}{{"triangle", tq, tdb}, {"cycle4", cq, cdb}, {"path2", pq, pdb}} {
+		b.Run("compile="+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := qjoin.Prepare(c.q, qjoin.WrapDB(c.db), qjoin.Options{Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			p, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: w})
@@ -481,8 +503,11 @@ func coldInput(idb *relation.Database) *qjoin.DB {
 // (this one has a few, so both relations are gathered once — by the first
 // compile over an input, which remembers them for the next; a duplicate-free
 // input's columns are shared), group indexes, parent-group arrays, counting
-// state, the SUM trim's preparation — and, sharded, the partitions. The budget
-// is the measurement plus 15%.
+// state, the SUM trim's preparation — and, sharded, the partitions. The
+// triangle cell compiles the repository benchmark's cold_compile triangle (2¹³
+// edges per relation over 2¹⁰ values) with a MAX median: there the plan also
+// holds its bags, and a bag that held the pairwise join instead of the
+// answers would retain 12× the budget. The budget is the measurement plus 15%.
 func BenchmarkPlanRetained(b *testing.B) {
 	heap := func() uint64 {
 		runtime.GC()
@@ -498,33 +523,39 @@ func BenchmarkPlanRetained(b *testing.B) {
 	f := qjoin.Sum(q.Vars()...)
 	tuples := float64(db.Size())
 	dbBytes := float64(heap()-empty) / tuples
+	tq, tidb := workload.Cycle(rand.New(rand.NewSource(14)), 3, 1<<13, 1<<10)
 	for _, tc := range []struct {
 		name   string
+		q      *qjoin.Query
+		idb    *relation.Database
+		f      *qjoin.Ranking
 		shards int
 		budget float64 // B/tuple
 	}{
-		{"unrouted", 0, 73},  // measured 63.1 (with a copy of every column per tree node: 79.1)
-		{"shards=4", 4, 112}, // measured 97.2 (then: 115.2)
+		{"unrouted", q, idb, f, 0, 73},  // measured 63.1 (with a copy of every column per tree node: 79.1)
+		{"shards=4", q, idb, f, 4, 112}, // measured 97.2 (then: 115.2)
+		// measured 25.8 (with bags that ignored their covered atom: 348.5)
+		{"triangle", tq, tidb, qjoin.Max(tq.Vars()...), 0, 30},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var perTuple float64
 			for i := 0; i < b.N; i++ {
-				in := coldInput(idb) // the copies it will remember count as the plan's
+				in := coldInput(tc.idb) // the copies it will remember count as the plan's
 				before := heap()
 				var p *qjoin.Prepared
 				var err error
 				if tc.shards > 0 {
-					p, err = qjoin.PrepareSharded(q, in, tc.shards)
+					p, err = qjoin.PrepareSharded(tc.q, in, tc.shards)
 				} else {
-					p, err = qjoin.Prepare(q, in)
+					p, err = qjoin.Prepare(tc.q, in)
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.Quantile(f, 0.5); err != nil {
+				if _, err := p.Quantile(tc.f, 0.5); err != nil {
 					b.Fatal(err)
 				}
-				perTuple = (float64(heap()) - float64(before)) / tuples
+				perTuple = (float64(heap()) - float64(before)) / float64(in.Size())
 				runtime.KeepAlive(p)
 				runtime.KeepAlive(in)
 			}
@@ -619,6 +650,7 @@ func BenchmarkPlanRetained(b *testing.B) {
 		}
 	})
 	runtime.KeepAlive(db)
+	runtime.KeepAlive(tidb)
 }
 
 // BenchmarkDedupedAllocs — input deduplication interns rows into flat

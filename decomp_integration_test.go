@@ -330,3 +330,73 @@ func TestDecomposedSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestDecomposedUpdateOfCoveredAtom: the triangle's bag {R,S} covers T, so a
+// delta touching only T rebuilds that bag as well as T's own, and the updated
+// plan is indistinguishable from a fresh Prepare — answers and run statistics
+// alike (modulo rebuild accounting).
+func TestDecomposedUpdateOfCoveredAtom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	db := qjoin.NewDB().
+		MustAdd("R", 2, randomEdges(rng, 60, 8)).
+		MustAdd("S", 2, randomEdges(rng, 60, 8)).
+		MustAdd("T", 2, randomEdges(rng, 60, 8))
+	q := triangleQuery()
+	p, err := qjoin.Prepare(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Insert a T row that closes a triangle the database does not have yet.
+	r, s, tt := db.Unwrap().Get("R"), db.Unwrap().Get("S"), db.Unwrap().Get("T")
+	has := make(map[[2]int64]bool)
+	for i := 0; i < tt.Len(); i++ {
+		has[[2]int64{tt.Get(i, 0), tt.Get(i, 1)}] = true
+	}
+	var closing []int64
+	for i := 0; i < r.Len() && closing == nil; i++ {
+		for j := 0; j < s.Len(); j++ {
+			if x, y, z := r.Get(i, 0), r.Get(i, 1), s.Get(j, 1); s.Get(j, 0) == y && !has[[2]int64{z, x}] {
+				closing = []int64{z, x}
+				break
+			}
+		}
+	}
+	if closing == nil {
+		t.Fatal("every R-S path is closed already")
+	}
+	delta := qjoin.NewDelta().Insert("T", closing)
+	up, err := p.Update(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, err := db.Apply(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := qjoin.Prepare(q, db2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Count().Cmp(fresh.Count()) != 0 || up.Count().Cmp(p.Count()) <= 0 {
+		t.Fatalf("count %s after the delta, fresh %s, before %s: the delta must add answers", up.Count(), fresh.Count(), p.Count())
+	}
+	vars := q.Vars()
+	for _, f := range []*qjoin.Ranking{qjoin.Min(vars...), qjoin.Max(vars...), qjoin.Lex(vars...)} {
+		for _, phi := range []float64{0, 0.5, 1} {
+			a1, s1, err1 := up.QuantileStats(f, phi)
+			a2, s2, err2 := fresh.QuantileStats(f, phi)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("φ=%v: %v / %v", phi, err1, err2)
+			}
+			if !reflect.DeepEqual(a1, a2) {
+				t.Fatalf("φ=%v: answer %v, fresh %v", phi, a1, a2)
+			}
+			if !reflect.DeepEqual(normalizeDecomp(s1), normalizeDecomp(s2)) {
+				t.Fatalf("φ=%v: stats %+v / %+v, fresh %+v / %+v", phi, *s1, *s1.Decomp, *s2, *s2.Decomp)
+			}
+			if s1.Decomp.RematerializedBags != s1.Decomp.Bags {
+				t.Fatalf("a delta to the covered atom rebuilt %d of %d bags", s1.Decomp.RematerializedBags, s1.Decomp.Bags)
+			}
+		}
+	}
+}

@@ -402,12 +402,12 @@
 // (internal/decomp). The contract:
 //
 //   - Rewrite, then reuse. The atom list is partitioned into bags of at
-//     most decomp.MaxDecompWidth (4) atoms; each bag is materialized by
-//     joining its covering atoms on the parallel runtime, and the acyclic
-//     query over the bag relations runs the regular pipeline — pivoting,
-//     trims, counting, sketches, snapshots, enumeration — unchanged.
-//     Answers are exact and byte-identical to a brute-force join of the
-//     original query, at every φ and Parallelism value.
+//     most decomp.MaxDecompWidth (4) atoms; a bag is the join of its atoms
+//     semijoined with each atom it covers (one of another bag whose
+//     variables are all the bag's), and the acyclic query over the bag
+//     relations runs the regular pipeline — pivoting, trims, counting,
+//     sketches, snapshots, enumeration — unchanged. Answers are exact and
+//     byte-identical to a brute-force join, at every φ and Parallelism value.
 //   - Determinism. The decomposition is a pure function of the query shape
 //     (widths tried in ascending order over canonical set-partitions), so
 //     the same query always compiles to the same bags, on every process.
@@ -424,8 +424,8 @@
 //     SUM over the bag shape returns ErrIntractable exactly as for a native
 //     acyclic query, and the approximate surfaces keep working.
 //   - Updates re-materialize locally. Prepared.Update applies the delta to
-//     the pre-decomposition database and rebuilds only the bags whose
-//     relations were touched, sharing the rest with the receiver
+//     the pre-decomposition database and rebuilds only the bags that hold or
+//     cover a touched relation, sharing the rest with the receiver
 //     (RunStats.Decomp.RematerializedBags counts the rebuilds; Redecomposed
 //     flags a delta that touched every bag). Multiplicity-only deltas keep
 //     the compiled artifact entirely.

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -72,6 +73,10 @@ type Decomposition struct {
 	// BagVars holds, per bag, the distinct variables in first-appearance
 	// order over the join order. Each bag carries all of its variables.
 	BagVars [][]query.Var
+	// Covered holds, per bag, the atoms it covers without holding them —
+	// every atom of another bag whose variables are all the bag's —
+	// ascending. Materialize semijoins the bag with each of them.
+	Covered [][]int
 	// BagNames holds the deterministic bag relation names.
 	BagNames []string
 
@@ -344,11 +349,34 @@ func bagVars(q *query.Query, order []int) []query.Var {
 	return out
 }
 
+// coveredAtoms returns the atoms outside bag whose variables are all in
+// vars, ascending.
+func coveredAtoms(q *query.Query, bag []int, vars []query.Var) []int {
+	var out []int
+	for ai, a := range q.Atoms {
+		if !slices.Contains(bag, ai) && within(a.Vars, vars) {
+			out = append(out, ai)
+		}
+	}
+	return out
+}
+
+// within reports whether every variable of vars is in set.
+func within(vars, set []query.Var) bool {
+	for _, v := range vars {
+		if !slices.Contains(set, v) {
+			return false
+		}
+	}
+	return true
+}
+
 // assemble freezes an accepted partition into a Decomposition.
 func assemble(q *query.Query, bags [][]int) *Decomposition {
 	d := &Decomposition{
 		Bags:     make([][]int, len(bags)),
 		BagVars:  make([][]query.Var, len(bags)),
+		Covered:  make([][]int, len(bags)),
 		BagNames: make([]string, len(bags)),
 	}
 	atoms := make([]query.Atom, len(bags))
@@ -356,6 +384,7 @@ func assemble(q *query.Query, bags [][]int) *Decomposition {
 		order := joinOrder(q, bag)
 		d.Bags[i] = order
 		d.BagVars[i] = bagVars(q, order)
+		d.Covered[i] = coveredAtoms(q, bag, d.BagVars[i])
 		d.BagNames[i] = bagName(i)
 		if len(bag) > d.Width {
 			d.Width = len(bag)

@@ -326,7 +326,8 @@ func sameVarSet(a, b []query.Var) bool {
 
 // nestedLoopBag is the reference for one bag: a left-deep nested-loop join of
 // its atoms in join order, rows in the order the loops meet them, columns in
-// BagVars order.
+// BagVars order, keeping a row only if each atom the bag covers holds its
+// projection (a linear scan of the atom's relation).
 func nestedLoopBag(d *Decomposition, q *query.Query, db *relation.Database, i int) *relation.Relation {
 	vars := d.BagVars[i]
 	col := make(map[query.Var]int, len(vars))
@@ -339,6 +340,11 @@ func nestedLoopBag(d *Decomposition, q *query.Query, db *relation.Database, i in
 	var rec func(s int)
 	rec = func(s int) {
 		if s == len(d.Bags[i]) {
+			for _, ci := range d.Covered[i] {
+				if !holds(q.Atoms[ci], db, row, col) {
+					return
+				}
+			}
 			out.AppendRow(row)
 			return
 		}
@@ -369,12 +375,28 @@ func nestedLoopBag(d *Decomposition, q *query.Query, db *relation.Database, i in
 	return out
 }
 
+// holds reports whether atom a's relation has the row's projection onto a.
+func holds(a query.Atom, db *relation.Database, row []relation.Value, col map[query.Var]int) bool {
+	rel := db.Get(a.Rel)
+rows:
+	for r := 0; r < rel.Len(); r++ {
+		for j, v := range a.Vars {
+			if rel.Get(r, j) != row[col[v]] {
+				continue rows
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // The interner join writes each bag exactly as the reference does — the same
 // rows in the same order — for every bag shape the join handles differently:
 // plain chains, closing edges (every variable shared, alone and several in a
 // row), atoms without a shared variable, rewritten repeated variables on
-// either side, and a rewritten self-join, at worker counts that chunk both the build and
-// the probe side.
+// either side, a rewritten self-join, covered atoms checked at a later step
+// than the one that binds them, and one-atom bags that cover atoms, at worker
+// counts that chunk both the build and the probe side.
 func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	edges := func(name string, n int, dom int64) *relation.Relation {
@@ -399,6 +421,8 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 	repQ, repDB := query.Normalize(
 		query.New(atom("L", "x", "x"), atom("R", "x", "y"), atom("S", "y", "y"), atom("T", "y", "x")), binary("LRST", 700, 25))
 
+	twoClosing := query.New(atom("R", "x", "y"), atom("S", "y", "z"), atom("T", "z", "x"), atom("U", "x", "z"))
+
 	cases := []struct {
 		name string
 		q    *query.Query
@@ -418,9 +442,10 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 			return db
 		}(), nil},
 		{"repeated variables", repQ, repDB, [][]int{{0, 1, 2, 3}}},
-		{"two closing edges", query.New(atom("R", "x", "y"), atom("S", "y", "z"), atom("T", "z", "x"), atom("U", "x", "z")),
-			binary("RSTU", 700, 20), [][]int{{0, 1, 2, 3}}},
+		{"two closing edges", twoClosing, binary("RSTU", 700, 20), [][]int{{0, 1, 2, 3}}},
 		{"self-join", selfQ, selfDB, [][]int{{0, 1, 2}}},
+		{"covered atom bound by the first atom", twoClosing, binary("RSTU", 700, 20), [][]int{{2, 1}, {0}, {3}}},
+		{"one-atom bags covering each other", twoClosing, binary("RSTU", 700, 20), [][]int{{0, 1}, {2}, {3}}},
 	}
 	for _, c := range cases {
 		var d *Decomposition
@@ -446,6 +471,102 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 		}
 		if rows == 0 {
 			t.Fatalf("%s: every bag is empty; nothing was compared", c.name)
+		}
+	}
+}
+
+// The triangle's bag over all three variables joins two atoms and covers the
+// third, so it holds exactly the query's answers — not the pairwise join.
+func TestTriangleBagHoldsItsAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	q := triangle()
+	db := relation.NewDatabase()
+	for _, name := range []string{"R", "S", "T"} {
+		r := relation.New(name, 2)
+		for i := 0; i < 600; i++ {
+			r.Append(rng.Int63n(40), rng.Int63n(40))
+		}
+		db.Add(r.DedupedWorkers(1))
+	}
+	want := testutil.BruteForce(q, db)
+	if len(want) == 0 {
+		t.Fatal("no triangles: nothing is compared")
+	}
+	d, err := Decompose(q, MaxDecompWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		bagDB, st := d.Materialize(q, db, workers)
+		for i, vars := range d.BagVars {
+			if len(vars) != 3 {
+				continue
+			}
+			bag := bagDB.Get(d.BagNames[i])
+			if bag.Len() != len(want) || st.MaxBagRows != len(want) {
+				t.Fatalf("workers=%d: bag %d holds %d rows (largest bag %d), |Q(D)| = %d", workers, i, bag.Len(), st.MaxBagRows, len(want))
+			}
+			rows := make([][]relation.Value, bag.Len())
+			for r := range rows {
+				rows[r] = bag.RowValues(r)
+			}
+			sortRows(want)
+			if got := projectTo(vars, q.Vars(), rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: bag %d is not Q(D)", workers, i)
+			}
+		}
+	}
+}
+
+// A delta to an atom a bag covers rebuilds that bag as well as the one
+// holding the atom; a delta to an atom nothing covers rebuilds its own bag
+// only. Either way the result is a fresh materialization's, bag for bag.
+func TestRematerializeRebuildsCoveringBags(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	atom := func(rel string, vars ...query.Var) query.Atom { return query.Atom{Rel: rel, Vars: vars} }
+	// A triangle with an ear: {R,S} covers T, {T,D} covers nothing.
+	q := query.New(atom("R", "x", "y"), atom("S", "y", "z"), atom("T", "z", "x"), atom("D", "x", "w"))
+	edges := func(name string) *relation.Relation {
+		r := relation.New(name, 2)
+		for i := 0; i < 300; i++ {
+			r.Append(rng.Int63n(20), rng.Int63n(20))
+		}
+		return r.DedupedWorkers(1)
+	}
+	db := relation.NewDatabase()
+	for _, name := range []string{"R", "S", "T", "D"} {
+		db.Add(edges(name))
+	}
+	d, err := Decompose(q, MaxDecompWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Covered, [][]int{{2}, nil}) {
+		t.Fatalf("covered atoms %v, want [[2] []]", d.Covered)
+	}
+	prev, _ := d.Materialize(q, db, 2)
+	for _, tc := range []struct {
+		rel     string
+		rebuilt []bool // per bag
+	}{
+		{"T", []bool{true, true}},
+		{"D", []bool{false, true}},
+		{"R", []bool{true, false}},
+	} {
+		db2 := db.View()
+		db2.Add(edges(tc.rel))
+		next, st := d.Rematerialize(q, db2, prev, map[string]bool{tc.rel: true}, 2)
+		fresh, _ := d.Materialize(q, db2, 2)
+		for i, name := range d.BagNames {
+			if rebuilt := next.Get(name) != prev.Get(name); rebuilt != tc.rebuilt[i] {
+				t.Fatalf("delta to %s: bag %d rebuilt=%v, want %v", tc.rel, i, rebuilt, tc.rebuilt[i])
+			}
+			if !next.Get(name).Equal(fresh.Get(name)) {
+				t.Fatalf("delta to %s: bag %d differs from a fresh materialization", tc.rel, i)
+			}
+		}
+		if want := tc.rebuilt[0] && tc.rebuilt[1]; st.Redecomposed != want {
+			t.Fatalf("delta to %s: Redecomposed=%v, want %v", tc.rel, st.Redecomposed, want)
 		}
 	}
 }

@@ -12,12 +12,20 @@
 //     orders, and bag relation names — is a pure function of the query, so
 //     a snapshot restore can recompute it and land on the identical plan.
 //
-//   - Materialize joins each bag's covering atoms into one relation over
-//     the bag's full variable set, using the columnar relation layer and
-//     the parallel runtime (chunk-ordered probes, so output row order is
-//     independent of worker count). Because every bag carries all of its
-//     variables (χ(t) = vars(λ(t))), the acyclic join of the bag relations
-//     equals the original cyclic join exactly — no projection is lossy.
+//   - Materialize builds each bag as the join of its atoms semijoined with
+//     the atoms it covers — bag = ⋈ λ(t) ⋉ every atom outside λ(t) whose
+//     variables lie in χ(t) — into one relation over the bag's full
+//     variable set, using the columnar relation layer and the parallel
+//     runtime (chunk-ordered probes, so output row order is independent of
+//     worker count). Because every bag carries all of its variables
+//     (χ(t) = vars(λ(t))), the acyclic join of the bag relations equals the
+//     original cyclic join exactly — no projection is lossy — and a
+//     semijoin with a source atom drops no answer, since every answer's
+//     projection onto that atom is one of its rows; it only drops rows that
+//     join to nothing. The triangle's bag {R,S} covers T, so it holds
+//     exactly the triangle's answers instead of the pairwise join R⋈S. Which
+//     atoms a bag covers depends on the query shape alone, so a restore
+//     recomputes them with the decomposition.
 //
 // Contract notes:
 //
@@ -31,8 +39,9 @@
 //     visits per width) so adversarial shapes fail fast — the budget is
 //     deterministic, and every partition of a query with up to nine atoms
 //     fits inside it.
-//   - Rematerialize rebuilds only bags covering a changed relation and
-//     shares the untouched bag relations from the previous database by
-//     pointer, which keeps incremental updates proportional to the touched
-//     bags rather than the whole decomposition.
+//   - Rematerialize rebuilds only the bags that hold or cover a changed
+//     relation — a bag's rows depend on both — and shares the untouched bag
+//     relations from the previous database by pointer, which keeps
+//     incremental updates proportional to the touched bags rather than the
+//     whole decomposition.
 package decomp

@@ -74,6 +74,26 @@ func Path(rng *rand.Rand, k, n int, dom int64) (*query.Query, *relation.Database
 	return query.New(atoms...), db
 }
 
+// Cycle builds the k-cycle query E1(c1,c2), ..., Ek(ck,c1) with n tuples per
+// relation over [0, dom): the triangle at k=3.
+func Cycle(rng *rand.Rand, k, n int, dom int64) (*query.Query, *relation.Database) {
+	var atoms []query.Atom
+	db := relation.NewDatabase()
+	for i := 1; i <= k; i++ {
+		name := fmt.Sprintf("E%d", i)
+		atoms = append(atoms, query.Atom{
+			Rel:  name,
+			Vars: []query.Var{query.Var(fmt.Sprintf("c%d", i)), query.Var(fmt.Sprintf("c%d", i%k+1))},
+		})
+		rel := relation.New(name, 2)
+		for j := 0; j < n; j++ {
+			rel.Append(rng.Int63n(dom), rng.Int63n(dom))
+		}
+		db.Add(rel)
+	}
+	return query.New(atoms...), db
+}
+
 // Star builds a k-leaf star A1(e,y1), ..., Ak(e,yk) with n tuples per
 // relation, events drawn from [0, nEvents), and leaf values from [0, dom).
 // |Q(D)| ≈ nEvents · (n/nEvents)^k, so nEvents directly controls the
