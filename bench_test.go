@@ -398,15 +398,15 @@ func BenchmarkParallelQuantile(b *testing.B) {
 
 // BenchmarkCyclicQuantile — the cyclic-query subsystem (PR 10): Prepare
 // decomposes a triangle query into a hypertree of materialized bags, then the
-// quantile loop runs on the acyclic bag query. The prepare sub-benchmark
-// prices the decomposition + bag joins; the quantile sub-benchmarks price the
-// per-query cost at Parallelism 1/2/4 against one prepared plan, with answers
-// byte-identical at every worker count. The compile= cells prepare the
-// repository benchmark's cold_compile instances — a triangle of 2¹³ edges per
-// relation over 2¹⁰ values and a 4-cycle of 2¹² over 2⁹ — beside a 2-path
-// over the triangle's relations' size and domain, whose join is the pairwise
-// join a triangle bag that ignored its covered atom would hold; CI bounds the
-// triangle's prepare by the 2-path's.
+// quantile loop runs on the acyclic bag query. The compile= cells price the
+// decomposition + bag joins: they prepare the repository benchmark's
+// cold_compile instances — a triangle of 2¹³ edges per relation over 2¹⁰
+// values and a 4-cycle of 2¹² over 2⁹ — beside a 2-path over the triangle's
+// relations' size and domain, whose join is the pairwise join a triangle bag
+// that ignored its covered atom would hold; CI bounds the triangle's prepare
+// by the 2-path's. The workers= cells price the per-query cost at Parallelism
+// 1/2/4 against one prepared plan of a smaller triangle, with answers
+// byte-identical at every worker count.
 func BenchmarkCyclicQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	const n, dom = 1 << 12, 1 << 9
@@ -435,13 +435,6 @@ func BenchmarkCyclicQuantile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("prepare", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	crng := rand.New(rand.NewSource(21))
 	tq, tdb := workload.Cycle(crng, 3, 1<<13, 1<<10)
 	cq, cdb := workload.Cycle(crng, 4, 1<<12, 1<<9)

@@ -93,9 +93,12 @@ func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i 
 // filter is a covered atom checked at one join step: its relation's rows
 // interned whole, their columns reordered so that the values the accumulated
 // row binds come first and those the joined atom's matching row binds last.
-// Most candidate rows fail a filter, so a bitmap of about sixteen bits per
-// key, indexed by the top bits of each key's hash, turns most of them away
-// before they probe the interner's table.
+// A filter with no joined-atom column (rel empty) is decided by the
+// accumulated row alone. Most candidate rows fail a filter, so a bitmap of
+// about sixteen bits per key, indexed by the top bits of each key's hash,
+// turns most of them away before they probe the interner's table (on the
+// cold_compile triangle, a Prepare takes 3.4 ms with it and 5.5 ms without
+// on a 2-vCPU box).
 type filter struct {
 	keys  *relation.Interner
 	bits  []uint64
@@ -135,16 +138,14 @@ func newFilter(c query.Atom, db *relation.Database, inCur, inRel map[query.Var]i
 }
 
 // filterProbe is one chunk's probe of a filter: the key's leading values,
-// taken from the accumulated row in hand, and their hash.
+// taken from the accumulated row in hand.
 type filterProbe struct {
 	*filter
-	key  []relation.Value // room for the whole key
-	hash uint64
+	key []relation.Value // room for the whole key
 }
 
 func (p *filterProbe) setRow(curCols [][]relation.Value, i int) {
 	p.key = relation.GatherAt(p.key, curCols, p.cur, i)
-	p.hash = relation.HashTuple(p.key)
 }
 
 // has reports whether the filter atom holds the accumulated row in hand
@@ -154,7 +155,7 @@ func (p *filterProbe) has(relCols [][]relation.Value, m int) bool {
 	for _, c := range p.rel {
 		key = append(key, relCols[c][m])
 	}
-	h := relation.HashOnto(p.hash, key[len(p.cur):])
+	h := relation.HashTuple(key)
 	if b := h >> p.shift; p.bits[b>>6]&(1<<(b&63)) == 0 {
 		return false
 	}
@@ -175,6 +176,11 @@ func (p *filterProbe) has(relCols [][]relation.Value, m int) bool {
 // produce — with filters, to probe them with each match and keep the
 // survivors' row pairs — and, after every output column has been allocated
 // once at its exact length, again to fill each chunk's own range of them.
+//
+// A step without filters keeps no pairs and walks its groups again instead:
+// recording a pair for every row it writes cost the cold_compile 4-cycle,
+// whose bags cover no atom, 10.5 ms a Prepare against 8.2 ms (slower in 11 of
+// 12 alternating runs on a 2-vCPU box) and 45% more allocated bytes.
 func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters []query.Atom, db *relation.Database, workers int) (*relation.Relation, []query.Var) {
 	rel := db.Get(a.Rel)
 	inCur := make(map[query.Var]int, len(curVars))
@@ -214,6 +220,7 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 			probes[k] = filterProbe{filter: f, key: make([]relation.Value, 0, f.keys.Width())}
 		}
 		n := 0
+	rows:
 		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 			gids[i] = -1
 			id, ok := lookup.Lookup(relation.GatherAt(buf, curCols, sharedCur, i))
@@ -227,11 +234,14 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 			}
 			for k := range probes {
 				probes[k].setRow(curCols, i)
+				if len(probes[k].rel) == 0 && !probes[k].has(relCols, 0) {
+					continue rows
+				}
 			}
 		matches:
 			for _, m := range index.Tuples[id] {
 				for k := range probes {
-					if !probes[k].has(relCols, m) {
+					if len(probes[k].rel) > 0 && !probes[k].has(relCols, m) {
 						continue matches
 					}
 				}

@@ -76,13 +76,7 @@ func mix64(x uint64) uint64 {
 // HashTuple returns the interner's deterministic hash of a tuple. Exposed so
 // chunked passes can pre-hash on the workers and merge without re-hashing.
 func HashTuple(t []Value) uint64 {
-	return HashOnto(0x9e3779b97f4a7c15, t)
-}
-
-// HashOnto continues a tuple hash over more values: HashOnto(HashTuple(a), b)
-// is HashTuple of a followed by b, so a probe loop hashes a shared key prefix
-// once.
-func HashOnto(h uint64, t []Value) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range t {
 		h = mix64(h ^ uint64(v))
 	}
