@@ -79,7 +79,6 @@ func main() {
 	doSample := flag.Bool("sample", false, "use randomized sampling (requires -eps)")
 	delta := flag.Float64("delta", 0.05, "failure probability for -sample")
 	seed := flag.Int64("seed", time.Now().UnixNano(), "random seed for -sample")
-	workers := flag.Int("workers", 0, "worker count for parallel execution (0 = GOMAXPROCS, 1 = sequential)")
 	shards := flag.Int("shards", 0, "hash-partition the data into N shard engines (0 = single unsharded engine)")
 	doStats := flag.Bool("stats", false, "print per-run statistics with a per-iteration phase-timing breakdown")
 	updateFile := flag.String("update", "", "delta file (+Rel,v,... inserts / -Rel,v,... deletes) applied to the plan before answering")
@@ -134,16 +133,12 @@ func main() {
 		fatal(err)
 	}
 
-	// Answers are byte-identical for every -workers value; the knob only
-	// trades wall-clock time for cores. Phase timings are collected only on
-	// request — they read the clock inside the pivot loop.
-	if err := qjoin.ValidateWorkers(*workers); err != nil {
-		fatal(err)
-	}
 	if err := qjoin.ValidateShards(*shards); err != nil {
 		fatal(err)
 	}
-	planOpts := qjoin.Options{Parallelism: *workers, CollectPhases: *doStats}
+	// Phase timings are collected only on request — they read the clock
+	// inside the pivot loop.
+	planOpts := qjoin.Options{CollectPhases: *doStats}
 	// -shards > 1 compiles one engine per hash partition of the join key and
 	// answers through the merged global pivot loop; answers are byte-identical
 	// to the unsharded plan, so the knob is purely operational.
@@ -225,8 +220,7 @@ func main() {
 	}
 
 	// Compile once; every φ below — and -baseline, -sample — runs against
-	// this single plan. The plan-default options carry -workers into every
-	// query without repeating them per call.
+	// this single plan.
 	prepStart := time.Now()
 	p, err := compile(db)
 	if err != nil {

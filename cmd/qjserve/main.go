@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	qjserve -addr :8080 -workers 0 -cache 64 -inflight 0 -timeout 30s
+//	qjserve -addr :8080 -cache 64 -inflight 0 -timeout 30s
 //
 // -shards N makes N-way hash-sharded datasets the default for loads that
 // omit the shards field (a load request's own shards value still wins);
@@ -56,9 +56,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (use :0 for a kernel-assigned port)")
-	workers := flag.Int("workers", 0, "default plan parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	inflight := flag.Int("inflight", 0, "max concurrently admitted requests (0 = 4x worker count)")
-	cacheCap := flag.Int("cache", 64, "max cached plans (LRU)")
+	inflight := flag.Int("inflight", 0, "max concurrently admitted requests (0 = 4x GOMAXPROCS)")
+	cacheCap := flag.Int("cache", 64, "max plan-cache entries, one per (plan, ranking) (LRU)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout, admission wait included")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	maxBody := flag.Int64("max-body", 0, "max request body bytes (0 = 1 GiB)")
@@ -85,7 +84,6 @@ func main() {
 		}
 	}
 	s := server.New(server.Config{
-		Parallelism:    *workers,
 		MaxInflight:    *inflight,
 		CacheCap:       *cacheCap,
 		RequestTimeout: *timeout,

@@ -561,11 +561,11 @@
 // JSON codec round-trip losslessly (rankings with custom Weight functions
 // have no wire form). A request is checked in one place: Request.Resolve
 // applies the wire protocol's rules — op defaulting, which ops take a mode,
-// when eps reaches the plan, the φ, φ-grid, k and workers domains — and
-// returns the Operation that Prepared.Run executes; every rejection is an
-// *ArgError naming the offending field, which qjserve maps to a 400. cmd/qjq
-// checks its flags against the same domains (ValidateEpsilon, ValidateDelta,
-// ValidateWorkers, ValidateShards, ParseMode, ParsePhis).
+// when eps reaches the plan, the φ, φ-grid and k domains — and returns the
+// Operation that Prepared.Run executes; every rejection is an *ArgError
+// naming the offending field, which qjserve maps to a 400. cmd/qjq checks
+// its flags against the same domains (ValidateEpsilon, ValidateDelta,
+// ValidateShards, ParseMode, ParsePhis).
 //
 // The implementation is a faithful, fully self-contained reproduction: GYO
 // join trees, Yannakakis evaluation, linear-time c-pivot selection by

@@ -25,7 +25,7 @@ func BenchmarkServerQuery(b *testing.B) {
 	f := qjoin.Sum(q.Vars()...)
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	h := srv.Handler()
 	load := server.LoadRequest{}
 	for _, name := range db.Relations() {

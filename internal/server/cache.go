@@ -11,9 +11,12 @@ import (
 
 // PlanCache maps (dataset, generation, canonical query, ranking spec,
 // workers) to a compiled qjoin.Plan — a *qjoin.Prepared holding one engine
-// or one per shard, per the dataset's shard option — with
+// or one per shard, per the dataset's shard option. The server passes
+// workers 0 (its plans compile with the library's default Options). One
+// entry is one (plan, ranking) pair, so a plan served under four rankings
+// fills four entries. The cache provides
 //
-//   - LRU eviction bounded by a capacity,
+//   - LRU eviction bounded by a capacity in entries,
 //   - singleflight deduplication: concurrent requests for the same missing
 //     key wait for one Prepare instead of compiling in parallel,
 //   - plan sharing across rankings: a Prepared plan depends only on the
@@ -43,7 +46,7 @@ type PlanCache struct {
 	refresh                 SketchRefreshStats
 }
 
-// entry is one cached plan.
+// entry is one cached (plan, ranking) pair.
 type entry struct {
 	key     string
 	dataset string
@@ -61,7 +64,7 @@ type flight struct {
 	err  error
 }
 
-// NewPlanCache returns a cache bounded to capacity plans (minimum 1).
+// NewPlanCache returns a cache bounded to capacity entries (minimum 1).
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity < 1 {
 		capacity = 1
@@ -228,7 +231,7 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 // (entries that shared one plan still share the derived plan). Entries of
 // the dataset at any other generation are stale strays — an in-flight
 // prepare that lost a race with an earlier delta — and are dropped. It
-// returns the number of migrated plans.
+// returns the number of migrated entries.
 //
 // Migrate runs inside the registry's writer critical section, before the
 // new snapshot becomes visible: a query that observes newGen always finds
@@ -335,7 +338,8 @@ func (c *PlanCache) DropDataset(dataset string) int {
 	return n
 }
 
-// Len returns the number of cached plans.
+// Len returns the number of cache entries: one per (plan, ranking) pair, so
+// it can exceed the number of distinct compiled plans.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -22,7 +22,7 @@ import (
 // drift from a recompile.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	// A small cache forces eviction churn alongside hits and migrations.
-	srv := server.New(server.Config{Parallelism: 1, CacheCap: 4})
+	srv := server.New(server.Config{CacheCap: 4})
 	h := srv.Handler()
 
 	// Base dataset: a binary join R(x,y) ⋈ S(y,z) with enough rows to make

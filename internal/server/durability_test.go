@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"github.com/quantilejoins/qjoin"
@@ -90,7 +89,7 @@ func TestRecoverAfterCrash(t *testing.T) {
 }
 
 // TestRecoverSharded: a sharded dataset recovers with its shard count and
-// per-shard generations intact, WAL replay included.
+// generation intact, WAL replay included.
 func TestRecoverSharded(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := durableServer(t, dir)
@@ -111,8 +110,8 @@ func TestRecoverSharded(t *testing.T) {
 	if !ok {
 		t.Fatal("dataset missing after recovery")
 	}
-	if snap.Gen != dresp.Generation || !reflect.DeepEqual(snap.ShardGens, dresp.ShardGens) {
-		t.Fatalf("recovered gens %d %v, want %d %v", snap.Gen, snap.ShardGens, dresp.Generation, dresp.ShardGens)
+	if snap.Gen != dresp.Generation || snap.Shards != 4 {
+		t.Fatalf("recovered gen %d shards %d, want %d 4", snap.Gen, snap.Shards, dresp.Generation)
 	}
 	after := do(t, s2.Handler(), "POST", "/query", queryBody("d"))
 	if !bytes.Equal(before.Body.Bytes(), after.Body.Bytes()) {

@@ -7,27 +7,24 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
 	"github.com/quantilejoins/qjoin"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 )
 
-// Config tunes a Server. The zero value is usable: GOMAXPROCS-parallel
-// plans, an admission gate of 4× the worker count, 64 cached plans and a
-// 30s request timeout.
+// Config tunes a Server. The zero value is usable: an admission gate of
+// 4× GOMAXPROCS, 64 plan-cache entries and a 30s request timeout. Plans
+// compile with the library's default Options (GOMAXPROCS-parallel; answers
+// are byte-identical at every worker count).
 type Config struct {
-	// Parallelism is the default Options.Parallelism of every compiled plan
-	// (0 = GOMAXPROCS, 1 = sequential). A query's workers field overrides
-	// it per request.
-	Parallelism int
 	// MaxInflight bounds concurrently admitted load/delta/query requests.
-	// 0 sizes the gate from Parallelism: 4× the resolved worker count, so
-	// a few requests queue behind the cores while the rest wait at
-	// admission instead of thrashing.
+	// 0 sizes the gate at 4× GOMAXPROCS, so a few requests queue behind the
+	// cores while the rest wait at admission instead of thrashing.
 	MaxInflight int
-	// CacheCap bounds the plan cache (0 = 64 plans).
+	// CacheCap bounds the plan cache (0 = 64 entries). An entry is one
+	// (plan, ranking) pair, so a plan served under four rankings fills four.
 	CacheCap int
 	// RequestTimeout bounds each request end to end, admission wait
 	// included (0 = 30s).
@@ -51,7 +48,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * parallel.Workers(c.Parallelism)
+		c.MaxInflight = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = 64
@@ -294,32 +291,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 // RestoreDataset installs a dataset recovered by Store.LoadAll at its
 // pre-crash generation (boot recovery; see cmd/qjserve).
 func (s *Server) RestoreDataset(rec Recovered) Snapshot {
-	return s.reg.Restore(rec.Name, rec.DB, rec.Gen, rec.Shards, rec.ShardGens)
-}
-
-// shardsTouched routes a delta's rows under the dataset's canonical
-// first-column hash and returns the touched shards, ascending. Rows route by
-// their first value — the dataset-level convention ShardGens is defined
-// over; plans partition by their own join key, so this is bookkeeping of
-// delta locality, not plan invalidation.
-func shardsTouched(d *qjoin.Delta, shards int) []int {
-	hit := make([]bool, shards)
-	d.Ops(func(rel string, row []qjoin.Value, del bool) {
-		if len(row) == 0 {
-			for i := range hit {
-				hit[i] = true
-			}
-			return
-		}
-		hit[qjoin.ShardOf(row[0], shards)] = true
-	})
-	out := make([]int, 0, shards)
-	for i, h := range hit {
-		if h {
-			out = append(out, i)
-		}
-	}
-	return out
+	return s.reg.Restore(rec.Name, rec.DB, rec.Gen, rec.Shards)
 }
 
 // handleDelta is POST /datasets/{name}/delta: apply an insert/delete batch,
@@ -339,14 +311,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	migrated := 0
-	var touched []int
-	_, now, err := s.reg.Mutate(name, func(cur Snapshot, nextGen uint64) (*qjoin.DB, []int, error) {
+	_, now, err := s.reg.Mutate(name, func(cur Snapshot, nextGen uint64) (*qjoin.DB, error) {
 		ndb, err := cur.DB.Apply(delta)
 		if err != nil {
-			return nil, nil, err
-		}
-		if cur.Shards > 1 {
-			touched = shardsTouched(delta, cur.Shards)
+			return nil, err
 		}
 		if s.cfg.Store != nil {
 			// The record is fsynced while the generation is still invisible,
@@ -357,20 +325,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			// of orphaning the dataset's warm plans on one that will never
 			// publish.
 			if err := s.cfg.Store.AppendDelta(name, nextGen, delta); err != nil {
-				return nil, nil, fmt.Errorf("%w: persisting delta: %v", errStore, err)
+				return nil, fmt.Errorf("%w: persisting delta: %v", errStore, err)
 			}
 		}
 		migrated = s.cache.Migrate(name, cur.Gen, nextGen, delta)
-		return ndb, touched, nil
+		return ndb, nil
 	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.writeJSON(w, DeltaResponse{
-		Dataset: name, Generation: now.Gen, Ops: delta.Len(), PlansMigrated: migrated,
-		ShardsTouched: touched, ShardGens: now.ShardGens,
-	})
+	s.writeJSON(w, DeltaResponse{Dataset: name, Generation: now.Gen, Ops: delta.Len(), PlansMigrated: migrated})
 }
 
 // handleQuery is POST /query.
@@ -417,7 +382,7 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 		return nil, &qjoin.ArgError{Field: "dataset", Reason: "missing dataset name"}
 	}
 	wire := qjoin.Request{Query: req.Query, Rank: req.Rank, Op: req.Op, Mode: req.Mode,
-		Phi: req.Phi, Phis: req.Phis, Eps: req.Eps, K: req.K, Workers: req.Workers}
+		Phi: req.Phi, Phis: req.Phis, Eps: req.Eps, K: req.K}
 	op, err := wire.Resolve()
 	if err != nil {
 		return nil, err
@@ -425,9 +390,6 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 	snap, ok := s.reg.Get(req.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("dataset %q: %w", req.Dataset, errNotFound)
-	}
-	if op.Workers == 0 {
-		op.Workers = s.cfg.Parallelism
 	}
 	// Cache keys use the canonical wire forms, so spelling variants of the
 	// same query/ranking collide on one entry (and one interned ranking).
@@ -439,7 +401,7 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 			return nil, err
 		}
 	}
-	plan, f, cached, err := s.getPlan(ctx, req.Dataset, snap, op.Query, qstr, rankStr, op.Workers, op.Rank)
+	plan, f, cached, err := s.getPlan(ctx, req.Dataset, snap, op.Query, qstr, rankStr, op.Rank)
 	if err != nil {
 		return nil, err
 	}
@@ -484,15 +446,15 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 // join variable to partition on, or cyclic — which fall back to the
 // one-engine plan of Prepare.
 func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *qjoin.Query, qstr, rankStr string,
-	workers int, f *qjoin.Ranking) (qjoin.Plan, *qjoin.Ranking, bool, error) {
+	f *qjoin.Ranking) (qjoin.Plan, *qjoin.Ranking, bool, error) {
 	var hold func() func()
 	if tok := admitFrom(ctx); tok != nil {
 		hold = tok.hold
 	}
-	plan, f, cached, err := s.cache.Get(ctx, dataset, snap.Gen, qstr, rankStr, workers, f, hold,
+	plan, f, cached, err := s.cache.Get(ctx, dataset, snap.Gen, qstr, rankStr, 0, f, hold,
 		func() (qjoin.Plan, error) {
 			if snap.Shards > 1 {
-				sp, err := qjoin.PrepareSharded(q, snap.DB, snap.Shards, qjoin.Options{Parallelism: workers})
+				sp, err := qjoin.PrepareSharded(q, snap.DB, snap.Shards)
 				if err == nil {
 					return sp, nil
 				}
@@ -500,7 +462,7 @@ func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *
 					return nil, err
 				}
 			}
-			return qjoin.Prepare(q, snap.DB, qjoin.Options{Parallelism: workers})
+			return qjoin.Prepare(q, snap.DB)
 		})
 	if err != nil {
 		return nil, nil, false, err
@@ -587,7 +549,7 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("QJoin-Generation", fmt.Sprint(snap.Gen))
-	meta := qjoin.DatasetMeta{Name: name, Gen: snap.Gen, Shards: snap.Shards, ShardGens: snap.ShardGens}
+	meta := qjoin.DatasetMeta{Name: name, Gen: snap.Gen, Shards: snap.Shards}
 	// Mid-stream failures cannot change the status line; the container's end
 	// marker (or its absence) tells the receiver whether the copy is whole.
 	_ = qjoin.SnapshotDataset(w, snap.DB, meta)

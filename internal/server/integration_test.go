@@ -65,7 +65,7 @@ func TestServerAcceptance(t *testing.T) {
 	f := qjoin.Sum(q.Vars()...)
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -216,7 +216,7 @@ func median(ds []time.Duration) time.Duration {
 // TestServerGracefulConcurrentLoadAndQuery drives the wire path once more
 // with a second dataset name to ensure URL routing keeps datasets apart.
 func TestServerDatasetIsolation(t *testing.T) {
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()

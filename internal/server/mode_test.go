@@ -33,7 +33,7 @@ func stats(shifted, recertified int64) server.SketchRefreshStats {
 // the exact tier when ε is tighter than the sketch certifies, and bad mode
 // arguments are 400s naming the field.
 func TestQueryModes(t *testing.T) {
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	h := srv.Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/wide", wideLoad()), http.StatusOK, nil)
 

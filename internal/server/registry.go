@@ -45,15 +45,6 @@ type Snapshot struct {
 	// plans compile through qjoin.Prepare; larger values compile through
 	// qjoin.PrepareSharded). Set at Load, constant for the lineage.
 	Shards int
-	// ShardGens[i] (sharded datasets only) is the generation at which shard
-	// i's slice of the data last changed under the dataset's canonical
-	// first-column routing: a delta bumps only the shards its rows hash to,
-	// so a reader can tell which slices a generation step actually moved.
-	// Individual plans may partition by a different join key — this is
-	// delta-locality bookkeeping, not a per-plan invalidation key (the plan
-	// cache keys on Gen; within a migrated sharded plan only the touched
-	// shard engines are rebuilt by Update itself).
-	ShardGens []uint64
 }
 
 // dataset is one named dataset: an atomically swappable snapshot pointer
@@ -108,8 +99,7 @@ func (r *Registry) Get(name string) (Snapshot, bool) {
 
 // Load installs a database as the next generation of the named dataset,
 // creating the dataset if needed. shards configures the lineage's shard
-// count (0 or 1 = unsharded); a sharded snapshot starts with every shard
-// generation at the load generation. Generations are monotonic per name for
+// count (0 or 1 = unsharded). Generations are monotonic per name for
 // the registry's whole lifetime — across reloads and even across Delete —
 // so stale cache entries can never be mistaken for current ones.
 func (r *Registry) Load(name string, db *qjoin.DB, shards int) Snapshot {
@@ -123,12 +113,6 @@ func (r *Registry) Load(name string, db *qjoin.DB, shards int) Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	next := &Snapshot{DB: db, Gen: r.nextGen(name), Shards: shards}
-	if shards > 1 {
-		next.ShardGens = make([]uint64, shards)
-		for i := range next.ShardGens {
-			next.ShardGens[i] = next.Gen
-		}
-	}
 	d.cur.Store(next)
 	// Re-install under r.mu: a Delete racing this Load may have removed the
 	// dataset from the map after we fetched it, which would otherwise leave
@@ -146,7 +130,7 @@ func (r *Registry) Load(name string, db *qjoin.DB, shards int) Snapshot {
 // generation: the point of recovery is that responses after a restart report
 // the same generation numbers as before. The name's generation counter is
 // advanced to at least gen so post-recovery mutations stay monotonic.
-func (r *Registry) Restore(name string, db *qjoin.DB, gen uint64, shards int, shardGens []uint64) Snapshot {
+func (r *Registry) Restore(name string, db *qjoin.DB, gen uint64, shards int) Snapshot {
 	r.mu.Lock()
 	if r.lastGen[name] < gen {
 		r.lastGen[name] = gen
@@ -159,7 +143,7 @@ func (r *Registry) Restore(name string, db *qjoin.DB, gen uint64, shards int, sh
 	r.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	next := &Snapshot{DB: db, Gen: gen, Shards: shards, ShardGens: shardGens}
+	next := &Snapshot{DB: db, Gen: gen, Shards: shards}
 	d.cur.Store(next)
 	r.mu.Lock()
 	r.ds[name] = d
@@ -215,16 +199,13 @@ func (r *Registry) WithWriter(name string, fn func(cur Snapshot) error) error {
 
 // Mutate derives the next generation of a dataset from the current one.
 // fn receives the current snapshot and the generation the result will be
-// published under, and returns the next database plus the shards the
-// mutation touched (nil = all; ignored for unsharded datasets); it runs
-// under the dataset's writer lock, before the new snapshot becomes visible
-// to readers — plan-cache migration happens inside fn, so a query that
-// observes the new generation always finds the migrated plans. Only the
-// touched shards' generations advance; the rest carry over, recording that
-// their slice of the data is unchanged since the generation they name.
-// Mutate returns the snapshots before and after. (A failed fn burns its
-// assigned generation number; the sequence is monotonic, not contiguous.)
-func (r *Registry) Mutate(name string, fn func(cur Snapshot, nextGen uint64) (*qjoin.DB, []int, error)) (old, now Snapshot, err error) {
+// published under, and returns the next database; it runs under the
+// dataset's writer lock, before the new snapshot becomes visible to readers —
+// plan-cache migration happens inside fn, so a query that observes the new
+// generation always finds the migrated plans. Mutate returns the snapshots
+// before and after. (A failed fn burns its assigned generation number; the
+// sequence is monotonic, not contiguous.)
+func (r *Registry) Mutate(name string, fn func(cur Snapshot, nextGen uint64) (*qjoin.DB, error)) (old, now Snapshot, err error) {
 	r.mu.RLock()
 	d := r.ds[name]
 	r.mu.RUnlock()
@@ -245,25 +226,11 @@ func (r *Registry) Mutate(name string, fn func(cur Snapshot, nextGen uint64) (*q
 		return Snapshot{}, Snapshot{}, fmt.Errorf("dataset %q: %w", name, errNotFound)
 	}
 	gen := r.nextGen(name)
-	db, touched, err := fn(*cur, gen)
+	db, err := fn(*cur, gen)
 	if err != nil {
 		return *cur, *cur, err
 	}
 	next := &Snapshot{DB: db, Gen: gen, Shards: cur.Shards}
-	if len(cur.ShardGens) > 0 {
-		next.ShardGens = append([]uint64(nil), cur.ShardGens...)
-		if touched == nil {
-			for i := range next.ShardGens {
-				next.ShardGens[i] = gen
-			}
-		} else {
-			for _, i := range touched {
-				if i >= 0 && i < len(next.ShardGens) {
-					next.ShardGens[i] = gen
-				}
-			}
-		}
-	}
 	d.cur.Store(next)
 	return *cur, *next, nil
 }

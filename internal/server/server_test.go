@@ -94,7 +94,7 @@ func mustJSON(t testing.TB, v any) string {
 }
 
 func TestLoadAndQuery(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	var load server.LoadResponse
 	decodeAs(t, do(t, h, "PUT", "/datasets/tiny", tinyLoad()), 200, &load)
 	if load.Generation != 1 || load.Tuples != 6 || load.Relations != 2 {
@@ -110,7 +110,7 @@ func TestLoadAndQuery(t *testing.T) {
 		t.Fatalf("count resp = %+v", resp)
 	}
 
-	// The first quantile shares the count plan (same query, same workers):
+	// The first quantile shares the count plan (same query):
 	// no second prepare — sibling sharing serves it as a cache hit.
 	decodeAs(t, do(t, h, "POST", "/query", server.QueryRequest{
 		Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantile", Phi: 0.5,
@@ -197,7 +197,7 @@ func TestLoadAndQuery(t *testing.T) {
 }
 
 func TestQueryValidationErrors(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/tiny", tinyLoad()), 200, nil)
 
 	cases := []struct {
@@ -220,8 +220,6 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"unbound-rank-var", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(w)", Op: "quantile", Phi: 0.5}, 400, "rank"},
 		{"missing-rank", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Op: "quantile", Phi: 0.5}, 400, "rank"},
 		{"missing-dataset", server.QueryRequest{Query: "R(x,y)", Rank: "sum(x)", Op: "quantile", Phi: 0.5}, 400, "dataset"},
-		{"negative-workers", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantile", Phi: 0.5, Workers: -1}, 400, "workers"},
-		{"absurd-workers", server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantile", Phi: 0.5, Workers: qjoin.MaxWorkers + 1}, 400, "workers"},
 		{"unknown-dataset", server.QueryRequest{Dataset: "nope", Query: "R(x,y)", Rank: "sum(x)", Op: "count"}, 404, ""},
 	}
 	for _, tc := range cases {
@@ -249,6 +247,21 @@ func TestQueryValidationErrors(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != 400 {
 		t.Fatalf("unknown field: status %d", w.Code)
+	}
+	// The protocol has no worker count (plans compile with the library's
+	// default), so a workers field is an unknown field whatever its value.
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"default-workers", 0}, {"negative-workers", -1}, {"absurd-workers", 1 << 20}} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := fmt.Sprintf(`{"dataset":"tiny","query":"R(x,y),S(y,z)","rank":"sum(x,z)","op":"quantile","phi":0.5,"workers":%d}`, tc.workers)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/query", strings.NewReader(body)))
+			if w.Code != 400 || !strings.Contains(w.Body.String(), `unknown field \"workers\"`) {
+				t.Fatalf("status %d body %s, want a 400 on the unknown field", w.Code, w.Body.String())
+			}
+		})
 	}
 
 	// A cyclic query is served through a hypertree decomposition: the
@@ -298,7 +311,7 @@ func TestQueryValidationErrors(t *testing.T) {
 }
 
 func TestLoadValidation(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	bad := []server.LoadRequest{
 		{},
 		{Relations: []server.RelationData{{Name: "", Arity: 2}}},
@@ -323,7 +336,7 @@ func TestLoadValidation(t *testing.T) {
 }
 
 func TestDeltaMigratesPlans(t *testing.T) {
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	h := srv.Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/tiny", tinyLoad()), 200, nil)
 
@@ -403,7 +416,7 @@ func TestDeltaMigratesPlans(t *testing.T) {
 }
 
 func TestReloadDropsPlans(t *testing.T) {
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	h := srv.Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/tiny", tinyLoad()), 200, nil)
 	var resp server.QueryResponse
@@ -425,7 +438,7 @@ func TestReloadDropsPlans(t *testing.T) {
 }
 
 func TestDatasetEndpoints(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/a", tinyLoad()), 200, nil)
 	decodeAs(t, do(t, h, "PUT", "/datasets/b", tinyLoad()), 200, nil)
 
@@ -451,7 +464,7 @@ func TestDatasetEndpoints(t *testing.T) {
 }
 
 func TestStatsAndMetrics(t *testing.T) {
-	srv := server.New(server.Config{Parallelism: 1})
+	srv := server.New(server.Config{})
 	h := srv.Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/tiny", tinyLoad()), 200, nil)
 	q := server.QueryRequest{Dataset: "tiny", Query: "R(x,y),S(y,z)", Rank: "sum(x,z)", Op: "quantile", Phi: 0.5}
@@ -493,7 +506,7 @@ func TestStatsAndMetrics(t *testing.T) {
 // compile cannot finish inside the timeout returns a 503 and bumps the
 // timeout counter.
 func TestQueryTimeout(t *testing.T) {
-	srv := server.New(server.Config{Parallelism: 1, RequestTimeout: 1 * time.Millisecond})
+	srv := server.New(server.Config{RequestTimeout: 1 * time.Millisecond})
 	h := srv.Handler()
 	// A dataset big enough that Prepare takes well over a millisecond.
 	rows := make([][]int64, 1<<15)
@@ -644,12 +657,11 @@ func TestRegistryGenerations(t *testing.T) {
 	if s := r.Load("a", db, 0); s.Gen != 2 {
 		t.Fatalf("reload gen = %d, want 2 (monotonic across reloads)", s.Gen)
 	}
-	old, now, err := r.Mutate("a", func(cur server.Snapshot, nextGen uint64) (*qjoin.DB, []int, error) {
+	old, now, err := r.Mutate("a", func(cur server.Snapshot, nextGen uint64) (*qjoin.DB, error) {
 		if nextGen != cur.Gen+1 {
 			t.Fatalf("nextGen = %d, want %d", nextGen, cur.Gen+1)
 		}
-		ndb, err := cur.DB.Apply(qjoin.NewDelta().Insert("R", []int64{2}))
-		return ndb, nil, err
+		return cur.DB.Apply(qjoin.NewDelta().Insert("R", []int64{2}))
 	})
 	if err != nil || old.Gen != 2 || now.Gen != 3 {
 		t.Fatalf("mutate: %v %d -> %d", err, old.Gen, now.Gen)
@@ -659,8 +671,8 @@ func TestRegistryGenerations(t *testing.T) {
 	}
 	// A failing mutation leaves the snapshot untouched (its assigned
 	// generation number is burned — monotonic, not contiguous).
-	_, _, err = r.Mutate("a", func(cur server.Snapshot, nextGen uint64) (*qjoin.DB, []int, error) {
-		return nil, nil, fmt.Errorf("boom")
+	_, _, err = r.Mutate("a", func(cur server.Snapshot, nextGen uint64) (*qjoin.DB, error) {
+		return nil, fmt.Errorf("boom")
 	})
 	if err == nil {
 		t.Fatal("mutate error swallowed")

@@ -23,7 +23,7 @@ func shardedLoad(shards int) server.LoadRequest {
 // TestLoadShardsValidation: absurd shard counts are 400s naming the field,
 // before any state changes.
 func TestLoadShardsValidation(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	for _, bad := range []int{-1, qjoin.MaxShards + 1, 1 << 20} {
 		var er server.ErrorResponse
 		decodeAs(t, do(t, h, "PUT", "/datasets/tiny", shardedLoad(bad)), http.StatusBadRequest, &er)
@@ -43,11 +43,10 @@ func TestLoadShardsValidation(t *testing.T) {
 }
 
 // TestShardedDataset loads the same data sharded and unsharded and checks
-// every operation byte-identical across the two datasets, plus the sharded
-// bookkeeping: shard fields in load/info responses, per-shard generations
-// advancing only for the shards a delta's rows hash to.
+// every operation byte-identical across the two datasets, before and after
+// the same delta, plus the shard field in load and info responses.
 func TestShardedDataset(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	var load server.LoadResponse
 	decodeAs(t, do(t, h, "PUT", "/datasets/flat", tinyLoad()), 200, &load)
 	decodeAs(t, do(t, h, "PUT", "/datasets/shard", shardedLoad(4)), 200, &load)
@@ -56,13 +55,8 @@ func TestShardedDataset(t *testing.T) {
 	}
 	var info server.DatasetInfo
 	decodeAs(t, do(t, h, "GET", "/datasets/shard", nil), 200, &info)
-	if info.Shards != 4 || len(info.ShardGens) != 4 {
+	if info.Shards != 4 {
 		t.Fatalf("info = %+v", info)
-	}
-	for i, g := range info.ShardGens {
-		if g != info.Generation {
-			t.Fatalf("fresh load: shard %d gen %d, want %d", i, g, info.Generation)
-		}
 	}
 
 	query := func(ds string, req server.QueryRequest) server.QueryResponse {
@@ -88,29 +82,13 @@ func TestShardedDataset(t *testing.T) {
 		}
 	}
 
-	// A one-row delta touches exactly the shards its rows hash to; the other
-	// shard generations stay behind.
-	row := []int64{7, 2}
-	want := qjoin.ShardOf(row[0], 4)
-	var dr server.DeltaResponse
-	decodeAs(t, do(t, h, "POST", "/datasets/shard/delta", server.DeltaRequest{
-		Ops: []server.DeltaOp{{Op: "insert", Rel: "R", Row: row}},
-	}), 200, &dr)
-	if len(dr.ShardsTouched) != 1 || dr.ShardsTouched[0] != want {
-		t.Fatalf("delta touched %v, want [%d]", dr.ShardsTouched, want)
-	}
-	for i, g := range dr.ShardGens {
-		if i == want && g != dr.Generation {
-			t.Fatalf("touched shard %d gen %d, want %d", i, g, dr.Generation)
-		}
-		if i != want && g >= dr.Generation {
-			t.Fatalf("untouched shard %d advanced to %d", i, g)
-		}
-	}
 	// Post-delta answers still match the unsharded dataset fed the same delta.
-	decodeAs(t, do(t, h, "POST", "/datasets/flat/delta", server.DeltaRequest{
-		Ops: []server.DeltaOp{{Op: "insert", Rel: "R", Row: row}},
-	}), 200, nil)
+	row := []int64{7, 2}
+	for _, ds := range []string{"shard", "flat"} {
+		decodeAs(t, do(t, h, "POST", "/datasets/"+ds+"/delta", server.DeltaRequest{
+			Ops: []server.DeltaOp{{Op: "insert", Rel: "R", Row: row}},
+		}), 200, nil)
+	}
 	for _, req := range reqs {
 		flat, sharded := query("flat", req), query("shard", req)
 		if !reflect.DeepEqual(flat, sharded) {
@@ -124,7 +102,7 @@ func TestShardedDataset(t *testing.T) {
 // shard (PrepareSharded returns ErrCyclicSharded), so the plan cache falls
 // back to a single decomposed plan and still serves the exact answer.
 func TestShardedCyclicFallback(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 2}).Handler()
+	h := server.New(server.Config{}).Handler()
 	load := server.LoadRequest{
 		Shards: 4,
 		Relations: []server.RelationData{
@@ -169,7 +147,7 @@ func TestShardedRegistryRace(t *testing.T) {
 		load.Relations = append(load.Relations, server.RelationData{Name: name, Arity: r.Arity(), Rows: rows})
 	}
 
-	srv := server.New(server.Config{Parallelism: 2})
+	srv := server.New(server.Config{})
 	h := srv.Handler()
 	decodeAs(t, do(t, h, "PUT", "/datasets/d", load), 200, nil)
 
@@ -250,7 +228,7 @@ func TestShardedRegistryRace(t *testing.T) {
 	}
 	var info server.DatasetInfo
 	decodeAs(t, do(t, h, "GET", "/datasets/d", nil), 200, &info)
-	if info.Shards != 4 || len(info.ShardGens) != 4 {
+	if info.Shards != 4 {
 		t.Fatalf("info = %+v", info)
 	}
 }

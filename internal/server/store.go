@@ -93,7 +93,7 @@ func (st *Store) SaveSnapshot(name string, cur Snapshot) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	meta := qjoin.DatasetMeta{Name: name, Gen: cur.Gen, Shards: cur.Shards, ShardGens: cur.ShardGens}
+	meta := qjoin.DatasetMeta{Name: name, Gen: cur.Gen, Shards: cur.Shards}
 	if err := qjoin.SnapshotDataset(tmp, cur.DB, meta); err != nil {
 		tmp.Close()
 		return err
@@ -191,12 +191,11 @@ func (st *Store) Close() error {
 // Recovered is one dataset reconstructed by LoadAll: its post-replay snapshot
 // state plus how many WAL records were applied on top of the snapshot file.
 type Recovered struct {
-	Name      string
-	DB        *qjoin.DB
-	Gen       uint64
-	Shards    int
-	ShardGens []uint64
-	Replayed  int
+	Name     string
+	DB       *qjoin.DB
+	Gen      uint64
+	Shards   int
+	Replayed int
 }
 
 // LoadAll recovers every dataset in the data directory: each snapshot file is
@@ -241,7 +240,7 @@ func (st *Store) loadOne(name string) (Recovered, error) {
 	if meta.Name != name {
 		return Recovered{}, fmt.Errorf("snapshot file holds dataset %q", meta.Name)
 	}
-	rec := Recovered{Name: name, DB: db, Gen: meta.Gen, Shards: meta.Shards, ShardGens: meta.ShardGens}
+	rec := Recovered{Name: name, DB: db, Gen: meta.Gen, Shards: meta.Shards}
 	err = snap.ReplayWAL(st.walPath(name), func(gen uint64, delta *qjoin.Delta) error {
 		if gen <= rec.Gen {
 			return nil // already inside the snapshot (crashed compaction)
@@ -251,16 +250,6 @@ func (st *Store) loadOne(name string) (Recovered, error) {
 			return fmt.Errorf("replaying generation %d: %w", gen, err)
 		}
 		rec.DB, rec.Gen = ndb, gen
-		if rec.Shards > 1 {
-			if len(rec.ShardGens) != rec.Shards {
-				rec.ShardGens = make([]uint64, rec.Shards)
-			} else {
-				rec.ShardGens = append([]uint64(nil), rec.ShardGens...)
-			}
-			for _, i := range shardsTouched(delta, rec.Shards) {
-				rec.ShardGens[i] = gen
-			}
-		}
 		rec.Replayed++
 		return nil
 	})

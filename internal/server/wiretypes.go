@@ -57,17 +57,12 @@ type DeltaOp struct {
 	Row []int64 `json:"row"`
 }
 
-// DeltaResponse reports the new snapshot and what migration did. For a
-// sharded dataset it also reports delta locality: the shards the batch's
-// rows hashed to and the resulting per-shard generations (untouched shards
-// keep the generation at which their slice last changed).
+// DeltaResponse reports the new snapshot and what migration did.
 type DeltaResponse struct {
-	Dataset       string   `json:"dataset"`
-	Generation    uint64   `json:"generation"`
-	Ops           int      `json:"ops"`
-	PlansMigrated int      `json:"plans_migrated"`
-	ShardsTouched []int    `json:"shards_touched,omitempty"`
-	ShardGens     []uint64 `json:"shard_gens,omitempty"`
+	Dataset       string `json:"dataset"`
+	Generation    uint64 `json:"generation"`
+	Ops           int    `json:"ops"`
+	PlansMigrated int    `json:"plans_migrated"`
 }
 
 // SnapshotResponse is the body of POST /datasets/{name}/snapshot: the WAL
@@ -102,9 +97,6 @@ type QueryRequest struct {
 	// falls back to the exact engine otherwise. With a non-empty mode the
 	// response reports source and error_bound.
 	Mode string `json:"mode,omitempty"`
-	// Workers overrides the server's default Parallelism for this query's
-	// plan (0 = server default; plans are cached per workers value).
-	Workers int `json:"workers,omitempty"`
 	// Timing includes elapsed_us in the response. Off by default so
 	// responses are byte-deterministic (golden tests diff them).
 	Timing bool `json:"timing,omitempty"`
@@ -156,7 +148,6 @@ type DatasetInfo struct {
 	Generation uint64         `json:"generation"`
 	Tuples     int            `json:"tuples"`
 	Shards     int            `json:"shards,omitempty"`
-	ShardGens  []uint64       `json:"shard_gens,omitempty"`
 	Relations  []RelationInfo `json:"relations"`
 }
 
@@ -248,8 +239,7 @@ func buildDelta(req *DeltaRequest) (*qjoin.Delta, error) {
 func datasetInfo(name string, snap Snapshot) DatasetInfo {
 	inner := snap.DB.Unwrap()
 	info := DatasetInfo{
-		Name: name, Generation: snap.Gen, Tuples: snap.DB.Size(),
-		Shards: snap.Shards, ShardGens: snap.ShardGens,
+		Name: name, Generation: snap.Gen, Tuples: snap.DB.Size(), Shards: snap.Shards,
 	}
 	for _, rn := range snap.DB.Relations() {
 		r := inner.Get(rn)

@@ -24,7 +24,7 @@ trap 'rm -rf "$workdir"; [ -n "${server_pid:-}" ] && kill -9 "$server_pid" 2>/de
 go build -o "$workdir/qjserve" ./cmd/qjserve
 
 start_server() { # start_server OUTFILE — boots qjserve on the shared data dir
-  "$workdir/qjserve" -addr 127.0.0.1:0 -workers 1 -data-dir "$workdir/data" > "$1" 2>&1 &
+  "$workdir/qjserve" -addr 127.0.0.1:0 -data-dir "$workdir/data" > "$1" 2>&1 &
   server_pid=$!
   addr=""
   for _ in $(seq 1 100); do

@@ -347,10 +347,9 @@ func decodeRawDB(dictPl, rawPl []byte) (*DB, *snap.RelReader, error) {
 // at exactly this generation (plus any WAL records beyond it) so responses
 // after a crash report the same generation numbers as before.
 type DatasetMeta struct {
-	Name      string
-	Gen       uint64
-	Shards    int
-	ShardGens []uint64
+	Name   string
+	Gen    uint64
+	Shards int
 }
 
 // SnapshotDataset writes a dataset — raw database, dictionary and the
@@ -359,15 +358,15 @@ type DatasetMeta struct {
 // layer recompiles plans on demand through its cache, so the dataset snapshot
 // stays small and load-shaped. LoadDatasetBytes restores it.
 func SnapshotDataset(w io.Writer, db *DB, meta DatasetMeta) error {
-	if meta.Shards != 0 && len(meta.ShardGens) != 0 && len(meta.ShardGens) != meta.Shards {
-		return fmt.Errorf("qjoin: dataset meta has %d shard generations for %d shards", len(meta.ShardGens), meta.Shards)
-	}
 	sw := snap.NewWriter(w, snap.KindDataset)
 	var e snap.Enc
 	e.Str(meta.Name)
 	e.U64(meta.Gen)
 	e.U32(uint32(meta.Shards))
-	snap.PutArray(&e, meta.ShardGens)
+	// Reserved until the next container version bump: an array of per-shard
+	// generations that earlier servers recorded and nothing reads. It is
+	// written empty so the format, and files already written, stay as they are.
+	snap.PutArray[uint64](&e, nil)
 	if err := sw.Section(snap.SecMeta, e.Bytes()); err != nil {
 		return err
 	}
@@ -418,15 +417,18 @@ func decodeDataset(secs []snap.Section) (*DB, DatasetMeta, error) {
 		return nil, DatasetMeta{}, corruptf("dataset snapshot has the wrong section sequence")
 	}
 	d := snap.NewDec(secs[0].Payload)
-	meta := DatasetMeta{Name: d.Str(), Gen: d.U64(), Shards: int(d.U32()), ShardGens: snap.Array[uint64](d)}
+	meta := DatasetMeta{Name: d.Str(), Gen: d.U64(), Shards: int(d.U32())}
+	// The reserved slot (see SnapshotDataset) is input, so it is checked
+	// against the shard count, then discarded.
+	reserved := snap.Array[uint64](d)
 	if d.Err() != nil || !d.Done() {
 		return nil, DatasetMeta{}, corruptf("bad dataset meta section")
 	}
 	if meta.Shards < 0 || meta.Shards > MaxShards {
 		return nil, DatasetMeta{}, corruptf("dataset shard count %d", meta.Shards)
 	}
-	if len(meta.ShardGens) != 0 && len(meta.ShardGens) != meta.Shards {
-		return nil, DatasetMeta{}, corruptf("dataset has %d shard generations for %d shards", len(meta.ShardGens), meta.Shards)
+	if len(reserved) != 0 && len(reserved) != meta.Shards {
+		return nil, DatasetMeta{}, corruptf("dataset has %d shard generations for %d shards", len(reserved), meta.Shards)
 	}
 	db, _, err := decodeRawDB(secs[1].Payload, secs[2].Payload)
 	if err != nil {

@@ -99,27 +99,6 @@ func validateTopK(k int) error {
 	return nil
 }
 
-// MaxWorkers bounds an explicit worker-count request. The engine caps
-// useful parallelism at GOMAXPROCS anyway (answers are byte-identical at
-// every worker count), so values past this are never a performance choice —
-// they are typos or abuse, and each one costs a goroutine per chunk.
-const MaxWorkers = 4096
-
-// ValidateWorkers checks a worker-count knob: 0 selects the environment
-// default (GOMAXPROCS for the CLI, the server's configured parallelism for
-// qjserve), positive values are taken as-is up to MaxWorkers, and anything
-// negative or beyond the cap is rejected with a *ArgError (the qjq -workers
-// flag; the qjserve per-request workers field through Request.Resolve).
-func ValidateWorkers(workers int) error {
-	if workers < 0 {
-		return argErrorf("workers", "%d is negative (0 selects the default)", workers)
-	}
-	if workers > MaxWorkers {
-		return argErrorf("workers", "%d exceeds the cap %d", workers, MaxWorkers)
-	}
-	return nil
-}
-
 // MaxPhis bounds how many φ's one quantile-grid request may carry. A grid is
 // answered by one shared descent that nothing can interrupt once it started,
 // holding the request's admission slot throughout, so its size has to be
@@ -182,8 +161,6 @@ type Request struct {
 	Phis []float64 // quantiles
 	Eps  float64   // approx; the error budget beside a mode
 	K    int       // topk
-	// Workers is the per-request worker count (0 = the front end's default).
-	Workers int
 }
 
 // Operation is a Request that passed every rule of the wire protocol, in the
@@ -202,19 +179,15 @@ type Operation struct {
 	// Eps is the ε the plan sees: op=approx's, or the budget beside a
 	// non-exact mode. A stray eps on any other request is dropped here, so it
 	// cannot silently turn an exact run lossy.
-	Eps     float64
-	K       int
-	Workers int
+	Eps float64
+	K   int
 }
 
 // Resolve checks a request against the wire protocol and returns the
 // operation it asks for; every failure is a *ArgError naming the field.
 // Nothing here touches a dataset, so a bad request never costs a Prepare.
 func (r *Request) Resolve() (Operation, error) {
-	op := Operation{Op: r.Op, Mode: ModeExact, K: r.K, Workers: r.Workers}
-	if err := ValidateWorkers(r.Workers); err != nil {
-		return op, err
-	}
+	op := Operation{Op: r.Op, Mode: ModeExact, K: r.K}
 	var err error
 	if op.Query, op.Rank, err = ParseQuerySpec(QuerySpec{Query: r.Query, Rank: r.Rank}); err != nil {
 		return op, err

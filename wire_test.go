@@ -141,18 +141,6 @@ func TestValidators(t *testing.T) {
 			t.Fatalf("ValidateEpsilon(%v) = %v, want ArgError on eps", eps, err)
 		}
 	}
-	for _, w := range []int{0, 1, 8, qjoin.MaxWorkers} {
-		if err := qjoin.ValidateWorkers(w); err != nil {
-			t.Fatalf("ValidateWorkers(%d) = %v", w, err)
-		}
-	}
-	for _, w := range []int{-1, qjoin.MaxWorkers + 1} {
-		err := qjoin.ValidateWorkers(w)
-		var ae *qjoin.ArgError
-		if err == nil || !errors.As(err, &ae) || ae.Field != "workers" {
-			t.Fatalf("ValidateWorkers(%d) = %v, want ArgError on workers", w, err)
-		}
-	}
 }
 
 // resolveCases is the wire protocol rule by rule: a request, the field its
@@ -194,9 +182,6 @@ var resolveCases = func() []resolveCase {
 		{name: "mode-exact-drops-eps", req: on(qjoin.Request{Op: "quantiles", Phis: []float64{0.2, 0.8}, Mode: "exact", Eps: 0.3}), op: "quantiles", mode: qjoin.ModeExact, phis: 2},
 		{name: "mode-eps-high", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "auto", Eps: 1.5}), field: "eps"},
 		{name: "mode-eps-nan", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "exact", Eps: math.NaN()}), field: "eps"},
-		{name: "workers-negative", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Workers: -1}), field: "workers"},
-		{name: "workers-absurd", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Workers: qjoin.MaxWorkers + 1}), field: "workers"},
-		{name: "workers-before-query", req: qjoin.Request{Query: "R(x", Rank: rank, Workers: -1}, field: "workers"},
 		{name: "bad-query", req: qjoin.Request{Query: "R(x", Rank: "sum(x)", Op: "count"}, field: "query"},
 		{name: "bad-rank", req: qjoin.Request{Query: q, Rank: "avg(x)", Phi: 0.5}, field: "rank"},
 		{name: "unbound-rank-var", req: qjoin.Request{Query: q, Rank: "sum(w)", Phi: 0.5}, field: "rank"},
@@ -243,7 +228,7 @@ func TestResolve(t *testing.T) {
 // same field and every accepted one with a 200 — whose answers carry no
 // source or bound unless the request named a mode, stray eps or not.
 func TestResolveOverHTTP(t *testing.T) {
-	h := server.New(server.Config{Parallelism: 1}).Handler()
+	h := server.New(server.Config{}).Handler()
 	post := func(method, path string, body any) *httptest.ResponseRecorder {
 		data, err := json.Marshal(body)
 		if err != nil {
@@ -264,7 +249,7 @@ func TestResolveOverHTTP(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := c.req
 			w := post("POST", "/query", server.QueryRequest{Dataset: "tiny", Query: r.Query, Rank: r.Rank, Op: r.Op,
-				Mode: r.Mode, Phi: r.Phi, Phis: r.Phis, Eps: r.Eps, K: r.K, Workers: r.Workers})
+				Mode: r.Mode, Phi: r.Phi, Phis: r.Phis, Eps: r.Eps, K: r.K})
 			if w == nil {
 				t.Skip("not expressible in JSON")
 			}
