@@ -282,8 +282,11 @@ func BenchmarkPreparedReuse(b *testing.B) {
 // answer). The grid is one shared descent (ISSUE 16): the selective instance
 // is weighed once for the eight φ's, not eight times. The dense plan's
 // first grid plants its pivot tree (ISSUE 22), so the grids measured walk
-// remembered rounds and cut only the bands of their leaves. Budgets, of
-// allocations and of bytes allocated, are what that measures plus 15%.
+// remembered rounds and cut only the bands of their leaves, each into the
+// storage of the counting slot it is counted in (ISSUE 31): a grid allocates
+// no band unless the runtime has emptied the plan's scratch pool since the
+// last one, and the bimodal KB figure is that. Budgets, of allocations and of
+// bytes allocated, are what that measures plus 15%.
 func BenchmarkQuantileAllocs(b *testing.B) {
 	phis := []float64{0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 	for _, tc := range []struct {
@@ -294,7 +297,7 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		kb     float64 // KB allocated per 8-φ grid
 	}{
 		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 38}, // measured 235, 32.8 KB (the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1578, 10850},    // measured 1372, 8 092–9 438 KB (a band's tree rebuilt, PR 23: 1411, 8 470–10 260 KB; the band as tuples, PR 22: 1471, 20 700–21 800 KB; every round run, PR 21: 2809, ≈ 34 900 KB; PR 19: 3104; PR 18: 6018); PR 11: 2.7M
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1478, 5350},     // measured 1285, 88.6 or 4 651 KB (fresh band storage per cut, PR 24: 1372, 8 092–9 438 KB; a band's tree rebuilt, PR 23: 1411, 8 470–10 260 KB; the band as tuples, PR 22: 1471, 20 700–21 800 KB; every round run, PR 21: 2809, ≈ 34 900 KB; PR 19: 3104; PR 18: 6018); PR 11: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -1214,7 +1217,9 @@ func BenchmarkRememberedQuantile(b *testing.B) {
 // Neither touches the plan's pivot tree (no round starts). The weight pass
 // makes the walk's three dependent reads per root tuple itself, so the tail
 // costs the walk and then the selection: CI's scaling gate is select min ns/op
-// ≤ 2.75× walk (measured 1.7–2.1; the tail that copied the tuples: 3.4).
+// ≤ 2.2× walk (measured 0.9–1.7 with the weights read a column at a time and
+// unit entries partitioned branch-free; 1.5–2.4 before; the tail that copied
+// the tuples: 3.4).
 func BenchmarkLeafTail(b *testing.B) {
 	q, db := workload.Path(rand.New(rand.NewSource(23)), 2, 1<<15, 1<<15)
 	eng, err := engine.NewWorkers(q, db, 1)

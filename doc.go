@@ -261,11 +261,15 @@
 // values — into one flat array, the pivot pass's layout: per pre-order depth
 // it carries the weight of the tuples bound so far (for LEX the one vector,
 // each position written by the node that owns it under μ) and weighs the last
-// node's candidates in one loop (pivot.Weigh). A candidate is then known by
-// its ordinal: shard after shard, each shard's in walk order. Select: the
-// weight class holding each requested rank is selected among (weight, ordinal)
-// entries by the kernel of the weighted median (selection.SelectClass), the
-// middle rank first and the others in the halves it leaves. Recover: only the
+// node's candidates a column at a time, in a flat loop per aggregate
+// (pivot.Weigh). A node's ranked values are read out of columns — the
+// relation's own, or under a custom Weight its weights, computed once per row
+// per call instead of once per visit. A candidate is then known by its
+// ordinal: shard after shard, each shard's in walk order. Select: the weight
+// class holding each requested rank is selected among (weight, ordinal)
+// entries, which count once, by the kernel's branch-free partition
+// (selection.SelectClass), the middle rank first and the others in the halves
+// it leaves. Recover: only the
 // members of the selected classes become tuples, in one positional walk per
 // shard (yannakakis.AnswersAt: the same odometer passing over every tuple
 // whose count says no wanted ordinal lies under it — a mixed-radix decoding of
@@ -308,13 +312,17 @@
 // randomized, every call is worst-case linear, and the pivot rule can only
 // change which member of a tie class a median returns — never a pivot
 // weight, and never an exact answer (tie classes are resolved in canonical
-// value order). There is one kernel (internal/selection): it partitions
-// (weight, item) entries held by value, 16 bytes each, and compares them
-// inline; what else an item carries — the rest of a LEX vector, a
-// multiplicity — lies behind it in flat arrays (a node's weights are one
-// array of numbers, its counts another). The weighted median and the tail,
-// whose entries count once and whose second pass orders a class by value, are
-// its two entry points.
+// value order). There is one kernel (internal/selection), SelectClass, over
+// (key, item) entries held by value; what else an item carries — the rest of
+// a LEX vector, a multiplicity — lies behind it in flat arrays (a node's
+// weights are one array of numbers, its counts another). It partitions in one
+// of two ways. Entries that count once — the tail's, sampling's, the
+// baseline's — go through two Lomuto passes that swap every entry and advance
+// the boundary by the comparison's outcome, so they branch on no key; the
+// class sizes are positions. Weighted entries — the medians of Algorithm 2,
+// MedianItem — go through a three-way partition that sums their 128-bit
+// multiplicities, whose swaps also fix which member of a tie class the median
+// returns.
 //
 // Interned integer row keys. Every hash structure over tuples — input
 // dedup, node materialization, join-group indexes, the trim constructions'
@@ -341,11 +349,19 @@
 // tree guided by its counts (cnt(t) > 0 is exactly "t carries an answer"),
 // at O(|D| + ℓ·|candidates|) on original and trimmed instances alike.
 //
-// Pooled iteration scratch and cached trim preparation. Counting arrays,
-// pivot weight buffers (LEX weight vectors as one flat array per node) and
-// the tail's weights and entries are drawn from a plan-owned pool, and the bound-independent half of the
-// staircase trim (grouping and sorting both adjacent sides) is computed
-// once per ranking per plan and reused by every iteration of every
+// Pooled iteration scratch, slot-owned bands and cached trim preparation.
+// Counting slots, pivot weight buffers (LEX weight vectors as one flat array
+// per node) and the tail's weights and entries are drawn from a plan-owned
+// pool, one scratch per run. A counting slot holds the counts of one band and
+// the band itself: the slot is picked before the trim runs, and every array
+// the band is made of — row lists and emission plans, gathered and identifier
+// columns, the derived tree's gid arrays and tuple lists — is carved from the
+// slot's arena (trim.Scratch), recycled whole when the slot takes its next
+// band. A band therefore lives exactly as long as its counts, and a warm cut
+// allocates no array. Nothing a run returns or a plan keeps — answers, pivot
+// tree nodes, trim preparations — points into a slot. The bound-independent
+// half of the staircase trim (grouping and sorting both adjacent sides) is
+// computed once per ranking per plan and reused by every iteration of every
 // quantile. Options.CollectPhases
 // records a per-iteration pivot/trim/derive/count wall-clock breakdown in
 // RunStats.Phases (off by default so RunStats stay byte-comparable): one entry

@@ -79,7 +79,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 					continue
 				}
 				p := &st.parts[side]
-				if p.inst, err = trm.band(st.orig, band[0], band[1], trim.Dir(side), 0); err != nil {
+				if p.inst, err = trm.band(st.orig, nil, band[0], band[1], trim.Dir(side), 0); err != nil {
 					return nil, stats, err
 				}
 				if p.exec, err = execOf(p.inst); err != nil {

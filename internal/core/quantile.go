@@ -126,11 +126,12 @@ type PhaseLog struct {
 	Weighed, Recovered int
 }
 
-// runScratch is the pooled per-run iteration scratch: the counting buffers,
-// the pivot pass's weight arrays, and the tail's — the candidates' flat weights
-// and the entries it selects among. One value serves one run at a time; the engine's scratch pool hands
-// it from run to run so steady-state quantile answering allocates no fresh
-// per-node arrays. Counting slots come in triples, not one per side: the
+// runScratch is the pooled per-run iteration scratch: the counting slots, the
+// pivot pass's weight arrays (which the tail's weight pass reuses for its
+// columns), and the tail's — the candidates' flat weights and the entries it
+// selects among. One value serves one run at a time; the engine's scratch pool
+// hands it from run to run so steady-state quantile answering allocates no
+// fresh per-node arrays. Counting slots come in triples, not one per side: the
 // counts a round descended into stay the current instance's until the next
 // descent — the pivot pass reads them, and so does either exit's tail —
 // so a round's two builds take the two slots of its triple that do not hold
@@ -141,21 +142,31 @@ type PhaseLog struct {
 // one scratch out of every shard engine's pool, so concurrent runs over the
 // same shards stay race-free.
 type runScratch struct {
-	counts  [3]yannakakis.Scratch
-	deeper  [][3]yannakakis.Scratch // triples of levels 1, 2, …
+	slots   [3]countingSlot
+	deeper  [][3]countingSlot // triples of levels 1, 2, …
 	pivot   pivot.Scratch
 	weights []int64
 	entries []selection.Entry
 }
 
+// countingSlot is the storage of one counting slot: the counts of the band
+// counted in it, and the band itself — an exact band is cut into the slot it
+// is counted in (trim.Scratch), so it lives exactly as long as its counts and
+// the slot choice that keeps a round's builds off the counts the run still
+// reads keeps them off its bands too.
+type countingSlot struct {
+	counts yannakakis.Scratch
+	band   trim.Scratch
+}
+
 // slot returns counting slot i: triple i/3, member i%3.
-func (s *runScratch) slot(i int) *yannakakis.Scratch {
-	if i < len(s.counts) {
-		return &s.counts[i]
+func (s *runScratch) slot(i int) *countingSlot {
+	if i < len(s.slots) {
+		return &s.slots[i]
 	}
 	level := i/3 - 1
 	for len(s.deeper) <= level {
-		s.deeper = append(s.deeper, [3]yannakakis.Scratch{})
+		s.deeper = append(s.deeper, [3]countingSlot{})
 	}
 	return &s.deeper[level][i%3]
 }
@@ -198,9 +209,13 @@ type trimmer struct {
 // low ≺ w ≺ high. side is the partition — lt (trim.Less), whose high is the
 // round's pivot, or gt (trim.Greater), whose low is — and so the direction of
 // the pivot's cut, which comes first where a band is two composed cuts; the
-// other bound is carried over from earlier rounds and may be infinite.
-func (t *trimmer) band(orig trim.Instance, low, high ranking.Bound, side trim.Dir, eps float64) (trim.Instance, error) {
+// other bound is carried over from earlier rounds and may be infinite. An
+// exact band is cut into into, which gives up the band it held (nil:
+// allocate); a lossy one allocates.
+func (t *trimmer) band(orig trim.Instance, into *trim.Scratch, low, high ranking.Bound, side trim.Dir, eps float64) (trim.Instance, error) {
 	if !t.lossy {
+		into.Reset()
+		orig.Scratch = into
 		return t.exact(orig, low, high)
 	}
 	pivot, carried, carriedDir := high, low, trim.Greater
@@ -903,7 +918,8 @@ func (d *descent) instances(depth, level int, low, high ranking.Bound) error {
 // them, a stage at a time across the shards, timed into the current phase
 // entry. as is a side of the round that splits at one of the bounds, or
 // wholeBand (exact trims only: every exact band is one trim whichever way it
-// is reached). It returns the band's answer count and its instance size.
+// is reached). The counting slot is picked first, and an exact band is cut
+// into it. It returns the band's answer count and its instance size.
 func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, eps float64) (counting.Count, int, error) {
 	shards, now := d.shards, d.now
 	t0 := now()
@@ -911,11 +927,13 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 		if st.dead {
 			continue
 		}
-		inst, err := d.trm.band(st.orig, low, high, as, eps)
+		p := &st.parts[as]
+		p.slot = countSlot(st.curSlot, level, as)
+		inst, err := d.trm.band(st.orig, &st.scratch().slot(p.slot).band, low, high, as, eps)
 		if err != nil {
 			return counting.Zero, 0, err
 		}
-		st.parts[as].inst = inst
+		p.inst = inst
 	}
 	t1 := now()
 	for _, st := range shards {
@@ -942,8 +960,7 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 			continue
 		}
 		p := &st.parts[as]
-		p.slot = countSlot(st.curSlot, level, as)
-		p.counts = yannakakis.CountScratch(p.exec, d.workers, st.scratch().slot(p.slot))
+		p.counts = yannakakis.CountScratch(p.exec, d.workers, &st.scratch().slot(p.slot).counts)
 		n = n.Add(p.counts.Total)
 		size += p.inst.DB.Size()
 	}
@@ -1052,7 +1069,7 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, l
 			return 0, 0, err
 		}
 		var n int
-		ws, n = pivot.Weigh(st.curExec, st.curCounts, f, mu, ws, classOnly)
+		ws, n = scr.pivot.Weigh(st.curExec, st.curCounts, f, mu, ws, classOnly)
 		weighed += n
 		starts[i+1] = weighed
 	}

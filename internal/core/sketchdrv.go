@@ -120,6 +120,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	workers := parallel.Workers(opts.Parallelism)
 	orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()}
 	var scr yannakakis.Scratch
+	var band trim.Scratch // each band is counted and dropped before the next
 	one := counting.FromUint64(1)
 	entries := make([]sketch.Entry, 0, len(s.Entries))
 	for _, e := range s.Entries {
@@ -127,7 +128,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 		bands := [2][2]ranking.Bound{trim.Less: {ranking.NegInf(), at}, trim.Greater: {at, ranking.PosInf()}}
 		var c [2]counting.Count
 		for side, b := range bands {
-			inst, err := trm.band(orig, b[0], b[1], trim.Dir(side), o.Epsilon)
+			inst, err := trm.band(orig, &band, b[0], b[1], trim.Dir(side), o.Epsilon)
 			if err != nil {
 				return nil, err
 			}

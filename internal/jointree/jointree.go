@@ -448,7 +448,7 @@ func NewGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
 			id, _ := g.keys.Intern(key)
 			g.RowGid[i] = int32(id)
 		}
-		g.packTuples(g.keys.Len())
+		g.packTuples(g.keys.Len(), nil)
 		return g
 	}
 	// Partial index per chunk: the chunk's own interner assigns local ids in
@@ -491,21 +491,23 @@ func NewGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
 			g.RowGid[p.lo+j] = trans[li]
 		}
 	}
-	g.packTuples(g.keys.Len())
+	g.packTuples(g.keys.Len(), nil)
 	return g
 }
 
 // packTuples materializes the Tuples of ng groups from RowGid into one flat
 // backing array: counts per group, prefix-sum offsets, then a fill pass in row
 // order (tuple lists come out ascending). Zero-length-capped subslices keep
-// later copy-on-append derivations from writing into the shared backing.
-func (g *GroupIndex) packTuples(ng int) {
-	counts := make([]int32, ng)
+// later copy-on-append derivations from writing into the shared backing. The
+// arrays are carved from a (nil: allocated).
+func (g *GroupIndex) packTuples(ng int, a *relation.Arena) {
+	counts := a.Int32s(ng)
+	clear(counts)
 	for _, gid := range g.RowGid {
 		counts[gid]++
 	}
-	flat := make([]int, len(g.RowGid))
-	g.Tuples = make([][]int, ng)
+	flat := a.Ints(len(g.RowGid))
+	g.Tuples = a.Lists(ng)
 	off := 0
 	for gid := 0; gid < ng; gid++ {
 		c := int(counts[gid])

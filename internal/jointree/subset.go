@@ -19,6 +19,11 @@
 // the identifier the key is the pair (input key, identifier), and the pairs are
 // numbered in the order a fresh build would meet them — see boxGids and
 // segmentGids; such an index has no interner.
+//
+// Every array a derivation makes — the gathered relations' columns, RowGid,
+// the parent-gid arrays, the packed Tuples — is carved from the arena it is
+// given, so the derived tree lives exactly as long as that arena's carve (a
+// nil arena allocates them).
 package jointree
 
 import (
@@ -53,8 +58,13 @@ type Gathered struct {
 // tree up to that numbering, and answers are unchanged versus the rebuild
 // path. The parent Exec is not modified and stays safe for concurrent
 // readers. The last argument is a worker count nothing reads: the passes are
-// memory-bound integer work.
+// memory-bound integer work. DeriveSubset is DeriveSubsetIn with a nil arena.
 func (e *Exec) DeriveSubset(q *query.Query, db *relation.Database, keep [][]bool, _ int) *Exec {
+	return e.DeriveSubsetIn(q, db, keep, nil)
+}
+
+// DeriveSubsetIn is DeriveSubset carving the derived tree's arrays from a.
+func (e *Exec) DeriveSubsetIn(q *query.Query, db *relation.Database, keep [][]bool, a *relation.Arena) *Exec {
 	nodes := make([]Gathered, len(e.Rels))
 	for id, rel := range e.Rels {
 		nodes[id].Rel = rel
@@ -62,21 +72,22 @@ func (e *Exec) DeriveSubset(q *query.Query, db *relation.Database, keep [][]bool
 		if k == nil {
 			continue
 		}
-		rows := make([]int, 0, len(k))
+		rows := a.Ints(len(k))[:0]
 		for i, ok := range k {
 			if ok {
 				rows = append(rows, i)
 			}
 		}
-		nodes[id] = Gathered{Rel: filterRows(rel, k, len(rows)), Rows: [][]int{rows}}
+		nodes[id] = Gathered{Rel: filterRows(rel, k, len(rows), a), Rows: [][]int{rows}}
 	}
-	return e.derive(q, db, e.T, nodes, false)
+	return e.derive(q, db, e.T, nodes, false, a)
 }
 
 // DeriveGathered derives the executable tree of a partitioned instance: q is
 // the output query — e.Q with the identifier variable added to the atoms of the
 // nodes marked ID — db its database, and nodes[id] says how node id's relation
-// was gathered. segments names the identifier's kind. A box number (false): part
+// was gathered; the derived arrays are carved from a. segments names the
+// identifier's kind. A box number (false): part
 // b of every node's Rows holds the rows of box b+1, so a pair (key, box) is
 // first met, on either end of an edge, while box b is swept. A staircase
 // segment id (true): ids are 1, 2, … with no gap, each belongs to one join
@@ -89,7 +100,7 @@ func (e *Exec) DeriveSubset(q *query.Query, db *relation.Database, keep [][]bool
 // derivation does not apply — Build(q) re-roots or re-parents e's tree (the
 // identifier can make another atom the ear), or e never materialized the gid
 // array of an edge whose groups are renumbered — and the caller builds afresh.
-func (e *Exec) DeriveGathered(q *query.Query, db *relation.Database, nodes []Gathered, segments bool) *Exec {
+func (e *Exec) DeriveGathered(q *query.Query, db *relation.Database, nodes []Gathered, segments bool, a *relation.Arena) *Exec {
 	t, err := Build(q)
 	if err != nil || t.Root != e.T.Root {
 		return nil
@@ -99,11 +110,11 @@ func (e *Exec) DeriveGathered(q *query.Query, db *relation.Database, nodes []Gat
 			return nil
 		}
 	}
-	return e.derive(q, db, t, nodes, segments)
+	return e.derive(q, db, t, nodes, segments, a)
 }
 
 // derive is the derivation over t, which has e.T's shape.
-func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Gathered, segments bool) *Exec {
+func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Gathered, segments bool, a *relation.Arena) *Exec {
 	out := &Exec{
 		Q:            q,
 		T:            t,
@@ -131,14 +142,14 @@ func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Ga
 			var num int
 			switch {
 			case segments:
-				ng.RowGid, num = segmentGids(c.Rel)
-				out.parentGid[n.ID], _ = segmentGids(p.Rel)
+				ng.RowGid, num = segmentGids(c.Rel, a)
+				out.parentGid[n.ID], _ = segmentGids(p.Rel, a)
 			case old == nil:
 				return nil
 			default:
-				ng.RowGid, out.parentGid[n.ID], num = boxGids(g, old, c, p)
+				ng.RowGid, out.parentGid[n.ID], num = boxGids(g, old, c, p, a)
 			}
-			ng.packTuples(num)
+			ng.packTuples(num, a)
 			out.Groups[n.ID] = ng
 			continue
 		}
@@ -146,12 +157,12 @@ func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Ga
 		// the edge, and lookups fall back on the shared interner.
 		out.Groups[n.ID], out.parentGid[n.ID] = g, old
 		if c.Rows != nil {
-			ng := &GroupIndex{keys: g.keys, RowGid: gatherGids(g.RowGid, c)}
-			ng.packTuples(len(g.Tuples))
+			ng := &GroupIndex{keys: g.keys, RowGid: gatherGids(g.RowGid, c, a)}
+			ng.packTuples(len(g.Tuples), a)
 			out.Groups[n.ID] = ng
 		}
 		if p.Rows != nil && old != nil {
-			out.parentGid[n.ID] = gatherGids(old, p)
+			out.parentGid[n.ID] = gatherGids(old, p, a)
 		}
 	}
 	return out
@@ -159,8 +170,8 @@ func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Ga
 
 // gatherGids reads a per-row gid array of the input through a node's source
 // rows.
-func gatherGids(gids []int32, nd *Gathered) []int32 {
-	out := make([]int32, nd.Rel.Len())
+func gatherGids(gids []int32, nd *Gathered, a *relation.Arena) []int32 {
+	out := a.Int32s(nd.Rel.Len())
 	i := 0
 	for _, part := range nd.Rows {
 		for _, src := range part {
@@ -179,10 +190,11 @@ func gatherGids(gids []int32, nd *Gathered) []int32 {
 // The child's rows of a box number its groups; the parent's rows of the box
 // then read theirs through the same stamp, −1 when the box left the group
 // empty.
-func boxGids(g *GroupIndex, parentGid []int32, c, p *Gathered) (rowGid, pgid []int32, num int) {
-	stamp := make([]int32, len(g.Tuples))
-	rowGid = make([]int32, c.Rel.Len())
-	pgid = make([]int32, p.Rel.Len())
+func boxGids(g *GroupIndex, parentGid []int32, c, p *Gathered, a *relation.Arena) (rowGid, pgid []int32, num int) {
+	stamp := a.Int32s(len(g.Tuples))
+	clear(stamp)
+	rowGid = a.Int32s(c.Rel.Len())
+	pgid = a.Int32s(p.Rel.Len())
 	next, ci, pi := int32(0), 0, 0
 	for b := range c.Rows {
 		first := next
@@ -210,9 +222,9 @@ func boxGids(g *GroupIndex, parentGid []int32, c, p *Gathered) (rowGid, pgid []i
 // ids: an id names one group, and both ends first use the ids in ascending
 // order without a gap, so the group a fresh build would number k-th is the one
 // of id k+1. It returns the gid of every row of rel and the number of groups.
-func segmentGids(rel *relation.Relation) (gids []int32, num int) {
+func segmentGids(rel *relation.Relation, a *relation.Arena) (gids []int32, num int) {
 	ids := rel.Col(rel.Arity() - 1)
-	gids = make([]int32, len(ids))
+	gids = a.Int32s(len(ids))
 	for i, id := range ids {
 		gids[i] = int32(id - 1)
 		num = max(num, int(id))
@@ -220,12 +232,14 @@ func segmentGids(rel *relation.Relation) (gids []int32, num int) {
 	return gids, num
 }
 
-// filterRows returns the rows of rel marked true in keep, in order, copied
-// segment-wise.
-func filterRows(rel *relation.Relation, keep []bool, kept int) *relation.Relation {
-	out := relation.NewWithCapacity(rel.Name(), rel.Arity(), kept)
-	n := rel.Len()
-	runStart := -1
+// filterRows returns the rows of rel marked true in keep, kept of them, in
+// order, copied segment-wise into columns carved from a.
+func filterRows(rel *relation.Relation, keep []bool, kept int, a *relation.Arena) *relation.Relation {
+	cols := make([][]relation.Value, rel.Arity())
+	for j := range cols {
+		cols[j] = a.Values(kept)
+	}
+	n, at, runStart := rel.Len(), 0, -1
 	for i := 0; i <= n; i++ {
 		if i < n && keep[i] {
 			if runStart < 0 {
@@ -234,12 +248,12 @@ func filterRows(rel *relation.Relation, keep []bool, kept int) *relation.Relatio
 			continue
 		}
 		if runStart >= 0 {
-			out.AppendRows(rel, runStart, i)
+			for j, col := range cols {
+				copy(col[at:], rel.Col(j)[runStart:i])
+			}
+			at += i - runStart
 			runStart = -1
 		}
 	}
-	if rel.IsDistinct() {
-		out.MarkDistinct()
-	}
-	return out
+	return relation.FromColumns(rel.Name(), cols, rel.IsDistinct())
 }

@@ -7,7 +7,7 @@
 // trimming passes read a handful of columns per relation, and a columnar
 // layout turns each of those passes into branch-free sequential scans over
 // contiguous int64 arrays. Row-oriented construction goes through bulk
-// primitives (AppendRows, GatherRows, Concat) that copy whole column
+// primitives (GatherRows, Concat) that copy whole column
 // segments, so building trimmed copies of the database — which the quantile
 // algorithms do constantly — costs a few memmoves per column rather than one
 // append per row.
@@ -43,8 +43,8 @@ type Relation struct {
 	// set is the copy DedupedWorkers gathered of a relation with duplicate
 	// rows, kept so that every plan compiled over this relation holds the
 	// same one: what the plans of one input retain does not depend on whether
-	// it held a duplicate. A write to the relation (AppendRow, AppendRows,
-	// Set) forgets it.
+	// it held a duplicate. A write to the relation (AppendRow, Set) forgets
+	// it.
 	set atomic.Pointer[Relation]
 }
 
@@ -242,19 +242,6 @@ func (r *Relation) written() {
 // Append appends one tuple given as variadic values.
 func (r *Relation) Append(vals ...Value) { r.AppendRow(vals) }
 
-// AppendRows bulk-appends rows [lo, hi) of src, which must share r's arity —
-// one copy per column per contiguous run instead of one append per row.
-func (r *Relation) AppendRows(src *Relation, lo, hi int) {
-	if src.arity != r.arity {
-		panic(fmt.Sprintf("relation %s: AppendRows from arity %d, want %d", r.name, src.arity, r.arity))
-	}
-	for j := range r.cols {
-		r.cols[j] = append(r.cols[j], src.cols[j][lo:hi]...)
-	}
-	r.n += hi - lo
-	r.written()
-}
-
 // CopyRow gathers tuple i into dst and returns dst[:arity], growing dst when
 // it is too small. For per-row access on cold paths; hot loops read columns.
 func (r *Relation) CopyRow(dst []Value, i int) []Value {
@@ -336,24 +323,24 @@ func (r *Relation) GatherRowsCols(name string, rows []int, pos []int) *Relation 
 	return out
 }
 
-// GatherRowsPlusParts is GatherRows with one extra trailing column — the shape
-// of every partition/segment construction: copy selected rows, tag each with
-// an identifier — over a partitioned plan: the row index lists and their
-// aligned extra-column parts are gathered in part order, as if concatenated
-// first, without materializing the concatenation. The result has arity+1;
-// ownership of the extra parts stays with the caller (values are copied).
-func (r *Relation) GatherRowsPlusParts(name string, rowParts [][]int, extraParts [][]Value) *Relation {
+// GatherRowsPlus is GatherRows with one extra trailing column — the shape of
+// every partition/segment construction: copy selected rows, tag each with an
+// identifier — over a partitioned plan: the rows are r's at the indexes of
+// rowParts, part after part, as if the lists were concatenated first, and the
+// last column is extra itself, which the result takes over (it must hold one
+// value per row). The gathered columns are carved from a (nil: allocated), so
+// the result lives as long as a's carve.
+func (r *Relation) GatherRowsPlus(name string, rowParts [][]int, extra []Value, a *Arena) *Relation {
 	total := 0
-	for pi, rows := range rowParts {
-		if len(extraParts[pi]) != len(rows) {
-			panic(fmt.Sprintf("relation %s: GatherRowsPlusParts part %d extra len %d, want %d",
-				name, pi, len(extraParts[pi]), len(rows)))
-		}
+	for _, rows := range rowParts {
 		total += len(rows)
+	}
+	if len(extra) != total {
+		panic(fmt.Sprintf("relation %s: GatherRowsPlus extra column of %d values for %d rows", name, len(extra), total))
 	}
 	out := New(name, r.arity+1)
 	for j, col := range r.cols {
-		dst := make([]Value, total)
+		dst := a.Values(total)
 		k := 0
 		for _, rows := range rowParts {
 			for _, i := range rows {
@@ -362,10 +349,6 @@ func (r *Relation) GatherRowsPlusParts(name string, rowParts [][]int, extraParts
 			}
 		}
 		out.cols[j] = dst
-	}
-	extra := make([]Value, 0, total)
-	for _, part := range extraParts {
-		extra = append(extra, part...)
 	}
 	out.cols[r.arity] = extra
 	out.n = total

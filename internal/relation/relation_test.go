@@ -196,9 +196,8 @@ func TestDedupedIsRememberedUntilWritten(t *testing.T) {
 		t.Fatal("another header over the same columns was handed this one's set")
 	}
 	for what, write := range map[string]func(){
-		"AppendRow":  func() { a.Append(5000, 1) },
-		"AppendRows": func() { a.AppendRows(FromRows("R", 2, [][]Value{{5001, 1}}), 0, 1) },
-		"Set":        func() { a.Set(0, 0, 5002) },
+		"AppendRow": func() { a.Append(5000, 1) },
+		"Set":       func() { a.Set(0, 0, 5002) },
 	} {
 		before := a.DedupedWorkers(1)
 		write()

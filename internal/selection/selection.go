@@ -7,19 +7,22 @@
 // total, and the fallback is worst-case linear — no input makes a call
 // superlinear, and nothing is randomized.
 //
-// There is one kernel, and it has two entry points. It runs on a contiguous
-// slice of (key, item) entries, 16 bytes each, and compares keys inline; what
-// else an item carries — the rest of a LEX vector, a multiplicity — lies
-// behind it in Vectors and is read when a comparison or a sum needs it.
-// SelectClass returns the class of equal weights that holds a position of the
-// multiset, partitioned into place; MedianItem is the weighted median over
-// multiplicities [Johnson & Mizoguchi 1978] that Algorithm 2 (pivot selection)
-// takes inside every join group — the class at the lower-median position. The
-// driver's tail selects with the same kernel: candidates of multiplicity one by
-// weight, then the members of the selected class by value.
+// There is one kernel. It runs on a contiguous slice of (key, item) entries
+// held by value; what else an item carries — the rest of a LEX vector, a
+// multiplicity — lies behind it in Vectors and is read when a comparison or a
+// sum needs it. SelectClass returns the class of equal weights that holds a
+// position of the multiset, partitioned into place; MedianItem is the weighted
+// median over multiplicities [Johnson & Mizoguchi 1978] that Algorithm 2
+// (pivot selection) takes inside every join group — the class at the
+// lower-median position. The driver's tail selects with the same kernel:
+// candidates that count once by weight, then the members of the selected
+// class by value. Entries that count once are partitioned by two branch-free
+// passes whose class sizes are positions, weighted ones by a three-way
+// partition that sums their multiplicities.
 package selection
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
@@ -73,6 +76,9 @@ func (v Vectors) cmp(a, b *Entry) int {
 
 // cmpRest orders two items' vectors past position 0.
 func (v Vectors) cmpRest(a, b int) int {
+	if v.R == 2 {
+		return cmp.Compare(v.At[2*a+1], v.At[2*b+1])
+	}
 	return slices.Compare(v.At[a*v.R+1:(a+1)*v.R], v.At[b*v.R+1:(b+1)*v.R])
 }
 
@@ -103,11 +109,24 @@ func MedianItem(es []Entry, vecs Vectors) int {
 // its multiplicity's times: the class is es[lo:hi], every entry of es[:lo] is smaller and
 // every entry of es[hi:] greater. Worst-case linear: introselect, partitioning
 // the entries themselves. It panics unless k is a position of the multiset.
+//
+// Entries that count once (vecs.Mult nil) are partitioned in two branch-free
+// passes (partitionUnit) and the class sizes are read off positions; weighted
+// ones by a three-way partition that sums their multiplicities
+// (partitionEntries), whose swaps MedianItem's choice of a tie member follows.
 func SelectClass(es []Entry, vecs Vectors, k counting.Count) (lo, hi int) {
 	robust := false
 	for len(es) > 1 {
 		n := len(es)
-		lt, eq, wLess, wEq := partitionEntries(es, vecs, pivotEntry(es, vecs, robust))
+		pivot := pivotEntry(es, vecs, robust)
+		var lt, eq int
+		var wLess, wEq counting.Count
+		if vecs.Mult == nil {
+			lt, eq = partitionUnit(es, vecs, pivot, k)
+			wLess, wEq = counting.FromInt(lt), counting.FromInt(eq)
+		} else {
+			lt, eq, wLess, wEq = partitionEntries(es, vecs, pivot)
+		}
 		switch {
 		case k.Less(wLess):
 			es = es[:lt]
@@ -205,4 +224,73 @@ func partitionEntries(es []Entry, vecs Vectors, pivot Entry) (lt, eq int, wLess,
 		}
 	}
 	return lo, mid - lo, wLess, wEq
+}
+
+// partitionUnit is partitionEntries for entries that count once: the same
+// [ < pivot | == pivot | > pivot ] layout, made by two Lomuto passes — the
+// entries below the pivot to the front, then the ones equal to it to the front
+// of the rest. Every entry is swapped into place and the boundary advances by
+// the outcome of its comparison, so a pass over scalar keys branches on no
+// data; over vectors, only a key that ties the pivot's reads the rest of its
+// vector. The segment sizes are the counts. When position k lies below the
+// pivot the second pass is not needed, and eq comes back 0: the selection goes
+// on among the first lt entries either way.
+func partitionUnit(es []Entry, vecs Vectors, pivot Entry, k counting.Count) (lt, eq int) {
+	if vecs.R > 1 {
+		return partitionUnitVec(es, vecs, pivot, k)
+	}
+	pk := pivot.Key
+	for i := range es {
+		e := es[i]
+		es[i] = es[lt]
+		es[lt] = e
+		lt += b2i(e.Key < pk)
+	}
+	if k.Less(counting.FromInt(lt)) {
+		return lt, 0
+	}
+	rest := es[lt:]
+	for i := range rest {
+		e := rest[i]
+		rest[i] = rest[eq]
+		rest[eq] = e
+		eq += b2i(e.Key == pk)
+	}
+	return lt, eq
+}
+
+// partitionUnitVec is partitionUnit over vectors of more than one position.
+func partitionUnitVec(es []Entry, vecs Vectors, pivot Entry, k counting.Count) (lt, eq int) {
+	pk := pivot.Key
+	for i := range es {
+		e := es[i]
+		less := e.Key < pk
+		if e.Key == pk {
+			less = vecs.cmpRest(e.Item, pivot.Item) < 0
+		}
+		es[i] = es[lt]
+		es[lt] = e
+		lt += b2i(less)
+	}
+	if k.Less(counting.FromInt(lt)) {
+		return lt, 0
+	}
+	rest := es[lt:]
+	for i := range rest {
+		e := rest[i]
+		same := e.Key == pk && vecs.cmpRest(e.Item, pivot.Item) == 0
+		rest[i] = rest[eq]
+		rest[eq] = e
+		eq += b2i(same)
+	}
+	return lt, eq
+}
+
+// b2i is 1 for true and 0 for false, which the compiler makes of the flag a
+// comparison leaves without a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

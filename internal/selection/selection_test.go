@@ -3,6 +3,7 @@ package selection
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -392,22 +393,33 @@ func TestNthLarge(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectClass is the tail's selection: the median of 65 536 distinct
-// keys as unit-multiplicity entries, filling included.
+// BenchmarkSelectClass is the tail's selection: the median of 65 536
+// unit-multiplicity entries, filling included, on the two shapes a tail meets —
+// distinct keys (a SUM band) and keys drawn from 32 values (a MIN or MAX band,
+// whose candidates share a few dozen weights).
 func BenchmarkSelectClass(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	n := 1 << 16
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63()
-	}
-	es := make([]Entry, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range es {
-			es[j] = Entry{Key: keys[j], Item: j}
-		}
-		SelectClass(es, Vectors{}, counting.FromInt(n/2))
+	const n = 1 << 16
+	for _, tc := range []struct {
+		name string
+		key  func(rng *rand.Rand) int64
+	}{
+		{"distinct", func(rng *rand.Rand) int64 { return rng.Int63() }},
+		{"tied", func(rng *rand.Rand) int64 { return rng.Int63n(32) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = tc.key(rng)
+			}
+			es := make([]Entry, n)
+			for b.Loop() {
+				for j := range es {
+					es[j] = Entry{Key: keys[j], Item: j}
+				}
+				SelectClass(es, Vectors{}, counting.FromInt(n/2))
+			}
+		})
 	}
 }
 
@@ -767,8 +779,9 @@ func FuzzWeightedMedian(f *testing.F) {
 }
 
 // decodeMultiset reads a fuzz input as a multiset: r ∈ {1, 2, 3} positions per
-// item from a domain of eight values, then a multiplicity byte whose top bits
-// pick a unit, a small or a past-2⁶⁴ count.
+// item from a domain of eight values — two of them the ends of int64, so that
+// a comparison written as a subtraction overflows — then a multiplicity byte
+// whose top bits pick a unit, a small or a past-2⁶⁴ count.
 func decodeMultiset(data []byte, rRaw uint8) (at []int64, r int, mults []counting.Count) {
 	r = 1 + int(rRaw%3)
 	n := len(data) / (r + 1)
@@ -777,7 +790,14 @@ func decodeMultiset(data []byte, rRaw uint8) (at []int64, r int, mults []countin
 	for i := 0; i < n; i++ {
 		item := data[i*(r+1) : (i+1)*(r+1)]
 		for p := 0; p < r; p++ {
-			at[i*r+p] = int64(item[p]%8) - 4
+			switch v := item[p] % 8; v {
+			case 0:
+				at[i*r+p] = math.MinInt64
+			case 7:
+				at[i*r+p] = math.MaxInt64
+			default:
+				at[i*r+p] = int64(v) - 4
+			}
 		}
 		m := item[r]
 		switch m >> 6 {
@@ -794,7 +814,10 @@ func decodeMultiset(data []byte, rRaw uint8) (at []int64, r int, mults []countin
 
 // FuzzSelectClass decodes a multiset the way FuzzWeightedMedian does and a
 // position from two more bytes, and holds the class SelectClass returns for it
-// to a sort (checkClass).
+// to a sort (checkClass). A multiset whose multiplicities are all one is then
+// selected again the way the tail, sampling and the baseline call the kernel,
+// with no multiplicities at all (the unit-entry partition), and held to the
+// same sort.
 func FuzzSelectClass(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 1, 3, 1}, uint8(1), uint16(2))
 	f.Add(bytes.Repeat([]byte{5, 0x40}, 200), uint8(1), uint16(199))
@@ -813,6 +836,14 @@ func FuzzSelectClass(f *testing.F) {
 		}
 		lo, hi := SelectClass(es, Vectors{At: at, R: r, Mult: mults}, target)
 		checkClass(t, "fuzz", at, r, mults, es, target, lo, hi)
+		if slices.ContainsFunc(mults, func(m counting.Count) bool { return m != counting.One }) {
+			return
+		}
+		for i := range es {
+			es[i] = Entry{Key: at[i*r], Item: i}
+		}
+		lo, hi = SelectClass(es, Vectors{At: at, R: r}, target)
+		checkClass(t, "fuzz, unit entries", at, r, mults, es, target, lo, hi)
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/parallel"
@@ -129,9 +128,7 @@ func Band(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, er
 	if len(boxes) == 1 {
 		return filterBox(inst, f, boxes[0]), nil
 	}
-	scr := bandScratch.Get().(*bandBufs)
-	defer bandScratch.Put(scr)
-	return partitionBoxes(inst, f, boxes, scr), nil
+	return partitionBoxes(inst, f, boxes), nil
 }
 
 // MinMax trims the inequality agg(U_w) ≺ λ (dir = Less) or agg(U_w) ≻ λ
@@ -160,17 +157,6 @@ func oneSided(inst Instance, f *ranking.Func, w ranking.Weightv, dir Dir) (Insta
 	}
 	return Band(inst, f, ranking.Finite(w), ranking.PosInf())
 }
-
-// bandBufs are the transient buffers of a partitioned band: the surviving row
-// indexes of every relation, one stretch per relation and box — all held until
-// the output's tree has been derived from them — and the box numbers of the
-// relation being gathered.
-type bandBufs struct {
-	rows []int
-	pids []relation.Value
-}
-
-var bandScratch = sync.Pool{New: func() any { return new(bandBufs) }}
 
 // weightCol is a column of a relation that holds a ranked variable: the
 // variable's position in f.Vars and the weights of the column's values.
@@ -258,6 +244,14 @@ func (t *tests) rows(dst []int, workers, n int) []int {
 	}
 	scan := func(lo, hi int) int {
 		k := lo
+		if len(t.cols) == 1 { // the common box: one ranked column tested
+			ws, from, span := t.cols[0].w[lo:hi], t.cols[0].lo, t.cols[0].span
+			for i, w := range ws {
+				dst[k] = lo + i
+				k += b2i(uint64(w-from) <= span)
+			}
+			return k - lo
+		}
 		for i := lo; i < hi; i++ {
 			dst[k] = i
 			k += t.pass(i)
@@ -275,6 +269,15 @@ func (t *tests) rows(dst []int, workers, n int) []int {
 		k += copy(dst[k:], dst[ch.Lo:ch.Lo+kept[c]])
 	}
 	return dst[:k]
+}
+
+// b2i is 1 for true and 0 for false, made of the comparison's flag without a
+// jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // filterBox cuts one box out of an instance: a pure row filter, each row
@@ -305,9 +308,12 @@ func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 // every relation becomes the concatenation, in box order, of its rows in each
 // box, tagged with the box number in an identifier column whose fresh variable
 // is added to every atom. Given an Exec, the output's follows from the row
-// lists (jointree.DeriveGathered).
-func partitionBoxes(inst Instance, f *ranking.Func, boxes []box, scr *bandBufs) Instance {
+// lists (jointree.DeriveGathered). The row lists — one stretch per relation
+// and box, each as long as the relation — and everything gathered through
+// them are carved from the instance's scratch.
+func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 	workers := inst.workers()
+	a := inst.Scratch.carve()
 	q2 := inst.Q.Clone()
 	xp := freshHelperVar(q2, "p")
 	for i := range q2.Atoms {
@@ -318,28 +324,30 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box, scr *bandBufs) 
 	for i := range inst.Q.Atoms {
 		total += inst.rel(i).Len() * len(boxes)
 	}
-	scr.rows = slices.Grow(scr.rows[:0], total)[:total]
-	rowParts := make([][]int, len(inst.Q.Atoms)*len(boxes))
-	pidParts := make([][]relation.Value, len(boxes))
+	rows := a.Ints(total)
+	rowParts := a.Lists(len(inst.Q.Atoms) * len(boxes))
 	nodes := make([]jointree.Gathered, len(inst.Q.Atoms))
 	at := 0
 	for i, atom := range inst.Q.Atoms {
 		src := inst.rel(i)
 		n := src.Len()
-		scr.pids = slices.Grow(scr.pids[:0], n*len(boxes))[:0]
 		cols := weightCols(f, atom.Vars, src.Cols(), workers)
 		parts := rowParts[i*len(boxes) : (i+1)*len(boxes)]
+		kept := 0
 		for bi, bx := range boxes {
 			t := testsOf(bx, cols)
-			parts[bi] = t.rows(scr.rows[at:at+n], workers, n)
+			parts[bi] = t.rows(rows[at:at+n:at+n], workers, n)
 			at += n
-			from := len(scr.pids)
-			for range parts[bi] {
-				scr.pids = append(scr.pids, relation.Value(bi+1))
-			}
-			pidParts[bi] = scr.pids[from:]
+			kept += len(parts[bi])
 		}
-		rel := src.GatherRowsPlusParts(atom.Rel, parts, pidParts)
+		pids, k := a.Values(kept), 0
+		for bi, part := range parts {
+			for range part {
+				pids[k] = relation.Value(bi + 1)
+				k++
+			}
+		}
+		rel := src.GatherRowsPlus(atom.Rel, parts, pids, a)
 		if src.IsDistinct() {
 			rel.MarkDistinct() // disjoint boxes never duplicate a (row, box) pair
 		}
@@ -347,7 +355,7 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box, scr *bandBufs) 
 		nodes[i] = jointree.Gathered{Rel: rel, Rows: parts, ID: true}
 	}
 	if inst.Exec != nil {
-		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, false)
+		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, false, a)
 	}
 	return out
 }

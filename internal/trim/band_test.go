@@ -78,7 +78,7 @@ func refPartitions(inst Instance, f *ranking.Func, partitions [][]refCond) (Inst
 			for k := range pids {
 				pids[k] = pid
 			}
-			parts = append(parts, src.GatherRowsPlusParts(atom.Rel, [][]int{rows}, [][]relation.Value{pids}))
+			parts = append(parts, src.GatherRowsPlus(atom.Rel, [][]int{rows}, pids, nil))
 		}
 		db2.Add(relation.Concat(atom.Rel, src.Arity()+1, src.IsDistinct(), parts))
 	}

@@ -3,8 +3,8 @@ package trim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
-	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/parallel"
@@ -42,11 +42,10 @@ import (
 //
 // Join groups are independent, so with inst.Workers > 1 the per-group
 // staircase constructions run on the worker pool over contiguous group
-// ranges: each group allocates segment ids locally in the sequential
-// first-use order, a prefix sum over the per-group id counts (taken in group
-// order) rebases them to the global sequence, and per-chunk outputs
-// concatenate in group order — reproducing the sequential output byte for
-// byte at any worker count.
+// ranges: each chunk numbers its segment ids in the sequential first-use
+// order, the ids the chunks before it handed out rebase them to the global
+// sequence, and per-chunk outputs concatenate in group order — reproducing
+// the sequential output byte for byte at any worker count.
 func SumAdjacentBand(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Sum {
 		return Instance{}, fmt.Errorf("trim: SumAdjacent requires SUM, got %s", f.Agg)
@@ -94,7 +93,7 @@ type sumAdjPrep struct {
 	bGroups    []bGroupPrep
 	aGroupRows [][]int // per A-group, row indexes into relA, ascending
 	aPartner   []int   // A-group -> index into bGroups, -1 when keyless
-	aSums      []int64 // per relA row: partial sum
+	aSums      []int64 // the partial sums of aGroupRows' rows, group after group
 }
 
 type bGroupPrep struct {
@@ -236,12 +235,13 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	fillCSR(aKeys.Len(), aGids, nil, false, func(gid int32, rows []int, _ []int64) {
 		p.aGroupRows[gid] = rows
 	})
-	p.aSums = make([]int64, relA.Len())
-	parallel.For(workers, relA.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p.aSums[i] = rowSumAt(f, aVars, colsA, aCols, i)
+	// The sums lie in the order the emission reads them in.
+	p.aSums = make([]int64, 0, relA.Len())
+	for _, rows := range p.aGroupRows {
+		for _, i := range rows {
+			p.aSums = append(p.aSums, rowSumAt(f, aVars, colsA, aCols, i))
 		}
-	})
+	}
 	return p, nil
 }
 
@@ -268,22 +268,19 @@ type segKey struct {
 	lvl, start int
 }
 
-// emitChunk is the pooled per-chunk emission plan of sumAdjEmit: source row
-// indexes plus segment-id columns, with per-group bookkeeping for the global
-// id rebase.
+// emitChunk is one chunk's emission plan in sumAdjEmit: source row indexes
+// plus segment ids counted from the chunk's first. A band's chunks are its
+// scratch's own, reused by the next band cut into it.
 type emitChunk struct {
 	rowsA, rowsB []int            // source row indexes of emitted copies
-	segA, segB   []relation.Value // aligned segment-id column values
-	groups       []int            // group indexes processed (those with a partner)
-	nSegs        []relation.Value // per processed group: local ids used
-	aEnds        []int            // per processed group: len(rowsA) after it
-	bEnds        []int            // per processed group: len(rowsB) after it
+	segA, segB   []relation.Value // aligned segment ids, 1 the chunk's first
+	nIDs         relation.Value   // ids the chunk handed out
 
 	// segAt is the id table of the group being emitted, over the implicit
 	// segment tree of its sorted B side: segment (lvl, start) of a group of m
 	// rows sits at (P+start)>>lvl, P the power of two ≥ m. An entry holds the
-	// count of ids the chunk had handed out, over its pooled lifetime (segRun),
-	// when the segment got its own: it is the current group's exactly when it is
+	// count of ids the chunk had handed out, over its lifetime (segRun), when
+	// the segment got its own: it is the current group's exactly when it is
 	// past the count at the group's start, so no group clears the table.
 	segAt     []int64
 	segRun    int64
@@ -293,11 +290,7 @@ type emitChunk struct {
 func (c *emitChunk) reset() {
 	c.rowsA, c.rowsB = c.rowsA[:0], c.rowsB[:0]
 	c.segA, c.segB = c.segA[:0], c.segB[:0]
-	c.groups, c.nSegs = c.groups[:0], c.nSegs[:0]
-	c.aEnds, c.bEnds = c.aEnds[:0], c.bEnds[:0]
 }
-
-var emitScratch = sync.Pool{New: func() any { return new(emitChunk) }}
 
 // sumAdjEmit is the per-band staircase emission over a two-node preparation.
 func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance, error) {
@@ -305,24 +298,35 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	if inst.DB.Size() < parallel.SeqThreshold {
 		workers = 1
 	}
+	a := inst.Scratch.carve()
 	relA := inst.rel(p.atomIdxA)
 	relB := inst.rel(p.atomIdxB)
 	v := freshHelperVar(inst.Q, "s")
 
 	// Per contiguous chunk of A-groups: an emission *plan* — source row
-	// indexes plus segment-id columns — instead of materialized relations.
-	// Per-group segment ids are allocated locally (sequential first-use
-	// order) with the bookkeeping to rebase them globally afterwards; the
-	// final materialization is one bulk gather per output column, so the
-	// inner loops never copy a row. Plan scratch is pooled: Algorithm 1
-	// re-emits every pivoting round, and regrowing the plan lists each round
-	// is pure GC churn.
+	// indexes plus segment ids — instead of materialized relations. A chunk
+	// numbers the segments it allocates from 1, in the sequential first-use
+	// order, so the global id of one is its chunk's number plus the ids the
+	// chunks before handed out; the final materialization is one bulk gather
+	// per output column, so the inner loops never copy a row. The plans are
+	// the scratch's: Algorithm 1 re-emits every pivoting round, and regrowing
+	// the plan lists each round is pure GC churn.
 	nGroups := len(p.aGroupRows)
-	chunks := parallel.MapRanges(workers, nGroups, func(glo, ghi int) *emitChunk {
-		c := emitScratch.Get().(*emitChunk)
+	ranges := parallel.Ranges(workers, nGroups)
+	chunks := inst.Scratch.emitChunks(len(ranges))
+	parallel.Do(workers, len(ranges), func(ci int) {
+		c := chunks[ci]
 		c.reset()
+		first := c.segRun            // the chunk's ids in this band are those past it
 		usedOrder := c.usedOrder[:0] // allocation order, for deterministic emission
-		for gk := glo; gk < ghi; gk++ {
+		aOff := 0                    // where the group's sums start in aSums
+		for _, rows := range p.aGroupRows[:ranges[ci].Lo] {
+			aOff += len(rows)
+		}
+		for gk := ranges[ci].Lo; gk < ranges[ci].Hi; gk++ {
+			rows := p.aGroupRows[gk]
+			sums := p.aSums[aOff : aOff+len(rows)]
+			aOff += len(rows)
 			bi := p.aPartner[gk]
 			if bi < 0 {
 				continue // A-rows with no B partner participate in no answer
@@ -335,15 +339,15 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 			}
 			base := c.segRun
 			usedOrder = usedOrder[:0]
-			for _, ai := range p.aGroupRows[gk] {
-				s := p.aSums[ai]
+			for j, ai := range rows {
+				s := sums[j]
 				// Admissible range: B-sums strictly between low-s and high-s.
 				from, to := 0, m
 				if low.IsFinite() {
-					from = sort.Search(m, func(j int) bool { return g.sums[j] > low.W.K-s })
+					from = searchAbove(g.sums, low.W.K-s)
 				}
 				if high.IsFinite() {
-					to = sort.Search(m, func(j int) bool { return g.sums[j] >= high.W.K-s })
+					to, _ = slices.BinarySearch(g.sums, high.W.K-s)
 				}
 				// Canonical dyadic cover of [from, to), left to right: at
 				// each position the largest aligned segment that still fits.
@@ -359,62 +363,53 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 						usedOrder = append(usedOrder, segKey{lvl, pos})
 					}
 					c.rowsA = append(c.rowsA, ai)
-					c.segA = append(c.segA, relation.Value(*at-base))
+					c.segA = append(c.segA, relation.Value(*at-first))
 					pos += 1 << uint(lvl)
 				}
 			}
-			// Emit B-side memberships for the segments actually used: the k-th
-			// allocated has local id k+1.
+			// Emit B-side memberships for the segments actually used, in
+			// allocation order: the k-th is the chunk's id base-first+k+1.
 			for k, sk := range usedOrder {
+				id := relation.Value(base - first + int64(k) + 1)
 				for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
 					c.rowsB = append(c.rowsB, g.rows[pos])
-					c.segB = append(c.segB, relation.Value(k+1))
+					c.segB = append(c.segB, id)
 				}
 			}
-			c.groups = append(c.groups, gk)
-			c.nSegs = append(c.nSegs, relation.Value(c.segRun-base))
-			c.aEnds = append(c.aEnds, len(c.rowsA))
-			c.bEnds = append(c.bEnds, len(c.rowsB))
 		}
 		c.usedOrder = usedOrder
-		return c
+		c.nIDs = relation.Value(c.segRun - first)
 	})
-	// Rebase local segment ids onto the global sequence: a prefix sum over
-	// per-group id counts in group order reproduces the sequential
-	// allocation (ids are contiguous per group, groups in first-appearance
-	// order). The shifts run per chunk on the plan's flat id columns.
-	offsets := make([][]relation.Value, len(chunks))
-	var nextID relation.Value
+	// The identifier columns: one chunk's ids are the global ones, and the
+	// plan's lists serve as they stand (they are the scratch's, as the band's
+	// columns are); several chunks' are shifted by the ids the chunks before
+	// handed out and concatenated.
+	rowsA, rowsB := make([][]int, len(chunks)), make([][]int, len(chunks))
+	nA, nB := 0, 0
 	for ci, c := range chunks {
-		offsets[ci] = make([]relation.Value, len(c.groups))
-		for k, n := range c.nSegs {
-			offsets[ci][k] = nextID
-			nextID += n
+		nA, nB = nA+len(c.rowsA), nB+len(c.rowsB)
+		rowsA[ci], rowsB[ci] = c.rowsA, c.rowsB
+	}
+	var idA, idB []relation.Value
+	if len(chunks) == 1 {
+		idA, idB = chunks[0].segA, chunks[0].segB
+	} else {
+		idA, idB = a.Values(nA)[:0], a.Values(nB)[:0]
+		var off relation.Value
+		for _, c := range chunks {
+			for _, id := range c.segA {
+				idA = append(idA, id+off)
+			}
+			for _, id := range c.segB {
+				idB = append(idB, id+off)
+			}
+			off += c.nIDs
 		}
 	}
-	parallel.Do(workers, len(chunks), func(ci int) {
-		c := chunks[ci]
-		aStart, bStart := 0, 0
-		for k := range c.groups {
-			if off := offsets[ci][k]; off != 0 {
-				shiftRange(c.segA, aStart, c.aEnds[k], off)
-				shiftRange(c.segB, bStart, c.bEnds[k], off)
-			}
-			aStart, bStart = c.aEnds[k], c.bEnds[k]
-		}
-	})
 	// Materialize each output with one gather per column, reading the
 	// per-chunk plans in chunk order — no concatenated copy in between.
-	rowsA, rowsB := make([][]int, len(chunks)), make([][]int, len(chunks))
-	extraParts := make([][]relation.Value, len(chunks))
-	for ci, c := range chunks {
-		rowsA[ci], rowsB[ci], extraParts[ci] = c.rowsA, c.rowsB, c.segA
-	}
-	outA := relA.GatherRowsPlusParts(p.atomA.Rel, rowsA, extraParts)
-	for ci, c := range chunks {
-		extraParts[ci] = c.segB
-	}
-	outB := relB.GatherRowsPlusParts(p.atomB.Rel, rowsB, extraParts)
+	outA := relA.GatherRowsPlus(p.atomA.Rel, rowsA, idA, a)
+	outB := relB.GatherRowsPlus(p.atomB.Rel, rowsB, idB, a)
 
 	// Segment membership emits each (B-row, segment) pair once, and A-copies
 	// carry pairwise-distinct segment ids per row, so distinctness of the
@@ -440,19 +435,24 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	// order: per group they are allocated as the A side first uses them and
 	// listed in that order on the B side, groups ascending on both.
 	if inst.Exec != nil {
-		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, true)
-	}
-	for _, c := range chunks {
-		emitScratch.Put(c)
+		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, true, a)
 	}
 	return out, nil
 }
 
-// shiftRange adds off to vals[lo:hi].
-func shiftRange(vals []relation.Value, lo, hi int, off relation.Value) {
-	for i := lo; i < hi; i++ {
-		vals[i] += off
+// searchAbove returns the first j with sums[j] > x, len(sums) when there is
+// none; sums is ascending.
+func searchAbove(sums []int64, x int64) int {
+	lo, hi := 0, len(sums)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if sums[h] <= x {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
+	return lo
 }
 
 type sumRowSorter struct {

@@ -87,6 +87,44 @@ type Instance struct {
 	// must never be attached to an instance whose data can differ. Trims do
 	// not propagate it to their outputs.
 	Cache *Cache
+	// Scratch, when set, is the storage an exact trim cuts its output into
+	// (see Scratch); nil allocates it. Trims do not propagate it either.
+	Scratch *Scratch
+}
+
+// Scratch is the storage one band is cut into: an arena that every array the
+// band is made of is carved from — the row lists a partitioned trim gathers
+// through, the gathered columns and the identifier column, the derived tree's
+// gid arrays and tuple lists — and the staircase's per-chunk emission plans. A
+// band cut into a scratch lives exactly as long as the arena's carve: the
+// driver keeps one beside each counting slot, and resets it when the slot
+// takes its next band. Not safe for concurrent cuts.
+type Scratch struct {
+	arena relation.Arena
+	emit  []*emitChunk
+}
+
+// Reset recycles the band last cut into the scratch: nothing of it may be read
+// after.
+func (s *Scratch) Reset() { s.carve().Reset() }
+
+// carve is the scratch's arena, nil (allocate) for a nil scratch.
+func (s *Scratch) carve() *relation.Arena {
+	if s == nil {
+		return nil
+	}
+	return &s.arena
+}
+
+// emitChunks returns n emission plans, the scratch's own.
+func (s *Scratch) emitChunks(n int) []*emitChunk {
+	if s == nil {
+		s = new(Scratch)
+	}
+	for len(s.emit) < n {
+		s.emit = append(s.emit, new(emitChunk))
+	}
+	return s.emit[:n]
 }
 
 // Cache holds trim preprocessing keyed by ranking identity (ranking.Key: by
@@ -181,7 +219,7 @@ func subsetOf(inst Instance, keep [][]bool) Instance {
 	workers := inst.workers()
 	out := Instance{Q: inst.Q.Clone(), DB: relation.NewDatabase(), Workers: inst.Workers}
 	if inst.Exec != nil {
-		out.Exec = inst.Exec.DeriveSubset(out.Q, out.DB, keep, workers)
+		out.Exec = inst.Exec.DeriveSubsetIn(out.Q, out.DB, keep, inst.Scratch.carve())
 		for _, r := range out.Exec.Rels {
 			out.DB.Add(r)
 		}
