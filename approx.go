@@ -3,8 +3,8 @@ package qjoin
 // Approximate-first serving: the unified mode-aware query surface.
 //
 // Plan.Answer collapses the quantile-family entry points (Quantile /
-// ApproxQuantile / SampleQuantile / QuantileStats) into one request struct
-// with an explicit Mode, and adds the sketch tier: a mergeable rank-anchor
+// SampleQuantile / QuantileStats) into one request struct with an explicit
+// Mode, and adds the sketch tier: a mergeable rank-anchor
 // summary (internal/sketch.Summary) built lazily per ranking function from
 // the plan's engines, kept current across Update, and merged across shards on
 // demand. Update lists once, for all rankings, the answers each changed engine
@@ -49,9 +49,9 @@ const (
 	// falls back to the exact engine (with the same Eps, for intractable
 	// SUM) otherwise.
 	ModeAuto Mode = iota
-	// ModeExact forces the exact pivot-loop engine (with Eps > 0 this is
-	// the deterministic (φ±ε) engine path for intractable SUM — the legacy
-	// ApproxQuantile behavior).
+	// ModeExact forces the exact pivot-loop engine. With Eps > 0 a SUM
+	// outside the tractable class runs the deterministic (φ±ε) loop of
+	// Theorem 6.2 (Options.Epsilon describes its ε split).
 	ModeExact
 	// ModeApprox always answers from the sketch summary, building it at
 	// resolution min(DefaultSketchEps, Eps/2) if needed, and reports the
@@ -208,7 +208,10 @@ func (p *Prepared) AnswerStats(f *Ranking, req QuantileRequest, opts ...Options)
 	if err := req.validate(); err != nil {
 		return nil, nil, err
 	}
-	o := p.opt(opts)
+	o, err := p.opt(opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	switch {
 	case req.Mode == ModeSample:
 		eng, err := p.oneEngine("sampling")
@@ -426,10 +429,10 @@ func approxRes(eps float64) float64 {
 	return core.DefaultSketchEps
 }
 
-// exactAnswer is the shared exact-tier body: the legacy engine path plus
-// Source/ErrorBound tagging. req.Eps > 0 overrides the Options' Epsilon
-// (the legacy ApproxQuantile contract); the reported bound is the effective
-// ε when the run actually went through lossy trims, 0 otherwise.
+// exactAnswer is the shared exact-tier body: the engine path plus
+// Source/ErrorBound tagging. req.Eps > 0 overrides the Options' Epsilon; the
+// reported bound is the effective ε when the run actually went through lossy
+// trims, 0 otherwise.
 func exactAnswer(engs []*engine.Engine, f *Ranking, req QuantileRequest, o Options) (*Answer, *RunStats, error) {
 	if req.Eps > 0 {
 		o.Epsilon = req.Eps

@@ -1,4 +1,4 @@
-// Go benchmarks. BenchmarkE01–E12 pin one representative configuration of
+// Go benchmarks. BenchmarkE01–E11 pin one representative configuration of
 // each reproduction experiment (cmd/qjbench runs their full parameter
 // sweeps); the rest time one mechanism beside the path it replaces, for the
 // ratio contracts cmd/benchgate -scaling enforces in CI, or assert an
@@ -139,12 +139,15 @@ func BenchmarkE07BaselineHard(b *testing.B) {
 func BenchmarkE08ApproxSum(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	q, idb := workload.Path(rng, 3, 256, 32)
-	db := qjoin.WrapDB(idb)
+	p, err := qjoin.Prepare(q, qjoin.WrapDB(idb))
+	if err != nil {
+		b.Fatal(err)
+	}
 	f := qjoin.Sum(q.Vars()...)
 	for _, eps := range []float64{0.4, 0.2, 0.1} {
 		b.Run(epsName(eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := qjoin.ApproxQuantile(q, db, f, 0.5, eps); err != nil {
+				if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: eps, Mode: qjoin.ModeExact}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,7 +214,7 @@ func BenchmarkE10LossyTrim(b *testing.B) {
 	inst := trim.Instance{Q: q, DB: db}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := trim.SumLossy(inst, f, 96, trim.Less, 0.2, trim.LossyOpts{}); err != nil {
+		if _, _, err := trim.SumLossy(inst, f, 96, trim.Less, 0.2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1305,26 +1308,6 @@ func BenchmarkWideSum(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Median(c.f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE12AblationBudget — ε-budget strategies of the approximate driver.
-func BenchmarkE12AblationBudget(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	q, idb := workload.Path(rng, 3, 200, 25)
-	db := qjoin.WrapDB(idb)
-	f := qjoin.Sum(q.Vars()...)
-	for _, mode := range []struct {
-		name string
-		bud  qjoin.EpsilonBudget
-	}{{"geometric", qjoin.BudgetGeometric}, {"paper", qjoin.BudgetPaper}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := qjoin.Quantile(q, db, f, 0.5, qjoin.Options{Epsilon: 0.25, Budget: mode.bud}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,11 +1,13 @@
 // Command qjbench is the reproduction of the paper (PODS 2023), a theory
-// paper: experiments E01–E12 each validate one of its figures or theorems
+// paper: experiments E01–E11 each validate one of its figures or theorems
 // empirically — scaling exponents for the quasilinear claims, measured index
 // errors against ε for the approximation theorems, and head-to-head
 // comparisons against the materialize-then-select baseline the introduction
 // argues against. Tables print as markdown. Performance of the system itself
 // (serving, updates, shards, snapshots, cyclic plans) is measured by the
-// repository benchmark in bench/, not here.
+// repository benchmark in bench/, not here. A bound an experiment checks
+// (E08's rank error within ε, E10's kept fraction within [1-ε, 1]) that
+// fails prints a FAIL line and makes the command exit non-zero.
 //
 // Usage:
 //
@@ -33,7 +35,14 @@ type experiment struct {
 }
 
 type ctx struct {
-	quick bool
+	quick  bool
+	failed bool
+}
+
+// fail reports a violated bound; main exits non-zero after the run.
+func (c *ctx) fail(format string, args ...any) {
+	c.failed = true
+	fmt.Printf("FAIL: "+format+"\n", args...)
 }
 
 var experiments = []experiment{
@@ -48,11 +57,18 @@ var experiments = []experiment{
 	{"E09", "Randomized sampling approximation (Section 3.1)", runE09},
 	{"E10", "Lossy trimming size and sketch guarantee (Lemma 6.1, Lemma 6.3, Figure 4)", runE10},
 	{"E11", "Crossover vs output size |Q(D)| (the headline claim)", runE11},
-	{"E12", "Ablations: ε-budget strategy and sketch value-grouping", runE12},
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiment id (E01..E12) or 'all'")
+	// Deferred first so it runs last: the profile writers below finish
+	// before a failed run exits non-zero.
+	exit := 0
+	defer func() {
+		if exit != 0 {
+			os.Exit(exit)
+		}
+	}()
+	expFlag := flag.String("exp", "all", "experiment id (E01..E11) or 'all'")
 	quick := flag.Bool("quick", false, "reduced sizes for fast runs")
 	workers := flag.Int("workers", 0, "worker count pinned for all experiments (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -103,6 +119,10 @@ func main() {
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expFlag)
 		os.Exit(1)
+	}
+	if c.failed {
+		fmt.Fprintln(os.Stderr, "qjbench: a checked bound failed (see the FAIL lines)")
+		exit = 1
 	}
 }
 

@@ -17,8 +17,10 @@
 //     dichotomy of Theorem 5.6 (U_w has no independent triple and no long
 //     chordless path); ClassifySum reports the verdict.
 //   - SUM rankings beyond that class: deterministic (φ±ε)-approximation in
-//     Õ(n/ε²) (Theorem 6.2) and a randomized sampling approximation
-//     (Section 3.1).
+//     Õ(n/ε²) (Theorem 6.2: Answer with ModeExact and Eps; each round makes
+//     two lossy cuts on value-grouped ε-sketches, round i's at ε/2^(i+2), so
+//     at most ε·|Q(D)| answers are lost in all) and a randomized sampling
+//     approximation (Section 3.1).
 //
 // # Quickstart
 //
@@ -378,13 +380,12 @@
 // i.e. knows the key its engines partition on. The contract:
 //
 //   - Byte-identity. Every selection answer — Quantile, Quantiles, Median,
-//     ApproxQuantile, Count — is byte-identical at every shard count,
-//     including shards=1 versus Prepare. Sharding is an operational choice,
-//     never a semantic one. The one tie-break caveat is TopK: its k weights
-//     are identical at every shard count, but among answers of exactly
-//     equal weight the sharded merge orders by value, which may differ from
-//     the unsharded stream's enumeration order. Each shard count is itself
-//     fully deterministic.
+//     Count — is byte-identical at every shard count, including shards=1
+//     versus Prepare. Sharding is an operational choice, never a semantic
+//     one. The one tie-break caveat is TopK: its k weights are identical at
+//     every shard count, but among answers of exactly equal weight the
+//     sharded merge orders by value, which may differ from the unsharded
+//     stream's enumeration order. Each shard count is fully deterministic.
 //   - RunStats. Statistics are identical across runs and worker counts at
 //     a fixed shard count (and for shards=1 versus unsharded) — whether a
 //     run executed its rounds or walked the ones the plan remembers — but
@@ -454,9 +455,8 @@
 // Answer is the mode-aware entry point that unifies the answering tiers
 // behind one request type. QuantileRequest selects a tier through Mode:
 //
-//   - ModeExact (the zero value) runs the exact pivot loop; Quantile,
-//     QuantileStats and ApproxQuantile are deprecated wrappers over it and
-//     stay byte-identical.
+//   - ModeExact runs the exact pivot loop, with Eps the (φ±ε) one; Quantile
+//     and QuantileStats are deprecated wrappers over it.
 //   - ModeApprox answers from a mergeable weighted quantile summary
 //     (internal/sketch) built lazily per (plan, ranking): a grid of anchor
 //     answers, each carrying certified rank bounds. A warm sketch answers
@@ -470,8 +470,8 @@
 //
 // The request is validated once, before any tier runs: an unknown Mode, a
 // Phi outside [0,1], and an Eps that is NaN or outside [0,1) are *ArgErrors
-// on mode, phi and eps in every mode. Eps 0 means exact (or, under
-// ModeApprox, the default sketch resolution).
+// on mode, phi and eps in every mode, as is a nonzero Options.Epsilon outside
+// (0,1). Eps 0 means exact (or, under ModeApprox, the default resolution).
 //
 // Every Answer reports which tier produced it (Answer.Source: exact,
 // sketch or sample) and the certified rank-error fraction of that answer
@@ -587,6 +587,6 @@
 // join trees, Yannakakis evaluation, linear-time c-pivot selection by
 // message passing (Algorithm 2), the four trimming constructions of
 // Sections 5 and 6, and the divide-and-conquer driver of Algorithm 1.
-// cmd/qjbench reproduces the paper's figures and theorems (E01–E12); bench/
+// cmd/qjbench reproduces the paper's figures and theorems (E01–E11); bench/
 // is the repository benchmark.
 package qjoin

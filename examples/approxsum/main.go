@@ -41,21 +41,21 @@ func main() {
 	}
 	fmt.Printf("true median weight (baseline): %d\n\n", truth.Weight.K)
 
-	fmt.Println("deterministic ε-approximation (pivoting + lossy trims):")
+	plan, err := qjoin.Prepare(q, db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("deterministic ε-approximation (pivoting + lossy trims on one prepared plan):")
 	for _, eps := range []float64{0.4, 0.2, 0.1} {
 		start := time.Now()
-		a, err := qjoin.ApproxQuantile(q, db, f, phi, eps)
+		a, err := plan.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: eps, Mode: qjoin.ModeExact})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  ε=%.2f → weight %6d   (%8v)\n", eps, a.Weight.K, time.Since(start).Round(time.Millisecond))
 	}
 
-	fmt.Println("\nrandomized approximation (uniform sampling on one prepared plan, δ=0.05):")
-	plan, err := qjoin.Prepare(q, db)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Println("\nrandomized approximation (uniform sampling on the same plan, δ=0.05):")
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		start := time.Now()
 		a, err := plan.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: eps, Delta: 0.05, Mode: qjoin.ModeSample, Rand: rng})

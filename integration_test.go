@@ -15,7 +15,8 @@ import (
 //   - exact pivoting == materialization baseline (equal answer weights),
 //   - SelectAt(Index(N, φ)) == Quantile(φ),
 //   - the first RankedEnumerate answer == Quantile(0) == TopK(1),
-//   - ApproxQuantile and SampleQuantile within ε of the baseline's rank.
+//   - the deterministic (ModeExact with ε) and sampling approximations within
+//     ε of the baseline's rank.
 func TestCrossDriverConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(2023))
 	type workloadCase struct {
@@ -167,7 +168,11 @@ func TestApproxVsBaselineIntegration(t *testing.T) {
 		t.Skip("empty")
 	}
 	eps := 0.2
-	a, err := qjoin.ApproxQuantile(q, db, f, 0.5, eps)
+	p, err := qjoin.Prepare(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: eps, Mode: qjoin.ModeExact})
 	if err != nil {
 		t.Fatal(err)
 	}

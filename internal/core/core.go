@@ -22,7 +22,6 @@ import (
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
-	"github.com/quantilejoins/qjoin/internal/trim"
 )
 
 // Sentinel errors of the quantile drivers. ErrNoAnswers and ErrCyclic are
@@ -42,21 +41,6 @@ var (
 	ErrTooManyIterations = errors.New("core: pivoting did not converge")
 )
 
-// EpsilonBudget selects how the driver splits the error budget ε across the
-// lossy trims of its iterations (only relevant for approximate SUM).
-type EpsilonBudget int
-
-const (
-	// BudgetGeometric assigns iteration i the per-trim error ε/2^(i+2).
-	// The total loss is then at most Σ_i 2·(ε/2^(i+2))·N ≤ ε·N regardless
-	// of how many iterations run — no a-priori iteration bound is needed,
-	// and early iterations (the expensive ones) get the coarsest sketches.
-	BudgetGeometric EpsilonBudget = iota
-	// BudgetPaper uses the fixed ε' = ε/(2·⌈ℓ·log_{1/(1-c)} n⌉) of
-	// Lemma 3.6, with c taken from the first pivot call.
-	BudgetPaper
-)
-
 // Options tunes the quantile drivers.
 type Options struct {
 	// Parallelism caps the worker count of the data-parallel runtime used
@@ -69,20 +53,19 @@ type Options struct {
 	Parallelism int
 	// Epsilon requests an ε-approximate quantile (Definition: a (φ±ε)-
 	// quantile). Zero requests the exact quantile. Ignored for MIN/MAX/LEX,
-	// whose exact trims are always quasilinear.
+	// whose exact trims are always quasilinear. A SUM outside the tractable
+	// class spends it on two lossy cuts per round, round i's at ε/2^(i+2),
+	// so all rounds together lose at most ε·|Q(D)| answers, however many run.
 	Epsilon float64
-	// Budget selects the ε-splitting strategy (approximate SUM only).
-	Budget EpsilonBudget
 	// ForceLossy uses the lossy trimming even when the exact adjacent-pair
-	// construction applies (benchmarks and ablations).
+	// construction applies: core's differential tests run the lossy SUM on
+	// tractable corpus shapes through it.
 	ForceLossy bool
 	// MaterializeThreshold stops pivoting when the candidate count is at
 	// most this value; 0 means max(|D|, 64) per Algorithm 1.
 	MaterializeThreshold int
 	// MaxIterations caps pivoting iterations; 0 means 512.
 	MaxIterations int
-	// LossyOpts is forwarded to the lossy SUM trimming.
-	LossyOpts trim.LossyOpts
 	// CollectPhases records a per-iteration wall-clock phase breakdown
 	// (pivot / trim / derive / count) in RunStats.Phases. Off by default:
 	// timings are non-deterministic, and the default RunStats are byte-

@@ -228,7 +228,6 @@ func TestLossyRunsLeaveTheTreeAlone(t *testing.T) {
 	}{
 		{forced, Options{Parallelism: 1, ForceLossy: true, Epsilon: 0.2, MaterializeThreshold: 8}},
 		{full, Options{Parallelism: 1, Epsilon: 0.2, MaterializeThreshold: 8}},
-		{full, Options{Parallelism: 1, Epsilon: 0.2, MaterializeThreshold: 8, Budget: BudgetPaper}},
 	}
 	ks := func(engs []*engine.Engine) []counting.Count {
 		n := engs[0].Counts().Total

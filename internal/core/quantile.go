@@ -248,9 +248,8 @@ func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error
 		if opts.Epsilon <= 0 {
 			return nil, ErrIntractable
 		}
-		lossyOpts := opts.LossyOpts
 		return &trimmer{lossy: true, lossyCut: func(inst trim.Instance, w int64, dir trim.Dir, eps float64) (trim.Instance, error) {
-			out, _, err := trim.SumLossy(inst, f, w, dir, eps, lossyOpts)
+			out, _, err := trim.SumLossy(inst, f, w, dir, eps)
 			return out, err
 		}}, nil
 	}
@@ -436,8 +435,6 @@ type descent struct {
 	workers   int
 	dbSize    int
 	threshold counting.Count
-	// paperEps is BudgetPaper's per-trim ε, fixed by the first pivot.
-	paperEps float64
 	// now is a no-op unless phase timings were requested, so the default
 	// path never reads the clock inside the loop.
 	now   func() time.Time
@@ -661,25 +658,8 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 
 	epsIter := 0.0
 	if d.trm.lossy {
-		switch d.opts.Budget {
-		case BudgetPaper:
-			if d.paperEps == 0 {
-				// ε' = ε / (2·⌈ℓ·log_{1/(1-c)} n⌉), Lemma 3.6.
-				ell := float64(len(shards[0].eng.Query().Atoms))
-				n := float64(d.dbSize)
-				iters := math.Ceil(ell * math.Log(n) / -math.Log(1-pv.C))
-				if iters < 1 {
-					iters = 1
-				}
-				d.paperEps = d.opts.Epsilon / (2 * iters)
-			}
-			epsIter = d.paperEps
-		default:
-			epsIter = d.opts.Epsilon / math.Pow(2, float64(depth+2))
-		}
-		if epsIter < 1e-12 {
-			epsIter = 1e-12
-		}
+		// Options.Epsilon's split: ε/2^(depth+2) for each of the round's two cuts.
+		epsIter = max(d.opts.Epsilon/math.Pow(2, float64(depth+2)), 1e-12)
 	}
 
 	// countOf returns the answer count of one side of the round: the tree's

@@ -254,24 +254,6 @@ func TestApproxSumStar(t *testing.T) {
 	}
 }
 
-func TestApproxPaperBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(69))
-	for trial := 0; trial < 10; trial++ {
-		q, db := testutil.RandomPathInstance(rng, 3, 3+rng.Intn(6), 4)
-		f := ranking.NewSum(q.Vars()...)
-		a, _, err := Quantile(engines(t, q, db), f, 0.5, Options{
-			Epsilon: 0.3, Budget: BudgetPaper, MaterializeThreshold: 2,
-		})
-		if err == ErrNoAnswers {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkApprox(t, q, db, f, 0.5, 0.3, a)
-	}
-}
-
 func TestSelfJoinQuery(t *testing.T) {
 	q := query.New(
 		query.Atom{Rel: "E", Vars: []query.Var{"x", "y"}},

@@ -124,22 +124,6 @@ func (t *Tree) computeOrders() {
 	}
 }
 
-// Height returns the maximum number of edges on a root-to-leaf path.
-func (t *Tree) Height() int {
-	depth := make([]int, len(t.Nodes))
-	h := 0
-	for _, id := range t.TopDown {
-		n := t.Nodes[id]
-		if n.Parent >= 0 {
-			depth[id] = depth[n.Parent] + 1
-			if depth[id] > h {
-				h = depth[id]
-			}
-		}
-	}
-	return h
-}
-
 // Binarize returns a tree, query and database in which every node has at most
 // two children (the "binary join tree" of Section 6). Nodes with more
 // children are split into a chain of copies; each copy is a fresh atom over

@@ -371,19 +371,6 @@ func TestBinarizeStar(t *testing.T) {
 	}
 }
 
-func TestHeight(t *testing.T) {
-	q, _ := fig1()
-	tree, _ := Build(q)
-	if h := tree.Height(); h < 1 || h > 3 {
-		t.Fatalf("height = %d", h)
-	}
-	single := query.New(query.Atom{Rel: "R", Vars: []query.Var{"x"}})
-	st, _ := Build(single)
-	if st.Height() != 0 {
-		t.Fatal("single node height must be 0")
-	}
-}
-
 func TestBuildAdjacentPair(t *testing.T) {
 	q := query.New(
 		query.Atom{Rel: "R1", Vars: []query.Var{"x1", "x2"}},

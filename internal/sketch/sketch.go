@@ -20,10 +20,11 @@ package sketch
 import "sort"
 
 // Item is one (value, multiplicity) message entering the sketch.
-// Multiplicities only steer bucket boundaries, so float64 precision suffices;
-// exact answer counts of trimmed instances are recomputed downstream.
 type Item struct {
-	Sum  int64
+	Sum int64
+	// Mult is σ_m. It only steers bucket boundaries, so float64 precision
+	// suffices, even past 2^53: the answers a lossy trim keeps are recounted
+	// exactly, in 128 bits, on the instance it emits.
 	Mult float64
 }
 
@@ -34,8 +35,6 @@ type Bucket struct {
 	Rep int64
 	// Mult is the total multiplicity of the bucket.
 	Mult float64
-	// Distinct is the number of distinct values merged into the bucket.
-	Distinct int
 }
 
 // Sketch is an ε-sketch of a weighted multiset.
@@ -47,9 +46,7 @@ type Sketch struct {
 
 // Build sketches the items with parameter eps ∈ (0, 1). With eps = 0 every
 // value group becomes its own bucket and the sketch is exact.
-// disableAtomicity drops the same-value adjustment (ablation only: it breaks
-// the single-bucket-per-value property Algorithm 4 relies on).
-func Build(items []Item, eps float64, disableAtomicity bool) *Sketch {
+func Build(items []Item, eps float64) *Sketch {
 	n := len(items)
 	s := &Sketch{ItemBucket: make([]int, n)}
 	if n == 0 {
@@ -60,40 +57,6 @@ func Build(items []Item, eps float64, disableAtomicity bool) *Sketch {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return items[order[a]].Sum < items[order[b]].Sum })
-
-	if disableAtomicity {
-		// Naive geometric bucketing over raw items: boundaries may split a
-		// run of equal values across buckets.
-		cumBefore := 0.0
-		i := 0
-		for i < n {
-			j := i
-			mass := 0.0
-			for j < n {
-				m := items[order[j]].Mult
-				if j > i && mass+m > eps*cumBefore {
-					break
-				}
-				mass += m
-				j++
-			}
-			b := len(s.Buckets)
-			distinct := 0
-			var last int64
-			for k := i; k < j; k++ {
-				it := order[k]
-				s.ItemBucket[it] = b
-				if distinct == 0 || items[it].Sum != last {
-					distinct++
-					last = items[it].Sum
-				}
-			}
-			s.Buckets = append(s.Buckets, Bucket{Rep: items[order[j-1]].Sum, Mult: mass, Distinct: distinct})
-			cumBefore += mass
-			i = j
-		}
-		return s
-	}
 
 	// Coalesce equal values into atomic groups.
 	type group struct {
@@ -135,7 +98,7 @@ func Build(items []Item, eps float64, disableAtomicity bool) *Sketch {
 				s.ItemBucket[order[p]] = b
 			}
 		}
-		s.Buckets = append(s.Buckets, Bucket{Rep: groups[h-1].sum, Mult: mass, Distinct: h - g})
+		s.Buckets = append(s.Buckets, Bucket{Rep: groups[h-1].sum, Mult: mass})
 		cumBefore += mass
 		g = h
 	}

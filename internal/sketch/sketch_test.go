@@ -1,8 +1,12 @@
 package sketch
 
 import (
+	"cmp"
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -44,7 +48,7 @@ func TestSketchGuarantee(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		eps := []float64{0.5, 0.25, 0.1, 0.05}[trial%4]
 		items := randomItems(rng, 1+rng.Intn(200), 50)
-		s := Build(items, eps, false)
+		s := Build(items, eps)
 		// Probe every distinct value boundary plus extremes.
 		probes := []int64{math.MinInt64 / 2, math.MaxInt64 / 2}
 		for _, it := range items {
@@ -63,12 +67,62 @@ func TestSketchGuarantee(t *testing.T) {
 	}
 }
 
+// Lemma 6.3 at the multiplicities a deep lossy trim hands the sketch: σ_m is
+// a product of bucket masses along the join tree and passes 2^53, where
+// float64 stops holding integers exactly, long before it passes 2^120. Both
+// sides of the bound are summed exactly in math/big; the slack of 1e-12 is
+// for the rounding of the float64 bucket masses the sketch adds up.
+func TestSketchGuaranteeHugeMultiplicities(t *testing.T) {
+	const tol = 1e-12
+	rng := rand.New(rand.NewSource(36))
+	sumOf := func(ms []float64) []*big.Float { // prefix sums, exact at 512 bits
+		out := []*big.Float{new(big.Float).SetPrec(512)}
+		for _, m := range ms {
+			out = append(out, new(big.Float).SetPrec(512).Add(out[len(out)-1], big.NewFloat(m)))
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		eps := []float64{0.3, 0.05, 1e-3, 1e-12}[trial%4]
+		domain := []int64{8, 1000, 1 << 40}[trial%3] // 8 forces ties
+		items := make([]Item, 1+rng.Intn(200))
+		for i := range items {
+			items[i] = Item{Sum: rng.Int63n(domain), Mult: math.Ldexp(1+rng.Float64(), rng.Intn(121))}
+		}
+		s := Build(items, eps)
+		sorted := slices.Clone(items)
+		slices.SortFunc(sorted, func(a, b Item) int { return cmp.Compare(a.Sum, b.Sum) })
+		var itemMass, bucketMass []float64
+		for _, it := range sorted {
+			itemMass = append(itemMass, it.Mult)
+		}
+		for _, b := range s.Buckets {
+			bucketMass = append(bucketMass, b.Mult)
+		}
+		exactCum, sketchCum := sumOf(itemMass), sumOf(bucketMass)
+		probes := []int64{math.MinInt64, math.MaxInt64}
+		for _, it := range items {
+			probes = append(probes, it.Sum, it.Sum+1)
+		}
+		for _, lam := range probes {
+			exact := exactCum[sort.Search(len(sorted), func(i int) bool { return sorted[i].Sum >= lam })]
+			got := sketchCum[sort.Search(len(s.Buckets), func(i int) bool { return s.Buckets[i].Rep >= lam })]
+			hi := new(big.Float).SetPrec(512).Mul(exact, big.NewFloat(1+tol))
+			lo := new(big.Float).SetPrec(512).Mul(exact, big.NewFloat((1-eps)*(1-tol)))
+			if got.Cmp(hi) > 0 || got.Cmp(lo) < 0 {
+				t.Fatalf("trial %d, ε=%v, λ=%d: sketched %s outside [(1-ε)·%s, %s]",
+					trial, eps, lam, got.Text('g', 20), exact.Text('g', 20), exact.Text('g', 20))
+			}
+		}
+	}
+}
+
 // Atomicity: all items with equal Sum map to the same bucket.
 func TestSketchAtomicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 100; trial++ {
 		items := randomItems(rng, 1+rng.Intn(300), 10) // small domain forces ties
-		s := Build(items, 0.3, false)
+		s := Build(items, 0.3)
 		bucketOf := make(map[int64]int)
 		for i, it := range items {
 			if b, ok := bucketOf[it.Sum]; ok {
@@ -82,25 +136,6 @@ func TestSketchAtomicity(t *testing.T) {
 	}
 }
 
-// The ablation mode can split equal values (that is exactly the bug the
-// paper's adjustment fixes), while still keeping the count guarantee.
-func TestSketchNoAtomicityStillBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 100; trial++ {
-		eps := 0.3
-		items := randomItems(rng, 1+rng.Intn(200), 8)
-		s := Build(items, eps, true)
-		for _, it := range items {
-			lam := it.Sum
-			exact := exactBelow(items, lam)
-			got := countBelow(s, lam)
-			if got > exact+1e-9 || got < (1-eps)*exact-1e-9 {
-				t.Fatalf("ablation sketch out of bounds at λ=%d: %v vs %v", lam, got, exact)
-			}
-		}
-	}
-}
-
 func TestBucketCountLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	n := 100000
@@ -109,7 +144,7 @@ func TestBucketCountLogarithmic(t *testing.T) {
 		items[i] = Item{Sum: rng.Int63n(1 << 40), Mult: 1} // effectively no ties
 	}
 	eps := 0.1
-	s := Build(items, eps, false)
+	s := Build(items, eps)
 	// O(log_{1+eps} total): allow a 4x constant.
 	bound := 4 * math.Log(float64(n)) / math.Log(1+eps)
 	if float64(len(s.Buckets)) > bound {
@@ -120,7 +155,7 @@ func TestBucketCountLogarithmic(t *testing.T) {
 func TestEpsZeroIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	items := randomItems(rng, 100, 20)
-	s := Build(items, 0, false)
+	s := Build(items, 0)
 	for _, it := range items {
 		for _, lam := range []int64{it.Sum, it.Sum + 1} {
 			if got, want := countBelow(s, lam), exactBelow(items, lam); math.Abs(got-want) > 1e-9 {
@@ -131,11 +166,11 @@ func TestEpsZeroIsExact(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	s := Build(nil, 0.5, false)
+	s := Build(nil, 0.5)
 	if len(s.Buckets) != 0 || countBelow(s, 0) != 0 {
 		t.Fatal("empty sketch wrong")
 	}
-	s = Build([]Item{{Sum: 7, Mult: 3}}, 0.5, false)
+	s = Build([]Item{{Sum: 7, Mult: 3}}, 0.5)
 	if len(s.Buckets) != 1 || s.Buckets[0].Rep != 7 || s.Buckets[0].Mult != 3 {
 		t.Fatalf("singleton sketch = %+v", s.Buckets)
 	}
@@ -157,7 +192,7 @@ func TestQuickBucketInvariants(t *testing.T) {
 			items[i] = Item{Sum: int64(v % 64), Mult: float64(v%7 + 1)}
 			total += items[i].Mult
 		}
-		s := Build(items, eps, false)
+		s := Build(items, eps)
 		sum := 0.0
 		for i, b := range s.Buckets {
 			sum += b.Mult
@@ -183,7 +218,7 @@ func TestQuickRoundsUp(t *testing.T) {
 		for i, v := range raw {
 			items[i] = Item{Sum: int64(v), Mult: 1}
 		}
-		s := Build(items, eps, false)
+		s := Build(items, eps)
 		for i, it := range items {
 			if it.Sum > s.Buckets[s.ItemBucket[i]].Rep {
 				return false
@@ -201,6 +236,6 @@ func BenchmarkBuild(b *testing.B) {
 	items := randomItems(rng, 1<<15, 1<<30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(items, 0.1, false)
+		Build(items, 0.1)
 	}
 }

@@ -39,7 +39,7 @@ func TestTrimsRequireNormalForm(t *testing.T) {
 		if _, err := SumAdjacentBand(inst, ranking.NewSum("x", "y"), ranking.NegInf(), w); err == nil {
 			t.Errorf("%s: SumAdjacentBand accepted it", name)
 		}
-		if _, _, err := SumLossy(inst, ranking.NewSum("x", "y", "z"), 3, Less, 0.1, LossyOpts{}); err == nil {
+		if _, _, err := SumLossy(inst, ranking.NewSum("x", "y", "z"), 3, Less, 0.1); err == nil {
 			t.Errorf("%s: SumLossy accepted it", name)
 		}
 	}

@@ -11,30 +11,12 @@ import (
 	"github.com/quantilejoins/qjoin/internal/sketch"
 )
 
-// LossyOpts tunes the ε-lossy SUM trimming.
-type LossyOpts struct {
-	// PaperBudget uses the paper's conservative per-sketch error
-	// ε' = ε/4^h (proof of Lemma 6.1, h = binary-tree height). The default
-	// divides ε by the number of sketch applications instead, which the
-	// paper's own composition lemmas justify: union takes the max of errors,
-	// re-sketching and pairwise summation add them, so the total loss is at
-	// most the sum of the per-application ε' along the tree.
-	PaperBudget bool
-	// DisableAtomicity drops the same-value bucket adjustment (ablation
-	// only). Without it a tuple's mass can straddle two buckets and the
-	// output loses the injection property — answers get duplicated, exactly
-	// the failure mode Section 6 describes.
-	DisableAtomicity bool
-}
-
 // LossyStats reports size information about one lossy trim.
 type LossyStats struct {
 	// EpsPrime is the per-sketch error actually used.
 	EpsPrime float64
 	// OutputTuples is the total tuple count of the produced database.
 	OutputTuples int
-	// MaxRelation is the largest produced relation.
-	MaxRelation int
 	// Buckets is the total number of sketch buckets created.
 	Buckets int
 }
@@ -42,9 +24,12 @@ type LossyStats struct {
 // copyRec is one tuple copy of Algorithm 4: a database row plus its
 // (σ_s, σ_m) message and the bucket-identifier column values.
 type copyRec struct {
-	rowIdx  int
-	sum     int64   // σ_s, negated for Greater so both directions are "<"
-	mult    float64 // σ_m
+	rowIdx int
+	sum    int64 // σ_s, negated for Greater so both directions are "<"
+	// mult is σ_m. It only steers sketch bucket boundaries, so float64
+	// suffices: the kept answers are recounted exactly, in 128 bits, on the
+	// instance this trim emits.
+	mult    float64
 	vChild  []relation.Value
 	vParent relation.Value
 }
@@ -55,7 +40,7 @@ type copyRec struct {
 // produced answer truly satisfies the inequality (sketch representatives
 // round toward the kept side), and at least a (1-ε) fraction of satisfying
 // answers is retained.
-func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64, opts LossyOpts) (Instance, *LossyStats, error) {
+func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64) (Instance, *LossyStats, error) {
 	if f.Agg != ranking.Sum {
 		return Instance{}, nil, fmt.Errorf("trim: SumLossy requires SUM, got %s", f.Agg)
 	}
@@ -93,19 +78,13 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 		lam = -lambda
 	}
 
-	edges := len(tree.Nodes) - 1
+	// ε′ = ε divided by the number of sketch applications, one per tree
+	// edge: union takes the max of the errors, re-sketching and pairwise
+	// summation add them, so the total loss is at most the sum of the ε′
+	// along the tree.
 	epsPrime := eps
-	if edges > 0 {
-		if opts.PaperBudget {
-			h := tree.Height()
-			denom := 1.0
-			for i := 0; i < h; i++ {
-				denom *= 4
-			}
-			epsPrime = eps / denom
-		} else {
-			epsPrime = eps / float64(edges)
-		}
+	if edges := len(tree.Nodes) - 1; edges > 0 {
+		epsPrime = eps / float64(edges)
 	}
 	stats := &LossyStats{EpsPrime: epsPrime}
 
@@ -147,7 +126,7 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 				for j, ci := range idxs {
 					items[j] = sketch.Item{Sum: childCopies[ci].sum, Mult: childCopies[ci].mult}
 				}
-				sketches[k] = sketch.Build(items, epsPrime, opts.DisableAtomicity)
+				sketches[k] = sketch.Build(items, epsPrime)
 			})
 			type bucketRef struct {
 				id   relation.Value
@@ -285,9 +264,6 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 		db2.Add(out)
 		q2.Atoms = append(q2.Atoms, query.Atom{Rel: relName, Vars: vars})
 		stats.OutputTuples += out.Len()
-		if out.Len() > stats.MaxRelation {
-			stats.MaxRelation = out.Len()
-		}
 	}
 	return Instance{Q: q2, DB: db2, Workers: inst.Workers}, stats, nil
 }

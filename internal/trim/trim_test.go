@@ -365,7 +365,7 @@ func TestSumLossyInjectionAndLoss(t *testing.T) {
 		lambda := rng.Int63n(16)
 		dir := Dir(rng.Intn(2))
 		eps := []float64{0.5, 0.3, 0.1}[trial%3]
-		out, _, err := SumLossy(Instance{Q: q, DB: db}, f, lambda, dir, eps, LossyOpts{})
+		out, _, err := SumLossy(Instance{Q: q, DB: db}, f, lambda, dir, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestSumLossyGreaterDirection(t *testing.T) {
 		q, db := testutil.RandomPathInstance(rng, 3, 1+rng.Intn(8), 4)
 		f := ranking.NewSum(q.Vars()...)
 		lambda := rng.Int63n(10)
-		out, _, err := SumLossy(Instance{Q: q, DB: db}, f, lambda, Greater, 0.25, LossyOpts{})
+		out, _, err := SumLossy(Instance{Q: q, DB: db}, f, lambda, Greater, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func TestSumLossyStarNeedsBinarization(t *testing.T) {
 		q, db := testutil.RandomStarInstance(rng, 4, 1+rng.Intn(6), 3)
 		f := ranking.NewSum(q.Vars()...)
 		lambda := rng.Int63n(12)
-		out, _, err := SumLossy(Instance{Q: q, DB: db}, f, lambda, Less, 0.3, LossyOpts{})
+		out, _, err := SumLossy(Instance{Q: q, DB: db}, f, lambda, Less, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,11 +447,11 @@ func TestSumLossyComposes(t *testing.T) {
 		f := ranking.NewSum(q.Vars()...)
 		low, high := int64(3), int64(9)
 		eps := 0.2
-		s1, _, err := SumLossy(Instance{Q: q, DB: db}, f, high, Less, eps, LossyOpts{})
+		s1, _, err := SumLossy(Instance{Q: q, DB: db}, f, high, Less, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, _, err := SumLossy(s1, f, low, Greater, eps, LossyOpts{})
+		s2, _, err := SumLossy(s1, f, low, Greater, eps)
 		if err != nil {
 			t.Fatalf("lossy trims do not compose: %v", err)
 		}
@@ -481,30 +481,6 @@ func TestSumLossyComposes(t *testing.T) {
 	}
 }
 
-func TestSumLossyPaperBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	q, db := testutil.RandomPathInstance(rng, 3, 8, 4)
-	f := ranking.NewSum(q.Vars()...)
-	outA, statsA, err := SumLossy(Instance{Q: q, DB: db}, f, 6, Less, 0.3, LossyOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, statsB, err := SumLossy(Instance{Q: q, DB: db}, f, 6, Less, 0.3, LossyOpts{PaperBudget: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsB.EpsPrime >= statsA.EpsPrime {
-		t.Fatalf("paper budget must be stricter: %v vs %v", statsB.EpsPrime, statsA.EpsPrime)
-	}
-	// Both must satisfy the guarantee; the paper budget keeps at least as
-	// many answers (finer buckets).
-	gotA := materialize(t, outA, q.Vars())
-	gotB := materialize(t, outB, q.Vars())
-	if len(gotB) < len(gotA) {
-		t.Fatalf("finer sketches lost more answers: %d < %d", len(gotB), len(gotA))
-	}
-}
-
 func TestSumLossyValidation(t *testing.T) {
 	q := testutil.PathQuery(2)
 	db := relation.NewDatabase()
@@ -512,13 +488,13 @@ func TestSumLossyValidation(t *testing.T) {
 		db.Add(relation.FromRows(a.Rel, 2, nil))
 	}
 	inst := Instance{Q: q, DB: db}
-	if _, _, err := SumLossy(inst, ranking.NewMin("x1"), 0, Less, 0.1, LossyOpts{}); err == nil {
+	if _, _, err := SumLossy(inst, ranking.NewMin("x1"), 0, Less, 0.1); err == nil {
 		t.Fatal("MIN accepted")
 	}
-	if _, _, err := SumLossy(inst, ranking.NewSum("x1"), 0, Less, 0, LossyOpts{}); err == nil {
+	if _, _, err := SumLossy(inst, ranking.NewSum("x1"), 0, Less, 0); err == nil {
 		t.Fatal("ε = 0 accepted")
 	}
-	if _, _, err := SumLossy(inst, ranking.NewSum("x1"), 0, Less, 1, LossyOpts{}); err == nil {
+	if _, _, err := SumLossy(inst, ranking.NewSum("x1"), 0, Less, 1); err == nil {
 		t.Fatal("ε = 1 accepted")
 	}
 }
@@ -537,7 +513,7 @@ func TestFigure4Shape(t *testing.T) {
 	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 1}, {3, 1}, {4, 1}}))
 	f := ranking.NewSum("x", "y", "z")
 	// True sums: 2+1+6=9, 10, 11. λ=11 keeps {9,10} exactly.
-	out, stats, err := SumLossy(Instance{Q: q, DB: db}, f, 11, Less, 0.5, LossyOpts{})
+	out, stats, err := SumLossy(Instance{Q: q, DB: db}, f, 11, Less, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

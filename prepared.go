@@ -47,7 +47,7 @@ import (
 // # Concurrency
 //
 // A Prepared plan is safe for concurrent readers: Quantile, QuantileStats,
-// Quantiles, ApproxQuantile, Median, SelectAt, Count, TopK, Enumerate,
+// Quantiles, Answer, Median, SelectAt, Count, TopK, Enumerate,
 // BaselineQuantile, RankedEnumerate and SampleAnswers may all be called from
 // multiple goroutines at once, alongside Update and WarmSketches. The lazily
 // built counts are built once under a mutex. Two caveats:
@@ -109,7 +109,10 @@ type Prepared struct {
 // wholesale). The compiled plan and all answers are byte-identical for
 // every Parallelism value.
 func Prepare(q *Query, db *DB, opts ...Options) (*Prepared, error) {
-	o := oneOpt(opts)
+	o, err := oneOpt(opts)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := engine.NewWorkers(q, db.inner, o.Parallelism)
 	if err != nil {
 		return nil, mapCompileErr(err)
@@ -135,15 +138,15 @@ func mapCompileErr(err error) error {
 // (0, "use the default") inherits the plan's: a plan prepared with
 // Parallelism 1 must never silently go parallel because the caller passed
 // Options{Epsilon: ...} to tweak something unrelated.
-func (p *Prepared) opt(opts []Options) Options {
+func (p *Prepared) opt(opts []Options) (Options, error) {
 	if len(opts) == 0 {
-		return p.opts
+		return p.opts, nil
 	}
-	o := oneOpt(opts)
+	o, err := oneOpt(opts)
 	if o.Parallelism == 0 {
 		o.Parallelism = p.opts.Parallelism
 	}
-	return o
+	return o, err
 }
 
 // Query returns the query this plan was compiled from.
@@ -202,16 +205,6 @@ func (p *Prepared) Median(f *Ranking, opts ...Options) (*Answer, error) {
 	return p.Quantile(f, 0.5, opts...)
 }
 
-// ApproxQuantile returns a deterministic (φ±ε)-quantile (Theorem 6.2).
-//
-// Deprecated: equivalent to Answer with QuantileRequest{Phi: phi, Eps: eps,
-// Mode: ModeExact}; ModeApprox/ModeAuto answer from the sketch tier instead.
-func (p *Prepared) ApproxQuantile(f *Ranking, phi, eps float64, opts ...Options) (*Answer, error) {
-	o := p.opt(opts)
-	o.Epsilon = eps
-	return p.Answer(f, QuantileRequest{Phi: phi, Mode: ModeExact}, o)
-}
-
 // Quantiles answers several φ's against this single plan, exactly, in one
 // shared descent of the pivot loop: a round's pivot places every requested φ
 // at once, so the grid costs O(|D|·log m) trim, derive and count work for m
@@ -228,7 +221,10 @@ func (p *Prepared) Quantiles(f *Ranking, phis []float64, opts ...Options) ([]*An
 	if len(phis) == 0 {
 		return []*Answer{}, nil
 	}
-	o := p.opt(opts)
+	o, err := p.opt(opts)
+	if err != nil {
+		return nil, err
+	}
 	total := p.sh.Total()
 	ks := make([]counting.Count, len(phis))
 	for i, phi := range phis {
@@ -277,8 +273,16 @@ func (p *Prepared) SelectAt(f *Ranking, k *big.Int, opts ...Options) (*Answer, e
 	if !ok {
 		return nil, fmt.Errorf("qjoin: index out of the supported 128-bit range")
 	}
-	a, _, err := core.Select(p.sh.Engines(), f, kc, p.opt(opts))
-	return a, err
+	o, err := p.opt(opts)
+	if err != nil {
+		return nil, err
+	}
+	a, stats, err := core.Select(p.sh.Engines(), f, kc, o)
+	if err != nil {
+		return nil, err
+	}
+	tagExact(a, stats, o)
+	return a, nil
 }
 
 // SampleAnswers draws k uniform samples from Q(D) (with replacement) using

@@ -1,6 +1,7 @@
 package qjoin_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -38,7 +39,7 @@ type diffCase struct {
 	name string
 	mk   func() (*qjoin.Query, *qjoin.DB)
 	rank func(q *qjoin.Query) *qjoin.Ranking
-	eps  float64 // >0: compare ApproxQuantile instead of exact Quantile
+	eps  float64 // >0: compare the deterministic (φ±ε) answers instead of exact ones
 }
 
 func diffCases() []diffCase {
@@ -132,8 +133,8 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 				var pa, fa *qjoin.Answer
 				var perr, ferr error
 				if tc.eps > 0 {
-					pa, perr = p.ApproxQuantile(f, phi, tc.eps)
-					fa, ferr = qjoin.ApproxQuantile(q, db, f, phi, tc.eps)
+					pa, perr = p.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: tc.eps, Mode: qjoin.ModeExact})
+					fa, ferr = qjoin.Quantile(q, db, f, phi, qjoin.Options{Epsilon: tc.eps})
 				} else {
 					pa, perr = p.Quantile(f, phi)
 					fa, ferr = qjoin.Quantile(q, db, f, phi)
@@ -339,7 +340,7 @@ func TestPreparedErrors(t *testing.T) {
 	if _, err := pp.Quantile(full, 0.5); err != qjoin.ErrIntractable {
 		t.Fatalf("full SUM: err = %v, want ErrIntractable", err)
 	}
-	if _, err := pp.ApproxQuantile(full, 0.5, 0.25); err != nil {
+	if _, err := pp.Answer(full, qjoin.QuantileRequest{Phi: 0.5, Eps: 0.25, Mode: qjoin.ModeExact}); err != nil {
 		t.Fatalf("approx after intractable: %v", err)
 	}
 }
@@ -430,6 +431,90 @@ func TestPreparedHostileArguments(t *testing.T) {
 	}
 	if routed.Shards() != 3 || routed.Key() != "e" || one.Key() != "e" {
 		t.Errorf("routed plans: Shards()=%d Key()=%q / %q", routed.Shards(), routed.Key(), one.Key())
+	}
+}
+
+// TestOptionsEpsilonChecked pins where an Options value enters the library:
+// a nonzero ε outside (0,1) is an *ArgError on eps from each entry point, as a
+// request's ε is under Answer. Unchecked, a full SUM over the 3-path (exactly
+// intractable) answers ε = 3 and certifies 3 as its bound.
+func TestOptionsEpsilonChecked(t *testing.T) {
+	q, idb := workload.Path(rand.New(rand.NewSource(11)), 3, 40, 5)
+	db := qjoin.WrapDB(idb)
+	f := qjoin.Sum(q.Vars()...)
+	p, err := qjoin.Prepare(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := p.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	k := new(big.Int).Rsh(p.Count(), 1)
+	entries := map[string]func(qjoin.Options) error{
+		"Quantile": func(o qjoin.Options) error { _, err := p.Quantile(f, 0.5, o); return err },
+		"QuantileStats": func(o qjoin.Options) error {
+			_, _, err := p.QuantileStats(f, 0.5, o)
+			return err
+		},
+		"Quantiles": func(o qjoin.Options) error { _, err := p.Quantiles(f, []float64{0.5}, o); return err },
+		"SelectAt":  func(o qjoin.Options) error { _, err := p.SelectAt(f, k, o); return err },
+		"Prepare":   func(o qjoin.Options) error { _, err := qjoin.Prepare(q, db, o); return err },
+		"PrepareSharded": func(o qjoin.Options) error {
+			_, err := qjoin.PrepareSharded(q, db, 2, o)
+			return err
+		},
+		"LoadPreparedBytes": func(o qjoin.Options) error {
+			_, err := qjoin.LoadPreparedBytes(snap.Bytes(), o)
+			return err
+		},
+	}
+	for name, call := range entries {
+		for _, eps := range []float64{1.5, 3, math.NaN(), math.Inf(1), -0.5} {
+			var ae *qjoin.ArgError
+			if err := call(qjoin.Options{Epsilon: eps}); !errors.As(err, &ae) || ae.Field != "eps" {
+				t.Errorf("%s(ε=%v): err = %v, want *ArgError on eps", name, eps, err)
+			}
+		}
+		if err := call(qjoin.Options{Epsilon: 0.2}); err != nil {
+			t.Errorf("%s(ε=0.2): %v", name, err)
+		}
+	}
+}
+
+// TestSelectAtTagsItsAnswer: a selection reports its tier and, when its run
+// went through lossy trims, the ε it certifies — the tags Quantiles puts on
+// the same request. A bound of 0 on a lossy answer would certify it as exact.
+func TestSelectAtTagsItsAnswer(t *testing.T) {
+	q, idb := workload.Path(rand.New(rand.NewSource(11)), 3, 40, 5)
+	p, err := qjoin.Prepare(q, qjoin.WrapDB(idb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := new(big.Int).Rsh(p.Count(), 1)
+	for _, c := range []struct {
+		f     *qjoin.Ranking
+		opts  qjoin.Options
+		bound float64
+	}{
+		{qjoin.Sum(q.Vars()...), qjoin.Options{Epsilon: 0.2}, 0.2}, // intractable: lossy
+		{qjoin.Sum("x1", "x2"), qjoin.Options{Epsilon: 0.2}, 0},    // tractable: exact trims
+		{qjoin.Max(q.Vars()...), qjoin.Options{}, 0},
+	} {
+		a, err := p.SelectAt(c.f, k, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Source != qjoin.SourceExact || a.ErrorBound != c.bound {
+			t.Errorf("%s%v ε=%v: source %q bound %v, want %q %v", c.f.Agg, c.f.Vars, c.opts.Epsilon, a.Source, a.ErrorBound, qjoin.SourceExact, c.bound)
+		}
+		grid, err := p.Quantiles(c.f, []float64{0.5}, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grid[0].Source != a.Source || grid[0].ErrorBound != a.ErrorBound {
+			t.Errorf("%s%v ε=%v: Quantiles tags %q %v, SelectAt %q %v", c.f.Agg, c.f.Vars, c.opts.Epsilon, grid[0].Source, grid[0].ErrorBound, a.Source, a.ErrorBound)
+		}
 	}
 }
 

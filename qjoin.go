@@ -54,15 +54,6 @@ type PhaseTimings = core.PhaseTimings
 // SumClassification is the dichotomy verdict of Theorem 5.6.
 type SumClassification = core.SumClassification
 
-// EpsilonBudget selects the error-splitting strategy for approximate SUM.
-type EpsilonBudget = core.EpsilonBudget
-
-// Budget strategies for approximate SUM quantiles.
-const (
-	BudgetGeometric = core.BudgetGeometric
-	BudgetPaper     = core.BudgetPaper
-)
-
 // Driver errors.
 var (
 	ErrNoAnswers = core.ErrNoAnswers
@@ -201,19 +192,6 @@ func SelectAt(q *Query, db *DB, f *Ranking, k *big.Int, opts ...Options) (*Answe
 	return p.SelectAt(f, k, opts...)
 }
 
-// ApproxQuantile returns a deterministic (φ±ε)-quantile (Theorem 6.2). It
-// works for every acyclic query under SUM, including the exactly-intractable
-// ones.
-func ApproxQuantile(q *Query, db *DB, f *Ranking, phi, eps float64, opts ...Options) (*Answer, error) {
-	o := oneOpt(opts)
-	o.Epsilon = eps
-	p, err := Prepare(q, db, o)
-	if err != nil {
-		return nil, err
-	}
-	return p.ApproxQuantile(f, phi, eps, o)
-}
-
 // SampleQuantile returns a randomized (φ±ε)-quantile with success
 // probability at least 1-δ, by uniform answer sampling (Section 3.1):
 // uniform ordinals decoded by the count-guided walk. It is Answer with
@@ -323,12 +301,18 @@ func ClassifyRanking(q *Query, f *Ranking) (tractable bool, why string) {
 	return core.ClassifyRanking(q, f)
 }
 
-func oneOpt(opts []Options) Options {
+// oneOpt is where an Options value enters the library, as a plan's defaults
+// or one call's: it takes at most one, and a nonzero Epsilon must pass
+// ValidateEpsilon.
+func oneOpt(opts []Options) (Options, error) {
 	if len(opts) == 0 {
-		return Options{}
+		return Options{}, nil
 	}
 	if len(opts) > 1 {
 		panic("qjoin: pass at most one Options value")
 	}
-	return opts[0]
+	if eps := opts[0].Epsilon; eps != 0 {
+		return opts[0], ValidateEpsilon(eps)
+	}
+	return opts[0], nil
 }

@@ -174,7 +174,7 @@ func TestApproxAndSampling(t *testing.T) {
 	if _, err := qjoin.Quantile(q, db, f, 0.5); err != qjoin.ErrIntractable {
 		t.Fatalf("exact full SUM on 3-path: err = %v", err)
 	}
-	if _, err := qjoin.ApproxQuantile(q, db, f, 0.5, 0.2); err != nil {
+	if _, err := qjoin.Quantile(q, db, f, 0.5, qjoin.Options{Epsilon: 0.2}); err != nil {
 		t.Fatalf("approx: %v", err)
 	}
 	if _, err := qjoin.SampleQuantile(q, db, f, 0.5, 0.2, 0.1, rng); err != nil {

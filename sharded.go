@@ -66,7 +66,10 @@ func PrepareSharded(q *Query, db *DB, shards int, opts ...Options) (*Prepared, e
 	if shards == 0 {
 		shards = 1
 	}
-	o := oneOpt(opts)
+	o, err := oneOpt(opts)
+	if err != nil {
+		return nil, err
+	}
 	sh, err := shard.New(q, db.inner, shards, o.Parallelism)
 	if err != nil {
 		return nil, err

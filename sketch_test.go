@@ -134,8 +134,8 @@ func TestSketchCertifiedBound(t *testing.T) {
 
 // TestAutoFallbackByteIdentical pins the acceptance contract: when the
 // requested ε is tighter than anything the sketch certifies, mode=auto's
-// answer is byte-identical to the legacy exact path (here ApproxQuantile,
-// which routes the same ε into the engine).
+// answer is byte-identical to the exact tier's (mode=exact with the same ε,
+// which routes that ε into the engine).
 func TestAutoFallbackByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	insts := fuzzInstances(rng)
@@ -153,12 +153,12 @@ func TestAutoFallbackByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("φ=%v auto: %v", phi, err)
 		}
-		legacy, err := p.ApproxQuantile(f, phi, tiny)
+		exact, err := p.Answer(f, qjoin.QuantileRequest{Phi: phi, Eps: tiny, Mode: qjoin.ModeExact})
 		if err != nil {
-			t.Fatalf("φ=%v legacy: %v", phi, err)
+			t.Fatalf("φ=%v exact: %v", phi, err)
 		}
-		if !reflect.DeepEqual(auto, legacy) {
-			t.Errorf("φ=%v: auto fallback %+v diverged from legacy %+v", phi, auto, legacy)
+		if !reflect.DeepEqual(auto, exact) {
+			t.Errorf("φ=%v: auto fallback %+v diverged from exact %+v", phi, auto, exact)
 		}
 		if auto.Source != qjoin.SourceExact {
 			t.Errorf("φ=%v: auto fallback source %q, want exact", phi, auto.Source)

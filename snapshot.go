@@ -150,7 +150,7 @@ func LoadPrepared(r io.Reader, opts ...Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadPlan(sr, oneOpt(opts))
+	return loadPlan(sr, opts)
 }
 
 // LoadPreparedBytes is LoadPrepared over an in-memory snapshot, skipping the
@@ -162,7 +162,7 @@ func LoadPreparedBytes(b []byte, opts ...Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadPlan(sr, oneOpt(opts))
+	return loadPlan(sr, opts)
 }
 
 // LoadPlanBytes is LoadPreparedBytes under the Plan name.
@@ -171,7 +171,11 @@ func LoadPlanBytes(b []byte, opts ...Options) (Plan, error) { return LoadPrepare
 // loadPlan decodes a plan while the section checksum pass runs concurrently
 // (snap.Reader.Sections); the verify join gates every exit, and a checksum
 // failure wins over whatever the decode made of the bad bytes.
-func loadPlan(sr *snap.Reader, o Options) (*Prepared, error) {
+func loadPlan(sr *snap.Reader, opts []Options) (*Prepared, error) {
+	o, err := oneOpt(opts)
+	if err != nil {
+		return nil, err
+	}
 	kind := sr.Kind()
 	if kind != snap.KindPrepared && kind != snap.KindSharded {
 		return nil, corruptf("stream holds kind %d, not a plan snapshot", kind)
