@@ -300,7 +300,7 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		kb     float64 // KB allocated per 8-φ grid
 	}{
 		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 38}, // measured 235, 32.8 KB (the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1478, 5350},     // measured 1285, 88.6 or 4 651 KB (fresh band storage per cut, PR 24: 1372, 8 092–9 438 KB; a band's tree rebuilt, PR 23: 1411, 8 470–10 260 KB; the band as tuples, PR 22: 1471, 20 700–21 800 KB; every round run, PR 21: 2809, ≈ 34 900 KB; PR 19: 3104; PR 18: 6018); PR 11: 2.7M
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1467, 3850},     // measured 1275, 56.1 or 3 349 KB since an equal-partition exit cuts only its class (1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -1164,9 +1164,11 @@ type rotationOp struct {
 // on one plan that has been through the 396-request rotation once — the pivot
 // tree supplies the rounds, and the run is one band cut and its tail. Each
 // iteration of either asks the other kind of plan too, untimed, and checks the
-// answers agree. CI's scaling gate: warm min ns/op ≤ 0.36× cold (measured
-// 0.22–0.27: cold ≈ 12–14 ms, warm ≈ 2.8–3.7 since the bands derive their
-// trees, ISSUE 24; 15–17 and ≈ 4.2 before).
+// answers agree. A warm leaf carries its rank splitters, so the band cut is
+// the slice of the leaf the rank falls in, about an eighth of it. CI's scaling
+// gate: warm min ns/op ≤ 0.13× cold (measured 0.07–0.10 with the splitters:
+// cold ≈ 21–27 ms, warm ≈ 2.0–2.4 on a loaded 2-vCPU box; 0.22–0.27 while a
+// warm op cut and weighed its whole leaf).
 func BenchmarkRememberedQuantile(b *testing.B) {
 	q, idb := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
 	db := qjoin.WrapDB(idb)

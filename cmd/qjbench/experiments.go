@@ -311,10 +311,10 @@ func runE08(c *ctx) {
 		n = 150
 	}
 	rng := rand.New(rand.NewSource(6))
-	q, db := workload.Path(rng, 3, n, int64(n/8))
+	q, db := groupedPath(rng, n)
 	f := ranking.NewSum(q.Vars()...)
 	total := countOf(q, db)
-	fmt.Printf("full SUM on 3-path (exactly intractable): n=%d per relation, |Q(D)| = %s\n", n, total)
+	fmt.Printf("full SUM on 3-path (exactly intractable), join groups of ≈ 32: n=%d per relation, |Q(D)| = %s\n", n, total)
 
 	// Ground truth ranks via materialization (test-scale only).
 	answers := materializeAll(q, db)
@@ -414,11 +414,11 @@ func runE09(c *ctx) {
 // ---------------------------------------------------------------- E10
 
 func runE10(c *ctx) {
-	fmt.Println("lossy trim output size vs ε (3-path, sum < median weight):")
+	fmt.Println("lossy trim output size vs ε (3-path, join groups of ≈ 32, sum < median weight):")
 	t := &table{header: []string{"n per relation", "ε", "ε' per sketch", "input |D|", "output |D'|", "blowup", "kept/satisfying"}}
 	for _, sz := range sizes(c, []int{256, 512, 1024}) {
 		rng := rand.New(rand.NewSource(9))
-		q, db := workload.Path(rng, 3, sz, int64(sz/8+1))
+		q, db := groupedPath(rng, sz)
 		f := ranking.NewSum(q.Vars()...)
 		inst := trim.Instance{Q: q, DB: db, Workers: workerCount()}
 		// λ = the weight of a pivot (roughly the median weight).
@@ -495,6 +495,26 @@ func runE11(c *ctx) {
 }
 
 // ---------------------------------------------------------------- helpers
+
+// groupedPath is the 3-path R1(x1,x2), R2(x2,x3), R3(x3,x4) with n tuples per
+// relation whose join values x2 and x3 take n/32 values (at least 2) and whose
+// ends x1 and x4 take 1000: every join group holds ≈ 32 tuples of distinct
+// weights, enough for the lossy trim's value-grouped sketches to merge (with
+// groups of a few tuples, as workload.Path's domain of n/8 gives, every bucket
+// holds one value and nothing is lost at any ε).
+func groupedPath(rng *rand.Rand, n int) (*query.Query, *relation.Database) {
+	keys := int64(max(n/32, 2))
+	q := testutil.PathQuery(3)
+	db := relation.NewDatabase()
+	for i, dom := range [][2]int64{{1000, keys}, {keys, keys}, {keys, 1000}} {
+		rel := relation.New(fmt.Sprintf("R%d", i+1), 2)
+		for j := 0; j < n; j++ {
+			rel.Append(rng.Int63n(dom[0]), rng.Int63n(dom[1]))
+		}
+		db.Add(rel)
+	}
+	return q, db
+}
 
 func materializeAll(q *query.Query, db *relation.Database) [][]relation.Value {
 	return yannakakis.Materialize(engineOf(q, db).Exec())

@@ -212,14 +212,15 @@
 // its bands: a remembered round skips the pivot pass, a remembered partition's
 // count places the ranks without the partition being built, and a band is cut
 // out of the original instance only where an instance is read — the pivot
-// pass of a round the tree does not hold, a leaf's tail, the tail of a tie
-// class with several members. Every round a run does
-// execute is written into the tree (first writer wins, nodes are immutable,
-// no run waits for another). The first exact answer per (plan, ranking) pays
-// the descent; later ones one band cut and their tail. Single ranks, rank
-// grids and sketch builds walk and fill the same tree. It is bounded by
-// construction — one node per 256 input tuples, at least 64, past which
-// deeper rounds simply run; as many rankings as the trim cache keeps — and
+// pass of a round the tree does not hold, a leaf's tail. Every round a run
+// does execute is written into the tree (first writer wins, nodes are
+// immutable, no run waits for another), and so are a leaf's rank splitters
+// when a tail first weighs the leaf whole (see The tail). The first exact
+// answer per (plan, ranking) pays the descent; later ones cut the slice of a
+// leaf between two splitters, about an eighth of it, and weigh that. Single
+// ranks, rank grids and sketch builds walk and fill the same tree. It is
+// bounded by construction — one node per 256 input tuples, at least 64, past
+// which deeper rounds simply run; as many rankings as the trim cache keeps — and
 // follows the trim cache's ownership: an engine derived by a set-changing
 // delta starts without one (on a routed plan a delta to any shard starts the
 // vector's tree over), a multiplicity-only delta carries it, a restored plan
@@ -256,10 +257,11 @@
 // it: the cut touches no hash table at all.
 //
 // The tail. A run ends in a band of at most |D| candidates (or in a tie class
-// of several members), and nothing of that band is ever held as tuples but
-// the answers returned. Weigh: a pass over each live shard's current tree,
-// guided by its counts, visits the candidates in Enumerate's order on
-// Enumerate's odometer (yannakakis.Walk) and writes their weights — not their
+// of several members, cut as a band of its own, below), and nothing of that
+// band is ever held as tuples but the answers returned. Weigh: a pass over
+// each live shard's current tree, guided by its counts, visits the candidates
+// in Enumerate's order on Enumerate's odometer (yannakakis.Walk) and writes
+// their weights — not their
 // values — into one flat array, the pivot pass's layout: per pre-order depth
 // it carries the weight of the tuples bound so far (for LEX the one vector,
 // each position written by the node that owns it under μ) and weighs the last
@@ -284,13 +286,26 @@
 // answers before the class is its rank inside, and the members' value order
 // is the tie-break — no step depends on the order the walk visits the
 // candidates in, which only names them. A tie class reached through the equal
-// partition is the same code with the class's weight known: the weights are
-// looked at and dropped, the members' ordinals kept. Selection is worst-case
-// linear; beside it the tail sorts the ordinals of the classes it recovers
-// (c·log c for c members) and recovery costs O(|D| + ℓ·c) plus the live group
-// members it steps over, never more than the walk up to the last member: a
-// band that is one giant tie class costs what materializing it costs.
-// PhaseLog.Tail, Weighed and Recovered report it (Options.CollectPhases).
+// partition of a round is cut as its own band — strictly between λ's integer
+// predecessor and successor (in the last position for LEX; the round's own
+// bound where ±1 would leave int64) — and weighed like a leaf with its ranks
+// rebased past the lt partition, so the exit weighs the class and not the band
+// the round split, which is always larger than |D|. A class larger than |D| is
+// still weighed and recovered whole: O(|class|). Splitters: the first tail that
+// weighs a leaf below a remembered partition also selects the leaf's exact
+// rank splitters — for j = 1…15 the weight at position j·N/16 and how many of
+// the leaf's N answers weigh less than it and at most it — in the same
+// multi-select, and publishes them on the partition. A later run that reaches
+// the leaf without holding its instance cuts only the narrowest band between
+// two splitters (the leaf's own bounds standing for the ends) that holds its
+// ranks, rebased by the answers at most the lower splitter's weight: that band
+// is a union of complete weight classes, so its answers are the leaf's, and
+// RunStats still count the leaf (Materialized), not the slice. Selection is
+// worst-case linear; beside it the tail sorts the ordinals of the classes it
+// recovers (c·log c for c members) and recovery costs O(|D| + ℓ·c) plus the
+// live group members it steps over, never more than the walk up to the last
+// member: a band that is one giant tie class costs what materializing it
+// costs. PhaseLog.Tail, Weighed and Recovered report it (Options.CollectPhases).
 // Every answer owns its values and its weight; Answer.Vars is the plan's.
 //
 // One-pass band trim. Every exact family cuts the candidate band

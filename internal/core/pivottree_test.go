@@ -15,6 +15,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/trim"
 	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
@@ -501,5 +502,134 @@ func TestConcurrentRunsShareOneTree(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+	}
+}
+
+// leafOf follows band index k down the rounds the tree remembers, from a band
+// of n candidates, to the remembered side whose band is a leaf at threshold:
+// the side and k relative to it, or nil when the index leaves the tree first
+// or lands in an equal partition.
+func leafOf(t *pivotTree, n, k, threshold counting.Count) (*pivotSide, counting.Count) {
+	at := &t.root
+	var sd *pivotSide
+	for n.Cmp(threshold) > 0 {
+		nd := at.Load()
+		if nd == nil {
+			return nil, k
+		}
+		lt, gt := nd.sides[trim.Less].Load(), nd.sides[trim.Greater].Load()
+		switch {
+		case lt != nil && k.Less(lt.count):
+			sd = lt
+		case gt != nil && !k.Less(n.Sub(gt.count)):
+			k, sd = k.Sub(n.Sub(gt.count)), gt
+		default:
+			return nil, k
+		}
+		n, at = sd.count, &sd.below
+	}
+	return sd, k
+}
+
+// A leaf's splitters change what a warm run weighs and nothing it reports.
+// Over the pivot-tree instances at 1 and 3 shards, under every ranking and at
+// three thresholds on one plan warmed by a rank list at each, a stream of
+// random single-rank requests returns the
+// answer and the RunStats of a plan compiled for each one alone. A request that
+// comes down stale to a leaf with splitters cuts one band between two of them
+// and weighs exactly its candidates: as many as the band's count, which is the
+// difference of the two offsets recorded for its bounds — the "at most" offset
+// of the lower splitter, the "less than" one of the upper.
+func TestLeafSplittersCutASlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var cuts []counting.Count
+	defer func() { bandHook = nil }()
+	sliced := 0
+	for _, inst := range rememberedInstances() {
+		for _, nShards := range []int{1, 3} {
+			compile := func() []*engine.Engine {
+				sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+				if err != nil {
+					t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
+				}
+				return sh.Engines()
+			}
+			if _, err := shard.New(inst.Q, inst.DB, nShards, 1); err != nil {
+				continue // a cyclic query is never routed
+			}
+			warm := compile()
+			total, size := counting.Zero, 0
+			for _, eng := range warm {
+				total, size = total.Add(eng.Counts().Total), size+eng.DB().Size()
+			}
+			n, _ := total.Uint64()
+			for _, f := range inst.Ranks {
+				// Warm the plan: a rank list that reaches most leaves at each
+				// threshold records their splitters.
+				grid := make([]counting.Count, 48)
+				for i := range grid {
+					grid[i] = counting.FromInt(i * int(n) / len(grid))
+				}
+				for _, threshold := range []int{0, 8, 24} {
+					if _, _, err := SelectMany(warm, f, grid, Options{Parallelism: 1, MaterializeThreshold: threshold}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 30; i++ {
+					opts := Options{Parallelism: 1, MaterializeThreshold: []int{0, 8, 24}[i%3], CollectPhases: true}
+					k := counting.FromInt(rng.Intn(int(n)))
+					name := fmt.Sprintf("%s shards=%d %s%v threshold=%d rank %s", inst.Name, nShards, f.Agg, f.Vars, opts.MaterializeThreshold, k)
+					// The slice the leaf's splitters hold k in, if it has any.
+					var sp *splitters
+					var off, end int
+					if tree := peekTree(warm, f); tree != nil {
+						if sd, in := leafOf(tree, total, k, counting.FromInt(opts.threshold(size))); sd != nil {
+							if sp = sd.leaf.Load(); sp != nil {
+								at, _ := in.Uint64()
+								off, end = 0, int(sd.count.Lo)
+								for j := range sp.le {
+									if uint64(sp.le[j]) <= at {
+										off = sp.le[j]
+									}
+									if j := len(sp.lt) - 1 - j; uint64(sp.lt[j]) > at {
+										end = sp.lt[j]
+									}
+								}
+							}
+						}
+					}
+					cuts = cuts[:0]
+					bandHook = func(_, _ ranking.Bound, n counting.Count, _, _ int) { cuts = append(cuts, n) }
+					got, gotStats, err := Select(warm, f, k, opts)
+					bandHook = nil
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, wantStats, err := Select(compile(), f, k, opts)
+					if err != nil {
+						t.Fatalf("%s: fresh plan: %v", name, err)
+					}
+					if !sameAnswer(got, want) {
+						t.Fatalf("%s: answer %v, a fresh plan's %v", name, got, want)
+					}
+					weighed := gotStats.Phases.Weighed
+					gotStats.Phases, wantStats.Phases = nil, nil
+					if !sameStats(gotStats, wantStats) {
+						t.Fatalf("%s: stats %+v, a fresh plan's %+v", name, *gotStats, *wantStats)
+					}
+					if sp == nil || weighed == gotStats.Materialized {
+						continue // no splitters, or the run built the leaf as a side
+					}
+					sliced++
+					if last, _ := cuts[len(cuts)-1].Uint64(); weighed != int(last) || weighed != end-off {
+						t.Fatalf("%s: weighed %d of a leaf of %d; the slice cut holds %d, the splitters' offsets are %d and %d",
+							name, weighed, gotStats.Materialized, last, off, end)
+					}
+				}
+			}
+		}
+	}
+	if sliced < 200 {
+		t.Fatalf("%d requests cut a slice between splitters", sliced)
 	}
 }

@@ -69,9 +69,11 @@ type RunStats struct {
 	// equals len(Phases.Iterations).
 	Iterations int
 	// Materialized is the candidate count resolved by final materialization —
-	// the size of the bands whose candidates the tail weighed to select among
-	// them; it forms only the answers it returns (0 when the run terminated
-	// in the equal partition).
+	// the size of the leaf bands whose candidates the tail selects among; it
+	// forms only the answers it returns (0 when the run terminated in the
+	// equal partition). A run that finds a leaf's rank splitters in the pivot
+	// tree weighs only a slice of the leaf (Phases.Weighed says how much), and
+	// counts the leaf here all the same.
 	Materialized int
 	// PivotReturned reports termination through the equal partition.
 	PivotReturned bool
@@ -474,8 +476,9 @@ func (d *descent) phase() *PhaseTimings {
 // reduction being built, and only the answers returned are formed
 // (resolveRanks). Nothing shared is ever mutated here but the plan's pivot tree
 // (pivotTree), which an exact run walks instead of running the rounds it
-// holds and fills with the rounds it runs: the second exact request under a
-// ranking is one band cut and its tail.
+// holds and fills with the rounds it runs and the rank splitters of the leaves
+// it weighs: the second exact request under a ranking is one cut of the slice
+// of a leaf its rank falls in, and that slice's tail.
 //
 // Termination is canonical for exact trims: whichever way an index is
 // resolved — materialization, or landing in the pivot's equal partition — it
@@ -578,28 +581,27 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 // triple of counting slots the round's builds may write (countSlot). depth is
 // the number of rounds above.
 //
-// at is the band's place in the pivot tree (nil: the band has none — a lossy
-// run, or a band below a round the tree's budget did not admit). A round the
-// tree holds is walked, not run: its pivot is read, and so is the count of a
-// partition some run has built, which places the indices as the build would.
-// Entering a partition that was only read leaves the descent stale — no shard
-// holds an instance of the band — until instances cuts it, which only a pivot
-// pass on a round the tree does not hold and the tail of a leaf or of a tie
-// class ask for.
+// sd is the remembered partition the band is (nil: the root band, whose round
+// is the tree's root, or a band the tree has no place for — a lossy run, or a
+// band below a round the tree's budget did not admit): the round on it is in
+// its below slot, and a leaf's rank splitters in its leaf slot (see leaf). A
+// round the tree holds is walked, not run: its pivot is read, and so is the
+// count of a partition some run has built, which places the indices as the
+// build would. Entering a partition that was only read leaves the descent
+// stale — no shard holds an instance of the band — until instances cuts it,
+// which only a pivot pass on a round the tree does not hold and the tail of a
+// leaf ask for.
 // Whatever the round does execute it writes into the tree. The statistics
 // cannot tell the difference: a remembered partition counts with the size it
 // was built at.
-func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low, high ranking.Bound, count counting.Count, ranks []rank, out []*Answer) error {
+func (d *descent) selectIn(depth, level int, sd *pivotSide, low, high ranking.Bound, count counting.Count, ranks []rank, out []*Answer) error {
 	if depth >= d.opts.maxIterations() {
 		return ErrTooManyIterations
 	}
 	shards, stats, f, now := d.shards, d.stats, d.f, d.now
 	if count.Cmp(d.threshold) <= 0 {
-		if err := d.instances(depth, level, low, high); err != nil {
-			return err
-		}
 		m, _ := count.Uint64()
-		if err := d.tail(nil, int(m), ranks, out); err != nil {
+		if err := d.leaf(depth, level, sd, low, high, int(m), ranks, out); err != nil {
 			return err
 		}
 		stats.Materialized += int(m)
@@ -609,9 +611,13 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 	if stats.Phases != nil {
 		stats.Phases.Iterations = append(stats.Phases.Iterations, PhaseTimings{})
 	}
-	if depth == 0 && !d.trm.lossy {
+	var at *atomic.Pointer[pivotNode]
+	switch {
+	case depth == 0 && !d.trm.lossy:
 		d.tree = treeFor(d.engs, f, d.dbSize)
 		at = &d.tree.root
+	case sd != nil:
+		at = &sd.below
 	}
 	var nd *pivotNode
 	if at != nil {
@@ -786,23 +792,15 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 				}
 				out[r.at] = &Answer{Vars: d.origVars, Values: vals, Weight: wp.Clone()}
 			}
-		} else {
-			if err := d.instances(depth, level, low, high); err != nil {
-				return err
-			}
-			for i := range eq {
-				eq[i].k = eq[i].k.Sub(c[trim.Less])
-			}
-			if err := d.tail(&wp, 0, eq, out); err != nil {
-				return err
-			}
+		} else if err := d.classExit(depth, level, wp, low, high, count, c, eq, out); err != nil {
+			return err
 		}
 	}
 
 	// Every live shard descends into its slice of a partition the round built.
 	// One the tree supplied has no slices: the shards it says have candidates
 	// stay live, holding nothing.
-	enter := func(side trim.Dir) *atomic.Pointer[pivotNode] {
+	enter := func(side trim.Dir) *pivotSide {
 		d.stale = !built[side]
 		for i, st := range shards {
 			switch {
@@ -813,10 +811,7 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 				st.descend(st.parts[side])
 			}
 		}
-		if known[side] != nil {
-			return &known[side].below
-		}
-		return nil
+		return known[side]
 	}
 	// With indices on both sides a gt partition the round built waits for the
 	// lt subtree, whose rounds overwrite parts and dead: it is held here, and
@@ -851,17 +846,87 @@ func (d *descent) selectIn(depth, level int, at *atomic.Pointer[pivotNode], low,
 	return d.selectIn(depth+1, level, enter(trim.Greater), ranking.Finite(wp), high, c[trim.Greater], gt, out)
 }
 
+// leaf resolves the indices of ranks among the n ≤ threshold candidates of the
+// band low ≺ w ≺ high: it makes the band's instances real and weighs them
+// (tail). A band below a remembered side keeps its rank splitters there: the
+// first tail that weighs it whole records them, and a later run that comes
+// down stale — holding no instance of the band — cuts only the narrowest slice
+// between two splitters that holds every index, with the indices rebased onto
+// it. The slice is a union of complete weight classes, so its rank-k member is
+// the band's rank-(offset+k) member: the answers are the ones the whole band
+// gives, and only the phase log sees the difference.
+func (d *descent) leaf(depth, level int, sd *pivotSide, low, high ranking.Bound, n int, ranks []rank, out []*Answer) error {
+	var sp, rec *splitters
+	if sd != nil {
+		if sp = sd.leaf.Load(); sp == nil {
+			rec = &splitters{}
+		}
+	}
+	if d.stale && sp != nil {
+		var off int
+		low, high, off, n = sp.slice(low, high, n, ranks, d.f.VecLen())
+		for i := range ranks {
+			ranks[i].k = ranks[i].k.Sub(counting.FromInt(off))
+		}
+	}
+	if err := d.instances(depth, level, low, high); err != nil {
+		return err
+	}
+	if err := d.tail(n, ranks, out, rec); err != nil {
+		return err
+	}
+	if rec != nil {
+		sd.leaf.CompareAndSwap(nil, rec)
+	}
+	return nil
+}
+
+// classExit resolves the indices of eq, which landed in the equal partition
+// of a round that split the band low ≺ w ≺ high of count candidates into
+// c[lt], the weight-λ class and c[gt]: the class is a band of its own
+// (classBand), cut and weighed like a leaf, with the indices rebased past the
+// lt partition. A band that is nothing but the class is the current one. The
+// shards get their liveness in the round's band back for the partitions below.
+func (d *descent) classExit(depth, level int, lambda ranking.Weightv, low, high ranking.Bound, count counting.Count, c [2]counting.Count, eq []rank, out []*Answer) error {
+	for i := range eq {
+		eq[i].k = eq[i].k.Sub(c[trim.Less])
+	}
+	n, _ := count.Sub(c[trim.Less]).Sub(c[trim.Greater]).Uint64()
+	if c[trim.Less].IsZero() && c[trim.Greater].IsZero() {
+		if err := d.instances(depth, level, low, high); err != nil {
+			return err
+		}
+		return d.tail(int(n), eq, out, nil)
+	}
+	dead := make([]bool, len(d.shards))
+	for i, st := range d.shards {
+		dead[i] = st.dead
+	}
+	lo, hi := classBand(lambda, low, high)
+	if err := d.cutInto(depth, level, lo, hi); err != nil {
+		return err
+	}
+	if roundHook != nil {
+		roundHook(d.shards)
+	}
+	err := d.tail(int(n), eq, out, nil)
+	for i, st := range d.shards {
+		st.dead = dead[i]
+	}
+	return err
+}
+
 // tail resolves the indices of ranks from the current band's instances
 // (resolveRanks), timed and counted into the phase log when there is one. A
 // run whose first shard ran no pass — it materializes at round 0 — takes a
 // scratch of its own and checks nothing out of the pool.
-func (d *descent) tail(lambda *ranking.Weightv, count int, ranks []rank, out []*Answer) error {
+func (d *descent) tail(count int, ranks []rank, out []*Answer, rec *splitters) error {
 	scr := d.shards[0].scr
 	if scr == nil {
 		scr = new(runScratch)
 	}
 	t0 := d.now()
-	weighed, recovered, err := resolveRanks(d.shards, d.f, d.origVars, lambda, ranks, count, scr, out)
+	weighed, recovered, err := resolveRanks(d.shards, d.f, d.origVars, ranks, count, scr, out, rec)
 	if p := d.stats.Phases; p != nil {
 		p.Tail += d.now().Sub(t0)
 		p.Weighed += weighed
@@ -872,25 +937,76 @@ func (d *descent) tail(lambda *ranking.Weightv, count int, ranks []rank, out []*
 
 // instances makes the band's instances real before something reads them: a
 // descent that came down through remembered partitions (stale) has cut nothing
-// of the band yet and cuts it now — once, out of the original instance, for
-// the shards the tree says have candidates, into the slot of the level's
-// triple that a round's two builds leave free.
+// of the band yet and cuts it now (cutInto).
 func (d *descent) instances(depth, level int, low, high ranking.Bound) error {
 	if d.stale {
-		if _, _, err := d.cut(wholeBand, depth, level, low, high, 0); err != nil {
+		if err := d.cutInto(depth, level, low, high); err != nil {
 			return err
 		}
-		for _, st := range d.shards {
-			if !st.dead {
-				st.descend(st.parts[wholeBand])
-			}
-		}
-		d.stale = false
 	}
 	if roundHook != nil {
 		roundHook(d.shards)
 	}
 	return nil
+}
+
+// cutInto cuts the band low ≺ w ≺ high out of the original instance — once,
+// for the shards that have candidates in the band the descent is in — into the
+// slot of the level's triple that a round's two builds leave free, and makes
+// it each such shard's current instance.
+func (d *descent) cutInto(depth, level int, low, high ranking.Bound) error {
+	if _, _, err := d.cut(wholeBand, depth, level, low, high, 0); err != nil {
+		return err
+	}
+	for _, st := range d.shards {
+		if !st.dead {
+			st.descend(st.parts[wholeBand])
+		}
+	}
+	d.stale = false
+	return nil
+}
+
+// classBand is the band that holds exactly the weight class of w, which lies
+// strictly inside low ≺ w ≺ high: strictly between the weights next to w
+// (adjacent), or the band's own bound on a side where w is the least or the
+// greatest weight there is.
+func classBand(w ranking.Weightv, low, high ranking.Bound) (ranking.Bound, ranking.Bound) {
+	if v, ok := adjacent(w, -1); ok {
+		low = ranking.Finite(v)
+	}
+	if v, ok := adjacent(w, 1); ok {
+		high = ranking.Finite(v)
+	}
+	return low, high
+}
+
+// adjacent returns the weight next to w in the order of the weights — below it
+// for by = −1, above it for by = 1: the last position that is not at the end
+// of int64 in that direction moves by one and the positions after it wrap to
+// the other end (a scalar weight is one position) — and false when w is the
+// end itself.
+func adjacent(w ranking.Weightv, by int64) (ranking.Weightv, bool) {
+	v := w.Clone()
+	pos := v.Vec
+	if len(pos) == 0 {
+		pos = []int64{v.K}
+	}
+	end, wrap := int64(math.MaxInt64), int64(math.MinInt64)
+	if by < 0 {
+		end, wrap = wrap, end
+	}
+	for i := len(pos) - 1; i >= 0; i-- {
+		if pos[i] != end {
+			pos[i] += by
+			if len(v.Vec) == 0 {
+				v.K = pos[0]
+			}
+			return v, true
+		}
+		pos[i] = wrap
+	}
+	return v, false
 }
 
 // cut trims the band low ≺ w ≺ high out of every live shard's original
@@ -993,52 +1109,27 @@ type class struct {
 	ranks   []rank
 }
 
-// resolveRanks is both exits' tail (doc.go, "The tail"): the candidates of the
-// current band are weighed where they stand, the requested indices selected
-// among the weights, and only the members of the weight classes they land in
-// recovered as tuples. The answer of an index is the member of the band at
+// resolveRanks is the tail of both exits (doc.go, "The tail"): it resolves the
+// indices of ranks — ascending, relative to the band — in the current band of
+// count candidates: a leaf, small enough to materialize, or the weight class an
+// equal partition stands for, cut as a band of its own. Every candidate of
+// every live shard is weighed (pivot.Weigh, into the pivot pass's flat layout),
+// shard after shard and each shard's in Enumerate's order, so that a candidate
+// is known by its ordinal; the weight class holding each index is selected
+// (worst-case linear per distinct class, the middle index first and the others
+// in the halves it leaves); and only the members of those classes are recovered
+// as tuples, in one positional walk per shard, where the same selection runs
+// over each class by value. The answer of an index is the member of the band at
 // that rank in the (weight, values) order, which is total over the distinct
 // answers — shards hold disjoint answer sets — so it depends neither on the
 // enumeration order within a tree nor on how the answers are spread over the
-// trees.
-//
-// With lambda nil it resolves the indices of ranks — ascending, relative to the
-// band — in a band of count candidates, small enough to materialize: every
-// candidate of every live shard is weighed (pivot.Weigh, into the pivot pass's
-// flat layout), shard after shard and each shard's in Enumerate's order, so
-// that a candidate is known by its ordinal; the weight class holding each
-// index is selected (worst-case linear per distinct class, the middle index
-// first and the others in the halves it leaves). With lambda set the class is
-// known — the exact-trim run landed in an equal partition of several answers,
-// and the band is a union of complete weight classes, so the candidates
-// weighing λ are exactly the global weight-λ class — and ranks are relative to
-// it; the band may be large, so its weights are looked at and dropped, and only
-// the members' ordinals kept. Either way the members of the classes are then
-// recovered in one positional walk per shard and the same selection runs over
-// each class by value. Every answer owns its values and its weight. It reports
-// the candidates weighed and the tuples recovered.
-func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, lambda *ranking.Weightv, ranks []rank, count int, scr *runScratch, out []*Answer) (weighed, recovered int, err error) {
+// trees. Every answer owns its values and its weight. With rec set the same
+// selection also finds the band's rank splitters and records them there. It
+// reports the candidates weighed and the tuples recovered.
+func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, ranks []rank, count int, scr *runScratch, out []*Answer, rec *splitters) (weighed, recovered int, err error) {
 	r, w := f.VecLen(), len(origVars)
 	stride := max(r, 1)
-	ws := scr.weights[:0]
-	var classes []class
-	var classOnly func(ws []int64, from, first int) []int64
-	if lambda == nil {
-		ws = slices.Grow(ws, count*stride)
-	} else {
-		classes = []class{{weight: lambda.Vec, ranks: ranks}}
-		if r == 0 {
-			classes[0].weight = []int64{lambda.K}
-		}
-		classOnly = func(ws []int64, from, first int) []int64 {
-			for at := from; at < len(ws); at += stride {
-				if slices.Equal(ws[at:at+stride], classes[0].weight) {
-					classes[0].members = append(classes[0].members, selection.Entry{Item: weighed + first + (at-from)/stride})
-				}
-			}
-			return ws[:from]
-		}
-	}
+	ws := slices.Grow(scr.weights[:0], count*stride)
 	starts := make([]int, len(shards)+1) // shard i's candidates are the ordinals starts[i]…starts[i+1]-1
 	for i, st := range shards {
 		if starts[i+1] = starts[i]; st.dead {
@@ -1049,26 +1140,34 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, l
 			return 0, 0, err
 		}
 		var n int
-		ws, n = scr.pivot.Weigh(st.curExec, st.curCounts, f, mu, ws, classOnly)
+		ws, n = scr.pivot.Weigh(st.curExec, st.curCounts, f, mu, ws)
 		weighed += n
 		starts[i+1] = weighed
 	}
 	scr.weights = ws
-	if weighed == 0 || lambda != nil && len(classes[0].members) == 0 {
-		return weighed, 0, ErrNoAnswers
+	if weighed == 0 {
+		return 0, 0, ErrNoAnswers
 	}
-	if lambda == nil {
-		if cap(scr.entries) < weighed {
-			scr.entries = make([]selection.Entry, weighed)
-		}
-		es := scr.entries[:weighed]
-		for i := range es {
-			es[i] = selection.Entry{Key: ws[i*stride], Item: i}
-		}
-		selectEach(es, selection.Vectors{At: ws, R: r}, 0, ranks, func(members []selection.Entry, off uint64, ranks []rank) {
-			classes = append(classes, class{members, ws[members[0].Item*stride:][:stride], off, ranks})
-		})
+	if cap(scr.entries) < weighed {
+		scr.entries = make([]selection.Entry, weighed)
 	}
+	es := scr.entries[:weighed]
+	for i := range es {
+		es[i] = selection.Entry{Key: ws[i*stride], Item: i}
+	}
+	if rec != nil {
+		ranks = rec.among(ranks, weighed)
+	}
+	var classes []class
+	selectEach(es, selection.Vectors{At: ws, R: r}, 0, ranks, func(members []selection.Entry, off uint64, ranks []rank) {
+		weight := ws[members[0].Item*stride:][:stride]
+		if rec != nil {
+			ranks = rec.take(len(members), off, weight, ranks)
+		}
+		if len(ranks) > 0 {
+			classes = append(classes, class{members, weight, off, ranks})
+		}
+	})
 
 	// Recover the members of every class, ascending by ordinal: one positional
 	// walk (yannakakis.AnswersAt) per shard that holds one, projected onto the

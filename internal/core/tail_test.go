@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -283,7 +284,7 @@ func TestTailRankLists(t *testing.T) {
 					ranks[i] = rank{k: counting.FromInt(k), at: i}
 				}
 				out := make([]*Answer, len(ks))
-				weighed, recovered, err := resolveRanks(shards, f, engs[0].Vars(), nil, ranks, n, new(runScratch), out)
+				weighed, recovered, err := resolveRanks(shards, f, engs[0].Vars(), ranks, n, new(runScratch), out, nil)
 				if err != nil {
 					t.Fatalf("%s %s: %v", name, what, err)
 				}
@@ -299,6 +300,129 @@ func TestTailRankLists(t *testing.T) {
 						t.Fatalf("%s %s: index %d: %v weight %v, reference %v weight %v", name, what, k, out[i].Values, out[i].Weight, want.Values, want.Weight)
 					}
 				}
+			}
+		}
+	}
+}
+
+// An equal-partition exit weighs its class, not the band it split: on a 2-path
+// whose join value x2 takes 16 values, ranked by MAX(x2), the 16 weight classes
+// each hold several times |D| answers, so a round's pivot class is larger than
+// the threshold and the band around it larger still. Every index the exit
+// answers — alone, over the grid in one descent, unrouted and over three shards
+// — is the oracle's, and the candidates weighed and recovered are at most the
+// members of the classes the indices landed in.
+func TestEqualExitWeighsItsClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	q := testutil.PathQuery(2)
+	db := relation.NewDatabase()
+	r1, r2 := relation.New("R1", 2), relation.New("R2", 2)
+	for i := 0; i < 1<<10; i++ {
+		r1.Append(rng.Int63n(1<<12), rng.Int63n(16))
+		r2.Append(rng.Int63n(16), rng.Int63n(1<<12))
+	}
+	db.Add(r1)
+	db.Add(r2)
+	f := ranking.NewMax("x2")
+	want := rankedOracle(q, db, f)
+	aw := ranking.NewAnswerWeigher(f, q.Vars())
+	classOf := func(k int) (size int) {
+		for _, a := range want {
+			if f.Compare(aw.WeightOf(a), aw.WeightOf(want[k])) == 0 {
+				size++
+			}
+		}
+		return size
+	}
+	if size := classOf(len(want) / 2); size <= db.Size() {
+		t.Fatalf("the median's class holds %d answers over %d tuples: meant to exceed the threshold", size, db.Size())
+	}
+	exits := 0
+	for _, nShards := range []int{1, 3} {
+		sh, err := shard.New(q, db, nShards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Parallelism: 1, CollectPhases: true}
+		var grid []counting.Count
+		members := 0
+		seen := map[int64]bool{}
+		for _, phi := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+			name := fmt.Sprintf("shards=%d φ=%v", nShards, phi)
+			k := Index(sh.Total(), phi)
+			at, _ := k.Uint64()
+			a, stats, err := Select(sh.Engines(), f, k, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !slices.Equal(a.Values, want[at]) || f.Compare(a.Weight, aw.WeightOf(want[at])) != 0 {
+				t.Fatalf("%s: %v weight %v, brute force %v", name, a.Values, a.Weight, want[at])
+			}
+			size := classOf(int(at))
+			if !stats.PivotReturned {
+				continue
+			}
+			exits++
+			if p := stats.Phases; p.Weighed > size || p.Recovered > size {
+				t.Fatalf("%s: weighed %d and recovered %d candidates for a class of %d", name, p.Weighed, p.Recovered, size)
+			}
+			grid = append(grid, k)
+			if w := a.Weight.K; !seen[w] {
+				seen[w], members = true, members+size
+			}
+		}
+		many, stats, err := SelectMany(sh.Engines(), f, grid, opts)
+		if err != nil {
+			t.Fatalf("shards=%d grid: %v", nShards, err)
+		}
+		for i, k := range grid {
+			at, _ := k.Uint64()
+			if !slices.Equal(many[i].Values, want[at]) {
+				t.Fatalf("shards=%d grid index %d: %v, brute force %v", nShards, at, many[i].Values, want[at])
+			}
+		}
+		if p := stats.Phases; p.Weighed > members || p.Recovered > members {
+			t.Fatalf("shards=%d grid: weighed %d and recovered %d candidates for classes of %d", nShards, p.Weighed, p.Recovered, members)
+		}
+	}
+	if exits < 4 {
+		t.Fatalf("%d runs left through the equal partition", exits)
+	}
+}
+
+// A tie class at the edge of int64 is cut between its neighbours in the order
+// of the weights: for LEX a vector whose last position is at an end has its
+// neighbour one position up (the last position wraps), and a scalar at an end
+// has none on that side, where the round's own bound stands in. Every rank of
+// a path whose join and ranked values sit at both ends, at a threshold that
+// forces equal-partition exits, unrouted and over three shards, is the
+// oracle's.
+func TestClassBandAtTheEdges(t *testing.T) {
+	q := testutil.PathQuery(2)
+	db := relation.NewDatabase()
+	r1, r2 := relation.New("R1", 2), relation.New("R2", 2)
+	edge := []relation.Value{math.MinInt64, math.MinInt64 + 1, 0, math.MaxInt64 - 1, math.MaxInt64}
+	for _, x1 := range edge {
+		for _, x2 := range []relation.Value{math.MinInt64, 0, math.MaxInt64} {
+			r1.Append(x1, x2)
+		}
+	}
+	for _, x2 := range []relation.Value{math.MinInt64, 0, math.MaxInt64} {
+		for x3 := relation.Value(0); x3 < 4; x3++ {
+			r2.Append(x2, x3)
+		}
+	}
+	db.Add(r1)
+	db.Add(r2)
+	for _, f := range []*ranking.Func{ranking.NewLex("x1", "x2"), ranking.NewLex("x2", "x1"), ranking.NewMax("x1", "x2"), ranking.NewMin("x1", "x2")} {
+		for _, nShards := range []int{1, 3} {
+			sh, err := shard.New(q, db, nShards, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s%v shards=%d", f.Agg, f.Vars, nShards)
+			if stats := checkEveryRank(t, name, q, db, sh.Engines(), f, Options{Parallelism: 1, MaterializeThreshold: 4}); !stats.PivotReturned {
+				t.Fatalf("%s: no index ended in an equal partition", name)
 			}
 		}
 	}

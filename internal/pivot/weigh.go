@@ -15,15 +15,12 @@ import (
 // number of answers weighed. No answer is formed: the walk (yannakakis.Walk)
 // carries a prefix of the weight per pre-order depth — for LEX, the one vector,
 // each position written by the node that owns it under μ — and the candidates
-// of the last node are weighed in one loop. seen, when not nil, is shown dst
-// each time a group of candidates has been appended — they are dst[from:], and
-// the group's first is the first-th answer weighed — and returns the dst to go
-// on with: a caller that only looks at the weights hands dst[:from] back and
-// holds none of them. counts must be the counting state of e.
+// of the last node are weighed in one loop. counts must be the counting state
+// of e.
 //
 // Weigh is Scratch.Weigh with nothing to reuse.
-func Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, dst []int64, seen func(dst []int64, from, first int) []int64) (out []int64, n int) {
-	return (*Scratch)(nil).Weigh(e, counts, f, mu, dst, seen)
+func Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, dst []int64) (out []int64, n int) {
+	return (*Scratch)(nil).Weigh(e, counts, f, mu, dst)
 }
 
 // Weigh is the package's Weigh, drawing what it computes per row from the
@@ -32,7 +29,7 @@ func Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[
 // computed once per row of the call — not once per visit, which a row of an
 // inner node gets per answer below it. The last node's candidates are then
 // weighed a column at a time by a loop specialised to the aggregate.
-func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, dst []int64, seen func(dst []int64, from, first int) []int64) (out []int64, n int) {
+func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, dst []int64) (out []int64, n int) {
 	nNodes := len(e.T.Nodes)
 	own := make([][]ownCol, nNodes)
 	all := make([]ownCol, 0, len(f.Vars)) // every node's, never regrown: μ assigns a variable once
@@ -119,9 +116,6 @@ func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.
 		from := len(dst)
 		dst = slices.Grow(dst, len(rows)*stride)[:from+len(rows)*stride]
 		weigh(dst[from:], node, rows)
-		if seen != nil {
-			dst = seen(dst, from, n)
-		}
 		n += len(rows)
 		return true
 	})

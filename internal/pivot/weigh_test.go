@@ -18,8 +18,7 @@ import (
 
 // checkWeigh holds the weight pass over (e, counts) to the weights of the
 // enumerated answers, weighed one by one (ranking.AnswerWeigher): element for
-// element, in order, after whatever dst held; and through a seen that keeps
-// nothing, group for group. It returns the number of answers.
+// element, in order, after whatever dst held. It returns the number of answers.
 func checkWeigh(t *testing.T, name string, e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func) int {
 	t.Helper()
 	mu, err := f.AssignVars(e.Q)
@@ -39,22 +38,10 @@ func checkWeigh(t *testing.T, name string, e *jointree.Exec, counts *yannakakis.
 		return true
 	})
 	held := []int64{-7, 42}
-	got, n := Weigh(e, counts, f, mu, slices.Clone(held), nil)
+	got, n := Weigh(e, counts, f, mu, slices.Clone(held))
 	if n != answers || !slices.Equal(got[:len(held)], held) || !slices.Equal(got[len(held):], want) {
 		t.Fatalf("%s %s%v custom=%v: %d answers weighed %v after %v,\nwant %d answers weighing %v",
 			name, f.Agg, f.Vars, f.Weight != nil, n, got[len(held):], got[:len(held)], answers, want)
-	}
-	var streamed []int64
-	stride := max(f.VecLen(), 1)
-	got, n = Weigh(e, counts, f, mu, slices.Clone(held), func(dst []int64, from, first int) []int64 {
-		if from != len(held) || first*stride != len(streamed) {
-			t.Fatalf("%s %s%v: group appended at %d as answer %d, with %d weights seen before", name, f.Agg, f.Vars, from, first, len(streamed))
-		}
-		streamed = append(streamed, dst[from:]...)
-		return dst[:from]
-	})
-	if n != answers || !slices.Equal(got, held) || !slices.Equal(streamed, want) {
-		t.Fatalf("%s %s%v custom=%v: a seen that keeps nothing saw %d answers weigh %v and left %v", name, f.Agg, f.Vars, f.Weight != nil, n, streamed, got)
 	}
 	return answers
 }

@@ -185,7 +185,7 @@ func Median(q *Query, db *DB, f *Ranking, opts ...Options) (*Answer, error) {
 // SelectAt answers the selection problem: the answer at absolute zero-based
 // index k of the ranked order.
 func SelectAt(q *Query, db *DB, f *Ranking, k *big.Int, opts ...Options) (*Answer, error) {
-	p, err := Prepare(q, db)
+	p, err := Prepare(q, db, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,7 @@ func SampleQuantile(q *Query, db *DB, f *Ranking, phi, eps, delta float64, rng *
 // plan (see Prepared.Quantiles): O(|D|·log m) loop work for m φ's plus their m
 // tails, each answer the one Quantile returns for its φ.
 func Quantiles(q *Query, db *DB, f *Ranking, phis []float64, opts ...Options) ([]*Answer, error) {
-	p, err := Prepare(q, db)
+	p, err := Prepare(q, db, opts...)
 	if err != nil {
 		return nil, err
 	}
