@@ -217,7 +217,7 @@
 // immutable, no run waits for another), and so are a leaf's rank splitters
 // when a tail first weighs the leaf whole (see The tail). The first exact
 // answer per (plan, ranking) pays the descent; later ones cut the slice of a
-// leaf between two splitters, about an eighth of it, and weigh that. Single
+// leaf between two splitters, an eighth of it or less, and weigh that. Single
 // ranks, rank grids and sketch builds walk and fill the same tree. It is
 // bounded by construction — one node per 256 input tuples, at least 64, past
 // which deeper rounds simply run; as many rankings as the trim cache keeps — and
