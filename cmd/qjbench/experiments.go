@@ -320,23 +320,41 @@ func runE08(c *ctx) {
 	answers := materializeAll(q, db)
 	fmt.Printf("ground truth materialized for error measurement (%d answers)\n\n", len(answers))
 
-	t := &table{header: []string{"ε", "time", "iterations", "max trimmed |D'|", "measured rank error", "bound ε"}}
+	// The rank error is the worst over a grid of φ: at the median alone the
+	// lossy trims of this instance lose nothing the answer can show.
+	var grid []float64
+	for k := 1; k <= 19; k++ {
+		grid = append(grid, float64(k)/20)
+	}
+	fmt.Printf("rank error: the maximum over φ = 0.05, 0.10, …, 0.95; time: mean per quantile\n\n")
+	t := &table{header: []string{"ε", "time", "max iterations", "max trimmed |D'|", "max rank error", "at φ", "bound ε"}}
 	for _, eps := range []float64{0.4, 0.2, 0.1, 0.05} {
-		var a *core.Answer
-		var stats *core.RunStats
-		var err error
-		d := timeIt(1, func() {
-			a, stats, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, 0.5, withWorkers(core.Options{Epsilon: eps}))
-		})
-		if err != nil {
-			panic(err)
+		var iters, size int
+		var worst, worstPhi float64
+		var total time.Duration
+		for _, phi := range grid {
+			var a *core.Answer
+			var stats *core.RunStats
+			var err error
+			total += timeIt(1, func() {
+				a, stats, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, phi, withWorkers(core.Options{Epsilon: eps}))
+			})
+			if err != nil {
+				panic(err)
+			}
+			iters, size = max(iters, stats.Iterations), max(size, stats.MaxInstanceTuples)
+			if e := rankError(answers, q, f, a, phi); e > worst {
+				worst, worstPhi = e, phi
+			}
 		}
-		errFrac := rankError(answers, q, f, a, 0.5)
-		t.add(fmt.Sprintf("%.2f", eps), dur(d), fmt.Sprint(stats.Iterations),
-			fmt.Sprint(stats.MaxInstanceTuples),
-			fmt.Sprintf("%.4f", errFrac), fmt.Sprintf("%.2f", eps))
-		if errFrac > eps {
-			c.fail("E08: measured rank error %.4f exceeds ε=%.2f", errFrac, eps)
+		at := "—"
+		if worst > 0 {
+			at = fmt.Sprintf("%.2f", worstPhi)
+		}
+		t.add(fmt.Sprintf("%.2f", eps), dur(total/time.Duration(len(grid))), fmt.Sprint(iters),
+			fmt.Sprint(size), fmt.Sprintf("%.4f", worst), at, fmt.Sprintf("%.2f", eps))
+		if worst > eps {
+			c.fail("E08: measured rank error %.4f at φ=%.2f exceeds ε=%.2f", worst, worstPhi, eps)
 		}
 	}
 	t.print()

@@ -229,12 +229,20 @@
 // byte-identical whether a round was run or remembered; what this run executed
 // is in Phases (PhaseLog.Remembered; a remembered round's timings are zero).
 //
-// The cut. A band cut out of the original instance is four steps, and only
+// The cut. A band cut out of the original instance is five steps, and only
 // the first reads a value. Scan: every relation's ranked columns are tested
-// against the band — interval tests per box for MIN, MAX and LEX, two binary
-// searches per row over the partner's sorted sums for SUM — and what survives
-// is a list of source row indexes, with the identifier (box number, dyadic
-// segment id) each copy will carry. Gather: each output relation is one gather
+// against the band — interval tests per box for MIN, MAX and LEX (a box empty
+// on a variable is not scanned), for SUM a merge per join group of its A rows,
+// in order of partial sum, against the partner's sorted sums — and what
+// survives is a list of source row indexes, with the identifier (box number,
+// dyadic segment id) each copy will carry. Reduce: each box's lists are cut
+// down to the rows on an answer of the box, by one bottom-up and one top-down
+// semijoin pass over the original tree's group ids (jointree.ReduceRows), so
+// the band holds no dangling tuple; the staircase emits only joining rows
+// already, and a band of one box is a row filter and keeps its rows. A
+// dangling tuple counts 0 and never enters a weighted median, so pivots,
+// answers and every RunStats field but MaxInstanceTuples are what the
+// unreduced cut gave. Gather: each output relation is one gather
 // per column through its list, plus the identifier column. Derive by integers:
 // the output's executable tree follows from the lists and the original tree's
 // per-row group ids, without a key being projected, hashed or interned
@@ -310,15 +318,17 @@
 //
 // One-pass band trim. Every exact family cuts the candidate band
 // low ≺ w ≺ high out of the original instance in a single trim. For SUM, per
-// A-row, two binary searches over the sorted B side bound the admissible
-// range, which is covered by its canonical dyadic segments; the one-sided trim
+// A-row, the admissible range of the sorted B side is found by a merge — the
+// group's A rows in order of partial sum, both ends only falling as the sum
+// rises — and covered by its canonical dyadic segments; the one-sided trim
 // is the band with the other bound at ±∞ — for ≺ λ byte-identical to the
 // prefix construction — so one cached preparation per ranking serves every
 // round of every quantile. For MIN, MAX and LEX a one-sided cut is a list of
 // disjoint boxes — per ranked variable a closed weight interval, Algorithm 3's
 // partitions — and the band is the pairwise intersections of its two cuts'
-// boxes: every relation is scanned once per box and gathered once, under one
-// identifier column (a band of one box is a row filter). Only the ε-lossy SUM
+// boxes: every relation is scanned once per box, each box's rows are reduced
+// to those on an answer of the box, and the survivors are gathered once, under
+// one identifier column (a band of one box is a row filter). Only the ε-lossy SUM
 // composes two one-sided trims, pivot bound first.
 //
 // Deterministic linear selection. Weighted medians (Algorithm 2) and the

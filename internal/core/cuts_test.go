@@ -65,9 +65,12 @@ func TestExactCutsAreNeverRebuilt(t *testing.T) {
 // 55th percentile weights out of the engine's instance and takes each one's
 // tree as the driver does (execOf: the trim derived it); "rebuilt" cuts the same
 // bands out of the same instance without its Exec, so that execOf builds the
-// trees afresh — join tree, key interning, gid lookups. CI's scaling gate:
-// derived min ns/op ≤ 0.75× rebuilt (0.57–0.61 at -benchtime 200x; the CI form,
-// 3x, reads 0.39–0.65).
+// trees afresh — join tree, key interning, gid lookups. The derived LEX band
+// also reduces its boxes' row lists through the tree and gathers only the rows
+// on an answer; the rebuilt one, with no tree to reduce through, gathers every
+// row its tests pass. CI's scaling gate: derived min ns/op ≤ 0.75× rebuilt
+// (0.59–0.60 in the CI form, 3x; 0.57–0.61 at -benchtime 200x and 0.39–0.65 at
+// 3x before the reduction).
 func BenchmarkBandDerive(b *testing.B) {
 	q, db := workload.Path(rand.New(rand.NewSource(1)), 2, 1<<14, 1<<10)
 	engs := engines(b, q, db)

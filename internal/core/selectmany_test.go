@@ -356,9 +356,12 @@ func TestSelectManyLossyOverlap(t *testing.T) {
 }
 
 // The one-index case is the driver every exact read runs. Its answers and run
-// statistics over the corpus are pinned to the digest the driver produced when
-// it was a loop for one index (commit 07abb3f): Iterations, Materialized,
-// PivotReturned and MaxInstanceTuples included.
+// statistics over the corpus are pinned: Iterations, Materialized,
+// PivotReturned and MaxInstanceTuples included. The digest is the one the
+// driver produced when it was a loop for one index (commit 07abb3f), but for
+// MaxInstanceTuples, which fell when partitioned bands began to keep only the
+// rows on an answer of their box; hashed without it the corpus gives the same
+// digest before and after that change.
 func TestSingleIndexRunsArePinned(t *testing.T) {
 	h := fnv.New64a()
 	corpusShards(t, 616, func(inst testutil.FuzzInstance, nShards int, sh *shard.Sharded) {
@@ -374,7 +377,7 @@ func TestSingleIndexRunsArePinned(t *testing.T) {
 			}
 		}
 	})
-	const want = 0x191fa65c330dabc1
+	const want = 0x3d84a9d86886a029
 	if got := h.Sum64(); got != want {
 		t.Fatalf("digest %#x, want %#x: a one-index run changed its answers or statistics", got, uint64(want))
 	}

@@ -516,129 +516,98 @@ func (e *Exec) ParentGroup(child, i int) (int, bool) {
 func (e *Exec) ParentGids(child int) []int32 { return e.parentGid[child] }
 
 // FullReduceWorkers removes all dangling tuples with one bottom-up and one
-// top-down semijoin pass (the Yannakakis full reducer) and rebuilds the group
-// indexes; afterwards every remaining tuple participates in at least one
-// query answer. Per-tuple survival checks are chunked over row ranges on a
-// bounded worker pool (writes to the keep vectors are disjoint by index),
-// surviving-group sets are built as
-// per-chunk bitmaps and unioned, and the surviving relations are rebuilt from
-// per-chunk filters concatenated in chunk order — so the reduced tree is
-// byte-identical to the sequential reducer's for every worker count. Both
-// semijoin passes run on the precomputed gid arrays; no key is hashed until
-// the final index rebuild.
+// top-down semijoin pass (the Yannakakis full reducer, ReduceRows over every
+// row) and rebuilds the relations and the group indexes on a bounded worker
+// pool; afterwards every remaining tuple participates in at least one query
+// answer. The survivors keep their order, so the reduced tree is
+// byte-identical for every worker count. Both semijoin passes run on the
+// precomputed gid arrays; no key is hashed until the final index rebuild.
 func (e *Exec) FullReduceWorkers(workers int) {
-	keep := make([][]bool, len(e.T.Nodes))
+	lists := make([][]int, len(e.Rels))
 	for id, rel := range e.Rels {
-		keep[id] = make([]bool, rel.Len())
-		for i := range keep[id] {
-			keep[id][i] = true
+		lists[id] = make([]int, rel.Len())
+		for i := range lists[id] {
+			lists[id][i] = i
 		}
 	}
-	// Bottom-up: a tuple survives if every child has a matching group with at
-	// least one surviving tuple. Children finish before their parent (tree
-	// order), so each chunk only reads finalized child state.
-	for _, id := range e.T.BottomUp {
-		n := e.T.Nodes[id]
-		if len(n.Children) == 0 {
-			continue // leaves: every tuple survives the bottom-up pass
+	e.ReduceRows(lists, nil)
+	for id, rel := range e.Rels {
+		e.Rels[id] = rel.GatherRows(rel.Name(), lists[id])
+	}
+	e.rebuildGroups(workers)
+}
+
+// ReduceRows is the full reducer over row subsets of e's relations, leaving e
+// as it is. lists holds, part after part, one ascending list of row indexes
+// per node (len(e.Rels) lists a part), and each part selects a sub-instance;
+// every list is shortened in place to the rows that lie on an answer of its
+// part, in their order. The passes are FullReduceWorkers's, on a part's rows:
+// bottom-up a row survives when every child's group it points at holds a
+// surviving row, top-down when its own group is hit by a surviving parent row.
+// Groups are marked in one int32 array per edge, carved from a: part k marks
+// with 2k+1 bottom-up and 2k+2 top-down, so a mark is current exactly when it
+// equals the pass's, and no part clears what the one before it left.
+func (e *Exec) ReduceRows(lists [][]int, a *relation.Arena) {
+	n := len(e.Rels)
+	marks := make([][]int32, n)
+	for _, nd := range e.T.Nodes {
+		if nd.Parent >= 0 {
+			marks[nd.ID] = a.Int32s(len(e.Groups[nd.ID].Tuples))
+			clear(marks[nd.ID])
 		}
-		rel := e.Rels[id]
-		kid := keep[id]
-		parallel.For(workers, rel.Len(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ok := true
-				for _, c := range n.Children {
-					gid, found := e.ParentGroup(c, i)
-					if !found {
-						ok = false
-						break
-					}
-					anyLive := false
-					for _, ti := range e.Groups[c].Tuples[gid] {
-						if keep[c][ti] {
-							anyLive = true
+	}
+	for k := 0; k*n < len(lists); k++ {
+		rows := lists[k*n : (k+1)*n]
+		up, down := int32(2*k+1), int32(2*k+2)
+		for _, id := range e.T.BottomUp {
+			nd := e.T.Nodes[id]
+			r := rows[id]
+			if len(nd.Children) > 0 {
+				kept := 0
+				for _, i := range r {
+					ok := true
+					for _, c := range nd.Children {
+						if g := e.parentGid[c][i]; g < 0 || marks[c][g] != up {
+							ok = false
 							break
 						}
 					}
-					if !anyLive {
-						ok = false
-						break
+					if ok {
+						r[kept] = i
+						kept++
 					}
 				}
-				kid[i] = ok
+				r = r[:kept]
+				rows[id] = r
 			}
-		})
-	}
-	// Top-down: a tuple survives if its join group is hit by a surviving
-	// parent tuple.
-	liveGroups := make([][]bool, len(e.T.Nodes))
-	for _, id := range e.T.TopDown {
-		n := e.T.Nodes[id]
-		rel := e.Rels[id]
-		kid := keep[id]
-		if n.Parent >= 0 {
-			lg := liveGroups[id]
-			rowGid := e.Groups[id].RowGid
-			parallel.For(workers, rel.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if kid[i] && !lg[rowGid[i]] {
-						kid[i] = false
-					}
-				}
-			})
-		}
-		// Publish this node's surviving groups for each child: per-chunk
-		// bitmaps unioned into one (set union is order-independent).
-		for _, c := range n.Children {
-			ng := e.Groups[c].NumGroups()
-			parts := parallel.MapRanges(workers, rel.Len(), func(lo, hi int) []bool {
-				local := make([]bool, ng)
-				for i := lo; i < hi; i++ {
-					if !kid[i] {
-						continue
-					}
-					if gid, ok := e.ParentGroup(c, i); ok {
-						local[gid] = true
-					}
-				}
-				return local
-			})
-			live := make([]bool, ng)
-			if len(parts) > 0 {
-				live = parts[0]
-				for _, part := range parts[1:] {
-					for g, v := range part {
-						if v {
-							live[g] = true
-						}
-					}
+			if nd.Parent >= 0 {
+				m, rowGid := marks[id], e.Groups[id].RowGid
+				for _, i := range r {
+					m[rowGid[i]] = up
 				}
 			}
-			liveGroups[c] = live
 		}
-	}
-	// Rebuild relations and groups: per-chunk survivor lists concatenated in
-	// chunk order, one column gather per relation.
-	for id, rel := range e.Rels {
-		kid := keep[id]
-		parts := parallel.MapRanges(workers, rel.Len(), func(lo, hi int) []int {
-			var rows []int
-			for i := lo; i < hi; i++ {
-				if kid[i] {
-					rows = append(rows, i)
+		for _, id := range e.T.TopDown {
+			nd := e.T.Nodes[id]
+			r := rows[id]
+			if nd.Parent >= 0 {
+				m, rowGid := marks[id], e.Groups[id].RowGid
+				kept := 0
+				for _, i := range r {
+					if m[rowGid[i]] == down {
+						r[kept] = i
+						kept++
+					}
+				}
+				r = r[:kept]
+				rows[id] = r
+			}
+			for _, c := range nd.Children {
+				m, pgid := marks[c], e.parentGid[c]
+				for _, i := range r {
+					m[pgid[i]] = down // every surviving row has the group: bottom-up saw to it
 				}
 			}
-			return rows
-		})
-		total := 0
-		for _, p := range parts {
-			total += len(p)
 		}
-		rows := make([]int, 0, total)
-		for _, p := range parts {
-			rows = append(rows, p...)
-		}
-		e.Rels[id] = rel.GatherRows(rel.Name(), rows)
 	}
-	e.rebuildGroups(workers)
 }

@@ -1,10 +1,10 @@
 // Derivation of an executable join tree for an instance gathered out of
 // another. Every exact trim of the pivot loop builds its output relations by
 // copying rows of the input's: a filter trim (a one-box band, single-node SUM)
-// keeps a subset of each, a partitioned band copies every surviving row once
-// per box it lies in and tags it with the box number, the staircase copies the
-// two weight-bearing relations once per dyadic segment and tags the copies
-// with the segment id. The trim knows the source row of every output row, and
+// keeps a subset of each, a partitioned band copies every row on an answer of
+// a box once per such box (ReduceRows finds them) and tags it with the box
+// number, the staircase copies the two weight-bearing relations once per
+// dyadic segment and tags the copies with the segment id. The trim knows the source row of every output row, and
 // the input's Exec holds that row's group id on every edge, so the output's
 // Exec follows by integer passes alone — no key is projected, hashed or
 // interned, nothing is deduplicated, and the cost is proportional to the

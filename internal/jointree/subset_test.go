@@ -163,3 +163,61 @@ func TestDeriveSubsetEmpty(t *testing.T) {
 		}
 	}
 }
+
+// ReduceRows is the full reducer of each part: the rows it keeps of a part's
+// lists are the rows FullReduceWorkers keeps of the subset instance those
+// lists select, in their order — over random trees, three parts sharing one
+// set of group marks, one of them empty on a node, and with an arena or
+// without.
+func TestReduceRowsIsTheFullReducerOfEachPart(t *testing.T) {
+	var a relation.Arena
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q, db := randomInstance(rngWith(seed))
+		tree, err := Build(q)
+		if err != nil {
+			continue
+		}
+		e, err := NewExecWorkers(q, db, tree, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const parts = 3
+		n := len(e.Rels)
+		lists := make([][]int, parts*n)
+		keeps := make([][][]bool, parts)
+		for p := range parts {
+			keeps[p] = make([][]bool, n)
+			for id, rel := range e.Rels {
+				keep := make([]bool, rel.Len())
+				for i := range keep {
+					keep[i] = p != 2 || id != 0 // part 2 holds nothing of node 0
+					keep[i] = keep[i] && rng.Intn(4) > 0
+					if keep[i] {
+						lists[p*n+id] = append(lists[p*n+id], i)
+					}
+				}
+				keeps[p][id] = keep
+			}
+		}
+		arena := &a
+		if seed%2 == 1 {
+			arena = nil
+		}
+		e.ReduceRows(lists, arena)
+		for p := range parts {
+			sub := e.DeriveSubset(q, db, keeps[p], 1)
+			sub.FullReduceWorkers(1)
+			for id, rel := range e.Rels {
+				got := rel.GatherRows(rel.Name(), lists[p*n+id])
+				if !got.Equal(sub.Rels[id]) {
+					t.Fatalf("seed %d part %d node %d: ReduceRows kept %d rows, the full reducer %d", seed, p, id, got.Len(), sub.Rels[id].Len())
+				}
+				if p == 2 && got.Len() != 0 {
+					t.Fatalf("seed %d: a part empty on node 0 kept %d rows of node %d", seed, got.Len(), id)
+				}
+			}
+		}
+		a.Reset()
+	}
+}

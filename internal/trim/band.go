@@ -39,6 +39,11 @@ func strict(lambda int64, dir Dir) interval {
 // relation on the columns it holds.
 type box []interval
 
+// empty reports whether the box is empty on a variable, and so holds no answer.
+func (bx box) empty() bool {
+	return slices.ContainsFunc(bx, func(iv interval) bool { return iv.lo > iv.hi })
+}
+
 // cutBoxes lists the disjoint boxes that cover the answers with w ≻ b
 // (Greater) or w ≺ b (Less); an infinite bound is the one unconstrained box.
 //
@@ -96,9 +101,12 @@ func cutBoxes(f *ranking.Func, b ranking.Bound, dir Dir) []box {
 // survivors of all boxes are gathered into one copy of the relation that
 // carries the box number in a fresh identifier column, and the identifier
 // variable joins every atom so answers never mix boxes (Algorithm 3). A band
-// of one box needs no identifier: it is a row filter (subsetOf). Boxes that
-// are empty on one variable are kept: they still copy the relations that do
-// not hold it, as two composed one-sided cuts would.
+// of one box needs no identifier: it is a row filter (subsetOf). Given the
+// instance's Exec, a band of several boxes gathers only the rows on an answer
+// of their box (partitionBoxes), and a box empty on a variable gathers
+// nothing; without one, every row a box's tests pass is copied, and a box
+// empty on one variable still copies the relations that do not hold it, as
+// two composed one-sided cuts would.
 func Band(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Min && f.Agg != ranking.Max && f.Agg != ranking.Lex {
 		return Instance{}, fmt.Errorf("trim: Band handles MIN, MAX and LEX, got %s", f.Agg)
@@ -307,10 +315,12 @@ func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 // partitionBoxes cuts several disjoint boxes out of an instance (Algorithm 3):
 // every relation becomes the concatenation, in box order, of its rows in each
 // box, tagged with the box number in an identifier column whose fresh variable
-// is added to every atom. Given an Exec, the output's follows from the row
-// lists (jointree.DeriveGathered). The row lists — one stretch per relation
-// and box, each as long as the relation — and everything gathered through
-// them are carved from the instance's scratch.
+// is added to every atom. Given an Exec, each box's row lists are first
+// narrowed to the rows on an answer of the box (jointree.ReduceRows) — a box
+// empty on a variable holds none and is not scanned — and the output's Exec
+// follows from them (jointree.DeriveGathered). The row lists — one stretch
+// per relation and scanned box, each as long as the relation — and everything
+// gathered through them are carved from the instance's scratch.
 func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 	workers := inst.workers()
 	a := inst.Scratch.carve()
@@ -320,24 +330,47 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 		q2.Atoms[i].Vars = append(q2.Atoms[i].Vars, xp)
 	}
 	out := Instance{Q: q2, DB: relation.NewDatabase(), Workers: inst.Workers}
+	nAtoms := len(inst.Q.Atoms)
+	scanned := func(bx box) bool { return inst.Exec == nil || !bx.empty() }
+	width := 0
+	for _, bx := range boxes {
+		if scanned(bx) {
+			width++
+		}
+	}
 	total := 0
 	for i := range inst.Q.Atoms {
-		total += inst.rel(i).Len() * len(boxes)
+		total += inst.rel(i).Len() * width
 	}
 	rows := a.Ints(total)
-	rowParts := a.Lists(len(inst.Q.Atoms) * len(boxes))
-	nodes := make([]jointree.Gathered, len(inst.Q.Atoms))
+	// byBox holds box after box one list per atom, ReduceRows' layout; rowParts
+	// the same lists atom after atom, the gather's.
+	byBox := a.Lists(nAtoms * len(boxes))
 	at := 0
 	for i, atom := range inst.Q.Atoms {
 		src := inst.rel(i)
 		n := src.Len()
 		cols := weightCols(f, atom.Vars, src.Cols(), workers)
+		for bi, bx := range boxes {
+			byBox[bi*nAtoms+i] = nil
+			if scanned(bx) {
+				t := testsOf(bx, cols)
+				byBox[bi*nAtoms+i] = t.rows(rows[at:at+n:at+n], workers, n)
+				at += n
+			}
+		}
+	}
+	if inst.Exec != nil {
+		inst.Exec.ReduceRows(byBox, a)
+	}
+	rowParts := a.Lists(nAtoms * len(boxes))
+	nodes := make([]jointree.Gathered, nAtoms)
+	for i, atom := range inst.Q.Atoms {
+		src := inst.rel(i)
 		parts := rowParts[i*len(boxes) : (i+1)*len(boxes)]
 		kept := 0
-		for bi, bx := range boxes {
-			t := testsOf(bx, cols)
-			parts[bi] = t.rows(rows[at:at+n:at+n], workers, n)
-			at += n
+		for bi := range boxes {
+			parts[bi] = byBox[bi*nAtoms+i]
 			kept += len(parts[bi])
 		}
 		pids, k := a.Values(kept), 0

@@ -521,3 +521,59 @@ func BenchmarkBandTrim(b *testing.B) {
 		})
 	}
 }
+
+// A partitioned band of an instance that carries an Exec keeps only the rows on
+// an answer of their box: over the differential corpus with the band tests'
+// rankings and bounds, at workers 1 and 4, its answers are brute force's and
+// the full reduction of its derived tree removes nothing. Bands of one box are
+// row filters, not reduced, and skipped. The same cuts without an Exec copy
+// every row their interval tests pass; some of those dangle, or the check
+// would show nothing.
+func TestPartitionedBandKeepsOnlyRowsOnAnAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	cuts, shrunk := 0, 0
+	for k, c := range testutil.FuzzCorpus(rng) {
+		q, db := query.Normalize(c.Q, c.DB)
+		e := freshExec(t, Instance{Q: q, DB: db})
+		all := testutil.BruteForce(q, db)
+		vars := q.Vars()
+		for _, f := range rankingsOver(rng, vars, k) {
+			for _, b := range boundsFor(rng, all, vars, f) {
+				plain, err := Band(Instance{Q: q, DB: e.DB}, f, b[0], b[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plain.Q.Vars()) == len(vars) {
+					continue // one box
+				}
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("%s %s%v custom=%v workers=%d (%v, %v)", c.Name, f.Agg, f.Vars, f.Weight != nil, workers, b[0], b[1])
+					out, err := Band(Instance{Q: q, DB: db, Exec: e, Workers: workers}, f, b[0], b[1])
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got, want := bagOf(materialize(t, out, vars)), bagOf(bandAnswers(all, vars, f, b[0], b[1])); !maps.Equal(got, want) {
+						t.Fatalf("%s: %d distinct answers, brute force %d", name, len(got), len(want))
+					}
+					if out.Exec == nil {
+						t.Fatalf("%s: no Exec derived", name)
+					}
+					red := testutil.FullReduction(out.Exec)
+					for id, rel := range out.Exec.Rels {
+						if red.Rels[id].Len() != rel.Len() {
+							t.Fatalf("%s: node %d keeps %d rows, %d of them on an answer", name, id, rel.Len(), red.Rels[id].Len())
+						}
+					}
+					cuts++
+					if out.DB.Size() < plain.DB.Size() {
+						shrunk++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d partitioned cuts, %d smaller than without an Exec", cuts, shrunk)
+	if shrunk == 0 {
+		t.Fatal("no cut dropped a row: the corpus shows nothing")
+	}
+}

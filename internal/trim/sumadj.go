@@ -1,6 +1,7 @@
 package trim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -24,8 +25,10 @@ import (
 //
 // Construction, per join group of the adjacent pair (A, B): sort the B-side
 // rows by their partial sum. For an A-row with partial sum s, the admissible
-// B-rows are the contiguous range holding sums in (low - s, high - s) — two
-// binary searches, a "staircase" with a step at both ends. Each range is
+// B-rows are the contiguous range holding sums in (low - s, high - s) — a
+// "staircase" with a step at both ends. Both ends only fall as s rises, so
+// the ranges of a group's A rows are found by one merge, the A rows taken in
+// order of partial sum (staircase), in O(|A_g| + |B_g|) steps. Each range is
 // decomposed into O(log n) canonical dyadic segments of an implicit segment
 // tree over the sorted order; a fresh variable shared by A and B carries the
 // segment identity, so each admissible pair joins on exactly one segment and
@@ -33,7 +36,7 @@ import (
 // candidate band never needs a trim of a trim.
 //
 // Everything that does not depend on the bounds — the grouped A and B sides,
-// the per-row partial sums, the per-group staircase sort — is a *preparation*
+// the per-row partial sums, the per-group sorts of both sides — is a *preparation*
 // that Algorithm 1 re-uses verbatim every iteration: only the bounds change
 // between pivoting rounds. When the instance carries a Cache (the driver's
 // original always does), the preparation is computed once per ranking and
@@ -91,13 +94,17 @@ type sumAdjPrep struct {
 
 	// Two-node state.
 	bGroups    []bGroupPrep
-	aGroupRows [][]int // per A-group, row indexes into relA, ascending
-	aPartner   []int   // A-group -> index into bGroups, -1 when keyless
-	aSums      []int64 // the partial sums of aGroupRows' rows, group after group
+	aGroupRows [][]int32 // per A-group, row indexes into relA, ascending
+	aPartner   []int     // A-group -> index into bGroups, -1 when keyless
+	aSums      []int64   // the partial sums of aGroupRows' rows, group after group
+	// aBySum lies beside aSums: per A-group, the positions of its rows within
+	// the group, ordered by partial sum — the order the staircase merge reads
+	// them in.
+	aBySum []int32
 }
 
 type bGroupPrep struct {
-	rows []int   // relB row indexes, sorted by sums
+	rows []int32 // relB row indexes, sorted by sums
 	sums []int64 // ascending, aligned with rows
 }
 
@@ -200,7 +207,7 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 		bGids = append(bGids, int32(gid))
 	}
 	p.bGroups = make([]bGroupPrep, keys.Len())
-	fillCSR(keys.Len(), bGids, bRows, true, func(gid int32, rows []int, sums []int64) {
+	fillCSR(keys.Len(), bGids, bRows, true, func(gid int32, rows []int32, sums []int64) {
 		p.bGroups[gid] = bGroupPrep{rows: rows, sums: sums}
 	})
 	// Partial sums and the per-group staircase sort: groups are independent,
@@ -208,7 +215,7 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	parallel.Do(workers, len(p.bGroups), func(k int) {
 		g := &p.bGroups[k]
 		for j, ri := range g.rows {
-			g.sums[j] = rowSumAt(f, bVars, colsB, bCols, ri)
+			g.sums[j] = rowSumAt(f, bVars, colsB, bCols, int(ri))
 		}
 		sort.Sort(&sumRowSorter{sums: g.sums, rows: g.rows})
 	})
@@ -231,16 +238,22 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 		}
 		aGids[i] = int32(gid)
 	}
-	p.aGroupRows = make([][]int, aKeys.Len())
-	fillCSR(aKeys.Len(), aGids, nil, false, func(gid int32, rows []int, _ []int64) {
+	p.aGroupRows = make([][]int32, aKeys.Len())
+	fillCSR(aKeys.Len(), aGids, nil, false, func(gid int32, rows []int32, _ []int64) {
 		p.aGroupRows[gid] = rows
 	})
-	// The sums lie in the order the emission reads them in.
+	// The sums lie in the order the emission reads them in, and each group's
+	// positions by sum beside them.
 	p.aSums = make([]int64, 0, relA.Len())
+	p.aBySum = make([]int32, 0, relA.Len())
 	for _, rows := range p.aGroupRows {
-		for _, i := range rows {
-			p.aSums = append(p.aSums, rowSumAt(f, aVars, colsA, aCols, i))
+		off := len(p.aSums)
+		for j, i := range rows {
+			p.aSums = append(p.aSums, rowSumAt(f, aVars, colsA, aCols, int(i)))
+			p.aBySum = append(p.aBySum, int32(j))
 		}
+		sums := p.aSums[off:]
+		slices.SortFunc(p.aBySum[off:], func(x, y int32) int { return cmp.Compare(sums[x], sums[y]) })
 	}
 	return p, nil
 }
@@ -275,6 +288,10 @@ type emitChunk struct {
 	rowsA, rowsB []int            // source row indexes of emitted copies
 	segA, segB   []relation.Value // aligned segment ids, 1 the chunk's first
 	nIDs         relation.Value   // ids the chunk handed out
+
+	// span holds the admissible B range [from, to) of each A row of the group
+	// being emitted, at 2j and 2j+1 for the row at position j (staircase).
+	span []int32
 
 	// segAt is the id table of the group being emitted, over the implicit
 	// segment tree of its sorted B side: segment (lvl, start) of a group of m
@@ -325,7 +342,7 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 		}
 		for gk := ranges[ci].Lo; gk < ranges[ci].Hi; gk++ {
 			rows := p.aGroupRows[gk]
-			sums := p.aSums[aOff : aOff+len(rows)]
+			sums, bySum := p.aSums[aOff:aOff+len(rows)], p.aBySum[aOff:aOff+len(rows)]
 			aOff += len(rows)
 			bi := p.aPartner[gk]
 			if bi < 0 {
@@ -339,16 +356,13 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 			}
 			base := c.segRun
 			usedOrder = usedOrder[:0]
+			if cap(c.span) < 2*len(rows) {
+				c.span = make([]int32, 2*len(rows))
+			}
+			span := c.span[:2*len(rows)]
+			staircase(g.sums, sums, bySum, low, high, span)
 			for j, ai := range rows {
-				s := sums[j]
-				// Admissible range: B-sums strictly between low-s and high-s.
-				from, to := 0, m
-				if low.IsFinite() {
-					from = searchAbove(g.sums, low.W.K-s)
-				}
-				if high.IsFinite() {
-					to, _ = slices.BinarySearch(g.sums, high.W.K-s)
-				}
+				from, to := int(span[2*j]), int(span[2*j+1])
 				// Canonical dyadic cover of [from, to), left to right: at
 				// each position the largest aligned segment that still fits.
 				for pos := from; pos < to; {
@@ -362,7 +376,7 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 						*at = c.segRun
 						usedOrder = append(usedOrder, segKey{lvl, pos})
 					}
-					c.rowsA = append(c.rowsA, ai)
+					c.rowsA = append(c.rowsA, int(ai))
 					c.segA = append(c.segA, relation.Value(*at-first))
 					pos += 1 << uint(lvl)
 				}
@@ -372,7 +386,7 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 			for k, sk := range usedOrder {
 				id := relation.Value(base - first + int64(k) + 1)
 				for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
-					c.rowsB = append(c.rowsB, g.rows[pos])
+					c.rowsB = append(c.rowsB, int(g.rows[pos]))
 					c.segB = append(c.segB, id)
 				}
 			}
@@ -440,6 +454,48 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	return out, nil
 }
 
+// staircase writes the admissible range [from, to) of a group's B side for
+// each of its A rows — the B positions whose sums lie strictly between low−s
+// and high−s, s the row's partial sum — to span[2j] and span[2j+1], j the
+// row's position in the group. bSums is the B side's ascending sums, aSums the
+// A rows' sums and bySum their positions ordered by sum. The first row in that
+// order finds both ends by binary search; as the sum rises both ends only fall,
+// so each later row walks them down from where the row before left them, and a
+// group costs O(log |B_g| + |A_g| + |B_g|) steps. Each walk also steps up while
+// it must, so an end is the binary search's for any threshold, monotone or not.
+func staircase(bSums, aSums []int64, bySum []int32, low, high ranking.Bound, span []int32) {
+	m := len(bSums)
+	from, to := 0, m
+	for k, j := range bySum {
+		s := aSums[j]
+		if low.IsFinite() {
+			x := low.W.K - s
+			if k == 0 {
+				from = searchAbove(bSums, x)
+			}
+			for from > 0 && bSums[from-1] > x {
+				from--
+			}
+			for from < m && bSums[from] <= x {
+				from++
+			}
+		}
+		if high.IsFinite() {
+			x := high.W.K - s
+			if k == 0 {
+				to, _ = slices.BinarySearch(bSums, x)
+			}
+			for to > 0 && bSums[to-1] >= x {
+				to--
+			}
+			for to < m && bSums[to] < x {
+				to++
+			}
+		}
+		span[2*j], span[2*j+1] = int32(from), int32(max(from, to))
+	}
+}
+
 // searchAbove returns the first j with sums[j] > x, len(sums) when there is
 // none; sums is ascending.
 func searchAbove(sums []int64, x int64) int {
@@ -457,7 +513,7 @@ func searchAbove(sums []int64, x int64) int {
 
 type sumRowSorter struct {
 	sums []int64
-	rows []int
+	rows []int32
 }
 
 func (s *sumRowSorter) Len() int           { return len(s.sums) }
@@ -473,7 +529,7 @@ func (s *sumRowSorter) Swap(i, j int) {
 // (nil means the identity). With withSums an int64 backing array is carved
 // the same way, zero-filled for the caller to populate. assign is invoked
 // once per group id, in id order.
-func fillCSR(nGroups int, gids []int32, src []int32, withSums bool, assign func(gid int32, rows []int, sums []int64)) {
+func fillCSR(nGroups int, gids []int32, src []int32, withSums bool, assign func(gid int32, rows []int32, sums []int64)) {
 	counts := make([]int32, nGroups)
 	for _, g := range gids {
 		counts[g]++
@@ -482,7 +538,7 @@ func fillCSR(nGroups int, gids []int32, src []int32, withSums bool, assign func(
 	for g, c := range counts {
 		offs[g+1] = offs[g] + c
 	}
-	rowsBacking := make([]int, len(gids))
+	rowsBacking := make([]int32, len(gids))
 	var sumsBacking []int64
 	if withSums {
 		sumsBacking = make([]int64, len(gids))
@@ -493,9 +549,9 @@ func fillCSR(nGroups int, gids []int32, src []int32, withSums bool, assign func(
 		pos := next[g]
 		next[g] = pos + 1
 		if src != nil {
-			rowsBacking[pos] = int(src[j])
+			rowsBacking[pos] = src[j]
 		} else {
-			rowsBacking[pos] = j
+			rowsBacking[pos] = int32(j)
 		}
 	}
 	for g := 0; g < nGroups; g++ {

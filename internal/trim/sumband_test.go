@@ -1,9 +1,13 @@
 package trim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/query"
@@ -234,13 +238,13 @@ func refStaircase(t *testing.T, inst Instance, f *ranking.Func, low, high rankin
 					ids[sk] = next
 					order = append(order, sk)
 				}
-				outA.AppendRow(append(relA.RowValues(ai), ids[sk]))
+				outA.AppendRow(append(relA.RowValues(int(ai)), ids[sk]))
 				pos += 1 << lvl
 			}
 		}
 		for _, sk := range order {
 			for pos := sk.start; pos < sk.start+1<<sk.lvl; pos++ {
-				outB.AppendRow(append(relB.RowValues(g.rows[pos]), ids[sk]))
+				outB.AppendRow(append(relB.RowValues(int(g.rows[pos])), ids[sk]))
 			}
 		}
 	}
@@ -306,5 +310,73 @@ func TestStaircaseSegmentIdsMatchMapReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The staircase merge finds each A row's range [from, to) where two binary
+// searches did (sort.Search here): on groups with tied sums on both sides and
+// empty B sides, bounds finite and infinite, ranges empty, whole and in
+// between, A rows taken in any order among equal sums — and thresholds that
+// wrap around int64, which do not fall as the sum rises.
+func TestStaircaseMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2404))
+	bound := func(inf ranking.Bound) ranking.Bound {
+		switch rng.Intn(8) {
+		case 0:
+			return inf
+		case 1:
+			return ranking.Finite(ranking.Weightv{K: []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]})
+		}
+		return ranking.Finite(ranking.Weightv{K: rng.Int63n(24) - 12})
+	}
+	var empty, whole, between int
+	for trial := 0; trial < 3000; trial++ {
+		m := rng.Intn(24)
+		bSums := make([]int64, m)
+		for i := range bSums {
+			bSums[i] = rng.Int63n(10) - 5
+		}
+		slices.Sort(bSums)
+		aSums := make([]int64, 1+rng.Intn(16))
+		for j := range aSums {
+			aSums[j] = rng.Int63n(12) - 6
+			if rng.Intn(40) == 0 {
+				aSums[j] = []int64{math.MinInt64 + 3, math.MaxInt64 - 3}[rng.Intn(2)]
+			}
+		}
+		bySum := make([]int32, len(aSums))
+		for j := range bySum {
+			bySum[j] = int32(j)
+		}
+		rng.Shuffle(len(bySum), func(i, j int) { bySum[i], bySum[j] = bySum[j], bySum[i] })
+		slices.SortStableFunc(bySum, func(x, y int32) int { return cmp.Compare(aSums[x], aSums[y]) })
+		low, high := bound(ranking.NegInf()), bound(ranking.PosInf())
+		span := make([]int32, 2*len(aSums))
+		staircase(bSums, aSums, bySum, low, high, span)
+		for j, s := range aSums {
+			from, to := 0, m
+			if low.IsFinite() {
+				from = sort.Search(m, func(i int) bool { return bSums[i] > low.W.K-s })
+			}
+			if high.IsFinite() {
+				to = sort.Search(m, func(i int) bool { return bSums[i] >= high.W.K-s })
+			}
+			to = max(from, to)
+			if int(span[2*j]) != from || int(span[2*j+1]) != to {
+				t.Fatalf("trial %d: B sums %v, A sum %d, band (%v, %v): merged range [%d, %d), binary search [%d, %d)",
+					trial, bSums, s, low, high, span[2*j], span[2*j+1], from, to)
+			}
+			switch {
+			case from == to:
+				empty++
+			case to-from == m:
+				whole++
+			default:
+				between++
+			}
+		}
+	}
+	if empty == 0 || whole == 0 || between == 0 {
+		t.Fatalf("ranges: %d empty, %d whole, %d in between: a kind is missing", empty, whole, between)
 	}
 }

@@ -10,10 +10,13 @@
 //   - MIN/MAX (Section 5.1, Algorithm 3): partition-identifier construction.
 //   - LEX (Section 5.2): prefix-equality partitions. Both are Band: the
 //     partitions of the band's two sides as boxes of weight intervals,
-//     intersected and cut in one pass.
+//     intersected and cut in one pass. Given the instance's Exec, each box
+//     keeps only the rows on an answer of the box (a semijoin reduction of
+//     its row lists before anything is gathered).
 //   - Partial SUM on two adjacent join-tree nodes (Section 5.3, after
 //     Tziavelis et al. [22]): dyadic factorization of the staircase join,
-//     for a band low ≺ Σ ≺ high in one pass (either bound may be infinite).
+//     for a band low ≺ Σ ≺ high in one pass (either bound may be infinite),
+//     each A row's admissible range found by a merge over its join group.
 //   - Lossy SUM for arbitrary acyclic queries (Section 6, Algorithm 4):
 //     sketched message passing embedded back into the database.
 //
@@ -78,7 +81,11 @@ type Instance struct {
 	// only can bring about (a staircase between atoms the tree does not have
 	// adjacent, or one that makes another atom the root): that output carries
 	// none and the driver builds its tree afresh, as it does for the lossy
-	// SUM's sketch embeddings, which never carry one. Read-only.
+	// SUM's sketch embeddings, which never carry one. A band of several boxes
+	// also reduces its row lists through this tree before it gathers
+	// (jointree.ReduceRows), so it copies only the rows on an answer of their
+	// box; without an Exec it copies every row its interval tests pass.
+	// Read-only.
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
 	// a prepared plan, across quantile calls). Only the driver's reused
@@ -94,7 +101,8 @@ type Instance struct {
 
 // Scratch is the storage one band is cut into: an arena that every array the
 // band is made of is carved from — the row lists a partitioned trim gathers
-// through, the gathered columns and the identifier column, the derived tree's
+// through and the group marks it reduces them with, the gathered columns and
+// the identifier column, the derived tree's
 // gid arrays and tuple lists — and the staircase's per-chunk emission plans. A
 // band cut into a scratch lives exactly as long as the arena's carve: the
 // driver keeps one beside each counting slot, and resets it when the slot
