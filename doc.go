@@ -235,19 +235,19 @@
 // on a variable is not scanned), for SUM a merge per join group of its A rows,
 // in order of partial sum, against the partner's sorted sums — and what
 // survives is a list of source row indexes, with the identifier (box number,
-// dyadic segment id) each copy will carry. Reduce: each box's lists are cut
-// down to the rows on an answer of the box, by one bottom-up and one top-down
-// semijoin pass over the original tree's group ids (jointree.ReduceRows), so
-// the band holds no dangling tuple; the staircase emits only joining rows
-// already, and a band of one box is a row filter and keeps its rows. A
-// dangling tuple counts 0 and never enters a weighted median, so pivots,
-// answers and every RunStats field but MaxInstanceTuples are what the
-// unreduced cut gave. Gather: each output relation is one gather
-// per column through its list, plus the identifier column. Derive by integers:
-// the output's executable tree follows from the lists and the original tree's
-// per-row group ids, without a key being projected, hashed or interned
-// (jointree.DeriveGathered; DeriveSubset for a band of one box, which is a row
-// filter). On an edge that does not carry the identifier on both ends group
+// dyadic segment id) each copy will carry. Reduce, for a band of several
+// boxes: each box's lists are cut down to the rows on an answer of the box, by
+// one bottom-up and one top-down semijoin pass over the original tree's group
+// ids (jointree.ReduceRows), so such a band holds no dangling tuple; a band of
+// one box is a row filter and keeps its rows, and the staircase emits only
+// rows that join across its pair. A dangling tuple counts 0 and never enters a
+// weighted median, so pivots, answers and every RunStats field but
+// MaxInstanceTuples are what the unreduced cut gave. Gather: each output
+// relation is one gather per column through its list, plus the identifier
+// column. Derive by integers: the output's executable tree follows from the
+// lists and the original tree's per-row group ids, without a key being
+// projected, hashed or interned (jointree.DeriveGathered; DeriveSubset for a
+// band of one box, which is a row filter). On an edge that does not carry the identifier on both ends group
 // ids are the original's, read through the lists; on one that does the new
 // group is the pair (original group, identifier) — numbered box by box through
 // one stamp array over the original's groups for the boxes, and simply the
@@ -328,8 +328,8 @@
 // partitions — and the band is the pairwise intersections of its two cuts'
 // boxes: every relation is scanned once per box, each box's rows are reduced
 // to those on an answer of the box, and the survivors are gathered once, under
-// one identifier column (a band of one box is a row filter). Only the ε-lossy SUM
-// composes two one-sided trims, pivot bound first.
+// one identifier column (a band of one box is a row filter). Only the ε-lossy
+// SUM composes two one-sided trims, pivot bound first.
 //
 // Deterministic linear selection. Weighted medians (Algorithm 2) and the
 // tail's selection of a rank's weight class run introselect: a cheap

@@ -541,12 +541,13 @@ func (e *Exec) FullReduceWorkers(workers int) {
 // as it is. lists holds, part after part, one ascending list of row indexes
 // per node (len(e.Rels) lists a part), and each part selects a sub-instance;
 // every list is shortened in place to the rows that lie on an answer of its
-// part, in their order. The passes are FullReduceWorkers's, on a part's rows:
-// bottom-up a row survives when every child's group it points at holds a
-// surviving row, top-down when its own group is hit by a surviving parent row.
-// Groups are marked in one int32 array per edge, carved from a: part k marks
-// with 2k+1 bottom-up and 2k+2 top-down, so a mark is current exactly when it
-// equals the pass's, and no part clears what the one before it left.
+// part, in their order. The passes are the Yannakakis full reducer's, on a
+// part's rows: bottom-up a row survives when every child's group it points at
+// holds a surviving row, top-down when its own group is hit by a surviving
+// parent row. Groups are marked in one int32 array per edge, carved from a:
+// part k marks with 2k+1 bottom-up and 2k+2 top-down, so a mark is current
+// exactly when it equals the pass's, and no part clears what the one before it
+// left.
 func (e *Exec) ReduceRows(lists [][]int, a *relation.Arena) {
 	n := len(e.Rels)
 	marks := make([][]int32, n)

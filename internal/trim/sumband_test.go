@@ -212,19 +212,22 @@ func refStaircase(t *testing.T, inst Instance, f *ranking.Func, low, high rankin
 	relA, relB := inst.rel(p.atomIdxA), inst.rel(p.atomIdxB)
 	outA, outB = relation.New(p.atomA.Rel, relA.Arity()+1), relation.New(p.atomB.Rel, relB.Arity()+1)
 	var next relation.Value
+	aOff := 0
 	for gk, rows := range p.aGroupRows {
+		sums := p.aSums[aOff : aOff+len(rows)] // aSums lies group after group
+		aOff += len(rows)
 		if p.aPartner[gk] < 0 {
 			continue
 		}
 		g := &p.bGroups[p.aPartner[gk]]
 		ids := map[segKey]relation.Value{}
 		var order []segKey
-		for _, ai := range rows {
+		for j, ai := range rows {
 			from, to := 0, len(g.rows)
-			for low.IsFinite() && from < to && g.sums[from] <= low.W.K-p.aSums[ai] {
+			for low.IsFinite() && from < to && g.sums[from] <= low.W.K-sums[j] {
 				from++
 			}
-			for high.IsFinite() && to > from && g.sums[to-1] >= high.W.K-p.aSums[ai] {
+			for high.IsFinite() && to > from && g.sums[to-1] >= high.W.K-sums[j] {
 				to--
 			}
 			for pos := from; pos < to; {
