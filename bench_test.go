@@ -300,7 +300,7 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		kb     float64 // KB allocated per 8-φ grid
 	}{
 		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 38}, // measured 235, 32.8 KB (the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1450, 1120},     // measured 1261, 55.8 or 971 KB since a partitioned band keeps only the rows on an answer of its box (1275, 56.1 or 3 349 KB while it copied every row its tests passed; 1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1395, 680},      // measured 1213, 53.8 or 589 KB since a warm slice's boxes start from a weight order (1261, 55.8 or 971 KB while every box scanned its relations and then kept only the rows on an answer of it; 1275, 56.1 or 3 349 KB while it copied every row its tests passed; 1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -531,8 +531,8 @@ func BenchmarkPlanRetained(b *testing.B) {
 		shards int
 		budget float64 // B/tuple
 	}{
-		{"unrouted", q, idb, f, 0, 71},  // measured 61.1 (63.1 while the SUM preparation's row lists were ints and it kept no A order by sum; with a copy of every column per tree node: 79.1)
-		{"shards=4", q, idb, f, 4, 109}, // measured 94.6 (97.2; then: 115.2)
+		{"unrouted", q, idb, f, 0, 68},  // measured 59.2 (61.1 while join groups listed their rows as ints; 63.1 while the SUM preparation's row lists were ints and it kept no A order by sum; with a copy of every column per tree node: 79.1)
+		{"shards=4", q, idb, f, 4, 106}, // measured 92.4 (94.6; 97.2; then: 115.2)
 		// measured 25.8 (with bags that ignored their covered atom: 348.5)
 		{"triangle", tq, tidb, qjoin.Max(tq.Vars()...), 0, 30},
 	} {
@@ -568,8 +568,12 @@ func BenchmarkPlanRetained(b *testing.B) {
 	// What answering adds to a warm plan: the pivot trees of the repository
 	// benchmark's four rankings after its 396-request rotation, on top of a
 	// plan that has answered once under each and a TopK (trim preparation,
-	// counts and pooled scratch are there before). Budget by construction, not
-	// by measurement: one byte per input tuple and ranking.
+	// counts and pooled scratch are there before), and the weight orders its
+	// warm MIN / MAX / LEX slices are cut from. Budget by construction, not by
+	// measurement: one byte per input tuple and ranking for the trees, and four
+	// per input tuple for the orders — one int32 per row of R1 by x1 and of R2
+	// by x3, and the 2¹⁰ groups of x2, a few KB — so two bytes per input tuple
+	// and ranking over the four (measured 1.37; 0.20 before the orders).
 	b.Run("remembered", func(b *testing.B) {
 		ranks, ops := exactRotation()
 		var perTuple float64
@@ -596,8 +600,8 @@ func BenchmarkPlanRetained(b *testing.B) {
 			runtime.KeepAlive(p)
 		}
 		b.ReportMetric(perTuple, "B/tuple/ranking")
-		if perTuple > 1 {
-			b.Fatalf("the rotation left %.2f B per input tuple and ranking on the plan, budget 1 — the pivot tree holds more than rounds", perTuple)
+		if perTuple > 2 {
+			b.Fatalf("the rotation left %.2f B per input tuple and ranking on the plan, budget 2 — the pivot tree holds more than rounds, or the orders more than an int32 a row", perTuple)
 		}
 	})
 	// What the other readers leave on a plan whose counts are built. TopK and a
@@ -1166,11 +1170,13 @@ type rotationOp struct {
 // iteration of either asks the other kind of plan too, untimed, and checks the
 // answers agree. A warm leaf carries its rank splitters, so the band cut is
 // the slice of the leaf the rank falls in, an eighth of it or less, and a
-// partitioned slice keeps only the rows on an answer of its box. CI's scaling
-// gate: warm min ns/op ≤ 0.09× cold (measured 0.05–0.07, cold ≈ 5.6–7.1 ms
-// and warm ≈ 0.38–0.46 ms on a 2-vCPU box; 0.09–0.14 while a box copied every
-// row its tests passed; 0.21–0.27 while a warm op cut and weighed its whole
-// leaf).
+// partitioned slice keeps only the rows on an answer of its box, each narrow
+// box cut from the rows its seed reaches through the join (trim's weight
+// orders). CI's scaling gate: warm min ns/op ≤ 0.07× cold (measured
+// 0.05–0.06, cold ≈ 6.8–8.1 ms and warm ≈ 0.36–0.53 ms on a 2-vCPU box;
+// 0.05–0.07 while every box scanned its relations; 0.09–0.14 while a box
+// copied every row its tests passed; 0.21–0.27 while a warm op cut and
+// weighed its whole leaf).
 func BenchmarkRememberedQuantile(b *testing.B) {
 	q, idb := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
 	db := qjoin.WrapDB(idb)

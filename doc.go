@@ -233,9 +233,23 @@
 // the first reads a value. Scan: every relation's ranked columns are tested
 // against the band — interval tests per box for MIN, MAX and LEX (a box empty
 // on a variable is not scanned), for SUM a merge per join group of its A rows,
-// in order of partial sum, against the partner's sorted sums — and what
-// survives is a list of source row indexes, with the identifier (box number,
-// dyadic segment id) each copy will carry. Reduce, for a band of several
+// in order of partial sum, against the partner's sorted sums (a group whose
+// extreme sums put every pair outside the band, or every pair inside, skips
+// the merge) — and what survives is a list of source row indexes, with the
+// identifier (box number, dyadic segment id) each copy will carry. A plan
+// queried again under one ranking keeps weight orders in its trim cache: per
+// ranked variable that one atom holds, that relation's rows sorted by weight;
+// per ranked join variable that is a child's whole group key, the child's
+// groups sorted by key (4 B a row or a group). A descent that slices a
+// remembered leaf asks for them (trim.Cache.WeightOrders); from then on a box
+// whose narrowest interval covers at most a sixteenth of its relation is not
+// scanned but seeded: two binary searches give that interval's rows, the join
+// tree the rows they reach — a child's through the groups its parent's rows
+// point at, a parent's by one pass over the edge's parent-gid array — and
+// only those take the box's tests, so a warm slice's boxes test a few
+// thousand rows instead of |D| each (PhaseLog.Tested counts them; qjq -stats
+// prints it). The seeded lists hold every row on an answer of the box and
+// reduce to the scan's, row for row. Reduce, for a band of several
 // boxes: each box's lists are cut down to the rows on an answer of the box, by
 // one bottom-up and one top-down semijoin pass over the original tree's group
 // ids (jointree.ReduceRows), so such a band holds no dangling tuple; a band of

@@ -57,7 +57,7 @@ type candidate struct {
 type groupStream struct {
 	e      *Enumerator
 	node   int
-	tuples []int // tuple indexes of the group (or all root tuples)
+	tuples []int32 // tuple indexes of the group (or all root tuples)
 
 	// found is the sorted prefix of solutions discovered so far.
 	found []solution
@@ -118,15 +118,15 @@ func New(e *jointree.Exec, c *yannakakis.Counts, f *ranking.Func) (*Enumerator, 
 	}
 	en.row = make([]relation.Value, width)
 	// Artificial root group: all root tuples.
-	rootTuples := make([]int, e.Rels[e.T.Root].Len())
+	rootTuples := make([]int32, e.Rels[e.T.Root].Len())
 	for i := range rootTuples {
-		rootTuples[i] = i
+		rootTuples[i] = int32(i)
 	}
 	en.root = en.newStream(e.T.Root, rootTuples)
 	return en, nil
 }
 
-func (en *Enumerator) newStream(node int, tuples []int) *groupStream {
+func (en *Enumerator) newStream(node int, tuples []int32) *groupStream {
 	gs := &groupStream{
 		e:        en,
 		node:     node,
@@ -157,7 +157,7 @@ func (en *Enumerator) stream(node, gid int) *groupStream {
 // ownWeight returns the weight of the group's ti-th tuple on its own.
 func (gs *groupStream) ownWeight(ti int) ranking.Weightv {
 	en := gs.e
-	row := en.exec.Rels[gs.node].CopyRow(en.row, gs.tuples[ti])
+	row := en.exec.Rels[gs.node].CopyRow(en.row, int(gs.tuples[ti]))
 	return en.weighers[gs.node].WeightOf(row)
 }
 
@@ -169,7 +169,7 @@ func (gs *groupStream) bestOf(ti int) candidate {
 	w := gs.ownWeight(ti)
 	children := en.exec.T.Nodes[gs.node].Children
 	for _, ch := range children {
-		gid, _ := en.exec.ParentGroup(ch, gs.tuples[ti])
+		gid, _ := en.exec.ParentGroup(ch, int(gs.tuples[ti]))
 		sol, _ := en.stream(ch, gid).get(0)
 		w = en.f.Combine(w, sol.weight)
 	}
@@ -182,7 +182,7 @@ func (gs *groupStream) weightOf(ti int, childSol []int) (ranking.Weightv, bool) 
 	en := gs.e
 	w := gs.ownWeight(ti)
 	for ci, ch := range en.exec.T.Nodes[gs.node].Children {
-		gid, _ := en.exec.ParentGroup(ch, gs.tuples[ti])
+		gid, _ := en.exec.ParentGroup(ch, int(gs.tuples[ti]))
 		sol, ok := en.stream(ch, gid).get(childSol[ci])
 		if !ok {
 			return ranking.Weightv{}, false
@@ -260,7 +260,7 @@ func (en *Enumerator) Next(asn []relation.Value) (ranking.Weightv, error) {
 // fill reconstructs the assignment of the stream's idx-th solution.
 func (en *Enumerator) fill(gs *groupStream, idx int, asn []relation.Value) {
 	sol, _ := gs.get(idx)
-	node, ti := gs.node, gs.tuples[sol.tupleIdx]
+	node, ti := gs.node, int(gs.tuples[sol.tupleIdx])
 	cols := en.exec.Rels[node].Cols()
 	for j, p := range en.nodePos[node] {
 		asn[p] = cols[j][ti]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/shard"
 	"github.com/quantilejoins/qjoin/internal/trim"
@@ -56,6 +57,61 @@ func TestExactCutsAreNeverRebuilt(t *testing.T) {
 		if stats.Phases.Cuts == 0 || stats.Phases.Rebuilt != stats.Phases.Cuts {
 			t.Fatalf("shards=%d lossy: %d of %d cuts rebuilt their tree, want all", shards, stats.Phases.Rebuilt, stats.Phases.Cuts)
 		}
+	}
+}
+
+// A warm MIN / MAX / LEX slice is cut from the rows its boxes reach, not from
+// every relation: on the plan and the 396-request rotation of
+// BenchmarkRememberedQuantile (the repository benchmark's dense 2-path, 2¹⁵
+// tuples), asked a second time, the mean PhaseLog.Tested per cut of those
+// rankings stays under |D|/2. A box that scans its relations tests all |D| of
+// their rows, and every such band has at least two boxes, so a run without
+// weight orders tests at least 2·|D| per cut. The first pass asks for the
+// orders and builds each of the three ranked variables' once.
+func TestWarmSliceCutsTestFewRows(t *testing.T) {
+	q, db := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
+	eng, err := engine.NewWorkers(q, db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engs := []*engine.Engine{eng}
+	ranks := []*ranking.Func{ranking.NewSum("x1", "x2", "x3"), ranking.NewMax("x1", "x3"), ranking.NewLex("x1", "x3"), ranking.NewMin("x1", "x2", "x3")}
+	rng := rand.New(rand.NewSource(22))
+	phis := make([]float64, 396)
+	for i := range phis {
+		phis[i] = float64(1+rng.Intn(99)) / 100
+	}
+	size := eng.DB().Size()
+	for _, pass := range []string{"first", "warm"} {
+		tested, cuts := map[ranking.Agg]int{}, map[ranking.Agg]int{}
+		for i, phi := range phis {
+			f := ranks[i%len(ranks)]
+			_, stats, err := Quantile(engs, f, phi, Options{Parallelism: 1, CollectPhases: true})
+			if err != nil {
+				t.Fatalf("%s pass, request %d: %v", pass, i, err)
+			}
+			tested[f.Agg] += stats.Phases.Tested
+			cuts[f.Agg] += stats.Phases.Cuts
+			if f.Agg == ranking.Sum && stats.Phases.Tested != 0 {
+				t.Fatalf("%s pass, request %d: a SUM run tested %d rows", pass, i, stats.Phases.Tested)
+			}
+		}
+		if pass == "first" {
+			if got := eng.TrimCache().OrdersBuilt(); got != 3 {
+				t.Fatalf("first pass built %d weight orders, want 3 (x1, x2, x3)", got)
+			}
+			continue
+		}
+		for _, agg := range []ranking.Agg{ranking.Max, ranking.Lex, ranking.Min} {
+			mean := float64(tested[agg]) / float64(cuts[agg])
+			t.Logf("%s: %d cuts, %.0f rows tested per cut (|D| = %d)", agg, cuts[agg], mean, size)
+			if mean >= float64(size)/2 {
+				t.Errorf("%s: a warm cut tests %.0f rows on average, |D|/2 = %d", agg, mean, size/2)
+			}
+		}
+	}
+	if got := eng.TrimCache().OrdersBuilt(); got != 3 {
+		t.Fatalf("%d weight orders built after the warm pass, want 3", got)
 	}
 }
 

@@ -432,7 +432,8 @@ func TestPivotTreeFollowsTheEngineVector(t *testing.T) {
 // Concurrent runs over one plan walk and fill one tree without a lock: eight
 // goroutines of mixed φ's, rankings and rank lists, on a routed and on an
 // unrouted plan, return what the same requests return one at a time on plans
-// of their own. Under -race this is the publication protocol's test.
+// of their own, and the weight orders the warm runs ask for are each built
+// once. Under -race this is the publication protocol's test.
 func TestConcurrentRunsShareOneTree(t *testing.T) {
 	inst := testutil.FuzzCorpus(rand.New(rand.NewSource(616)))[0]
 	type request struct {
@@ -502,6 +503,24 @@ func TestConcurrentRunsShareOneTree(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		// The warm runs asked for weight orders concurrently, and each was
+		// built once: topping every ranking's up now builds as many in all
+		// as on a cache asked one ranking at a time.
+		for i, eng := range shared {
+			c := eng.TrimCache()
+			if c.OrdersBuilt() == 0 {
+				t.Errorf("shards=%d engine %d: the warm runs built no weight order", nShards, i)
+			}
+			ref := trim.NewCache()
+			orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Exec: eng.Exec()}
+			for _, f := range inst.Ranks {
+				c.WeightOrders(orig, f)
+				ref.WeightOrders(orig, f)
+			}
+			if got, want := c.OrdersBuilt(), ref.OrdersBuilt(); got != want {
+				t.Errorf("shards=%d engine %d: %d weight orders built, %d when each is built once", nShards, i, got, want)
+			}
+		}
 	}
 }
 

@@ -126,6 +126,10 @@ type PhaseLog struct {
 	// they made tuples of — the members of the weight classes the requested
 	// indices landed in.
 	Weighed, Recovered int
+	// Tested counts the rows the run's MIN / MAX / LEX cuts put through a
+	// box's interval tests (trim.Scratch.Tested): |D| per box that scans its
+	// relations, and only the rows a seeded box reaches from the seed.
+	Tested int
 }
 
 // runScratch is the pooled per-run iteration scratch: the counting slots, the
@@ -854,7 +858,10 @@ func (d *descent) selectIn(depth, level int, sd *pivotSide, low, high ranking.Bo
 // between two splitters that holds every index, with the indices rebased onto
 // it. The slice is a union of complete weight classes, so its rank-k member is
 // the band's rank-(offset+k) member: the answers are the ones the whole band
-// gives, and only the phase log sees the difference.
+// gives, and only the phase log sees the difference. Such a run is the plan
+// queried again under the ranking, so it asks each shard's trim cache for the
+// weight orders that let a narrow slice's boxes start from their seeds instead
+// of scanning every relation (trim.Cache.WeightOrders; built once per plan).
 func (d *descent) leaf(depth, level int, sd *pivotSide, low, high ranking.Bound, n int, ranks []rank, out []*Answer) error {
 	var sp, rec *splitters
 	if sd != nil {
@@ -867,6 +874,9 @@ func (d *descent) leaf(depth, level int, sd *pivotSide, low, high ranking.Bound,
 		low, high, off, n = sp.slice(low, high, n, ranks, d.f.VecLen())
 		for i := range ranks {
 			ranks[i].k = ranks[i].k.Sub(counting.FromInt(off))
+		}
+		for _, st := range d.shards {
+			st.orig.Cache.WeightOrders(st.orig, d.f)
 		}
 	}
 	if err := d.instances(depth, level, low, high); err != nil {
@@ -1044,6 +1054,9 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 			p.Cuts++
 			if st.parts[as].inst.Exec == nil {
 				p.Rebuilt++
+			}
+			if !d.trm.lossy {
+				p.Tested += st.scratch().slot(st.parts[as].slot).band.Tested()
 			}
 		}
 		st.parts[as].exec = exec

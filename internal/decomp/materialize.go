@@ -241,11 +241,11 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 		matches:
 			for _, m := range index.Tuples[id] {
 				for k := range probes {
-					if len(probes[k].rel) > 0 && !probes[k].has(relCols, m) {
+					if len(probes[k].rel) > 0 && !probes[k].has(relCols, int(m)) {
 						continue matches
 					}
 				}
-				keptCur[c], keptRel[c] = append(keptCur[c], int32(i)), append(keptRel[c], int32(m))
+				keptCur[c], keptRel[c] = append(keptCur[c], int32(i)), append(keptRel[c], m)
 				n++
 			}
 		}
@@ -283,7 +283,7 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 				continue
 			}
 			for _, m := range index.Tuples[gids[i]] {
-				write(at, i, m)
+				write(at, i, int(m))
 				at++
 			}
 		}

@@ -249,19 +249,19 @@ func (x *Exec) applyNodeDelta(n *Node, newRel *relation.Relation, added int, rem
 func (g *GroupIndex) derive(remap []int, rel *relation.Relation, addedIdx []int, pos []int) *GroupIndex {
 	out := &GroupIndex{keys: g.keys.Derive(), RowGid: make([]int32, rel.Len())}
 	if remap != nil {
-		out.Tuples = make([][]int, len(g.Tuples))
+		out.Tuples = make([][]int32, len(g.Tuples))
 		for gid, list := range g.Tuples {
-			var nl []int
+			var nl []int32
 			for _, ti := range list {
 				if ni := remap[ti]; ni >= 0 {
-					nl = append(nl, ni)
+					nl = append(nl, int32(ni))
 					out.RowGid[ni] = int32(gid)
 				}
 			}
 			out.Tuples[gid] = nl
 		}
 	} else {
-		out.Tuples = append([][]int(nil), g.Tuples...)
+		out.Tuples = append([][]int32(nil), g.Tuples...)
 		copy(out.RowGid, g.RowGid)
 	}
 	// fresh marks inner lists owned by this derivation (safe to append to);
@@ -278,19 +278,19 @@ func (g *GroupIndex) derive(remap []int, rel *relation.Relation, addedIdx []int,
 		gid := int(id)
 		switch {
 		case isNew:
-			out.Tuples = append(out.Tuples, []int{ni})
+			out.Tuples = append(out.Tuples, []int32{int32(ni)})
 			if fresh != nil {
 				fresh[gid] = true
 			}
 		case fresh != nil && !fresh[gid]:
 			// The inner list is shared with the base index: copy-on-append.
 			list := out.Tuples[gid]
-			nl := make([]int, len(list), len(list)+1)
+			nl := make([]int32, len(list), len(list)+1)
 			copy(nl, list)
-			out.Tuples[gid] = append(nl, ni)
+			out.Tuples[gid] = append(nl, int32(ni))
 			fresh[gid] = true
 		default:
-			out.Tuples[gid] = append(out.Tuples[gid], ni)
+			out.Tuples[gid] = append(out.Tuples[gid], int32(ni))
 		}
 		out.RowGid[ni] = int32(id)
 	}

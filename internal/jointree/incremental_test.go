@@ -98,7 +98,7 @@ func materializeAll(e *Exec) [][]relation.Value {
 				return
 			}
 			for _, cti := range e.Groups[ch].Tuples[gid] {
-				visit(ch, cti, func() { loop(ci + 1) })
+				visit(ch, int(cti), func() { loop(ci + 1) })
 			}
 		}
 		loop(0)

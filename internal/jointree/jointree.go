@@ -223,7 +223,7 @@ type Exec struct {
 // interner, and they run on engine trees alone.
 type GroupIndex struct {
 	keys   *relation.Interner // key tuple -> group id (dense, first appearance); nil: numbered from identifiers
-	Tuples [][]int            // group id -> tuple indexes into the child relation
+	Tuples [][]int32          // group id -> tuple indexes into the child relation, ascending
 	// RowGid[i] is the group id of tuple i of the child relation — the
 	// inverse of Tuples, materialized because the trim constructions and the
 	// delta-counting pass both need it and it falls out of the build for free.
@@ -242,14 +242,15 @@ func (g *GroupIndex) Keys() *relation.Interner { return g.keys }
 // GroupIndexFromFlat reconstructs a GroupIndex from its serialized parts: the
 // key interner (keys re-interned in group-id order), the per-row group-id
 // array, and flat, the per-group tuple lists flattened in group-id order —
-// exactly the backing array packTuples would build — so a restore costs one
-// validating read pass and no fill pass. Tuples subslices flat with full caps,
-// preserving the copy-on-append behavior of the packed layout. Validation
-// keeps the structure memory-safe under arbitrary input — RowGid partitions
-// flat exactly, every row index is in range, runs are strictly ascending —
-// and ok=false on any violation; it does not re-derive flat from RowGid (the
-// snapshot CRC covers bit corruption, and no consistency check can stop a
-// writer that lies consistently).
+// exactly the backing array packTuples would build, in the ints a snapshot
+// stores it as — so a restore costs one validating pass, which narrows the
+// lists to int32 as it reads them, and no fill pass. Tuples subslices one
+// array with full caps, preserving the copy-on-append behavior of the packed
+// layout. Validation keeps the structure memory-safe under arbitrary input —
+// RowGid partitions flat exactly, every row index is in range, runs are
+// strictly ascending — and ok=false on any violation; it does not re-derive
+// flat from RowGid (the snapshot CRC covers bit corruption, and no
+// consistency check can stop a writer that lies consistently).
 func GroupIndexFromFlat(keys *relation.Interner, rowGid []int32, flat []int) (*GroupIndex, bool) {
 	n := len(rowGid)
 	if len(flat) != n {
@@ -263,16 +264,18 @@ func GroupIndexFromFlat(keys *relation.Interner, rowGid []int32, flat []int) (*G
 		}
 		counts[gid]++
 	}
-	g := &GroupIndex{keys: keys, RowGid: rowGid, Tuples: make([][]int, ng)}
+	g := &GroupIndex{keys: keys, RowGid: rowGid, Tuples: make([][]int32, ng)}
+	packed := make([]int32, n)
 	off := 0
 	for gid := 0; gid < ng; gid++ {
 		c := int(counts[gid])
-		seg := flat[off : off+c : off+c]
+		seg := packed[off : off+c : off+c]
 		prev := -1
-		for _, row := range seg {
+		for j, row := range flat[off : off+c] {
 			if row <= prev || row >= n {
 				return nil, false
 			}
+			seg[j] = int32(row)
 			prev = row
 		}
 		g.Tuples[gid] = seg
@@ -490,8 +493,8 @@ func (g *GroupIndex) packTuples(ng int, a *relation.Arena) {
 	for _, gid := range g.RowGid {
 		counts[gid]++
 	}
-	flat := a.Ints(len(g.RowGid))
-	g.Tuples = a.Lists(ng)
+	flat := a.Int32s(len(g.RowGid))
+	g.Tuples = a.Int32Lists(ng)
 	off := 0
 	for gid := 0; gid < ng; gid++ {
 		c := int(counts[gid])
@@ -499,7 +502,7 @@ func (g *GroupIndex) packTuples(ng int, a *relation.Arena) {
 		off += c
 	}
 	for i, gid := range g.RowGid {
-		g.Tuples[gid] = append(g.Tuples[gid], i)
+		g.Tuples[gid] = append(g.Tuples[gid], int32(i))
 	}
 }
 

@@ -248,7 +248,7 @@ func TestFullReduceProperty(t *testing.T) {
 						gid, ok := e.ParentGroup(n.ID, j)
 						if ok {
 							for _, ti := range e.Groups[n.ID].Tuples[gid] {
-								if ti == i {
+								if int(ti) == i {
 									matched = true
 									break
 								}

@@ -101,7 +101,7 @@ func TestDeriveSubsetMatchesFreshBuild(t *testing.T) {
 				if dok != fok {
 					t.Fatalf("cutoff=%d node %d parent row %d: derived ok=%v fresh ok=%v", cutoff, n.ID, i, dok, fok)
 				}
-				var dl, fl []int
+				var dl, fl []int32
 				if dok {
 					dl = derived.Groups[n.ID].Tuples[dg]
 					fl = fresh.Groups[n.ID].Tuples[fg]

@@ -224,8 +224,8 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 				es := bufs[c]
 				for g := chunks[c].Lo; g < chunks[c].Hi; g++ {
 					es = es[:0]
-					for _, ti := range groups.Tuples[g] {
-						if !live[ti].IsZero() {
+					for _, t := range groups.Tuples[g] {
+						if ti := int(t); !live[ti].IsZero() {
 							es = append(es, selection.Entry{Key: ws[ti*stride], Item: ti})
 						}
 					}

@@ -352,11 +352,11 @@ func referenceSelect(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Fun
 	weights := make([][]ranking.Weightv, nNodes)
 	selTuple := make([][]int, nNodes)
 	cParam := make([]float64, nNodes)
-	liveOf := func(id int, tuples []int) []int {
+	liveOf := func(id int, tuples []int32) []int {
 		var live []int
 		for _, ti := range tuples {
 			if !counts.Tuple[id][ti].IsZero() {
-				live = append(live, ti)
+				live = append(live, int(ti))
 			}
 		}
 		return live
@@ -402,9 +402,9 @@ func referenceSelect(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Fun
 		}
 	}
 	root := e.T.Root
-	all := make([]int, e.Rels[root].Len())
+	all := make([]int32, e.Rels[root].Len())
 	for i := range all {
-		all[i] = i
+		all[i] = int32(i)
 	}
 	rootSel := median(root, liveOf(root, all))
 	varIdx := e.Q.VarIndex()

@@ -54,7 +54,7 @@ func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.
 		}
 	}
 	var bind func(d, node, ti int) bool
-	var weigh func(out []int64, node int, rows []int) // out weighs rows of the last node
+	var weigh func(out []int64, node int, rows []int32) // out weighs rows of the last node
 	stride := 1
 	if agg := f.Agg; agg == ranking.Lex {
 		stride = len(f.Vars)
@@ -65,7 +65,7 @@ func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.
 			}
 			return true
 		}
-		weigh = func(out []int64, node int, rows []int) {
+		weigh = func(out []int64, node int, rows []int32) {
 			for i := range rows {
 				copy(out[i*stride:(i+1)*stride], vec)
 			}
@@ -87,7 +87,7 @@ func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.
 			prefix[d+1] = w
 			return true
 		}
-		weigh = func(out []int64, node int, rows []int) {
+		weigh = func(out []int64, node int, rows []int32) {
 			out = out[:len(rows)]
 			w := prefix[nNodes-1]
 			for i := range out {
@@ -112,7 +112,7 @@ func (s *Scratch) Weigh(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.
 			}
 		}
 	}
-	yannakakis.Walk(e, counts, bind, func(node int, rows []int) bool {
+	yannakakis.Walk(e, counts, bind, func(node int, rows []int32) bool {
 		from := len(dst)
 		dst = slices.Grow(dst, len(rows)*stride)[:from+len(rows)*stride]
 		weigh(dst[from:], node, rows)

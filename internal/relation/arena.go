@@ -10,10 +10,11 @@ package relation
 // length, so an append never runs into a neighbour. An arena is not safe for
 // concurrent carving. The nil *Arena allocates every array fresh.
 type Arena struct {
-	vals   pile[Value]
-	ints   pile[int]
-	int32s pile[int32]
-	lists  pile[[]int]
+	vals    pile[Value]
+	ints    pile[int]
+	int32s  pile[int32]
+	lists   pile[[]int]
+	lists32 pile[[]int32]
 }
 
 // pile is an arena of one element type.
@@ -50,6 +51,7 @@ func (a *Arena) Reset() {
 	a.ints.reset()
 	a.int32s.reset()
 	a.lists.reset()
+	a.lists32.reset()
 }
 
 // Values carves n values.
@@ -82,4 +84,12 @@ func (a *Arena) Lists(n int) [][]int {
 		return make([][]int, n)
 	}
 	return a.lists.carve(n)
+}
+
+// Int32Lists carves n int32-list headers.
+func (a *Arena) Int32Lists(n int) [][]int32 {
+	if a == nil {
+		return make([][]int32, n)
+	}
+	return a.lists32.carve(n)
 }

@@ -324,7 +324,9 @@ func encodeGroupIndex(e *Enc, g *jointree.GroupIndex) {
 	e.U64(uint64(len(g.RowGid)))
 	e.Grow(8 * len(g.RowGid))
 	for gid := 0; gid < ng; gid++ {
-		putBlock(e, g.Tuples[gid])
+		for _, ti := range g.Tuples[gid] {
+			e.U64(uint64(ti)) // the container stores a row index in 8 bytes
+		}
 	}
 }
 

@@ -103,10 +103,12 @@ func cutBoxes(f *ranking.Func, b ranking.Bound, dir Dir) []box {
 // variable joins every atom so answers never mix boxes (Algorithm 3). A band
 // of one box needs no identifier: it is a row filter (subsetOf). Given the
 // instance's Exec, a band of several boxes gathers only the rows on an answer
-// of their box (partitionBoxes), and a box empty on a variable gathers
-// nothing; without one, every row a box's tests pass is copied, and a box
-// empty on one variable still copies the relations that do not hold it, as
-// two composed one-sided cuts would.
+// of their box (partitionBoxes), a box empty on a variable gathers nothing,
+// and a box narrow on a variable the cache holds a weight order of tests only
+// the rows the join reaches from that interval's rows, not every row; without
+// an Exec, every row a box's tests pass is copied, and a box empty on one
+// variable still copies the relations that do not hold it, as two composed
+// one-sided cuts would.
 func Band(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Min && f.Agg != ranking.Max && f.Agg != ranking.Lex {
 		return Instance{}, fmt.Errorf("trim: Band handles MIN, MAX and LEX, got %s", f.Agg)
@@ -230,6 +232,19 @@ func testsOf(bx box, cols []weightCol) tests {
 // all reports whether every row passes.
 func (t *tests) all() bool { return len(t.cols) == 0 && !t.none }
 
+// keep shortens rows to those that pass, in order; t is not none.
+func (t *tests) keep(rows []int) []int {
+	if len(t.cols) == 0 {
+		return rows
+	}
+	k := 0
+	for _, i := range rows {
+		rows[k] = i
+		k += t.pass(i)
+	}
+	return rows[:k]
+}
+
 // pass is 1 when row i passes every test, else 0. w−lo wraps for w < lo, to a
 // value past any span, so one unsigned comparison tests both ends.
 func (t *tests) pass(i int) int {
@@ -301,6 +316,7 @@ func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 		}
 		k := make([]bool, src.Len())
 		if !t.none {
+			inst.Scratch.count(len(k), false)
 			parallel.For(workers, len(k), func(lo, hi int) {
 				for r := lo; r < hi; r++ {
 					k[r] = t.pass(r) != 0
@@ -318,9 +334,17 @@ func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 // is added to every atom. Given an Exec, each box's row lists are first
 // narrowed to the rows on an answer of the box (jointree.ReduceRows) — a box
 // empty on a variable holds none and is not scanned — and the output's Exec
-// follows from them (jointree.DeriveGathered). The row lists — one stretch
-// per relation and scanned box, each as long as the relation — and everything
-// gathered through them are carved from the instance's scratch.
+// follows from them (jointree.DeriveGathered). A box is cut one of two ways.
+// Seeded, when the cache holds orders for the instance's tree and the box's
+// narrowest ordered interval covers at most 1/seedShare of its relation
+// (seedOf): the rows of that interval, and the rows the join tree reaches
+// from them, take the box's tests (reacher). Scanned, otherwise: every row of
+// every relation does — as in a cold descent, whose bands are wide and whose
+// plan has built no order. Both lists hold every row on an answer of the box
+// and lie within the scan's, so the reduction leaves the same rows either way.
+// The row lists — one stretch per relation and cut box, each as long as the
+// relation — and everything gathered through them are carved from the
+// instance's scratch.
 func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 	workers := inst.workers()
 	a := inst.Scratch.carve()
@@ -346,18 +370,42 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 	// byBox holds box after box one list per atom, ReduceRows' layout; rowParts
 	// the same lists atom after atom, the gather's.
 	byBox := a.Lists(nAtoms * len(boxes))
-	at := 0
+	cols := make([][]weightCol, nAtoms)
 	for i, atom := range inst.Q.Atoms {
-		src := inst.rel(i)
-		n := src.Len()
-		cols := weightCols(f, atom.Vars, src.Cols(), workers)
-		for bi, bx := range boxes {
-			byBox[bi*nAtoms+i] = nil
-			if scanned(bx) {
-				t := testsOf(bx, cols)
-				byBox[bi*nAtoms+i] = t.rows(rows[at:at+n:at+n], workers, n)
-				at += n
+		cols[i] = weightCols(f, atom.Vars, inst.rel(i).Cols(), workers)
+	}
+	var ords []*weightOrder
+	var rch *reacher
+	if inst.Exec != nil {
+		ords = inst.Cache.ordersFor(f, inst.Exec)
+	}
+	ts := make([]tests, nAtoms)
+	at := 0
+	for bi, bx := range boxes {
+		lists := byBox[bi*nAtoms : (bi+1)*nAtoms]
+		if !scanned(bx) {
+			clear(lists)
+			continue
+		}
+		for i := range lists {
+			n := inst.rel(i).Len()
+			ts[i] = testsOf(bx, cols[i])
+			lists[i] = rows[at : at : at+n]
+			at += n
+		}
+		if ords != nil {
+			if sd, ok := seedOf(bx, ords); ok {
+				if rch == nil {
+					rch = newReacher(inst.Exec, inst.Scratch)
+				}
+				inst.Scratch.count(rch.box(sd, ts, lists, int32(bi+1)), true)
+				continue
 			}
+		}
+		for i := range lists {
+			n := inst.rel(i).Len()
+			lists[i] = ts[i].rows(lists[i][:n], workers, n)
+			inst.Scratch.count(n, false)
 		}
 	}
 	if inst.Exec != nil {

@@ -360,7 +360,9 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 				c.span = make([]int32, 2*len(rows))
 			}
 			span := c.span[:2*len(rows)]
-			staircase(g.sums, sums, bySum, low, high, span)
+			if !staircase(g.sums, sums, bySum, low, high, span) {
+				continue
+			}
 			for j, ai := range rows {
 				from, to := int(span[2*j]), int(span[2*j+1])
 				// Canonical dyadic cover of [from, to), left to right: at
@@ -463,8 +465,20 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 // so each later row walks them down from where the row before left them, and a
 // group costs O(log |B_g| + |A_g| + |B_g|) steps. Each walk also steps up while
 // it must, so an end is the binary search's for any threshold, monotone or not.
-func staircase(bSums, aSums []int64, bySum []int32, low, high ranking.Bound, span []int32) {
+// A group whose answer sums all lie outside the band, or all inside, is
+// settled from its extreme sums without the merge (groupExtremes): staircase
+// returns false for one that emits nothing, and leaves span unwritten.
+func staircase(bSums, aSums []int64, bySum []int32, low, high ranking.Bound, span []int32) bool {
 	m := len(bSums)
+	switch none, all := groupExtremes(bSums, aSums, bySum, low, high); {
+	case none:
+		return false
+	case all:
+		for j := range bySum {
+			span[2*j], span[2*j+1] = 0, int32(m)
+		}
+		return true
+	}
 	from, to := 0, m
 	for k, j := range bySum {
 		s := aSums[j]
@@ -494,6 +508,54 @@ func staircase(bSums, aSums []int64, bySum []int32, low, high ranking.Bound, spa
 		}
 		span[2*j], span[2*j+1] = int32(from), int32(max(from, to))
 	}
+	return true
+}
+
+// groupExtremes reports whether no pair of a group's A and B rows has its sum
+// inside the band (none) or every pair has (all), from the least and greatest
+// sum of either side: A's at the ends of bySum, B's at the ends of bSums. The
+// merge compares a B sum with low − s and high − s; where those differences
+// stay in int64 at both of A's extremes they do at every A sum between, are
+// exact, and the extremes decide every row as the merge would. Where one would
+// wrap, neither is reported and the merge decides.
+func groupExtremes(bSums, aSums []int64, bySum []int32, low, high ranking.Bound) (none, all bool) {
+	m := len(bSums)
+	if m == 0 || len(bySum) == 0 {
+		return true, false
+	}
+	aMin, aMax := aSums[bySum[0]], aSums[bySum[len(bySum)-1]]
+	bMin, bMax := bSums[0], bSums[m-1]
+	above, below := true, true // every pair's sum is > low, < high
+	if low.IsFinite() {
+		hi, ok1 := sub(low.W.K, aMin)
+		lo, ok2 := sub(low.W.K, aMax)
+		if !ok1 || !ok2 {
+			return false, false
+		}
+		if bMax <= lo {
+			return true, false
+		}
+		above = bMin > hi
+	}
+	if high.IsFinite() {
+		hi, ok1 := sub(high.W.K, aMin)
+		lo, ok2 := sub(high.W.K, aMax)
+		if !ok1 || !ok2 {
+			return false, false
+		}
+		if bMin >= hi {
+			return true, false
+		}
+		below = bMax < lo
+	}
+	return false, above && below
+}
+
+// sub returns a − b and whether it is exact: it wraps exactly when a and b
+// differ in sign and the result's sign is not a's.
+func sub(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a^b)&(a^d) >= 0
 }
 
 // searchAbove returns the first j with sums[j] > x, len(sums) when there is

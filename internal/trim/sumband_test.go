@@ -320,9 +320,22 @@ func TestStaircaseSegmentIdsMatchMapReference(t *testing.T) {
 // searches did (sort.Search here): on groups with tied sums on both sides and
 // empty B sides, bounds finite and infinite, ranges empty, whole and in
 // between, A rows taken in any order among equal sums — and thresholds that
-// wrap around int64, which do not fall as the sum rises.
+// wrap around int64, which do not fall as the sum rises. Groups whose sums lie
+// all outside the band or all inside it are settled from their extremes
+// (groupExtremes) — a group that emits nothing leaves its ranges unwritten, and
+// every row's must then be empty — including groups whose sums and bands sit at
+// either end of int64, where a difference the merge takes may wrap.
 func TestStaircaseMatchesBinarySearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2404))
+	// end is 0, or the end of int64 the trial's sums and bounds sit at; near
+	// is a value within n of it, on its side.
+	var end int64
+	near := func(n int64) int64 {
+		if end > 0 {
+			return end - rng.Int63n(n)
+		}
+		return end + rng.Int63n(n)
+	}
 	bound := func(inf ranking.Bound) ranking.Bound {
 		switch rng.Intn(8) {
 		case 0:
@@ -330,19 +343,32 @@ func TestStaircaseMatchesBinarySearch(t *testing.T) {
 		case 1:
 			return ranking.Finite(ranking.Weightv{K: []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]})
 		}
+		if end != 0 {
+			return ranking.Finite(ranking.Weightv{K: near(40)})
+		}
 		return ranking.Finite(ranking.Weightv{K: rng.Int63n(24) - 12})
 	}
-	var empty, whole, between int
-	for trial := 0; trial < 3000; trial++ {
+	var empty, whole, between, none, all, endSettled int
+	for trial := 0; trial < 6000; trial++ {
+		end = 0
+		if trial%4 == 3 {
+			end = []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+		}
 		m := rng.Intn(24)
 		bSums := make([]int64, m)
 		for i := range bSums {
 			bSums[i] = rng.Int63n(10) - 5
+			if end != 0 {
+				bSums[i] = end/2 + (near(10) - end)
+			}
 		}
 		slices.Sort(bSums)
 		aSums := make([]int64, 1+rng.Intn(16))
 		for j := range aSums {
 			aSums[j] = rng.Int63n(12) - 6
+			if end != 0 {
+				aSums[j] = end/2 + (near(12) - end)
+			}
 			if rng.Intn(40) == 0 {
 				aSums[j] = []int64{math.MinInt64 + 3, math.MaxInt64 - 3}[rng.Intn(2)]
 			}
@@ -355,7 +381,18 @@ func TestStaircaseMatchesBinarySearch(t *testing.T) {
 		slices.SortStableFunc(bySum, func(x, y int32) int { return cmp.Compare(aSums[x], aSums[y]) })
 		low, high := bound(ranking.NegInf()), bound(ranking.PosInf())
 		span := make([]int32, 2*len(aSums))
-		staircase(bSums, aSums, bySum, low, high, span)
+		emits := staircase(bSums, aSums, bySum, low, high, span)
+		switch n, a := groupExtremes(bSums, aSums, bySum, low, high); {
+		case emits == n:
+			t.Fatalf("trial %d: staircase emits=%v, but the extremes say none=%v", trial, emits, n)
+		case n && m > 0:
+			none++
+		case a:
+			all++
+		}
+		if end != 0 && m > 0 && (!emits || span[1] == int32(m)) {
+			endSettled++
+		}
 		for j, s := range aSums {
 			from, to := 0, m
 			if low.IsFinite() {
@@ -365,6 +402,14 @@ func TestStaircaseMatchesBinarySearch(t *testing.T) {
 				to = sort.Search(m, func(i int) bool { return bSums[i] >= high.W.K-s })
 			}
 			to = max(from, to)
+			if !emits {
+				if from != to {
+					t.Fatalf("trial %d: B sums %v, A sums %v, band (%v, %v): settled as emitting nothing, binary search [%d, %d) for A sum %d",
+						trial, bSums, aSums, low, high, from, to, s)
+				}
+				empty++
+				continue
+			}
 			if int(span[2*j]) != from || int(span[2*j+1]) != to {
 				t.Fatalf("trial %d: B sums %v, A sum %d, band (%v, %v): merged range [%d, %d), binary search [%d, %d)",
 					trial, bSums, s, low, high, span[2*j], span[2*j+1], from, to)
@@ -381,5 +426,8 @@ func TestStaircaseMatchesBinarySearch(t *testing.T) {
 	}
 	if empty == 0 || whole == 0 || between == 0 {
 		t.Fatalf("ranges: %d empty, %d whole, %d in between: a kind is missing", empty, whole, between)
+	}
+	if none == 0 || all == 0 || endSettled == 0 {
+		t.Fatalf("groups settled from their extremes: %d with no pair in the band, %d with every pair, %d at an end of int64: a kind is missing", none, all, endSettled)
 	}
 }

@@ -12,11 +12,16 @@
 //     partitions of the band's two sides as boxes of weight intervals,
 //     intersected and cut in one pass. Given the instance's Exec, each box
 //     keeps only the rows on an answer of the box (a semijoin reduction of
-//     its row lists before anything is gathered).
+//     its row lists before anything is gathered), and given a Cache that
+//     holds weight orders (Cache.WeightOrders), a narrow box starts from the
+//     rows of its narrowest interval and reaches the rest through the join
+//     tree instead of scanning every relation: a cut costs the rows it
+//     reaches, not |D| per box.
 //   - Partial SUM on two adjacent join-tree nodes (Section 5.3, after
 //     Tziavelis et al. [22]): dyadic factorization of the staircase join,
 //     for a band low ≺ Σ ≺ high in one pass (either bound may be infinite),
-//     each A row's admissible range found by a merge over its join group.
+//     each A row's admissible range found by a merge over its join group —
+//     or, for a group whose extreme sums settle every pair, without one.
 //   - Lossy SUM for arbitrary acyclic queries (Section 6, Algorithm 4):
 //     sketched message passing embedded back into the database.
 //
@@ -84,7 +89,8 @@ type Instance struct {
 	// SUM's sketch embeddings, which never carry one. A band of several boxes
 	// also reduces its row lists through this tree before it gathers
 	// (jointree.ReduceRows), so it copies only the rows on an answer of their
-	// box; without an Exec it copies every row its interval tests pass.
+	// box, and seeds its narrow boxes through it from the Cache's weight
+	// orders; without an Exec it copies every row its interval tests pass.
 	// Read-only.
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
@@ -110,11 +116,42 @@ type Instance struct {
 type Scratch struct {
 	arena relation.Arena
 	emit  []*emitChunk
+	// words is the bit set seeded boxes order the rows they reach by; it is
+	// all zero between boxes.
+	words []uint64
+	// tested counts the rows the band's boxes put through their interval
+	// tests; seeded, the boxes whose rows came from a weight order.
+	tested, seeded int
 }
 
 // Reset recycles the band last cut into the scratch: nothing of it may be read
 // after.
-func (s *Scratch) Reset() { s.carve().Reset() }
+func (s *Scratch) Reset() {
+	if s != nil {
+		s.tested, s.seeded = 0, 0
+	}
+	s.carve().Reset()
+}
+
+// Tested returns the number of rows the band last cut into the scratch put
+// through a box's interval tests: every row of every relation a box scans,
+// and the rows a seeded box reaches from its seed (partitionBoxes).
+func (s *Scratch) Tested() int {
+	if s == nil {
+		return 0
+	}
+	return s.tested
+}
+
+// count adds n tested rows, of a seeded box or a scanned one.
+func (s *Scratch) count(n int, seeded bool) {
+	if s != nil {
+		s.tested += n
+		if seeded {
+			s.seeded++
+		}
+	}
+}
 
 // carve is the scratch's arena, nil (allocate) for a nil scratch.
 func (s *Scratch) carve() *relation.Arena {
@@ -137,7 +174,11 @@ func (s *Scratch) emitChunks(n int) []*emitChunk {
 
 // Cache holds trim preprocessing keyed by ranking identity (ranking.Key: by
 // value for default-weight rankings, so a service that builds a fresh ranking
-// per request still hits it). Beside it sits what the driver remembers about
+// per request still hits it), and the weight orders of the instance's tree,
+// keyed by variable: they depend on the default weights alone, so every
+// ranking over a variable shares its order, and each records the relation or
+// group index it was built from, so none is read over another (see
+// WeightOrders). Beside them sits what the driver remembers about
 // its descents under each ranking (Remembered: core's pivot tree, opaque
 // here), because that has the cache's owner and the cache's validity: both are
 // functions of the exact (Q, DB) and nothing else, an engine derived with a
@@ -151,6 +192,11 @@ type Cache struct {
 	// a run that only wants its tree must not wait for one.
 	remMu      sync.Mutex
 	remembered map[ranking.Key]any
+	// orders holds the weight orders by variable (WeightOrders), behind a
+	// lock of their own as well.
+	ordMu       sync.Mutex
+	orders      map[query.Var]*weightOrder
+	ordersBuilt int
 }
 
 // NewCache returns an empty trim-preprocessing cache.

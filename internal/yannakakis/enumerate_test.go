@@ -41,19 +41,19 @@ func plainWalk(e *jointree.Exec) [][]relation.Value {
 			return
 		}
 		n := e.T.Nodes[pre[d]]
-		var cands []int
+		var cands []int32
 		if n.Parent < 0 {
 			for i := 0; i < e.Rels[n.ID].Len(); i++ {
-				cands = append(cands, i)
+				cands = append(cands, int32(i))
 			}
 		} else if gid, ok := e.ParentGroup(n.ID, cur[n.Parent]); ok {
 			cands = e.Groups[n.ID].Tuples[gid]
 		}
 		for _, ti := range cands {
 			for j, v := range n.Vars {
-				asn[varIdx[v]] = e.Rels[n.ID].Get(ti, j)
+				asn[varIdx[v]] = e.Rels[n.ID].Get(int(ti), j)
 			}
-			cur[n.ID] = ti
+			cur[n.ID] = int(ti)
 			rec(d + 1)
 		}
 	}
@@ -417,7 +417,7 @@ func TestAnswersAtJumpsOnSparsePositions(t *testing.T) {
 // node's candidates rows (nil: every row), in Enumerate's order, the slow
 // way: the tuple by a scan of the counts, then what remains split over its
 // children's groups as a mixed-radix number, child 0 most significant.
-func refAt(e *jointree.Exec, c *Counts, l *layout, node int, rows []int, o counting.Count) {
+func refAt(e *jointree.Exec, c *Counts, l *layout, node int, rows []int32, o counting.Count) {
 	cnt, ti := c.Tuple[node], 0
 	for p := 0; ; p++ {
 		if ti = rowAt(rows, p); o.Less(cnt[ti]) {

@@ -86,7 +86,7 @@ func (w *throughWalk) from(start NodeRows) bool {
 	// matching a child's join group. One scan of each ancestor's gid array —
 	// the pass UpdateCounts makes to mark dirty parents — collects them for
 	// exactly the groups the walk can reach.
-	upRows := make(map[int]map[int32][]int)
+	upRows := make(map[int]map[int32][]int32)
 	reach := start.Rows
 	for ch := start.Node; t.Nodes[ch].Parent >= 0; ch = t.Nodes[ch].Parent {
 		parent := t.Nodes[ch].Parent
@@ -95,21 +95,24 @@ func (w *throughWalk) from(start NodeRows) bool {
 		for _, ti := range reach {
 			need[rowGid[ti]] = true
 		}
-		byGid := make(map[int32][]int)
+		byGid := make(map[int32][]int32)
 		reach = reach[:0:0]
 		live := w.c.Tuple[parent]
 		for i := range live {
 			if gid, ok := e.ParentGroup(ch, i); ok && need[gid] && !live[i].IsZero() {
-				byGid[int32(gid)] = append(byGid[int32(gid)], i)
+				byGid[int32(gid)] = append(byGid[int32(gid)], int32(i))
 				reach = append(reach, i)
 			}
 		}
 		upRows[ch] = byGid
 	}
 
-	lists := make([][]int, len(order))
+	lists := make([][]int32, len(order))
 	pos := make([]int, len(order))
-	lists[0] = start.Rows
+	lists[0] = make([]int32, len(start.Rows))
+	for k, ti := range start.Rows {
+		lists[0][k] = int32(ti)
+	}
 	for d := 0; ; {
 		if pos[d] >= len(lists[d]) {
 			if d == 0 {
@@ -119,7 +122,7 @@ func (w *throughWalk) from(start NodeRows) bool {
 			pos[d]++
 			continue
 		}
-		node, ti := order[d].node, lists[d][pos[d]]
+		node, ti := order[d].node, int(lists[d][pos[d]])
 		if _, avoided := slices.BinarySearch(w.avoid[node], ti); avoided || w.c.Tuple[node][ti].IsZero() {
 			pos[d]++
 			continue

@@ -163,9 +163,9 @@ func enumerate(e *jointree.Exec, c *Counts, fn func(asn []relation.Value) bool) 
 	return Walk(e, c, func(_, node, ti int) bool {
 		l.set(node, ti)
 		return true
-	}, func(node int, rows []int) bool {
+	}, func(node int, rows []int32) bool {
 		for _, ti := range rows {
-			if l.set(node, ti); !fn(l.asn) {
+			if l.set(node, int(ti)); !fn(l.asn) {
 				return false
 			}
 		}
@@ -195,7 +195,7 @@ func enumerate(e *jointree.Exec, c *Counts, fn func(asn []relation.Value) bool) 
 // The walk is an explicit odometer over the pre-order (children in declaration
 // order, later positions varying faster) — the exact nesting the natural
 // recursion produces, without its per-visit closure allocations.
-func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner func(node int, rows []int) bool) (steps int) {
+func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner func(node int, rows []int32) bool) (steps int) {
 	pre := preOrder(make([]int, 0, len(e.T.Nodes)), e.T, e.T.Root)
 	m := len(pre)
 	// Per pre-order depth: the node's live lists (nil: its groups serve as they
@@ -204,7 +204,7 @@ func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner fu
 	// same count), the tuple bound.
 	walk := make([]struct {
 		live  *liveLists
-		rows  []int
+		rows  []int32
 		pos   int
 		curTi int
 	}, m)
@@ -217,10 +217,10 @@ func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner fu
 	rootCnt := c.Tuple[e.T.Root]
 	if m == 1 {
 		// The root is the last node: its live tuples are the candidates.
-		rows := make([]int, 0, len(rootCnt))
+		rows := make([]int32, 0, len(rootCnt))
 		for ti := range rootCnt {
 			if !rootCnt[ti].IsZero() {
-				rows = append(rows, ti)
+				rows = append(rows, int32(ti))
 			}
 		}
 		inner(e.T.Root, rows)
@@ -246,7 +246,7 @@ func Walk(e *jointree.Exec, c *Counts, bind func(d, node, ti int) bool, inner fu
 				walk[d].pos++
 				continue
 			}
-			ti = at.rows[at.pos]
+			ti = int(at.rows[at.pos])
 		}
 		steps++
 		node := pre[d]
@@ -333,7 +333,7 @@ func answersAt(e *jointree.Exec, c *Counts, ords []counting.Count, fn func(i int
 		gid   int
 		after counting.Count
 		read  []struct{ lo, hi int32 }
-		rows  []int
+		rows  []int32
 		sums  []counting.Count
 	}, len(t.Nodes))
 	for _, nd := range pre[1:] {
@@ -347,7 +347,7 @@ func answersAt(e *jointree.Exec, c *Counts, ords []counting.Count, fn func(i int
 	// walk stands on and the counts of those before it, and the answers the
 	// group spans, [start, end).
 	lv := make([]struct {
-		rows       []int
+		rows       []int32
 		sums       []counting.Count
 		pos        int
 		units      counting.Count
@@ -429,7 +429,7 @@ func answersAt(e *jointree.Exec, c *Counts, ords []counting.Count, fn func(i int
 			r := &nn.read[nn.gid]
 			if r.hi == 0 { // a live group has a live member: hi > 0 once read
 				if nn.rows == nil {
-					nn.rows, nn.sums = make([]int, 0, len(c.Tuple[nd])), make([]counting.Count, 0, len(c.Tuple[nd]))
+					nn.rows, nn.sums = make([]int32, 0, len(c.Tuple[nd])), make([]counting.Count, 0, len(c.Tuple[nd]))
 				}
 				// Appended through locals: a slice stored into nn per member
 				// would pay a write barrier each time while the GC runs.
@@ -453,11 +453,11 @@ func answersAt(e *jointree.Exec, c *Counts, ords []counting.Count, fn func(i int
 }
 
 // rowAt is the tuple at position pos of a candidate list; nil lists every row.
-func rowAt(rows []int, pos int) int {
+func rowAt(rows []int32, pos int) int {
 	if rows == nil {
 		return pos
 	}
-	return rows[pos]
+	return int(rows[pos])
 }
 
 // preOrder appends to pre the subtree of node id in pre-order with children in
@@ -475,7 +475,7 @@ func preOrder(pre []int, t *jointree.Tree, id int) []int {
 // GroupIndex layout restricted to the tuples that carry an answer.
 type liveLists struct {
 	off  []int32
-	rows []int
+	rows []int32
 }
 
 // packLive counting-sorts a node's live tuples by join group in two passes
@@ -499,10 +499,10 @@ func packLive(g *jointree.GroupIndex, cnt []counting.Count) *liveLists {
 	for gi := 2; gi < len(off); gi++ {
 		off[gi] += off[gi-1]
 	}
-	rows := make([]int, n)
+	rows := make([]int32, n)
 	for i, gid := range g.RowGid {
 		if !cnt[i].IsZero() {
-			rows[off[gid+1]] = i
+			rows[off[gid+1]] = int32(i)
 			off[gid+1]++
 		}
 	}

@@ -153,3 +153,77 @@ func TestRememberedDescentsFollowThePlan(t *testing.T) {
 		}
 	}
 }
+
+// An Update that inserts rows into a warm slice is answered as a fresh plan
+// answers it. A dense 2-path plan is warmed under MAX, MIN and LEX until its
+// slices are cut from weight orders; the delta then adds rows to both relations
+// whose ranked weights sit on the median answer's — inside the very slice the
+// median's request cuts — and on the updated plan every request, asked once
+// cold and once warm (cut from the orders it builds again), returns the answer
+// of a plan compiled over DB.Apply's database. An order kept from the old
+// relations would miss the new rows of the slice.
+func TestUpdateIntoAWarmSliceMatchesAFreshPlan(t *testing.T) {
+	q, idb := workload.Path(rand.New(rand.NewSource(71)), 2, 1500, 48)
+	db := qjoin.WrapDB(idb)
+	ranks := []*qjoin.Ranking{qjoin.Max("x1", "x3"), qjoin.Min("x1", "x2", "x3"), qjoin.Lex("x1", "x3")}
+	phis := []float64{0.5, 0.2, 0.8, 0.47, 0.53, 0.05}
+	opts := qjoin.Options{Parallelism: 1, CollectPhases: true}
+	p, err := qjoin.Prepare(q, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, f := range ranks {
+			for _, phi := range phis {
+				if _, err := p.Quantile(f, phi, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	delta := qjoin.NewDelta()
+	for _, f := range ranks {
+		a, err := p.Quantile(f, 0.5, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x1, x2, x3 := a.Values[0], a.Values[1], a.Values[2]
+		for k := int64(0); k < 6; k++ {
+			delta.Insert("R1", []int64{x1, (x2 + k) % 48})
+			delta.Insert("R2", []int64{(x2 + k) % 48, x3})
+		}
+	}
+	p2, err := p.Update(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, err := db.Apply(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, name := range []string{"cold", "warm"} {
+		for _, f := range ranks {
+			for _, phi := range phis {
+				where := fmt.Sprintf("%s %s%v φ=%v", name, f.Agg, f.Vars, phi)
+				got, gotStats, err := p2.QuantileStats(f, phi, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				fresh, err := qjoin.Prepare(q, db2, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Quantile(f, phi, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Values, want.Values) || !reflect.DeepEqual(got.Weight, want.Weight) {
+					t.Fatalf("%s: updated plan answers %v, a fresh plan %v", where, got, want)
+				}
+				if pass == 1 && gotStats.Phases.Remembered != gotStats.Iterations {
+					t.Fatalf("%s: the warm pass remembered %d of %d rounds", where, gotStats.Phases.Remembered, gotStats.Iterations)
+				}
+			}
+		}
+	}
+}
