@@ -340,10 +340,12 @@
 // round of every quantile. For MIN, MAX and LEX a one-sided cut is a list of
 // disjoint boxes — per ranked variable a closed weight interval, Algorithm 3's
 // partitions — and the band is the pairwise intersections of its two cuts'
-// boxes: every relation is scanned once per box, each box's rows are reduced
-// to those on an answer of the box, and the survivors are gathered once, under
-// one identifier column (a band of one box is a row filter). Only the ε-lossy
-// SUM composes two one-sided trims, pivot bound first.
+// boxes: every relation is scanned once per box — or, for a narrow box of a
+// plan that keeps weight orders, only the rows the join reaches from its
+// narrowest interval (see The cut) — each box's rows are reduced to those on
+// an answer of the box, and the survivors are gathered once, under one
+// identifier column (a band of one box is a row filter). Only the ε-lossy SUM
+// composes two one-sided trims, pivot bound first.
 //
 // Deterministic linear selection. Weighted medians (Algorithm 2) and the
 // tail's selection of a rank's weight class run introselect: a cheap

@@ -77,7 +77,7 @@ func (o *weightOrder) rows(k1, k2 int) (n, of int) {
 // ranks can have and the cache does not hold yet, and keeps them: from then on
 // every partitioned band cut from an instance carrying the cache starts each
 // box from its narrowest interval when that is narrow enough (partitionBoxes).
-// The driver asks for them where a plan is queried again under one ranking —
+// The pivot loop asks for them where a plan is queried again under one ranking —
 // a descent that slices a remembered leaf — so a plan answered once builds
 // none. A ranking with a custom weight, or one whose bands are never
 // partitioned — SUM, and a ranking of one variable, whose band is one box —

@@ -178,7 +178,7 @@ func (s *Scratch) emitChunks(n int) []*emitChunk {
 // keyed by variable: they depend on the default weights alone, so every
 // ranking over a variable shares its order, and each records the relation or
 // group index it was built from, so none is read over another (see
-// WeightOrders). Beside them sits what the driver remembers about
+// WeightOrders). Beside them sits what the pivot loop remembers about
 // its descents under each ranking (Remembered: core's pivot tree, opaque
 // here), because that has the cache's owner and the cache's validity: both are
 // functions of the exact (Q, DB) and nothing else, an engine derived with a
