@@ -300,7 +300,7 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		kb     float64 // KB allocated per 8-φ grid
 	}{
 		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 38}, // measured 235, 32.8 KB (the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1395, 680},      // measured 1213, 53.8 or 589 KB since a warm slice's boxes start from a weight order (1261, 55.8 or 971 KB while every box scanned its relations and then kept only the rows on an answer of it; 1275, 56.1 or 3 349 KB while it copied every row its tests passed; 1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1393, 561},      // measured 1211, 54.8 or 488 KB since leaves are cut at 64 rank splitters and a seeded box climbs to a parent through the rows it reaches (1213, 53.8 or 589 KB since a warm slice's boxes start from a weight order; 1261, 55.8 or 971 KB while every box scanned its relations and then kept only the rows on an answer of it; 1275, 56.1 or 3 349 KB while it copied every row its tests passed; 1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))
@@ -569,11 +569,16 @@ func BenchmarkPlanRetained(b *testing.B) {
 	// benchmark's four rankings after its 396-request rotation, on top of a
 	// plan that has answered once under each and a TopK (trim preparation,
 	// counts and pooled scratch are there before), and the weight orders its
-	// warm MIN / MAX / LEX slices are cut from. Budget by construction, not by
-	// measurement: one byte per input tuple and ranking for the trees, and four
-	// per input tuple for the orders — one int32 per row of R1 by x1 and of R2
-	// by x3, and the 2¹⁰ groups of x2, a few KB — so two bytes per input tuple
-	// and ranking over the four (measured 1.37; 0.20 before the orders).
+	// warm MIN / MAX / LEX slices are cut from with the inverse of the edge
+	// their boxes climb. Budget by construction, not by measurement: one byte
+	// per input tuple and ranking for the trees (64 rank splitters a leaf
+	// included); four per input tuple for the orders — one int32 per row of R1
+	// by x1 and of R2 by x3, and the 2¹⁰ groups of x2, a few KB — which is one
+	// per tuple and ranking over the four; and one int32 per row of the
+	// parent, R2's 2¹⁴, for the inverse (its 2¹⁰ offsets a few KB), half a
+	// byte per tuple and ranking: 2.5 in all (measured 2.06, of which ≈ 1.6
+	// the orders and the inverse and ≈ 0.46 the trees; 1.27–1.40 with 16
+	// splitters and no inverse; 0.20 before the orders).
 	b.Run("remembered", func(b *testing.B) {
 		ranks, ops := exactRotation()
 		var perTuple float64
@@ -600,8 +605,8 @@ func BenchmarkPlanRetained(b *testing.B) {
 			runtime.KeepAlive(p)
 		}
 		b.ReportMetric(perTuple, "B/tuple/ranking")
-		if perTuple > 2 {
-			b.Fatalf("the rotation left %.2f B per input tuple and ranking on the plan, budget 2 — the pivot tree holds more than rounds, or the orders more than an int32 a row", perTuple)
+		if perTuple > 2.5 {
+			b.Fatalf("the rotation left %.2f B per input tuple and ranking on the plan, budget 2.5 — the pivot tree holds more than rounds, or the orders and the inverse more than an int32 a row", perTuple)
 		}
 	})
 	// What the other readers leave on a plan whose counts are built. TopK and a
@@ -1168,15 +1173,17 @@ type rotationOp struct {
 // on one plan that has been through the 396-request rotation once — the pivot
 // tree supplies the rounds, and the run is one band cut and its tail. Each
 // iteration of either asks the other kind of plan too, untimed, and checks the
-// answers agree. A warm leaf carries its rank splitters, so the band cut is
-// the slice of the leaf the rank falls in, an eighth of it or less, and a
-// partitioned slice keeps only the rows on an answer of its box, each narrow
+// answers agree. A warm leaf carries its 63 rank splitters, so the band cut is
+// the slice of the leaf the rank falls in, a thirty-second of it or less, and
+// a partitioned slice keeps only the rows on an answer of its box, each narrow
 // box cut from the rows its seed reaches through the join (trim's weight
-// orders). CI's scaling gate: warm min ns/op ≤ 0.07× cold (measured
-// 0.05–0.06, cold ≈ 6.8–8.1 ms and warm ≈ 0.36–0.53 ms on a 2-vCPU box;
-// 0.05–0.07 while every box scanned its relations; 0.09–0.14 while a box
-// copied every row its tests passed; 0.21–0.27 while a warm op cut and
-// weighed its whole leaf).
+// orders, and the inverse that climbs to a parent through the rows reached).
+// CI's scaling gate: warm min ns/op ≤ 0.055× cold (measured 0.035–0.042 at
+// GOMAXPROCS=4 on a 2-vCPU box, cold ≈ 5.9–7.0 ms and warm ≈ 0.23–0.41 ms;
+// 0.05–0.06 with 16 splitters and a parent reached by a pass over the
+// parent-gid array; 0.05–0.07 while every box scanned its relations;
+// 0.09–0.14 while a box copied every row its tests passed; 0.21–0.27 while a
+// warm op cut and weighed its whole leaf).
 func BenchmarkRememberedQuantile(b *testing.B) {
 	q, idb := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
 	db := qjoin.WrapDB(idb)

@@ -217,8 +217,8 @@
 // immutable, no run waits for another), and so are a leaf's rank splitters
 // when a tail first weighs the leaf whole (see The tail). The first exact
 // answer per (plan, ranking) pays the descent; later ones cut the slice of a
-// leaf between two splitters, an eighth of it or less, and weigh that. Single
-// ranks, rank grids and sketch builds walk and fill the same tree. It is
+// leaf between two splitters, a thirty-second of it or less, and weigh that.
+// Single ranks, rank grids and sketch builds walk and fill the same tree. It is
 // bounded by construction — one node per 256 input tuples, at least 64, past
 // which deeper rounds simply run; as many rankings as the trim cache keeps — and
 // follows the trim cache's ownership: an engine derived by a set-changing
@@ -240,15 +240,18 @@
 // queried again under one ranking keeps weight orders in its trim cache: per
 // ranked variable that one atom holds, that relation's rows sorted by weight;
 // per ranked join variable that is a child's whole group key, the child's
-// groups sorted by key (4 B a row or a group). A descent that slices a
-// remembered leaf asks for them (trim.Cache.WeightOrders); from then on a box
-// whose narrowest interval covers at most a sixteenth of its relation is not
-// scanned but seeded: two binary searches give that interval's rows, the join
-// tree the rows they reach — a child's through the groups its parent's rows
-// point at, a parent's by one pass over the edge's parent-gid array — and
-// only those take the box's tests, so a warm slice's boxes test a few
-// thousand rows instead of |D| each (PhaseLog.Tested counts them; qjq -stats
-// prints it). The seeded lists hold every row on an answer of the box and
+// groups sorted by key (4 B a row or a group) — and, per edge between such a
+// node and the root, the parent's rows grouped by the child group they join
+// (4 B a parent row: the inverse of the edge's parent-gid array, kept while
+// the engine holds that array). A descent that slices a remembered leaf asks
+// for them (trim.Cache.WeightOrders); from then on a box whose narrowest
+// interval covers at most a sixteenth of its relation is not scanned but
+// seeded: two binary searches give that interval's rows, the join tree the
+// rows they reach — a child's through the groups its parent's rows point at,
+// a parent's through the inverse, from the distinct groups its child's rows
+// are in — and only those take the box's tests, so a warm slice's boxes test
+// a few hundred rows instead of |D| each (PhaseLog.Tested counts them; qjq
+// -stats prints it). The seeded lists hold every row on an answer of the box and
 // reduce to the scan's, row for row. Reduce, for a band of several
 // boxes: each box's lists are cut down to the rows on an answer of the box, by
 // one bottom-up and one top-down semijoin pass over the original tree's group
@@ -315,16 +318,18 @@
 // the round split, which is always larger than |D|. A class larger than |D| is
 // still weighed and recovered whole: O(|class|). Splitters: the first tail that
 // weighs a leaf below a remembered partition also selects the leaf's exact
-// rank splitters — for j = 1…15 the weight at position j·N/16 and how many of
-// the leaf's N answers weigh less than it and at most it — in the same
-// multi-select, and publishes them on the partition. A later run that reaches
+// rank splitters — for j = 1…63 the weight at position j·N/64 and how many of
+// the leaf's N answers weigh less than it and at most it (32-bit counts: a
+// leaf of 2³¹ answers or more records none) — in the same multi-select, and
+// publishes them on the partition. A later run that reaches
 // the leaf without holding its instance cuts only the narrowest band between
 // two splitters (the leaf's own bounds standing for the ends) that holds its
 // ranks, rebased by the answers at most the lower splitter's weight: that band
 // is a union of complete weight classes, so its answers are the leaf's, and
 // RunStats still count the leaf (Materialized), not the slice. Selection is
 // worst-case linear; beside it the tail sorts the ordinals of the classes it
-// recovers (c·log c for c members) and recovery costs O(|D| + ℓ·c) plus the
+// recovers (c·log c for c members), finds each member's recovered row by one
+// pass over them, and recovery costs O(|D| + ℓ·c) plus the
 // live group members it steps over, never more than the walk up to the last
 // member: a band that is one giant tie class costs what materializing it
 // costs. PhaseLog.Tail, Weighed and Recovered report it (Options.CollectPhases).

@@ -16,7 +16,7 @@ import (
 // asked for — and every band is one trim of the original instance, so the
 // round a run executes on a band is the round every later run would execute
 // there. A node is one such round; the tree holds no instance, no executable
-// tree and no count array, a few hundred bytes a node, and as much again for
+// tree and no count array, a few hundred bytes a node, and about 1 KB more for
 // each of its two partitions that a tail has weighed as a leaf (splitters). It
 // lives in the first engine's trim.Cache (trim.Cache.Remembered) and is valid
 // for exactly the engines it was built over (over). Lossy runs keep none:
@@ -62,17 +62,25 @@ type pivotSide struct {
 	leaf  atomic.Pointer[splitters]
 }
 
-// leafSplits is the number of slices a leaf's splitters cut it into.
-const leafSplits = 16
+// leafSplits is the number of slices a leaf's splitters cut it into. The slice
+// a warm run cuts is what its seeded boxes reach and its tail weighs, so more
+// splitters make everything after the cut cheaper, at 16 B or more kept per
+// splitter and leaf. On the repository benchmark's dense plan (≈ 3.6 MB
+// retained) the warm rotation leaves ≈ 45 KB more at 64 than at 16, and ≈ 95 KB
+// more at 128, which reads faster still but leaves too little of the heap
+// bound to the rest.
+const leafSplits = 64
 
-// splitters is the exact rank summary of a leaf band of n candidates: for
-// j = 1 … leafSplits−1, the weight at sorted position j·n/leafSplits (in w, in
-// the flat layout of the tail, stride positions each) and the numbers of the
-// band's candidates that weigh less than it (lt) and at most it (le). Index j−1
-// holds splitter j.
+// splitters is the exact rank summary of a leaf band of n < 2³¹ candidates:
+// for j = 1 … leafSplits−1, the weight at sorted position j·n/leafSplits (in
+// w, in the flat layout of the tail, stride positions each) and the numbers of
+// the band's candidates that weigh less than it (lt) and at most it (le).
+// Index j−1 holds splitter j. A leaf is 8 B a splitter for the counts and 8 B
+// a splitter and ranked position for the weights: 1 KB for one of MIN or MAX,
+// 1.5 KB for a LEX of two variables.
 type splitters struct {
 	w      []int64
-	lt, le [leafSplits - 1]int
+	lt, le [leafSplits - 1]int32
 }
 
 // among returns ranks — ascending — merged with the splitter positions of a
@@ -105,7 +113,7 @@ func (sp *splitters) take(size int, off uint64, weight []int64, ranks []rank) []
 			sp.w = make([]int64, (leafSplits-1)*len(weight))
 		}
 		copy(sp.w[j*len(weight):], weight)
-		sp.lt[j], sp.le[j] = int(off), int(off)+size
+		sp.lt[j], sp.le[j] = int32(off), int32(int(off)+size)
 	}
 	return keep
 }
@@ -122,12 +130,12 @@ func (sp *splitters) slice(low, high ranking.Bound, n int, ranks []rank, r int) 
 	off, end := 0, n
 	for j := range sp.le {
 		if uint64(sp.le[j]) <= first {
-			off, low = sp.le[j], ranking.Finite(sp.weight(j, r))
+			off, low = int(sp.le[j]), ranking.Finite(sp.weight(j, r))
 		}
 	}
 	for j := len(sp.lt) - 1; j >= 0; j-- {
 		if uint64(sp.lt[j]) > last {
-			end, high = sp.lt[j], ranking.Finite(sp.weight(j, r))
+			end, high = int(sp.lt[j]), ranking.Finite(sp.weight(j, r))
 		}
 	}
 	return low, high, off, end - off

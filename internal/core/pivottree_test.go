@@ -503,13 +503,14 @@ func TestConcurrentRunsShareOneTree(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		// The warm runs asked for weight orders concurrently, and each was
-		// built once: topping every ranking's up now builds as many in all
-		// as on a cache asked one ranking at a time.
+		// The warm runs asked for weight orders and the inverses of the edges
+		// their boxes climb concurrently, and each was built once: topping
+		// every ranking's up now builds as many in all as on a cache asked one
+		// ranking at a time.
 		for i, eng := range shared {
 			c := eng.TrimCache()
-			if c.OrdersBuilt() == 0 {
-				t.Errorf("shards=%d engine %d: the warm runs built no weight order", nShards, i)
+			if c.OrdersBuilt() == 0 || c.InversesBuilt() == 0 {
+				t.Errorf("shards=%d engine %d: the warm runs built %d weight orders and %d inverses", nShards, i, c.OrdersBuilt(), c.InversesBuilt())
 			}
 			ref := trim.NewCache()
 			orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Exec: eng.Exec()}
@@ -519,6 +520,9 @@ func TestConcurrentRunsShareOneTree(t *testing.T) {
 			}
 			if got, want := c.OrdersBuilt(), ref.OrdersBuilt(); got != want {
 				t.Errorf("shards=%d engine %d: %d weight orders built, %d when each is built once", nShards, i, got, want)
+			}
+			if got, want := c.InversesBuilt(), ref.InversesBuilt(); got != want {
+				t.Errorf("shards=%d engine %d: %d inverses built, %d when each is built once", nShards, i, got, want)
 			}
 		}
 	}
@@ -608,10 +612,10 @@ func TestLeafSplittersCutASlice(t *testing.T) {
 								off, end = 0, int(sd.count.Lo)
 								for j := range sp.le {
 									if uint64(sp.le[j]) <= at {
-										off = sp.le[j]
+										off = int(sp.le[j])
 									}
 									if j := len(sp.lt) - 1 - j; uint64(sp.lt[j]) > at {
-										end = sp.lt[j]
+										end = int(sp.lt[j])
 									}
 								}
 							}

@@ -153,6 +153,7 @@ type runScratch struct {
 	pivot   pivot.Scratch
 	weights []int64
 	entries []selection.Entry
+	pos     []int32
 }
 
 // countingSlot is the storage of one counting slot: the counts of the band
@@ -853,19 +854,22 @@ func (d *descent) selectIn(depth, level int, sd *pivotSide, low, high ranking.Bo
 // leaf resolves the indices of ranks among the n ≤ threshold candidates of the
 // band low ≺ w ≺ high: it makes the band's instances real and weighs them
 // (tail). A band below a remembered side keeps its rank splitters there: the
-// first tail that weighs it whole records them, and a later run that comes
-// down stale — holding no instance of the band — cuts only the narrowest slice
-// between two splitters that holds every index, with the indices rebased onto
-// it. The slice is a union of complete weight classes, so its rank-k member is
-// the band's rank-(offset+k) member: the answers are the ones the whole band
-// gives, and only the phase log sees the difference. Such a run is the plan
-// queried again under the ranking, so it asks each shard's trim cache for the
-// weight orders that let a narrow slice's boxes start from their seeds instead
-// of scanning every relation (trim.Cache.WeightOrders; built once per plan).
+// first tail that weighs it whole records them (unless it holds 2³¹
+// candidates or more, past the splitters' 32-bit counts), and a later run
+// that comes down stale — holding no instance of the band — cuts only the
+// narrowest slice between two splitters that holds every index, with the
+// indices rebased onto it. The slice is a union of complete weight classes, so
+// its rank-k member is the band's rank-(offset+k) member: the answers are the
+// ones the whole band gives, and only the phase log sees the difference. Such
+// a run is the plan queried again under the ranking, so it asks each shard's
+// trim cache for the weight orders that let a narrow slice's boxes start from
+// their seeds instead of scanning every relation, and the inverses that let
+// them climb to a parent through the rows they reach
+// (trim.Cache.WeightOrders; built once per plan).
 func (d *descent) leaf(depth, level int, sd *pivotSide, low, high ranking.Bound, n int, ranks []rank, out []*Answer) error {
 	var sp, rec *splitters
 	if sd != nil {
-		if sp = sd.leaf.Load(); sp == nil {
+		if sp = sd.leaf.Load(); sp == nil && n <= math.MaxInt32 {
 			rec = &splitters{}
 		}
 	}
@@ -1211,9 +1215,16 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, r
 		})
 		lo = hi
 	}
+	if cap(scr.pos) < weighed {
+		scr.pos = make([]int32, weighed)
+	}
+	pos := scr.pos[:weighed] // ordinal → its row of flat, set for ords alone
+	for at, o := range ords {
+		pos[o] = int32(at)
+	}
 	for _, c := range classes {
 		for i, e := range c.members {
-			at, _ := slices.BinarySearch(ords, e.Item)
+			at := int(pos[e.Item])
 			c.members[i] = selection.Entry{Key: flat[at*w], Item: at}
 		}
 		selectEach(c.members, selection.Vectors{At: flat, R: w}, c.off, c.ranks, func(one []selection.Entry, _ uint64, ranks []rank) {

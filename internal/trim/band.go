@@ -396,7 +396,7 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 		if ords != nil {
 			if sd, ok := seedOf(bx, ords); ok {
 				if rch == nil {
-					rch = newReacher(inst.Exec, inst.Scratch)
+					rch = newReacher(inst.Exec, inst.Scratch, inst.Cache.climbsFor(inst.Exec))
 				}
 				inst.Scratch.count(rch.box(sd, ts, lists, int32(bi+1)), true)
 				continue

@@ -77,28 +77,42 @@ func (o *weightOrder) rows(k1, k2 int) (n, of int) {
 // ranks can have and the cache does not hold yet, and keeps them: from then on
 // every partitioned band cut from an instance carrying the cache starts each
 // box from its narrowest interval when that is narrow enough (partitionBoxes).
-// The pivot loop asks for them where a plan is queried again under one ranking —
-// a descent that slices a remembered leaf — so a plan answered once builds
-// none. A ranking with a custom weight, or one whose bands are never
-// partitioned — SUM, and a ranking of one variable, whose band is one box —
-// builds nothing. Each order is built once: concurrent callers wait for the
-// first.
+// Beside each order it builds the parent rows by child group of every edge
+// between the order's node and the root (parentRows) — the edges a box seeded
+// there climbs. The pivot loop asks for them where a plan is queried again
+// under one ranking — a descent that slices a remembered leaf — so a plan
+// answered once builds none. A ranking with a custom weight, or one whose
+// bands are never partitioned — SUM, and a ranking of one variable, whose band
+// is one box — builds nothing. Each order and each inverse is built once:
+// concurrent callers wait for the first.
 func (c *Cache) WeightOrders(inst Instance, f *ranking.Func) {
 	if c == nil || inst.Exec == nil || f.Weight != nil || f.Agg == ranking.Sum || len(f.Vars) < 2 {
 		return
 	}
+	e := inst.Exec
 	c.ordMu.Lock()
 	defer c.ordMu.Unlock()
 	for _, v := range f.Vars {
-		if o := c.orders[v]; o != nil && o.valid(inst.Exec) {
-			continue
-		}
-		if o := buildOrder(inst.Exec, v); o != nil {
+		o := c.orders[v]
+		if o == nil || !o.valid(e) {
+			if o = buildOrder(e, v); o == nil {
+				continue
+			}
 			if c.orders == nil {
 				c.orders = make(map[query.Var]*weightOrder)
 			}
 			c.orders[v] = o
 			c.ordersBuilt++
+		}
+		for n := o.node; e.T.Nodes[n].Parent >= 0; n = e.T.Nodes[n].Parent {
+			if pr := c.climbs[n]; pr != nil && pr.valid(e, n) {
+				continue
+			}
+			if c.climbs == nil {
+				c.climbs = make(map[int]*parentRows)
+			}
+			c.climbs[n] = newParentRows(e.ParentGids(n), e.Groups[n].NumGroups())
+			c.climbsBuilt++
 		}
 	}
 }
@@ -109,6 +123,14 @@ func (c *Cache) OrdersBuilt() int {
 	c.ordMu.Lock()
 	defer c.ordMu.Unlock()
 	return c.ordersBuilt
+}
+
+// InversesBuilt returns the number of parent-row inverses (parentRows) built
+// into the cache over its life.
+func (c *Cache) InversesBuilt() int {
+	c.ordMu.Lock()
+	defer c.ordMu.Unlock()
+	return c.climbsBuilt
 }
 
 // ordersFor returns the cache's valid order of each variable of f, in f.Vars
@@ -130,6 +152,67 @@ func (c *Cache) ordersFor(f *ranking.Func, e *jointree.Exec) []*weightOrder {
 	}
 	return out
 }
+
+// climbsFor returns, per node of e's tree, the cache's valid inverse of the
+// edge to its parent, nil where there is none.
+func (c *Cache) climbsFor(e *jointree.Exec) []*parentRows {
+	out := make([]*parentRows, len(e.T.Nodes))
+	c.ordMu.Lock()
+	defer c.ordMu.Unlock()
+	for n, pr := range c.climbs {
+		if n < len(out) && pr.valid(e, n) {
+			out[n] = pr
+		}
+	}
+	return out
+}
+
+// parentRows is the inverse of one edge's parent-gid array: the parent's rows
+// grouped by the child group they join, those of group g at
+// rows[off[g]:off[g+1]], ascending; a row that joins no group is in none. A
+// seeded box climbs the edge through it (reacher.box) in the rows it reaches,
+// instead of a pass over every parent row. It is valid while the Exec's array
+// of the edge is pgid: the array it was built from, held so that no other can
+// take its address. A derivation (jointree.ApplyDelta) that leaves the parent
+// relation as it was and adds no child group keeps the array, and so the
+// inverse: deleted child rows leave every parent row's group as it was.
+type parentRows struct {
+	pgid []int32
+	off  []int32
+	rows []int32
+}
+
+// newParentRows inverts the parent-gid array pgid of an edge whose child has
+// the given number of groups, by one counting sort.
+func newParentRows(pgid []int32, groups int) *parentRows {
+	off := make([]int32, groups+1)
+	for _, g := range pgid {
+		if g >= 0 {
+			off[g+1]++
+		}
+	}
+	for g := range groups {
+		off[g+1] += off[g]
+	}
+	rows := make([]int32, off[groups])
+	next := slices.Clone(off[:groups])
+	for i, g := range pgid {
+		if g >= 0 {
+			rows[next[g]] = int32(i)
+			next[g]++
+		}
+	}
+	return &parentRows{pgid: pgid, off: off, rows: rows}
+}
+
+// valid reports whether pr inverts the array e holds for the edge above node n.
+func (pr *parentRows) valid(e *jointree.Exec, n int) bool {
+	a := e.ParentGids(n)
+	return len(a) == len(pr.pgid) && (len(a) == 0 || &a[0] == &pr.pgid[0])
+}
+
+// of returns the parent rows that join child group g, ascending.
+func (pr *parentRows) of(g int32) []int32 { return pr.rows[pr.off[g]:pr.off[g+1]] }
 
 // buildOrder builds the order of variable v over e: of the rows of the one
 // node that holds it, or of the groups of a child whose whole key it is; nil
@@ -222,17 +305,21 @@ func seedOf(bx box, ords []*weightOrder) (seed, bool) {
 // stamp showing the groups its rows reach — group g's at g+1, so that the gid
 // −1 of a parent row with no group reads slot 0, which no box stamps; words is
 // a bit per row of the largest relation, for putting rows gathered out of
-// order back in order.
+// order back in order; climbs holds per node the inverse of the edge above it,
+// where the cache has one.
 type reacher struct {
-	e     *jointree.Exec
-	marks [][]int32
-	words []uint64
-	from  []int // per node, the node its rows were reached from (−1: the seed)
+	e      *jointree.Exec
+	marks  [][]int32
+	words  []uint64
+	climbs []*parentRows
+	from   []int // per node, the node its rows were reached from (−1: the seed)
+	s      *Scratch
 }
 
-// newReacher returns a reacher over e whose marks and bit set are s's.
-func newReacher(e *jointree.Exec, s *Scratch) *reacher {
-	r := &reacher{e: e, marks: make([][]int32, len(e.Rels)), from: make([]int, len(e.Rels))}
+// newReacher returns a reacher over e whose marks and bit set are s's, and
+// that climbs the edges climbs inverts through their inverses.
+func newReacher(e *jointree.Exec, s *Scratch, climbs []*parentRows) *reacher {
+	r := &reacher{e: e, marks: make([][]int32, len(e.Rels)), climbs: climbs, from: make([]int, len(e.Rels)), s: s}
 	n := 0
 	for id, rel := range e.Rels {
 		n = max(n, rel.Len())
@@ -258,7 +345,8 @@ func newReacher(e *jointree.Exec, s *Scratch) *reacher {
 // child's side — and the tree is walked out from them, each node from the
 // neighbour it was reached from: a child takes the rows of the groups its
 // parent's rows point at, a parent the rows that point at a group its child's
-// rows are in.
+// rows are in — read from the edge's inverse, or, without one, by a pass over
+// the edge's parent-gid array.
 func (r *reacher) box(sd seed, ts []tests, lists [][]int, stamp int32) (tested int) {
 	e, o := r.e, sd.o
 	var queue []int
@@ -282,11 +370,7 @@ func (r *reacher) box(sd seed, ts []tests, lists [][]int, stamp int32) (tested i
 		queue = queue[1:]
 		nd := e.T.Nodes[id]
 		if p := nd.Parent; p >= 0 && r.from[id] != p {
-			m, rowGid := r.marks[id], e.Groups[id].RowGid
-			for _, i := range lists[id] {
-				m[rowGid[i]+1] = stamp
-			}
-			lists[p] = r.parents(id, lists[p], stamp)
+			lists[p] = r.parents(id, lists[id], lists[p], stamp)
 			visit(p, id)
 		}
 		for _, c := range nd.Children {
@@ -319,10 +403,28 @@ func (r *reacher) children(c int, gids []int32, dst []int) []int {
 	return r.collect(dst)
 }
 
-// parents returns in dst the rows of c's parent whose group of c is marked
-// with stamp, ascending: one pass over the edge's parent-gid array.
-func (r *reacher) parents(c int, dst []int, stamp int32) []int {
-	m, pgid := r.marks[c], r.e.ParentGids(c)
+// parents returns in dst, ascending, the rows of c's parent that join the
+// group of one of rows, rows of c. With the edge's inverse it puts each
+// distinct group's parent rows in the bit set; without, it marks the groups
+// with stamp and makes one pass over the edge's parent-gid array.
+func (r *reacher) parents(c int, rows, dst []int, stamp int32) []int {
+	m, rowGid := r.marks[c], r.e.Groups[c].RowGid
+	if pr := r.climbs[c]; pr != nil {
+		r.s.climb()
+		for _, i := range rows {
+			if g := rowGid[i]; m[g+1] != stamp {
+				m[g+1] = stamp
+				for _, j := range pr.of(g) {
+					r.set(int(j))
+				}
+			}
+		}
+		return r.collect(dst)
+	}
+	for _, i := range rows {
+		m[rowGid[i]+1] = stamp
+	}
+	pgid := r.e.ParentGids(c)
 	dst = dst[:len(pgid)]
 	k := 0
 	for i, g := range pgid {

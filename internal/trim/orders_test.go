@@ -8,10 +8,12 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/testutil"
+	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
 // narrowBounds adds to boundsFor the bands a warm descent's slices look like,
@@ -63,53 +65,78 @@ func narrowBounds(rng *rand.Rand, all [][]relation.Value, vars []query.Var, f *r
 // the differential corpus — paths, a star, a self-join, relations with
 // duplicate rows — under the corpus's rankings and random ones (some with
 // custom weights, which build no order and scan), every band boundsFor and
-// narrowBounds give is cut twice, from an instance whose cache holds the
-// ranking's orders and from one without, and the two bands hold the same
-// relations row for row and derive the same tree: the same gid arrays, each
-// the tree a fresh build over the band would make. Every shape seeds some box.
+// narrowBounds give is cut three times, from an instance whose cache holds the
+// ranking's orders and the inverses of the edges their boxes climb, from one
+// whose cache holds the orders alone (a climb is a pass over the parent-gid
+// array), and from one without, and the three bands hold the same relations
+// row for row and derive the same tree: the same gid arrays, each the tree a
+// fresh build over the band would make. Every shape seeds some box and climbs
+// some edge through an inverse; so does a 2-path under a LEX ranking whose
+// first variable sits on the tree's child, a warm descent's slice on the
+// repository benchmark's plan.
 func TestSeededBoxesMatchScannedBoxes(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	for k, c := range testutil.FuzzCorpus(rng) {
-		q, db := query.Normalize(c.Q, c.DB)
+	check := func(name string, q *query.Query, db *relation.Database, ranks []*ranking.Func) {
+		q, db = query.Normalize(q, db)
 		e := freshExec(t, Instance{Q: q, DB: db})
 		all := testutil.BruteForce(q, db)
 		vars := q.Vars()
-		ranks := rankingsOver(rng, vars, k)
+		seeded, climbed, nonEmpty := 0, 0, 0
+		for _, f := range ranks {
+			cache, ordersOnly := NewCache(), NewCache()
+			cache.WeightOrders(Instance{Q: q, DB: db, Exec: e}, f)
+			ordersOnly.WeightOrders(Instance{Q: q, DB: db, Exec: e}, f)
+			ordersOnly.climbs = nil
+			if f.Weight != nil && cache.OrdersBuilt()+cache.InversesBuilt() != 0 {
+				t.Fatalf("%s: a custom-weight ranking built %d orders and %d inverses", name, cache.OrdersBuilt(), cache.InversesBuilt())
+			}
+			for _, b := range append(boundsFor(rng, all, vars, f), narrowBounds(rng, all, vars, f)...) {
+				where := fmt.Sprintf("%s %s%v custom=%v (%v, %v)", name, f.Agg, f.Vars, f.Weight != nil, b[0], b[1])
+				want, err := Band(Instance{Q: q, DB: db, Exec: e}, f, b[0], b[1])
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				for _, c := range []*Cache{cache, ordersOnly} {
+					scr := new(Scratch)
+					got, err := Band(Instance{Q: q, DB: db, Exec: e, Cache: c, Scratch: scr}, f, b[0], b[1])
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if c == ordersOnly {
+						if scr.climbed != 0 {
+							t.Fatalf("%s: a cache without inverses climbed %d edges through one", where, scr.climbed)
+						}
+						sameBand(t, where+" orders only", got, want)
+						continue
+					}
+					seeded += scr.seeded
+					climbed += scr.climbed
+					if scr.seeded > 0 && got.DB.Size() > 0 {
+						nonEmpty++
+					}
+					sameBand(t, where, got, want)
+				}
+			}
+		}
+		if seeded == 0 || climbed == 0 {
+			t.Errorf("%s: %d boxes seeded, %d edges climbed through an inverse", name, seeded, climbed)
+		}
+		t.Logf("%s: %d seeded boxes, %d in bands with rows, %d climbs through an inverse", name, seeded, nonEmpty, climbed)
+	}
+	for k, c := range testutil.FuzzCorpus(rng) {
+		ranks := rankingsOver(rng, c.Q.Vars(), k)
 		for _, f := range c.Ranks {
 			if f.Agg != ranking.Sum {
 				ranks = append(ranks, f)
 			}
 		}
-		seeded, nonEmpty := 0, 0
-		for _, f := range ranks {
-			cache := NewCache()
-			cache.WeightOrders(Instance{Q: q, DB: db, Exec: e}, f)
-			if f.Weight != nil && cache.OrdersBuilt() != 0 {
-				t.Fatalf("%s: a custom-weight ranking built %d orders", c.Name, cache.OrdersBuilt())
-			}
-			for _, b := range append(boundsFor(rng, all, vars, f), narrowBounds(rng, all, vars, f)...) {
-				name := fmt.Sprintf("%s %s%v custom=%v (%v, %v)", c.Name, f.Agg, f.Vars, f.Weight != nil, b[0], b[1])
-				scr := new(Scratch)
-				got, err := Band(Instance{Q: q, DB: db, Exec: e, Cache: cache, Scratch: scr}, f, b[0], b[1])
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want, err := Band(Instance{Q: q, DB: db, Exec: e}, f, b[0], b[1])
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				seeded += scr.seeded
-				if scr.seeded > 0 && got.DB.Size() > 0 {
-					nonEmpty++
-				}
-				sameBand(t, name, got, want)
-			}
-		}
-		if seeded == 0 {
-			t.Errorf("%s: no box was seeded", c.Name)
-		}
-		t.Logf("%s: %d seeded boxes, %d in bands with rows", c.Name, seeded, nonEmpty)
+		check(c.Name, c.Q, c.DB, ranks)
 	}
+	q, db := workload.Path(rng, 2, 800, 40)
+	if e := freshExec(t, Instance{Q: q, DB: db}); slices.Contains(e.T.Nodes[e.T.Root].Vars, "x1") {
+		t.Fatalf("x1 sits on the root of %s's tree, want it on the child", q)
+	}
+	check("path2 seeded on the child", q, db, []*ranking.Func{ranking.NewLex("x1", "x3"), ranking.NewMax("x1", "x3")})
 }
 
 // sameBand fails unless two cuts of one band are the same instance: the same
@@ -161,5 +188,119 @@ func TestSortedByOrdersByWeightThenIndex(t *testing.T) {
 		if got := sortedBy(len(w), func(i int) int64 { return w[i] }); !slices.Equal(got, want) {
 			t.Fatalf("weights %v: order %v, want %v", w, got, want)
 		}
+	}
+}
+
+// An inverse lives exactly as long as its edge's parent-gid array. A cache
+// carried across jointree.ApplyDelta — the engine starts a fresh one on a
+// delta that changes the answers, but nothing here may rely on that — rebuilds
+// the inverse after a delta that changes the parent relation or adds child
+// groups (either gives the edge a new array) and keeps it after one that only
+// deletes child rows (the array is kept, and so is every parent row's group).
+// After each delta, every band cut through the carried cache equals a scan of
+// the updated instance.
+func TestInversesFollowTheParentGidArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	q := query.New(query.Atom{Rel: "R1", Vars: []query.Var{"x1", "x2"}}, query.Atom{Rel: "R2", Vars: []query.Var{"x2", "x3"}})
+	tree, err := jointree.Build(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := slices.IndexFunc(tree.Nodes, func(n *jointree.Node) bool { return n.Parent >= 0 })
+	cRel, pRel := q.Atoms[child].Rel, q.Atoms[tree.Nodes[child].Parent].Rel
+	// row is a row of rel with x2 = v and its other column o.
+	row := func(rel string, v, o int64) []relation.Value {
+		if rel == "R1" {
+			return []relation.Value{o, v}
+		}
+		return []relation.Value{v, o}
+	}
+	// The child holds x2 < 24 and the parent x2 < 32, so some parent rows
+	// join no group until the second delta adds one.
+	rows := func(rel string, n int, dom int64) [][]relation.Value {
+		var out [][]relation.Value
+		seen := map[[2]int64]bool{}
+		for len(out) < n {
+			v, o := rng.Int63n(dom), rng.Int63n(30)
+			if !seen[[2]int64{v, o}] {
+				seen[[2]int64{v, o}] = true
+				out = append(out, row(rel, v, o))
+			}
+		}
+		return out
+	}
+	db := relation.NewDatabase()
+	db.Add(relation.FromRows(cRel, 2, rows(cRel, 300, 24)))
+	db.Add(relation.FromRows(pRel, 2, rows(pRel, 300, 32)))
+	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := []*ranking.Func{ranking.NewLex("x1", "x3"), ranking.NewLex("x3", "x1"), ranking.NewMax("x1", "x3"), ranking.NewMin("x1", "x2", "x3")}
+	cache := NewCache()
+	deltas := []struct {
+		name    string
+		d       jointree.RelDelta
+		rel     string
+		rebuild bool
+	}{
+		{"initial", jointree.RelDelta{}, "", true},
+		{"parent rows added", jointree.RelDelta{AddedRows: [][]relation.Value{row(pRel, 3, 100), row(pRel, 7, 101), row(pRel, 7, 102), row(pRel, 30, 103)}}, pRel, true},
+		{"child groups added", jointree.RelDelta{AddedRows: [][]relation.Value{row(cRel, 25, 100), row(cRel, 25, 101), row(cRel, 28, 102)}}, cRel, true},
+		{"child rows deleted", jointree.RelDelta{}, cRel, false},
+	}
+	climbed := 0
+	for _, dt := range deltas {
+		if dt.rel != "" {
+			if !dt.rebuild { // delete a few child rows, and one group's every row
+				r := e.Rels[child]
+				for i := 0; i < r.Len(); i += 37 {
+					dt.d.RemovedRows = append(dt.d.RemovedRows, r.RowValues(i))
+				}
+				for _, i := range e.Groups[child].Tuples[e.Groups[child].RowGid[1]] {
+					if int(i)%37 != 0 {
+						dt.d.RemovedRows = append(dt.d.RemovedRows, r.RowValues(int(i)))
+					}
+				}
+			}
+			next, _, err := e.ApplyDelta(map[string]jointree.RelDelta{dt.rel: dt.d}, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", dt.name, err)
+			}
+			if kept := &next.ParentGids(child)[0] == &e.ParentGids(child)[0]; kept == dt.rebuild {
+				t.Fatalf("%s: the parent-gid array kept %v", dt.name, kept)
+			}
+			e = next
+		}
+		inst := Instance{Q: q, DB: e.DB, Exec: e}
+		before := cache.InversesBuilt()
+		for _, f := range ranks {
+			cache.WeightOrders(inst, f)
+		}
+		if built := cache.InversesBuilt() - before; built != b2i(dt.rebuild) {
+			t.Fatalf("%s: %d inverses built, want %d", dt.name, built, b2i(dt.rebuild))
+		}
+		all := testutil.BruteForce(q, e.DB)
+		for _, f := range ranks {
+			for _, b := range append(boundsFor(rng, all, q.Vars(), f), narrowBounds(rng, all, q.Vars(), f)...) {
+				where := fmt.Sprintf("%s %s%v (%v, %v)", dt.name, f.Agg, f.Vars, b[0], b[1])
+				scr := new(Scratch)
+				inst.Cache, inst.Scratch = cache, scr
+				got, err := Band(inst, f, b[0], b[1])
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				inst.Cache, inst.Scratch = nil, nil
+				want, err := Band(inst, f, b[0], b[1])
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				climbed += scr.climbed
+				sameBand(t, where, got, want)
+			}
+		}
+	}
+	if climbed == 0 {
+		t.Fatal("no box climbed through an inverse")
 	}
 }

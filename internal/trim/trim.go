@@ -120,15 +120,16 @@ type Scratch struct {
 	// all zero between boxes.
 	words []uint64
 	// tested counts the rows the band's boxes put through their interval
-	// tests; seeded, the boxes whose rows came from a weight order.
-	tested, seeded int
+	// tests; seeded, the boxes whose rows came from a weight order; climbed,
+	// the edges those boxes climbed through an inverse (parentRows).
+	tested, seeded, climbed int
 }
 
 // Reset recycles the band last cut into the scratch: nothing of it may be read
 // after.
 func (s *Scratch) Reset() {
 	if s != nil {
-		s.tested, s.seeded = 0, 0
+		s.tested, s.seeded, s.climbed = 0, 0, 0
 	}
 	s.carve().Reset()
 }
@@ -150,6 +151,13 @@ func (s *Scratch) count(n int, seeded bool) {
 		if seeded {
 			s.seeded++
 		}
+	}
+}
+
+// climb counts an edge a seeded box climbed through its inverse.
+func (s *Scratch) climb() {
+	if s != nil {
+		s.climbed++
 	}
 }
 
@@ -177,8 +185,9 @@ func (s *Scratch) emitChunks(n int) []*emitChunk {
 // per request still hits it), and the weight orders of the instance's tree,
 // keyed by variable: they depend on the default weights alone, so every
 // ranking over a variable shares its order, and each records the relation or
-// group index it was built from, so none is read over another (see
-// WeightOrders). Beside them sits what the pivot loop remembers about
+// group index it was built from, so none is read over another — as each
+// inverse of an edge their boxes climb records the edge's parent-gid array
+// (see WeightOrders). Beside them sits what the pivot loop remembers about
 // its descents under each ranking (Remembered: core's pivot tree, opaque
 // here), because that has the cache's owner and the cache's validity: both are
 // functions of the exact (Q, DB) and nothing else, an engine derived with a
@@ -192,11 +201,13 @@ type Cache struct {
 	// a run that only wants its tree must not wait for one.
 	remMu      sync.Mutex
 	remembered map[ranking.Key]any
-	// orders holds the weight orders by variable (WeightOrders), behind a
+	// orders holds the weight orders by variable (WeightOrders), and climbs
+	// the inverses of the edges their boxes climb by child node, behind a
 	// lock of their own as well.
-	ordMu       sync.Mutex
-	orders      map[query.Var]*weightOrder
-	ordersBuilt int
+	ordMu                    sync.Mutex
+	orders                   map[query.Var]*weightOrder
+	climbs                   map[int]*parentRows
+	ordersBuilt, climbsBuilt int
 }
 
 // NewCache returns an empty trim-preprocessing cache.

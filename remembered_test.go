@@ -227,3 +227,78 @@ func TestUpdateIntoAWarmSliceMatchesAFreshPlan(t *testing.T) {
 		}
 	}
 }
+
+// A warm plan updated three times answers as a fresh plan does, after each
+// update cold and then warm: on a 2-path whose tree has R2 at the root and R1
+// below it, one delta changes the parent relation (it adds R2 rows, some with
+// an x2 no R1 row has), one adds child groups (R1 rows with that x2, which the
+// dangling R2 rows now join), and one only deletes child rows. The first two
+// give the edge a new parent-gid array, and so an inverse built afresh for its
+// warm slices; the last keeps the array.
+func TestUpdatesOfAWarmPlanMatchFreshPlans(t *testing.T) {
+	q, idb := workload.Path(rand.New(rand.NewSource(72)), 2, 1500, 48)
+	db := qjoin.WrapDB(idb)
+	ranks := []*qjoin.Ranking{qjoin.Lex("x1", "x3"), qjoin.Max("x1", "x3"), qjoin.Min("x1", "x2", "x3")}
+	phis := []float64{0.5, 0.2, 0.8, 0.47, 0.05}
+	opts := qjoin.Options{Parallelism: 1, CollectPhases: true}
+	p, err := qjoin.Prepare(q, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(p *qjoin.Prepared, pass string) {
+		for _, f := range ranks {
+			for _, phi := range phis {
+				if _, err := p.Quantile(f, phi, opts); err != nil {
+					t.Fatalf("%s %s%v φ=%v: %v", pass, f.Agg, f.Vars, phi, err)
+				}
+			}
+		}
+	}
+	ask(p, "first")
+	ask(p, "warm")
+	r1 := idb.Get("R1")
+	var gone [][]int64
+	for i := 0; i < r1.Len(); i += 50 {
+		gone = append(gone, r1.RowValues(i))
+	}
+	for _, d := range []struct {
+		name  string
+		delta *qjoin.Delta
+	}{
+		{"parent rows added", qjoin.NewDelta().Insert("R2", []int64{48, 3}, []int64{48, 17}, []int64{5, 60})},
+		{"child groups added", qjoin.NewDelta().Insert("R1", []int64{4, 48}, []int64{9, 48}, []int64{30, 49})},
+		{"child rows deleted", qjoin.NewDelta().Delete("R1", gone...)},
+	} {
+		if p, err = p.Update(d.delta); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if db, err = db.Apply(d.delta); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		fresh, err := qjoin.Prepare(q, db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			for _, f := range ranks {
+				for _, phi := range phis {
+					where := fmt.Sprintf("%s, %s %s%v φ=%v", d.name, pass, f.Agg, f.Vars, phi)
+					got, stats, err := p.QuantileStats(f, phi, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					want, err := fresh.Quantile(f, phi, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if !reflect.DeepEqual(got.Values, want.Values) || !reflect.DeepEqual(got.Weight, want.Weight) {
+						t.Fatalf("%s: updated plan answers %v, a fresh plan %v", where, got, want)
+					}
+					if pass == "warm" && stats.Phases.Remembered != stats.Iterations {
+						t.Fatalf("%s: %d of %d rounds remembered", where, stats.Phases.Remembered, stats.Iterations)
+					}
+				}
+			}
+		}
+	}
+}
