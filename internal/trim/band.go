@@ -375,9 +375,10 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 		cols[i] = weightCols(f, atom.Vars, inst.rel(i).Cols(), workers)
 	}
 	var ords []*weightOrder
+	var climbs []*parentRows
 	var rch *reacher
 	if inst.Exec != nil {
-		ords = inst.Cache.ordersFor(f, inst.Exec)
+		ords, climbs = inst.Cache.ordersFor(f, inst.Exec)
 	}
 	ts := make([]tests, nAtoms)
 	at := 0
@@ -396,7 +397,7 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 		if ords != nil {
 			if sd, ok := seedOf(bx, ords); ok {
 				if rch == nil {
-					rch = newReacher(inst.Exec, inst.Scratch, inst.Cache.climbsFor(inst.Exec))
+					rch = newReacher(inst.Exec, inst.Scratch, climbs)
 				}
 				inst.Scratch.count(rch.box(sd, ts, lists, int32(bi+1)), true)
 				continue

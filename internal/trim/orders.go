@@ -134,44 +134,51 @@ func (c *Cache) InversesBuilt() int {
 }
 
 // ordersFor returns the cache's valid order of each variable of f, in f.Vars
-// order, nil where there is none — nil altogether when there is none at all.
-func (c *Cache) ordersFor(f *ranking.Func, e *jointree.Exec) []*weightOrder {
+// order, nil where there is none or where an edge between the order's node and
+// the root has no valid inverse — nil altogether when there is none at all —
+// and, per node of e's tree, the valid inverse of the edge above it: a box
+// seeded from an order climbs to the root through them (reacher.parents).
+func (c *Cache) ordersFor(f *ranking.Func, e *jointree.Exec) ([]*weightOrder, []*parentRows) {
 	if c == nil || e == nil || f.Weight != nil {
-		return nil
+		return nil, nil
 	}
 	c.ordMu.Lock()
 	defer c.ordMu.Unlock()
+	if len(c.orders) == 0 {
+		return nil, nil
+	}
+	climbs := make([]*parentRows, len(e.T.Nodes))
+	for n, pr := range c.climbs {
+		if pr.valid(e, n) {
+			climbs[n] = pr
+		}
+	}
+	climbable := func(n int) bool {
+		for ; e.T.Nodes[n].Parent >= 0; n = e.T.Nodes[n].Parent {
+			if climbs[n] == nil {
+				return false
+			}
+		}
+		return true
+	}
 	var out []*weightOrder
 	for p, v := range f.Vars {
-		if o := c.orders[v]; o != nil && o.valid(e) {
+		if o := c.orders[v]; o != nil && o.valid(e) && climbable(o.node) {
 			if out == nil {
 				out = make([]*weightOrder, len(f.Vars))
 			}
 			out[p] = o
 		}
 	}
-	return out
-}
-
-// climbsFor returns, per node of e's tree, the cache's valid inverse of the
-// edge to its parent, nil where there is none.
-func (c *Cache) climbsFor(e *jointree.Exec) []*parentRows {
-	out := make([]*parentRows, len(e.T.Nodes))
-	c.ordMu.Lock()
-	defer c.ordMu.Unlock()
-	for n, pr := range c.climbs {
-		if n < len(out) && pr.valid(e, n) {
-			out[n] = pr
-		}
-	}
-	return out
+	return out, climbs
 }
 
 // parentRows is the inverse of one edge's parent-gid array: the parent's rows
 // grouped by the child group they join, those of group g at
 // rows[off[g]:off[g+1]], ascending; a row that joins no group is in none. A
-// seeded box climbs the edge through it (reacher.box) in the rows it reaches,
-// instead of a pass over every parent row. It is valid while the Exec's array
+// seeded box climbs the edge through it (reacher.parents) in the rows it
+// reaches, not in every parent row; a box is seeded only from an order whose
+// every edge to the root has one (ordersFor). It is valid while the Exec's array
 // of the edge is pgid: the array it was built from, held so that no other can
 // take its address. A derivation (jointree.ApplyDelta) that leaves the parent
 // relation as it was and adds no child group keeps the array, and so the
@@ -306,20 +313,19 @@ func seedOf(bx box, ords []*weightOrder) (seed, bool) {
 // −1 of a parent row with no group reads slot 0, which no box stamps; words is
 // a bit per row of the largest relation, for putting rows gathered out of
 // order back in order; climbs holds per node the inverse of the edge above it,
-// where the cache has one.
+// on every edge a seeded box climbs.
 type reacher struct {
 	e      *jointree.Exec
 	marks  [][]int32
 	words  []uint64
 	climbs []*parentRows
 	from   []int // per node, the node its rows were reached from (−1: the seed)
-	s      *Scratch
 }
 
 // newReacher returns a reacher over e whose marks and bit set are s's, and
-// that climbs the edges climbs inverts through their inverses.
+// that climbs each edge through its inverse in climbs.
 func newReacher(e *jointree.Exec, s *Scratch, climbs []*parentRows) *reacher {
-	r := &reacher{e: e, marks: make([][]int32, len(e.Rels)), climbs: climbs, from: make([]int, len(e.Rels)), s: s}
+	r := &reacher{e: e, marks: make([][]int32, len(e.Rels)), climbs: climbs, from: make([]int, len(e.Rels))}
 	n := 0
 	for id, rel := range e.Rels {
 		n = max(n, rel.Len())
@@ -345,8 +351,7 @@ func newReacher(e *jointree.Exec, s *Scratch, climbs []*parentRows) *reacher {
 // child's side — and the tree is walked out from them, each node from the
 // neighbour it was reached from: a child takes the rows of the groups its
 // parent's rows point at, a parent the rows that point at a group its child's
-// rows are in — read from the edge's inverse, or, without one, by a pass over
-// the edge's parent-gid array.
+// rows are in, read from the edge's inverse.
 func (r *reacher) box(sd seed, ts []tests, lists [][]int, stamp int32) (tested int) {
 	e, o := r.e, sd.o
 	var queue []int
@@ -404,34 +409,19 @@ func (r *reacher) children(c int, gids []int32, dst []int) []int {
 }
 
 // parents returns in dst, ascending, the rows of c's parent that join the
-// group of one of rows, rows of c. With the edge's inverse it puts each
-// distinct group's parent rows in the bit set; without, it marks the groups
-// with stamp and makes one pass over the edge's parent-gid array.
+// group of one of rows, rows of c: it marks each distinct group with stamp and
+// puts the group's parent rows, from the edge's inverse, in the bit set.
 func (r *reacher) parents(c int, rows, dst []int, stamp int32) []int {
-	m, rowGid := r.marks[c], r.e.Groups[c].RowGid
-	if pr := r.climbs[c]; pr != nil {
-		r.s.climb()
-		for _, i := range rows {
-			if g := rowGid[i]; m[g+1] != stamp {
-				m[g+1] = stamp
-				for _, j := range pr.of(g) {
-					r.set(int(j))
-				}
+	m, rowGid, pr := r.marks[c], r.e.Groups[c].RowGid, r.climbs[c]
+	for _, i := range rows {
+		if g := rowGid[i]; m[g+1] != stamp {
+			m[g+1] = stamp
+			for _, j := range pr.of(g) {
+				r.set(int(j))
 			}
 		}
-		return r.collect(dst)
 	}
-	for _, i := range rows {
-		m[rowGid[i]+1] = stamp
-	}
-	pgid := r.e.ParentGids(c)
-	dst = dst[:len(pgid)]
-	k := 0
-	for i, g := range pgid {
-		dst[k] = i
-		k += b2i(m[g+1] == stamp)
-	}
-	return dst[:k]
+	return r.collect(dst)
 }
 
 // set puts row i in the bit set.

@@ -120,16 +120,15 @@ type Scratch struct {
 	// all zero between boxes.
 	words []uint64
 	// tested counts the rows the band's boxes put through their interval
-	// tests; seeded, the boxes whose rows came from a weight order; climbed,
-	// the edges those boxes climbed through an inverse (parentRows).
-	tested, seeded, climbed int
+	// tests; seeded, the boxes whose rows came from a weight order.
+	tested, seeded int
 }
 
 // Reset recycles the band last cut into the scratch: nothing of it may be read
 // after.
 func (s *Scratch) Reset() {
 	if s != nil {
-		s.tested, s.seeded, s.climbed = 0, 0, 0
+		s.tested, s.seeded = 0, 0
 	}
 	s.carve().Reset()
 }
@@ -151,13 +150,6 @@ func (s *Scratch) count(n int, seeded bool) {
 		if seeded {
 			s.seeded++
 		}
-	}
-}
-
-// climb counts an edge a seeded box climbed through its inverse.
-func (s *Scratch) climb() {
-	if s != nil {
-		s.climbed++
 	}
 }
 
