@@ -299,8 +299,8 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 		budget float64 // allocs per 8-φ grid
 		kb     float64 // KB allocated per 8-φ grid
 	}{
-		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 264, 38}, // measured 235, 32.8 KB (the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
-		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1393, 561},      // measured 1211, 54.8 or 488 KB since leaves are cut at 64 rank splitters and a seeded box climbs to a parent through the rows it reaches (1213, 53.8 or 589 KB since a warm slice's boxes start from a weight order; 1261, 55.8 or 971 KB while every box scanned its relations and then kept only the rows on an answer of it; 1275, 56.1 or 3 349 KB while it copied every row its tests passed; 1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
+		{"selective-sum", 1 << 18, func(q *qjoin.Query) *qjoin.Ranking { return qjoin.Sum(q.Vars()...) }, 119, 38}, // measured 103, 35.3 KB since the quantile index is computed without math/big and the tail reuses its arrays (235, 32.8 KB before; the band as tuples, PR 22: 230, 70.4 KB; a φ at a time: 744); PR 3: 63376
+		{"dense-lex", 1 << 10, func(*qjoin.Query) *qjoin.Ranking { return qjoin.Lex("x1", "x3") }, 1050, 551},      // measured 913, 45.1 or 479 KB since the quantile index is computed without math/big and the tail reuses its arrays; 1211, 54.8 or 488 KB since leaves are cut at 64 rank splitters and a seeded box climbs to a parent through the rows it reaches (1213, 53.8 or 589 KB since a warm slice's boxes start from a weight order; 1261, 55.8 or 971 KB while every box scanned its relations and then kept only the rows on an answer of it; 1275, 56.1 or 3 349 KB while it copied every row its tests passed; 1285, 88.6 or 4 651 KB while it weighed the band it split; fresh band storage per cut: 1372, 8 092–9 438 KB; a band's tree rebuilt: 1411, 8 470–10 260 KB; the band as tuples: 1471, 20 700–21 800 KB; every round run: 2809, ≈ 34 900 KB); before one flat weight array per node: 2.7M
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(13))

@@ -141,7 +141,7 @@ func BenchmarkBandDerive(b *testing.B) {
 	}
 	var bands []band
 	for _, f := range []*ranking.Func{ranking.NewLex("x1", "x3"), ranking.NewSum("x1", "x2", "x3")} {
-		trm, err := makeTrimmer(eng.Query(), f, Options{})
+		trm, err := makeTrimmer(eng, f, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 		shards[i] = st
 	}
 	stats := &RunStats{Count: total}
-	trm, err := makeTrimmer(engs[0].Query(), f, opts)
+	trm, err := makeTrimmer(engs[0], f, opts)
 	if err != nil {
 		return nil, stats, err
 	}

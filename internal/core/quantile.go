@@ -148,12 +148,17 @@ type PhaseLog struct {
 // one scratch out of every shard engine's pool, so concurrent runs over the
 // same shards stay race-free.
 type runScratch struct {
-	slots   [3]countingSlot
-	deeper  [][3]countingSlot // triples of levels 1, 2, …
-	pivot   pivot.Scratch
+	slots  [3]countingSlot
+	deeper [][3]countingSlot // triples of levels 1, 2, …
+	pivot  pivot.Scratch
+	// The tail's arrays (resolveRanks), reused run after run.
 	weights []int64
 	entries []selection.Entry
 	pos     []int32
+	classes []class
+	ords    []int
+	flat    []relation.Value
+	at      []counting.Count
 }
 
 // countingSlot is the storage of one counting slot: the counts of the band
@@ -236,9 +241,10 @@ func (t *trimmer) band(orig trim.Instance, into *trim.Scratch, low, high ranking
 	return out, err
 }
 
-// makeTrimmer selects the trimming construction for the ranking function,
-// enforcing the dichotomy for exact SUM.
-func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error) {
+// makeTrimmer selects the trimming construction for the ranking function over
+// the engine's query, enforcing the dichotomy for exact SUM (decided through
+// the engine's trim cache: see trim.Cache.Adjacent).
+func makeTrimmer(eng *engine.Engine, f *ranking.Func, opts Options) (*trimmer, error) {
 	switch f.Agg {
 	case ranking.Min, ranking.Max, ranking.Lex:
 		return &trimmer{exact: func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error) {
@@ -246,7 +252,7 @@ func makeTrimmer(q *query.Query, f *ranking.Func, opts Options) (*trimmer, error
 		}}, nil
 	case ranking.Sum:
 		if !opts.ForceLossy {
-			if _, _, _, err := jointree.BuildAdjacentPair(q, f.Vars); err == nil {
+			if eng.TrimCache().Adjacent(eng.Query(), f) {
 				return &trimmer{exact: func(inst trim.Instance, low, high ranking.Bound) (trim.Instance, error) {
 					return trim.SumAdjacentBand(inst, f, low, high)
 				}}, nil
@@ -532,7 +538,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 	if total.IsZero() {
 		return stats, ErrNoAnswers
 	}
-	trm, err := makeTrimmer(engs[0].Query(), f, opts)
+	trm, err := makeTrimmer(engs[0], f, opts)
 	if err != nil {
 		return stats, err
 	}
@@ -1175,7 +1181,7 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, r
 	if rec != nil {
 		ranks = rec.among(ranks, weighed)
 	}
-	var classes []class
+	classes := scr.classes[:0]
 	selectEach(es, selection.Vectors{At: ws, R: r}, 0, ranks, func(members []selection.Entry, off uint64, ranks []rank) {
 		weight := ws[members[0].Item*stride:][:stride]
 		if rec != nil {
@@ -1189,15 +1195,16 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, r
 	// Recover the members of every class, ascending by ordinal: one positional
 	// walk (yannakakis.AnswersAt) per shard that holds one, projected onto the
 	// source variables into one flat backing, row i the tuple of ords[i].
-	var ords []int
+	ords := scr.ords[:0]
 	for _, c := range classes {
 		for _, e := range c.members {
 			ords = append(ords, e.Item)
 		}
 	}
 	slices.Sort(ords)
-	flat := make([]relation.Value, len(ords)*w)
-	at := make([]counting.Count, len(ords)) // each ordinal within its shard
+	flat := slices.Grow(scr.flat[:0], len(ords)*w)[:len(ords)*w]
+	at := slices.Grow(scr.at[:0], len(ords))[:len(ords)] // each ordinal within its shard
+	scr.ords, scr.flat, scr.at = ords, flat, at
 	for s, lo := 0, 0; lo < len(ords); s++ {
 		hi := lo
 		for ; hi < len(ords) && ords[hi] < starts[s+1]; hi++ {
@@ -1237,6 +1244,8 @@ func resolveRanks(shards []*shardState, f *ranking.Func, origVars []query.Var, r
 			}
 		})
 	}
+	clear(classes) // they hold the caller's ranks
+	scr.classes = classes[:0]
 	return weighed, len(ords), nil
 }
 

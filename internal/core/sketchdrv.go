@@ -109,7 +109,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	}
 	o := opts
 	o.Epsilon = res / 2 // read only by lossy trims
-	trm, err := makeTrimmer(eng.Query(), f, o)
+	trm, err := makeTrimmer(eng, f, o)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@
 // instances (e.g. n = 2^16, ℓ = 4). A 128-bit counter covers every instance
 // this library accepts (n ≤ 2^20, ℓ ≤ 6 ⇒ |Q(D)| ≤ 2^120) while staying
 // allocation-free in hot loops; math/big is used only at API boundaries
-// (decimal rendering, quantile index computation).
+// (decimal rendering, wide division).
 //
 // All arithmetic is checked: overflow panics, because a wrapped answer count
 // would silently corrupt quantile indexes.
@@ -144,9 +144,10 @@ func (c Count) String() string {
 	return c.Big().String()
 }
 
-// FloorMulFloat returns ⌊phi · c⌋ for phi ∈ [0, 1]. It is exact (computed via
-// math/big rationals) and intended for the once-per-query quantile index
-// computation k = ⌊φ·|Q(D)|⌋.
+// FloorMulFloat returns ⌊phi · c⌋ for phi ∈ [0, 1]. It is exact: phi is
+// m·2⁻ˢ for its 53-bit mantissa m, so the result is the 181-bit product c·m
+// shifted right by s. It is the quantile index k = ⌊φ·|Q(D)|⌋ and the sketch
+// tier's widening ⌊ε·n⌋, paid once per request. A NaN phi panics.
 func FloorMulFloat(c Count, phi float64) Count {
 	if phi <= 0 {
 		return Zero
@@ -154,17 +155,28 @@ func FloorMulFloat(c Count, phi float64) Count {
 	if phi >= 1 {
 		return c
 	}
-	r := new(big.Rat).SetFloat64(phi)
-	if r == nil {
+	if math.IsNaN(phi) {
 		panic("counting: non-finite fraction")
 	}
-	r.Mul(r, new(big.Rat).SetInt(c.Big()))
-	q := new(big.Int).Quo(r.Num(), r.Denom())
-	out, ok := FromBig(q)
-	if !ok {
-		panic("counting: FloorMulFloat overflow")
+	b := math.Float64bits(phi)
+	m, s := b&(1<<52-1), 1074 // subnormal: m·2⁻¹⁰⁷⁴
+	if exp := int(b >> 52); exp != 0 {
+		m |= 1 << 52
+		s = 1075 - exp // phi < 1, so s ≥ 53
 	}
-	return out
+	h0, l0 := bits.Mul64(c.Lo, m)
+	h1, l1 := bits.Mul64(c.Hi, m)
+	mid, carry := bits.Add64(h0, l1, 0)
+	limbs := [5]uint64{l0, mid, h1 + carry} // c·m, least significant first
+	w, r := s/64, uint(s%64)
+	if w >= 3 {
+		return Zero
+	}
+	// A shift by 64 or more is 0 in Go, so r = 0 reads the limbs whole.
+	return Count{
+		Lo: limbs[w]>>r | limbs[w+1]<<(64-r),
+		Hi: limbs[w+1]>>r | limbs[w+2]<<(64-r),
+	}
 }
 
 // DivMod returns (⌊c/d⌋, c mod d). It panics if d is zero. The common case of

@@ -179,6 +179,41 @@ func TestFloorMulFloatWide(t *testing.T) {
 	}
 }
 
+// floorMulRat is ⌊phi · c⌋ by big.Rat: FloorMulFloat's oracle.
+func floorMulRat(c Count, phi float64) Count {
+	r := new(big.Rat).SetFloat64(phi)
+	r.Mul(r, new(big.Rat).SetInt(c.Big()))
+	out, ok := FromBig(new(big.Int).Quo(r.Num(), r.Denom()))
+	if !ok {
+		panic("floorMulRat overflow")
+	}
+	return out
+}
+
+// FloorMulFloat is the exact rational product's floor at the edges of both
+// operands — a subnormal φ, 2⁻⁵³, ½, 1 − 2⁻⁵³ and every p/100 against counts
+// 0, 1, 2⁶⁴ − 1, 2⁶⁴, 2⁶⁴ + 1 and 2¹²⁸ − 1 — and at random ones.
+func TestFloorMulFloatIsTheRationalFloor(t *testing.T) {
+	phis := []float64{math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64, 0x1p-1022 - math.SmallestNonzeroFloat64,
+		0x1p-1022, 0x1p-53, 0.5, 1 - 0x1p-53}
+	for p := range 101 {
+		phis = append(phis, float64(p)/100)
+	}
+	counts := []Count{Zero, One, {Lo: math.MaxUint64}, {Hi: 1}, {Hi: 1, Lo: 1}, {Hi: math.MaxUint64, Lo: math.MaxUint64}}
+	rng := rand.New(rand.NewSource(7))
+	for range 200 {
+		phis = append(phis, rng.Float64(), math.Ldexp(rng.Float64(), -rng.Intn(1100)))
+		counts = append(counts, Count{Lo: rng.Uint64()}, Count{Hi: rng.Uint64() >> uint(rng.Intn(64)), Lo: rng.Uint64()})
+	}
+	for _, phi := range phis {
+		for _, c := range counts {
+			if got, want := FloorMulFloat(c, phi), floorMulRat(c, phi); got != want {
+				t.Fatalf("FloorMulFloat(%s, %v) = %s, want %s", c, phi, got, want)
+			}
+		}
+	}
+}
+
 func TestDivModSmall(t *testing.T) {
 	q, r := FromUint64(17).DivMod(FromUint64(5))
 	if q.Lo != 3 || r.Lo != 2 {

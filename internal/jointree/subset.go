@@ -27,6 +27,9 @@
 package jointree
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
@@ -84,10 +87,10 @@ func (e *Exec) DeriveSubsetIn(q *query.Query, db *relation.Database, keep [][]bo
 }
 
 // DeriveGathered derives the executable tree of a partitioned instance: q is
-// the output query — e.Q with the identifier variable added to the atoms of the
-// nodes marked ID — db its database, and nodes[id] says how node id's relation
-// was gathered; the derived arrays are carved from a. segments names the
-// identifier's kind. A box number (false): part
+// the output query — e.Q with the identifier, a variable e.Q lacks, added to
+// the atoms of the nodes marked ID — db its database, and nodes[id] says how
+// node id's relation was gathered; the derived arrays are carved from a.
+// segments names the identifier's kind. A box number (false): part
 // b of every node's Rows holds the rows of box b+1, so a pair (key, box) is
 // first met, on either end of an edge, while box b is swept. A staircase
 // segment id (true): ids are 1, 2, … with no gap, each belongs to one join
@@ -100,17 +103,138 @@ func (e *Exec) DeriveSubsetIn(q *query.Query, db *relation.Database, keep [][]bo
 // derivation does not apply — Build(q) re-roots or re-parents e's tree (the
 // identifier can make another atom the ear), or e never materialized the gid
 // array of an edge whose groups are renumbered — and the caller builds afresh.
+// Whether Build(q) keeps the tree depends only on e.Q and the identifier's
+// atoms, so it is decided once per such placement (see shapes), and the
+// derived tree is e.T's parent array over q's atoms.
 func (e *Exec) DeriveGathered(q *query.Query, db *relation.Database, nodes []Gathered, segments bool, a *relation.Arena) *Exec {
-	t, err := Build(q)
-	if err != nil || t.Root != e.T.Root {
-		return nil
-	}
-	for id, n := range t.Nodes {
-		if n.Parent != e.T.Nodes[id].Parent {
-			return nil
+	var ids uint64
+	for id, n := range nodes {
+		if n.ID {
+			ids |= 1 << id
 		}
 	}
-	return e.derive(q, db, t, nodes, segments, a)
+	rec, ok := e.shapes.keeps(q, e.T, ids)
+	if !ok {
+		return nil
+	}
+	parent := make([]int, len(e.T.Nodes))
+	for id, n := range e.T.Nodes {
+		parent[id] = n.Parent
+	}
+	out := e.derive(q, db, FromParent(q, parent, e.T.Root), nodes, segments, a)
+	if out != nil {
+		out.shapes = rec
+	}
+	return out
+}
+
+// ShapeBuilds returns how many times DeriveGathered ran Build to decide
+// whether an identifier keeps e's tree. The count is shared with every Exec
+// whose record e shares (see shapes); a nil count means the record runs Build
+// on every call (a query of more than 64 atoms).
+func (e *Exec) ShapeBuilds() int {
+	if e.shapes == nil {
+		return 0
+	}
+	e.shapes.mu.Lock()
+	defer e.shapes.mu.Unlock()
+	return e.shapes.builds
+}
+
+// shapes records, for an Exec, whether Build gives its query with an
+// identifier variable added to a set of atoms (ids, a bit per node) a tree of
+// the Exec's shape: the same root and parents. Build's GYO pass reads the
+// query's hypergraph, and two kinds of vertex leave its parent array as it
+// is: one on every edge (it stays in every edge until one is left, so no
+// subset test changes), and one on exactly the edges of another vertex (the
+// two are dropped together and are in an edge together). Under such a
+// placement — ids every atom, or the atoms of one of the query's variables,
+// or none — the verdict is Build(e.Q)'s own, base; any other placement is
+// decided by one Build and remembered. The record is shared by every Exec
+// whose query differs from e.Q by such vertices over e.T's shape: a subset, a
+// delta, a derivation under an ignored placement; a derivation under another
+// placement gets a record of its own, whose base holds by construction. A
+// query of more than 64 atoms has no record, and Build decides every call.
+type shapes struct {
+	sets []uint64 // the atom sets of the query's variables
+	all  uint64   // every atom
+
+	mu     sync.Mutex
+	base   int8     // Build(e.Q) has e.T's shape: 1 yes, -1 no, 0 not yet known
+	masks  []uint64 // the other placements decided,
+	same   []bool   // and their verdicts
+	builds int      // Build runs made for the record
+}
+
+// newShapes returns the record of a query with no placement decided.
+func newShapes(q *query.Query) *shapes {
+	if len(q.Atoms) > 64 {
+		return nil
+	}
+	s := &shapes{all: 1<<len(q.Atoms) - 1}
+	at := make(map[query.Var]uint64)
+	for i, atom := range q.Atoms {
+		for _, v := range atom.Vars {
+			at[v] |= 1 << i
+		}
+	}
+	for _, set := range at {
+		if !s.ignores(set) {
+			s.sets = append(s.sets, set)
+		}
+	}
+	return s
+}
+
+// ignores reports whether GYO ignores a vertex on the atoms of ids.
+func (s *shapes) ignores(ids uint64) bool {
+	return ids == 0 || ids == s.all || slices.Contains(s.sets, ids)
+}
+
+// keeps reports whether Build(q) has t's shape, q being the record's query
+// with a fresh variable on the atoms of ids, and returns the record of a tree
+// derived under that placement.
+func (s *shapes) keeps(q *query.Query, t *Tree, ids uint64) (*shapes, bool) {
+	if s == nil {
+		return nil, sameShape(q, t)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ignores(ids) {
+		if s.base == 0 {
+			s.builds++
+			s.base = -1
+			if sameShape(q, t) {
+				s.base = 1
+			}
+		}
+		return s, s.base > 0
+	}
+	i := slices.Index(s.masks, ids)
+	if i < 0 {
+		s.builds++
+		i = len(s.masks)
+		s.masks = append(s.masks, ids)
+		s.same = append(s.same, sameShape(q, t))
+	}
+	if !s.same[i] {
+		return nil, false
+	}
+	return &shapes{sets: append(slices.Clip(s.sets), ids), all: s.all, base: 1}, true
+}
+
+// sameShape reports whether Build(q) has t's root and parents.
+func sameShape(q *query.Query, t *Tree) bool {
+	b, err := Build(q)
+	if err != nil || b.Root != t.Root {
+		return false
+	}
+	for id, n := range b.Nodes {
+		if n.Parent != t.Nodes[id].Parent {
+			return false
+		}
+	}
+	return true
 }
 
 // derive is the derivation over t, which has e.T's shape.
@@ -124,6 +248,7 @@ func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Ga
 		keyPosChild:  e.keyPosChild,
 		keyPosParent: e.keyPosParent,
 		parentGid:    make([][]int32, len(nodes)),
+		shapes:       e.shapes,
 	}
 	if t != e.T {
 		out.keyPosChild, out.keyPosParent = keyPositions(t)

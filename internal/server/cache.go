@@ -38,6 +38,7 @@ type PlanCache struct {
 	// query, workers — no ranking): a cold request under a second ranking
 	// attaches to the running compile instead of duplicating it.
 	byPlanKey map[string]*flight
+	run       *runner // where compiles run; nil: a goroutine each
 
 	// Counters (guarded by mu; read via Stats).
 	hits, misses, coalesced int64
@@ -65,7 +66,10 @@ type flight struct {
 }
 
 // NewPlanCache returns a cache bounded to capacity entries (minimum 1).
-func NewPlanCache(capacity int) *PlanCache {
+func NewPlanCache(capacity int) *PlanCache { return newPlanCache(capacity, nil) }
+
+// newPlanCache is NewPlanCache running its compiles on run (a Server's).
+func newPlanCache(capacity int, run *runner) *PlanCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -75,6 +79,7 @@ func NewPlanCache(capacity int) *PlanCache {
 		byKey:     make(map[string]*list.Element),
 		inflight:  make(map[string]*flight),
 		byPlanKey: make(map[string]*flight),
+		run:       run,
 	}
 }
 
@@ -96,8 +101,8 @@ func planKey(dataset string, gen uint64, query string, workers int) string {
 // a compile in this call (a singleflight latecomer reports cached=false: it
 // waited for the full compile).
 //
-// The compile runs in a cache-owned goroutine, NOT under the caller's
-// context: every caller — the one that triggered it and every coalesced
+// The compile runs detached — on the Server's runner, or a goroutine of its
+// own in a cache from NewPlanCache — NOT under the caller's context: every caller — the one that triggered it and every coalesced
 // latecomer — waits on it under its own ctx and gets ctx.Err() on expiry,
 // while the flight itself always runs to completion and lands in the cache
 // for the next request. hold (optional) is invoked synchronously on the
@@ -179,7 +184,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		release = hold()
 	}
 	c.mu.Unlock()
-	go func() {
+	c.run.do(func() {
 		if release != nil {
 			defer release()
 		}
@@ -196,7 +201,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		c.mu.Unlock()
 		f.plan, f.err = p, err
 		close(f.done)
-	}()
+	})
 	select {
 	case <-f.done:
 		return f.plan, rank, false, f.err

@@ -69,6 +69,7 @@ type Server struct {
 	reg     *Registry
 	cache   *PlanCache
 	gate    chan struct{}
+	run     *runner // detached work: query passes and plan compiles
 	metrics Metrics
 	start   time.Time
 }
@@ -79,11 +80,13 @@ func New(cfg Config) *Server {
 		panic(fmt.Sprintf("server: bad DefaultShards: %v", err))
 	}
 	cfg = cfg.withDefaults()
+	run := newRunner(cfg.MaxInflight)
 	s := &Server{
 		cfg:   cfg,
 		reg:   NewRegistry(),
-		cache: NewPlanCache(cfg.CacheCap),
+		cache: newPlanCache(cfg.CacheCap, run),
 		gate:  make(chan struct{}, cfg.MaxInflight),
+		run:   run,
 		start: time.Now(),
 	}
 	expvarServer.Store(s)
@@ -412,7 +415,7 @@ func (s *Server) execQuery(ctx context.Context, req *QueryRequest) (*QueryRespon
 		resp.Count = plan.Count().String()
 		return resp, nil
 	}
-	answers, err := runCtx(ctx, func() ([]*qjoin.Answer, error) { return plan.Run(op) })
+	answers, err := runCtx(ctx, s.run, func() ([]*qjoin.Answer, error) { return plan.Run(op) })
 	if err != nil {
 		return nil, err
 	}
@@ -470,12 +473,12 @@ func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *
 	return plan, f, cached, nil
 }
 
-// runCtx runs fn, bounding the caller's wait by the context. The engine's
-// passes are not interruptible mid-flight, so on timeout the goroutine
-// finishes in the background and its result is discarded; the work keeps
+// runCtx runs fn on the runner, bounding the caller's wait by the context.
+// The engine's passes are not interruptible mid-flight, so on timeout the
+// job finishes in the background and its result is discarded; the work keeps
 // holding the request's admission slot until it finishes, so MaxInflight
 // bounds total concurrent engine work, stragglers included.
-func runCtx[T any](ctx context.Context, fn func() (T, error)) (T, error) {
+func runCtx[T any](ctx context.Context, run *runner, fn func() (T, error)) (T, error) {
 	var release func()
 	if tok := admitFrom(ctx); tok != nil {
 		release = tok.hold()
@@ -485,13 +488,13 @@ func runCtx[T any](ctx context.Context, fn func() (T, error)) (T, error) {
 		err error
 	}
 	ch := make(chan result, 1)
-	go func() {
+	run.do(func() {
 		if release != nil {
 			defer release()
 		}
 		v, err := fn()
 		ch <- result{v, err}
-	}()
+	})
 	select {
 	case r := <-ch:
 		return r.v, r.err

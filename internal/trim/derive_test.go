@@ -161,3 +161,75 @@ func TestBandFallsBackWhenTheTreeChanges(t *testing.T) {
 		}
 	}
 }
+
+// A rotation of exact bands over one Exec decides each identifier placement
+// with one Build: a second rotation over the same bounds runs none, the first
+// runs at most one for the tree itself and one per SUM ranking's atom pair,
+// and a band cut again out of a derived band (the tail of a descent) runs
+// none — its placement is its parent's, and the derived tree is the fresh
+// build's.
+func TestWarmBandsBuildEachPlacementOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(2403))
+	type instance struct {
+		name  string
+		q     *query.Query
+		db    *relation.Database
+		ranks []*ranking.Func
+	}
+	all4 := func(sum []query.Var, rest ...query.Var) []*ranking.Func {
+		return []*ranking.Func{ranking.NewSum(sum...), ranking.NewMax(rest...), ranking.NewMin(rest...), ranking.NewLex(rest...)}
+	}
+	var insts []instance
+	q, db := workload.Path(rng, 4, 150, 9)
+	insts = append(insts, instance{"path4", q, db, all4([]query.Var{"x2", "x3", "x4"}, "x1", "x3", "x5")})
+	q, db = workload.Star(rng, 3, 120, 12, 10)
+	insts = append(insts, instance{"star3", q, db, all4([]query.Var{"y2", "e", "y3"}, q.Vars()...)})
+	q, db = workload.Hierarchy(rng, 90, 7)
+	insts = append(insts, instance{"hierarchy", q, db, all4([]query.Var{"x2", "x4", "x5"}, "x3", "x5", "x1")})
+	for _, in := range insts {
+		e := freshExec(t, Instance{Q: in.q, DB: in.db})
+		all := testutil.BruteForce(in.q, in.db)
+		vars := in.q.Vars()
+		bounds := make([][][2]ranking.Bound, len(in.ranks))
+		for i, f := range in.ranks {
+			bounds[i] = boundsFor(rng, all, vars, f)
+		}
+		rotate := func() {
+			for i, f := range in.ranks {
+				inst := Instance{Q: in.q, DB: in.db, Exec: e, Workers: 1}
+				for _, b := range bounds[i] {
+					name := fmt.Sprintf("%s %s%v (%v, %v)", in.name, f.Agg, f.Vars, b[0], b[1])
+					out, err := exactBand(inst, f, b[0], b[1])
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if out.Exec == nil {
+						t.Fatalf("%s: no derived tree", name)
+					}
+					d := out.Exec
+					builds := d.ShapeBuilds()
+					tail, err := exactBand(out, f, b[0], b[1])
+					if err != nil {
+						t.Fatalf("%s, again: %v", name, err)
+					}
+					if d.ShapeBuilds() != builds {
+						t.Fatalf("%s: a band of the band ran Build %d times", name, d.ShapeBuilds()-builds)
+					}
+					if tail.Exec == nil {
+						t.Fatalf("%s, again: no derived tree", name)
+					}
+					testutil.SameExec(t, name+", again", tail.Exec, freshExec(t, tail))
+				}
+			}
+		}
+		rotate()
+		first := e.ShapeBuilds()
+		if first > 1+1 { // the tree's own verdict, and SUM's pair
+			t.Fatalf("%s: the first rotation ran Build %d times", in.name, first)
+		}
+		rotate()
+		if again := e.ShapeBuilds(); again != first {
+			t.Fatalf("%s: the second rotation ran Build %d times", in.name, again-first)
+		}
+	}
+}

@@ -132,6 +132,25 @@ func sumAdjPrepFor(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	return p, nil
 }
 
+// Adjacent reports whether f's variables sit on one atom or two adjacent
+// atoms of a join tree of q (jointree.BuildAdjacentPair, Lemma D.1): the
+// tractable side of Theorem 5.6, where SumAdjacentBand cuts exactly. q is the
+// query of the instances the cache serves. A ranking whose preparation the
+// cache holds is tractable — the preparation is that tree's pair — so a plan
+// decides it with BuildAdjacentPair until its first exact SUM cut.
+func (c *Cache) Adjacent(q *query.Query, f *ranking.Func) bool {
+	if c != nil {
+		c.mu.Lock()
+		_, ok := c.sumAdj[f.Key()]
+		c.mu.Unlock()
+		if ok {
+			return true
+		}
+	}
+	_, _, _, err := jointree.BuildAdjacentPair(q, f.Vars)
+	return err == nil
+}
+
 func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	tree, nodeA, nodeB, err := jointree.BuildAdjacentPair(inst.Q, f.Vars)
 	if err != nil {
