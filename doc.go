@@ -273,10 +273,15 @@
 // tree Build + NewExecWorkers would give on the output, field for field (up to
 // retained empty groups where ids are stable), so answers and RunStats cannot
 // tell. Count: the counting pass over that tree. The derivation applies when
-// the output query's join tree is the original's with the identifier added,
-// which an identifier on every atom always leaves so and one on two atoms
-// nearly always; otherwise, and for the ε-lossy SUM's sketch embeddings, the
-// tree is built afresh (PhaseLog.Cuts and Rebuilt count both; qjq -stats
+// the output query's join tree is the original's with the identifier added.
+// That is decided without a GYO pass per cut: GYO reads the query's
+// hypergraph, and ignores a vertex on every atom (so a partitioned band's
+// identifier always keeps the tree) and one on exactly the atoms of another
+// variable (so a staircase cut again on its own pair does); any other
+// placement is decided by one Build per executable tree and placement, and
+// remembered there. The derived tree is the original's parent array over
+// the output's atoms. Otherwise, and for the ε-lossy SUM's sketch
+// embeddings, the tree is built afresh (PhaseLog.Cuts and Rebuilt count both; qjq -stats
 // prints them). The staircase numbers a group's segments in a table over the
 // implicit segment tree of its sorted side, stamped so that no group clears
 // it: the cut touches no hash table at all.
@@ -617,6 +622,15 @@
 //     migrate entries to the post-delta plan while in-flight requests
 //     finish on the pre-delta one. Answers of the migrated plan are
 //     byte-identical to a fresh Prepare on the mutated database.
+//
+// The server runs a request's engine pass and a plan compile detached from
+// the request, on long-lived goroutines of one runner per server: a job goes
+// to a goroutine that waits for one, or to a new goroutine, and a goroutine
+// that finishes waits for the next job unless as many goroutines as the
+// admission gate has slots already wait. The pivot loop's descent is
+// recursive, so a reused goroutine has the stack the next request needs. A
+// request that times out answers 503 at its deadline while its work runs
+// on, holding the request's admission slot until it ends.
 //
 // Queries and rankings have canonical textual forms for the wire:
 // ParseQuery/FormatQuery, ParseRanking/FormatRanking and the QuerySpec

@@ -134,10 +134,11 @@ type PhaseLog struct {
 
 // runScratch is the pooled per-run iteration scratch: the counting slots, the
 // pivot pass's weight arrays (which the tail's weight pass reuses for its
-// columns), and the tail's — the candidates' flat weights and the entries it
-// selects among. One value serves one run at a time; the engine's scratch pool
-// hands it from run to run so steady-state quantile answering allocates no
-// fresh per-node arrays. Counting slots come in triples, not one per side: the
+// columns), and the tail's — the candidates' flat weights, the entries it
+// selects among, the classes they fall in and their recovered members. One
+// value serves one run at a time; the engine's scratch pool hands it from run
+// to run so steady-state quantile answering allocates no fresh per-node
+// arrays. Counting slots come in triples, not one per side: the
 // counts a round descended into stay the current instance's until the next
 // descent — the pivot pass reads them, and so does either exit's tail —
 // so a round's two builds take the two slots of its triple that do not hold
@@ -148,10 +149,9 @@ type PhaseLog struct {
 // one scratch out of every shard engine's pool, so concurrent runs over the
 // same shards stay race-free.
 type runScratch struct {
-	slots  [3]countingSlot
-	deeper [][3]countingSlot // triples of levels 1, 2, …
-	pivot  pivot.Scratch
-	// The tail's arrays (resolveRanks), reused run after run.
+	slots   [3]countingSlot
+	deeper  [][3]countingSlot // triples of levels 1, 2, …
+	pivot   pivot.Scratch
 	weights []int64
 	entries []selection.Entry
 	pos     []int32

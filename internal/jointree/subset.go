@@ -129,9 +129,9 @@ func (e *Exec) DeriveGathered(q *query.Query, db *relation.Database, nodes []Gat
 }
 
 // ShapeBuilds returns how many times DeriveGathered ran Build to decide
-// whether an identifier keeps e's tree. The count is shared with every Exec
-// whose record e shares (see shapes); a nil count means the record runs Build
-// on every call (a query of more than 64 atoms).
+// whether an identifier keeps e's tree, counted over every Exec that shares
+// e's record (see shapes). It is 0 for a query of more than 64 atoms, which
+// keeps no record and runs Build on every call.
 func (e *Exec) ShapeBuilds() int {
 	if e.shapes == nil {
 		return 0
