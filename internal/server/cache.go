@@ -101,11 +101,12 @@ func planKey(dataset string, gen uint64, query string, workers int) string {
 // a compile in this call (a singleflight latecomer reports cached=false: it
 // waited for the full compile).
 //
-// The compile runs detached — on the Server's runner, or a goroutine of its
-// own in a cache from NewPlanCache — NOT under the caller's context: every caller — the one that triggered it and every coalesced
-// latecomer — waits on it under its own ctx and gets ctx.Err() on expiry,
-// while the flight itself always runs to completion and lands in the cache
-// for the next request. hold (optional) is invoked synchronously on the
+// The compile runs detached — on the Server's runner, or on a goroutine of
+// its own in a cache from NewPlanCache — NOT under the caller's context:
+// every caller — the one that triggered it and every coalesced latecomer —
+// waits on it under its own ctx and gets ctx.Err() on expiry, while the
+// flight itself always runs to completion and lands in the cache for the
+// next request. hold (optional) is invoked synchronously on the
 // compile path and its return value when the flight finishes, letting the
 // HTTP layer charge the detached compile to the caller's admission slot.
 func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, rankStr string, workers int,

@@ -11,6 +11,7 @@ import (
 	"time"
 )
 
+// serve runs one request through h and returns its recorded response.
 func serve(t *testing.T, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
@@ -39,7 +40,7 @@ func waitFor(cond func() bool) bool {
 // holding the admission slot: with one slot, the next request is refused as
 // saturated until that work ends, and then succeeds.
 func TestTimedOutWorkKeepsItsSlot(t *testing.T) {
-	s := New(Config{MaxInflight: 1, RequestTimeout: 20 * time.Millisecond})
+	s := New(Config{MaxInflight: 1, RequestTimeout: 100 * time.Millisecond})
 	unblock := make(chan struct{})
 	first := true
 	h := s.gated(&s.metrics.Requests.Query, &s.metrics.QueryLatency, func(w http.ResponseWriter, r *http.Request) {
