@@ -153,11 +153,14 @@ func (e *Exec) ShapeBuilds() int {
 // decided by one Build and remembered. The record is shared by every Exec
 // whose query differs from e.Q by such vertices over e.T's shape: a subset, a
 // delta, a derivation under an ignored placement; a derivation under another
-// placement gets a record of its own, whose base holds by construction. A
+// placement gets a record of its own, whose base holds by construction. The
+// atom sets are read from the query on the first placement that is neither
+// none nor every atom, so an Exec that never derives pays for none. A
 // query of more than 64 atoms has no record, and Build decides every call.
 type shapes struct {
-	sets []uint64 // the atom sets of the query's variables
-	all  uint64   // every atom
+	q    *query.Query // the query whose atom sets are not read yet; nil once read
+	sets []uint64     // the atom sets of the query's variables
+	all  uint64       // every atom
 
 	mu     sync.Mutex
 	base   int8     // Build(e.Q) has e.T's shape: 1 yes, -1 no, 0 not yet known
@@ -171,24 +174,30 @@ func newShapes(q *query.Query) *shapes {
 	if len(q.Atoms) > 64 {
 		return nil
 	}
-	s := &shapes{all: 1<<len(q.Atoms) - 1}
-	at := make(map[query.Var]uint64)
-	for i, atom := range q.Atoms {
-		for _, v := range atom.Vars {
-			at[v] |= 1 << i
-		}
-	}
-	for _, set := range at {
-		if !s.ignores(set) {
-			s.sets = append(s.sets, set)
-		}
-	}
-	return s
+	return &shapes{q: q, all: 1<<len(q.Atoms) - 1}
 }
 
-// ignores reports whether GYO ignores a vertex on the atoms of ids.
+// ignores reports whether GYO ignores a vertex on the atoms of ids. The
+// caller holds s.mu.
 func (s *shapes) ignores(ids uint64) bool {
-	return ids == 0 || ids == s.all || slices.Contains(s.sets, ids)
+	if ids == 0 || ids == s.all {
+		return true
+	}
+	if s.q != nil {
+		at := make(map[query.Var]uint64)
+		for i, atom := range s.q.Atoms {
+			for _, v := range atom.Vars {
+				at[v] |= 1 << i
+			}
+		}
+		for _, set := range at {
+			if set != s.all && !slices.Contains(s.sets, set) {
+				s.sets = append(s.sets, set)
+			}
+		}
+		s.q = nil
+	}
+	return slices.Contains(s.sets, ids)
 }
 
 // keeps reports whether Build(q) has t's shape, q being the record's query

@@ -38,7 +38,7 @@ type PlanCache struct {
 	// query, workers — no ranking): a cold request under a second ranking
 	// attaches to the running compile instead of duplicating it.
 	byPlanKey map[string]*flight
-	run       *runner // where compiles run; nil: a goroutine each
+	run       *runner // where compiles run
 
 	// Counters (guarded by mu; read via Stats).
 	hits, misses, coalesced int64
@@ -65,8 +65,9 @@ type flight struct {
 	err  error
 }
 
-// NewPlanCache returns a cache bounded to capacity entries (minimum 1).
-func NewPlanCache(capacity int) *PlanCache { return newPlanCache(capacity, nil) }
+// NewPlanCache returns a cache bounded to capacity entries (minimum 1). Its
+// compiles run on a runner of its own that keeps one goroutine waiting.
+func NewPlanCache(capacity int) *PlanCache { return newPlanCache(capacity, newRunner(1)) }
 
 // newPlanCache is NewPlanCache running its compiles on run (a Server's).
 func newPlanCache(capacity int, run *runner) *PlanCache {
@@ -101,8 +102,8 @@ func planKey(dataset string, gen uint64, query string, workers int) string {
 // a compile in this call (a singleflight latecomer reports cached=false: it
 // waited for the full compile).
 //
-// The compile runs detached — on the Server's runner, or on a goroutine of
-// its own in a cache from NewPlanCache — NOT under the caller's context:
+// The compile runs detached — on the cache's runner (its Server's, or its own
+// in a cache from NewPlanCache) — NOT under the caller's context:
 // every caller — the one that triggered it and every coalesced latecomer —
 // waits on it under its own ctx and gets ctx.Err() on expiry, while the
 // flight itself always runs to completion and lands in the cache for the

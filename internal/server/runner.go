@@ -33,13 +33,8 @@ func newRunner(maxIdle int) *runner {
 	return r
 }
 
-// do runs job on a goroutine of the runner and returns at once. A nil runner
-// (a PlanCache made outside a Server) starts a goroutine per job.
+// do runs job on a goroutine of the runner and returns at once.
 func (r *runner) do(job func()) {
-	if r == nil {
-		go job()
-		return
-	}
 	select {
 	case r.p.jobs <- job:
 	default:

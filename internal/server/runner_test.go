@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/quantilejoins/qjoin"
 )
 
 // serve runs one request through h and returns its recorded response.
@@ -131,4 +135,23 @@ func TestRunnerParksAtMostMaxIdle(t *testing.T) {
 	done := make(chan struct{})
 	r.do(func() { close(done) })
 	<-done
+}
+
+// A cache made outside a Server compiles on a runner of its own, which keeps
+// one goroutine waiting; once the cache is unreachable that goroutine exits.
+func TestBareCacheRunnerLeavesWithIt(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		c := NewPlanCache(1)
+		fail := errors.New("no plan")
+		if _, _, _, err := c.Get(context.Background(), "d", 1, "R(x,y)", "", 1, nil, nil, func() (qjoin.Plan, error) { return nil, fail }); err != fail {
+			t.Fatalf("Get: %v, want the compile's error", err)
+		}
+		if !waitFor(func() bool { return c.run.p.idle.Load() == 1 }) {
+			t.Fatalf("%d goroutines wait on the cache's runner, want 1", c.run.p.idle.Load())
+		}
+	}()
+	if !waitFor(func() bool { runtime.GC(); return runtime.NumGoroutine() <= before }) {
+		t.Fatalf("%d goroutines after the cache is gone, %d before", runtime.NumGoroutine(), before)
+	}
 }
