@@ -273,18 +273,18 @@
 // tree Build + NewExecWorkers would give on the output, field for field (up to
 // retained empty groups where ids are stable), so answers and RunStats cannot
 // tell. Count: the counting pass over that tree. The derivation applies when
-// the output query's join tree is the original's with the identifier added.
-// That is decided without a GYO pass per cut: GYO reads the query's
-// hypergraph, and ignores a vertex on every atom (so a partitioned band's
-// identifier always keeps the tree) and one on exactly the atoms of another
-// variable (so a staircase cut again on its own pair does); any other
-// placement is decided by one Build per executable tree and placement, and
-// remembered there. The derived tree is the original's parent array over
-// the output's atoms. Otherwise, and for the ε-lossy SUM's sketch
-// embeddings, the tree is built afresh (PhaseLog.Cuts and Rebuilt count both; qjq -stats
-// prints them). The staircase numbers a group's segments in a table over the
-// implicit segment tree of its sorted side, stamped so that no group clears
-// it: the cut touches no hash table at all.
+// the output query's join tree is the original's with the identifier added,
+// and where the identifier goes is known before any band is cut. A
+// partitioned band puts it on every atom, which GYO ignores, and every
+// engine's tree is Build's: such a band always derives. The staircase puts
+// it on the ranking's pair, fixed per ranking, so its preparation runs one
+// Build of the output query (jointree.SameShape) and every band of that
+// ranking derives or not by that verdict. The derived tree is the original's
+// parent array over the output's atoms. Otherwise, and for the ε-lossy SUM's
+// sketch embeddings, the tree is built afresh (PhaseLog.Cuts and Rebuilt
+// count both; qjq -stats prints them). The staircase numbers a group's
+// segments in a table over the implicit segment tree of its sorted side,
+// stamped so that no group clears it: the cut touches no hash table at all.
 //
 // The tail. A run ends in a band of at most |D| candidates (or in a tie class
 // of several members, cut as a band of its own, below), and nothing of that

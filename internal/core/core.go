@@ -24,15 +24,12 @@ import (
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
 
-// Sentinel errors of the quantile drivers. ErrNoAnswers and ErrCyclic are
-// produced at the preparation layer and re-exported here so that identity
-// comparisons keep working across layers.
+// Sentinel errors of the quantile drivers. ErrNoAnswers is produced at the
+// preparation layer and re-exported here so that identity comparisons keep
+// working across layers.
 var (
 	// ErrNoAnswers is returned when Q(D) is empty.
 	ErrNoAnswers = engine.ErrNoAnswers
-	// ErrCyclic is returned for cyclic queries, which cannot be answered in
-	// quasilinear time under the Hyperclique hypothesis (Section 2.3).
-	ErrCyclic = engine.ErrCyclic
 	// ErrIntractable is returned when an exact SUM quantile is requested for
 	// a query on the negative side of the dichotomy of Theorem 5.6.
 	ErrIntractable = errors.New("core: exact SUM quantile is intractable for this query " +

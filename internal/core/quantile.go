@@ -117,7 +117,8 @@ type PhaseLog struct {
 	// band and live shard; Rebuilt, those of them whose executable tree came
 	// from Build+NewExecWorkers because the trim derived none — every cut of a
 	// lossy run, and an exact one only when the output query's join tree is not
-	// the engine's (jointree.DeriveGathered).
+	// the engine's: a staircase whose segment variable changes it (see
+	// trim.Instance.Exec).
 	Cuts, Rebuilt int
 	// Tail is the time spent below the rounds, in the run's leaves and tie
 	// classes: weighing the candidates, selecting, recovering the answers.
@@ -271,9 +272,9 @@ func makeTrimmer(eng *engine.Engine, f *ranking.Func, opts Options) (*trimmer, e
 
 // execOf returns the executable join tree of an instance: the one its trim
 // derived from the original's, when it carries one — every exact band of an
-// instance with an Exec does, unless the derivation did not apply (see
-// trim.Instance.Exec) — and a fresh Build+NewExecWorkers otherwise: the lossy
-// SUM's embeddings, and that fallback.
+// instance with an Exec does, but a staircase whose segment variable changes
+// the join tree (see trim.Instance.Exec) — and a fresh Build+NewExecWorkers
+// otherwise: the lossy SUM's embeddings, and that staircase.
 func execOf(inst trim.Instance) (*jointree.Exec, error) {
 	if inst.Exec != nil {
 		return inst.Exec, nil

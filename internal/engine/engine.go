@@ -52,12 +52,6 @@ import (
 var (
 	// ErrNoAnswers is returned when Q(D) is empty.
 	ErrNoAnswers = errors.New("qjoin: query has no answers")
-	// ErrCyclic is returned for cyclic queries that additionally fail to
-	// decompose (see internal/decomp). Plain cyclic queries no longer hit
-	// it: they route through a hypertree decomposition and are answered
-	// exactly; only decomposition failures (*decomp.WidthError) and this
-	// sentinel's historical role in sharding remain.
-	ErrCyclic = errors.New("qjoin: query is cyclic")
 )
 
 // Engine is the compiled, reusable form of a (Query, Database) pair.

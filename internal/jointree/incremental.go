@@ -76,7 +76,6 @@ func (e *Exec) ApplyDelta(deltas map[string]RelDelta, workers int) (*Exec, []Nod
 		keyPosChild:  e.keyPosChild,
 		keyPosParent: e.keyPosParent,
 		parentGid:    append([][]int32(nil), e.parentGid...),
-		shapes:       e.shapes,
 	}
 	var changes []NodeChange
 	for _, n := range e.T.Nodes {

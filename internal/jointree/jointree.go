@@ -201,9 +201,6 @@ type Exec struct {
 	// access and ranked enumeration read one int32 per (parent tuple, child)
 	// pair.
 	parentGid [][]int32
-
-	// shapes decides which identifier placements keep T (DeriveGathered).
-	shapes *shapes
 }
 
 // GroupIndex groups the tuples of a child node by their shared-variable key.
@@ -296,7 +293,7 @@ func GroupIndexFromFlat(keys *relation.Interner, rowGid []int32, flat []int) (*G
 // the Exec's DB is then a view of db holding the deduplicated relation in its
 // place; db itself is never modified.
 func NewExecWorkers(q *query.Query, db *relation.Database, t *Tree, workers int) (*Exec, error) {
-	e := &Exec{Q: q, T: t, DB: db, shapes: newShapes(q)}
+	e := &Exec{Q: q, T: t, DB: db}
 	e.Rels = make([]*relation.Relation, len(t.Nodes))
 	e.Groups = make([]*GroupIndex, len(t.Nodes))
 	for _, n := range t.Nodes {
@@ -356,7 +353,7 @@ func keyPositions(t *Tree) (child, parent [][]int) {
 // were produced by an Exec over the same query and database, an index and a
 // gid array per edge (it may fill the two slices after the call).
 func RestoreExec(q *query.Query, db *relation.Database, t *Tree, groups []*GroupIndex, parentGid [][]int32) (*Exec, error) {
-	e := &Exec{Q: q, T: t, DB: db, Groups: groups, parentGid: parentGid, shapes: newShapes(q)}
+	e := &Exec{Q: q, T: t, DB: db, Groups: groups, parentGid: parentGid}
 	e.Rels = make([]*relation.Relation, len(t.Nodes))
 	for _, n := range t.Nodes {
 		rel, err := nodeRelation(q.Atoms[n.Atom], n, db)

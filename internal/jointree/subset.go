@@ -27,9 +27,6 @@
 package jointree
 
 import (
-	"slices"
-	"sync"
-
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
@@ -97,143 +94,23 @@ func (e *Exec) DeriveSubsetIn(q *query.Query, db *relation.Database, keep [][]bo
 // group of the one edge that carries it, and on both ends an id is first used
 // after every smaller one.
 //
-// The contract is DeriveSubset's: node relations, RowGid, Tuples and the
-// parent-gid arrays are those of Build(q) + NewExecWorkers on the output, up to
-// retained empty groups where gids are stable. It returns nil when the
-// derivation does not apply — Build(q) re-roots or re-parents e's tree (the
-// identifier can make another atom the ear), or e never materialized the gid
-// array of an edge whose groups are renumbered — and the caller builds afresh.
-// Whether Build(q) keeps the tree depends only on e.Q and the identifier's
-// atoms, so it is decided once per such placement (see shapes), and the
-// derived tree is e.T's parent array over q's atoms.
+// The derived tree is e.T's parent array over q's atoms, and the contract is
+// DeriveSubset's: node relations, RowGid, Tuples and the parent-gid arrays
+// are those of Build(q) + NewExecWorkers on the output, up to retained empty
+// groups where gids are stable — provided Build(q) has e.T's shape, which the
+// caller knows from where it put the identifier (see SameShape). It returns
+// nil when e never materialized the gid array of an edge whose groups are
+// renumbered, and the caller builds afresh.
 func (e *Exec) DeriveGathered(q *query.Query, db *relation.Database, nodes []Gathered, segments bool, a *relation.Arena) *Exec {
-	var ids uint64
-	for id, n := range nodes {
-		if n.ID {
-			ids |= 1 << id
-		}
-	}
-	rec, ok := e.shapes.keeps(q, e.T, ids)
-	if !ok {
-		return nil
-	}
 	parent := make([]int, len(e.T.Nodes))
 	for id, n := range e.T.Nodes {
 		parent[id] = n.Parent
 	}
-	out := e.derive(q, db, FromParent(q, parent, e.T.Root), nodes, segments, a)
-	if out != nil {
-		out.shapes = rec
-	}
-	return out
+	return e.derive(q, db, FromParent(q, parent, e.T.Root), nodes, segments, a)
 }
 
-// ShapeBuilds returns how many times DeriveGathered ran Build to decide
-// whether an identifier keeps e's tree, counted over every Exec that shares
-// e's record (see shapes). It is 0 for a query of more than 64 atoms, which
-// keeps no record and runs Build on every call.
-func (e *Exec) ShapeBuilds() int {
-	if e.shapes == nil {
-		return 0
-	}
-	e.shapes.mu.Lock()
-	defer e.shapes.mu.Unlock()
-	return e.shapes.builds
-}
-
-// shapes records, for an Exec, whether Build gives its query with an
-// identifier variable added to a set of atoms (ids, a bit per node) a tree of
-// the Exec's shape: the same root and parents. Build's GYO pass reads the
-// query's hypergraph, and two kinds of vertex leave its parent array as it
-// is: one on every edge (it stays in every edge until one is left, so no
-// subset test changes), and one on exactly the edges of another vertex (the
-// two are dropped together and are in an edge together). Under such a
-// placement — ids every atom, or the atoms of one of the query's variables,
-// or none — the verdict is Build(e.Q)'s own, base; any other placement is
-// decided by one Build and remembered. The record is shared by every Exec
-// whose query differs from e.Q by such vertices over e.T's shape: a subset, a
-// delta, a derivation under an ignored placement; a derivation under another
-// placement gets a record of its own, whose base holds by construction. The
-// atom sets are read from the query on the first placement that is neither
-// none nor every atom, so an Exec that never derives pays for none. A
-// query of more than 64 atoms has no record, and Build decides every call.
-type shapes struct {
-	q    *query.Query // the query whose atom sets are not read yet; nil once read
-	sets []uint64     // the atom sets of the query's variables
-	all  uint64       // every atom
-
-	mu     sync.Mutex
-	base   int8     // Build(e.Q) has e.T's shape: 1 yes, -1 no, 0 not yet known
-	masks  []uint64 // the other placements decided,
-	same   []bool   // and their verdicts
-	builds int      // Build runs made for the record
-}
-
-// newShapes returns the record of a query with no placement decided.
-func newShapes(q *query.Query) *shapes {
-	if len(q.Atoms) > 64 {
-		return nil
-	}
-	return &shapes{q: q, all: 1<<len(q.Atoms) - 1}
-}
-
-// ignores reports whether GYO ignores a vertex on the atoms of ids. The
-// caller holds s.mu.
-func (s *shapes) ignores(ids uint64) bool {
-	if ids == 0 || ids == s.all {
-		return true
-	}
-	if s.q != nil {
-		at := make(map[query.Var]uint64)
-		for i, atom := range s.q.Atoms {
-			for _, v := range atom.Vars {
-				at[v] |= 1 << i
-			}
-		}
-		for _, set := range at {
-			if set != s.all && !slices.Contains(s.sets, set) {
-				s.sets = append(s.sets, set)
-			}
-		}
-		s.q = nil
-	}
-	return slices.Contains(s.sets, ids)
-}
-
-// keeps reports whether Build(q) has t's shape, q being the record's query
-// with a fresh variable on the atoms of ids, and returns the record of a tree
-// derived under that placement.
-func (s *shapes) keeps(q *query.Query, t *Tree, ids uint64) (*shapes, bool) {
-	if s == nil {
-		return nil, sameShape(q, t)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ignores(ids) {
-		if s.base == 0 {
-			s.builds++
-			s.base = -1
-			if sameShape(q, t) {
-				s.base = 1
-			}
-		}
-		return s, s.base > 0
-	}
-	i := slices.Index(s.masks, ids)
-	if i < 0 {
-		s.builds++
-		i = len(s.masks)
-		s.masks = append(s.masks, ids)
-		s.same = append(s.same, sameShape(q, t))
-	}
-	if !s.same[i] {
-		return nil, false
-	}
-	return &shapes{sets: append(slices.Clip(s.sets), ids), all: s.all, base: 1}, true
-}
-
-// sameShape reports whether Build(q) has t's root and parents.
-func sameShape(q *query.Query, t *Tree) bool {
+// SameShape reports whether Build(q) has t's root and parents.
+func SameShape(q *query.Query, t *Tree) bool {
 	b, err := Build(q)
 	if err != nil || b.Root != t.Root {
 		return false
@@ -257,7 +134,6 @@ func (e *Exec) derive(q *query.Query, db *relation.Database, t *Tree, nodes []Ga
 		keyPosChild:  e.keyPosChild,
 		keyPosParent: e.keyPosParent,
 		parentGid:    make([][]int32, len(nodes)),
-		shapes:       e.shapes,
 	}
 	if t != e.T {
 		out.keyPosChild, out.keyPosParent = keyPositions(t)

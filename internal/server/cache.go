@@ -9,11 +9,9 @@ import (
 	"github.com/quantilejoins/qjoin"
 )
 
-// PlanCache maps (dataset, generation, canonical query, ranking spec,
-// workers) to a compiled qjoin.Plan — a *qjoin.Prepared holding one engine
-// or one per shard, per the dataset's shard option. The server passes
-// workers 0 (its plans compile with the library's default Options). One
-// entry is one (plan, ranking) pair, so a plan served under four rankings
+// PlanCache maps (dataset, generation, canonical query, ranking spec) to a
+// compiled qjoin.Plan — a *qjoin.Prepared holding one engine or one per
+// shard, per the dataset's shard option. One entry is one (plan, ranking) pair, so a plan served under four rankings
 // fills four entries. The cache provides
 //
 //   - LRU eviction bounded by a capacity in entries,
@@ -35,7 +33,7 @@ type PlanCache struct {
 	byKey    map[string]*list.Element
 	inflight map[string]*flight
 	// byPlanKey indexes the in-flight compiles by plan key (dataset, gen,
-	// query, workers — no ranking): a cold request under a second ranking
+	// query — no ranking): a cold request under a second ranking
 	// attaches to the running compile instead of duplicating it.
 	byPlanKey map[string]*flight
 	run       *runner // where compiles run
@@ -54,7 +52,6 @@ type entry struct {
 	gen     uint64
 	query   string
 	rankStr string
-	workers int
 	plan    qjoin.Plan
 }
 
@@ -86,21 +83,22 @@ func newPlanCache(capacity int, run *runner) *PlanCache {
 
 // key builds the cache key. The query and ranking strings are the canonical
 // wire forms (FormatQuery / FormatRanking), so equivalent requests collide.
-func key(dataset string, gen uint64, query, rank string, workers int) string {
-	return fmt.Sprintf("%s\x00%d\x00%s\x00%s\x00%d", dataset, gen, query, rank, workers)
+func key(dataset string, gen uint64, query, rank string) string {
+	return fmt.Sprintf("%s\x00%d\x00%s\x00%s", dataset, gen, query, rank)
 }
 
 // planKey is the ranking-independent part of the cache key — the identity
 // of the compiled qjoin.Plan itself.
-func planKey(dataset string, gen uint64, query string, workers int) string {
-	return fmt.Sprintf("%s\x00%d\x00%s\x00%d", dataset, gen, query, workers)
+func planKey(dataset string, gen uint64, query string) string {
+	return fmt.Sprintf("%s\x00%d\x00%s", dataset, gen, query)
 }
 
 // Get returns the plan for the key, preparing it with prepare() on a miss.
-// rank is the caller's parsed ranking (nil for count-only queries) and is
-// handed back as it came. cached reports whether the plan was served without
-// a compile in this call (a singleflight latecomer reports cached=false: it
-// waited for the full compile).
+// The int after rankStr is a worker count nothing reads: plans compile with
+// the library's default Options. rank is the caller's parsed ranking (nil for
+// count-only queries) and is handed back as it came. cached reports whether
+// the plan was served without a compile in this call (a singleflight
+// latecomer reports cached=false: it waited for the full compile).
 //
 // The compile runs detached — on the cache's runner (its Server's, or its own
 // in a cache from NewPlanCache) — NOT under the caller's context:
@@ -110,9 +108,9 @@ func planKey(dataset string, gen uint64, query string, workers int) string {
 // next request. hold (optional) is invoked synchronously on the
 // compile path and its return value when the flight finishes, letting the
 // HTTP layer charge the detached compile to the caller's admission slot.
-func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, rankStr string, workers int,
+func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, rankStr string, _ int,
 	rank *qjoin.Ranking, hold func() func(), prepare func() (qjoin.Plan, error)) (plan qjoin.Plan, outRank *qjoin.Ranking, cached bool, err error) {
-	k := key(dataset, gen, query, rankStr, workers)
+	k := key(dataset, gen, query, rankStr)
 	c.mu.Lock()
 	if el, ok := c.byKey[k]; ok {
 		c.ll.MoveToFront(el)
@@ -122,7 +120,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		c.mu.Unlock()
 		return p, rank, true, nil
 	}
-	pk := planKey(dataset, gen, query, workers)
+	pk := planKey(dataset, gen, query)
 	if f, ok := c.inflight[k]; ok {
 		// The exact key is compiling: wait and use its entry as-is.
 		c.coalesced++
@@ -155,20 +153,20 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		}
 		c.insertLocked(&entry{
 			key: k, dataset: dataset, gen: gen, query: query,
-			rankStr: rankStr, workers: workers, plan: f.plan,
+			rankStr: rankStr, plan: f.plan,
 		})
 		c.mu.Unlock()
 		return f.plan, rank, false, nil
 	}
-	// A sibling entry for the same (dataset, gen, query, workers) under a
+	// A sibling entry for the same (dataset, gen, query) under a
 	// different ranking already compiled the plan we need: share it —
 	// served from the cache with no compile, so it counts as a hit.
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		if e.dataset == dataset && e.gen == gen && e.query == query && e.workers == workers {
+		if e.dataset == dataset && e.gen == gen && e.query == query {
 			c.insertLocked(&entry{
 				key: k, dataset: dataset, gen: gen, query: query,
-				rankStr: rankStr, workers: workers, plan: e.plan,
+				rankStr: rankStr, plan: e.plan,
 			})
 			c.hits++
 			p := e.plan
@@ -197,7 +195,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		if err == nil {
 			c.insertLocked(&entry{
 				key: k, dataset: dataset, gen: gen, query: query,
-				rankStr: rankStr, workers: workers, plan: p,
+				rankStr: rankStr, plan: p,
 			})
 		}
 		c.mu.Unlock()
@@ -317,7 +315,7 @@ func (c *PlanCache) Migrate(dataset string, oldGen, newGen uint64, delta *qjoin.
 		}
 		delete(c.byKey, e.key)
 		e.gen, e.plan = newGen, up
-		e.key = key(e.dataset, e.gen, e.query, e.rankStr, e.workers)
+		e.key = key(e.dataset, e.gen, e.query, e.rankStr)
 		c.byKey[e.key] = el
 		c.migrations++
 		n++

@@ -123,28 +123,69 @@ func TestExactBandsDeriveTheirTrees(t *testing.T) {
 // re-parents — the tree does not have them adjacent, and the segment variable
 // binds them — and one between A1 and A2 re-roots: A3 becomes the ear and A2
 // the root. The staircase between A2 and A3 keeps the tree and derives, as
-// does MAX, whose identifier joins every atom.
+// does MAX, whose identifier joins every atom. Beyond those, every atom pair a
+// two-variable SUM puts the staircase on in a path, a star and a hierarchy
+// derives exactly when Build, run on the output query, keeps the input's tree.
 func TestBandFallsBackWhenTheTreeChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(2402))
-	q, db := testutil.RandomStarInstance(rng, 3, 80, 7)
-	e := freshExec(t, Instance{Q: q, DB: db})
-	if e.T.Nodes[0].Parent != 1 || e.T.Nodes[1].Parent != 2 {
-		t.Fatalf("the star's join tree is no longer the chain A1 - A2 - A3: %+v", e.T)
+	type instance struct {
+		name string
+		q    *query.Query
+		db   *relation.Database
+		e    *jointree.Exec
 	}
-	all := testutil.BruteForce(q, db)
-	vars := q.Vars()
-	inst := Instance{Q: q, DB: db, Exec: e}
-	for _, c := range []struct {
+	type band struct {
+		in      *instance
 		f       *ranking.Func
 		derives bool
-	}{
-		{ranking.NewSum("y1", "y3"), false},
-		{ranking.NewSum("y1", "y2"), false},
-		{ranking.NewSum("y2", "y3"), true},
-		{ranking.NewMax("y1", "y3"), true},
-	} {
+	}
+	q, db := testutil.RandomStarInstance(rng, 3, 80, 7)
+	chain := &instance{"star", q, db, freshExec(t, Instance{Q: q, DB: db})}
+	if chain.e.T.Nodes[0].Parent != 1 || chain.e.T.Nodes[1].Parent != 2 {
+		t.Fatalf("the star's join tree is no longer the chain A1 - A2 - A3: %+v", chain.e.T)
+	}
+	cases := []band{
+		{chain, ranking.NewSum("y1", "y3"), false},
+		{chain, ranking.NewSum("y1", "y2"), false},
+		{chain, ranking.NewSum("y2", "y3"), true},
+		{chain, ranking.NewMax("y1", "y3"), true},
+	}
+	var insts []*instance
+	q, db = workload.Path(rng, 4, 150, 9)
+	insts = append(insts, &instance{name: "path4", q: q, db: db})
+	q, db = workload.Star(rng, 3, 120, 12, 10)
+	insts = append(insts, &instance{name: "star3", q: q, db: db})
+	q, db = workload.Hierarchy(rng, 90, 7)
+	insts = append(insts, &instance{name: "hierarchy", q: q, db: db})
+	for _, in := range insts {
+		in.e = freshExec(t, Instance{Q: in.q, DB: in.db})
+		vars := in.q.Vars()
+		pairs := make(map[[2]int]bool)
+		for i, u := range vars {
+			for _, v := range vars[i+1:] {
+				f := ranking.NewSum(u, v)
+				tree, a, b, err := jointree.BuildAdjacentPair(in.q, f.Vars)
+				if err != nil || b < 0 {
+					continue
+				}
+				pair := [2]int{tree.Nodes[a].Atom, tree.Nodes[b].Atom}
+				if pairs[pair] {
+					continue
+				}
+				pairs[pair] = true
+				cases = append(cases, band{in, f, buildKeeps(withID(in.q, pair[:]), in.e.T)})
+			}
+		}
+		if len(pairs) < len(in.q.Atoms)-1 {
+			t.Fatalf("%s: SUM rankings reach %d atom pairs, fewer than the tree's %d edges", in.name, len(pairs), len(in.q.Atoms)-1)
+		}
+	}
+	for _, c := range cases {
+		all := testutil.BruteForce(c.in.q, c.in.db)
+		vars := c.in.q.Vars()
+		inst := Instance{Q: c.in.q, DB: c.in.db, Exec: c.in.e}
 		for _, b := range boundsFor(rng, all, vars, c.f) {
-			name := fmt.Sprintf("%s%v (%v, %v)", c.f.Agg, c.f.Vars, b[0], b[1])
+			name := fmt.Sprintf("%s %s%v (%v, %v)", c.in.name, c.f.Agg, c.f.Vars, b[0], b[1])
 			out, err := exactBand(inst, c.f, b[0], b[1])
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -162,13 +203,35 @@ func TestBandFallsBackWhenTheTreeChanges(t *testing.T) {
 	}
 }
 
-// A rotation of exact bands over one Exec decides each identifier placement
-// with one Build: a second rotation over the same bounds runs none, the first
-// runs at most one for the tree itself and one per SUM ranking's atom pair,
-// and a band cut again out of a derived band (the tail of a descent) runs
-// none — its placement is its parent's, and the derived tree is the fresh
-// build's.
-func TestWarmBandsBuildEachPlacementOnce(t *testing.T) {
+// withID returns q with a fresh variable added to the given atoms.
+func withID(q *query.Query, atoms []int) *query.Query {
+	out := q.Clone()
+	v := query.FreshVar(q, "id")
+	for _, i := range atoms {
+		out.Atoms[i].Vars = append(out.Atoms[i].Vars, v)
+	}
+	return out
+}
+
+// buildKeeps reports whether Build(q) gives t's root and parents.
+func buildKeeps(q *query.Query, t *jointree.Tree) bool {
+	b, err := jointree.Build(q)
+	if err != nil || b.Root != t.Root {
+		return false
+	}
+	for id, n := range b.Nodes {
+		if n.Parent != t.Nodes[id].Parent {
+			return false
+		}
+	}
+	return true
+}
+
+// A band cut out of a derived band — the tail of a descent — derives its tree
+// too, and it is the fresh build's: over a path, a star and a hierarchy ×
+// adjacent-pair SUM / MAX / MIN / LEX, every band of the original instance
+// derives, and so does the same band cut again out of it.
+func TestBandsOfBandsDeriveTheirTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(2403))
 	type instance struct {
 		name  string
@@ -190,46 +253,26 @@ func TestWarmBandsBuildEachPlacementOnce(t *testing.T) {
 		e := freshExec(t, Instance{Q: in.q, DB: in.db})
 		all := testutil.BruteForce(in.q, in.db)
 		vars := in.q.Vars()
-		bounds := make([][][2]ranking.Bound, len(in.ranks))
-		for i, f := range in.ranks {
-			bounds[i] = boundsFor(rng, all, vars, f)
-		}
-		rotate := func() {
-			for i, f := range in.ranks {
-				inst := Instance{Q: in.q, DB: in.db, Exec: e, Workers: 1}
-				for _, b := range bounds[i] {
-					name := fmt.Sprintf("%s %s%v (%v, %v)", in.name, f.Agg, f.Vars, b[0], b[1])
-					out, err := exactBand(inst, f, b[0], b[1])
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if out.Exec == nil {
-						t.Fatalf("%s: no derived tree", name)
-					}
-					d := out.Exec
-					builds := d.ShapeBuilds()
-					tail, err := exactBand(out, f, b[0], b[1])
-					if err != nil {
-						t.Fatalf("%s, again: %v", name, err)
-					}
-					if d.ShapeBuilds() != builds {
-						t.Fatalf("%s: a band of the band ran Build %d times", name, d.ShapeBuilds()-builds)
-					}
-					if tail.Exec == nil {
-						t.Fatalf("%s, again: no derived tree", name)
-					}
-					testutil.SameExec(t, name+", again", tail.Exec, freshExec(t, tail))
+		for _, f := range in.ranks {
+			inst := Instance{Q: in.q, DB: in.db, Exec: e, Workers: 1}
+			for _, b := range boundsFor(rng, all, vars, f) {
+				name := fmt.Sprintf("%s %s%v (%v, %v)", in.name, f.Agg, f.Vars, b[0], b[1])
+				out, err := exactBand(inst, f, b[0], b[1])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				if out.Exec == nil {
+					t.Fatalf("%s: no derived tree", name)
+				}
+				tail, err := exactBand(out, f, b[0], b[1])
+				if err != nil {
+					t.Fatalf("%s, again: %v", name, err)
+				}
+				if tail.Exec == nil {
+					t.Fatalf("%s, again: no derived tree", name)
+				}
+				testutil.SameExec(t, name+", again", tail.Exec, freshExec(t, tail))
 			}
-		}
-		rotate()
-		first := e.ShapeBuilds()
-		if first > 1+1 { // the tree's own verdict, and SUM's pair
-			t.Fatalf("%s: the first rotation ran Build %d times", in.name, first)
-		}
-		rotate()
-		if again := e.ShapeBuilds(); again != first {
-			t.Fatalf("%s: the second rotation ran Build %d times", in.name, again-first)
 		}
 	}
 }

@@ -87,6 +87,12 @@ type sumAdjPrep struct {
 	atomIdxA, atomIdxB int // atom indexes in inst.Q (== node ids)
 	atomA, atomB       query.Atom
 	single             bool
+	// derives says Build gives the staircase's output query the join tree of
+	// the instance's Exec (jointree.SameShape), so a band derives its tree
+	// from that one. The segment variable on the pair can re-root or
+	// re-parent it; a band then carries no Exec, and the driver builds its
+	// tree afresh.
+	derives bool
 
 	// Single-node state.
 	colsA []int
@@ -170,6 +176,9 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	}
 	p.atomIdxB = tree.Nodes[nodeB].Atom
 	p.atomB = inst.Q.Atoms[p.atomIdxB]
+	if inst.Exec != nil {
+		p.derives = jointree.SameShape(p.outQuery(inst.Q), inst.Exec.T)
+	}
 
 	// μ-split the ranked variables: a variable appearing in both atoms
 	// contributes on the A side only.
@@ -337,7 +346,6 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	a := inst.Scratch.carve()
 	relA := inst.rel(p.atomIdxA)
 	relB := inst.rel(p.atomIdxB)
-	v := freshHelperVar(inst.Q, "s")
 
 	// Per contiguous chunk of A-groups: an emission *plan* — source row
 	// indexes plus segment ids — instead of materialized relations. A chunk
@@ -453,10 +461,7 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	if relA.IsDistinct() {
 		outA.MarkDistinct()
 	}
-	q2 := inst.Q.Clone()
-	q2.Atoms[p.atomIdxA].Vars = append(q2.Atoms[p.atomIdxA].Vars, v)
-	q2.Atoms[p.atomIdxB].Vars = append(q2.Atoms[p.atomIdxB].Vars, v)
-	out := Instance{Q: q2, DB: relation.NewDatabase(), Workers: inst.Workers}
+	out := Instance{Q: p.outQuery(inst.Q), DB: relation.NewDatabase(), Workers: inst.Workers}
 	nodes := make([]jointree.Gathered, len(inst.Q.Atoms))
 	for i := range inst.Q.Atoms {
 		nodes[i].Rel = inst.rel(i) // read-only; shared, not cloned
@@ -469,10 +474,20 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	// The segment ids are the groups of the pair's edge, in a fresh build's
 	// order: per group they are allocated as the A side first uses them and
 	// listed in that order on the B side, groups ascending on both.
-	if inst.Exec != nil {
+	if inst.Exec != nil && p.derives {
 		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, true, a)
 	}
 	return out, nil
+}
+
+// outQuery is the staircase's output query: q with a fresh segment variable
+// added to the pair's two atoms.
+func (p *sumAdjPrep) outQuery(q *query.Query) *query.Query {
+	out := q.Clone()
+	v := freshHelperVar(q, "s")
+	out.Atoms[p.atomIdxA].Vars = append(out.Atoms[p.atomIdxA].Vars, v)
+	out.Atoms[p.atomIdxB].Vars = append(out.Atoms[p.atomIdxB].Vars, v)
+	return out
 }
 
 // staircase writes the admissible range [from, to) of a group's B side for

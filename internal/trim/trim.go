@@ -81,17 +81,19 @@ type Instance struct {
 	// by subset filtering (jointree.DeriveSubset); the output's DB holds the
 	// derived relations. Partitioned trims (a band of several boxes, the
 	// staircase) know the source row and the identifier of every row they emit
-	// and derive from those (jointree.DeriveGathered) — unless the output
-	// query's join tree is not this one's, which an identifier on two atoms
-	// only can bring about (a staircase between atoms the tree does not have
-	// adjacent, or one that makes another atom the root): that output carries
-	// none and the driver builds its tree afresh, as it does for the lossy
-	// SUM's sketch embeddings, which never carry one. A band of several boxes
-	// also reduces its row lists through this tree before it gathers
-	// (jointree.ReduceRows), so it copies only the rows on an answer of their
-	// box, and seeds its narrow boxes through it from the Cache's weight
-	// orders; without an Exec it copies every row its interval tests pass.
-	// Read-only.
+	// and derive from those (jointree.DeriveGathered). The tree must be
+	// Build(Q)'s, as every engine's is. A band of several boxes puts its
+	// identifier on every atom, which keeps that tree, so it always derives.
+	// The staircase puts its own on the ranking's pair, which can change it (a
+	// pair the tree does not have adjacent, or one that makes another atom the
+	// root); its preparation decides that once (sumAdjPrep.derives), and such
+	// an output carries no Exec: the driver builds its tree afresh, as it does
+	// for the lossy SUM's sketch embeddings, which never carry one. A band of
+	// several boxes also reduces its row lists through this tree before it
+	// gathers (jointree.ReduceRows), so it copies only the rows on an answer
+	// of their box, and seeds its narrow boxes through it from the Cache's
+	// weight orders; without an Exec it copies every row its interval tests
+	// pass. Read-only.
 	Exec *jointree.Exec
 	// Cache amortizes trim preprocessing across pivoting iterations (and, on
 	// a prepared plan, across quantile calls). Only the driver's reused

@@ -56,12 +56,7 @@ type SumClassification = core.SumClassification
 
 // Driver errors.
 var (
-	ErrNoAnswers = core.ErrNoAnswers
-	// ErrCyclic survives for compatibility: since the hypertree
-	// decomposition subsystem, plain cyclic queries compile and answer
-	// exactly (see Prepare), so drivers no longer return it; only
-	// errors.Is checks against historical snapshots rely on it.
-	ErrCyclic      = core.ErrCyclic
+	ErrNoAnswers   = core.ErrNoAnswers
 	ErrIntractable = core.ErrIntractable
 )
 

@@ -106,6 +106,14 @@ func validateTopK(k int) error {
 // serves anything finer at a certified error.
 const MaxPhis = 1024
 
+// MaxTopK bounds the k of one topk request. The answers are collected into one
+// response by an enumeration nothing can interrupt once it started, holding
+// the request's admission slot throughout, so k has to be bounded where it
+// arrives, as a grid is: 10 000 is far past a ranked page, and a quantile
+// grid looks further down the order at a bounded cost. The library's TopK
+// takes any k ≥ 0.
+const MaxTopK = 10000
+
 // validateGrid checks a quantile grid where it arrives: at most MaxPhis
 // fractions (a *ArgError on "phis" beyond that), each a valid φ.
 func validateGrid(phis []float64) error {
@@ -235,7 +243,9 @@ func (r *Request) Resolve() (Operation, error) {
 		op.Phis = r.Phis
 		err = validateGrid(r.Phis)
 	case "topk":
-		err = validateTopK(r.K)
+		if err = validateTopK(r.K); err == nil && r.K > MaxTopK {
+			err = argErrorf("k", "%d exceeds the cap %d", r.K, MaxTopK)
+		}
 	default:
 		return op, argErrorf("op", "unknown operation %s (want quantile/quantiles/median/approx/topk/count)", op.Op)
 	}

@@ -169,7 +169,8 @@ var resolveCases = func() []resolveCase {
 		{name: "quantiles-max", req: on(qjoin.Request{Op: "quantiles", Phis: make([]float64, qjoin.MaxPhis)}), op: "quantiles", mode: qjoin.ModeExact, phis: qjoin.MaxPhis},
 		{name: "quantiles-too-many", req: on(qjoin.Request{Op: "quantiles", Phis: make([]float64, qjoin.MaxPhis+1)}), field: "phis"},
 		{name: "quantiles-bad-phi", req: on(qjoin.Request{Op: "quantiles", Phis: []float64{0.5, 2}}), field: "phi"},
-		{name: "topk-big", req: on(qjoin.Request{Op: "topk", K: 1 << 40}), op: "topk", mode: qjoin.ModeExact},
+		{name: "topk-big", req: on(qjoin.Request{Op: "topk", K: qjoin.MaxTopK}), op: "topk", mode: qjoin.ModeExact},
+		{name: "topk-too-big", req: on(qjoin.Request{Op: "topk", K: qjoin.MaxTopK + 1}), field: "k"},
 		{name: "topk-negative", req: on(qjoin.Request{Op: "topk", K: -1}), field: "k"},
 		{name: "topk-mode", req: on(qjoin.Request{Op: "topk", K: 1, Mode: "approx"}), field: "mode"},
 		{name: "count-no-rank", req: qjoin.Request{Query: q, Op: "count"}, op: "count", mode: qjoin.ModeExact},
