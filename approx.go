@@ -187,8 +187,9 @@ func (p *Prepared) Answer(f *Ranking, req QuantileRequest, opts ...Options) (*An
 
 // validate checks the request once, before any tier runs: a known mode, φ in
 // [0,1], and an ε that is either 0 ("exact", or the default sketch
-// resolution under ModeApprox) or a valid approximation error. The sampling
-// tier checks its own stricter ε and δ domains.
+// resolution under ModeApprox) or a valid approximation error, under
+// ModeApprox one whose grid fits MaxSketchAnchors. The sampling tier checks
+// its own stricter ε and δ domains.
 func (req QuantileRequest) validate() error {
 	if req.Mode < ModeAuto || req.Mode > ModeSample {
 		return argErrorf("mode", "unknown mode %d", int(req.Mode))
@@ -196,8 +197,14 @@ func (req QuantileRequest) validate() error {
 	if err := validatePhi(req.Phi); err != nil {
 		return err
 	}
-	if req.Eps != 0 {
-		return ValidateEpsilon(req.Eps)
+	if req.Eps == 0 {
+		return nil
+	}
+	if err := ValidateEpsilon(req.Eps); err != nil {
+		return err
+	}
+	if req.Mode == ModeApprox {
+		return validateSketchEps(req.Eps)
 	}
 	return nil
 }

@@ -33,8 +33,8 @@ func BenchmarkE01Count(b *testing.B) {
 	tree, _ := jointree.Build(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		yannakakis.CountWorkers(e, 1)
+		e, _ := jointree.NewExec(q, db, tree)
+		yannakakis.Count(e)
 	}
 }
 
@@ -47,8 +47,8 @@ func BenchmarkE02Pivot(b *testing.B) {
 	mu, _ := f.AssignVars(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		if _, err := pivot.SelectWorkers(e, f, mu, 1); err != nil {
+		e, _ := jointree.NewExec(q, db, tree)
+		if _, err := pivot.Select(e, yannakakis.Count(e), f, mu, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,72 +336,6 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCount — the data-parallel counting pass (ISSUE 2) on a
-// prepared executable tree at 1/2/4 workers. Speedup above 1× requires
-// GOMAXPROCS > 1; the counted total is identical at every worker count.
-func BenchmarkParallelCount(b *testing.B) {
-	rng := rand.New(rand.NewSource(14))
-	q, db := workload.Hierarchy(rng, 1<<15, 1<<13)
-	tree, _ := jointree.Build(q)
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := yannakakis.CountWorkers(e, 1).Total
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := yannakakis.CountWorkers(e, w).Total; got.Cmp(want) != 0 {
-					b.Fatalf("workers=%d: count %s, want %s", w, got, want)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelQuantile — the full quantile driver (exact SUM on a
-// 32k-tuple binary join) at Parallelism 1/2/4 against one prepared plan.
-// The per-iteration work (pivoting, trims, instance counting) runs on the
-// worker pool; answers are byte-identical at every worker count. Each plan is
-// asked once before its timer starts: every timed run is then the remembered
-// descent — one band cut and its tail — at every worker count, where a
-// -benchtime=3x attempt used to time one whole descent and two remembered ones.
-func BenchmarkParallelQuantile(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	q, idb := workload.Path(rng, 2, 1<<14, 1<<10) // 32k tuples
-	db := qjoin.WrapDB(idb)
-	f := qjoin.Sum(q.Vars()...)
-	seq, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	want, err := seq.Quantile(f, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := p.Quantile(f, 0.5); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a, err := p.Quantile(f, 0.5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if f.Compare(a.Weight, want.Weight) != 0 {
-					b.Fatalf("workers=%d: weight diverged from sequential", w)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCyclicQuantile — the cyclic-query subsystem (PR 10): Prepare
 // decomposes a triangle query into a hypertree of materialized bags, then the
 // quantile loop runs on the acyclic bag query. The compile= cells price the
@@ -410,9 +344,8 @@ func BenchmarkParallelQuantile(b *testing.B) {
 // values and a 4-cycle of 2¹² over 2⁹ — beside a 2-path over the triangle's
 // relations' size and domain, whose join is the pairwise join a triangle bag
 // that ignored its covered atom would hold; CI bounds the triangle's prepare
-// by the 2-path's. The workers= cells price the per-query cost at Parallelism
-// 1/2/4 against one prepared plan of a smaller triangle, with answers
-// byte-identical at every worker count.
+// by the 2-path's. The query cell prices the per-query cost against one
+// prepared plan of a smaller triangle.
 func BenchmarkCyclicQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	const n, dom = 1 << 12, 1 << 9
@@ -458,27 +391,25 @@ func BenchmarkCyclicQuantile(b *testing.B) {
 			}
 		})
 	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: w})
+	b.Run("query", func(b *testing.B) {
+		p, err := qjoin.Prepare(q, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Quantile(f, 0.5); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a, err := p.Quantile(f, 0.5)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Quantile(f, 0.5); err != nil {
-				b.Fatal(err)
+			if f.Compare(a.Weight, want.Weight) != 0 {
+				b.Fatal("weight diverged from the first plan's")
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a, err := p.Quantile(f, 0.5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if f.Compare(a.Weight, want.Weight) != 0 {
-					b.Fatalf("workers=%d: weight diverged from sequential", w)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // coldInput returns the database under fresh relation headers — the same
@@ -531,9 +462,9 @@ func BenchmarkPlanRetained(b *testing.B) {
 		shards int
 		budget float64 // B/tuple
 	}{
-		{"unrouted", q, idb, f, 0, 68},  // measured 59.2 (61.1 while join groups listed their rows as ints; 63.1 while the SUM preparation's row lists were ints and it kept no A order by sum; with a copy of every column per tree node: 79.1)
-		{"shards=4", q, idb, f, 4, 106}, // measured 92.4 (94.6; 97.2; then: 115.2)
-		// measured 25.8 (with bags that ignored their covered atom: 348.5)
+		{"unrouted", q, idb, f, 0, 68},  // measured 56.9 (59.2 while group indexes kept an interner sized for a key per row; 61.1 while join groups listed their rows as ints; 63.1 while the SUM preparation's row lists were ints and it kept no A order by sum; with a copy of every column per tree node: 79.1)
+		{"shards=4", q, idb, f, 4, 106}, // measured 80.1 (92.4; 94.6; 97.2; then: 115.2)
+		// measured 25.7 (with bags that ignored their covered atom: 348.5)
 		{"triangle", tq, tidb, qjoin.Max(tq.Vars()...), 0, 30},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -680,13 +611,13 @@ func BenchmarkDedupedAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rel.Rename("R").DedupedWorkers(1)
+		rel.Rename("R").Deduped()
 	}
 	b.StopTimer()
-	perRow := testing.AllocsPerRun(3, func() { rel.Rename("R").DedupedWorkers(1) }) / float64(rel.Len())
+	perRow := testing.AllocsPerRun(3, func() { rel.Rename("R").Deduped() }) / float64(rel.Len())
 	b.ReportMetric(perRow, "allocs/row")
 	if budget := 16.0 / rows; perRow > budget {
-		b.Fatalf("DedupedWorkers allocates %.5f allocs/row, budget %.5f — a per-row allocation is back", perRow, budget)
+		b.Fatalf("Deduped allocates %.5f allocs/row, budget %.5f — a per-row allocation is back", perRow, budget)
 	}
 }
 
@@ -1117,7 +1048,7 @@ func BenchmarkSketchBuild(b *testing.B) {
 		engs := make([]*engine.Engine, n)
 		for i := range engs {
 			var err error
-			if engs[i], err = engine.NewWorkers(sn.Q, sn.DB, 0); err != nil {
+			if engs[i], err = engine.New(sn.Q, sn.DB); err != nil {
 				b.Fatal(err)
 			}
 			engs[i].Counts()
@@ -1242,7 +1173,7 @@ func BenchmarkRememberedQuantile(b *testing.B) {
 // the tuples: 3.4).
 func BenchmarkLeafTail(b *testing.B) {
 	q, db := workload.Path(rand.New(rand.NewSource(23)), 2, 1<<15, 1<<15)
-	eng, err := engine.NewWorkers(q, db, 1)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,15 +5,15 @@
 // exceed MAX × the minimum ns/op of benchmark DEN. Both sides come from the
 // same run, so the checks hold regardless of runner hardware — they compare
 // a mechanism against the path it replaces (incremental update vs
-// re-prepare, sketch vs exact, restore vs compile, forced multi-worker
-// chunking vs sequential). With -count > 1 the minimum per benchmark is the
-// point estimate, the least noise-sensitive one on shared runners.
+// re-prepare, sketch vs exact, restore vs compile). With -count > 1 the
+// minimum per benchmark is the point estimate, the least noise-sensitive one
+// on shared runners.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Parallel|Incremental' -benchtime=3x -count=3 . | tee bench.txt
+//	go test -run '^$' -bench 'Sharded' -benchtime=3x -count=3 . | tee bench.txt
 //	benchgate -in bench.txt \
-//	  -scaling 'BenchmarkParallelQuantile/workers=4:BenchmarkParallelQuantile/workers=1:1.08'
+//	  -scaling 'BenchmarkShardedUpdate/shards=4:BenchmarkShardedUpdate/unsharded:0.50'
 //
 // Absolute times are not gated here: the repository benchmark (bench/, with
 // compare -pairs on one machine) carries every before/after claim.

@@ -10,7 +10,6 @@ import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/pivot"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
@@ -21,29 +20,19 @@ import (
 	"github.com/quantilejoins/qjoin/internal/yannakakis"
 )
 
-// benchWorkers is the -workers flag: the worker count pinned for every
-// experiment (0 = GOMAXPROCS, 1 = sequential).
-var benchWorkers int
-
-// engineOf compiles (q, db) on the pinned worker count; experiment workloads
-// are known-acyclic, so a failure is a bug worth crashing on.
+// engineOf compiles (q, db); experiment workloads are known-acyclic, so a
+// failure is a bug worth crashing on.
 func engineOf(q *query.Query, db *relation.Database) *engine.Engine {
-	eng, err := engine.NewWorkers(q, db, benchWorkers)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		panic(err)
 	}
 	return eng
 }
 
-// workerCount resolves the -workers flag to a concrete worker count.
-func workerCount() int { return parallel.Workers(benchWorkers) }
-
-// withWorkers pins the -workers flag on a driver Options value.
-func withWorkers(opts core.Options) core.Options {
-	if opts.Parallelism == 0 {
-		opts.Parallelism = benchWorkers
-	}
-	return opts
+// selectPivot runs Algorithm 2 on e, counting it first.
+func selectPivot(e *jointree.Exec, f *ranking.Func, mu map[query.Var]int) (*pivot.Result, error) {
+	return pivot.Select(e, yannakakis.Count(e), f, mu, nil)
 }
 
 func sizes(c *ctx, base []int) []int {
@@ -94,9 +83,9 @@ func runE02(c *ctx) {
 	q, db := testutil.Fig1Instance()
 	f := ranking.NewSum(q.Vars()...)
 	tree := jointree.FromParent(q, []int{-1, 0, 0, 2}, 0)
-	e, _ := jointree.NewExecWorkers(q, db, tree, workerCount())
+	e, _ := jointree.NewExec(q, db, tree)
 	mu, _ := f.AssignVars(q)
-	res, err := pivot.SelectWorkers(e, f, mu, workerCount())
+	res, err := selectPivot(e, f, mu)
 	if err != nil {
 		panic(err)
 	}
@@ -111,7 +100,7 @@ func runE02(c *ctx) {
 		f := ranking.NewSum(q.Vars()...)
 		eng := engineOf(q, db)
 		mu, _ := f.AssignVars(q)
-		res, err := pivot.SelectWorkers(eng.Exec(), f, mu, workerCount())
+		res, err := selectPivot(eng.Exec(), f, mu)
 		if err != nil {
 			continue
 		}
@@ -138,7 +127,7 @@ func runE02(c *ctx) {
 		eng := engineOf(q, db)
 		mu, _ := f.AssignVars(q)
 		d := timeIt(3, func() {
-			if _, err := pivot.SelectWorkers(eng.Exec(), f, mu, workerCount()); err != nil && err != pivot.ErrNoAnswers {
+			if _, err := selectPivot(eng.Exec(), f, mu); err != nil && err != pivot.ErrNoAnswers {
 				panic(err)
 			}
 		})
@@ -156,7 +145,6 @@ func runE02(c *ctx) {
 // sweepDriver measures one-shot Quantile, Quantile on a prepared plan, and
 // BaselineQuantile across sizes.
 func sweepDriver(c *ctx, base []int, gen func(rng *rand.Rand, n int) (*query.Query, *relation.Database, *ranking.Func), phi float64, opts core.Options, baselineCap float64) {
-	opts = withWorkers(opts)
 	t := &table{header: []string{"n per relation", "|D|", "|Q(D)|", "pivoting", "prepared", "baseline", "speedup"}}
 	var xs, ys []float64
 	for _, sz := range sizes(c, base) {
@@ -337,7 +325,7 @@ func runE08(c *ctx) {
 			var stats *core.RunStats
 			var err error
 			total += timeIt(1, func() {
-				a, stats, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, phi, withWorkers(core.Options{Epsilon: eps}))
+				a, stats, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, phi, core.Options{Epsilon: eps})
 			})
 			if err != nil {
 				panic(err)
@@ -369,7 +357,7 @@ func runE08(c *ctx) {
 		var stats *core.RunStats
 		var err error
 		d := timeIt(1, func() {
-			_, stats, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, 0.5, withWorkers(core.Options{Epsilon: 0.25}))
+			_, stats, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, 0.5, core.Options{Epsilon: 0.25})
 		})
 		if err != nil {
 			if err == core.ErrNoAnswers {
@@ -403,7 +391,7 @@ func runE09(c *ctx) {
 		for seed := int64(0); seed < 20; seed++ {
 			r := rand.New(rand.NewSource(100 + seed))
 			start := time.Now()
-			p, err := qjoin.Prepare(q, qjoin.WrapDB(db), qjoin.Options{Parallelism: benchWorkers})
+			p, err := qjoin.Prepare(q, qjoin.WrapDB(db))
 			if err != nil {
 				panic(err)
 			}
@@ -438,10 +426,10 @@ func runE10(c *ctx) {
 		rng := rand.New(rand.NewSource(9))
 		q, db := groupedPath(rng, sz)
 		f := ranking.NewSum(q.Vars()...)
-		inst := trim.Instance{Q: q, DB: db, Workers: workerCount()}
+		inst := trim.Instance{Q: q, DB: db}
 		// λ = the weight of a pivot (roughly the median weight).
 		mu, _ := f.AssignVars(q)
-		pv, err := pivot.SelectWorkers(engineOf(q, db).Exec(), f, mu, workerCount())
+		pv, err := selectPivot(engineOf(q, db).Exec(), f, mu)
 		if err != nil {
 			continue
 		}
@@ -487,7 +475,7 @@ func runE11(c *ctx) {
 		var a *core.Answer
 		var err error
 		d := timeIt(3, func() {
-			a, _, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, 0.5, withWorkers(core.Options{}))
+			a, _, err = core.Quantile([]*engine.Engine{engineOf(q, db)}, f, 0.5, core.Options{})
 		})
 		if err != nil {
 			panic(err)

@@ -70,11 +70,9 @@ func main() {
 	}()
 	expFlag := flag.String("exp", "all", "experiment id (E01..E11) or 'all'")
 	quick := flag.Bool("quick", false, "reduced sizes for fast runs")
-	workers := flag.Int("workers", 0, "worker count pinned for all experiments (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
 	flag.Parse()
-	benchWorkers = *workers
 	c := &ctx{quick: *quick}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -20,7 +20,7 @@
 // a cyclic query wider than the decomposition cap is rejected.
 //
 // -shards N (N > 1) hash-partitions the data on a join key into N shard
-// engines compiled concurrently and answers through the merged global pivot
+// engines and answers through the merged global pivot
 // loop (qjoin.PrepareSharded). Answers are byte-identical to the unsharded
 // plan; -sample and -baseline are single-engine diagnostics and reject the
 // flag.

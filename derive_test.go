@@ -117,7 +117,7 @@ func TestEngineBandsDeriveTheirTrees(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						rebuilt, err := jointree.NewExecWorkers(out.Q, out.DB, tree, 1)
+						rebuilt, err := jointree.NewExec(out.Q, out.DB, tree)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}

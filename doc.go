@@ -112,26 +112,17 @@
 // Prepare on the mutated database (DB.Apply produces exactly that
 // database).
 //
-// # Parallel execution
+// # One goroutine per pass
 //
-// The hot passes — input deduplication, join-group index construction, the Yannakakis counting and reduction passes, pivot
-// selection, and the per-round trim constructions of Algorithm 1 — run on a
-// shared data-parallel runtime (a bounded worker pool with chunked
-// index-range scheduling). Options.Parallelism sets the worker count:
-//
-//	p, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: 8})
-//	med, err := p.Median(f) // plan defaults apply to every query
-//
-// 0 (the default) selects GOMAXPROCS; 1 takes the exact sequential code
-// path. The determinism contract: answers, run statistics and every
-// compiled artifact are byte-identical for every Parallelism value — all
-// parallel merges are ordered and nothing depends on goroutine scheduling —
-// so the knob only trades wall-clock time for cores. Parallelism is a no-op
-// on tiny inputs: chunked loops fall back to the sequential path below a
-// fixed chunk-size threshold, so small relations never pay goroutine
-// overhead. Custom Ranking.Weight functions must be safe for concurrent
-// calls when the resolved worker count exceeds 1 (the default identity
-// weights always are).
+// Every pass — input deduplication, join-group index construction, the
+// Yannakakis counting and reduction passes, pivot selection and the
+// per-round trim constructions of Algorithm 1 — runs on the goroutine that
+// called it: Algorithm 1's quasilinear bound is sequential, and the chunked
+// twins these passes once had never measured faster. Options.Parallelism is
+// deprecated and has no effect; a plan answers byte-identically whatever it
+// holds. Concurrency is across requests: a Prepared plan serves any number
+// of concurrent readers (see Prepared), and a Server runs each query's pass
+// and each compile on its runner's goroutines.
 //
 // # Columnar storage
 //
@@ -270,7 +261,7 @@
 // one stamp array over the original's groups for the boxes, and simply the
 // segment id for the staircase, whose ids are dense, belong to one group each
 // and are first used in ascending order on either side. The result is the
-// tree Build + NewExecWorkers would give on the output, field for field (up to
+// tree Build + NewExec would give on the output, field for field (up to
 // retained empty groups where ids are stable), so answers and RunStats cannot
 // tell. Count: the counting pass over that tree. The derivation applies when
 // the output query's join tree is the original's with the identifier added,
@@ -424,7 +415,7 @@
 // # Sharded datasets
 //
 // PrepareSharded hash-partitions the input on a join key into N shard
-// engines (compiled concurrently) and answers through a merged global pivot
+// engines (compiled one after another) and answers through a merged global pivot
 // loop: per-iteration counts are summed across shards, the global pivot is
 // a weighted median over per-shard pivot candidates, and the λ-trim is
 // broadcast. It returns a *Prepared like Prepare does — one that is routed,
@@ -437,8 +428,8 @@
 //     every shard count, but among answers of exactly equal weight the
 //     sharded merge orders by value, which may differ from the unsharded
 //     stream's enumeration order. Each shard count is fully deterministic.
-//   - RunStats. Statistics are identical across runs and worker counts at
-//     a fixed shard count (and for shards=1 versus unsharded) — whether a
+//   - RunStats. Statistics are identical across runs at a fixed shard
+//     count (and for shards=1 versus unsharded) — whether a
 //     run executed its rounds or walked the ones the plan remembers — but
 //     not comparable across different shard counts: the merged loop may
 //     converge in a different number of iterations.
@@ -452,7 +443,7 @@
 //     join variable fail with ErrNoShardKey; run those through Prepare.
 //   - Updates route. On a routed plan Update hash-routes each delta op to
 //     the shards owning its rows and rebuilds only those engines
-//     (copy-on-write, concurrent, atomic on error — ErrDeleteAbsent leaves
+//     (copy-on-write, atomic on error — ErrDeleteAbsent leaves
 //     the receiver intact). Touched reports the routing without updating.
 //   - Accessors on an unrouted plan. A plan from Prepare reports Shards()
 //     = 1, Key() = "" and Touched(d) = [0] for any non-empty delta.
@@ -475,7 +466,7 @@
 //     variables are all the bag's), and the acyclic query over the bag
 //     relations runs the regular pipeline — pivoting, trims, counting,
 //     sketches, snapshots, enumeration — unchanged. Answers are exact and
-//     byte-identical to a brute-force join, at every φ and Parallelism value.
+//     byte-identical to a brute-force join, at every φ.
 //   - Determinism. The decomposition is a pure function of the query shape
 //     (widths tried in ascending order over canonical set-partitions), so
 //     the same query always compiles to the same bags, on every process.
@@ -567,9 +558,9 @@
 // accept either kind. The contract:
 //
 //   - Byte-identity. A restored plan answers every query — RunStats
-//     included — byte-identically to the plan that was saved, at every
-//     Parallelism value, and remains fully updatable: snapshot → Update →
-//     snapshot chains are equivalent to the never-persisted plan.
+//     included — byte-identically to the plan that was saved, and remains
+//     fully updatable: snapshot → Update → snapshot chains are equivalent to
+//     the never-persisted plan.
 //   - Cost. Restoring skips validation, join-tree construction,
 //     deduplication, materialization and counting; it is bounded in CI at
 //     20% of a fresh Prepare on the same data (measured ~13% on one core;

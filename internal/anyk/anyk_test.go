@@ -21,11 +21,11 @@ func enumOf(t testing.TB, q *query.Query, db *relation.Database, f *ranking.Func
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(e, yannakakis.CountWorkers(e, 1), f)
+	en, err := New(e, yannakakis.Count(e), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestValidation(t *testing.T) {
 		db.Add(relation.FromRows(a.Rel, 2, [][]relation.Value{{1, 1}}))
 	}
 	tree, _ := jointree.Build(q)
-	e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-	if _, err := New(e, yannakakis.CountWorkers(e, 1), ranking.NewSum("zz")); err == nil {
+	e, _ := jointree.NewExec(q, db, tree)
+	if _, err := New(e, yannakakis.Count(e), ranking.NewSum("zz")); err == nil {
 		t.Fatal("unknown ranked variable accepted")
 	}
 }
@@ -165,8 +165,8 @@ func BenchmarkTop100(b *testing.B) {
 	asn := make([]relation.Value, len(q.Vars()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		en, err := New(e, yannakakis.CountWorkers(e, 1), f)
+		e, _ := jointree.NewExec(q, db, tree)
+		en, err := New(e, yannakakis.Count(e), f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,11 +184,11 @@ func BenchmarkTop100(b *testing.B) {
 func sameStreams(t *testing.T, name string, e *jointree.Exec, f *ranking.Func) int {
 	t.Helper()
 	red := testutil.FullReduction(e)
-	got, err := New(e, yannakakis.CountWorkers(e, 1), f)
+	got, err := New(e, yannakakis.Count(e), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(red, yannakakis.CountWorkers(red, 1), f)
+	want, err := New(red, yannakakis.Count(red), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRankedStreamsMatchTheFullReduction(t *testing.T) {
 				parent[i] = i - 1
 			}
 		}
-		e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, parent, root), 1)
+		e, err := jointree.NewExec(q, db, jointree.FromParent(q, parent, root))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestRankedStreamsMatchTheFullReduction(t *testing.T) {
 // engineExec compiles q over db as a plan does and returns the engine's tree.
 func engineExec(t *testing.T, q *query.Query, db *relation.Database) *jointree.Exec {
 	t.Helper()
-	eng, err := engine.NewWorkers(q, db, 1)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

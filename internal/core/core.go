@@ -40,13 +40,10 @@ var (
 
 // Options tunes the quantile drivers.
 type Options struct {
-	// Parallelism caps the worker count of the data-parallel runtime used
-	// by the hot passes (counting, reduction, group-index builds, trims).
-	// 0 selects GOMAXPROCS; 1 takes the exact sequential code path. The
-	// answer is byte-identical for every value — all parallel merges are
-	// ordered — so the knob only trades wall-clock time for cores. Custom
-	// ranking Weight functions must be safe for concurrent calls when the
-	// resolved worker count exceeds 1.
+	// Parallelism is read by nothing: every pass runs on the calling
+	// goroutine.
+	//
+	// Deprecated: has no effect.
 	Parallelism int
 	// Epsilon requests an ε-approximate quantile (Definition: a (φ±ε)-
 	// quantile). Zero requests the exact quantile. Ignored for MIN/MAX/LEX,
@@ -66,7 +63,7 @@ type Options struct {
 	// CollectPhases records a per-iteration wall-clock phase breakdown
 	// (pivot / trim / derive / count) in RunStats.Phases. Off by default:
 	// timings are non-deterministic, and the default RunStats are byte-
-	// comparable across runs and worker counts.
+	// comparable across runs.
 	CollectPhases bool
 }
 

@@ -24,7 +24,7 @@ func TestExactCutsAreNeverRebuilt(t *testing.T) {
 	ranks := []*ranking.Func{ranking.NewSum("x1", "x2", "x3"), ranking.NewMax("x1", "x3"), ranking.NewLex("x1", "x3"), ranking.NewMin("x1", "x2", "x3")}
 	opts := Options{Parallelism: 1, CollectPhases: true}
 	for _, shards := range []int{1, 4} {
-		sh, err := shard.New(q, db, shards, 1)
+		sh, err := shard.Partition(q, db, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestExactCutsAreNeverRebuilt(t *testing.T) {
 // variables' once, and the inverse of the tree's one edge beside them.
 func TestWarmSliceCutsTestFewRows(t *testing.T) {
 	q, db := workload.Path(rand.New(rand.NewSource(13)), 2, 1<<14, 1<<10)
-	eng, err := engine.NewWorkers(q, db, 1)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

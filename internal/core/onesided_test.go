@@ -8,7 +8,6 @@ import (
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/pivot"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/shard"
@@ -24,13 +23,12 @@ import (
 // are held against (exact trims only; no scratch, no phase log).
 func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts Options) (*Answer, *RunStats, error) {
 	origVars := engs[0].Vars()
-	workers := parallel.Workers(opts.Parallelism)
 	shards := make([]*shardState, len(engs))
 	dbSize, total := 0, counting.Zero
 	for i, eng := range engs {
 		st := &shardState{
 			eng:  eng,
-			orig: trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()},
+			orig: trim.Instance{Q: eng.Query(), DB: eng.DB(), Exec: eng.Exec(), Cache: eng.TrimCache()},
 		}
 		st.cur, st.curExec, st.curCounts = st.orig, eng.Exec(), eng.Counts()
 		st.curCount = st.curCounts.Total
@@ -65,7 +63,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 			if err != nil {
 				return nil, stats, err
 			}
-			if cands[i], err = pivot.SelectPrepared(st.curExec, st.curCounts, f, mu, workers, nil); err != nil {
+			if cands[i], err = pivot.Select(st.curExec, st.curCounts, f, mu, nil); err != nil {
 				return nil, stats, err
 			}
 		}
@@ -85,7 +83,7 @@ func referenceRun(engs []*engine.Engine, f *ranking.Func, k counting.Count, opts
 				if p.exec, err = execOf(p.inst); err != nil {
 					return nil, stats, err
 				}
-				p.counts = yannakakis.CountWorkers(p.exec, workers)
+				p.counts = yannakakis.Count(p.exec)
 				c[side] = c[side].Add(p.counts.Total)
 				size += p.inst.DB.Size()
 			}
@@ -131,7 +129,7 @@ func TestOneSidedRoundsMatchBothSidesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(616))
 	for _, inst := range testutil.FuzzCorpus(rng) {
 		for _, nShards := range []int{1, 4} {
-			sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+			sh, err := shard.Partition(inst.Q, inst.DB, nShards)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
 			}
@@ -222,7 +220,7 @@ func TestCurrentCountsSurviveTheRound(t *testing.T) {
 			if st.curSlot >= 0 {
 				descended++
 			}
-			want := yannakakis.CountWorkers(st.curExec, 1)
+			want := yannakakis.Count(st.curExec)
 			if !reflect.DeepEqual(st.curCounts.Tuple, want.Tuple) || st.curCounts.Total != want.Total {
 				t.Fatalf("%s: shard %d (slot %d): current counts are not a fresh count of the current tree", where, i, st.curSlot)
 			}
@@ -238,7 +236,7 @@ func TestCurrentCountsSurviveTheRound(t *testing.T) {
 	classExits, materialized := 0, 0
 	for _, inst := range testutil.FuzzCorpus(rng) {
 		for _, nShards := range []int{1, 4} {
-			sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+			sh, err := shard.Partition(inst.Q, inst.DB, nShards)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
 			}

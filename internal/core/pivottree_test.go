@@ -109,13 +109,13 @@ func TestRememberedRunsMatchFreshPlans(t *testing.T) {
 		vars := inst.Q.Vars()
 		for _, nShards := range []int{1, 2, 3} {
 			compile := func() []*engine.Engine {
-				sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+				sh, err := shard.Partition(inst.Q, inst.DB, nShards)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
 				}
 				return sh.Engines()
 			}
-			if _, err := shard.New(inst.Q, inst.DB, nShards, 1); err != nil {
+			if _, err := shard.Partition(inst.Q, inst.DB, nShards); err != nil {
 				if nShards > 1 && inst.Name == "triangle" {
 					continue // a cyclic query is never routed
 				}
@@ -342,7 +342,7 @@ func TestPivotTreeStopsAtItsBudget(t *testing.T) {
 func TestPivotTreeFollowsTheEngineVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	q, db := workload.Path(rng, 2, 600, 20)
-	sh, err := shard.New(q, db, 3, 1)
+	sh, err := shard.Partition(q, db, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestPivotTreeFollowsTheEngineVector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := shard.New(q, now, 3, 1)
+		fresh, err := shard.Partition(q, now, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func TestConcurrentRunsShareOneTree(t *testing.T) {
 	}
 	for _, nShards := range []int{1, 3} {
 		compile := func() []*engine.Engine {
-			sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+			sh, err := shard.Partition(inst.Q, inst.DB, nShards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -571,13 +571,13 @@ func TestLeafSplittersCutASlice(t *testing.T) {
 	for _, inst := range rememberedInstances() {
 		for _, nShards := range []int{1, 3} {
 			compile := func() []*engine.Engine {
-				sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+				sh, err := shard.Partition(inst.Q, inst.DB, nShards)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
 				}
 				return sh.Engines()
 			}
-			if _, err := shard.New(inst.Q, inst.DB, nShards, 1); err != nil {
+			if _, err := shard.Partition(inst.Q, inst.DB, nShards); err != nil {
 				continue // a cyclic query is never routed
 			}
 			warm := compile()

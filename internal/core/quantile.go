@@ -11,7 +11,6 @@ import (
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/engine"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/pivot"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
@@ -24,7 +23,7 @@ import (
 // PhaseTimings is the wall-clock breakdown of what a run executed of one
 // pivoting iteration, collected only when Options.CollectPhases is set
 // (timings are inherently non-deterministic, so the default RunStats stay
-// byte-comparable across runs and worker counts).
+// byte-comparable across runs).
 type PhaseTimings struct {
 	// Pivot is the pivot-selection pass (Algorithm 2) over the candidate
 	// (per shard, plus the cross-shard weighted-median merge).
@@ -37,7 +36,7 @@ type PhaseTimings struct {
 	// Derive is executable-tree acquisition for the trimmed instances (execOf):
 	// nothing to speak of when the trim handed the tree over — an exact trim
 	// derives it from the original's where its row lists are, inside Trim —
-	// and Build+NewExecWorkers when it did not (PhaseLog.Rebuilt counts those).
+	// and Build+NewExec when it did not (PhaseLog.Rebuilt counts those).
 	Derive time.Duration
 	// Count is the counting pass over the trimmed instances.
 	Count time.Duration
@@ -61,8 +60,8 @@ type PhaseTimings struct {
 // the global pivot loop — each iteration spans every live shard. The answer
 // itself is byte-identical for every shard count, but the pivot sequence is
 // not: Iterations, Materialized, PivotReturned and MaxInstanceTuples are
-// deterministic for a fixed shard count (identical across worker counts and
-// across runs), not across different shard counts.
+// deterministic for a fixed shard count (identical across runs), not across
+// different shard counts.
 type RunStats struct {
 	// Iterations is the number of pivoting rounds of the descent, run or
 	// remembered, whichever way the run ended; with Options.CollectPhases it
@@ -115,7 +114,7 @@ type PhaseLog struct {
 	Remembered int
 	// Cuts counts the bands the run cut out of the original instance, one per
 	// band and live shard; Rebuilt, those of them whose executable tree came
-	// from Build+NewExecWorkers because the trim derived none — every cut of a
+	// from Build+NewExec because the trim derived none — every cut of a
 	// lossy run, and an exact one only when the output query's join tree is not
 	// the engine's: a staircase whose segment variable changes it (see
 	// trim.Instance.Exec).
@@ -273,7 +272,7 @@ func makeTrimmer(eng *engine.Engine, f *ranking.Func, opts Options) (*trimmer, e
 // execOf returns the executable join tree of an instance: the one its trim
 // derived from the original's, when it carries one — every exact band of an
 // instance with an Exec does, but a staircase whose segment variable changes
-// the join tree (see trim.Instance.Exec) — and a fresh Build+NewExecWorkers
+// the join tree (see trim.Instance.Exec) — and a fresh Build+NewExec
 // otherwise: the lossy SUM's embeddings, and that staircase.
 func execOf(inst trim.Instance) (*jointree.Exec, error) {
 	if inst.Exec != nil {
@@ -283,7 +282,7 @@ func execOf(inst trim.Instance) (*jointree.Exec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return jointree.NewExecWorkers(inst.Q, inst.DB, tree, inst.Workers)
+	return jointree.NewExec(inst.Q, inst.DB, tree)
 }
 
 // Quantile answers a %JQ — the φ-quantile under the ranking function, per
@@ -446,7 +445,6 @@ type descent struct {
 	shards    []*shardState
 	cands     []*pivot.Result
 	origVars  []query.Var
-	workers   int
 	dbSize    int
 	threshold counting.Count
 	// now is a no-op unless phase timings were requested, so the default
@@ -509,15 +507,13 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 	if err := f.Validate(engs[0].Source()); err != nil {
 		return nil, err
 	}
-	workers := parallel.Workers(opts.Parallelism)
-
 	shards := make([]*shardState, len(engs))
 	dbSize := 0
 	total := counting.Zero
 	for i, eng := range engs {
 		st := &shardState{
 			eng:     eng,
-			orig:    trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()},
+			orig:    trim.Instance{Q: eng.Query(), DB: eng.DB(), Exec: eng.Exec(), Cache: eng.TrimCache()},
 			curSlot: -1,
 		}
 		st.cur = st.orig
@@ -568,7 +564,7 @@ func run(engs []*engine.Engine, f *ranking.Func, opts Options, out []*Answer, in
 	}()
 	d := descent{
 		f: f, opts: opts, trm: trm, engs: engs, shards: shards, cands: make([]*pivot.Result, len(shards)),
-		origVars: engs[0].Vars(), workers: workers, dbSize: dbSize,
+		origVars: engs[0].Vars(), dbSize: dbSize,
 		threshold: counting.FromInt(opts.threshold(dbSize)),
 		now:       func() time.Time { return time.Time{} },
 		stats:     stats,
@@ -655,7 +651,7 @@ func (d *descent) selectIn(depth, level int, sd *pivotSide, low, high ranking.Bo
 			if err != nil {
 				return err
 			}
-			if d.cands[i], err = pivot.SelectPrepared(st.curExec, st.curCounts, f, mu, d.workers, &st.scratch().pivot); err != nil {
+			if d.cands[i], err = pivot.Select(st.curExec, st.curCounts, f, mu, &st.scratch().pivot); err != nil {
 				return err
 			}
 		}
@@ -1080,7 +1076,7 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 			continue
 		}
 		p := &st.parts[as]
-		p.counts = yannakakis.CountScratch(p.exec, d.workers, &st.scratch().slot(p.slot).counts)
+		p.counts = yannakakis.CountScratch(p.exec, &st.scratch().slot(p.slot).counts)
 		n = n.Add(p.counts.Total)
 		size += p.inst.DB.Size()
 	}

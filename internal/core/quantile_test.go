@@ -15,7 +15,7 @@ import (
 // engines compiles (q, db) into the one-engine vector the drivers take.
 func engines(t testing.TB, q *query.Query, db *relation.Database) []*engine.Engine {
 	t.Helper()
-	eng, err := engine.NewWorkers(q, db, 0)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

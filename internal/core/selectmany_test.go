@@ -96,7 +96,7 @@ func corpusShards(t *testing.T, seed int64, fn func(inst testutil.FuzzInstance, 
 	t.Helper()
 	for _, inst := range testutil.FuzzCorpus(rand.New(rand.NewSource(seed))) {
 		for _, nShards := range []int{1, 4} {
-			sh, err := shard.New(inst.Q, inst.DB, nShards, 1)
+			sh, err := shard.Partition(inst.Q, inst.DB, nShards)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", inst.Name, nShards, err)
 			}
@@ -261,7 +261,7 @@ func overlapInstance(t *testing.T) (*engine.Engine, *ranking.Func, Options) {
 	db.Add(relation.FromRows("A1", 2, [][]relation.Value{{0, 70}, {1, 90}, {1, 35}, {1, 42}, {1, 76}, {0, 98}, {0, 24}, {0, 76}, {1, 29}, {0, 35}}))
 	db.Add(relation.FromRows("A2", 2, [][]relation.Value{{1, 32}, {1, 65}, {1, 82}, {0, 99}, {1, 100}, {0, 107}, {0, 34}, {1, 47}, {0, 64}, {1, 24}}))
 	db.Add(relation.FromRows("A3", 2, [][]relation.Value{{0, 21}, {1, 69}, {1, 56}, {0, 93}, {0, 96}, {1, 97}, {1, 7}, {0, 97}, {1, 73}, {0, 51}}))
-	eng, err := engine.NewWorkers(testutil.StarQuery(3), db, 0)
+	eng, err := engine.New(testutil.StarQuery(3), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func referenceSummary(eng *engine.Engine, f *ranking.Func, res float64, opts Opt
 // coarser one.
 func TestBuildSummaryMatchesSelectionPerAnchor(t *testing.T) {
 	for _, inst := range testutil.FuzzCorpus(rand.New(rand.NewSource(616))) {
-		eng, err := engine.NewWorkers(inst.Q, inst.DB, 0)
+		eng, err := engine.New(inst.Q, inst.DB)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -506,7 +506,7 @@ func TestSharedDescentBuildsEachBandOnce(t *testing.T) {
 // in the request it sits, and answers an empty request with no answers.
 func TestSelectManyArguments(t *testing.T) {
 	inst := testutil.FuzzCorpus(rand.New(rand.NewSource(616)))[0]
-	eng, err := engine.NewWorkers(inst.Q, inst.DB, 0)
+	eng, err := engine.New(inst.Q, inst.DB)
 	if err != nil {
 		t.Fatal(err)
 	}

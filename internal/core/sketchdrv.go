@@ -6,7 +6,6 @@ import (
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -117,8 +116,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 	if trm.lossy {
 		widen = counting.FloorMulFloat(n, o.Epsilon)
 	}
-	workers := parallel.Workers(opts.Parallelism)
-	orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Workers: workers, Exec: eng.Exec(), Cache: eng.TrimCache()}
+	orig := trim.Instance{Q: eng.Query(), DB: eng.DB(), Exec: eng.Exec(), Cache: eng.TrimCache()}
 	var scr yannakakis.Scratch
 	var band trim.Scratch // each band is counted and dropped before the next
 	one := counting.FromUint64(1)
@@ -136,7 +134,7 @@ func RefreshSummary(eng *engine.Engine, f *ranking.Func, s *sketch.Summary, opts
 			if err != nil {
 				return nil, err
 			}
-			c[side] = yannakakis.CountScratch(exec, workers, &scr).Total
+			c[side] = yannakakis.CountScratch(exec, &scr).Total
 		}
 		cLess, cGreater := c[trim.Less], c[trim.Greater]
 		if n.Less(cGreater) {

@@ -160,7 +160,7 @@ func TestShiftEqualsFullPass(t *testing.T) {
 	const res = 1.0 / 16
 	for _, inst := range shiftInstances(rng) {
 		for kind := 0; kind < deltaKinds; kind++ {
-			eng, err := engine.NewWorkers(inst.q, inst.db, 0)
+			eng, err := engine.New(inst.q, inst.db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +236,7 @@ func TestShiftDropsDeadAnchors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q, db := workload.Path(rng, 2, 150, 12)
 	f := ranking.NewMin("x1")
-	eng, err := engine.NewWorkers(q, db, 0)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestShiftKeepsLossyWindowsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	q, raw := workload.Path(rng, 3, 90, 8)
 	f := ranking.NewSum(q.Vars()...)
-	eng, err := engine.NewWorkers(q, raw, 0)
+	eng, err := engine.New(q, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestShiftKeepsLossyWindowsSound(t *testing.T) {
 func TestDeltaAnswersBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	q, db := workload.Star(rng, 3, 120, 1, 50) // one event: every row joins every row
-	eng, err := engine.NewWorkers(q, db, 0)
+	eng, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestDeltaAnswersBudget(t *testing.T) {
 	tdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}}))
 	tdb.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}}))
 	tdb.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}}))
-	te, err := engine.NewWorkers(tri, tdb, 0)
+	te, err := engine.New(tri, tdb)
 	if err != nil {
 		t.Fatal(err)
 	}

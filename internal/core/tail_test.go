@@ -59,7 +59,7 @@ func TestAnswersBelongToTheCaller(t *testing.T) {
 		for _, nShards := range []int{1, 3} {
 			name := fmt.Sprintf("%s%v shards=%d", f.Agg, f.Vars, nShards)
 			compile := func() []*engine.Engine {
-				sh, err := shard.New(q, db, nShards, 1)
+				sh, err := shard.Partition(q, db, nShards)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -189,7 +189,7 @@ func TestTailOnOneTieClass(t *testing.T) {
 		{Agg: ranking.Lex, Vars: []query.Var{"x3", "x1"}, Weight: flat},
 	} {
 		for _, nShards := range []int{1, 3} {
-			sh, err := shard.New(q, db, nShards, 1)
+			sh, err := shard.Partition(q, db, nShards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func TestTailSkipsDeadShards(t *testing.T) {
 		}
 		db.Add(r1)
 		db.Add(r2)
-		sh, err := shard.New(q, db, 3, 1)
+		sh, err := shard.Partition(q, db, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestTailRankLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q, db := workload.Path(rng, 2, 200, 6)
 	for _, nShards := range []int{1, 3} {
-		sh, err := shard.New(q, db, nShards, 1)
+		sh, err := shard.Partition(q, db, nShards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestEqualExitWeighsItsClass(t *testing.T) {
 	}
 	exits := 0
 	for _, nShards := range []int{1, 3} {
-		sh, err := shard.New(q, db, nShards, 1)
+		sh, err := shard.Partition(q, db, nShards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,7 +416,7 @@ func TestClassBandAtTheEdges(t *testing.T) {
 	db.Add(r2)
 	for _, f := range []*ranking.Func{ranking.NewLex("x1", "x2"), ranking.NewLex("x2", "x1"), ranking.NewMax("x1", "x2"), ranking.NewMin("x1", "x2")} {
 		for _, nShards := range []int{1, 3} {
-			sh, err := shard.New(q, db, nShards, 1)
+			sh, err := shard.Partition(q, db, nShards)
 			if err != nil {
 				t.Fatal(err)
 			}

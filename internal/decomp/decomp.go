@@ -75,7 +75,7 @@ type Decomposition struct {
 	BagVars [][]query.Var
 	// Covered holds, per bag, the atoms it covers without holding them —
 	// every atom of another bag whose variables are all the bag's —
-	// ascending. Materialize semijoins the bag with each of them.
+	// ascending. MaterializeBags semijoins the bag with each of them.
 	Covered [][]int
 	// BagNames holds the deterministic bag relation names.
 	BagNames []string

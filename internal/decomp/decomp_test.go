@@ -159,7 +159,7 @@ func TestMaterializeTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		bagDB, st := d.Materialize(q, db, workers)
+		bagDB, st := d.MaterializeBags(q, db)
 		if st.Width != 2 || st.Bags != len(d.Bags) || st.RematerializedBags != len(d.Bags) || st.Redecomposed {
 			t.Fatalf("stats = %+v", st)
 		}
@@ -181,15 +181,15 @@ func TestMaterializeOrderIndependentOfWorkers(t *testing.T) {
 		rows = append(rows, []relation.Value{i % 7, i % 5})
 	}
 	for _, name := range []string{"R", "S", "T", "U"} {
-		db.Add(relation.FromRows(name, 2, rows).DedupedWorkers(1))
+		db.Add(relation.FromRows(name, 2, rows).Deduped())
 	}
 	d, err := Decompose(q, MaxDecompWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := d.Materialize(q, db, 1)
+	base, _ := d.MaterializeBags(q, db)
 	for _, workers := range []int{2, 8} {
-		got, _ := d.Materialize(q, db, workers)
+		got, _ := d.MaterializeBags(q, db)
 		for _, name := range d.BagNames {
 			if !base.Get(name).Equal(got.Get(name)) {
 				t.Fatalf("workers=%d: bag %s row order differs", workers, name)
@@ -208,7 +208,7 @@ func TestRematerializeSharesUntouchedBags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, _ := d.Materialize(q, db, 2)
+	prev, _ := d.MaterializeBags(q, db)
 
 	db2 := relation.NewDatabase()
 	for _, name := range []string{"R", "S", "T", "U"} {
@@ -218,7 +218,7 @@ func TestRematerializeSharesUntouchedBags(t *testing.T) {
 		}
 		db2.Add(r.MarkDistinct())
 	}
-	next, st := d.Rematerialize(q, db2, prev, map[string]bool{"R": true}, 2)
+	next, st := d.Rematerialize(q, db2, prev, map[string]bool{"R": true})
 	if st.RematerializedBags >= st.Bags || st.Redecomposed {
 		t.Fatalf("expected partial rematerialization, got %+v", st)
 	}
@@ -240,7 +240,7 @@ func TestRematerializeSharesUntouchedBags(t *testing.T) {
 		t.Fatalf("want both shared and rebuilt bags, got shared=%d rebuilt=%d", shared, rebuilt)
 	}
 	// Touching every relation degenerates into a full rebuild.
-	_, st = d.Rematerialize(q, db2, prev, map[string]bool{"R": true, "S": true, "T": true, "U": true}, 2)
+	_, st = d.Rematerialize(q, db2, prev, map[string]bool{"R": true, "S": true, "T": true, "U": true})
 	if st.RematerializedBags != st.Bags || !st.Redecomposed {
 		t.Fatalf("full touch stats = %+v", st)
 	}
@@ -269,7 +269,7 @@ func TestMaterializeRepeatedVars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bagDB, _ := d.Materialize(q, ndb, 2)
+	bagDB, _ := d.MaterializeBags(q, ndb)
 	got := testutil.BruteForce(d.Query(), bagDB)
 	want := testutil.BruteForce(src, db)
 	sortRows(got)
@@ -404,7 +404,7 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.Append(rng.Int63n(dom), rng.Int63n(dom))
 		}
-		return r.DedupedWorkers(1)
+		return r.Deduped()
 	}
 	binary := func(names string, n int, dom int64) *relation.Database {
 		db := relation.NewDatabase()
@@ -459,7 +459,7 @@ func TestMaterializeMatchesNestedLoopJoin(t *testing.T) {
 		}
 		rows := 0
 		for _, workers := range []int{1, 2, 8} {
-			got, _ := d.Materialize(c.q, c.db, workers)
+			got, _ := d.MaterializeBags(c.q, c.db)
 			for i, name := range d.BagNames {
 				want := nestedLoopBag(d, c.q, c.db, i)
 				if !got.Get(name).Equal(want) {
@@ -486,7 +486,7 @@ func TestTriangleBagHoldsItsAnswers(t *testing.T) {
 		for i := 0; i < 600; i++ {
 			r.Append(rng.Int63n(40), rng.Int63n(40))
 		}
-		db.Add(r.DedupedWorkers(1))
+		db.Add(r.Deduped())
 	}
 	want := testutil.BruteForce(q, db)
 	if len(want) == 0 {
@@ -497,7 +497,7 @@ func TestTriangleBagHoldsItsAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		bagDB, st := d.Materialize(q, db, workers)
+		bagDB, st := d.MaterializeBags(q, db)
 		for i, vars := range d.BagVars {
 			if len(vars) != 3 {
 				continue
@@ -531,7 +531,7 @@ func TestRematerializeRebuildsCoveringBags(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			r.Append(rng.Int63n(20), rng.Int63n(20))
 		}
-		return r.DedupedWorkers(1)
+		return r.Deduped()
 	}
 	db := relation.NewDatabase()
 	for _, name := range []string{"R", "S", "T", "D"} {
@@ -544,7 +544,7 @@ func TestRematerializeRebuildsCoveringBags(t *testing.T) {
 	if !reflect.DeepEqual(d.Covered, [][]int{{2}, nil}) {
 		t.Fatalf("covered atoms %v, want [[2] []]", d.Covered)
 	}
-	prev, _ := d.Materialize(q, db, 2)
+	prev, _ := d.MaterializeBags(q, db)
 	for _, tc := range []struct {
 		rel     string
 		rebuilt []bool // per bag
@@ -555,8 +555,8 @@ func TestRematerializeRebuildsCoveringBags(t *testing.T) {
 	} {
 		db2 := db.View()
 		db2.Add(edges(tc.rel))
-		next, st := d.Rematerialize(q, db2, prev, map[string]bool{tc.rel: true}, 2)
-		fresh, _ := d.Materialize(q, db2, 2)
+		next, st := d.Rematerialize(q, db2, prev, map[string]bool{tc.rel: true})
+		fresh, _ := d.MaterializeBags(q, db2)
 		for i, name := range d.BagNames {
 			if rebuilt := next.Get(name) != prev.Get(name); rebuilt != tc.rebuilt[i] {
 				t.Fatalf("delta to %s: bag %d rebuilt=%v, want %v", tc.rel, i, rebuilt, tc.rebuilt[i])

@@ -12,12 +12,10 @@
 //     orders, and bag relation names — is a pure function of the query, so
 //     a snapshot restore can recompute it and land on the identical plan.
 //
-//   - Materialize builds each bag as the join of its atoms semijoined with
-//     the atoms it covers — bag = ⋈ λ(t) ⋉ every atom outside λ(t) whose
-//     variables lie in χ(t) — into one relation over the bag's full
-//     variable set, using the columnar relation layer and the parallel
-//     runtime (chunk-ordered probes, so output row order is independent of
-//     worker count). Because every bag carries all of its variables
+//   - MaterializeBags builds each bag as the join of its atoms semijoined
+//     with the atoms it covers — bag = ⋈ λ(t) ⋉ every atom outside λ(t)
+//     whose variables lie in χ(t) — into one relation over the bag's full
+//     variable set, using the columnar relation layer. Because every bag carries all of its variables
 //     (χ(t) = vars(λ(t))), the acyclic join of the bag relations equals the
 //     original cyclic join exactly — no projection is lossy — and a
 //     semijoin with a source atom drops no answer, since every answer's

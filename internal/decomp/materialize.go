@@ -5,12 +5,11 @@ import (
 	"time"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
 
-// Materialize builds every bag of the decomposition as one relation — the
+// MaterializeBags builds every bag of the decomposition as one relation — the
 // join of its atoms semijoined with the atoms it covers (Covered) — and
 // returns the bag database together with fresh Stats. q must be the query d
 // was computed from — in normal form, so an atom's rows are its relation's
@@ -18,17 +17,23 @@ import (
 // then distinct by construction. The returned database contains only bag
 // relations, so a restored snapshot recomputing the decomposition arrives at
 // the same database shape.
-func (d *Decomposition) Materialize(q *query.Query, db *relation.Database, workers int) (*relation.Database, *Stats) {
-	return d.Rematerialize(q, db, nil, nil, workers)
+func (d *Decomposition) MaterializeBags(q *query.Query, db *relation.Database) (*relation.Database, *Stats) {
+	return d.Rematerialize(q, db, nil, nil)
+}
+
+// Materialize is MaterializeBags; workers is unread. Kept for the bench
+// module's probes, which call it by this name.
+func (d *Decomposition) Materialize(q *query.Query, db *relation.Database, _ int) (*relation.Database, *Stats) {
+	return d.MaterializeBags(q, db)
 }
 
 // Rematerialize rebuilds the bags that hold or cover a relation in changed
 // (a covered atom filters the bag's rows, so its changes reach them), sharing
 // every untouched bag relation from prev by pointer. With prev == nil (or
-// changed == nil) it rebuilds everything, which is how a fresh Materialize
-// runs. Stats records how many bags were rebuilt and flags the degenerate
-// case where every bag was touched.
-func (d *Decomposition) Rematerialize(q *query.Query, db *relation.Database, prev *relation.Database, changed map[string]bool, workers int) (*relation.Database, *Stats) {
+// changed == nil) it rebuilds everything, which is how a fresh
+// MaterializeBags runs. Stats records how many bags were rebuilt and flags
+// the degenerate case where every bag was touched.
+func (d *Decomposition) Rematerialize(q *query.Query, db *relation.Database, prev *relation.Database, changed map[string]bool) (*relation.Database, *Stats) {
 	start := time.Now()
 	out := relation.NewDatabase()
 	rebuilt := 0
@@ -38,7 +43,7 @@ func (d *Decomposition) Rematerialize(q *query.Query, db *relation.Database, pre
 		if prev != nil && changed != nil && !d.bagTouched(q, i, changed) {
 			r = prev.Get(d.BagNames[i])
 		} else {
-			r = d.materializeBag(q, db, i, workers)
+			r = d.materializeBag(q, db, i)
 			rebuilt++
 		}
 		out.Add(r)
@@ -63,10 +68,8 @@ func (d *Decomposition) bagTouched(q *query.Query, i int, changed map[string]boo
 // join, semijoined with the atoms the bag covers: each covered atom filters
 // the first join step after which all of its variables are bound, so a row
 // it drops is never written. A one-atom bag has no join step of its own; its
-// first covered atom, which adds no variable, is joined as that step. Probes
-// run over chunked row ranges written in order, so the output row order does
-// not depend on the worker count.
-func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i int, workers int) *relation.Relation {
+// first covered atom, which adds no variable, is joined as that step.
+func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i int) *relation.Relation {
 	order, covered := d.Bags[i], d.Covered[i]
 	if len(order) == 1 && len(covered) > 0 {
 		order, covered = []int{order[0], covered[0]}, covered[1:]
@@ -85,7 +88,7 @@ func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i 
 			}
 		}
 		covered = rest
-		cur, curVars = joinAtom(cur, curVars, q.Atoms[ai], filters, db, workers)
+		cur, curVars = joinAtom(cur, curVars, q.Atoms[ai], filters, db)
 	}
 	return cur.Rename(d.BagNames[i]).MarkDistinct()
 }
@@ -105,6 +108,9 @@ type filter struct {
 	shift uint
 	cur   []int // accumulated-row columns of the key's leading values
 	rel   []int // joined-atom columns of the rest
+	// key holds the leading values, taken from the accumulated row in hand
+	// (setRow), with room for the whole key.
+	key []relation.Value
 }
 
 func newFilter(c query.Atom, db *relation.Database, inCur, inRel map[query.Var]int) *filter {
@@ -121,6 +127,7 @@ func newFilter(c query.Atom, db *relation.Database, inCur, inRel map[query.Var]i
 	rel := db.Get(c.Rel)
 	cols := rel.Cols()
 	f.keys = relation.NewInterner(len(order), rel.Len())
+	f.key = make([]relation.Value, 0, len(order))
 	buf := make([]relation.Value, 0, len(order))
 	for r := 0; r < rel.Len(); r++ {
 		f.keys.Intern(relation.GatherAt(buf, cols, order, r))
@@ -137,29 +144,22 @@ func newFilter(c query.Atom, db *relation.Database, inCur, inRel map[query.Var]i
 	return f
 }
 
-// filterProbe is one chunk's probe of a filter: the key's leading values,
-// taken from the accumulated row in hand.
-type filterProbe struct {
-	*filter
-	key []relation.Value // room for the whole key
-}
-
-func (p *filterProbe) setRow(curCols [][]relation.Value, i int) {
-	p.key = relation.GatherAt(p.key, curCols, p.cur, i)
+func (f *filter) setRow(curCols [][]relation.Value, i int) {
+	f.key = relation.GatherAt(f.key, curCols, f.cur, i)
 }
 
 // has reports whether the filter atom holds the accumulated row in hand
 // extended by the joined atom's row m.
-func (p *filterProbe) has(relCols [][]relation.Value, m int) bool {
-	key := p.key
-	for _, c := range p.rel {
+func (f *filter) has(relCols [][]relation.Value, m int) bool {
+	key := f.key
+	for _, c := range f.rel {
 		key = append(key, relCols[c][m])
 	}
 	h := relation.HashTuple(key)
-	if b := h >> p.shift; p.bits[b>>6]&(1<<(b&63)) == 0 {
+	if b := h >> f.shift; f.bits[b>>6]&(1<<(b&63)) == 0 {
 		return false
 	}
-	_, ok := p.keys.LookupHashed(key, h)
+	_, ok := f.keys.LookupHashed(key, h)
 	return ok
 }
 
@@ -167,21 +167,20 @@ func (p *filterProbe) has(relCols [][]relation.Value, m int) bool {
 // more atom and keeps the rows whose projection onto each filter atom is one
 // of that atom's rows. It returns the combined relation and its variable
 // order: curVars followed by the atom's new variables. Rows come out in cur
-// order, each row's matches in the atom relation's order, whatever the worker
-// count.
+// order, each row's matches in the atom relation's order.
 //
 // The build side is a GroupIndex over the atom's shared-key columns — interned
-// keys, counting-sorted row lists. The probe side runs twice over each chunk
-// of cur: once to resolve every row's group and count the rows it will
-// produce — with filters, to probe them with each match and keep the
-// survivors' row pairs — and, after every output column has been allocated
-// once at its exact length, again to fill each chunk's own range of them.
+// keys, counting-sorted row lists. The probe side runs twice over cur: once to
+// resolve every row's group and count the rows it will produce — with
+// filters, to probe them with each match and keep the survivors' row pairs —
+// and, after every output column has been allocated once at its exact length,
+// again to fill them.
 //
 // A step without filters keeps no pairs and walks its groups again instead:
 // recording a pair for every row it writes cost the cold_compile 4-cycle,
 // whose bags cover no atom, 10.5 ms a Prepare against 8.2 ms (slower in 11 of
 // 12 alternating runs on a 2-vCPU box) and 45% more allocated bytes.
-func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters []query.Atom, db *relation.Database, workers int) (*relation.Relation, []query.Var) {
+func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters []query.Atom, db *relation.Database) (*relation.Relation, []query.Var) {
 	rel := db.Get(a.Rel)
 	inCur := make(map[query.Var]int, len(curVars))
 	for j, v := range curVars {
@@ -202,62 +201,49 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 	for k, c := range filters {
 		fs[k] = newFilter(c, db, inCur, inRel)
 	}
-	index := jointree.NewGroupIndex(rel, sharedRel, workers)
+	index := jointree.NewGroupIndex(rel, sharedRel)
 	curCols, relCols := cur.Cols(), rel.Cols()
 
-	// First pass: per cur row its group (-1: no match) and per chunk the
-	// number of rows it writes; with filters, per chunk the cur and atom row
-	// of each row it writes instead.
+	// First pass: per cur row its group (-1: no match) and the number of rows
+	// the step writes; with filters, the cur and atom row of each row it
+	// writes instead.
 	lookup := index.Keys()
-	chunks := parallel.Ranges(workers, cur.Len())
 	gids := make([]int32, cur.Len())
-	counts := make([]int, len(chunks))
-	keptCur, keptRel := make([][]int32, len(chunks)), make([][]int32, len(chunks))
-	parallel.Do(workers, len(chunks), func(c int) {
-		buf := make([]relation.Value, 0, len(sharedCur))
-		probes := make([]filterProbe, len(fs))
-		for k, f := range fs {
-			probes[k] = filterProbe{filter: f, key: make([]relation.Value, 0, f.keys.Width())}
-		}
-		n := 0
-	rows:
-		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-			gids[i] = -1
-			id, ok := lookup.Lookup(relation.GatherAt(buf, curCols, sharedCur, i))
-			if !ok {
-				continue
-			}
-			gids[i] = int32(id)
-			if len(fs) == 0 {
-				n += len(index.Tuples[id])
-				continue
-			}
-			for k := range probes {
-				probes[k].setRow(curCols, i)
-				if len(probes[k].rel) == 0 && !probes[k].has(relCols, 0) {
-					continue rows
-				}
-			}
-		matches:
-			for _, m := range index.Tuples[id] {
-				for k := range probes {
-					if len(probes[k].rel) > 0 && !probes[k].has(relCols, int(m)) {
-						continue matches
-					}
-				}
-				keptCur[c], keptRel[c] = append(keptCur[c], int32(i)), append(keptRel[c], m)
-				n++
-			}
-		}
-		counts[c] = n
-	})
-
-	starts := make([]int, len(chunks))
+	var keptCur, keptRel []int32
 	total := 0
-	for c, n := range counts {
-		starts[c] = total
-		total += n
+	buf := make([]relation.Value, 0, len(sharedCur))
+rows:
+	for i := range gids {
+		gids[i] = -1
+		id, ok := lookup.Lookup(relation.GatherAt(buf, curCols, sharedCur, i))
+		if !ok {
+			continue
+		}
+		gids[i] = int32(id)
+		if len(fs) == 0 {
+			total += len(index.Tuples[id])
+			continue
+		}
+		for _, f := range fs {
+			f.setRow(curCols, i)
+			if len(f.rel) == 0 && !f.has(relCols, 0) {
+				continue rows
+			}
+		}
+	matches:
+		for _, m := range index.Tuples[id] {
+			for _, f := range fs {
+				if len(f.rel) > 0 && !f.has(relCols, int(m)) {
+					continue matches
+				}
+			}
+			keptCur, keptRel = append(keptCur, int32(i)), append(keptRel, m)
+		}
 	}
+	if len(fs) > 0 {
+		total = len(keptCur)
+	}
+
 	cols := make([][]relation.Value, len(outVars))
 	for j := range cols {
 		cols[j] = make([]relation.Value, total)
@@ -270,23 +256,21 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 			cols[len(curCols)+j][at] = relCols[p][m]
 		}
 	}
-	parallel.Do(workers, len(chunks), func(c int) {
-		at := starts[c]
-		if len(fs) > 0 {
-			for k, i := range keptCur[c] {
-				write(at+k, int(i), int(keptRel[c][k]))
-			}
-			return
+	if len(fs) > 0 {
+		for k, i := range keptCur {
+			write(k, int(i), int(keptRel[k]))
 		}
-		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-			if gids[i] < 0 {
+	} else {
+		at := 0
+		for i, gid := range gids {
+			if gid < 0 {
 				continue
 			}
-			for _, m := range index.Tuples[gids[i]] {
+			for _, m := range index.Tuples[gid] {
 				write(at, i, int(m))
 				at++
 			}
 		}
-	})
+	}
 	return relation.FromColumns("", cols, false), outVars
 }

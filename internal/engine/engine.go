@@ -12,8 +12,7 @@
 // relation — the raw input's own columns when it had no duplicate row, shared
 // by every self-join occurrence — and the executable tree's nodes read those
 // relations, not copies of them. The raw input is therefore read-only from
-// NewWorkers on (appending rows to it is harmless; changing a stored value is
-// not).
+// New on (appending rows to it is harmless; changing a stored value is not).
 //
 // Beyond the eager artifacts (normalized query, deduplicated database, join
 // tree, executable tree), an Engine lazily builds, once and under a small
@@ -40,7 +39,6 @@ import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/trim"
@@ -68,7 +66,6 @@ type Engine struct {
 	tree     *jointree.Tree
 	exec     *jointree.Exec // shared read-only executable tree
 	pos      []int          // positions of origVars within q.Vars()
-	workers  int            // resolved worker count for compile-time passes
 
 	// Cyclic sources route through a hypertree decomposition: q/db above
 	// then hold the acyclic bag query and the materialized bag relations,
@@ -119,23 +116,17 @@ func (e *Engine) TrimCache() *trim.Cache { return e.trimCache }
 // managed by the driver (the engine only owns their lifetime).
 func (e *Engine) Scratch() *sync.Pool { return &e.scratch }
 
-// NewWorkers compiles a query against a database: validate, deduplicate the
-// input relations, normalize, build the join tree and the executable tree
-// over it. Everything here is quasilinear in |D| and is paid exactly once per
-// (Q, D) pair; the answer count and the other derived structures are built
-// lazily on first use and then cached. db0 is read, never written, and stays
-// shared with the engine (see the package comment).
-// parallelism is the worker count of the compile-time passes (deduplication,
-// group indexes, counting): 0 selects GOMAXPROCS, 1 the exact sequential
-// path.
-// The compiled artifact is byte-identical for every value — all parallel
-// merges are ordered — so the knob only trades wall-clock time for cores.
-func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Engine, error) {
+// New compiles a query against a database: validate, deduplicate the input
+// relations, normalize, build the join tree and the executable tree over it.
+// Everything here is quasilinear in |D| and is paid exactly once per (Q, D)
+// pair; the answer count and the other derived structures are built lazily on
+// first use and then cached. db0 is read, never written, and stays shared
+// with the engine (see the package comment).
+func New(src *query.Query, db0 *relation.Database) (*Engine, error) {
 	if err := src.Validate(db0); err != nil {
 		return nil, err
 	}
-	workers := parallel.Workers(parallelism)
-	q, db := normalize(src, db0, workers)
+	q, db := normalize(src, db0)
 	tree, err := jointree.Build(q)
 	var dec *decomp.Decomposition
 	var decQ *query.Query
@@ -150,14 +141,14 @@ func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Eng
 		if derr != nil {
 			return nil, derr
 		}
-		bagDB, st := d.Materialize(q, db, workers)
+		bagDB, st := d.MaterializeBags(q, db)
 		dec, decQ, ddb, decStats = d, q, db, st
 		q, db = d.Query(), bagDB
 		if tree, err = jointree.Build(q); err != nil {
 			return nil, err
 		}
 	}
-	exec, err := jointree.NewExecWorkers(q, db, tree, workers)
+	exec, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -176,13 +167,18 @@ func NewWorkers(src *query.Query, db0 *relation.Database, parallelism int) (*Eng
 		tree:      tree,
 		exec:      exec,
 		pos:       pos,
-		workers:   workers,
 		dec:       dec,
 		decQ:      decQ,
 		ddb:       ddb,
 		decStats:  decStats,
 		trimCache: trim.NewCache(),
 	}, nil
+}
+
+// NewWorkers is New; parallelism is unread. Kept for the bench module, which
+// calls it by this name.
+func NewWorkers(src *query.Query, db0 *relation.Database, _ int) (*Engine, error) {
+	return New(src, db0)
 }
 
 // Source returns the original query, exactly as passed to New.
@@ -237,7 +233,7 @@ func (e *Engine) Counts() *yannakakis.Counts {
 	e.countsMu.Lock()
 	defer e.countsMu.Unlock()
 	if e.counts == nil {
-		e.counts = yannakakis.CountWorkers(e.exec, e.workers)
+		e.counts = yannakakis.Count(e.exec)
 	}
 	return e.counts
 }
@@ -281,8 +277,8 @@ func (e *Engine) Project(asn []relation.Value, dst []relation.Value) {
 // duplicates again), then the query normalized over them, so self-join
 // occurrences share their relation's deduplicated columns and a
 // repeated-variable atom's relation is cut from distinct rows.
-func normalize(src *query.Query, db0 *relation.Database, workers int) (*query.Query, *relation.Database) {
-	return query.Normalize(src, dedupeDatabase(db0, workers))
+func normalize(src *query.Query, db0 *relation.Database) (*query.Query, *relation.Database) {
+	return query.Normalize(src, dedupeDatabase(db0))
 }
 
 // dedupeDatabase returns a database whose relations are duplicate-free and
@@ -298,10 +294,10 @@ func normalize(src *query.Query, db0 *relation.Database, workers int) (*query.Qu
 // delete of an absent tuple with ErrDeleteAbsent — silently dropping a row
 // here (or re-running this pass on a mutated input) would desynchronize the
 // refcounts from the set view.
-func dedupeDatabase(db *relation.Database, workers int) *relation.Database {
+func dedupeDatabase(db *relation.Database) *relation.Database {
 	out := relation.NewDatabase()
 	for _, name := range db.Names() {
-		out.Add(db.Get(name).DedupedWorkers(workers))
+		out.Add(db.Get(name).Deduped())
 	}
 	return out
 }

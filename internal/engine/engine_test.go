@@ -15,7 +15,7 @@ import (
 func fig1Engine(t *testing.T) *Engine {
 	t.Helper()
 	q, db := testutil.Fig1Instance()
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestNewDecomposesCyclic(t *testing.T) {
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {1, 1}}))
 	db.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}, {1, 1}}))
 	db.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}, {1, 1}}))
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatalf("cyclic query failed to decompose: %v", err)
 	}
@@ -66,11 +66,11 @@ func TestNewDecomposesCyclic(t *testing.T) {
 func TestNewRejectsSchemaMismatch(t *testing.T) {
 	q := query.New(query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}})
 	db := relation.NewDatabase()
-	if _, err := NewWorkers(q, db, 0); err == nil {
+	if _, err := New(q, db); err == nil {
 		t.Fatal("missing relation accepted")
 	}
 	db.Add(relation.FromRows("R", 1, [][]relation.Value{{1}}))
-	if _, err := NewWorkers(q, db, 0); err == nil {
+	if _, err := New(q, db); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestSelfJoinRewrite(t *testing.T) {
 	)
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}, {2, 4}, {3, 1}}))
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDuplicateInputRows(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R1", 2, [][]relation.Value{{1, 2}, {1, 2}, {3, 4}}))
 	db.Add(relation.FromRows("R2", 2, [][]relation.Value{{2, 7}, {2, 7}, {4, 1}}))
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestReducedPreservesAnswers(t *testing.T) {
 			t.Fatalf("position %d: AnswersAt %v, Enumerate %v", i, asn, all[i])
 		}
 	})
-	if got := yannakakis.CountWorkers(e.Exec(), 1).Total; got.Cmp(e.Total()) != 0 || len(all) != 13 {
+	if got := yannakakis.Count(e.Exec()).Total; got.Cmp(e.Total()) != 0 || len(all) != 13 {
 		t.Fatalf("shared exec count = %s after %d positions, want %s", got, len(all), e.Total())
 	}
 }
@@ -150,7 +150,7 @@ func TestLazyStructuresConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			e.Counts()
-			yannakakis.CountWorkers(e.Exec(), 1)
+			yannakakis.Count(e.Exec())
 		}()
 	}
 	wg.Wait()

@@ -5,7 +5,6 @@ import (
 
 	"github.com/quantilejoins/qjoin/internal/decomp"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 	"github.com/quantilejoins/qjoin/internal/trim"
@@ -13,7 +12,7 @@ import (
 )
 
 // Restore reassembles an Engine from snapshot-decoded parts, skipping every
-// pass NewWorkers would run: no validation, no dedup hashing, no
+// pass New would run: no validation, no dedup hashing, no
 // normalization, no group-index build, no counting. The caller supplies
 //
 //   - src: the original query as the user wrote it,
@@ -43,7 +42,7 @@ import (
 // produced by one engine's snapshot at one generation. Restore trusts its
 // caller on that; the snapshot layer's checksums and structural validation
 // are the gate.
-func Restore(src, q *query.Query, db0, db *relation.Database, tree *jointree.Tree, exec *jointree.Exec, counts *yannakakis.Counts, parallelism int) (*Engine, error) {
+func Restore(src, q *query.Query, db0, db *relation.Database, tree *jointree.Tree, exec *jointree.Exec, counts *yannakakis.Counts) (*Engine, error) {
 	origVars := src.Vars()
 	idx := q.VarIndex()
 	pos := make([]int, len(origVars))
@@ -59,7 +58,6 @@ func Restore(src, q *query.Query, db0, db *relation.Database, tree *jointree.Tre
 		tree:      tree,
 		exec:      exec,
 		pos:       pos,
-		workers:   parallel.Workers(parallelism),
 		trimCache: trim.NewCache(),
 	}
 	// Acyclicity only depends on the variable structure, so self-joins

@@ -217,7 +217,7 @@ func ApplyDelta(db *relation.Database, d *Delta) (*relation.Database, error) {
 		if r == nil {
 			return nil, fmt.Errorf("qjoin: delta references unknown relation %q", name)
 		}
-		ms := relation.NewMultisetWorkers(r, 1)
+		ms := relation.NewMultiset(r)
 		eff, err := simulateRel(name, r.Arity(), byRel[name], ms.Mult)
 		if err != nil {
 			return nil, err
@@ -267,7 +267,7 @@ func (e *Engine) multisets() map[string]*relation.Multiset {
 	if e.sets == nil {
 		sets := make(map[string]*relation.Multiset)
 		for _, name := range e.db0.Names() {
-			sets[name] = relation.NewMultisetWorkers(e.db0.Get(name), e.workers)
+			sets[name] = relation.NewMultiset(e.db0.Get(name))
 		}
 		e.sets = sets
 	}
@@ -332,7 +332,7 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 		// nothing is built eagerly and nothing is invalidated.
 		return &Engine{
 			src: e.src, origVars: e.origVars, q: e.q, db: e.db, tree: e.tree,
-			exec: e.exec, pos: e.pos, workers: e.workers,
+			exec: e.exec, pos: e.pos,
 			counts: e.peekCounts(), sets: newSets,
 			dec: e.dec, decQ: e.decQ, ddb: e.ddb, decStats: e.decStats,
 			trimCache: e.trimCache,
@@ -341,7 +341,7 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 	if e.dec != nil {
 		return e.updateDecomposed(newSets, effects)
 	}
-	newExec, changes, err := e.exec.ApplyDelta(e.setDeltas(e.q, effects), e.workers)
+	newExec, changes, err := e.exec.ApplyDelta(e.setDeltas(e.q, effects))
 	if err != nil {
 		return nil, Change{}, err
 	}
@@ -351,15 +351,15 @@ func (e *Engine) Update(d *Delta) (*Engine, Change, error) {
 		// database view is new.
 		return &Engine{
 			src: e.src, origVars: e.origVars, q: e.q, db: newExec.DB, tree: e.tree,
-			exec: newExec, pos: e.pos, workers: e.workers,
+			exec: newExec, pos: e.pos,
 			counts: e.peekCounts(), sets: newSets,
 			trimCache: e.trimCache,
 		}, Change{}, nil
 	}
-	newCounts := yannakakis.UpdateCounts(e.Counts(), newExec, changes, e.workers)
+	newCounts := yannakakis.UpdateCounts(e.Counts(), newExec, changes)
 	return &Engine{
 		src: e.src, origVars: e.origVars, q: e.q, db: newExec.DB, tree: e.tree,
-		exec: newExec, pos: e.pos, workers: e.workers,
+		exec: newExec, pos: e.pos,
 		counts: newCounts, sets: newSets,
 		trimCache: trim.NewCache(),
 	}, Change{Nodes: changes}, nil
@@ -435,7 +435,7 @@ func (e *Engine) sourceDedup() *relation.Database {
 	if e.ddb != nil {
 		return e.ddb
 	}
-	_, db := normalize(e.src, e.db0, e.workers)
+	_, db := normalize(e.src, e.db0)
 	return db
 }
 
@@ -460,20 +460,20 @@ func (e *Engine) updateDecomposed(newSets map[string]*relation.Multiset, effects
 		// compiled structure and cache — are still exact.
 		return &Engine{
 			src: e.src, origVars: e.origVars, q: e.q, db: e.db, tree: e.tree,
-			exec: e.exec, pos: e.pos, workers: e.workers,
+			exec: e.exec, pos: e.pos,
 			counts: e.peekCounts(), sets: newSets,
 			dec: e.dec, decQ: e.decQ, ddb: newDDB, decStats: e.decStats,
 			trimCache: e.trimCache,
 		}, Change{}, nil
 	}
-	newBagDB, st := e.dec.Rematerialize(e.decQ, newDDB, e.db, changed, e.workers)
-	exec, err := jointree.NewExecWorkers(e.q, newBagDB, e.tree, e.workers)
+	newBagDB, st := e.dec.Rematerialize(e.decQ, newDDB, e.db, changed)
+	exec, err := jointree.NewExec(e.q, newBagDB, e.tree)
 	if err != nil {
 		return nil, Change{}, err
 	}
 	return &Engine{
 		src: e.src, origVars: e.origVars, q: e.q, db: newBagDB, tree: e.tree,
-		exec: exec, pos: e.pos, workers: e.workers,
+		exec: exec, pos: e.pos,
 		sets: newSets,
 		dec:  e.dec, decQ: e.decQ, ddb: newDDB, decStats: st,
 		trimCache: trim.NewCache(),

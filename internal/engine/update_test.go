@@ -34,7 +34,7 @@ func TestUpdateRefcounts(t *testing.T) {
 		[][]relation.Value{{1, 2}, {1, 2}, {3, 4}},
 		[][]relation.Value{{2, 7}, {4, 1}},
 	)
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestUpdateAtomic(t *testing.T) {
 		[][]relation.Value{{1, 2}},
 		[][]relation.Value{{2, 7}},
 	)
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 		[][]relation.Value{{1, 2}, {3, 4}, {5, 6}, {1, 2}},
 		[][]relation.Value{{2, 7}, {4, 1}, {6, 3}},
 	)
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewWorkers(q, mutated, 0)
+	fresh, err := New(q, mutated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestUpdateMatchesFreshEngine(t *testing.T) {
 		}
 	}
 	// Maintained counting state must equal a fresh pass over the new exec.
-	want := yannakakis.CountWorkers(up.Exec(), 1)
+	want := yannakakis.Count(up.Exec())
 	got := up.Counts()
 	if got.Total.Cmp(want.Total) != 0 {
 		t.Fatalf("maintained total %s, recounted %s", got.Total, want.Total)
@@ -185,7 +185,7 @@ func TestUpdateSelfJoin(t *testing.T) {
 	)
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}, {3, 1}}))
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestUpdateSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewWorkers(q, mutated, 0)
+	fresh, err := New(q, mutated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestUpdateUnreferencedRelation(t *testing.T) {
 	db.Add(relation.FromRows("R1", 2, [][]relation.Value{{1, 2}}))
 	db.Add(relation.FromRows("R2", 2, [][]relation.Value{{2, 7}}))
 	db.Add(relation.FromRows("Extra", 1, [][]relation.Value{{42}}))
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestUpdateReportsChange(t *testing.T) {
 		[][]relation.Value{{2, 7}, {4, 1}},
 	)
 	db.Add(relation.FromRows("Extra", 1, [][]relation.Value{{42}}))
-	e, err := NewWorkers(q, db, 0)
+	e, err := New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestUpdateReportsChange(t *testing.T) {
 	)
 	sdb := relation.NewDatabase()
 	sdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 3}}))
-	se, err := NewWorkers(self, sdb, 0)
+	se, err := New(self, sdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestUpdateReportsChange(t *testing.T) {
 	tdb.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}}))
 	tdb.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 3}}))
 	tdb.Add(relation.FromRows("T", 2, [][]relation.Value{{3, 1}}))
-	te, err := NewWorkers(tri, tdb, 0)
+	te, err := New(tri, tdb)
 	if err != nil {
 		t.Fatal(err)
 	}

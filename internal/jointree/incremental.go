@@ -53,8 +53,7 @@ type NodeChange struct {
 // be a reduced one: its nodes read e.DB's relations — is not modified. It
 // returns the derived Exec and one NodeChange per touched node, in tree-node
 // order.
-func (e *Exec) ApplyDelta(deltas map[string]RelDelta, workers int) (*Exec, []NodeChange, error) {
-	_ = workers // per-node delta work is O(|relation|) scans at worst; chunking buys nothing on small deltas
+func (e *Exec) ApplyDelta(deltas map[string]RelDelta) (*Exec, []NodeChange, error) {
 	newDB := e.DB.View()
 	// Per touched relation, one key scan locates the removed rows; the nodes
 	// reading the relation reuse the indexes, so no further hashing of the

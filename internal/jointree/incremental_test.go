@@ -14,7 +14,7 @@ import (
 func dedupedDB(db *relation.Database) *relation.Database {
 	out := relation.NewDatabase()
 	for _, name := range db.Names() {
-		out.Add(db.Get(name).DedupedWorkers(1))
+		out.Add(db.Get(name).Deduped())
 	}
 	return out
 }
@@ -28,7 +28,7 @@ func mutate(r *relation.Relation, d RelDelta) *relation.Relation {
 		removed[string(enc.Row(row))] = struct{}{}
 	}
 	cols := r.Cols()
-	out := r.FilterWorkers(1, func(i int) bool {
+	out := r.Filter(func(i int) bool {
 		_, dead := removed[string(enc.RowAt(cols, i))]
 		return !dead
 	})
@@ -118,7 +118,7 @@ func materializeAll(e *Exec) [][]relation.Value {
 // with a fresh counting pass.
 func checkDerivedMatchesFresh(t *testing.T, q *query.Query, tree *Tree, derived *Exec) {
 	t.Helper()
-	fresh, err := NewExecWorkers(q, derived.DB, tree, 1)
+	fresh, err := NewExec(q, derived.DB, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestApplyDeltaMatchesFreshExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewExecWorkers(q, db, tree, 1)
+		e, err := NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestApplyDeltaMatchesFreshExec(t *testing.T) {
 			"R1": randomRelDelta(rng, db.Get("R1"), rng.Intn(4), rng.Intn(4), 16),
 			"R3": randomRelDelta(rng, db.Get("R3"), rng.Intn(4), rng.Intn(4), 16),
 		}
-		derived, changes, err := e.ApplyDelta(deltas, 1)
+		derived, changes, err := e.ApplyDelta(deltas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestApplyDeltaMatchesFreshExec(t *testing.T) {
 
 func mustFresh(t *testing.T, q *query.Query, db *relation.Database, tree *Tree) *Exec {
 	t.Helper()
-	e, err := NewExecWorkers(q, db, tree, 1)
+	e, err := NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +204,20 @@ func TestApplyDeltaRepeatedVars(t *testing.T) {
 		query.Atom{Rel: "S", Vars: []query.Var{"y", "z"}},
 	)
 	raw := relation.NewDatabase()
-	raw.Add(relation.FromRows("R", 3, [][]relation.Value{{1, 1, 2}, {5, 5, 6}, {4, 0, 2}}).DedupedWorkers(1))
-	raw.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 9}, {6, 9}}).DedupedWorkers(1))
+	raw.Add(relation.FromRows("R", 3, [][]relation.Value{{1, 1, 2}, {5, 5, 6}, {4, 0, 2}}).Deduped())
+	raw.Add(relation.FromRows("S", 2, [][]relation.Value{{2, 9}, {6, 9}}).Deduped())
 	tree, err := Build(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewExecWorkers(src, raw, tree, 1); err == nil {
-		t.Fatal("NewExecWorkers accepted an atom that repeats a variable")
+	if _, err := NewExec(src, raw, tree); err == nil {
+		t.Fatal("NewExec accepted an atom that repeats a variable")
 	}
 	q, db := query.Normalize(src, raw)
 	if tree, err = Build(q); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExecWorkers(q, db, tree, 1)
+	e, err := NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestApplyDeltaRepeatedVars(t *testing.T) {
 	if len(d.RemovedRows) != 1 || len(d.AddedRows) != 1 {
 		t.Fatalf("row map kept %v / %v", d.RemovedRows, d.AddedRows)
 	}
-	derived, _, err := e.ApplyDelta(map[string]RelDelta{q.Atoms[0].Rel: d}, 1)
+	derived, _, err := e.ApplyDelta(map[string]RelDelta{q.Atoms[0].Rel: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestApplyDeltaChained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExecWorkers(q, db, tree, 1)
+	e, err := NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestApplyDeltaChained(t *testing.T) {
 		if d.Empty() {
 			continue
 		}
-		derived, _, err := e.ApplyDelta(map[string]RelDelta{name: d}, 1)
+		derived, _, err := e.ApplyDelta(map[string]RelDelta{name: d})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/hypergraph"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
@@ -178,10 +177,9 @@ func Binarize(t *Tree, q *query.Query, db *relation.Database) (*Tree, *query.Que
 // integers alone.
 //
 // Rels[id] aliases DB's relation of node id's atom — the same *Relation, no
-// second copy of any column — until FullReduceWorkers replaces the entry with
-// the surviving rows. Every constructor keeps that:
-// NewExecWorkers, ApplyDelta, DeriveSubset and DeriveGathered (whose callers
-// fill DB) and RestoreExec.
+// second copy of any column — until FullReduce replaces the entry with the
+// surviving rows. Every constructor keeps that: NewExec, ApplyDelta,
+// DeriveSubset and DeriveGathered (whose callers fill DB) and RestoreExec.
 type Exec struct {
 	Q  *query.Query
 	T  *Tree
@@ -284,15 +282,14 @@ func GroupIndexFromFlat(keys *relation.Interner, rowGid []int32, flat []int) (*G
 	return g, true
 }
 
-// NewExecWorkers builds the group indexes of q's join tree over db on a
-// bounded worker pool; the result is byte-identical to the sequential build
-// for every worker count. q must be in normal form — an atom that repeats a
-// variable is an error, like an arity mismatch: query.Normalize rewrites it
-// away. A node's relation is db's relation of its atom. Relations are sets
-// (Section 2.1), so a relation not marked distinct is deduplicated first, and
-// the Exec's DB is then a view of db holding the deduplicated relation in its
-// place; db itself is never modified.
-func NewExecWorkers(q *query.Query, db *relation.Database, t *Tree, workers int) (*Exec, error) {
+// NewExec builds the group indexes of q's join tree over db. q must be in
+// normal form — an atom that repeats a variable is an error, like an arity
+// mismatch: query.Normalize rewrites it away. A node's relation is db's
+// relation of its atom. Relations are sets (Section 2.1), so a relation not
+// marked distinct is deduplicated first, and the Exec's DB is then a view of
+// db holding the deduplicated relation in its place; db itself is never
+// modified.
+func NewExec(q *query.Query, db *relation.Database, t *Tree) (*Exec, error) {
 	e := &Exec{Q: q, T: t, DB: db}
 	e.Rels = make([]*relation.Relation, len(t.Nodes))
 	e.Groups = make([]*GroupIndex, len(t.Nodes))
@@ -305,14 +302,20 @@ func NewExecWorkers(q *query.Query, db *relation.Database, t *Tree, workers int)
 			if e.DB == db {
 				e.DB = db.View()
 			}
-			rel = rel.DedupedWorkers(workers)
+			rel = rel.Deduped()
 			e.DB.Add(rel)
 		}
 		e.Rels[n.ID] = rel
 	}
 	e.keyPosChild, e.keyPosParent = keyPositions(t)
-	e.rebuildGroups(workers)
+	e.rebuildGroups()
 	return e, nil
+}
+
+// NewExecWorkers is NewExec; workers is unread. Kept for the bench module's
+// probes, which call it by this name.
+func NewExecWorkers(q *query.Query, db *relation.Database, t *Tree, _ int) (*Exec, error) {
+	return NewExec(q, db, t)
 }
 
 // nodeRelation looks up the relation a node reads and checks it against the
@@ -348,7 +351,7 @@ func keyPositions(t *Tree) (child, parent [][]int) {
 // RestoreExec rebuilds an Exec from snapshot-decoded parts: the group indexes
 // and parent-gid arrays are taken as given (they are the expensive hashed
 // state a snapshot exists to preserve), the node relations are looked up in
-// db as NewExecWorkers does, under the same checks, and the shared-variable
+// db as NewExec does, under the same checks, and the shared-variable
 // key positions are recomputed from the tree. The caller guarantees the parts
 // were produced by an Exec over the same query and database, an index and a
 // gid array per edge (it may fill the two slices after the call).
@@ -374,21 +377,21 @@ func varPositions(vars, within []query.Var) []int {
 	return out
 }
 
-func (e *Exec) rebuildGroups(workers int) {
+func (e *Exec) rebuildGroups() {
 	for _, n := range e.T.Nodes {
 		if n.Parent < 0 {
 			e.Groups[n.ID] = nil
 			continue
 		}
-		e.Groups[n.ID] = NewGroupIndex(e.Rels[n.ID], e.keyPosChild[n.ID], workers)
+		e.Groups[n.ID] = NewGroupIndex(e.Rels[n.ID], e.keyPosChild[n.ID])
 	}
-	e.rebuildParentGids(workers)
+	e.rebuildParentGids()
 }
 
 // rebuildParentGids materializes, for every edge, the group id each parent
 // row resolves to — the one hashed pass per edge that lets every subsequent
 // pass over this Exec run hash-free.
-func (e *Exec) rebuildParentGids(workers int) {
+func (e *Exec) rebuildParentGids() {
 	e.parentGid = make([][]int32, len(e.T.Nodes))
 	for _, n := range e.T.Nodes {
 		if n.Parent < 0 {
@@ -399,17 +402,13 @@ func (e *Exec) rebuildParentGids(workers int) {
 		pos := e.keyPosParent[n.ID]
 		keys := e.Groups[n.ID].keys
 		arr := make([]int32, prel.Len())
-		parallel.For(workers, prel.Len(), func(lo, hi int) {
-			var buf [maxKeyWidth]relation.Value
-			for i := lo; i < hi; i++ {
-				key := relation.GatherAt(buf[:0], pcols, pos, i)
-				if id, ok := keys.Lookup(key); ok {
-					arr[i] = int32(id)
-				} else {
-					arr[i] = -1
-				}
+		var buf [maxKeyWidth]relation.Value
+		for i := range arr {
+			arr[i] = -1
+			if id, ok := keys.Lookup(relation.GatherAt(buf[:0], pcols, pos, i)); ok {
+				arr[i] = int32(id)
 			}
-		})
+		}
 		e.parentGid[n.ID] = arr
 	}
 }
@@ -420,63 +419,22 @@ const maxKeyWidth = 16
 
 // NewGroupIndex groups a relation's tuples by the key in columns pos — a
 // child node's by its shared-variable key, or the build side of any other
-// hash join (decomp's bag materialization). The parallel path builds one
-// partial index per row chunk and merges them in chunk order: group ids
-// follow global first-appearance order and tuple lists stay ascending,
-// exactly as in the sequential build.
-func NewGroupIndex(rel *relation.Relation, pos []int, workers int) *GroupIndex {
+// hash join (decomp's bag materialization). Group ids follow first
+// appearance and tuple lists are ascending. The interner is sized for a key
+// per row while it fills; an index with fewer groups than half its rows keeps
+// a copy sized for its groups instead, since a plan holds its indexes for
+// life.
+func NewGroupIndex(rel *relation.Relation, pos []int) *GroupIndex {
 	n := rel.Len()
 	cols := rel.Cols()
-	if len(parallel.Ranges(workers, n)) <= 1 {
-		g := &GroupIndex{keys: relation.NewInterner(len(pos), n), RowGid: make([]int32, n)}
-		var buf [maxKeyWidth]relation.Value
-		for i := 0; i < n; i++ {
-			key := relation.GatherAt(buf[:0], cols, pos, i)
-			id, _ := g.keys.Intern(key)
-			g.RowGid[i] = int32(id)
-		}
-		g.packTuples(g.keys.Len(), nil)
-		return g
+	g := &GroupIndex{keys: relation.NewInterner(len(pos), n), RowGid: make([]int32, n)}
+	var buf [maxKeyWidth]relation.Value
+	for i := range n {
+		id, _ := g.keys.Intern(relation.GatherAt(buf[:0], cols, pos, i))
+		g.RowGid[i] = int32(id)
 	}
-	// Partial index per chunk: the chunk's own interner assigns local ids in
-	// local first-appearance order; the merge re-interns each distinct local
-	// key once (pre-computed hash) in chunk order, which reproduces the
-	// sequential global numbering.
-	type partialIndex struct {
-		keys   *relation.Interner
-		lo     int
-		rowGid []int32 // per chunk row: LOCAL id
-	}
-	parts := parallel.MapRanges(workers, n, func(lo, hi int) partialIndex {
-		p := partialIndex{keys: relation.NewInterner(len(pos), hi-lo), lo: lo, rowGid: make([]int32, hi-lo)}
-		var buf [maxKeyWidth]relation.Value
-		for i := lo; i < hi; i++ {
-			key := relation.GatherAt(buf[:0], cols, pos, i)
-			id, _ := p.keys.Intern(key)
-			p.rowGid[i-lo] = int32(id)
-		}
-		return p
-	})
-	// Chunk 0's local ids are already the sequential global ids of its
-	// prefix (first-appearance order), so its interner seeds the merged
-	// index as-is and only later chunks re-intern; reserving the summed
-	// distinct count up front avoids intermediate rehashes.
-	total := 0
-	for _, p := range parts {
-		total += p.keys.Len()
-	}
-	g := &GroupIndex{keys: parts[0].keys, RowGid: make([]int32, n)}
-	g.keys.Reserve(total)
-	copy(g.RowGid, parts[0].rowGid)
-	for _, p := range parts[1:] {
-		trans := make([]int32, p.keys.Len())
-		for li := range trans {
-			gid, _ := g.keys.InternHashed(p.keys.TupleOf(uint32(li)), p.keys.HashOf(uint32(li)))
-			trans[li] = int32(gid)
-		}
-		for j, li := range p.rowGid {
-			g.RowGid[p.lo+j] = trans[li]
-		}
+	if g.keys.Len() < n/2 {
+		g.keys = g.keys.Compact()
 	}
 	g.packTuples(g.keys.Len(), nil)
 	return g
@@ -518,14 +476,13 @@ func (e *Exec) ParentGroup(child, i int) (int, bool) {
 // (-1 = no group). Hot passes bounds-check it once and index directly.
 func (e *Exec) ParentGids(child int) []int32 { return e.parentGid[child] }
 
-// FullReduceWorkers removes all dangling tuples with one bottom-up and one
-// top-down semijoin pass (the Yannakakis full reducer, ReduceRows over every
-// row) and rebuilds the relations and the group indexes on a bounded worker
-// pool; afterwards every remaining tuple participates in at least one query
-// answer. The survivors keep their order, so the reduced tree is
-// byte-identical for every worker count. Both semijoin passes run on the
-// precomputed gid arrays; no key is hashed until the final index rebuild.
-func (e *Exec) FullReduceWorkers(workers int) {
+// FullReduce removes all dangling tuples with one bottom-up and one top-down
+// semijoin pass (the Yannakakis full reducer, ReduceRows over every row) and
+// rebuilds the relations and the group indexes; afterwards every remaining
+// tuple participates in at least one query answer. The survivors keep their
+// order. Both semijoin passes run on the precomputed gid arrays; no key is
+// hashed until the final index rebuild.
+func (e *Exec) FullReduce() {
 	lists := make([][]int, len(e.Rels))
 	for id, rel := range e.Rels {
 		lists[id] = make([]int, rel.Len())
@@ -537,8 +494,12 @@ func (e *Exec) FullReduceWorkers(workers int) {
 	for id, rel := range e.Rels {
 		e.Rels[id] = rel.GatherRows(rel.Name(), lists[id])
 	}
-	e.rebuildGroups(workers)
+	e.rebuildGroups()
 }
+
+// FullReduceWorkers is FullReduce; workers is unread. Kept for the bench
+// module's probes, which call it by this name.
+func (e *Exec) FullReduceWorkers(_ int) { e.FullReduce() }
 
 // ReduceRows is the full reducer over row subsets of e's relations, leaving e
 // as it is. lists holds, part after part, one ascending list of row indexes

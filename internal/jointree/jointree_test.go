@@ -86,7 +86,7 @@ func hasVar(vs []query.Var, v query.Var) bool {
 func TestNewExecGroups(t *testing.T) {
 	q, db := fig1()
 	tree, _ := Build(q)
-	e, err := NewExecWorkers(q, db, tree, 1)
+	e, err := NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestNewExecGroups(t *testing.T) {
 func TestParentGroup(t *testing.T) {
 	q, db := fig1()
 	tree, _ := Build(q)
-	e, _ := NewExecWorkers(q, db, tree, 1)
+	e, _ := NewExec(q, db, tree)
 	agree := func(n *Node, pi, ci int) bool {
 		for k := range n.SharedWithParent {
 			if e.Rels[n.Parent].Get(pi, e.keyPosParent[n.ID][k]) != e.Rels[n.ID].Get(ci, e.keyPosChild[n.ID][k]) {
@@ -150,13 +150,13 @@ func TestIntraAtomEquality(t *testing.T) {
 	raw := relation.NewDatabase()
 	raw.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 1}, {1, 2}, {3, 3}}))
 	tree, _ := Build(src)
-	if _, err := NewExecWorkers(src, raw, tree, 1); err == nil {
+	if _, err := NewExec(src, raw, tree); err == nil {
 		t.Fatal("an atom that repeats a variable must be rejected, not misread")
 	}
 	// The equality is query.Normalize's: the tree reads what it leaves.
 	q, db := query.Normalize(src, raw)
 	tree, _ = Build(q)
-	e, err := NewExecWorkers(q, db, tree, 1)
+	e, err := NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestFullReduce(t *testing.T) {
 	db.Add(relation.FromRows("A", 2, [][]relation.Value{{1, 10}, {2, 20}, {3, 30}}))
 	db.Add(relation.FromRows("B", 2, [][]relation.Value{{10, 100}, {20, 200}, {99, 900}}))
 	tree, _ := Build(q)
-	e, _ := NewExecWorkers(q, db, tree, 1)
-	e.FullReduceWorkers(1)
+	e, _ := NewExec(q, db, tree)
+	e.FullReduce()
 	// (3,30) has no B partner; (99,900) has no A partner.
 	var aLen, bLen int
 	for _, n := range tree.Nodes {
@@ -205,8 +205,8 @@ func TestFullReduceDeepDangling(t *testing.T) {
 	db.Add(relation.FromRows("B", 2, [][]relation.Value{{10, 100}, {20, 200}}))
 	db.Add(relation.FromRows("C", 2, [][]relation.Value{{100, 7}}))
 	tree, _ := Build(q)
-	e, _ := NewExecWorkers(q, db, tree, 1)
-	e.FullReduceWorkers(1)
+	e, _ := NewExec(q, db, tree)
+	e.FullReduce()
 	for _, n := range tree.Nodes {
 		want := 1
 		if got := e.Rels[n.ID].Len(); got != want {
@@ -215,7 +215,7 @@ func TestFullReduceDeepDangling(t *testing.T) {
 	}
 }
 
-// Property: after FullReduceWorkers, every remaining tuple participates in at
+// Property: after FullReduce, every remaining tuple participates in at
 // least one answer (every child group reachable from it is non-empty).
 func TestFullReduceProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
@@ -225,11 +225,11 @@ func TestFullReduceProperty(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		e, err := NewExecWorkers(q, db, tree, 1)
+		e, err := NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.FullReduceWorkers(1)
+		e.FullReduce()
 		for _, n := range tree.Nodes {
 			rel := e.Rels[n.ID]
 			for i := 0; i < rel.Len(); i++ {
@@ -359,11 +359,11 @@ func TestBinarizeStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Answer count must be preserved: every copy atom repeats the hub tuple.
-	e, err := NewExecWorkers(q2, db2, t2, 1)
+	e, err := NewExec(q2, db2, t2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FullReduceWorkers(1)
+	e.FullReduce()
 	for _, n := range t2.Nodes {
 		if e.Rels[n.ID].Len() == 0 {
 			t.Fatal("binarized instance lost tuples")
@@ -390,5 +390,37 @@ func TestBuildAdjacentPair(t *testing.T) {
 	}
 	if _, _, _, err := BuildAdjacentPair(q, []query.Var{"zz"}); err == nil {
 		t.Fatal("unknown variable accepted")
+	}
+}
+
+// A group index keeps an interner sized for its groups, not for a key per
+// row: 2¹² rows in 16 groups hold a table of at most 64 slots and storage for
+// 16 keys, under the ids the build gave (first appearance), and every lookup
+// still finds its group. An index with a group for most rows keeps the
+// interner it filled.
+func TestGroupIndexKeysSizedForGroups(t *testing.T) {
+	const rows, groups = 1 << 12, 16
+	r := relation.New("R", 2)
+	for i := range rows {
+		r.Append(relation.Value((i*7)%groups), relation.Value(i))
+	}
+	g := NewGroupIndex(r, []int{0})
+	vals, hashes, table := g.Keys().Parts()
+	if g.NumGroups() != groups || len(table) > 64 || cap(hashes) > groups || cap(vals) > groups {
+		t.Fatalf("%d groups in a table of %d slots, hash storage for %d and key storage for %d; want %d in at most 64, %d and %d",
+			g.NumGroups(), len(table), cap(hashes), cap(vals), groups, groups, groups)
+	}
+	for i := range rows {
+		key := []relation.Value{relation.Value((i * 7) % groups)}
+		if id, ok := g.Keys().Lookup(key); !ok || int32(id) != g.RowGid[i] {
+			t.Fatalf("row %d: lookup gives %d, %v; the row's group is %d", i, id, ok, g.RowGid[i])
+		}
+		if i < groups && g.RowGid[i] != int32(i) {
+			t.Fatalf("row %d is in group %d, want its first appearance's %d", i, g.RowGid[i], i)
+		}
+	}
+	distinct := NewGroupIndex(r, []int{1})
+	if _, hashes, _ := distinct.Keys().Parts(); distinct.NumGroups() != rows || len(hashes) != rows {
+		t.Fatalf("a key per row gives %d groups, %d hashes", distinct.NumGroups(), len(hashes))
 	}
 }

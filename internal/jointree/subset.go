@@ -54,11 +54,11 @@ type Gathered struct {
 //
 // It is the gathered derivation with no identifier anywhere: group ids are
 // stable on every edge. The derived relations hold the surviving rows in their
-// old relative order, so a fresh NewExecWorkers over them would build the same
-// tree up to that numbering, and answers are unchanged versus the rebuild
-// path. The parent Exec is not modified and stays safe for concurrent
-// readers. The last argument is a worker count nothing reads: the passes are
-// memory-bound integer work. DeriveSubset is DeriveSubsetIn with a nil arena.
+// old relative order, so a fresh NewExec over them would build the same tree
+// up to that numbering, and answers are unchanged versus the rebuild path.
+// The parent Exec is not modified and stays safe for concurrent readers.
+// DeriveSubset is DeriveSubsetIn with a nil arena; the last argument is
+// unread, kept for the bench module's probe, which passes it.
 func (e *Exec) DeriveSubset(q *query.Query, db *relation.Database, keep [][]bool, _ int) *Exec {
 	return e.DeriveSubsetIn(q, db, keep, nil)
 }
@@ -96,7 +96,7 @@ func (e *Exec) DeriveSubsetIn(q *query.Query, db *relation.Database, keep [][]bo
 //
 // The derived tree is e.T's parent array over q's atoms, and the contract is
 // DeriveSubset's: node relations, RowGid, Tuples and the parent-gid arrays
-// are those of Build(q) + NewExecWorkers on the output, up to retained empty
+// are those of Build(q) + NewExec on the output, up to retained empty
 // groups where gids are stable — provided Build(q) has e.T's shape, which the
 // caller knows from where it put the identifier (see SameShape). It returns
 // nil when e never materialized the gid array of an edge whose groups are

@@ -24,13 +24,13 @@ func subsetInstance(t *testing.T, seed int64, cutoff relation.Value) (*query.Que
 		for i := 0; i < 400; i++ {
 			r.Append(relation.Value(rng.Intn(40)), relation.Value(rng.Intn(40)))
 		}
-		db.Add(r.DedupedWorkers(1))
+		db.Add(r.Deduped())
 	}
 	tree, err := Build(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExecWorkers(q, db, tree, 1)
+	e, err := NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func subsetInstance(t *testing.T, seed int64, cutoff relation.Value) (*query.Que
 	db2 := relation.NewDatabase()
 	db2.Add(db.Get("R"))
 	sCol := db.Get("S").Col(0)
-	db2.Add(db.Get("S").FilterWorkers(1, func(i int) bool { return sCol[i] < cutoff }))
+	db2.Add(db.Get("S").Filter(func(i int) bool { return sCol[i] < cutoff }))
 	db2.Add(db.Get("T"))
 	keep := make([][]bool, len(e.T.Nodes))
 	for _, n := range e.T.Nodes {
@@ -61,19 +61,19 @@ func subsetInstance(t *testing.T, seed int64, cutoff relation.Value) (*query.Que
 
 // TestDeriveSubsetMatchesFreshBuild checks the load-bearing contract of the
 // subset derivation: node relations are byte-identical to a fresh
-// Build+NewExecWorkers on the filtered database, and — although group ids may
+// Build+NewExec on the filtered database, and — although group ids may
 // differ (the derivation keeps stable ids, a fresh build renumbers densely)
 // — every parent row resolves to the exact same ascending tuple-index list
 // in both trees.
 func TestDeriveSubsetMatchesFreshBuild(t *testing.T) {
 	for _, cutoff := range []relation.Value{0, 7, 20, 40} {
 		q, _, e, keep, db2 := subsetInstance(t, int64(100+cutoff), cutoff)
-		derived := e.DeriveSubset(q.Clone(), db2, keep, 1)
+		derived := e.DeriveSubsetIn(q.Clone(), db2, keep, nil)
 		tree2, err := Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewExecWorkers(q, db2, tree2, 1)
+		fresh, err := NewExec(q, db2, tree2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestDeriveSubsetMatchesFreshBuild(t *testing.T) {
 // are shared by pointer, not copied.
 func TestDeriveSubsetSharesUntouchedNodes(t *testing.T) {
 	q, _, e, keep, db2 := subsetInstance(t, 7, 20)
-	derived := e.DeriveSubset(q.Clone(), db2, keep, 1)
+	derived := e.DeriveSubsetIn(q.Clone(), db2, keep, nil)
 	for _, n := range e.T.Nodes {
 		if q.Atoms[n.Atom].Rel == "S" {
 			continue
@@ -145,7 +145,7 @@ func TestDeriveSubsetSharesUntouchedNodes(t *testing.T) {
 // consumers see no tuples anywhere.
 func TestDeriveSubsetEmpty(t *testing.T) {
 	q, _, e, keep, db2 := subsetInstance(t, 11, 0)
-	derived := e.DeriveSubset(q.Clone(), db2, keep, 1)
+	derived := e.DeriveSubsetIn(q.Clone(), db2, keep, nil)
 	for _, n := range e.T.Nodes {
 		if q.Atoms[n.Atom].Rel != "S" {
 			continue
@@ -165,7 +165,7 @@ func TestDeriveSubsetEmpty(t *testing.T) {
 }
 
 // ReduceRows is the full reducer of each part: the rows it keeps of a part's
-// lists are the rows FullReduceWorkers keeps of the subset instance those
+// lists are the rows FullReduce keeps of the subset instance those
 // lists select, in their order — over random trees, three parts sharing one
 // set of group marks, one of them empty on a node, and with an arena or
 // without.
@@ -178,7 +178,7 @@ func TestReduceRowsIsTheFullReducerOfEachPart(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		e, err := NewExecWorkers(q, db, tree, 1)
+		e, err := NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +206,8 @@ func TestReduceRowsIsTheFullReducerOfEachPart(t *testing.T) {
 		}
 		e.ReduceRows(lists, arena)
 		for p := range parts {
-			sub := e.DeriveSubset(q, db, keeps[p], 1)
-			sub.FullReduceWorkers(1)
+			sub := e.DeriveSubsetIn(q, db, keeps[p], nil)
+			sub.FullReduce()
 			for id, rel := range e.Rels {
 				got := rel.GatherRows(rel.Name(), lists[p*n+id])
 				if !got.Equal(sub.Rels[id]) {

@@ -24,7 +24,6 @@ import (
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -56,7 +55,7 @@ type Scratch struct {
 	weights  [][]int64
 	selTuple [][]int
 	cParam   []float64
-	entries  [][]selection.Entry // one buffer per concurrent chunk of groups
+	entries  []selection.Entry // the weighted medians' entry buffer
 }
 
 func (s *Scratch) nodes(n int) (weights [][]int64, selTuple [][]int, cParam []float64) {
@@ -72,17 +71,6 @@ func (s *Scratch) nodes(n int) (weights [][]int64, selTuple [][]int, cParam []fl
 	return s.weights, s.selTuple, s.cParam
 }
 
-// entryBufs returns n entry buffers, to be stored back after use.
-func (s *Scratch) entryBufs(n int) [][]selection.Entry {
-	if s == nil {
-		return make([][]selection.Entry, n)
-	}
-	for len(s.entries) < n {
-		s.entries = append(s.entries, nil)
-	}
-	return s.entries[:n]
-}
-
 // grow returns buf resized to n elements, reallocating only when it is too
 // small; the contents are unspecified.
 func grow[T any](buf []T, n int) []T {
@@ -90,17 +78,6 @@ func grow[T any](buf []T, n int) []T {
 		return buf[:n]
 	}
 	return make([]T, n)
-}
-
-// SelectWorkers runs Algorithm 2 over an executable join tree; mu is the μ
-// attribute-to-atom assignment of the ranking's variables (Section 2.2). The
-// counting pass, the per-tuple pivot-weight loops (chunked over rows) and the
-// per-group weighted medians (chunked over groups) all run data-parallel.
-// Weighted medians are deterministic (introselect over position-based pivots,
-// no randomization) and every write is disjoint by tuple or group index, so
-// the selected pivot is identical for every worker count.
-func SelectWorkers(e *jointree.Exec, f *ranking.Func, mu map[query.Var]int, workers int) (*Result, error) {
-	return SelectPrepared(e, yannakakis.CountWorkers(e, workers), f, mu, workers, nil)
 }
 
 // ownCol is a μ-assigned ranked variable of a node: its column of the node
@@ -141,16 +118,18 @@ func combine(agg ranking.Agg, a, b int64) int64 {
 	return a + b
 }
 
-// SelectPrepared is SelectWorkers against an already-computed counting state
-// (the driver counts every candidate instance anyway; the engine caches the
-// original's), drawing its buffers from the given scratch (nil allocates
-// fresh). counts must be the counting state of e.
+// Select runs Algorithm 2 over an executable join tree; mu is the μ
+// attribute-to-atom assignment of the ranking's variables (Section 2.2), and
+// counts must be the counting state of e (the driver counts every candidate
+// instance anyway; the engine caches the original's). Buffers come from the
+// given scratch (nil allocates fresh). Weighted medians are deterministic
+// (introselect over position-based pivots, no randomization).
 //
 // A node's pivot weights are one flat []int64 — a number per tuple for SUM,
 // MIN and MAX, the r positions of its vector for LEX — and a join group's
 // weighted median runs on (weight, count, tuple) entries filled from its live
 // tuples, so no pass calls back per tuple or per comparison.
-func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, workers int, s *Scratch) (*Result, error) {
+func Select(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, s *Scratch) (*Result, error) {
 	if counts.Total.IsZero() {
 		return nil, ErrNoAnswers
 	}
@@ -162,6 +141,10 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 	r := f.VecLen()
 	stride := max(r, 1)
 	identity := f.Identity().K
+	var es []selection.Entry
+	if s != nil {
+		es = s.entries
+	}
 
 	for _, id := range e.T.BottomUp {
 		n := e.T.Nodes[id]
@@ -178,39 +161,37 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 		}
 		cParam[id] = c
 		own := ownCols(nil, n, rel, f, mu)
-		parallel.For(workers, rel.Len(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if live[i].IsZero() {
-					continue // dangling tuple; never selected
-				}
-				if agg == ranking.Lex {
-					vec := ws[i*r : (i+1)*r]
-					clear(vec)
-					for _, o := range own {
-						vec[o.pos] = f.W(o.v, o.vals[i])
-					}
-					for _, k := range kids {
-						st := k.sel[k.gids[i]]
-						for p, x := range k.ws[st*r : (st+1)*r] {
-							vec[p] += x
-						}
-					}
-					continue
-				}
-				w := identity
+		for i := range rel.Len() {
+			if live[i].IsZero() {
+				continue // dangling tuple; never selected
+			}
+			if agg == ranking.Lex {
+				vec := ws[i*r : (i+1)*r]
+				clear(vec)
 				for _, o := range own {
-					x := o.vals[i]
-					if custom {
-						x = f.Weight(o.v, x)
-					}
-					w = combine(agg, w, x)
+					vec[o.pos] = f.W(o.v, o.vals[i])
 				}
 				for _, k := range kids {
-					w = combine(agg, w, k.ws[k.sel[k.gids[i]]])
+					st := k.sel[k.gids[i]]
+					for p, x := range k.ws[st*r : (st+1)*r] {
+						vec[p] += x
+					}
 				}
-				ws[i] = w
+				continue
 			}
-		})
+			w := identity
+			for _, o := range own {
+				x := o.vals[i]
+				if custom {
+					x = f.Weight(o.v, x)
+				}
+				w = combine(agg, w, x)
+			}
+			for _, k := range kids {
+				w = combine(agg, w, k.ws[k.sel[k.gids[i]]])
+			}
+			ws[i] = w
+		}
 
 		// Close out this node's groups for the parent: weighted median of
 		// the group's live tuple pivots, multiplicities = subtree counts.
@@ -218,35 +199,30 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 			groups := e.Groups[id]
 			sel := grow(selTuple[id], groups.NumGroups())
 			selTuple[id] = sel
-			chunks := parallel.Ranges(workers, groups.NumGroups())
-			bufs := s.entryBufs(len(chunks))
-			parallel.Do(workers, len(chunks), func(c int) {
-				es := bufs[c]
-				for g := chunks[c].Lo; g < chunks[c].Hi; g++ {
-					es = es[:0]
-					for _, t := range groups.Tuples[g] {
-						if ti := int(t); !live[ti].IsZero() {
-							es = append(es, selection.Entry{Key: ws[ti*stride], Item: ti})
-						}
+			for g, tuples := range groups.Tuples {
+				es = es[:0]
+				for _, t := range tuples {
+					if ti := int(t); !live[ti].IsZero() {
+						es = append(es, selection.Entry{Key: ws[ti*stride], Item: ti})
 					}
-					sel[g] = medianTuple(es, ws, r, live)
 				}
-				bufs[c] = es
-			})
+				sel[g] = medianTuple(es, ws, r, live)
+			}
 		}
 	}
 
 	// Artificial root: weighted median over the live root tuples.
 	root := e.T.Root
 	ws := weights[root]
-	bufs := s.entryBufs(1)
-	es := grow(bufs[0], len(counts.Tuple[root]))[:0]
+	es = grow(es, len(counts.Tuple[root]))[:0]
 	for i, m := range counts.Tuple[root] {
 		if !m.IsZero() {
 			es = append(es, selection.Entry{Key: ws[i*stride], Item: i})
 		}
 	}
-	bufs[0] = es
+	if s != nil {
+		s.entries = es
+	}
 	rootSel := medianTuple(es, ws, r, counts.Tuple[root])
 
 	// Reconstruct the pivot assignment top-down along the selected tuples.
@@ -278,6 +254,12 @@ func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func
 		C:          cParam[root] / 2,
 		Count:      counts.Total,
 	}, nil
+}
+
+// SelectPrepared is Select; workers is unread. Kept for the bench module's
+// probes, which call it by this name.
+func SelectPrepared(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Func, mu map[query.Var]int, _ int, s *Scratch) (*Result, error) {
+	return Select(e, counts, f, mu, s)
 }
 
 // medianTuple is the ⊕ of Lemma 4.5 over a group's live tuples: the tuple of

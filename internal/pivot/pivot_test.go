@@ -25,7 +25,7 @@ func selectPivot(t testing.TB, q *query.Query, db *relation.Database, f *ranking
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func selectPivot(t testing.TB, q *query.Query, db *relation.Database, f *ranking
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SelectWorkers(e, f, mu, 1)
+	return Select(e, yannakakis.Count(e), f, mu, nil)
 }
 
 // Figure 2 of the paper: under full SUM with identity weights, the pivot of
@@ -48,7 +48,7 @@ func TestFigure2Pivot(t *testing.T) {
 	f := ranking.NewSum("x1", "x2", "x3", "x4", "x5")
 	// Atoms: 0=R, 1=S, 2=T, 3=U. Parents: S->R, T->R, U->T.
 	tree := jointree.FromParent(q, []int{-1, 0, 0, 2}, 0)
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFigure2Pivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SelectWorkers(e, f, mu, 1)
+	res, err := Select(e, yannakakis.Count(e), f, mu, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func BenchmarkPivotPath3(b *testing.B) {
 	mu, _ := f.AssignVars(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := jointree.NewExecWorkers(q, db, tree, 1)
-		if _, err := SelectWorkers(e, f, mu, 1); err != nil && err != ErrNoAnswers {
+		e, _ := jointree.NewExec(q, db, tree)
+		if _, err := Select(e, yannakakis.Count(e), f, mu, nil); err != nil && err != ErrNoAnswers {
 			b.Fatal(err)
 		}
 	}
@@ -251,14 +251,14 @@ func BenchmarkPivotPath3(b *testing.B) {
 // fixtures (same seeds and shapes as the tests above, plus one instance whose
 // join groups are large enough for every pivot rule of the selection package)
 // into one FNV-1a hash.
-func pivotWeightDigest(t *testing.T, workers int) uint64 {
+func pivotWeightDigest(t *testing.T) uint64 {
 	h := fnv.New64a()
 	add := func(q *query.Query, db *relation.Database, f *ranking.Func) {
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		e, err := jointree.NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func pivotWeightDigest(t *testing.T, workers int) uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SelectWorkers(e, f, mu, workers)
+		res, err := Select(e, yannakakis.Count(e), f, mu, nil)
 		if err == ErrNoAnswers {
 			return
 		}
@@ -312,10 +312,8 @@ func pivotWeightDigest(t *testing.T, workers int) uint64 {
 // recorded at the commit before introselect), at every worker count.
 func TestPivotWeightsIndependentOfSelectionRule(t *testing.T) {
 	const medianOfMediansDigest = 0x361529a4350a39b2
-	for _, workers := range []int{1, 2, 8} {
-		if got := pivotWeightDigest(t, workers); got != medianOfMediansDigest {
-			t.Fatalf("workers=%d: pivot-weight digest %#x, want %#x", workers, got, uint64(medianOfMediansDigest))
-		}
+	if got := pivotWeightDigest(t); got != medianOfMediansDigest {
+		t.Fatalf("pivot-weight digest %#x, want %#x", got, uint64(medianOfMediansDigest))
 	}
 }
 
@@ -343,7 +341,7 @@ func callbackMedian(live []int, less func(a, b int) bool, mult func(i int) count
 	return selection.MedianItem(es, selection.Vectors{Mult: mults})
 }
 
-// referenceSelect is Algorithm 2 as SelectPrepared ran it before the flat
+// referenceSelect is Algorithm 2 as Select ran it before the flat
 // weight arrays: a ranking.Weightv per tuple, built with the TupleWeigher and
 // Combine, compared through f.Compare inside a callback median. Sequential, no
 // scratch.
@@ -425,10 +423,10 @@ func referenceSelect(e *jointree.Exec, counts *yannakakis.Counts, f *ranking.Fun
 	return &Result{Assignment: asn, Weight: weights[root][rootSel], C: cParam[root] / 2, Count: counts.Total}
 }
 
-// SelectPrepared returns the callback pass's Result — assignment, weight, C
-// and count — on the differential corpus under every ranking family, with
-// default and custom weights, at every worker count, with and without a
-// scratch; the one scratch is reused across all instances, large and small.
+// Select returns the callback pass's Result — assignment, weight, C and
+// count — on the differential corpus under every ranking family, with default
+// and custom weights, with and without a scratch; the one scratch is reused
+// across all instances, large and small.
 func TestSelectPreparedMatchesCallbackPass(t *testing.T) {
 	custom := func(v query.Var, x relation.Value) int64 { return (x*7+int64(len(v)))%11 - 5 }
 	var scratch Scratch
@@ -438,11 +436,11 @@ func TestSelectPreparedMatchesCallbackPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		e, err := jointree.NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := yannakakis.CountWorkers(e, 1)
+		counts := yannakakis.Count(e)
 		v := q.Vars()
 		ranks := append([]*ranking.Func{ranking.NewSum(v[0], v[1]), ranking.NewMin(v...), ranking.NewMax(v...), ranking.NewLex(v...)}, inst.Ranks...)
 		for _, f := range slices.Clone(ranks) {
@@ -454,17 +452,15 @@ func TestSelectPreparedMatchesCallbackPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := referenceSelect(e, counts, f, mu)
-			for _, workers := range []int{1, 2, 8} {
-				for _, s := range []*Scratch{nil, &scratch} {
-					got, err := SelectPrepared(e, counts, f, mu, workers, s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got.Assignment, want.Assignment) || got.Weight.K != want.Weight.K ||
-						!slices.Equal(got.Weight.Vec, want.Weight.Vec) || got.C != want.C || got.Count != want.Count {
-						t.Fatalf("%s %s%v custom=%v workers=%d scratch=%v:\n got %+v\nwant %+v",
-							inst.Name, f.Agg, f.Vars, f.Weight != nil, workers, s != nil, got, want)
-					}
+			for _, s := range []*Scratch{nil, &scratch} {
+				got, err := Select(e, counts, f, mu, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Assignment, want.Assignment) || got.Weight.K != want.Weight.K ||
+					!slices.Equal(got.Weight.Vec, want.Weight.Vec) || got.C != want.C || got.Count != want.Count {
+					t.Fatalf("%s %s%v custom=%v scratch=%v:\n got %+v\nwant %+v",
+						inst.Name, f.Agg, f.Vars, f.Weight != nil, s != nil, got, want)
 				}
 			}
 		}

@@ -69,11 +69,11 @@ func compile(t *testing.T, q *query.Query, db *relation.Database) (*jointree.Exe
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, yannakakis.CountWorkers(e, 1)
+	return e, yannakakis.Count(e)
 }
 
 func TestWeighMatchesAnswerWeigher(t *testing.T) {
@@ -83,7 +83,7 @@ func TestWeighMatchesAnswerWeigher(t *testing.T) {
 		q, raw := query.EliminateSelfJoins(inst.Q, inst.DB)
 		db := relation.NewDatabase()
 		for _, name := range raw.Names() {
-			db.Add(raw.Get(name).DedupedWorkers(1))
+			db.Add(raw.Get(name).Deduped())
 		}
 		e, counts := compile(t, q, db)
 		for _, f := range rankFamilies(q.Vars(), inst.Ranks...) {
@@ -109,11 +109,11 @@ func TestWeighMatchesAnswerWeigher(t *testing.T) {
 				}
 				deltas[name] = d
 			}
-			derived, changes, err := e.ApplyDelta(deltas, 1)
+			derived, changes, err := e.ApplyDelta(deltas)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, counts = derived, yannakakis.UpdateCounts(counts, derived, changes, 1)
+			e, counts = derived, yannakakis.UpdateCounts(counts, derived, changes)
 			for _, n := range e.T.Nodes {
 				for _, c := range counts.Tuple[n.ID] {
 					if c.IsZero() && n.Parent < 0 {
@@ -142,7 +142,7 @@ func TestWeighMatchesAnswerWeigher(t *testing.T) {
 				r.Append(rng.Int63n(5), rng.Int63n(5), rng.Int63n(5))
 			}
 			db := relation.NewDatabase()
-			db.Add(r.DedupedWorkers(1))
+			db.Add(r.Deduped())
 			return query.New(query.Atom{Rel: "R", Vars: []query.Var{"x", "y", "z"}}), db
 		},
 	}
@@ -150,7 +150,7 @@ func TestWeighMatchesAnswerWeigher(t *testing.T) {
 		q, raw := build()
 		db := relation.NewDatabase()
 		for _, rel := range raw.Names() {
-			db.Add(raw.Get(rel).DedupedWorkers(1))
+			db.Add(raw.Get(rel).Deduped())
 		}
 		e, counts := compile(t, q, db)
 		total := 0
@@ -171,7 +171,7 @@ func TestWeighTrimmedInstances(t *testing.T) {
 	q, raw := workload.Path(rng, 3, 80, 6)
 	db := relation.NewDatabase()
 	for _, name := range raw.Names() {
-		db.Add(raw.Get(name).DedupedWorkers(1))
+		db.Add(raw.Get(name).Deduped())
 	}
 	custom := func(v query.Var, x relation.Value) int64 { return 3*x - int64(len(v)) }
 	for _, f := range []*ranking.Func{ranking.NewSum("x1", "x2", "x3"), ranking.NewSum("x2", "x4"), {Agg: ranking.Sum, Vars: []query.Var{"x1", "x3"}, Weight: custom}} {

@@ -96,7 +96,7 @@ func TestNormalizeNamedCases(t *testing.T) {
 		{"the same repeat twice", query.New(atom("R", "x", "x"), atom("R", "y", "y")), dbOf(r2), 4},
 		{"every row violates the equality", query.New(atom("R", "x", "x"), atom("S", "x", "z")),
 			dbOf(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {2, 1}}), s2), 0},
-		{"distinct input stays distinct", query.New(atom("R", "x", "x"), atom("S", "x", "z")), dbOf(r2.DedupedWorkers(1), s2.DedupedWorkers(1)), 2},
+		{"distinct input stays distinct", query.New(atom("R", "x", "x"), atom("S", "x", "z")), dbOf(r2.Deduped(), s2.Deduped()), 2},
 	}
 	for _, c := range cases {
 		q, ndb := checkNormalize(t, c.name, c.q, c.db)
@@ -110,8 +110,8 @@ func TestNormalizeNamedCases(t *testing.T) {
 	// one give the same rows in the same order.
 	src := query.New(atom("R", "x", "x"))
 	q1, db1 := query.Normalize(src, dbOf(r2))
-	q2, db2 := query.Normalize(src, dbOf(r2.DedupedWorkers(1)))
-	a, b := db1.Get(q1.Atoms[0].Rel).DedupedWorkers(1), db2.Get(q2.Atoms[0].Rel)
+	q2, db2 := query.Normalize(src, dbOf(r2.Deduped()))
+	a, b := db1.Get(q1.Atoms[0].Rel).Deduped(), db2.Get(q2.Atoms[0].Rel)
 	if !a.Equal(b) || a.Len() != 2 || !b.IsDistinct() {
 		t.Fatalf("dedup∘normalize gives %v, normalize∘dedup %v", a, b)
 	}
@@ -160,7 +160,7 @@ func TestNormalizeMatchesBruteForce(t *testing.T) {
 				r.AppendRow(row)
 			}
 			if rng.Intn(2) == 0 {
-				r = r.DedupedWorkers(1)
+				r = r.Deduped()
 			}
 			db.Add(r)
 		}

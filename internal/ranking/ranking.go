@@ -134,8 +134,8 @@ func (f *Func) Validate(q *query.Query) error {
 }
 
 // lexPos returns the significance position of v, or -1. A linear scan keeps
-// Func free of lazily built state: weight computation runs concurrently on
-// worker goroutines, and LEX rankings have few variables.
+// Func free of lazily built state: concurrent readers of one plan weigh with
+// one Func, and LEX rankings have few variables.
 func (f *Func) lexPos(v query.Var) int {
 	for i, x := range f.Vars {
 		if x == v {

@@ -7,13 +7,10 @@ package relation
 // integers — no per-key allocation anywhere.
 //
 // Dense first-appearance ids are the load-bearing property: group ids,
-// dedup survivor order and segment ids all follow them, so a structure built
-// over chunks and merged in chunk order numbers its keys exactly as the
-// sequential build does.
+// dedup survivor order and segment ids all follow them.
 //
-// An Interner is not safe for concurrent mutation; parallel passes intern
-// into per-chunk interners and merge in chunk order. Read-only Lookup is
-// safe for any number of concurrent readers.
+// An Interner is not safe for concurrent mutation. Read-only Lookup is safe
+// for any number of concurrent readers.
 
 // Interner maps fixed-width Value tuples to dense uint32 ids.
 //
@@ -74,7 +71,8 @@ func mix64(x uint64) uint64 {
 }
 
 // HashTuple returns the interner's deterministic hash of a tuple. Exposed so
-// chunked passes can pre-hash on the workers and merge without re-hashing.
+// a probe that tests a key against a bit filter and then a table hashes it
+// once.
 func HashTuple(t []Value) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range t {
@@ -176,8 +174,8 @@ func (it *Interner) grow(size int) {
 	}
 }
 
-// HashOf returns the stored hash of an interned id — chunked merges re-intern
-// worker-produced tuples without re-hashing them.
+// HashOf returns the stored hash of an interned id, so a copy re-interns a
+// tuple without hashing it again.
 func (it *Interner) HashOf(id uint32) uint64 {
 	if id < it.baseLen {
 		return it.base.HashOf(id)
@@ -192,25 +190,6 @@ func (it *Interner) TupleOf(id uint32) []Value {
 		return it.base.TupleOf(id)
 	}
 	return it.tupleAt(id - it.baseLen)
-}
-
-// Reserve grows the receiver's own probe table and storage so about capHint
-// distinct tuples fit without intermediate rehashes — chunk-merge paths know
-// an upper bound (the sum of the per-chunk distinct counts) up front.
-func (it *Interner) Reserve(capHint int) {
-	if size := tableSizeFor(capHint); size > int(it.mask+1) {
-		it.grow(size)
-	}
-	if cap(it.hashes) < capHint {
-		h := make([]uint64, len(it.hashes), capHint)
-		copy(h, it.hashes)
-		it.hashes = h
-	}
-	if it.width > 0 && cap(it.vals) < capHint*it.width {
-		v := make([]Value, len(it.vals), capHint*it.width)
-		copy(v, it.vals)
-		it.vals = v
-	}
 }
 
 // Reset empties the interner for reuse, keeping its capacity. width may be
@@ -312,9 +291,16 @@ func (it *Interner) Flatten() *Interner {
 	if it.base == nil {
 		return it
 	}
+	return it.Compact()
+}
+
+// Compact returns a fresh root interner holding the same ids, its table and
+// storage sized for the tuples it holds: the stored hashes are re-interned
+// in id order, so nothing is hashed again.
+func (it *Interner) Compact() *Interner {
 	out := NewInterner(it.width, it.Len())
-	for id := 0; id < it.Len(); id++ {
-		out.Intern(it.TupleOf(uint32(id)))
+	for id := range uint32(it.Len()) {
+		out.InternHashed(it.TupleOf(id), it.HashOf(id))
 	}
 	return out
 }

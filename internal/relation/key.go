@@ -19,8 +19,7 @@ func appendValue(dst []byte, v Value) []byte {
 // Map lookups with string(enc.Row(...)) do not allocate; only inserting a
 // previously unseen key copies the bytes into a permanent string.
 //
-// A KeyEncoder is not safe for concurrent use; parallel passes allocate one
-// per chunk.
+// A KeyEncoder is not safe for concurrent use.
 type KeyEncoder struct{ buf []byte }
 
 // Row returns the key of the whole row.

@@ -1,7 +1,5 @@
 package relation
 
-import "github.com/quantilejoins/qjoin/internal/parallel"
-
 // Multiset tracks the raw tuple multiplicities behind a deduplicated
 // relation. The engine's execution structures treat relations as sets
 // (Section 2.1), but user input is a multiset: the same tuple may be added
@@ -20,34 +18,13 @@ type Multiset struct {
 	over map[string]int // sparse overlay; an entry of 0 marks a removed key
 }
 
-// NewMultisetWorkers counts the raw row multiplicities of a relation over a
-// bounded worker pool: per-chunk counts are summed in a sequential merge, so
-// the result is identical for every worker count (multiset union is
-// commutative).
-func NewMultisetWorkers(r *Relation, workers int) *Multiset {
-	n := r.Len()
+// NewMultiset counts the raw row multiplicities of a relation.
+func NewMultiset(r *Relation) *Multiset {
+	base := make(map[string]int, r.n)
 	cols := r.Cols()
-	if len(parallel.Ranges(workers, n)) <= 1 {
-		base := make(map[string]int, n)
-		var enc KeyEncoder
-		for i := 0; i < n; i++ {
-			base[string(enc.RowAt(cols, i))]++
-		}
-		return &Multiset{base: base}
-	}
-	parts := parallel.MapRanges(workers, n, func(lo, hi int) map[string]int {
-		local := make(map[string]int, hi-lo)
-		var enc KeyEncoder
-		for i := lo; i < hi; i++ {
-			local[string(enc.RowAt(cols, i))]++
-		}
-		return local
-	})
-	base := make(map[string]int, n)
-	for _, part := range parts {
-		for k, c := range part {
-			base[k] += c
-		}
+	var enc KeyEncoder
+	for i := range r.n {
+		base[string(enc.RowAt(cols, i))]++
 	}
 	return &Multiset{base: base}
 }

@@ -21,8 +21,6 @@ package relation
 import (
 	"fmt"
 	"sync/atomic"
-
-	"github.com/quantilejoins/qjoin/internal/parallel"
 )
 
 // Value is a database constant. The weight functions of ranking packages map
@@ -40,7 +38,7 @@ type Relation struct {
 	// sets (Section 2.1); the marker lets the execution layer skip
 	// re-deduplication of relations produced by its own constructions.
 	distinct bool
-	// set is the copy DedupedWorkers gathered of a relation with duplicate
+	// set is the copy Deduped gathered of a relation with duplicate
 	// rows, kept so that every plan compiled over this relation holds the
 	// same one: what the plans of one input retain does not depend on whether
 	// it held a duplicate. A write to the relation (AppendRow, Set) forgets
@@ -75,78 +73,35 @@ func (r *Relation) MarkDistinct() *Relation { r.distinct = true; return r }
 // IsDistinct reports whether the relation is known duplicate-free.
 func (r *Relation) IsDistinct() bool { return r.distinct }
 
-// DedupedWorkers returns the relation itself when known distinct, otherwise
-// its first occurrences in order, marked distinct, over a bounded worker pool:
-// each chunk of rows hashes its locally-first rows in parallel, and a
-// sequential merge in chunk order drops cross-chunk duplicates, so the output
-// row sequence is byte-identical to the sequential scan for every worker
-// count. When no row is dropped the result is a view — a fresh header over the
-// receiver's columns — so a duplicate-free input is never copied; the marker
-// goes on the view, never on the receiver. When rows are dropped the result is
-// a gathered copy, which the receiver remembers until it is next written to:
-// concurrent and later compiles over one input share that copy, whichever of
-// them made it. Either way the receiver's columns must be treated as
-// read-only from here on.
-func (r *Relation) DedupedWorkers(workers int) *Relation {
+// Deduped returns the relation itself when known distinct, otherwise its
+// first occurrences in order, marked distinct. When no row is dropped the
+// result is a view — a fresh header over the receiver's columns — so a
+// duplicate-free input is never copied; the marker goes on the view, never on
+// the receiver. When rows are dropped the result is a gathered copy, which the
+// receiver remembers until it is next written to: concurrent and later
+// compiles over one input share that copy, whichever of them made it. Either
+// way the receiver's columns must be treated as read-only from here on.
+func (r *Relation) Deduped() *Relation {
 	if r.distinct {
 		return r
 	}
 	if set := r.set.Load(); set != nil {
 		return set
 	}
-	n := r.Len()
-	if len(parallel.Ranges(workers, n)) <= 1 {
-		return r.dedupedSeq()
-	}
-	// Parallel pass: per chunk, the locally-first rows with their hashes
-	// pre-computed (the ordered merge below re-interns them, so the hashing
-	// cost is paid on the workers, not on the merge path).
-	type chunkFirsts struct {
-		rows   []int
-		hashes []uint64
-	}
-	parts := parallel.MapRanges(workers, n, func(lo, hi int) chunkFirsts {
-		seen := NewInterner(r.arity, hi-lo)
-		cf := chunkFirsts{}
-		buf := make([]Value, r.arity)
-		for i := lo; i < hi; i++ {
-			row := r.CopyRow(buf, i)
-			h := HashTuple(row)
-			if _, fresh := seen.InternHashed(row, h); !fresh {
-				continue
-			}
-			cf.rows = append(cf.rows, i)
-			cf.hashes = append(cf.hashes, h)
-		}
-		return cf
-	})
-	// Ordered merge: a row survives iff no earlier chunk (or earlier row of
-	// its own chunk) produced its key — exactly the sequential outcome.
-	seen := NewInterner(r.arity, n)
-	var keep []int
+	seen := NewInterner(r.arity, r.n)
+	keep := make([]int, 0, r.n)
 	buf := make([]Value, r.arity)
-	for _, cf := range parts {
-		for j, i := range cf.rows {
-			if _, fresh := seen.InternHashed(r.CopyRow(buf, i), cf.hashes[j]); fresh {
-				keep = append(keep, i)
-			}
-		}
-	}
-	return r.distinctRows(keep)
-}
-
-func (r *Relation) dedupedSeq() *Relation {
-	n := r.Len()
-	seen := NewInterner(r.arity, n)
-	keep := make([]int, 0, n)
-	buf := make([]Value, r.arity)
-	for i := 0; i < n; i++ {
+	for i := range r.n {
 		if _, fresh := seen.Intern(r.CopyRow(buf, i)); fresh {
 			keep = append(keep, i)
 		}
 	}
 	return r.distinctRows(keep)
 }
+
+// DedupedWorkers is Deduped; workers is unread. Kept for the bench module's
+// probes, which call it by this name.
+func (r *Relation) DedupedWorkers(_ int) *Relation { return r.Deduped() }
 
 // distinctRows returns the rows at keep — ascending first occurrences — marked
 // distinct: a view of r when that is every row, otherwise a gathered copy,
@@ -378,61 +333,19 @@ func (r *Relation) WithoutRows(sortedIdx []int, extra int) *Relation {
 	return out
 }
 
-// FilterWorkers returns a new relation containing the tuples for which keep
-// returns true, preserving order. The predicate receives the row index;
-// callers read the columns they test directly (see Col). A subset of a
-// distinct relation stays distinct. The scan is chunked over a bounded worker
-// pool and the per-chunk survivor lists are concatenated in chunk order, so
-// the result is the same for every worker count; keep must be safe for
-// concurrent calls when the scan splits.
-func (r *Relation) FilterWorkers(workers int, keep func(i int) bool) *Relation {
-	n := r.Len()
-	scan := func(lo, hi int) []int {
-		var rows []int
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				rows = append(rows, i)
-			}
-		}
-		return rows
-	}
+// Filter returns a new relation containing the tuples for which keep returns
+// true, preserving order. The predicate receives the row index; callers read
+// the columns they test directly (see Col). A subset of a distinct relation
+// stays distinct.
+func (r *Relation) Filter(keep func(i int) bool) *Relation {
 	var rows []int
-	if len(parallel.Ranges(workers, n)) <= 1 {
-		rows = scan(0, n)
-	} else {
-		parts := parallel.MapRanges(workers, n, scan)
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		rows = make([]int, 0, total)
-		for _, p := range parts {
-			rows = append(rows, p...)
+	for i := range r.n {
+		if keep(i) {
+			rows = append(rows, i)
 		}
 	}
 	out := r.GatherRows(r.name, rows)
 	out.distinct = r.distinct
-	return out
-}
-
-// Concat flattens per-chunk relations into one, preserving chunk order —
-// the ordered-merge step of every chunked relation construction. The parts
-// must share the given arity.
-func Concat(name string, arity int, distinct bool, parts []*Relation) *Relation {
-	total := 0
-	for _, p := range parts {
-		total += p.n
-	}
-	out := New(name, arity)
-	for j := 0; j < arity; j++ {
-		dst := make([]Value, 0, total)
-		for _, p := range parts {
-			dst = append(dst, p.cols[j]...)
-		}
-		out.cols[j] = dst
-	}
-	out.n = total
-	out.distinct = distinct
 	return out
 }
 

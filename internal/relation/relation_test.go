@@ -79,7 +79,7 @@ func TestRenameSharesData(t *testing.T) {
 func TestFilter(t *testing.T) {
 	a := FromRows("R", 1, [][]Value{{1}, {2}, {3}, {4}})
 	col := a.Col(0)
-	ev := a.FilterWorkers(1, func(i int) bool { return col[i]%2 == 0 })
+	ev := a.Filter(func(i int) bool { return col[i]%2 == 0 })
 	if ev.Len() != 2 || ev.Get(0, 0) != 2 || ev.Get(1, 0) != 4 {
 		t.Fatalf("filter = %v", ev)
 	}
@@ -128,7 +128,7 @@ func TestStringForms(t *testing.T) {
 
 func TestDeduped(t *testing.T) {
 	a := FromRows("R", 2, [][]Value{{1, 2}, {1, 2}, {3, 4}, {1, 2}})
-	d := a.DedupedWorkers(1)
+	d := a.Deduped()
 	if d.Len() != 2 || !d.IsDistinct() {
 		t.Fatalf("deduped: len=%d distinct=%v", d.Len(), d.IsDistinct())
 	}
@@ -136,7 +136,7 @@ func TestDeduped(t *testing.T) {
 		t.Fatal("dedup changed order of first occurrences")
 	}
 	// Already-distinct relations are returned as-is.
-	if d.DedupedWorkers(1) != d {
+	if d.Deduped() != d {
 		t.Fatal("distinct relation must not be copied")
 	}
 }
@@ -145,27 +145,25 @@ func TestDeduped(t *testing.T) {
 // own over the receiver's columns, and the receiver is left unmarked — two
 // compiles may be deduplicating it at once.
 func TestDedupedSharesColumnsWhenNothingIsDropped(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		a := New("R", 2)
-		for i := Value(0); i < 3000; i++ {
-			a.Append(i, i%7)
-		}
-		d := a.DedupedWorkers(workers)
-		if d == a || a.IsDistinct() {
-			t.Fatalf("workers=%d: the receiver itself was marked or returned", workers)
-		}
-		if !d.IsDistinct() || d.Name() != "R" || !d.Equal(a) || &d.Col(0)[0] != &a.Col(0)[0] || &d.Col(1)[0] != &a.Col(1)[0] {
-			t.Fatalf("workers=%d: want a distinct-marked view of the receiver's columns", workers)
-		}
-		// Rows the caller appends afterwards stay the caller's.
-		a.Append(9, 9)
-		if d.Len() != 3000 || a.Len() != 3001 {
-			t.Fatalf("workers=%d: an append to the receiver reached the view", workers)
-		}
-		a.Append(0, 0) // a duplicate: now the rows are gathered
-		if c := a.DedupedWorkers(workers); c.Len() != 3001 || &c.Col(0)[0] == &a.Col(0)[0] {
-			t.Fatalf("workers=%d: dropped rows must give a copy, got %v sharing=%v", workers, c, &c.Col(0)[0] == &a.Col(0)[0])
-		}
+	a := New("R", 2)
+	for i := Value(0); i < 3000; i++ {
+		a.Append(i, i%7)
+	}
+	d := a.Deduped()
+	if d == a || a.IsDistinct() {
+		t.Fatal("the receiver itself was marked or returned")
+	}
+	if !d.IsDistinct() || d.Name() != "R" || !d.Equal(a) || &d.Col(0)[0] != &a.Col(0)[0] || &d.Col(1)[0] != &a.Col(1)[0] {
+		t.Fatal("want a distinct-marked view of the receiver's columns")
+	}
+	// Rows the caller appends afterwards stay the caller's.
+	a.Append(9, 9)
+	if d.Len() != 3000 || a.Len() != 3001 {
+		t.Fatal("an append to the receiver reached the view")
+	}
+	a.Append(0, 0) // a duplicate: now the rows are gathered
+	if c := a.Deduped(); c.Len() != 3001 || &c.Col(0)[0] == &a.Col(0)[0] {
+		t.Fatalf("dropped rows must give a copy, got %v sharing=%v", c, &c.Col(0)[0] == &a.Col(0)[0])
 	}
 }
 
@@ -183,7 +181,7 @@ func TestDedupedIsRememberedUntilWritten(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sets[g] = a.DedupedWorkers(1 + g%4)
+			sets[g] = a.Deduped()
 		}()
 	}
 	wg.Wait()
@@ -192,16 +190,16 @@ func TestDedupedIsRememberedUntilWritten(t *testing.T) {
 			t.Fatalf("caller %d: got %p (%d rows), caller 0 got %p", g, d, d.Len(), sets[0])
 		}
 	}
-	if a.Rename("R").DedupedWorkers(1) == sets[0] {
+	if a.Rename("R").Deduped() == sets[0] {
 		t.Fatal("another header over the same columns was handed this one's set")
 	}
 	for what, write := range map[string]func(){
 		"AppendRow": func() { a.Append(5000, 1) },
 		"Set":       func() { a.Set(0, 0, 5002) },
 	} {
-		before := a.DedupedWorkers(1)
+		before := a.Deduped()
 		write()
-		after := a.DedupedWorkers(1)
+		after := a.Deduped()
 		if after == before || after.Len() != before.Len()+1 {
 			t.Fatalf("%s: the set from before the write was served again (%d rows, then %d)", what, before.Len(), after.Len())
 		}
@@ -217,8 +215,8 @@ func TestDistinctPropagation(t *testing.T) {
 		t.Fatal("Rename dropped distinct")
 	}
 	ac := a.Col(0)
-	if !a.FilterWorkers(1, func(i int) bool { return ac[i] == 1 }).IsDistinct() {
-		t.Fatal("FilterWorkers dropped distinct")
+	if !a.Filter(func(i int) bool { return ac[i] == 1 }).IsDistinct() {
+		t.Fatal("Filter dropped distinct")
 	}
 	// Fresh relations are not distinct by default.
 	if New("X", 1).IsDistinct() {

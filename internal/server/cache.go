@@ -105,9 +105,12 @@ func planKey(dataset string, gen uint64, query string) string {
 // every caller — the one that triggered it and every coalesced latecomer —
 // waits on it under its own ctx and gets ctx.Err() on expiry, while the
 // flight itself always runs to completion and lands in the cache for the
-// next request. hold (optional) is invoked synchronously on the
-// compile path and its return value when the flight finishes, letting the
-// HTTP layer charge the detached compile to the caller's admission slot.
+// next request. A compile that panics fails its flight with an error
+// wrapping errPanic (see recovered): its waiters get that error at once, and
+// the next Get of the key compiles again. hold (optional) is invoked
+// synchronously on the compile path and its return value when the flight
+// finishes, letting the HTTP layer charge the detached compile to the
+// caller's admission slot.
 func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, rankStr string, _ int,
 	rank *qjoin.Ranking, hold func() func(), prepare func() (qjoin.Plan, error)) (plan qjoin.Plan, outRank *qjoin.Ranking, cached bool, err error) {
 	k := key(dataset, gen, query, rankStr)
@@ -188,7 +191,7 @@ func (c *PlanCache) Get(ctx context.Context, dataset string, gen uint64, query, 
 		if release != nil {
 			defer release()
 		}
-		p, err := prepare()
+		p, err := recovered(c.run, prepare)
 		c.mu.Lock()
 		delete(c.inflight, k)
 		delete(c.byPlanKey, pk)

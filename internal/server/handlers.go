@@ -16,8 +16,7 @@ import (
 
 // Config tunes a Server. The zero value is usable: an admission gate of
 // 4× GOMAXPROCS, 64 plan-cache entries and a 30s request timeout. Plans
-// compile with the library's default Options (GOMAXPROCS-parallel; answers
-// are byte-identical at every worker count).
+// compile with the library's default Options.
 type Config struct {
 	// MaxInflight bounds concurrently admitted load/delta/query requests.
 	// 0 sizes the gate at 4× GOMAXPROCS, so a few requests queue behind the
@@ -213,7 +212,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		s.writeError(w, http.StatusConflict, err, "")
 	case errors.Is(err, qjoin.ErrNoAnswers), errors.Is(err, errNotFound):
 		s.writeError(w, http.StatusNotFound, err, "")
-	case errors.Is(err, errStore):
+	case errors.Is(err, errStore), errors.Is(err, errPanic):
 		s.writeError(w, http.StatusInternalServerError, err, "")
 	default:
 		s.writeError(w, http.StatusBadRequest, err, "")
@@ -477,7 +476,8 @@ func (s *Server) getPlan(ctx context.Context, dataset string, snap Snapshot, q *
 // The engine's passes are not interruptible mid-flight, so on timeout the
 // job finishes in the background and its result is discarded; the work keeps
 // holding the request's admission slot until it finishes, so MaxInflight
-// bounds total concurrent engine work, stragglers included.
+// bounds total concurrent engine work, stragglers included. A pass that
+// panics returns an error wrapping errPanic, which fail answers with a 500.
 func runCtx[T any](ctx context.Context, run *runner, fn func() (T, error)) (T, error) {
 	var release func()
 	if tok := admitFrom(ctx); tok != nil {
@@ -492,7 +492,7 @@ func runCtx[T any](ctx context.Context, run *runner, fn func() (T, error)) (T, e
 		if release != nil {
 			defer release()
 		}
-		v, err := fn()
+		v, err := recovered(run, fn)
 		ch <- result{v, err}
 	})
 	select {
@@ -611,6 +611,7 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		Cache:         s.cache.Stats(),
 		Metrics:       s.metrics.Snapshot(),
 	}
+	resp.Metrics.Panics = s.run.panics.Load()
 	for _, name := range s.reg.Names() {
 		if snap, ok := s.reg.Get(name); ok {
 			resp.Datasets = append(resp.Datasets, datasetInfo(name, snap))

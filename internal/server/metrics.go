@@ -117,6 +117,9 @@ type MetricsSnapshot struct {
 	Errors   int64         `json:"errors"`
 	Timeouts int64         `json:"timeouts"`
 	Inflight int64         `json:"inflight"`
+	// Panics counts the queries and compiles whose work panicked; each
+	// answered 500 (see recovered).
+	Panics int64 `json:"panics"`
 }
 
 // Snapshot captures all counters.

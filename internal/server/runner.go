@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 )
@@ -18,7 +20,10 @@ import (
 // The waiting goroutines see only the pool, never the runner: once the
 // runner is unreachable (its Server and PlanCache are gone), a cleanup
 // closes the job channel and they exit.
-type runner struct{ p *pool }
+type runner struct {
+	p      *pool
+	panics atomic.Int64 // jobs whose work panicked (recovered)
+}
 
 type pool struct {
 	jobs    chan func() // unbuffered: a send succeeds only into a waiting goroutine
@@ -53,4 +58,23 @@ func (p *pool) serve(job func()) {
 		job, ok = <-p.jobs
 		p.idle.Add(-1)
 	}
+}
+
+// errPanic marks the error of a job whose work panicked; the HTTP layer maps
+// it to a 500.
+var errPanic = errors.New("server: internal error")
+
+// recovered runs a job's work and turns a panic into an error wrapping
+// errPanic, counted on run. A panic on a runner goroutine would end the
+// process, since net/http recovers only its own handler goroutines; this way
+// the job reports to whoever waits on it, and its goroutine goes on to the
+// next job.
+func recovered[T any](run *runner, work func() (T, error)) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			run.panics.Add(1)
+			err = fmt.Errorf("%w: %v", errPanic, p)
+		}
+	}()
+	return work()
 }

@@ -155,3 +155,82 @@ func TestBareCacheRunnerLeavesWithIt(t *testing.T) {
 		t.Fatalf("%d goroutines after the cache is gone, %d before", runtime.NumGoroutine(), before)
 	}
 }
+
+// A query pass that panics answers 500 and is counted in /stats; the
+// runner's goroutine survives it, and the next job on it runs.
+func TestPanickingQueryAnswers500(t *testing.T) {
+	s := New(Config{MaxInflight: 1})
+	boom := true
+	h := s.gated(&s.metrics.Requests.Query, &s.metrics.QueryLatency, func(w http.ResponseWriter, r *http.Request) {
+		v, err := runCtx(r.Context(), s.run, func() (int, error) {
+			if boom {
+				panic("boom")
+			}
+			return 7, nil
+		})
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		s.writeJSON(w, v)
+	})
+	w := serve(t, h, "POST", "/query", nil)
+	if w.Code != http.StatusInternalServerError || !bytes.Contains(w.Body.Bytes(), []byte("boom")) {
+		t.Fatalf("panicking query: status %d %s, want 500", w.Code, w.Body.String())
+	}
+	if got := s.StatsSnapshot().Metrics.Panics; got != 1 {
+		t.Fatalf("/stats counts %d panics, want 1", got)
+	}
+	if !waitFor(func() bool { return s.run.p.idle.Load() == 1 }) {
+		t.Fatalf("%d runner goroutines wait after the panic, want 1", s.run.p.idle.Load())
+	}
+	boom = false
+	if w := serve(t, h, "POST", "/query", nil); w.Code != http.StatusOK || w.Body.String() != "7\n" {
+		t.Fatalf("query after the panic: status %d %q, want 200 7", w.Code, w.Body.String())
+	}
+}
+
+// A compile that panics fails its flight at once, for its caller and for a
+// request coalesced onto it, and leaves nothing behind: the next Get of the
+// key compiles again.
+func TestPanickingCompileFailsItsFlight(t *testing.T) {
+	s := New(Config{})
+	c := s.Cache()
+	db := qjoin.NewDB().MustAdd("R", 2, [][]int64{{1, 2}})
+	q := qjoin.NewQuery(qjoin.NewAtom("R", "x", "y"))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	compiles := 0
+	started, release := make(chan struct{}), make(chan struct{})
+	get := func() (qjoin.Plan, error) {
+		p, _, _, err := c.Get(ctx, "d", 1, "R(x,y)", "", 0, nil, nil, func() (qjoin.Plan, error) {
+			compiles++
+			if compiles == 1 {
+				close(started)
+				<-release
+				panic("boom")
+			}
+			return qjoin.Prepare(q, db)
+		})
+		return p, err
+	}
+	errs := make(chan error, 2)
+	go func() { _, err := get(); errs <- err }()
+	<-started
+	go func() { _, err := get(); errs <- err }() // coalesces onto the flight
+	if !waitFor(func() bool { return c.Stats().Coalesced == 1 }) {
+		t.Fatal("the second request never joined the flight")
+	}
+	close(release)
+	for range 2 {
+		if err := <-errs; !errors.Is(err, errPanic) {
+			t.Fatalf("Get during the panicking compile: %v, want the panic's error", err)
+		}
+	}
+	if got := s.StatsSnapshot().Metrics.Panics; got != 1 {
+		t.Fatalf("/stats counts %d panics, want 1", got)
+	}
+	if p, err := get(); err != nil || p == nil || compiles != 2 {
+		t.Fatalf("Get after the panic: plan %v, err %v, %d compiles, want a plan from a second compile", p, err, compiles)
+	}
+}

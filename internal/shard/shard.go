@@ -27,10 +27,10 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/engine"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
@@ -56,9 +56,8 @@ type Sharded struct {
 	// routed by; relations absent from the map (no occurrence of the key,
 	// or not referenced by the query) are replicated to every shard. nil
 	// on the route-less set Single builds.
-	routes  map[string]int
-	engs    []*engine.Engine
-	workers int
+	routes map[string]int
+	engs   []*engine.Engine
 }
 
 // ChooseKey picks the partitioning variable of a query: the variable
@@ -103,32 +102,27 @@ func Of(v relation.Value, shards int) int {
 	return int(x % uint64(shards))
 }
 
-// New hash-partitions the database into the given number of shards and
-// compiles one engine per shard, building shards concurrently on the worker
-// budget (parallelism 0 selects GOMAXPROCS). The compiled artifact is
-// byte-identical for every parallelism value. shards=1 shares the input
-// relations outright and is exactly the unsharded engine.
-func New(src *query.Query, db0 *relation.Database, shards, parallelism int) (*Sharded, error) {
-	s, dbs, err := plan(src, db0, shards, parallelism)
+// Partition hash-partitions the database into the given number of shards
+// and compiles one engine per shard, in shard order. shards=1 shares the
+// input relations outright and is exactly the unsharded engine.
+func Partition(src *query.Query, db0 *relation.Database, shards int) (*Sharded, error) {
+	s, dbs, err := plan(src, db0, shards)
 	if err != nil {
 		return nil, err
 	}
-	// Compile shards concurrently: with more shards than cores this is the
-	// prepare-side win — each build is smaller and they overlap. The inner
-	// worker budget is split so total parallelism stays at the requested
-	// level; every split yields the same artifact.
 	s.engs = make([]*engine.Engine, shards)
-	errs := make([]error, shards)
-	per := perShardWorkers(s.workers, shards)
-	parallel.Do(s.workers, shards, func(i int) {
-		s.engs[i], errs[i] = engine.NewWorkers(s.q, dbs[i], per)
-	})
-	for _, err := range errs {
-		if err != nil {
+	for i := range s.engs {
+		if s.engs[i], err = engine.New(s.q, dbs[i]); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// New is Partition; parallelism is unread. Kept for the bench module's
+// probes, which call it by this name.
+func New(src *query.Query, db0 *relation.Database, shards, _ int) (*Sharded, error) {
+	return Partition(src, db0, shards)
 }
 
 // Single wraps one already-compiled engine — acyclic or decomposed-cyclic —
@@ -136,44 +130,43 @@ func New(src *query.Query, db0 *relation.Database, shards, parallelism int) (*Sh
 // the delta to the engine unchanged. It is what lets a caller hold every plan
 // as an engine vector without the engine's query having to be shardable.
 func Single(eng *engine.Engine) *Sharded {
-	return &Sharded{src: eng.Source(), q: eng.Query(), engs: []*engine.Engine{eng}, workers: 1}
+	return &Sharded{src: eng.Source(), q: eng.Query(), engs: []*engine.Engine{eng}}
 }
 
-// Routed reports whether the set came from a hash partition (New, Restore)
-// rather than from Single. New with shards=1 is routed: it has a key, and
+// Routed reports whether the set came from a hash partition (Partition,
+// Restore) rather than from Single. Partition with shards=1 is routed: it has a key, and
 // its snapshots record the partition.
 func (s *Sharded) Routed() bool { return s.routes != nil }
 
 // Restore reassembles a Sharded from snapshot-decoded shard engines. The
 // routing state (rewrite, key, routes) and the per-shard raw databases are
-// replayed through exactly the code path New uses — both are deterministic
+// replayed through exactly the code path Partition uses — both are deterministic
 // functions of (src, db0), so the replayed partition is byte-identical to
 // the one the engines were compiled over. Only the engine compiles
 // themselves are skipped: mk is called once per shard, in order, with the
 // shard's rewritten query and raw partition, and returns the decoded engine
 // (typically engine.Restore over that partition as db0).
-func Restore(src *query.Query, db0 *relation.Database, shards, parallelism int,
-	mk func(i int, q *query.Query, sdb *relation.Database, per int) (*engine.Engine, error)) (*Sharded, error) {
-	s, dbs, err := plan(src, db0, shards, parallelism)
+func Restore(src *query.Query, db0 *relation.Database, shards int,
+	mk func(i int, q *query.Query, sdb *relation.Database) (*engine.Engine, error)) (*Sharded, error) {
+	s, dbs, err := plan(src, db0, shards)
 	if err != nil {
 		return nil, err
 	}
 	s.engs = make([]*engine.Engine, shards)
-	per := perShardWorkers(s.workers, shards)
 	for i := range s.engs {
-		// Sequential on purpose: snapshot decoding resolves stream-order
-		// relation backrefs, so shard sections must decode in order.
-		if s.engs[i], err = mk(i, s.q, dbs[i], per); err != nil {
+		// In order: snapshot decoding resolves stream-order relation
+		// backrefs, so shard sections must decode in order.
+		if s.engs[i], err = mk(i, s.q, dbs[i]); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// plan runs the shared front half of New and Restore: validation, self-join
+// plan runs the shared front half of Partition and Restore: validation, self-join
 // elimination, key choice, the routing table, and the hash partition of the
 // rewritten database. Everything is deterministic in (src, db0, shards).
-func plan(src *query.Query, db0 *relation.Database, shards, parallelism int) (*Sharded, []*relation.Database, error) {
+func plan(src *query.Query, db0 *relation.Database, shards int) (*Sharded, []*relation.Database, error) {
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("%w, got %d", ErrShardCount, shards)
 	}
@@ -197,8 +190,7 @@ func plan(src *query.Query, db0 *relation.Database, shards, parallelism int) (*S
 			}
 		}
 	}
-	workers := parallel.Workers(parallelism)
-	s := &Sharded{src: src, q: q, key: key, routes: routes, workers: workers}
+	s := &Sharded{src: src, q: q, key: key, routes: routes}
 
 	dbs := make([]*relation.Database, shards)
 	if shards == 1 {
@@ -235,14 +227,6 @@ func plan(src *query.Query, db0 *relation.Database, shards, parallelism int) (*S
 		}
 	}
 	return s, dbs, nil
-}
-
-func perShardWorkers(workers, shards int) int {
-	per := workers / shards
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // Source returns the query as the user wrote it.
@@ -347,8 +331,7 @@ func (s *Sharded) Touched(d *engine.Delta) []int {
 // usable (copy-on-write, like engine.Update it builds on). Only the shards
 // the delta routes to are updated — untouched engines are shared with the
 // receiver — so the write cost scales with the touched slice of the data,
-// not the dataset. Touched shards update concurrently. The whole delta
-// applies atomically: engine.Update never mutates its receiver, so any
+// not the dataset. The whole delta applies atomically: engine.Update never mutates its receiver, so any
 // per-shard failure (e.g. engine.ErrDeleteAbsent) discards all derived
 // engines and returns the error with the receiver intact.
 //
@@ -359,28 +342,21 @@ func (s *Sharded) Update(d *engine.Delta) (*Sharded, []engine.Change, error) {
 	if d == nil || d.Len() == 0 {
 		return s, nil, nil
 	}
-	parts := s.split(d)
-	touched := make([]int, 0, len(parts))
-	for i, p := range parts {
-		if p != nil && p.Len() > 0 {
-			touched = append(touched, i)
-		}
-	}
-	if len(touched) == 0 {
-		return s, nil, nil
-	}
-	engs := make([]*engine.Engine, len(s.engs))
-	copy(engs, s.engs)
+	engs := slices.Clone(s.engs)
 	changes := make([]engine.Change, len(s.engs))
-	errs := make([]error, len(touched))
-	parallel.Do(s.workers, len(touched), func(j int) {
-		i := touched[j]
-		engs[i], changes[i], errs[j] = s.engs[i].Update(parts[i])
-	})
-	for _, err := range errs {
-		if err != nil {
+	touched := false
+	for i, p := range s.split(d) {
+		if p == nil || p.Len() == 0 {
+			continue
+		}
+		var err error
+		if engs[i], changes[i], err = s.engs[i].Update(p); err != nil {
 			return nil, nil, err
 		}
+		touched = true
+	}
+	if !touched {
+		return s, nil, nil
 	}
 	out := *s
 	out.engs = engs

@@ -47,16 +47,16 @@ func answers(eng *engine.Engine) []string {
 
 func mustNew(t *testing.T, q *query.Query, db *relation.Database, shards int) *Sharded {
 	t.Helper()
-	s, err := New(q, db, shards, 2)
+	s, err := Partition(q, db, shards)
 	if err != nil {
-		t.Fatalf("New(shards=%d): %v", shards, err)
+		t.Fatalf("Partition(shards=%d): %v", shards, err)
 	}
 	return s
 }
 
 func TestPartitionIsDisjointAndComplete(t *testing.T) {
 	q, db := pathInstance()
-	flat, err := engine.NewWorkers(q, db, 0)
+	flat, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSelfJoinOccurrencesRouteByTheirOwnColumn(t *testing.T) {
 	}
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("E", 2, rows))
-	flat, err := engine.NewWorkers(q, db, 0)
+	flat, err := engine.New(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestUpdateRebuildsOnlyTouchedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := engine.NewWorkers(q, db2, 0)
+	fresh, err := engine.New(q, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSingleForwardsToItsEngine(t *testing.T) {
 		{"cyclic", tri, tdb, engine.NewDelta().Insert("C", []relation.Value{6, 4})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			eng, err := engine.NewWorkers(c.q, c.db, 0)
+			eng, err := engine.New(c.q, c.db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,22 +284,22 @@ func TestSingleForwardsToItsEngine(t *testing.T) {
 func TestNewRejectsTyped(t *testing.T) {
 	q, db := pathInstance()
 	for _, n := range []int{0, -3} {
-		if _, err := New(q, db, n, 1); !errors.Is(err, ErrShardCount) {
-			t.Errorf("New(shards=%d): err = %v, want ErrShardCount", n, err)
+		if _, err := Partition(q, db, n); !errors.Is(err, ErrShardCount) {
+			t.Errorf("Partition(shards=%d): err = %v, want ErrShardCount", n, err)
 		}
 	}
 	// A Boolean query has no variable to partition on.
 	bq := query.New(atom("P"))
 	bdb := relation.NewDatabase()
 	bdb.Add(relation.FromRows("P", 0, [][]relation.Value{{}}))
-	if _, err := New(bq, bdb, 2, 1); !errors.Is(err, ErrNoKey) {
+	if _, err := Partition(bq, bdb, 2); !errors.Is(err, ErrNoKey) {
 		t.Errorf("Boolean query: err = %v, want ErrNoKey", err)
 	}
-	if _, err := Restore(bq, bdb, 2, 1, nil); !errors.Is(err, ErrNoKey) {
+	if _, err := Restore(bq, bdb, 2, nil); !errors.Is(err, ErrNoKey) {
 		t.Errorf("Boolean query through Restore: err = %v, want ErrNoKey", err)
 	}
 	// A query that does not fit the database still fails, untyped.
-	if _, err := New(query.New(atom("Missing", "x")), db, 2, 1); err == nil || errors.Is(err, ErrNoKey) {
+	if _, err := Partition(query.New(atom("Missing", "x")), db, 2); err == nil || errors.Is(err, ErrNoKey) {
 		t.Errorf("unknown relation: err = %v", err)
 	}
 }

@@ -411,7 +411,7 @@ func EncodeEngine(e *Enc, w *RelWriter, eng *engine.Engine) {
 // query); the hashed state (dedup relations, group interners, gid arrays,
 // counts) is taken from the stream after structural validation. db0 is the
 // raw input database the engine's lazy multisets rebuild from.
-func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database, parallelism int) (*engine.Engine, error) {
+func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database) (*engine.Engine, error) {
 	src := DecodeQuery(d)
 	q := DecodeQuery(d)
 	if d.Err() != nil {
@@ -513,7 +513,7 @@ func DecodeEngine(d *Dec, rd *RelReader, db0 *relation.Database, parallelism int
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	eng, err := engine.Restore(src, q, db0, db, tree, exec, counts, parallelism)
+	eng, err := engine.Restore(src, q, db0, db, tree, exec, counts)
 	if err != nil {
 		return nil, corrupt("%v", err)
 	}

@@ -460,7 +460,7 @@ func TestArrayRoundTrip(t *testing.T) {
 // written out. A record tag the reader does not know is corruption.
 func TestRelationRecordsStoreColumnsOnce(t *testing.T) {
 	raw := relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {3, 4}, {5, 6}})
-	view := raw.DedupedWorkers(1) // nothing dropped: raw's columns, marked distinct
+	view := raw.Deduped() // nothing dropped: raw's columns, marked distinct
 	occ := raw.Rename("R·2")
 	other := relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {3, 4}, {5, 6}})
 	empty := relation.New("E", 2)

@@ -17,12 +17,10 @@ type FuzzInstance struct {
 	Ranks []*ranking.Func
 }
 
-// FuzzCorpus generates the differential corpus. Relation sizes straddle
-// the runtime's sequential-fallback threshold: the large shapes really chunk
-// at workers >= 2, the small ones pin the inline path. Duplicate source rows
-// are injected everywhere dedup buys coverage — relations are sets, so the
-// engine must collapse them while the multiset refcounts keep delete
-// validation exact.
+// FuzzCorpus generates the differential corpus: large shapes and tiny ones
+// beside them. Duplicate source rows are injected everywhere dedup buys
+// coverage — relations are sets, so the engine must collapse them while the
+// multiset refcounts keep delete validation exact.
 func FuzzCorpus(rng *rand.Rand) []FuzzInstance {
 	var out []FuzzInstance
 
@@ -72,8 +70,7 @@ func FuzzCorpus(rng *rand.Rand) []FuzzInstance {
 			[]*ranking.Func{ranking.NewSum("x", "y", "z"), ranking.NewMin("x", "z"), ranking.NewLex("x", "z")}})
 	}
 	{
-		// Tiny instance: stays under SeqThreshold at every worker count, so
-		// multi-worker requests must still take the sequential path and agree.
+		// Tiny instance: a handful of rows per relation.
 		q, db := workload.Path(rng, 2, 60, 8)
 		dup(db, "R2", 12)
 		v := q.Vars()

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -178,7 +177,7 @@ type weightCol struct {
 // weightCols lists the ranked columns of a relation whose columns hold vars.
 // A custom weight function is applied here, once per value, so the scans of
 // the boxes read plain numbers.
-func weightCols(f *ranking.Func, vars []query.Var, cols [][]relation.Value, workers int) []weightCol {
+func weightCols(f *ranking.Func, vars []query.Var, cols [][]relation.Value) []weightCol {
 	var out []weightCol
 	for j, v := range vars {
 		p := slices.Index(f.Vars, v)
@@ -188,11 +187,9 @@ func weightCols(f *ranking.Func, vars []query.Var, cols [][]relation.Value, work
 		w := cols[j]
 		if f.Weight != nil {
 			w = make([]int64, len(cols[j]))
-			parallel.For(workers, len(w), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					w[i] = f.Weight(v, cols[j][i])
-				}
-			})
+			for i, x := range cols[j] {
+				w[i] = f.Weight(v, x)
+			}
 		}
 		out = append(out, weightCol{p, w})
 	}
@@ -259,37 +256,23 @@ func (t *tests) pass(i int) int {
 
 // rows returns the indexes of the rows of [0, n) that pass, ascending, in the
 // front of dst (len ≥ n). Every row is stored and the length advances by the
-// outcome, so the scan branches on no data; chunks of a split scan write to
-// their own stretch of dst and are then closed up.
-func (t *tests) rows(dst []int, workers, n int) []int {
+// outcome, so the scan branches on no data.
+func (t *tests) rows(dst []int, n int) []int {
 	if t.none {
 		return dst[:0]
 	}
-	scan := func(lo, hi int) int {
-		k := lo
-		if len(t.cols) == 1 { // the common box: one ranked column tested
-			ws, from, span := t.cols[0].w[lo:hi], t.cols[0].lo, t.cols[0].span
-			for i, w := range ws {
-				dst[k] = lo + i
-				k += b2i(uint64(w-from) <= span)
-			}
-			return k - lo
-		}
-		for i := lo; i < hi; i++ {
-			dst[k] = i
-			k += t.pass(i)
-		}
-		return k - lo
-	}
-	chunks := parallel.Ranges(workers, n)
-	if len(chunks) <= 1 {
-		return dst[:scan(0, n)]
-	}
-	kept := make([]int, len(chunks))
-	parallel.Do(workers, len(chunks), func(c int) { kept[c] = scan(chunks[c].Lo, chunks[c].Hi) })
 	k := 0
-	for c, ch := range chunks {
-		k += copy(dst[k:], dst[ch.Lo:ch.Lo+kept[c]])
+	if len(t.cols) == 1 { // the common box: one ranked column tested
+		ws, from, span := t.cols[0].w[:n], t.cols[0].lo, t.cols[0].span
+		for i, w := range ws {
+			dst[k] = i
+			k += b2i(uint64(w-from) <= span)
+		}
+		return dst[:k]
+	}
+	for i := range n {
+		dst[k] = i
+		k += t.pass(i)
 	}
 	return dst[:k]
 }
@@ -306,22 +289,19 @@ func b2i(b bool) int {
 // filterBox cuts one box out of an instance: a pure row filter, each row
 // tested once. A relation the box does not constrain is shared.
 func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
-	workers := inst.workers()
 	keep := make([][]bool, len(inst.Q.Atoms))
 	for i, atom := range inst.Q.Atoms {
 		src := inst.rel(i)
-		t := testsOf(bx, weightCols(f, atom.Vars, src.Cols(), workers))
+		t := testsOf(bx, weightCols(f, atom.Vars, src.Cols()))
 		if t.all() {
 			continue
 		}
 		k := make([]bool, src.Len())
 		if !t.none {
 			inst.Scratch.count(len(k), false)
-			parallel.For(workers, len(k), func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					k[r] = t.pass(r) != 0
-				}
-			})
+			for r := range k {
+				k[r] = t.pass(r) != 0
+			}
 		}
 		keep[i] = k
 	}
@@ -346,14 +326,13 @@ func filterBox(inst Instance, f *ranking.Func, bx box) Instance {
 // relation — and everything gathered through them are carved from the
 // instance's scratch.
 func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
-	workers := inst.workers()
 	a := inst.Scratch.carve()
 	q2 := inst.Q.Clone()
 	xp := freshHelperVar(q2, "p")
 	for i := range q2.Atoms {
 		q2.Atoms[i].Vars = append(q2.Atoms[i].Vars, xp)
 	}
-	out := Instance{Q: q2, DB: relation.NewDatabase(), Workers: inst.Workers}
+	out := Instance{Q: q2, DB: relation.NewDatabase()}
 	nAtoms := len(inst.Q.Atoms)
 	scanned := func(bx box) bool { return inst.Exec == nil || !bx.empty() }
 	width := 0
@@ -372,7 +351,7 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 	byBox := a.Lists(nAtoms * len(boxes))
 	cols := make([][]weightCol, nAtoms)
 	for i, atom := range inst.Q.Atoms {
-		cols[i] = weightCols(f, atom.Vars, inst.rel(i).Cols(), workers)
+		cols[i] = weightCols(f, atom.Vars, inst.rel(i).Cols())
 	}
 	var ords []*weightOrder
 	var climbs []*parentRows
@@ -405,7 +384,7 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 		}
 		for i := range lists {
 			n := inst.rel(i).Len()
-			lists[i] = ts[i].rows(lists[i][:n], workers, n)
+			lists[i] = ts[i].rows(lists[i][:n], n)
 			inst.Scratch.count(n, false)
 		}
 	}

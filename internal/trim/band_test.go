@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -43,7 +42,8 @@ func refPartitions(inst Instance, f *ranking.Func, partitions [][]refCond) (Inst
 	for _, atom := range inst.Q.Atoms {
 		src := inst.DB.Get(atom.Rel)
 		srcCols := src.Cols()
-		var parts []*relation.Relation
+		var parts [][]int
+		var pids []relation.Value
 		for pi, conds := range partitions {
 			var local []refCond
 			var cols []int
@@ -57,32 +57,29 @@ func refPartitions(inst Instance, f *ranking.Func, partitions [][]refCond) (Inst
 				}
 			}
 			pid := relation.Value(pi + 1)
-			idxParts := parallel.MapRanges(inst.workers(), src.Len(), func(lo, hi int) []int {
-				var rows []int
-				for ti := lo; ti < hi; ti++ {
-					ok := true
-					for k, c := range local {
-						if !c.pred(f.W(c.v, srcCols[cols[k]][ti])) {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						rows = append(rows, ti)
+			var rows []int
+			for ti := range src.Len() {
+				ok := true
+				for k, c := range local {
+					if !c.pred(f.W(c.v, srcCols[cols[k]][ti])) {
+						ok = false
+						break
 					}
 				}
-				return rows
-			})
-			rows := slices.Concat(idxParts...)
-			pids := make([]relation.Value, len(rows))
-			for k := range pids {
-				pids[k] = pid
+				if ok {
+					rows = append(rows, ti)
+					pids = append(pids, pid)
+				}
 			}
-			parts = append(parts, src.GatherRowsPlus(atom.Rel, [][]int{rows}, pids, nil))
+			parts = append(parts, rows)
 		}
-		db2.Add(relation.Concat(atom.Rel, src.Arity()+1, src.IsDistinct(), parts))
+		out := src.GatherRowsPlus(atom.Rel, parts, pids, nil)
+		if src.IsDistinct() {
+			out.MarkDistinct()
+		}
+		db2.Add(out)
 	}
-	return Instance{Q: q2, DB: db2, Workers: inst.Workers}, nil
+	return Instance{Q: q2, DB: db2}, nil
 }
 
 // refFilter keeps the tuples whose every occurrence of a ranked variable
@@ -107,7 +104,7 @@ func refFilter(inst Instance, f *ranking.Func, pred func(w int64) bool) (Instanc
 			continue
 		}
 		srcCols := src.Cols()
-		db2.Add(src.FilterWorkers(inst.workers(), func(i int) bool {
+		db2.Add(src.Filter(func(i int) bool {
 			for k, c := range cols {
 				if !pred(f.W(vars[k], srcCols[c][i])) {
 					return false
@@ -116,7 +113,7 @@ func refFilter(inst Instance, f *ranking.Func, pred func(w int64) bool) (Instanc
 			return true
 		}))
 	}
-	return Instance{Q: inst.Q.Clone(), DB: db2, Workers: inst.Workers}, nil
+	return Instance{Q: inst.Q.Clone(), DB: db2}, nil
 }
 
 // refCut trims w ≺ λ (Less) or w ≻ λ (Greater) the old way.
@@ -359,7 +356,7 @@ func TestBandOneBoxDerivesExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		e, err := jointree.NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +387,7 @@ func TestBandOneBoxDerivesExec(t *testing.T) {
 			if len(out.Q.Vars()) != len(vars) {
 				t.Fatalf("%s: a one-box band added a variable", name)
 			}
-			fresh, err := jointree.NewExecWorkers(out.Q, out.DB, tree, 1)
+			fresh, err := jointree.NewExec(out.Q, out.DB, tree)
 			if err != nil {
 				t.Fatal(err)
 			}

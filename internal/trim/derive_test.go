@@ -14,7 +14,7 @@ import (
 	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
-// freshExec is Build + NewExecWorkers on an instance: what the driver's
+// freshExec is Build + NewExec on an instance: what the driver's
 // fallback gives it, and what a derived tree has to equal.
 func freshExec(t testing.TB, inst Instance) *jointree.Exec {
 	t.Helper()
@@ -22,7 +22,7 @@ func freshExec(t testing.TB, inst Instance) *jointree.Exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExecWorkers(inst.Q, inst.DB, tree, 1)
+	e, err := jointree.NewExec(inst.Q, inst.DB, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

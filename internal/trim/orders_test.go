@@ -246,7 +246,7 @@ func TestInversesFollowTheParentGidArray(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows(cRel, 2, rows(cRel, 300, 24)))
 	db.Add(relation.FromRows(pRel, 2, rows(pRel, 300, 32)))
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestInversesFollowTheParentGidArray(t *testing.T) {
 					}
 				}
 			}
-			next, _, err := e.ApplyDelta(map[string]jointree.RelDelta{dt.rel: dt.d}, 1)
+			next, _, err := e.ApplyDelta(map[string]jointree.RelDelta{dt.rel: dt.d})
 			if err != nil {
 				t.Fatalf("%s: %v", dt.name, err)
 			}

@@ -54,13 +54,13 @@ func TestFilterTrimsTestEachRowOnce(t *testing.T) {
 		q, raw := testutil.RandomPathInstance(rng, 3, 30+rng.Intn(60), 7)
 		db := relation.NewDatabase()
 		for _, name := range raw.Names() {
-			db.Add(raw.Get(name).DedupedWorkers(1))
+			db.Add(raw.Get(name).Deduped())
 		}
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		e, err := jointree.NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -42,13 +41,6 @@ import (
 // original always does), the preparation is computed once per ranking and
 // every subsequent call pays only for the staircase emission, which is
 // proportional to the output.
-//
-// Join groups are independent, so with inst.Workers > 1 the per-group
-// staircase constructions run on the worker pool over contiguous group
-// ranges: each chunk numbers its segment ids in the sequential first-use
-// order, the ids the chunks before it handed out rebase them to the global
-// sequence, and per-chunk outputs concatenate in group order — reproducing
-// the sequential output byte for byte at any worker count.
 func SumAdjacentBand(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Sum {
 		return Instance{}, fmt.Errorf("trim: SumAdjacent requires SUM, got %s", f.Agg)
@@ -162,10 +154,6 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trim: U_w not coverable by adjacent nodes: %w", err)
 	}
-	workers := inst.workers()
-	if inst.DB.Size() < parallel.SeqThreshold {
-		workers = 1
-	}
 	p := &sumAdjPrep{atomIdxA: tree.Nodes[nodeA].Atom}
 	p.atomA = inst.Q.Atoms[p.atomIdxA]
 	if nodeB == -1 {
@@ -238,15 +226,14 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	fillCSR(keys.Len(), bGids, bRows, true, func(gid int32, rows []int32, sums []int64) {
 		p.bGroups[gid] = bGroupPrep{rows: rows, sums: sums}
 	})
-	// Partial sums and the per-group staircase sort: groups are independent,
-	// and each group's sort sees the same input regardless of worker count.
-	parallel.Do(workers, len(p.bGroups), func(k int) {
+	// Partial sums and the per-group staircase sort.
+	for k := range p.bGroups {
 		g := &p.bGroups[k]
 		for j, ri := range g.rows {
 			g.sums[j] = rowSumAt(f, bVars, colsB, bCols, int(ri))
 		}
 		sort.Sort(&sumRowSorter{sums: g.sums, rows: g.rows})
-	})
+	}
 
 	// Group the A side by the same key, in first-appearance order — map
 	// order would make the output row order (and with it downstream pivot
@@ -293,12 +280,10 @@ func sumAdjFilter(inst Instance, f *ranking.Func, p *sumAdjPrep, low, high ranki
 	src := inst.rel(p.atomIdxA)
 	cols := src.Cols()
 	k := make([]bool, src.Len())
-	parallel.For(inst.workers(), len(k), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := rowSumAt(f, p.varsA, p.colsA, cols, i)
-			k[i] = (!low.IsFinite() || s > low.W.K) && (!high.IsFinite() || s < high.W.K)
-		}
-	})
+	for i := range k {
+		s := rowSumAt(f, p.varsA, p.colsA, cols, i)
+		k[i] = (!low.IsFinite() || s > low.W.K) && (!high.IsFinite() || s < high.W.K)
+	}
 	keep := make([][]bool, len(inst.Q.Atoms))
 	keep[p.atomIdxA] = k
 	return subsetOf(inst, keep), nil
@@ -309,13 +294,12 @@ type segKey struct {
 	lvl, start int
 }
 
-// emitChunk is one chunk's emission plan in sumAdjEmit: source row indexes
-// plus segment ids counted from the chunk's first. A band's chunks are its
-// scratch's own, reused by the next band cut into it.
-type emitChunk struct {
+// emitPlan is sumAdjEmit's emission plan: source row indexes plus segment
+// ids. A band's plan is its scratch's own, reused by the next band cut into
+// it.
+type emitPlan struct {
 	rowsA, rowsB []int            // source row indexes of emitted copies
-	segA, segB   []relation.Value // aligned segment ids, 1 the chunk's first
-	nIDs         relation.Value   // ids the chunk handed out
+	segA, segB   []relation.Value // aligned segment ids, 1 the band's first
 
 	// span holds the admissible B range [from, to) of each A row of the group
 	// being emitted, at 2j and 2j+1 for the row at position j (staircase).
@@ -324,7 +308,7 @@ type emitChunk struct {
 	// segAt is the id table of the group being emitted, over the implicit
 	// segment tree of its sorted B side: segment (lvl, start) of a group of m
 	// rows sits at (P+start)>>lvl, P the power of two ≥ m. An entry holds the
-	// count of ids the chunk had handed out, over its lifetime (segRun), when
+	// count of ids the plan had handed out, over its lifetime (segRun), when
 	// the segment got its own: it is the current group's exactly when it is
 	// past the count at the group's start, so no group clears the table.
 	segAt     []int64
@@ -332,127 +316,87 @@ type emitChunk struct {
 	usedOrder []segKey // the group's segments in allocation order
 }
 
-func (c *emitChunk) reset() {
+func (c *emitPlan) reset() {
 	c.rowsA, c.rowsB = c.rowsA[:0], c.rowsB[:0]
 	c.segA, c.segB = c.segA[:0], c.segB[:0]
 }
 
 // sumAdjEmit is the per-band staircase emission over a two-node preparation.
 func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance, error) {
-	workers := inst.workers()
-	if inst.DB.Size() < parallel.SeqThreshold {
-		workers = 1
-	}
 	a := inst.Scratch.carve()
 	relA := inst.rel(p.atomIdxA)
 	relB := inst.rel(p.atomIdxB)
 
-	// Per contiguous chunk of A-groups: an emission *plan* — source row
-	// indexes plus segment ids — instead of materialized relations. A chunk
-	// numbers the segments it allocates from 1, in the sequential first-use
-	// order, so the global id of one is its chunk's number plus the ids the
-	// chunks before handed out; the final materialization is one bulk gather
-	// per output column, so the inner loops never copy a row. The plans are
-	// the scratch's: Algorithm 1 re-emits every pivoting round, and regrowing
-	// the plan lists each round is pure GC churn.
-	nGroups := len(p.aGroupRows)
-	ranges := parallel.Ranges(workers, nGroups)
-	chunks := inst.Scratch.emitChunks(len(ranges))
-	parallel.Do(workers, len(ranges), func(ci int) {
-		c := chunks[ci]
-		c.reset()
-		first := c.segRun            // the chunk's ids in this band are those past it
-		usedOrder := c.usedOrder[:0] // allocation order, for deterministic emission
-		aOff := 0                    // where the group's sums start in aSums
-		for _, rows := range p.aGroupRows[:ranges[ci].Lo] {
-			aOff += len(rows)
+	// An emission *plan* — source row indexes plus segment ids, numbered
+	// from 1 in first-use order — instead of materialized relations: the
+	// final materialization is one bulk gather per output column, so the
+	// inner loops never copy a row. The plan is the scratch's: Algorithm 1
+	// re-emits every pivoting round, and regrowing the plan lists each round
+	// is pure GC churn.
+	c := inst.Scratch.emitPlan()
+	c.reset()
+	first := c.segRun            // the band's ids are those past it
+	usedOrder := c.usedOrder[:0] // allocation order, for deterministic emission
+	aOff := 0                    // where the group's sums start in aSums
+	for gk, rows := range p.aGroupRows {
+		sums, bySum := p.aSums[aOff:aOff+len(rows)], p.aBySum[aOff:aOff+len(rows)]
+		aOff += len(rows)
+		bi := p.aPartner[gk]
+		if bi < 0 {
+			continue // A-rows with no B partner participate in no answer
 		}
-		for gk := ranges[ci].Lo; gk < ranges[ci].Hi; gk++ {
-			rows := p.aGroupRows[gk]
-			sums, bySum := p.aSums[aOff:aOff+len(rows)], p.aBySum[aOff:aOff+len(rows)]
-			aOff += len(rows)
-			bi := p.aPartner[gk]
-			if bi < 0 {
-				continue // A-rows with no B partner participate in no answer
-			}
-			g := &p.bGroups[bi]
-			m := len(g.rows)
-			pow := 1 << bits.Len(uint(m-1)) // a group holds at least the row that made it
-			if len(c.segAt) < 2*pow {
-				c.segAt = append(c.segAt, make([]int64, 2*pow-len(c.segAt))...)
-			}
-			base := c.segRun
-			usedOrder = usedOrder[:0]
-			if cap(c.span) < 2*len(rows) {
-				c.span = make([]int32, 2*len(rows))
-			}
-			span := c.span[:2*len(rows)]
-			if !staircase(g.sums, sums, bySum, low, high, span) {
-				continue
-			}
-			for j, ai := range rows {
-				from, to := int(span[2*j]), int(span[2*j+1])
-				// Canonical dyadic cover of [from, to), left to right: at
-				// each position the largest aligned segment that still fits.
-				for pos := from; pos < to; {
-					lvl := bits.Len(uint(to-pos)) - 1
-					if pos != 0 {
-						lvl = min(lvl, bits.TrailingZeros(uint(pos)))
-					}
-					at := &c.segAt[(pow+pos)>>uint(lvl)]
-					if *at <= base {
-						c.segRun++
-						*at = c.segRun
-						usedOrder = append(usedOrder, segKey{lvl, pos})
-					}
-					c.rowsA = append(c.rowsA, int(ai))
-					c.segA = append(c.segA, relation.Value(*at-first))
-					pos += 1 << uint(lvl)
+		g := &p.bGroups[bi]
+		m := len(g.rows)
+		pow := 1 << bits.Len(uint(m-1)) // a group holds at least the row that made it
+		if len(c.segAt) < 2*pow {
+			c.segAt = append(c.segAt, make([]int64, 2*pow-len(c.segAt))...)
+		}
+		base := c.segRun
+		usedOrder = usedOrder[:0]
+		if cap(c.span) < 2*len(rows) {
+			c.span = make([]int32, 2*len(rows))
+		}
+		span := c.span[:2*len(rows)]
+		if !staircase(g.sums, sums, bySum, low, high, span) {
+			continue
+		}
+		for j, ai := range rows {
+			from, to := int(span[2*j]), int(span[2*j+1])
+			// Canonical dyadic cover of [from, to), left to right: at each
+			// position the largest aligned segment that still fits.
+			for pos := from; pos < to; {
+				lvl := bits.Len(uint(to-pos)) - 1
+				if pos != 0 {
+					lvl = min(lvl, bits.TrailingZeros(uint(pos)))
 				}
-			}
-			// Emit B-side memberships for the segments actually used, in
-			// allocation order: the k-th is the chunk's id base-first+k+1.
-			for k, sk := range usedOrder {
-				id := relation.Value(base - first + int64(k) + 1)
-				for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
-					c.rowsB = append(c.rowsB, int(g.rows[pos]))
-					c.segB = append(c.segB, id)
+				at := &c.segAt[(pow+pos)>>uint(lvl)]
+				if *at <= base {
+					c.segRun++
+					*at = c.segRun
+					usedOrder = append(usedOrder, segKey{lvl, pos})
 				}
+				c.rowsA = append(c.rowsA, int(ai))
+				c.segA = append(c.segA, relation.Value(*at-first))
+				pos += 1 << uint(lvl)
 			}
 		}
-		c.usedOrder = usedOrder
-		c.nIDs = relation.Value(c.segRun - first)
-	})
-	// The identifier columns: one chunk's ids are the global ones, and the
-	// plan's lists serve as they stand (they are the scratch's, as the band's
-	// columns are); several chunks' are shifted by the ids the chunks before
-	// handed out and concatenated.
-	rowsA, rowsB := make([][]int, len(chunks)), make([][]int, len(chunks))
-	nA, nB := 0, 0
-	for ci, c := range chunks {
-		nA, nB = nA+len(c.rowsA), nB+len(c.rowsB)
-		rowsA[ci], rowsB[ci] = c.rowsA, c.rowsB
-	}
-	var idA, idB []relation.Value
-	if len(chunks) == 1 {
-		idA, idB = chunks[0].segA, chunks[0].segB
-	} else {
-		idA, idB = a.Values(nA)[:0], a.Values(nB)[:0]
-		var off relation.Value
-		for _, c := range chunks {
-			for _, id := range c.segA {
-				idA = append(idA, id+off)
+		// Emit B-side memberships for the segments actually used, in
+		// allocation order: the k-th is the band's id base-first+k+1.
+		for k, sk := range usedOrder {
+			id := relation.Value(base - first + int64(k) + 1)
+			for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
+				c.rowsB = append(c.rowsB, int(g.rows[pos]))
+				c.segB = append(c.segB, id)
 			}
-			for _, id := range c.segB {
-				idB = append(idB, id+off)
-			}
-			off += c.nIDs
 		}
 	}
-	// Materialize each output with one gather per column, reading the
-	// per-chunk plans in chunk order — no concatenated copy in between.
-	outA := relA.GatherRowsPlus(p.atomA.Rel, rowsA, idA, a)
-	outB := relB.GatherRowsPlus(p.atomB.Rel, rowsB, idB, a)
+	c.usedOrder = usedOrder
+	// Materialize each output with one gather per column; the plan's id
+	// lists become the identifier columns as they stand (they are the
+	// scratch's, as the band's columns are).
+	rowsA, rowsB := [][]int{c.rowsA}, [][]int{c.rowsB}
+	outA := relA.GatherRowsPlus(p.atomA.Rel, rowsA, c.segA, a)
+	outB := relB.GatherRowsPlus(p.atomB.Rel, rowsB, c.segB, a)
 
 	// Segment membership emits each (B-row, segment) pair once, and A-copies
 	// carry pairwise-distinct segment ids per row, so distinctness of the
@@ -461,7 +405,7 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	if relA.IsDistinct() {
 		outA.MarkDistinct()
 	}
-	out := Instance{Q: p.outQuery(inst.Q), DB: relation.NewDatabase(), Workers: inst.Workers}
+	out := Instance{Q: p.outQuery(inst.Q), DB: relation.NewDatabase()}
 	nodes := make([]jointree.Gathered, len(inst.Q.Atoms))
 	for i := range inst.Q.Atoms {
 		nodes[i].Rel = inst.rel(i) // read-only; shared, not cloned

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/ranking"
 	"github.com/quantilejoins/qjoin/internal/relation"
@@ -50,22 +49,16 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 	if err := requireNormalized(inst.Q); err != nil {
 		return Instance{}, nil, err
 	}
-	workers := inst.workers()
-	// Tiny instances take the sequential path outright: the per-group
-	// sketch dispatch below would cost more than the work it distributes.
-	if inst.DB.Size() < parallel.SeqThreshold {
-		workers = 1
-	}
 	tree, err := jointree.Build(inst.Q)
 	if err != nil {
 		return Instance{}, nil, err
 	}
 	tree, q, db := jointree.Binarize(tree, inst.Q, inst.DB)
-	e, err := jointree.NewExecWorkers(q, db, tree, workers)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		return Instance{}, nil, err
 	}
-	e.FullReduceWorkers(workers)
+	e.FullReduce()
 	mu, err := f.AssignVars(q)
 	if err != nil {
 		return Instance{}, nil, err
@@ -95,11 +88,9 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 		relCols := rel.Cols()
 		tw := ranking.NewTupleWeigher(f, mu, n.Atom, n.Vars)
 		cur := make([]copyRec, rel.Len())
-		parallel.For(workers, rel.Len(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cur[i] = copyRec{rowIdx: i, sum: sign * tw.ScalarSumAt(relCols, i), mult: 1}
-			}
-		})
+		for i := range cur {
+			cur[i] = copyRec{rowIdx: i, sum: sign * tw.ScalarSumAt(relCols, i), mult: 1}
+		}
 		for _, ch := range n.Children {
 			// Bucket the child's copies per join group, indexed by the dense
 			// group ids of the child's index (no per-key hashing: RowGid is
@@ -116,18 +107,8 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 				}
 				groupItems[gid] = append(groupItems[gid], ci)
 			}
-			// Join groups sketch independently, so the builds run on the
-			// worker pool; bucket-id bases are then assigned by a prefix
-			// sum in gidOrder, reproducing the sequential allocation.
-			sketches := make([]*sketch.Sketch, len(gidOrder))
-			parallel.Do(workers, len(gidOrder), func(k int) {
-				idxs := groupItems[gidOrder[k]]
-				items := make([]sketch.Item, len(idxs))
-				for j, ci := range idxs {
-					items[j] = sketch.Item{Sum: childCopies[ci].sum, Mult: childCopies[ci].mult}
-				}
-				sketches[k] = sketch.Build(items, epsPrime)
-			})
+			// Sketch each group, in gidOrder, and number its buckets after
+			// the groups' before it.
 			type bucketRef struct {
 				id   relation.Value
 				rep  int64
@@ -135,52 +116,38 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 			}
 			groupBuckets := make([][]bucketRef, ng)
 			nextBucket := relation.Value(1)
-			for k, gid := range gidOrder {
-				sk := sketches[k]
+			for _, gid := range gidOrder {
+				idxs := groupItems[gid]
+				items := make([]sketch.Item, len(idxs))
+				for j, ci := range idxs {
+					items[j] = sketch.Item{Sum: childCopies[ci].sum, Mult: childCopies[ci].mult}
+				}
+				sk := sketch.Build(items, epsPrime)
 				stats.Buckets += len(sk.Buckets)
 				refs := make([]bucketRef, len(sk.Buckets))
-				base := nextBucket
 				for bi, b := range sk.Buckets {
-					refs[bi] = bucketRef{id: base + relation.Value(bi), rep: b.Rep, mult: b.Mult}
+					refs[bi] = bucketRef{id: nextBucket + relation.Value(bi), rep: b.Rep, mult: b.Mult}
 				}
 				nextBucket += relation.Value(len(sk.Buckets))
 				groupBuckets[gid] = refs
-			}
-			parallel.Do(workers, len(gidOrder), func(k int) {
-				idxs := groupItems[gidOrder[k]]
-				refs := groupBuckets[gidOrder[k]]
-				sk := sketches[k]
 				for j, ci := range idxs {
 					childCopies[ci].vParent = refs[sk.ItemBucket[j]].id
 				}
-			})
-			// Expand this node's copies: one per (copy, matching bucket).
-			// Chunks concatenate in chunk order — the sequential order.
-			parts := parallel.MapRanges(workers, len(cur), func(lo, hi int) []copyRec {
-				var expanded []copyRec
-				for x := lo; x < hi; x++ {
-					c := cur[x]
-					gid, ok := e.ParentGroup(ch, c.rowIdx)
-					if !ok {
-						continue // dead after reduction; defensive
-					}
-					for _, b := range groupBuckets[gid] {
-						nc := c
-						nc.sum = c.sum + b.rep
-						nc.mult = c.mult * b.mult
-						nc.vChild = append(append([]relation.Value(nil), c.vChild...), b.id)
-						expanded = append(expanded, nc)
-					}
-				}
-				return expanded
-			})
-			total := 0
-			for _, p := range parts {
-				total += len(p)
 			}
-			expanded := make([]copyRec, 0, total)
-			for _, p := range parts {
-				expanded = append(expanded, p...)
+			// Expand this node's copies: one per (copy, matching bucket).
+			var expanded []copyRec
+			for _, c := range cur {
+				gid, ok := e.ParentGroup(ch, c.rowIdx)
+				if !ok {
+					continue // dead after reduction; defensive
+				}
+				for _, b := range groupBuckets[gid] {
+					nc := c
+					nc.sum = c.sum + b.rep
+					nc.mult = c.mult * b.mult
+					nc.vChild = append(append([]relation.Value(nil), c.vChild...), b.id)
+					expanded = append(expanded, nc)
+				}
 			}
 			cur = expanded
 		}
@@ -242,28 +209,25 @@ func SumLossy(inst Instance, f *ranking.Func, lambda int64, dir Dir, eps float64
 		hasParent := n.Parent >= 0
 		width := len(vars)
 		srcArity := src.Arity()
-		parts := parallel.MapRanges(workers, len(nodeCopies), func(lo, hi int) *relation.Relation {
-			out := relation.NewWithCapacity(relName, width, hi-lo)
-			row := make([]relation.Value, width)
-			for _, c := range nodeCopies[lo:hi] {
-				src.CopyRow(row, c.rowIdx)
-				k := srcArity
-				for _, v := range c.vChild {
-					row[k] = v
-					k++
-				}
-				if hasParent {
-					row[k] = c.vParent
-				}
-				out.AppendRow(row)
+		out := relation.NewWithCapacity(relName, width, len(nodeCopies))
+		row := make([]relation.Value, width)
+		for _, c := range nodeCopies {
+			src.CopyRow(row, c.rowIdx)
+			k := srcArity
+			for _, v := range c.vChild {
+				row[k] = v
+				k++
 			}
-			return out
-		})
+			if hasParent {
+				row[k] = c.vParent
+			}
+			out.AppendRow(row)
+		}
 		// Every copy of a node row carries a distinct bucket-id combination.
-		out := relation.Concat(relName, width, true, parts)
+		out.MarkDistinct()
 		db2.Add(out)
 		q2.Atoms = append(q2.Atoms, query.Atom{Rel: relName, Vars: vars})
 		stats.OutputTuples += out.Len()
 	}
-	return Instance{Q: q2, DB: db2, Workers: inst.Workers}, stats, nil
+	return Instance{Q: q2, DB: db2}, stats, nil
 }

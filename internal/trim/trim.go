@@ -65,11 +65,7 @@ func (d Dir) String() string {
 type Instance struct {
 	Q  *query.Query
 	DB *relation.Database
-	// Workers caps the worker count the trim constructions hand to the
-	// parallel runtime; values <= 1 (including the zero value) run the
-	// exact sequential code path. Trims propagate it to their outputs, so
-	// the driver sets it once on the original instance. Custom ranking
-	// Weight functions must be safe for concurrent calls when Workers > 1.
+	// Workers is unread. Kept for the bench module's probes, which set it.
 	Workers int
 	// Exec is the optional executable tree of (Q, DB), attached by the
 	// driver. Every exact trim scans its relations (rel), not DB's — where the
@@ -110,14 +106,14 @@ type Instance struct {
 // Scratch is the storage one band is cut into: an arena that every array the
 // band is made of is carved from — the row lists a partitioned trim gathers
 // through and the group marks it reduces them with, the gathered columns and
-// the identifier column, the derived tree's
-// gid arrays and tuple lists — and the staircase's per-chunk emission plans. A
-// band cut into a scratch lives exactly as long as the arena's carve: the
+// the identifier column, the derived tree's gid arrays and tuple lists — and
+// the staircase's emission plan. A band cut into a scratch lives exactly as
+// long as the arena's carve: the
 // driver keeps one beside each counting slot, and resets it when the slot
 // takes its next band. Not safe for concurrent cuts.
 type Scratch struct {
 	arena relation.Arena
-	emit  []*emitChunk
+	emit  emitPlan
 	// words is the bit set seeded boxes order the rows they reach by; it is
 	// all zero between boxes.
 	words []uint64
@@ -163,15 +159,12 @@ func (s *Scratch) carve() *relation.Arena {
 	return &s.arena
 }
 
-// emitChunks returns n emission plans, the scratch's own.
-func (s *Scratch) emitChunks(n int) []*emitChunk {
+// emitPlan returns the scratch's emission plan, a fresh one for a nil scratch.
+func (s *Scratch) emitPlan() *emitPlan {
 	if s == nil {
-		s = new(Scratch)
+		return new(emitPlan)
 	}
-	for len(s.emit) < n {
-		s.emit = append(s.emit, new(emitChunk))
-	}
-	return s.emit[:n]
+	return &s.emit
 }
 
 // Cache holds trim preprocessing keyed by ranking identity (ranking.Key: by
@@ -232,14 +225,6 @@ func (c *Cache) Remembered(key ranking.Key, keep func(old any) any) any {
 	return v
 }
 
-// workers resolves the instance's worker count for the parallel runtime.
-func (inst Instance) workers() int {
-	if inst.Workers <= 1 {
-		return 1
-	}
-	return inst.Workers
-}
-
 // Answers of trimmed instances relate to the original query by dropping the
 // helper variables trims introduce; helper variables are prefixed so callers
 // can identify them.
@@ -275,8 +260,7 @@ func (inst Instance) rel(i int) *relation.Relation {
 // once, by the subset derivation, and the output's database holds the derived
 // tree's relations.
 func subsetOf(inst Instance, keep [][]bool) Instance {
-	workers := inst.workers()
-	out := Instance{Q: inst.Q.Clone(), DB: relation.NewDatabase(), Workers: inst.Workers}
+	out := Instance{Q: inst.Q.Clone(), DB: relation.NewDatabase()}
 	if inst.Exec != nil {
 		out.Exec = inst.Exec.DeriveSubsetIn(out.Q, out.DB, keep, inst.Scratch.carve())
 		for _, r := range out.Exec.Rels {
@@ -287,7 +271,7 @@ func subsetOf(inst Instance, keep [][]bool) Instance {
 	for i := range inst.Q.Atoms {
 		r := inst.rel(i)
 		if k := keep[i]; k != nil {
-			r = r.FilterWorkers(workers, func(row int) bool { return k[row] })
+			r = r.Filter(func(row int) bool { return k[row] })
 		}
 		out.DB.Add(r)
 	}

@@ -22,7 +22,7 @@ func materialize(t testing.TB, inst Instance, onto []query.Var) [][]relation.Val
 	if err != nil {
 		t.Fatalf("trimmed query cyclic: %v", err)
 	}
-	e, err := jointree.NewExecWorkers(inst.Q, inst.DB, tree, 1)
+	e, err := jointree.NewExec(inst.Q, inst.DB, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

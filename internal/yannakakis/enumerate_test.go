@@ -149,7 +149,7 @@ func corpusExec(t *testing.T, inst testutil.FuzzInstance) *jointree.Exec {
 	q, raw := query.EliminateSelfJoins(inst.Q, inst.DB)
 	db := relation.NewDatabase()
 	for _, name := range raw.Names() {
-		db.Add(raw.Get(name).DedupedWorkers(1))
+		db.Add(raw.Get(name).Deduped())
 	}
 	return execOf(t, q, db)
 }
@@ -158,12 +158,12 @@ func TestEnumerateGuidedMatchesReferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, inst := range testutil.FuzzCorpus(rng) {
 		e := corpusExec(t, inst)
-		checkGuided(t, inst.Name, e, CountWorkers(e, 1))
+		checkGuided(t, inst.Name, e, Count(e))
 	}
 	for trial := 0; trial < 40; trial++ {
 		q, db := testutil.RandomTreeInstance(rng, 2+rng.Intn(4), 1+rng.Intn(12), 4)
 		e := execOf(t, q, db)
-		checkGuided(t, fmt.Sprintf("tree %d (%s)", trial, q), e, CountWorkers(e, 1))
+		checkGuided(t, fmt.Sprintf("tree %d (%s)", trial, q), e, Count(e))
 	}
 }
 
@@ -189,11 +189,11 @@ func TestEnumerateGuidedDeepDangling(t *testing.T) {
 		} else if root == 2 {
 			parent = []int{1, 2, -1}
 		}
-		e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, parent, root), 1)
+		e, err := jointree.NewExec(q, db, jointree.FromParent(q, parent, root))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := checkGuided(t, fmt.Sprintf("root %d", root), e, CountWorkers(e, 1)); n != 1 {
+		if n := checkGuided(t, fmt.Sprintf("root %d", root), e, Count(e)); n != 1 {
 			t.Fatalf("root %d: %d answers, want 1", root, n)
 		}
 	}
@@ -206,7 +206,7 @@ func TestEnumerateGuidedByMaintainedCounts(t *testing.T) {
 	changed := 0
 	for _, inst := range testutil.FuzzCorpus(rng) {
 		e := corpusExec(t, inst)
-		counts := CountWorkers(e, 1)
+		counts := Count(e)
 		for gen := 0; gen < 4; gen++ {
 			deltas := make(map[string]jointree.RelDelta)
 			for _, name := range e.DB.Names() {
@@ -214,12 +214,12 @@ func TestEnumerateGuidedByMaintainedCounts(t *testing.T) {
 					deltas[name] = d
 				}
 			}
-			derived, changes, err := e.ApplyDelta(deltas, 1)
+			derived, changes, err := e.ApplyDelta(deltas)
 			if err != nil {
 				t.Fatal(err)
 			}
 			changed += len(changes)
-			e, counts = derived, UpdateCounts(counts, derived, changes, 1)
+			e, counts = derived, UpdateCounts(counts, derived, changes)
 			checkGuided(t, fmt.Sprintf("%s gen %d", inst.Name, gen), e, counts)
 		}
 	}
@@ -248,10 +248,10 @@ func TestEnumerateGuidedOnSubsets(t *testing.T) {
 				}
 				keep[n.ID] = mask
 				src := e.DB.Get(e.Q.Atoms[n.Atom].Rel)
-				db.Add(src.FilterWorkers(1, func(i int) bool { return mask[i] }))
+				db.Add(src.Filter(func(i int) bool { return mask[i] }))
 			}
-			sub := e.DeriveSubset(e.Q.Clone(), db, keep, 1)
-			checkGuided(t, fmt.Sprintf("%s keep≈1−1/%d", inst.Name, keepOneIn), sub, CountScratch(sub, 1, &scratch))
+			sub := e.DeriveSubsetIn(e.Q.Clone(), db, keep, nil)
+			checkGuided(t, fmt.Sprintf("%s keep≈1−1/%d", inst.Name, keepOneIn), sub, CountScratch(sub, &scratch))
 		}
 	}
 }
@@ -282,12 +282,12 @@ func TestEnumerateWorkBound(t *testing.T) {
 	db.Add(p.MarkDistinct())
 	db.Add(n.MarkDistinct())
 	db.Add(relation.FromRows("L", 2, [][]relation.Value{{7, 70}}).MarkDistinct())
-	e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0), 1)
+	e, err := jointree.NewExec(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	answers := 0
-	steps := EnumerateSteps(e, CountWorkers(e, 1), func(asn []relation.Value) bool {
+	steps := EnumerateSteps(e, Count(e), func(asn []relation.Value) bool {
 		if asn[1] != 1 || asn[2] != 7 || asn[3] != 70 {
 			t.Fatalf("answer %v", asn)
 		}
@@ -304,7 +304,7 @@ func TestEnumerateWorkBound(t *testing.T) {
 	// not the ℓ·|Q(D)| of walking up to the last of them, nor M per position.
 	ords := []int{3, 3, 77, 200, 201, H - 1}
 	asked := 0
-	steps = AnswersAt(e, CountWorkers(e, 1), ords, func(i int, asn []relation.Value) {
+	steps = AnswersAt(e, Count(e), ords, func(i int, asn []relation.Value) {
 		if asn[0] != relation.Value(ords[i]) || asn[2] != 7 {
 			t.Fatalf("answer at %d: %v", ords[i], asn)
 		}
@@ -341,11 +341,11 @@ func TestAnswersAtResumesItsScans(t *testing.T) {
 	db.Add(relation.FromRows("P", 2, [][]relation.Value{{0, 1}}).MarkDistinct())
 	db.Add(n.MarkDistinct())
 	db.Add(l.MarkDistinct())
-	e, err := jointree.NewExecWorkers(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0), 1)
+	e, err := jointree.NewExec(q, db, jointree.FromParent(q, []int{-1, 0, 1}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := CountWorkers(e, 1)
+	c := Count(e)
 	every := make([]int, K*J)
 	for i := range every {
 		every[i] = i
@@ -381,7 +381,7 @@ func TestAnswersAtJumpsOnSparsePositions(t *testing.T) {
 		db   *relation.Database
 	}{{"4-atom star", star4, db4}, {"6-atom star", star6, db6}, {"3-path", path3, dbp}} {
 		e := execOf(t, tc.q, tc.db)
-		c := CountWorkers(e, 1)
+		c := Count(e)
 		if tc.name == "6-atom star" && c.Total.Hi == 0 {
 			t.Fatalf("%s: %s answers fit 64 bits", tc.name, c.Total)
 		}
@@ -410,7 +410,7 @@ func TestAnswersAtJumpsOnSparsePositions(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Add(relation.FromRows("R", 2, [][]relation.Value{{1, 2}, {3, 4}, {5, 6}}).MarkDistinct())
 	e := execOf(t, q, db)
-	checkGuided(t, "lone atom", e, CountWorkers(e, 1))
+	checkGuided(t, "lone atom", e, Count(e))
 }
 
 // refAt binds into l the answer at position o of the partial answers under
@@ -452,7 +452,7 @@ func BenchmarkAnswersAt(b *testing.B) {
 		db   *relation.Database
 	}{{"path2", path2, dbp}, {"star4", star4, db4}, {"star3", star3, db3}} {
 		e := execOf(b, in.q, in.db)
-		c := CountWorkers(e, 1)
+		c := Count(e)
 		for _, m := range []int{416, 10400} {
 			ords := make([]counting.Count, m)
 			for i := range ords {

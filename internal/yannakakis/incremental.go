@@ -3,7 +3,6 @@ package yannakakis
 import (
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 )
 
 // UpdateCounts derives the counting state of a mutated executable tree from
@@ -16,9 +15,9 @@ import (
 //
 // e must be the derived Exec the changes describe (children's group sums are
 // consumed through it), and old the counting state of the Exec the delta was
-// applied to. The result equals CountWorkers(e, ·) exactly: per-tuple
+// applied to. The result equals Count(e) exactly: per-tuple
 // counts, per-group sums (over e's group-id layout) and the total.
-func UpdateCounts(old *Counts, e *jointree.Exec, changes []jointree.NodeChange, workers int) *Counts {
+func UpdateCounts(old *Counts, e *jointree.Exec, changes []jointree.NodeChange) *Counts {
 	nc := make(map[int]*jointree.NodeChange, len(changes))
 	for i := range changes {
 		nc[changes[i].Node] = &changes[i]
@@ -182,13 +181,11 @@ func UpdateCounts(old *Counts, e *jointree.Exec, changes []jointree.NodeChange, 
 			pmask = make([]bool, prel.Len())
 			dirty[parent] = pmask
 		}
-		parallel.For(workers, prel.Len(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if gid, ok := e.ParentGroup(id, i); ok && changedGids[gid] {
-					pmask[i] = true
-				}
+		for i := range pmask {
+			if gid, ok := e.ParentGroup(id, i); ok && changedGids[gid] {
+				pmask[i] = true
 			}
-		})
+		}
 	}
 	if rootTouched {
 		out.Total = old.Total.Sub(totSub).Add(totAdd)

@@ -56,17 +56,17 @@ func TestUpdateCountsMatchesFresh(t *testing.T) {
 		}
 		db := relation.NewDatabase()
 		for _, name := range raw.Names() {
-			db.Add(raw.Get(name).DedupedWorkers(1))
+			db.Add(raw.Get(name).Deduped())
 		}
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		e, err := jointree.NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := CountWorkers(e, 1)
+		counts := Count(e)
 		for gen := 0; gen < 4; gen++ {
 			deltas := make(map[string]jointree.RelDelta)
 			for _, name := range e.DB.Names() {
@@ -81,37 +81,35 @@ func TestUpdateCountsMatchesFresh(t *testing.T) {
 			if len(deltas) == 0 {
 				continue
 			}
-			derived, changes, err := e.ApplyDelta(deltas, 1)
+			derived, changes, err := e.ApplyDelta(deltas)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				got := UpdateCounts(counts, derived, changes, workers)
-				want := CountWorkers(derived, 1)
-				if got.Total.Cmp(want.Total) != 0 {
-					t.Fatalf("trial %d gen %d workers %d: total %s, want %s", trial, gen, workers, got.Total, want.Total)
+			got := UpdateCounts(counts, derived, changes)
+			want := Count(derived)
+			if got.Total.Cmp(want.Total) != 0 {
+				t.Fatalf("trial %d gen %d: total %s, want %s", trial, gen, got.Total, want.Total)
+			}
+			for id := range want.Tuple {
+				if len(got.Tuple[id]) != len(want.Tuple[id]) {
+					t.Fatalf("node %d: tuple count arrays differ in length", id)
 				}
-				for id := range want.Tuple {
-					if len(got.Tuple[id]) != len(want.Tuple[id]) {
-						t.Fatalf("node %d: tuple count arrays differ in length", id)
+				for i := range want.Tuple[id] {
+					if got.Tuple[id][i].Cmp(want.Tuple[id][i]) != 0 {
+						t.Fatalf("node %d tuple %d: count %s, want %s", id, i, got.Tuple[id][i], want.Tuple[id][i])
 					}
-					for i := range want.Tuple[id] {
-						if got.Tuple[id][i].Cmp(want.Tuple[id][i]) != 0 {
-							t.Fatalf("node %d tuple %d: count %s, want %s", id, i, got.Tuple[id][i], want.Tuple[id][i])
-						}
-					}
-					if len(got.Group[id]) != len(want.Group[id]) {
-						t.Fatalf("node %d: group arrays differ in length: %d vs %d", id, len(got.Group[id]), len(want.Group[id]))
-					}
-					for g := range want.Group[id] {
-						if got.Group[id][g].Cmp(want.Group[id][g]) != 0 {
-							t.Fatalf("node %d group %d: sum %s, want %s", id, g, got.Group[id][g], want.Group[id][g])
-						}
+				}
+				if len(got.Group[id]) != len(want.Group[id]) {
+					t.Fatalf("node %d: group arrays differ in length: %d vs %d", id, len(got.Group[id]), len(want.Group[id]))
+				}
+				for g := range want.Group[id] {
+					if got.Group[id][g].Cmp(want.Group[id][g]) != 0 {
+						t.Fatalf("node %d group %d: sum %s, want %s", id, g, got.Group[id][g], want.Group[id][g])
 					}
 				}
 			}
 			e = derived
-			counts = UpdateCounts(counts, derived, changes, 1)
+			counts = UpdateCounts(counts, derived, changes)
 		}
 	}
 }

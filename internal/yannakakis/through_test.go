@@ -51,17 +51,17 @@ func TestEnumerateThroughIsTheAnswerDiff(t *testing.T) {
 		}
 		db := relation.NewDatabase()
 		for _, name := range raw.Names() {
-			db.Add(raw.Get(name).DedupedWorkers(1))
+			db.Add(raw.Get(name).Deduped())
 		}
 		tree, err := jointree.Build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := jointree.NewExecWorkers(q, db, tree, 1)
+		e, err := jointree.NewExec(q, db, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := CountWorkers(e, 1)
+		counts := Count(e)
 		for gen := 0; gen < 4; gen++ {
 			deltas := make(map[string]jointree.RelDelta)
 			for _, name := range e.DB.Names() {
@@ -72,11 +72,11 @@ func TestEnumerateThroughIsTheAnswerDiff(t *testing.T) {
 					deltas[name] = d
 				}
 			}
-			derived, changes, err := e.ApplyDelta(deltas, 1)
+			derived, changes, err := e.ApplyDelta(deltas)
 			if err != nil {
 				t.Fatal(err)
 			}
-			newCounts := UpdateCounts(counts, derived, changes, 1)
+			newCounts := UpdateCounts(counts, derived, changes)
 			var removed, added []NodeRows
 			for _, ch := range changes {
 				removed = append(removed, NodeRows{Node: ch.Node, Rows: ch.RemovedIdx})
@@ -127,13 +127,13 @@ func TestEnumerateThroughStops(t *testing.T) {
 	q, raw := workload.Star(rng, 3, 60, 2, 4)
 	db := relation.NewDatabase()
 	for _, name := range raw.Names() {
-		db.Add(raw.Get(name).DedupedWorkers(1))
+		db.Add(raw.Get(name).Deduped())
 	}
 	tree, err := jointree.Build(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := jointree.NewExecWorkers(q, db, tree, 1)
+	e, err := jointree.NewExec(q, db, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestEnumerateThroughStops(t *testing.T) {
 		all[i] = i
 	}
 	seen := 0
-	EnumerateThrough(e, CountWorkers(e, 1), []NodeRows{{Node: leaf, Rows: all}}, func([]relation.Value) bool {
+	EnumerateThrough(e, Count(e), []NodeRows{{Node: leaf, Rows: all}}, func([]relation.Value) bool {
 		seen++
 		return seen < 5
 	})
-	if total, _ := CountWorkers(e, 1).Total.Uint64(); seen != 5 || total < 5 {
+	if total, _ := Count(e).Total.Uint64(); seen != 5 || total < 5 {
 		t.Fatalf("walk delivered %d answers of %d after being stopped at 5", seen, total)
 	}
 }

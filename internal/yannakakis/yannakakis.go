@@ -16,7 +16,6 @@ import (
 
 	"github.com/quantilejoins/qjoin/internal/counting"
 	"github.com/quantilejoins/qjoin/internal/jointree"
-	"github.com/quantilejoins/qjoin/internal/parallel"
 	"github.com/quantilejoins/qjoin/internal/relation"
 )
 
@@ -64,21 +63,20 @@ func growCounts(buf []counting.Count, n int) []counting.Count {
 	return make([]counting.Count, n)
 }
 
-// CountWorkers runs the counting pass over a bounded worker pool: per-node
-// tuple loops are chunked over row ranges and per-group sums over group
-// ranges, with all writes disjoint by index. The node order stays the
-// bottom-up tree order (each node consumes its children's finished group
-// counts), and the final total folds per-chunk partial sums in chunk order,
-// so the result is identical for every worker count.
-func CountWorkers(e *jointree.Exec, workers int) *Counts {
-	return CountScratch(e, workers, nil)
-}
+// Count runs the bottom-up counting pass of Section 2.4 over e. The node
+// order is the bottom-up tree order: each node consumes its children's
+// finished group counts.
+func Count(e *jointree.Exec) *Counts { return CountScratch(e, nil) }
 
-// CountScratch is CountWorkers drawing its count arrays from the given
-// scratch (nil allocates fresh, which is what long-lived results — e.g. the
-// engine's cached counting state — must use). Every written entry is fully
-// assigned, so stale scratch contents never leak into the result.
-func CountScratch(e *jointree.Exec, workers int, s *Scratch) *Counts {
+// CountWorkers is Count; workers is unread. Kept for the bench module's
+// probes, which call it by this name.
+func CountWorkers(e *jointree.Exec, _ int) *Counts { return Count(e) }
+
+// CountScratch is Count drawing its count arrays from the given scratch (nil
+// allocates fresh, which is what long-lived results — e.g. the engine's
+// cached counting state — must use). Every written entry is fully assigned,
+// so stale scratch contents never leak into the result.
+func CountScratch(e *jointree.Exec, s *Scratch) *Counts {
 	nNodes := len(e.T.Nodes)
 	tuple, group := s.buffers(nNodes)
 	c := &Counts{Tuple: tuple, Group: group}
@@ -93,51 +91,35 @@ func CountScratch(e *jointree.Exec, workers int, s *Scratch) *Counts {
 			gids[k] = e.ParentGids(ch)
 			gcnt[k] = c.Group[ch]
 		}
-		parallel.For(workers, rel.Len(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := counting.One
-				dead := false
-				for k := range children {
-					gid := gids[k][i]
-					if gid < 0 || gcnt[k][gid].IsZero() {
-						dead = true
-						break
-					}
-					v = v.Mul(gcnt[k][gid])
-				}
-				if dead {
+		for i := range cnt {
+			v := counting.One
+			for k := range children {
+				gid := gids[k][i]
+				if gid < 0 || gcnt[k][gid].IsZero() {
 					v = counting.Zero
+					break
 				}
-				cnt[i] = v
+				v = v.Mul(gcnt[k][gid])
 			}
-		})
+			cnt[i] = v
+		}
 		c.Tuple[id] = cnt
 		if n.Parent >= 0 {
 			groups := e.Groups[id]
 			g := growCounts(c.Group[id], groups.NumGroups())
-			parallel.For(workers, groups.NumGroups(), func(lo, hi int) {
-				for gi := lo; gi < hi; gi++ {
-					sum := counting.Zero
-					for _, ti := range groups.Tuples[gi] {
-						sum = sum.Add(cnt[ti])
-					}
-					g[gi] = sum
+			for gi, tuples := range groups.Tuples {
+				sum := counting.Zero
+				for _, ti := range tuples {
+					sum = sum.Add(cnt[ti])
 				}
-			})
+				g[gi] = sum
+			}
 			c.Group[id] = g
 		}
 	}
-	rootCnt := c.Tuple[e.T.Root]
-	partials := parallel.MapRanges(workers, len(rootCnt), func(lo, hi int) counting.Count {
-		sum := counting.Zero
-		for i := lo; i < hi; i++ {
-			sum = sum.Add(rootCnt[i])
-		}
-		return sum
-	})
 	total := counting.Zero
-	for _, p := range partials {
-		total = total.Add(p)
+	for _, v := range c.Tuple[e.T.Root] {
+		total = total.Add(v)
 	}
 	c.Total = total
 	return c
@@ -548,7 +530,7 @@ func assignmentLayout(e *jointree.Exec) layout {
 // instances already known to be small and for test oracles.
 func Materialize(e *jointree.Exec) [][]relation.Value {
 	var out [][]relation.Value
-	Enumerate(e, CountWorkers(e, 1), func(asn []relation.Value) bool {
+	Enumerate(e, Count(e), func(asn []relation.Value) bool {
 		out = append(out, append([]relation.Value(nil), asn...))
 		return true
 	})

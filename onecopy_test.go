@@ -187,7 +187,7 @@ func TestInputIsReadNotOwned(t *testing.T) {
 	input := func() *qjoin.DB {
 		db := qjoin.NewDB()
 		for _, name := range gen.Names() {
-			r := gen.Get(name).DedupedWorkers(1)
+			r := gen.Get(name).Deduped()
 			var rows [][]int64
 			for i := 0; i < r.Len(); i++ {
 				rows = append(rows, r.RowValues(i))

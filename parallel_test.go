@@ -1,6 +1,6 @@
-// Tests of the parallel execution runtime's determinism contract (ISSUE 2):
-// byte-identical answers and run statistics at every Parallelism value, and
-// race-free concurrent readers each using multi-worker execution.
+// Tests of Options.Parallelism, which has no effect: byte-identical answers
+// and run statistics at every value, and race-free concurrent readers of one
+// plan.
 package qjoin_test
 
 import (
@@ -18,8 +18,7 @@ import (
 // parallelGridCases builds one workload per trim construction: MIN/MAX and
 // LEX (partition-identifier trims), full SUM on the binary join and partial
 // SUM on the 3-path (adjacent-pair staircase trim), plus an approximate
-// full-SUM 3-path instance (lossy sketch trim). Relation sizes sit above the
-// runtime's sequential-fallback threshold so multi-worker runs really chunk.
+// full-SUM 3-path instance (lossy sketch trim).
 func parallelGridCases() []struct {
 	name string
 	q    *qjoin.Query
@@ -63,9 +62,9 @@ func parallelGridCases() []struct {
 	return cases
 }
 
-// TestParallelDeterminism runs the full quantile grid at Parallelism 1, 2
-// and 8 and asserts byte-identical answers and identical RunStats — the
-// runtime's central contract: worker count may only change wall-clock time.
+// TestParallelDeterminism runs the full quantile grid on plans prepared at
+// Parallelism 1, 2 and 8 and asserts byte-identical answers and identical
+// RunStats: the deprecated option changes nothing.
 func TestParallelDeterminism(t *testing.T) {
 	phis := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
 	for _, tc := range parallelGridCases() {
@@ -114,7 +113,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestParallelDeterminismSelect covers the selection entry point at a few
-// absolute indexes across worker counts.
+// absolute indexes across Parallelism values.
 func TestParallelDeterminismSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	q, idb := workload.Path(rng, 2, 2048, 128)
@@ -148,9 +147,8 @@ func TestParallelDeterminismSelect(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentParallel is the -race stress test of ISSUE 2:
-// concurrent readers of one Prepared plan, each running multi-worker
-// execution, must agree with the sequential answers.
+// TestPreparedConcurrentParallel is a -race stress test: concurrent readers
+// of one Prepared plan must agree with the answers one reader gets alone.
 func TestPreparedConcurrentParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	q, idb := workload.Path(rng, 2, 2048, 128)
@@ -169,7 +167,7 @@ func TestPreparedConcurrentParallel(t *testing.T) {
 		}
 	}
 
-	p, err := qjoin.Prepare(q, db, qjoin.Options{Parallelism: 4})
+	p, err := qjoin.Prepare(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

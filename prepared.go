@@ -103,17 +103,16 @@ type Prepared struct {
 // the database schema and, with a typed *ArgError, on cyclic queries whose
 // decomposition would exceed the width cap.
 //
-// An optional Options value becomes the plan's defaults: its Parallelism
-// governs the compile-time passes here and every later query that passes no
-// per-call Options (a per-call Options value overrides the defaults
-// wholesale). The compiled plan and all answers are byte-identical for
-// every Parallelism value.
+// An optional Options value becomes the plan's defaults: every later query
+// that passes no per-call Options runs with it (a per-call Options value
+// overrides the defaults wholesale). The compile runs on the calling
+// goroutine.
 func Prepare(q *Query, db *DB, opts ...Options) (*Prepared, error) {
 	o, err := oneOpt(opts)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.NewWorkers(q, db.inner, o.Parallelism)
+	eng, err := engine.New(q, db.inner)
 	if err != nil {
 		return nil, mapCompileErr(err)
 	}
@@ -133,20 +132,13 @@ func mapCompileErr(err error) error {
 	return err
 }
 
-// opt resolves per-call options against the plan defaults. A per-call
-// Options value replaces the defaults, except that an unset Parallelism
-// (0, "use the default") inherits the plan's: a plan prepared with
-// Parallelism 1 must never silently go parallel because the caller passed
-// Options{Epsilon: ...} to tweak something unrelated.
+// opt resolves per-call options against the plan defaults: a per-call
+// Options value replaces them wholesale.
 func (p *Prepared) opt(opts []Options) (Options, error) {
 	if len(opts) == 0 {
 		return p.opts, nil
 	}
-	o, err := oneOpt(opts)
-	if o.Parallelism == 0 {
-		o.Parallelism = p.opts.Parallelism
-	}
-	return o, err
+	return oneOpt(opts)
 }
 
 // Query returns the query this plan was compiled from.

@@ -118,6 +118,7 @@ bad bad-phi '{"dataset":"social","query":"Admin(u1,e),Share(u2,e,l2),Attend(u3,e
 bad bad-eps '{"dataset":"social","query":"Admin(u1,e),Share(u2,e,l2),Attend(u3,e,l3)","rank":"sum(l2,l3)","op":"approx","phi":0.5,"eps":0}'
 bad bad-k   '{"dataset":"social","query":"Admin(u1,e),Share(u2,e,l2),Attend(u3,e,l3)","rank":"sum(l2,l3)","op":"topk","k":-1}'
 bad bad-k-cap '{"dataset":"social","query":"Admin(u1,e),Share(u2,e,l2),Attend(u3,e,l3)","rank":"sum(l2,l3)","op":"topk","k":10001}'
+bad bad-eps-floor '{"dataset":"social","query":"Admin(u1,e),Share(u2,e,l2),Attend(u3,e,l3)","rank":"sum(l2,l3)","op":"quantile","phi":0.5,"mode":"approx","eps":1e-9}'
 bad bad-mode '{"dataset":"social","query":"Admin(u1,e),Share(u2,e,l2),Attend(u3,e,l3)","rank":"sum(l2,l3)","op":"quantile","phi":0.5,"mode":"bogus"}'
 
 kill "$server_pid"

@@ -36,7 +36,7 @@ func ShardOf(v Value, shards int) int { return shard.Of(v, shards) }
 
 // PrepareSharded compiles a query against a hash-partitioned database: the
 // input relations are partitioned on a join key into N shard engines
-// (prepared concurrently on the Options Parallelism budget), and every query
+// (compiled one after another), and every query
 // runs the pivot loop globally across them — per-shard pivot candidates merge
 // by weighted median, per-shard partition counts are summed, and the λ-trim
 // broadcasts to every shard. Answers are exact and byte-identical to Prepare
@@ -48,9 +48,9 @@ func ShardOf(v Value, shards int) int { return shard.Of(v, shards) }
 // shards is the partition count (0 selects 1; validated by ValidateShards);
 // the partitioning key is chosen automatically — the join variable occurring
 // in the most atoms — and relations not containing the key are replicated to
-// every shard. What sharding buys is operational: Prepare parallelizes across
-// shards, and a delta routes to the shards owning its key hashes, so Update
-// touches ~1/N of the compiled state. PrepareSharded(q, db, 1) answers
+// every shard. What sharding buys is operational: a delta routes to the
+// shards owning its key hashes, so Update touches ~1/N of the compiled
+// state. PrepareSharded(q, db, 1) answers
 // exactly like Prepare but is still a routed plan (it has a Key, and its
 // snapshot records the partition).
 //
@@ -70,7 +70,7 @@ func PrepareSharded(q *Query, db *DB, shards int, opts ...Options) (*Prepared, e
 	if err != nil {
 		return nil, err
 	}
-	sh, err := shard.New(q, db.inner, shards, o.Parallelism)
+	sh, err := shard.Partition(q, db.inner, shards)
 	if err != nil {
 		return nil, err
 	}

@@ -734,3 +734,38 @@ func TestRankingIdentityIsByValue(t *testing.T) {
 		t.Fatalf("a freshly parsed ranking missed the carried summary: refreshes %+v", up.SketchRefreshes())
 	}
 }
+
+// TestApproxEpsFloor asks the quickstart's join for approximate medians at
+// and past the finest ε whose sketch grid fits MaxSketchAnchors: the floor
+// answers with a certified bound, anything finer is a typed error on eps
+// before a grid is reserved, and ModeAuto, which never builds at the
+// request's ε, still answers a fine one.
+func TestApproxEpsFloor(t *testing.T) {
+	db := qjoin.NewDB()
+	db.MustAdd("Orders", 2, [][]int64{{1, 30}, {2, 75}, {3, 12}, {4, 50}})
+	db.MustAdd("Shipments", 2, [][]int64{{1, 5}, {1, 9}, {2, 4}, {3, 7}, {4, 3}, {4, 11}})
+	q := qjoin.NewQuery(qjoin.NewAtom("Orders", "o", "price"), qjoin.NewAtom("Shipments", "o", "cost"))
+	f := qjoin.Sum("price", "cost")
+	p, err := qjoin.Prepare(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := 2.0 / qjoin.MaxSketchAnchors
+	a, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: floor, Mode: qjoin.ModeApprox})
+	if err != nil {
+		t.Fatalf("ε at the floor: %v", err)
+	}
+	if a.Source != qjoin.SourceSketch || a.ErrorBound > floor {
+		t.Errorf("ε at the floor: source %q bound %v, want a sketch answer within %v", a.Source, a.ErrorBound, floor)
+	}
+	for _, eps := range []float64{math.Nextafter(floor, 0), 1e-9} {
+		_, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: eps, Mode: qjoin.ModeApprox})
+		var ae *qjoin.ArgError
+		if !errors.As(err, &ae) || ae.Field != "eps" {
+			t.Errorf("ε=%v: error %v, want an *ArgError on eps", eps, err)
+		}
+	}
+	if _, err := p.Answer(f, qjoin.QuantileRequest{Phi: 0.5, Eps: 1e-9, Mode: qjoin.ModeAuto}); err != nil {
+		t.Errorf("ModeAuto at ε=1e-9: %v", err)
+	}
+}

@@ -143,8 +143,8 @@ func (p *Prepared) snapshotSketches() []specSketch {
 // indexing, counting) are skipped — only the cheap pure-function state is
 // recomputed — so restoring is roughly an order of magnitude faster than
 // Prepare on the same data. An optional Options value becomes the restored
-// plan's defaults, exactly as with Prepare; answers are byte-identical for
-// every Parallelism value and to the plan that was saved.
+// plan's defaults, exactly as with Prepare; answers are byte-identical to
+// the plan that was saved.
 func LoadPrepared(r io.Reader, opts ...Options) (*Prepared, error) {
 	sr, err := snap.NewReader(r)
 	if err != nil {
@@ -238,9 +238,9 @@ func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) 
 	if routed {
 		// The partition is replayed from (src, db); each engine must have been
 		// compiled from the self-join-free rewrite its partition is routed by.
-		sh, err = shard.Restore(src, db.inner, shards, o.Parallelism,
-			func(i int, q *Query, sdb *relation.Database, per int) (*engine.Engine, error) {
-				eng, err := decodeEngine(engPls[i].Payload, rd, sdb, per)
+		sh, err = shard.Restore(src, db.inner, shards,
+			func(i int, q *Query, sdb *relation.Database) (*engine.Engine, error) {
+				eng, err := decodeEngine(engPls[i].Payload, rd, sdb)
 				if err == nil && eng.Source().String() != q.String() {
 					err = corruptf("shard %d engine query %s does not match partition query %s", i, eng.Source(), q)
 				}
@@ -250,7 +250,7 @@ func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) 
 			return nil, asSnapshotErr(err)
 		}
 	} else {
-		eng, err := decodeEngine(engPls[0].Payload, rd, db.inner, o.Parallelism)
+		eng, err := decodeEngine(engPls[0].Payload, rd, db.inner)
 		if err == nil && eng.Source().String() != src.String() {
 			err = corruptf("engine query %s does not match plan query %s", eng.Source(), src)
 		}
@@ -308,9 +308,9 @@ func decodePlan(secs []snap.Section, routed bool, o Options) (*Prepared, error) 
 
 // decodeEngine decodes one engine section over the database it was compiled
 // against (the raw database, or a shard's partition of it).
-func decodeEngine(pl []byte, rd *snap.RelReader, db *relation.Database, workers int) (*engine.Engine, error) {
+func decodeEngine(pl []byte, rd *snap.RelReader, db *relation.Database) (*engine.Engine, error) {
 	d := snap.NewDec(pl)
-	eng, err := snap.DecodeEngine(d, rd, db, workers)
+	eng, err := snap.DecodeEngine(d, rd, db)
 	if err != nil {
 		return nil, err
 	}

@@ -114,6 +114,22 @@ const MaxPhis = 1024
 // takes any k ≥ 0.
 const MaxTopK = 10000
 
+// MaxSketchAnchors bounds the anchor grid the ε of a ModeApprox request asks
+// a summary to hold. The summary is built at resolution ε/2, one anchor per
+// step, and its grid is reserved at once whatever |Q(D)| is, so the finest ε
+// has to be bounded where it arrives: 2¹⁶ anchors serve any ε ≥ 2⁻¹⁵ ≈ 3.1e-5,
+// and a finer rank is the exact tier's.
+const MaxSketchAnchors = 1 << 16
+
+// validateSketchEps checks the ε of a ModeApprox request against
+// MaxSketchAnchors; ε = 0 asks for the default grid.
+func validateSketchEps(eps float64) error {
+	if eps > 0 && 1/approxRes(eps) > MaxSketchAnchors {
+		return argErrorf("eps", "%v needs a sketch of more than %d anchors (ε ≥ %v)", eps, MaxSketchAnchors, 2.0/MaxSketchAnchors)
+	}
+	return nil
+}
+
 // validateGrid checks a quantile grid where it arrives: at most MaxPhis
 // fractions (a *ArgError on "phis" beyond that), each a valid φ.
 func validateGrid(phis []float64) error {
@@ -217,6 +233,11 @@ func (r *Request) Resolve() (Operation, error) {
 		}
 		if r.Eps != 0 {
 			if err := ValidateEpsilon(r.Eps); err != nil {
+				return op, err
+			}
+		}
+		if op.Mode == ModeApprox {
+			if err := validateSketchEps(r.Eps); err != nil {
 				return op, err
 			}
 		}

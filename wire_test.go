@@ -179,6 +179,9 @@ var resolveCases = func() []resolveCase {
 		{name: "unknown-op-with-mode", req: on(qjoin.Request{Op: "avg", Mode: "approx"}), field: "mode"},
 		{name: "unknown-mode", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "bogus"}), field: "mode"},
 		{name: "mode-approx", req: on(qjoin.Request{Op: "median", Mode: "approx"}), op: "median", mode: qjoin.ModeApprox, phis: 1},
+		{name: "mode-approx-eps-floor", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "approx", Eps: 2.0 / qjoin.MaxSketchAnchors}), op: "quantile", mode: qjoin.ModeApprox, eps: 2.0 / qjoin.MaxSketchAnchors, phis: 1},
+		{name: "mode-approx-eps-too-fine", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "approx", Eps: math.Nextafter(2.0/qjoin.MaxSketchAnchors, 0)}), field: "eps"},
+		{name: "mode-auto-eps-fine", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "auto", Eps: 1e-9}), op: "quantile", mode: qjoin.ModeAuto, eps: 1e-9, phis: 1},
 		{name: "mode-auto-eps", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "auto", Eps: 0.3}), op: "quantile", mode: qjoin.ModeAuto, eps: 0.3, phis: 1},
 		{name: "mode-exact-drops-eps", req: on(qjoin.Request{Op: "quantiles", Phis: []float64{0.2, 0.8}, Mode: "exact", Eps: 0.3}), op: "quantiles", mode: qjoin.ModeExact, phis: 2},
 		{name: "mode-eps-high", req: on(qjoin.Request{Op: "quantile", Phi: 0.5, Mode: "auto", Eps: 1.5}), field: "eps"},
