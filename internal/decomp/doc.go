@@ -13,17 +13,17 @@
 //     a snapshot restore can recompute it and land on the identical plan.
 //
 //   - MaterializeBags builds each bag as the join of its atoms semijoined
-//     with the atoms it covers — bag = ⋈ λ(t) ⋉ every atom outside λ(t)
-//     whose variables lie in χ(t) — into one relation over the bag's full
-//     variable set, using the columnar relation layer. Because every bag carries all of its variables
-//     (χ(t) = vars(λ(t))), the acyclic join of the bag relations equals the
-//     original cyclic join exactly — no projection is lossy — and a
+//     with the atoms it covers — bag = ⋈ λ(t) ⋉ every atom outside λ(t) whose
+//     variables lie in χ(t) — into one relation over the bag's full variable
+//     set, using the columnar relation layer. Because every bag carries all of
+//     its variables (χ(t) = vars(λ(t))), the acyclic join of the bag relations
+//     equals the original cyclic join exactly — no projection is lossy — and a
 //     semijoin with a source atom drops no answer, since every answer's
 //     projection onto that atom is one of its rows; it only drops rows that
-//     join to nothing. The triangle's bag {R,S} covers T, so it holds
-//     exactly the triangle's answers instead of the pairwise join R⋈S. Which
-//     atoms a bag covers depends on the query shape alone, so a restore
-//     recomputes them with the decomposition.
+//     join to nothing. The triangle's bag {R,S} covers T, so it holds exactly
+//     the triangle's answers instead of the pairwise join R⋈S. Which atoms a
+//     bag covers depends on the query shape alone, so a restore recomputes
+//     them with the decomposition.
 //
 // Contract notes:
 //

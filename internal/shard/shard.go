@@ -134,18 +134,18 @@ func Single(eng *engine.Engine) *Sharded {
 }
 
 // Routed reports whether the set came from a hash partition (Partition,
-// Restore) rather than from Single. Partition with shards=1 is routed: it has a key, and
-// its snapshots record the partition.
+// Restore) rather than from Single. Partition with shards=1 is routed: it has
+// a key, and its snapshots record the partition.
 func (s *Sharded) Routed() bool { return s.routes != nil }
 
 // Restore reassembles a Sharded from snapshot-decoded shard engines. The
 // routing state (rewrite, key, routes) and the per-shard raw databases are
-// replayed through exactly the code path Partition uses — both are deterministic
-// functions of (src, db0), so the replayed partition is byte-identical to
-// the one the engines were compiled over. Only the engine compiles
-// themselves are skipped: mk is called once per shard, in order, with the
-// shard's rewritten query and raw partition, and returns the decoded engine
-// (typically engine.Restore over that partition as db0).
+// replayed through exactly the code path Partition uses — both are
+// deterministic functions of (src, db0), so the replayed partition is
+// byte-identical to the one the engines were compiled over. Only the engine
+// compiles themselves are skipped: mk is called once per shard, in order, with
+// the shard's rewritten query and raw partition, and returns the decoded
+// engine (typically engine.Restore over that partition as db0).
 func Restore(src *query.Query, db0 *relation.Database, shards int,
 	mk func(i int, q *query.Query, sdb *relation.Database) (*engine.Engine, error)) (*Sharded, error) {
 	s, dbs, err := plan(src, db0, shards)
@@ -163,9 +163,10 @@ func Restore(src *query.Query, db0 *relation.Database, shards int,
 	return s, nil
 }
 
-// plan runs the shared front half of Partition and Restore: validation, self-join
-// elimination, key choice, the routing table, and the hash partition of the
-// rewritten database. Everything is deterministic in (src, db0, shards).
+// plan runs the shared front half of Partition and Restore: validation,
+// self-join elimination, key choice, the routing table, and the hash partition
+// of the rewritten database. Everything is deterministic in (src, db0,
+// shards).
 func plan(src *query.Query, db0 *relation.Database, shards int) (*Sharded, []*relation.Database, error) {
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("%w, got %d", ErrShardCount, shards)
@@ -331,9 +332,10 @@ func (s *Sharded) Touched(d *engine.Delta) []int {
 // usable (copy-on-write, like engine.Update it builds on). Only the shards
 // the delta routes to are updated — untouched engines are shared with the
 // receiver — so the write cost scales with the touched slice of the data,
-// not the dataset. The whole delta applies atomically: engine.Update never mutates its receiver, so any
-// per-shard failure (e.g. engine.ErrDeleteAbsent) discards all derived
-// engines and returns the error with the receiver intact.
+// not the dataset. The whole delta applies atomically: engine.Update never
+// mutates its receiver, so any per-shard failure (e.g.
+// engine.ErrDeleteAbsent) discards all derived engines and returns the error
+// with the receiver intact.
 //
 // The returned changes are the engines' own, indexed by shard (the zero
 // Change for a shard the delta did not route to); nil when the receiver
