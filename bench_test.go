@@ -1108,10 +1108,13 @@ type rotationOp struct {
 // the slice of the leaf the rank falls in, a thirty-second of it or less, and
 // a partitioned slice keeps only the rows on an answer of its box, each narrow
 // box cut from the rows its seed reaches through the join (trim's weight
-// orders, and the inverse that climbs to a parent through the rows reached).
-// CI's scaling gate: warm min ns/op ≤ 0.055× cold (measured 0.035–0.042 at
-// GOMAXPROCS=4 on a 2-vCPU box, cold ≈ 5.9–7.0 ms and warm ≈ 0.23–0.41 ms;
-// 0.05–0.06 with 16 splitters and a parent reached by a pass over the
+// orders, and the inverse that climbs to a parent through the rows reached),
+// and a SUM slice merges only the join groups it reached when the rotation cut
+// it. CI's scaling gate: warm min ns/op ≤ 0.045× cold (measured 0.026–0.031
+// in the CI form at GOMAXPROCS=4 on a 2-vCPU box, cold ≈ 5.9–6.8 ms and warm
+// ≈ 0.16–0.19 ms; 0.033–0.037, warm ≈ 0.21–0.23 ms, while a SUM slice merged
+// every group, 0.035–0.042 and warm ≈ 0.23–0.41 ms when that was first
+// measured; 0.05–0.06 with 16 splitters and a parent reached by a pass over the
 // parent-gid array; 0.05–0.07 while every box scanned its relations;
 // 0.09–0.14 while a box copied every row its tests passed; 0.21–0.27 while a
 // warm op cut and weighed its whole leaf).

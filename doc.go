@@ -338,7 +338,11 @@
 // rises — and covered by its canonical dyadic segments; the one-sided trim
 // is the band with the other bound at ±∞ — for ≺ λ byte-identical to the
 // prefix construction — so one cached preparation per ranking serves every
-// round of every quantile. For MIN, MAX and LEX a one-sided cut is a list of
+// round of every quantile. The preparation also remembers, per band it has
+// cut, the join groups that emitted a copy (a bit per A group, never more
+// words than the A side has rows): a band cut again — a warm plan's slices
+// are — merges only those groups, in ascending order, and emits the same
+// rows (PhaseLog.Visited counts the A rows handed to the merge). For MIN, MAX and LEX a one-sided cut is a list of
 // disjoint boxes — per ranked variable a closed weight interval, Algorithm 3's
 // partitions — and the band is the pairwise intersections of its two cuts'
 // boxes: every relation is scanned once per box — or, for a narrow box of a

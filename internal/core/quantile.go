@@ -130,6 +130,10 @@ type PhaseLog struct {
 	// box's interval tests (trim.Scratch.Tested): |D| per box that scans its
 	// relations, and only the rows a seeded box reaches from the seed.
 	Tested int
+	// Visited counts the A rows the run's exact SUM cuts handed the staircase
+	// (trim.Scratch.Visited): every row of a join group with a partner, the
+	// first time a band is cut, and only the groups it reaches after.
+	Visited int
 }
 
 // runScratch is the pooled per-run iteration scratch: the counting slots, the
@@ -1063,7 +1067,9 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 				p.Rebuilt++
 			}
 			if !d.trm.lossy {
-				p.Tested += st.scratch().slot(st.parts[as].slot).band.Tested()
+				band := &st.scratch().slot(st.parts[as].slot).band
+				p.Tested += band.Tested()
+				p.Visited += band.Visited()
 			}
 		}
 		st.parts[as].exec = exec

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
 	"github.com/quantilejoins/qjoin/internal/query"
@@ -38,9 +39,11 @@ import (
 // the per-row partial sums, the per-group sorts of both sides — is a *preparation*
 // that Algorithm 1 re-uses verbatim every iteration: only the bounds change
 // between pivoting rounds. When the instance carries a Cache (the driver's
-// original always does), the preparation is computed once per ranking and
-// every subsequent call pays only for the staircase emission, which is
-// proportional to the output.
+// original always does), the preparation is computed once per ranking, and
+// a later call pays for the staircase merge over the A rows of the groups it
+// visits plus the emission, which is proportional to the output. The first
+// cut of a band visits every group; the preparation then remembers which
+// groups emitted a copy, and a later cut of the same band visits only those.
 func SumAdjacentBand(inst Instance, f *ranking.Func, low, high ranking.Bound) (Instance, error) {
 	if f.Agg != ranking.Sum {
 		return Instance{}, fmt.Errorf("trim: SumAdjacent requires SUM, got %s", f.Agg)
@@ -90,15 +93,67 @@ type sumAdjPrep struct {
 	colsA []int
 	varsA []query.Var
 
-	// Two-node state.
-	bGroups    []bGroupPrep
-	aGroupRows [][]int32 // per A-group, row indexes into relA, ascending
-	aPartner   []int     // A-group -> index into bGroups, -1 when keyless
-	aSums      []int64   // the partial sums of aGroupRows' rows, group after group
+	// Two-node state. The A side lies group after group in aRows, aSums and
+	// aBySum; group k's rows are those at aOff[k] up to aOff[k+1], so a group
+	// is read without walking the groups before it.
+	bGroups  []bGroupPrep
+	aRows    []int32 // row indexes into relA, ascending within a group
+	aOff     []int32 // per A-group, where its rows start; one past the last group's end
+	aPartner []int   // A-group -> index into bGroups, -1 when keyless
+	aSums    []int64 // the partial sums of aRows' rows
 	// aBySum lies beside aSums: per A-group, the positions of its rows within
 	// the group, ordered by partial sum — the order the staircase merge reads
 	// them in.
 	aBySum []int32
+
+	// reach remembers, per band, the A-groups the staircase emitted a copy
+	// for: a bit per group, stored once and never changed, so a band cut
+	// again visits only its groups. A prep the Cache holds keeps them — every
+	// band is then cut from the instance the prep was built from. They hold no
+	// more words than the prep has A rows; one more band drops them all. They
+	// have a lock of their own, so a cut never waits on a prep build.
+	reachMu    sync.Mutex
+	reach      map[bandKey][]uint64
+	reachWords int
+}
+
+// bandKey is a SUM band as reach knows it: each bound's infinity sign and,
+// finite, its weight.
+type bandKey struct {
+	lowInf, highInf int
+	low, high       int64
+}
+
+func bandKeyOf(low, high ranking.Bound) bandKey {
+	k := bandKey{lowInf: low.Inf, highInf: high.Inf}
+	if low.IsFinite() {
+		k.low = low.W.K
+	}
+	if high.IsFinite() {
+		k.high = high.W.K
+	}
+	return k
+}
+
+// reached returns the A-groups the band reaches, nil when it is not known.
+func (p *sumAdjPrep) reached(k bandKey) []uint64 {
+	p.reachMu.Lock()
+	defer p.reachMu.Unlock()
+	return p.reach[k]
+}
+
+// remember stores the A-groups a band reaches, unless they are known.
+func (p *sumAdjPrep) remember(k bandKey, groups []uint64) {
+	p.reachMu.Lock()
+	defer p.reachMu.Unlock()
+	if _, ok := p.reach[k]; ok {
+		return
+	}
+	if p.reach == nil || p.reachWords+len(groups) > len(p.aRows) {
+		p.reach, p.reachWords = make(map[bandKey][]uint64), 0
+	}
+	p.reach[k] = groups
+	p.reachWords += len(groups)
 }
 
 type bGroupPrep struct {
@@ -223,9 +278,11 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 		bGids = append(bGids, int32(gid))
 	}
 	p.bGroups = make([]bGroupPrep, keys.Len())
-	fillCSR(keys.Len(), bGids, bRows, true, func(gid int32, rows []int32, sums []int64) {
-		p.bGroups[gid] = bGroupPrep{rows: rows, sums: sums}
-	})
+	rows, offs := fillCSR(keys.Len(), bGids, bRows)
+	sums := make([]int64, len(rows))
+	for k := range p.bGroups {
+		p.bGroups[k] = bGroupPrep{rows: rows[offs[k]:offs[k+1]], sums: sums[offs[k]:offs[k+1]]}
+	}
 	// Partial sums and the per-group staircase sort.
 	for k := range p.bGroups {
 		g := &p.bGroups[k]
@@ -253,22 +310,19 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 		}
 		aGids[i] = int32(gid)
 	}
-	p.aGroupRows = make([][]int32, aKeys.Len())
-	fillCSR(aKeys.Len(), aGids, nil, false, func(gid int32, rows []int32, _ []int64) {
-		p.aGroupRows[gid] = rows
-	})
-	// The sums lie in the order the emission reads them in, and each group's
-	// positions by sum beside them.
-	p.aSums = make([]int64, 0, relA.Len())
-	p.aBySum = make([]int32, 0, relA.Len())
-	for _, rows := range p.aGroupRows {
-		off := len(p.aSums)
-		for j, i := range rows {
-			p.aSums = append(p.aSums, rowSumAt(f, aVars, colsA, aCols, int(i)))
-			p.aBySum = append(p.aBySum, int32(j))
+	p.aRows, p.aOff = fillCSR(aKeys.Len(), aGids, nil)
+	// The sums lie beside the rows, and each group's positions by sum beside
+	// them.
+	p.aSums = make([]int64, len(p.aRows))
+	p.aBySum = make([]int32, len(p.aRows))
+	for k := range aKeys.Len() {
+		from, to := p.aOff[k], p.aOff[k+1]
+		sums, bySum := p.aSums[from:to], p.aBySum[from:to]
+		for j, i := range p.aRows[from:to] {
+			sums[j] = rowSumAt(f, aVars, colsA, aCols, int(i))
+			bySum[j] = int32(j)
 		}
-		sums := p.aSums[off:]
-		slices.SortFunc(p.aBySum[off:], func(x, y int32) int { return cmp.Compare(sums[x], sums[y]) })
+		slices.SortFunc(bySum, func(x, y int32) int { return cmp.Compare(sums[x], sums[y]) })
 	}
 	return p, nil
 }
@@ -335,62 +389,40 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 	// is pure GC churn.
 	c := inst.Scratch.emitPlan()
 	c.reset()
-	first := c.segRun            // the band's ids are those past it
-	usedOrder := c.usedOrder[:0] // allocation order, for deterministic emission
-	aOff := 0                    // where the group's sums start in aSums
-	for gk, rows := range p.aGroupRows {
-		sums, bySum := p.aSums[aOff:aOff+len(rows)], p.aBySum[aOff:aOff+len(rows)]
-		aOff += len(rows)
-		bi := p.aPartner[gk]
-		if bi < 0 {
-			continue // A-rows with no B partner participate in no answer
-		}
-		g := &p.bGroups[bi]
-		m := len(g.rows)
-		pow := 1 << bits.Len(uint(m-1)) // a group holds at least the row that made it
-		if len(c.segAt) < 2*pow {
-			c.segAt = append(c.segAt, make([]int64, 2*pow-len(c.segAt))...)
-		}
-		base := c.segRun
-		usedOrder = usedOrder[:0]
-		if cap(c.span) < 2*len(rows) {
-			c.span = make([]int32, 2*len(rows))
-		}
-		span := c.span[:2*len(rows)]
-		if !staircase(g.sums, sums, bySum, low, high, span) {
-			continue
-		}
-		for j, ai := range rows {
-			from, to := int(span[2*j]), int(span[2*j+1])
-			// Canonical dyadic cover of [from, to), left to right: at each
-			// position the largest aligned segment that still fits.
-			for pos := from; pos < to; {
-				lvl := bits.Len(uint(to-pos)) - 1
-				if pos != 0 {
-					lvl = min(lvl, bits.TrailingZeros(uint(pos)))
-				}
-				at := &c.segAt[(pow+pos)>>uint(lvl)]
-				if *at <= base {
-					c.segRun++
-					*at = c.segRun
-					usedOrder = append(usedOrder, segKey{lvl, pos})
-				}
-				c.rowsA = append(c.rowsA, int(ai))
-				c.segA = append(c.segA, relation.Value(*at-first))
-				pos += 1 << uint(lvl)
-			}
-		}
-		// Emit B-side memberships for the segments actually used, in
-		// allocation order: the k-th is the band's id base-first+k+1.
-		for k, sk := range usedOrder {
-			id := relation.Value(base - first + int64(k) + 1)
-			for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
-				c.rowsB = append(c.rowsB, int(g.rows[pos]))
-				c.segB = append(c.segB, id)
-			}
+	first := c.segRun // the band's ids are those past it
+	visited := 0
+	// A band the prep has seen is emitted from the groups it reached, in
+	// ascending order: a group that emits nothing hands out no segment id,
+	// so skipping it changes no row. Any other band visits every group and,
+	// on a cached prep, records the ones that emit. A prep without A groups
+	// has nothing to skip, and its sets would be words the bound cannot count.
+	var key bandKey
+	var known, reached []uint64
+	if inst.Cache != nil && len(p.aPartner) > 0 {
+		key = bandKeyOf(low, high)
+		if known = p.reached(key); known == nil {
+			reached = make([]uint64, (len(p.aPartner)+63)/64)
 		}
 	}
-	c.usedOrder = usedOrder
+	if known != nil {
+		for w, word := range known {
+			for ; word != 0; word &= word - 1 {
+				visited += c.group(p, w<<6|bits.TrailingZeros64(word), first, low, high)
+			}
+		}
+	} else {
+		for gk := range p.aPartner {
+			n := len(c.rowsA)
+			visited += c.group(p, gk, first, low, high)
+			if reached != nil && len(c.rowsA) > n {
+				reached[gk>>6] |= 1 << (gk & 63)
+			}
+		}
+		if reached != nil {
+			p.remember(key, reached)
+		}
+	}
+	inst.Scratch.visit(visited)
 	// Materialize each output with one gather per column; the plan's id
 	// lists become the identifier columns as they stand (they are the
 	// scratch's, as the band's columns are).
@@ -422,6 +454,65 @@ func sumAdjEmit(inst Instance, p *sumAdjPrep, low, high ranking.Bound) (Instance
 		out.Exec = inst.Exec.DeriveGathered(out.Q, out.DB, nodes, true, a)
 	}
 	return out, nil
+}
+
+// group emits A-group gk's copies, and the B-side memberships of the
+// segments they use; it returns the A rows it handed the staircase: the
+// group's, when it has a B partner. first is the count of ids the plan had
+// handed out when the band began.
+func (c *emitPlan) group(p *sumAdjPrep, gk int, first int64, low, high ranking.Bound) int {
+	bi := p.aPartner[gk]
+	if bi < 0 {
+		return 0 // A-rows with no B partner participate in no answer
+	}
+	from, to := p.aOff[gk], p.aOff[gk+1]
+	rows, sums, bySum := p.aRows[from:to], p.aSums[from:to], p.aBySum[from:to]
+	g := &p.bGroups[bi]
+	m := len(g.rows)
+	pow := 1 << bits.Len(uint(m-1)) // a group holds at least the row that made it
+	if len(c.segAt) < 2*pow {
+		c.segAt = append(c.segAt, make([]int64, 2*pow-len(c.segAt))...)
+	}
+	base := c.segRun
+	if cap(c.span) < 2*len(rows) {
+		c.span = make([]int32, 2*len(rows))
+	}
+	span := c.span[:2*len(rows)]
+	if !staircase(g.sums, sums, bySum, low, high, span) {
+		return len(rows)
+	}
+	usedOrder := c.usedOrder[:0] // allocation order, for deterministic emission
+	for j, ai := range rows {
+		from, to := int(span[2*j]), int(span[2*j+1])
+		// Canonical dyadic cover of [from, to), left to right: at each
+		// position the largest aligned segment that still fits.
+		for pos := from; pos < to; {
+			lvl := bits.Len(uint(to-pos)) - 1
+			if pos != 0 {
+				lvl = min(lvl, bits.TrailingZeros(uint(pos)))
+			}
+			at := &c.segAt[(pow+pos)>>uint(lvl)]
+			if *at <= base {
+				c.segRun++
+				*at = c.segRun
+				usedOrder = append(usedOrder, segKey{lvl, pos})
+			}
+			c.rowsA = append(c.rowsA, int(ai))
+			c.segA = append(c.segA, relation.Value(*at-first))
+			pos += 1 << uint(lvl)
+		}
+	}
+	// Emit B-side memberships for the segments actually used, in allocation
+	// order: the k-th is the band's id base-first+k+1.
+	for k, sk := range usedOrder {
+		id := relation.Value(base - first + int64(k) + 1)
+		for pos, hi := sk.start, sk.start+1<<uint(sk.lvl); pos < hi; pos++ {
+			c.rowsB = append(c.rowsB, int(g.rows[pos]))
+			c.segB = append(c.segB, id)
+		}
+	}
+	c.usedOrder = usedOrder
+	return len(rows)
 }
 
 // outQuery is the staircase's output query: q with a fresh segment variable
@@ -563,45 +654,30 @@ func (s *sumRowSorter) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }
 
-// fillCSR carves per-group row lists out of one shared backing array: count
-// per group id, prefix-sum the offsets, then fill in scan order so each
-// group's rows stay ascending. src maps scan position to source row index
-// (nil means the identity). With withSums an int64 backing array is carved
-// the same way, zero-filled for the caller to populate. assign is invoked
-// once per group id, in id order.
-func fillCSR(nGroups int, gids []int32, src []int32, withSums bool, assign func(gid int32, rows []int32, sums []int64)) {
-	counts := make([]int32, nGroups)
+// fillCSR lays per-group row lists out in one array: count per group id,
+// prefix-sum the offsets, then fill in scan order so each group's rows stay
+// ascending. Group g's rows are rows[offs[g]:offs[g+1]]. src maps scan
+// position to source row index (nil means the identity).
+func fillCSR(nGroups int, gids []int32, src []int32) (rows, offs []int32) {
+	offs = make([]int32, nGroups+1)
 	for _, g := range gids {
-		counts[g]++
+		offs[g+1]++
 	}
-	offs := make([]int32, nGroups+1)
-	for g, c := range counts {
-		offs[g+1] = offs[g] + c
+	for g := range nGroups {
+		offs[g+1] += offs[g]
 	}
-	rowsBacking := make([]int32, len(gids))
-	var sumsBacking []int64
-	if withSums {
-		sumsBacking = make([]int64, len(gids))
-	}
-	next := make([]int32, nGroups)
-	copy(next, offs[:nGroups])
+	rows = make([]int32, len(gids))
+	next := slices.Clone(offs[:nGroups])
 	for j, g := range gids {
 		pos := next[g]
 		next[g] = pos + 1
 		if src != nil {
-			rowsBacking[pos] = src[j]
+			rows[pos] = src[j]
 		} else {
-			rowsBacking[pos] = int32(j)
+			rows[pos] = int32(j)
 		}
 	}
-	for g := 0; g < nGroups; g++ {
-		rows := rowsBacking[offs[g]:offs[g+1]]
-		var sums []int64
-		if withSums {
-			sums = sumsBacking[offs[g]:offs[g+1]]
-		}
-		assign(int32(g), rows, sums)
-	}
+	return rows, offs
 }
 
 // rankedColumns returns the ranked variables present in atom with the column

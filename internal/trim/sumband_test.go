@@ -212,10 +212,8 @@ func refStaircase(t *testing.T, inst Instance, f *ranking.Func, low, high rankin
 	relA, relB := inst.rel(p.atomIdxA), inst.rel(p.atomIdxB)
 	outA, outB = relation.New(p.atomA.Rel, relA.Arity()+1), relation.New(p.atomB.Rel, relB.Arity()+1)
 	var next relation.Value
-	aOff := 0
-	for gk, rows := range p.aGroupRows {
-		sums := p.aSums[aOff : aOff+len(rows)] // aSums lies group after group
-		aOff += len(rows)
+	for gk := range p.aPartner {
+		rows, sums := p.aRows[p.aOff[gk]:p.aOff[gk+1]], p.aSums[p.aOff[gk]:p.aOff[gk+1]]
 		if p.aPartner[gk] < 0 {
 			continue
 		}
@@ -429,5 +427,57 @@ func TestStaircaseMatchesBinarySearch(t *testing.T) {
 	}
 	if none == 0 || all == 0 || endSettled == 0 {
 		t.Fatalf("groups settled from their extremes: %d with no pair in the band, %d with every pair, %d at an end of int64: a kind is missing", none, all, endSettled)
+	}
+}
+
+// The groups a prep remembers per band hold no more words than the prep has
+// A rows: 5 000 distinct bands cycled through one cached prep — each cut twice,
+// so the second reads what the first recorded — never take the memo past that,
+// the bound drops the whole memo more than once on the way, and every cut
+// equals the same band cut without a cache.
+func TestRememberedGroupsStayWithinTheirPrep(t *testing.T) {
+	rng := rand.New(rand.NewSource(4201))
+	q, db := workload.Path(rng, 2, 600, 200)
+	f := ranking.NewSum("x1", "x2", "x3")
+	exec := freshExec(t, Instance{Q: q, DB: db})
+	inst := Instance{Q: q, DB: db, Exec: exec, Cache: NewCache(), Scratch: new(Scratch)}
+	p, err := sumAdjPrepFor(inst, f)
+	if err != nil || p.single {
+		t.Fatalf("prep: %v, single node %v", err, p != nil && p.single)
+	}
+	drops, was := 0, 0
+	for i := range 5000 {
+		low := ranking.Finite(ranking.Weightv{K: int64(i % 400)})
+		high := ranking.Finite(ranking.Weightv{K: int64(i%400 + 2 + i/400)})
+		want, err := SumAdjacentBand(Instance{Q: q, DB: db, Exec: exec}, f, low, high)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"recording", "memoized"} {
+			inst.Scratch.Reset()
+			got, err := SumAdjacentBand(inst, f, low, high)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if instanceDigest(got) != instanceDigest(want) {
+				t.Fatalf("band %d (%v, %v), %s cut: differs from the cut without a cache", i, low, high, pass)
+			}
+		}
+		p.reachMu.Lock()
+		words := 0
+		for _, set := range p.reach {
+			words += len(set)
+		}
+		if words != p.reachWords || words > len(p.aRows) {
+			t.Fatalf("band %d: the memo holds %d words (counted %d), the prep %d A rows", i, words, p.reachWords, len(p.aRows))
+		}
+		if len(p.reach) < was {
+			drops++
+		}
+		was = len(p.reach)
+		p.reachMu.Unlock()
+	}
+	if drops < 2 {
+		t.Fatalf("the memo was dropped %d times over 5 000 bands", drops)
 	}
 }

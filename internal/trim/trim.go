@@ -118,15 +118,16 @@ type Scratch struct {
 	// all zero between boxes.
 	words []uint64
 	// tested counts the rows the band's boxes put through their interval
-	// tests; seeded, the boxes whose rows came from a weight order.
-	tested, seeded int
+	// tests; seeded, the boxes whose rows came from a weight order; visited,
+	// the A rows the staircase was handed.
+	tested, seeded, visited int
 }
 
 // Reset recycles the band last cut into the scratch: nothing of it may be read
 // after.
 func (s *Scratch) Reset() {
 	if s != nil {
-		s.tested, s.seeded = 0, 0
+		s.tested, s.seeded, s.visited = 0, 0, 0
 	}
 	s.carve().Reset()
 }
@@ -139,6 +140,24 @@ func (s *Scratch) Tested() int {
 		return 0
 	}
 	return s.tested
+}
+
+// Visited returns the number of A rows the staircase was handed for the band
+// last cut into the scratch: the rows of every join group of the adjacent
+// pair with a partner, or, for a band its preparation has cut before, of the
+// groups that band reaches (sumAdjEmit).
+func (s *Scratch) Visited() int {
+	if s == nil {
+		return 0
+	}
+	return s.visited
+}
+
+// visit adds n visited A rows.
+func (s *Scratch) visit(n int) {
+	if s != nil {
+		s.visited += n
+	}
 }
 
 // count adds n tested rows, of a seeded box or a scanned one.
