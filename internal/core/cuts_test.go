@@ -335,18 +335,21 @@ func TestRememberedSumBandsMatchFreshCuts(t *testing.T) {
 
 		b := [2]ranking.Bound{ranking.Finite(ranking.Weightv{K: 150}), ranking.Finite(ranking.Weightv{K: 250})}
 		want, _ := cut(up, trim.NewCache(), b)
-		outs := make([]trim.Instance, 8)
+		outs, errs := make([]trim.Instance, 8), make([]error, 8)
 		var wg sync.WaitGroup
 		for i := range outs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				scr := new(trim.Scratch)
-				outs[i], _ = trim.SumAdjacentBand(trim.Instance{Q: up.Query(), DB: up.DB(), Exec: up.Exec(), Cache: up.TrimCache(), Scratch: scr}, f, b[0], b[1])
+				outs[i], errs[i] = trim.SumAdjacentBand(trim.Instance{Q: up.Query(), DB: up.DB(), Exec: up.Exec(), Cache: up.TrimCache(), Scratch: scr}, f, b[0], b[1])
 			}()
 		}
 		wg.Wait()
 		for i, out := range outs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
 			sameCut(t, fmt.Sprintf("path%d concurrent cut %d", k, i), out, want)
 		}
 	}
