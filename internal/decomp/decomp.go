@@ -5,7 +5,7 @@ import (
 	"slices"
 	"strconv"
 
-	"github.com/quantilejoins/qjoin/internal/jointree"
+	"github.com/quantilejoins/qjoin/internal/hypergraph"
 	"github.com/quantilejoins/qjoin/internal/query"
 )
 
@@ -88,42 +88,38 @@ type Decomposition struct {
 func (d *Decomposition) Query() *query.Query { return d.bagQuery }
 
 // Decompose computes a hypertree decomposition of q, trying widths 2, 3, ...
-// up to maxWidth and accepting the first canonical partition whose bag query
-// admits a join tree. q must be in normal form (query.Normalize): bags are
-// joined from their atoms' relations as they are. The result depends only on
-// the query shape, so repeated calls — including on a different process
-// restoring a snapshot — produce the identical plan. It fails with *WidthError
-// when no acyclic cover within maxWidth exists.
+// up to maxWidth and accepting the first canonical partition whose bag
+// hypergraph passes GYO ear removal — the test jointree.Build runs on the bag
+// query, so the engine's join tree exists. q must be in normal form
+// (query.Normalize): bags are joined from their atoms' relations as they are.
+// The result depends only on the query shape, so repeated calls — including
+// on a different process restoring a snapshot — produce the identical plan.
+// It fails with *WidthError when no acyclic cover within maxWidth exists.
 func Decompose(q *query.Query, maxWidth int) (*Decomposition, error) {
 	if !q.IsNormalized() {
 		return nil, fmt.Errorf("decomp: query %s has a self-join or a repeated variable; rewrite it with query.Normalize first", q)
 	}
+	h, _ := hypergraph.FromQuery(q)
+	atoms, words := h.Sets()
 	n := len(q.Atoms)
 	for w := 2; w <= maxWidth && w <= n; w++ {
-		if bags := searchWidth(q, w); bags != nil {
-			d := assemble(q, bags)
-			// Belt and braces: the engine rebuilds this join tree, so
-			// refuse any partition it would not accept.
-			if _, err := jointree.Build(d.Query()); err == nil {
-				return d, nil
-			}
+		if bags := searchWidth(atoms, words, w); bags != nil {
+			return assemble(q, bags), nil
 		}
 	}
 	return nil, &WidthError{Shape: q.String(), Atoms: n, MaxWidth: maxWidth}
 }
 
-// searchWidth enumerates the canonical set-partitions of the atom indexes
-// whose largest block has exactly w atoms — restricted-growth strings in
-// lexicographic order, so heavily merged partitions come first — and returns
-// the first one whose bag hypergraph passes GYO ear removal, or nil.
-func searchWidth(q *query.Query, w int) [][]int {
-	n := len(q.Atoms)
-	atomMask, ok := atomMasks(q)
-	if !ok {
-		// More than 64 distinct variables; bag acyclicity falls back to
-		// the join-tree builder itself.
-		atomMask = nil
-	}
+// searchWidth enumerates the canonical set-partitions of the atoms, given as
+// variable bit sets of words words each (hypergraph.Sets), whose largest
+// block has exactly w atoms — restricted-growth strings in lexicographic
+// order, so heavily merged partitions come first. Each candidate's bag sets
+// are the unions of its blocks' atom sets, built in one reused buffer and
+// handed to hypergraph.GYO. It returns the blocks of the first acyclic
+// candidate, or nil.
+func searchWidth(atoms []uint64, words, w int) [][]int {
+	n := len(atoms) / words
+	bagSets := make([]uint64, n*words)
 	assign := make([]int, n)
 	sizes := make([]int, 0, n)
 	budget := searchBudget
@@ -139,9 +135,15 @@ func searchWidth(q *query.Query, w int) [][]int {
 				// Covered by a smaller width that already failed.
 				return false
 			}
-			bags := blocksOf(assign, len(sizes))
-			if acyclicBags(q, bags, atomMask) {
-				found = bags
+			bags := bagSets[:len(sizes)*words]
+			clear(bags)
+			for a, b := range assign {
+				for j, m := range atoms[a*words : (a+1)*words] {
+					bags[b*words+j] |= m
+				}
+			}
+			if _, _, ok := hypergraph.GYO(bags, words); ok {
+				found = blocksOf(assign, len(sizes))
 				return true
 			}
 			return false
@@ -165,9 +167,7 @@ func searchWidth(q *query.Query, w int) [][]int {
 		sizes = sizes[:len(sizes)-1]
 		return ok
 	}
-	if !rec(0, 0) {
-		return nil
-	}
+	rec(0, 0)
 	return found
 }
 
@@ -179,108 +179,6 @@ func blocksOf(assign []int, blocks int) [][]int {
 		bags[b] = append(bags[b], i)
 	}
 	return bags
-}
-
-// atomMasks maps each atom to a bitmask over the query's distinct variables.
-// It fails (ok = false) when the query has more than 64 variables.
-func atomMasks(q *query.Query) ([]uint64, bool) {
-	idx := q.VarIndex()
-	if len(idx) > 64 {
-		return nil, false
-	}
-	masks := make([]uint64, len(q.Atoms))
-	for i, a := range q.Atoms {
-		for _, v := range a.Vars {
-			masks[i] |= 1 << idx[v]
-		}
-	}
-	return masks, true
-}
-
-// acyclicBags reports whether the bag hypergraph induced by the partition is
-// α-acyclic. With atom masks available it runs GYO on bitmasks (the hot path
-// of the search); otherwise it builds the bag query and asks the join-tree
-// builder, which implements the identical reduction.
-func acyclicBags(q *query.Query, bags [][]int, atomMask []uint64) bool {
-	if atomMask == nil {
-		_, err := jointree.Build(bagQueryFor(q, bags))
-		return err == nil
-	}
-	masks := make([]uint64, len(bags))
-	for b, bag := range bags {
-		for _, ai := range bag {
-			masks[b] |= atomMask[ai]
-		}
-	}
-	return gyoAcyclic(masks)
-}
-
-// gyoAcyclic runs GYO ear removal over variable bitmasks: repeatedly drop
-// variables that appear in a single remaining edge, then drop edges whose
-// remaining variables are covered by another edge. Acyclic iff it reduces to
-// one edge. This mirrors hypergraph.JoinTree, including its acceptance of
-// disconnected hypergraphs (an isolated component reduces to the empty mask,
-// which every edge covers).
-func gyoAcyclic(masks []uint64) bool {
-	n := len(masks)
-	if n <= 1 {
-		return true
-	}
-	red := append([]uint64(nil), masks...)
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	count := n
-	for {
-		var once, twice uint64
-		for i, m := range red {
-			if active[i] {
-				twice |= once & m
-				once |= m
-			}
-		}
-		changed := false
-		for i, m := range red {
-			if active[i] && m&twice != m {
-				red[i] = m & twice
-				changed = true
-			}
-		}
-		for e := 0; e < n && count > 1; e++ {
-			if !active[e] {
-				continue
-			}
-			for f := 0; f < n; f++ {
-				if f == e || !active[f] {
-					continue
-				}
-				if red[e]&^red[f] == 0 {
-					active[e] = false
-					count--
-					changed = true
-					break
-				}
-			}
-		}
-		if count == 1 {
-			return true
-		}
-		if !changed {
-			return false
-		}
-	}
-}
-
-// bagQueryFor builds the rewritten query: one atom per bag over the bag's
-// full variable set, in the bag's join order.
-func bagQueryFor(q *query.Query, bags [][]int) *query.Query {
-	atoms := make([]query.Atom, len(bags))
-	for i, bag := range bags {
-		order := joinOrder(q, bag)
-		atoms[i] = query.Atom{Rel: bagName(i), Vars: bagVars(q, order)}
-	}
-	return query.New(atoms...)
 }
 
 // bagName returns the deterministic relation name of bag i. The ⋈ prefix

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/jointree"
@@ -88,6 +89,41 @@ func TestDecomposeK4(t *testing.T) {
 	}
 	if d.Width > 3 {
 		t.Fatalf("K4 width = %d, want ≤ 3", d.Width)
+	}
+	if _, err := jointree.Build(d.Query()); err != nil {
+		t.Fatalf("bag query not acyclic: %v", err)
+	}
+}
+
+// TestDecomposePastSixtyFourVariables hangs a 64-atom path off the triangle:
+// 67 variables, so every candidate's bag sets span two words. The path
+// decomposes along with the triangle at width 2, and the triangle keeps the
+// bag it has alone.
+func TestDecomposePastSixtyFourVariables(t *testing.T) {
+	atoms := triangle().Atoms
+	prev := query.Var("x")
+	for i := range 64 {
+		next := query.Var("p" + strconv.Itoa(i))
+		atoms = append(atoms, query.Atom{Rel: "P" + strconv.Itoa(i), Vars: []query.Var{prev, next}})
+		prev = next
+	}
+	q := query.New(atoms...)
+	if got := len(q.Vars()); got != 67 {
+		t.Fatalf("%d variables, want 67", got)
+	}
+	d, err := Decompose(q, MaxDecompWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Width != 2 {
+		t.Fatalf("width %d, want 2", d.Width)
+	}
+	alone, err := Decompose(triangle(), MaxDecompWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Bags[0], alone.Bags[0]) || !reflect.DeepEqual(d.BagVars[0], alone.BagVars[0]) {
+		t.Fatalf("triangle bag %v over %v, want %v over %v", d.Bags[0], d.BagVars[0], alone.Bags[0], alone.BagVars[0])
 	}
 	if _, err := jointree.Build(d.Query()); err != nil {
 		t.Fatalf("bag query not acyclic: %v", err)
@@ -568,5 +604,31 @@ func TestRematerializeRebuildsCoveringBags(t *testing.T) {
 		if want := tc.rebuilt[0] && tc.rebuilt[1]; st.Redecomposed != want {
 			t.Fatalf("delta to %s: Redecomposed=%v, want %v", tc.rel, st.Redecomposed, want)
 		}
+	}
+}
+
+// BenchmarkDecompose times the partition search alone: the shapes accept at
+// their first width-2 candidate (triangle, four-cycle), after a long width-2
+// search (ring(12)), or never (Petersen, every width up to the cap).
+func BenchmarkDecompose(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+	}{
+		{"triangle", triangle()},
+		{"fourCycle", fourCycle()},
+		{"ring12", ring(12)},
+		{"Petersen", Petersen()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				_, err := Decompose(c.q, MaxDecompWidth)
+				var we *WidthError
+				if (c.name == "Petersen") != errors.As(err, &we) {
+					b.Fatalf("%s: err = %v", c.name, err)
+				}
+			}
+		})
 	}
 }

@@ -8,9 +8,10 @@
 //   - Decompose inspects only the query shape. It searches canonical
 //     set-partitions of the atom list, in ascending width (atoms per bag),
 //     and accepts the first partition whose bag hypergraph admits a join
-//     tree. The result — bag membership, per-bag join order, bag variable
-//     orders, and bag relation names — is a pure function of the query, so
-//     a snapshot restore can recompute it and land on the identical plan.
+//     tree, tested by hypergraph.GYO, the ear removal jointree.Build runs.
+//     The result — bag membership, per-bag join order, bag variable orders,
+//     and bag relation names — is a pure function of the query, so a
+//     snapshot restore can recompute it and land on the identical plan.
 //
 //   - MaterializeBags builds each bag as the join of its atoms semijoined
 //     with the atoms it covers — bag = ⋈ λ(t) ⋉ every atom outside λ(t) whose

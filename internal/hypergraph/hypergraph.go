@@ -5,6 +5,10 @@
 // Theorem 5.6 is stated in (maximal hyperedges, independent variable subsets,
 // chordless paths).
 //
+// GYO is implemented once, over vertex bit sets of any width: it builds every
+// join tree (jointree.Build) and tests every candidate partition of the
+// hypertree-decomposition search (decomp.Decompose).
+//
 // The join-tree constructions are polynomial in the number of hyperedges.
 // The measures of the classifier search exhaustively (independent subsets,
 // chordless-path DFS); query size is a constant in the paper's
@@ -90,90 +94,106 @@ func (h *Hypergraph) MaximalEdgeCount() int {
 	return n
 }
 
-// JoinTree runs the GYO ear-removal algorithm. It returns a parent array over
-// edge indexes (parent[root] = -1) and whether the hypergraph is acyclic.
-// Disconnected acyclic hypergraphs yield a single tree whose cross-component
-// links share no variables (a cross product), which is a valid join tree.
+// Sets returns the edges as vertex bit sets of words 64-bit words each, the
+// input of GYO: edge i is sets[i*words:(i+1)*words], and vertex v is bit v%64
+// of its word v/64. words is at least 1.
+func (h *Hypergraph) Sets() (sets []uint64, words int) {
+	words = max(1, (h.NumVertices+63)/64)
+	sets = make([]uint64, len(h.Edges)*words)
+	for i, e := range h.Edges {
+		for _, v := range e {
+			sets[i*words+v/64] |= 1 << (v % 64)
+		}
+	}
+	return sets, words
+}
+
+// JoinTree runs GYO ear removal over the edges (GYO(h.Sets())). It returns a
+// parent array over edge indexes (parent[root] = -1) and whether the
+// hypergraph is acyclic.
 func (h *Hypergraph) JoinTree() (parent []int, root int, ok bool) {
-	ne := len(h.Edges)
-	parent = make([]int, ne)
+	return GYO(h.Sets())
+}
+
+// GYO runs the GYO ear-removal algorithm over edges given as vertex bit sets,
+// words ≥ 1 words an edge (see Sets), and is the one acyclicity test and
+// join-tree builder: jointree.Build and the decomposition search both call
+// it. Each round drops the vertices only one remaining edge holds, then
+// visits the remaining edges in index order and removes each whose remaining
+// vertices another remaining edge covers, the first such edge becoming its
+// parent. The hypergraph is acyclic iff one edge — the root — is left.
+// Disconnected acyclic hypergraphs yield a single tree whose cross-component
+// links share no vertex (a cross product), which is a valid join tree. A call
+// allocates the parent array and one buffer; on a cyclic hypergraph it
+// returns a nil parent array.
+func GYO(edges []uint64, words int) (parent []int, root int, ok bool) {
+	ne := len(edges) / words
+	parent = make([]int, ne) // an edge is active while its parent is negative
 	for i := range parent {
 		parent[i] = -1
 	}
 	if ne == 0 {
 		return parent, -1, false
 	}
-	if ne == 1 {
-		return parent, 0, true
-	}
-
-	active := make([]bool, ne)
-	for i := range active {
-		active[i] = true
-	}
-	// reduced[e] holds the still-shared vertices of e.
-	reduced := make([][]int, ne)
-	vertexCount := make([]int, h.NumVertices)
-	for i, e := range h.Edges {
-		reduced[i] = append([]int(nil), e...)
-		for _, v := range e {
-			vertexCount[v]++
-		}
-	}
-	removeIsolated := func(e int) {
-		out := reduced[e][:0]
-		for _, v := range reduced[e] {
-			if vertexCount[v] > 1 {
-				out = append(out, v)
-			}
-		}
-		reduced[e] = out
-	}
-	activeCount := ne
-	for {
-		changed := false
-		for e := 0; e < ne; e++ {
-			if active[e] {
-				before := len(reduced[e])
-				removeIsolated(e)
-				if len(reduced[e]) != before {
-					changed = true
+	// reduced holds the still-shared vertices of each edge; once and twice,
+	// the vertices at least one and at least two active edges hold.
+	buf := make([]uint64, (ne+2)*words)
+	reduced, once, twice := buf[:ne*words], buf[ne*words:(ne+1)*words], buf[(ne+1)*words:]
+	copy(reduced, edges)
+	set := func(e int) []uint64 { return reduced[e*words : (e+1)*words] }
+	active := ne
+	for active > 1 {
+		clear(once)
+		clear(twice)
+		for e := range ne {
+			if parent[e] < 0 {
+				for w, m := range set(e) {
+					twice[w] |= once[w] & m
+					once[w] |= m
 				}
 			}
 		}
-		for e := 0; e < ne && activeCount > 1; e++ {
-			if !active[e] {
+		changed := false
+		for e := range ne {
+			if parent[e] < 0 {
+				r := set(e)
+				for w, m := range r {
+					if m&^twice[w] != 0 {
+						r[w] = m & twice[w]
+						changed = true
+					}
+				}
+			}
+		}
+		for e := 0; e < ne && active > 1; e++ {
+			if parent[e] >= 0 {
 				continue
 			}
-			for f := 0; f < ne; f++ {
-				if f == e || !active[f] {
-					continue
-				}
-				if subset(reduced[e], reduced[f]) {
-					active[e] = false
-					activeCount--
+			r := set(e)
+			for f := range ne {
+				if f != e && parent[f] < 0 && covered(r, set(f)) {
 					parent[e] = f
-					for _, v := range reduced[e] {
-						vertexCount[v]--
-					}
+					active--
 					changed = true
 					break
 				}
 			}
 		}
-		if activeCount == 1 {
-			break
-		}
 		if !changed {
 			return nil, -1, false
 		}
 	}
-	for e := 0; e < ne; e++ {
-		if active[e] {
-			return parent, e, true
+	return parent, slices.Index(parent, -1), true
+}
+
+// covered reports whether bit set a is a subset of b.
+func covered(a, b []uint64) bool {
+	for w, m := range a {
+		if m&^b[w] != 0 {
+			return false
 		}
 	}
-	return nil, -1, false
+	return true
 }
 
 // IsAcyclic reports whether the hypergraph is α-acyclic.

@@ -37,8 +37,10 @@ type Tree struct {
 	TopDown  []int // reverse of BottomUp
 }
 
-// Build constructs a join tree for q via GYO ear removal. It fails if the
-// query is cyclic.
+// Build constructs a join tree for q via GYO ear removal
+// (hypergraph.GYO over the atoms' variable sets): atoms are removed in index
+// order, each under the first atom covering it. It fails if the query is
+// cyclic.
 func Build(q *query.Query) (*Tree, error) {
 	h, _ := hypergraph.FromQuery(q)
 	parent, root, ok := h.JoinTree()
