@@ -414,8 +414,9 @@ func BenchmarkCyclicQuantile(b *testing.B) {
 
 // coldInput returns the database under fresh relation headers — the same
 // columns, nothing remembered: an input no plan has been compiled over. A
-// relation with duplicate rows remembers the copy its first compile gathered,
-// so a benchmark of that first compile takes its input from here.
+// relation remembers the set view its first compile made (a header over its
+// columns, or the copy gathered of one with duplicate rows), so a benchmark
+// of that first compile takes its input from here.
 func coldInput(idb *relation.Database) *qjoin.DB {
 	in := qjoin.NewDB()
 	for _, name := range idb.Names() {
@@ -1200,36 +1201,59 @@ func BenchmarkLeafTail(b *testing.B) {
 
 // BenchmarkColdMedian — what a plan's first exact answer costs beside the
 // compile that precedes it (ISSUE 15), on a selective 3-path (|Q(D)| ≤ |D|,
-// so Algorithm 1 materializes at iteration 0). "prepare" compiles and counts;
-// "median" times only the first Median of a plan compiled fresh, untimed, for
-// every iteration. The answer reads the tree and the counts the compile left
-// behind; before, it built a second executable tree and fully reduced it,
-// which cost about as much as the compile. CI's scaling gate: median min
-// ns/op ≤ 0.5× prepare (measured 0.07–0.10; about 0.8 before).
+// so Algorithm 1 materializes at iteration 0). "prepare" compiles and counts
+// an input no plan has been compiled over (coldInput), as a first compile
+// does; "recompile" does the same over the held input, whose relations
+// remember the set views the first compile over them made, so it skips
+// deduplication; "median" times only the first Median of a plan compiled
+// fresh, untimed, for every iteration. The answer reads the tree and the
+// counts the compile left behind; before, it built a second executable tree
+// and fully reduced it, which cost about as much as the compile. CI's scaling
+// gates: median min ns/op ≤ 0.5× prepare (measured 0.07–0.13; about 0.8
+// before), recompile ≤ 0.8× prepare (measured 0.50–0.65 at GOMAXPROCS=4 on 2
+// vCPUs; 0.94 while a duplicate-free relation remembered nothing).
 func BenchmarkColdMedian(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	q, idb := workload.Path(rng, 3, 1<<13, 1<<14)
 	db := qjoin.WrapDB(idb)
 	f := qjoin.Sum("x1", "x2", "x3")
-	fresh := func(b *testing.B) *qjoin.Prepared {
-		p, err := qjoin.Prepare(q, db)
+	compile := func(b *testing.B, in *qjoin.DB) *qjoin.Prepared {
+		p, err := qjoin.Prepare(q, in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n := p.Count(); n.Sign() == 0 || n.Int64() > int64(db.Size()) {
-			b.Fatalf("|Q(D)| = %s on %d tuples: the instance is meant to be selective", n, db.Size())
+		if n := p.Count(); n.Sign() == 0 || n.Int64() > int64(in.Size()) {
+			b.Fatalf("|Q(D)| = %s on %d tuples: the instance is meant to be selective", n, in.Size())
 		}
 		return p
 	}
+	// Each timed compile starts from a collected heap: with three iterations
+	// a side, a collection the last one's garbage brings on would land in one
+	// side's mean and not the other's (0.57–0.82 over eleven CI-style runs on
+	// 2 vCPUs without it, 0.54–0.65 with it).
+	collected := func(b *testing.B) {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+	}
 	b.Run("prepare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fresh(b)
+			collected(b)
+			compile(b, coldInput(idb))
+		}
+	})
+	b.Run("recompile", func(b *testing.B) {
+		compile(b, db) // the first compile over the held input
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			collected(b)
+			compile(b, db)
 		}
 	})
 	b.Run("median", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p := fresh(b)
+			p := compile(b, db)
 			b.StartTimer()
 			if _, err := p.Median(f); err != nil {
 				b.Fatal(err)

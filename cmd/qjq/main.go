@@ -324,7 +324,8 @@ func printStats(s *qjoin.RunStats) {
 		return
 	}
 	fmt.Printf("  rounds: %d (%d remembered)\n", s.Iterations, s.Phases.Remembered)
-	fmt.Printf("  cuts: %d (%d rebuilt, %d rows tested, %d rows visited)\n", s.Phases.Cuts, s.Phases.Rebuilt, s.Phases.Tested, s.Phases.Visited)
+	fmt.Printf("  cuts: %d (%d rebuilt, %d rows tested, %d rows visited, %d rows reduced)\n",
+		s.Phases.Cuts, s.Phases.Rebuilt, s.Phases.Tested, s.Phases.Visited, s.Phases.Reduced)
 	fmt.Printf("  tail: %d weighed, %d recovered (%v)\n", s.Phases.Weighed, s.Phases.Recovered, s.Phases.Tail.Round(time.Microsecond))
 	var tot struct{ pivot, trim, derive, count time.Duration }
 	for i, ph := range s.Phases.Iterations {

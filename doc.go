@@ -66,10 +66,12 @@
 // relation, an atom such as R(x,y,x) a fresh relation of the rows that agree,
 // projected), after which an atom's columns are its node's variables and the
 // node reads the relation as it is. A relation found duplicate-free is not
-// copied: the engine's relation is a header of its own over the input's
-// columns. One with duplicate rows is gathered by the first Prepare over it
-// and remembered by the relation until it is next written to, so every plan
-// over one database reads the same set. The database handed to Prepare is
+// copied: the engine's relation is a distinct-marked header over the input's
+// columns. One with duplicate rows is gathered instead. Either set view is
+// made by the first Prepare over the relation and remembered by it until it
+// is next written to, so every plan over one database reads the same set and
+// a later Prepare (PrepareSharded, a server's plan-cache miss) hashes no row
+// to deduplicate it again. The database handed to Prepare is
 // therefore read-only from then on — DB.Apply or a new DB makes a changed
 // one; rows appended to an input relation never show through a plan, values
 // overwritten in place would.
@@ -246,7 +248,8 @@
 // reduce to the scan's, row for row. Reduce, for a band of several
 // boxes: each box's lists are cut down to the rows on an answer of the box, by
 // one bottom-up and one top-down semijoin pass over the original tree's group
-// ids (jointree.ReduceRows), so such a band holds no dangling tuple; a band of
+// ids (jointree.ReduceRows), so such a band holds no dangling tuple
+// (PhaseLog.Reduced counts the rows dropped); a band of
 // one box is a row filter and keeps its rows, and the staircase emits only
 // rows that join across its pair. A dangling tuple counts 0 and never enters a
 // weighted median, so pivots, answers and every RunStats field but
@@ -637,6 +640,19 @@
 // naming the offending field, which qjserve maps to a 400. cmd/qjq checks
 // its flags against the same domains (ValidateEpsilon, ValidateDelta,
 // ValidateShards, ParseMode, ParsePhis).
+//
+// Every size a request controls has a cap; past it the request is refused
+// with the status below, and the server stays up:
+//
+//	size the wire controls       cap                                         refused with
+//	request body, in bytes       server.Config.MaxBodyBytes, 1 GiB default   413 (http.MaxBytesError)
+//	                             (qjserve -max-body)
+//	φ count of a grid            MaxPhis = 1024                              400 on "phis"
+//	k of a topk                  MaxTopK = 10 000                            400 on "k"
+//	ε under ModeApprox           MaxSketchAnchors = 2¹⁶ anchors: ε ≥ 2⁻¹⁵    400 on "eps"
+//	shards of a dataset          MaxShards = 256                             400 on "shards"
+//	bag width of a cyclic query  decomp.MaxDecompWidth = 4 atoms             400 on "query"
+//	rows of a delta              none of its own: the body cap bounds them   413
 //
 // The implementation is a faithful, fully self-contained reproduction: GYO
 // join trees, Yannakakis evaluation, linear-time c-pivot selection by

@@ -134,6 +134,10 @@ type PhaseLog struct {
 	// (trim.Scratch.Visited): every row of a join group with a partner, the
 	// first time a band is cut, and only the groups it reaches after.
 	Visited int
+	// Reduced counts the rows the run's partitioned MIN / MAX / LEX cuts
+	// dropped from their boxes as dangling (trim.Scratch.Reduced): rows that
+	// passed a box's tests but lie on no answer of that box.
+	Reduced int
 }
 
 // runScratch is the pooled per-run iteration scratch: the counting slots, the
@@ -1070,6 +1074,7 @@ func (d *descent) cut(as trim.Dir, depth, level int, low, high ranking.Bound, ep
 				band := &st.scratch().slot(st.parts[as].slot).band
 				p.Tested += band.Tested()
 				p.Visited += band.Visited()
+				p.Reduced += band.Reduced()
 			}
 		}
 		st.parts[as].exec = exec

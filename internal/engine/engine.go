@@ -283,9 +283,10 @@ func normalize(src *query.Query, db0 *relation.Database) (*query.Query, *relatio
 
 // dedupeDatabase returns a database whose relations are duplicate-free and
 // marked distinct. Relations already known distinct are shared, and so are the
-// columns of one found duplicate-free; one with duplicate rows is gathered by
-// the first compile over it and remembered by the relation, so the plans of
-// one input share that set too.
+// columns of one found duplicate-free, under a distinct-marked header; one
+// with duplicate rows is gathered. Either set view is made by the first
+// compile over the relation and remembered by it until it is written to, so
+// the plans of one input share it and a recompile hashes no row.
 //
 // Deduplication is append-only: it collapses raw multiplicities to a set and
 // forgets them, so nothing at this level can answer "is it safe to remove

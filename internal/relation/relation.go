@@ -38,11 +38,12 @@ type Relation struct {
 	// sets (Section 2.1); the marker lets the execution layer skip
 	// re-deduplication of relations produced by its own constructions.
 	distinct bool
-	// set is the copy Deduped gathered of a relation with duplicate
-	// rows, kept so that every plan compiled over this relation holds the
-	// same one: what the plans of one input retain does not depend on whether
-	// it held a duplicate. A write to the relation (AppendRow, Set) forgets
-	// it.
+	// set is the result of Deduped — a distinct-marked header over these
+	// columns when no row was dropped, the gathered copy of a relation with
+	// duplicate rows otherwise — kept so that every plan compiled over this
+	// relation holds the same one and no later compile hashes its rows again:
+	// what the plans of one input retain does not depend on whether it held a
+	// duplicate. A write to the relation (AppendRow, Set) forgets it.
 	set atomic.Pointer[Relation]
 }
 
@@ -75,12 +76,13 @@ func (r *Relation) IsDistinct() bool { return r.distinct }
 
 // Deduped returns the relation itself when known distinct, otherwise its
 // first occurrences in order, marked distinct. When no row is dropped the
-// result is a view — a fresh header over the receiver's columns — so a
+// result is a view — a header of its own over the receiver's columns — so a
 // duplicate-free input is never copied; the marker goes on the view, never on
-// the receiver. When rows are dropped the result is a gathered copy, which the
-// receiver remembers until it is next written to: concurrent and later
-// compiles over one input share that copy, whichever of them made it. Either
-// way the receiver's columns must be treated as read-only from here on.
+// the receiver. When rows are dropped the result is a gathered copy. Either
+// result is remembered by the receiver until it is next written to:
+// concurrent and later compiles over one input share it, whichever of them
+// made it, and only the first hashes the rows. Either way the receiver's
+// columns must be treated as read-only from here on.
 func (r *Relation) Deduped() *Relation {
 	if r.distinct {
 		return r
@@ -104,19 +106,19 @@ func (r *Relation) Deduped() *Relation {
 func (r *Relation) DedupedWorkers(_ int) *Relation { return r.Deduped() }
 
 // distinctRows returns the rows at keep — ascending first occurrences — marked
-// distinct: a view of r when that is every row, otherwise a gathered copy,
-// which r remembers.
+// distinct: a view of r when that is every row, otherwise a gathered copy.
+// Either way r remembers it.
 func (r *Relation) distinctRows(keep []int) *Relation {
+	var out *Relation
 	if len(keep) == r.n {
-		out := r.Rename(r.name)
-		out.distinct = true
-		return out
+		out = r.Rename(r.name)
+	} else {
+		out = r.GatherRows(r.name, keep)
 	}
-	out := r.GatherRows(r.name, keep)
 	out.distinct = true
 	if !r.set.CompareAndSwap(nil, out) {
 		if won := r.set.Load(); won != nil {
-			return won // a concurrent compile got there first: take its copy
+			return won // a concurrent compile got there first: take its result
 		}
 	}
 	return out

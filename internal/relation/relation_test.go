@@ -142,8 +142,8 @@ func TestDeduped(t *testing.T) {
 }
 
 // A relation found duplicate-free is not copied: the result is a header of its
-// own over the receiver's columns, and the receiver is left unmarked — two
-// compiles may be deduplicating it at once.
+// own over the receiver's columns, which the receiver remembers, and the
+// receiver is left unmarked — two compiles may be deduplicating it at once.
 func TestDedupedSharesColumnsWhenNothingIsDropped(t *testing.T) {
 	a := New("R", 2)
 	for i := Value(0); i < 3000; i++ {
@@ -202,6 +202,49 @@ func TestDedupedIsRememberedUntilWritten(t *testing.T) {
 		after := a.Deduped()
 		if after == before || after.Len() != before.Len()+1 {
 			t.Fatalf("%s: the set from before the write was served again (%d rows, then %d)", what, before.Len(), after.Len())
+		}
+	}
+}
+
+// A duplicate-free relation remembers its set view as one with duplicates
+// remembers its copy: every caller, concurrent or later, gets the one header
+// the first made, another header over the same columns never does, and a
+// write forgets it.
+func TestDedupedViewIsRememberedUntilWritten(t *testing.T) {
+	a := New("R", 2)
+	for i := Value(0); i < 3000; i++ {
+		a.Append(i, i%7)
+	}
+	var wg sync.WaitGroup
+	views := make([]*Relation, 8)
+	for g := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[g] = a.Deduped()
+		}()
+	}
+	wg.Wait()
+	for g, d := range views {
+		if d != views[0] || d == a || d.Len() != 3000 || !d.IsDistinct() || a.IsDistinct() || &d.Col(0)[0] != &a.Col(0)[0] {
+			t.Fatalf("caller %d: got %p (%d rows), caller 0 got %p", g, d, d.Len(), views[0])
+		}
+	}
+	if a.Deduped() != views[0] {
+		t.Fatal("a later call made a view of its own")
+	}
+	if a.Rename("R").Deduped() == views[0] {
+		t.Fatal("another header over the same columns was handed this one's view")
+	}
+	for what, write := range map[string]func(){
+		"AppendRow": func() { a.Append(5000, 1) },
+		"Set":       func() { a.Set(0, 0, 5002) },
+	} {
+		before := a.Deduped()
+		write()
+		after := a.Deduped()
+		if after == before || !after.Equal(a) {
+			t.Fatalf("%s: the view from before the write was served again (%d rows, the relation %d)", what, after.Len(), a.Len())
 		}
 	}
 }

@@ -389,7 +389,15 @@ func partitionBoxes(inst Instance, f *ranking.Func, boxes []box) Instance {
 		}
 	}
 	if inst.Exec != nil {
+		listed := func() (n int) {
+			for _, l := range byBox {
+				n += len(l)
+			}
+			return n
+		}
+		before := listed()
 		inst.Exec.ReduceRows(byBox, a)
+		inst.Scratch.reduce(before - listed())
 	}
 	rowParts := a.Lists(nAtoms * len(boxes))
 	nodes := make([]jointree.Gathered, nAtoms)

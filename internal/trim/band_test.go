@@ -574,3 +574,51 @@ func TestPartitionedBandKeepsOnlyRowsOnAnAnswer(t *testing.T) {
 		t.Fatal("no cut dropped a row: the corpus shows nothing")
 	}
 }
+
+// Scratch.Reduced counts the rows a partitioned band's reduction drops: none
+// when every row that passes its box's tests joins, and, over a relation whose
+// odd rows join nothing, exactly the odd rows inside a box — the rows the same
+// cut without an Exec keeps and the reduced one does not. R(x, y) holds
+// x = 1…10, S(y, z) holds y = 0 and z = 1…10; 3 < max(x, z) < 7 cuts two
+// boxes, 3 < x < 7 with z < 7 and x ≤ 3 with 3 < z < 7.
+func TestPartitionedBandCountsReducedRows(t *testing.T) {
+	q := query.New(
+		query.Atom{Rel: "R", Vars: []query.Var{"x", "y"}},
+		query.Atom{Rel: "S", Vars: []query.Var{"y", "z"}},
+	)
+	w := func(k int64) ranking.Bound { return ranking.Finite(ranking.Weightv{K: k}) }
+	f := ranking.NewMax("x", "z")
+	for _, c := range []struct {
+		name string
+		y    func(x relation.Value) relation.Value
+		want int
+	}{
+		{"every row joins", func(relation.Value) relation.Value { return 0 }, 0},
+		{"odd rows dangle", func(x relation.Value) relation.Value { return x % 2 }, 3}, // x = 5 in the first box, 1 and 3 in the second
+	} {
+		r, s := relation.New("R", 2), relation.New("S", 2)
+		for i := relation.Value(1); i <= 10; i++ {
+			r.Append(i, c.y(i))
+			s.Append(0, i)
+		}
+		db := relation.NewDatabase()
+		db.Add(r)
+		db.Add(s)
+		scr := new(Scratch)
+		out, err := Band(Instance{Q: q, DB: db, Exec: freshExec(t, Instance{Q: q, DB: db}), Scratch: scr}, f, w(3), w(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Band(Instance{Q: q, DB: db}, f, w(3), w(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Q.Vars()) != len(q.Vars())+1 {
+			t.Fatalf("%s: the band is not partitioned", c.name)
+		}
+		if got := scr.Reduced(); got != c.want || got != plain.DB.Size()-out.DB.Size() {
+			t.Fatalf("%s: Reduced = %d, want %d; the cut without an Exec keeps %d rows, with one %d",
+				c.name, got, c.want, plain.DB.Size(), out.DB.Size())
+		}
+	}
+}

@@ -119,15 +119,16 @@ type Scratch struct {
 	words []uint64
 	// tested counts the rows the band's boxes put through their interval
 	// tests; seeded, the boxes whose rows came from a weight order; visited,
-	// the A rows the staircase was handed.
-	tested, seeded, visited int
+	// the A rows the staircase was handed; reduced, the rows the boxes'
+	// reduction dropped.
+	tested, seeded, visited, reduced int
 }
 
 // Reset recycles the band last cut into the scratch: nothing of it may be read
 // after.
 func (s *Scratch) Reset() {
 	if s != nil {
-		s.tested, s.seeded, s.visited = 0, 0, 0
+		s.tested, s.seeded, s.visited, s.reduced = 0, 0, 0, 0
 	}
 	s.carve().Reset()
 }
@@ -153,10 +154,27 @@ func (s *Scratch) Visited() int {
 	return s.visited
 }
 
+// Reduced returns the number of rows the band last cut into the scratch
+// dropped from its boxes' row lists as dangling (jointree.ReduceRows in
+// partitionBoxes): rows that passed a box's tests but lie on no answer of it.
+func (s *Scratch) Reduced() int {
+	if s == nil {
+		return 0
+	}
+	return s.reduced
+}
+
 // visit adds n visited A rows.
 func (s *Scratch) visit(n int) {
 	if s != nil {
 		s.visited += n
+	}
+}
+
+// reduce adds n rows dropped by a reduction.
+func (s *Scratch) reduce(n int) {
+	if s != nil {
+		s.reduced += n
 	}
 }
 

@@ -160,6 +160,53 @@ func TestPlansOverOneInputShareItsSet(t *testing.T) {
 	}
 }
 
+// A duplicate-free input is hashed once, not once per plan: two compiles over
+// one database hold the same set view of each relation, which the relation
+// remembers until it is written to. A row appended between two compiles
+// reaches the second plan's count and answers, checked against brute force.
+func TestRecompileReadsTheRememberedSetView(t *testing.T) {
+	var r, s [][]int64
+	for i := int64(0); i < 300; i++ {
+		r = append(r, []int64{i, i % 17})
+		s = append(s, []int64{i % 17, i})
+	}
+	db := qjoin.NewDB().MustAdd("R", 2, r).MustAdd("S", 2, s)
+	q := qjoin.NewQuery(qjoin.NewAtom("R", "x", "y"), qjoin.NewAtom("S", "y", "z"))
+	prepare := func() *qjoin.Prepared {
+		t.Helper()
+		p, err := qjoin.Prepare(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first, second := prepare(), prepare()
+	for _, name := range []string{"R", "S"} {
+		got, want := qjoin.Engines(second)[0].DB().Get(name), qjoin.Engines(first)[0].DB().Get(name)
+		if got != want || !sameColumns(got, db.Unwrap().Get(name)) {
+			t.Errorf("the second plan holds a set view of %s of its own", name)
+		}
+	}
+	db.Unwrap().Get("R").Append(1000, 3) // joins the S rows with y = 3
+	grown := prepare()
+	if qjoin.Engines(grown)[0].DB().Get("R") == qjoin.Engines(first)[0].DB().Get("R") {
+		t.Fatal("a compile after the append read the view from before it")
+	}
+	oracle := testutil.BruteForce(q, db.Unwrap())
+	if grown.Count().Int64() != int64(len(oracle)) || grown.Count().Cmp(first.Count()) <= 0 {
+		t.Fatalf("after the append: count %v, oracle %d, before %v", grown.Count(), len(oracle), first.Count())
+	}
+	for _, f := range []*qjoin.Ranking{qjoin.Sum("x", "z"), qjoin.Max("x", "z")} {
+		for _, phi := range []float64{0, 0.5, 1} {
+			a, err := grown.Quantile(f, phi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			atOracleRank(t, fmt.Sprintf("%v φ=%v", f, phi), oracle, q, f, phi, a)
+		}
+	}
+}
+
 // answersOf lists a plan's count and its exact answers with run statistics.
 func answersOf(t *testing.T, p *qjoin.Prepared, ranks []*qjoin.Ranking) []any {
 	t.Helper()
