@@ -344,8 +344,11 @@ func BenchmarkQuantileAllocs(b *testing.B) {
 // values and a 4-cycle of 2¹² over 2⁹ — beside a 2-path over the triangle's
 // relations' size and domain, whose join is the pairwise join a triangle bag
 // that ignored its covered atom would hold; CI bounds the triangle's prepare
-// by the 2-path's. The query cell prices the per-query cost against one
-// prepared plan of a smaller triangle.
+// by 13× the 2-path's (measured 5.6–6.8 over five CI-style runs at
+// GOMAXPROCS=4 on 2 vCPUs since join keys are probed in row form, 6.5–7.9
+// before; the dense 2-path, whose probes all hit, gains least: its fastest
+// run 173 → 156 µs, the triangle's 1.23 → 1.03 ms). The query cell prices the
+// per-query cost against one prepared plan of a smaller triangle.
 func BenchmarkCyclicQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	const n, dom = 1 << 12, 1 << 9
@@ -594,10 +597,12 @@ func BenchmarkPlanRetained(b *testing.B) {
 }
 
 // BenchmarkDedupedAllocs — input deduplication interns rows into flat
-// arrays: 15 allocations per call on this relation (the interner's table and
-// arrays, the survivor list, the output columns and header, the benchmark's
-// own fresh header) however many rows it holds, where a string key per distinct
-// row once cost one each. The budget is that plus 15%, per row.
+// arrays: 13 allocations per call on this relation (the interner's table and
+// arrays, the rows' hashes and the column positions they are read by, the
+// survivor list, the output columns and header, the benchmark's own fresh
+// header; 12 while rows were copied out to be interned) however many rows it
+// holds, where a string key per distinct row once cost one each. The budget
+// of 16 stays, per row.
 func BenchmarkDedupedAllocs(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	const rows = 1 << 15
@@ -789,7 +794,11 @@ func shardLocalDelta(batch int) *qjoin.Delta {
 // plan versus the unsharded plan. The sharded side re-hashes and
 // rebuilds only the one touched shard engine (~1/4 of the data at
 // shards=4); CI enforces the locality win with a scaling gate (sharded min
-// ns/op ≤ 0.5× unsharded — i.e. at least 2× faster).
+// ns/op ≤ 0.5× unsharded — i.e. at least 2× faster). With each update timed
+// from a collected heap it reads 0.58–1.09 over five CI-style runs at
+// GOMAXPROCS=4 on 2 vCPUs (0.58–1.36 before join keys were probed in row
+// form; 0.35–0.71 then while a collection landed inside the unsharded side's
+// timing), so the gate fails: ROADMAP item 9.
 func BenchmarkShardedUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(19))
 	q, idb := workload.Path(rng, 2, 1<<14, 1<<10)
@@ -814,8 +823,18 @@ func BenchmarkShardedUpdate(b *testing.B) {
 	if _, err := sp.Update(delta); err != nil {
 		b.Fatal(err)
 	}
+	// Each timed update starts from a collected heap, as BenchmarkColdMedian's
+	// compiles do: with three iterations a side, a collection the previous
+	// update's garbage brings on would land in one side's mean and not the
+	// other's.
+	collected := func(b *testing.B) {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+	}
 	b.Run("shards=4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			collected(b)
 			p2, err := sp.Update(delta)
 			if err != nil {
 				b.Fatal(err)
@@ -827,6 +846,7 @@ func BenchmarkShardedUpdate(b *testing.B) {
 	})
 	b.Run("unsharded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			collected(b)
 			p2, err := base.Update(delta)
 			if err != nil {
 				b.Fatal(err)
@@ -1209,9 +1229,11 @@ func BenchmarkLeafTail(b *testing.B) {
 // fresh, untimed, for every iteration. The answer reads the tree and the
 // counts the compile left behind; before, it built a second executable tree
 // and fully reduced it, which cost about as much as the compile. CI's scaling
-// gates: median min ns/op ≤ 0.5× prepare (measured 0.07–0.13; about 0.8
-// before), recompile ≤ 0.8× prepare (measured 0.50–0.65 at GOMAXPROCS=4 on 2
-// vCPUs; 0.94 while a duplicate-free relation remembered nothing).
+// gates: median min ns/op ≤ 0.5× prepare (measured 0.08–0.12 over five
+// CI-style runs at GOMAXPROCS=4 on 2 vCPUs; about 0.8 before), recompile ≤
+// 0.8× prepare (measured 0.54–0.71 there since join keys are probed in row
+// form, 0.64–0.72 before in the same five runs; 0.94 while a duplicate-free
+// relation remembered nothing).
 func BenchmarkColdMedian(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	q, idb := workload.Path(rng, 3, 1<<13, 1<<14)

@@ -71,7 +71,12 @@
 // made by the first Prepare over the relation and remembered by it until it
 // is next written to, so every plan over one database reads the same set and
 // a later Prepare (PrepareSharded, a server's plan-cache miss) hashes no row
-// to deduplicate it again. The database handed to Prepare is
+// to deduplicate it again. The one hashed pass per join-tree edge that
+// remains reads the keys straight from the columns: every row's key is
+// hashed a column at a time, grouped into the child's index without being
+// copied into a tuple, and a parent row whose key's bit is clear in a bit
+// set of the child's key hashes is known to have no group without a probe.
+// The database handed to Prepare is
 // therefore read-only from then on — DB.Apply or a new DB makes a changed
 // one; rows appended to an input relation never show through a plan, values
 // overwritten in place would.

@@ -97,20 +97,19 @@ func (d *Decomposition) materializeBag(q *query.Query, db *relation.Database, i 
 // interned whole, their columns reordered so that the values the accumulated
 // row binds come first and those the joined atom's matching row binds last.
 // A filter with no joined-atom column (rel empty) is decided by the
-// accumulated row alone. Most candidate rows fail a filter, so a bitmap of
-// about sixteen bits per key, indexed by the top bits of each key's hash,
-// turns most of them away before they probe the interner's table (on the
-// cold_compile triangle, a Prepare takes 3.4 ms with it and 5.5 ms without
-// on a 2-vCPU box).
+// accumulated row alone. Most candidate rows fail a filter, so the keys'
+// KeyBits turns most of them away before they probe the interner's table (a
+// Prepare of BenchmarkCyclicQuantile's triangle, cold_compile's sizes, takes
+// 0.88 ms with it and 1.8–1.9 ms without at GOMAXPROCS=1 on a 2-vCPU box).
 type filter struct {
-	keys  *relation.Interner
-	bits  []uint64
-	shift uint
-	cur   []int // accumulated-row columns of the key's leading values
-	rel   []int // joined-atom columns of the rest
+	keys *relation.Interner
+	bits relation.KeyBits
+	cur  []int // accumulated-row columns of the key's leading values
+	rel  []int // joined-atom columns of the rest
 	// key holds the leading values, taken from the accumulated row in hand
-	// (setRow), with room for the whole key.
+	// (setRow), with room for the whole key; h is their hash.
 	key []relation.Value
+	h   uint64
 }
 
 func newFilter(c query.Atom, db *relation.Database, inCur, inRel map[query.Var]int) *filter {
@@ -128,36 +127,32 @@ func newFilter(c query.Atom, db *relation.Database, inCur, inRel map[query.Var]i
 	cols := rel.Cols()
 	f.keys = relation.NewInterner(len(order), rel.Len())
 	f.key = make([]relation.Value, 0, len(order))
-	buf := make([]relation.Value, 0, len(order))
-	for r := 0; r < rel.Len(); r++ {
-		f.keys.Intern(relation.GatherAt(buf, cols, order, r))
+	for r, h := range relation.HashRows(nil, cols, order, rel.Len()) {
+		f.keys.InternAt(cols, order, r, h)
 	}
-	f.shift = 64 - 6
-	for 1<<(64-f.shift) < 16*f.keys.Len() {
-		f.shift--
-	}
-	f.bits = make([]uint64, 1<<(64-f.shift)/64)
-	for id := range f.keys.Len() {
-		b := f.keys.HashOf(uint32(id)) >> f.shift
-		f.bits[b>>6] |= 1 << (b & 63)
-	}
+	f.bits = relation.NewKeyBits(f.keys, 0)
 	return f
 }
 
 func (f *filter) setRow(curCols [][]relation.Value, i int) {
 	f.key = relation.GatherAt(f.key, curCols, f.cur, i)
+	f.h = relation.HashTuple(f.key)
 }
 
 // has reports whether the filter atom holds the accumulated row in hand
-// extended by the joined atom's row m.
+// extended by the joined atom's row m: the leading values' hash is extended
+// by m's, and only a key whose bit is set is gathered and looked up.
 func (f *filter) has(relCols [][]relation.Value, m int) bool {
+	h := f.h
+	for _, c := range f.rel {
+		h = relation.HashStep(h, relCols[c][m])
+	}
+	if !f.bits.MayHave(h) {
+		return false
+	}
 	key := f.key
 	for _, c := range f.rel {
 		key = append(key, relCols[c][m])
-	}
-	h := relation.HashTuple(key)
-	if b := h >> f.shift; f.bits[b>>6]&(1<<(b&63)) == 0 {
-		return false
 	}
 	_, ok := f.keys.LookupHashed(key, h)
 	return ok
@@ -211,11 +206,11 @@ func joinAtom(cur *relation.Relation, curVars []query.Var, a query.Atom, filters
 	gids := make([]int32, cur.Len())
 	var keptCur, keptRel []int32
 	total := 0
-	buf := make([]relation.Value, 0, len(sharedCur))
+	hashes := relation.HashRows(nil, curCols, sharedCur, len(gids))
 rows:
-	for i := range gids {
+	for i, h := range hashes {
 		gids[i] = -1
-		id, ok := lookup.Lookup(relation.GatherAt(buf, curCols, sharedCur, i))
+		id, ok := lookup.LookupAt(curCols, sharedCur, i, h)
 		if !ok {
 			continue
 		}

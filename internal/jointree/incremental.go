@@ -132,23 +132,26 @@ func (x *Exec) refreshParentGids(base *Exec, changes []NodeChange) {
 		keys := x.Groups[n.ID].keys
 		pos := x.keyPosParent[n.ID]
 		pcols := prel.Cols()
-		var buf [maxKeyWidth]relation.Value
-		resolve := func(i int) int32 {
-			key := relation.GatherAt(buf[:0], pcols, pos, i)
-			if id, ok := keys.Lookup(key); ok {
+		resolve := func(i int, h uint64) int32 {
+			if id, ok := keys.LookupAt(pcols, pos, i, h); ok {
 				return int32(id)
 			}
 			return -1
 		}
 		if pch != nil {
 			for _, ni := range pch.AddedIdx {
-				arr[ni] = resolve(ni)
+				arr[ni] = resolve(ni, relation.HashAt(pcols, pos, ni))
 			}
 		}
 		if newGroups {
+			// A row without a group has none of the base's keys, so only the
+			// delta's new groups can take it.
+			bits := relation.NewKeyBits(keys, base.Groups[n.ID].NumGroups())
 			for i := range arr {
 				if arr[i] < 0 {
-					arr[i] = resolve(i)
+					if h := relation.HashAt(pcols, pos, i); bits.MayHave(h) {
+						arr[i] = resolve(i, h)
+					}
 				}
 			}
 		}
@@ -270,10 +273,8 @@ func (g *GroupIndex) derive(remap []int, rel *relation.Relation, addedIdx []int,
 		fresh = make(map[int]bool, len(addedIdx))
 	}
 	relCols := rel.Cols()
-	var buf [maxKeyWidth]relation.Value
 	for _, ni := range addedIdx {
-		key := relation.GatherAt(buf[:0], relCols, pos, ni)
-		id, isNew := out.keys.Intern(key)
+		id, isNew := out.keys.InternAt(relCols, pos, ni, relation.HashAt(relCols, pos, ni))
 		gid := int(id)
 		switch {
 		case isNew:

@@ -380,20 +380,27 @@ func varPositions(vars, within []query.Var) []int {
 }
 
 func (e *Exec) rebuildGroups() {
+	most := 0
+	for _, rel := range e.Rels {
+		most = max(most, rel.Len())
+	}
+	hashes := make([]uint64, most)
 	for _, n := range e.T.Nodes {
 		if n.Parent < 0 {
 			e.Groups[n.ID] = nil
 			continue
 		}
-		e.Groups[n.ID] = NewGroupIndex(e.Rels[n.ID], e.keyPosChild[n.ID])
+		e.Groups[n.ID], hashes = newGroupIndex(e.Rels[n.ID], e.keyPosChild[n.ID], hashes)
 	}
-	e.rebuildParentGids()
+	e.rebuildParentGids(hashes)
 }
 
 // rebuildParentGids materializes, for every edge, the group id each parent
 // row resolves to — the one hashed pass per edge that lets every subsequent
-// pass over this Exec run hash-free.
-func (e *Exec) rebuildParentGids() {
+// pass over this Exec run hash-free. A parent row whose key's bit is clear in
+// the child's KeyBits has no group and skips the probe. hashes is scratch of
+// a hash a parent row.
+func (e *Exec) rebuildParentGids(hashes []uint64) {
 	e.parentGid = make([][]int32, len(e.T.Nodes))
 	for _, n := range e.T.Nodes {
 		if n.Parent < 0 {
@@ -403,21 +410,21 @@ func (e *Exec) rebuildParentGids() {
 		pcols := prel.Cols()
 		pos := e.keyPosParent[n.ID]
 		keys := e.Groups[n.ID].keys
+		bits := relation.NewKeyBits(keys, 0)
 		arr := make([]int32, prel.Len())
-		var buf [maxKeyWidth]relation.Value
-		for i := range arr {
+		hashes = relation.HashRows(hashes, pcols, pos, len(arr))
+		for i, h := range hashes {
 			arr[i] = -1
-			if id, ok := keys.Lookup(relation.GatherAt(buf[:0], pcols, pos, i)); ok {
+			if !bits.MayHave(h) {
+				continue
+			}
+			if id, ok := keys.LookupAt(pcols, pos, i, h); ok {
 				arr[i] = int32(id)
 			}
 		}
 		e.parentGid[n.ID] = arr
 	}
 }
-
-// maxKeyWidth bounds the stack scratch for gathered key tuples; keys wider
-// than this (queries sharing >16 variables across one edge) spill to heap.
-const maxKeyWidth = 16
 
 // NewGroupIndex groups a relation's tuples by the key in columns pos — a
 // child node's by its shared-variable key, or the build side of any other
@@ -427,19 +434,26 @@ const maxKeyWidth = 16
 // a copy sized for its groups instead, since a plan holds its indexes for
 // life.
 func NewGroupIndex(rel *relation.Relation, pos []int) *GroupIndex {
+	g, _ := newGroupIndex(rel, pos, nil)
+	return g
+}
+
+// newGroupIndex is NewGroupIndex hashing the keys into hashes, scratch that
+// is returned for reuse (reallocated when shorter than rel).
+func newGroupIndex(rel *relation.Relation, pos []int, hashes []uint64) (*GroupIndex, []uint64) {
 	n := rel.Len()
 	cols := rel.Cols()
 	g := &GroupIndex{keys: relation.NewInterner(len(pos), n), RowGid: make([]int32, n)}
-	var buf [maxKeyWidth]relation.Value
-	for i := range n {
-		id, _ := g.keys.Intern(relation.GatherAt(buf[:0], cols, pos, i))
+	hashes = relation.HashRows(hashes, cols, pos, n)
+	for i, h := range hashes {
+		id, _ := g.keys.InternAt(cols, pos, i, h)
 		g.RowGid[i] = int32(id)
 	}
 	if g.keys.Len() < n/2 {
 		g.keys = g.keys.Compact()
 	}
 	g.packTuples(g.keys.Len(), nil)
-	return g
+	return g, hashes
 }
 
 // packTuples materializes the Tuples of ng groups from RowGid into one flat

@@ -1,10 +1,12 @@
 package jointree
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/quantilejoins/qjoin/internal/query"
 	"github.com/quantilejoins/qjoin/internal/relation"
+	"github.com/quantilejoins/qjoin/internal/workload"
 )
 
 // fig1 returns the paper's Figure 1 query and database.
@@ -422,5 +424,31 @@ func TestGroupIndexKeysSizedForGroups(t *testing.T) {
 	distinct := NewGroupIndex(r, []int{1})
 	if _, hashes, _ := distinct.Keys().Parts(); distinct.NumGroups() != rows || len(hashes) != rows {
 		t.Fatalf("a key per row gives %d groups, %d hashes", distinct.NumGroups(), len(hashes))
+	}
+}
+
+// TestNewExecAllocsDoNotGrowWithRows: building the executable tree of a 2-path
+// allocates as many objects at 2¹⁴ rows a relation as at 2¹⁰, so no loop over
+// keys allocates per row (a gathered key, a per-row buffer). Both a selective
+// domain (a group a row, most parent rows without one) and a dense one (few
+// groups, the interner compacted) are built.
+func TestNewExecAllocsDoNotGrowWithRows(t *testing.T) {
+	for _, perRow := range []float64{16, 1.0 / 16} {
+		allocs := make([]float64, 2)
+		for k, n := range []int{1 << 10, 1 << 14} {
+			q, db := workload.Path(rand.New(rand.NewSource(45)), 2, n, int64(perRow*float64(n)))
+			tr, err := Build(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[k] = testing.AllocsPerRun(5, func() {
+				if _, err := NewExec(q, db, tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("domain %v a row: NewExec allocates %v objects at 2¹⁰ rows, %v at 2¹⁴", perRow, allocs[0], allocs[1])
+		}
 	}
 }

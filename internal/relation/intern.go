@@ -6,6 +6,13 @@ package relation
 // copies them into one flat array, and hot loops compare and index by
 // integers — no per-key allocation anywhere.
 //
+// A key that lies in a relation's columns is probed in row form: HashRows
+// hashes the key of every row one column at a time, and InternAt / LookupAt
+// compare and store row i's key straight from the columns, so no key is
+// gathered into a tuple. The tuple form (Intern, Lookup) serves callers that
+// hold a tuple. A KeyBits over an interner's stored hashes turns most absent
+// keys away with one read of a small bit array, before they probe the table.
+//
 // Dense first-appearance ids are the load-bearing property: group ids,
 // dedup survivor order and segment ids all follow them.
 //
@@ -70,13 +77,47 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// HashTuple returns the interner's deterministic hash of a tuple. Exposed so
-// a probe that tests a key against a bit filter and then a table hashes it
-// once.
+const hashSeed = 0x9e3779b97f4a7c15
+
+// HashTuple returns the interner's deterministic hash of a tuple: the fold of
+// HashStep over its values from a fixed seed. Exposed so a probe that tests a
+// key against a bit filter and then a table hashes it once.
 func HashTuple(t []Value) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+	h := uint64(hashSeed)
 	for _, v := range t {
-		h = mix64(h ^ uint64(v))
+		h = HashStep(h, v)
+	}
+	return h
+}
+
+// HashStep folds one more value into a hash, so the hash of a key's leading
+// values extends to the whole key's.
+func HashStep(h uint64, v Value) uint64 { return mix64(h ^ uint64(v)) }
+
+// HashRows returns dst[:n] (reallocated when short) holding, for each of rows
+// 0..n-1, HashTuple of the row's key in columns pos — the same fold, made one
+// column at a time, with no key gathered.
+func HashRows(dst []uint64, cols [][]Value, pos []int, n int) []uint64 {
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = hashSeed
+	}
+	for _, c := range pos {
+		for i, v := range cols[c][:n] {
+			dst[i] = HashStep(dst[i], v)
+		}
+	}
+	return dst
+}
+
+// HashAt returns HashTuple of row i's key in columns pos.
+func HashAt(cols [][]Value, pos []int, i int) uint64 {
+	h := uint64(hashSeed)
+	for _, c := range pos {
+		h = HashStep(h, cols[c][i])
 	}
 	return h
 }
@@ -95,19 +136,47 @@ func tupleEq(a, b []Value) bool {
 	return true
 }
 
-// find returns the id of t under hash h, searching this interner only.
-func (it *Interner) find(t []Value, h uint64) (uint32, bool) {
+// eqAt reports whether local id holds row i's key in columns pos.
+func (it *Interner) eqAt(local uint32, cols [][]Value, pos []int, i int) bool {
+	stored := it.tupleAt(local)
+	for k, c := range pos {
+		if stored[k] != cols[c][i] {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the id of t under hash h, searching this interner only, or
+// the empty slot its insert would take.
+func (it *Interner) find(t []Value, h uint64) (id uint32, slot uint64, ok bool) {
 	i := h & it.mask
 	for {
 		s := it.table[i]
 		if s == 0 {
-			return 0, false
+			return 0, i, false
 		}
 		local := s - 1
 		if it.hashes[local] == h && tupleEq(it.tupleAt(local), t) {
-			return it.baseLen + local, true
+			return it.baseLen + local, i, true
 		}
 		i = (i + 1) & it.mask
+	}
+}
+
+// findAt is find of row i's key in columns pos.
+func (it *Interner) findAt(cols [][]Value, pos []int, i int, h uint64) (id uint32, slot uint64, ok bool) {
+	j := h & it.mask
+	for {
+		s := it.table[j]
+		if s == 0 {
+			return 0, j, false
+		}
+		local := s - 1
+		if it.hashes[local] == h && it.eqAt(local, cols, pos, i) {
+			return it.baseLen + local, j, true
+		}
+		j = (j + 1) & it.mask
 	}
 }
 
@@ -119,46 +188,72 @@ func (it *Interner) Lookup(t []Value) (uint32, bool) {
 // LookupHashed is Lookup with the caller-computed hash.
 func (it *Interner) LookupHashed(t []Value, h uint64) (uint32, bool) {
 	if it.base != nil {
-		if id, ok := it.base.find(t, h); ok {
+		if id, _, ok := it.base.find(t, h); ok {
 			return id, true
 		}
 	}
-	return it.find(t, h)
+	id, _, ok := it.find(t, h)
+	return id, ok
+}
+
+// LookupAt is LookupHashed of row i's key in columns pos, h its hash
+// (HashRows, HashAt): the key is compared straight from the columns.
+func (it *Interner) LookupAt(cols [][]Value, pos []int, i int, h uint64) (uint32, bool) {
+	if it.base != nil {
+		if id, _, ok := it.base.findAt(cols, pos, i, h); ok {
+			return id, true
+		}
+	}
+	id, _, ok := it.findAt(cols, pos, i, h)
+	return id, ok
 }
 
 // Intern returns the dense id of t, assigning the next id on first sight.
 // fresh reports whether the tuple was new. The tuple is copied.
 func (it *Interner) Intern(t []Value) (id uint32, fresh bool) {
-	return it.InternHashed(t, HashTuple(t))
-}
-
-// InternHashed is Intern with the caller-computed hash.
-func (it *Interner) InternHashed(t []Value, h uint64) (id uint32, fresh bool) {
+	h := HashTuple(t)
 	if it.base != nil {
-		if id, ok := it.base.find(t, h); ok {
+		if id, _, ok := it.base.find(t, h); ok {
 			return id, false
 		}
 	}
-	i := h & it.mask
-	for {
-		s := it.table[i]
-		if s == 0 {
-			break
-		}
-		local := s - 1
-		if it.hashes[local] == h && tupleEq(it.tupleAt(local), t) {
-			return it.baseLen + local, false
-		}
-		i = (i + 1) & it.mask
+	id, slot, ok := it.find(t, h)
+	if ok {
+		return id, false
 	}
+	it.vals = append(it.vals, t...)
+	return it.insert(slot, h), true
+}
+
+// InternAt is Intern of row i's key in columns pos, h its hash (HashRows,
+// HashAt): the key is compared, and on first sight stored, straight from the
+// columns.
+func (it *Interner) InternAt(cols [][]Value, pos []int, i int, h uint64) (id uint32, fresh bool) {
+	if it.base != nil {
+		if id, _, ok := it.base.findAt(cols, pos, i, h); ok {
+			return id, false
+		}
+	}
+	id, slot, ok := it.findAt(cols, pos, i, h)
+	if ok {
+		return id, false
+	}
+	for _, c := range pos {
+		it.vals = append(it.vals, cols[c][i])
+	}
+	return it.insert(slot, h), true
+}
+
+// insert records the next local id, whose values the caller has appended,
+// under hash h at the empty slot its probe ended on, and returns its id.
+func (it *Interner) insert(slot, h uint64) uint32 {
 	local := uint32(len(it.hashes))
 	it.hashes = append(it.hashes, h)
-	it.vals = append(it.vals, t...)
-	it.table[i] = local + 1
+	it.table[slot] = local + 1
 	if uint64(len(it.hashes))*4 > (it.mask+1)*3 {
 		it.grow(int(it.mask+1) * 2)
 	}
-	return it.baseLen + local, true
+	return it.baseLen + local
 }
 
 // grow rebuilds the probe table at the given power-of-two size.
@@ -181,6 +276,36 @@ func (it *Interner) HashOf(id uint32) uint64 {
 		return it.base.HashOf(id)
 	}
 	return it.hashes[id-it.baseLen]
+}
+
+// KeyBits is a bit set over the hashes of an interner's keys, about sixteen
+// bits a key, indexed by a hash's top bits. A key whose bit is clear is not
+// among them, so a probe that most keys miss tests it first and skips the
+// table; a set bit may be another key's, and the table decides.
+type KeyBits struct {
+	words []uint64
+	shift uint
+}
+
+// NewKeyBits returns the KeyBits of the keys interned under ids from to
+// it.Len()-1, built from their stored hashes.
+func NewKeyBits(it *Interner, from int) KeyBits {
+	b := KeyBits{shift: 64 - 6}
+	for 1<<(64-b.shift) < 16*(it.Len()-from) {
+		b.shift--
+	}
+	b.words = make([]uint64, 1<<(64-b.shift)/64)
+	for id := from; id < it.Len(); id++ {
+		x := it.HashOf(uint32(id)) >> b.shift
+		b.words[x>>6] |= 1 << (x & 63)
+	}
+	return b
+}
+
+// MayHave reports whether a key of hash h may be among the set's keys.
+func (b KeyBits) MayHave(h uint64) bool {
+	x := h >> b.shift
+	return b.words[x>>6]&(1<<(x&63)) != 0
 }
 
 // TupleOf returns the tuple interned under id as a view into the interner's
@@ -295,13 +420,20 @@ func (it *Interner) Flatten() *Interner {
 }
 
 // Compact returns a fresh root interner holding the same ids, its table and
-// storage sized for the tuples it holds: the stored hashes are re-interned
-// in id order, so nothing is hashed again.
+// storage sized for the tuples it holds: the stored hashes and tuples are
+// copied in id order and the table is built from the hashes, so nothing is
+// hashed or compared again. The table is the one interning the tuples in id
+// order into it would make.
 func (it *Interner) Compact() *Interner {
-	out := NewInterner(it.width, it.Len())
-	for id := range uint32(it.Len()) {
-		out.InternHashed(it.TupleOf(id), it.HashOf(id))
+	n := it.Len()
+	out := &Interner{width: it.width, hashes: make([]uint64, 0, n), vals: make([]Value, 0, n*it.width)}
+	if b := it.base; b != nil {
+		out.hashes = append(out.hashes, b.hashes[:it.baseLen]...)
+		out.vals = append(out.vals, b.vals[:int(it.baseLen)*it.width]...)
 	}
+	out.hashes = append(out.hashes, it.hashes...)
+	out.vals = append(out.vals, it.vals...)
+	out.grow(tableSizeFor(n))
 	return out
 }
 

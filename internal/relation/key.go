@@ -5,7 +5,10 @@ package relation
 // The update path uses them — delta replay against multiset refcounts and
 // locating the rows a set-level delta removes (engine.Update, jointree's
 // RelDelta) — and so does workload/deltas.go. Everything on the query path
-// (deduplication, join groups, trims) keys tuples through an Interner instead.
+// (deduplication, join groups and their incremental upkeep, bag joins, trims)
+// keys tuples through an Interner instead, in row form: HashRows or HashAt
+// hashes the key where it lies in the columns and InternAt / LookupAt read it
+// there, so no key is encoded or gathered.
 
 func appendValue(dst []byte, v Value) []byte {
 	u := uint64(v)

@@ -92,9 +92,12 @@ func (r *Relation) Deduped() *Relation {
 	}
 	seen := NewInterner(r.arity, r.n)
 	keep := make([]int, 0, r.n)
-	buf := make([]Value, r.arity)
-	for i := range r.n {
-		if _, fresh := seen.Intern(r.CopyRow(buf, i)); fresh {
+	all := make([]int, r.arity)
+	for j := range all {
+		all[j] = j
+	}
+	for i, h := range HashRows(nil, r.cols, all, r.n) {
+		if _, fresh := seen.InternAt(r.cols, all, i, h); fresh {
 			keep = append(keep, i)
 		}
 	}

@@ -259,21 +259,26 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	// two flat arrays instead of one growing slice per group.
 	keys := relation.NewInterner(len(keyVars), relB.Len())
 	var seenB *relation.Interner
+	var allB []int
+	var rowHashes []uint64
 	if !relB.IsDistinct() {
 		seenB = relation.NewInterner(relB.Arity(), relB.Len())
+		allB = make([]int, relB.Arity())
+		for j := range allB {
+			allB[j] = j
+		}
+		rowHashes = relation.HashRows(nil, bCols, allB, relB.Len())
 	}
-	keyBuf := make([]relation.Value, 0, len(keyVars))
-	rowBuf := make([]relation.Value, relB.Arity())
 	bRows := make([]int32, 0, relB.Len()) // surviving B rows, in scan order
 	bGids := make([]int32, 0, relB.Len()) // their dense group ids
-	for i, n := 0, relB.Len(); i < n; i++ {
+	hashes := relation.HashRows(nil, bCols, keyB, relB.Len())
+	for i, h := range hashes {
 		if seenB != nil {
-			if _, fresh := seenB.Intern(relB.CopyRow(rowBuf, i)); !fresh {
+			if _, fresh := seenB.InternAt(bCols, allB, i, rowHashes[i]); !fresh {
 				continue
 			}
 		}
-		keyBuf = relation.GatherAt(keyBuf, bCols, keyB, i)
-		gid, _ := keys.Intern(keyBuf)
+		gid, _ := keys.InternAt(bCols, keyB, i, h)
 		bRows = append(bRows, int32(i))
 		bGids = append(bGids, int32(gid))
 	}
@@ -298,11 +303,11 @@ func buildSumAdjPrep(inst Instance, f *ranking.Func) (*sumAdjPrep, error) {
 	// guarantee. Each A-group resolves its B partner once.
 	aKeys := relation.NewInterner(len(keyVars), relA.Len())
 	aGids := make([]int32, relA.Len())
-	for i, n := 0, relA.Len(); i < n; i++ {
-		keyBuf = relation.GatherAt(keyBuf, aCols, keyA, i)
-		gid, fresh := aKeys.Intern(keyBuf)
+	hashes = relation.HashRows(hashes, aCols, keyA, relA.Len())
+	for i, h := range hashes {
+		gid, fresh := aKeys.InternAt(aCols, keyA, i, h)
 		if fresh {
-			if b, ok := keys.Lookup(keyBuf); ok {
+			if b, ok := keys.LookupAt(aCols, keyA, i, h); ok {
 				p.aPartner = append(p.aPartner, int(b))
 			} else {
 				p.aPartner = append(p.aPartner, -1)
